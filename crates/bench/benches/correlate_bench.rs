@@ -9,7 +9,8 @@
 //!   [`StreamAggregator`] snapshot/restore cycle.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use csspgo_codegen::{lower_module, Binary};
+use csspgo_bench::profiled;
+use csspgo_codegen::Binary;
 use csspgo_core::binprof;
 use csspgo_core::context::ContextProfile;
 use csspgo_core::pipeline::PipelineConfig;
@@ -19,7 +20,7 @@ use csspgo_core::stream::{SnapshotFormat, StreamAggregator};
 use csspgo_core::tailcall::TailCallGraph;
 use csspgo_core::textprof;
 use csspgo_core::unwind::Unwinder;
-use csspgo_sim::{Machine, Sample, SimConfig};
+use csspgo_sim::Sample;
 
 struct Profiled {
     binary: Binary,
@@ -31,32 +32,17 @@ struct Profiled {
 /// sampling, full training traffic.
 fn profiled_haas() -> Profiled {
     let w = csspgo_workloads::haas().scaled(0.4);
-    let cfg = PipelineConfig::default();
-    let mut m = csspgo_lang::compile(&w.source, &w.name).unwrap();
-    csspgo_opt::discriminators::run(&mut m);
-    csspgo_opt::probes::run(&mut m);
-    csspgo_opt::run_pipeline(&mut m, &cfg.opt);
-    let binary = lower_module(&m, &cfg.codegen);
-    let mut machine = Machine::new(
-        &binary,
-        SimConfig {
-            sample_period: 97,
-            ..SimConfig::default()
-        },
-    );
-    for (n, v) in &w.setup {
-        machine.set_global(n, v);
-    }
-    for args in &w.train_calls {
-        machine.call(&w.entry, args).unwrap();
-    }
-    let samples = machine.take_samples();
+    let cfg = PipelineConfig::builder()
+        .sample_period(97)
+        .build()
+        .expect("valid bench config");
+    let (binary, run) = profiled(&w, true, &cfg);
     let mut rc = RangeCounts::default();
-    rc.add_samples(&binary, &samples);
+    rc.add_samples(&binary, &run.samples);
     let graph = TailCallGraph::build(&binary, &rc);
     Profiled {
         binary,
-        samples,
+        samples: run.samples,
         graph,
     }
 }

@@ -2,16 +2,16 @@
 //! paper's components run (profile generation must keep up with a fleet).
 
 use criterion::{criterion_group, criterion_main, Criterion};
+use csspgo_bench::profiled;
 use csspgo_codegen::{lower_module, Binary, CodegenConfig};
-use csspgo_core::context::ContextProfile;
 use csspgo_core::correlate::{dwarf_profile, probe_profile};
 use csspgo_core::inference::{infer_counts, InferenceMode};
-use csspgo_core::pipeline::PipelineConfig;
+use csspgo_core::pipeline::{prepared_module, staged_machine, PipelineConfig};
 use csspgo_core::preinline::{context_sizes, run_preinliner, PreInlineConfig};
 use csspgo_core::ranges::RangeCounts;
 use csspgo_core::tailcall::TailCallGraph;
 use csspgo_core::unwind::Unwinder;
-use csspgo_sim::{Machine, Sample, SimConfig};
+use csspgo_sim::{Sample, SimConfig};
 use std::collections::HashMap;
 
 /// One profiled hhvm run shared by the profile-machinery benches.
@@ -23,33 +23,12 @@ struct Profiled {
 
 fn profiled_hhvm(probes: bool) -> Profiled {
     let w = csspgo_workloads::hhvm().scaled(0.1);
-    let cfg = PipelineConfig::default();
-    let mut m = csspgo_lang::compile(&w.source, &w.name).unwrap();
-    csspgo_opt::discriminators::run(&mut m);
-    if probes {
-        csspgo_opt::probes::run(&mut m);
-    }
-    csspgo_opt::run_pipeline(&mut m, &cfg.opt);
-    let binary = lower_module(&m, &cfg.codegen);
-    let mut machine = Machine::new(
-        &binary,
-        SimConfig {
-            sample_period: 199,
-            ..SimConfig::default()
-        },
-    );
-    for (n, v) in &w.setup {
-        machine.set_global(n, v);
-    }
-    for args in &w.train_calls {
-        machine.call(&w.entry, args).unwrap();
-    }
-    let samples = machine.take_samples();
+    let (binary, run) = profiled(&w, probes, &PipelineConfig::default());
     let mut rc = RangeCounts::default();
-    rc.add_samples(&binary, &samples);
+    rc.add_samples(&binary, &run.samples);
     Profiled {
         binary,
-        samples,
+        samples: run.samples,
         rc,
     }
 }
@@ -70,10 +49,9 @@ fn bench_unwinder(c: &mut Criterion) {
     let graph = TailCallGraph::build(&p.binary, &p.rc);
     c.bench_function("unwind/algorithm1_per_run", |b| {
         b.iter(|| {
-            let mut profile = ContextProfile::new();
-            let mut uw = Unwinder::new(&p.binary, Some(&graph));
-            uw.unwind_into(&p.samples, &mut profile);
-            profile.total()
+            Unwinder::new(&p.binary, Some(&graph))
+                .unwind_batched(&p.samples)
+                .total()
         })
     });
     c.bench_function("unwind/tailcall_graph_build", |b| {
@@ -84,9 +62,7 @@ fn bench_unwinder(c: &mut Criterion) {
 fn bench_preinliner(c: &mut Criterion) {
     let p = profiled_hhvm(true);
     let graph = TailCallGraph::build(&p.binary, &p.rc);
-    let mut profile = ContextProfile::new();
-    let mut uw = Unwinder::new(&p.binary, Some(&graph));
-    uw.unwind_into(&p.samples, &mut profile);
+    let profile = Unwinder::new(&p.binary, Some(&graph)).unwind_batched(&p.samples);
     c.bench_function("preinline/algorithm3_context_sizes", |b| {
         b.iter(|| context_sizes(&p.binary).len())
     });
@@ -131,9 +107,7 @@ fn bench_compile_pipeline(c: &mut Criterion) {
     });
     c.bench_function("compile/full_pipeline_with_probes", |b| {
         b.iter(|| {
-            let mut m = csspgo_lang::compile(&w.source, &w.name).unwrap();
-            csspgo_opt::discriminators::run(&mut m);
-            csspgo_opt::probes::run(&mut m);
+            let mut m = prepared_module(&w.source, &w.name, true).unwrap();
             csspgo_opt::run_pipeline(&mut m, &csspgo_opt::OptConfig::default());
             lower_module(&m, &CodegenConfig::default()).len()
         })
@@ -165,10 +139,7 @@ fn bench_simulator(c: &mut Criterion) {
     let b = lower_module(&m, &CodegenConfig::default());
     c.bench_function("sim/interpreter_throughput", |bch| {
         bch.iter(|| {
-            let mut machine = Machine::new(&b, SimConfig::default());
-            for (n, v) in &w.setup {
-                machine.set_global(n, v);
-            }
+            let mut machine = staged_machine(&b, &w, SimConfig::default());
             let mut acc = 0i64;
             for args in w.train_calls.iter().take(2) {
                 acc = acc.wrapping_add(machine.call(&w.entry, args).unwrap());

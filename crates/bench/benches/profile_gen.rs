@@ -4,7 +4,8 @@
 //! sequential and sharded-parallel form.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use csspgo_codegen::{lower_module, Binary};
+use csspgo_bench::profiled;
+use csspgo_codegen::Binary;
 use csspgo_core::context::ContextProfile;
 use csspgo_core::correlate::{dwarf_profile, probe_profile};
 use csspgo_core::pipeline::PipelineConfig;
@@ -12,7 +13,7 @@ use csspgo_core::ranges::RangeCounts;
 use csspgo_core::shard::{sharded_context_profile, sharded_range_counts};
 use csspgo_core::tailcall::TailCallGraph;
 use csspgo_core::unwind::Unwinder;
-use csspgo_sim::{Machine, Sample, SimConfig};
+use csspgo_sim::Sample;
 
 struct Profiled {
     binary: Binary,
@@ -22,33 +23,16 @@ struct Profiled {
 
 fn profiled_hhvm(probes: bool) -> Profiled {
     let w = csspgo_workloads::hhvm().scaled(0.2);
-    let cfg = PipelineConfig::default();
-    let mut m = csspgo_lang::compile(&w.source, &w.name).unwrap();
-    csspgo_opt::discriminators::run(&mut m);
-    if probes {
-        csspgo_opt::probes::run(&mut m);
-    }
-    csspgo_opt::run_pipeline(&mut m, &cfg.opt);
-    let binary = lower_module(&m, &cfg.codegen);
-    let mut machine = Machine::new(
-        &binary,
-        SimConfig {
-            sample_period: 97,
-            ..SimConfig::default()
-        },
-    );
-    for (n, v) in &w.setup {
-        machine.set_global(n, v);
-    }
-    for args in &w.train_calls {
-        machine.call(&w.entry, args).unwrap();
-    }
-    let samples = machine.take_samples();
+    let cfg = PipelineConfig::builder()
+        .sample_period(97)
+        .build()
+        .expect("valid bench config");
+    let (binary, run) = profiled(&w, probes, &cfg);
     let mut rc = RangeCounts::default();
-    rc.add_samples(&binary, &samples);
+    rc.add_samples(&binary, &run.samples);
     Profiled {
         binary,
-        samples,
+        samples: run.samples,
         rc,
     }
 }

@@ -6,8 +6,8 @@
 //! mitigation can produce context-sensitive profile comparable in size to
 //! regular profile, without losing its benefit."
 
-use csspgo_bench::{experiment_config, improvement_pct, traffic_scale};
-use csspgo_core::pipeline::{run_pgo_cycle, PgoVariant};
+use csspgo_bench::{experiment_config, improvement_pct, profiled, traffic_scale};
+use csspgo_core::pipeline::{probe_only_profile, run_pgo_cycle, PgoVariant};
 
 /// Entries in a flat probe profile (function profiles plus nested call-site
 /// sub-profiles) — the size proxy matching the trie's node count.
@@ -25,30 +25,8 @@ fn main() {
     let w = csspgo_workloads::haas().scaled(scale);
     // Build the context-insensitive (probe-only) profile size baseline.
     let flat_funcs = {
-        use csspgo_core::{correlate::probe_profile, ranges::RangeCounts};
-        use csspgo_sim::{Machine, SimConfig};
-        let mut m = csspgo_lang::compile(&w.source, &w.name).expect("compiles");
-        csspgo_opt::discriminators::run(&mut m);
-        csspgo_opt::probes::run(&mut m);
-        csspgo_opt::run_pipeline(&mut m, &cfg.opt);
-        let b = csspgo_codegen::lower_module(&m, &cfg.codegen);
-        let mut machine = Machine::new(
-            &b,
-            SimConfig {
-                sample_period: cfg.sample_period,
-                ..SimConfig::default()
-            },
-        );
-        for (n, v) in &w.setup {
-            machine.set_global(n, v);
-        }
-        for args in &w.train_calls {
-            machine.call(&w.entry, args).expect("runs");
-        }
-        let samples = machine.take_samples();
-        let mut rc = RangeCounts::default();
-        rc.add_samples(&b, &samples);
-        flat_profile_nodes(&probe_profile(&b, &rc))
+        let (b, run) = profiled(&w, true, &cfg);
+        flat_profile_nodes(&probe_only_profile(&b, &run.samples, cfg.ingest_shards))
     };
     println!("(context-insensitive profile: {flat_funcs} profile nodes)");
     println!("| trim threshold | trie nodes before | after | size vs flat | perf vs AutoFDO |");

@@ -10,14 +10,8 @@
 //! samples; the unwinder then reconstructs fewer and shallower contexts,
 //! and end-to-end CSSPGO performance suffers.
 
-use csspgo_bench::{experiment_config, improvement_pct, traffic_scale};
-use csspgo_codegen::lower_module;
-use csspgo_core::context::ContextProfile;
-use csspgo_core::pipeline::{run_pgo_cycle, PgoVariant};
-use csspgo_core::ranges::RangeCounts;
-use csspgo_core::tailcall::TailCallGraph;
-use csspgo_core::unwind::Unwinder;
-use csspgo_sim::{Machine, SimConfig};
+use csspgo_bench::{experiment_config, improvement_pct, profiled, traffic_scale};
+use csspgo_core::pipeline::{context_profile, run_pgo_cycle, PgoVariant};
 
 fn main() {
     let mut cfg = experiment_config();
@@ -34,32 +28,8 @@ fn main() {
     for pebs in [true, false] {
         cfg.pebs = pebs;
         // Direct unwinder statistics on the probed profiling binary.
-        let mut m = csspgo_lang::compile(&w.source, &w.name).expect("compiles");
-        csspgo_opt::discriminators::run(&mut m);
-        csspgo_opt::probes::run(&mut m);
-        csspgo_opt::run_pipeline(&mut m, &cfg.opt);
-        let b = lower_module(&m, &cfg.codegen);
-        let mut machine = Machine::new(
-            &b,
-            SimConfig {
-                sample_period: cfg.sample_period,
-                pebs,
-                ..SimConfig::default()
-            },
-        );
-        for (n, v) in &w.setup {
-            machine.set_global(n, v);
-        }
-        for args in &w.train_calls {
-            machine.call(&w.entry, args).expect("runs");
-        }
-        let samples = machine.take_samples();
-        let mut rc = RangeCounts::default();
-        rc.add_samples(&b, &samples);
-        let graph = TailCallGraph::build(&b, &rc);
-        let mut profile = ContextProfile::new();
-        let mut uw = Unwinder::new(&b, Some(&graph));
-        uw.unwind_into(&samples, &mut profile);
+        let (b, run) = profiled(&w, true, &cfg);
+        let unwound = context_profile(&b, &run.samples, cfg.ingest_shards);
 
         let outcome = run_pgo_cycle(&w, PgoVariant::CsspgoFull, &cfg).expect("full");
         println!(
@@ -69,9 +39,9 @@ fn main() {
             } else {
                 "no PEBS (skid)"
             },
-            uw.broken_stacks,
-            profile.total(),
-            profile.node_count(),
+            unwound.broken_stacks,
+            unwound.profile.total(),
+            unwound.profile.node_count(),
             improvement_pct(autofdo.eval.cycles, outcome.eval.cycles),
         );
     }

@@ -8,6 +8,7 @@
 
 use csspgo_bench::{experiment_config, traffic_scale};
 use csspgo_codegen::lower_module;
+use csspgo_core::pipeline::prepared_module;
 
 fn main() {
     let cfg = experiment_config();
@@ -20,9 +21,7 @@ fn main() {
     println!("|---|---|---|---|---|---|");
     let mut probe_pcts = Vec::new();
     for w in csspgo_workloads::server_workloads() {
-        let mut m = csspgo_lang::compile(&w.source, &w.name).expect("compiles");
-        csspgo_opt::discriminators::run(&mut m);
-        csspgo_opt::probes::run(&mut m);
+        let mut m = prepared_module(&w.source, &w.name, true).expect("compiles");
         csspgo_opt::run_pipeline(&mut m, &cfg.opt);
         let b = lower_module(&m, &cfg.codegen);
         let s = b.sections;

@@ -7,8 +7,12 @@
 //! variants' presentation order before the behavioural-equivalence check,
 //! so completion order never changes what gets compared or printed.
 
+use csspgo_codegen::Binary;
 use csspgo_core::fleet::{EpochEvent, FleetStats, RefreshEvent};
-use csspgo_core::pipeline::{run_pgo_cycle, PgoOutcome, PgoVariant, PipelineConfig, StageTimes};
+use csspgo_core::pipeline::{
+    profiling_build, profiling_run, run_pgo_cycle, PgoOutcome, PgoVariant, PipelineConfig,
+    ProfilingRun, StageTimes,
+};
 use csspgo_core::{SnapshotFormat, Workload};
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
@@ -50,6 +54,26 @@ pub fn snapshot_format_from_env() -> SnapshotFormat {
 /// The standard experiment configuration.
 pub fn experiment_config() -> PipelineConfig {
     PipelineConfig::default()
+}
+
+/// The profiling binary of `w` (probes on or off) and the profiling run of
+/// its training traffic under `cfg` — stages 1–2 of the PGO cycle, the
+/// shared set-up of the criterion benches and the ablation bins.
+///
+/// # Panics
+///
+/// Panics when a shipped workload fails to compile or run.
+pub fn profiled(w: &Workload, probes: bool, cfg: &PipelineConfig) -> (Binary, ProfilingRun) {
+    let variant = if probes {
+        PgoVariant::CsspgoFull
+    } else {
+        PgoVariant::AutoFdo
+    };
+    let binary = profiling_build(&w.source, &w.name, variant, cfg)
+        .expect("workload compiles")
+        .binary;
+    let run = profiling_run(&binary, w, cfg.sim_config(cfg.sample_period)).expect("workload runs");
+    (binary, run)
 }
 
 /// Fans `f` out over `items` on the thread pool, returning results in input

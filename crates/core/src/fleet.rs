@@ -33,7 +33,8 @@
 
 use crate::context::ContextProfile;
 use crate::pipeline::{
-    run_pgo_cycle_drifted, PgoVariant, PipelineConfig, PipelineError, StageTimes,
+    profiling_build, run_pgo_cycle_drifted, staged_machine, PgoVariant, PipelineConfig,
+    PipelineError, StageTimes,
 };
 use crate::ranges::RangeCounts;
 use crate::stalematch::StaleMatching;
@@ -41,7 +42,7 @@ use crate::stream::{ContextEdge, EpochSummary, EvictStats, SnapshotFormat, Strea
 use crate::tailcall::TailCallGraph;
 use crate::workload::Workload;
 use csspgo_codegen::Binary;
-use csspgo_sim::{Machine, SimConfig};
+use csspgo_sim::Machine;
 use rayon::prelude::*;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fmt;
@@ -432,12 +433,9 @@ impl FleetBinaries {
             .map(|(ti, v)| {
                 let t = Instant::now();
                 let name = format!("{}-{}", specs[ti].workload.name, v.label);
-                let mut module =
-                    csspgo_lang::compile(&v.source, &name).map_err(PipelineError::Compile)?;
-                csspgo_opt::discriminators::run(&mut module);
-                csspgo_opt::probes::run(&mut module);
-                csspgo_opt::run_pipeline(&mut module, &cfg.pipeline.opt);
-                let binary = csspgo_codegen::lower_module(&module, &cfg.pipeline.codegen);
+                let binary =
+                    profiling_build(&v.source, &name, PgoVariant::CsspgoFull, &cfg.pipeline)?
+                        .binary;
                 Ok((
                     ti,
                     CompiledVersion {
@@ -650,7 +648,7 @@ impl<'b> FleetService<'b> {
     /// machine per tenant-version, globals staged, aggregators created at
     /// calibration time.
     pub fn new(binaries: &'b FleetBinaries, cfg: FleetConfig) -> FleetService<'b> {
-        let sim = sim_config(&cfg.pipeline);
+        let sim = cfg.pipeline.sim_config(cfg.pipeline.sample_period);
         let tenants = binaries
             .tenants
             .iter()
@@ -659,10 +657,7 @@ impl<'b> FleetService<'b> {
                     .versions
                     .iter()
                     .map(|v| {
-                        let mut machine = Machine::new(&v.binary, sim.clone());
-                        for (name, values) in &t.spec.workload.setup {
-                            machine.set_global(name, values);
-                        }
+                        let machine = staged_machine(&v.binary, &t.spec.workload, sim.clone());
                         VersionRt {
                             label: v.label.clone(),
                             source: v.source.clone(),
@@ -1103,17 +1098,6 @@ fn sequence<T>(per_tenant: Vec<Result<Vec<T>, FleetError>>) -> Result<Vec<T>, Fl
         out.extend(r?);
     }
     Ok(out)
-}
-
-fn sim_config(cfg: &PipelineConfig) -> SimConfig {
-    SimConfig {
-        lbr_size: cfg.lbr_size,
-        pebs: cfg.pebs,
-        sample_period: cfg.sample_period,
-        seed: cfg.seed,
-        max_steps: cfg.max_steps,
-        ..SimConfig::default()
-    }
 }
 
 #[cfg(test)]

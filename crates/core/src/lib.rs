@@ -32,9 +32,10 @@
 //!   mapping block probes (the salvage path behind
 //!   [`stalematch::StaleMatching`]);
 //! * [`overlap`] — the block-overlap profile-quality metric of Table I;
-//! * [`pipeline`] — end-to-end PGO cycles for every variant the paper
-//!   evaluates ([`pipeline::PgoVariant`]), fed by pluggable
-//!   [`pipeline::ProfileSource`]s;
+//! * [`pipeline`] — the stages of a PGO cycle as plain public functions
+//!   (profiling run, per-variant profile generation, wire hand-off,
+//!   profile-guided rebuild, evaluation) and their composition for every
+//!   variant the paper evaluates ([`pipeline::PgoVariant`]);
 //! * [`stream`] — the streaming aggregation service: epoch-incremental
 //!   bounded-memory profile folding with snapshot/restore and drift
 //!   detection (the continuous-profiling deployment mode);
@@ -71,8 +72,8 @@ pub use fleet::{
     FleetService, FleetStats, RefreshEvent, TenantId, TenantSpec, TrafficShare, VersionSpec,
 };
 pub use pipeline::{
-    run_pgo_cycle, run_pgo_cycle_with, BatchSource, EpochSource, PgoOutcome, PgoVariant,
-    PipelineConfig, PipelineConfigBuilder, PipelineError, ProfileSource, StageTimes,
+    run_pgo_cycle, PgoOutcome, PgoVariant, PipelineConfig, PipelineConfigBuilder, PipelineError,
+    StageTimes,
 };
 pub use release_train::{
     run_release_train, CanaryReport, ReleaseReport, ReleaseSpec, TrainBenchDoc, TrainConfig,

@@ -10,19 +10,24 @@ use crate::annotate::{
     autofdo_annotate, collect_block_counts, csspgo_annotate, instr_annotate_reconstructed,
     AnnotateConfig, AnnotateStats,
 };
+use crate::context::ContextProfile;
 use crate::correlate::{dwarf_profile, probe_profile};
 use crate::overlap::BlockCounts;
 use crate::preinline::{run_preinliner, to_inline_plan, PreInlineConfig};
+use crate::profile::{FlatProfile, ProbeProfile};
+use crate::ranges::RangeCounts;
 use crate::shard::{sharded_context_profile, sharded_range_counts};
 use crate::stream::StreamConfig;
 use crate::tailcall::{InferStats, TailCallGraph};
 use crate::workload::Workload;
 use csspgo_codegen::{lower_module, Binary, CodegenConfig, SectionSizes};
-use csspgo_ir::Module;
+use csspgo_ir::flow::FlowEdge;
+use csspgo_ir::{BlockId, FuncId, InlinePlan, Module};
+use csspgo_opt::instrument::CounterMap;
 use csspgo_opt::OptConfig;
-use csspgo_sim::Sample;
-use csspgo_sim::{Machine, RunStats, SimConfig};
+use csspgo_sim::{Machine, RunStats, Sample, SimConfig};
 use serde::{Deserialize, Serialize};
+use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
 use std::time::Instant;
@@ -142,6 +147,20 @@ impl PipelineConfig {
     pub fn builder() -> PipelineConfigBuilder {
         PipelineConfigBuilder {
             cfg: PipelineConfig::default(),
+        }
+    }
+
+    /// The simulator configuration of this pipeline with the PMU sampling
+    /// every `sample_period` cycles (`0`: PMU off, as evaluation and
+    /// instrumented runs want it).
+    pub fn sim_config(&self, sample_period: u64) -> SimConfig {
+        SimConfig {
+            lbr_size: self.lbr_size,
+            pebs: self.pebs,
+            sample_period,
+            seed: self.seed,
+            max_steps: self.max_steps,
+            ..SimConfig::default()
         }
     }
 
@@ -369,8 +388,12 @@ impl StageTimes {
     }
 }
 
-fn ms_since(t: Instant) -> f64 {
-    t.elapsed().as_secs_f64() * 1e3
+/// Runs `f`, adding its wall time in milliseconds to `slot`.
+fn timed<T>(slot: &mut f64, f: impl FnOnce() -> T) -> T {
+    let start = Instant::now();
+    let out = f();
+    *slot += start.elapsed().as_secs_f64() * 1e3;
+    out
 }
 
 /// Pipeline failure.
@@ -473,110 +496,351 @@ pub struct PgoOutcome {
     pub stage_times: StageTimes,
 }
 
-/// Where a PGO cycle's PMU samples come from.
+impl PgoOutcome {
+    fn empty(variant: PgoVariant) -> Self {
+        PgoOutcome {
+            variant,
+            profiling: RunStats::default(),
+            eval: RunStats::default(),
+            eval_result_hash: 0,
+            sections: SectionSizes::default(),
+            profiling_sections: SectionSizes::default(),
+            annotate_stats: AnnotateStats::default(),
+            quality_counts: BlockCounts::new(),
+            context_nodes_before_trim: 0,
+            context_nodes_after_trim: 0,
+            plan_len: 0,
+            counter_sites: 0,
+            infer_stats: InferStats::default(),
+            stage_times: StageTimes::default(),
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
+// The stages of a PGO cycle, cut along the paper's tool boundaries:
+// profiling build, `perf` collection, `llvm-profgen`, profile-guided
+// rebuild. Each is a plain function over plain data; `run_pgo_cycle_drifted`
+// is their composition, and every other consumer that needs "the cycle up
+// to here" (lint, diff, fleet, release train, benches) calls the same ones.
+// ---------------------------------------------------------------------
+
+/// Stage 1 — the front end plus the preparation passes every build shares:
+/// discriminators, and pseudo-probes when `probes`.
 ///
-/// The pipeline builds the profiling binary and the machine; the source
-/// decides how the workload's training traffic is driven and how samples
-/// are drained. [`BatchSource`] reproduces the classic one-shot run;
-/// [`EpochSource`] drains samples in epoch-sized batches, the shape the
-/// streaming aggregator ([`crate::stream`]) consumes in production. Both
-/// must return the *complete, ordered* sample stream of the run — the
-/// simulator is deterministic, so any faithful drainage yields the same
-/// stream and therefore a bit-identical profile.
-pub trait ProfileSource {
-    /// Short description used in diagnostics.
-    fn describe(&self) -> String;
-
-    /// Drives the workload's training traffic on `machine` and returns the
-    /// full ordered sample stream of the run.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PipelineError`] when a training call fails (e.g. step
-    /// budget exceeded).
-    fn collect(
-        &mut self,
-        machine: &mut Machine<'_>,
-        workload: &Workload,
-    ) -> Result<Vec<Sample>, PipelineError>;
+/// # Errors
+///
+/// Returns [`PipelineError::Compile`] when the front end rejects `source`.
+pub fn prepared_module(source: &str, name: &str, probes: bool) -> Result<Module, PipelineError> {
+    let mut module = csspgo_lang::compile(source, name)?;
+    csspgo_opt::discriminators::run(&mut module);
+    if probes {
+        csspgo_opt::probes::run(&mut module);
+    }
+    Ok(module)
 }
 
-/// One-shot batch profiling: run all training traffic, drain once.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct BatchSource;
-
-impl ProfileSource for BatchSource {
-    fn describe(&self) -> String {
-        "batch".into()
-    }
-
-    fn collect(
-        &mut self,
-        machine: &mut Machine<'_>,
-        workload: &Workload,
-    ) -> Result<Vec<Sample>, PipelineError> {
-        for args in &workload.train_calls {
-            machine.call(&workload.entry, args)?;
-        }
-        Ok(machine.take_samples())
-    }
-}
-
-/// Streaming-style profiling: training traffic is issued in epochs of
-/// `calls_per_epoch` requests, samples drained after each epoch — the
-/// AlwaysOn-collection shape. The concatenated stream is identical to a
-/// [`BatchSource`] run, so the downstream profile is bit-identical; the
-/// per-epoch batch sizes are recorded in [`EpochSource::batch_sizes`] for
-/// callers that feed a [`crate::stream::StreamAggregator`].
+/// The product of [`profiling_build`].
 #[derive(Clone, Debug)]
-pub struct EpochSource {
-    /// Training calls per epoch (0 degenerates to one epoch).
-    pub calls_per_epoch: usize,
-    /// Sample count of each collected epoch, filled by `collect`.
-    pub batch_sizes: Vec<usize>,
+pub struct ProfilingBuild {
+    /// The binary deployed "in production".
+    pub binary: Binary,
+    /// Instrumented variant only: what each counter measures, and the
+    /// pre-instrumentation module the placement was planned on.
+    pub instrumented: Option<(CounterMap, Module)>,
 }
 
-impl EpochSource {
-    /// An epoch source draining every `calls_per_epoch` training calls.
-    pub fn new(calls_per_epoch: usize) -> Self {
-        EpochSource {
-            calls_per_epoch,
-            batch_sizes: Vec::new(),
+/// Stage 1b — the profiling build of `variant`: a [`prepared_module`]
+/// (probes for the CSSPGO variants, counters under `config.instrument` for
+/// the instrumented one) through the optimizer and code generation.
+///
+/// # Errors
+///
+/// Returns [`PipelineError::Compile`] when the front end rejects `source`.
+pub fn profiling_build(
+    source: &str,
+    name: &str,
+    variant: PgoVariant,
+    config: &PipelineConfig,
+) -> Result<ProfilingBuild, PipelineError> {
+    let mut module = prepared_module(source, name, variant.uses_probes())?;
+    let instrumented = (variant == PgoVariant::Instr).then(|| {
+        let reference = module.clone();
+        let map = csspgo_opt::instrument::run_with(&mut module, &config.instrument);
+        (map, reference)
+    });
+    csspgo_opt::run_pipeline(&mut module, &config.opt);
+    Ok(ProfilingBuild {
+        binary: lower_module(&module, &config.codegen),
+        instrumented,
+    })
+}
+
+/// A machine over `binary` with the workload's global arrays staged.
+pub fn staged_machine<'b>(binary: &'b Binary, workload: &Workload, sim: SimConfig) -> Machine<'b> {
+    let mut machine = Machine::new(binary, sim);
+    for (name, values) in &workload.setup {
+        machine.set_global(name, values);
+    }
+    machine
+}
+
+/// What a profiling run leaves behind.
+#[derive(Clone, Debug, Default)]
+pub struct ProfilingRun {
+    /// The complete, ordered PMU sample stream.
+    pub samples: Vec<Sample>,
+    /// Run statistics of the training traffic.
+    pub stats: RunStats,
+    /// Instrumentation counter values (empty for uninstrumented builds).
+    pub counters: Vec<u64>,
+}
+
+/// Stage 2 — the profiling run "in production": all training traffic on a
+/// [`staged_machine`], samples drained once at the end. The simulator is
+/// deterministic, so draining more often yields the same stream.
+///
+/// # Errors
+///
+/// Returns [`PipelineError::Sim`] when a training call fails (e.g. step
+/// budget exceeded).
+pub fn profiling_run(
+    binary: &Binary,
+    workload: &Workload,
+    sim: SimConfig,
+) -> Result<ProfilingRun, PipelineError> {
+    let mut machine = staged_machine(binary, workload, sim);
+    for args in &workload.train_calls {
+        machine.call(&workload.entry, args)?;
+    }
+    Ok(ProfilingRun {
+        samples: machine.take_samples(),
+        stats: *machine.stats(),
+        counters: machine.counters().to_vec(),
+    })
+}
+
+/// Stage 3, AutoFDO — range counts correlated through debug info.
+pub fn autofdo_profile(binary: &Binary, samples: &[Sample], shards: usize) -> FlatProfile {
+    dwarf_profile(binary, &sharded_range_counts(binary, samples, shards))
+}
+
+/// Stage 3, probe-only CSSPGO — range counts correlated through probes.
+pub fn probe_only_profile(binary: &Binary, samples: &[Sample], shards: usize) -> ProbeProfile {
+    probe_profile(binary, &sharded_range_counts(binary, samples, shards))
+}
+
+/// The product of [`context_profile`].
+#[derive(Clone, Debug)]
+pub struct ContextGenerated {
+    /// The context trie, checksummed and *untrimmed*.
+    pub profile: ContextProfile,
+    /// The LBR range/branch counts the tail-call graph was built from.
+    pub range_counts: RangeCounts,
+    /// Tail-call missing-frame inference counters of the unwind.
+    pub infer_stats: InferStats,
+    /// Samples whose stack could not be interpreted at all.
+    pub broken_stacks: u64,
+}
+
+/// Stage 3, full CSSPGO — range counts, the tail-call graph, Algorithm 1
+/// (context unwinding) and the binary's probe checksums. Stops *before*
+/// cold trimming and the pre-inliner: consumers differ on both (the
+/// pipeline does both, the lint gate only trims, the differential analyzer
+/// does neither).
+pub fn context_profile(binary: &Binary, samples: &[Sample], shards: usize) -> ContextGenerated {
+    let range_counts = sharded_range_counts(binary, samples, shards);
+    let tail_graph = TailCallGraph::build(binary, &range_counts);
+    let unwound = sharded_context_profile(binary, Some(&tail_graph), samples, shards);
+    let mut profile = unwound.profile;
+    stamp_checksums(&mut profile, binary);
+    ContextGenerated {
+        profile,
+        range_counts,
+        infer_stats: unwound.infer_stats,
+        broken_stacks: unwound.broken_stacks,
+    }
+}
+
+/// Stamps `binary`'s probe CFG checksums onto `profile`.
+pub(crate) fn stamp_checksums(profile: &mut ContextProfile, binary: &Binary) {
+    let checksums = binary
+        .funcs
+        .iter()
+        .filter_map(|f| f.probe_checksum.map(|c| (f.guid, c)))
+        .collect();
+    profile.set_checksums(&checksums);
+}
+
+/// Context entry counts can be sparse; raises each to the plain LBR entry
+/// count where that is larger.
+pub(crate) fn backfill_entries(probe: &mut ProbeProfile, rc: &RangeCounts, binary: &Binary) {
+    for (fidx, c) in rc.entry_counts(binary) {
+        let guid = binary.funcs[fidx as usize].guid;
+        if let Some(fp) = probe.funcs.get_mut(&guid) {
+            fp.entry = fp.entry.max(c);
         }
     }
 }
 
-impl ProfileSource for EpochSource {
-    fn describe(&self) -> String {
-        format!("epochs of {} calls", self.calls_per_epoch)
-    }
+/// Stage 3 finisher — flattens a (trimmed, pre-inlined, or neither)
+/// context profile into the [`ProbeProfile`] handed to the compiler, with
+/// LBR entry counts back-filled.
+pub fn finish_probe_profile(
+    profile: &ContextProfile,
+    rc: &RangeCounts,
+    binary: &Binary,
+) -> ProbeProfile {
+    let mut probe = profile.to_probe_profile();
+    backfill_entries(&mut probe, rc, binary);
+    probe
+}
 
-    fn collect(
-        &mut self,
-        machine: &mut Machine<'_>,
-        workload: &Workload,
-    ) -> Result<Vec<Sample>, PipelineError> {
-        self.batch_sizes.clear();
-        let chunk = if self.calls_per_epoch == 0 {
-            workload.train_calls.len().max(1)
-        } else {
-            self.calls_per_epoch
-        };
-        let mut samples = Vec::new();
-        for epoch_calls in workload.train_calls.chunks(chunk) {
-            for args in epoch_calls {
-                machine.call(&workload.entry, args)?;
-            }
-            let batch = machine.take_samples();
-            self.batch_sizes.push(batch.len());
-            samples.extend(batch);
-        }
-        Ok(samples)
+/// Names every function the LBR saw entered, for profiles that are printed
+/// or persisted. A step of its own: profiles fed straight back to the
+/// compiler stay unnamed.
+pub fn name_entered_functions(probe: &mut ProbeProfile, rc: &RangeCounts, binary: &Binary) {
+    for fidx in rc.entry_counts(binary).into_keys() {
+        let f = &binary.funcs[fidx as usize];
+        probe.names.entry(f.guid).or_insert_with(|| f.name.clone());
     }
 }
 
-/// Runs one full PGO cycle for `workload` with `variant`, profiling via the
-/// classic one-shot [`BatchSource`].
+/// Stage 3, instrumentation — counter values mapped back to exact block
+/// counts. Sparse (spanning-tree) measurements are solved back to full flow
+/// against `reference`, the profiling build's pre-instrumentation module
+/// (the CFG the placement was planned on).
+///
+/// # Errors
+///
+/// Returns [`PipelineError::Inconsistent`] when a sparse placement fails to
+/// reconstruct.
+pub fn instr_profile(
+    map: CounterMap,
+    counters: &[u64],
+    reference: &Module,
+) -> Result<BuildProfile, PipelineError> {
+    let mut exact = HashMap::new();
+    for ((fid, bid), counter) in map.by_block {
+        exact.insert((fid, bid), counters[counter as usize]);
+    }
+    let mut per_func: HashMap<FuncId, HashMap<FlowEdge, u64>> = HashMap::new();
+    for (fid, edge, counter) in map.by_edge {
+        per_func
+            .entry(fid)
+            .or_default()
+            .insert(edge, counters[counter as usize]);
+    }
+    let mut recovered_edges = HashMap::new();
+    for (fid, measured) in per_func {
+        let flow = csspgo_ir::flow::reconstruct(reference.func(fid), &measured).ok_or(
+            PipelineError::Inconsistent("sparse counter placement failed to reconstruct full flow"),
+        )?;
+        for (bid, c) in &flow.block_counts {
+            exact.insert((fid, *bid), *c);
+        }
+        recovered_edges.insert(fid, flow.edge_counts);
+    }
+    Ok(BuildProfile::Counters(exact, recovered_edges))
+}
+
+/// What profile generation hands the compiler.
+#[derive(Clone, Debug)]
+pub enum BuildProfile {
+    /// No profile (`-O2`).
+    None,
+    /// AutoFDO's line-keyed profile.
+    Flat(FlatProfile),
+    /// CSSPGO's probe-keyed profile (probe-only and full).
+    Probe(ProbeProfile),
+    /// Exact per-block counts plus, under sparse placement, the
+    /// Kirchhoff-recovered edge counts per function.
+    Counters(
+        HashMap<(FuncId, BlockId), u64>,
+        HashMap<FuncId, Vec<(BlockId, BlockId, u64)>>,
+    ),
+}
+
+impl BuildProfile {
+    /// Annotates `module` with this profile.
+    fn annotate(
+        &self,
+        module: &mut Module,
+        plan: Option<&InlinePlan>,
+        config: &AnnotateConfig,
+    ) -> AnnotateStats {
+        match self {
+            BuildProfile::None => AnnotateStats::default(),
+            BuildProfile::Flat(p) => autofdo_annotate(module, p, config),
+            BuildProfile::Probe(p) => csspgo_annotate(module, p, plan, config),
+            BuildProfile::Counters(c, e) => instr_annotate_reconstructed(module, c, e),
+        }
+    }
+}
+
+/// Stage 4 — the hand-off through the binary wire format. Production
+/// profiles travel between collector and compiler as binprof payloads; the
+/// cycle compiles from the decoded copy, so the wire format is
+/// load-bearing — a lossy encode or a decode regression fails the cycle —
+/// and both costs land in `times`. Counter profiles never leave the build
+/// host and pass through.
+///
+/// # Errors
+///
+/// Returns [`PipelineError::Decode`] when the payload does not decode.
+pub fn wire_handoff(
+    profile: BuildProfile,
+    times: &mut StageTimes,
+) -> Result<BuildProfile, PipelineError> {
+    Ok(match profile {
+        BuildProfile::Flat(p) => {
+            let bytes = timed(&mut times.serialize_ms, || crate::binprof::encode_flat(&p));
+            let decoded = timed(&mut times.deserialize_ms, || {
+                crate::binprof::decode_flat(&bytes)
+            });
+            BuildProfile::Flat(decoded?)
+        }
+        BuildProfile::Probe(p) => {
+            let bytes = timed(&mut times.serialize_ms, || crate::binprof::encode_probe(&p));
+            let decoded = timed(&mut times.deserialize_ms, || {
+                crate::binprof::decode_probe(&bytes)
+            });
+            BuildProfile::Probe(decoded?)
+        }
+        other => other,
+    })
+}
+
+/// Stage 5 — the profile-guided rebuild of a [`prepared_module`]: annotate
+/// (replaying `plan`), optimize, strip what `entry` no longer reaches
+/// (link-time GC: fully-inlined functions lose their standalone bodies),
+/// lower.
+///
+/// Full CSSPGO honors the pre-inliner's global decisions: the bottom-up
+/// inliner is restricted to trivially-small callees so it cannot undo the
+/// pre-inliner's selectivity (paper §III.B: the compiler "will try to
+/// honor the decision made by pre-inliner when possible").
+pub fn optimized_build(
+    mut module: Module,
+    variant: PgoVariant,
+    profile: &BuildProfile,
+    plan: Option<&InlinePlan>,
+    entry: &str,
+    config: &PipelineConfig,
+) -> (Binary, AnnotateStats) {
+    let stats = profile.annotate(&mut module, plan, &config.annotate);
+    let mut opt_cfg = config.opt.clone();
+    if variant == PgoVariant::CsspgoFull {
+        opt_cfg.inline_hot_size = opt_cfg.inline_small_size;
+    }
+    csspgo_opt::run_pipeline(&mut module, &opt_cfg);
+    if let Some(root) = module.find_function(entry) {
+        csspgo_opt::strip::run(&mut module, &[root]);
+    }
+    (lower_module(&module, &config.codegen), stats)
+}
+
+/// Runs one full PGO cycle for `workload` with `variant`.
 ///
 /// # Errors
 ///
@@ -587,13 +851,7 @@ pub fn run_pgo_cycle(
     variant: PgoVariant,
     config: &PipelineConfig,
 ) -> Result<PgoOutcome, PipelineError> {
-    run_pgo_cycle_with(
-        workload,
-        variant,
-        config,
-        &mut BatchSource,
-        &workload.source,
-    )
+    run_pgo_cycle_drifted(workload, variant, config, &workload.source)
 }
 
 /// Like [`run_pgo_cycle`] but the *optimized* build compiles
@@ -611,320 +869,117 @@ pub fn run_pgo_cycle_drifted(
     config: &PipelineConfig,
     build_source: &str,
 ) -> Result<PgoOutcome, PipelineError> {
-    run_pgo_cycle_with(workload, variant, config, &mut BatchSource, build_source)
-}
+    let mut outcome = PgoOutcome::empty(variant);
+    let mut times = StageTimes::default();
+    let shards = config.ingest_shards;
 
-/// The unified PGO-cycle entry point: one signature accepts any
-/// [`ProfileSource`] (batch or streaming epochs) and any build source
-/// (fresh or drifted). [`run_pgo_cycle`] and [`run_pgo_cycle_drifted`] are
-/// thin wrappers over this.
-///
-/// # Errors
-///
-/// Returns [`PipelineError`] if a source fails to compile or a simulation
-/// exceeds its budget.
-pub fn run_pgo_cycle_with(
-    workload: &Workload,
-    variant: PgoVariant,
-    config: &PipelineConfig,
-    source: &mut dyn ProfileSource,
-    build_source: &str,
-) -> Result<PgoOutcome, PipelineError> {
-    let mut outcome = PgoOutcome {
-        variant,
-        profiling: RunStats::default(),
-        eval: RunStats::default(),
-        eval_result_hash: 0,
-        sections: SectionSizes::default(),
-        profiling_sections: SectionSizes::default(),
-        annotate_stats: AnnotateStats::default(),
-        quality_counts: BlockCounts::new(),
-        context_nodes_before_trim: 0,
-        context_nodes_after_trim: 0,
-        plan_len: 0,
-        counter_sites: 0,
-        infer_stats: InferStats::default(),
-        stage_times: StageTimes::default(),
-    };
-
-    // ---------- profiling build ----------
-    let stage_start = Instant::now();
-    let mut counter_map = None;
-    let profiling_binary = if variant == PgoVariant::O2 {
-        None
-    } else {
-        let mut module = csspgo_lang::compile(&workload.source, &workload.name)?;
-        csspgo_opt::discriminators::run(&mut module);
-        if variant.uses_probes() {
-            csspgo_opt::probes::run(&mut module);
-        }
-        if variant == PgoVariant::Instr {
-            let map = csspgo_opt::instrument::run_with(&mut module, &config.instrument);
-            outcome.counter_sites = map.len();
-            counter_map = Some(map);
-        }
-        csspgo_opt::run_pipeline(&mut module, &config.opt);
-        Some(lower_module(&module, &config.codegen))
-    };
-    outcome.stage_times.compile_ms = ms_since(stage_start);
-
-    // ---------- profiling run ("in production") ----------
-    let stage_start = Instant::now();
-    let mut samples = Vec::new();
-    let mut counters: Vec<u64> = Vec::new();
-    if let Some(binary) = &profiling_binary {
-        outcome.profiling_sections = binary.sections;
-        let sim_cfg = SimConfig {
-            lbr_size: config.lbr_size,
-            pebs: config.pebs,
-            sample_period: if variant == PgoVariant::Instr {
-                0
-            } else {
-                config.sample_period
-            },
-            seed: config.seed,
-            max_steps: config.max_steps,
-            ..SimConfig::default()
+    // Profiling build and run "in production" (none for plain `-O2`).
+    let mut profiled = None;
+    if variant != PgoVariant::O2 {
+        let build = timed(&mut times.compile_ms, || {
+            profiling_build(&workload.source, &workload.name, variant, config)
+        })?;
+        let period = match variant {
+            PgoVariant::Instr => 0,
+            _ => config.sample_period,
         };
-        let mut machine = Machine::new(binary, sim_cfg);
-        for (name, values) in &workload.setup {
-            machine.set_global(name, values);
-        }
-        samples = source.collect(&mut machine, workload)?;
-        outcome.profiling = *machine.stats();
-        counters = machine.counters().to_vec();
-    }
-    outcome.stage_times.simulate_ms = ms_since(stage_start);
-
-    // ---------- profile generation ----------
-    enum Generated {
-        None,
-        Flat(crate::profile::FlatProfile),
-        Probe(crate::profile::ProbeProfile, Option<csspgo_ir::InlinePlan>),
-        /// Exact per-block counts plus, under sparse placement, the
-        /// Kirchhoff-recovered edge counts per function.
-        Counters(
-            std::collections::HashMap<(csspgo_ir::FuncId, csspgo_ir::BlockId), u64>,
-            std::collections::HashMap<
-                csspgo_ir::FuncId,
-                Vec<(csspgo_ir::BlockId, csspgo_ir::BlockId, u64)>,
-            >,
-        ),
+        let run = timed(&mut times.simulate_ms, || {
+            profiling_run(&build.binary, workload, config.sim_config(period))
+        })?;
+        outcome.profiling_sections = build.binary.sections;
+        outcome.profiling = run.stats;
+        outcome.counter_sites = build.instrumented.as_ref().map_or(0, |(map, _)| map.len());
+        profiled = Some((build, run));
     }
 
-    // The plan references the *fresh build module*; compile it first.
-    // (Frontend time for the optimized build counts toward `recompile_ms`.)
-    let stage_start = Instant::now();
-    let mut build_module = csspgo_lang::compile(build_source, &workload.name)?;
-    csspgo_opt::discriminators::run(&mut build_module);
-    if variant.uses_probes() {
-        csspgo_opt::probes::run(&mut build_module);
-    }
-    let build_frontend_ms = ms_since(stage_start);
+    // The pre-inliner's plan refers to the fresh build module, so its
+    // front end runs first; the time counts toward the rebuild.
+    let build_module = timed(&mut times.recompile_ms, || {
+        prepared_module(build_source, &workload.name, variant.uses_probes())
+    })?;
 
-    let stage_start = Instant::now();
-    let mut preinline_ms = 0.0;
-    let generated = match (variant, &profiling_binary) {
-        (PgoVariant::O2, _) | (_, None) => Generated::None,
-        (PgoVariant::AutoFdo, Some(binary)) => {
-            let rc = sharded_range_counts(binary, &samples, config.ingest_shards);
-            Generated::Flat(dwarf_profile(binary, &rc))
-        }
-        (PgoVariant::CsspgoProbeOnly, Some(binary)) => {
-            let rc = sharded_range_counts(binary, &samples, config.ingest_shards);
-            Generated::Probe(probe_profile(binary, &rc), None)
-        }
-        (PgoVariant::CsspgoFull, Some(binary)) => {
-            let rc = sharded_range_counts(binary, &samples, config.ingest_shards);
-            let tail_graph = TailCallGraph::build(binary, &rc);
-            let unwound =
-                sharded_context_profile(binary, Some(&tail_graph), &samples, config.ingest_shards);
-            let mut ctx_profile = unwound.profile;
-            outcome.infer_stats = unwound.infer_stats;
-            let checksums = binary
-                .funcs
-                .iter()
-                .filter_map(|f| f.probe_checksum.map(|c| (f.guid, c)))
-                .collect();
-            ctx_profile.set_checksums(&checksums);
-            outcome.context_nodes_before_trim = ctx_profile.node_count();
-            ctx_profile.trim_cold(config.trim_threshold);
-            outcome.context_nodes_after_trim = ctx_profile.node_count();
-            let preinline_start = Instant::now();
-            let pre = run_preinliner(&mut ctx_profile, binary, &config.preinline);
-            outcome.plan_len = pre.plan_paths.len();
-            let plan = to_inline_plan(&pre.plan_paths, &build_module);
-            preinline_ms = ms_since(preinline_start);
-            let mut probe_prof = ctx_profile.to_probe_profile();
-            // Context entry counts can be sparse; fall back to plain LBR
-            // entry counts where missing.
-            for (fidx, c) in rc.entry_counts(binary) {
-                let guid = binary.funcs[fidx as usize].guid;
-                if let Some(fp) = probe_prof.funcs.get_mut(&guid) {
-                    fp.entry = fp.entry.max(c);
-                }
-            }
-            Generated::Probe(probe_prof, Some(plan))
-        }
-        (PgoVariant::Instr, Some(_)) => {
-            let map = counter_map.take().ok_or(PipelineError::Inconsistent(
-                "instrumented build produced no counter map",
-            ))?;
-            let mut exact = std::collections::HashMap::new();
-            for ((fid, bid), counter) in map.by_block {
-                exact.insert((fid, bid), counters[counter as usize]);
-            }
-            let mut recovered_edges = std::collections::HashMap::new();
-            if !map.by_edge.is_empty() {
-                // Sparse measurements are solved back to full flow against
-                // the profiling build's pre-instrumentation CFG (the one
-                // the placement was planned on).
-                let mut ref_module = csspgo_lang::compile(&workload.source, &workload.name)?;
-                csspgo_opt::discriminators::run(&mut ref_module);
-                let mut per_func: std::collections::HashMap<
-                    csspgo_ir::FuncId,
-                    std::collections::HashMap<csspgo_ir::flow::FlowEdge, u64>,
-                > = std::collections::HashMap::new();
-                for (fid, edge, counter) in map.by_edge {
-                    per_func
-                        .entry(fid)
-                        .or_default()
-                        .insert(edge, counters[counter as usize]);
-                }
-                for (fid, measured) in per_func {
-                    let flow = csspgo_ir::flow::reconstruct(ref_module.func(fid), &measured)
-                        .ok_or(PipelineError::Inconsistent(
-                            "sparse counter placement failed to reconstruct full flow",
-                        ))?;
-                    for (bid, c) in &flow.block_counts {
-                        exact.insert((fid, *bid), *c);
-                    }
-                    recovered_edges.insert(fid, flow.edge_counts);
-                }
-            }
-            Generated::Counters(exact, recovered_edges)
-        }
-    };
-    outcome.stage_times.correlate_ms = ms_since(stage_start) - preinline_ms;
-    outcome.stage_times.preinline_ms = preinline_ms;
-
-    // ---------- profile hand-off through the binary wire format ----------
-    // Production profiles travel between collector and compiler as binprof
-    // payloads; the pipeline serializes the generated profile and compiles
-    // from the decoded copy, so the wire format is load-bearing — a lossy
-    // encode or a decode regression fails the cycle, and both costs are
-    // visible as stage times.
-    let generated = match generated {
-        Generated::Flat(p) => {
-            let t = Instant::now();
-            let bytes = crate::binprof::encode_flat(&p);
-            outcome.stage_times.serialize_ms = ms_since(t);
-            let t = Instant::now();
-            let decoded = crate::binprof::decode_flat(&bytes)?;
-            outcome.stage_times.deserialize_ms = ms_since(t);
-            Generated::Flat(decoded)
-        }
-        Generated::Probe(p, plan) => {
-            let t = Instant::now();
-            let bytes = crate::binprof::encode_probe(&p);
-            outcome.stage_times.serialize_ms = ms_since(t);
-            let t = Instant::now();
-            let decoded = crate::binprof::decode_probe(&bytes)?;
-            outcome.stage_times.deserialize_ms = ms_since(t);
-            Generated::Probe(decoded, plan)
-        }
-        other => other,
-    };
-
-    // ---------- quality snapshot (no replay, common CFG) ----------
-    {
-        let mut q_module = csspgo_lang::compile(build_source, &workload.name)?;
-        csspgo_opt::discriminators::run(&mut q_module);
-        if variant.uses_probes() {
-            csspgo_opt::probes::run(&mut q_module);
-        }
-        let no_replay = AnnotateConfig {
-            inline_budget: 0,
-            ..config.annotate
+    let mut plan = None;
+    let profile = timed(&mut times.correlate_ms, || -> Result<_, PipelineError> {
+        let Some((build, run)) = profiled else {
+            return Ok(BuildProfile::None);
         };
-        match &generated {
-            Generated::None => {}
-            Generated::Flat(p) => {
-                autofdo_annotate(&mut q_module, p, &no_replay);
+        let binary = &build.binary;
+        Ok(match variant {
+            PgoVariant::AutoFdo => {
+                BuildProfile::Flat(autofdo_profile(binary, &run.samples, shards))
             }
-            Generated::Probe(p, _) => {
-                csspgo_annotate(&mut q_module, p, None, &no_replay);
+            PgoVariant::CsspgoProbeOnly => {
+                BuildProfile::Probe(probe_only_profile(binary, &run.samples, shards))
             }
-            Generated::Counters(c, e) => {
-                instr_annotate_reconstructed(&mut q_module, c, e);
+            PgoVariant::CsspgoFull => {
+                let mut generated = context_profile(binary, &run.samples, shards);
+                outcome.infer_stats = generated.infer_stats;
+                outcome.context_nodes_before_trim = generated.profile.node_count();
+                generated.profile.trim_cold(config.trim_threshold);
+                outcome.context_nodes_after_trim = generated.profile.node_count();
+                timed(&mut times.preinline_ms, || {
+                    let pre = run_preinliner(&mut generated.profile, binary, &config.preinline);
+                    outcome.plan_len = pre.plan_paths.len();
+                    plan = Some(to_inline_plan(&pre.plan_paths, &build_module));
+                });
+                let rc = &generated.range_counts;
+                BuildProfile::Probe(finish_probe_profile(&generated.profile, rc, binary))
             }
-        }
-        outcome.quality_counts = collect_block_counts(&q_module);
-    }
+            PgoVariant::Instr => {
+                let (map, reference) = build.instrumented.ok_or(PipelineError::Inconsistent(
+                    "instrumented build produced no counter map",
+                ))?;
+                instr_profile(map, &run.counters, &reference)?
+            }
+            PgoVariant::O2 => BuildProfile::None,
+        })
+    })?;
+    times.correlate_ms -= times.preinline_ms;
+    let profile = wire_handoff(profile, &mut times)?;
+    outcome.quality_counts = quality_counts(build_module.clone(), &profile, &config.annotate);
 
-    // ---------- optimized build ----------
-    let stage_start = Instant::now();
-    match &generated {
-        Generated::None => {}
-        Generated::Flat(p) => {
-            outcome.annotate_stats = autofdo_annotate(&mut build_module, p, &config.annotate);
-        }
-        Generated::Probe(p, plan) => {
-            outcome.annotate_stats =
-                csspgo_annotate(&mut build_module, p, plan.as_ref(), &config.annotate);
-        }
-        Generated::Counters(c, e) => {
-            outcome.annotate_stats = instr_annotate_reconstructed(&mut build_module, c, e);
-        }
-    }
-    // Full CSSPGO honors the pre-inliner's global decisions: the bottom-up
-    // inliner is restricted to trivially-small callees so it cannot undo the
-    // pre-inliner's selectivity (paper §III.B: the compiler "will try to
-    // honor the decision made by pre-inliner when possible").
-    let mut opt_cfg = config.opt.clone();
-    if variant == PgoVariant::CsspgoFull {
-        opt_cfg.inline_hot_size = opt_cfg.inline_small_size;
-    }
-    csspgo_opt::run_pipeline(&mut build_module, &opt_cfg);
-    // Link-time GC: fully-inlined functions lose their standalone bodies.
-    if let Some(root) = build_module.find_function(&workload.entry) {
-        csspgo_opt::strip::run(&mut build_module, &[root]);
-    }
-    let final_binary = lower_module(&build_module, &config.codegen);
-    outcome.sections = final_binary.sections;
-    let inference_ms = outcome.annotate_stats.inference.elapsed_us as f64 / 1e3;
-    outcome.stage_times.inference_ms = inference_ms;
-    outcome.stage_times.recompile_ms =
-        (build_frontend_ms + ms_since(stage_start) - inference_ms).max(0.0);
-
-    // ---------- evaluation run ----------
-    let stage_start = Instant::now();
-    let (stats, hash) = evaluate(&final_binary, workload, config)?;
-    outcome.eval = stats;
-    outcome.eval_result_hash = hash;
-    outcome.stage_times.evaluate_ms = ms_since(stage_start);
+    let (binary, stats) = timed(&mut times.recompile_ms, || {
+        let (plan, entry) = (plan.as_ref(), &workload.entry);
+        optimized_build(build_module, variant, &profile, plan, entry, config)
+    });
+    outcome.annotate_stats = stats;
+    outcome.sections = binary.sections;
+    times.inference_ms = stats.inference.elapsed_us as f64 / 1e3;
+    times.recompile_ms = (times.recompile_ms - times.inference_ms).max(0.0);
+    (outcome.eval, outcome.eval_result_hash) = timed(&mut times.evaluate_ms, || {
+        evaluate(&binary, workload, config)
+    })?;
+    outcome.stage_times = times;
     Ok(outcome)
 }
 
-/// Runs the evaluation traffic on `binary`, returning stats and a hash of
-/// the results (for cross-variant correctness checking).
+/// The quality snapshot: `module` annotated without inline replay, so block
+/// counts stay on a CFG common to every variant.
+fn quality_counts(
+    mut module: Module,
+    profile: &BuildProfile,
+    annotate: &AnnotateConfig,
+) -> BlockCounts {
+    let no_replay = AnnotateConfig {
+        inline_budget: 0,
+        ..*annotate
+    };
+    profile.annotate(&mut module, None, &no_replay);
+    collect_block_counts(&module)
+}
+
+/// Stage 6 — runs the evaluation traffic on `binary`, returning stats and
+/// a hash of the results (for cross-variant correctness checking).
+///
+/// # Errors
+///
+/// Returns [`PipelineError::Sim`] when an evaluation call fails.
 pub fn evaluate(
     binary: &Binary,
     workload: &Workload,
     config: &PipelineConfig,
 ) -> Result<(RunStats, u64), PipelineError> {
-    let sim_cfg = SimConfig {
-        lbr_size: config.lbr_size,
-        pebs: config.pebs,
-        sample_period: 0,
-        seed: config.seed,
-        max_steps: config.max_steps,
-        ..SimConfig::default()
-    };
-    let mut machine = Machine::new(binary, sim_cfg);
-    for (name, values) in &workload.setup {
-        machine.set_global(name, values);
-    }
+    let mut machine = staged_machine(binary, workload, config.sim_config(0));
     let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
     for args in &workload.eval_calls {
         let r = machine.call(&workload.entry, args)?;
@@ -934,35 +989,29 @@ pub fn evaluate(
     Ok((*machine.stats(), hash))
 }
 
-/// Compiles and evaluates `module_source` without any PGO — a helper for
-/// overhead experiments that need a custom build (e.g. probes on/off).
+/// Builds `workload` at plain `-O2` (probes on or off) and evaluates it —
+/// the overhead experiments' custom build.
+///
+/// # Errors
+///
+/// Returns [`PipelineError`] if the source fails to compile or the
+/// evaluation exceeds its budget.
 pub fn build_and_run(
     workload: &Workload,
     with_probes: bool,
     config: &PipelineConfig,
 ) -> Result<(RunStats, SectionSizes), PipelineError> {
-    let mut module = csspgo_lang::compile(&workload.source, &workload.name)?;
-    csspgo_opt::discriminators::run(&mut module);
-    if with_probes {
-        csspgo_opt::probes::run(&mut module);
-    }
-    csspgo_opt::run_pipeline(&mut module, &config.opt);
-    if let Some(root) = module.find_function(&workload.entry) {
-        csspgo_opt::strip::run(&mut module, &[root]);
-    }
-    let binary = lower_module(&module, &config.codegen);
+    let module = prepared_module(&workload.source, &workload.name, with_probes)?;
+    let (binary, _) = optimized_build(
+        module,
+        PgoVariant::O2,
+        &BuildProfile::None,
+        None,
+        &workload.entry,
+        config,
+    );
     let (stats, _) = evaluate(&binary, workload, config)?;
     Ok((stats, binary.sections))
-}
-
-/// Fresh-IR compile helper used by quality experiments.
-pub fn fresh_module(workload: &Workload, probes: bool) -> Result<Module, PipelineError> {
-    let mut m = csspgo_lang::compile(&workload.source, &workload.name)?;
-    csspgo_opt::discriminators::run(&mut m);
-    if probes {
-        csspgo_opt::probes::run(&mut m);
-    }
-    Ok(m)
 }
 
 #[cfg(test)]
@@ -1173,22 +1222,5 @@ fn score(n) {
             o.stage_times.total_ms() >= o.stage_times.inference_ms,
             "inference is part of the total"
         );
-    }
-
-    #[test]
-    fn epoch_source_matches_batch_source_bit_for_bit() {
-        let w = tiny_workload();
-        let cfg = quick_config();
-        for v in [PgoVariant::AutoFdo, PgoVariant::CsspgoFull] {
-            let batch = run_pgo_cycle(&w, v, &cfg).unwrap();
-            let mut epochs = EpochSource::new(1);
-            let streamed = run_pgo_cycle_with(&w, v, &cfg, &mut epochs, &w.source).unwrap();
-            assert!(epochs.batch_sizes.len() > 1, "traffic split into epochs");
-            assert_eq!(batch.eval_result_hash, streamed.eval_result_hash);
-            assert_eq!(batch.eval.cycles, streamed.eval.cycles);
-            assert_eq!(batch.sections.text, streamed.sections.text);
-            assert_eq!(batch.profiling.samples, streamed.profiling.samples);
-            assert_eq!(batch.plan_len, streamed.plan_len);
-        }
     }
 }

@@ -18,7 +18,7 @@
 //! The per-release **pgo** point is built from the *live* stable-version
 //! profile ([`crate::stream::StreamAggregator::context_snapshot`] →
 //! pre-inliner →
-//! binprof hand-off → [`csspgo_annotate`] under the configured
+//! binprof hand-off → [`optimized_build`] under the configured
 //! stale-matching + inference modes), so the whole
 //! stream/stalematch/inference stack is on the measured path. Retention
 //! is reported signed against the `-O2` baseline:
@@ -35,7 +35,7 @@
 //! A seeded sabotage hook corrupts the hand-off profile of one release so
 //! tests can assert the gate actually gates.
 
-use crate::annotate::{csspgo_annotate, AnnotateConfig};
+use crate::annotate::AnnotateConfig;
 use crate::binprof;
 use crate::context::FrameKey;
 use crate::fleet::{
@@ -43,13 +43,15 @@ use crate::fleet::{
     TrafficShare, VersionSpec,
 };
 use crate::inference::InferenceMode;
-use crate::pipeline::{evaluate, run_pgo_cycle, PgoVariant, PipelineConfig, PipelineError};
+use crate::pipeline::{
+    evaluate, optimized_build, prepared_module, run_pgo_cycle, BuildProfile, PgoVariant,
+    PipelineConfig, PipelineError,
+};
 use crate::preinline::{run_preinliner, to_inline_plan};
 use crate::profile::{ProbeFuncProfile, ProbeProfile};
 use crate::stalematch::StaleMatching;
 use crate::stream::{probe_weights, weight_overlap};
 use crate::workload::Workload;
-use csspgo_codegen::lower_module;
 use serde::Serialize;
 use std::time::Instant;
 
@@ -287,28 +289,29 @@ pub fn run_release_train(
     let floor_pre = run_preinliner(&mut floor_ctx, v0_binary, &pipe.preinline);
     let mut floor_probe = floor_ctx.to_probe_profile();
     agg0.backfill_entries(&mut floor_probe);
-    let floor_probe = binprof::decode_probe(&binprof::encode_probe(&floor_probe))
-        .map_err(|e| FleetError::Pipeline(PipelineError::from(e)))?;
+    let floor_probe = BuildProfile::Probe(
+        binprof::decode_probe(&binprof::encode_probe(&floor_probe))
+            .map_err(|e| FleetError::Pipeline(PipelineError::from(e)))?,
+    );
 
-    let live_annotate = AnnotateConfig {
-        stale_matching: cfg.refresh_matching,
-        inference: cfg.refresh_inference,
-        ..pipe.annotate
+    let with_matching = |stale_matching| PipelineConfig {
+        annotate: AnnotateConfig {
+            stale_matching,
+            inference: cfg.refresh_inference,
+            ..pipe.annotate
+        },
+        ..pipe.clone()
     };
-    let floor_annotate = AnnotateConfig {
-        stale_matching: StaleMatching::Off,
-        inference: cfg.refresh_inference,
-        ..pipe.annotate
-    };
+    let live_pipe = with_matching(cfg.refresh_matching);
+    let floor_pipe = with_matching(StaleMatching::Off);
 
     // The train's starting point: v0 optimized from its own live profile.
-    let (baseline_cycles, _, _) = build_with_profile(
+    let (baseline_cycles, _) = build_with_profile(
         workload,
         &workload.source,
         &floor_probe,
         Some(&floor_pre.plan_paths),
-        &live_annotate,
-        &pipe,
+        &live_pipe,
     )?;
 
     let mut stable_source = workload.source.clone();
@@ -394,13 +397,12 @@ pub fn run_release_train(
             corrupt_profile(&mut live_probe);
             plan_paths = None;
         }
-        let (pgo_cycles, pgo_hash, _) = build_with_profile(
+        let (pgo_cycles, pgo_hash) = build_with_profile(
             workload,
             &rel.source,
-            &live_probe,
+            &BuildProfile::Probe(live_probe),
             plan_paths,
-            &live_annotate,
-            &pipe,
+            &live_pipe,
         )?;
 
         // Anchors on the new source: plain -O2 and the fresh-profile
@@ -411,13 +413,12 @@ pub fn run_release_train(
         let oracle = run_pgo_cycle(&rel_wl, PgoVariant::CsspgoFull, &pipe)?;
 
         // Never-refresh floor: the frozen v0 profile with matching off.
-        let (floor_cycles, _, _) = build_with_profile(
+        let (floor_cycles, _) = build_with_profile(
             workload,
             &rel.source,
             &floor_probe,
             Some(&floor_pre.plan_paths),
-            &floor_annotate,
-            &pipe,
+            &floor_pipe,
         )?;
 
         let o2_cycles = o2.eval.cycles;
@@ -497,35 +498,30 @@ pub fn run_release_train(
     })
 }
 
-/// Builds an optimized binary of `build_source` from an already-collected
-/// probe profile and optional pre-inline plan paths, then evaluates it —
-/// the optimized-build half of the full-CSSPGO cycle, with the profile
-/// supplied instead of collected. Returns `(eval cycles, eval result
-/// hash, annotate stats)`.
+/// The optimized-build half of the full-CSSPGO cycle with the profile
+/// supplied instead of collected: builds `build_source` from `profile` and
+/// optional pre-inline plan paths under `pipe` (whose annotate knobs carry
+/// the matching mode under test), then evaluates it. Returns `(eval cycles,
+/// eval result hash)`.
 fn build_with_profile(
     workload: &Workload,
     build_source: &str,
-    probe: &ProbeProfile,
+    profile: &BuildProfile,
     plan_paths: Option<&[Vec<FrameKey>]>,
-    annotate: &AnnotateConfig,
     pipe: &PipelineConfig,
-) -> Result<(u64, u64, crate::annotate::AnnotateStats), PipelineError> {
-    let mut module = csspgo_lang::compile(build_source, &workload.name)?;
-    csspgo_opt::discriminators::run(&mut module);
-    csspgo_opt::probes::run(&mut module);
+) -> Result<(u64, u64), PipelineError> {
+    let module = prepared_module(build_source, &workload.name, true)?;
     let plan = plan_paths.map(|p| to_inline_plan(p, &module));
-    let stats = csspgo_annotate(&mut module, probe, plan.as_ref(), annotate);
-    // Full CSSPGO honors the pre-inliner: the bottom-up inliner is
-    // restricted to trivially-small callees (same rule as the pipeline).
-    let mut opt_cfg = pipe.opt.clone();
-    opt_cfg.inline_hot_size = opt_cfg.inline_small_size;
-    csspgo_opt::run_pipeline(&mut module, &opt_cfg);
-    if let Some(root) = module.find_function(&workload.entry) {
-        csspgo_opt::strip::run(&mut module, &[root]);
-    }
-    let binary = lower_module(&module, &pipe.codegen);
+    let (binary, _) = optimized_build(
+        module,
+        PgoVariant::CsspgoFull,
+        profile,
+        plan.as_ref(),
+        &workload.entry,
+        pipe,
+    );
     let (run_stats, hash) = evaluate(&binary, workload, pipe)?;
-    Ok((run_stats.cycles, hash, stats))
+    Ok((run_stats.cycles, hash))
 }
 
 /// Hot/cold inversion: every probe count `c` becomes `max − c + 1` within

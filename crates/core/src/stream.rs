@@ -40,7 +40,7 @@
 use crate::binprof::{self, put_uvarint, Kind};
 use crate::context::ContextProfile;
 use crate::merge::merge_context;
-use crate::pipeline::{PipelineError, StageTimes};
+use crate::pipeline::{self, PipelineError, StageTimes};
 use crate::profile::ProbeProfile;
 use crate::ranges::RangeCounts;
 use crate::shard::{sharded_context_profile, sharded_range_counts};
@@ -211,6 +211,33 @@ fn binary_fingerprint(binary: &Binary) -> u64 {
         mix(&mut h, f.probe_checksum.unwrap_or(0));
     }
     h
+}
+
+/// A flat instruction index read from a snapshot payload. Restored counts
+/// are indexed into the binary's tables on their next use, so an index past
+/// the binary must be refused here, not panic there.
+fn inst_index(binary: &Binary, v: u64) -> Result<usize, &'static str> {
+    usize::try_from(v)
+        .ok()
+        .filter(|&i| i < binary.len())
+        .ok_or("instruction index outside the binary")
+}
+
+/// A function index read from a snapshot payload (see [`inst_index`]).
+fn func_index(binary: &Binary, v: u64) -> Result<u32, &'static str> {
+    u32::try_from(v)
+        .ok()
+        .filter(|&i| (i as usize) < binary.funcs.len())
+        .ok_or("function index outside the binary")
+}
+
+/// An inclusive `[begin, end]` linear range read from a snapshot payload.
+fn inst_range(binary: &Binary, begin: u64, end: u64) -> Result<(usize, usize), &'static str> {
+    let range = (inst_index(binary, begin)?, inst_index(binary, end)?);
+    if range.0 > range.1 {
+        return Err("range ends before it begins");
+    }
+    Ok(range)
 }
 
 /// Flattens a context profile into context-insensitive probe weights
@@ -520,33 +547,19 @@ impl<'b> StreamAggregator<'b> {
     /// harness uses this to grow an inline plan out of a *live* profile.
     pub fn context_snapshot(&self, trim_threshold: u64) -> ContextProfile {
         let mut ctx = self.profile.clone();
-        let checksums = self
-            .binary
-            .funcs
-            .iter()
-            .filter_map(|f| f.probe_checksum.map(|c| (f.guid, c)))
-            .collect();
-        ctx.set_checksums(&checksums);
+        pipeline::stamp_checksums(&mut ctx, self.binary);
         ctx.trim_cold(trim_threshold);
         ctx
     }
 
-    /// Back-fills sparse function entry counts from the plain LBR entry
-    /// counters — the repair [`Self::to_probe_profile`] applies, exposed
-    /// so a caller deriving its own [`ProbeProfile`] (e.g. after
-    /// pre-inlining mutated a [`Self::context_snapshot`]) gets identical
-    /// entries.
+    /// Names the functions the LBR saw entered and back-fills their sparse
+    /// entry counts from the plain LBR entry counters — the repair
+    /// [`Self::to_probe_profile`] applies, exposed so a caller deriving its
+    /// own [`ProbeProfile`] (e.g. after pre-inlining mutated a
+    /// [`Self::context_snapshot`]) gets identical entries.
     pub fn backfill_entries(&self, probe_prof: &mut ProbeProfile) {
-        for (fidx, c) in self.rc.entry_counts(self.binary) {
-            let f = &self.binary.funcs[fidx as usize];
-            probe_prof
-                .names
-                .entry(f.guid)
-                .or_insert_with(|| f.name.clone());
-            if let Some(fp) = probe_prof.funcs.get_mut(&f.guid) {
-                fp.entry = fp.entry.max(c);
-            }
-        }
+        pipeline::name_entered_functions(probe_prof, &self.rc, self.binary);
+        pipeline::backfill_entries(probe_prof, &self.rc, self.binary);
     }
 
     // -----------------------------------------------------------------
@@ -677,6 +690,7 @@ impl<'b> StreamAggregator<'b> {
             Weights,
         }
         let mut section = Section::Header;
+        let mut saw_fingerprint = false;
         let mut graph = TailCallGraph::default();
         let mut saw_graph_edges = false;
         let mut weights: BTreeMap<(u64, u32), u64> = BTreeMap::new();
@@ -698,6 +712,7 @@ impl<'b> StreamAggregator<'b> {
                         "snapshot was taken against a different binary build".into()
                     ));
                 }
+                saw_fingerprint = true;
                 continue;
             }
             if let Some(rest) = trimmed.strip_prefix("# epochs:") {
@@ -730,6 +745,7 @@ impl<'b> StreamAggregator<'b> {
                         })
                     };
                     let (a, b, c) = (next()?, next()?, next()?);
+                    let at = |m: &str| bad(format!("line {}: {m}", lineno + 1));
                     match section {
                         Section::Header => {
                             return Err(bad(format!(
@@ -738,14 +754,21 @@ impl<'b> StreamAggregator<'b> {
                             )))
                         }
                         Section::TailGraph => {
-                            graph.insert_edge(a as u32, b as u32, c as usize);
+                            graph.insert_edge(
+                                func_index(binary, a).map_err(at)?,
+                                func_index(binary, b).map_err(at)?,
+                                inst_index(binary, c).map_err(at)?,
+                            );
                             saw_graph_edges = true;
                         }
                         Section::Ranges => {
-                            agg.rc.ranges.insert((a as usize, b as usize), c);
+                            let range = inst_range(binary, a, b).map_err(at)?;
+                            agg.rc.ranges.insert(range, c);
                         }
                         Section::Branches => {
-                            agg.rc.branches.insert((a as usize, b as usize), c);
+                            let from = inst_index(binary, a).map_err(at)?;
+                            let to = inst_index(binary, b).map_err(at)?;
+                            agg.rc.branches.insert((from, to), c);
                         }
                         Section::Weights => {
                             weights.insert((a, b as u32), c);
@@ -753,6 +776,12 @@ impl<'b> StreamAggregator<'b> {
                     }
                 }
             }
+        }
+
+        if !saw_fingerprint {
+            // Without the guard a snapshot would restore onto any build and
+            // silently mis-correlate its counts.
+            return Err(bad("snapshot has no `# fingerprint:` header".into()));
         }
 
         let mut profile = textprof::parse_context(ctx_text)?;
@@ -889,11 +918,9 @@ impl<'b> StreamAggregator<'b> {
             let n = gr.uvarint()?;
             let mut graph = TailCallGraph::default();
             for _ in 0..n {
-                let caller = u32::try_from(gr.uvarint()?)
-                    .map_err(|_| DecodeError::Corrupt("tail-graph caller overflow"))?;
-                let callee = u32::try_from(gr.uvarint()?)
-                    .map_err(|_| DecodeError::Corrupt("tail-graph callee overflow"))?;
-                let inst = gr.uvarint()? as usize;
+                let caller = func_index(binary, gr.uvarint()?).map_err(DecodeError::Corrupt)?;
+                let callee = func_index(binary, gr.uvarint()?).map_err(DecodeError::Corrupt)?;
+                let inst = inst_index(binary, gr.uvarint()?).map_err(DecodeError::Corrupt)?;
                 graph.insert_edge(caller, callee, inst);
             }
             if n > 0 {
@@ -901,7 +928,7 @@ impl<'b> StreamAggregator<'b> {
             }
         }
 
-        type PairCounts = Vec<((usize, usize), u64)>;
+        type PairCounts = Vec<((u64, u64), u64)>;
         let read_counts = |payload: &[u8]| -> Result<PairCounts, DecodeError> {
             let mut cr = binprof::Reader::new(payload);
             let n = cr.uvarint()?;
@@ -911,19 +938,22 @@ impl<'b> StreamAggregator<'b> {
                 let a = prev.wrapping_add(cr.uvarint()?);
                 let b = cr.uvarint()?;
                 let c = cr.uvarint()?;
-                out.push(((a as usize, b as usize), c));
+                out.push(((a, b), c));
                 prev = a;
             }
             Ok(out)
         };
         if let Some(sec) = find(binprof::section::STREAM_RANGES) {
-            for (k, v) in read_counts(sec)? {
-                agg.rc.ranges.insert(k, v);
+            for ((begin, end), v) in read_counts(sec)? {
+                let range = inst_range(binary, begin, end).map_err(DecodeError::Corrupt)?;
+                agg.rc.ranges.insert(range, v);
             }
         }
         if let Some(sec) = find(binprof::section::STREAM_BRANCHES) {
-            for (k, v) in read_counts(sec)? {
-                agg.rc.branches.insert(k, v);
+            for ((from, to), v) in read_counts(sec)? {
+                let from = inst_index(binary, from).map_err(DecodeError::Corrupt)?;
+                let to = inst_index(binary, to).map_err(DecodeError::Corrupt)?;
+                agg.rc.branches.insert((from, to), v);
             }
         }
 

@@ -427,7 +427,7 @@ pub fn write_probe_json(profile: &ProbeProfile) -> String {
 }
 
 /// Splits a stream-snapshot text (see
-/// [`crate::stream::StreamAggregator::snapshot`]) at its `!context`
+/// [`crate::stream::StreamAggregator::snapshot_as`]) at its `!context`
 /// marker: the header/section lines before the marker, and the context
 /// section body after it. Returns `None` when the marker is missing.
 ///

@@ -82,26 +82,6 @@ impl HitSink for ContextTrieBuilder {
     }
 }
 
-/// Materializing sink behind [`Unwinder::unwind`]; weight-1 only (the
-/// [`Hit`] value carries no count).
-impl HitSink for Vec<Hit> {
-    fn probe(&mut self, path: &[FrameKey], owner: u64, index: u32, count: u64) {
-        debug_assert_eq!(count, 1, "Vec<Hit> sink is for unweighted unwinding");
-        self.push(Hit::Probe {
-            path: path.to_vec(),
-            owner,
-            index,
-        });
-    }
-    fn entry(&mut self, path: &[FrameKey], owner: u64, count: u64) {
-        debug_assert_eq!(count, 1, "Vec<Hit> sink is for unweighted unwinding");
-        self.push(Hit::Entry {
-            path: path.to_vec(),
-            owner,
-        });
-    }
-}
-
 /// Attributes every probe anchored in `[begin, end]` with `ctx` expanded
 /// by each probe's own inline stack, assembled in the reusable `path`
 /// buffer.
@@ -464,19 +444,6 @@ pub struct Unwinder<'b> {
     addr_index: AddrIndex,
 }
 
-/// One attribution produced by unwinding.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum Hit {
-    /// Probe `index` of function `owner` executed under `path`.
-    Probe {
-        path: Vec<FrameKey>,
-        owner: u64,
-        index: u32,
-    },
-    /// A call entered function `owner` under `path`.
-    Entry { path: Vec<FrameKey>, owner: u64 },
-}
-
 impl<'b> Unwinder<'b> {
     /// Creates an unwinder; pass a tail-call graph to enable missing-frame
     /// inference.
@@ -628,14 +595,6 @@ impl<'b> Unwinder<'b> {
         true
     }
 
-    /// Unwinds one sample into probe/entry hits (the allocation-per-hit
-    /// reference API; the aggregation paths use [`Unwinder::unwind_each`]).
-    pub fn unwind(&mut self, sample: &Sample) -> Vec<Hit> {
-        let mut hits = Vec::new();
-        self.unwind_each(sample, 1, &mut hits);
-        hits
-    }
-
     /// Unwinds one sample observed `weight` times, streaming every hit into
     /// `sink` with multiplicity `weight`. All diagnostic counters scale by
     /// `weight`, so unwinding a deduplicated `(sample, count)` batch leaves
@@ -775,8 +734,10 @@ impl<'b> Unwinder<'b> {
         }
     }
 
-    /// Unwinds a batch of samples straight into a context profile, reusing
-    /// one scratch-buffer set across the whole batch.
+    /// Unwinds a batch of samples one by one straight into a context
+    /// profile — the sequential reference that tests and benches compare
+    /// [`Unwinder::unwind_batched`] against; production callers use the
+    /// batched kernel.
     pub fn unwind_into(&mut self, samples: &[Sample], profile: &mut ContextProfile) {
         for s in samples {
             self.unwind_each(s, 1, profile);

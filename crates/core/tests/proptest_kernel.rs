@@ -10,7 +10,7 @@ use csspgo_core::context::ContextProfile;
 use csspgo_core::ranges::RangeCounts;
 use csspgo_core::shard::sharded_context_profile;
 use csspgo_core::tailcall::TailCallGraph;
-use csspgo_core::unwind::{Hit, Unwinder};
+use csspgo_core::unwind::Unwinder;
 use csspgo_sim::Sample;
 use proptest::prelude::*;
 
@@ -101,8 +101,8 @@ fn to_samples(binary: &Binary, raw: &[RawSample]) -> Vec<Sample> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// Batched (dedup + interned trie) ≡ per-sample materialized hits
-    /// ≡ per-sample sink path, including every diagnostic counter.
+    /// Batched (dedup + interned trie) ≡ the sequential per-sample sink
+    /// path, including every diagnostic counter.
     #[test]
     fn batched_and_interned_match_per_sample_reference(
         raw in duplicated_stream_strategy(64),
@@ -113,21 +113,7 @@ proptest! {
         rc.add_samples(&binary, &samples);
         let graph = TailCallGraph::build(&binary, &rc);
 
-        // Reference 1: materialized per-sample hits into the BTreeMap trie.
-        let mut from_hits = ContextProfile::new();
-        let mut uw_hits = Unwinder::new(&binary, Some(&graph));
-        for s in &samples {
-            for hit in uw_hits.unwind(s) {
-                match hit {
-                    Hit::Probe { path, owner, index } => {
-                        from_hits.add_probe_hit(&path, owner, index, 1)
-                    }
-                    Hit::Entry { path, owner } => from_hits.add_entry(&path, owner, 1),
-                }
-            }
-        }
-
-        // Reference 2: the streaming per-sample sink path.
+        // Reference: the sequential per-sample sink path.
         let mut from_sink = ContextProfile::new();
         let mut uw_sink = Unwinder::new(&binary, Some(&graph));
         uw_sink.unwind_into(&samples, &mut from_sink);
@@ -136,16 +122,13 @@ proptest! {
         let mut uw_batched = Unwinder::new(&binary, Some(&graph));
         let batched = uw_batched.unwind_batched(&samples);
 
-        prop_assert_eq!(&from_sink, &from_hits);
-        prop_assert_eq!(&batched, &from_hits);
-        for uw in [&uw_sink, &uw_batched] {
-            prop_assert_eq!(uw.infer_stats.recovered, uw_hits.infer_stats.recovered);
-            prop_assert_eq!(uw.infer_stats.failed, uw_hits.infer_stats.failed);
-            prop_assert_eq!(uw.broken_stacks, uw_hits.broken_stacks);
-        }
+        prop_assert_eq!(&batched, &from_sink);
+        prop_assert_eq!(uw_batched.infer_stats.recovered, uw_sink.infer_stats.recovered);
+        prop_assert_eq!(uw_batched.infer_stats.failed, uw_sink.infer_stats.failed);
+        prop_assert_eq!(uw_batched.broken_stacks, uw_sink.broken_stacks);
 
         // Bit-identity, not just logical equality.
-        let j_ref = serde_json::to_string(&from_hits).unwrap();
+        let j_ref = serde_json::to_string(&from_sink).unwrap();
         let j_batched = serde_json::to_string(&batched).unwrap();
         prop_assert_eq!(j_ref, j_batched);
     }

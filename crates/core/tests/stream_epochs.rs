@@ -5,7 +5,9 @@
 //! streams (property test), and across a snapshot→restore→resume cut.
 
 use csspgo_codegen::{lower_module, Binary, CodegenConfig};
+use csspgo_core::binprof;
 use csspgo_core::context::ContextProfile;
+use csspgo_core::pipeline::PipelineError;
 use csspgo_core::ranges::RangeCounts;
 use csspgo_core::stream::{SnapshotFormat, StreamAggregator, StreamConfig};
 use csspgo_core::tailcall::TailCallGraph;
@@ -271,4 +273,129 @@ fn restore_survives_snapshot_truncated_at_context_marker() {
         err.to_string().contains("context"),
         "error should name the missing section: {err}"
     );
+}
+
+/// A sealed one-epoch aggregator over real traffic, snapshotted in `format`.
+fn real_snapshot(binary: &Binary, format: SnapshotFormat) -> Vec<u8> {
+    let samples = real_traffic(binary);
+    let mut rc = RangeCounts::default();
+    rc.add_samples(binary, &samples);
+    let graph = TailCallGraph::build(binary, &rc);
+    let mut agg = StreamAggregator::with_tail_graph(binary, StreamConfig::default(), 1, graph);
+    agg.push_batch(samples).unwrap();
+    agg.seal_epoch();
+    agg.snapshot_as(format)
+}
+
+fn restore_err(binary: &Binary, payload: &[u8]) -> PipelineError {
+    match StreamAggregator::restore_from(binary, StreamConfig::default(), 1, payload) {
+        Ok(_) => panic!("a poisoned snapshot must not restore"),
+        Err(e) => e,
+    }
+}
+
+/// A binary snapshot whose section `tag` is `payload` instead of what it
+/// was, if anything (`None`: the section is dropped).
+fn with_section(snapshot: &[u8], tag: u8, payload: Option<&[u8]>) -> Vec<u8> {
+    let mut r = binprof::check_header(snapshot, binprof::Kind::StreamSnapshot).unwrap();
+    let mut out = binprof::header(binprof::Kind::StreamSnapshot);
+    for (t, p) in binprof::read_sections(&mut r).unwrap() {
+        if t != tag {
+            binprof::put_section(&mut out, t, p);
+        }
+    }
+    if let Some(poison) = payload {
+        binprof::put_section(&mut out, tag, poison);
+    }
+    out
+}
+
+/// Regression: the text restore only compared the fingerprint when the
+/// `# fingerprint:` line was present, so a snapshot with the line deleted
+/// restored onto *any* binary. The guard is mandatory in both formats.
+#[test]
+fn restore_refuses_a_snapshot_without_its_fingerprint() {
+    let binary = probed_binary();
+
+    let text = String::from_utf8(real_snapshot(&binary, SnapshotFormat::Text)).unwrap();
+    let stripped: String = text
+        .lines()
+        .filter(|l| !l.starts_with("# fingerprint:"))
+        .map(|l| format!("{l}\n"))
+        .collect();
+    assert_ne!(stripped, text, "the snapshot carries a fingerprint line");
+    let err = restore_err(&binary, stripped.as_bytes());
+    assert!(matches!(err, PipelineError::Stream(_)), "{err}");
+    assert!(err.to_string().contains("fingerprint"), "{err}");
+
+    let bin = real_snapshot(&binary, SnapshotFormat::Binary);
+    let err = restore_err(
+        &binary,
+        &with_section(&bin, binprof::section::STREAM_META, None),
+    );
+    assert!(matches!(err, PipelineError::Decode(_)), "{err}");
+}
+
+/// Regression: range, branch and tail-graph rows were inserted straight
+/// from the payload, so an index past the binary restored `Ok` and panicked
+/// on the next `to_probe_profile` / unwind. Every such row is now refused at
+/// restore time with the format's typed error.
+#[test]
+fn restore_refuses_out_of_binary_indices_in_both_formats() {
+    let binary = probed_binary();
+    let past = binary.len() as u64 + 2000;
+    let no_func = binary.funcs.len() as u64 + 7;
+
+    // Text: one poisoned row appended right under the section marker.
+    let text = String::from_utf8(real_snapshot(&binary, SnapshotFormat::Text)).unwrap();
+    for (marker, row) in [
+        ("!ranges", format!("{past} {past} 1")),
+        ("!ranges", "5 2 1".to_string()),
+        ("!branches", format!("0 {past} 1")),
+        ("!branches", format!("{past} 0 1")),
+        ("!tail-graph", format!("0 {no_func} 0")),
+        ("!tail-graph", format!("{no_func} 0 0")),
+        ("!tail-graph", format!("0 1 {past}")),
+    ] {
+        let poisoned = text.replacen(&format!("{marker}\n"), &format!("{marker}\n{row}\n"), 1);
+        assert_ne!(poisoned, text, "{marker} present");
+        let err = restore_err(&binary, poisoned.as_bytes());
+        assert!(
+            matches!(err, PipelineError::Stream(_)),
+            "{marker} `{row}`: {err}"
+        );
+    }
+
+    // Binary: the section replaced by a one-row payload.
+    let bin = real_snapshot(&binary, SnapshotFormat::Binary);
+    let rows = |vals: &[u64]| {
+        let mut sec = Vec::new();
+        binprof::put_uvarint(&mut sec, 1);
+        for &v in vals {
+            binprof::put_uvarint(&mut sec, v);
+        }
+        sec
+    };
+    for (tag, row) in [
+        (binprof::section::STREAM_RANGES, rows(&[past, past, 1])),
+        (binprof::section::STREAM_RANGES, rows(&[5, 2, 1])),
+        (binprof::section::STREAM_BRANCHES, rows(&[0, past, 1])),
+        (binprof::section::STREAM_BRANCHES, rows(&[past, 0, 1])),
+        (binprof::section::STREAM_TAILGRAPH, rows(&[0, no_func, 0])),
+        (binprof::section::STREAM_TAILGRAPH, rows(&[no_func, 0, 0])),
+        (binprof::section::STREAM_TAILGRAPH, rows(&[0, 1, past])),
+    ] {
+        let err = restore_err(&binary, &with_section(&bin, tag, Some(&row)));
+        assert!(
+            matches!(err, PipelineError::Decode(binprof::DecodeError::Corrupt(_))),
+            "section {tag}: {err}"
+        );
+    }
+
+    // The untouched snapshots still restore and finalize.
+    for payload in [text.as_bytes(), &bin[..]] {
+        let restored =
+            StreamAggregator::restore_from(&binary, StreamConfig::default(), 1, payload).unwrap();
+        assert!(restored.to_probe_profile(4).total() > 0);
+    }
 }

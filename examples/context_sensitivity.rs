@@ -9,10 +9,8 @@
 
 use csspgo::codegen::{lower_module, CodegenConfig};
 use csspgo::core::context::{ContextNode, ContextProfile};
+use csspgo::core::pipeline::{context_profile, prepared_module};
 use csspgo::core::preinline::{run_preinliner, PreInlineConfig};
-use csspgo::core::ranges::RangeCounts;
-use csspgo::core::tailcall::TailCallGraph;
-use csspgo::core::unwind::Unwinder;
 use csspgo::sim::{Machine, SimConfig};
 
 const SRC: &str = r#"
@@ -68,9 +66,7 @@ fn print_node(profile: &ContextProfile, node: &ContextNode, indent: usize) {
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Build a probed binary and profile it with synchronized LBR + stack
     // sampling.
-    let mut module = csspgo::lang::compile(SRC, "fig3")?;
-    csspgo::opt::discriminators::run(&mut module);
-    csspgo::opt::probes::run(&mut module);
+    let mut module = prepared_module(SRC, "fig3", true)?;
     csspgo::opt::run_pipeline(&mut module, &csspgo::opt::OptConfig::default());
     let binary = lower_module(&module, &CodegenConfig::default());
 
@@ -89,12 +85,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // Algorithm 1: reconstruct calling contexts.
-    let mut rc = RangeCounts::default();
-    rc.add_samples(&binary, &samples);
-    let graph = TailCallGraph::build(&binary, &rc);
-    let mut profile = ContextProfile::new();
-    let mut unwinder = Unwinder::new(&binary, Some(&graph));
-    unwinder.unwind_into(&samples, &mut profile);
+    let mut profile = context_profile(&binary, &samples, 0).profile;
     for f in &binary.funcs {
         profile.names.insert(f.guid, f.name.clone());
     }

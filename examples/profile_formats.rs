@@ -7,12 +7,8 @@
 //! ```
 
 use csspgo::codegen::{lower_module, CodegenConfig};
-use csspgo::core::context::ContextProfile;
-use csspgo::core::correlate::dwarf_profile;
-use csspgo::core::ranges::RangeCounts;
-use csspgo::core::tailcall::TailCallGraph;
+use csspgo::core::pipeline::{autofdo_profile, context_profile, prepared_module};
 use csspgo::core::textprof;
-use csspgo::core::unwind::Unwinder;
 use csspgo::sim::{Machine, SimConfig};
 
 const SRC: &str = r#"
@@ -33,9 +29,7 @@ fn serve(q, n) {
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Profiling build (probes + full pipeline) and a production run.
-    let mut module = csspgo::lang::compile(SRC, "svc")?;
-    csspgo::opt::discriminators::run(&mut module);
-    csspgo::opt::probes::run(&mut module);
+    let mut module = prepared_module(SRC, "svc", true)?;
     csspgo::opt::run_pipeline(&mut module, &csspgo::opt::OptConfig::default());
     let binary = lower_module(&module, &CodegenConfig::default());
 
@@ -50,21 +44,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         machine.call("serve", &[q, 300])?;
     }
     let samples = machine.take_samples();
-    let mut rc = RangeCounts::default();
-    rc.add_samples(&binary, &samples);
 
     // --- AutoFDO-style flat text profile ---
-    let flat = dwarf_profile(&binary, &rc);
+    let flat = autofdo_profile(&binary, &samples, 0);
     let flat_text = textprof::write_flat(&flat);
     println!("--- flat (AutoFDO-style) profile ---\n{flat_text}");
     let parsed = textprof::parse_flat(&flat_text)?;
     assert_eq!(parsed.funcs, flat.funcs, "flat round-trip");
 
     // --- CSSPGO context profile ---
-    let graph = TailCallGraph::build(&binary, &rc);
-    let mut ctx = ContextProfile::new();
-    let mut unwinder = Unwinder::new(&binary, Some(&graph));
-    unwinder.unwind_into(&samples, &mut ctx);
+    let mut ctx = context_profile(&binary, &samples, 0).profile;
     for f in &binary.funcs {
         ctx.names.insert(f.guid, f.name.clone());
     }

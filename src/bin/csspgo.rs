@@ -14,13 +14,11 @@
 //! [`csspgo::core::textprof`].
 
 use csspgo::codegen::{lower_module, Binary, CodegenConfig};
-use csspgo::core::context::ContextProfile;
-use csspgo::core::correlate::{dwarf_profile, probe_profile};
-use csspgo::core::pipeline::{run_pgo_cycle, PgoVariant, PipelineConfig};
-use csspgo::core::ranges::RangeCounts;
-use csspgo::core::tailcall::TailCallGraph;
+use csspgo::core::pipeline::{
+    autofdo_profile, context_profile, prepared_module, probe_only_profile, run_pgo_cycle,
+    PgoVariant, PipelineConfig,
+};
 use csspgo::core::textprof;
-use csspgo::core::unwind::Unwinder;
 use csspgo::core::Workload;
 use csspgo::sim::{Machine, Sample, SimConfig};
 use std::process::ExitCode;
@@ -96,12 +94,8 @@ fn cmd_compile(args: &[String]) -> Result<(), String> {
     let out = opt_value(args, "-o").ok_or("compile: missing -o <out>")?;
     let source =
         std::fs::read_to_string(src_path).map_err(|e| format!("reading {src_path}: {e}"))?;
-    let mut module =
-        csspgo::lang::compile(&source, src_path).map_err(|e| format!("{src_path}: {e}"))?;
-    csspgo::opt::discriminators::run(&mut module);
-    if has_flag(args, "--probes") {
-        csspgo::opt::probes::run(&mut module);
-    }
+    let mut module = prepared_module(&source, src_path, has_flag(args, "--probes"))
+        .map_err(|e| format!("{src_path}: {e}"))?;
     if has_flag(args, "--instrument") {
         csspgo::opt::instrument::run(&mut module);
     }
@@ -189,17 +183,12 @@ fn cmd_profgen(args: &[String]) -> Result<(), String> {
             .map_err(|e| format!("reading {samples_path}: {e}"))?;
         serde_json::from_str(&json).map_err(|e| format!("{samples_path}: {e}"))?
     };
-    let mut rc = RangeCounts::default();
-    rc.add_samples(&binary, &samples);
-
+    // `0`: one ingestion shard per available thread.
     let text = match format.as_str() {
-        "flat" => textprof::write_flat(&dwarf_profile(&binary, &rc)),
-        "probe" => textprof::write_probe_json(&probe_profile(&binary, &rc)),
+        "flat" => textprof::write_flat(&autofdo_profile(&binary, &samples, 0)),
+        "probe" => textprof::write_probe_json(&probe_only_profile(&binary, &samples, 0)),
         "context" => {
-            let graph = TailCallGraph::build(&binary, &rc);
-            let mut profile = ContextProfile::new();
-            let mut unwinder = Unwinder::new(&binary, Some(&graph));
-            unwinder.unwind_into(&samples, &mut profile);
+            let mut profile = context_profile(&binary, &samples, 0).profile;
             for f in &binary.funcs {
                 profile.names.insert(f.guid, f.name.clone());
             }

@@ -36,15 +36,13 @@
 use csspgo::analysis::{
     inference_quality, provenance_breakdown, Analyzer, DiffReport, Policy, ScenarioReport,
 };
-use csspgo::codegen::{lower_module, CodegenConfig};
-use csspgo::core::pipeline::{BatchSource, PipelineConfig, ProfileSource};
+use csspgo::core::pipeline::{
+    context_profile, finish_probe_profile, name_entered_functions, prepared_module,
+    profiling_build, profiling_run, PgoVariant, PipelineConfig,
+};
 use csspgo::core::profile::ProbeProfile;
-use csspgo::core::shard::{sharded_context_profile, sharded_range_counts};
 use csspgo::core::stalematch::MatchConfig;
-use csspgo::core::tailcall::TailCallGraph;
 use csspgo::core::{textprof, Workload};
-use csspgo::ir::Module;
-use csspgo::sim::{Machine, SimConfig};
 use csspgo::workloads::drift;
 use std::process::ExitCode;
 
@@ -171,7 +169,7 @@ fn run(args: &[String]) -> Result<bool, String> {
         (Some(pf), Some(sf)) => {
             let profile = load_profile(&pf)?;
             let src = std::fs::read_to_string(&sf).map_err(|e| format!("reading {sf}: {e}"))?;
-            let module = probed_module(&src, &sf)?;
+            let module = prepared_module(&src, &sf, true).map_err(|e| e.to_string())?;
             let before = analyzer.report().diagnostics.len();
             let outcome = analyzer.analyze_stale_match(&sf, &module, &profile, &match_cfg);
             let diags = analyzer.report().diagnostics[before..].to_vec();
@@ -250,7 +248,8 @@ fn diff_workload(
             continue;
         }
         let drifted_src = mutate(workload);
-        let module = probed_module(&drifted_src, &workload.name)?;
+        let module =
+            prepared_module(&drifted_src, &workload.name, true).map_err(|e| e.to_string())?;
         let unit = format!("{}/{}", workload.name, name);
         let before = analyzer.report().diagnostics.len();
         let outcome = analyzer.analyze_stale_match(&unit, &module, &profile, match_cfg);
@@ -282,7 +281,7 @@ fn train_workload(
         .enumerate()
     {
         let scenario = format!("train-r{}-{mutator}", i + 1);
-        let module = probed_module(&source, &workload.name)?;
+        let module = prepared_module(&source, &workload.name, true).map_err(|e| e.to_string())?;
         let unit = format!("{}/{scenario}", workload.name);
         let before = analyzer.report().diagnostics.len();
         let outcome = analyzer.analyze_stale_match(&unit, &module, &profile, match_cfg);
@@ -296,15 +295,6 @@ fn train_workload(
     Ok(())
 }
 
-/// Compiles `src` and inserts pseudo-probes (the fresh-build side of the
-/// match).
-fn probed_module(src: &str, name: &str) -> Result<Module, String> {
-    let mut module = csspgo::lang::compile(src, name).map_err(|e| e.to_string())?;
-    csspgo::opt::discriminators::run(&mut module);
-    csspgo::opt::probes::run(&mut module);
-    Ok(module)
-}
-
 /// Runs the full CSSPGO collection pipeline on the clean build — like
 /// `csspgo_lint`'s stage 3, except cold contexts are *not* trimmed: the
 /// differential analyzer wants maximum call-edge fidelity (trimming merges
@@ -313,46 +303,19 @@ fn probed_module(src: &str, name: &str) -> Result<Module, String> {
 /// does not matter.
 fn collect_probe_profile(workload: &Workload) -> Result<ProbeProfile, String> {
     let config = PipelineConfig::default();
-    let mut module = probed_module(&workload.source, &workload.name)?;
-    csspgo::opt::run_pipeline(&mut module, &config.opt);
-    let binary = lower_module(&module, &CodegenConfig::default());
-    let sim_cfg = SimConfig {
-        lbr_size: config.lbr_size,
-        pebs: config.pebs,
-        sample_period: config.sample_period,
-        seed: config.seed,
-        max_steps: config.max_steps,
-        ..SimConfig::default()
-    };
-    let mut machine = Machine::new(&binary, sim_cfg);
-    for (name, values) in &workload.setup {
-        machine.set_global(name, values);
-    }
-    let samples = BatchSource
-        .collect(&mut machine, workload)
+    let binary = profiling_build(
+        &workload.source,
+        &workload.name,
+        PgoVariant::CsspgoFull,
+        &config,
+    )
+    .map_err(|e| e.to_string())?
+    .binary;
+    let run = profiling_run(&binary, workload, config.sim_config(config.sample_period))
         .map_err(|e| e.to_string())?;
-    let rc = sharded_range_counts(&binary, &samples, config.ingest_shards);
-    let tail_graph = TailCallGraph::build(&binary, &rc);
-    let unwound =
-        sharded_context_profile(&binary, Some(&tail_graph), &samples, config.ingest_shards);
-    let mut ctx_profile = unwound.profile;
-    let checksums = binary
-        .funcs
-        .iter()
-        .filter_map(|f| f.probe_checksum.map(|c| (f.guid, c)))
-        .collect();
-    ctx_profile.set_checksums(&checksums);
-    let mut probe_prof = ctx_profile.to_probe_profile();
-    for (fidx, c) in rc.entry_counts(&binary) {
-        let f = &binary.funcs[fidx as usize];
-        probe_prof
-            .names
-            .entry(f.guid)
-            .or_insert_with(|| f.name.clone());
-        if let Some(fp) = probe_prof.funcs.get_mut(&f.guid) {
-            fp.entry = fp.entry.max(c);
-        }
-    }
+    let generated = context_profile(&binary, &run.samples, config.ingest_shards);
+    let mut probe_prof = finish_probe_profile(&generated.profile, &generated.range_counts, &binary);
+    name_entered_functions(&mut probe_prof, &generated.range_counts, &binary);
     Ok(probe_prof)
 }
 

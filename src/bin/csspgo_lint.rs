@@ -33,16 +33,15 @@
 //! over the shipped workloads is the repo's CI gate.
 
 use csspgo::analysis::{explain, render_lint_list, Analyzer, Policy};
-use csspgo::codegen::{lower_module, CodegenConfig};
+use csspgo::codegen::lower_module;
 use csspgo::core::annotate::{csspgo_annotate, AnnotateConfig};
 use csspgo::core::binprof;
-use csspgo::core::pipeline::{BatchSource, PipelineConfig, ProfileSource};
-use csspgo::core::shard::{sharded_context_profile, sharded_range_counts};
+use csspgo::core::pipeline::{
+    context_profile, finish_probe_profile, prepared_module, profiling_run, PipelineConfig,
+};
 use csspgo::core::stalematch::{MatchConfig, StaleMatching};
-use csspgo::core::tailcall::TailCallGraph;
 use csspgo::core::textprof::{parse_probe_json, write_probe_json};
 use csspgo::core::Workload;
-use csspgo::sim::{Machine, SimConfig};
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
@@ -152,9 +151,7 @@ fn lint_workload(
 
     // Stage 1: the fresh probed module.
     let mut module =
-        csspgo::lang::compile(&workload.source, &workload.name).map_err(|e| e.to_string())?;
-    csspgo::opt::discriminators::run(&mut module);
-    csspgo::opt::probes::run(&mut module);
+        prepared_module(&workload.source, &workload.name, true).map_err(|e| e.to_string())?;
     analyzer.analyze_module(&format!("{}/fresh", workload.name), &module, true);
 
     // Stage 1b: the spanning-tree counter placement the instrumented
@@ -173,44 +170,17 @@ fn lint_workload(
     analyzer.analyze_module(&format!("{}/optimized", workload.name), &optimized, false);
 
     // Stage 3: profile collection on the optimized binary, as in production.
-    let binary = lower_module(&optimized, &CodegenConfig::default());
-    let sim_cfg = SimConfig {
-        lbr_size: config.lbr_size,
-        pebs: config.pebs,
-        sample_period: config.sample_period,
-        seed: config.seed,
-        max_steps: config.max_steps,
-        ..SimConfig::default()
-    };
-    let mut machine = Machine::new(&binary, sim_cfg);
-    for (name, values) in &workload.setup {
-        machine.set_global(name, values);
-    }
-    let samples = BatchSource
-        .collect(&mut machine, workload)
+    let binary = lower_module(&optimized, &config.codegen);
+    let run = profiling_run(&binary, workload, config.sim_config(config.sample_period))
         .map_err(|e| e.to_string())?;
+    let mut generated = context_profile(&binary, &run.samples, config.ingest_shards);
+    generated.profile.trim_cold(config.trim_threshold);
+    analyzer.analyze_context_profile(
+        &format!("{}/context-profile", workload.name),
+        &generated.profile,
+    );
 
-    let rc = sharded_range_counts(&binary, &samples, config.ingest_shards);
-    let tail_graph = TailCallGraph::build(&binary, &rc);
-    let unwound =
-        sharded_context_profile(&binary, Some(&tail_graph), &samples, config.ingest_shards);
-    let mut ctx_profile = unwound.profile;
-    let checksums = binary
-        .funcs
-        .iter()
-        .filter_map(|f| f.probe_checksum.map(|c| (f.guid, c)))
-        .collect();
-    ctx_profile.set_checksums(&checksums);
-    ctx_profile.trim_cold(config.trim_threshold);
-    analyzer.analyze_context_profile(&format!("{}/context-profile", workload.name), &ctx_profile);
-
-    let mut probe_prof = ctx_profile.to_probe_profile();
-    for (fidx, c) in rc.entry_counts(&binary) {
-        let guid = binary.funcs[fidx as usize].guid;
-        if let Some(fp) = probe_prof.funcs.get_mut(&guid) {
-            fp.entry = fp.entry.max(c);
-        }
-    }
+    let probe_prof = finish_probe_profile(&generated.profile, &generated.range_counts, &binary);
     analyzer.analyze_probe_profile(
         &format!("{}/probe-profile", workload.name),
         &module,
@@ -283,9 +253,7 @@ fn lint_workload(
         ];
         for (name, src) in scenarios {
             let mut drifted =
-                csspgo::lang::compile(&src, &workload.name).map_err(|e| e.to_string())?;
-            csspgo::opt::discriminators::run(&mut drifted);
-            csspgo::opt::probes::run(&mut drifted);
+                prepared_module(&src, &workload.name, true).map_err(|e| e.to_string())?;
             let recover = AnnotateConfig {
                 inline_budget: 0,
                 stale_matching: StaleMatching::Recover,

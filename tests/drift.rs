@@ -1,8 +1,13 @@
 //! Integration tests for the paper's source-drift story (§III.A).
 
-use csspgo::core::pipeline::{run_pgo_cycle, run_pgo_cycle_drifted, PgoVariant, PipelineConfig};
+use csspgo::core::pipeline::{
+    prepared_module, run_pgo_cycle, run_pgo_cycle_drifted, PgoVariant, PipelineConfig,
+};
 use csspgo::core::stalematch::{match_stale_profile, MatchConfig, StaleMatching};
 use csspgo::workloads::drift;
+
+mod common;
+use common::collect_probe_profile;
 
 fn cfg() -> PipelineConfig {
     PipelineConfig::builder()
@@ -69,10 +74,8 @@ fn stale_matching_recovers_cfg_drift_counts() {
     let drifted = drift::change_cfg(&w.source);
 
     // Matcher-level weight check on the real collected profile.
-    let profile = collect_probe_profile(&w);
-    let mut module = csspgo::lang::compile(&drifted, &w.name).unwrap();
-    csspgo::opt::discriminators::run(&mut module);
-    csspgo::opt::probes::run(&mut module);
+    let profile = collect_probe_profile(&w, &cfg());
+    let module = prepared_module(&drifted, &w.name, true).unwrap();
     let outcome = match_stale_profile(&module, &profile, &MatchConfig::default());
     assert!(
         outcome.stale_old_weight() > 0,
@@ -101,51 +104,4 @@ fn stale_matching_recovers_cfg_drift_counts() {
     );
     // Annotation counts steer optimization, never semantics.
     assert_eq!(off.eval_result_hash, rec.eval_result_hash);
-}
-
-/// Collects a probe profile on the clean build of `w` — the same pipeline
-/// `csspgo_diff` and `csspgo_lint` stage 3 run.
-fn collect_probe_profile(w: &csspgo::core::Workload) -> csspgo::core::profile::ProbeProfile {
-    use csspgo::core::pipeline::{BatchSource, ProfileSource};
-    use csspgo::core::shard::{sharded_context_profile, sharded_range_counts};
-    use csspgo::core::tailcall::TailCallGraph;
-
-    let config = cfg();
-    let mut module = csspgo::lang::compile(&w.source, &w.name).unwrap();
-    csspgo::opt::discriminators::run(&mut module);
-    csspgo::opt::probes::run(&mut module);
-    csspgo::opt::run_pipeline(&mut module, &config.opt);
-    let binary = csspgo::codegen::lower_module(&module, &config.codegen);
-    let sim_cfg = csspgo::sim::SimConfig {
-        lbr_size: config.lbr_size,
-        pebs: config.pebs,
-        sample_period: config.sample_period,
-        seed: config.seed,
-        max_steps: config.max_steps,
-        ..csspgo::sim::SimConfig::default()
-    };
-    let mut machine = csspgo::sim::Machine::new(&binary, sim_cfg);
-    for (name, values) in &w.setup {
-        machine.set_global(name, values);
-    }
-    let samples = BatchSource.collect(&mut machine, w).unwrap();
-    let rc = sharded_range_counts(&binary, &samples, config.ingest_shards);
-    let tail_graph = TailCallGraph::build(&binary, &rc);
-    let unwound =
-        sharded_context_profile(&binary, Some(&tail_graph), &samples, config.ingest_shards);
-    let mut ctx_profile = unwound.profile;
-    let checksums = binary
-        .funcs
-        .iter()
-        .filter_map(|f| f.probe_checksum.map(|c| (f.guid, c)))
-        .collect();
-    ctx_profile.set_checksums(&checksums);
-    let mut probe_prof = ctx_profile.to_probe_profile();
-    for (fidx, c) in rc.entry_counts(&binary) {
-        let guid = binary.funcs[fidx as usize].guid;
-        if let Some(fp) = probe_prof.funcs.get_mut(&guid) {
-            fp.entry = fp.entry.max(c);
-        }
-    }
-    probe_prof
 }

@@ -6,9 +6,12 @@
 use csspgo::analysis::{Analyzer, Policy};
 use csspgo::core::annotate::{csspgo_annotate, AnnotateConfig};
 use csspgo::core::inference::InferenceMode;
-use csspgo::core::pipeline::{run_pgo_cycle_drifted, PgoVariant, PipelineConfig};
+use csspgo::core::pipeline::{prepared_module, run_pgo_cycle_drifted, PgoVariant, PipelineConfig};
 use csspgo::core::stalematch::StaleMatching;
 use csspgo::workloads::drift;
+
+mod common;
+use common::collect_probe_profile;
 
 fn cfg() -> PipelineConfig {
     PipelineConfig::builder()
@@ -29,7 +32,7 @@ fn deny_all() -> Policy {
 #[test]
 fn mcf_inferred_profiles_are_flow_clean_by_construction() {
     let w = csspgo::workloads::ad_retriever().scaled(0.1);
-    let profile = collect_probe_profile(&w);
+    let profile = collect_probe_profile(&w, &cfg());
     let mut analyzer = Analyzer::new(deny_all());
 
     let scenarios = [
@@ -39,9 +42,7 @@ fn mcf_inferred_profiles_are_flow_clean_by_construction() {
         ("delete_statement", drift::delete_statement(&w.source, 1)),
     ];
     for (name, src) in scenarios {
-        let mut module = csspgo::lang::compile(&src, &w.name).unwrap();
-        csspgo::opt::discriminators::run(&mut module);
-        csspgo::opt::probes::run(&mut module);
+        let mut module = prepared_module(&src, &w.name, true).unwrap();
         let config = AnnotateConfig {
             inline_budget: 0,
             stale_matching: StaleMatching::Recover,
@@ -68,10 +69,8 @@ fn mcf_inferred_profiles_are_flow_clean_by_construction() {
 #[test]
 fn recovered_counts_are_dirty_without_inference() {
     let w = csspgo::workloads::ad_retriever().scaled(0.1);
-    let profile = collect_probe_profile(&w);
-    let mut module = csspgo::lang::compile(&drift::change_cfg(&w.source), &w.name).unwrap();
-    csspgo::opt::discriminators::run(&mut module);
-    csspgo::opt::probes::run(&mut module);
+    let profile = collect_probe_profile(&w, &cfg());
+    let mut module = prepared_module(&drift::change_cfg(&w.source), &w.name, true).unwrap();
     let config = AnnotateConfig {
         inline_budget: 0,
         stale_matching: StaleMatching::Recover,
@@ -137,51 +136,4 @@ fn stale_recovery_feeds_inference_end_to_end() {
         "salvaged counts are inconsistent; MCF must adjust some"
     );
     assert!(inf.flow_moved > 0, "adjustments must move flow");
-}
-
-/// Collects a probe profile on the clean build of `w` — the same pipeline
-/// `csspgo_diff` and `csspgo_lint` stage 3 run.
-fn collect_probe_profile(w: &csspgo::core::Workload) -> csspgo::core::profile::ProbeProfile {
-    use csspgo::core::pipeline::{BatchSource, ProfileSource};
-    use csspgo::core::shard::{sharded_context_profile, sharded_range_counts};
-    use csspgo::core::tailcall::TailCallGraph;
-
-    let config = cfg();
-    let mut module = csspgo::lang::compile(&w.source, &w.name).unwrap();
-    csspgo::opt::discriminators::run(&mut module);
-    csspgo::opt::probes::run(&mut module);
-    csspgo::opt::run_pipeline(&mut module, &config.opt);
-    let binary = csspgo::codegen::lower_module(&module, &config.codegen);
-    let sim_cfg = csspgo::sim::SimConfig {
-        lbr_size: config.lbr_size,
-        pebs: config.pebs,
-        sample_period: config.sample_period,
-        seed: config.seed,
-        max_steps: config.max_steps,
-        ..csspgo::sim::SimConfig::default()
-    };
-    let mut machine = csspgo::sim::Machine::new(&binary, sim_cfg);
-    for (name, values) in &w.setup {
-        machine.set_global(name, values);
-    }
-    let samples = BatchSource.collect(&mut machine, w).unwrap();
-    let rc = sharded_range_counts(&binary, &samples, config.ingest_shards);
-    let tail_graph = TailCallGraph::build(&binary, &rc);
-    let unwound =
-        sharded_context_profile(&binary, Some(&tail_graph), &samples, config.ingest_shards);
-    let mut ctx_profile = unwound.profile;
-    let checksums = binary
-        .funcs
-        .iter()
-        .filter_map(|f| f.probe_checksum.map(|c| (f.guid, c)))
-        .collect();
-    ctx_profile.set_checksums(&checksums);
-    let mut probe_prof = ctx_profile.to_probe_profile();
-    for (fidx, c) in rc.entry_counts(&binary) {
-        let guid = binary.funcs[fidx as usize].guid;
-        if let Some(fp) = probe_prof.funcs.get_mut(&guid) {
-            fp.entry = fp.entry.max(c);
-        }
-    }
-    probe_prof
 }

@@ -1,14 +1,18 @@
-//! Integration tests for the streaming service surface: the unified
-//! [`run_pgo_cycle_with`] entry point accepting either profile source, and
-//! the drift-detection → recompilation hook that keeps a continuously
-//! served profile fresh.
+//! Integration tests for the streaming service surface: the public
+//! pipeline stages composing to the product cycle under any sample
+//! drainage, and the drift-detection → recompilation hook that keeps a
+//! continuously served profile fresh.
 
+use csspgo::core::annotate::AnnotateStats;
 use csspgo::core::pipeline::{
-    run_pgo_cycle, run_pgo_cycle_drifted, run_pgo_cycle_with, BatchSource, EpochSource, PgoVariant,
-    PipelineConfig,
+    autofdo_profile, context_profile, evaluate, finish_probe_profile, optimized_build,
+    prepared_module, profiling_build, profiling_run, run_pgo_cycle, run_pgo_cycle_drifted,
+    staged_machine, wire_handoff, BuildProfile, PgoOutcome, PgoVariant, PipelineConfig, StageTimes,
 };
+use csspgo::core::preinline::{run_preinliner, to_inline_plan};
 use csspgo::core::stream::{StreamAggregator, StreamConfig};
-use csspgo::sim::{Machine, SimConfig};
+use csspgo::core::Workload;
+use csspgo::sim::{Machine, RunStats, Sample, SimConfig};
 use csspgo::workloads::drift;
 
 fn cfg() -> PipelineConfig {
@@ -18,39 +22,124 @@ fn cfg() -> PipelineConfig {
         .expect("valid test config")
 }
 
-#[test]
-fn epoch_source_reproduces_batch_cycle_on_real_workload() {
-    let w = csspgo::workloads::ad_finder().scaled(0.2);
-    let cfg = cfg();
-    let batch = run_pgo_cycle(&w, PgoVariant::CsspgoFull, &cfg).unwrap();
-    let mut epochs = EpochSource::new(1);
-    let streamed =
-        run_pgo_cycle_with(&w, PgoVariant::CsspgoFull, &cfg, &mut epochs, &w.source).unwrap();
-
-    assert!(
-        epochs.batch_sizes.len() > 1,
-        "traffic must actually arrive in multiple epochs"
-    );
-    assert_eq!(batch.eval_result_hash, streamed.eval_result_hash);
-    assert_eq!(batch.eval.cycles, streamed.eval.cycles);
-    assert_eq!(batch.sections.text, streamed.sections.text);
-    assert_eq!(batch.profiling.samples, streamed.profiling.samples);
-    assert_eq!(batch.plan_len, streamed.plan_len);
-    assert_eq!(
-        batch.context_nodes_after_trim,
-        streamed.context_nodes_after_trim
-    );
+/// What a cycle assembled by hand from the public stages produced.
+struct Staged {
+    profiling: RunStats,
+    samples: Vec<Sample>,
+    nodes_after_trim: usize,
+    plan_len: usize,
+    annotate_stats: AnnotateStats,
+    eval: RunStats,
+    eval_result_hash: u64,
+    text: u64,
 }
 
+/// The AutoFDO or full-CSSPGO cycle, stage by stage. With `drain_per_call`
+/// the PMU is drained after every training call (the streaming shape) and
+/// the concatenated stream feeds the same profile-generation stage.
+fn staged_cycle(
+    w: &Workload,
+    variant: PgoVariant,
+    cfg: &PipelineConfig,
+    drain_per_call: bool,
+) -> Staged {
+    let binary = profiling_build(&w.source, &w.name, variant, cfg)
+        .unwrap()
+        .binary;
+    let sim = cfg.sim_config(cfg.sample_period);
+    let (samples, profiling) = if drain_per_call {
+        let mut machine = staged_machine(&binary, w, sim);
+        let mut samples = Vec::new();
+        let mut epochs = 0;
+        for args in &w.train_calls {
+            machine.call(&w.entry, args).unwrap();
+            let epoch = machine.take_samples();
+            epochs += usize::from(!epoch.is_empty());
+            samples.extend(epoch);
+        }
+        assert!(
+            epochs > 1,
+            "traffic must actually arrive in multiple epochs"
+        );
+        (samples, *machine.stats())
+    } else {
+        let run = profiling_run(&binary, w, sim).unwrap();
+        (run.samples, run.stats)
+    };
+
+    let build_module = prepared_module(&w.source, &w.name, variant.uses_probes()).unwrap();
+    let (mut plan, mut nodes_after_trim, mut plan_len) = (None, 0, 0);
+    let profile = if variant == PgoVariant::AutoFdo {
+        BuildProfile::Flat(autofdo_profile(&binary, &samples, cfg.ingest_shards))
+    } else {
+        let mut generated = context_profile(&binary, &samples, cfg.ingest_shards);
+        generated.profile.trim_cold(cfg.trim_threshold);
+        nodes_after_trim = generated.profile.node_count();
+        let pre = run_preinliner(&mut generated.profile, &binary, &cfg.preinline);
+        plan_len = pre.plan_paths.len();
+        plan = Some(to_inline_plan(&pre.plan_paths, &build_module));
+        let rc = &generated.range_counts;
+        BuildProfile::Probe(finish_probe_profile(&generated.profile, rc, &binary))
+    };
+    let profile = wire_handoff(profile, &mut StageTimes::default()).unwrap();
+    let (optimized, annotate_stats) = optimized_build(
+        build_module,
+        variant,
+        &profile,
+        plan.as_ref(),
+        &w.entry,
+        cfg,
+    );
+    let (eval, eval_result_hash) = evaluate(&optimized, w, cfg).unwrap();
+    Staged {
+        profiling,
+        samples,
+        nodes_after_trim,
+        plan_len,
+        annotate_stats,
+        eval,
+        eval_result_hash,
+        text: optimized.sections.text,
+    }
+}
+
+fn assert_same_cycle(product: &PgoOutcome, staged: &Staged) {
+    assert_eq!(product.profiling, staged.profiling);
+    assert_eq!(product.profiling.samples, staged.samples.len() as u64);
+    assert_eq!(product.context_nodes_after_trim, staged.nodes_after_trim);
+    assert_eq!(product.plan_len, staged.plan_len);
+    assert_eq!(product.annotate_stats, staged.annotate_stats);
+    assert_eq!(product.eval_result_hash, staged.eval_result_hash);
+    assert_eq!(product.eval, staged.eval);
+    assert_eq!(product.sections.text, staged.text);
+}
+
+/// Draining the PMU once per training call and feeding the concatenated
+/// stream to the same profile-generation stage reproduces the one-drain
+/// sample stream, and with it the product cycle.
 #[test]
-fn batch_source_is_the_classic_entry_point() {
+fn per_epoch_drain_reproduces_one_drain_cycle_on_real_workload() {
     let w = csspgo::workloads::ad_finder().scaled(0.2);
     let cfg = cfg();
-    let via_wrapper = run_pgo_cycle(&w, PgoVariant::AutoFdo, &cfg).unwrap();
-    let via_unified =
-        run_pgo_cycle_with(&w, PgoVariant::AutoFdo, &cfg, &mut BatchSource, &w.source).unwrap();
-    assert_eq!(via_wrapper.eval_result_hash, via_unified.eval_result_hash);
-    assert_eq!(via_wrapper.eval.cycles, via_unified.eval.cycles);
+    for variant in [PgoVariant::AutoFdo, PgoVariant::CsspgoFull] {
+        let per_epoch = staged_cycle(&w, variant, &cfg, true);
+        let one_drain = staged_cycle(&w, variant, &cfg, false);
+        assert_eq!(per_epoch.samples, one_drain.samples, "{variant}");
+        assert_same_cycle(&run_pgo_cycle(&w, variant, &cfg).unwrap(), &per_epoch);
+    }
+}
+
+/// The classic entry point is nothing but the stages in order: calling
+/// them by hand lands on the same binary and the same cycles.
+#[test]
+fn stage_calls_reproduce_the_classic_entry_point() {
+    let w = csspgo::workloads::ad_finder().scaled(0.2);
+    let cfg = cfg();
+    let staged = staged_cycle(&w, PgoVariant::AutoFdo, &cfg, false);
+    assert_same_cycle(
+        &run_pgo_cycle(&w, PgoVariant::AutoFdo, &cfg).unwrap(),
+        &staged,
+    );
 }
 
 /// The full continuous-serving story: steady traffic folds cleanly, a
@@ -87,9 +176,7 @@ fn serve(n, mode) {
     );
 
     // Probed build, served continuously.
-    let mut module = csspgo::lang::compile(src, "shifting").unwrap();
-    csspgo::opt::discriminators::run(&mut module);
-    csspgo::opt::probes::run(&mut module);
+    let module = prepared_module(src, "shifting", true).unwrap();
     let binary = csspgo::codegen::lower_module(&module, &csspgo::codegen::CodegenConfig::default());
     let mut machine = Machine::new(
         &binary,
