@@ -1,100 +1,97 @@
-//! Perf trajectory of the PGO cycle itself: per-stage wall times
-//! (compile, simulate, correlate, pre-inline, serialize, deserialize,
-//! inference, recompile, evaluate) for every server workload, written to
-//! `BENCH_pipeline.json` so perf work across PRs has a measurable baseline.
+//! Two deterministic comparisons over every server workload, printed as
+//! markdown tables (simulated cycles and counters only — wall time is
+//! measured by `benchmark/run.sh`, nowhere else):
 //!
-//! If a previous `BENCH_pipeline.json` exists at the output path, a
-//! per-stage speedup table against it is printed before the file is
-//! replaced — old-schema files (no serialize/deserialize/inference
-//! columns) compare on the stages they do carry.
-//!
-//! `--gate <ratio>` turns the run into a regression gate: it fails (exit 1)
-//! if any workload's `CSSPGO (full)` correlation takes more than `ratio`×
-//! its `AutoFDO` correlation — the hot path this harness exists to watch.
-//!
-//! Every run also measures the instrumented variant under both counter
-//! placements (`instr-full` / `instr-sptree` rows, carrying
-//! `counter_sites` and `profile_cycles`): the overhead delta the
-//! Ball–Larus spanning-tree placement buys over naive every-block
-//! counting, at identical ground-truth profiles.
-//!
-//! `--drift` adds the fig6-style drifted-profile comparison: each
-//! workload's profile is collected on the clean build while the optimized
-//! build compiles a CFG-changed source, stale recovery salvages the
-//! counts, and the cycle runs once with min-cost-flow inference and once
-//! with the fixpoint heuristic. The rows (labeled `drift-*`) carry
-//! `eval_cycles` and `cycles_retained_pct` — how much of the clean-profile
-//! win over `-O2` each inference retained — plus the repair-effort
-//! counters.
-//!
-//! Output path defaults to `BENCH_pipeline.json` in the working directory;
-//! override with the `BENCH_PIPELINE_OUT` environment variable.
+//! 1. The instrumented variant under both counter placements
+//!    (`instr-full` / `instr-sptree`): the overhead delta the Ball–Larus
+//!    spanning-tree placement buys over naive every-block counting, at
+//!    identical ground-truth profiles.
+//! 2. The fig6-style drifted-profile comparison: each workload's profile is
+//!    collected on the clean build while the optimized build compiles a
+//!    CFG-changed source, stale recovery salvages the counts, and the cycle
+//!    runs once with min-cost-flow inference and once with the fixpoint
+//!    heuristic. Rows carry eval cycles, how much of the clean-profile win
+//!    over `-O2` each inference retained, the repair-effort counters and the
+//!    provenance mix of the annotated weight.
 
-use csspgo_bench::{
-    experiment_config, par_map, read_pipeline_bench, speedup_cell, traffic_scale,
-    write_pipeline_bench, PipelineBenchRecord, PrevBenchRecord, BENCH_STAGES,
-};
+use csspgo_bench::{experiment_config, par_map, traffic_scale};
 use csspgo_core::inference::InferenceMode;
 use csspgo_core::pipeline::{run_pgo_cycle, run_pgo_cycle_drifted, PgoVariant, PipelineConfig};
 use csspgo_core::stalematch::StaleMatching;
 use csspgo_core::Workload;
 use csspgo_opt::instrument::Placement;
 use csspgo_workloads::drift;
-use std::collections::HashMap;
-use std::process::ExitCode;
 
-/// Parses the optional `--gate <ratio>` argument.
-fn gate_ratio(args: &[String]) -> Result<Option<f64>, String> {
-    match args.iter().position(|a| a == "--gate") {
-        None => Ok(None),
-        Some(i) => {
-            let raw = args.get(i + 1).ok_or("--gate needs a ratio")?;
-            let ratio: f64 = raw.parse().map_err(|_| format!("bad --gate `{raw}`"))?;
-            if ratio <= 0.0 || !ratio.is_finite() {
-                return Err(format!("--gate must be a positive ratio, got {raw}"));
+/// One instrumented cycle under one counter placement.
+struct InstrRow {
+    label: &'static str,
+    counter_sites: usize,
+    profile_cycles: u64,
+    eval_cycles: u64,
+}
+
+/// Runs the instrumented variant under both counter placements and prints
+/// the overhead table plus the per-workload "counters kept" summary.
+fn instrumentation_table(workloads: &[Workload], cfg: &PipelineConfig) {
+    let per_workload = par_map(workloads.to_vec(), |w| {
+        [
+            ("instr-full", Placement::Full),
+            ("instr-sptree", Placement::SpanningTree),
+        ]
+        .map(|(label, placement)| {
+            let mut icfg = cfg.clone();
+            icfg.instrument.placement = placement;
+            let o = run_pgo_cycle(&w, PgoVariant::Instr, &icfg)
+                .unwrap_or_else(|e| panic!("{} / {label}: {e}", w.name));
+            InstrRow {
+                label,
+                counter_sites: o.counter_sites,
+                profile_cycles: o.profiling.cycles,
+                eval_cycles: o.eval.cycles,
             }
-            Ok(Some(ratio))
+        })
+    });
+
+    println!("\n# Instrumentation overhead (full vs spanning-tree counter placement)");
+    println!("| workload | row | counter sites | profiling cycles | eval cycles |");
+    println!("|---|---|---|---|---|");
+    for (w, rows) in workloads.iter().zip(&per_workload) {
+        for r in rows {
+            println!(
+                "| {} | {} | {} | {} | {} |",
+                w.name, r.label, r.counter_sites, r.profile_cycles, r.eval_cycles,
+            );
+        }
+    }
+    for (w, [full, sp]) in workloads.iter().zip(&per_workload) {
+        let (full, sp) = (full.counter_sites, sp.counter_sites);
+        if full > 0 {
+            println!(
+                "{}: {sp} of {full} counters kept ({:.1}% fewer)",
+                w.name,
+                (full - sp.min(full)) as f64 / full as f64 * 100.0
+            );
         }
     }
 }
 
-/// Prints the per-stage speedup table of this run against a previous one:
-/// `previous_ms / current_ms` per stage plus the signed time delta
-/// (ratios above 1.0 mean the stage got faster; regressions show a
-/// negative percentage). Stages absent from the old file print `-`.
-fn print_speedups(prev: &[PrevBenchRecord], records: &[PipelineBenchRecord]) {
-    let by_key: HashMap<(&str, &str), &PrevBenchRecord> = prev
-        .iter()
-        .map(|r| ((r.workload.as_str(), r.variant.as_str()), r))
-        .collect();
-    println!("\n# Speedup vs previous run (old ms / new ms; >1.0 = faster, signed % delta)");
-    let header: Vec<&str> = BENCH_STAGES
-        .iter()
-        .map(|s| s.trim_end_matches("_ms"))
-        .collect();
-    println!("| workload | variant | {} | total |", header.join(" | "));
-    println!("|---|---|{}", "---|".repeat(BENCH_STAGES.len() + 1));
-    let mut matched = 0usize;
-    for r in records {
-        let Some(p) = by_key.get(&(r.workload.as_str(), r.variant.as_str())) else {
-            continue;
-        };
-        matched += 1;
-        let mut cells = Vec::new();
-        for stage in BENCH_STAGES.iter().chain(["total_ms"].iter()) {
-            cells.push(speedup_cell(p.stage(stage), r.stage(stage)));
-        }
-        println!("| {} | {} | {} |", r.workload, r.variant, cells.join(" | "));
-    }
-    if matched == 0 {
-        println!("(no (workload, variant) rows in common with the previous run)");
-    }
+/// One row of the drifted-profile comparison.
+struct DriftRow {
+    label: &'static str,
+    eval_cycles: u64,
+    /// Share of the clean-profile win over `-O2` this row retained (%).
+    retained_pct: Option<f64>,
+    /// Inference repair effort: counts adjusted, flow moved, residual cost.
+    repair: Option<[u64; 3]>,
+    /// Stale-matcher-salvaged and solver-inferred shares of the annotated
+    /// weight (%).
+    provenance: Option<[f64; 2]>,
 }
 
-/// Runs the drifted-profile inference comparison for every workload:
+/// Runs the drifted-profile inference comparison and prints its table:
 /// `-O2` and clean `CSSPGO (full)` anchor the retained-win scale, then the
 /// CFG-drifted cycle runs under each inference mode with stale recovery.
-fn run_drift_comparison(workloads: &[Workload], cfg: &PipelineConfig) -> Vec<PipelineBenchRecord> {
+fn drift_table(workloads: &[Workload], cfg: &PipelineConfig) {
     let per_workload = par_map(workloads.to_vec(), |w| {
         let drifted_src = drift::change_cfg(&w.source);
         let o2 = run_pgo_cycle(&w, PgoVariant::O2, cfg)
@@ -110,16 +107,21 @@ fn run_drift_comparison(workloads: &[Workload], cfg: &PipelineConfig) -> Vec<Pip
             (clean_win > 0.0).then(|| (o2.eval.cycles as f64 - cycles as f64) / clean_win * 100.0)
         };
 
-        let mut clean_row =
-            PipelineBenchRecord::labeled(&w.name, "drift-clean", &clean.stage_times)
-                .with_eval_cycles(clean.eval.cycles);
-        if let Some(p) = retained_pct(clean.eval.cycles) {
-            clean_row = clean_row.with_retained(p);
-        }
         let mut rows = vec![
-            PipelineBenchRecord::labeled(&w.name, "drift-O2", &o2.stage_times)
-                .with_eval_cycles(o2.eval.cycles),
-            clean_row,
+            DriftRow {
+                label: "drift-O2",
+                eval_cycles: o2.eval.cycles,
+                retained_pct: None,
+                repair: None,
+                provenance: None,
+            },
+            DriftRow {
+                label: "drift-clean",
+                eval_cycles: clean.eval.cycles,
+                retained_pct: retained_pct(clean.eval.cycles),
+                repair: None,
+                provenance: None,
+            },
         ];
         for (label, mode) in [
             ("drift-mcf", InferenceMode::Mcf),
@@ -131,234 +133,56 @@ fn run_drift_comparison(workloads: &[Workload], cfg: &PipelineConfig) -> Vec<Pip
             let o = run_pgo_cycle_drifted(&w, PgoVariant::CsspgoFull, &dcfg, &drifted_src)
                 .unwrap_or_else(|e| panic!("{} / {label}: {e}", w.name));
             let inf = o.annotate_stats.inference;
-            let mut row = PipelineBenchRecord::labeled(&w.name, label, &o.stage_times)
-                .with_stale(
-                    o.annotate_stats.stale_dropped,
-                    o.annotate_stats.stale_recovered,
-                )
-                .with_inference(inf.counts_adjusted, inf.flow_moved, inf.residual_cost)
-                .with_eval_cycles(o.eval.cycles);
-            if let Some(p) = retained_pct(o.eval.cycles) {
-                row = row.with_retained(p);
-            }
             let prov = o.annotate_stats.provenance;
-            if prov.total() > 0 {
-                let total = prov.total() as f64;
-                row = row.with_provenance_pcts(
-                    prov.stale_matched as f64 / total * 100.0,
-                    prov.inferred as f64 / total * 100.0,
-                );
-            }
-            rows.push(row);
+            let total = prov.total() as f64;
+            rows.push(DriftRow {
+                label,
+                eval_cycles: o.eval.cycles,
+                retained_pct: retained_pct(o.eval.cycles),
+                repair: Some([inf.counts_adjusted, inf.flow_moved, inf.residual_cost]),
+                provenance: (prov.total() > 0).then(|| {
+                    [
+                        prov.stale_matched as f64 / total * 100.0,
+                        prov.inferred as f64 / total * 100.0,
+                    ]
+                }),
+            });
         }
         rows
     });
-    per_workload.into_iter().flatten().collect()
-}
 
-/// Prints the drifted-profile comparison table from the `drift-*` rows.
-fn print_drift_table(records: &[PipelineBenchRecord]) {
     println!("\n# Drifted-profile inference comparison (change_cfg drift, stale recovery on)");
     println!("| workload | row | eval cycles | retained % | counts adjusted | flow moved | residual cost | salvaged % | inferred % |");
     println!("|---|---|---|---|---|---|---|---|---|");
-    for r in records {
-        let fmt_u = |v: Option<u64>| v.map_or_else(|| "-".to_string(), |x| x.to_string());
-        let fmt_p = |v: Option<f64>| v.map_or_else(|| "-".to_string(), |p| format!("{p:.1}"));
-        println!(
-            "| {} | {} | {} | {} | {} | {} | {} | {} | {} |",
-            r.workload,
-            r.variant,
-            fmt_u(r.eval_cycles),
-            fmt_p(r.cycles_retained_pct),
-            fmt_u(r.counts_adjusted),
-            fmt_u(r.flow_moved),
-            fmt_u(r.residual_cost),
-            fmt_p(r.salvaged_weight_pct),
-            fmt_p(r.inferred_weight_pct),
-        );
-    }
-}
-
-/// Runs the instrumented variant under both counter placements for every
-/// workload: the overhead delta minimal (spanning-tree) placement buys
-/// over naive every-block counting, at identical ground-truth profiles.
-fn run_instrumentation_comparison(
-    workloads: &[Workload],
-    cfg: &PipelineConfig,
-) -> Vec<PipelineBenchRecord> {
-    let per_workload = par_map(workloads.to_vec(), |w| {
-        let mut rows = Vec::new();
-        for (label, placement) in [
-            ("instr-full", Placement::Full),
-            ("instr-sptree", Placement::SpanningTree),
-        ] {
-            let mut icfg = cfg.clone();
-            icfg.instrument.placement = placement;
-            let o = run_pgo_cycle(&w, PgoVariant::Instr, &icfg)
-                .unwrap_or_else(|e| panic!("{} / {label}: {e}", w.name));
-            rows.push(
-                PipelineBenchRecord::labeled(&w.name, label, &o.stage_times)
-                    .with_instrumentation(o.counter_sites as u64, o.profiling.cycles)
-                    .with_eval_cycles(o.eval.cycles),
+    let fmt_u = |v: Option<u64>| v.map_or_else(|| "-".to_string(), |x| x.to_string());
+    let fmt_p = |v: Option<f64>| v.map_or_else(|| "-".to_string(), |p| format!("{p:.1}"));
+    for (w, rows) in workloads.iter().zip(&per_workload) {
+        for r in rows {
+            println!(
+                "| {} | {} | {} | {} | {} | {} | {} | {} | {} |",
+                w.name,
+                r.label,
+                r.eval_cycles,
+                fmt_p(r.retained_pct),
+                fmt_u(r.repair.map(|x| x[0])),
+                fmt_u(r.repair.map(|x| x[1])),
+                fmt_u(r.repair.map(|x| x[2])),
+                fmt_p(r.provenance.map(|x| x[0])),
+                fmt_p(r.provenance.map(|x| x[1])),
             );
         }
-        rows
-    });
-    per_workload.into_iter().flatten().collect()
-}
-
-/// Prints the instrumentation-overhead table from the `instr-*` rows.
-fn print_instrumentation_table(records: &[PipelineBenchRecord]) {
-    println!("\n# Instrumentation overhead (full vs spanning-tree counter placement)");
-    println!("| workload | row | counter sites | profiling cycles | eval cycles |");
-    println!("|---|---|---|---|---|");
-    for r in records {
-        let fmt_u = |v: Option<u64>| v.map_or_else(|| "-".to_string(), |x| x.to_string());
-        println!(
-            "| {} | {} | {} | {} | {} |",
-            r.workload,
-            r.variant,
-            fmt_u(r.counter_sites),
-            fmt_u(r.profile_cycles),
-            fmt_u(r.eval_cycles),
-        );
-    }
-    let by_key: HashMap<(&str, &str), u64> = records
-        .iter()
-        .filter_map(|r| {
-            r.counter_sites
-                .map(|c| ((r.workload.as_str(), r.variant.as_str()), c))
-        })
-        .collect();
-    let mut names: Vec<&str> = records.iter().map(|r| r.workload.as_str()).collect();
-    names.dedup();
-    for name in names {
-        if let (Some(&full), Some(&sp)) = (
-            by_key.get(&(name, "instr-full")),
-            by_key.get(&(name, "instr-sptree")),
-        ) {
-            if full > 0 {
-                println!(
-                    "{name}: {sp} of {full} counters kept ({:.1}% fewer)",
-                    (full - sp.min(full)) as f64 / full as f64 * 100.0
-                );
-            }
-        }
     }
 }
 
-/// Applies the correlate-time gate; returns the offending lines.
-fn gate_failures(records: &[PipelineBenchRecord], ratio: f64) -> Vec<String> {
-    let full = PgoVariant::CsspgoFull.to_string();
-    let base = PgoVariant::AutoFdo.to_string();
-    let mut by_workload: HashMap<&str, (Option<f64>, Option<f64>)> = HashMap::new();
-    for r in records {
-        let slot = by_workload.entry(r.workload.as_str()).or_default();
-        if r.variant == base {
-            slot.0 = Some(r.correlate_ms);
-        } else if r.variant == full {
-            slot.1 = Some(r.correlate_ms);
-        }
-    }
-    let mut failures = Vec::new();
-    let mut names: Vec<&&str> = by_workload.keys().collect();
-    names.sort();
-    for name in names {
-        if let (Some(autofdo), Some(csspgo)) = by_workload[*name] {
-            if autofdo > 0.0 && csspgo > ratio * autofdo {
-                failures.push(format!(
-                    "{name}: CSSPGO-full correlate {csspgo:.1}ms > {ratio}x AutoFDO {autofdo:.1}ms"
-                ));
-            }
-        }
-    }
-    failures
-}
-
-fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let gate = match gate_ratio(&args) {
-        Ok(g) => g,
-        Err(e) => {
-            eprintln!("bench_pipeline: {e}");
-            return ExitCode::from(2);
-        }
-    };
-    let with_drift = args.iter().any(|a| a == "--drift");
+fn main() {
     let cfg = experiment_config();
     let scale = traffic_scale();
-    let variants = [
-        PgoVariant::AutoFdo,
-        PgoVariant::CsspgoProbeOnly,
-        PgoVariant::CsspgoFull,
-    ];
-
     let workloads: Vec<_> = csspgo_workloads::server_workloads()
         .into_iter()
         .map(|w| w.scaled(scale))
         .collect();
-    // Workload × variant fan-out: each pair is an independent PGO cycle.
-    let pairs: Vec<_> = workloads
-        .iter()
-        .flat_map(|w| variants.iter().map(move |&v| (w.clone(), v)))
-        .collect();
-    let mut records: Vec<PipelineBenchRecord> = par_map(pairs, |(w, v)| {
-        let o = run_pgo_cycle(&w, v, &cfg).unwrap_or_else(|e| panic!("{} / {v}: {e}", w.name));
-        PipelineBenchRecord::new(&w.name, v, &o.stage_times)
-    });
 
-    println!("# Pipeline stage wall times (ms), scale={scale}");
-    println!(
-        "| workload | variant | compile | simulate | correlate | pre-inline \
-         | serialize | deserialize | inference | recompile | evaluate | total |"
-    );
-    println!("|---|---|---|---|---|---|---|---|---|---|---|---|");
-    for r in &records {
-        println!(
-            "| {} | {} | {:.1} | {:.1} | {:.1} | {:.1} | {:.2} | {:.2} | {:.2} | {:.1} | {:.1} | {:.1} |",
-            r.workload,
-            r.variant,
-            r.compile_ms,
-            r.simulate_ms,
-            r.correlate_ms,
-            r.preinline_ms,
-            r.serialize_ms,
-            r.deserialize_ms,
-            r.inference_ms,
-            r.recompile_ms,
-            r.evaluate_ms,
-            r.total_ms
-        );
-    }
-
-    let instr_rows = run_instrumentation_comparison(&workloads, &cfg);
-    print_instrumentation_table(&instr_rows);
-    records.extend(instr_rows);
-
-    if with_drift {
-        let drift_rows = run_drift_comparison(&workloads, &cfg);
-        print_drift_table(&drift_rows);
-        records.extend(drift_rows);
-    }
-
-    let path =
-        std::env::var("BENCH_PIPELINE_OUT").unwrap_or_else(|_| "BENCH_pipeline.json".to_string());
-    if let Some(prev) = read_pipeline_bench(&path) {
-        print_speedups(&prev, &records);
-    }
-    write_pipeline_bench(&path, &records).expect("write pipeline bench records");
-    println!("\nwrote {} records to {path}", records.len());
-
-    if let Some(ratio) = gate {
-        let failures = gate_failures(&records, ratio);
-        if !failures.is_empty() {
-            eprintln!("\ncorrelate-time gate FAILED (ratio {ratio}):");
-            for f in &failures {
-                eprintln!("  {f}");
-            }
-            return ExitCode::FAILURE;
-        }
-        println!("correlate-time gate passed (ratio {ratio})");
-    }
-    ExitCode::SUCCESS
+    println!("# bench_pipeline, scale={scale}");
+    instrumentation_table(&workloads, &cfg);
+    drift_table(&workloads, &cfg);
 }

@@ -23,8 +23,8 @@
 //! Per-tenant epoch rows plus fleet aggregates are written to
 //! `BENCH_profile_fleet.json` (override with `BENCH_PROFILE_FLEET_OUT`).
 //! `CSSPGO_RESIDENT_CAP` overrides the cap (`0` = unbounded);
-//! `CSSPGO_SNAPSHOT_FORMAT` and `CSSPGO_SCALE` behave as in
-//! `profile_serve`.
+//! `CSSPGO_SNAPSHOT_FORMAT=text|binary` picks the mid-stream snapshot
+//! self-check's wire format and `CSSPGO_SCALE` scales the traffic.
 
 use csspgo_bench::{
     snapshot_format_from_env, traffic_scale, write_fleet_bench, FleetBenchRecord, FleetBenchReport,

@@ -6,7 +6,7 @@ use csspgo_ir::{FuncId, Global};
 use serde::{Deserialize, Serialize};
 
 /// Encoded sizes of the binary's sections, in bytes (Fig. 9's metric).
-#[derive(Clone, Copy, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Default, Serialize, Deserialize)]
 pub struct SectionSizes {
     /// Machine code.
     pub text: u64,

@@ -27,14 +27,13 @@
 //! Construction is two-phase because [`StreamAggregator`] (and
 //! [`Machine`]) borrow the profiled [`Binary`]: [`FleetBinaries::compile`]
 //! owns the compiled artifacts, then [`FleetService::new`] borrows them
-//! for the serving lifetime. `profile_serve` (one tenant at a time) and
-//! `profile_fleet` (N tenants × M versions) are both thin CLI wrappers
-//! over this type.
+//! for the serving lifetime. `profile_fleet` (N tenants × M versions) is a
+//! thin CLI wrapper over this type.
 
 use crate::context::ContextProfile;
 use crate::pipeline::{
     profiling_build, run_pgo_cycle_drifted, staged_machine, PgoVariant, PipelineConfig,
-    PipelineError, StageTimes,
+    PipelineError,
 };
 use crate::ranges::RangeCounts;
 use crate::stalematch::StaleMatching;
@@ -46,7 +45,6 @@ use csspgo_sim::Machine;
 use rayon::prelude::*;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fmt;
-use std::time::Instant;
 
 // ---------------------------------------------------------------------
 // Identity and specs
@@ -372,7 +370,6 @@ struct CompiledVersion {
     source: String,
     share: TrafficShare,
     binary: Binary,
-    compile_ms: f64,
 }
 
 struct TenantBinaries {
@@ -431,7 +428,6 @@ impl FleetBinaries {
         let compiled: Vec<Result<(usize, CompiledVersion), PipelineError>> = units
             .into_par_iter()
             .map(|(ti, v)| {
-                let t = Instant::now();
                 let name = format!("{}-{}", specs[ti].workload.name, v.label);
                 let binary =
                     profiling_build(&v.source, &name, PgoVariant::CsspgoFull, &cfg.pipeline)?
@@ -443,7 +439,6 @@ impl FleetBinaries {
                         source: v.source.clone(),
                         share: v.share,
                         binary,
-                        compile_ms: t.elapsed().as_secs_f64() * 1e3,
                     },
                 ))
             })
@@ -502,14 +497,10 @@ pub struct EpochEvent {
     pub workload: String,
     /// Version label the epoch ran on.
     pub version: String,
-    /// Row label (`epoch-N` / `drift-probe`), matching the
-    /// `BENCH_pipeline.json` variant-column convention.
+    /// Row label (`epoch-N` / `drift-probe`).
     pub label: String,
-    /// What the seal did (sizes, stage times, drift verdict).
+    /// What the seal did (sizes, drift verdict).
     pub summary: EpochSummary,
-    /// Bench-record stage times (traffic time + aggregation split;
-    /// `compile_ms` set on the calibration epoch only).
-    pub stage_times: StageTimes,
     /// Context-trie nodes resident after the seal (and any eviction).
     pub resident_contexts: usize,
     /// Eviction done by *this* epoch's cap enforcement.
@@ -527,8 +518,6 @@ pub struct RefreshEvent {
     pub workload: String,
     /// Version label whose profile went stale.
     pub version: String,
-    /// Stage times of the full refresh PGO cycle.
-    pub stage_times: StageTimes,
     /// Checksum-gated functions dropped during annotation.
     pub stale_dropped: usize,
     /// Checksum-gated functions the stale matcher salvaged.
@@ -602,7 +591,6 @@ struct VersionRt<'b> {
     label: String,
     source: String,
     binary: &'b Binary,
-    compile_ms: f64,
     machine: Machine<'b>,
     agg: Option<StreamAggregator<'b>>,
     /// The train-call indices this version serves (its traffic share).
@@ -662,7 +650,6 @@ impl<'b> FleetService<'b> {
                             label: v.label.clone(),
                             source: v.source.clone(),
                             binary: &v.binary,
-                            compile_ms: v.compile_ms,
                             machine,
                             agg: None,
                             train_idx: v.share.train_indices(t.spec.workload.train_calls.len()),
@@ -820,7 +807,6 @@ impl<'b> FleetService<'b> {
                 tenant: tenant.id,
                 workload: tenant.workload.name.clone(),
                 version: version.label.clone(),
-                stage_times: outcome.stage_times,
                 stale_dropped: outcome.annotate_stats.stale_dropped,
                 stale_recovered: outcome.annotate_stats.stale_recovered,
                 eval_cycles: outcome.eval.cycles,
@@ -903,13 +889,11 @@ impl TenantRt<'_> {
         let mut events = Vec::new();
         for v in &mut self.versions {
             let take = cfg.epoch_calls.min(v.train_idx.len());
-            let t = Instant::now();
             for &i in &v.train_idx[..take] {
                 v.machine
                     .call(&self.workload.entry, &self.workload.train_calls[i])
                     .map_err(|e| FleetError::Pipeline(PipelineError::Sim(e)))?;
             }
-            let traffic_ms = t.elapsed().as_secs_f64() * 1e3;
             v.cursor = take;
 
             let samples = v.machine.take_samples();
@@ -927,8 +911,6 @@ impl TenantRt<'_> {
             v.agg = Some(agg);
             let evicted_this_epoch = v.enforce_cap(cfg, summary.epoch);
 
-            let mut times = summary.stage_times(traffic_ms);
-            times.compile_ms = v.compile_ms;
             let agg = v.agg.as_ref().expect("calibrated above");
             events.push(FleetEvent::Epoch(EpochEvent {
                 tenant: self.id,
@@ -936,7 +918,6 @@ impl TenantRt<'_> {
                 version: v.label.clone(),
                 label: "epoch-0".to_string(),
                 summary,
-                stage_times: times,
                 resident_contexts: agg.resident_contexts(),
                 evicted_this_epoch,
                 evicted_total: agg.evict_stats(),
@@ -955,13 +936,11 @@ impl TenantRt<'_> {
             let indices = &v.train_idx[v.cursor..end];
             v.cursor = end;
 
-            let t = Instant::now();
             for &i in indices {
                 v.machine
                     .call(&self.workload.entry, &self.workload.train_calls[i])
                     .map_err(|e| FleetError::Pipeline(PipelineError::Sim(e)))?;
             }
-            let traffic_ms = t.elapsed().as_secs_f64() * 1e3;
 
             let agg = v.agg.as_mut().expect("run_round after calibrate");
             // Drain the PMU in bounded batches, as a collector daemon
@@ -981,7 +960,6 @@ impl TenantRt<'_> {
                 version: v.label.clone(),
                 label: format!("epoch-{}", summary.epoch),
                 summary,
-                stage_times: summary.stage_times(traffic_ms),
                 resident_contexts: agg.resident_contexts(),
                 evicted_this_epoch,
                 evicted_total: agg.evict_stats(),
@@ -1024,13 +1002,11 @@ impl TenantRt<'_> {
     fn drift_probe(&mut self, cfg: &FleetConfig) -> Result<Vec<(usize, EpochEvent)>, FleetError> {
         let mut events = Vec::new();
         for (vi, v) in self.versions.iter_mut().enumerate() {
-            let t = Instant::now();
             for args in &self.workload.eval_calls {
                 v.machine
                     .call(&self.workload.entry, args)
                     .map_err(|e| FleetError::Pipeline(PipelineError::Sim(e)))?;
             }
-            let traffic_ms = t.elapsed().as_secs_f64() * 1e3;
 
             let agg = v.agg.as_mut().expect("drift_probe after calibrate");
             while v.machine.pending_samples() > 0 {
@@ -1049,7 +1025,6 @@ impl TenantRt<'_> {
                     version: v.label.clone(),
                     label: "drift-probe".to_string(),
                     summary,
-                    stage_times: summary.stage_times(traffic_ms),
                     resident_contexts: agg.resident_contexts(),
                     evicted_this_epoch,
                     evicted_total: agg.evict_stats(),

@@ -24,7 +24,6 @@ pub mod mcf;
 use csspgo_ir::{cfg, BlockId, Function};
 use std::collections::HashMap;
 use std::str::FromStr;
-use std::time::Instant;
 
 /// Number of propagation sweeps; loops converge geometrically, so a couple
 /// dozen sweeps settle any realistic trip count distribution.
@@ -75,10 +74,7 @@ impl FromStr for InferenceMode {
 
 /// Aggregate inference work done during annotation, merged across functions
 /// into `AnnotateStats` and surfaced in the bench records.
-///
-/// Equality ignores `elapsed_us` (wall-clock noise must not make otherwise
-/// identical annotation runs compare unequal).
-#[derive(Clone, Copy, Debug, Default)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct InferenceStats {
     /// Functions that went through inference.
     pub functions: u64,
@@ -89,20 +85,7 @@ pub struct InferenceStats {
     /// Total min-cost-flow routing cost (0 for the heuristic — it has no
     /// cost model).
     pub residual_cost: u64,
-    /// Wall-clock microseconds spent inside inference.
-    pub elapsed_us: u64,
 }
-
-impl PartialEq for InferenceStats {
-    fn eq(&self, other: &Self) -> bool {
-        self.functions == other.functions
-            && self.counts_adjusted == other.counts_adjusted
-            && self.flow_moved == other.flow_moved
-            && self.residual_cost == other.residual_cost
-    }
-}
-
-impl Eq for InferenceStats {}
 
 impl InferenceStats {
     /// Accumulates another function's (or module's) stats into `self`.
@@ -111,7 +94,6 @@ impl InferenceStats {
         self.counts_adjusted += other.counts_adjusted;
         self.flow_moved += other.flow_moved;
         self.residual_cost = self.residual_cost.saturating_add(other.residual_cost);
-        self.elapsed_us = self.elapsed_us.saturating_add(other.elapsed_us);
     }
 }
 
@@ -137,8 +119,7 @@ pub fn infer_counts(
     entry_count: u64,
     mode: InferenceMode,
 ) -> InferenceResult {
-    let start = Instant::now();
-    let mut result = match mode {
+    match mode {
         InferenceMode::Off => InferenceResult {
             counts: raw.clone(),
             edges: None,
@@ -159,15 +140,12 @@ pub fn infer_counts(
                         counts_adjusted,
                         flow_moved,
                         residual_cost: out.cost,
-                        elapsed_us: 0,
                     },
                 }
             }
             None => heuristic_result(func, raw, entry_count),
         },
-    };
-    result.stats.elapsed_us = start.elapsed().as_micros().min(u128::from(u64::MAX)) as u64;
-    result
+    }
 }
 
 /// (#adjusted blocks, Σ|final − raw|) over the inferred block set.
@@ -199,7 +177,6 @@ fn heuristic_result(
             counts_adjusted,
             flow_moved,
             residual_cost: 0,
-            elapsed_us: 0,
         },
     }
 }
@@ -505,23 +482,16 @@ mod tests {
     }
 
     #[test]
-    fn stats_equality_ignores_elapsed_and_merge_accumulates() {
+    fn stats_merge_accumulates() {
         let a = InferenceStats {
             functions: 2,
             counts_adjusted: 5,
             flow_moved: 40,
             residual_cost: 9,
-            elapsed_us: 123,
         };
-        let b = InferenceStats {
-            elapsed_us: 9999,
-            ..a
-        };
-        assert_eq!(a, b);
         let mut m = a;
-        m.merge(&b);
+        m.merge(&a);
         assert_eq!(m.functions, 4);
         assert_eq!(m.flow_moved, 80);
-        assert_eq!(m.elapsed_us, 123 + 9999);
     }
 }

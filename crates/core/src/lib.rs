@@ -73,7 +73,6 @@ pub use fleet::{
 };
 pub use pipeline::{
     run_pgo_cycle, PgoOutcome, PgoVariant, PipelineConfig, PipelineConfigBuilder, PipelineError,
-    StageTimes,
 };
 pub use release_train::{
     run_release_train, CanaryReport, ReleaseReport, ReleaseSpec, TrainBenchDoc, TrainConfig,

@@ -30,7 +30,6 @@ use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
-use std::time::Instant;
 
 /// The PGO variants evaluated in the paper.
 ///
@@ -341,61 +340,6 @@ impl PipelineConfigBuilder {
     }
 }
 
-/// Per-stage wall times of one PGO cycle, in milliseconds. Emitted into
-/// `BENCH_pipeline.json` by the bench harness so perf work has a measurable
-/// trajectory across PRs.
-#[derive(Clone, Copy, Debug, Default, Serialize, Deserialize)]
-pub struct StageTimes {
-    /// Profiling build (frontend + opt + lowering).
-    pub compile_ms: f64,
-    /// Profiling run under the simulator.
-    pub simulate_ms: f64,
-    /// Profile generation: range counts, correlation / context unwinding,
-    /// trimming — everything between samples and a compiler profile,
-    /// *except* the pre-inliner.
-    pub correlate_ms: f64,
-    /// Pre-inliner (full CSSPGO only; 0 otherwise).
-    pub preinline_ms: f64,
-    /// Encoding the generated profile to the binprof wire format
-    /// ([`crate::binprof`]); 0 for variants that hand off no profile.
-    pub serialize_ms: f64,
-    /// Decoding the binprof payload back into the compiler-side profile.
-    pub deserialize_ms: f64,
-    /// Profile inference during annotation ([`crate::inference`]); carved
-    /// out of the rebuild so MCF-vs-heuristic cost is directly visible.
-    /// (Old bench records without this stage stay readable through the
-    /// lenient all-`Option` parse in `csspgo-bench`.)
-    pub inference_ms: f64,
-    /// Optimized rebuild (annotate + opt + lowering), *excluding* the
-    /// inference time reported separately above.
-    pub recompile_ms: f64,
-    /// Evaluation run on the final binary.
-    pub evaluate_ms: f64,
-}
-
-impl StageTimes {
-    /// Sum of all stages.
-    pub fn total_ms(&self) -> f64 {
-        self.compile_ms
-            + self.simulate_ms
-            + self.correlate_ms
-            + self.preinline_ms
-            + self.serialize_ms
-            + self.deserialize_ms
-            + self.inference_ms
-            + self.recompile_ms
-            + self.evaluate_ms
-    }
-}
-
-/// Runs `f`, adding its wall time in milliseconds to `slot`.
-fn timed<T>(slot: &mut f64, f: impl FnOnce() -> T) -> T {
-    let start = Instant::now();
-    let out = f();
-    *slot += start.elapsed().as_secs_f64() * 1e3;
-    out
-}
-
 /// Pipeline failure.
 ///
 /// Marked `#[non_exhaustive]`: downstream matches must carry a wildcard arm
@@ -462,7 +406,7 @@ impl From<crate::binprof::DecodeError> for PipelineError {
 }
 
 /// Everything one PGO cycle produced.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct PgoOutcome {
     /// Which variant ran.
     pub variant: PgoVariant,
@@ -492,8 +436,6 @@ pub struct PgoOutcome {
     pub counter_sites: usize,
     /// Tail-call missing-frame inference stats (full CSSPGO).
     pub infer_stats: InferStats,
-    /// Wall time spent in each pipeline stage.
-    pub stage_times: StageTimes,
 }
 
 impl PgoOutcome {
@@ -512,7 +454,6 @@ impl PgoOutcome {
             plan_len: 0,
             counter_sites: 0,
             infer_stats: InferStats::default(),
-            stage_times: StageTimes::default(),
         }
     }
 }
@@ -781,32 +722,20 @@ impl BuildProfile {
 /// Stage 4 — the hand-off through the binary wire format. Production
 /// profiles travel between collector and compiler as binprof payloads; the
 /// cycle compiles from the decoded copy, so the wire format is
-/// load-bearing — a lossy encode or a decode regression fails the cycle —
-/// and both costs land in `times`. Counter profiles never leave the build
-/// host and pass through.
+/// load-bearing — a lossy encode or a decode regression fails the cycle.
+/// Counter profiles never leave the build host and pass through.
 ///
 /// # Errors
 ///
 /// Returns [`PipelineError::Decode`] when the payload does not decode.
-pub fn wire_handoff(
-    profile: BuildProfile,
-    times: &mut StageTimes,
-) -> Result<BuildProfile, PipelineError> {
+pub fn wire_handoff(profile: BuildProfile) -> Result<BuildProfile, PipelineError> {
     Ok(match profile {
-        BuildProfile::Flat(p) => {
-            let bytes = timed(&mut times.serialize_ms, || crate::binprof::encode_flat(&p));
-            let decoded = timed(&mut times.deserialize_ms, || {
-                crate::binprof::decode_flat(&bytes)
-            });
-            BuildProfile::Flat(decoded?)
-        }
-        BuildProfile::Probe(p) => {
-            let bytes = timed(&mut times.serialize_ms, || crate::binprof::encode_probe(&p));
-            let decoded = timed(&mut times.deserialize_ms, || {
-                crate::binprof::decode_probe(&bytes)
-            });
-            BuildProfile::Probe(decoded?)
-        }
+        BuildProfile::Flat(p) => BuildProfile::Flat(crate::binprof::decode_flat(
+            &crate::binprof::encode_flat(&p),
+        )?),
+        BuildProfile::Probe(p) => BuildProfile::Probe(crate::binprof::decode_probe(
+            &crate::binprof::encode_probe(&p),
+        )?),
         other => other,
     })
 }
@@ -870,22 +799,17 @@ pub fn run_pgo_cycle_drifted(
     build_source: &str,
 ) -> Result<PgoOutcome, PipelineError> {
     let mut outcome = PgoOutcome::empty(variant);
-    let mut times = StageTimes::default();
     let shards = config.ingest_shards;
 
     // Profiling build and run "in production" (none for plain `-O2`).
     let mut profiled = None;
     if variant != PgoVariant::O2 {
-        let build = timed(&mut times.compile_ms, || {
-            profiling_build(&workload.source, &workload.name, variant, config)
-        })?;
+        let build = profiling_build(&workload.source, &workload.name, variant, config)?;
         let period = match variant {
             PgoVariant::Instr => 0,
             _ => config.sample_period,
         };
-        let run = timed(&mut times.simulate_ms, || {
-            profiling_run(&build.binary, workload, config.sim_config(period))
-        })?;
+        let run = profiling_run(&build.binary, workload, config.sim_config(period))?;
         outcome.profiling_sections = build.binary.sections;
         outcome.profiling = run.stats;
         outcome.counter_sites = build.instrumented.as_ref().map_or(0, |(map, _)| map.len());
@@ -893,63 +817,51 @@ pub fn run_pgo_cycle_drifted(
     }
 
     // The pre-inliner's plan refers to the fresh build module, so its
-    // front end runs first; the time counts toward the rebuild.
-    let build_module = timed(&mut times.recompile_ms, || {
-        prepared_module(build_source, &workload.name, variant.uses_probes())
-    })?;
+    // front end runs first.
+    let build_module = prepared_module(build_source, &workload.name, variant.uses_probes())?;
 
     let mut plan = None;
-    let profile = timed(&mut times.correlate_ms, || -> Result<_, PipelineError> {
-        let Some((build, run)) = profiled else {
-            return Ok(BuildProfile::None);
-        };
-        let binary = &build.binary;
-        Ok(match variant {
-            PgoVariant::AutoFdo => {
-                BuildProfile::Flat(autofdo_profile(binary, &run.samples, shards))
-            }
-            PgoVariant::CsspgoProbeOnly => {
-                BuildProfile::Probe(probe_only_profile(binary, &run.samples, shards))
-            }
-            PgoVariant::CsspgoFull => {
-                let mut generated = context_profile(binary, &run.samples, shards);
-                outcome.infer_stats = generated.infer_stats;
-                outcome.context_nodes_before_trim = generated.profile.node_count();
-                generated.profile.trim_cold(config.trim_threshold);
-                outcome.context_nodes_after_trim = generated.profile.node_count();
-                timed(&mut times.preinline_ms, || {
+    let profile = match profiled {
+        None => BuildProfile::None,
+        Some((build, run)) => {
+            let binary = &build.binary;
+            match variant {
+                PgoVariant::AutoFdo => {
+                    BuildProfile::Flat(autofdo_profile(binary, &run.samples, shards))
+                }
+                PgoVariant::CsspgoProbeOnly => {
+                    BuildProfile::Probe(probe_only_profile(binary, &run.samples, shards))
+                }
+                PgoVariant::CsspgoFull => {
+                    let mut generated = context_profile(binary, &run.samples, shards);
+                    outcome.infer_stats = generated.infer_stats;
+                    outcome.context_nodes_before_trim = generated.profile.node_count();
+                    generated.profile.trim_cold(config.trim_threshold);
+                    outcome.context_nodes_after_trim = generated.profile.node_count();
                     let pre = run_preinliner(&mut generated.profile, binary, &config.preinline);
                     outcome.plan_len = pre.plan_paths.len();
                     plan = Some(to_inline_plan(&pre.plan_paths, &build_module));
-                });
-                let rc = &generated.range_counts;
-                BuildProfile::Probe(finish_probe_profile(&generated.profile, rc, binary))
+                    let rc = &generated.range_counts;
+                    BuildProfile::Probe(finish_probe_profile(&generated.profile, rc, binary))
+                }
+                PgoVariant::Instr => {
+                    let (map, reference) = build.instrumented.ok_or(
+                        PipelineError::Inconsistent("instrumented build produced no counter map"),
+                    )?;
+                    instr_profile(map, &run.counters, &reference)?
+                }
+                PgoVariant::O2 => BuildProfile::None,
             }
-            PgoVariant::Instr => {
-                let (map, reference) = build.instrumented.ok_or(PipelineError::Inconsistent(
-                    "instrumented build produced no counter map",
-                ))?;
-                instr_profile(map, &run.counters, &reference)?
-            }
-            PgoVariant::O2 => BuildProfile::None,
-        })
-    })?;
-    times.correlate_ms -= times.preinline_ms;
-    let profile = wire_handoff(profile, &mut times)?;
+        }
+    };
+    let profile = wire_handoff(profile)?;
     outcome.quality_counts = quality_counts(build_module.clone(), &profile, &config.annotate);
 
-    let (binary, stats) = timed(&mut times.recompile_ms, || {
-        let (plan, entry) = (plan.as_ref(), &workload.entry);
-        optimized_build(build_module, variant, &profile, plan, entry, config)
-    });
+    let (plan, entry) = (plan.as_ref(), &workload.entry);
+    let (binary, stats) = optimized_build(build_module, variant, &profile, plan, entry, config);
     outcome.annotate_stats = stats;
     outcome.sections = binary.sections;
-    times.inference_ms = stats.inference.elapsed_us as f64 / 1e3;
-    times.recompile_ms = (times.recompile_ms - times.inference_ms).max(0.0);
-    (outcome.eval, outcome.eval_result_hash) = timed(&mut times.evaluate_ms, || {
-        evaluate(&binary, workload, config)
-    })?;
-    outcome.stage_times = times;
+    (outcome.eval, outcome.eval_result_hash) = evaluate(&binary, workload, config)?;
     Ok(outcome)
 }
 
@@ -1200,7 +1112,7 @@ fn score(n) {
     }
 
     #[test]
-    fn builder_inference_shorthand_and_stage_carveout() {
+    fn builder_inference_shorthand() {
         use crate::inference::InferenceMode;
         let cfg = PipelineConfig::builder()
             .sample_period(61)
@@ -1217,10 +1129,5 @@ fn score(n) {
         let w = tiny_workload();
         let o = run_pgo_cycle(&w, PgoVariant::CsspgoFull, &quick_config()).unwrap();
         assert!(o.annotate_stats.inference.functions > 0);
-        assert!(o.stage_times.inference_ms >= 0.0);
-        assert!(
-            o.stage_times.total_ms() >= o.stage_times.inference_ms,
-            "inference is part of the total"
-        );
     }
 }

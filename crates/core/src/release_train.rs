@@ -53,7 +53,6 @@ use crate::stalematch::StaleMatching;
 use crate::stream::{probe_weights, weight_overlap};
 use crate::workload::Workload;
 use serde::Serialize;
-use std::time::Instant;
 
 /// Schema tag of `BENCH_release_train.json`.
 pub const TRAIN_SCHEMA: &str = "csspgo-train-v1";
@@ -177,8 +176,6 @@ pub struct ReleaseReport {
     pub floor_retained_pct: Option<f64>,
     /// The canary verdict.
     pub canary: CanaryReport,
-    /// Wall time of this release step (timing field; zeroed in goldens).
-    pub train_ms: f64,
 }
 
 /// The whole train on one workload.
@@ -227,20 +224,6 @@ impl TrainBenchDoc {
     /// Pretty JSON (the on-disk format).
     pub fn to_json(&self) -> String {
         serde_json::to_string_pretty(self).expect("train report serializes")
-    }
-
-    /// A copy with every timing field zeroed — the deterministic portion
-    /// two identical runs must agree on byte-for-byte, and what the
-    /// golden test pins.
-    #[must_use]
-    pub fn stripped(&self) -> TrainBenchDoc {
-        let mut doc = self.clone();
-        for train in &mut doc.trains {
-            for rel in &mut train.releases {
-                rel.train_ms = 0.0;
-            }
-        }
-        doc
     }
 }
 
@@ -328,7 +311,6 @@ pub fn run_release_train(
                 rel.label
             )));
         }
-        let step_start = Instant::now();
 
         // Diurnal traffic: rotate the stream so hot contexts shift
         // between releases (eval traffic stays pinned, so the drift probe
@@ -466,7 +448,6 @@ pub fn run_release_train(
                 profile_agreement,
                 sabotaged,
             },
-            train_ms: step_start.elapsed().as_secs_f64() * 1e3,
         });
 
         if promoted {
@@ -581,50 +562,5 @@ mod tests {
         assert_eq!(f.probes[&1], 1, "hottest probe must go cold");
         assert_eq!(f.probes[&2], 101, "coldest probe must go hot");
         assert_eq!(f.total, 102);
-    }
-
-    #[test]
-    fn stripped_doc_zeroes_timing() {
-        let doc = TrainBenchDoc::new(vec![TrainReport {
-            workload: "w".into(),
-            baseline_cycles: 1,
-            releases: vec![ReleaseReport {
-                release: 0,
-                label: "r1".into(),
-                mutator: "split_function".into(),
-                watchdog_fired: false,
-                refreshes: 0,
-                stale_dropped: 0,
-                stale_recovered: 0,
-                o2_cycles: 10,
-                oracle_cycles: 8,
-                pgo_cycles: 9,
-                floor_cycles: 10,
-                retained_pct: Some(50.0),
-                floor_retained_pct: Some(0.0),
-                canary: CanaryReport {
-                    promoted: true,
-                    stable_cycles: 9,
-                    canary_cycles: 9,
-                    behavior_ok: true,
-                    profile_agreement: 1.0,
-                    sabotaged: false,
-                },
-                train_ms: 123.4,
-            }],
-            train_retention_pct: 50.0,
-            floor_retention_pct: 0.0,
-            promoted: 1,
-            rejected: 0,
-            watchdog_fires: 0,
-            refreshes: 0,
-        }]);
-        let stripped = doc.stripped();
-        assert_eq!(stripped.trains[0].releases[0].train_ms, 0.0);
-        assert_eq!(
-            doc.trains[0].releases[0].train_ms, 123.4,
-            "original untouched"
-        );
-        assert!(stripped.to_json().contains("csspgo-train-v1"));
     }
 }

@@ -40,7 +40,7 @@
 use crate::binprof::{self, put_uvarint, Kind};
 use crate::context::ContextProfile;
 use crate::merge::merge_context;
-use crate::pipeline::{self, PipelineError, StageTimes};
+use crate::pipeline::{self, PipelineError};
 use crate::profile::ProbeProfile;
 use crate::ranges::RangeCounts;
 use crate::shard::{sharded_context_profile, sharded_range_counts};
@@ -74,7 +74,8 @@ impl Default for StreamConfig {
     }
 }
 
-/// What one sealed epoch did: sizes, per-stage wall times, drift verdict.
+/// What one sealed epoch did: sizes, drift verdict, and the two wall times
+/// the frozen benchmark reads.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct EpochSummary {
     /// 0-based index of the sealed epoch.
@@ -87,36 +88,15 @@ pub struct EpochSummary {
     pub nodes_epoch: usize,
     /// Context-trie nodes in the cumulative profile after the fold.
     pub nodes_cumulative: usize,
-    /// Range/branch accumulation time (ms).
+    /// Range/branch accumulation time (ms). Wall clock: differs run to run.
     pub ingest_ms: f64,
-    /// Context unwinding time (ms).
+    /// Context unwinding time (ms). Wall clock: differs run to run.
     pub unwind_ms: f64,
-    /// Cumulative-fold (merge) time (ms).
-    pub fold_ms: f64,
     /// Probe-weight overlap with the previous epoch (1.0 = identical
     /// distribution; 1.0 for the first or an empty epoch).
     pub overlap: f64,
     /// Whether this epoch's overlap fell below the drift threshold.
     pub stale: bool,
-}
-
-impl EpochSummary {
-    /// Total aggregation time of the epoch (ms).
-    pub fn aggregate_ms(&self) -> f64 {
-        self.ingest_ms + self.unwind_ms + self.fold_ms
-    }
-
-    /// Maps the epoch onto the pipeline's [`StageTimes`] shape so epoch
-    /// records slot into the `BENCH_pipeline.json` format: `simulate_ms`
-    /// is the caller-measured traffic time, all aggregation work lands in
-    /// `correlate_ms`.
-    pub fn stage_times(&self, simulate_ms: f64) -> StageTimes {
-        StageTimes {
-            simulate_ms,
-            correlate_ms: self.aggregate_ms(),
-            ..StageTimes::default()
-        }
-    }
 }
 
 /// The snapshot wire formats a [`StreamAggregator`] speaks, unified behind
@@ -381,6 +361,11 @@ impl<'b> StreamAggregator<'b> {
 
         self.last_epoch_edges.clear();
         if !samples.is_empty() {
+            // The library's only two clocks. They stay because the frozen
+            // `benchmark/src/kernels/stream.rs` reads `ingest_ms` and
+            // `unwind_ms` to split a seal into its `ranges.count` and
+            // `unwind.ctx` layers; every other timing is taken by
+            // `benchmark/` from outside (DESIGN.md §16).
             let t = Instant::now();
             let rc_epoch = sharded_range_counts(self.binary, &samples, self.ingest_shards);
             summary.ingest_ms = t.elapsed().as_secs_f64() * 1e3;
@@ -395,10 +380,8 @@ impl<'b> StreamAggregator<'b> {
             summary.unwind_ms = t.elapsed().as_secs_f64() * 1e3;
             summary.nodes_epoch = unwound.profile.node_count();
 
-            let t = Instant::now();
             self.rc.merge(&rc_epoch);
             merge_context(&mut self.profile, &unwound.profile);
-            summary.fold_ms = t.elapsed().as_secs_f64() * 1e3;
 
             self.infer_stats.recovered += unwound.infer_stats.recovered;
             self.infer_stats.failed += unwound.infer_stats.failed;
@@ -771,7 +754,9 @@ impl<'b> StreamAggregator<'b> {
                             agg.rc.branches.insert((from, to), c);
                         }
                         Section::Weights => {
-                            weights.insert((a, b as u32), c);
+                            let probe =
+                                u32::try_from(b).map_err(|_| at("weight probe overflow"))?;
+                            weights.insert((a, probe), c);
                         }
                     }
                 }

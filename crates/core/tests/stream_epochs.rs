@@ -399,3 +399,38 @@ fn restore_refuses_out_of_binary_indices_in_both_formats() {
         assert!(restored.to_probe_profile(4).total() > 0);
     }
 }
+
+/// Regression: the text restore narrowed a `!weights` probe index with
+/// `as u32`, so probe 2³²+1 silently restored as probe 1 while the binary
+/// format refused the same row. Both formats now refuse it.
+#[test]
+fn restore_refuses_a_weight_probe_past_u32_in_both_formats() {
+    let binary = probed_binary();
+    let wide = u64::from(u32::MAX) + 2;
+
+    let text = String::from_utf8(real_snapshot(&binary, SnapshotFormat::Text)).unwrap();
+    let poisoned = text.replacen("!weights\n", &format!("!weights\n7 {wide} 1\n"), 1);
+    assert_ne!(poisoned, text, "!weights present");
+    let line = 2 + text.lines().position(|l| l == "!weights").unwrap();
+    let err = restore_err(&binary, poisoned.as_bytes());
+    assert!(matches!(err, PipelineError::Stream(_)), "{err}");
+    let msg = err.to_string();
+    assert!(
+        msg.contains(&format!("line {line}:")) && msg.contains("weight probe overflow"),
+        "{msg}"
+    );
+
+    let bin = real_snapshot(&binary, SnapshotFormat::Binary);
+    let mut sec = Vec::new();
+    for v in [1, 7, wide, 1] {
+        binprof::put_uvarint(&mut sec, v);
+    }
+    let err = restore_err(
+        &binary,
+        &with_section(&bin, binprof::section::STREAM_WEIGHTS, Some(&sec)),
+    );
+    assert!(
+        matches!(err, PipelineError::Decode(binprof::DecodeError::Corrupt(_))),
+        "{err}"
+    );
+}

@@ -1,5 +1,5 @@
-//! Bit-identity oracle for the PGO cycle: every non-timing [`PgoOutcome`]
-//! field of all five variants (the instrumented one under both counter
+//! Bit-identity oracle for the PGO cycle: every [`PgoOutcome`] field of all
+//! five variants (the instrumented one under both counter
 //! placements), on a fresh build and on a `change_cfg`-drifted one with
 //! stale recovery and MCF inference, pinned in
 //! `tests/golden/pgo_outcomes.json` (re-bless with `BLESS=1 cargo test`).
@@ -26,8 +26,7 @@ fn config(placement: Placement, drifted: bool) -> PipelineConfig {
     b.build().expect("valid test config")
 }
 
-/// One JSON object holding every field of `o` except `stage_times` and the
-/// wall-clock `inference.elapsed_us`.
+/// One JSON object holding every field of `o`.
 fn outcome_json(label: &str, o: &PgoOutcome) -> String {
     let run = |s: &csspgo::sim::RunStats| {
         format!(
@@ -172,4 +171,17 @@ fn every_variant_outcome_matches_golden() {
         "a PgoOutcome drifted from the golden; if intentional, re-bless \
          with `BLESS=1 cargo test`"
     );
+}
+
+/// A [`PgoOutcome`] is a pure function of the cycle's inputs: it holds no
+/// wall-clock field, so two runs compare equal as whole values.
+#[test]
+fn back_to_back_cycles_are_equal() {
+    let w = csspgo::workloads::ad_retriever().scaled(0.1);
+    let drifted_source = drift::change_cfg(&w.source);
+    let cfg = config(Placement::Full, true);
+    for variant in PgoVariant::ALL {
+        let run = || run_pgo_cycle_drifted(&w, variant, &cfg, &drifted_source).unwrap();
+        assert_eq!(run(), run(), "{variant}");
+    }
 }

@@ -170,9 +170,8 @@ fn main(n) {
     )
 }
 
-/// Two identical train runs must serialize byte-identically once timing
-/// fields are stripped, and the stripped document is pinned as a golden
-/// (re-bless with `BLESS=1 cargo test`).
+/// Two identical train runs must serialize byte-identically, and the
+/// document is pinned as a golden (re-bless with `BLESS=1 cargo test`).
 #[test]
 fn train_reports_are_deterministic_and_match_golden() {
     let w = golden_workload();
@@ -181,11 +180,11 @@ fn train_reports_are_deterministic_and_match_golden() {
 
     let a = run_release_train(&w, &specs, &cfg).expect("first run");
     let b = run_release_train(&w, &specs, &cfg).expect("second run");
-    let a_json = TrainBenchDoc::new(vec![a]).stripped().to_json();
-    let b_json = TrainBenchDoc::new(vec![b]).stripped().to_json();
+    let a_json = TrainBenchDoc::new(vec![a]).to_json();
+    let b_json = TrainBenchDoc::new(vec![b]).to_json();
     assert_eq!(
         a_json, b_json,
-        "two identical train runs must agree byte-for-byte modulo timing"
+        "two identical train runs must agree byte-for-byte"
     );
 
     let golden: PathBuf = [

@@ -7,7 +7,7 @@ use csspgo::core::annotate::AnnotateStats;
 use csspgo::core::pipeline::{
     autofdo_profile, context_profile, evaluate, finish_probe_profile, optimized_build,
     prepared_module, profiling_build, profiling_run, run_pgo_cycle, run_pgo_cycle_drifted,
-    staged_machine, wire_handoff, BuildProfile, PgoOutcome, PgoVariant, PipelineConfig, StageTimes,
+    staged_machine, wire_handoff, BuildProfile, PgoOutcome, PgoVariant, PipelineConfig,
 };
 use csspgo::core::preinline::{run_preinliner, to_inline_plan};
 use csspgo::core::stream::{StreamAggregator, StreamConfig};
@@ -81,7 +81,7 @@ fn staged_cycle(
         let rc = &generated.range_counts;
         BuildProfile::Probe(finish_probe_profile(&generated.profile, rc, &binary))
     };
-    let profile = wire_handoff(profile, &mut StageTimes::default()).unwrap();
+    let profile = wire_handoff(profile).unwrap();
     let (optimized, annotate_stats) = optimized_build(
         build_module,
         variant,
