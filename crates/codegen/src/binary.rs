@@ -84,67 +84,76 @@ pub struct Binary {
     pub frame_table: Vec<DebugFrame>,
     /// Per-instruction `(start, len)` span into [`Binary::frame_table`].
     pub frame_spans: Vec<(u32, u32)>,
+    /// Byte→instruction map over [`Binary::addrs`], built once at
+    /// construction like the frame arena; [`Binary::index_of_addr`] reads it.
+    pub addr_index: AddrIndex,
 }
 
-/// Dense byte→instruction map: O(1) [`Binary::index_of_addr`] for the
-/// sample-resolution hot path, where every LBR entry and stack frame costs
-/// an address lookup. The text segment of a laid-out binary is contiguous
-/// and small, so one `u32` slot per code byte buys a plain array load in
-/// place of a branchy binary search.
+/// Dense byte→instruction map behind [`Binary::index_of_addr`]: every LBR
+/// entry and stack frame of every sample costs an address lookup, so one
+/// `u32` slot per code byte buys a plain array load in place of a branchy
+/// binary search. Text is laid out as a few contiguous stretches (the hot
+/// section, then the cold section a megabyte away), and the map holds one
+/// table per stretch so the gap between them costs nothing.
+#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct AddrIndex {
+    /// Stretches of text in ascending address order.
+    segments: Vec<AddrSegment>,
+}
+
+/// One contiguous stretch of text.
+#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+struct AddrSegment {
+    /// Address of the stretch's first byte.
     base: u64,
-    /// Instruction index per byte offset from `base`; `u32::MAX` = gap.
+    /// Instruction index per byte offset from `base`; `u32::MAX` = padding.
     map: Vec<u32>,
 }
 
+/// Padding of at least this many bytes starts a new [`AddrSegment`].
+const SEGMENT_GAP: u64 = 4096;
+
 impl AddrIndex {
-    /// Builds the map from a laid-out binary.
-    pub fn build(binary: &Binary) -> Self {
-        let (Some(&first), Some(&last), Some(last_inst)) = (
-            binary.addrs.first(),
-            binary.addrs.last(),
-            binary.insts.last(),
-        ) else {
-            return AddrIndex {
-                base: 0,
-                map: Vec::new(),
-            };
-        };
-        let mut map = vec![u32::MAX; (last + last_inst.size as u64 - first) as usize];
-        for (i, &a) in binary.addrs.iter().enumerate() {
-            let start = (a - first) as usize;
-            for slot in &mut map[start..start + binary.insts[i].size as usize] {
-                *slot = i as u32;
+    /// Builds the map for a laid-out instruction stream (`addrs` ascending,
+    /// one start address per instruction).
+    pub fn build(insts: &[MInst], addrs: &[u64]) -> Self {
+        let mut segments: Vec<AddrSegment> = Vec::new();
+        let mut end = 0u64;
+        for (i, (inst, &addr)) in insts.iter().zip(addrs).enumerate() {
+            if segments.is_empty() || addr - end >= SEGMENT_GAP {
+                segments.push(AddrSegment {
+                    base: addr,
+                    map: Vec::new(),
+                });
             }
+            let seg = segments.last_mut().expect("segment pushed above");
+            seg.map.resize((addr - seg.base) as usize, u32::MAX);
+            end = addr + inst.size as u64;
+            seg.map.resize((end - seg.base) as usize, i as u32);
         }
-        AddrIndex { base: first, map }
+        AddrIndex { segments }
     }
 
-    /// The flat index of the instruction whose byte range contains `addr`;
-    /// agrees with [`Binary::index_of_addr`] on every address.
+    /// The flat index of the instruction whose byte range contains `addr`.
     #[inline]
     pub fn index_of_addr(&self, addr: u64) -> Option<usize> {
-        let off = addr.checked_sub(self.base)?;
-        match self.map.get(usize::try_from(off).ok()?) {
-            Some(&v) if v != u32::MAX => Some(v as usize),
-            _ => None,
+        for seg in self.segments.iter().rev() {
+            if let Some(off) = addr.checked_sub(seg.base) {
+                return match seg.map.get(usize::try_from(off).ok()?) {
+                    Some(&v) if v != u32::MAX => Some(v as usize),
+                    _ => None,
+                };
+            }
         }
+        None
     }
 }
 
 impl Binary {
     /// The flat index of the instruction whose byte range contains `addr`.
+    #[inline]
     pub fn index_of_addr(&self, addr: u64) -> Option<usize> {
-        if self.addrs.is_empty() {
-            return None;
-        }
-        let i = self.addrs.partition_point(|&a| a <= addr);
-        if i == 0 {
-            return None;
-        }
-        let idx = i - 1;
-        let size = self.insts[idx].size as u64;
-        (addr < self.addrs[idx] + size).then_some(idx)
+        self.addr_index.index_of_addr(addr)
     }
 
     /// Start address of instruction `idx`.

@@ -6,7 +6,7 @@
 //! targets the non-fall-through successor, which is the layout pass's
 //! branch inversion made concrete.
 
-use crate::binary::{BinFunc, Binary, SectionSizes};
+use crate::binary::{AddrIndex, BinFunc, Binary, SectionSizes};
 use crate::minst::{MInst, MInstKind, ProbeNote};
 use crate::spill::{plan_spills, SpillPlan};
 use crate::CodegenConfig;
@@ -108,6 +108,7 @@ pub fn lower_module(module: &Module, config: &CodegenConfig) -> Binary {
 
     let sections = measure_sections(&insts, &funcs);
     let (frame_table, frame_spans) = Binary::compute_frame_table(&insts, &func_of, &funcs);
+    let addr_index = AddrIndex::build(&insts, &addrs);
 
     Binary {
         insts,
@@ -119,6 +120,7 @@ pub fn lower_module(module: &Module, config: &CodegenConfig) -> Binary {
         globals: module.globals.clone(),
         frame_table,
         frame_spans,
+        addr_index,
     }
 }
 

@@ -116,6 +116,47 @@ fn addr_lookup_rejects_gaps_and_out_of_range() {
     }
 }
 
+/// The definition `index_of_addr` must meet, as a linear scan.
+fn naive_index_of_addr(b: &csspgo_codegen::Binary, addr: u64) -> Option<usize> {
+    (0..b.len()).find(|&i| b.addrs[i] <= addr && addr < b.addrs[i] + b.insts[i].size as u64)
+}
+
+/// Checks the index on every byte from 8 before the text to 8 past it.
+fn assert_index_matches_scan(b: &csspgo_codegen::Binary) {
+    let first = b.addrs[0];
+    let end = b.addrs[b.len() - 1] + b.insts[b.len() - 1].size as u64;
+    for addr in first.saturating_sub(8)..end + 8 {
+        assert_eq!(
+            b.index_of_addr(addr),
+            naive_index_of_addr(b, addr),
+            "address {addr:#x}"
+        );
+    }
+    assert_eq!(b.index_of_addr(u64::MAX), None);
+}
+
+#[test]
+fn addr_index_agrees_with_a_linear_scan_on_every_byte() {
+    assert_index_matches_scan(&build(false));
+    assert_index_matches_scan(&build(true));
+}
+
+#[test]
+fn addr_index_agrees_with_a_linear_scan_across_the_cold_section_gap() {
+    let src = "fn f(a) {\n    if (a > 0) { return 1; }\n    return 2;\n}\n";
+    let mut m = csspgo_lang::compile(src, "t").unwrap();
+    let ids: Vec<csspgo_ir::BlockId> = m.functions[0].iter_blocks().map(|(b, _)| b).collect();
+    let cold = *ids.last().unwrap();
+    for bid in ids {
+        m.functions[0].block_mut(bid).count = Some(if bid == cold { 0 } else { 100 });
+    }
+    csspgo_opt::layout::run(&mut m, &OptConfig::default());
+    let b = lower_module(&m, &CodegenConfig::default());
+    let f = &b.funcs[0];
+    assert!(f.cold_range.1 > f.cold_range.0, "function must be split");
+    assert_index_matches_scan(&b);
+}
+
 #[test]
 fn stripped_functions_emit_stub_text() {
     let mut m = csspgo_lang::compile(SRC, "t").unwrap();

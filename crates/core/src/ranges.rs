@@ -5,43 +5,42 @@
 //! accumulating the linear execution paths from all samples, we can then
 //! construct control-flow profile for functions" (paper §III.B).
 
+use crate::fasthash::FastMap;
 use csspgo_codegen::Binary;
 use csspgo_sim::Sample;
 use std::collections::HashMap;
 
-/// Aggregated LBR-derived counts, in flat instruction indices.
+/// Aggregated LBR-derived counts, in flat instruction indices. The maps are
+/// keyed by instruction indices the process computed itself, so they hash
+/// through [`FastMap`]; nothing may depend on their iteration order.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct RangeCounts {
     /// `[begin, end]` (inclusive) linear ranges with occurrence counts.
-    pub ranges: HashMap<(usize, usize), u64>,
+    pub ranges: FastMap<(usize, usize), u64>,
     /// Taken branch edges `(from, to)` with counts.
-    pub branches: HashMap<(usize, usize), u64>,
+    pub branches: FastMap<(usize, usize), u64>,
 }
 
 impl RangeCounts {
     /// Accumulates one LBR snapshot. Ranges span from one branch's target to
     /// the next branch's source.
     pub fn add_lbr(&mut self, binary: &Binary, lbr: &[(u64, u64)]) {
-        for window in lbr.windows(2) {
-            let (_, to_prev) = window[0];
-            let (from_next, _) = window[1];
-            let (Some(begin), Some(end)) = (
-                binary.index_of_addr(to_prev),
-                binary.index_of_addr(from_next),
-            ) else {
-                continue;
-            };
-            // A sane linear range stays within one function and moves
-            // forward.
-            if begin <= end && binary.func_of[begin] == binary.func_of[end] {
-                *self.ranges.entry((begin, end)).or_insert(0) += 1;
-            }
-        }
+        // The previous entry's resolved target: where the next range begins.
+        let mut prev_to = None;
         for &(from, to) in lbr {
-            let (Some(f), Some(t)) = (binary.index_of_addr(from), binary.index_of_addr(to)) else {
-                continue;
-            };
-            *self.branches.entry((f, t)).or_insert(0) += 1;
+            let from = binary.index_of_addr(from);
+            let to = binary.index_of_addr(to);
+            if let (Some(begin), Some(end)) = (prev_to, from) {
+                // A sane linear range stays within one function and moves
+                // forward.
+                if begin <= end && binary.func_of[begin] == binary.func_of[end] {
+                    *self.ranges.entry((begin, end)).or_insert(0) += 1;
+                }
+            }
+            if let (Some(f), Some(t)) = (from, to) {
+                *self.branches.entry((f, t)).or_insert(0) += 1;
+            }
+            prev_to = to;
         }
     }
 

@@ -819,7 +819,7 @@ impl<'b> StreamAggregator<'b> {
             }
         }
 
-        let counts_section = |map: &std::collections::HashMap<(usize, usize), u64>| {
+        let counts_section = |map: &crate::fasthash::FastMap<(usize, usize), u64>| {
             let mut entries: Vec<((usize, usize), u64)> =
                 map.iter().map(|(&k, &v)| (k, v)).collect();
             entries.sort_unstable();

@@ -25,7 +25,7 @@ use crate::context::{ContextId, ContextProfile, ContextTrieBuilder, FrameKey};
 use crate::fasthash::FastMap;
 use crate::tailcall::{InferStats, TailCallGraph};
 use csspgo_codegen::minst::MInstKind;
-use csspgo_codegen::{AddrIndex, Binary};
+use csspgo_codegen::Binary;
 use csspgo_sim::Sample;
 use std::collections::hash_map::Entry;
 
@@ -439,9 +439,6 @@ pub struct Unwinder<'b> {
     /// instead of per branch per sample. `None` marks instructions without
     /// a call probe.
     cs_frames: Vec<Option<Box<[FrameKey]>>>,
-    /// Dense byte→instruction map: every LBR entry and stack frame
-    /// resolves with an array load instead of a binary search.
-    addr_index: AddrIndex,
 }
 
 impl<'b> Unwinder<'b> {
@@ -462,7 +459,6 @@ impl<'b> Unwinder<'b> {
             broken_stacks: 0,
             scratch: UnwindScratch::default(),
             cs_frames,
-            addr_index: AddrIndex::build(binary),
         }
     }
 
@@ -539,7 +535,7 @@ impl<'b> Unwinder<'b> {
         callsites.clear();
         // Physical call sites, outermost first.
         for &ret_addr in sample.stack.iter().skip(1).rev() {
-            let Some(ret_idx) = self.addr_index.index_of_addr(ret_addr) else {
+            let Some(ret_idx) = self.binary.index_of_addr(ret_addr) else {
                 return false;
             };
             if ret_idx == 0 {
@@ -553,7 +549,7 @@ impl<'b> Unwinder<'b> {
             callsites.push(call_idx);
         }
 
-        let Some(leaf_idx) = self.addr_index.index_of_addr(sample.pc) else {
+        let Some(leaf_idx) = self.binary.index_of_addr(sample.pc) else {
             return false;
         };
         for k in 0..callsites.len() {
@@ -617,7 +613,7 @@ impl<'b> Unwinder<'b> {
         if !self.initial_context_into(sample, weight, scratch) {
             return;
         }
-        let Some(pc_idx) = self.addr_index.index_of_addr(sample.pc) else {
+        let Some(pc_idx) = self.binary.index_of_addr(sample.pc) else {
             return;
         };
 
@@ -625,8 +621,8 @@ impl<'b> Unwinder<'b> {
         scratch.resolved.clear();
         for &(from, to) in &sample.lbr {
             if let (Some(f), Some(t)) = (
-                self.addr_index.index_of_addr(from),
-                self.addr_index.index_of_addr(to),
+                self.binary.index_of_addr(from),
+                self.binary.index_of_addr(to),
             ) {
                 scratch.resolved.push((f, t));
             }
@@ -865,22 +861,24 @@ fn main(n) {
             .sum::<u64>()
     }
 
-    /// The dense byte→instruction map must agree with the binary-search
-    /// resolver on every address — in-range, boundary, and garbage.
+    /// The binary's byte→instruction map must agree with a linear scan on
+    /// every address — in-range, boundary, and garbage.
     #[test]
     fn addr_index_agrees_with_binary_search() {
         let (b, _, _) = profile_with_contexts(SRC, 500);
-        let index = AddrIndex::build(&b);
+        let scan = |addr: u64| {
+            (0..b.len()).find(|&i| b.addrs[i] <= addr && addr < b.addrs[i] + b.insts[i].size as u64)
+        };
         let lo = b.addrs.first().copied().unwrap();
         let hi = b.addrs.last().copied().unwrap() + b.insts.last().unwrap().size as u64;
-        for addr in lo.saturating_sub(16)..hi + 16 {
+        for addr in lo.saturating_sub(8)..hi + 8 {
             assert_eq!(
-                index.index_of_addr(addr),
                 b.index_of_addr(addr),
+                scan(addr),
                 "disagreement at {addr:#x}"
             );
         }
-        assert_eq!(index.index_of_addr(u64::MAX), b.index_of_addr(u64::MAX));
+        assert_eq!(b.index_of_addr(u64::MAX), None);
     }
 
     #[test]

@@ -51,6 +51,22 @@ fn addr_strategy(n_insts: usize) -> BoxedStrategy<u64> {
     .boxed()
 }
 
+/// An LBR address as `(instruction index, byte offset)`: mostly an
+/// instruction start; otherwise a few bytes into one (mid-instruction, or
+/// past its end into the next instruction or the padding between functions),
+/// around the end of the text (index = instruction count), or garbage
+/// (a larger index is taken as an address).
+fn lbr_addr_strategy(n_insts: usize) -> BoxedStrategy<(u64, u64)> {
+    let n = n_insts as u64;
+    prop_oneof![
+        6 => (0..n).prop_map(|i| (i, 0)),
+        3 => (0..n + 1, 0u64..20),
+        1 => (0..n).prop_map(|i| (i, u64::MAX)), // the byte before an instruction
+        1 => any::<u64>().prop_map(|a| (a, 0)),
+    ]
+    .boxed()
+}
+
 fn resolve(binary: &Binary, raw: u64) -> u64 {
     if (raw as usize) < binary.len() {
         binary.addr_of(raw as usize)
@@ -159,5 +175,72 @@ proptest! {
         let j_seq = serde_json::to_string(&seq).unwrap();
         let j_par = serde_json::to_string(&out.profile).unwrap();
         prop_assert_eq!(j_seq, j_par);
+    }
+
+    /// Range counting through the binary's dense address index and the
+    /// fast-hashed maps ≡ a naive reference — a linear scan per lookup, four
+    /// lookups per LBR window, ordered maps — on LBRs whose addresses are
+    /// instruction starts, mid-instruction bytes, padding, just outside the
+    /// text or plain garbage, so that backwards and cross-function pairs
+    /// all occur.
+    #[test]
+    fn range_counts_match_a_naive_per_entry_reference(
+        raw in proptest::collection::vec(
+            proptest::collection::vec(
+                (
+                    lbr_addr_strategy(probed_binary().len()),
+                    lbr_addr_strategy(probed_binary().len()),
+                ),
+                0..20,
+            ),
+            0..40,
+        ),
+    ) {
+        let binary = probed_binary();
+        let text_end = binary.addrs[binary.len() - 1] + binary.insts[binary.len() - 1].size as u64;
+        let place = |(idx, offset): (u64, u64)| match idx as usize {
+            i if i < binary.len() => binary.addr_of(i).wrapping_add(offset),
+            i if i == binary.len() => text_end.wrapping_add(offset),
+            _ => idx.wrapping_add(offset),
+        };
+        let samples: Vec<Sample> = raw
+            .iter()
+            .map(|lbr| Sample {
+                cycle: 0,
+                pc: 0,
+                lbr: lbr.iter().map(|&(f, t)| (place(f), place(t))).collect(),
+                stack: Vec::new(),
+            })
+            .collect();
+
+        let scan = |addr: u64| {
+            (0..binary.len()).find(|&i| {
+                binary.addrs[i] <= addr && addr < binary.addrs[i] + binary.insts[i].size as u64
+            })
+        };
+        let mut ranges = std::collections::BTreeMap::new();
+        let mut branches = std::collections::BTreeMap::new();
+        for s in &samples {
+            for w in s.lbr.windows(2) {
+                if let (Some(begin), Some(end)) = (scan(w[0].1), scan(w[1].0)) {
+                    if begin <= end && binary.func_of[begin] == binary.func_of[end] {
+                        *ranges.entry((begin, end)).or_insert(0u64) += 1;
+                    }
+                }
+            }
+            for &(from, to) in &s.lbr {
+                if let (Some(f), Some(t)) = (scan(from), scan(to)) {
+                    *branches.entry((f, t)).or_insert(0u64) += 1;
+                }
+            }
+        }
+
+        let mut rc = RangeCounts::default();
+        rc.add_samples(&binary, &samples);
+        let sorted = |m: &csspgo_core::fasthash::FastMap<(usize, usize), u64>| {
+            m.iter().map(|(&k, &v)| (k, v)).collect::<std::collections::BTreeMap<_, _>>()
+        };
+        prop_assert_eq!(sorted(&rc.ranges), ranges);
+        prop_assert_eq!(sorted(&rc.branches), branches);
     }
 }

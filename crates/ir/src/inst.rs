@@ -77,6 +77,7 @@ pub enum BinOp {
 
 impl BinOp {
     /// Evaluates the operation on concrete values (wrapping semantics).
+    #[inline]
     pub fn eval(self, lhs: i64, rhs: i64) -> i64 {
         match self {
             BinOp::Add => lhs.wrapping_add(rhs),
@@ -136,6 +137,7 @@ pub enum CmpPred {
 
 impl CmpPred {
     /// Evaluates the predicate; true is 1, false is 0.
+    #[inline]
     pub fn eval(self, lhs: i64, rhs: i64) -> i64 {
         let b = match self {
             CmpPred::Eq => lhs == rhs,

@@ -17,6 +17,7 @@
 //!   missing-frame inferrer;
 //! * **instrumentation counters** for ground-truth block counts.
 
+mod decode;
 pub mod machine;
 pub mod pmu;
 pub mod rng;

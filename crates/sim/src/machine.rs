@@ -1,12 +1,10 @@
-//! The machine: interprets a [`Binary`] with the cost model and PMU.
+//! The machine: runs a pre-decoded [`Binary`] with the cost model and PMU.
 
+use crate::decode::{Kind, Op, Program, Reg, NO_REG};
 use crate::pmu::{ICache, Lbr, Predictor, Sample, SampleTimer};
 use crate::rng::XorShift64;
 use crate::SimConfig;
-use csspgo_codegen::minst::MInstKind;
 use csspgo_codegen::Binary;
-use csspgo_ir::inst::Operand;
-use csspgo_ir::VReg;
 use std::error::Error;
 use std::fmt;
 
@@ -49,13 +47,17 @@ pub struct RunStats {
     pub samples: u64,
 }
 
+/// A suspended caller: where its register window sits and where it resumes.
+#[derive(Clone, Copy)]
 struct Frame {
-    func: u32,
-    regs: Vec<i64>,
-    /// Flat index to resume at in the caller (usize::MAX for the root).
-    ret_pc: usize,
+    /// First slot of the caller's window in the register stack.
+    base: usize,
+    /// One past the caller's window.
+    top: usize,
+    /// Flat index to resume at.
+    ret_pc: u32,
     /// Caller register receiving the return value.
-    ret_dst: Option<VReg>,
+    ret_dst: Reg,
 }
 
 /// An executing machine. Globals persist across [`Machine::call`]s, so a
@@ -63,10 +65,17 @@ struct Frame {
 pub struct Machine<'b> {
     binary: &'b Binary,
     config: SimConfig,
-    globals: Vec<Vec<i64>>,
+    program: Program,
+    /// Data memory: every global, back to back.
+    memory: Vec<i64>,
     counters: Vec<u64>,
     stats: RunStats,
     samples: Vec<Sample>,
+    /// The register stack: the program's constant area, then one window per
+    /// live frame. Kept between calls so a request allocates nothing.
+    regs: Vec<i64>,
+    /// Suspended callers of the running frame, outermost first.
+    frames: Vec<Frame>,
     lbr: Lbr,
     predictor: Predictor,
     icache: ICache,
@@ -76,22 +85,27 @@ pub struct Machine<'b> {
 
 impl<'b> Machine<'b> {
     /// Creates a machine over `binary`.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a binary no code generator emits (a register outside its
+    /// function's frame, a missing callee or global).
     pub fn new(binary: &'b Binary, config: SimConfig) -> Self {
-        let globals = binary
-            .globals
-            .iter()
-            .map(|g| {
-                let mut v = g.init.clone();
-                v.resize(g.size, 0);
-                v
-            })
-            .collect();
+        let program = Program::decode(binary, &config.cost);
+        let mut memory = vec![0; program.memory_len()];
+        for (g, &(start, len)) in binary.globals.iter().zip(&program.globals) {
+            let n = g.init.len().min(len as usize);
+            memory[start as usize..][..n].copy_from_slice(&g.init[..n]);
+        }
         Machine {
             binary,
-            globals,
+            memory,
             counters: vec![0; binary.num_counters as usize],
             stats: RunStats::default(),
             samples: Vec::new(),
+            regs: program.consts.clone(),
+            frames: Vec::new(),
+            program,
             lbr: Lbr::new(config.lbr_size),
             predictor: Predictor::new(),
             icache: ICache::new(),
@@ -101,28 +115,30 @@ impl<'b> Machine<'b> {
         }
     }
 
+    /// The cells of the global called `name`.
+    fn global_span(&self, name: &str) -> Option<std::ops::Range<usize>> {
+        let idx = self.binary.globals.iter().position(|g| g.name == name)?;
+        let (start, len) = self.program.globals[idx];
+        Some(start as usize..(start + len) as usize)
+    }
+
     /// Overwrites a global array's contents (workload staging).
     ///
     /// # Panics
     ///
     /// Panics if the global does not exist.
     pub fn set_global(&mut self, name: &str, values: &[i64]) {
-        let idx = self
-            .binary
-            .globals
-            .iter()
-            .position(|g| g.name == name)
+        let span = self
+            .global_span(name)
             .unwrap_or_else(|| panic!("no global named `{name}`"));
-        let g = &mut self.globals[idx];
-        for (i, v) in values.iter().enumerate().take(g.len()) {
-            g[i] = *v;
+        for (cell, v) in self.memory[span].iter_mut().zip(values) {
+            *cell = *v;
         }
     }
 
     /// Reads a global array.
     pub fn global(&self, name: &str) -> Option<&[i64]> {
-        let idx = self.binary.globals.iter().position(|g| g.name == name)?;
-        Some(&self.globals[idx])
+        Some(&self.memory[self.global_span(name)?])
     }
 
     /// Statistics accumulated so far.
@@ -167,235 +183,296 @@ impl<'b> Machine<'b> {
             .binary
             .func_by_name(name)
             .ok_or_else(|| SimError::NoSuchFunction(name.to_string()))?;
-        let mut regs = vec![0i64; func.num_vregs.max(args.len())];
-        regs[..args.len()].copy_from_slice(args);
-        let mut frames = vec![Frame {
-            func: self.binary.func_of[func.entry],
+        let Machine {
+            config,
+            program,
+            memory,
+            counters,
+            stats,
+            samples,
             regs,
-            ret_pc: usize::MAX,
-            ret_dst: None,
-        }];
-        let mut pc = func.entry;
-        let cost = self.config.cost;
-        let mut steps_left = self
-            .config
-            .max_steps
-            .saturating_sub(self.stats.instructions);
+            frames,
+            lbr,
+            predictor,
+            icache,
+            timer,
+            skid_rng,
+            ..
+        } = self;
+        let Program {
+            ops,
+            args: arg_pool,
+            cases,
+            consts,
+            ..
+        } = &*program;
+        let cost = config.cost;
+        let max_steps = config.max_steps;
 
-        macro_rules! frame {
-            () => {
-                frames.last_mut().expect("non-empty frame stack")
-            };
+        // The root frame's window opens right above the constant area.
+        frames.clear();
+        let mut base = consts.len();
+        let mut top = base + func.num_vregs.max(args.len());
+        if regs.len() < top {
+            regs.resize(top, 0);
         }
+        regs[base..base + args.len()].copy_from_slice(args);
+        regs[base + args.len()..top].fill(0);
 
-        loop {
-            if steps_left == 0 {
-                return Err(SimError::StepLimit(self.config.max_steps));
+        // The statistics live in locals while the loop runs and are written
+        // back on every way out of it.
+        let RunStats {
+            mut cycles,
+            mut instructions,
+            mut taken_branches,
+            mut mispredicts,
+            mut icache_misses,
+            mut calls,
+            samples: mut samples_taken,
+        } = *stats;
+        let mut next_sample_at = timer.next_at();
+        let mut pc = func.entry;
+
+        let result = loop {
+            if instructions >= max_steps {
+                break Err(SimError::StepLimit(max_steps));
             }
-            steps_left -= 1;
+            instructions += 1;
 
-            let inst = &self.binary.insts[pc];
-            let addr = self.binary.addrs[pc];
-            self.stats.instructions += 1;
-            let mut cycles = cost.base;
+            let Op {
+                kind,
+                cost: fixed,
+                addr,
+            } = ops[pc];
+            cycles += fixed;
 
             // Instruction fetch.
-            if self.icache.fetch(addr) {
+            if icache.fetch(addr) {
                 cycles += cost.icache_miss;
-                self.stats.icache_misses += 1;
+                icache_misses += 1;
             }
 
-            let regs = &mut frame!().regs;
-            let val = |o: Operand, regs: &Vec<i64>| -> i64 {
-                match o {
-                    Operand::Reg(r) => regs[r.index()],
-                    Operand::Imm(v) => v,
-                }
-            };
-
             let mut next_pc = pc + 1;
-            let mut branch_to: Option<(usize, bool)> = None; // (target, record_in_lbr)
+            // A taken branch to `$target`: recorded in the LBR, and a
+            // front-end bubble.
+            macro_rules! branch_to {
+                ($target:expr) => {{
+                    next_pc = $target as usize;
+                    lbr.record(addr, ops[next_pc].addr);
+                    taken_branches += 1;
+                    cycles += cost.taken_branch;
+                }};
+            }
 
-            match &inst.kind {
-                MInstKind::Copy { dst, src } => {
-                    regs[dst.index()] = val(*src, regs);
+            match kind {
+                Kind::Copy { dst, src } => {
+                    regs[base + dst as usize] = regs[src.slot(base)];
                 }
-                MInstKind::Bin { op, dst, lhs, rhs } => {
-                    regs[dst.index()] = op.eval(val(*lhs, regs), val(*rhs, regs));
+                Kind::Bin { op, dst, lhs, rhs } => {
+                    regs[base + dst as usize] = op.eval(regs[lhs.slot(base)], regs[rhs.slot(base)]);
                 }
-                MInstKind::Cmp {
+                Kind::Cmp {
                     pred,
                     dst,
                     lhs,
                     rhs,
                 } => {
-                    regs[dst.index()] = pred.eval(val(*lhs, regs), val(*rhs, regs));
+                    regs[base + dst as usize] =
+                        pred.eval(regs[lhs.slot(base)], regs[rhs.slot(base)]);
                 }
-                MInstKind::Select {
+                Kind::Select {
                     dst,
                     cond,
                     on_true,
                     on_false,
                 } => {
-                    regs[dst.index()] = if val(*cond, regs) != 0 {
-                        val(*on_true, regs)
+                    let chosen = if regs[cond.slot(base)] != 0 {
+                        on_true
                     } else {
-                        val(*on_false, regs)
+                        on_false
                     };
-                    cycles += cost.select;
+                    regs[base + dst as usize] = regs[chosen.slot(base)];
                 }
-                MInstKind::Load { dst, global, index } => {
-                    let i = val(*index, regs);
-                    let g = &self.globals[global.index()];
-                    regs[dst.index()] = if i >= 0 && (i as usize) < g.len() {
-                        g[i as usize]
+                Kind::Load {
+                    dst,
+                    start,
+                    len,
+                    index,
+                } => {
+                    // A negative index reads as a huge unsigned one.
+                    let i = regs[index.slot(base)] as u64;
+                    regs[base + dst as usize] = if i < u64::from(len) {
+                        memory[start as usize + i as usize]
                     } else {
                         0
                     };
-                    cycles += cost.mem_op;
                 }
-                MInstKind::Store {
-                    global,
+                Kind::Store {
+                    start,
+                    len,
                     index,
                     value,
                 } => {
-                    let i = val(*index, regs);
-                    let v = val(*value, regs);
-                    let g = &mut self.globals[global.index()];
-                    if i >= 0 && (i as usize) < g.len() {
-                        g[i as usize] = v;
+                    let i = regs[index.slot(base)] as u64;
+                    if i < u64::from(len) {
+                        memory[start as usize + i as usize] = regs[value.slot(base)];
                     }
-                    cycles += cost.mem_op;
                 }
-                MInstKind::CounterIncr { counter } => {
-                    self.counters[*counter as usize] += 1;
-                    cycles += cost.counter;
+                Kind::CounterIncr { counter } => {
+                    counters[counter as usize] += 1;
                 }
-                MInstKind::SpillLoad { .. } | MInstKind::SpillStore { .. } => {
-                    cycles += cost.mem_op;
-                }
-                MInstKind::Call { dst, callee, args } => {
-                    let target = &self.binary.funcs[*callee as usize];
-                    let mut new_regs = vec![0i64; target.num_vregs.max(args.len())];
-                    for (i, a) in args.iter().enumerate() {
-                        new_regs[i] = val(*a, regs);
+                Kind::Nop => {}
+                Kind::Call {
+                    dst,
+                    entry,
+                    window,
+                    args,
+                    nargs,
+                } => {
+                    let (args, nargs) = (args as usize, nargs as usize);
+                    let callee_base = top;
+                    let callee_top = callee_base + window as usize;
+                    if regs.len() < callee_top {
+                        regs.resize(callee_top, 0);
                     }
-                    cycles += cost.call + args.len() as u64;
-                    self.stats.calls += 1;
+                    for (i, a) in arg_pool[args..args + nargs].iter().enumerate() {
+                        regs[callee_base + i] = regs[a.slot(base)];
+                    }
+                    regs[callee_base + nargs..callee_top].fill(0);
                     frames.push(Frame {
-                        func: *callee,
-                        regs: new_regs,
-                        ret_pc: pc + 1,
-                        ret_dst: *dst,
+                        base,
+                        top,
+                        ret_pc: pc as u32 + 1,
+                        ret_dst: dst,
                     });
-                    branch_to = Some((target.entry, true));
+                    (base, top) = (callee_base, callee_top);
+                    calls += 1;
+                    branch_to!(entry);
                 }
-                MInstKind::TailCall { callee, args } => {
-                    let target = &self.binary.funcs[*callee as usize];
-                    let mut new_regs = vec![0i64; target.num_vregs.max(args.len())];
-                    for (i, a) in args.iter().enumerate() {
-                        new_regs[i] = val(*a, regs);
-                    }
-                    cycles += cost.call;
-                    self.stats.calls += 1;
+                Kind::TailCall {
+                    entry,
+                    window,
+                    args,
+                    nargs,
+                } => {
                     // The frame is *replaced*: the caller disappears from
-                    // the frame-pointer chain (TCE, paper §III.B).
-                    let f = frame!();
-                    f.func = *callee;
-                    f.regs = new_regs;
-                    branch_to = Some((target.entry, true));
-                }
-                MInstKind::Ret { value } => {
-                    let v = value.map(|o| val(o, regs)).unwrap_or(0);
-                    cycles += cost.ret;
-                    let finished = frames.pop().expect("ret with a frame");
-                    if frames.is_empty() {
-                        self.stats.cycles += cycles;
-                        return Ok(v);
+                    // the frame-pointer chain (TCE, paper §III.B). Its
+                    // registers feed the arguments, so those are staged
+                    // above the old window before the new one overwrites it.
+                    let (args, nargs) = (args as usize, nargs as usize);
+                    let callee_top = base + window as usize;
+                    let need = callee_top.max(top + nargs);
+                    if regs.len() < need {
+                        regs.resize(need, 0);
                     }
-                    if let Some(d) = finished.ret_dst {
-                        frame!().regs[d.index()] = v;
+                    for (i, a) in arg_pool[args..args + nargs].iter().enumerate() {
+                        regs[top + i] = regs[a.slot(base)];
                     }
-                    branch_to = Some((finished.ret_pc, true));
+                    regs.copy_within(top..top + nargs, base);
+                    regs[base + nargs..callee_top].fill(0);
+                    top = callee_top;
+                    calls += 1;
+                    branch_to!(entry);
                 }
-                MInstKind::Jmp { target } => {
-                    branch_to = Some((*target, true));
+                Kind::Ret { value } => {
+                    let v = regs[value.slot(base)];
+                    // Returning from the root frame ends the request: no
+                    // branch is recorded and no sample taken.
+                    let Some(caller) = frames.pop() else {
+                        break Ok(v);
+                    };
+                    (base, top) = (caller.base, caller.top);
+                    if caller.ret_dst != NO_REG {
+                        regs[base + caller.ret_dst as usize] = v;
+                    }
+                    branch_to!(caller.ret_pc);
                 }
-                MInstKind::JmpIf {
+                Kind::Jmp { target } => branch_to!(target),
+                Kind::JmpIf {
                     cond,
                     negate,
                     target,
                 } => {
-                    let taken = (val(*cond, regs) != 0) ^ negate;
-                    if self.predictor.conditional(addr, taken) {
+                    let taken = (regs[cond.slot(base)] != 0) ^ negate;
+                    if predictor.conditional(addr, taken) {
                         cycles += cost.mispredict;
-                        self.stats.mispredicts += 1;
+                        mispredicts += 1;
                     }
                     if taken {
-                        branch_to = Some((*target, true));
+                        branch_to!(target);
                     }
                 }
-                MInstKind::JmpTable {
+                Kind::JmpTable {
                     value,
-                    targets,
+                    cases: first,
+                    ncases,
                     default,
                 } => {
-                    let v = val(*value, regs);
-                    let t = targets
+                    let v = regs[value.slot(base)];
+                    let target = cases[first as usize..(first + ncases) as usize]
                         .iter()
                         .find(|&&(k, _)| k == v)
-                        .map(|&(_, t)| t)
-                        .unwrap_or(*default);
-                    let target_addr = self.binary.addrs[t];
-                    if self.predictor.indirect(addr, target_addr) {
+                        .map_or(default, |&(_, t)| t);
+                    if predictor.indirect(addr, ops[target as usize].addr) {
                         cycles += cost.mispredict;
-                        self.stats.mispredicts += 1;
+                        mispredicts += 1;
                     }
-                    cycles += 1; // table load
-                    branch_to = Some((t, true));
+                    branch_to!(target);
                 }
             }
-
-            if let Some((t, record)) = branch_to {
-                next_pc = t;
-                if record {
-                    let from = addr;
-                    let to = self.binary.addrs[t];
-                    self.lbr.record(from, to);
-                    self.stats.taken_branches += 1;
-                    cycles += cost.taken_branch;
-                }
-            }
-
-            self.stats.cycles += cycles;
 
             // PMU sampling: synchronized LBR + stack snapshot.
-            if self.timer.should_fire(self.stats.cycles) {
-                self.stats.samples += 1;
-                let sample_pc = self.binary.addrs[next_pc.min(self.binary.len() - 1)];
-                let mut stack: Vec<u64> = Vec::with_capacity(frames.len());
-                stack.push(sample_pc);
-                for f in frames.iter().rev() {
-                    if f.ret_pc != usize::MAX {
-                        stack.push(self.binary.addrs[f.ret_pc]);
-                    }
-                }
-                // Sampling skid: without PEBS the stack can lag the LBR by
-                // one frame (paper §III.B, "Synchronizing LBR and stack
-                // sample").
-                if !self.config.pebs && stack.len() > 1 && self.skid_rng.chance(1, 3) {
-                    stack.remove(0);
-                }
-                self.samples.push(Sample {
-                    cycle: self.stats.cycles,
-                    pc: sample_pc,
-                    lbr: self.lbr.snapshot(),
-                    stack,
-                });
+            if cycles >= next_sample_at {
+                timer.fire(cycles);
+                next_sample_at = timer.next_at();
+                samples_taken += 1;
+                let skid = (!config.pebs).then_some(&mut *skid_rng);
+                samples.push(take_sample(ops, frames, lbr, skid, cycles, next_pc));
             }
 
             pc = next_pc;
+        };
+
+        *stats = RunStats {
+            cycles,
+            instructions,
+            taken_branches,
+            mispredicts,
+            icache_misses,
+            calls,
+            samples: samples_taken,
+        };
+        result
+    }
+}
+
+/// One PMU sample at `cycle`, with `next_pc` about to execute: the LBR and
+/// the frame-pointer chain read at the same instant.
+#[cold]
+fn take_sample(
+    ops: &[Op],
+    frames: &[Frame],
+    lbr: &Lbr,
+    skid: Option<&mut XorShift64>,
+    cycle: u64,
+    next_pc: usize,
+) -> Sample {
+    let pc = ops[next_pc.min(ops.len() - 1)].addr;
+    let mut stack: Vec<u64> = Vec::with_capacity(frames.len() + 1);
+    stack.push(pc);
+    stack.extend(frames.iter().rev().map(|f| ops[f.ret_pc as usize].addr));
+    // Sampling skid: without PEBS the stack can lag the LBR by one frame
+    // (paper §III.B, "Synchronizing LBR and stack sample").
+    if let Some(rng) = skid {
+        if stack.len() > 1 && rng.chance(1, 3) {
+            stack.remove(0);
         }
+    }
+    Sample {
+        cycle,
+        pc,
+        lbr: lbr.snapshot(),
+        stack,
     }
 }
 

@@ -3,7 +3,6 @@
 
 use crate::rng::XorShift64;
 use serde::{Deserialize, Serialize};
-use std::collections::VecDeque;
 
 /// One PMU sample: a synchronized LBR + call-stack snapshot (paper Fig. 5).
 #[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
@@ -21,33 +20,56 @@ pub struct Sample {
     pub stack: Vec<u64>,
 }
 
-/// Last Branch Record ring buffer.
+/// Last Branch Record: a fixed ring of the most recent taken branches.
 #[derive(Clone, Debug)]
 pub struct Lbr {
-    ring: VecDeque<(u64, u64)>,
-    capacity: usize,
+    /// One slot per entry of capacity.
+    ring: Vec<(u64, u64)>,
+    /// The slot the next branch is written to (the oldest entry once full).
+    head: usize,
+    /// Entries recorded so far, up to the capacity.
+    len: usize,
 }
 
 impl Lbr {
     /// Creates an LBR with the given capacity.
     pub fn new(capacity: usize) -> Self {
         Lbr {
-            ring: VecDeque::with_capacity(capacity),
-            capacity,
+            ring: vec![(0, 0); capacity],
+            head: 0,
+            len: 0,
         }
     }
 
-    /// Records a taken branch.
+    /// Records a taken branch, evicting the oldest at capacity. An LBR of
+    /// capacity 0 records nothing.
+    #[inline]
     pub fn record(&mut self, from: u64, to: u64) {
-        if self.ring.len() == self.capacity {
-            self.ring.pop_front();
+        let Some(slot) = self.ring.get_mut(self.head) else {
+            return;
+        };
+        *slot = (from, to);
+        self.head += 1;
+        if self.head == self.ring.len() {
+            self.head = 0;
         }
-        self.ring.push_back((from, to));
+        if self.len < self.ring.len() {
+            self.len += 1;
+        }
     }
 
     /// Snapshot, oldest first.
     pub fn snapshot(&self) -> Vec<(u64, u64)> {
-        self.ring.iter().copied().collect()
+        // Until the ring wraps the oldest entry is slot 0 and `head == len`.
+        let oldest = if self.len < self.ring.len() {
+            0
+        } else {
+            self.head
+        };
+        let mut out = Vec::with_capacity(self.len);
+        out.extend_from_slice(&self.ring[oldest..self.len]);
+        out.extend_from_slice(&self.ring[..oldest]);
+        out
     }
 }
 
@@ -76,6 +98,7 @@ impl Predictor {
 
     /// Predicts and updates for a conditional branch at `addr`; returns
     /// whether the prediction was wrong.
+    #[inline]
     pub fn conditional(&mut self, addr: u64, taken: bool) -> bool {
         let c = &mut self.counters[Self::slot(addr)];
         let predicted_taken = *c >= 2;
@@ -90,6 +113,7 @@ impl Predictor {
 
     /// Predicts and updates for an indirect jump at `addr` going to
     /// `target`; returns whether the prediction was wrong.
+    #[inline]
     pub fn indirect(&mut self, addr: u64, target: u64) -> bool {
         let slot = &mut self.btb[Self::slot(addr)];
         let miss = *slot != target;
@@ -104,30 +128,41 @@ impl Default for Predictor {
     }
 }
 
-/// A direct-mapped instruction cache (line-granular).
+/// A direct-mapped instruction cache (line-granular): 16 KiB in 256 lines
+/// of 64 bytes.
 #[derive(Clone, Debug)]
 pub struct ICache {
-    tags: Vec<u64>,
-    line_bytes: u64,
-    lines: usize,
+    tags: [u64; ICACHE_LINES],
+    /// The line fetched last. Fetching it again always hits and changes
+    /// nothing — its tag was written by that fetch and no other fetch has
+    /// run since — so straight-line code skips the tag array.
+    last_line: u64,
 }
 
+const ICACHE_LINE_SHIFT: u32 = 6;
+const ICACHE_LINES: usize = 256;
+
 impl ICache {
-    /// 16 KiB, 64-byte lines, direct-mapped.
+    /// An empty cache.
     pub fn new() -> Self {
+        // No address maps to line `u64::MAX`.
         ICache {
-            tags: vec![u64::MAX; 256],
-            line_bytes: 64,
-            lines: 256,
+            tags: [u64::MAX; ICACHE_LINES],
+            last_line: u64::MAX,
         }
     }
 
     /// Fetches the line containing `addr`; returns whether it missed.
+    #[inline]
     pub fn fetch(&mut self, addr: u64) -> bool {
-        let line = addr / self.line_bytes;
-        let idx = (line as usize) % self.lines;
-        let miss = self.tags[idx] != line;
-        self.tags[idx] = line;
+        let line = addr >> ICACHE_LINE_SHIFT;
+        if line == self.last_line {
+            return false;
+        }
+        self.last_line = line;
+        let tag = &mut self.tags[line as usize % ICACHE_LINES];
+        let miss = *tag != line;
+        *tag = line;
         miss
     }
 }
@@ -163,13 +198,31 @@ impl SampleTimer {
         }
     }
 
+    /// The first cycle count at which a sample is due: the machine's whole
+    /// per-instruction sample check is one compare against it. `u64::MAX`
+    /// when the timer is off.
+    #[inline]
+    pub fn next_at(&self) -> u64 {
+        if self.period == 0 {
+            u64::MAX
+        } else {
+            self.next_at
+        }
+    }
+
+    /// Takes the sample due at `cycle` (`cycle >= self.next_at()`) and
+    /// schedules the next one.
+    pub fn fire(&mut self, cycle: u64) {
+        let jitter = self.rng.below(self.period / 8 + 1);
+        self.next_at = cycle + self.period + jitter;
+    }
+
     /// Whether a sample fires at `cycle`; advances the timer when it does.
     pub fn should_fire(&mut self, cycle: u64) -> bool {
         if self.period == 0 || cycle < self.next_at {
             return false;
         }
-        let jitter = self.rng.below(self.period / 8 + 1);
-        self.next_at = cycle + self.period + jitter;
+        self.fire(cycle);
         true
     }
 }
@@ -188,6 +241,20 @@ mod tests {
         assert_eq!(snap.len(), 3);
         assert_eq!(snap[0], (2, 102));
         assert_eq!(snap[2], (4, 104));
+    }
+
+    #[test]
+    fn lbr_snapshot_is_oldest_first_before_and_after_wrapping() {
+        let mut lbr = Lbr::new(4);
+        let mut model: Vec<(u64, u64)> = Vec::new();
+        for i in 0..11u64 {
+            assert_eq!(lbr.snapshot(), model[model.len().saturating_sub(4)..]);
+            lbr.record(i, i + 100);
+            model.push((i, i + 100));
+        }
+        let mut empty = Lbr::new(0);
+        empty.record(1, 2);
+        assert!(empty.snapshot().is_empty());
     }
 
     #[test]

@@ -197,3 +197,32 @@ fn sample_pc_points_into_the_binary() {
         assert!(b.index_of_addr(s.pc).is_some(), "pc {:#x} unmapped", s.pc);
     }
 }
+
+/// Regression: an LBR of capacity 0 used to grow by one entry per taken
+/// branch (its "full" test only ever held before the first push) and copy
+/// all of them into every sample. A fixed ring records at most its capacity.
+#[test]
+fn lbr_never_holds_more_than_its_capacity_down_to_zero() {
+    let src = "fn f(n) { let i = 0; while (i < n) { i = i + 1; } return i; }";
+    let b = build(src);
+    for lbr_size in [0, 1, 3] {
+        let cfg = SimConfig {
+            lbr_size,
+            sample_period: 31,
+            ..SimConfig::default()
+        };
+        let mut m = Machine::new(&b, cfg);
+        m.call("f", &[4000]).unwrap();
+        let samples = m.take_samples();
+        assert!(samples.len() > 100, "sampling is on");
+        assert!(
+            samples.iter().all(|s| s.lbr.len() <= lbr_size),
+            "lbr_size {lbr_size}: a sample carries {} entries",
+            samples.iter().map(|s| s.lbr.len()).max().unwrap()
+        );
+        assert!(
+            samples.last().unwrap().lbr.len() == lbr_size,
+            "lbr_size {lbr_size}: a warm LBR is full"
+        );
+    }
+}

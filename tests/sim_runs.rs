@@ -53,7 +53,11 @@ fn cases() -> [(&'static str, PgoVariant, SimConfig); 4] {
     };
     [
         ("o2/pmu_off", PgoVariant::AutoFdo, sim(0, true, 16)),
-        ("probes/p199/pebs", PgoVariant::CsspgoFull, sim(199, true, 16)),
+        (
+            "probes/p199/pebs",
+            PgoVariant::CsspgoFull,
+            sim(199, true, 16),
+        ),
         (
             "probes/p61/skid/lbr4",
             PgoVariant::CsspgoFull,
