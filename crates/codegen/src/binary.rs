@@ -95,14 +95,14 @@ pub struct Binary {
 /// binary search. Text is laid out as a few contiguous stretches (the hot
 /// section, then the cold section a megabyte away), and the map holds one
 /// table per stretch so the gap between them costs nothing.
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct AddrIndex {
     /// Stretches of text in ascending address order.
     segments: Vec<AddrSegment>,
 }
 
 /// One contiguous stretch of text.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Serialize, Deserialize)]
 struct AddrSegment {
     /// Address of the stretch's first byte.
     base: u64,

@@ -2,6 +2,7 @@
 //! Loops are always bounded counters, so every generated program
 //! terminates.
 
+use csspgo::codegen::{lower_module, Binary, CodegenConfig};
 use proptest::prelude::*;
 
 /// A statement of a generated `main`.
@@ -154,4 +155,25 @@ fn main(a, b) {{
 }}
 "#
     )
+}
+
+/// Compiles `src` under a build configuration: pseudo-probes and/or
+/// instrumentation counters inserted, the `-O2` pipeline run or not.
+pub fn build(src: &str, probes: bool, instrument: bool, optimize: bool) -> Binary {
+    let mut m = csspgo::lang::compile(src, "prop").expect("generated program compiles");
+    csspgo::opt::discriminators::run(&mut m);
+    if probes {
+        csspgo::opt::probes::run(&mut m);
+    }
+    if instrument {
+        csspgo::opt::instrument::run(&mut m);
+    }
+    if optimize {
+        csspgo::opt::run_pipeline(&mut m, &csspgo::opt::OptConfig::default());
+    }
+    assert!(
+        csspgo::ir::verify::verify_module(&m).is_empty(),
+        "valid IR in every configuration"
+    );
+    lower_module(&m, &CodegenConfig::default())
 }

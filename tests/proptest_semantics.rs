@@ -3,33 +3,17 @@
 //! probed, and instrumented. This is the whole-toolchain semantics
 //! invariant the PGO pipelines rely on.
 
-use csspgo::codegen::{lower_module, CodegenConfig};
 use csspgo::sim::{Machine, SimConfig};
 use proptest::prelude::*;
 
 #[path = "common/program_gen.rs"]
 mod program_gen;
-use program_gen::{render_program, stmt_strategy};
+use program_gen::{build, render_program, stmt_strategy};
 
 /// Runs `src` under a build configuration, returning outputs for several
 /// inputs (or None if the machine hit its budget).
 fn run_config(src: &str, probes: bool, instrument: bool, optimize: bool) -> Vec<i64> {
-    let mut m = csspgo::lang::compile(src, "prop").expect("generated program compiles");
-    csspgo::opt::discriminators::run(&mut m);
-    if probes {
-        csspgo::opt::probes::run(&mut m);
-    }
-    if instrument {
-        csspgo::opt::instrument::run(&mut m);
-    }
-    if optimize {
-        csspgo::opt::run_pipeline(&mut m, &csspgo::opt::OptConfig::default());
-    }
-    assert!(
-        csspgo::ir::verify::verify_module(&m).is_empty(),
-        "valid IR in every configuration"
-    );
-    let b = lower_module(&m, &CodegenConfig::default());
+    let b = build(src, probes, instrument, optimize);
     let cfg = SimConfig {
         max_steps: 20_000_000,
         ..SimConfig::default()

@@ -7,7 +7,7 @@
 //! data memory — must be equal, including across a step limit hit in the
 //! middle of a request.
 
-use csspgo::codegen::{lower_module, Binary, CodegenConfig};
+use csspgo::codegen::Binary;
 use csspgo::sim::{Machine, RunStats, SimConfig};
 use proptest::prelude::*;
 
@@ -15,7 +15,7 @@ use proptest::prelude::*;
 mod program_gen;
 #[path = "common/reference_sim.rs"]
 mod reference_sim;
-use program_gen::{render_program, stmt_strategy};
+use program_gen::{build, render_program, stmt_strategy};
 use reference_sim::ReferenceMachine;
 
 /// What the generator's `main` never produces on its own: a jump table, a
@@ -44,30 +44,6 @@ fn driver(a, b) {
     return r;
 }
 "#;
-
-#[derive(Clone, Copy, Debug)]
-enum Build {
-    Plain,
-    Optimized,
-    Probed,
-    Instrumented,
-}
-
-fn build(src: &str, build: Build) -> Binary {
-    let mut m = csspgo::lang::compile(src, "prop").expect("generated program compiles");
-    csspgo::opt::discriminators::run(&mut m);
-    match build {
-        Build::Plain | Build::Optimized => {}
-        Build::Probed => csspgo::opt::probes::run(&mut m),
-        Build::Instrumented => {
-            csspgo::opt::instrument::run(&mut m);
-        }
-    }
-    if !matches!(build, Build::Plain) {
-        csspgo::opt::run_pipeline(&mut m, &csspgo::opt::OptConfig::default());
-    }
-    lower_module(&m, &CodegenConfig::default())
-}
 
 const REQUESTS: [(&str, &[i64]); 6] = [
     ("driver", &[0, 0]),
@@ -136,8 +112,14 @@ proptest! {
         seed in any::<u64>(),
     ) {
         let src = render_program(&stmts) + DRIVER;
-        for b in [Build::Plain, Build::Optimized, Build::Probed, Build::Instrumented] {
-            let binary = build(&src, b);
+        // Plain, optimised, probed and instrumented builds.
+        for (probes, instrument, optimize) in [
+            (false, false, false),
+            (false, false, true),
+            (true, false, true),
+            (false, true, true),
+        ] {
+            let binary = build(&src, probes, instrument, optimize);
             let unlimited = SimConfig { seed, max_steps: 20_000_000, ..SimConfig::default() };
             let retired = run_both(&binary, &unlimited)?.instructions;
             for sample_period in [0, 23, 199] {
