@@ -310,11 +310,11 @@ impl ContextProfile {
 }
 
 /// Dense identifier of one interned context in a [`ContextTrieBuilder`].
-pub type ContextId = u32;
+pub(crate) type ContextId = u32;
 
 /// Arena node of the hash-consed builder trie. Counts use plain `HashMap`s
-/// during ingestion; the sort into `BTreeMap`s happens once, at
-/// [`ContextTrieBuilder::into_profile`] time.
+/// during ingestion; the sort into `BTreeMap`s happens once per drain, in
+/// [`ContextTrieBuilder::take_profile`].
 #[derive(Debug, Default)]
 struct BuilderNode {
     guid: u64,
@@ -325,7 +325,8 @@ struct BuilderNode {
 }
 
 /// A hash-consed write-optimized context trie, the ingestion-side
-/// counterpart of [`ContextProfile`].
+/// counterpart of [`ContextProfile`] and the one place
+/// [`crate::unwind::Unwinder`] counts into.
 ///
 /// [`ContextProfile::node_for_path_mut`] walks a chain of `BTreeMap`s —
 /// one ordered-map lookup (with its pointer-chasing rebalance-ready nodes)
@@ -336,12 +337,13 @@ struct BuilderNode {
 /// integer keys, and extending it allocates nothing but the arena slot.
 ///
 /// The builder is **order-insensitive by construction**: all counters are
-/// `+=` and [`into_profile`](Self::into_profile) sorts every map, so the
+/// `+=` and [`take_profile`](Self::take_profile) sorts every map, so the
 /// resulting [`ContextProfile`] is bit-identical to one built through
-/// `add_probe_hit`/`add_entry` from the same hits in any order (property
-/// tests in `tests/proptest_kernel.rs` pin this).
+/// [`ContextProfile::add_probe_hit`]/[`ContextProfile::add_entry`] from the
+/// same hits in any order (`tests/unwind_differential.rs` and
+/// `tests/proptest_kernel.rs` pin this through the unwinder).
 #[derive(Debug, Default)]
-pub struct ContextTrieBuilder {
+pub(crate) struct ContextTrieBuilder {
     nodes: Vec<BuilderNode>,
     roots: FastMap<u64, ContextId>,
     /// Edge interner: `(parent id, call-site probe, callee guid)` → child.
@@ -349,13 +351,8 @@ pub struct ContextTrieBuilder {
 }
 
 impl ContextTrieBuilder {
-    /// Creates an empty builder.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Number of interned contexts (arena size).
-    pub fn node_count(&self) -> usize {
+    /// Number of interned contexts (arena size), hit or not.
+    pub(crate) fn node_count(&self) -> usize {
         self.nodes.len()
     }
 
@@ -373,7 +370,7 @@ impl ContextTrieBuilder {
     /// [`ContextProfile::node_for_path_mut`]: `path[0].guid` roots the
     /// walk, each frame's probe selects the edge to the next frame's
     /// function (or `owner_guid` for the last).
-    pub fn intern(&mut self, path: &[FrameKey], owner_guid: u64) -> ContextId {
+    pub(crate) fn intern(&mut self, path: &[FrameKey], owner_guid: u64) -> ContextId {
         let root_guid = path.first().map(|f| f.guid).unwrap_or(owner_guid);
         let mut id = match self.roots.get(&root_guid) {
             Some(&id) => id,
@@ -401,7 +398,7 @@ impl ContextTrieBuilder {
     }
 
     /// Adds `count` samples of `probe_index` at an already-interned context.
-    pub fn add_probe_hit_at(&mut self, id: ContextId, probe_index: u32, count: u64) {
+    pub(crate) fn add_probe_hit_at(&mut self, id: ContextId, probe_index: u32, count: u64) {
         *self.nodes[id as usize]
             .probes
             .entry(probe_index)
@@ -409,50 +406,45 @@ impl ContextTrieBuilder {
     }
 
     /// Records `count` calls entering an already-interned context.
-    pub fn add_entry_at(&mut self, id: ContextId, count: u64) {
+    pub(crate) fn add_entry_at(&mut self, id: ContextId, count: u64) {
         self.nodes[id as usize].entry += count;
     }
 
-    /// Convenience: intern + probe hit.
-    pub fn add_probe_hit(
-        &mut self,
-        path: &[FrameKey],
-        owner_guid: u64,
-        probe_index: u32,
-        count: u64,
-    ) {
-        let id = self.intern(path, owner_guid);
-        self.add_probe_hit_at(id, probe_index, count);
-    }
-
-    /// Convenience: intern + entry.
-    pub fn add_entry(&mut self, path: &[FrameKey], owner_guid: u64, count: u64) {
-        let id = self.intern(path, owner_guid);
-        self.add_entry_at(id, count);
-    }
-
-    /// Sorts the arena into a canonical [`ContextProfile`]. Checksums and
-    /// inline marks are ingestion-time zero/false, exactly as
-    /// `add_probe_hit` leaves them.
-    pub fn into_profile(self) -> ContextProfile {
-        fn build(nodes: &[BuilderNode], id: ContextId) -> ContextNode {
-            let n = &nodes[id as usize];
-            ContextNode {
+    /// Drains everything counted since the previous drain into a canonical
+    /// [`ContextProfile`] and zeroes the counters. The arena, the interner
+    /// and every [`ContextId`] handed out stay valid, so a memo of ids
+    /// outlives the drain; a node is emitted only if it or a node below it
+    /// was hit, which is exactly the set of nodes an empty builder would
+    /// have interned for the same hits. Checksums and inline marks are
+    /// ingestion-time zero/false, as `ContextProfile::add_probe_hit` leaves
+    /// them.
+    pub(crate) fn take_profile(&mut self) -> ContextProfile {
+        fn take(nodes: &mut [BuilderNode], id: ContextId) -> Option<ContextNode> {
+            let mut children = BTreeMap::new();
+            for k in 0..nodes[id as usize].children.len() {
+                let (key, child) = nodes[id as usize].children[k];
+                if let Some(node) = take(nodes, child) {
+                    children.insert(key, node);
+                }
+            }
+            let n = &mut nodes[id as usize];
+            if n.entry == 0 && n.probes.is_empty() && children.is_empty() {
+                return None;
+            }
+            Some(ContextNode {
                 guid: n.guid,
                 checksum: 0,
-                entry: n.entry,
-                probes: n.probes.iter().map(|(&k, &v)| (k, v)).collect(),
-                children: n
-                    .children
-                    .iter()
-                    .map(|&(key, child)| (key, build(nodes, child)))
-                    .collect(),
+                entry: std::mem::take(&mut n.entry),
+                probes: n.probes.drain().collect(),
+                children,
                 inlined: false,
-            }
+            })
         }
         let mut out = ContextProfile::new();
         for (&guid, &id) in &self.roots {
-            out.roots.insert(guid, build(&self.nodes, id));
+            if let Some(node) = take(&mut self.nodes, id) {
+                out.roots.insert(guid, node);
+            }
         }
         out
     }
@@ -577,14 +569,16 @@ mod tests {
             (vec![fk(2, 5)], 9, 1, 50),
         ];
         let mut reference = ContextProfile::new();
-        let mut builder = ContextTrieBuilder::new();
+        let mut builder = ContextTrieBuilder::default();
         for (path, owner, probe, count) in &hits {
             reference.add_probe_hit(path, *owner, *probe, *count);
-            builder.add_probe_hit(path, *owner, *probe, *count);
+            let id = builder.intern(path, *owner);
+            builder.add_probe_hit_at(id, *probe, *count);
         }
         reference.add_entry(&[fk(1, 3)], 9, 7);
-        builder.add_entry(&[fk(1, 3)], 9, 7);
-        let built = builder.into_profile();
+        let id = builder.intern(&[fk(1, 3)], 9);
+        builder.add_entry_at(id, 7);
+        let built = builder.take_profile();
         assert_eq!(built, reference);
         assert_eq!(
             serde_json::to_string(&built).unwrap(),
@@ -594,13 +588,39 @@ mod tests {
 
     #[test]
     fn builder_interning_is_stable() {
-        let mut b = ContextTrieBuilder::new();
+        let mut b = ContextTrieBuilder::default();
         let a = b.intern(&[fk(1, 3)], 9);
         let again = b.intern(&[fk(1, 3)], 9);
         assert_eq!(a, again, "same path must intern to the same id");
         let other = b.intern(&[fk(1, 4)], 9);
         assert_ne!(a, other);
         assert_eq!(b.node_count(), 3); // root + two contexts
+    }
+
+    /// A drain returns what was counted since the previous one, shaped as
+    /// an empty builder would have shaped it, and leaves every id usable.
+    #[test]
+    fn take_profile_drains_counts_and_keeps_ids() {
+        let mut b = ContextTrieBuilder::default();
+        let deep = b.intern(&[fk(1, 3), fk(9, 2)], 7);
+        let side = b.intern(&[fk(1, 4)], 9);
+        b.add_probe_hit_at(deep, 4, 12);
+        b.add_entry_at(side, 2);
+        let mut first = ContextProfile::new();
+        first.add_probe_hit(&[fk(1, 3), fk(9, 2)], 7, 4, 12);
+        first.add_entry(&[fk(1, 4)], 9, 2);
+        assert_eq!(b.take_profile(), first);
+
+        // Nothing hit since: nothing emitted, not even the interned roots.
+        assert_eq!(b.take_profile(), ContextProfile::new());
+
+        // An old id still lands on its node; the untouched sibling subtree
+        // and the unhit interior counters stay out of the drain.
+        b.add_probe_hit_at(deep, 5, 1);
+        let mut second = ContextProfile::new();
+        second.add_probe_hit(&[fk(1, 3), fk(9, 2)], 7, 5, 1);
+        assert_eq!(b.take_profile(), second);
+        assert_eq!(b.node_count(), 4, "the arena is kept across drains");
     }
 
     #[test]

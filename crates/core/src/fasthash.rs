@@ -2,11 +2,17 @@
 //! maps (the Fx/rustc multiply-rotate construction).
 //!
 //! The kernel's hot maps — sample dedup keys, context interners, range
-//! memos, trie edges — are keyed by integers and small integer tuples that
-//! the process never exposes to untrusted input, so SipHash's DoS
-//! resistance buys nothing here while costing a large slice of correlate
-//! time (it showed up as the single hottest symbol when profiling the
-//! unwind). Wire formats and user-facing maps keep the std default.
+//! memos, trie edges — are keyed by integers and small integer tuples, and
+//! SipHash cost a large slice of correlate time (it showed up as the single
+//! hottest symbol when profiling the unwind). Most of those keys are
+//! derived inside the process (instruction indices, interned ids, GUIDs of
+//! the profiled binary). Two are not: the whole-sample dedup key and the
+//! `(stack, pc)` initial-context memo of [`crate::unwind`] are keyed by raw
+//! sample addresses, which reach them through the public
+//! [`crate::stream::StreamAggregator::push_batch`], so a hostile sample
+//! stream can craft collisions there. That is an accepted, recorded gap
+//! (ROADMAP item 6, hostile inputs), not a property of this hasher. Wire
+//! formats and user-facing maps keep the std default.
 
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};

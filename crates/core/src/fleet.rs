@@ -597,8 +597,6 @@ struct VersionRt<'b> {
     train_idx: Vec<usize>,
     /// Next position in `train_idx` to serve.
     cursor: usize,
-    /// Steady-state epochs served (names the `epoch-N` rows).
-    steady_epochs: usize,
     /// Depth-1 context edges → last epoch they were hot (the LRU clock).
     lru: BTreeMap<ContextEdge, u64>,
     snapshot_checked: bool,
@@ -654,7 +652,6 @@ impl<'b> FleetService<'b> {
                             agg: None,
                             train_idx: v.share.train_indices(t.spec.workload.train_calls.len()),
                             cursor: 0,
-                            steady_epochs: 0,
                             lru: BTreeMap::new(),
                             snapshot_checked: false,
                         }
@@ -885,43 +882,13 @@ impl<'b> FleetService<'b> {
 }
 
 impl TenantRt<'_> {
+    /// Calibration is the first train epoch of every version: the one
+    /// served while the version has no aggregator yet.
     fn calibrate(&mut self, cfg: &FleetConfig) -> Result<Vec<FleetEvent>, FleetError> {
         let mut events = Vec::new();
         for v in &mut self.versions {
-            let take = cfg.epoch_calls.min(v.train_idx.len());
-            for &i in &v.train_idx[..take] {
-                v.machine
-                    .call(&self.workload.entry, &self.workload.train_calls[i])
-                    .map_err(|e| FleetError::Pipeline(PipelineError::Sim(e)))?;
-            }
-            v.cursor = take;
-
-            let samples = v.machine.take_samples();
-            let mut rc = RangeCounts::default();
-            rc.add_samples(v.binary, &samples);
-            let graph = TailCallGraph::build(v.binary, &rc);
-            let mut agg = StreamAggregator::with_tail_graph(
-                v.binary,
-                cfg.pipeline.stream.clone(),
-                cfg.pipeline.ingest_shards,
-                graph,
-            );
-            agg.push_batch(samples)?;
-            let summary = agg.seal_epoch();
-            v.agg = Some(agg);
-            let evicted_this_epoch = v.enforce_cap(cfg, summary.epoch);
-
-            let agg = v.agg.as_ref().expect("calibrated above");
-            events.push(FleetEvent::Epoch(EpochEvent {
-                tenant: self.id,
-                workload: self.workload.name.clone(),
-                version: v.label.clone(),
-                label: "epoch-0".to_string(),
-                summary,
-                resident_contexts: agg.resident_contexts(),
-                evicted_this_epoch,
-                evicted_total: agg.evict_stats(),
-            }));
+            let event = v.serve_epoch(cfg, self.id, &self.workload, false)?;
+            events.push(FleetEvent::Epoch(event));
         }
         Ok(events)
     }
@@ -932,44 +899,14 @@ impl TenantRt<'_> {
             if v.cursor >= v.train_idx.len() {
                 continue;
             }
-            let end = (v.cursor + cfg.epoch_calls).min(v.train_idx.len());
-            let indices = &v.train_idx[v.cursor..end];
-            v.cursor = end;
-
-            for &i in indices {
-                v.machine
-                    .call(&self.workload.entry, &self.workload.train_calls[i])
-                    .map_err(|e| FleetError::Pipeline(PipelineError::Sim(e)))?;
-            }
-
-            let agg = v.agg.as_mut().expect("run_round after calibrate");
-            // Drain the PMU in bounded batches, as a collector daemon
-            // would.
-            while v.machine.pending_samples() > 0 {
-                let batch = v.machine.take_sample_batch(cfg.batch_samples);
-                agg.push_batch(batch)?;
-            }
-            let summary = agg.seal_epoch();
-            v.steady_epochs += 1;
-            let evicted_this_epoch = v.enforce_cap(cfg, summary.epoch);
-
-            let agg = v.agg.as_ref().expect("run_round after calibrate");
-            events.push(FleetEvent::Epoch(EpochEvent {
-                tenant: self.id,
-                workload: self.workload.name.clone(),
-                version: v.label.clone(),
-                label: format!("epoch-{}", summary.epoch),
-                summary,
-                resident_contexts: agg.resident_contexts(),
-                evicted_this_epoch,
-                evicted_total: agg.evict_stats(),
-            }));
+            let event = v.serve_epoch(cfg, self.id, &self.workload, false)?;
+            events.push(FleetEvent::Epoch(event));
 
             // Mid-stream snapshot→restore self-check, once per version
             // (the epoch invariant, live).
             if cfg.snapshot_check && !v.snapshot_checked {
                 v.snapshot_checked = true;
-                let agg = v.agg.as_ref().expect("checked above");
+                let agg = v.agg.as_ref().expect("served above");
                 let bytes = agg.snapshot_as(cfg.snapshot_format);
                 let restored = StreamAggregator::restore_from(
                     v.binary,
@@ -1002,40 +939,77 @@ impl TenantRt<'_> {
     fn drift_probe(&mut self, cfg: &FleetConfig) -> Result<Vec<(usize, EpochEvent)>, FleetError> {
         let mut events = Vec::new();
         for (vi, v) in self.versions.iter_mut().enumerate() {
-            for args in &self.workload.eval_calls {
-                v.machine
-                    .call(&self.workload.entry, args)
-                    .map_err(|e| FleetError::Pipeline(PipelineError::Sim(e)))?;
-            }
-
-            let agg = v.agg.as_mut().expect("drift_probe after calibrate");
-            while v.machine.pending_samples() > 0 {
-                let batch = v.machine.take_sample_batch(cfg.batch_samples);
-                agg.push_batch(batch)?;
-            }
-            let summary = agg.seal_epoch();
-            let evicted_this_epoch = v.enforce_cap(cfg, summary.epoch);
-
-            let agg = v.agg.as_ref().expect("drift_probe after calibrate");
-            events.push((
-                vi,
-                EpochEvent {
-                    tenant: self.id,
-                    workload: self.workload.name.clone(),
-                    version: v.label.clone(),
-                    label: "drift-probe".to_string(),
-                    summary,
-                    resident_contexts: agg.resident_contexts(),
-                    evicted_this_epoch,
-                    evicted_total: agg.evict_stats(),
-                },
-            ));
+            events.push((vi, v.serve_epoch(cfg, self.id, &self.workload, true)?));
         }
         Ok(events)
     }
 }
 
 impl VersionRt<'_> {
+    /// The one epoch path: serve calls → drain the PMU in `batch_samples`
+    /// batches, as a collector daemon would → seal → enforce the resident
+    /// cap → report. A train epoch (`epoch-N`) serves this version's next
+    /// `epoch_calls` train requests; the drift probe serves the whole eval
+    /// stream. The first epoch of a version finds no aggregator: its
+    /// samples pin the tail-call graph the aggregator is then made with.
+    fn serve_epoch(
+        &mut self,
+        cfg: &FleetConfig,
+        tenant: TenantId,
+        workload: &Workload,
+        drift_probe: bool,
+    ) -> Result<EpochEvent, FleetError> {
+        let calls: Vec<&Vec<i64>> = if drift_probe {
+            workload.eval_calls.iter().collect()
+        } else {
+            let end = (self.cursor + cfg.epoch_calls).min(self.train_idx.len());
+            let served = &self.train_idx[self.cursor..end];
+            self.cursor = end;
+            served.iter().map(|&i| &workload.train_calls[i]).collect()
+        };
+        for args in calls {
+            self.machine
+                .call(&workload.entry, args)
+                .map_err(|e| FleetError::Pipeline(PipelineError::Sim(e)))?;
+        }
+
+        if self.agg.is_none() {
+            let samples = self.machine.take_samples();
+            let mut rc = RangeCounts::default();
+            rc.add_samples(self.binary, &samples);
+            let mut agg = StreamAggregator::with_tail_graph(
+                self.binary,
+                cfg.pipeline.stream.clone(),
+                cfg.pipeline.ingest_shards,
+                TailCallGraph::build(self.binary, &rc),
+            );
+            agg.push_batch(samples)?;
+            self.agg = Some(agg);
+        }
+        let agg = self.agg.as_mut().expect("made above");
+        while self.machine.pending_samples() > 0 {
+            agg.push_batch(self.machine.take_sample_batch(cfg.batch_samples))?;
+        }
+        let summary = agg.seal_epoch();
+        let evicted_this_epoch = self.enforce_cap(cfg, summary.epoch);
+
+        let agg = self.agg.as_ref().expect("made above");
+        Ok(EpochEvent {
+            tenant,
+            workload: workload.name.clone(),
+            version: self.label.clone(),
+            label: if drift_probe {
+                "drift-probe".to_string()
+            } else {
+                format!("epoch-{}", summary.epoch)
+            },
+            summary,
+            resident_contexts: agg.resident_contexts(),
+            evicted_this_epoch,
+            evicted_total: agg.evict_stats(),
+        })
+    }
+
     /// Touches this epoch's depth-1 context edges in the LRU clock, then
     /// evicts coldest-first until the resident-node count is back under
     /// the per-version cap. Eviction order is `(last-hot epoch, edge)` —

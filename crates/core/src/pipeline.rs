@@ -112,8 +112,9 @@ pub struct PipelineConfig {
     pub seed: u64,
     /// Simulator step budget per run.
     pub max_steps: u64,
-    /// Sample-ingestion shard count (`0` = one shard per available thread).
-    /// Any value produces bit-identical profiles; see [`crate::shard`].
+    /// Sample-ingestion shard count (`0` = auto: one shard per available
+    /// thread, none of fewer than 1 024 samples). Any value produces
+    /// bit-identical profiles; see [`crate::shard`].
     pub ingest_shards: usize,
 }
 

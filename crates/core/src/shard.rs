@@ -6,9 +6,9 @@
 //! independently, and partials are combined through the same count-additive
 //! merge machinery that already services cross-host profile merging
 //! ([`crate::merge`]). Because every per-sample contribution is an
-//! order-independent `+=` into keyed maps — and the unwinder carries no
-//! cross-sample state — the merged result is **identical** to the
-//! sequential path for any shard count (proven by tests here and property
+//! order-independent `+=` into keyed maps — and what an [`Unwinder`] returns
+//! for a chunk depends on nothing it saw before — the merged result is
+//! **identical** for any shard count (proven by tests here and property
 //! tests in `tests/`).
 
 use crate::context::ContextProfile;
@@ -20,11 +20,20 @@ use csspgo_codegen::Binary;
 use csspgo_sim::Sample;
 use rayon::prelude::*;
 
-/// Resolves a shard-count request: `0` means one shard per available
-/// thread (`RAYON_NUM_THREADS` honored).
+/// Fewest samples an *auto* shard is given. A shard costs a thread
+/// spawn/join (the vendored rayon has no pool) and, for a throw-away
+/// unwinder, an O(instructions) set-up: measured on two cores, two shards
+/// run a 256-sample batch at 0.54× the speed of one, a 1 024-sample batch at
+/// 0.86× and a 2 048-sample batch at 1.14× (DESIGN.md §18.6).
+const MIN_AUTO_SHARD_SAMPLES: usize = 1024;
+
+/// Resolves a shard-count request. `0` means auto: one shard per available
+/// thread (`RAYON_NUM_THREADS` honored), but never one of fewer than
+/// 1 024 samples — an epoch-sized batch stays on the calling thread. An
+/// explicit request is honored exactly, up to one sample per shard.
 pub fn resolve_shards(requested: usize, n_samples: usize) -> usize {
     let shards = if requested == 0 {
-        rayon::current_num_threads()
+        rayon::current_num_threads().min(n_samples / MIN_AUTO_SHARD_SAMPLES)
     } else {
         requested
     };
@@ -40,17 +49,21 @@ fn chunked(samples: &[Sample], shards: usize) -> Vec<&[Sample]> {
     samples.chunks(size).collect()
 }
 
+/// Folds `partials` into the first of them: one shard merges nothing.
+fn merge_all<T: Default>(partials: Vec<T>, merge: impl Fn(&mut T, &T)) -> T {
+    let mut partials = partials.into_iter();
+    let mut merged = partials.next().unwrap_or_default();
+    for p in partials {
+        merge(&mut merged, &p);
+    }
+    merged
+}
+
 /// Builds [`RangeCounts`] from `samples`, `shards`-way parallel
 /// (`0` = auto). Identical to a sequential
 /// [`RangeCounts::add_samples`] over the full stream.
 pub fn sharded_range_counts(binary: &Binary, samples: &[Sample], shards: usize) -> RangeCounts {
-    let shards = resolve_shards(shards, samples.len());
-    if shards <= 1 {
-        let mut rc = RangeCounts::default();
-        rc.add_samples(binary, samples);
-        return rc;
-    }
-    let partials: Vec<RangeCounts> = chunked(samples, shards)
+    let partials: Vec<RangeCounts> = chunked(samples, resolve_shards(shards, samples.len()))
         .into_par_iter()
         .map(|chunk| {
             let mut rc = RangeCounts::default();
@@ -58,11 +71,7 @@ pub fn sharded_range_counts(binary: &Binary, samples: &[Sample], shards: usize) 
             rc
         })
         .collect();
-    let mut merged = RangeCounts::default();
-    for p in &partials {
-        merged.merge(p);
-    }
-    merged
+    merge_all(partials, RangeCounts::merge)
 }
 
 /// Context-profile construction result, including the unwinder's
@@ -73,48 +82,54 @@ pub struct UnwindOutput {
     pub broken_stacks: u64,
 }
 
+/// Unwinds `samples` through `unwinders` — chunk *k* through unwinder *k*,
+/// in parallel — and merges the partial tries. This is the one way samples
+/// reach [`Unwinder::unwind_batched`]: a batch brings throw-away unwinders
+/// ([`sharded_context_profile`]), a stream its long-lived ones
+/// ([`crate::stream::StreamAggregator::seal_epoch`]).
+pub(crate) fn unwind_sharded(unwinders: &mut [Unwinder<'_>], samples: &[Sample]) -> ContextProfile {
+    let chunks = chunked(samples, unwinders.len());
+    let work: Vec<(&mut Unwinder<'_>, &[Sample])> = unwinders.iter_mut().zip(chunks).collect();
+    let partials: Vec<ContextProfile> = work
+        .into_par_iter()
+        .map(|(uw, chunk)| uw.unwind_batched(chunk))
+        .collect();
+    merge_all(partials, merge_context)
+}
+
+/// The diagnostic counters of `unwinders`, summed.
+pub(crate) fn diagnostics(unwinders: &[Unwinder<'_>]) -> (InferStats, u64) {
+    let mut stats = InferStats::default();
+    let mut broken_stacks = 0;
+    for uw in unwinders {
+        stats.recovered += uw.infer_stats.recovered;
+        stats.failed += uw.infer_stats.failed;
+        broken_stacks += uw.broken_stacks;
+    }
+    (stats, broken_stacks)
+}
+
 /// Unwinds `samples` into a [`ContextProfile`], `shards`-way parallel
-/// (`0` = auto). Each shard runs the batched fast path
-/// ([`Unwinder::unwind_batched`]: sample dedup + hash-consed trie), itself
-/// bit-identical to sequential [`Unwinder::unwind_into`]; the unwinder
-/// processes each sample independently, so chunking plus [`merge_context`]
-/// reproduces the sequential trie exactly.
+/// (`0` = auto), each shard through an [`Unwinder`] of its own that lives
+/// for this call. The unwinder processes each sample independently, so
+/// chunking plus [`merge_context`] gives the same trie for every shard
+/// count.
 pub fn sharded_context_profile(
     binary: &Binary,
     tail_graph: Option<&TailCallGraph>,
     samples: &[Sample],
     shards: usize,
 ) -> UnwindOutput {
-    let shards = resolve_shards(shards, samples.len());
-    if shards <= 1 {
-        let mut uw = Unwinder::new(binary, tail_graph);
-        let profile = uw.unwind_batched(samples);
-        return UnwindOutput {
-            profile,
-            infer_stats: uw.infer_stats,
-            broken_stacks: uw.broken_stacks,
-        };
-    }
-    let partials: Vec<(ContextProfile, InferStats, u64)> = chunked(samples, shards)
-        .into_par_iter()
-        .map(|chunk| {
-            let mut uw = Unwinder::new(binary, tail_graph);
-            let profile = uw.unwind_batched(chunk);
-            (profile, uw.infer_stats, uw.broken_stacks)
-        })
+    let mut unwinders: Vec<Unwinder<'_>> = (0..resolve_shards(shards, samples.len()))
+        .map(|_| Unwinder::new(binary, tail_graph.cloned()))
         .collect();
-    let mut out = UnwindOutput {
-        profile: ContextProfile::new(),
-        infer_stats: InferStats::default(),
-        broken_stacks: 0,
-    };
-    for (profile, stats, broken) in &partials {
-        merge_context(&mut out.profile, profile);
-        out.infer_stats.recovered += stats.recovered;
-        out.infer_stats.failed += stats.failed;
-        out.broken_stacks += broken;
+    let profile = unwind_sharded(&mut unwinders, samples);
+    let (infer_stats, broken_stacks) = diagnostics(&unwinders);
+    UnwindOutput {
+        profile,
+        infer_stats,
+        broken_stacks,
     }
-    out
 }
 
 #[cfg(test)]
@@ -168,24 +183,34 @@ fn main(n) {
         }
     }
 
+    /// Production at one shard count against production at another; the
+    /// per-sample reference is held to both in `tests/unwind_differential.rs`
+    /// and `crates/core/tests/proptest_kernel.rs`.
     #[test]
-    fn sharded_context_profile_equals_sequential() {
+    fn sharded_context_profile_is_the_same_for_any_shard_count() {
         let (b, samples) = profiled();
         let mut rc = RangeCounts::default();
         rc.add_samples(&b, &samples);
         let graph = TailCallGraph::build(&b, &rc);
 
-        let mut seq = ContextProfile::new();
-        let mut uw = Unwinder::new(&b, Some(&graph));
-        uw.unwind_into(&samples, &mut seq);
-
-        for shards in [1, 2, 5, 13] {
+        let one = sharded_context_profile(&b, Some(&graph), &samples, 1);
+        assert!(one.profile.total() > 0);
+        for shards in [2, 5, 13, samples.len()] {
             let out = sharded_context_profile(&b, Some(&graph), &samples, shards);
-            assert_eq!(out.profile, seq, "{shards} shards diverged");
-            assert_eq!(out.infer_stats.recovered, uw.infer_stats.recovered);
-            assert_eq!(out.infer_stats.failed, uw.infer_stats.failed);
-            assert_eq!(out.broken_stacks, uw.broken_stacks);
+            assert_eq!(out.profile, one.profile, "{shards} shards diverged");
+            assert_eq!(out.infer_stats, one.infer_stats);
+            assert_eq!(out.broken_stacks, one.broken_stacks);
         }
+    }
+
+    #[test]
+    fn auto_sharding_keeps_small_batches_on_one_thread() {
+        assert_eq!(resolve_shards(0, 256), 1);
+        assert_eq!(resolve_shards(0, 0), 1);
+        assert_eq!(resolve_shards(0, 1 << 20), rayon::current_num_threads());
+        // An explicit request is honored exactly, up to one sample a shard.
+        assert_eq!(resolve_shards(7, 100), 7);
+        assert_eq!(resolve_shards(7, 3), 3);
     }
 
     #[test]

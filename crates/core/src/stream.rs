@@ -9,9 +9,12 @@
 //!   and are folded at *epoch* boundaries
 //!   ([`StreamAggregator::seal_epoch`]) — raw samples are dropped after
 //!   each fold, so memory stays bounded by the epoch size, not the stream;
-//! * each epoch is ingested with the same sharded machinery as the batch
-//!   pipeline ([`crate::shard`]) and folded into the cumulative profile
-//!   with the count-additive cross-host merge ([`crate::merge`]);
+//! * each epoch is a small batch through the same sharded machinery as
+//!   the batch pipeline ([`crate::shard`]) — the aggregator keeps one
+//!   [`Unwinder`] per ingestion shard for its whole life, so what an epoch
+//!   pays is its own samples, not the unwinder's set-up — and is folded
+//!   into the cumulative profile with the count-additive cross-host merge
+//!   ([`crate::merge`]);
 //! * the cumulative state round-trips through a snapshot
 //!   ([`StreamAggregator::snapshot_as`] /
 //!   [`StreamAggregator::restore_from`]) in either [`SnapshotFormat`]:
@@ -31,11 +34,12 @@
 //! for a fixed tail-call graph, folding N epochs incrementally produces a
 //! profile *bit-identical* to one-shot batch ingestion of the concatenated
 //! samples. This holds because every per-sample contribution is an
-//! order-independent `+=` into keyed maps and the unwinder carries no
-//! cross-sample state — the same two facts that make sharded ingestion
-//! exact. The tail-call graph is therefore pinned at construction
-//! (typically from a calibration epoch) and persisted inside snapshots;
-//! rebuilding it mid-stream would change how later samples unwind.
+//! order-independent `+=` into keyed maps and what the unwinder returns
+//! for a batch depends on no earlier batch — the same two facts that make
+//! sharded ingestion exact. The tail-call graph is therefore pinned at
+//! construction (typically from a calibration epoch) and persisted inside
+//! snapshots; rebuilding it mid-stream would change how later samples
+//! unwind.
 
 use crate::binprof::{self, put_uvarint, Kind};
 use crate::context::ContextProfile;
@@ -43,9 +47,10 @@ use crate::merge::merge_context;
 use crate::pipeline::{self, PipelineError};
 use crate::profile::ProbeProfile;
 use crate::ranges::RangeCounts;
-use crate::shard::{sharded_context_profile, sharded_range_counts};
+use crate::shard::{diagnostics, resolve_shards, sharded_range_counts, unwind_sharded};
 use crate::tailcall::{InferStats, TailCallGraph};
 use crate::textprof;
+use crate::unwind::Unwinder;
 use csspgo_codegen::Binary;
 use csspgo_sim::Sample;
 use std::collections::BTreeMap;
@@ -267,13 +272,15 @@ pub struct StreamAggregator<'b> {
     config: StreamConfig,
     ingest_shards: usize,
     tail_graph: Option<TailCallGraph>,
+    /// One per ingestion shard, made the first time an epoch needs that
+    /// shard and kept for every later one; they also carry the diagnostic
+    /// counters.
+    unwinders: Vec<Unwinder<'b>>,
     rc: RangeCounts,
     profile: ContextProfile,
     pending: Vec<Sample>,
     epochs_sealed: u64,
     total_samples: u64,
-    infer_stats: InferStats,
-    broken_stacks: u64,
     last_weights: Option<BTreeMap<(u64, u32), u64>>,
     last_overlap: f64,
     stale: bool,
@@ -311,13 +318,12 @@ impl<'b> StreamAggregator<'b> {
             config,
             ingest_shards,
             tail_graph,
+            unwinders: Vec::new(),
             rc: RangeCounts::default(),
             profile: ContextProfile::new(),
             pending: Vec::new(),
             epochs_sealed: 0,
             total_samples: 0,
-            infer_stats: InferStats::default(),
-            broken_stacks: 0,
             last_weights: None,
             last_overlap: 1.0,
             stale: false,
@@ -371,25 +377,21 @@ impl<'b> StreamAggregator<'b> {
             summary.ingest_ms = t.elapsed().as_secs_f64() * 1e3;
 
             let t = Instant::now();
-            let unwound = sharded_context_profile(
-                self.binary,
-                self.tail_graph.as_ref(),
-                &samples,
-                self.ingest_shards,
-            );
+            let shards = resolve_shards(self.ingest_shards, samples.len());
+            while self.unwinders.len() < shards {
+                self.unwinders
+                    .push(Unwinder::new(self.binary, self.tail_graph.clone()));
+            }
+            let unwound = unwind_sharded(&mut self.unwinders[..shards], &samples);
             summary.unwind_ms = t.elapsed().as_secs_f64() * 1e3;
-            summary.nodes_epoch = unwound.profile.node_count();
+            summary.nodes_epoch = unwound.node_count();
 
             self.rc.merge(&rc_epoch);
-            merge_context(&mut self.profile, &unwound.profile);
-
-            self.infer_stats.recovered += unwound.infer_stats.recovered;
-            self.infer_stats.failed += unwound.infer_stats.failed;
-            self.broken_stacks += unwound.broken_stacks;
+            merge_context(&mut self.profile, &unwound);
 
             // Depth-1 edges this epoch touched — the LRU signal the fleet's
             // context store keeps per tenant (see `evict_contexts`).
-            for (&root, node) in &unwound.profile.roots {
+            for (&root, node) in &unwound.roots {
                 for &(probe, callee) in node.children.keys() {
                     self.last_epoch_edges.push(ContextEdge {
                         root,
@@ -401,7 +403,7 @@ impl<'b> StreamAggregator<'b> {
 
             // Drift: compare this epoch's probe-weight distribution with
             // the previous epoch's.
-            let weights = probe_weights(&unwound.profile);
+            let weights = probe_weights(&unwound);
             if let Some(prev) = &self.last_weights {
                 summary.overlap = weight_overlap(prev, &weights);
                 summary.stale = self.config.drift_threshold > 0.0
@@ -439,19 +441,15 @@ impl<'b> StreamAggregator<'b> {
         self.total_samples
     }
 
-    /// Samples buffered but not yet sealed.
-    pub fn pending_len(&self) -> usize {
-        self.pending.len()
-    }
-
-    /// Cumulative missing-frame inference counters.
+    /// Missing-frame inference counters of every epoch this aggregator
+    /// sealed (a restored one starts them at zero).
     pub fn infer_stats(&self) -> InferStats {
-        self.infer_stats
+        diagnostics(&self.unwinders).0
     }
 
-    /// Cumulative uninterpretable-stack counter.
+    /// Uninterpretable-stack counter of every epoch this aggregator sealed.
     pub fn broken_stacks(&self) -> u64 {
-        self.broken_stacks
+        diagnostics(&self.unwinders).1
     }
 
     /// Whether the most recent sealed epoch drifted below the threshold —
@@ -969,7 +967,7 @@ impl<'b> StreamAggregator<'b> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::unwind::Unwinder;
+    use crate::shard::sharded_context_profile;
     use csspgo_codegen::{lower_module, CodegenConfig};
     use csspgo_sim::{Machine, SimConfig};
 
@@ -1014,6 +1012,9 @@ fn serve(n, mode) {
         machine.take_samples()
     }
 
+    /// One-shot batch ingestion on one shard — production against
+    /// production; `crates/core/tests/stream_epochs.rs` holds the same
+    /// folds to the per-sample reference unwinder.
     fn batch_reference(
         binary: &Binary,
         graph: &TailCallGraph,
@@ -1021,9 +1022,7 @@ fn serve(n, mode) {
     ) -> (RangeCounts, ContextProfile) {
         let mut rc = RangeCounts::default();
         rc.add_samples(binary, samples);
-        let mut profile = ContextProfile::new();
-        let mut uw = Unwinder::new(binary, Some(graph));
-        uw.unwind_into(samples, &mut profile);
+        let profile = sharded_context_profile(binary, Some(graph), samples, 1).profile;
         (rc, profile)
     }
 

@@ -20,6 +20,17 @@
 //!
 //! The missing-frame inferrer ([`crate::tailcall`]) repairs the initial
 //! stack where tail-call elimination removed frames.
+//!
+//! There is **one kernel** here — [`Unwinder::unwind_batched`] — and
+//! whoever ingests samples owns an [`Unwinder`] for as long as it ingests:
+//! a throw-away one per shard for a batch ([`crate::shard`]), a long-lived
+//! one per shard for a stream ([`crate::stream`]), where an epoch is simply
+//! a small batch. Everything the unwinder memoizes is a pure function of
+//! `(binary, tail-call graph)`, so what a call returns never depends on
+//! the calls before it (DESIGN.md §18). The per-sample, memo-free form of
+//! the algorithm lives outside this crate, in
+//! `tests/common/reference_unwind.rs`, as the oracle the differential tests
+//! hold this kernel to.
 
 use crate::context::{ContextId, ContextProfile, ContextTrieBuilder, FrameKey};
 use crate::fasthash::FastMap;
@@ -28,6 +39,7 @@ use csspgo_codegen::minst::MInstKind;
 use csspgo_codegen::Binary;
 use csspgo_sim::Sample;
 use std::collections::hash_map::Entry;
+use std::fmt;
 
 /// Collapses adjacent repeated subsequences in a context path (LLVM's
 /// recursion-context compression): `[a b a b c]` → `[a b c]`, `[a a a]` →
@@ -53,337 +65,78 @@ pub fn compress_cycles(path: &mut Vec<FrameKey>) {
     }
 }
 
-/// Where unwound attributions land. The sink receives each hit's context
-/// path as a borrowed slice (valid only for the duration of the call) plus
-/// the sample multiplicity `count`, so implementations that aggregate
-/// (profile tries) never force a per-hit allocation.
-pub trait HitSink {
-    /// Probe `index` of `owner` executed `count` times under `path`.
-    fn probe(&mut self, path: &[FrameKey], owner: u64, index: u32, count: u64);
-    /// `count` calls entered `owner` under `path`.
-    fn entry(&mut self, path: &[FrameKey], owner: u64, count: u64);
-}
+/// Maximum context depth kept when attributing (deeper paths keep their
+/// innermost frames). Recursion would otherwise blow the trie up
+/// unboundedly — LLVM's CSSPGO caps context depth the same way.
+const MAX_CONTEXT_DEPTH: usize = 8;
 
-impl HitSink for ContextProfile {
-    fn probe(&mut self, path: &[FrameKey], owner: u64, index: u32, count: u64) {
-        self.add_probe_hit(path, owner, index, count);
-    }
-    fn entry(&mut self, path: &[FrameKey], owner: u64, count: u64) {
-        self.add_entry(path, owner, count);
-    }
-}
+/// Memo entries (see [`Memo::len`]) an unwinder may carry into a call. One
+/// that holds more starts over with empty memos: the unwinder's memory is
+/// O(instructions) plus this many entries plus what one call's own samples
+/// add, however many calls it lives through. A ≈5 k-sample batch of the
+/// benchmark's heaviest program memoizes ≈10 400 entries, the other four
+/// under 800 each.
+const MEMO_LIMIT: usize = 1 << 16;
 
-impl HitSink for ContextTrieBuilder {
-    fn probe(&mut self, path: &[FrameKey], owner: u64, index: u32, count: u64) {
-        self.add_probe_hit(path, owner, index, count);
-    }
-    fn entry(&mut self, path: &[FrameKey], owner: u64, count: u64) {
-        self.add_entry(path, owner, count);
-    }
-}
-
-/// Attributes every probe anchored in `[begin, end]` with `ctx` expanded
-/// by each probe's own inline stack, assembled in the reusable `path`
-/// buffer.
-#[allow(clippy::too_many_arguments)]
-fn attribute_range(
-    binary: &Binary,
-    max_context_depth: usize,
-    ctx: &[FrameKey],
-    begin: usize,
-    end: usize,
-    weight: u64,
-    path: &mut Vec<FrameKey>,
-    sink: &mut impl HitSink,
-) {
-    if begin > end || binary.func_of[begin] != binary.func_of[end] {
-        return;
-    }
-    for idx in begin..=end {
-        for note in &binary.insts[idx].probes {
-            path.clear();
-            path.extend_from_slice(ctx);
-            path.extend(note.inline_stack.iter().map(|s| FrameKey {
-                guid: binary.funcs[s.func.index()].guid,
-                probe: s.probe_index,
-            }));
-            compress_cycles(path);
-            if path.len() > max_context_depth {
-                path.drain(..path.len() - max_context_depth);
-            }
-            sink.probe(path, note.owner_guid, note.index, weight);
-        }
-    }
-}
-
-/// Builds the entry-hit context for `ctx` (compressed, depth-capped) into
-/// `path`.
-fn entry_context(max_context_depth: usize, ctx: &[FrameKey], path: &mut Vec<FrameKey>) {
-    path.clear();
-    path.extend_from_slice(ctx);
+/// Brings an assembled context path to the shape every trie path has:
+/// cycle-compressed and capped to its innermost [`MAX_CONTEXT_DEPTH`]
+/// frames.
+fn canonicalize(path: &mut Vec<FrameKey>) {
     compress_cycles(path);
-    if path.len() > max_context_depth {
-        path.drain(..path.len() - max_context_depth);
+    if path.len() > MAX_CONTEXT_DEPTH {
+        path.drain(..path.len() - MAX_CONTEXT_DEPTH);
     }
 }
 
-/// How the unwind loop materializes attributions: either streamed through
-/// a generic [`HitSink`] per hit, or replayed through the range-attribution
-/// memo of the batched kernel. The two must stay observably identical —
-/// `tests/proptest_kernel.rs` pins bit-identity of the resulting profiles.
-trait Emit {
-    /// Every probe in `[begin, end]` executed `weight` times under `ctx`.
-    /// `ctx_gen` stamps the context's mutation generation within the
-    /// current sample: equal stamps guarantee an unchanged `ctx`, letting
-    /// memoizing emitters skip re-hashing it.
-    #[allow(clippy::too_many_arguments)]
-    fn range(
-        &mut self,
-        binary: &Binary,
-        max_context_depth: usize,
-        ctx: &[FrameKey],
-        ctx_gen: u32,
-        begin: usize,
-        end: usize,
-        weight: u64,
-        path: &mut Vec<FrameKey>,
-    );
-    /// `weight` calls entered `owner` under `ctx`.
-    fn entry(
-        &mut self,
-        max_context_depth: usize,
-        ctx: &[FrameKey],
-        ctx_gen: u32,
-        owner: u64,
-        weight: u64,
-        path: &mut Vec<FrameKey>,
-    );
-}
-
-/// The streaming emitter: assemble each hit's path and hand it straight to
-/// the sink.
-struct SinkEmit<'s, S: HitSink>(&'s mut S);
-
-impl<S: HitSink> Emit for SinkEmit<'_, S> {
-    fn range(
-        &mut self,
-        binary: &Binary,
-        max_context_depth: usize,
-        ctx: &[FrameKey],
-        _ctx_gen: u32,
-        begin: usize,
-        end: usize,
-        weight: u64,
-        path: &mut Vec<FrameKey>,
-    ) {
-        attribute_range(
-            binary,
-            max_context_depth,
-            ctx,
-            begin,
-            end,
-            weight,
-            path,
-            self.0,
-        );
-    }
-
-    fn entry(
-        &mut self,
-        max_context_depth: usize,
-        ctx: &[FrameKey],
-        _ctx_gen: u32,
-        owner: u64,
-        weight: u64,
-        path: &mut Vec<FrameKey>,
-    ) {
-        entry_context(max_context_depth, ctx, path);
-        self.0.entry(path, owner, weight);
-    }
-}
-
-/// Memo of where attributions land in a paired [`ContextTrieBuilder`].
+/// What an [`Unwinder`] has learned so far, plus the trie it counts into.
 ///
-/// Whole-sample dedup collapses little on real streams — hot samples share
-/// the *stack* but differ in LBR history — yet the `(context, LBR range)`
-/// pairs inside them repeat massively. The cache interns each context
-/// stack to a small id and keys range attributions on `(ctx, begin, end)`:
-/// the first occurrence runs the full per-probe path assembly (cycle
-/// compression, depth capping, trie interning) and records the landing
-/// `(node, probe)` pairs; every repeat replays them as bare counter
-/// increments. Entry hits memoize the same way per `(ctx, callee)`.
+/// Whole-sample dedup leaves 28–70 % of a ≈5 k-sample batch standing — hot
+/// samples share the *stack* but differ in LBR history — and the
+/// `(context, LBR range)` pairs inside the survivors repeat massively. So
+/// each running context stack is interned to a small id and range
+/// attributions are keyed on `(ctx, begin, end)`: the first occurrence runs
+/// the full per-probe path assembly (cycle compression, depth capping, trie
+/// interning) and records the landing `(node, probe)` pairs; every repeat
+/// is one hash probe and one add. Entry hits memoize the same way per
+/// `(ctx, callee)`, initial contexts per `(stack, pc)`.
 ///
-/// The recorded [`ContextId`]s are only meaningful for the builder they
-/// were recorded against, so the cache lives and dies with one
-/// [`CachedEmit`] batch.
+/// Every map is a pure function of `(binary, tail-call graph)` — no entry
+/// depends on which samples came before — so the memo outlives a call, and
+/// the recorded [`ContextId`]s stay meaningful because the trie they index
+/// is drained ([`ContextTrieBuilder::take_profile`]), never rebuilt, for as
+/// long as the memo lives. The `(stack, pc)` and dedup keys are raw
+/// addresses from outside (they arrive through
+/// [`crate::stream::StreamAggregator::push_batch`]) hashed with
+/// [`crate::fasthash`]: hardening that is ROADMAP item 6.
 #[derive(Default)]
-struct AttributionCache {
+struct Memo {
+    /// Initial-context memo, keyed by the sampled stack with the pc
+    /// appended. LBR histories give samples high entropy, but their
+    /// `(stack, pc)` projection repeats constantly, and the stack walk
+    /// (address resolution, frame expansion, tail-call inference) depends
+    /// on nothing else — so it runs once per distinct shape and replays as
+    /// a `memcpy` plus weight-scaled diagnostic deltas.
+    stack_ctx: FastMap<Vec<u64>, StackCtx>,
     /// Context-stack interner: the running `ctx` → dense id.
     ctx_ids: FastMap<Vec<FrameKey>, u32>,
-    /// `(ctx id, range begin, range end)` → recorded probe landings plus
-    /// the weight of occurrences seen since recording. Repeats cost one
-    /// hash probe and one add; the per-probe fan-out happens once per
-    /// *distinct* range, in [`AttributionCache::flush`].
-    ranges: FastMap<(u32, usize, usize), CachedRange>,
+    /// `(ctx id, range begin, range end)` → index into `ranges`.
+    range_ids: FastMap<(u32, usize, usize), u32>,
+    ranges: Vec<CachedRange>,
+    /// Ranges with weight not yet fanned out: what [`Memo::flush`] visits,
+    /// so a call pays for the ranges it touched, not for all it remembers.
+    dirty: Vec<u32>,
     /// `(ctx id, callee guid)` → interned entry node.
     entries: FastMap<(u32, u64), ContextId>,
+    trie: ContextTrieBuilder,
 }
 
 /// One memoized range attribution.
-#[derive(Default)]
 struct CachedRange {
-    /// Probe landings recorded on first occurrence (weight applied then).
+    /// Where each probe anchored in the range lands.
     hits: Vec<(ContextId, u32)>,
-    /// Accumulated weight of later occurrences, not yet fanned out.
+    /// Weight of the occurrences seen since the last flush. The per-probe
+    /// fan-out happens once per *distinct* range per call.
     pending: u64,
-}
-
-impl AttributionCache {
-    fn ctx_id(&mut self, ctx: &[FrameKey]) -> u32 {
-        if let Some(&id) = self.ctx_ids.get(ctx) {
-            return id;
-        }
-        let id = self.ctx_ids.len() as u32;
-        self.ctx_ids.insert(ctx.to_vec(), id);
-        id
-    }
-
-    /// Fans the deferred occurrence weights out to the builder's counters.
-    /// Must run before the builder is read.
-    fn flush(&mut self, builder: &mut ContextTrieBuilder) {
-        for range in self.ranges.values_mut() {
-            if range.pending > 0 {
-                for &(node, probe) in &range.hits {
-                    builder.add_probe_hit_at(node, probe, range.pending);
-                }
-                range.pending = 0;
-            }
-        }
-    }
-}
-
-/// Sink that interns each hit into the builder *and* records where it
-/// landed, so the attribution can be replayed without re-assembly.
-struct RecordingSink<'a> {
-    builder: &'a mut ContextTrieBuilder,
-    hits: Vec<(ContextId, u32)>,
-}
-
-impl HitSink for RecordingSink<'_> {
-    fn probe(&mut self, path: &[FrameKey], owner: u64, index: u32, count: u64) {
-        let id = self.builder.intern(path, owner);
-        self.builder.add_probe_hit_at(id, index, count);
-        self.hits.push((id, index));
-    }
-    fn entry(&mut self, path: &[FrameKey], owner: u64, count: u64) {
-        // Range attribution emits probe hits only; entries go through
-        // `CachedEmit::entry` directly.
-        let id = self.builder.intern(path, owner);
-        self.builder.add_entry_at(id, count);
-    }
-}
-
-/// The memoizing emitter behind [`Unwinder::unwind_batched`].
-struct CachedEmit<'a> {
-    builder: &'a mut ContextTrieBuilder,
-    cache: &'a mut AttributionCache,
-    /// `(ctx_gen, ctx id)` of the last interned context: consecutive
-    /// ranges under an unchanged context (the common case — conditional
-    /// branches inside one function) skip the interner entirely.
-    last_ctx: Option<(u32, u32)>,
-}
-
-impl CachedEmit<'_> {
-    fn ctx_id(&mut self, ctx: &[FrameKey], ctx_gen: u32) -> u32 {
-        if let Some((gen, id)) = self.last_ctx {
-            if gen == ctx_gen {
-                return id;
-            }
-        }
-        let id = self.cache.ctx_id(ctx);
-        self.last_ctx = Some((ctx_gen, id));
-        id
-    }
-}
-
-impl Emit for CachedEmit<'_> {
-    fn range(
-        &mut self,
-        binary: &Binary,
-        max_context_depth: usize,
-        ctx: &[FrameKey],
-        ctx_gen: u32,
-        begin: usize,
-        end: usize,
-        weight: u64,
-        path: &mut Vec<FrameKey>,
-    ) {
-        let ctx_id = self.ctx_id(ctx, ctx_gen);
-        match self.cache.ranges.entry((ctx_id, begin, end)) {
-            Entry::Occupied(e) => e.into_mut().pending += weight,
-            Entry::Vacant(slot) => {
-                let mut rec = RecordingSink {
-                    builder: self.builder,
-                    hits: Vec::new(),
-                };
-                attribute_range(
-                    binary,
-                    max_context_depth,
-                    ctx,
-                    begin,
-                    end,
-                    weight,
-                    path,
-                    &mut rec,
-                );
-                slot.insert(CachedRange {
-                    hits: rec.hits,
-                    pending: 0,
-                });
-            }
-        }
-    }
-
-    fn entry(
-        &mut self,
-        max_context_depth: usize,
-        ctx: &[FrameKey],
-        ctx_gen: u32,
-        owner: u64,
-        weight: u64,
-        path: &mut Vec<FrameKey>,
-    ) {
-        let ctx_id = self.ctx_id(ctx, ctx_gen);
-        let id = match self.cache.entries.entry((ctx_id, owner)) {
-            Entry::Occupied(e) => *e.get(),
-            Entry::Vacant(slot) => {
-                entry_context(max_context_depth, ctx, path);
-                *slot.insert(self.builder.intern(path, owner))
-            }
-        };
-        self.builder.add_entry_at(id, weight);
-    }
-}
-
-/// Reusable per-sample working buffers. One allocation set lives for the
-/// unwinder's whole lifetime instead of being rebuilt per sample/hit.
-#[derive(Default)]
-struct UnwindScratch {
-    /// Physical call-site instruction indices from the sampled stack.
-    callsites: Vec<usize>,
-    /// The running context stack.
-    ctx: Vec<FrameKey>,
-    /// LBR entries resolved to instruction indices.
-    resolved: Vec<(usize, usize)>,
-    /// Per-hit path assembly buffer (ctx + inline frames, compressed).
-    path: Vec<FrameKey>,
-    /// Initial-context memo: `stack → pc → outcome`. LBR histories give
-    /// samples high entropy, but their `(stack, pc)` projection repeats
-    /// constantly, and the stack walk (address resolution, frame
-    /// expansion, tail-call inference) depends on nothing else — so it
-    /// runs once per distinct shape and replays as a `memcpy` plus
-    /// weight-scaled diagnostic deltas.
-    stack_ctx: FastMap<Vec<u64>, FastMap<u64, StackCtx>>,
 }
 
 /// Memoized outcome of one `(stack, pc)` initial-context reconstruction.
@@ -397,68 +150,125 @@ struct StackCtx {
     broken: u64,
 }
 
-/// Expands the call-site instruction at `idx` into context frames pushed
-/// onto `out`: the call probe's inline stack plus the probe itself. Returns
-/// `false` — pushing nothing — when the instruction carries no call probe
-/// (probe-less builds).
-fn push_callsite_frames(binary: &Binary, idx: usize, out: &mut Vec<FrameKey>) -> bool {
-    let Some(note) = binary.insts[idx]
+impl Memo {
+    /// Entries held across calls: every map plus the trie arena.
+    fn len(&self) -> usize {
+        self.stack_ctx.len()
+            + self.ctx_ids.len()
+            + self.ranges.len()
+            + self.entries.len()
+            + self.trie.node_count()
+    }
+
+    fn ctx_id(&mut self, ctx: &[FrameKey]) -> u32 {
+        if let Some(&id) = self.ctx_ids.get(ctx) {
+            return id;
+        }
+        let id = self.ctx_ids.len() as u32;
+        self.ctx_ids.insert(ctx.to_vec(), id);
+        id
+    }
+
+    /// Fans the deferred occurrence weights out to the trie's counters.
+    /// Must run before the trie is drained.
+    fn flush(&mut self) {
+        for idx in self.dirty.drain(..) {
+            let range = &mut self.ranges[idx as usize];
+            for &(node, probe) in &range.hits {
+                self.trie.add_probe_hit_at(node, probe, range.pending);
+            }
+            range.pending = 0;
+        }
+    }
+}
+
+/// Reusable per-sample working buffers.
+#[derive(Default)]
+struct UnwindScratch {
+    /// Physical call-site instruction indices from the sampled stack.
+    callsites: Vec<usize>,
+    /// The running context stack.
+    ctx: Vec<FrameKey>,
+    /// LBR entries resolved to instruction indices.
+    resolved: Vec<(usize, usize)>,
+    /// Per-hit path assembly buffer (ctx + inline frames, canonicalized).
+    path: Vec<FrameKey>,
+    /// [`Memo::stack_ctx`] lookup key assembly buffer.
+    stack_key: Vec<u64>,
+}
+
+/// Expands the call-site instruction at `idx` into context frames: the
+/// call probe's inline stack plus the probe itself. `None` when the
+/// instruction carries no call probe (probe-less builds).
+fn callsite_frames(binary: &Binary, idx: usize) -> Option<Box<[FrameKey]>> {
+    let note = binary.insts[idx]
         .probes
         .iter()
         .rev()
-        .find(|n| matches!(n.kind, csspgo_ir::ProbeKind::Call))
-    else {
-        return false;
-    };
-    out.extend(note.inline_stack.iter().map(|s| FrameKey {
+        .find(|n| matches!(n.kind, csspgo_ir::ProbeKind::Call))?;
+    let inlined = note.inline_stack.iter().map(|s| FrameKey {
         guid: binary.funcs[s.func.index()].guid,
         probe: s.probe_index,
-    }));
-    out.push(FrameKey {
+    });
+    let own = FrameKey {
         guid: note.owner_guid,
         probe: note.index,
-    });
-    true
+    };
+    Some(inlined.chain([own]).collect())
 }
 
-/// Context reconstruction engine for one binary.
+/// Context reconstruction engine for one binary and one pinned tail-call
+/// graph, owned by whoever ingests samples for as long as it ingests.
 pub struct Unwinder<'b> {
     binary: &'b Binary,
-    tail_graph: Option<&'b TailCallGraph>,
-    /// Maximum context depth kept when attributing (deeper paths keep their
-    /// innermost frames). Recursion would otherwise blow the trie up
-    /// unboundedly — LLVM's CSSPGO caps context depth the same way.
-    pub max_context_depth: usize,
-    /// Tail-call frame recovery statistics.
+    /// Owned, so a long-lived unwinder can sit next to its graph's other
+    /// owner (the aggregator's snapshot path) without borrowing from it.
+    tail_graph: Option<TailCallGraph>,
+    /// Tail-call frame recovery statistics, summed over every call.
     pub infer_stats: InferStats,
-    /// Samples whose stack could not be interpreted at all.
+    /// Samples whose stack could not be interpreted at all, summed over
+    /// every call.
     pub broken_stacks: u64,
-    scratch: UnwindScratch,
     /// Per-instruction call-site frame expansion, precomputed once: the
-    /// probe-note scan in [`push_callsite_frames`] runs per *instruction*
-    /// instead of per branch per sample. `None` marks instructions without
-    /// a call probe.
+    /// probe-note scan in [`callsite_frames`] runs per *instruction*
+    /// instead of per branch per sample.
     cs_frames: Vec<Option<Box<[FrameKey]>>>,
+    memo: Memo,
+    /// [`MEMO_LIMIT`], a field so a test can shrink it.
+    memo_limit: usize,
+    scratch: UnwindScratch,
+}
+
+impl fmt::Debug for Unwinder<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Unwinder")
+            .field("insts", &self.binary.len())
+            .field(
+                "tail_edges",
+                &self.tail_graph.as_ref().map(TailCallGraph::edge_count),
+            )
+            .field("infer_stats", &self.infer_stats)
+            .field("broken_stacks", &self.broken_stacks)
+            .field("memo_entries", &self.memo.len())
+            .finish_non_exhaustive()
+    }
 }
 
 impl<'b> Unwinder<'b> {
     /// Creates an unwinder; pass a tail-call graph to enable missing-frame
     /// inference.
-    pub fn new(binary: &'b Binary, tail_graph: Option<&'b TailCallGraph>) -> Self {
-        let cs_frames = (0..binary.insts.len())
-            .map(|i| {
-                let mut frames = Vec::new();
-                push_callsite_frames(binary, i, &mut frames).then(|| frames.into_boxed_slice())
-            })
-            .collect();
+    pub fn new(binary: &'b Binary, tail_graph: Option<TailCallGraph>) -> Self {
         Unwinder {
             binary,
             tail_graph,
-            max_context_depth: 8,
             infer_stats: InferStats::default(),
             broken_stacks: 0,
+            cs_frames: (0..binary.len())
+                .map(|i| callsite_frames(binary, i))
+                .collect(),
+            memo: Memo::default(),
+            memo_limit: MEMO_LIMIT,
             scratch: UnwindScratch::default(),
-            cs_frames,
         }
     }
 
@@ -475,9 +285,15 @@ impl<'b> Unwinder<'b> {
         }
     }
 
+    /// The unique tail-call chain `from → … → to`, if inference is on and
+    /// finds one.
+    fn tail_path(&self, from: u32, to: u32) -> Option<Vec<usize>> {
+        self.tail_graph.as_ref()?.unique_path(from, to)
+    }
+
     /// Converts the sampled stack into an initial context (outer→inner
     /// call-site frames) in `scratch.ctx`, memoized per `(stack, pc)` —
-    /// see [`UnwindScratch::stack_ctx`]. Returns `false` when the stack is
+    /// see [`Memo::stack_ctx`]. Returns `false` when the stack is
     /// uninterpretable, scaling diagnostic counters by `weight`.
     fn initial_context_into(
         &mut self,
@@ -486,11 +302,10 @@ impl<'b> Unwinder<'b> {
         scratch: &mut UnwindScratch,
     ) -> bool {
         scratch.ctx.clear();
-        if let Some(memo) = scratch
-            .stack_ctx
-            .get(sample.stack.as_slice())
-            .and_then(|per_pc| per_pc.get(&sample.pc))
-        {
+        scratch.stack_key.clear();
+        scratch.stack_key.extend_from_slice(&sample.stack);
+        scratch.stack_key.push(sample.pc);
+        if let Some(memo) = self.memo.stack_ctx.get(scratch.stack_key.as_slice()) {
             self.infer_stats.recovered += memo.recovered * weight;
             self.infer_stats.failed += memo.failed * weight;
             self.broken_stacks += memo.broken * weight;
@@ -513,11 +328,7 @@ impl<'b> Unwinder<'b> {
             failed: (self.infer_stats.failed - before.1) / weight,
             broken: (self.broken_stacks - before.2) / weight,
         };
-        scratch
-            .stack_ctx
-            .entry(sample.stack.clone())
-            .or_default()
-            .insert(sample.pc, memo);
+        self.memo.stack_ctx.insert(scratch.stack_key.clone(), memo);
         ok
     }
 
@@ -531,7 +342,6 @@ impl<'b> Unwinder<'b> {
         ctx: &mut Vec<FrameKey>,
         callsites: &mut Vec<usize>,
     ) -> bool {
-        ctx.clear();
         callsites.clear();
         // Physical call sites, outermost first.
         for &ret_addr in sample.stack.iter().skip(1).rev() {
@@ -568,10 +378,7 @@ impl<'b> Unwinder<'b> {
             if callee != next_func {
                 // Frames are missing between `callee` and `next_func`:
                 // tail-call elimination. Try to infer the unique chain.
-                let path = self
-                    .tail_graph
-                    .and_then(|g| g.unique_path(callee, next_func));
-                match path {
+                match self.tail_path(callee, next_func) {
                     Some(tail_insts) => {
                         self.infer_stats.recovered += tail_insts.len() as u64 * weight;
                         for ti in tail_insts {
@@ -591,25 +398,76 @@ impl<'b> Unwinder<'b> {
         true
     }
 
-    /// Unwinds one sample observed `weight` times, streaming every hit into
-    /// `sink` with multiplicity `weight`. All diagnostic counters scale by
-    /// `weight`, so unwinding a deduplicated `(sample, count)` batch leaves
-    /// the unwinder in exactly the state `count` repeats would have.
-    pub fn unwind_each(&mut self, sample: &Sample, weight: u64, sink: &mut impl HitSink) {
-        // The scratch set steps out of `self` for the duration so the
-        // borrow checker can see its buffers and `&self` lookups disjointly.
-        let mut scratch = std::mem::take(&mut self.scratch);
-        self.unwind_with_scratch(sample, weight, &mut SinkEmit(sink), &mut scratch);
-        self.scratch = scratch;
+    /// Every probe anchored in `[begin, end]` executed `weight` times under
+    /// `ctx` (interned as `ctx_id`). The first sight of a
+    /// `(ctx, begin, end)` assembles each probe's path — `ctx` expanded by
+    /// the probe's own inline stack — in the reusable `path` buffer and
+    /// records where it lands; every sight only defers `weight`.
+    fn attribute_range(
+        &mut self,
+        ctx: &[FrameKey],
+        ctx_id: u32,
+        begin: usize,
+        end: usize,
+        weight: u64,
+        path: &mut Vec<FrameKey>,
+    ) {
+        let binary = self.binary;
+        let memo = &mut self.memo;
+        let idx = match memo.range_ids.entry((ctx_id, begin, end)) {
+            Entry::Occupied(e) => *e.get(),
+            Entry::Vacant(slot) => {
+                let mut hits = Vec::new();
+                if begin <= end && binary.func_of[begin] == binary.func_of[end] {
+                    for note in binary.insts[begin..=end].iter().flat_map(|i| &i.probes) {
+                        path.clear();
+                        path.extend_from_slice(ctx);
+                        path.extend(note.inline_stack.iter().map(|s| FrameKey {
+                            guid: binary.funcs[s.func.index()].guid,
+                            probe: s.probe_index,
+                        }));
+                        canonicalize(path);
+                        hits.push((memo.trie.intern(path, note.owner_guid), note.index));
+                    }
+                }
+                memo.ranges.push(CachedRange { hits, pending: 0 });
+                *slot.insert(memo.ranges.len() as u32 - 1)
+            }
+        };
+        let range = &mut memo.ranges[idx as usize];
+        if range.pending == 0 {
+            memo.dirty.push(idx);
+        }
+        range.pending += weight;
     }
 
-    fn unwind_with_scratch(
+    /// `weight` calls entered `owner` under `ctx` (interned as `ctx_id`).
+    fn attribute_entry(
         &mut self,
-        sample: &Sample,
+        ctx: &[FrameKey],
+        ctx_id: u32,
+        owner: u64,
         weight: u64,
-        emit: &mut impl Emit,
-        scratch: &mut UnwindScratch,
+        path: &mut Vec<FrameKey>,
     ) {
+        let memo = &mut self.memo;
+        let node = match memo.entries.entry((ctx_id, owner)) {
+            Entry::Occupied(e) => *e.get(),
+            Entry::Vacant(slot) => {
+                path.clear();
+                path.extend_from_slice(ctx);
+                canonicalize(path);
+                *slot.insert(memo.trie.intern(path, owner))
+            }
+        };
+        memo.trie.add_entry_at(node, weight);
+    }
+
+    /// Unwinds one sample observed `weight` times into the memo's trie. All
+    /// diagnostic counters scale by `weight`, so unwinding a deduplicated
+    /// `(sample, count)` batch leaves the unwinder in exactly the state
+    /// `count` repeats would have.
+    fn unwind_sample(&mut self, sample: &Sample, weight: u64, scratch: &mut UnwindScratch) {
         if !self.initial_context_into(sample, weight, scratch) {
             return;
         }
@@ -629,43 +487,36 @@ impl<'b> Unwinder<'b> {
         }
 
         let mut window_end = pc_idx;
-        // Bumped whenever `scratch.ctx` is (possibly) mutated, so memoizing
-        // emitters re-hash the context only when it could have changed.
-        let mut ctx_gen: u32 = 0;
+        // The interned id of `scratch.ctx`, dropped whenever the context is
+        // (possibly) mutated: consecutive ranges under an unchanged context
+        // (the common case — conditional branches inside one function) skip
+        // the interner entirely.
+        let mut ctx_id: Option<u32> = None;
         for i in (0..scratch.resolved.len()).rev() {
             let (from_idx, to_idx) = scratch.resolved[i];
+            let id = match ctx_id {
+                Some(id) => id,
+                None => *ctx_id.insert(self.memo.ctx_id(&scratch.ctx)),
+            };
             // Attribute the linear range executed after this branch.
-            emit.range(
-                self.binary,
-                self.max_context_depth,
+            self.attribute_range(
                 &scratch.ctx,
-                ctx_gen,
+                id,
                 to_idx,
                 window_end,
                 weight,
                 &mut scratch.path,
             );
-            // Entry hit for calls (the callee runs under the current ctx).
-            match self.binary.insts[from_idx].kind {
-                MInstKind::Call { .. } | MInstKind::TailCall { .. } => {
-                    let callee_fidx = self.binary.func_of[to_idx];
-                    if self.binary.funcs[callee_fidx as usize].entry == to_idx {
-                        emit.entry(
-                            self.max_context_depth,
-                            &scratch.ctx,
-                            ctx_gen,
-                            self.binary.funcs[callee_fidx as usize].guid,
-                            weight,
-                            &mut scratch.path,
-                        );
-                    }
-                }
-                _ => {}
-            }
             // Step backwards over the branch, adjusting the context.
             match self.binary.insts[from_idx].kind {
                 MInstKind::Call { .. } | MInstKind::TailCall { .. } => {
-                    ctx_gen += 1;
+                    // Entry hit: the callee runs under the current ctx.
+                    let callee = &self.binary.funcs[self.binary.func_of[to_idx] as usize];
+                    if callee.entry == to_idx {
+                        let guid = callee.guid;
+                        self.attribute_entry(&scratch.ctx, id, guid, weight, &mut scratch.path);
+                    }
+                    ctx_id = None;
                     // Before the call we were in the caller: its call-site
                     // frames (as many as the call expands to) pop off. A
                     // tail call's frame was synthesized by the inferrer, so
@@ -679,7 +530,7 @@ impl<'b> Unwinder<'b> {
                     }
                 }
                 MInstKind::Ret { .. } => {
-                    ctx_gen += 1;
+                    ctx_id = None;
                     // Before the return we were inside the returning
                     // function; the call site that entered it pushes on. If
                     // the call site's static callee is not the returning
@@ -697,10 +548,7 @@ impl<'b> Unwinder<'b> {
                             }
                             let src_func = self.binary.func_of[from_idx];
                             if callee != src_func {
-                                match self
-                                    .tail_graph
-                                    .and_then(|g| g.unique_path(callee, src_func))
-                                {
+                                match self.tail_path(callee, src_func) {
                                     Some(tail_insts) => {
                                         self.infer_stats.recovered +=
                                             tail_insts.len() as u64 * weight;
@@ -730,29 +578,26 @@ impl<'b> Unwinder<'b> {
         }
     }
 
-    /// Unwinds a batch of samples one by one straight into a context
-    /// profile — the sequential reference that tests and benches compare
-    /// [`Unwinder::unwind_batched`] against; production callers use the
-    /// batched kernel.
-    pub fn unwind_into(&mut self, samples: &[Sample], profile: &mut ContextProfile) {
-        for s in samples {
-            self.unwind_each(s, 1, profile);
-        }
-    }
-
-    /// The fast correlation path: pre-aggregates identical samples so each
-    /// distinct `(pc, lbr, stack)` shape is unwound **once** with its
-    /// multiplicity as the hit weight, then memoizes *within* the unwind —
-    /// real streams rarely repeat whole samples (hot code shares the stack
-    /// but varies the LBR history), yet the `(context, LBR range)` pairs
-    /// inside them repeat constantly, so each distinct attribution is
-    /// assembled once and replayed as counter increments thereafter (see
-    /// `AttributionCache`). Hits land in a hash-consed
-    /// [`ContextTrieBuilder`]. The result — counts, structure, and the
-    /// unwinder's diagnostic counters — is bit-identical to
-    /// [`Unwinder::unwind_into`] over the same stream (see
-    /// `tests/proptest_kernel.rs`).
+    /// The correlation kernel. Returns the context profile of `samples`
+    /// alone — what was counted *since the previous call* — while
+    /// [`Unwinder::infer_stats`] and [`Unwinder::broken_stacks`] keep
+    /// summing; counts, trie structure and diagnostics are exactly what a
+    /// fresh unwinder gives for the same samples, whatever this one has
+    /// seen before (`tests/proptest_kernel.rs`), and exactly what the
+    /// per-sample reference in `tests/common/reference_unwind.rs` gives
+    /// (`tests/unwind_differential.rs`).
+    ///
+    /// Identical samples are pre-aggregated so each distinct
+    /// `(pc, lbr, stack)` shape is unwound **once** with its multiplicity
+    /// as the hit weight; within the unwind every distinct attribution is
+    /// assembled once per unwinder and replayed as counter increments
+    /// thereafter (see `Memo`).
     pub fn unwind_batched(&mut self, samples: &[Sample]) -> ContextProfile {
+        // Between calls the trie is drained and nothing is pending, so the
+        // memos can be dropped without losing a count.
+        if self.memo.len() > self.memo_limit {
+            self.memo = Memo::default();
+        }
         /// Dedup key borrowing a sample's content verbatim.
         type SampleKey<'a> = (u64, &'a [(u64, u64)], &'a [u64]);
         let mut index: FastMap<SampleKey<'_>, usize> =
@@ -767,20 +612,15 @@ impl<'b> Unwinder<'b> {
                 }
             }
         }
-        let mut builder = ContextTrieBuilder::new();
-        let mut cache = AttributionCache::default();
+        // The scratch set steps out of `self` for the duration so the
+        // borrow checker can see its buffers and `self`'s memo disjointly.
         let mut scratch = std::mem::take(&mut self.scratch);
         for &(s, w) in &uniques {
-            let mut emit = CachedEmit {
-                builder: &mut builder,
-                cache: &mut cache,
-                last_ctx: None,
-            };
-            self.unwind_with_scratch(s, w, &mut emit, &mut scratch);
+            self.unwind_sample(s, w, &mut scratch);
         }
         self.scratch = scratch;
-        cache.flush(&mut builder);
-        builder.into_profile()
+        self.memo.flush();
+        self.memo.trie.take_profile()
     }
 }
 
@@ -819,7 +659,9 @@ fn main(n) {
 }
 "#;
 
-    fn profile_with_contexts(src: &str, arg: i64) -> (Binary, ContextProfile, InferStats) {
+    /// A probed build of `src`, the samples of `main(arg)` on it, and the
+    /// tail-call graph they give.
+    fn sampled(src: &str, arg: i64) -> (Binary, Vec<Sample>, TailCallGraph) {
         let mut m = csspgo_lang::compile(src, "t").unwrap();
         csspgo_opt::discriminators::run(&mut m);
         csspgo_opt::probes::run(&mut m);
@@ -834,9 +676,13 @@ fn main(n) {
         let mut rc = RangeCounts::default();
         rc.add_samples(&b, &samples);
         let graph = TailCallGraph::build(&b, &rc);
-        let mut profile = ContextProfile::new();
-        let mut uw = Unwinder::new(&b, Some(&graph));
-        uw.unwind_into(&samples, &mut profile);
+        (b, samples, graph)
+    }
+
+    fn profile_with_contexts(src: &str, arg: i64) -> (Binary, ContextProfile, InferStats) {
+        let (b, samples, graph) = sampled(src, arg);
+        let mut uw = Unwinder::new(&b, Some(graph));
+        let profile = uw.unwind_batched(&samples);
         let stats = uw.infer_stats;
         (b, profile, stats)
     }
@@ -976,36 +822,27 @@ fn main(n) { return top(n); }
         assert_eq!(p.len(), 3, "aperiodic paths untouched");
     }
 
+    /// The memory bound (DESIGN.md §18): an unwinder whose memos start
+    /// over every few entries — here at every call but the first — returns
+    /// call by call what one that never forgets returns.
     #[test]
-    fn batched_unwind_matches_sequential() {
-        let mut m = csspgo_lang::compile(SRC, "t").unwrap();
-        csspgo_opt::discriminators::run(&mut m);
-        csspgo_opt::probes::run(&mut m);
-        let b = lower_module(&m, &CodegenConfig::default());
-        let mut machine = Machine::new(
-            &b,
-            SimConfig {
-                sample_period: 41,
-                ..SimConfig::default()
-            },
+    fn crossing_the_memo_bound_mid_stream_changes_no_output() {
+        let (b, samples, graph) = sampled(SRC, 3000);
+
+        let mut keeps = Unwinder::new(&b, Some(graph.clone()));
+        let mut forgets = Unwinder::new(&b, Some(graph));
+        forgets.memo_limit = 5;
+        for (k, chunk) in samples.chunks(samples.len().div_ceil(9)).enumerate() {
+            // Every call but the first finds the memo over its bound.
+            assert!(k == 0 || forgets.memo.len() > forgets.memo_limit);
+            assert_eq!(forgets.unwind_batched(chunk), keeps.unwind_batched(chunk));
+            assert_eq!(forgets.infer_stats, keeps.infer_stats);
+            assert_eq!(forgets.broken_stacks, keeps.broken_stacks);
+        }
+        assert!(
+            forgets.memo.len() < keeps.memo.len(),
+            "a restarted memo holds what its last call taught it, not the stream"
         );
-        machine.call("main", &[3000]).unwrap();
-        let samples = machine.take_samples();
-        let mut rc = RangeCounts::default();
-        rc.add_samples(&b, &samples);
-        let graph = TailCallGraph::build(&b, &rc);
-
-        let mut seq = ContextProfile::new();
-        let mut uw_seq = Unwinder::new(&b, Some(&graph));
-        uw_seq.unwind_into(&samples, &mut seq);
-
-        let mut uw_fast = Unwinder::new(&b, Some(&graph));
-        let fast = uw_fast.unwind_batched(&samples);
-
-        assert_eq!(fast, seq);
-        assert_eq!(uw_fast.infer_stats.recovered, uw_seq.infer_stats.recovered);
-        assert_eq!(uw_fast.infer_stats.failed, uw_seq.infer_stats.failed);
-        assert_eq!(uw_fast.broken_stacks, uw_seq.broken_stacks);
     }
 
     #[test]
@@ -1019,9 +856,7 @@ fn main(n) { return top(n); }
         let mut machine = Machine::new(&b, cfg);
         machine.call("main", &[500]).unwrap();
         let samples = machine.take_samples();
-        let mut profile = ContextProfile::new();
-        let mut uw = Unwinder::new(&b, None);
-        uw.unwind_into(&samples, &mut profile);
+        let profile = Unwinder::new(&b, None).unwind_batched(&samples);
         assert_eq!(profile.total(), 0, "no probes, no probe hits");
     }
 }

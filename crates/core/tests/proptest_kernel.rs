@@ -1,18 +1,24 @@
-//! Property tests for the correlation-kernel overhaul: for *any* sample
-//! stream — garbage addresses, truncated LBRs, broken stacks, heavy
-//! duplication — the batched fast path (sample dedup + hash-consed
+//! Property tests for the correlation kernel: for *any* sample stream —
+//! garbage addresses, truncated LBRs, broken stacks, heavy duplication —
+//! the one kernel (sample dedup, memos that outlive a call, hash-consed
 //! context-trie interning) and the sharded fan-out on top of it must be
-//! **bit-identical** to the per-sample BTreeMap reference, down to the
-//! serialized JSON and every diagnostic counter.
+//! **bit-identical** to the per-sample reference unwinder
+//! (`tests/common/reference_unwind.rs`), down to the serialized JSON and
+//! every diagnostic counter; and a call on a long-lived unwinder must
+//! return what a fresh unwinder returns for the same samples.
 
 use csspgo_codegen::{lower_module, Binary, CodegenConfig};
-use csspgo_core::context::ContextProfile;
 use csspgo_core::ranges::RangeCounts;
 use csspgo_core::shard::sharded_context_profile;
+use csspgo_core::stream::{StreamAggregator, StreamConfig};
 use csspgo_core::tailcall::TailCallGraph;
 use csspgo_core::unwind::Unwinder;
 use csspgo_sim::Sample;
 use proptest::prelude::*;
+
+#[path = "../../../tests/common/reference_unwind.rs"]
+mod reference_unwind;
+use reference_unwind::reference_unwind;
 
 const SRC: &str = r#"
 fn leaf(x) {
@@ -78,9 +84,18 @@ fn resolve(binary: &Binary, raw: u64) -> u64 {
 /// An unresolved sample: `(pc, lbr pairs, stack)`.
 type RawSample = (u64, Vec<(u64, u64)>, Vec<u64>);
 
-/// Sample streams with deliberately *few* distinct shapes, so the batched
-/// path's dedup actually collapses repeats (the regime it optimizes for).
-fn duplicated_stream_strategy(n_insts: usize) -> BoxedStrategy<Vec<Sampleish>> {
+/// Sample streams of high entropy: every sample drawn afresh, so hardly any
+/// two are equal.
+fn sample_stream_strategy(n_insts: usize) -> BoxedStrategy<Vec<RawSample>> {
+    let addr = || addr_strategy(n_insts);
+    let lbr = proptest::collection::vec((addr(), addr()), 0..8);
+    let stack = proptest::collection::vec(addr(), 0..6);
+    proptest::collection::vec((addr(), lbr, stack), 0..120).boxed()
+}
+
+/// Sample streams with deliberately *few* distinct shapes, so the kernel's
+/// dedup and memos actually collapse repeats (the regime they optimize for).
+fn duplicated_stream_strategy(n_insts: usize) -> BoxedStrategy<Vec<RawSample>> {
     let addr = || addr_strategy(n_insts);
     let lbr = proptest::collection::vec((addr(), addr()), 0..6);
     let stack = proptest::collection::vec(addr(), 0..5);
@@ -97,7 +112,14 @@ fn duplicated_stream_strategy(n_insts: usize) -> BoxedStrategy<Vec<Sampleish>> {
         .boxed()
 }
 
-type Sampleish = RawSample;
+/// Either regime.
+fn any_stream_strategy(n_insts: usize) -> BoxedStrategy<Vec<RawSample>> {
+    prop_oneof![
+        sample_stream_strategy(n_insts),
+        duplicated_stream_strategy(n_insts),
+    ]
+    .boxed()
+}
 
 fn to_samples(binary: &Binary, raw: &[RawSample]) -> Vec<Sample> {
     raw.iter()
@@ -117,43 +139,12 @@ fn to_samples(binary: &Binary, raw: &[RawSample]) -> Vec<Sample> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// Batched (dedup + interned trie) ≡ the sequential per-sample sink
-    /// path, including every diagnostic counter.
+    /// The kernel at any shard count ≡ the per-sample reference, on
+    /// high-entropy and on heavily duplicated streams alike, including
+    /// every diagnostic counter.
     #[test]
-    fn batched_and_interned_match_per_sample_reference(
-        raw in duplicated_stream_strategy(64),
-    ) {
-        let binary = probed_binary();
-        let samples = to_samples(&binary, &raw);
-        let mut rc = RangeCounts::default();
-        rc.add_samples(&binary, &samples);
-        let graph = TailCallGraph::build(&binary, &rc);
-
-        // Reference: the sequential per-sample sink path.
-        let mut from_sink = ContextProfile::new();
-        let mut uw_sink = Unwinder::new(&binary, Some(&graph));
-        uw_sink.unwind_into(&samples, &mut from_sink);
-
-        // Candidate: dedup + hash-consed trie.
-        let mut uw_batched = Unwinder::new(&binary, Some(&graph));
-        let batched = uw_batched.unwind_batched(&samples);
-
-        prop_assert_eq!(&batched, &from_sink);
-        prop_assert_eq!(uw_batched.infer_stats.recovered, uw_sink.infer_stats.recovered);
-        prop_assert_eq!(uw_batched.infer_stats.failed, uw_sink.infer_stats.failed);
-        prop_assert_eq!(uw_batched.broken_stacks, uw_sink.broken_stacks);
-
-        // Bit-identity, not just logical equality.
-        let j_ref = serde_json::to_string(&from_sink).unwrap();
-        let j_batched = serde_json::to_string(&batched).unwrap();
-        prop_assert_eq!(j_ref, j_batched);
-    }
-
-    /// The sharded fan-out over the batched kernel stays bit-identical to
-    /// the reference for random shard counts on duplicated streams.
-    #[test]
-    fn sharded_batched_kernel_byte_identical(
-        raw in duplicated_stream_strategy(64),
+    fn sharded_kernel_byte_identical_to_the_reference(
+        raw in any_stream_strategy(64),
         shards in 1usize..9,
     ) {
         let binary = probed_binary();
@@ -162,19 +153,66 @@ proptest! {
         rc.add_samples(&binary, &samples);
         let graph = TailCallGraph::build(&binary, &rc);
 
-        let mut seq = ContextProfile::new();
-        let mut uw = Unwinder::new(&binary, Some(&graph));
-        uw.unwind_into(&samples, &mut seq);
-
+        let reference = reference_unwind(&binary, Some(&graph), &samples);
         let out = sharded_context_profile(&binary, Some(&graph), &samples, shards);
-        prop_assert_eq!(&out.profile, &seq);
-        prop_assert_eq!(out.infer_stats.recovered, uw.infer_stats.recovered);
-        prop_assert_eq!(out.infer_stats.failed, uw.infer_stats.failed);
-        prop_assert_eq!(out.broken_stacks, uw.broken_stacks);
+        prop_assert_eq!(&out.profile, &reference.profile);
+        prop_assert_eq!(out.infer_stats, reference.infer_stats);
+        prop_assert_eq!(out.broken_stacks, reference.broken_stacks);
 
-        let j_seq = serde_json::to_string(&seq).unwrap();
+        // Bit-identity, not just logical equality.
+        let j_ref = serde_json::to_string(&reference.profile).unwrap();
         let j_par = serde_json::to_string(&out.profile).unwrap();
-        prop_assert_eq!(j_seq, j_par);
+        prop_assert_eq!(j_ref, j_par);
+    }
+
+    /// Streaming is a small batch: however a stream is cut into calls, call
+    /// *k* on one long-lived unwinder returns exactly what a fresh unwinder
+    /// returns for chunk *k* alone — counts and structure, so no node is
+    /// left over from an earlier call — and the diagnostic counters sum.
+    /// The aggregator on top reports the same per epoch.
+    #[test]
+    fn a_call_on_a_long_lived_unwinder_is_a_call_on_a_fresh_one(
+        raw in any_stream_strategy(64),
+        fractions in proptest::collection::vec(0usize..1000, 0..6),
+    ) {
+        let binary = probed_binary();
+        let samples = to_samples(&binary, &raw);
+        let mut rc = RangeCounts::default();
+        rc.add_samples(&binary, &samples);
+        let graph = TailCallGraph::build(&binary, &rc);
+
+        let mut cuts: Vec<usize> = fractions.iter().map(|f| f * samples.len() / 1000).collect();
+        cuts.extend([0, samples.len()]);
+        cuts.sort_unstable();
+
+        let mut long_lived = Unwinder::new(&binary, Some(graph.clone()));
+        let mut agg =
+            StreamAggregator::with_tail_graph(&binary, StreamConfig::default(), 1, graph.clone());
+        let (mut recovered, mut failed, mut broken) = (0, 0, 0);
+        for w in cuts.windows(2) {
+            let chunk = &samples[w[0]..w[1]];
+            let mut fresh = Unwinder::new(&binary, Some(graph.clone()));
+            let alone = fresh.unwind_batched(chunk);
+            let streamed = long_lived.unwind_batched(chunk);
+            prop_assert_eq!(
+                serde_json::to_string(&streamed).unwrap(),
+                serde_json::to_string(&alone).unwrap()
+            );
+            recovered += fresh.infer_stats.recovered;
+            failed += fresh.infer_stats.failed;
+            broken += fresh.broken_stacks;
+            prop_assert_eq!(long_lived.infer_stats.recovered, recovered);
+            prop_assert_eq!(long_lived.infer_stats.failed, failed);
+            prop_assert_eq!(long_lived.broken_stacks, broken);
+
+            agg.push_batch(chunk.to_vec()).unwrap();
+            let summary = agg.seal_epoch();
+            prop_assert_eq!(summary.nodes_epoch, alone.node_count());
+            let depth1: usize = alone.roots.values().map(|r| r.children.len()).sum();
+            prop_assert_eq!(agg.last_epoch_edges().len(), depth1);
+            prop_assert_eq!(agg.infer_stats(), long_lived.infer_stats);
+            prop_assert_eq!(agg.broken_stacks(), broken);
+        }
     }
 
     /// Range counting through the binary's dense address index and the

@@ -1,16 +1,15 @@
 //! Property tests for sharded sample ingestion: for *any* sample stream —
 //! including garbage addresses, truncated LBRs and broken stacks — the
 //! sharded-parallel path must produce profiles byte-identical (same
-//! serialized JSON) to the sequential path, for flat/DWARF profiles,
-//! probe profiles, and the context trie.
+//! serialized JSON) to the sequential path, for flat/DWARF profiles and
+//! probe profiles. The context trie's shard property lives in
+//! `proptest_kernel.rs` (`sharded_kernel_byte_identical_to_the_reference`,
+//! which takes this file's stream strategy as well as its own).
 
 use csspgo_codegen::{lower_module, Binary, CodegenConfig};
-use csspgo_core::context::ContextProfile;
 use csspgo_core::correlate::{dwarf_profile, probe_profile};
 use csspgo_core::ranges::RangeCounts;
-use csspgo_core::shard::{sharded_context_profile, sharded_range_counts};
-use csspgo_core::tailcall::TailCallGraph;
-use csspgo_core::unwind::Unwinder;
+use csspgo_core::shard::sharded_range_counts;
 use csspgo_sim::Sample;
 use proptest::prelude::*;
 
@@ -111,31 +110,5 @@ proptest! {
         let probe_seq = serde_json::to_string(&probe_profile(&binary, &seq)).unwrap();
         let probe_par = serde_json::to_string(&probe_profile(&binary, &par)).unwrap();
         prop_assert_eq!(probe_seq, probe_par);
-    }
-
-    #[test]
-    fn sharded_context_trie_byte_identical(
-        raw in sample_stream_strategy(64),
-        shards in 1usize..9,
-    ) {
-        let binary = probed_binary();
-        let samples = to_samples(&binary, &raw);
-        let mut rc = RangeCounts::default();
-        rc.add_samples(&binary, &samples);
-        let graph = TailCallGraph::build(&binary, &rc);
-
-        let mut seq = ContextProfile::new();
-        let mut uw = Unwinder::new(&binary, Some(&graph));
-        uw.unwind_into(&samples, &mut seq);
-
-        let out = sharded_context_profile(&binary, Some(&graph), &samples, shards);
-        prop_assert_eq!(&out.profile, &seq);
-        prop_assert_eq!(out.infer_stats.recovered, uw.infer_stats.recovered);
-        prop_assert_eq!(out.infer_stats.failed, uw.infer_stats.failed);
-        prop_assert_eq!(out.broken_stacks, uw.broken_stacks);
-
-        let j_seq = serde_json::to_string(&seq).unwrap();
-        let j_par = serde_json::to_string(&out.profile).unwrap();
-        prop_assert_eq!(j_seq, j_par);
     }
 }

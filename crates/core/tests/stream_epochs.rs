@@ -11,9 +11,12 @@ use csspgo_core::pipeline::PipelineError;
 use csspgo_core::ranges::RangeCounts;
 use csspgo_core::stream::{SnapshotFormat, StreamAggregator, StreamConfig};
 use csspgo_core::tailcall::TailCallGraph;
-use csspgo_core::unwind::Unwinder;
 use csspgo_sim::{Machine, Sample, SimConfig};
 use proptest::prelude::*;
+
+#[path = "../../../tests/common/reference_unwind.rs"]
+mod reference_unwind;
+use reference_unwind::reference_unwind;
 
 const SRC: &str = r#"
 fn leaf(x) {
@@ -41,7 +44,8 @@ fn probed_binary() -> Binary {
     lower_module(&m, &CodegenConfig::default())
 }
 
-/// The batch reference: full-stream RangeCounts + one sequential unwind.
+/// The batch reference: full-stream RangeCounts + the per-sample reference
+/// unwinder over the whole stream.
 fn batch_reference(
     binary: &Binary,
     graph: &TailCallGraph,
@@ -49,10 +53,7 @@ fn batch_reference(
 ) -> (RangeCounts, ContextProfile) {
     let mut rc = RangeCounts::default();
     rc.add_samples(binary, samples);
-    let mut profile = ContextProfile::new();
-    let mut uw = Unwinder::new(binary, Some(graph));
-    uw.unwind_into(samples, &mut profile);
-    (rc, profile)
+    (rc, reference_unwind(binary, Some(graph), samples).profile)
 }
 
 fn real_traffic(binary: &Binary) -> Vec<Sample> {
