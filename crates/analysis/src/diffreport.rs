@@ -82,7 +82,6 @@ pub fn inference_quality(module: &Module, profile: &ProbeProfile) -> InferenceQu
             inline_budget: 0,
             stale_matching: StaleMatching::Recover,
             inference: mode,
-            ..AnnotateConfig::default()
         };
         let stats = csspgo_annotate(&mut m, profile, None, &cfg);
         (m, stats)
@@ -101,7 +100,7 @@ pub fn inference_quality(module: &Module, profile: &ProbeProfile) -> InferenceQu
     let (raw_module, _) = annotate(InferenceMode::Off);
     let (inferred_module, stats) = annotate(InferenceMode::Mcf);
     InferenceQuality {
-        mode: InferenceMode::Mcf.name().to_string(),
+        mode: "mcf".to_string(),
         functions: stats.inference.functions,
         counts_adjusted: stats.inference.counts_adjusted,
         flow_moved: stats.inference.flow_moved,
@@ -143,7 +142,6 @@ pub fn provenance_breakdown(module: &Module, profile: &ProbeProfile) -> Provenan
         inline_budget: 0,
         stale_matching: StaleMatching::Recover,
         inference: InferenceMode::Mcf,
-        ..AnnotateConfig::default()
     };
     csspgo_annotate(&mut m, profile, None, &cfg);
     let w = module_weights(&m);

@@ -82,23 +82,11 @@ use csspgo_core::profile::ProbeProfile;
 use csspgo_core::stalematch::{MatchConfig, MatchOutcome};
 use csspgo_ir::Module;
 
-/// Tuning knobs for the analyses that need tolerance to sampling noise.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct AnalyzerConfig {
-    /// Slack for the flow lints (`PF001`/`PF002`/`PF006`).
-    pub flow: FlowTolerance,
-    /// Slack for the context-tree lint (`PF003`).
-    pub context: ContextTolerance,
-    /// Thresholds for the provenance lints (`WP001`–`WP003`).
-    pub wp: WpTolerance,
-}
-
 /// The analysis driver: applies every lint family to modules and profiles,
 /// accumulating one [`Report`] across units.
 #[derive(Clone, Debug, Default)]
 pub struct Analyzer {
     policy: Policy,
-    config: AnalyzerConfig,
     report: Report,
 }
 
@@ -107,16 +95,6 @@ impl Analyzer {
     pub fn new(policy: Policy) -> Self {
         Analyzer {
             policy,
-            config: AnalyzerConfig::default(),
-            report: Report::new(),
-        }
-    }
-
-    /// Creates an analyzer with explicit tolerances.
-    pub fn with_config(policy: Policy, config: AnalyzerConfig) -> Self {
-        Analyzer {
-            policy,
-            config,
             report: Report::new(),
         }
     }
@@ -136,7 +114,7 @@ impl Analyzer {
             &self.policy,
             unit,
             module,
-            self.config.flow,
+            FlowTolerance::default(),
             &mut self.report,
         );
     }
@@ -172,7 +150,7 @@ impl Analyzer {
     /// Weight-provenance lints (`WP001`–`WP003`) over an annotated module;
     /// returns the module's per-tag weight totals.
     pub fn analyze_provenance(&mut self, unit: &str, module: &Module) -> ProvenanceWeights {
-        self.analyze_provenance_with(unit, module, self.config.wp)
+        self.analyze_provenance_with(unit, module, WpTolerance::default())
     }
 
     /// [`Analyzer::analyze_provenance`] with per-call tolerances, for
@@ -194,7 +172,7 @@ impl Analyzer {
             &self.policy,
             unit,
             profile,
-            self.config.context,
+            ContextTolerance::default(),
             &mut self.report,
         );
     }

@@ -8,14 +8,12 @@
 //!    identical ground-truth profiles.
 //! 2. The fig6-style drifted-profile comparison: each workload's profile is
 //!    collected on the clean build while the optimized build compiles a
-//!    CFG-changed source, stale recovery salvages the counts, and the cycle
-//!    runs once with min-cost-flow inference and once with the fixpoint
-//!    heuristic. Rows carry eval cycles, how much of the clean-profile win
-//!    over `-O2` each inference retained, the repair-effort counters and the
-//!    provenance mix of the annotated weight.
+//!    CFG-changed source, stale recovery salvages the counts and
+//!    min-cost-flow inference repairs them. Rows carry eval cycles, how much
+//!    of the clean-profile win over `-O2` the drifted cycle retained, the
+//!    repair-effort counters and the provenance mix of the annotated weight.
 
 use csspgo_bench::{experiment_config, par_map, traffic_scale};
-use csspgo_core::inference::InferenceMode;
 use csspgo_core::pipeline::{run_pgo_cycle, run_pgo_cycle_drifted, PgoVariant, PipelineConfig};
 use csspgo_core::stalematch::StaleMatching;
 use csspgo_core::Workload;
@@ -90,7 +88,8 @@ struct DriftRow {
 
 /// Runs the drifted-profile inference comparison and prints its table:
 /// `-O2` and clean `CSSPGO (full)` anchor the retained-win scale, then the
-/// CFG-drifted cycle runs under each inference mode with stale recovery.
+/// CFG-drifted cycle runs with stale recovery (and the default MCF
+/// inference).
 fn drift_table(workloads: &[Workload], cfg: &PipelineConfig) {
     let per_workload = par_map(workloads.to_vec(), |w| {
         let drifted_src = drift::change_cfg(&w.source);
@@ -107,7 +106,14 @@ fn drift_table(workloads: &[Workload], cfg: &PipelineConfig) {
             (clean_win > 0.0).then(|| (o2.eval.cycles as f64 - cycles as f64) / clean_win * 100.0)
         };
 
-        let mut rows = vec![
+        let mut dcfg = cfg.clone();
+        dcfg.annotate.stale_matching = StaleMatching::Recover;
+        let drifted = run_pgo_cycle_drifted(&w, PgoVariant::CsspgoFull, &dcfg, &drifted_src)
+            .unwrap_or_else(|e| panic!("{} / drift-mcf: {e}", w.name));
+        let inf = drifted.annotate_stats.inference;
+        let prov = drifted.annotate_stats.provenance;
+        let total = prov.total() as f64;
+        vec![
             DriftRow {
                 label: "drift-O2",
                 eval_cycles: o2.eval.cycles,
@@ -122,23 +128,10 @@ fn drift_table(workloads: &[Workload], cfg: &PipelineConfig) {
                 repair: None,
                 provenance: None,
             },
-        ];
-        for (label, mode) in [
-            ("drift-mcf", InferenceMode::Mcf),
-            ("drift-heuristic", InferenceMode::Heuristic),
-        ] {
-            let mut dcfg = cfg.clone();
-            dcfg.annotate.stale_matching = StaleMatching::Recover;
-            dcfg.annotate.inference = mode;
-            let o = run_pgo_cycle_drifted(&w, PgoVariant::CsspgoFull, &dcfg, &drifted_src)
-                .unwrap_or_else(|e| panic!("{} / {label}: {e}", w.name));
-            let inf = o.annotate_stats.inference;
-            let prov = o.annotate_stats.provenance;
-            let total = prov.total() as f64;
-            rows.push(DriftRow {
-                label,
-                eval_cycles: o.eval.cycles,
-                retained_pct: retained_pct(o.eval.cycles),
+            DriftRow {
+                label: "drift-mcf",
+                eval_cycles: drifted.eval.cycles,
+                retained_pct: retained_pct(drifted.eval.cycles),
                 repair: Some([inf.counts_adjusted, inf.flow_moved, inf.residual_cost]),
                 provenance: (prov.total() > 0).then(|| {
                     [
@@ -146,9 +139,8 @@ fn drift_table(workloads: &[Workload], cfg: &PipelineConfig) {
                         prov.inferred as f64 / total * 100.0,
                     ]
                 }),
-            });
-        }
-        rows
+            },
+        ]
     });
 
     println!("\n# Drifted-profile inference comparison (change_cfg drift, stale recovery on)");

@@ -21,14 +21,10 @@
 //! conserved — the eviction counters in the report prove the fold).
 //!
 //! Per-tenant epoch rows plus fleet aggregates are written to
-//! `BENCH_profile_fleet.json` (override with `BENCH_PROFILE_FLEET_OUT`).
-//! `CSSPGO_RESIDENT_CAP` overrides the cap (`0` = unbounded);
-//! `CSSPGO_SNAPSHOT_FORMAT=text|binary` picks the mid-stream snapshot
-//! self-check's wire format and `CSSPGO_SCALE` scales the traffic.
+//! `BENCH_profile_fleet.json` (override with `BENCH_PROFILE_FLEET_OUT`);
+//! `CSSPGO_SCALE` scales the traffic.
 
-use csspgo_bench::{
-    snapshot_format_from_env, traffic_scale, write_fleet_bench, FleetBenchRecord, FleetBenchReport,
-};
+use csspgo_bench::{traffic_scale, write_fleet_bench, FleetBenchRecord, FleetBenchReport};
 use csspgo_core::fleet::{
     FleetBinaries, FleetConfig, FleetEvent, FleetService, TenantId, TenantSpec, VersionSpec,
 };
@@ -36,13 +32,8 @@ use csspgo_core::pipeline::PipelineConfig;
 use csspgo_core::stream::StreamConfig;
 use csspgo_workloads::{drift, phase_shifted, tenant_traffic_mix};
 
-/// Traffic calls per epoch.
-const EPOCH_CALLS: usize = 4;
-/// PMU drain granularity.
-const BATCH_SAMPLES: usize = 256;
 /// Per-version resident-context cap. Tuned so the busiest versions run
-/// over it mid-stream and the LRU eviction path genuinely fires; override
-/// with `CSSPGO_RESIDENT_CAP` (`0` = unbounded).
+/// over it mid-stream and the LRU eviction path genuinely fires.
 const RESIDENT_CAP: usize = 48;
 /// Drift verdict threshold: between the steady tenants' epoch-to-epoch
 /// overlap (≥ 0.94 — same distribution, re-dealt) and the phase-shifted
@@ -52,21 +43,6 @@ const DRIFT_THRESHOLD: f64 = 0.8;
 /// Bounded refresh queue: one slot, so concurrent drift verdicts beyond
 /// the first are *dropped* (and counted), never piled up.
 const REFRESH_QUEUE_CAP: usize = 1;
-
-fn resident_cap_from_env() -> usize {
-    match std::env::var("CSSPGO_RESIDENT_CAP") {
-        Err(_) => RESIDENT_CAP,
-        Ok(raw) => match raw.parse() {
-            Ok(v) => v,
-            Err(_) => {
-                eprintln!(
-                    "warning: CSSPGO_RESIDENT_CAP={raw:?} is not a count; using {RESIDENT_CAP}"
-                );
-                RESIDENT_CAP
-            }
-        },
-    }
-}
 
 /// A two-version tenant: `v0` is the workload's own source, `v1` a canary
 /// carrying a behavior-preserving source edit (so the two versions
@@ -94,15 +70,11 @@ fn main() {
         })
         .build()
         .expect("fleet pipeline config is valid");
-    let cfg = FleetConfig::builder()
-        .pipeline(pipeline)
-        .epoch_calls(EPOCH_CALLS)
-        .batch_samples(BATCH_SAMPLES)
-        .resident_cap(resident_cap_from_env())
-        .refresh_queue_cap(REFRESH_QUEUE_CAP)
-        .snapshot_format(snapshot_format_from_env())
-        .build()
-        .expect("fleet config is valid");
+    let cfg = FleetConfig {
+        pipeline,
+        resident_cap: RESIDENT_CAP,
+        refresh_queue_cap: REFRESH_QUEUE_CAP,
+    };
 
     // Steady tenants: same request multiset, tenant-specific arrival
     // order. Drifting tenant: phase-shifted traffic, refresh builds
@@ -168,11 +140,10 @@ fn main() {
             FleetEvent::SnapshotChecked {
                 tenant,
                 version,
-                format,
                 bytes,
             } => {
                 println!(
-                    "{tenant} {version:>14} {:>11}: {format} {bytes} bytes, restores bit-identical",
+                    "{tenant} {version:>14} {:>11}: binary {bytes} bytes, restores bit-identical",
                     "snapshot"
                 );
             }

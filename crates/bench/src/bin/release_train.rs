@@ -36,10 +36,6 @@ use csspgo_core::stream::StreamConfig;
 use csspgo_core::Workload;
 use csspgo_workloads::{ad_finder, drift, haas, phase_shifted, tenant_traffic_mix};
 
-/// Traffic calls per epoch (matches `profile_fleet`).
-const EPOCH_CALLS: usize = 4;
-/// PMU drain granularity.
-const BATCH_SAMPLES: usize = 256;
 /// Drift verdict threshold (same rationale as `profile_fleet`).
 const DRIFT_THRESHOLD: f64 = 0.8;
 
@@ -57,14 +53,11 @@ fn train_config() -> TrainConfig {
         })
         .build()
         .expect("train pipeline config is valid");
-    let fleet = FleetConfig::builder()
-        .pipeline(pipeline)
-        .epoch_calls(EPOCH_CALLS)
-        .batch_samples(BATCH_SAMPLES)
-        .build()
-        .expect("train fleet config is valid");
     TrainConfig {
-        fleet,
+        fleet: FleetConfig {
+            pipeline,
+            ..FleetConfig::default()
+        },
         ..TrainConfig::default()
     }
 }

@@ -13,7 +13,7 @@ use csspgo_core::pipeline::{
     profiling_build, profiling_run, run_pgo_cycle, PgoOutcome, PgoVariant, PipelineConfig,
     ProfilingRun,
 };
-use csspgo_core::{SnapshotFormat, Workload};
+use csspgo_core::Workload;
 use rayon::prelude::*;
 use serde::Serialize;
 use std::collections::HashMap;
@@ -29,23 +29,6 @@ pub fn traffic_scale() -> f64 {
             Err(_) => {
                 eprintln!("warning: CSSPGO_SCALE={raw:?} is not a number; using scale 1.0");
                 1.0
-            }
-        },
-    }
-}
-
-/// Snapshot wire format for `profile_fleet`'s mid-stream self-check;
-/// override with `CSSPGO_SNAPSHOT_FORMAT=text|binary`. An unrecognized
-/// value warns on stderr and falls back to binary (the production
-/// format), following the [`traffic_scale`] convention.
-pub fn snapshot_format_from_env() -> SnapshotFormat {
-    match std::env::var("CSSPGO_SNAPSHOT_FORMAT") {
-        Err(_) => SnapshotFormat::Binary,
-        Ok(raw) => match raw.parse() {
-            Ok(fmt) => fmt,
-            Err(e) => {
-                eprintln!("warning: CSSPGO_SNAPSHOT_FORMAT: {e}; using binary");
-                SnapshotFormat::Binary
             }
         },
     }

@@ -751,7 +751,7 @@ fn f(a) {
             .last()
             .unwrap();
         m.functions[0].block_mut(cold_bid).count = Some(0);
-        csspgo_opt::layout::run(&mut m, &OptConfig::default());
+        csspgo_opt::layout::run(&mut m);
         let b = lower_module(&m, &CodegenConfig::default());
         let f = &b.funcs[0];
         assert!(f.cold_range.1 > f.cold_range.0, "function must be split");

@@ -150,7 +150,7 @@ fn addr_index_agrees_with_a_linear_scan_across_the_cold_section_gap() {
     for bid in ids {
         m.functions[0].block_mut(bid).count = Some(if bid == cold { 0 } else { 100 });
     }
-    csspgo_opt::layout::run(&mut m, &OptConfig::default());
+    csspgo_opt::layout::run(&mut m);
     let b = lower_module(&m, &CodegenConfig::default());
     let f = &b.funcs[0];
     assert!(f.cold_range.1 > f.cold_range.0, "function must be split");

@@ -33,15 +33,11 @@ use std::collections::{HashMap, HashSet};
 /// Annotation tuning.
 #[derive(Clone, Copy, Debug)]
 pub struct AnnotateConfig {
-    /// Minimum nested-profile total to replay an inline.
-    pub replay_min_total: u64,
-    /// Maximum callee size (IR instructions) for replayed inlining.
-    pub replay_max_callee_size: usize,
     /// Maximum replayed inlines per function.
     pub inline_budget: usize,
     /// How checksum-mismatched (stale) functions are handled: dropped
-    /// ([`StaleMatching::Off`], [`StaleMatching::Report`]) or salvaged
-    /// through the anchor-based matcher ([`StaleMatching::Recover`]).
+    /// ([`StaleMatching::Off`]) or salvaged through the anchor-based
+    /// matcher ([`StaleMatching::Recover`]).
     pub stale_matching: StaleMatching,
     /// Which inference algorithm repairs the correlated counts (runs after
     /// stale recovery, so salvaged partial profiles become fully usable).
@@ -51,8 +47,6 @@ pub struct AnnotateConfig {
 impl Default for AnnotateConfig {
     fn default() -> Self {
         AnnotateConfig {
-            replay_min_total: 8,
-            replay_max_callee_size: 200,
             inline_budget: 64,
             stale_matching: StaleMatching::Off,
             inference: InferenceMode::default(),
@@ -132,6 +126,16 @@ fn materially_adjusted(raw: Option<u64>, finalc: u64) -> bool {
             d > 16 && d * 4 > r
         }
     }
+}
+
+/// Whether a nested (inlined-in-the-profiling-build) sub-profile of weight
+/// `nested_total` is replayed as an inline of `callee`.
+fn worth_replaying(nested_total: u64, callee: &csspgo_ir::Function) -> bool {
+    /// Minimum nested-profile total to replay an inline.
+    const REPLAY_MIN_TOTAL: u64 = 8;
+    /// Maximum callee size (IR instructions) for replayed inlining.
+    const REPLAY_MAX_CALLEE_SIZE: usize = 200;
+    nested_total >= REPLAY_MIN_TOTAL && real_size(callee) <= REPLAY_MAX_CALLEE_SIZE
 }
 
 // ---------------------------------------------------------------------
@@ -215,9 +219,7 @@ pub fn autofdo_annotate(
                     let Some(nested) = enclosing.callsites.get(&(key, callee_guid)) else {
                         continue;
                     };
-                    if nested.total >= cfg.replay_min_total
-                        && real_size(module.func(*callee)) <= cfg.replay_max_callee_size
-                    {
+                    if worth_replaying(nested.total, module.func(*callee)) {
                         candidate = Some((bid, i));
                         break 'scan;
                     }
@@ -380,14 +382,9 @@ pub fn csspgo_annotate(
                             match enclosing {
                                 Some(e) => {
                                     let callee_guid = module.func(*callee).guid;
-                                    e.callsites
-                                        .get(&(probe_idx, callee_guid))
-                                        .map(|n| {
-                                            n.total >= cfg.replay_min_total
-                                                && real_size(module.func(*callee))
-                                                    <= cfg.replay_max_callee_size
-                                        })
-                                        .unwrap_or(false)
+                                    e.callsites.get(&(probe_idx, callee_guid)).is_some_and(|n| {
+                                        worth_replaying(n.total, module.func(*callee))
+                                    })
                                 }
                                 None => false,
                             }
@@ -723,13 +720,13 @@ mod tests {
 
         let mut m2 = build();
         let cfg = AnnotateConfig {
-            inference: InferenceMode::Heuristic,
+            inference: InferenceMode::Off,
             ..AnnotateConfig::default()
         };
         csspgo_annotate(&mut m2, &profile, None, &cfg);
         assert!(
             m2.functions[0].edge_counts.is_none(),
-            "heuristic produces block counts only"
+            "raw counts carry no edge annotation"
         );
     }
 

@@ -157,16 +157,13 @@ impl TenantSpec {
 // Configuration
 // ---------------------------------------------------------------------
 
-/// Fleet-service knobs, validated by [`FleetConfig::builder`] (mirroring
-/// [`PipelineConfig::builder`]).
+/// Fleet-service knobs. Fields are public — override with struct-update
+/// syntax over [`FleetConfig::default`]; [`FleetBinaries::compile`]
+/// validates whatever it is handed.
 #[derive(Clone, Debug)]
 pub struct FleetConfig {
     /// The per-tenant pipeline knobs (sampling, opt, annotate, stream).
     pub pipeline: PipelineConfig,
-    /// Traffic calls folded per epoch.
-    pub epoch_calls: usize,
-    /// PMU drain granularity: samples pulled off a machine per batch.
-    pub batch_samples: usize,
     /// Resident context-node cap **per tenant-version** (`0` =
     /// unbounded), counted as [`StreamAggregator::resident_contexts`] —
     /// trie nodes beyond the per-function base profiles. The fleet-wide
@@ -178,127 +175,34 @@ pub struct FleetConfig {
     /// Bounded depth of the drift-refresh queue; watchdog requests past
     /// this are dropped (and counted), never queued unboundedly.
     pub refresh_queue_cap: usize,
-    /// Wire format used for the mid-stream snapshot self-check.
-    pub snapshot_format: SnapshotFormat,
-    /// Whether to snapshot→restore→compare each aggregator once
-    /// mid-stream (the epoch invariant, live).
-    pub snapshot_check: bool,
 }
 
 impl Default for FleetConfig {
     fn default() -> Self {
         FleetConfig {
             pipeline: PipelineConfig::default(),
-            epoch_calls: 4,
-            batch_samples: 256,
             resident_cap: 0,
             refresh_queue_cap: 8,
-            snapshot_format: SnapshotFormat::Binary,
-            snapshot_check: true,
         }
     }
 }
 
 impl FleetConfig {
-    /// Starts a builder from the default configuration.
-    pub fn builder() -> FleetConfigBuilder {
-        FleetConfigBuilder {
-            cfg: FleetConfig::default(),
-        }
-    }
-
     /// Checks invariants the service relies on.
     ///
     /// # Errors
     ///
-    /// Returns [`FleetError::InvalidConfig`] for an impossible knob
-    /// combination (zero epoch size, zero batch size, zero queue depth,
-    /// or an invalid inner pipeline config).
+    /// Returns [`FleetError::InvalidConfig`] for a zero queue depth or an
+    /// invalid inner pipeline config.
     pub fn validate(&self) -> Result<(), FleetError> {
-        let fail = |msg: String| Err(FleetError::InvalidConfig(msg));
-        if self.epoch_calls == 0 {
-            return fail("epoch_calls must be non-zero: an epoch must carry traffic".into());
-        }
-        if self.batch_samples == 0 {
-            return fail(
-                "batch_samples must be non-zero: the PMU drain would never advance".into(),
-            );
-        }
         if self.refresh_queue_cap == 0 {
-            return fail(
+            return Err(FleetError::InvalidConfig(
                 "refresh_queue_cap must be non-zero: every drift refresh would be dropped".into(),
-            );
+            ));
         }
         self.pipeline
             .validate()
             .map_err(|e| FleetError::InvalidConfig(e.to_string()))
-    }
-}
-
-/// Builder for [`FleetConfig`]; [`FleetConfigBuilder::build`] validates.
-#[derive(Clone, Debug, Default)]
-pub struct FleetConfigBuilder {
-    cfg: FleetConfig,
-}
-
-impl FleetConfigBuilder {
-    /// Sets the inner pipeline configuration.
-    #[must_use]
-    pub fn pipeline(mut self, pipeline: PipelineConfig) -> Self {
-        self.cfg.pipeline = pipeline;
-        self
-    }
-
-    /// Sets the traffic calls folded per epoch.
-    #[must_use]
-    pub fn epoch_calls(mut self, calls: usize) -> Self {
-        self.cfg.epoch_calls = calls;
-        self
-    }
-
-    /// Sets the PMU drain batch size.
-    #[must_use]
-    pub fn batch_samples(mut self, samples: usize) -> Self {
-        self.cfg.batch_samples = samples;
-        self
-    }
-
-    /// Sets the per-version resident context-node cap (`0` = unbounded).
-    #[must_use]
-    pub fn resident_cap(mut self, cap: usize) -> Self {
-        self.cfg.resident_cap = cap;
-        self
-    }
-
-    /// Sets the bounded refresh-queue depth.
-    #[must_use]
-    pub fn refresh_queue_cap(mut self, cap: usize) -> Self {
-        self.cfg.refresh_queue_cap = cap;
-        self
-    }
-
-    /// Sets the snapshot wire format for the mid-stream self-check.
-    #[must_use]
-    pub fn snapshot_format(mut self, format: SnapshotFormat) -> Self {
-        self.cfg.snapshot_format = format;
-        self
-    }
-
-    /// Enables or disables the mid-stream snapshot self-check.
-    #[must_use]
-    pub fn snapshot_check(mut self, check: bool) -> Self {
-        self.cfg.snapshot_check = check;
-        self
-    }
-
-    /// Validates and returns the configuration.
-    ///
-    /// # Errors
-    ///
-    /// See [`FleetConfig::validate`].
-    pub fn build(self) -> Result<FleetConfig, FleetError> {
-        self.cfg.validate()?;
-        Ok(self.cfg)
     }
 }
 
@@ -537,8 +441,6 @@ pub enum FleetEvent {
         tenant: TenantId,
         /// Version label checked.
         version: String,
-        /// Wire format that was persisted.
-        format: SnapshotFormat,
         /// Snapshot payload size.
         bytes: usize,
     },
@@ -676,7 +578,7 @@ impl<'b> FleetService<'b> {
     }
 
     /// Runs the calibration epoch on every tenant-version: the first
-    /// `epoch_calls` train requests pin each version's tail-call graph,
+    /// epoch of train requests pins each version's tail-call graph,
     /// and the calibration samples become `epoch-0`.
     ///
     /// # Errors
@@ -903,11 +805,11 @@ impl TenantRt<'_> {
             events.push(FleetEvent::Epoch(event));
 
             // Mid-stream snapshot→restore self-check, once per version
-            // (the epoch invariant, live).
-            if cfg.snapshot_check && !v.snapshot_checked {
+            // (the epoch invariant, live), in the production wire format.
+            if !v.snapshot_checked {
                 v.snapshot_checked = true;
                 let agg = v.agg.as_ref().expect("served above");
-                let bytes = agg.snapshot_as(cfg.snapshot_format);
+                let bytes = agg.snapshot_as(SnapshotFormat::Binary);
                 let restored = StreamAggregator::restore_from(
                     v.binary,
                     cfg.pipeline.stream.clone(),
@@ -925,7 +827,6 @@ impl TenantRt<'_> {
                 events.push(FleetEvent::SnapshotChecked {
                     tenant: self.id,
                     version: v.label.clone(),
-                    format: cfg.snapshot_format,
                     bytes: bytes.len(),
                 });
             }
@@ -946,10 +847,10 @@ impl TenantRt<'_> {
 }
 
 impl VersionRt<'_> {
-    /// The one epoch path: serve calls → drain the PMU in `batch_samples`
+    /// The one epoch path: serve calls → drain the PMU in `BATCH_SAMPLES`
     /// batches, as a collector daemon would → seal → enforce the resident
     /// cap → report. A train epoch (`epoch-N`) serves this version's next
-    /// `epoch_calls` train requests; the drift probe serves the whole eval
+    /// `EPOCH_CALLS` train requests; the drift probe serves the whole eval
     /// stream. The first epoch of a version finds no aggregator: its
     /// samples pin the tail-call graph the aggregator is then made with.
     fn serve_epoch(
@@ -959,10 +860,15 @@ impl VersionRt<'_> {
         workload: &Workload,
         drift_probe: bool,
     ) -> Result<EpochEvent, FleetError> {
+        /// Traffic calls folded per train epoch.
+        const EPOCH_CALLS: usize = 4;
+        /// PMU drain granularity: samples pulled off a machine per batch.
+        const BATCH_SAMPLES: usize = 256;
+
         let calls: Vec<&Vec<i64>> = if drift_probe {
             workload.eval_calls.iter().collect()
         } else {
-            let end = (self.cursor + cfg.epoch_calls).min(self.train_idx.len());
+            let end = (self.cursor + EPOCH_CALLS).min(self.train_idx.len());
             let served = &self.train_idx[self.cursor..end];
             self.cursor = end;
             served.iter().map(|&i| &workload.train_calls[i]).collect()
@@ -988,7 +894,7 @@ impl VersionRt<'_> {
         }
         let agg = self.agg.as_mut().expect("made above");
         while self.machine.pending_samples() > 0 {
-            agg.push_batch(self.machine.take_sample_batch(cfg.batch_samples))?;
+            agg.push_batch(self.machine.take_sample_batch(BATCH_SAMPLES))?;
         }
         let summary = agg.seal_epoch();
         let evicted_this_epoch = self.enforce_cap(cfg, summary.epoch);
@@ -1079,23 +985,32 @@ fn serve(n, mode) {
             name,
             src,
             "serve",
-            vec![vec![60, 1]; 8],
+            vec![vec![60, 1]; 16],
             vec![vec![60, 1]; 2],
         )
     }
 
     #[test]
-    fn builder_validates_knobs() {
-        assert!(FleetConfig::builder().build().is_ok());
+    fn compile_rejects_invalid_configs_however_they_were_built() {
+        let spec = TenantSpec::single_version(TenantId(1), tiny_workload("w"));
+        let bad_pipeline = PipelineConfig {
+            sample_period: 0,
+            ..PipelineConfig::default()
+        };
         for bad in [
-            FleetConfig::builder().epoch_calls(0).build(),
-            FleetConfig::builder().batch_samples(0).build(),
-            FleetConfig::builder().refresh_queue_cap(0).build(),
+            FleetConfig {
+                refresh_queue_cap: 0,
+                ..FleetConfig::default()
+            },
+            FleetConfig {
+                pipeline: bad_pipeline,
+                ..FleetConfig::default()
+            },
         ] {
-            match bad {
-                Err(FleetError::InvalidConfig(_)) => {}
-                other => panic!("expected InvalidConfig, got {other:?}"),
-            }
+            let err = FleetBinaries::compile(std::slice::from_ref(&spec), &bad)
+                .map(|_| ())
+                .unwrap_err();
+            assert!(matches!(err, FleetError::InvalidConfig(_)), "{err}");
         }
     }
 
@@ -1124,10 +1039,7 @@ fn serve(n, mode) {
 
     #[test]
     fn fleet_serves_tenants_and_reports_stats() {
-        let cfg = FleetConfig::builder()
-            .epoch_calls(2)
-            .build()
-            .expect("valid config");
+        let cfg = FleetConfig::default();
         let specs = vec![
             TenantSpec::single_version(TenantId(1), tiny_workload("alpha")),
             TenantSpec::single_version(TenantId(2), tiny_workload("beta")),
@@ -1145,7 +1057,7 @@ fn serve(n, mode) {
         assert_eq!(stats.versions, 2);
         assert!(stats.total_samples > 0);
         assert!(stats.resident_contexts > 0);
-        // 8 train calls at 2/epoch = 1 calibration + 3 steady rounds,
+        // 16 train calls at 4/epoch = 1 calibration + 3 steady rounds,
         // plus the drift probe, per tenant.
         assert_eq!(stats.epochs_sealed, 10);
         let snapshot_checks = run
@@ -1160,7 +1072,7 @@ fn serve(n, mode) {
 
     #[test]
     fn resident_cap_bounds_the_store_and_conserves_weight() {
-        let uncapped = FleetConfig::builder().epoch_calls(2).build().unwrap();
+        let uncapped = FleetConfig::default();
         let spec = TenantSpec::single_version(TenantId(7), tiny_workload("capped"));
         let binaries = FleetBinaries::compile(std::slice::from_ref(&spec), &uncapped).unwrap();
         let mut service = FleetService::new(&binaries, uncapped.clone());
@@ -1170,11 +1082,10 @@ fn serve(n, mode) {
         assert!(full_nodes > 2, "need a trie worth evicting from");
 
         let cap = full_nodes - 1;
-        let capped = FleetConfig::builder()
-            .epoch_calls(2)
-            .resident_cap(cap)
-            .build()
-            .unwrap();
+        let capped = FleetConfig {
+            resident_cap: cap,
+            ..FleetConfig::default()
+        };
         let binaries = FleetBinaries::compile(&[spec], &capped).unwrap();
         let mut service = FleetService::new(&binaries, capped);
         let run = service.run().unwrap();
@@ -1205,7 +1116,7 @@ fn serve(n, mode) {
 
     #[test]
     fn canary_split_serves_and_is_rejected_when_malformed() {
-        let cfg = FleetConfig::builder().epoch_calls(2).build().unwrap();
+        let cfg = FleetConfig::default();
         let w = tiny_workload("canary");
         let spec = TenantSpec {
             id: TenantId(4),
@@ -1223,8 +1134,8 @@ fn serve(n, mode) {
         assert!(binaries.binary(TenantId(4), "missing").is_none());
         let mut service = FleetService::new(&binaries, cfg.clone());
         let run = service.run().unwrap();
-        // 8 train calls split 4/4 at 2/epoch: calibration + 1 steady round
-        // + drift probe per version.
+        // 16 train calls split 8/8 at 4/epoch: calibration + 1 steady
+        // round + drift probe per version.
         assert_eq!(run.stats.epochs_sealed, 6);
         assert!(service.aggregator(TenantId(4), "stable").is_some());
         assert!(service.aggregator(TenantId(4), "canary").is_some());
@@ -1248,12 +1159,11 @@ fn serve(n, mode) {
         };
         let mut pipeline = PipelineConfig::default();
         pipeline.stream.drift_threshold = 0.95;
-        let cfg = FleetConfig::builder()
-            .pipeline(pipeline)
-            .epoch_calls(2)
-            .refresh_queue_cap(1)
-            .build()
-            .unwrap();
+        let cfg = FleetConfig {
+            pipeline,
+            refresh_queue_cap: 1,
+            ..FleetConfig::default()
+        };
         let specs = vec![
             TenantSpec::single_version(TenantId(1), mk("drift_a")),
             TenantSpec::single_version(TenantId(2), mk("drift_b")),

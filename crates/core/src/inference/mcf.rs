@@ -23,8 +23,8 @@
 //!   with no reachable exit at all (an infinite loop, possible in synthetic
 //!   property-test CFGs but not from the language frontend) has no
 //!   flow-consistent profile — the entry flow can never drain — so the
-//!   solver declines (`solve` returns `None`) and the caller falls back
-//!   to the heuristic rather than inventing a leak point.
+//!   solver declines (`solve` returns `None`) and the caller keeps the
+//!   measured counts rather than inventing a leak point.
 //!
 //! Measured weights enter as *pseudo-flow*: each block arc is pre-loaded
 //! with `w` units, recorded as node imbalances (excess `+w` at out(b),
@@ -196,8 +196,8 @@ impl FlowNet {
 }
 
 /// Solves min-cost-flow inference for one function. Returns `None` when the
-/// CFG has no blocks or the network is infeasible (the caller falls back to
-/// the heuristic).
+/// CFG has no blocks or the network is infeasible (the caller keeps the
+/// measured counts and records the decline).
 pub(crate) fn solve(
     func: &Function,
     raw: &HashMap<BlockId, u64>,

@@ -22,7 +22,7 @@
 //! * [`tailcall`] — the missing-frame inferrer for tail-call-broken stacks;
 //! * [`inference`] — profile inference (min-cost-flow flow-conservation
 //!   repair — real Profi — used by *all* sampling variants, per the paper's
-//!   setup, with the old local fixpoint heuristic as a selectable fallback);
+//!   setup);
 //! * [`preinline`] — **Algorithms 2 and 3**: the context-sensitive
 //!   pre-inliner with binary-extracted size estimates;
 //! * [`annotate`] — applying profiles onto fresh IR, replaying inline
@@ -68,8 +68,8 @@ pub mod unwind;
 pub mod workload;
 
 pub use fleet::{
-    EpochEvent, FleetBinaries, FleetConfig, FleetConfigBuilder, FleetError, FleetEvent, FleetRun,
-    FleetService, FleetStats, RefreshEvent, TenantId, TenantSpec, TrafficShare, VersionSpec,
+    EpochEvent, FleetBinaries, FleetConfig, FleetError, FleetEvent, FleetRun, FleetService,
+    FleetStats, RefreshEvent, TenantId, TenantSpec, TrafficShare, VersionSpec,
 };
 pub use pipeline::{
     run_pgo_cycle, PgoOutcome, PgoVariant, PipelineConfig, PipelineConfigBuilder, PipelineError,

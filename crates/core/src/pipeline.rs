@@ -83,9 +83,11 @@ impl fmt::Display for PgoVariant {
 
 /// Pipeline configuration.
 ///
-/// Construct via [`PipelineConfig::default`] (always valid) or the
-/// validating [`PipelineConfig::builder`], which rejects inconsistent
-/// combinations up front instead of letting them fail deep inside a cycle.
+/// Fields are public: start from [`PipelineConfig::default`] (always valid)
+/// and assign, or chain the few [`PipelineConfig::builder`] shorthands.
+/// Either way [`PipelineConfig::validate`] runs where a configuration is
+/// consumed ([`run_pgo_cycle_drifted`], `FleetBinaries::compile`), so
+/// validity does not depend on how the struct was built.
 #[derive(Clone, Debug)]
 pub struct PipelineConfig {
     /// Optimizer knobs (shared across variants for fair comparison).
@@ -209,10 +211,9 @@ impl PipelineConfig {
     }
 }
 
-/// Validating builder for [`PipelineConfig`].
-///
-/// Every setter overwrites one field; [`PipelineConfigBuilder::build`]
-/// validates the combination and returns
+/// Chaining shorthands for [`PipelineConfig`], one per field some caller
+/// overrides in an expression; everything else is a public field.
+/// [`PipelineConfigBuilder::build`] validates the combination and returns
 /// [`PipelineError::InvalidConfig`] on inconsistency.
 #[derive(Clone, Debug)]
 pub struct PipelineConfigBuilder {
@@ -220,28 +221,7 @@ pub struct PipelineConfigBuilder {
 }
 
 impl PipelineConfigBuilder {
-    /// Sets the optimizer knobs.
-    #[must_use]
-    pub fn opt(mut self, opt: OptConfig) -> Self {
-        self.cfg.opt = opt;
-        self
-    }
-
-    /// Sets the code-generation knobs.
-    #[must_use]
-    pub fn codegen(mut self, codegen: CodegenConfig) -> Self {
-        self.cfg.codegen = codegen;
-        self
-    }
-
-    /// Sets the annotation / replay knobs.
-    #[must_use]
-    pub fn annotate(mut self, annotate: AnnotateConfig) -> Self {
-        self.cfg.annotate = annotate;
-        self
-    }
-
-    /// Sets the stale-profile handling mode (`off | report | recover`) —
+    /// Sets the stale-profile handling mode (`off | recover`) —
     /// shorthand for overriding just that field of the annotate knobs.
     #[must_use]
     pub fn stale_matching(mut self, mode: crate::stalematch::StaleMatching) -> Self {
@@ -249,18 +229,11 @@ impl PipelineConfigBuilder {
         self
     }
 
-    /// Sets the profile-inference algorithm (`off | heuristic | mcf`) —
+    /// Sets the profile-inference algorithm (`off | mcf`) —
     /// shorthand for overriding just that field of the annotate knobs.
     #[must_use]
     pub fn inference(mut self, mode: crate::inference::InferenceMode) -> Self {
         self.cfg.annotate.inference = mode;
-        self
-    }
-
-    /// Sets the pre-inliner knobs.
-    #[must_use]
-    pub fn preinline(mut self, preinline: PreInlineConfig) -> Self {
-        self.cfg.preinline = preinline;
         self
     }
 
@@ -280,13 +253,6 @@ impl PipelineConfigBuilder {
         self
     }
 
-    /// Sets the cold-context trimming threshold.
-    #[must_use]
-    pub fn trim_threshold(mut self, threshold: u64) -> Self {
-        self.cfg.trim_threshold = threshold;
-        self
-    }
-
     /// Sets the PMU sampling period in cycles.
     #[must_use]
     pub fn sample_period(mut self, period: u64) -> Self {
@@ -294,31 +260,10 @@ impl PipelineConfigBuilder {
         self
     }
 
-    /// Sets the LBR depth.
-    #[must_use]
-    pub fn lbr_size(mut self, size: usize) -> Self {
-        self.cfg.lbr_size = size;
-        self
-    }
-
-    /// Enables or disables precise sampling (PEBS).
-    #[must_use]
-    pub fn pebs(mut self, pebs: bool) -> Self {
-        self.cfg.pebs = pebs;
-        self
-    }
-
     /// Sets the deterministic seed.
     #[must_use]
     pub fn seed(mut self, seed: u64) -> Self {
         self.cfg.seed = seed;
-        self
-    }
-
-    /// Sets the simulator step budget per run.
-    #[must_use]
-    pub fn max_steps(mut self, max_steps: u64) -> Self {
-        self.cfg.max_steps = max_steps;
         self
     }
 
@@ -352,8 +297,8 @@ pub enum PipelineError {
     Compile(csspgo_lang::CompileError),
     /// The simulator failed.
     Sim(csspgo_sim::SimError),
-    /// A configuration combination rejected by the builder
-    /// ([`PipelineConfig::validate`]).
+    /// A configuration combination rejected by
+    /// [`PipelineConfig::validate`].
     InvalidConfig(String),
     /// Malformed profile or snapshot text.
     Profile(crate::textprof::ParseError),
@@ -774,8 +719,8 @@ pub fn optimized_build(
 ///
 /// # Errors
 ///
-/// Returns [`PipelineError`] if the source fails to compile or a simulation
-/// exceeds its budget.
+/// Returns [`PipelineError`] if `config` is invalid, the source fails to
+/// compile or a simulation exceeds its budget.
 pub fn run_pgo_cycle(
     workload: &Workload,
     variant: PgoVariant,
@@ -791,14 +736,15 @@ pub fn run_pgo_cycle(
 ///
 /// # Errors
 ///
-/// Returns [`PipelineError`] if either source fails to compile or a
-/// simulation exceeds its budget.
+/// Returns [`PipelineError`] if `config` is invalid, either source fails to
+/// compile or a simulation exceeds its budget.
 pub fn run_pgo_cycle_drifted(
     workload: &Workload,
     variant: PgoVariant,
     config: &PipelineConfig,
     build_source: &str,
 ) -> Result<PgoOutcome, PipelineError> {
+    config.validate()?;
     let mut outcome = PgoOutcome::empty(variant);
     let shards = config.ingest_shards;
 
@@ -984,6 +930,8 @@ fn score(n) {
             let o = run_pgo_cycle(&w, v, &cfg).unwrap();
             assert!(o.profiling.samples > 0, "{v} must sample");
             assert!(o.annotate_stats.annotated > 0, "{v} must annotate");
+            assert!(o.annotate_stats.inference.functions > 0, "{v} must infer");
+            assert_eq!(o.annotate_stats.inference.declined, 0, "{v}");
             assert!(!o.quality_counts.is_empty(), "{v} must snapshot quality");
         }
     }
@@ -1071,41 +1019,40 @@ fn score(n) {
     }
 
     #[test]
-    fn builder_accepts_valid_and_rejects_invalid_combos() {
+    fn validate_accepts_valid_and_rejects_invalid_combos() {
         let cfg = PipelineConfig::builder()
             .sample_period(97)
             .ingest_shards(4)
-            .trim_threshold(8)
             .build()
             .expect("valid combo");
         assert_eq!(cfg.sample_period, 97);
         assert_eq!(cfg.ingest_shards, 4);
 
-        for bad in [
-            PipelineConfig::builder().sample_period(0).build(),
-            PipelineConfig::builder().lbr_size(1).build(),
-            PipelineConfig::builder().max_steps(0).build(),
-            PipelineConfig::builder()
-                .ingest_shards(MAX_INGEST_SHARDS + 1)
-                .build(),
-            PipelineConfig::builder()
-                .stream(StreamConfig {
-                    drift_threshold: 1.5,
-                    ..StreamConfig::default()
-                })
-                .build(),
-            PipelineConfig::builder()
-                .stream(StreamConfig {
-                    max_pending_samples: 0,
-                    ..StreamConfig::default()
-                })
-                .build(),
+        let bad = |edit: fn(&mut PipelineConfig)| {
+            let mut cfg = PipelineConfig::default();
+            edit(&mut cfg);
+            cfg
+        };
+        let w = tiny_workload();
+        for cfg in [
+            bad(|c| c.sample_period = 0),
+            bad(|c| c.lbr_size = 1),
+            bad(|c| c.max_steps = 0),
+            bad(|c| c.ingest_shards = MAX_INGEST_SHARDS + 1),
+            bad(|c| c.stream.drift_threshold = 1.5),
+            bad(|c| c.stream.max_pending_samples = 0),
         ] {
-            let err = bad.expect_err("combo must be rejected");
-            assert!(
-                matches!(err, PipelineError::InvalidConfig(_)),
-                "wrong error: {err}"
-            );
+            // Rejected the same way whether the struct came through the
+            // builder or was assigned field by field and handed to a cycle.
+            for err in [
+                cfg.validate().expect_err("combo must be rejected"),
+                run_pgo_cycle(&w, PgoVariant::O2, &cfg).expect_err("cycle must reject it"),
+            ] {
+                assert!(
+                    matches!(err, PipelineError::InvalidConfig(_)),
+                    "wrong error: {err}"
+                );
+            }
         }
 
         // `Default` stays valid by construction.
@@ -1117,18 +1064,14 @@ fn score(n) {
         use crate::inference::InferenceMode;
         let cfg = PipelineConfig::builder()
             .sample_period(61)
-            .inference(InferenceMode::Heuristic)
+            .inference(InferenceMode::Off)
             .build()
             .expect("valid combo");
-        assert_eq!(cfg.annotate.inference, InferenceMode::Heuristic);
+        assert_eq!(cfg.annotate.inference, InferenceMode::Off);
         assert_eq!(
             PipelineConfig::default().annotate.inference,
             InferenceMode::Mcf,
             "mcf is the default, per the paper's always-on Profi"
         );
-
-        let w = tiny_workload();
-        let o = run_pgo_cycle(&w, PgoVariant::CsspgoFull, &quick_config()).unwrap();
-        assert!(o.annotate_stats.inference.functions > 0);
     }
 }

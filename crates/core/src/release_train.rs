@@ -18,8 +18,8 @@
 //! The per-release **pgo** point is built from the *live* stable-version
 //! profile ([`crate::stream::StreamAggregator::context_snapshot`] →
 //! pre-inliner →
-//! binprof hand-off → [`optimized_build`] under the configured
-//! stale-matching + inference modes), so the whole
+//! binprof hand-off → [`optimized_build`] under
+//! [`StaleMatching::Recover`] + MCF inference), so the whole
 //! stream/stalematch/inference stack is on the measured path. Retention
 //! is reported signed against the `-O2` baseline:
 //! `(o2 − x) / (o2 − oracle) × 100`.
@@ -85,41 +85,15 @@ impl ReleaseSpec {
 }
 
 /// Train-harness knobs.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct TrainConfig {
     /// The fleet service every release serves traffic through. Its
     /// `pipeline.stream.drift_threshold` decides when the watchdog fires.
     pub fleet: FleetConfig,
-    /// Canary gate: the candidate is promoted only if its eval cycles are
-    /// ≤ `same-source -O2 × (1 + tolerance/100)` — the profile must not
-    /// make the build meaningfully slower than not profiling at all.
-    pub canary_tolerance_pct: f64,
-    /// Stale-matching mode of the live-profile candidate build (the
-    /// "pgo" curve). The floor always uses [`StaleMatching::Off`].
-    pub refresh_matching: StaleMatching,
-    /// Inference mode of both the candidate and floor builds.
-    pub refresh_inference: InferenceMode,
-    /// Diurnal phase length in releases: release `i` rotates the train
-    /// stream by `((i+1) mod period) / period` of its length, so the hot
-    /// context mix shifts between releases. `0` disables rotation.
-    pub diurnal_period: usize,
     /// Corrupts the profile handed to this release's candidate build
     /// (hot/cold inversion, inline plan dropped) — the canary gate must
     /// reject it.
     pub sabotage_release: Option<usize>,
-}
-
-impl Default for TrainConfig {
-    fn default() -> Self {
-        TrainConfig {
-            fleet: FleetConfig::default(),
-            canary_tolerance_pct: 5.0,
-            refresh_matching: StaleMatching::Recover,
-            refresh_inference: InferenceMode::Mcf,
-            diurnal_period: 4,
-            sabotage_release: None,
-        }
-    }
 }
 
 /// The canary verdict of one release.
@@ -277,15 +251,17 @@ pub fn run_release_train(
             .map_err(|e| FleetError::Pipeline(PipelineError::from(e)))?,
     );
 
+    // The live-profile candidate (the "pgo" curve) recovers stale
+    // functions; the floor drops them. Both infer with MCF.
     let with_matching = |stale_matching| PipelineConfig {
         annotate: AnnotateConfig {
             stale_matching,
-            inference: cfg.refresh_inference,
+            inference: InferenceMode::Mcf,
             ..pipe.annotate
         },
         ..pipe.clone()
     };
-    let live_pipe = with_matching(cfg.refresh_matching);
+    let live_pipe = with_matching(StaleMatching::Recover);
     let floor_pipe = with_matching(StaleMatching::Off);
 
     // The train's starting point: v0 optimized from its own live profile.
@@ -312,15 +288,17 @@ pub fn run_release_train(
             )));
         }
 
-        // Diurnal traffic: rotate the stream so hot contexts shift
-        // between releases (eval traffic stays pinned, so the drift probe
-        // compares against a stable reference mix).
+        // Diurnal traffic: release `i` rotates the stream by
+        // `((i+1) mod period) / period` of its length, so hot contexts
+        // shift between releases (eval traffic stays pinned, so the drift
+        // probe compares against a stable reference mix).
+        /// Diurnal phase length in releases.
+        const DIURNAL_PERIOD: usize = 4;
         let mut traffic = workload.clone();
         let len = traffic.train_calls.len();
-        if cfg.diurnal_period > 0 && len > 0 {
-            let offset = ((ri + 1) % cfg.diurnal_period) * len / cfg.diurnal_period;
-            traffic.train_calls.rotate_left(offset);
-        }
+        traffic
+            .train_calls
+            .rotate_left(((ri + 1) % DIURNAL_PERIOD) * len / DIURNAL_PERIOD);
 
         // Live serving across the release: stable + candidate split the
         // stream; the watchdog's refresh path builds the new source.
@@ -421,9 +399,11 @@ pub fn run_release_train(
         // ships, but a profile that makes the optimized build slower
         // than not profiling at all (beyond tolerance) cannot. Behaviour
         // must also hash-match the -O2 reference.
+        /// The candidate may be at most this much slower than its `-O2`.
+        const CANARY_TOLERANCE_PCT: f64 = 5.0;
         let behavior_ok = pgo_hash == o2.eval_result_hash;
         let cycles_ok =
-            (pgo_cycles as f64) <= o2_cycles as f64 * (1.0 + cfg.canary_tolerance_pct / 100.0);
+            (pgo_cycles as f64) <= o2_cycles as f64 * (1.0 + CANARY_TOLERANCE_PCT / 100.0);
         let promoted = behavior_ok && cycles_ok;
 
         reports.push(ReleaseReport {

@@ -58,9 +58,6 @@ pub enum StaleMatching {
     /// Today's behaviour: drop every mismatched function's counts.
     #[default]
     Off,
-    /// Run the matcher for reporting (lints, `csspgo_diff`) but still drop
-    /// the counts at annotation time.
-    Report,
     /// Consume the recovered counts instead of zeroing them.
     Recover,
 }

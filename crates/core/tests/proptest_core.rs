@@ -64,13 +64,19 @@ proptest! {
             raw.insert(BlockId::from_index(i), r as u64);
         }
         let entry_count = 1000u64;
-        let rep = infer_counts(f, &raw, entry_count, InferenceMode::Mcf).counts;
-        // The entry receives at least the entry flow.
-        prop_assert!(rep[&f.entry] >= entry_count, "entry {} < {entry_count}", rep[&f.entry]);
-        // No repaired count is absurdly larger than total possible flow
-        // (entry * trip-cap); the cap in the inference is 4096.
-        for (&b, &c) in &rep {
-            prop_assert!(c <= entry_count.saturating_mul(1 << 20), "{b} exploded: {c}");
+        let res = infer_counts(f, &raw, entry_count, InferenceMode::Mcf);
+        let rep = res.counts;
+        if res.edges.is_some() {
+            // The entry receives at least the entry flow.
+            prop_assert!(rep[&f.entry] >= entry_count, "entry {} < {entry_count}", rep[&f.entry]);
+            // No repaired count is absurdly larger than total possible flow.
+            for (&b, &c) in &rep {
+                prop_assert!(c <= entry_count.saturating_mul(1 << 20), "{b} exploded: {c}");
+            }
+        } else {
+            // Declined (no reachable return): measured counts pass through.
+            prop_assert_eq!(res.stats.declined, 1);
+            prop_assert_eq!(&rep, &raw);
         }
         // Deterministic.
         let rep2 = infer_counts(f, &raw, entry_count, InferenceMode::Mcf).counts;
@@ -85,7 +91,14 @@ proptest! {
         for (i, &r) in raws.iter().enumerate() {
             raw.insert(BlockId::from_index(i), r as u64);
         }
-        let rep = infer_counts(f, &raw, 500, InferenceMode::Mcf).counts;
+        let res = infer_counts(f, &raw, 500, InferenceMode::Mcf);
+        let rep = res.counts;
+        if res.edges.is_none() {
+            // Declined (no reachable return): nothing is conserved, the
+            // measured counts pass through.
+            prop_assert_eq!(&rep, &raw);
+            return Ok(());
+        }
         let preds = cfg::predecessors(f);
         let dom = csspgo_ir::dom::Dominators::compute(f);
         for (b, _) in f.iter_blocks() {

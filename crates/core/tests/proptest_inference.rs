@@ -1,7 +1,7 @@
 //! Property tests for min-cost-flow profile inference: Kirchhoff
 //! conservation on arbitrary corrupted inputs, entry-flow conservation,
-//! bit-determinism, and a differential pin of `mcf` against the `heuristic`
-//! reference on already-consistent profiles.
+//! bit-determinism, raw pass-through of declined (exit-free) functions, and
+//! exactness on already-consistent profiles.
 
 use csspgo_core::inference::{infer_counts, InferenceMode};
 use csspgo_ir::builder::ModuleBuilder;
@@ -51,8 +51,7 @@ fn cfg_strategy() -> impl Strategy<Value = (usize, Vec<(u8, u8, u8)>, Vec<u16>)>
 
 /// Tree-shaped CFG (every block has exactly one predecessor) plus exactly
 /// flow-consistent counts derived by splitting the entry flow at each
-/// conditional. Trees keep the heuristic's branch-weight signal clean, so
-/// the differential bound can be tight.
+/// conditional.
 fn build_consistent_tree(shapes: &[(u8, u8)], entry_flow: u64) -> (Module, HashMap<BlockId, u64>) {
     let budget = shapes.len();
     let mut mb = ModuleBuilder::new("prop");
@@ -116,8 +115,12 @@ proptest! {
         prop_assert_eq!(
             res.edges.is_some(),
             has_exit,
-            "mcf solves iff a reachable exit exists (else heuristic fallback)"
+            "mcf solves iff a reachable exit exists (else it declines)"
         );
+        prop_assert_eq!(res.stats.declined, u64::from(!has_exit));
+        if !has_exit {
+            prop_assert_eq!(&res.counts, &raw, "a declined function keeps its measured counts");
+        }
 
         if let Some(edge_counts) = &res.edges {
             let out_sum = |b: BlockId| -> u64 {
@@ -149,11 +152,9 @@ proptest! {
     }
 
     /// On already-consistent profiles MCF is a zero-cost no-op: it must
-    /// reproduce the input exactly, and the heuristic must stay within a
-    /// small relative error of it (the differential pin that keeps the
-    /// fallback honest).
+    /// reproduce the input exactly.
     #[test]
-    fn mcf_exact_and_heuristic_close_on_consistent_inputs(
+    fn mcf_is_exact_on_consistent_inputs(
         shapes in prop::collection::vec((any::<u8>(), any::<u8>()), 1..12),
         entry_flow in 1u64..50_000,
     ) {
@@ -166,15 +167,6 @@ proptest! {
         prop_assert_eq!(mcf.stats.residual_cost, 0);
         for (b, &c) in &consistent {
             prop_assert_eq!(mcf.counts[b], c, "exact at {b:?}");
-        }
-
-        let heur = infer_counts(f, &consistent, entry_flow, InferenceMode::Heuristic);
-        for (b, &c) in &consistent {
-            let h = heur.counts[b];
-            prop_assert!(
-                h.abs_diff(c) <= c / 20 + 2,
-                "heuristic drifted at {b:?}: {h} vs mcf {c}"
-            );
         }
     }
 }

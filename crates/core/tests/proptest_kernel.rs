@@ -7,7 +7,6 @@
 //! every diagnostic counter; and a call on a long-lived unwinder must
 //! return what a fresh unwinder returns for the same samples.
 
-use csspgo_codegen::{lower_module, Binary, CodegenConfig};
 use csspgo_core::ranges::RangeCounts;
 use csspgo_core::shard::sharded_context_profile;
 use csspgo_core::stream::{StreamAggregator, StreamConfig};
@@ -20,42 +19,9 @@ use proptest::prelude::*;
 mod reference_unwind;
 use reference_unwind::reference_unwind;
 
-const SRC: &str = r#"
-fn leaf(x) {
-    if (x % 5 == 0) { return x * 3; }
-    return x - 1;
-}
-fn mid(x) {
-    return leaf(x) + leaf(x + 1);
-}
-fn main(n) {
-    let i = 0;
-    let s = 0;
-    while (i < n) {
-        s = s + mid(i);
-        i = i + 1;
-    }
-    return s;
-}
-"#;
-
-fn probed_binary() -> Binary {
-    let mut m = csspgo_lang::compile(SRC, "kernelprop").unwrap();
-    csspgo_opt::discriminators::run(&mut m);
-    csspgo_opt::probes::run(&mut m);
-    lower_module(&m, &CodegenConfig::default())
-}
-
-/// A strategy for raw addresses: mostly instruction starts (mapped from a
-/// flat index), sometimes arbitrary garbage the lookup must reject.
-fn addr_strategy(n_insts: usize) -> BoxedStrategy<u64> {
-    let n = n_insts as u64;
-    prop_oneof![
-        8 => (0..n).prop_map(|i| i), // resolved to addr_of later
-        1 => any::<u64>(),
-    ]
-    .boxed()
-}
+#[path = "../../../tests/common/sample_gen.rs"]
+mod sample_gen;
+use sample_gen::{addr_strategy, probed_binary, sample_stream_strategy, to_samples, RawSample};
 
 /// An LBR address as `(instruction index, byte offset)`: mostly an
 /// instruction start; otherwise a few bytes into one (mid-instruction, or
@@ -71,26 +37,6 @@ fn lbr_addr_strategy(n_insts: usize) -> BoxedStrategy<(u64, u64)> {
         1 => any::<u64>().prop_map(|a| (a, 0)),
     ]
     .boxed()
-}
-
-fn resolve(binary: &Binary, raw: u64) -> u64 {
-    if (raw as usize) < binary.len() {
-        binary.addr_of(raw as usize)
-    } else {
-        raw
-    }
-}
-
-/// An unresolved sample: `(pc, lbr pairs, stack)`.
-type RawSample = (u64, Vec<(u64, u64)>, Vec<u64>);
-
-/// Sample streams of high entropy: every sample drawn afresh, so hardly any
-/// two are equal.
-fn sample_stream_strategy(n_insts: usize) -> BoxedStrategy<Vec<RawSample>> {
-    let addr = || addr_strategy(n_insts);
-    let lbr = proptest::collection::vec((addr(), addr()), 0..8);
-    let stack = proptest::collection::vec(addr(), 0..6);
-    proptest::collection::vec((addr(), lbr, stack), 0..120).boxed()
 }
 
 /// Sample streams with deliberately *few* distinct shapes, so the kernel's
@@ -119,21 +65,6 @@ fn any_stream_strategy(n_insts: usize) -> BoxedStrategy<Vec<RawSample>> {
         duplicated_stream_strategy(n_insts),
     ]
     .boxed()
-}
-
-fn to_samples(binary: &Binary, raw: &[RawSample]) -> Vec<Sample> {
-    raw.iter()
-        .enumerate()
-        .map(|(i, (pc, lbr, stack))| Sample {
-            cycle: i as u64 * 17,
-            pc: resolve(binary, *pc),
-            lbr: lbr
-                .iter()
-                .map(|&(f, t)| (resolve(binary, f), resolve(binary, t)))
-                .collect(),
-            stack: stack.iter().map(|&a| resolve(binary, a)).collect(),
-        })
-        .collect()
 }
 
 proptest! {

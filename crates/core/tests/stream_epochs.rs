@@ -4,7 +4,7 @@
 //! (golden test), for arbitrary epoch boundaries over arbitrary sample
 //! streams (property test), and across a snapshot→restore→resume cut.
 
-use csspgo_codegen::{lower_module, Binary, CodegenConfig};
+use csspgo_codegen::Binary;
 use csspgo_core::binprof;
 use csspgo_core::context::ContextProfile;
 use csspgo_core::pipeline::PipelineError;
@@ -18,31 +18,9 @@ use proptest::prelude::*;
 mod reference_unwind;
 use reference_unwind::reference_unwind;
 
-const SRC: &str = r#"
-fn leaf(x) {
-    if (x % 5 == 0) { return x * 3; }
-    return x - 1;
-}
-fn mid(x) {
-    return leaf(x) + leaf(x + 1);
-}
-fn main(n) {
-    let i = 0;
-    let s = 0;
-    while (i < n) {
-        s = s + mid(i);
-        i = i + 1;
-    }
-    return s;
-}
-"#;
-
-fn probed_binary() -> Binary {
-    let mut m = csspgo_lang::compile(SRC, "streamprop").unwrap();
-    csspgo_opt::discriminators::run(&mut m);
-    csspgo_opt::probes::run(&mut m);
-    lower_module(&m, &CodegenConfig::default())
-}
+#[path = "../../../tests/common/sample_gen.rs"]
+mod sample_gen;
+use sample_gen::{probed_binary, sample_stream_strategy, to_samples};
 
 /// The batch reference: full-stream RangeCounts + the per-sample reference
 /// unwinder over the whole stream.
@@ -100,50 +78,6 @@ fn golden_incremental_epochs_equal_batch_ingestion() {
         );
         assert_eq!(agg.range_counts(), &rc_ref);
     }
-}
-
-/// A strategy for raw addresses: mostly instruction starts, sometimes
-/// arbitrary garbage the ingestion must tolerate (same shape as the
-/// sharding property tests).
-fn addr_strategy(n_insts: usize) -> BoxedStrategy<u64> {
-    let n = n_insts as u64;
-    prop_oneof![
-        8 => (0..n).prop_map(|i| i),
-        1 => any::<u64>(),
-    ]
-    .boxed()
-}
-
-fn resolve(binary: &Binary, raw: u64) -> u64 {
-    if (raw as usize) < binary.len() {
-        binary.addr_of(raw as usize)
-    } else {
-        raw
-    }
-}
-
-type RawSample = (u64, Vec<(u64, u64)>, Vec<u64>);
-
-fn sample_stream_strategy(n_insts: usize) -> BoxedStrategy<Vec<RawSample>> {
-    let addr = || addr_strategy(n_insts);
-    let lbr = proptest::collection::vec((addr(), addr()), 0..8);
-    let stack = proptest::collection::vec(addr(), 0..6);
-    proptest::collection::vec((addr(), lbr, stack), 0..120).boxed()
-}
-
-fn to_samples(binary: &Binary, raw: &[RawSample]) -> Vec<Sample> {
-    raw.iter()
-        .enumerate()
-        .map(|(i, (pc, lbr, stack))| Sample {
-            cycle: i as u64 * 17,
-            pc: resolve(binary, *pc),
-            lbr: lbr
-                .iter()
-                .map(|&(f, t)| (resolve(binary, f), resolve(binary, t)))
-                .collect(),
-            stack: stack.iter().map(|&a| resolve(binary, a)).collect(),
-        })
-        .collect()
 }
 
 /// Splits `samples` at fractional positions (in permille) drawn by

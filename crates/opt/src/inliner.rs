@@ -292,8 +292,8 @@ pub fn run_bottom_up(module: &mut Module, config: &OptConfig) {
 }
 
 /// The inline heuristic shared by the bottom-up inliner. A call site is hot
-/// when its count reaches the module's relative [`hot_count_cutoff`] (with
-/// `config.hot_callsite_count` acting only as an absolute floor).
+/// when its count reaches the module's relative [`hot_count_cutoff`] (never
+/// below an absolute floor of 2).
 pub fn should_inline(
     callee_size: usize,
     site_count: Option<u64>,

@@ -12,15 +12,14 @@
 //! implicit: the code generator emits the conditional jump toward whichever
 //! successor is not the fall-through.
 
-use crate::OptConfig;
 use csspgo_ir::function::BlockLayout;
 use csspgo_ir::{cfg, BlockId, Function, Module};
 use std::collections::HashMap;
 
-/// Computes layout (and optionally splitting) for every function.
-pub fn run(module: &mut Module, config: &OptConfig) {
+/// Computes layout and hot/cold splitting for every function.
+pub fn run(module: &mut Module) {
     for func in &mut module.functions {
-        let layout = compute_layout(func, config);
+        let layout = compute_layout(func);
         func.layout = Some(layout);
     }
 }
@@ -77,7 +76,7 @@ pub fn ext_tsp_score(func: &Function, order: &[BlockId]) -> f64 {
 }
 
 /// Greedy chain merging + hot/cold splitting for one function.
-pub fn compute_layout(func: &Function, config: &OptConfig) -> BlockLayout {
+pub fn compute_layout(func: &Function) -> BlockLayout {
     let live: Vec<BlockId> = cfg::reverse_post_order(func);
     let has_profile = live.iter().any(|b| func.block(*b).count.is_some());
 
@@ -239,25 +238,12 @@ pub fn compute_layout(func: &Function, config: &OptConfig) -> BlockLayout {
 
     let order: Vec<BlockId> = chain_ids.iter().flat_map(|&i| chains[i].clone()).collect();
 
-    // Hot/cold splitting.
-    if config.enable_split {
-        let mut hot = Vec::new();
-        let mut cold = Vec::new();
-        for b in order {
-            let c = func.block(b).count;
-            if b != func.entry && c.map(|c| c <= config.cold_count_threshold).unwrap_or(false) {
-                cold.push(b);
-            } else {
-                hot.push(b);
-            }
-        }
-        BlockLayout { hot, cold }
-    } else {
-        BlockLayout {
-            hot: order,
-            cold: vec![],
-        }
-    }
+    // Hot/cold splitting: a counted block that never ran goes to the cold
+    // section (the entry stays hot whatever its count).
+    let (cold, hot) = order
+        .into_iter()
+        .partition(|&b| b != func.entry && func.block(b).count == Some(0));
+    BlockLayout { hot, cold }
 }
 
 #[cfg(test)]
@@ -293,7 +279,7 @@ fn f(a) {
     #[test]
     fn hot_successor_becomes_fallthrough() {
         let mut m = annotated();
-        run(&mut m, &OptConfig::default());
+        run(&mut m);
         assert_eq!(verify_module(&m), vec![]);
         let f = &m.functions[0];
         let layout = f.layout.as_ref().unwrap();
@@ -307,7 +293,7 @@ fn f(a) {
         let mut m = annotated();
         // Make the cold arm count 0 so it is split out.
         m.functions[0].block_mut(BlockId(2)).count = Some(0);
-        run(&mut m, &OptConfig::default());
+        run(&mut m);
         let layout = m.functions[0].layout.as_ref().unwrap();
         assert!(layout.cold.contains(&BlockId(2)), "layout: {layout:?}");
         assert_eq!(verify_module(&m), vec![]);
@@ -316,7 +302,7 @@ fn f(a) {
     #[test]
     fn no_profile_keeps_rpo_without_split() {
         let mut m = csspgo_lang::compile(SRC, "t").unwrap();
-        run(&mut m, &OptConfig::default());
+        run(&mut m);
         let layout = m.functions[0].layout.as_ref().unwrap();
         assert!(layout.cold.is_empty());
         assert_eq!(layout.hot[0], m.functions[0].entry);
@@ -341,7 +327,7 @@ fn f(a) {
             m.functions[0].block_mut(bid).count = Some(5);
         }
         m.functions[0].block_mut(BlockId(0)).count = Some(0);
-        run(&mut m, &OptConfig::default());
+        run(&mut m);
         let layout = m.functions[0].layout.as_ref().unwrap();
         assert_eq!(layout.hot[0], BlockId(0));
         assert_eq!(verify_module(&m), vec![]);

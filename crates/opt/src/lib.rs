@@ -47,25 +47,12 @@ pub struct OptConfig {
     pub inline_small_size: usize,
     /// Callee size limit for hot call sites.
     pub inline_hot_size: usize,
-    /// Call-site count at or above which a call site counts as hot.
-    pub hot_callsite_count: u64,
     /// Loop unroll factor.
     pub unroll_factor: u32,
     /// Maximum loop body size (instructions) eligible for unrolling.
     pub unroll_max_body: usize,
     /// Maximum block size (instructions) eligible for tail duplication.
     pub tail_dup_max_insts: usize,
-    /// Block count at or below which a block is placed in the cold section.
-    pub cold_count_threshold: u64,
-    pub enable_tail_dup: bool,
-    pub enable_licm: bool,
-    pub enable_sink: bool,
-    pub enable_inline: bool,
-    pub enable_unroll: bool,
-    pub enable_tail_merge: bool,
-    pub enable_if_convert: bool,
-    pub enable_layout: bool,
-    pub enable_split: bool,
     /// Run the IR verifier and probe-invariant checker after every pass in
     /// [`run_pipeline`], panicking (with every finding) on the first pass
     /// that breaks an invariant. Defaults to on in debug builds, off in
@@ -79,20 +66,9 @@ impl Default for OptConfig {
             probe: ProbeConfig::default(),
             inline_small_size: 14,
             inline_hot_size: 80,
-            hot_callsite_count: 32,
             unroll_factor: 4,
             unroll_max_body: 14,
             tail_dup_max_insts: 4,
-            cold_count_threshold: 0,
-            enable_tail_dup: true,
-            enable_licm: true,
-            enable_sink: true,
-            enable_inline: true,
-            enable_unroll: true,
-            enable_tail_merge: true,
-            enable_if_convert: true,
-            enable_layout: true,
-            enable_split: true,
             interpass_verify: cfg!(debug_assertions),
         }
     }
@@ -150,42 +126,26 @@ pub fn run_pipeline(module: &mut Module, config: &OptConfig) {
     }
     simplify::run(module);
     checkpoint(module, "simplify");
-    if config.enable_tail_dup {
-        tail_dup::run(module, config);
-        simplify::run(module);
-        checkpoint(module, "tail_dup");
-    }
-    if config.enable_licm {
-        licm::run(module, config);
-        checkpoint(module, "licm");
-    }
-    if config.enable_sink {
-        sink::run(module, config);
-        checkpoint(module, "sink");
-    }
-    if config.enable_inline {
-        inliner::run_bottom_up(module, config);
-        simplify::run(module);
-        checkpoint(module, "inline");
-    }
-    if config.enable_unroll {
-        unroll::run(module, config);
-        simplify::run(module);
-        checkpoint(module, "unroll");
-    }
-    if config.enable_tail_merge {
-        tailmerge::run(module);
-        checkpoint(module, "tailmerge");
-    }
-    if config.enable_if_convert {
-        ifconvert::run(module, config);
-        simplify::run(module);
-        checkpoint(module, "ifconvert");
-    }
-    if config.enable_layout {
-        layout::run(module, config);
-        checkpoint(module, "layout");
-    }
+    tail_dup::run(module, config);
+    simplify::run(module);
+    checkpoint(module, "tail_dup");
+    licm::run(module, config);
+    checkpoint(module, "licm");
+    sink::run(module, config);
+    checkpoint(module, "sink");
+    inliner::run_bottom_up(module, config);
+    simplify::run(module);
+    checkpoint(module, "inline");
+    unroll::run(module, config);
+    simplify::run(module);
+    checkpoint(module, "unroll");
+    tailmerge::run(module);
+    checkpoint(module, "tailmerge");
+    ifconvert::run(module, config);
+    simplify::run(module);
+    checkpoint(module, "ifconvert");
+    layout::run(module);
+    checkpoint(module, "layout");
 }
 
 #[cfg(test)]
@@ -193,9 +153,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn default_config_is_fully_enabled() {
+    fn default_inline_limits_are_ordered() {
         let c = OptConfig::default();
-        assert!(c.enable_inline && c.enable_layout && c.enable_tail_merge);
         assert!(c.inline_small_size < c.inline_hot_size);
     }
 

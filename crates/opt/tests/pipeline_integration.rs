@@ -89,30 +89,6 @@ fn f(n) {
 }
 
 #[test]
-fn pipeline_respects_disabled_passes() {
-    let src = r#"
-fn f(n) {
-    let i = 0;
-    let s = 0;
-    while (i < n) { s = s + i; i = i + 1; }
-    return s;
-}
-"#;
-    let mut m = compile(src);
-    let cfg = OptConfig {
-        enable_unroll: false,
-        enable_tail_dup: false,
-        enable_if_convert: false,
-        enable_layout: false,
-        ..OptConfig::default()
-    };
-    csspgo_opt::run_pipeline(&mut m, &cfg);
-    // No layout was computed.
-    assert!(m.functions[0].layout.is_none());
-    assert_eq!(csspgo_ir::verify::verify_module(&m), vec![]);
-}
-
-#[test]
 fn annotated_counts_survive_the_pipeline_on_hot_path() {
     let src = r#"
 fn f(a) {

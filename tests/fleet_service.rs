@@ -4,22 +4,21 @@
 //! resident-context cap must bound every tenant-version's store while
 //! conserving the weight its evictions fold away.
 
-use csspgo::core::fleet::{FleetBinaries, FleetConfig, FleetService, TenantId, TenantSpec};
+use csspgo::core::fleet::{
+    FleetBinaries, FleetConfig, FleetError, FleetService, TenantId, TenantSpec,
+};
 use csspgo::core::pipeline::PipelineConfig;
 use csspgo::workloads::{self, tenant_traffic_mix};
 
 fn fleet_cfg(resident_cap: usize) -> FleetConfig {
-    FleetConfig::builder()
-        .pipeline(
-            PipelineConfig::builder()
-                .sample_period(89)
-                .build()
-                .expect("valid pipeline config"),
-        )
-        .epoch_calls(4)
-        .resident_cap(resident_cap)
-        .build()
-        .expect("valid fleet config")
+    FleetConfig {
+        pipeline: PipelineConfig::builder()
+            .sample_period(89)
+            .build()
+            .expect("valid pipeline config"),
+        resident_cap,
+        ..FleetConfig::default()
+    }
 }
 
 /// Two tenants running the same services real fleets would: the same
@@ -110,5 +109,74 @@ fn resident_cap_bounds_every_tenant_and_conserves_weight() {
             free_agg.context_profile().total(),
             "tenant {id} {version}: eviction lost weight"
         );
+    }
+}
+
+/// No constructible configuration hangs the service. `FleetService::new`
+/// is infallible and never validates, so every row is served both as
+/// `FleetBinaries::compile` would admit it and — where `compile` rejects
+/// it — straight through `new` on binaries compiled under the defaults.
+/// (The two fields that could spin, a zero epoch size and a zero PMU drain
+/// batch, are constants now and cannot be written here.)
+#[test]
+fn extreme_configurations_serve_or_fail_typed_and_never_spin() {
+    type Edit = fn(&mut FleetConfig);
+    let rows: [(&str, Edit); 10] = [
+        ("resident_cap 0", |c| c.resident_cap = 0),
+        ("resident_cap 1", |c| c.resident_cap = 1),
+        ("resident_cap MAX", |c| c.resident_cap = usize::MAX),
+        // The queue rows run with every epoch stale, so the queue is
+        // actually asked: with no slot the refresh is dropped and counted,
+        // with one it runs.
+        ("refresh_queue_cap 0", |c| {
+            c.pipeline.stream.drift_threshold = 1.0;
+            c.refresh_queue_cap = 0;
+        }),
+        ("refresh_queue_cap 1", |c| {
+            c.pipeline.stream.drift_threshold = 1.0;
+            c.refresh_queue_cap = 1;
+        }),
+        ("sample_period 1", |c| c.pipeline.sample_period = 1),
+        ("drift_threshold 0.0", |c| {
+            c.pipeline.stream.drift_threshold = 0.0
+        }),
+        ("drift_threshold 1.0", |c| {
+            c.pipeline.stream.drift_threshold = 1.0
+        }),
+        ("ingest_shards 0", |c| c.pipeline.ingest_shards = 0),
+        ("ingest_shards 7", |c| c.pipeline.ingest_shards = 7),
+    ];
+
+    let spec = TenantSpec::single_version(
+        TenantId(0),
+        tenant_traffic_mix(&workloads::ad_finder().scaled(0.05), 7),
+    );
+    let specs = std::slice::from_ref(&spec);
+    let default_bins = FleetBinaries::compile(specs, &FleetConfig::default()).unwrap();
+
+    for (row, edit) in rows {
+        let mut cfg = FleetConfig::default();
+        edit(&mut cfg);
+        let admitted = match FleetBinaries::compile(specs, &cfg) {
+            Ok(bins) => Some(bins),
+            Err(FleetError::InvalidConfig(_)) => None,
+            Err(e) => panic!("{row}: compile failed untyped for a config error: {e}"),
+        };
+        let bins = admitted.as_ref().unwrap_or(&default_bins);
+        let run = FleetService::new(bins, cfg.clone())
+            .run()
+            .unwrap_or_else(|e| panic!("{row}: {e}"));
+        assert!(run.stats.epochs_sealed >= 2, "{row}: served no traffic");
+        assert!(
+            run.stats.refreshes_triggered <= cfg.refresh_queue_cap,
+            "{row}: more refreshes ran than the queue admits"
+        );
+        if row.starts_with("refresh_queue_cap") {
+            assert_eq!(
+                run.stats.refreshes_triggered + run.stats.refreshes_dropped,
+                1,
+                "{row}: the one stale version is refreshed or counted as dropped"
+            );
+        }
     }
 }
