@@ -20,11 +20,12 @@
 //! context subtrees get folded into base profiles mid-run (weight
 //! conserved — the eviction counters in the report prove the fold).
 //!
-//! Per-tenant epoch rows plus fleet aggregates are written to
-//! `BENCH_profile_fleet.json` (override with `BENCH_PROFILE_FLEET_OUT`);
-//! `CSSPGO_SCALE` scales the traffic.
+//! Per-tenant epoch rows plus fleet aggregates go to stdout and nowhere
+//! else; the run at `CSSPGO_SCALE=0.25` is committed as
+//! `results/profile_fleet.txt` and CI diffs it. `CSSPGO_SCALE` scales the
+//! traffic.
 
-use csspgo_bench::{traffic_scale, write_fleet_bench, FleetBenchRecord, FleetBenchReport};
+use csspgo_bench::traffic_scale;
 use csspgo_core::fleet::{
     FleetBinaries, FleetConfig, FleetEvent, FleetService, TenantId, TenantSpec, VersionSpec,
 };
@@ -118,11 +119,9 @@ fn main() {
         .run()
         .unwrap_or_else(|e| panic!("fleet serve failed: {e}"));
 
-    let mut records = Vec::new();
     for event in &run.events {
         match event {
             FleetEvent::Epoch(e) => {
-                records.push(FleetBenchRecord::epoch(e));
                 println!(
                     "{} {:>12}/{} {:>11}: {:6} samples  {:4} resident  evicted {:3} ({:6} wt)  overlap {:.3}{}",
                     e.tenant,
@@ -148,7 +147,6 @@ fn main() {
                 );
             }
             FleetEvent::Refresh(e) => {
-                records.push(FleetBenchRecord::refresh(e));
                 println!(
                     "{} {:>12}/{} {:>11}: drift refresh, eval {} cycles, {} stale dropped / {} recovered",
                     e.tenant,
@@ -185,10 +183,4 @@ fn main() {
         stats.refreshes_triggered > 0,
         "drifting tenant t2 should have triggered a refresh"
     );
-
-    let path = std::env::var("BENCH_PROFILE_FLEET_OUT")
-        .unwrap_or_else(|_| "BENCH_profile_fleet.json".to_string());
-    let report = FleetBenchReport::new(records, stats);
-    write_fleet_bench(&path, &report).expect("write profile_fleet bench report");
-    println!("wrote {} records to {path}", report.records.len());
 }
