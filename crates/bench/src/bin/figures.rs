@@ -21,39 +21,25 @@ fn main() {
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--list" => return REGISTRY.iter().for_each(|(name, _)| println!("{name}")),
-            "--out" => {
-                out = Some(
-                    args.next()
-                        .unwrap_or_else(|| usage("--out needs a directory")),
-                )
-            }
+            "--out" => out = Some(args.next().unwrap_or_else(|| usage("--out needs DIR"))),
             name if REGISTRY.iter().any(|(known, _)| *known == name) => names.push(arg),
             _ => usage(&format!("no figure or flag {arg:?} (--list names them)")),
         }
     }
-    let selected: Vec<_> = REGISTRY
-        .iter()
-        .filter(|(name, _)| names.is_empty() || names.iter().any(|n| n == name))
-        .collect();
+    let wanted = |name: &str| names.is_empty() || names.iter().any(|n| n == name);
+    let selected = REGISTRY.iter().filter(|(name, _)| wanted(name)).collect();
 
     // Figures run side by side and share the context's outcome matrix;
     // texts come back in registry order.
     let ctx = Ctx::new(traffic_scale());
     let texts = par_map(selected, |(name, figure)| (name, render(&figure(&ctx))));
-    match out {
-        None => print!(
-            "{}",
-            texts
-                .into_iter()
-                .map(|(_, t)| t)
-                .collect::<Vec<_>>()
-                .join("\n")
-        ),
-        Some(dir) => {
-            for (name, text) in texts {
-                let path = Path::new(&dir).join(format!("{name}.txt"));
-                std::fs::write(&path, text)
-                    .unwrap_or_else(|e| panic!("cannot write {}: {e}", path.display()));
+    for (i, (name, text)) in texts.iter().enumerate() {
+        match &out {
+            None => print!("{}{text}", if i > 0 { "\n" } else { "" }),
+            Some(dir) => {
+                let path = Path::new(dir).join(format!("{name}.txt"));
+                let written = std::fs::write(&path, text);
+                written.unwrap_or_else(|e| panic!("cannot write {}: {e}", path.display()));
             }
         }
     }

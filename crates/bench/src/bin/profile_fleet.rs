@@ -20,10 +20,9 @@
 //! context subtrees get folded into base profiles mid-run (weight
 //! conserved — the eviction counters in the report prove the fold).
 //!
-//! Per-tenant epoch rows plus fleet aggregates go to stdout and nowhere
-//! else; the run at `CSSPGO_SCALE=0.25` is committed as
-//! `results/profile_fleet.txt` and CI diffs it. `CSSPGO_SCALE` scales the
-//! traffic.
+//! Per-tenant epoch rows plus fleet aggregates go to stdout only; the run
+//! at `CSSPGO_SCALE=0.25` (which scales the traffic) is committed as
+//! `results/profile_fleet.txt` and CI diffs it.
 
 use csspgo_bench::traffic_scale;
 use csspgo_core::fleet::{

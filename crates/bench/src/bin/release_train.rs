@@ -28,7 +28,7 @@
 //! (override with `BENCH_RELEASE_TRAIN_OUT`); `CSSPGO_SCALE` scales
 //! traffic as in the other bench binaries.
 
-use csspgo_bench::{row, traffic_scale};
+use csspgo_bench::traffic_scale;
 use csspgo_core::fleet::FleetConfig;
 use csspgo_core::pipeline::PipelineConfig;
 use csspgo_core::release_train::{run_release_train, ReleaseSpec, TrainBenchDoc, TrainConfig};
@@ -117,25 +117,23 @@ fn main() {
         for r in &report.releases {
             let fmt_pct =
                 |p: Option<f64>| p.map(|v| format!("{v:+.1}")).unwrap_or_else(|| "-".into());
-            println!(
-                "{}",
-                row(&[
-                    r.label.clone(),
-                    r.mutator.clone(),
-                    r.o2_cycles.to_string(),
-                    r.oracle_cycles.to_string(),
-                    r.pgo_cycles.to_string(),
-                    r.floor_cycles.to_string(),
-                    fmt_pct(r.retained_pct),
-                    fmt_pct(r.floor_retained_pct),
-                    if r.canary.promoted {
-                        "promoted"
-                    } else {
-                        "REJECTED"
-                    }
-                    .to_string(),
-                ])
-            );
+            let cells = [
+                r.label.clone(),
+                r.mutator.clone(),
+                r.o2_cycles.to_string(),
+                r.oracle_cycles.to_string(),
+                r.pgo_cycles.to_string(),
+                r.floor_cycles.to_string(),
+                fmt_pct(r.retained_pct),
+                fmt_pct(r.floor_retained_pct),
+                if r.canary.promoted {
+                    "promoted"
+                } else {
+                    "REJECTED"
+                }
+                .to_string(),
+            ];
+            println!("| {} |", cells.join(" | "));
         }
         println!(
             "train retention: {:+.1}% (never-refresh floor {:+.1}%)",

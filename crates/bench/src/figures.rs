@@ -8,15 +8,13 @@
 //! [`Ctx`]; an ablation runs only the cycles whose configuration differs
 //! from the default.
 
-use crate::{
-    cell, improvement_pct, par_map, profiled, run_variants, size_delta_pct, Cell, Outcomes, Table,
-};
-use csspgo_codegen::lower_module;
+use crate::{improvement_pct, par_map, run_variants, size_delta_pct, Cell, Outcomes, Table};
+use csspgo_codegen::Binary;
 use csspgo_core::overlap::program_overlap;
 use csspgo_core::pipeline::PgoVariant::{self, AutoFdo, CsspgoFull, CsspgoProbeOnly, Instr, O2};
 use csspgo_core::pipeline::{
-    build_and_run, context_profile, prepared_module, probe_only_profile, run_pgo_cycle_drifted,
-    PgoOutcome, PipelineConfig,
+    build_and_run, context_profile, probe_only_profile, profiling_build, profiling_run,
+    run_pgo_cycle_drifted, PipelineConfig, ProfilingRun,
 };
 use csspgo_core::stalematch::StaleMatching;
 use csspgo_core::textprof::probe_profile_nodes;
@@ -60,83 +58,70 @@ pub fn render(tables: &[Table]) -> String {
 }
 
 /// What every figure function is handed: the traffic scale, the default
-/// configuration, the six workloads at that scale and — computed on first
-/// use — the outcome of every variant on each of them.
+/// configuration and — computed on first use — the outcome matrix.
 pub struct Ctx {
     scale: f64,
     cfg: PipelineConfig,
-    /// The five server workloads in the paper's order, then the client one.
-    workloads: Vec<Workload>,
-    matrix: OnceLock<Vec<Outcomes>>,
+    matrix: OnceLock<Vec<(Workload, Outcomes)>>,
 }
 
 impl Ctx {
-    /// A context over the shipped workloads with traffic scaled by `scale`
-    /// (the bin passes [`crate::traffic_scale`]).
+    /// A context whose workloads run `scale` of their traffic (the bin
+    /// passes [`crate::traffic_scale`]).
     pub fn new(scale: f64) -> Ctx {
-        let mut workloads = csspgo_workloads::server_workloads();
-        workloads.push(csspgo_workloads::client_compiler());
-        Ctx {
-            scale,
-            cfg: PipelineConfig::default(),
-            workloads: workloads.iter().map(|w| w.scaled(scale)).collect(),
-            matrix: OnceLock::new(),
-        }
+        let (cfg, matrix) = (PipelineConfig::default(), OnceLock::new());
+        Ctx { scale, cfg, matrix }
     }
 
-    /// Every workload with its default-configuration outcomes.
-    fn matrix(&self) -> impl Iterator<Item = (&Workload, &Outcomes)> {
-        let matrix = self.matrix.get_or_init(|| {
-            par_map(self.workloads.iter().collect(), |w| {
-                run_variants(w, &PgoVariant::ALL, &self.cfg)
+    /// The five server workloads in the paper's order, then the client
+    /// one, each with its outcomes under the default configuration.
+    fn matrix(&self) -> &[(Workload, Outcomes)] {
+        self.matrix.get_or_init(|| {
+            let mut workloads = csspgo_workloads::server_workloads();
+            workloads.push(csspgo_workloads::client_compiler());
+            par_map(workloads, |w| {
+                let w = w.scaled(self.scale);
+                let outcomes = run_variants(&w, &PgoVariant::ALL, &self.cfg);
+                (w, outcomes)
             })
-        });
-        self.workloads.iter().zip(matrix)
+        })
     }
 
     /// The server rows of the matrix.
-    fn servers(&self) -> impl Iterator<Item = (&Workload, &Outcomes)> {
-        self.matrix().take(self.workloads.len() - 1)
+    fn servers(&self) -> &[(Workload, Outcomes)] {
+        let (_client, servers) = self.matrix().split_last().expect("six workloads");
+        servers
     }
 
     /// The matrix row of the workload called `name`.
-    fn one(&self, name: &str) -> (&Workload, &Outcomes) {
-        self.matrix()
-            .find(|(w, _)| w.name == name)
-            .expect("a shipped workload")
+    fn one(&self, name: &str) -> &(Workload, Outcomes) {
+        let row = self.matrix().iter().find(|(w, _)| w.name == name);
+        row.expect("a shipped workload")
     }
 
-    /// Outcomes of `variants` on `w` under `cfg`: the matrix row when `cfg`
-    /// is the default configuration, fresh cycles otherwise. The caller
-    /// says which by comparing the one knob it turned (`PipelineConfig` has
-    /// no `PartialEq`).
-    fn under(
-        &self,
-        w: &Workload,
-        variants: &[PgoVariant],
-        cfg: &PipelineConfig,
-        is_default: bool,
-    ) -> Cow<'_, Outcomes> {
-        if is_default {
-            Cow::Borrowed(self.one(&w.name).1)
-        } else {
-            Cow::Owned(run_variants(w, variants, cfg))
+    /// Outcomes of the variants `vs` on `w` under `cfg`: the matrix row when
+    /// `cfg` is the default configuration (compared through `Debug`, for
+    /// want of a `PartialEq`), fresh cycles otherwise.
+    fn under(&self, w: &Workload, vs: &[PgoVariant], cfg: &PipelineConfig) -> Cow<'_, Outcomes> {
+        if format!("{cfg:?}") == format!("{:?}", self.cfg) {
+            return Cow::Borrowed(&self.one(&w.name).1);
         }
+        Cow::Owned(run_variants(w, vs, cfg))
     }
 
-    /// The default configuration with one field group of the probe tuning
-    /// replaced.
-    fn with_probe(&self, probe: ProbeConfig) -> PipelineConfig {
-        let mut cfg = self.cfg.clone();
-        cfg.opt.probe = probe;
-        cfg
+    /// An empty table headed `# <title>, scale=<scale>` (see [`Table::new`]).
+    fn table(&self, title: &str, header: &str) -> Table {
+        Table::new(format!("# {title}, scale={}", self.scale), header)
     }
 }
 
-/// One cycle whose optimized build compiles `build_source`.
-fn cycle(w: &Workload, v: PgoVariant, cfg: &PipelineConfig, build_source: &str) -> PgoOutcome {
-    run_pgo_cycle_drifted(w, v, cfg, build_source)
-        .unwrap_or_else(|e| panic!("{} / {v}: {e}", w.name))
+/// The probed profiling binary of `w` and the profiling run of its training
+/// traffic under `cfg`: stages 1–2 of the full-CSSPGO cycle.
+fn profiled(w: &Workload, cfg: &PipelineConfig) -> (Binary, ProfilingRun) {
+    let build = profiling_build(&w.source, &w.name, CsspgoFull, cfg).expect("workload compiles");
+    let sim = cfg.sim_config(cfg.sample_period);
+    let run = profiling_run(&build.binary, w, sim).expect("workload runs");
+    (build.binary, run)
 }
 
 /// Evaluation cycles of the probed `-O2` build of `w` (no profile).
@@ -157,44 +142,31 @@ fn probed_o2_cycles(w: &Workload, cfg: &PipelineConfig) -> u64 {
 /// * on HHVM, instrumentation PGO tops the chart and CSSPGO bridges a
 ///   majority of the AutoFDO↔Instr gap (paper: >60%).
 pub fn fig6_perf(ctx: &Ctx) -> Vec<Table> {
-    let mut t = Table::new(
-        format!(
-            "# Fig. 6 — performance vs AutoFDO (positive = faster), scale={}",
-            ctx.scale
-        ),
-        &[
-            "workload",
-            "AutoFDO cycles",
-            "probe-only Δ%",
-            "full CSSPGO Δ%",
-            "Instr PGO Δ%",
-            "probe share of gain",
-        ],
+    let mut t = ctx.table(
+        "Fig. 6 — performance vs AutoFDO (positive = faster)",
+        "workload | AutoFDO cycles | probe-only Δ% {:+.2} | full CSSPGO Δ% {:+.2} | Instr PGO Δ% {:+.2} | probe share of gain {:.0}%",
     );
     for (w, o) in ctx.servers() {
         let base = o[&AutoFdo].eval.cycles;
         let gain = |v| improvement_pct(base, o[&v].eval.cycles);
         let (probe, full, instr) = (gain(CsspgoProbeOnly), gain(CsspgoFull), gain(Instr));
-        let share = if full.abs() > 1e-9 {
-            probe / full * 100.0
-        } else {
-            0.0
-        };
-        t.push(
-            &w.name,
-            vec![
-                cell!(base, "{}"),
-                cell!(probe, "{:+.2}"),
-                cell!(full, "{:+.2}"),
-                cell!(instr, "{:+.2}"),
-                cell!(share, "{:.0}%"),
-            ],
-        );
-        if w.name == "hhvm" && instr > 0.0 {
-            let bridged = full / instr * 100.0;
-            let mut cells = vec![Cell::text(""); 5];
-            cells[4] = cell!(bridged, "{:.0}% of the Instr-PGO gap (paper: >60%)");
-            t.push("↳ hhvm gap bridged", cells);
+        // No gain, or probe-only no part of it: no share of the gain.
+        let share = (full > 0.0 && probe >= 0.0).then(|| probe / full * 100.0);
+        let row = [
+            Some(base as f64),
+            Some(probe),
+            Some(full),
+            Some(instr),
+            share,
+        ];
+        t.push(&w.name, &row);
+        if w.name == "hhvm" {
+            let bridged = (instr > 0.0).then(|| Cell::num(full / instr * 100.0, "{:.0}%"));
+            let bridged = bridged.unwrap_or(Cell::text("n/a (Instr PGO does not beat AutoFDO)"));
+            let mut cells = vec![Cell::text(""); 3];
+            cells.extend([Cell::num(instr, "{:+.2}"), bridged]);
+            let key = "↳ hhvm gap bridged (paper: >60%)".to_string();
+            t.rows.push((key, cells));
         }
     }
     vec![t]
@@ -206,25 +178,15 @@ pub fn fig6_perf(ctx: &Ctx) -> Vec<Table> {
 /// workloads, and full CSSPGO (with the more selective pre-inliner) is
 /// smaller than probe-only; one workload (HaaS) stays within ±1%.
 pub fn fig7_codesize(ctx: &Ctx) -> Vec<Table> {
-    let mut t = Table::new(
-        format!(
-            "# Fig. 7 — text size vs AutoFDO (negative = smaller), scale={}",
-            ctx.scale
-        ),
-        &[
-            "workload",
-            "AutoFDO text",
-            "probe-only Δ%",
-            "full CSSPGO Δ%",
-        ],
+    let mut t = ctx.table(
+        "Fig. 7 — text size vs AutoFDO (negative = smaller)",
+        "workload | AutoFDO text | probe-only Δ% {:+.2} | full CSSPGO Δ% {:+.2}",
     );
     for (w, o) in ctx.servers() {
         let base = o[&AutoFdo].sections.text;
-        let delta = |v| cell!(size_delta_pct(base, o[&v].sections.text), "{:+.2}");
-        t.push(
-            &w.name,
-            vec![cell!(base, "{}"), delta(CsspgoProbeOnly), delta(CsspgoFull)],
-        );
+        let delta = |v| size_delta_pct(base, o[&v].sections.text);
+        let row = [base as f64, delta(CsspgoProbeOnly), delta(CsspgoFull)];
+        t.push(&w.name, &row);
     }
     vec![t]
 }
@@ -237,29 +199,14 @@ pub fn fig7_codesize(ctx: &Ctx) -> Vec<Table> {
 /// inserted pseudo-probes block undesirable optimizations"). Contrast with
 /// the instrumented binary's slowdown (the 73% of Table I).
 pub fn fig8_overhead(ctx: &Ctx) -> Vec<Table> {
-    let mut t = Table::new(
-        format!(
-            "# Fig. 8 — pseudo-instrumentation run-time overhead, scale={}",
-            ctx.scale
-        ),
-        &[
-            "workload",
-            "no probes (cycles)",
-            "probes (cycles)",
-            "overhead %",
-        ],
+    let mut t = ctx.table(
+        "Fig. 8 — pseudo-instrumentation run-time overhead",
+        "workload | no probes (cycles) | probes (cycles) | overhead % {:+.3}",
     );
     for (w, o) in ctx.servers() {
-        let plain = o[&O2].eval.cycles;
-        let probed = probed_o2_cycles(w, &ctx.cfg);
-        t.push(
-            &w.name,
-            vec![
-                cell!(plain, "{}"),
-                cell!(probed, "{}"),
-                cell!(size_delta_pct(plain, probed), "{:+.3}"),
-            ],
-        );
+        let (plain, probed) = (o[&O2].eval.cycles, probed_o2_cycles(w, &ctx.cfg));
+        let row = [plain as f64, probed as f64, size_delta_pct(plain, probed)];
+        t.push(&w.name, &row);
     }
     vec![t]
 }
@@ -275,37 +222,22 @@ pub fn fig8_overhead(ctx: &Ctx) -> Vec<Table> {
 pub fn fig9_metadata(ctx: &Ctx) -> Vec<Table> {
     let mut t = Table::new(
         "# Fig. 9 — metadata size as % of total binary size",
-        &[
-            "workload",
-            "text",
-            "debug info",
-            "probe metadata",
-            "probe % of total",
-            "debug % of total",
-        ],
+        "workload | text | debug info | probe metadata | probe % of total {:.1}% | debug % of total {:.1}%",
     );
-    let mut probe_pcts = Vec::new();
     for w in csspgo_workloads::server_workloads() {
-        let mut m = prepared_module(&w.source, &w.name, true).expect("compiles");
-        csspgo_opt::run_pipeline(&mut m, &ctx.cfg.opt);
-        let s = lower_module(&m, &ctx.cfg.codegen).sections;
-        let pct = |bytes: u64| bytes as f64 / s.total() as f64 * 100.0;
-        probe_pcts.push(pct(s.pseudo_probe));
-        t.push(
-            &w.name,
-            vec![
-                cell!(s.text, "{}"),
-                cell!(s.debug_line, "{}"),
-                cell!(s.pseudo_probe, "{}"),
-                cell!(pct(s.pseudo_probe), "{:.1}%"),
-                cell!(pct(s.debug_line), "{:.1}%"),
-            ],
-        );
+        let build = profiling_build(&w.source, &w.name, CsspgoFull, &ctx.cfg).expect("compiles");
+        let s = build.binary.sections;
+        let [text, debug, probe] = [s.text, s.debug_line, s.pseudo_probe].map(|b| b as f64);
+        let pct = |bytes: f64| bytes / s.total() as f64 * 100.0;
+        t.push(&w.name, &[text, debug, probe, pct(probe), pct(debug)]);
     }
-    let avg = probe_pcts.iter().sum::<f64>() / probe_pcts.len() as f64;
-    t.note(format!(
-        "\naverage probe-metadata share: {avg:.1}% (paper: ~25%)"
-    ));
+    let shares = t
+        .rows
+        .iter()
+        .filter_map(|(w, _)| t.get(w, "probe % of total"));
+    let avg = shares.sum::<f64>() / t.rows.len() as f64;
+    let average = format!("\naverage probe-metadata share: {avg:.1}% (paper: ~25%)");
+    t.note(average);
     vec![t]
 }
 
@@ -321,32 +253,24 @@ pub fn fig9_metadata(ctx: &Ctx) -> Vec<Table> {
 /// binary is the plain production build).
 pub fn table1_quality(ctx: &Ctx) -> Vec<Table> {
     let (_, o) = ctx.one("hhvm");
-    let mut t = Table::new(
-        format!(
-            "# Table I — HHVM profile quality and profiling overhead, scale={}",
-            ctx.scale
-        ),
-        &[
-            "metric",
-            "AutoFDO",
-            "CSSPGO (probe-only)",
-            "CSSPGO (full)",
-            "Instr PGO",
-        ],
+    let mut t = ctx.table(
+        "Table I — HHVM profile quality and profiling overhead",
+        "metric | AutoFDO | CSSPGO (probe-only) | CSSPGO (full) | Instr PGO",
     );
     let variants = [AutoFdo, CsspgoProbeOnly, CsspgoFull, Instr];
     let truth = &o[&Instr].quality_counts;
     let overlap = |v| program_overlap(&o[&v].quality_counts, truth) * 100.0;
-    t.push(
-        "block overlap",
-        variants.map(|v| cell!(overlap(v), "{:.1}%")).to_vec(),
-    );
+    let overlaps = variants.map(|v| Cell::num(overlap(v), "{:.1}%"));
     let base = o[&AutoFdo].profiling.cycles;
-    let overhead = |v| match v {
-        AutoFdo => cell!(0.0, "{:.2}%"),
-        _ => cell!(size_delta_pct(base, o[&v].profiling.cycles), "{:+.2}%"),
-    };
-    t.push("profiling overhead", variants.map(overhead).to_vec());
+    // AutoFDO's profiling binary is the baseline itself: an unsigned zero.
+    let spec = |v| if v == AutoFdo { "{:.2}%" } else { "{:+.2}%" };
+    let overhead = |v| size_delta_pct(base, o[&v].profiling.cycles);
+    let overheads = variants.map(|v| Cell::num(overhead(v), spec(v)));
+    let row = |metric: &str, cells: [Cell; 4]| (metric.to_string(), cells.to_vec());
+    t.rows = vec![
+        row("block overlap", overlaps),
+        row("profiling overhead", overheads),
+    ];
     vec![t]
 }
 
@@ -359,42 +283,23 @@ pub fn table1_quality(ctx: &Ctx) -> Vec<Table> {
 /// to make that mechanism visible.
 pub fn client_workload(ctx: &Ctx) -> Vec<Table> {
     let (_, o) = ctx.one("client_compiler");
-    let mut t = Table::new(
-        format!(
-            "# §IV.D — client workload (compiler bootstrap analogue), scale={}",
-            ctx.scale
-        ),
-        &[
-            "variant",
-            "perf vs AutoFDO",
-            "text size vs AutoFDO",
-            "functions w/ profile",
-        ],
+    let mut t = ctx.table(
+        "§IV.D — client workload (compiler bootstrap analogue)",
+        "variant | perf vs AutoFDO {:+.2}% | text size vs AutoFDO {:+.2}% | functions w/ profile",
     );
     let base = &o[&AutoFdo];
+    let reached = |v| o[&v].quality_counts.len() as f64;
     for v in [CsspgoProbeOnly, CsspgoFull, Instr] {
-        t.push(
-            v.to_string(),
-            vec![
-                cell!(
-                    improvement_pct(base.eval.cycles, o[&v].eval.cycles),
-                    "{:+.2}%"
-                ),
-                cell!(
-                    size_delta_pct(base.sections.text, o[&v].sections.text),
-                    "{:+.2}%"
-                ),
-                cell!(o[&v].quality_counts.len(), "{}"),
-            ],
-        );
+        let perf = improvement_pct(base.eval.cycles, o[&v].eval.cycles);
+        let size = size_delta_pct(base.sections.text, o[&v].sections.text);
+        t.push(v.to_string(), &[perf, size, reached(v)]);
     }
     // Coverage: functions the sampling profile reached vs the
     // instrumentation profile (which reaches everything executed).
-    let sampled = o[&CsspgoFull].quality_counts.len();
-    let exact = o[&Instr].quality_counts.len();
+    let (sampled, exact) = (reached(CsspgoFull), reached(Instr));
     t.note(format!(
         "\nsampling coverage: {sampled}/{exact} functions = {:.0}% (the paper's client-workload ceiling)",
-        sampled as f64 / exact as f64 * 100.0
+        sampled / exact * 100.0
     ));
     vec![t]
 }
@@ -412,33 +317,20 @@ pub fn client_workload(ctx: &Ctx) -> Vec<Table> {
 /// stale profile outright instead of mis-applying it.
 pub fn drift_resilience(ctx: &Ctx) -> Vec<Table> {
     let (w, o) = ctx.one("ad_retriever");
-    let commented = drift::insert_body_comments(&w.source);
-    let cfg_changed = drift::change_cfg(&w.source);
-    let mut t = Table::new(
-        format!("# §III.A — source-drift resilience, scale={}", ctx.scale),
-        &[
-            "variant",
-            "clean cycles",
-            "comment-drift cycles",
-            "drift penalty %",
-            "stale fns (comment)",
-            "stale fns (CFG change)",
-        ],
+    let sources = [drift::insert_body_comments, drift::change_cfg].map(|edit| edit(&w.source));
+    let mut t = ctx.table(
+        "§III.A — source-drift resilience",
+        "variant | clean cycles | comment-drift cycles | drift penalty % {:+.2} | stale fns (comment) | stale fns (CFG change)",
     );
     for v in [AutoFdo, CsspgoFull] {
         let clean = o[&v].eval.cycles;
-        let drifted = cycle(w, v, &ctx.cfg, &commented);
-        let broken = cycle(w, v, &ctx.cfg, &cfg_changed);
-        t.push(
-            v.to_string(),
-            vec![
-                cell!(clean, "{}"),
-                cell!(drifted.eval.cycles, "{}"),
-                cell!(-improvement_pct(clean, drifted.eval.cycles), "{:+.2}"),
-                cell!(drifted.annotate_stats.stale_total(), "{}"),
-                cell!(broken.annotate_stats.stale_total(), "{}"),
-            ],
-        );
+        let run = |src: &String| run_pgo_cycle_drifted(w, v, &ctx.cfg, src).expect("drifted cycle");
+        let [commented, cfg_changed] = sources.each_ref().map(run);
+        let drifted = commented.eval.cycles;
+        let penalty = -improvement_pct(clean, drifted);
+        let stale = [commented, cfg_changed].map(|o| o.annotate_stats.stale_total() as f64);
+        let row = [clean as f64, drifted as f64, penalty, stale[0], stale[1]];
+        t.push(v.to_string(), &row);
     }
     t.note("\n(paper: AutoFDO lost 8% under comment drift; CSSPGO is unaffected and");
     t.note(" detects CFG-changing drift via checksum mismatch instead of mis-annotating)");
@@ -450,34 +342,17 @@ pub fn drift_resilience(ctx: &Ctx) -> Vec<Table> {
 /// Paper: "In practice it is observed that more than two-thirds of the
 /// missing tail call frames can be recovered."
 pub fn tailcall_recovery(ctx: &Ctx) -> Vec<Table> {
-    let mut t = Table::new(
-        format!(
-            "# §III.B — tail-call missing-frame recovery, scale={}",
-            ctx.scale
-        ),
-        &[
-            "workload",
-            "recovered frames",
-            "failed gaps",
-            "recovery rate",
-        ],
+    let mut t = ctx.table(
+        "§III.B — tail-call missing-frame recovery",
+        "workload | recovered frames | failed gaps | recovery rate {:.0}%",
     );
     for (w, o) in ctx.servers() {
         let s = o[&CsspgoFull].infer_stats;
-        let total = s.recovered + s.failed;
-        let rate = if total > 0 {
-            s.recovered as f64 / total as f64 * 100.0
-        } else {
-            100.0
-        };
-        t.push(
-            &w.name,
-            vec![
-                cell!(s.recovered, "{}"),
-                cell!(s.failed, "{}"),
-                cell!(rate, "{:.0}%"),
-            ],
-        );
+        let gaps = s.recovered + s.failed;
+        // No gap, no rate.
+        let rate = (gaps > 0).then(|| s.recovered as f64 / gaps as f64 * 100.0);
+        let row = [Some(s.recovered as f64), Some(s.failed as f64), rate];
+        t.push(&w.name, &row);
     }
     t.note("\n(paper: > 2/3 recovered)");
     vec![t]
@@ -494,35 +369,21 @@ pub fn tailcall_recovery(ctx: &Ctx) -> Vec<Table> {
 pub fn ablation_probe_blocking(ctx: &Ctx) -> Vec<Table> {
     let (w, o) = ctx.one("hhvm");
     let plain = o[&O2].eval.cycles;
-    let mut t = Table::new(
-        format!(
-            "# Ablation — probe optimization-blocking strength (hhvm), scale={}",
-            ctx.scale
-        ),
-        &[
-            "probe tuning",
-            "probed binary cycles",
-            "overhead vs unprobed",
-            "block overlap vs instr",
-        ],
+    let mut t = ctx.table(
+        "Ablation — probe optimization-blocking strength (hhvm)",
+        "probe tuning | probed binary cycles | overhead vs unprobed {:+.3}% | block overlap vs instr {:.1}%",
     );
     for (name, probe) in [
         ("low-overhead (production)", ProbeConfig::low_overhead()),
         ("high-accuracy (barrier)", ProbeConfig::high_accuracy()),
     ] {
-        let cfg = ctx.with_probe(probe);
+        let mut cfg = ctx.cfg.clone();
+        cfg.opt.probe = probe;
         let probed = probed_o2_cycles(w, &cfg);
-        let o = ctx.under(w, &[CsspgoFull, Instr], &cfg, probe == ctx.cfg.opt.probe);
-        let overlap =
-            program_overlap(&o[&CsspgoFull].quality_counts, &o[&Instr].quality_counts) * 100.0;
-        t.push(
-            name,
-            vec![
-                cell!(probed, "{}"),
-                cell!(size_delta_pct(plain, probed), "{:+.3}%"),
-                cell!(overlap, "{:.1}%"),
-            ],
-        );
+        let o = ctx.under(w, &[CsspgoFull, Instr], &cfg);
+        let overlap = program_overlap(&o[&CsspgoFull].quality_counts, &o[&Instr].quality_counts);
+        let overhead = size_delta_pct(plain, probed);
+        t.push(name, &[probed as f64, overhead, overlap * 100.0]);
     }
     vec![t]
 }
@@ -537,44 +398,25 @@ pub fn ablation_probe_blocking(ctx: &Ctx) -> Vec<Table> {
 pub fn ablation_ctx_trim(ctx: &Ctx) -> Vec<Table> {
     let (w, o) = ctx.one("haas");
     // The context-insensitive (probe-only) profile is the size baseline.
-    let (binary, run) = profiled(w, true, &ctx.cfg);
-    let flat = probe_profile_nodes(&probe_only_profile(
-        &binary,
-        &run.samples,
-        ctx.cfg.ingest_shards,
-    ));
-    let mut t = Table::new(
-        format!(
-            "# Ablation — cold-context trimming (haas), scale={}\n\
-             (context-insensitive profile: {flat} profile nodes)",
-            ctx.scale
-        ),
-        &[
-            "trim threshold",
-            "trie nodes before",
-            "after",
-            "size vs flat",
-            "perf vs AutoFDO",
-        ],
+    let (binary, run) = profiled(w, &ctx.cfg);
+    let flat_profile = probe_only_profile(&binary, &run.samples, ctx.cfg.ingest_shards);
+    let flat = probe_profile_nodes(&flat_profile);
+    let mut t = ctx.table(
+        "Ablation — cold-context trimming (haas)",
+        "trim threshold | trie nodes before | after | size vs flat {:.1}x | perf vs AutoFDO {:+.2}%",
     );
+    t.heading += &format!("\n(context-insensitive profile: {flat} profile nodes)");
     let autofdo = o[&AutoFdo].eval.cycles;
-    for threshold in [0u64, 4, 16, 64, 256] {
-        let cfg = PipelineConfig {
-            trim_threshold: threshold,
-            ..ctx.cfg.clone()
-        };
-        let o = ctx.under(w, &[CsspgoFull], &cfg, threshold == ctx.cfg.trim_threshold);
+    for threshold in [0, 4, 16, 64, 256] {
+        let mut cfg = ctx.cfg.clone();
+        cfg.trim_threshold = threshold;
+        let o = ctx.under(w, &[CsspgoFull], &cfg);
         let full = &o[&CsspgoFull];
-        let after = full.context_nodes_after_trim;
-        t.push(
-            threshold.to_string(),
-            vec![
-                cell!(full.context_nodes_before_trim, "{}"),
-                cell!(after, "{}"),
-                cell!(after as f64 / flat.max(1) as f64, "{:.1}x"),
-                cell!(improvement_pct(autofdo, full.eval.cycles), "{:+.2}%"),
-            ],
-        );
+        let before = full.context_nodes_before_trim as f64;
+        let after = full.context_nodes_after_trim as f64;
+        let perf = improvement_pct(autofdo, full.eval.cycles);
+        let row = [before, after, after / flat.max(1) as f64, perf];
+        t.push(threshold.to_string(), &row);
     }
     vec![t]
 }
@@ -588,45 +430,27 @@ pub fn ablation_ctx_trim(ctx: &Ctx) -> Vec<Table> {
 /// synchronized."
 ///
 /// Without PEBS our simulator drops the leaf frame from ~1/3 of stack
-/// samples; the unwinder then reconstructs fewer and shallower contexts,
-/// and end-to-end CSSPGO performance suffers.
+/// samples. No stack breaks — the LBR re-anchors the walk — but the trie
+/// picks up mis-rooted contexts (more nodes, not fewer: known deviation
+/// KD-6 in EXPERIMENTS.md) and end-to-end CSSPGO performance suffers.
 pub fn ablation_pebs(ctx: &Ctx) -> Vec<Table> {
     let (w, o) = ctx.one("ad_retriever");
     let autofdo = o[&AutoFdo].eval.cycles;
-    let mut t = Table::new(
-        format!(
-            "# Ablation — PEBS vs sampling skid (ad_retriever), scale={}",
-            ctx.scale
-        ),
-        &[
-            "sampling",
-            "broken stacks",
-            "context samples",
-            "trie nodes",
-            "full CSSPGO vs AutoFDO",
-        ],
+    let mut t = ctx.table(
+        "Ablation — PEBS vs sampling skid (ad_retriever)",
+        "sampling | broken stacks | context samples | trie nodes | full CSSPGO vs AutoFDO {:+.2}%",
     );
     for (name, pebs) in [("PEBS (`:upp`)", true), ("no PEBS (skid)", false)] {
-        let cfg = PipelineConfig {
-            pebs,
-            ..ctx.cfg.clone()
-        };
+        let mut cfg = ctx.cfg.clone();
+        cfg.pebs = pebs;
         // Direct unwinder statistics on the probed profiling binary.
-        let (binary, run) = profiled(w, true, &cfg);
+        let (binary, run) = profiled(w, &cfg);
         let unwound = context_profile(&binary, &run.samples, cfg.ingest_shards);
-        let o = ctx.under(w, &[CsspgoFull], &cfg, pebs == ctx.cfg.pebs);
-        t.push(
-            name,
-            vec![
-                cell!(unwound.broken_stacks, "{}"),
-                cell!(unwound.profile.total(), "{}"),
-                cell!(unwound.profile.node_count(), "{}"),
-                cell!(
-                    improvement_pct(autofdo, o[&CsspgoFull].eval.cycles),
-                    "{:+.2}%"
-                ),
-            ],
-        );
+        let trie = &unwound.profile;
+        let o = ctx.under(w, &[CsspgoFull], &cfg);
+        let perf = improvement_pct(autofdo, o[&CsspgoFull].eval.cycles);
+        let (broken, samples) = (unwound.broken_stacks as f64, trie.total() as f64);
+        t.push(name, &[broken, samples, trie.node_count() as f64, perf]);
     }
     t.note("\n(the paper's `perf record -g --call-graph fp -e br_inst_retired.near_taken:upp`)");
     vec![t]
@@ -644,18 +468,11 @@ pub fn extension_balance_sweep(ctx: &Ctx) -> Vec<Table> {
     let (w, o) = ctx.one("hhvm");
     let (plain, autofdo) = (o[&O2].eval.cycles, o[&AutoFdo].eval.cycles);
     let instr_gain = improvement_pct(autofdo, o[&Instr].eval.cycles);
-    let mut t = Table::new(
-        format!(
-            "# Extension — probe overhead/accuracy balance sweep (hhvm), scale={}\n\
-             (Instr PGO reference: {instr_gain:+.2}% over AutoFDO)\n",
-            ctx.scale
-        ),
-        &[
-            "probe tuning",
-            "profiling overhead %",
-            "full CSSPGO vs AutoFDO",
-        ],
+    let mut t = ctx.table(
+        "Extension — probe overhead/accuracy balance sweep (hhvm)",
+        "probe tuning | profiling overhead % {:+.3} | full CSSPGO vs AutoFDO {:+.2}%",
     );
+    t.heading += &format!("\n(Instr PGO reference: {instr_gain:+.2}% over AutoFDO)\n");
     // Blocked: [if-convert, code motion, jump threading (duplication)].
     for (name, [block_if_convert, block_code_motion, block_jump_threading]) in [
         ("production (nothing blocked)", [false, false, false]),
@@ -663,23 +480,16 @@ pub fn extension_balance_sweep(ctx: &Ctx) -> Vec<Table> {
         ("+ block code motion", [true, true, false]),
         ("full barrier (+ block duplication)", [true, true, true]),
     ] {
-        let probe = ProbeConfig {
+        let mut cfg = ctx.cfg.clone();
+        cfg.opt.probe = ProbeConfig {
             block_if_convert,
             block_code_motion,
             block_jump_threading,
         };
-        let cfg = ctx.with_probe(probe);
-        let o = ctx.under(w, &[CsspgoFull], &cfg, probe == ctx.cfg.opt.probe);
-        t.push(
-            name,
-            vec![
-                cell!(size_delta_pct(plain, probed_o2_cycles(w, &cfg)), "{:+.3}"),
-                cell!(
-                    improvement_pct(autofdo, o[&CsspgoFull].eval.cycles),
-                    "{:+.2}%"
-                ),
-            ],
-        );
+        let overhead = size_delta_pct(plain, probed_o2_cycles(w, &cfg));
+        let o = ctx.under(w, &[CsspgoFull], &cfg);
+        let perf = improvement_pct(autofdo, o[&CsspgoFull].eval.cycles);
+        t.push(name, &[overhead, perf]);
     }
     t.note("\n(each step preserves more of the original CFG in the profiling binary");
     t.note(" at the cost of disabling an optimization there — §III.A's dial)");
@@ -701,74 +511,41 @@ pub fn extension_balance_sweep(ctx: &Ctx) -> Vec<Table> {
 ///    of the clean-profile win over `-O2` the drifted cycle retained, the
 ///    repair-effort counters and the provenance mix of the annotated weight.
 pub fn bench_pipeline(ctx: &Ctx) -> Vec<Table> {
-    let mut instr = Table::new(
-        format!(
-            "# bench_pipeline, scale={}\n\n\
-             # Instrumentation overhead (full vs spanning-tree counter placement)",
-            ctx.scale
-        ),
-        &[
-            "workload | row",
-            "counter sites",
-            "profiling cycles",
-            "eval cycles",
-        ],
+    let mut instr = ctx.table(
+        "bench_pipeline",
+        "workload | row | counter sites | profiling cycles | eval cycles",
     );
-    let mut kept = Vec::new();
+    instr.heading += "\n\n# Instrumentation overhead (full vs spanning-tree counter placement)";
     for (w, _) in ctx.servers() {
-        let mut sites = [0; 2];
-        for (i, (label, placement)) in [
+        let mut sites = Vec::new();
+        for (label, placement) in [
             ("instr-full", Placement::Full),
             ("instr-sptree", Placement::SpanningTree),
-        ]
-        .into_iter()
-        .enumerate()
-        {
+        ] {
             let mut cfg = ctx.cfg.clone();
             cfg.instrument.placement = placement;
-            let at_default = placement == ctx.cfg.instrument.placement;
-            let o = ctx.under(w, &[Instr], &cfg, at_default);
+            let o = ctx.under(w, &[Instr], &cfg);
             let o = &o[&Instr];
-            sites[i] = o.counter_sites;
-            instr.push(
-                format!("{} | {label}", w.name),
-                vec![
-                    cell!(o.counter_sites, "{}"),
-                    cell!(o.profiling.cycles, "{}"),
-                    cell!(o.eval.cycles, "{}"),
-                ],
-            );
+            sites.push(o.counter_sites as u64);
+            let row = [o.counter_sites as u64, o.profiling.cycles, o.eval.cycles];
+            instr.push(format!("{} | {label}", w.name), &row.map(|c| c as f64));
         }
-        let [full, sp] = sites;
-        if full > 0 {
-            kept.push(format!(
-                "{}: {sp} of {full} counters kept ({:.1}% fewer)",
-                w.name,
-                (full - sp.min(full)) as f64 / full as f64 * 100.0
-            ));
-        }
+        let (name, full, kept) = (&w.name, sites[0], sites[1]);
+        let fewer = -size_delta_pct(full, kept);
+        let counters = format!("{name}: {kept} of {full} counters kept ({fewer:.1}% fewer)");
+        instr.note(counters);
     }
-    instr.notes = kept;
 
     // `-O2` and clean `CSSPGO (full)` anchor the retained-win scale, then
     // the CFG-drifted cycle runs with stale recovery (and the default MCF
     // inference).
     let mut drifted = Table::new(
         "# Drifted-profile inference comparison (change_cfg drift, stale recovery on)",
-        &[
-            "workload | row",
-            "eval cycles",
-            "retained %",
-            "counts adjusted",
-            "flow moved",
-            "residual cost",
-            "salvaged %",
-            "inferred %",
-        ],
+        "workload | row | eval cycles | retained % {:.1} | counts adjusted | flow moved | residual cost | salvaged % {:.1} | inferred % {:.1}",
     );
+    drifted.missing = "-";
     let mut recover = ctx.cfg.clone();
     recover.annotate.stale_matching = StaleMatching::Recover;
-    let pct = |v: Option<f64>| Cell::opt(v, "-", |p| format!("{p:.1}"));
     for (w, o) in ctx.servers() {
         let (o2, clean) = (o[&O2].eval.cycles, o[&CsspgoFull].eval.cycles);
         // Retained % is only meaningful when the clean profile actually
@@ -777,32 +554,23 @@ pub fn bench_pipeline(ctx: &Ctx) -> Vec<Table> {
         // profile that makes the binary slower than -O2 goes negative.
         let clean_win = o2 as f64 - clean as f64;
         let retained = |cycles: u64| {
-            pct((clean_win > 0.0).then(|| (o2 as f64 - cycles as f64) / clean_win * 100.0))
+            (clean_win > 0.0).then(|| (o2 as f64 - cycles as f64) / clean_win * 100.0)
         };
-        let mcf = cycle(w, CsspgoFull, &recover, &drift::change_cfg(&w.source));
+        let changed = drift::change_cfg(&w.source);
+        let mcf = run_pgo_cycle_drifted(w, CsspgoFull, &recover, &changed).expect("drifted cycle");
         let inf = mcf.annotate_stats.inference;
         let prov = mcf.annotate_stats.provenance;
         let share =
-            |part: u64| pct((prov.total() > 0).then(|| part as f64 / prov.total() as f64 * 100.0));
-        for (label, mut cells) in [
-            ("drift-O2", vec![cell!(o2, "{}")]),
-            ("drift-clean", vec![cell!(clean, "{}"), retained(clean)]),
-            (
-                "drift-mcf",
-                vec![
-                    cell!(mcf.eval.cycles, "{}"),
-                    retained(mcf.eval.cycles),
-                    cell!(inf.counts_adjusted, "{}"),
-                    cell!(inf.flow_moved, "{}"),
-                    cell!(inf.residual_cost, "{}"),
-                    share(prov.stale_matched),
-                    share(prov.inferred),
-                ],
-            ),
-        ] {
-            cells.resize(7, Cell::text("-"));
-            drifted.push(format!("{} | {label}", w.name), cells);
-        }
+            |part: u64| (prov.total() > 0).then(|| part as f64 / prov.total() as f64 * 100.0);
+        let key = |label| format!("{} | {label}", w.name);
+        drifted.push(key("drift-O2"), &[o2 as f64]);
+        drifted.push(key("drift-clean"), &[Some(clean as f64), retained(clean)]);
+        let mut row = vec![Some(mcf.eval.cycles as f64), retained(mcf.eval.cycles)];
+        row.extend(
+            [inf.counts_adjusted, inf.flow_moved, inf.residual_cost].map(|c| Some(c as f64)),
+        );
+        row.extend([prov.stale_matched, prov.inferred].map(share));
+        drifted.push(key("drift-mcf"), &row);
     }
     vec![instr, drifted]
 }

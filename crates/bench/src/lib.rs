@@ -4,8 +4,7 @@
 //!
 //! PGO cycles are independent per (workload, variant) pair, so the harness
 //! fans them out across a thread pool ([`run_variants`], [`par_map`]) and
-//! reduces outcomes deterministically: results are re-ordered by the
-//! variants' presentation order before the behavioural-equivalence check,
+//! reduces outcomes deterministically: results come back in input order,
 //! so completion order never changes what gets compared or printed.
 
 pub mod figures;
@@ -13,11 +12,7 @@ mod table;
 
 pub use table::{Cell, Table};
 
-use csspgo_codegen::Binary;
-use csspgo_core::pipeline::{
-    profiling_build, profiling_run, run_pgo_cycle, PgoOutcome, PgoVariant, PipelineConfig,
-    ProfilingRun,
-};
+use csspgo_core::pipeline::{run_pgo_cycle, PgoOutcome, PgoVariant, PipelineConfig};
 use csspgo_core::Workload;
 use rayon::prelude::*;
 use std::collections::HashMap;
@@ -29,36 +24,13 @@ pub type Outcomes = HashMap<PgoVariant, PgoOutcome>;
 /// `CSSPGO_SCALE` environment variable (e.g. `0.1` for a quick pass).
 /// An unparsable value warns on stderr and falls back to `1.0`.
 pub fn traffic_scale() -> f64 {
-    match std::env::var("CSSPGO_SCALE") {
-        Err(_) => 1.0,
-        Ok(raw) => match raw.parse() {
-            Ok(v) => v,
-            Err(_) => {
-                eprintln!("warning: CSSPGO_SCALE={raw:?} is not a number; using scale 1.0");
-                1.0
-            }
-        },
-    }
-}
-
-/// The profiling binary of `w` (probes on or off) and the profiling run of
-/// its training traffic under `cfg` — stages 1–2 of the PGO cycle, the
-/// shared set-up of the ablation figures.
-///
-/// # Panics
-///
-/// Panics when a shipped workload fails to compile or run.
-pub fn profiled(w: &Workload, probes: bool, cfg: &PipelineConfig) -> (Binary, ProfilingRun) {
-    let variant = if probes {
-        PgoVariant::CsspgoFull
-    } else {
-        PgoVariant::AutoFdo
+    let Ok(raw) = std::env::var("CSSPGO_SCALE") else {
+        return 1.0;
     };
-    let binary = profiling_build(&w.source, &w.name, variant, cfg)
-        .expect("workload compiles")
-        .binary;
-    let run = profiling_run(&binary, w, cfg.sim_config(cfg.sample_period)).expect("workload runs");
-    (binary, run)
+    raw.parse().unwrap_or_else(|_| {
+        eprintln!("warning: CSSPGO_SCALE={raw:?} is not a number; using scale 1.0");
+        1.0
+    })
 }
 
 /// Fans `f` out over `items` on the thread pool, returning results in input
@@ -73,50 +45,30 @@ where
     items.into_par_iter().map(f).collect()
 }
 
-/// Presentation rank of a variant (its index in [`PgoVariant::ALL`]).
-fn variant_rank(v: PgoVariant) -> usize {
-    PgoVariant::ALL
-        .iter()
-        .position(|&x| x == v)
-        .unwrap_or(PgoVariant::ALL.len())
-}
-
 /// Runs every requested variant for a workload concurrently, asserting
 /// behavioural equivalence across variants (same eval-result hash).
 ///
-/// The reduction is deterministic regardless of which cycle finishes
-/// first: outcomes are sorted by presentation order before hashes are
-/// compared, so a divergence is always reported against the same baseline
-/// variant.
+/// Outcomes come back in the order of `variants` whichever cycle finishes
+/// first, so a divergence is always reported against the first of them.
 pub fn run_variants(
     workload: &Workload,
     variants: &[PgoVariant],
     config: &PipelineConfig,
 ) -> Outcomes {
-    let mut outcomes: Vec<(PgoVariant, PgoOutcome)> = variants
-        .to_vec()
-        .into_par_iter()
-        .map(|v| {
-            let o = run_pgo_cycle(workload, v, config)
-                .unwrap_or_else(|e| panic!("{} / {v}: {e}", workload.name));
-            (v, o)
-        })
-        .collect();
-    outcomes.sort_by_key(|(v, _)| variant_rank(*v));
-    let mut out = HashMap::new();
-    let mut hash: Option<u64> = None;
-    for (v, o) in outcomes {
-        match hash {
-            None => hash = Some(o.eval_result_hash),
-            Some(h) => assert_eq!(
-                h, o.eval_result_hash,
-                "{} variant {v} changed program behaviour",
-                workload.name
-            ),
-        }
-        out.insert(v, o);
+    let cycle = |v| match run_pgo_cycle(workload, v, config) {
+        Ok(outcome) => (v, outcome),
+        Err(e) => panic!("{} / {v}: {e}", workload.name),
+    };
+    let outcomes: Vec<(PgoVariant, PgoOutcome)> = par_map(variants.to_vec(), cycle);
+    for (v, o) in &outcomes {
+        let same = o.eval_result_hash == outcomes[0].1.eval_result_hash;
+        assert!(
+            same,
+            "{} variant {v} changed program behaviour",
+            workload.name
+        );
     }
-    out
+    outcomes.into_iter().collect()
 }
 
 /// Percentage improvement of `new` over `base` (positive = faster).
@@ -136,11 +88,6 @@ pub fn size_delta_pct(base: u64, new: u64) -> f64 {
         return 0.0;
     }
     (new as f64 - base as f64) / base as f64 * 100.0
-}
-
-/// Prints a markdown-style table row.
-pub fn row(cells: &[String]) -> String {
-    format!("| {} |", cells.join(" | "))
 }
 
 #[cfg(test)]
