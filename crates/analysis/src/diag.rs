@@ -1,7 +1,7 @@
 //! The diagnostics engine: lint registry, severities, reports.
 //!
 //! Modeled on clippy/rustc lints: every check is a registered [`Lint`] with a
-//! stable id (`PI001`), a kebab-case name (`probe-duplicate-id`) and a
+//! stable id (`PF004`), a kebab-case name (`profile-checksum-stale`) and a
 //! default [`Severity`]. A [`Policy`] escalates (`--deny`) or silences
 //! (`--allow`) lints by id, name or `all`. Checks append [`Diagnostic`]s to a
 //! [`Report`], which renders for humans or serializes to JSON.
@@ -34,9 +34,10 @@ impl fmt::Display for Severity {
 /// A registered check with a stable identity.
 #[derive(Clone, Copy, Debug)]
 pub struct Lint {
-    /// Stable id, never reused: `IV…` IR verifier, `PI…` probe invariants,
-    /// `PF…` profile flow/integrity, `SM…` stale matching, `PP…` placement
-    /// prover, `WP…` weight provenance.
+    /// Stable id, never reused: `PF…` profile flow/integrity, `SM…` stale
+    /// matching, `WP…` weight provenance. (`IV`, `PI`, `PP` and the ids
+    /// missing from the sequences were retired by the census of DESIGN.md
+    /// §8: they checked internal producers and are assertions there now.)
     pub id: &'static str,
     /// Kebab-case name, usable interchangeably with the id on the CLI.
     pub name: &'static str,
@@ -52,11 +53,11 @@ pub struct Lint {
 /// Lint families in presentation order, with one-line descriptions (the
 /// README table and `--list` grouping follow this order).
 pub const LINT_FAMILIES: &[(&str, &str)] = &[
-    ("IV", "IR verifier: structural well-formedness"),
-    ("PI", "pseudo-probe invariants after any pass"),
-    ("PF", "profile flow & integrity over annotated counts"),
-    ("SM", "stale-profile matching soundness"),
-    ("PP", "counter-placement recoverability prover"),
+    (
+        "PF",
+        "profile flow & integrity: a profile against the module it feeds",
+    ),
+    ("SM", "stale-profile matching confidence"),
     ("WP", "annotated-weight provenance quality"),
 ];
 
@@ -69,85 +70,12 @@ fn family_rank(id: &str) -> usize {
         .unwrap_or(LINT_FAMILIES.len())
 }
 
-/// Every lint the analyzer can emit. Grouped by family; ids are
-/// append-only and never reused.
+/// Every lint the analyzer can emit: each fires on input from outside the
+/// process or on a real source drift (DESIGN.md §8 has the census). Grouped
+/// by family; ids are append-only and never reused. None denies by default
+/// — a "must never happen" check is an assertion at its producer, not a
+/// lint.
 pub const LINTS: &[Lint] = &[
-    Lint {
-        id: "IV001",
-        name: "ir-verify",
-        default_severity: Severity::Deny,
-        description: "IR well-formedness (CFG, terminators, registers, layout)",
-        explanation: "The structural IR verifier found a malformed function: a block \
-            without a terminator, a branch to a dead or out-of-range block, a use of an \
-            unallocated virtual register, or a layout that misses or duplicates live \
-            blocks. Every pass is expected to leave the module verifier-clean; a finding \
-            here means a transformation bug, and all downstream analyses are unreliable \
-            until it is fixed.",
-    },
-    Lint {
-        id: "PI001",
-        name: "probe-duplicate-id",
-        default_severity: Severity::Deny,
-        description: "duplicated probe id without a duplication factor",
-        explanation: "Two pseudo-probes in the same inline context share an index but \
-            neither carries a duplication factor. Cloning passes (unroll, tail-dup) must \
-            mark copies with a factor so correlation can split observed weight between \
-            them; an unmarked duplicate double-counts every sample that lands on it.",
-    },
-    Lint {
-        id: "PI002",
-        name: "probe-dup-factor",
-        default_severity: Severity::Deny,
-        description: "duplicated probe copies whose factor weights exceed 1",
-        explanation: "The duplication-factor weights of one probe's clones sum to more \
-            than 1. The invariant is Σ(1/factor) ≤ 1 across all copies of a probe in one \
-            inline context — anything larger inflates the reconstructed count for the \
-            original source block. Usually a cloning pass forgot to scale the factors of \
-            pre-existing copies when cloning again.",
-    },
-    Lint {
-        id: "PI003",
-        name: "probe-index-range",
-        default_severity: Severity::Deny,
-        description: "probe index 0, past the owner's watermark, or unknown owner",
-        explanation: "A pseudo-probe names an index outside its owner function's \
-            allocated range (indices are 1-based and dense up to the per-function \
-            watermark) or an owner function that does not exist. Correlation keys on \
-            (owner, index), so an out-of-range probe either drops weight or attributes \
-            it to a block that never existed.",
-    },
-    Lint {
-        id: "PI004",
-        name: "probe-inline-stack",
-        default_severity: Severity::Deny,
-        description: "probe inline stack malformed against the callgraph",
-        explanation: "A probe's inline stack does not describe a plausible inlining: a \
-            stack frame names a call site that is not a call-site probe of its caller, \
-            or the stack's owner chain is inconsistent. Context-sensitive correlation \
-            walks these stacks to rebuild calling contexts, so a malformed stack \
-            misattributes every sample beneath it.",
-    },
-    Lint {
-        id: "PI005",
-        name: "discriminator-conflict",
-        default_severity: Severity::Warn,
-        description: "one source line with several discriminators in one block (fresh IR)",
-        explanation: "On freshly-compiled IR, instructions from one source line inside a \
-            single basic block should share a discriminator; multiple discriminators in \
-            one block mean the discriminator assignment pass split a line for no \
-            control-flow reason. Harmless for execution but it wastes discriminator \
-            space and weakens AutoFDO-style correlation.",
-    },
-    Lint {
-        id: "PI006",
-        name: "discriminator-monotone",
-        default_severity: Severity::Warn,
-        description: "per-line discriminators not monotone across blocks (fresh IR)",
-        explanation: "On freshly-compiled IR, the discriminators assigned to one source \
-            line should increase with block id so a (line, discriminator) pair \
-            identifies a unique block. Non-monotone assignment is a discriminator-pass \
-            bug: correlation still works but becomes order-dependent.",
-    },
     Lint {
         id: "PF001",
         name: "flow-conservation",
@@ -202,18 +130,6 @@ pub const LINTS: &[Lint] = &[
             than the checksum suggests, or the profile file was corrupted.",
     },
     Lint {
-        id: "PF006",
-        name: "edge-flow-conservation",
-        default_severity: Severity::Warn,
-        description:
-            "annotated edge counts do not reconcile with block counts (or name non-CFG edges)",
-        explanation: "Inference attached per-edge counts that disagree with the block \
-            counts they must sum to (a block's count should equal the totals of its \
-            recorded in- and out-edges within tolerance), or an edge annotation names a \
-            pair of blocks with no CFG edge between them. Catches inconsistent solver \
-            output that the block-level PF lints cannot see.",
-    },
-    Lint {
         id: "SM001",
         name: "match-ambiguous-anchor",
         default_severity: Severity::Warn,
@@ -223,26 +139,6 @@ pub const LINTS: &[Lint] = &[
             alignment between repeats falls back to position and may transfer weight to \
             the wrong copy when code between them changed. Confidence in salvaged counts \
             for this function is reduced.",
-    },
-    Lint {
-        id: "SM002",
-        name: "match-two-to-one",
-        default_severity: Severity::Deny,
-        description: "two source probes mapped onto one target probe (matcher invariant)",
-        explanation: "The matcher's transfer map sent two distinct source probes to the \
-            same target probe. The transfer is injective by construction, so this firing \
-            means a matcher bug: weight would be silently double-applied to the target \
-            block. Counts from this match must not be trusted.",
-    },
-    Lint {
-        id: "SM003",
-        name: "match-weight-inflation",
-        default_severity: Severity::Deny,
-        description: "recovered weight exceeds what the source profile held (matcher invariant)",
-        explanation: "The weight the matcher transferred into the fresh profile exceeds \
-            the total weight present in the stale source profile. Matching can only \
-            move or drop weight, never create it; inflation means a matcher bug and the \
-            salvaged profile overstates hotness.",
     },
     Lint {
         id: "SM004",
@@ -267,54 +163,6 @@ pub const LINTS: &[Lint] = &[
             that function.",
     },
     Lint {
-        id: "PP001",
-        name: "placement-unrecoverable-edge",
-        default_severity: Severity::Deny,
-        description: "counter placement cannot recover this flow edge's count",
-        explanation: "Kirchhoff elimination over the planned counter set got stuck with \
-            this augmented-flow-graph edge still unknown: the unmeasured edges contain \
-            an undirected cycle through it, so no amount of algebra determines its \
-            count. The placement would silently produce an under-determined profile. A \
-            correct spanning-tree placement measures exactly the co-tree, which never \
-            has this problem — so this firing means a hand-built or corrupted plan.",
-    },
-    Lint {
-        id: "PP002",
-        name: "placement-redundant-counter",
-        default_severity: Severity::Warn,
-        description: "counter measures an edge already derivable from the others",
-        explanation: "This counted edge connects two components of the unmeasured-edge \
-            forest, meaning flow conservation already determines its count from the \
-            other counters — the counter adds run-time cost without adding information. \
-            The minimal (Ball–Larus) placement counts exactly the co-tree of a spanning \
-            tree; a redundant counter means the plan is over-instrumented.",
-    },
-    Lint {
-        id: "PP003",
-        name: "placement-critical-edge-unsplit",
-        default_severity: Severity::Deny,
-        description: "counter hosted in a block that does not uniquely witness its edge",
-        explanation: "A counter site claims an existing block as its host, but that \
-            block's execution count does not equal the edge's traversal count: the edge \
-            is critical (its source has several successors and its target several \
-            predecessors), or the chosen block witnesses other flow too. The \
-            instrumentation pass must split the edge with a fresh counter-only block; \
-            reading the counter as an edge count without the split mixes in unrelated \
-            executions.",
-    },
-    Lint {
-        id: "PP004",
-        name: "placement-entry-not-derivable",
-        default_severity: Severity::Deny,
-        description: "function invocation count not derivable from the placement",
-        explanation: "The virtual exit→entry edge — the function's invocation count — \
-            is neither validly measured (the entry has real predecessors, so a counter \
-            in the entry block over-counts) nor derivable by elimination from the \
-            measured edges. Entry counts drive the inliner and the context trie, so a \
-            placement that loses them is unusable even if every interior edge is \
-            recoverable.",
-    },
-    Lint {
         id: "WP001",
         name: "provenance-hot-inferred",
         default_severity: Severity::Warn,
@@ -328,23 +176,11 @@ pub const LINTS: &[Lint] = &[
             a profile for it.",
     },
     Lint {
-        id: "WP002",
-        name: "provenance-loop-mixing",
-        default_severity: Severity::Warn,
-        description: "one loop annotated from several measurement sources",
-        explanation: "Blocks of a single loop carry weight from different measurement \
-            sources (raw samples vs stale-matched vs counter-reconstructed). Relative \
-            frequencies inside a loop drive unrolling and layout, and weights from \
-            different sources are not calibrated against each other — their ratios \
-            inside one loop are meaningless. Usually means a partial stale recovery \
-            landed inside a loop; re-running inference homogenizes it.",
-    },
-    Lint {
         id: "WP003",
         name: "provenance-salvage-share",
         default_severity: Severity::Warn,
-        description: "stale-matched weight exceeds the configured share of module weight",
-        explanation: "More than the configured share (default 50%) of the module's \
+        description: "stale-matched weight exceeds half of the module's weight",
+        explanation: "More than half of the module's \
             annotated weight was transferred by the stale-profile matcher instead of \
             being measured on the current build. Salvage is designed to bridge a \
             release or two; when it carries most of the profile, drift compounds \
@@ -353,11 +189,16 @@ pub const LINTS: &[Lint] = &[
     },
 ];
 
-/// Looks a lint up by stable id (`PI001`) or name (`probe-duplicate-id`).
+/// Looks a lint up by stable id (`PF004`) or name (`profile-checksum-stale`).
 pub fn find_lint(key: &str) -> Option<&'static Lint> {
     LINTS
         .iter()
         .find(|l| l.id.eq_ignore_ascii_case(key) || l.name == key)
+}
+
+/// The registered lint an emitter in this crate reports under.
+pub(crate) fn lint(id: &str) -> &'static Lint {
+    find_lint(id).expect("registry covers every emitted lint")
 }
 
 /// The full lint registry rendered as an aligned table (ids, names,
@@ -458,9 +299,9 @@ impl Policy {
 /// One finding.
 #[derive(Clone, Debug, Serialize)]
 pub struct Diagnostic {
-    /// Stable lint id (`PI001`).
+    /// Stable lint id (`PF004`).
     pub lint: String,
-    /// Lint name (`probe-duplicate-id`).
+    /// Lint name (`profile-checksum-stale`).
     pub name: String,
     /// Effective severity after policy application.
     pub severity: Severity,
@@ -492,7 +333,7 @@ impl fmt::Display for Diagnostic {
 }
 
 /// An accumulating set of diagnostics across analysis units.
-#[derive(Clone, Debug, Default, Serialize)]
+#[derive(Clone, Debug, Default)]
 pub struct Report {
     /// All recorded diagnostics, in emission order.
     pub diagnostics: Vec<Diagnostic>,
@@ -569,11 +410,6 @@ impl Report {
             self.warnings()
         ));
         out
-    }
-
-    /// JSON rendering (the `csspgo_lint --json` artifact).
-    pub fn to_json(&self) -> String {
-        serde_json::to_string_pretty(self).expect("report serialization is infallible")
     }
 }
 
@@ -667,21 +503,25 @@ mod tests {
             deny: Vec::new(),
             allow: vec!["all".into()],
         };
-        r.emit(&p, find_lint("IV001").unwrap(), "u", None, None, "x".into());
+        r.emit(&p, find_lint("PF004").unwrap(), "u", None, None, "x".into());
         assert!(r.diagnostics.is_empty());
     }
 
     #[test]
-    fn report_counts_and_json() {
+    fn report_counts_by_severity_and_lint() {
         let mut r = Report::new();
-        let p = Policy::default();
+        // No lint denies by default: escalation is the caller's choice.
+        let p = Policy {
+            deny: vec!["PF004".into()],
+            allow: Vec::new(),
+        };
         r.emit(
             &p,
-            find_lint("IV001").unwrap(),
+            find_lint("PF004").unwrap(),
             "u",
             Some("f".into()),
-            Some("bb0".into()),
-            "broken".into(),
+            Some("f@4:g".into()),
+            "stale".into(),
         );
         r.emit(
             &p,
@@ -694,15 +534,14 @@ mod tests {
         assert_eq!(r.denied(), 1);
         assert_eq!(r.warnings(), 1);
         assert!(r.has_denied());
-        let json = r.to_json();
-        assert!(json.contains("IV001") && json.contains("PF001"), "{json}");
+        assert_eq!(r.by_lint("PF004").len(), 1);
         assert!(r.render_human().contains("1 error(s), 1 warning(s)"));
     }
 
     #[test]
     fn unknown_policy_keys_rejected() {
         let p = Policy {
-            deny: vec!["PI999".into()],
+            deny: vec!["PF999".into()],
             allow: Vec::new(),
         };
         assert!(p.validate().is_err());

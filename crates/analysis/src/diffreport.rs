@@ -1,18 +1,14 @@
-//! The `csspgo_diff` differential report: per-function match quality and
-//! per-scenario recovery summaries, serialized to JSON for CI artifacts
-//! and golden tests.
+//! What judging one `(module, profile)` pair returns, and the report that
+//! collects the pairs: per-function match quality and per-pair recovery
+//! summaries, serialized to JSON (`csspgo_lint --json`) and pinned by a
+//! golden test.
 //!
 //! Fractions are rounded to four decimals at construction time so the JSON
-//! is stable across floating-point noise (golden tests pin the output).
+//! is stable across floating-point noise.
 
-use crate::diag::{Diagnostic, Policy, Report};
-use crate::module_lints::{analyze_flow, FlowTolerance};
-use crate::provenance::module_weights;
-use csspgo_core::annotate::{csspgo_annotate, AnnotateConfig};
-use csspgo_core::inference::InferenceMode;
-use csspgo_core::profile::ProbeProfile;
-use csspgo_core::stalematch::{FuncMatchStatus, MatchOutcome, StaleMatching};
-use csspgo_ir::Module;
+use crate::diag::Diagnostic;
+use csspgo_core::annotate::ProvenanceTotals;
+use csspgo_core::stalematch::{FuncMatchStatus, MatchOutcome};
 use serde::Serialize;
 
 /// Rounds to four decimals for byte-stable JSON.
@@ -51,7 +47,7 @@ pub struct FuncDiffRecord {
     pub recovered_fraction: f64,
 }
 
-/// How much repair profile inference had to do on a scenario's recovered
+/// How much repair profile inference had to do on a pair's recovered
 /// counts, and what the flow lints say before and after it ran.
 #[derive(Clone, Debug, Serialize)]
 pub struct InferenceQuality {
@@ -71,47 +67,8 @@ pub struct InferenceQuality {
     pub pf_findings_inferred: usize,
 }
 
-/// Measures [`InferenceQuality`] for one (module, profile) pair: annotates
-/// a clone with inference off and one with MCF (stale recovery on, no
-/// inline replay so the two CFGs stay identical), then runs the `PF` flow
-/// lints over both.
-pub fn inference_quality(module: &Module, profile: &ProbeProfile) -> InferenceQuality {
-    let annotate = |mode: InferenceMode| {
-        let mut m = module.clone();
-        let cfg = AnnotateConfig {
-            inline_budget: 0,
-            stale_matching: StaleMatching::Recover,
-            inference: mode,
-        };
-        let stats = csspgo_annotate(&mut m, profile, None, &cfg);
-        (m, stats)
-    };
-    let pf_findings = |m: &Module| {
-        let mut report = Report::new();
-        analyze_flow(
-            &Policy::default(),
-            "inference-quality",
-            m,
-            FlowTolerance::default(),
-            &mut report,
-        );
-        report.diagnostics.len()
-    };
-    let (raw_module, _) = annotate(InferenceMode::Off);
-    let (inferred_module, stats) = annotate(InferenceMode::Mcf);
-    InferenceQuality {
-        mode: "mcf".to_string(),
-        functions: stats.inference.functions,
-        counts_adjusted: stats.inference.counts_adjusted,
-        flow_moved: stats.inference.flow_moved,
-        residual_cost: stats.inference.residual_cost,
-        pf_findings_raw: pf_findings(&raw_module),
-        pf_findings_inferred: pf_findings(&inferred_module),
-    }
-}
-
-/// Where a scenario's recovered weight came from: per-provenance-tag
-/// totals and shares over the annotated module.
+/// Where a pair's annotated weight came from: per-provenance-tag totals
+/// and shares over the MCF-annotated module.
 #[derive(Clone, Debug, Serialize)]
 pub struct ProvenanceBreakdown {
     /// Weight under raw-sample counts.
@@ -132,33 +89,24 @@ pub struct ProvenanceBreakdown {
     pub reconstructed_share: f64,
 }
 
-/// Measures a [`ProvenanceBreakdown`] for one (module, profile) pair:
-/// annotates a clone with stale recovery and MCF inference on (the
-/// `csspgo_diff` measurement configuration, matching
-/// [`inference_quality`]) and sums the annotated weight by tag.
-pub fn provenance_breakdown(module: &Module, profile: &ProbeProfile) -> ProvenanceBreakdown {
-    let mut m = module.clone();
-    let cfg = AnnotateConfig {
-        inline_budget: 0,
-        stale_matching: StaleMatching::Recover,
-        inference: InferenceMode::Mcf,
-    };
-    csspgo_annotate(&mut m, profile, None, &cfg);
-    let w = module_weights(&m);
-    let total = w.total().max(1) as f64;
-    ProvenanceBreakdown {
-        sampled: w.sampled,
-        stale_matched: w.stale_matched,
-        inferred: w.inferred,
-        reconstructed: w.reconstructed,
-        sampled_share: round4(w.sampled as f64 / total),
-        stale_matched_share: round4(w.stale_matched as f64 / total),
-        inferred_share: round4(w.inferred as f64 / total),
-        reconstructed_share: round4(w.reconstructed as f64 / total),
+impl From<ProvenanceTotals> for ProvenanceBreakdown {
+    fn from(w: ProvenanceTotals) -> Self {
+        let total = w.total().max(1) as f64;
+        ProvenanceBreakdown {
+            sampled: w.sampled,
+            stale_matched: w.stale_matched,
+            inferred: w.inferred,
+            reconstructed: w.reconstructed,
+            sampled_share: round4(w.sampled as f64 / total),
+            stale_matched_share: round4(w.stale_matched as f64 / total),
+            inferred_share: round4(w.inferred as f64 / total),
+            reconstructed_share: round4(w.reconstructed as f64 / total),
+        }
     }
 }
 
-/// One drift scenario's full differential result.
+/// One judged `(module, profile)` pair: what
+/// [`Analyzer::judge`](crate::Analyzer::judge) returns.
 #[derive(Clone, Debug, Serialize)]
 pub struct ScenarioReport {
     /// Scenario name (e.g. `change_cfg`).
@@ -183,24 +131,25 @@ pub struct ScenarioReport {
     pub stale_recovered_fraction: f64,
     /// Per-function records, sorted by name.
     pub functions: Vec<FuncDiffRecord>,
-    /// `SM` diagnostics emitted for this scenario.
+    /// `SM` diagnostics emitted for this pair (every other finding is in
+    /// the analyzer's [`Report`](crate::Report) only).
     pub diagnostics: Vec<Diagnostic>,
-    /// Inference repair effort and before/after flow-lint findings
-    /// (absent when the caller did not measure it).
-    pub inference_quality: Option<InferenceQuality>,
-    /// Per-tag provenance of the recovered weight (absent when the caller
-    /// did not measure it).
-    pub provenance: Option<ProvenanceBreakdown>,
+    /// Inference repair effort and before/after flow-lint findings.
+    pub inference_quality: InferenceQuality,
+    /// Per-tag provenance of the annotated weight.
+    pub provenance: ProvenanceBreakdown,
 }
 
 impl ScenarioReport {
-    /// Builds a scenario report from a match outcome plus the diagnostics
-    /// its lint pass produced.
-    pub fn from_outcome(
+    /// Shapes a match outcome, the `SM` diagnostics its lint pass produced
+    /// and the two annotation measurements into a report.
+    pub(crate) fn new(
         scenario: &str,
         workload: &str,
         outcome: &MatchOutcome,
         diagnostics: Vec<Diagnostic>,
+        inference_quality: InferenceQuality,
+        provenance: ProvenanceBreakdown,
     ) -> Self {
         let functions: Vec<FuncDiffRecord> = outcome
             .funcs
@@ -242,30 +191,18 @@ impl ScenarioReport {
             stale_recovered_fraction: round4(outcome.stale_recovered_fraction()),
             functions,
             diagnostics,
-            inference_quality: None,
-            provenance: None,
+            inference_quality,
+            provenance,
         }
-    }
-
-    /// Attaches a measured [`InferenceQuality`] section.
-    pub fn with_inference_quality(mut self, q: InferenceQuality) -> Self {
-        self.inference_quality = Some(q);
-        self
-    }
-
-    /// Attaches a measured [`ProvenanceBreakdown`] section.
-    pub fn with_provenance(mut self, p: ProvenanceBreakdown) -> Self {
-        self.provenance = Some(p);
-        self
     }
 }
 
-/// The complete `csspgo_diff` report.
+/// Every pair one `csspgo_lint` run judged.
 #[derive(Clone, Debug, Serialize)]
 pub struct DiffReport {
     /// Format tag for downstream consumers.
     pub schema: &'static str,
-    /// One entry per analyzed (scenario, workload) pair.
+    /// One entry per judged (scenario, workload) pair.
     pub scenarios: Vec<ScenarioReport>,
 }
 
@@ -278,7 +215,7 @@ impl DiffReport {
         }
     }
 
-    /// Pretty JSON (the CI artifact and golden-test payload).
+    /// Pretty JSON (the `--json` file and golden-test payload).
     pub fn to_json(&self) -> String {
         serde_json::to_string_pretty(self).expect("diff reports are serializable")
     }
@@ -293,39 +230,6 @@ impl Default for DiffReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use csspgo_core::profile::ProbeProfile;
-    use csspgo_core::stalematch::{match_stale_profile, MatchConfig};
-
-    #[test]
-    fn report_counts_reconcile_with_outcome() {
-        let mut m = csspgo_lang::compile(
-            "fn g(x) { return x; } fn f(x) { if (x > 0) { return g(x); } return 0; }",
-            "t",
-        )
-        .unwrap();
-        csspgo_opt::probes::run(&mut m);
-        let mut p = ProbeProfile::default();
-        for f in &m.functions {
-            let fp = p.funcs.entry(f.guid).or_default();
-            fp.checksum = f.probe_checksum.unwrap();
-            fp.record_sum(1, 5);
-            fp.recompute_totals();
-            p.names.insert(f.guid, f.name.clone());
-        }
-        let out = match_stale_profile(&m, &p, &MatchConfig::default());
-        let sr = ScenarioReport::from_outcome("s", "w", &out, Vec::new());
-        assert_eq!(sr.funcs_total, 2);
-        assert_eq!(sr.checksum_matched, 2);
-        assert_eq!(
-            sr.funcs_total,
-            sr.checksum_matched + sr.recovered + sr.renamed + sr.dropped
-        );
-        let mut report = DiffReport::new();
-        report.scenarios.push(sr);
-        let json = report.to_json();
-        assert!(json.contains("csspgo-diff-v1"), "{json}");
-        assert!(json.contains("\"checksum_matched\": 2"), "{json}");
-    }
 
     #[test]
     fn rounding_is_stable() {

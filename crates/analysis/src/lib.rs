@@ -1,88 +1,91 @@
-//! `csspgo-analysis` — probe-invariant and profile-integrity diagnostics.
+//! `csspgo-analysis` — does this profile still fit the build it is about to
+//! feed?
 //!
 //! A clippy-style lint layer over the CSSPGO reproduction: every check is a
 //! registered [`Lint`] with a stable id, lints are escalated or silenced by a
-//! [`Policy`] (`--deny` / `--allow`), and findings accumulate in a [`Report`]
-//! that renders for humans or serializes to JSON for CI artifacts.
+//! [`Policy`] (`--deny` / `--allow`), and findings accumulate in a [`Report`].
+//! A lint is in the registry only if it can fire on input that reaches it —
+//! a profile from outside the process, or a real source drift (the census in
+//! DESIGN.md §8 records the verdict for every id there has ever been).
+//! Checks on what an internal producer emits are assertions at that
+//! producer (`opt::verify_after_pass`, `debug_assert!`s in the matcher and
+//! the discriminator pass) or oracles under `tests/`, not lints.
 //!
 //! Three lint families:
 //!
-//! * **`IV…` IR verifier** — structural well-formedness, wrapping
-//!   [`csspgo_ir::verify`] (which now collects *all* findings).
-//! * **`PI…` probe invariants** — pseudo-probe metadata health after any
-//!   pass: unique probe ids per inline context, duplication-factor weights
-//!   summing to ≤ 1 across clones, index watermarks, inline-stack shape, and
-//!   (on fresh IR) discriminator discipline. Wraps
-//!   [`csspgo_ir::probe_verify`].
-//! * **`PF…` profile flow & integrity** — Kirchhoff-style conservation and
-//!   dominance bounds over annotated block counts, edge/block-count
-//!   reconciliation over inference-attached edge counts, context-tree
-//!   consistency, checksum staleness, and probe-range checks over collected
-//!   profiles.
-//! * **`SM…` stale-profile matching** — lints over the anchor-based
-//!   stale-profile matcher ([`csspgo_core::stalematch`]): alignment
-//!   ambiguity, matcher invariants (injectivity, weight conservation),
-//!   checksum-invisible call retargets, low-confidence renames. The
-//!   [`diffreport`] module turns match outcomes into the `csspgo_diff`
-//!   JSON report.
-//! * **`PP…` placement prover** — the static recoverability prover for
-//!   sparse counter placements ([`dataflow`]): certifies *before any
-//!   execution* that a Ball–Larus spanning-tree placement determines every
-//!   block/edge count by Kirchhoff elimination, and flags unrecoverable
-//!   edges, redundant counters, unsplit critical edges, and underivable
-//!   entry counts.
-//! * **`WP…` weight provenance** — pedigree lints over annotated counts
-//!   ([`provenance`]): every block count carries a
-//!   [`csspgo_ir::Provenance`] tag (sampled / stale-matched / inferred /
-//!   reconstructed), and these lints flag hot functions dominated by
-//!   invented weight, measurement-source mixing inside loops, and
-//!   excessive stale-salvage shares.
+//! * **`PF…` profile flow & integrity** — a profile against the module it
+//!   claims to describe: checksum staleness and unallocated probe indices
+//!   (`PF004`/`PF005`), context-tree consistency (`PF003`), and Kirchhoff /
+//!   dominance bounds over the block counts it annotates (`PF001`/`PF002`).
+//! * **`SM…` stale-profile matching** — what the anchor-based matcher
+//!   ([`csspgo_core::stalematch`]) could not be sure of: positional
+//!   alignment between repeated anchors, checksum-invisible call retargets,
+//!   low-confidence renames.
+//! * **`WP…` weight provenance** — every annotated block count carries a
+//!   [`csspgo_ir::Provenance`] tag, and these lints flag hot functions
+//!   dominated by solver-invented weight and modules living off stale
+//!   salvage.
 //!
-//! The raw `IV`/`PI` checks deliberately live in `csspgo_ir` so the opt
-//! pipeline's inter-pass checkpoints ([`csspgo_opt::verify_after_pass`])
-//! can run them without a dependency cycle; this crate adds identity,
-//! policy, and reporting on top, plus the profile-side analyses.
-//!
-//! [`csspgo_opt::verify_after_pass`]: https://docs.rs/csspgo-opt
+//! One function judges a `(module, profile)` pair — [`Analyzer::judge`] —
+//! and `csspgo_lint`'s scenario, train and file modes and the golden test
+//! all call it.
 //!
 //! # Example
 //!
 //! ```
 //! use csspgo_analysis::{Analyzer, Policy};
 //!
-//! let module = csspgo_ir::Module::new("demo");
-//! let mut analyzer = Analyzer::new(Policy::deny_all());
-//! analyzer.analyze_module("demo", &module, true);
-//! assert!(!analyzer.report().has_denied());
+//! let source = "fn f(x) { if (x > 0) { return x + 1; } return 0; }";
+//! let profile = r#"{"funcs": {}, "names": {}}"#;
+//! let mut analyzer = Analyzer::new(Policy::default());
+//! let pair = analyzer.judge_file("demo", source, profile).unwrap();
+//! assert_eq!(pair.funcs_total, 0);
+//! assert!(analyzer.report().diagnostics.is_empty());
 //! ```
 
-pub mod dataflow;
-pub mod diag;
-pub mod diffreport;
-pub mod matching;
-pub mod module_lints;
-pub mod profile_lints;
-pub mod provenance;
+mod diag;
+mod diffreport;
+mod flow_lints;
+mod matching;
+mod profile_lints;
+mod provenance;
 
-pub use dataflow::{classify_cfg_edges, prove_plan, CfgEdgeKind, FlowProof};
 pub use diag::{
     explain, find_lint, render_lint_list, Diagnostic, Lint, Policy, Report, Severity, LINTS,
     LINT_FAMILIES,
 };
 pub use diffreport::{
-    inference_quality, provenance_breakdown, DiffReport, FuncDiffRecord, InferenceQuality,
-    ProvenanceBreakdown, ScenarioReport,
+    DiffReport, FuncDiffRecord, InferenceQuality, ProvenanceBreakdown, ScenarioReport,
 };
-pub use module_lints::FlowTolerance;
-pub use profile_lints::ContextTolerance;
-pub use provenance::{ProvenanceWeights, WpTolerance};
 
+use csspgo_core::annotate::{csspgo_annotate, AnnotateConfig, AnnotateStats};
 use csspgo_core::context::ContextProfile;
+use csspgo_core::inference::InferenceMode;
+use csspgo_core::pipeline::prepared_module;
 use csspgo_core::profile::ProbeProfile;
-use csspgo_core::stalematch::{MatchConfig, MatchOutcome};
+use csspgo_core::stalematch::{match_stale_profile, MatchConfig, StaleMatching};
+use csspgo_core::textprof;
 use csspgo_ir::Module;
 
-/// The analysis driver: applies every lint family to modules and profiles,
+/// A clone of `module` annotated from `profile` with no inline replay, so it
+/// keeps `module`'s CFG, and what annotation reported doing.
+fn annotated(
+    module: &Module,
+    profile: &ProbeProfile,
+    stale_matching: StaleMatching,
+    inference: InferenceMode,
+) -> (Module, AnnotateStats) {
+    let mut m = module.clone();
+    let cfg = AnnotateConfig {
+        inline_budget: 0,
+        stale_matching,
+        inference,
+    };
+    let stats = csspgo_annotate(&mut m, profile, None, &cfg);
+    (m, stats)
+}
+
+/// The analysis driver: applies the lints to modules and profiles,
 /// accumulating one [`Report`] across units.
 #[derive(Clone, Debug, Default)]
 pub struct Analyzer {
@@ -91,7 +94,7 @@ pub struct Analyzer {
 }
 
 impl Analyzer {
-    /// Creates an analyzer with default tolerances.
+    /// Creates an analyzer reporting under `policy`.
     pub fn new(policy: Policy) -> Self {
         Analyzer {
             policy,
@@ -99,24 +102,95 @@ impl Analyzer {
         }
     }
 
-    /// IR verifier + probe invariants (`IV001`, `PI001`–`PI004`; with
-    /// `fresh`, also `PI005`/`PI006`). `fresh` means the module has not been
-    /// through cloning passes yet — discriminator discipline only holds
-    /// there.
-    pub fn analyze_module(&mut self, unit: &str, module: &Module, fresh: bool) {
-        module_lints::analyze_module(&self.policy, unit, module, fresh, &mut self.report);
+    /// Judges one `(module, profile)` pair: how well `profile` still fits
+    /// the freshly probed `module`, and what annotating from it would hand
+    /// the optimizer.
+    ///
+    /// Runs the stale matcher once (`SM` lints), then annotates two clones
+    /// of `module` through stale recovery with no inline replay (so both
+    /// keep `module`'s CFG) — one with the counts as recovered, one
+    /// repaired by min-cost-flow inference — counts the `PF` flow findings
+    /// on each, and lints the provenance of the repaired one (`WP` lints).
+    /// Findings land in the analyzer's report under the unit
+    /// `<workload>/<scenario>`; the returned report carries the per-function
+    /// match records and the measurements.
+    pub fn judge(
+        &mut self,
+        scenario: &str,
+        workload: &str,
+        module: &Module,
+        profile: &ProbeProfile,
+    ) -> ScenarioReport {
+        let unit = format!("{workload}/{scenario}");
+        let match_cfg = MatchConfig::default();
+        let outcome = match_stale_profile(module, profile, &match_cfg);
+        let before = self.report.diagnostics.len();
+        matching::emit_match_lints(&self.policy, &unit, &outcome, &match_cfg, &mut self.report);
+        let diagnostics = self.report.diagnostics[before..].to_vec();
+
+        let (raw, _) = annotated(module, profile, StaleMatching::Recover, InferenceMode::Off);
+        let (inferred, stats) =
+            annotated(module, profile, StaleMatching::Recover, InferenceMode::Mcf);
+        let weights =
+            provenance::analyze_provenance(&self.policy, &unit, &inferred, &mut self.report);
+        ScenarioReport::new(
+            scenario,
+            workload,
+            &outcome,
+            diagnostics,
+            InferenceQuality {
+                mode: "mcf".to_string(),
+                functions: stats.inference.functions,
+                counts_adjusted: stats.inference.counts_adjusted,
+                flow_moved: stats.inference.flow_moved,
+                residual_cost: stats.inference.residual_cost,
+                pf_findings_raw: flow_lints::count_flow_findings(&raw),
+                pf_findings_inferred: flow_lints::count_flow_findings(&inferred),
+            },
+            weights.into(),
+        )
     }
 
-    /// Flow-conservation, dominance, and edge-reconciliation lints
-    /// (`PF001`/`PF002`/`PF006`) over a profile-annotated module.
+    /// Judges a profile *file* against a source *file* — where a profile
+    /// from outside the process enters, so the lints written for files run
+    /// here, on the profile as loaded and before the matcher touches it:
+    /// `PF003` when the text is a `csspgo-stream-snapshot` (its context
+    /// section is what gets matched), `PF004`/`PF005` against the compiled
+    /// source, and `PF001`/`PF002` on the block counts exactly as the file
+    /// states them (no salvage, no inference). Then [`Analyzer::judge`],
+    /// as scenario `file` of workload `unit`.
+    ///
+    /// # Errors
+    ///
+    /// A source that does not compile, a profile that does not parse, or a
+    /// snapshot without a `!context` section, as a message naming which.
+    pub fn judge_file(
+        &mut self,
+        unit: &str,
+        source: &str,
+        profile_text: &str,
+    ) -> Result<ScenarioReport, String> {
+        let module = prepared_module(source, unit, true).map_err(|e| format!("source: {e}"))?;
+        let lint_unit = format!("{unit}/file");
+        let profile = if profile_text.starts_with("# csspgo-stream-snapshot") {
+            let (_, ctx) = textprof::split_snapshot_context(profile_text)
+                .ok_or("profile: snapshot has no !context section")?;
+            let ctx = textprof::parse_context(ctx).map_err(|e| format!("profile: {e}"))?;
+            self.analyze_context_profile(&lint_unit, &ctx);
+            ctx.to_probe_profile()
+        } else {
+            textprof::parse_probe_json(profile_text).map_err(|e| format!("profile: {e}"))?
+        };
+        self.analyze_probe_profile(&lint_unit, &module, &profile);
+        let (as_written, _) = annotated(&module, &profile, StaleMatching::Off, InferenceMode::Off);
+        self.analyze_flow(&lint_unit, &as_written);
+        Ok(self.judge("file", unit, &module, &profile))
+    }
+
+    /// Flow-conservation and dominance lints (`PF001`/`PF002`) over a
+    /// profile-annotated module.
     pub fn analyze_flow(&mut self, unit: &str, module: &Module) {
-        module_lints::analyze_flow(
-            &self.policy,
-            unit,
-            module,
-            FlowTolerance::default(),
-            &mut self.report,
-        );
+        flow_lints::analyze_flow(&self.policy, unit, module, &mut self.report);
     }
 
     /// Staleness and probe-range lints (`PF004`/`PF005`) over a flattened
@@ -125,56 +199,9 @@ impl Analyzer {
         profile_lints::analyze_probe_profile(&self.policy, unit, module, profile, &mut self.report);
     }
 
-    /// Stale-profile matching lints (`SM001`–`SM005`): runs the anchor
-    /// matcher over `profile` against `module` and lints the outcome,
-    /// returning it for report building or count recovery.
-    pub fn analyze_stale_match(
-        &mut self,
-        unit: &str,
-        module: &Module,
-        profile: &ProbeProfile,
-        cfg: &MatchConfig,
-    ) -> MatchOutcome {
-        matching::analyze_stale_match(&self.policy, unit, module, profile, cfg, &mut self.report)
-    }
-
-    /// Counter-placement recoverability lints (`PP001`–`PP004`): plans the
-    /// spanning-tree placement for every function of `module` and runs the
-    /// static Kirchhoff prover over it. Returns the number of functions
-    /// proven (exit-free full-fallback functions are trivially recoverable
-    /// and skipped).
-    pub fn analyze_placement(&mut self, unit: &str, module: &Module) -> usize {
-        dataflow::analyze_placement(&self.policy, unit, module, &mut self.report)
-    }
-
-    /// Weight-provenance lints (`WP001`–`WP003`) over an annotated module;
-    /// returns the module's per-tag weight totals.
-    pub fn analyze_provenance(&mut self, unit: &str, module: &Module) -> ProvenanceWeights {
-        self.analyze_provenance_with(unit, module, WpTolerance::default())
-    }
-
-    /// [`Analyzer::analyze_provenance`] with per-call tolerances, for
-    /// stages whose expected provenance mix differs from production (e.g.
-    /// a deliberate drift replay, where salvaged weight dominating the
-    /// module is the point of the exercise, not a defect).
-    pub fn analyze_provenance_with(
-        &mut self,
-        unit: &str,
-        module: &Module,
-        tol: WpTolerance,
-    ) -> ProvenanceWeights {
-        provenance::analyze_provenance(&self.policy, unit, module, tol, &mut self.report)
-    }
-
     /// Context-tree consistency lint (`PF003`) over a context trie.
     pub fn analyze_context_profile(&mut self, unit: &str, profile: &ContextProfile) {
-        profile_lints::analyze_context_profile(
-            &self.policy,
-            unit,
-            profile,
-            ContextTolerance::default(),
-            &mut self.report,
-        );
+        profile_lints::analyze_context_profile(&self.policy, unit, profile, &mut self.report);
     }
 
     /// The accumulated findings.
@@ -185,5 +212,40 @@ impl Analyzer {
     /// Consumes the analyzer, returning the findings.
     pub fn into_report(self) -> Report {
         self.report
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn judged_pair_counts_reconcile_and_serialize() {
+        let mut m = csspgo_lang::compile(
+            "fn g(x) { return x; } fn f(x) { if (x > 0) { return g(x); } return 0; }",
+            "t",
+        )
+        .unwrap();
+        csspgo_opt::probes::run(&mut m);
+        let mut p = ProbeProfile::default();
+        for f in &m.functions {
+            let fp = p.funcs.entry(f.guid).or_default();
+            fp.checksum = f.probe_checksum.unwrap();
+            fp.record_sum(1, 5);
+            fp.recompute_totals();
+            p.names.insert(f.guid, f.name.clone());
+        }
+        let sr = Analyzer::new(Policy::default()).judge("s", "w", &m, &p);
+        assert_eq!(sr.funcs_total, 2);
+        assert_eq!(sr.checksum_matched, 2);
+        assert_eq!(
+            sr.funcs_total,
+            sr.checksum_matched + sr.recovered + sr.renamed + sr.dropped
+        );
+        let mut report = DiffReport::new();
+        report.scenarios.push(sr);
+        let json = report.to_json();
+        assert!(json.contains("csspgo-diff-v1"), "{json}");
+        assert!(json.contains("\"checksum_matched\": 2"), "{json}");
     }
 }

@@ -1,52 +1,28 @@
-//! Stale-profile matching lints (`SM001`–`SM005`).
+//! Stale-profile matching lints (`SM001`, `SM004`, `SM005`).
 //!
 //! The matching *algorithm* lives in [`csspgo_core::stalematch`] so the
 //! annotation pipeline can consume recovered counts without a dependency
-//! cycle (this crate depends on `csspgo-core`, not the other way around;
-//! same layering note as the `IV`/`PI` checks in the crate docs). This
-//! module adds lint identity, policy, and reporting on top of a
-//! [`MatchOutcome`]:
+//! cycle (this crate depends on `csspgo-core`, not the other way around).
+//! This module turns what a [`MatchOutcome`] says about the *input* into
+//! findings:
 //!
 //! * `SM001` — a call-anchor label repeats on one side of an alignment, so
 //!   the match between those anchors is positional, not exact.
-//! * `SM002` — two source probes mapped onto one target probe. The mapping
-//!   is injective by construction; this firing means the matcher itself is
-//!   broken (default `Deny`).
-//! * `SM003` — a function recovered more weight than its source profile
-//!   held. Also impossible by construction (default `Deny`).
 //! * `SM004` — the checksum matches but call-anchor targets changed: the
 //!   CFG *shape* hash cannot see a call retarget, so counts silently
 //!   describe calls to a different function.
 //! * `SM005` — a rename was adopted below the high-confidence similarity
 //!   threshold.
+//!
+//! What an outcome says about the *matcher* — the mapping is injective and
+//! creates no weight — is asserted in `match_stale_profile` itself and held
+//! by `tests/match_soundness.rs`.
 
-use crate::diag::{find_lint, Lint, Policy, Report};
-use csspgo_core::profile::ProbeProfile;
-use csspgo_core::stalematch::{match_stale_profile, FuncMatchStatus, MatchConfig, MatchOutcome};
-use csspgo_ir::Module;
+use crate::diag::{lint, Policy, Report};
+use csspgo_core::stalematch::{FuncMatchStatus, MatchConfig, MatchOutcome};
 
-fn lint(id: &str) -> &'static Lint {
-    find_lint(id).expect("SM lints are registered")
-}
-
-/// Runs the matcher and emits the `SM` diagnostics for its outcome.
-/// Returns the outcome so callers can also consume the recovered profile
-/// or build a [`crate::diffreport::DiffReport`].
-pub fn analyze_stale_match(
-    policy: &Policy,
-    unit: &str,
-    module: &Module,
-    profile: &ProbeProfile,
-    cfg: &MatchConfig,
-    report: &mut Report,
-) -> MatchOutcome {
-    let outcome = match_stale_profile(module, profile, cfg);
-    emit_match_lints(policy, unit, &outcome, cfg, report);
-    outcome
-}
-
-/// Emits `SM001`–`SM005` for an already-computed [`MatchOutcome`].
-pub fn emit_match_lints(
+/// Emits the `SM` lints for the outcome of matching under `cfg`.
+pub(crate) fn emit_match_lints(
     policy: &Policy,
     unit: &str,
     outcome: &MatchOutcome,
@@ -65,32 +41,6 @@ pub fn emit_match_lints(
                 format!(
                     "{} repeated call-anchor label(s): alignment is positional there",
                     f.ambiguous_anchors
-                ),
-            );
-        }
-        if f.two_to_one > 0 {
-            report.emit(
-                policy,
-                lint("SM002"),
-                unit,
-                func.clone(),
-                None,
-                format!(
-                    "{} probe mapping(s) collided on one target probe",
-                    f.two_to_one
-                ),
-            );
-        }
-        if f.recovered_weight > f.old_weight {
-            report.emit(
-                policy,
-                lint("SM003"),
-                unit,
-                func.clone(),
-                None,
-                format!(
-                    "recovered weight {} exceeds source weight {}",
-                    f.recovered_weight, f.old_weight
                 ),
             );
         }
@@ -131,7 +81,24 @@ pub fn emit_match_lints(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use csspgo_core::profile::ProbeProfile;
+    use csspgo_core::stalematch::match_stale_profile;
     use csspgo_ir::probe::anchor_sequence;
+    use csspgo_ir::Module;
+
+    /// Matches `profile` against `module` and lints the outcome.
+    fn analyze_stale_match(
+        policy: &Policy,
+        unit: &str,
+        module: &Module,
+        profile: &ProbeProfile,
+        cfg: &MatchConfig,
+        report: &mut Report,
+    ) -> MatchOutcome {
+        let outcome = match_stale_profile(module, profile, cfg);
+        emit_match_lints(policy, unit, &outcome, cfg, report);
+        outcome
+    }
 
     fn probed(src: &str) -> Module {
         let mut m = csspgo_lang::compile(src, "t").unwrap();
@@ -187,7 +154,7 @@ fn f(x) {
     }
 
     #[test]
-    fn drifted_profile_reports_ambiguity_but_no_invariant_violations() {
+    fn drifted_profile_reports_ambiguity() {
         let m_old = probed(SRC);
         let p = profile_for(&m_old);
         // CFG drift in `f` (extra branch) forces a real alignment; the
@@ -207,8 +174,6 @@ fn f(x) {
             &mut report,
         );
         assert!(!report.by_lint("SM001").is_empty(), "ambiguous `a` label");
-        assert!(report.by_lint("SM002").is_empty());
-        assert!(report.by_lint("SM003").is_empty());
         assert!(!report.has_denied());
     }
 

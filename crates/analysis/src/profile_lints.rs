@@ -3,42 +3,23 @@
 //! them — staleness (`PF004`), out-of-range probe references (`PF005`), and
 //! context-tree consistency (`PF003`).
 
-use crate::diag::{find_lint, Lint, Policy, Report};
+use crate::diag::{lint, Policy, Report};
 use csspgo_core::context::{ContextNode, ContextProfile};
 use csspgo_core::profile::{ProbeFuncProfile, ProbeProfile};
 use csspgo_ir::Module;
 
-fn lint(id: &str) -> &'static Lint {
-    find_lint(id).expect("registry covers every emitted lint")
-}
-
-/// Tolerances for the context-tree lint ([`analyze_context_profile`]).
-///
-/// Child entry counts (from LBR call edges) and parent call-site probe
-/// counts (period-subsampled address hits) are *different estimators* of
-/// the same call frequency, and on recursive contexts they routinely
-/// disagree by 2–3×. The lint is after structural corruption —
-/// wrong-context attribution is typically orders of magnitude off — so the
-/// default bound is deliberately generous.
-#[derive(Clone, Copy, Debug)]
-pub struct ContextTolerance {
-    /// Relative slack on the parent bound (`2.0` allows 3× the parent).
-    pub rel: f64,
-    /// Absolute slack in samples.
-    pub abs: f64,
-    /// Child contexts entered fewer times than this are skipped.
-    pub min_entry: u64,
-}
-
-impl Default for ContextTolerance {
-    fn default() -> Self {
-        ContextTolerance {
-            rel: 2.0,
-            abs: 64.0,
-            min_entry: 32,
-        }
-    }
-}
+// `PF003` slack. Child entry counts (from LBR call edges) and parent
+// call-site probe counts (period-subsampled address hits) are *different
+// estimators* of the same call frequency, and on recursive contexts they
+// routinely disagree by 2–3×. The lint is after structural corruption —
+// wrong-context attribution is typically orders of magnitude off — so the
+// bound is deliberately generous.
+/// Relative slack on the parent bound (`2.0` allows 3× the parent).
+const REL: f64 = 2.0;
+/// Absolute slack in samples.
+const ABS: f64 = 64.0;
+/// Child contexts entered fewer times than this are skipped.
+const MIN_ENTRY: u64 = 32;
 
 /// Name for `guid` in diagnostics: the profile's name table, else the hex
 /// GUID.
@@ -53,7 +34,7 @@ fn guid_name(names: &std::collections::BTreeMap<u64, String>, guid: u64) -> Stri
 /// staleness (`PF004`) and probe indices the function never allocated
 /// (`PF005`). Call-site sub-profiles are checked recursively against their
 /// callee functions.
-pub fn analyze_probe_profile(
+pub(crate) fn analyze_probe_profile(
     policy: &Policy,
     unit: &str,
     module: &Module,
@@ -140,16 +121,15 @@ fn check_func_profile(
 /// Checks context-tree consistency (`PF003`): a child context is entered
 /// through its parent's call-site probe, so the child's entry count cannot
 /// exceed that probe's count (within sampling tolerance).
-pub fn analyze_context_profile(
+pub(crate) fn analyze_context_profile(
     policy: &Policy,
     unit: &str,
     profile: &ContextProfile,
-    tol: ContextTolerance,
     report: &mut Report,
 ) {
     for (&guid, root) in &profile.roots {
         let path = guid_name(&profile.names, guid);
-        check_context_node(policy, unit, root, &path, &profile.names, tol, report);
+        check_context_node(policy, unit, root, &path, &profile.names, report);
     }
 }
 
@@ -159,14 +139,13 @@ fn check_context_node(
     node: &ContextNode,
     path: &str,
     names: &std::collections::BTreeMap<u64, String>,
-    tol: ContextTolerance,
     report: &mut Report,
 ) {
     for (&(callsite, callee_guid), child) in &node.children {
         let child_path = format!("{path}@{callsite}:{}", guid_name(names, callee_guid));
-        if child.entry >= tol.min_entry {
+        if child.entry >= MIN_ENTRY {
             let parent_count = node.probes.get(&callsite).copied().unwrap_or(0);
-            let bound = (parent_count as f64) * (1.0 + tol.rel) + tol.abs;
+            let bound = (parent_count as f64) * (1.0 + REL) + ABS;
             if (child.entry as f64) > bound {
                 report.emit(
                     policy,
@@ -182,6 +161,6 @@ fn check_context_node(
                 );
             }
         }
-        check_context_node(policy, unit, child, &child_path, names, tol, report);
+        check_context_node(policy, unit, child, &child_path, names, report);
     }
 }

@@ -1,141 +1,65 @@
 //! Weight-provenance lints (`WP…`): judge the *pedigree* of annotated
 //! counts, not their arithmetic. The annotation path tags every block
-//! count with a [`Provenance`] — raw samples, stale-matcher transfer,
-//! solver inference, or counter reconstruction — and these lints flag the
-//! mixtures that make a profile quietly untrustworthy even when every
-//! Kirchhoff check (`PF…`) passes.
+//! count with a [`Provenance`](csspgo_ir::Provenance) — raw samples,
+//! stale-matcher transfer, solver inference, or counter reconstruction —
+//! and these lints flag the mixtures that make a profile quietly
+//! untrustworthy even when every Kirchhoff check (`PF…`) passes.
 
-use crate::diag::{find_lint, Lint, Policy, Report};
-use csspgo_ir::loops::LoopInfo;
-use csspgo_ir::{Function, Module, Provenance};
+use crate::diag::{lint, Policy, Report};
+use csspgo_core::annotate::ProvenanceTotals;
+use csspgo_ir::{Function, Module};
 
-fn lint(id: &str) -> &'static Lint {
-    find_lint(id).expect("registry covers every emitted lint")
-}
+/// A function is "hot" for `WP001` when it carries at least this share of
+/// the module's annotated weight.
+const HOT_SHARE: f64 = 0.10;
+/// `WP001` fires when more than this share of a hot function's weight is
+/// solver-inferred.
+const INFERRED_MAJORITY: f64 = 0.50;
+/// `WP003` fires when more than this share of the module's weight was
+/// transferred by the stale matcher.
+const MAX_SALVAGED_SHARE: f64 = 0.50;
+/// Weight floor below which functions and modules are statistically
+/// meaningless and skipped.
+const MIN_WEIGHT: u64 = 64;
 
-/// Tuning knobs for the provenance lints.
-#[derive(Clone, Copy, Debug)]
-pub struct WpTolerance {
-    /// A function is "hot" for `WP001` when it carries at least this share
-    /// of the module's annotated weight.
-    pub hot_share: f64,
-    /// `WP001` fires when more than this share of a hot function's weight
-    /// is solver-inferred.
-    pub inferred_majority: f64,
-    /// `WP003` fires when more than this share of the module's weight was
-    /// transferred by the stale matcher.
-    pub max_salvaged_share: f64,
-    /// Weight floor below which functions/loops/modules are statistically
-    /// meaningless and skipped.
-    pub min_weight: u64,
-}
-
-impl Default for WpTolerance {
-    fn default() -> Self {
-        WpTolerance {
-            hot_share: 0.10,
-            inferred_majority: 0.50,
-            max_salvaged_share: 0.50,
-            min_weight: 64,
-        }
-    }
-}
-
-/// Per-tag weight totals for one function or module.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct ProvenanceWeights {
-    /// Weight under raw-sample (or exact-counter) counts.
-    pub sampled: u64,
-    /// Weight transferred by the stale matcher.
-    pub stale_matched: u64,
-    /// Weight invented or materially adjusted by inference.
-    pub inferred: u64,
-    /// Weight recovered from sparse counters by Kirchhoff elimination.
-    pub reconstructed: u64,
-}
-
-impl ProvenanceWeights {
-    /// Adds `weight` under `tag`.
-    pub fn add(&mut self, tag: Provenance, weight: u64) {
-        match tag {
-            Provenance::Sampled => self.sampled += weight,
-            Provenance::StaleMatched => self.stale_matched += weight,
-            Provenance::Inferred => self.inferred += weight,
-            Provenance::Reconstructed => self.reconstructed += weight,
-        }
-    }
-
-    /// Total weight across all tags.
-    pub fn total(&self) -> u64 {
-        self.sampled + self.stale_matched + self.inferred + self.reconstructed
-    }
-
-    /// Folds another accumulation in.
-    pub fn merge(&mut self, other: &ProvenanceWeights) {
-        self.sampled += other.sampled;
-        self.stale_matched += other.stale_matched;
-        self.inferred += other.inferred;
-        self.reconstructed += other.reconstructed;
-    }
-}
-
-/// Sums one function's annotated weight by provenance tag. Blocks without
-/// a tag (or functions annotated before provenance tracking) contribute
-/// nothing.
-pub fn function_weights(func: &Function) -> ProvenanceWeights {
-    let mut w = ProvenanceWeights::default();
-    let Some(tags) = &func.count_provenance else {
-        return w;
-    };
-    for (bid, block) in func.iter_blocks() {
-        let (Some(count), Some(tag)) = (block.count, tags.get(bid)) else {
+/// Sums the annotated weight of `funcs` by provenance tag. Blocks without
+/// a tag contribute nothing.
+fn weights<'a>(funcs: impl IntoIterator<Item = &'a Function>) -> ProvenanceTotals {
+    let mut w = ProvenanceTotals::default();
+    for func in funcs {
+        let Some(tags) = &func.count_provenance else {
             continue;
         };
-        w.add(tag, count);
+        for (bid, block) in func.iter_blocks() {
+            if let (Some(count), Some(tag)) = (block.count, tags.get(bid)) {
+                w.add(tag, count);
+            }
+        }
     }
     w
 }
 
-/// Sums a module's annotated weight by provenance tag.
-pub fn module_weights(module: &Module) -> ProvenanceWeights {
-    let mut w = ProvenanceWeights::default();
-    for f in &module.functions {
-        w.merge(&function_weights(f));
-    }
-    w
-}
-
-/// Runs the provenance lints over an annotated module:
+/// Runs the provenance lints over an annotated module and returns its
+/// per-tag weight totals:
 ///
-/// * `WP001` — a hot function (≥ `hot_share` of module weight) whose
+/// * `WP001` — a hot function (≥ [`HOT_SHARE`] of module weight) whose
 ///   weight is majority solver-inferred;
-/// * `WP002` — one loop whose blocks carry weight from several
-///   *measurement* sources (`Sampled`/`StaleMatched`/`Reconstructed`;
-///   `Inferred` is excluded — inference filling gaps between measured
-///   blocks is normal and calibrated against them);
-/// * `WP003` — stale-matched weight exceeding `max_salvaged_share` of the
+/// * `WP003` — stale-matched weight exceeding [`MAX_SALVAGED_SHARE`] of the
 ///   module's total.
-///
-/// Returns the module-wide totals for report building.
-pub fn analyze_provenance(
+pub(crate) fn analyze_provenance(
     policy: &Policy,
     unit: &str,
     module: &Module,
-    tol: WpTolerance,
     report: &mut Report,
-) -> ProvenanceWeights {
-    let totals = module_weights(module);
+) -> ProvenanceTotals {
+    let totals = weights(&module.functions);
     let module_total = totals.total();
     for func in &module.functions {
-        let fw = function_weights(func);
+        let fw = weights([func]);
         let ftotal = fw.total();
-        if ftotal < tol.min_weight {
-            continue;
-        }
-        // WP001: hot + majority-inferred.
-        if module_total > 0
-            && ftotal as f64 >= tol.hot_share * module_total as f64
-            && fw.inferred as f64 > tol.inferred_majority * ftotal as f64
+        if ftotal >= MIN_WEIGHT
+            && ftotal as f64 >= HOT_SHARE * module_total as f64
+            && fw.inferred as f64 > INFERRED_MAJORITY * ftotal as f64
         {
             report.emit(
                 policy,
@@ -151,49 +75,9 @@ pub fn analyze_provenance(
                 ),
             );
         }
-        // WP002: measurement-source mixing inside one loop.
-        let Some(tags) = &func.count_provenance else {
-            continue;
-        };
-        let loops = LoopInfo::compute(func);
-        for lp in &loops.loops {
-            let mut sources = Vec::new();
-            let mut loop_weight = 0u64;
-            for (bid, block) in func.iter_blocks() {
-                if !lp.contains(bid) {
-                    continue;
-                }
-                let (Some(count), Some(tag)) = (block.count, tags.get(bid)) else {
-                    continue;
-                };
-                if count == 0 || tag == Provenance::Inferred {
-                    continue;
-                }
-                loop_weight += count;
-                if !sources.contains(&tag) {
-                    sources.push(tag);
-                }
-            }
-            if loop_weight >= tol.min_weight && sources.len() > 1 {
-                let names: Vec<&str> = sources.iter().map(|t| t.tag()).collect();
-                report.emit(
-                    policy,
-                    lint("WP002"),
-                    unit,
-                    Some(func.name.clone()),
-                    Some(format!("loop at bb{}", lp.header.0)),
-                    format!(
-                        "loop mixes weight from {} measurement sources: {}",
-                        sources.len(),
-                        names.join(", ")
-                    ),
-                );
-            }
-        }
     }
-    // WP003: module-wide salvage share.
-    if module_total >= tol.min_weight
-        && totals.stale_matched as f64 > tol.max_salvaged_share * module_total as f64
+    if module_total >= MIN_WEIGHT
+        && totals.stale_matched as f64 > MAX_SALVAGED_SHARE * module_total as f64
     {
         report.emit(
             policy,
@@ -206,7 +90,7 @@ pub fn analyze_provenance(
                 totals.stale_matched as f64 / module_total as f64 * 100.0,
                 totals.stale_matched,
                 module_total,
-                tol.max_salvaged_share * 100.0
+                MAX_SALVAGED_SHARE * 100.0
             ),
         );
     }
@@ -217,7 +101,7 @@ pub fn analyze_provenance(
 mod tests {
     use super::*;
     use csspgo_ir::ids::BlockId;
-    use csspgo_ir::ProvenanceMap;
+    use csspgo_ir::{Provenance, ProvenanceMap};
 
     fn annotated(src: &str, tag: Provenance, count: u64) -> Module {
         let mut m = csspgo_lang::compile(src, "t").unwrap();
@@ -234,153 +118,36 @@ mod tests {
         m
     }
 
+    fn analyze(m: &Module) -> (ProvenanceTotals, Report) {
+        let mut report = Report::new();
+        let totals = analyze_provenance(&Policy::default(), "t", m, &mut report);
+        (totals, report)
+    }
+
     const LOOPY: &str = "fn f(n) { let i = 0; while (i < n) { i = i + 1; } return i; }";
 
     #[test]
     fn clean_sampled_module_has_no_findings() {
-        let m = annotated(LOOPY, Provenance::Sampled, 1000);
-        let mut report = Report::new();
-        let totals = analyze_provenance(
-            &Policy::deny_all(),
-            "t",
-            &m,
-            WpTolerance::default(),
-            &mut report,
-        );
+        let (totals, report) = analyze(&annotated(LOOPY, Provenance::Sampled, 1000));
         assert!(report.diagnostics.is_empty(), "{}", report.render_human());
         assert_eq!(totals.sampled, totals.total());
     }
 
     #[test]
     fn hot_inferred_function_fires_wp001() {
-        let m = annotated(LOOPY, Provenance::Inferred, 1000);
-        let mut report = Report::new();
-        analyze_provenance(
-            &Policy::default(),
-            "t",
-            &m,
-            WpTolerance::default(),
-            &mut report,
-        );
+        let (_, report) = analyze(&annotated(LOOPY, Provenance::Inferred, 1000));
         assert!(!report.by_lint("WP001").is_empty());
     }
 
     #[test]
-    fn loop_source_mixing_fires_wp002() {
-        let mut m = annotated(LOOPY, Provenance::Sampled, 1000);
-        // Retag one in-loop block as stale-matched.
-        let f = &mut m.functions[0];
-        let loops = LoopInfo::compute(f);
-        let lp = &loops.loops[0];
-        let in_loop: Vec<BlockId> = f
-            .iter_blocks()
-            .map(|(b, _)| b)
-            .filter(|&b| lp.contains(b))
-            .collect();
-        assert!(in_loop.len() >= 2, "{in_loop:?}");
-        let tags: Vec<(BlockId, Provenance)> = f
-            .iter_blocks()
-            .map(|(b, _)| {
-                let tag = if b == in_loop[0] {
-                    Provenance::StaleMatched
-                } else {
-                    Provenance::Sampled
-                };
-                (b, tag)
-            })
-            .collect();
-        f.count_provenance = Some(ProvenanceMap::new(tags));
-        let mut report = Report::new();
-        analyze_provenance(
-            &Policy::default(),
-            "t",
-            &m,
-            WpTolerance::default(),
-            &mut report,
-        );
-        assert!(
-            !report.by_lint("WP002").is_empty(),
-            "{}",
-            report.render_human()
-        );
-    }
-
-    #[test]
-    fn inferred_gaps_do_not_fire_wp002() {
-        let mut m = annotated(LOOPY, Provenance::Sampled, 1000);
-        let f = &mut m.functions[0];
-        let loops = LoopInfo::compute(f);
-        let lp = &loops.loops[0];
-        let in_loop: Vec<BlockId> = f
-            .iter_blocks()
-            .map(|(b, _)| b)
-            .filter(|&b| lp.contains(b))
-            .collect();
-        let tags: Vec<(BlockId, Provenance)> = f
-            .iter_blocks()
-            .map(|(b, _)| {
-                let tag = if b == in_loop[0] {
-                    Provenance::Inferred
-                } else {
-                    Provenance::Sampled
-                };
-                (b, tag)
-            })
-            .collect();
-        f.count_provenance = Some(ProvenanceMap::new(tags));
-        let mut report = Report::new();
-        analyze_provenance(
-            &Policy::default(),
-            "t",
-            &m,
-            WpTolerance::default(),
-            &mut report,
-        );
-        assert!(
-            report.by_lint("WP002").is_empty(),
-            "{}",
-            report.render_human()
-        );
-    }
-
-    #[test]
     fn salvage_share_fires_wp003() {
-        let m = annotated(LOOPY, Provenance::StaleMatched, 1000);
-        let mut report = Report::new();
-        analyze_provenance(
-            &Policy::default(),
-            "t",
-            &m,
-            WpTolerance::default(),
-            &mut report,
-        );
+        let (_, report) = analyze(&annotated(LOOPY, Provenance::StaleMatched, 1000));
         assert!(!report.by_lint("WP003").is_empty());
-        // A raised share tolerance silences it.
-        let mut report2 = Report::new();
-        analyze_provenance(
-            &Policy::default(),
-            "t",
-            &m,
-            WpTolerance {
-                max_salvaged_share: 1.0,
-                ..WpTolerance::default()
-            },
-            &mut report2,
-        );
-        assert!(report2.by_lint("WP003").is_empty());
     }
 
     #[test]
     fn untagged_modules_are_silent() {
-        let m = csspgo_lang::compile(LOOPY, "t").unwrap();
-        let mut report = Report::new();
-        let totals = analyze_provenance(
-            &Policy::deny_all(),
-            "t",
-            &m,
-            WpTolerance::default(),
-            &mut report,
-        );
+        let (totals, report) = analyze(&csspgo_lang::compile(LOOPY, "t").unwrap());
         assert_eq!(totals.total(), 0);
         assert!(report.diagnostics.is_empty());
     }

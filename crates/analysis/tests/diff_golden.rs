@@ -1,7 +1,8 @@
-//! Golden test pinning the `csspgo_diff` JSON report (`csspgo-diff-v1`):
+//! Golden test pinning the `csspgo_lint --json` report (`csspgo-diff-v1`):
 //! the exact bytes a fixed program + synthetic profile produce across the
-//! three interesting drift classes. CI consumes this JSON as an artifact,
-//! so format changes must be deliberate — re-bless with
+//! three interesting drift classes, through the same `Analyzer::judge` the
+//! tool's three modes call. Format changes must be deliberate — re-bless
+//! with
 //!
 //! ```text
 //! BLESS=1 cargo test -p csspgo-analysis --test diff_golden
@@ -11,9 +12,8 @@
 //! the profile is synthesized (no simulation), and fractions are rounded
 //! to four decimals at construction.
 
-use csspgo_analysis::{Analyzer, DiffReport, Policy, ScenarioReport};
+use csspgo_analysis::{Analyzer, DiffReport, Policy};
 use csspgo_core::profile::ProbeProfile;
-use csspgo_core::stalematch::MatchConfig;
 use csspgo_ir::probe::anchor_sequence;
 use csspgo_ir::Module;
 use csspgo_workloads::drift;
@@ -78,30 +78,23 @@ fn diff_report_json_matches_golden() {
         ("insert_body_comments", drift::insert_body_comments(SRC)),
         ("change_cfg", drift::change_cfg(SRC)),
         // Renames `mid` — the function with call anchors — like
-        // csspgo_diff's rename_one picks its best-connected target.
+        // csspgo_lint's rename_one picks its best-connected target.
         ("rename", drift::rename_functions(SRC, &["leaf", "serve"])),
     ];
     for (name, drifted) in scenarios {
         let module = probed(&drifted);
-        let unit = format!("golden/{name}");
-        let before = analyzer.report().diagnostics.len();
-        let outcome =
-            analyzer.analyze_stale_match(&unit, &module, &profile, &MatchConfig::default());
-        let diags = analyzer.report().diagnostics[before..].to_vec();
-        let sr = ScenarioReport::from_outcome(name, "golden", &outcome, diags)
-            .with_inference_quality(csspgo_analysis::inference_quality(&module, &profile))
-            .with_provenance(csspgo_analysis::provenance_breakdown(&module, &profile));
-        report.scenarios.push(sr);
+        report
+            .scenarios
+            .push(analyzer.judge(name, "golden", &module, &profile));
     }
     // The fixture must exercise all three outcomes the report classifies.
     for sr in &report.scenarios {
-        let q = sr.inference_quality.as_ref().unwrap();
         assert_eq!(
-            q.pf_findings_inferred, 0,
+            sr.inference_quality.pf_findings_inferred, 0,
             "{}: MCF-inferred profiles are flow-clean by construction",
             sr.scenario
         );
-        let p = sr.provenance.as_ref().unwrap();
+        let p = &sr.provenance;
         assert!(
             p.sampled + p.stale_matched + p.inferred + p.reconstructed > 0,
             "{}: provenance tags must survive annotation end-to-end",
@@ -110,7 +103,7 @@ fn diff_report_json_matches_golden() {
     }
     // CFG drift forces the matcher (and then inference) to carry weight,
     // and the tags must say so.
-    let cfg_prov = report.scenarios[1].provenance.as_ref().unwrap();
+    let cfg_prov = &report.scenarios[1].provenance;
     assert!(
         cfg_prov.stale_matched > 0,
         "change_cfg weight must be tagged stale-matched"
@@ -141,7 +134,7 @@ fn diff_report_json_matches_golden() {
     assert_eq!(
         got.trim_end(),
         want.trim_end(),
-        "csspgo_diff JSON drifted from the golden report; if intentional, \
+        "csspgo_lint JSON drifted from the golden report; if intentional, \
          re-bless: BLESS=1 cargo test -p csspgo-analysis --test diff_golden"
     );
 }

@@ -2,10 +2,9 @@
 //! arbitrary compositions of the shipped drift mutators, the matcher must
 //! never violate its structural invariants —
 //!
-//! * the probe mapping is injective (`two_to_one == 0`, the `SM002`
-//!   condition),
-//! * no function recovers more weight than its source profile held (the
-//!   `SM003` condition), in aggregate either,
+//! * the probe mapping is injective (`two_to_one == 0`),
+//! * no function recovers more weight than its source profile held, in
+//!   aggregate either,
 //! * every function the recovered profile keeps carries a checksum the
 //!   fresh module accepts (annotation would silently re-drop it
 //!   otherwise).
@@ -13,9 +12,11 @@
 //! The mutators (`insert_statement`, `delete_statement`, renames, comment
 //! drift) are *generators* here: some change behaviour, which is fine —
 //! these properties are about the mapping's structure, not result
-//! equality.
+//! equality. Until the lint census (DESIGN.md §8) the first two were also
+//! the lints `SM002`/`SM003`; a matcher that breaks them is a bug here, not
+//! a finding about anybody's profile, so `match_stale_profile` asserts them
+//! on its way out and this property is what exercises the assertion.
 
-use csspgo_analysis::{Analyzer, Policy};
 use csspgo_core::profile::ProbeProfile;
 use csspgo_core::stalematch::{match_stale_profile, MatchConfig};
 use csspgo_ir::probe::anchor_sequence;
@@ -128,9 +129,9 @@ proptest! {
         let mut old_total = 0u64;
         let mut rec_total = 0u64;
         for f in &out.funcs {
-            // SM002: the mapping is injective, always.
+            // The mapping is injective, always.
             prop_assert_eq!(f.two_to_one, 0, "two-to-one mapping in {:?}", f);
-            // SM003: weight is conserved per function...
+            // Weight is conserved per function...
             prop_assert!(
                 f.recovered_weight <= f.old_weight,
                 "recovered {} > source {} in {:?}",
@@ -156,13 +157,5 @@ proptest! {
                 );
             }
         }
-
-        // The SM lint pass over the outcome must never reach Deny under
-        // the default policy: SM002/SM003 are the deny-by-default
-        // invariant lints, and they cannot fire if the asserts above hold.
-        let mut analyzer = Analyzer::new(Policy::default());
-        analyzer.analyze_stale_match("prop", &m_new, &profile, &MatchConfig::default());
-        let report = analyzer.into_report();
-        prop_assert!(!report.has_denied(), "{}", report.render_human());
     }
 }

@@ -1,16 +1,35 @@
-//! Seeded-corruption tests: every lint family must fire — with the expected
-//! stable lint id — when its invariant is deliberately broken, and must stay
-//! silent on healthy modules and profiles. This is the acceptance gate for
-//! the analyzer: a lint that cannot catch its own seeded corruption is dead
-//! weight.
+//! Seeded-corruption tests: every lint that checks an in-memory profile or
+//! annotation must fire — with the expected stable lint id — when its
+//! invariant is deliberately broken, and must stay silent on healthy
+//! modules and profiles. One firing and one silent case per lint; that each
+//! can also fire on *text* from outside the process is the root package's
+//! `tests/regressions.rs`. (`SM` and `WP` findings come out of
+//! `Analyzer::judge`; their seeded cases are unit tests beside the
+//! emitters.)
+//!
+//! Cases that left with their lint ids (census: DESIGN.md §8), each beside
+//! the test that still checks the behaviour:
+//!
+//! | removed here | held by |
+//! |---|---|
+//! | `clean_fresh_module_is_lint_free_under_deny_all`, `clean_optimized_module_is_lint_free_under_deny_all` | `opt::tests::interpass_verify_accepts_probed_modules`, `probe_invariants.rs::{fresh_ir_discriminators_are_sound, cloning_pass_compositions_never_break_probe_invariants}` |
+//! | `missing_terminator_fires_iv001` | `ir::verify::tests::missing_terminator_detected` |
+//! | `duplicated_probe_without_factor_fires_pi001` | `ir::probe_verify::tests::duplicate_without_factor_flagged` |
+//! | `underdeclared_duplication_factor_fires_pi002` | `ir::probe_verify::tests::underdeclared_factor_flagged` |
+//! | `mutated_probe_index_fires_pi003` | `ir::probe_verify::tests::out_of_range_index_flagged` |
+//! | `corrupted_inline_stack_fires_pi004` | `ir::probe_verify::tests::bad_inline_stack_root_flagged` |
+//! | `discriminator_conflict_fires_pi005_on_fresh_ir_only` | `ir::probe_verify::tests::discriminator_conflict_flagged` |
+//! | `non_monotone_discriminators_fire_pi006` | `ir::probe_verify::tests::non_monotone_discriminators_flagged` |
+//! | `consistent_edge_counts_are_lint_free`, `corrupted_edge_counts_fire_pf006_where_block_lints_stay_silent`, `non_cfg_recorded_edge_fires_pf006` | `proptest_inference::mcf_satisfies_kirchhoff_on_corrupted_inputs` (exact equality, and every recorded edge is a CFG edge) |
+//!
+//! The five module corruptions (IV001, PI001–PI004) moved, as inputs, to
+//! `crates/opt/tests/probe_invariants.rs::every_seeded_corruption_trips_the_interpass_checkpoint`.
 
-use csspgo_analysis::{Analyzer, Policy};
+use csspgo_analysis::{Analyzer, Policy, Report};
 use csspgo_core::context::{ContextNode, ContextProfile};
 use csspgo_core::profile::{ProbeFuncProfile, ProbeProfile};
-use csspgo_ir::ids::{BlockId, FuncId};
-use csspgo_ir::inst::InstKind;
-use csspgo_ir::probe::ProbeSite;
-use csspgo_ir::{EdgeCounts, Module};
+use csspgo_ir::ids::BlockId;
+use csspgo_ir::Module;
 
 const SRC: &str = r#"
 fn helper(x) {
@@ -29,7 +48,7 @@ fn main(n) {
 "#;
 
 /// A realistic probed module: compiled, discriminators assigned, probes
-/// inserted — the state the analyzer sees as "fresh".
+/// inserted.
 fn fresh_module() -> Module {
     let mut m = csspgo_lang::compile(SRC, "corruption").unwrap();
     csspgo_opt::discriminators::run(&mut m);
@@ -37,198 +56,28 @@ fn fresh_module() -> Module {
     m
 }
 
-fn deny_all_analyzer() -> Analyzer {
-    Analyzer::new(Policy::deny_all())
-}
-
-/// Applies `mutate` to the module, analyzes it, and returns the report.
-fn analyze_mutated(fresh: bool, mutate: impl FnOnce(&mut Module)) -> csspgo_analysis::Report {
-    let mut m = fresh_module();
-    mutate(&mut m);
-    let mut a = deny_all_analyzer();
-    a.analyze_module("seeded", &m, fresh);
+/// Runs `analyze` on a deny-all analyzer and returns what it found.
+fn findings(analyze: impl FnOnce(&mut Analyzer)) -> Report {
+    let mut a = Analyzer::new(Policy::deny_all());
+    analyze(&mut a);
     a.into_report()
 }
 
-/// The first pseudo-probe instruction position in any block of `main`.
-fn first_probe_pos(m: &Module) -> (usize, BlockId, usize) {
-    let fid = m.find_function("main").unwrap();
-    let func = m.func(fid);
-    for (bid, block) in func.iter_blocks() {
-        for (i, inst) in block.insts.iter().enumerate() {
-            if matches!(inst.kind, InstKind::PseudoProbe { .. }) {
-                return (fid.index(), bid, i);
-            }
-        }
-    }
-    panic!("probed module has no probes");
-}
-
-#[test]
-fn clean_fresh_module_is_lint_free_under_deny_all() {
-    let m = fresh_module();
-    let mut a = deny_all_analyzer();
-    a.analyze_module("clean", &m, true);
-    assert!(
-        a.report().diagnostics.is_empty(),
-        "{}",
-        a.report().render_human()
-    );
-}
-
-#[test]
-fn clean_optimized_module_is_lint_free_under_deny_all() {
+/// `fresh_module` with `helper`'s entry block counted `entry` times and
+/// every other block `rest` times.
+fn helper_annotated(entry_count: u64, rest: u64) -> Module {
     let mut m = fresh_module();
-    let config = csspgo_opt::OptConfig {
-        interpass_verify: true,
-        ..csspgo_opt::OptConfig::default()
-    };
-    csspgo_opt::run_pipeline(&mut m, &config);
-    let mut a = deny_all_analyzer();
-    // Not fresh: cloning passes may replicate discriminators legally.
-    a.analyze_module("optimized", &m, false);
-    assert!(
-        a.report().diagnostics.is_empty(),
-        "{}",
-        a.report().render_human()
-    );
-}
-
-#[test]
-fn missing_terminator_fires_iv001() {
-    let report = analyze_mutated(false, |m| {
-        let fid = m.find_function("main").unwrap();
-        m.func_mut(fid).blocks[0].insts.pop();
-    });
-    assert!(
-        !report.by_lint("IV001").is_empty(),
-        "{}",
-        report.render_human()
-    );
-    assert!(report.has_denied());
-}
-
-#[test]
-fn duplicated_probe_without_factor_fires_pi001() {
-    let report = analyze_mutated(false, |m| {
-        let (f, bid, i) = first_probe_pos(m);
-        let probe = m.functions[f].block(bid).insts[i].clone();
-        m.functions[f].block_mut(bid).insts.insert(i, probe);
-    });
-    assert!(
-        !report.by_lint("PI001").is_empty(),
-        "{}",
-        report.render_human()
-    );
-}
-
-#[test]
-fn underdeclared_duplication_factor_fires_pi002() {
-    let report = analyze_mutated(false, |m| {
-        // Three co-existing copies each declaring factor 2: combined weight
-        // 1.5 > 1, so some cloning pass under-declared.
-        let (f, bid, i) = first_probe_pos(m);
-        let mut probe = m.functions[f].block(bid).insts[i].clone();
-        if let InstKind::PseudoProbe { factor, .. } = &mut probe.kind {
-            *factor = 2;
-        }
-        m.functions[f].block_mut(bid).insts[i] = probe.clone();
-        m.functions[f].block_mut(bid).insts.insert(i, probe.clone());
-        m.functions[f].block_mut(bid).insts.insert(i, probe);
-    });
-    assert!(
-        !report.by_lint("PI002").is_empty(),
-        "{}",
-        report.render_human()
-    );
-    assert!(
-        report.by_lint("PI001").is_empty(),
-        "factors > 1 are not PI001"
-    );
-}
-
-#[test]
-fn mutated_probe_index_fires_pi003() {
-    let report = analyze_mutated(false, |m| {
-        let (f, bid, i) = first_probe_pos(m);
-        if let InstKind::PseudoProbe { index, .. } =
-            &mut m.functions[f].block_mut(bid).insts[i].kind
-        {
-            *index = 999;
-        }
-    });
-    assert!(
-        !report.by_lint("PI003").is_empty(),
-        "{}",
-        report.render_human()
-    );
-}
-
-#[test]
-fn corrupted_inline_stack_fires_pi004() {
-    let report = analyze_mutated(false, |m| {
-        // Root the stack at a function that is not the physical container
-        // (and does not even exist) — a truncated/mis-spliced stack.
-        let (f, bid, i) = first_probe_pos(m);
-        if let InstKind::PseudoProbe { inline_stack, .. } =
-            &mut m.functions[f].block_mut(bid).insts[i].kind
-        {
-            inline_stack.push(ProbeSite {
-                func: FuncId(99),
-                probe_index: 1,
-            });
-        }
-    });
-    assert!(
-        !report.by_lint("PI004").is_empty(),
-        "{}",
-        report.render_human()
-    );
-}
-
-#[test]
-fn discriminator_conflict_fires_pi005_on_fresh_ir_only() {
-    let corrupt = |m: &mut Module| {
-        let fid = m.find_function("main").unwrap();
-        let func = m.func_mut(fid);
-        // Give two instructions in one block the same line but different
-        // discriminators.
-        let insts = &mut func.blocks[0].insts;
-        assert!(insts.len() >= 2);
-        insts[0].loc.line = 42;
-        insts[0].loc.discriminator = 0;
-        insts[1].loc.line = 42;
-        insts[1].loc.discriminator = 7;
-    };
-    let fresh = analyze_mutated(true, corrupt);
-    assert!(
-        !fresh.by_lint("PI005").is_empty(),
-        "{}",
-        fresh.render_human()
-    );
-    // The same corruption is ignored when the module is past cloning passes.
-    let optimized = analyze_mutated(false, corrupt);
-    assert!(optimized.by_lint("PI005").is_empty());
-}
-
-#[test]
-fn non_monotone_discriminators_fire_pi006() {
-    let report = analyze_mutated(true, |m| {
-        let fid = m.find_function("main").unwrap();
-        let func = m.func_mut(fid);
-        let last = func.blocks.len() - 1;
-        // The same (line, discriminator) in two blocks: not strictly rising.
-        for b in [0, last] {
-            let inst = func.blocks[b].insts.first_mut().unwrap();
-            inst.loc.line = 43;
-            inst.loc.discriminator = 5;
-        }
-    });
-    assert!(
-        !report.by_lint("PI006").is_empty(),
-        "{}",
-        report.render_human()
-    );
+    let fid = m.find_function("helper").unwrap();
+    let func = m.func_mut(fid);
+    let entry = func.entry;
+    for (i, b) in func.blocks.iter_mut().enumerate() {
+        b.count = Some(if BlockId::from_index(i) == entry {
+            entry_count
+        } else {
+            rest
+        });
+    }
+    m
 }
 
 #[test]
@@ -236,147 +85,43 @@ fn impossible_block_counts_fire_pf001_and_pf002() {
     // `helper` is branchy but loop-free: entry dominates both arms, so an
     // arm hotter than the entry is impossible both by flow conservation and
     // by dominance.
-    let mut m = fresh_module();
-    let fid = m.find_function("helper").unwrap();
-    let func = m.func_mut(fid);
-    let entry = func.entry;
-    for (i, b) in func.blocks.iter_mut().enumerate() {
-        b.count = Some(if BlockId::from_index(i) == entry {
-            100
-        } else {
-            5000
-        });
+    let m = helper_annotated(100, 5000);
+    let report = findings(|a| a.analyze_flow("seeded", &m));
+    for id in ["PF001", "PF002"] {
+        assert!(!report.by_lint(id).is_empty(), "{}", report.render_human());
     }
-    let mut a = deny_all_analyzer();
+    assert!(report.has_denied());
+
+    // The flow lints warn by default; denying is the caller's choice.
+    let mut a = Analyzer::new(Policy::default());
     a.analyze_flow("seeded", &m);
-    let report = a.into_report();
-    assert!(
-        !report.by_lint("PF001").is_empty(),
-        "{}",
-        report.render_human()
-    );
-    assert!(
-        !report.by_lint("PF002").is_empty(),
-        "{}",
-        report.render_human()
-    );
+    assert_eq!(a.report().denied(), 0, "flow lints default to Warn");
+    assert!(a.report().warnings() > 0);
 }
 
 #[test]
 fn consistent_block_counts_are_lint_free() {
     // All-equal counts on a loop-free diamond satisfy every inequality.
-    let mut m = fresh_module();
-    let fid = m.find_function("helper").unwrap();
-    for b in &mut m.func_mut(fid).blocks {
-        b.count = Some(1000);
-    }
-    let mut a = deny_all_analyzer();
-    a.analyze_flow("clean", &m);
-    assert!(
-        a.report().diagnostics.is_empty(),
-        "{}",
-        a.report().render_human()
-    );
-}
-
-/// `helper`'s branch head, its returning arm, its fall-through arm, and
-/// the tail block the fall-through arm branches to.
-fn helper_shape(m: &Module, fid: FuncId) -> (BlockId, BlockId, BlockId, BlockId) {
-    let func = m.func(fid);
-    let succs = csspgo_ir::cfg::successors(func, func.entry);
-    assert_eq!(succs.len(), 2, "helper's entry is a two-way branch");
-    let (a1, a2) = if csspgo_ir::cfg::successors(func, succs[0]).is_empty() {
-        (succs[0], succs[1])
-    } else {
-        (succs[1], succs[0])
-    };
-    let tail = csspgo_ir::cfg::successors(func, a2)[0];
-    (func.entry, a1, a2, tail)
-}
-
-/// Annotates `helper` with flow-consistent block counts (entry 1000, arms
-/// and tail 500 each) plus the consistent `a2 -> tail` edge, appends the
-/// edge counts `edges` builds from `(entry, a1, a2)`, and runs the flow
-/// lints.
-fn analyze_helper_edges(
-    edges: impl FnOnce(BlockId, BlockId, BlockId) -> Vec<(BlockId, BlockId, u64)>,
-) -> csspgo_analysis::Report {
-    let mut m = fresh_module();
-    let fid = m.find_function("helper").unwrap();
-    let (entry, a1, a2, tail) = helper_shape(&m, fid);
-    let func = m.func_mut(fid);
-    func.block_mut(entry).count = Some(1000);
-    func.block_mut(a1).count = Some(500);
-    func.block_mut(a2).count = Some(500);
-    func.block_mut(tail).count = Some(500);
-    func.entry_count = Some(1000);
-    let mut es = edges(entry, a1, a2);
-    es.push((a2, tail, 500));
-    func.edge_counts = Some(EdgeCounts::new(es));
-    let mut a = deny_all_analyzer();
-    a.analyze_flow("seeded", &m);
-    a.into_report()
-}
-
-#[test]
-fn consistent_edge_counts_are_lint_free() {
-    let report = analyze_helper_edges(|entry, a1, a2| vec![(entry, a1, 500), (entry, a2, 500)]);
+    let m = helper_annotated(1000, 1000);
+    let report = findings(|a| a.analyze_flow("clean", &m));
     assert!(report.diagnostics.is_empty(), "{}", report.render_human());
 }
 
-#[test]
-fn corrupted_edge_counts_fire_pf006_where_block_lints_stay_silent() {
-    // Block counts stay perfectly plausible — entry 1000 flowing into arms
-    // of 500 each satisfies every PF001/PF002 inequality — but the attached
-    // edge counts claim both arms took the full 1000. Only the edge/block
-    // reconciliation can see that.
-    let report = analyze_helper_edges(|entry, a1, a2| vec![(entry, a1, 1000), (entry, a2, 1000)]);
-    assert!(
-        !report.by_lint("PF006").is_empty(),
-        "{}",
-        report.render_human()
-    );
-    for id in ["PF001", "PF002", "PF003", "PF004", "PF005"] {
-        assert!(
-            report.by_lint(id).is_empty(),
-            "{id} must stay silent on this corruption:\n{}",
-            report.render_human()
-        );
-    }
-}
-
-#[test]
-fn non_cfg_recorded_edge_fires_pf006() {
-    // Edge totals reconcile within tolerance, but one recorded edge connects
-    // two blocks the CFG does not: both arms are returns, so `a2 -> a1`
-    // cannot exist. PF001–PF005 see only block counts and stay silent.
-    let report = analyze_helper_edges(|entry, a1, a2| {
-        vec![(entry, a1, 500), (entry, a2, 500), (a2, a1, 40)]
-    });
-    let findings = report.by_lint("PF006");
-    assert_eq!(findings.len(), 1, "{}", report.render_human());
-    assert!(
-        findings[0].message.contains("not a CFG edge"),
-        "{}",
-        findings[0].message
-    );
-}
-
-#[test]
-fn overcounted_child_context_fires_pf003() {
-    let m = fresh_module();
+/// A two-node context trie: `main` calling `helper` through call-site probe
+/// 2, which counted `callsite_count` calls while the child claims
+/// `child_entry` entries.
+fn context_profile(m: &Module, callsite_count: u64, child_entry: u64) -> ContextProfile {
     let main_guid = m.func(m.find_function("main").unwrap()).guid;
     let helper_guid = m.func(m.find_function("helper").unwrap()).guid;
-
     let mut parent = ContextNode {
         guid: main_guid,
         entry: 10,
         ..ContextNode::default()
     };
-    parent.probes.insert(2, 10); // call-site probe counted 10 times...
+    parent.probes.insert(2, callsite_count);
     let child = ContextNode {
         guid: helper_guid,
-        entry: 5000, // ...but the child claims 5000 entries through it.
+        entry: child_entry,
         ..ContextNode::default()
     };
     parent.children.insert((2, helper_guid), child);
@@ -384,43 +129,52 @@ fn overcounted_child_context_fires_pf003() {
     profile.roots.insert(main_guid, parent);
     profile.names.insert(main_guid, "main".into());
     profile.names.insert(helper_guid, "helper".into());
+    profile
+}
 
-    let mut a = deny_all_analyzer();
-    a.analyze_context_profile("seeded", &profile);
-    let report = a.into_report();
-    assert!(
-        !report.by_lint("PF003").is_empty(),
-        "{}",
-        report.render_human()
-    );
+#[test]
+fn overcounted_child_context_fires_pf003() {
+    // The call-site probe counted 10 calls, the child claims 5000 entries.
+    let profile = context_profile(&fresh_module(), 10, 5000);
+    let report = findings(|a| a.analyze_context_profile("seeded", &profile));
+    let found = report.by_lint("PF003");
+    assert!(!found.is_empty(), "{}", report.render_human());
     // The diagnostic names the parent function and the child path.
-    let d = report.by_lint("PF003")[0];
-    assert_eq!(d.func.as_deref(), Some("main"));
-    assert!(d.location.as_deref().unwrap().contains("helper"));
+    assert_eq!(found[0].func.as_deref(), Some("main"));
+    assert!(found[0].location.as_deref().unwrap().contains("helper"));
+}
+
+#[test]
+fn child_context_within_its_parents_bound_is_lint_free() {
+    // Twice the call-site count is estimator disagreement, not corruption.
+    let profile = context_profile(&fresh_module(), 1000, 2000);
+    let report = findings(|a| a.analyze_context_profile("clean", &profile));
+    assert!(report.diagnostics.is_empty(), "{}", report.render_human());
+}
+
+/// A one-function probe profile for `main`, built from the module's own
+/// checksum and probe watermark by `build`.
+fn main_profile(m: &Module, build: impl FnOnce(u64, u32) -> ProbeFuncProfile) -> ProbeProfile {
+    let func = m.func(m.find_function("main").unwrap());
+    let checksum = func
+        .probe_checksum
+        .expect("probed module records checksums");
+    let mut profile = ProbeProfile::default();
+    profile
+        .funcs
+        .insert(func.guid, build(checksum, func.next_probe_index));
+    profile.names.insert(func.guid, "main".into());
+    profile
 }
 
 #[test]
 fn stale_profile_checksum_fires_pf004() {
     let m = fresh_module();
-    let func = m.func(m.find_function("main").unwrap());
-    let guid = func.guid;
-    let real = func
-        .probe_checksum
-        .expect("probed module records checksums");
-
-    let mut profile = ProbeProfile::default();
-    profile.funcs.insert(
-        guid,
-        ProbeFuncProfile {
-            checksum: real ^ 0xdead_beef, // perturbed: stale binary
-            ..ProbeFuncProfile::default()
-        },
-    );
-    profile.names.insert(guid, "main".into());
-
-    let mut a = deny_all_analyzer();
-    a.analyze_probe_profile("seeded", &m, &profile);
-    let report = a.into_report();
+    let profile = main_profile(&m, |checksum, _| ProbeFuncProfile {
+        checksum: checksum ^ 0xdead_beef, // perturbed: stale binary
+        ..ProbeFuncProfile::default()
+    });
+    let report = findings(|a| a.analyze_probe_profile("seeded", &m, &profile));
     assert!(
         !report.by_lint("PF004").is_empty(),
         "{}",
@@ -431,22 +185,15 @@ fn stale_profile_checksum_fires_pf004() {
 #[test]
 fn out_of_range_profile_probe_fires_pf005() {
     let m = fresh_module();
-    let func = m.func(m.find_function("main").unwrap());
-    let guid = func.guid;
-    let checksum = func.probe_checksum.unwrap();
-
-    let mut fp = ProbeFuncProfile {
-        checksum,
-        ..ProbeFuncProfile::default()
-    };
-    fp.probes.insert(func.next_probe_index + 7, 123); // never allocated
-    let mut profile = ProbeProfile::default();
-    profile.funcs.insert(guid, fp);
-    profile.names.insert(guid, "main".into());
-
-    let mut a = deny_all_analyzer();
-    a.analyze_probe_profile("seeded", &m, &profile);
-    let report = a.into_report();
+    let profile = main_profile(&m, |checksum, next_probe_index| {
+        let mut fp = ProbeFuncProfile {
+            checksum,
+            ..ProbeFuncProfile::default()
+        };
+        fp.probes.insert(next_probe_index + 7, 123); // never allocated
+        fp
+    });
+    let report = findings(|a| a.analyze_probe_profile("seeded", &m, &profile));
     assert!(
         !report.by_lint("PF005").is_empty(),
         "{}",
@@ -455,22 +202,16 @@ fn out_of_range_profile_probe_fires_pf005() {
 }
 
 #[test]
-fn default_policy_warns_but_does_not_deny_flow_lints() {
-    let mut m = fresh_module();
-    let fid = m.find_function("helper").unwrap();
-    let func = m.func_mut(fid);
-    let entry = func.entry;
-    for (i, b) in func.blocks.iter_mut().enumerate() {
-        b.count = Some(if BlockId::from_index(i) == entry {
-            100
-        } else {
-            5000
-        });
-    }
-    let mut a = Analyzer::new(Policy::default());
-    a.analyze_flow("seeded", &m);
-    let report = a.into_report();
-    assert!(!report.diagnostics.is_empty());
-    assert_eq!(report.denied(), 0, "flow lints default to Warn");
-    assert!(report.warnings() > 0);
+fn matching_checksum_and_allocated_probes_are_lint_free() {
+    let m = fresh_module();
+    let profile = main_profile(&m, |checksum, next_probe_index| {
+        let mut fp = ProbeFuncProfile {
+            checksum,
+            ..ProbeFuncProfile::default()
+        };
+        fp.probes.insert(next_probe_index - 1, 123); // the last real probe
+        fp
+    });
+    let report = findings(|a| a.analyze_probe_profile("clean", &m, &profile));
+    assert!(report.diagnostics.is_empty(), "{}", report.render_human());
 }

@@ -148,7 +148,8 @@ pub struct FuncMatch {
     /// the alignment is positional there (`SM001`).
     pub ambiguous_anchors: usize,
     /// Mappings discarded because the target probe was already taken.
-    /// Always 0 unless the matcher itself is broken (`SM002`).
+    /// Always 0 unless the matcher itself is broken:
+    /// [`match_stale_profile`] asserts it.
     pub two_to_one: usize,
     /// Checksum matched but the call-anchor labels differ — the CFG shape
     /// is identical while call targets changed (`SM004`).
@@ -794,6 +795,12 @@ pub fn match_stale_profile(
     }
 
     funcs.sort_by(|a, b| a.name.cmp(&b.name).then(a.guid.cmp(&b.guid)));
+    debug_assert!(
+        funcs
+            .iter()
+            .all(|f| f.two_to_one == 0 && f.recovered_weight <= f.old_weight),
+        "the matcher mapped two probes onto one or created weight: {funcs:#?}"
+    );
     MatchOutcome {
         profile: out,
         funcs,

@@ -431,8 +431,8 @@ pub fn write_probe_json(profile: &ProbeProfile) -> String {
 /// marker: the header/section lines before the marker, and the context
 /// section body after it. Returns `None` when the marker is missing.
 ///
-/// Shared by snapshot restore and by offline consumers (`csspgo_diff`)
-/// that only need the embedded context profile.
+/// Shared by snapshot restore and by offline consumers (`csspgo_lint`'s
+/// file mode) that only need the embedded context profile.
 pub fn split_snapshot_context(text: &str) -> Option<(&str, &str)> {
     let mut offset = 0usize;
     for line in text.lines() {

@@ -129,6 +129,12 @@ proptest! {
             let in_sum = |b: BlockId| -> u64 {
                 edge_counts.iter().filter(|e| e.1 == b).map(|e| e.2).sum()
             };
+            for &(from, to, _) in edge_counts {
+                prop_assert!(
+                    cfg::successors(f, from).contains(&to),
+                    "recorded edge {:?} -> {:?} is not a CFG edge", from, to
+                );
+            }
             for &b in &order {
                 let c = res.counts[&b];
                 if b == f.entry {

@@ -15,8 +15,8 @@
 //! This module is deliberately placed in `csspgo_ir` rather than the
 //! analysis crate so `csspgo_opt::instrument` can plan placements without a
 //! dependency cycle — the same precedent as `probe_verify`. The *prover*
-//! that certifies a placement (and the PP lint family) lives in
-//! `csspgo_analysis::dataflow`.
+//! that certifies a placement is a test oracle for [`plan_function`]:
+//! `tests/common/flow_prover.rs`, driven by `tests/placement.rs`.
 
 use crate::cfg;
 use crate::function::Function;
@@ -182,7 +182,7 @@ pub fn reachable_predecessors(func: &Function) -> Vec<Vec<BlockId>> {
 }
 
 /// A small union–find over augmented-graph nodes (used by Kruskal here and
-/// by the redundancy check in the analysis-crate prover).
+/// by the redundancy check of the prover in `tests/common/flow_prover.rs`).
 #[derive(Clone, Debug)]
 pub struct UnionFind {
     parent: Vec<usize>,

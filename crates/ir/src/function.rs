@@ -119,7 +119,7 @@ impl EdgeCounts {
 }
 
 /// Where an annotated block count came from. Threaded through the annotation
-/// path so downstream consumers (the WP lint family, `csspgo_diff`, bench
+/// path so downstream consumers (the WP lint family, `csspgo_lint`, bench
 /// records) can tell raw measurements from salvaged or solver-invented
 /// weight.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]

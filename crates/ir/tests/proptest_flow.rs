@@ -3,7 +3,11 @@
 //! of counters) and the Kirchhoff reconstruction must recover the *exact*
 //! block and edge counts of any simulated execution from only the co-tree
 //! measurements — the bit-identity guarantee the sparse instrumentation
-//! mode rests on.
+//! mode rests on. The static prover (`tests/common/flow_prover.rs`, shared
+//! with the root package's `tests/placement.rs`) must certify every planned
+//! placement without executing anything: these CFGs, unlike any compiled
+//! program, have critical edges off the spanning tree and entry blocks
+//! inside loops.
 
 use csspgo_ir::builder::ModuleBuilder;
 use csspgo_ir::flow::{self, FlowEdge};
@@ -11,6 +15,9 @@ use csspgo_ir::inst::{CmpPred, InstKind, Operand};
 use csspgo_ir::{cfg, BlockId, Function, Module, VReg};
 use proptest::prelude::*;
 use std::collections::HashMap;
+
+#[path = "../../../tests/common/flow_prover.rs"]
+mod flow_prover;
 
 /// Builds a function with `n` blocks and pseudo-random branch structure
 /// derived from `edges` (same generator as `proptest_analyses`): block i
@@ -193,6 +200,9 @@ proptest! {
         for site in &plan.counters {
             prop_assert!(seen.insert(site.edge), "duplicate counter for {}", site.edge);
         }
+        let proof = flow_prover::prove_plan(f, &plan);
+        prop_assert!(proof.certified(), "{:#?}", proof);
+        prop_assert_eq!(proof.counted + proof.derived, plan.num_edges);
     }
 
     /// Round trip: simulate executions, keep only the planned co-tree

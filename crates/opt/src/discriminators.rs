@@ -55,6 +55,11 @@ pub fn run(module: &mut Module) {
                 }
             }
         }
+        debug_assert!(
+            csspgo_ir::probe_verify::check_discriminators(func).is_empty(),
+            "discriminator assignment broke its own discipline in `{}`",
+            func.name
+        );
     }
 }
 

@@ -14,8 +14,8 @@
 //!   max-weight spanning tree are counted, critical edges are split with a
 //!   counter-only block, and full block/edge counts are recovered after the
 //!   run by Kirchhoff elimination ([`csspgo_ir::flow::reconstruct`]). The
-//!   static recoverability prover for this mode lives in
-//!   `csspgo_analysis::dataflow` (PP lint family).
+//!   static recoverability prover for this mode is a test oracle
+//!   (`tests/common/flow_prover.rs`, driven by `tests/placement.rs`).
 
 use csspgo_ir::flow::{self, CounterHost, FlowEdge};
 use csspgo_ir::inst::{Inst, InstKind};

@@ -5,8 +5,13 @@
 //! must leave every duplicated probe id covered by duplication factors —
 //! the copies' weights (`Σ 1/factor`) may never exceed 1, or the profiler
 //! would overcount the probe. Discriminator discipline must hold on fresh
-//! IR before any of them run.
+//! IR before any of them run. And the other way round: a module corrupted
+//! the way a broken pass would corrupt it must stop the pipeline at its
+//! inter-pass checkpoint.
 
+use csspgo_ir::ids::FuncId;
+use csspgo_ir::inst::InstKind;
+use csspgo_ir::probe::ProbeSite;
 use csspgo_ir::probe_verify;
 use csspgo_ir::Module;
 use csspgo_opt::OptConfig;
@@ -71,6 +76,88 @@ fn fresh_ir_discriminators_are_sound() {
     for f in &m.functions {
         let issues = probe_verify::check_discriminators(f);
         assert!(issues.is_empty(), "{}: {issues:?}", f.name);
+    }
+}
+
+/// The five module corruptions that were the seeded cases of the `IV001`
+/// and `PI001`–`PI004` lints until the census of DESIGN.md §8: the lints
+/// re-reported what `verify_after_pass` already refuses, so the inputs
+/// moved here, to the assertion that holds the invariant.
+#[test]
+fn every_seeded_corruption_trips_the_interpass_checkpoint() {
+    /// The first pseudo-probe of `main`: `(function index, block, position)`.
+    fn first_probe(m: &Module) -> (usize, csspgo_ir::BlockId, usize) {
+        let fid = m.find_function("main").unwrap();
+        for (bid, block) in m.func(fid).iter_blocks() {
+            for (i, inst) in block.insts.iter().enumerate() {
+                if matches!(inst.kind, InstKind::PseudoProbe { .. }) {
+                    return (fid.index(), bid, i);
+                }
+            }
+        }
+        panic!("probed module has no probes");
+    }
+    type Corruption = (&'static str, fn(&mut Module));
+    let corruptions: [Corruption; 5] = [
+        ("a block without a terminator (IV001)", |m| {
+            let fid = m.find_function("main").unwrap();
+            m.func_mut(fid).blocks[0].insts.pop();
+        }),
+        ("a probe duplicated without a factor (PI001)", |m| {
+            let (f, bid, i) = first_probe(m);
+            let probe = m.functions[f].block(bid).insts[i].clone();
+            m.functions[f].block_mut(bid).insts.insert(i, probe);
+        }),
+        ("three copies each declaring factor 2 (PI002)", |m| {
+            let (f, bid, i) = first_probe(m);
+            let mut probe = m.functions[f].block(bid).insts[i].clone();
+            if let InstKind::PseudoProbe { factor, .. } = &mut probe.kind {
+                *factor = 2;
+            }
+            m.functions[f].block_mut(bid).insts[i] = probe.clone();
+            m.functions[f].block_mut(bid).insts.insert(i, probe.clone());
+            m.functions[f].block_mut(bid).insts.insert(i, probe);
+        }),
+        ("a probe index past the watermark (PI003)", |m| {
+            let (f, bid, i) = first_probe(m);
+            if let InstKind::PseudoProbe { index, .. } =
+                &mut m.functions[f].block_mut(bid).insts[i].kind
+            {
+                *index = 999;
+            }
+        }),
+        (
+            "an inline stack rooted in a missing function (PI004)",
+            |m| {
+                let (f, bid, i) = first_probe(m);
+                if let InstKind::PseudoProbe { inline_stack, .. } =
+                    &mut m.functions[f].block_mut(bid).insts[i].kind
+                {
+                    inline_stack.push(ProbeSite {
+                        func: FuncId(99),
+                        probe_index: 1,
+                    });
+                }
+            },
+        ),
+    ];
+    let config = OptConfig {
+        interpass_verify: true,
+        ..OptConfig::default()
+    };
+    // The clean module runs the whole pipeline under the same checkpoints.
+    csspgo_opt::run_pipeline(&mut probed_module(), &config);
+    for (what, corrupt) in corruptions {
+        let mut m = probed_module();
+        corrupt(&mut m);
+        let config = config.clone();
+        let stopped = std::panic::catch_unwind(move || csspgo_opt::run_pipeline(&mut m, &config))
+            .expect_err(what);
+        let message = stopped.downcast_ref::<String>().expect("a formatted panic");
+        assert!(
+            message.starts_with("inter-pass verification failed after `input`"),
+            "{what}: {message}"
+        );
     }
 }
 

@@ -160,11 +160,15 @@ pub(crate) struct Program {
     pub(crate) globals: Vec<(u32, u32)>,
 }
 
-fn narrow(n: usize, what: &str) -> u32 {
+/// Why a [`Binary`] cannot be decoded (the text of
+/// [`SimError::MalformedBinary`](crate::SimError::MalformedBinary)).
+type Malformed = String;
+
+fn narrow(n: usize, what: &str) -> Result<u32, Malformed> {
     u32::try_from(n)
         .ok()
         .filter(|&n| n < CONST_BIT)
-        .unwrap_or_else(|| panic!("malformed binary: {what} {n} out of range"))
+        .ok_or_else(|| format!("{what} {n} out of range"))
 }
 
 /// Operand resolution for the instructions of one function.
@@ -176,53 +180,90 @@ struct Operands<'p> {
 }
 
 impl Operands<'_> {
-    fn reg(&self, r: VReg) -> Reg {
-        assert!(
-            r.index() < self.num_vregs,
-            "malformed binary: register {r:?} outside a {}-register frame",
-            self.num_vregs
-        );
+    fn reg(&self, r: VReg) -> Result<Reg, Malformed> {
+        if r.index() >= self.num_vregs {
+            return Err(format!(
+                "register {r:?} outside a {}-register frame",
+                self.num_vregs
+            ));
+        }
         narrow(r.index(), "register")
     }
 
-    fn constant(&mut self, v: i64) -> Src {
-        let consts = &mut *self.consts;
-        let slot = *self.const_slots.entry(v).or_insert_with(|| {
-            consts.push(v);
-            narrow(consts.len() - 1, "constant slot")
-        });
-        Src(slot | CONST_BIT)
+    fn constant(&mut self, v: i64) -> Result<Src, Malformed> {
+        let slot = match self.const_slots.get(&v) {
+            Some(&slot) => slot,
+            None => {
+                let slot = narrow(self.consts.len(), "constant slot")?;
+                self.consts.push(v);
+                self.const_slots.insert(v, slot);
+                slot
+            }
+        };
+        Ok(Src(slot | CONST_BIT))
     }
 
-    fn src(&mut self, o: Operand) -> Src {
+    fn src(&mut self, o: Operand) -> Result<Src, Malformed> {
         match o {
-            Operand::Reg(r) => Src(self.reg(r)),
+            Operand::Reg(r) => self.reg(r).map(Src),
             Operand::Imm(v) => self.constant(v),
         }
     }
 }
 
 impl Program {
-    /// Decodes `binary` under `cost`.
+    /// Decodes `binary` under `cost`, checking once everything the
+    /// instruction loop then takes on trust.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics on a binary no code generator emits: a register outside its
-    /// function's frame, a callee or global that does not exist, or a table
-    /// too large for a 31-bit index.
-    pub(crate) fn decode(binary: &Binary, cost: &CostModel) -> Program {
+    /// Says what is wrong with a binary no code generator emits: tables of
+    /// different lengths, a register outside its function's frame, a branch
+    /// target, entry point, callee, global or counter that does not exist,
+    /// text that can run off its own end, or a table too large for a 31-bit
+    /// index.
+    pub(crate) fn decode(binary: &Binary, cost: &CostModel) -> Result<Program, Malformed> {
+        let text_len = binary.insts.len();
+        if binary.addrs.len() != text_len || binary.func_of.len() != text_len {
+            return Err(format!(
+                "{text_len} instructions but {} addresses and {} owners",
+                binary.addrs.len(),
+                binary.func_of.len()
+            ));
+        }
+        if let Some(f) = binary.funcs.iter().find(|f| f.entry >= text_len) {
+            return Err(format!(
+                "function `{}` enters at {}, past the {text_len}-instruction text",
+                f.name, f.entry
+            ));
+        }
+        // Every way out of the last instruction must be a branch: the loop
+        // fetches `pc + 1` after anything that falls through or returns to.
+        if let Some(last) = binary.insts.last() {
+            if !matches!(
+                last.kind,
+                MInstKind::Ret { .. }
+                    | MInstKind::Jmp { .. }
+                    | MInstKind::TailCall { .. }
+                    | MInstKind::JmpTable { .. }
+            ) {
+                return Err("the last instruction can fall off the end of the text".into());
+            }
+        }
+
         let mut globals = Vec::with_capacity(binary.globals.len());
         let mut memory_len = 0usize;
         for g in &binary.globals {
             globals.push((
-                narrow(memory_len, "data address"),
-                narrow(g.size, "global size"),
+                narrow(memory_len, "data address")?,
+                narrow(g.size, "global size")?,
             ));
-            memory_len += g.size;
+            memory_len = memory_len.saturating_add(g.size);
         }
+        narrow(memory_len, "data size")?;
 
         let mut program = Program {
-            ops: Vec::with_capacity(binary.len()),
+            ops: Vec::with_capacity(text_len),
             args: Vec::new(),
             cases: Vec::new(),
             consts: Vec::new(),
@@ -231,42 +272,63 @@ impl Program {
         let mut const_slots = HashMap::new();
 
         for (pc, inst) in binary.insts.iter().enumerate() {
+            let owner = binary
+                .funcs
+                .get(binary.func_of[pc] as usize)
+                .ok_or_else(|| format!("instruction {pc} belongs to no function"))?;
             let mut operands = Operands {
                 consts: &mut program.consts,
                 const_slots: &mut const_slots,
-                num_vregs: binary.func_at(pc).num_vregs,
+                num_vregs: owner.num_vregs,
             };
-            let target = |t: usize| narrow(t, "branch target");
+            let target = |t: usize| {
+                if t >= text_len {
+                    return Err(format!(
+                        "branch target {t} past the {text_len}-instruction text"
+                    ));
+                }
+                narrow(t, "branch target")
+            };
+            let global = |g: usize| {
+                program
+                    .globals
+                    .get(g)
+                    .copied()
+                    .ok_or_else(|| format!("global {g} does not exist"))
+            };
             // A call site: the callee's entry, the window it opens (the
             // callee's registers, or the arguments if there are more of
             // them), and the arguments in the pool.
             let mut call = |callee: u32, call_args: &[Operand], operands: &mut Operands<'_>| {
-                let callee = &binary.funcs[callee as usize];
-                let start = narrow(program.args.len(), "argument pool");
-                program
-                    .args
-                    .extend(call_args.iter().map(|&a| operands.src(a)));
-                (
-                    target(callee.entry),
-                    narrow(callee.num_vregs.max(call_args.len()), "frame size"),
+                let callee = binary
+                    .funcs
+                    .get(callee as usize)
+                    .ok_or_else(|| format!("callee {callee} does not exist"))?;
+                let start = narrow(program.args.len(), "argument pool")?;
+                for &a in call_args {
+                    program.args.push(operands.src(a)?);
+                }
+                Ok::<_, Malformed>((
+                    target(callee.entry)?,
+                    narrow(callee.num_vregs.max(call_args.len()), "frame size")?,
                     start,
-                    narrow(call_args.len(), "argument count"),
-                )
+                    narrow(call_args.len(), "argument count")?,
+                ))
             };
             let (kind, extra) = match &inst.kind {
                 MInstKind::Copy { dst, src } => (
                     Kind::Copy {
-                        dst: operands.reg(*dst),
-                        src: operands.src(*src),
+                        dst: operands.reg(*dst)?,
+                        src: operands.src(*src)?,
                     },
                     0,
                 ),
                 MInstKind::Bin { op, dst, lhs, rhs } => (
                     Kind::Bin {
                         op: *op,
-                        dst: operands.reg(*dst),
-                        lhs: operands.src(*lhs),
-                        rhs: operands.src(*rhs),
+                        dst: operands.reg(*dst)?,
+                        lhs: operands.src(*lhs)?,
+                        rhs: operands.src(*rhs)?,
                     },
                     0,
                 ),
@@ -278,9 +340,9 @@ impl Program {
                 } => (
                     Kind::Cmp {
                         pred: *pred,
-                        dst: operands.reg(*dst),
-                        lhs: operands.src(*lhs),
-                        rhs: operands.src(*rhs),
+                        dst: operands.reg(*dst)?,
+                        lhs: operands.src(*lhs)?,
+                        rhs: operands.src(*rhs)?,
                     },
                     0,
                 ),
@@ -291,52 +353,65 @@ impl Program {
                     on_false,
                 } => (
                     Kind::Select {
-                        dst: operands.reg(*dst),
-                        cond: operands.src(*cond),
-                        on_true: operands.src(*on_true),
-                        on_false: operands.src(*on_false),
+                        dst: operands.reg(*dst)?,
+                        cond: operands.src(*cond)?,
+                        on_true: operands.src(*on_true)?,
+                        on_false: operands.src(*on_false)?,
                     },
                     cost.select,
                 ),
-                MInstKind::Load { dst, global, index } => {
-                    let (start, len) = program.globals[global.index()];
+                MInstKind::Load {
+                    dst,
+                    global: g,
+                    index,
+                } => {
+                    let (start, len) = global(g.index())?;
                     (
                         Kind::Load {
-                            dst: operands.reg(*dst),
+                            dst: operands.reg(*dst)?,
                             start,
                             len,
-                            index: operands.src(*index),
+                            index: operands.src(*index)?,
                         },
                         cost.mem_op,
                     )
                 }
                 MInstKind::Store {
-                    global,
+                    global: g,
                     index,
                     value,
                 } => {
-                    let (start, len) = program.globals[global.index()];
+                    let (start, len) = global(g.index())?;
                     (
                         Kind::Store {
                             start,
                             len,
-                            index: operands.src(*index),
-                            value: operands.src(*value),
+                            index: operands.src(*index)?,
+                            value: operands.src(*value)?,
                         },
                         cost.mem_op,
                     )
                 }
                 MInstKind::CounterIncr { counter } => {
+                    if *counter >= binary.num_counters {
+                        return Err(format!(
+                            "counter {counter} outside the {} the binary declares",
+                            binary.num_counters
+                        ));
+                    }
                     (Kind::CounterIncr { counter: *counter }, cost.counter)
                 }
                 MInstKind::SpillLoad { .. } | MInstKind::SpillStore { .. } => {
                     (Kind::Nop, cost.mem_op)
                 }
                 MInstKind::Call { dst, callee, args } => {
-                    let (entry, window, start, nargs) = call(*callee, args, &mut operands);
+                    let (entry, window, start, nargs) = call(*callee, args, &mut operands)?;
                     (
                         Kind::Call {
-                            dst: dst.map_or(NO_REG, |d| operands.reg(d)),
+                            dst: match dst {
+                                Some(d) => operands.reg(*d)?,
+                                None => NO_REG,
+                            },
                             entry,
                             window,
                             args: start,
@@ -346,7 +421,7 @@ impl Program {
                     )
                 }
                 MInstKind::TailCall { callee, args } => {
-                    let (entry, window, start, nargs) = call(*callee, args, &mut operands);
+                    let (entry, window, start, nargs) = call(*callee, args, &mut operands)?;
                     (
                         Kind::TailCall {
                             entry,
@@ -359,20 +434,25 @@ impl Program {
                 }
                 MInstKind::Ret { value } => (
                     Kind::Ret {
-                        value: operands.src(value.unwrap_or(Operand::Imm(0))),
+                        value: operands.src(value.unwrap_or(Operand::Imm(0)))?,
                     },
                     cost.ret,
                 ),
-                MInstKind::Jmp { target: t } => (Kind::Jmp { target: target(*t) }, 0),
+                MInstKind::Jmp { target: t } => (
+                    Kind::Jmp {
+                        target: target(*t)?,
+                    },
+                    0,
+                ),
                 MInstKind::JmpIf {
                     cond,
                     negate,
                     target: t,
                 } => (
                     Kind::JmpIf {
-                        cond: operands.src(*cond),
+                        cond: operands.src(*cond)?,
                         negate: *negate,
-                        target: target(*t),
+                        target: target(*t)?,
                     },
                     0,
                 ),
@@ -381,16 +461,16 @@ impl Program {
                     targets,
                     default,
                 } => {
-                    let start = narrow(program.cases.len(), "jump-table pool");
-                    program
-                        .cases
-                        .extend(targets.iter().map(|&(k, t)| (k, target(t))));
+                    let start = narrow(program.cases.len(), "jump-table pool")?;
+                    for &(k, t) in targets {
+                        program.cases.push((k, target(t)?));
+                    }
                     (
                         Kind::JmpTable {
-                            value: operands.src(*value),
+                            value: operands.src(*value)?,
                             cases: start,
-                            ncases: narrow(targets.len(), "jump-table size"),
-                            default: target(*default),
+                            ncases: narrow(targets.len(), "jump-table size")?,
+                            default: target(*default)?,
                         },
                         1, // the table load
                     )
@@ -402,7 +482,7 @@ impl Program {
                 addr: binary.addrs[pc],
             });
         }
-        program
+        Ok(program)
     }
 
     /// Cells of the flat data memory.

@@ -15,6 +15,8 @@ pub enum SimError {
     StepLimit(u64),
     /// The named entry function does not exist.
     NoSuchFunction(String),
+    /// The binary is not one a code generator emits; says what is wrong.
+    MalformedBinary(String),
 }
 
 impl fmt::Display for SimError {
@@ -22,6 +24,7 @@ impl fmt::Display for SimError {
         match self {
             SimError::StepLimit(n) => write!(f, "step limit of {n} instructions exceeded"),
             SimError::NoSuchFunction(name) => write!(f, "no function named `{name}`"),
+            SimError::MalformedBinary(why) => write!(f, "malformed binary: {why}"),
         }
     }
 }
@@ -84,20 +87,33 @@ pub struct Machine<'b> {
 }
 
 impl<'b> Machine<'b> {
-    /// Creates a machine over `binary`.
+    /// Creates a machine over a `binary` this process built.
     ///
     /// # Panics
     ///
-    /// Panics on a binary no code generator emits (a register outside its
-    /// function's frame, a missing callee or global).
+    /// Panics where [`Machine::try_new`] returns an error.
     pub fn new(binary: &'b Binary, config: SimConfig) -> Self {
-        let program = Program::decode(binary, &config.cost);
+        Self::try_new(binary, config).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// Creates a machine over a `binary` that came from outside the process
+    /// (a file), checking once everything the instruction loop then takes
+    /// on trust.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SimError::MalformedBinary`] for a binary no code generator
+    /// emits: a register outside its function's frame, a branch target,
+    /// callee, global or counter that does not exist, text that can run off
+    /// its own end.
+    pub fn try_new(binary: &'b Binary, config: SimConfig) -> Result<Self, SimError> {
+        let program = Program::decode(binary, &config.cost).map_err(SimError::MalformedBinary)?;
         let mut memory = vec![0; program.memory_len()];
         for (g, &(start, len)) in binary.globals.iter().zip(&program.globals) {
             let n = g.init.len().min(len as usize);
             memory[start as usize..][..n].copy_from_slice(&g.init[..n]);
         }
-        Machine {
+        Ok(Machine {
             binary,
             memory,
             counters: vec![0; binary.num_counters as usize],
@@ -112,7 +128,7 @@ impl<'b> Machine<'b> {
             timer: SampleTimer::new(config.sample_period, config.seed),
             skid_rng: XorShift64::new(config.seed ^ 0xabcd_ef01),
             config,
-        }
+        })
     }
 
     /// The cells of the global called `name`.
@@ -736,6 +752,124 @@ fn f(n) {
         };
         let mut m = Machine::new(&b, cfg);
         assert!(matches!(m.call("f", &[]), Err(SimError::StepLimit(_))));
+    }
+
+    #[test]
+    fn malformed_binaries_are_typed_errors_not_panics() {
+        use csspgo_codegen::minst::MInstKind;
+        use csspgo_ir::inst::Operand;
+        use csspgo_ir::VReg;
+
+        let src = "global acc[4];
+fn g(x) { acc[0] = x; return acc[0]; }
+fn f(x) { if (x > 0) { return g(x); } return 0; }";
+        let mut instrumented = csspgo_lang::compile(src, "t").unwrap();
+        csspgo_opt::instrument::run(&mut instrumented);
+        let good = lower_module(&instrumented, &CodegenConfig::default());
+        assert!(Machine::try_new(&good, SimConfig::default()).is_ok());
+
+        // The first instruction of `good` matching `pick`, rewritten.
+        let with = |pick: fn(&mut MInstKind) -> bool| {
+            let mut b = good.clone();
+            assert!(
+                b.insts.iter_mut().any(|i| pick(&mut i.kind)),
+                "fixture lacks the instruction this case corrupts"
+            );
+            b
+        };
+        let cases: Vec<(&str, Binary)> = vec![
+            (
+                "register",
+                with(|k| match k {
+                    MInstKind::Ret { value } => {
+                        *value = Some(Operand::Reg(VReg(200)));
+                        true
+                    }
+                    _ => false,
+                }),
+            ),
+            (
+                "branch target",
+                with(|k| match k {
+                    MInstKind::JmpIf { target, .. } | MInstKind::Jmp { target } => {
+                        *target = 9999;
+                        true
+                    }
+                    _ => false,
+                }),
+            ),
+            (
+                "callee",
+                with(|k| match k {
+                    MInstKind::Call { callee, .. } | MInstKind::TailCall { callee, .. } => {
+                        *callee = 77;
+                        true
+                    }
+                    _ => false,
+                }),
+            ),
+            (
+                "global",
+                with(|k| match k {
+                    MInstKind::Store { global, .. } => {
+                        *global = csspgo_ir::GlobalId(9);
+                        true
+                    }
+                    _ => false,
+                }),
+            ),
+            (
+                "counter",
+                with(|k| match k {
+                    MInstKind::CounterIncr { counter } => {
+                        *counter = 1 << 20;
+                        true
+                    }
+                    _ => false,
+                }),
+            ),
+            ("enters at", {
+                let mut b = good.clone();
+                b.funcs[0].entry = 9999;
+                b
+            }),
+            ("belongs to no function", {
+                let mut b = good.clone();
+                b.func_of[0] = 77;
+                b
+            }),
+            ("addresses", {
+                let mut b = good.clone();
+                b.addrs.pop();
+                b
+            }),
+            ("fall off the end", {
+                let mut b = good.clone();
+                b.insts.last_mut().unwrap().kind = MInstKind::SpillLoad { slot: 0 };
+                b
+            }),
+        ];
+        for (what, bad) in cases {
+            match Machine::try_new(&bad, SimConfig::default()) {
+                Err(SimError::MalformedBinary(why)) => {
+                    assert!(why.contains(what), "{what}: {why}")
+                }
+                Err(e) => panic!("{what}: wrong error {e}"),
+                Ok(_) => panic!("{what}: accepted"),
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "malformed binary: register VReg(200) outside a")]
+    fn new_panics_where_try_new_errs() {
+        let mut b = build(FIB, false);
+        for i in &mut b.insts {
+            if let csspgo_codegen::minst::MInstKind::Ret { value } = &mut i.kind {
+                *value = Some(csspgo_ir::inst::Operand::Reg(csspgo_ir::VReg(200)));
+            }
+        }
+        Machine::new(&b, SimConfig::default());
     }
 
     #[test]

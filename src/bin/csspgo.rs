@@ -137,13 +137,14 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
         .unwrap_or(0);
 
     let binary = load_binary(bin_path)?;
-    let mut machine = Machine::new(
+    let mut machine = Machine::try_new(
         &binary,
         SimConfig {
             sample_period: period,
             ..SimConfig::default()
         },
-    );
+    )
+    .map_err(|e| format!("{bin_path}: {e}"))?;
     let mut last = 0;
     for _ in 0..repeat {
         last = machine

@@ -1,59 +1,52 @@
-//! `csspgo_lint` — the probe-invariant and profile-integrity analyzer,
-//! driven over every shipped workload.
+//! `csspgo_lint` — does a profile still fit the build it is about to feed?
 //!
-//! For each workload the tool rebuilds the full CSSPGO cycle and lints every
-//! stage:
+//! Every mode ends in the same place: one `(module, profile)` pair handed
+//! to [`Analyzer::judge`], which runs the stale matcher, annotates the
+//! module raw and through min-cost-flow inference, and lints what it sees
+//! (`SM`, `WP` and, for files, `PF`). The modes differ only in where the
+//! pairs come from:
 //!
-//! 1. the **fresh** probed module (IR verifier, probe invariants,
-//!    discriminator discipline),
-//! 2. the **optimized** module after the whole pass pipeline (IR verifier,
-//!    probe invariants — cloned probes must carry duplication factors),
-//! 3. the collected **context profile** (context-tree consistency) and the
-//!    flattened **probe profile** (checksum staleness, probe ranges) —
-//!    additionally round-tripped through both the text and the binary
-//!    (`binprof`) wire formats, which must produce identical findings,
-//! 4. the **stale matcher** run over the collected profile (`SM` lints: on
-//!    an undrifted build every function must pass through bit-identical,
-//!    with no anchor drift and no matcher-invariant violations),
-//! 5. the profile-**annotated** module (flow conservation, dominance, and
-//!    edge/block reconciliation over the inference-attached edge counts),
-//! 6. with `--post-inference`, **drifted** rebuilds of every workload
-//!    annotated through stale recovery plus min-cost-flow inference — the
-//!    "clean by construction" gate: inferred profiles, including ones
-//!    salvaged from drifted sources, must carry zero `PF` findings.
+//! * **Scenario mode** (default): for each shipped workload, collect a probe
+//!   profile on the clean build, then judge it against every rebuild in
+//!   [`SCENARIOS`] — the clean source itself, comment drift, CFG-changing
+//!   drift, a function rename, a statement inserted, a statement deleted.
+//! * **Train mode** (`--train N`): judge the clean-build profile against N
+//!   cumulative releases of [`drift::release_chain`] — the decay curve a
+//!   never-refreshed profile suffers across a release train.
+//! * **File mode** (`--profile` + `--source`): judge a saved profile — a
+//!   probe-profile JSON or a `csspgo-stream-snapshot` text — against a
+//!   source file; the profile comes from outside the process, so the `PF`
+//!   lints written for files run on it first.
 //!
 //! ```text
-//! csspgo_lint --deny all --post-inference --json report.json
-//! csspgo_lint --workload ad_ranker --allow PF001
+//! csspgo_lint > results/csspgo_lint.txt
+//! csspgo_lint --workload ad_ranker --scenario change_cfg --json pair.json
+//! csspgo_lint --train 5 --workload ad_finder
+//! csspgo_lint --profile probe.json --source new_version.mini
 //! csspgo_lint --list
-//! csspgo_lint --explain PP001
+//! csspgo_lint --explain WP003
 //! ```
 //!
-//! Exits nonzero iff any diagnostic reaches `Deny` severity — `--deny all`
-//! over the shipped workloads is the repo's CI gate.
+//! No lint denies by default, so the exit code is nonzero only under
+//! `--deny`. The CI gate is the output itself: stdout at the default scale
+//! is committed as `results/csspgo_lint.txt`, regenerated and `git diff`ed,
+//! so a finding that appears *or disappears* is a reviewed diff.
 
-use csspgo::analysis::{explain, render_lint_list, Analyzer, Policy};
-use csspgo::codegen::lower_module;
-use csspgo::core::annotate::{csspgo_annotate, AnnotateConfig};
-use csspgo::core::binprof;
+use csspgo::analysis::{explain, render_lint_list, Analyzer, DiffReport, Policy};
 use csspgo::core::pipeline::{
-    context_profile, finish_probe_profile, prepared_module, profiling_run, PipelineConfig,
+    context_profile, finish_probe_profile, name_entered_functions, prepared_module,
+    profiling_build, profiling_run, PgoVariant, PipelineConfig,
 };
-use csspgo::core::stalematch::{MatchConfig, StaleMatching};
-use csspgo::core::textprof::{parse_probe_json, write_probe_json};
+use csspgo::core::profile::ProbeProfile;
 use csspgo::core::Workload;
+use csspgo::workloads::drift::{self, Mutator};
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match run(&args) {
-        Ok(clean) => {
-            if clean {
-                ExitCode::SUCCESS
-            } else {
-                ExitCode::FAILURE
-            }
-        }
+        Ok(true) => ExitCode::SUCCESS,
+        Ok(false) => ExitCode::FAILURE,
         Err(e) => {
             eprintln!("csspgo_lint: {e}");
             ExitCode::from(2)
@@ -63,24 +56,92 @@ fn main() -> ExitCode {
 
 fn print_usage() {
     println!(
-        r#"csspgo_lint — probe-invariant & profile-integrity analyzer
+        r#"csspgo_lint — does a profile still fit the build it is about to feed?
 
 USAGE:
-  csspgo_lint [--deny <lint,...|all>] [--allow <lint,...|all>]
-              [--workload <name>] [--scale <f>] [--json <file>] [--list]
-              [--explain <lint>] [--post-inference]
+  csspgo_lint [--workload <name>] [--scenario <name,...>] [--scale <f>]
+              [--deny <lint,...|all>] [--allow <lint,...|all>] [--json <file>]
+  csspgo_lint --train <n> [--workload <name>] [--scale <f>] [--json <file>]
+  csspgo_lint --profile <probe.json|snapshot.txt> --source <file> [--json <file>]
+  csspgo_lint --list | --explain <lint>
 
-Lints the full PGO cycle (fresh module, optimized module, counter
-placement, collected profiles, annotated module) of every shipped
-workload. Lints are named by stable id (PI001) or name
-(probe-duplicate-id); `--deny all` escalates every lint to an error.
-`--list` prints the registry grouped by family; `--explain <lint>` prints
-one lint's extended documentation. `--post-inference` additionally lints
-drifted rebuilds annotated through stale recovery + min-cost-flow
-inference (inferred profiles must be flow-clean by construction, and
-their weight provenance is linted too). Exits 1 if any denied lint
-fires, 2 on usage errors."#
+Scenarios: {}.
+Default judges the clean-build profile of every shipped workload against
+every scenario's rebuild at --scale 0.05. --train chains <n> cumulative
+releases (drift::release_chain) instead. --profile/--source judge a saved
+profile against a source file, running the PF lints on the file first.
+Lints are named by stable id (PF004) or name (profile-checksum-stale);
+--list prints the registry, --explain one lint's documentation. --json
+writes the per-pair report (csspgo-diff-v1). Exits 1 if a lint escalated
+by --deny fires, 2 on usage errors."#,
+        SCENARIOS.map(|(name, _)| name).join(", ")
     );
+}
+
+/// A named rebuild of a workload's source.
+type Scenario = (&'static str, fn(&Workload) -> String);
+
+/// The rebuilds scenario mode judges the clean-build profile against.
+const SCENARIOS: [Scenario; 7] = [
+    ("fresh", |w| w.source.clone()),
+    ("insert_comments", |w| {
+        Mutator::InsertComments.apply(&w.source, &[])
+    }),
+    ("insert_body_comments", |w| {
+        Mutator::InsertBodyComments.apply(&w.source, &[])
+    }),
+    ("change_cfg", |w| Mutator::ChangeCfg.apply(&w.source, &[])),
+    ("rename", rename_one),
+    ("insert_statement", |w| {
+        Mutator::InsertStatement(1).apply(&w.source, &[])
+    }),
+    // Not behaviour-preserving, hence not a `Mutator`.
+    ("delete_statement", |w| {
+        drift::delete_statement(&w.source, 1)
+    }),
+];
+
+/// Renames ONE non-entry function (the realistic refactor): its GUID
+/// vanishes and must be rename-matched by anchor similarity, while its
+/// callers keep their CFG shape but drift their call anchors (`SM004`).
+/// The target is the function with the most calls to other defined
+/// functions: rename matching needs call anchors as evidence, so renaming a
+/// leaf would be undetectable by construction.
+fn rename_one(w: &Workload) -> String {
+    let names: Vec<&str> = w
+        .source
+        .lines()
+        .filter_map(|l| l.strip_prefix("fn "))
+        .filter_map(|rest| rest.split('(').next())
+        .map(str::trim)
+        .collect();
+    let mut calls: Vec<(usize, &str)> = Vec::new();
+    let mut current: Option<&str> = None;
+    for line in w.source.lines() {
+        if let Some(rest) = line.strip_prefix("fn ") {
+            current = rest.split('(').next().map(str::trim);
+            calls.push((0, current.unwrap_or("")));
+            continue;
+        }
+        if let (Some(cur), Some(slot)) = (current, calls.last_mut()) {
+            slot.0 += names
+                .iter()
+                .filter(|n| **n != cur)
+                .map(|n| line.matches(&format!("{n}(")).count())
+                .sum::<usize>();
+        }
+    }
+    let target = calls
+        .iter()
+        .filter(|(_, n)| *n != w.entry)
+        .max_by_key(|(c, _)| *c)
+        .map(|&(_, n)| n);
+    let keep: Vec<&str> = names
+        .iter()
+        .filter(|n| Some(**n) != target)
+        .copied()
+        .collect();
+    Mutator::RenameFunctions.apply(&w.source, &keep)
 }
 
 fn run(args: &[String]) -> Result<bool, String> {
@@ -92,209 +153,157 @@ fn run(args: &[String]) -> Result<bool, String> {
         print!("{}", render_lint_list());
         return Ok(true);
     }
-    if let Some(key) = opt_value(args, "--explain")? {
+    let single = |flag| Ok::<_, String>(flag_values(args, flag)?.into_iter().next());
+    if let Some(key) = single("--explain")? {
         let text = explain(&key)
             .ok_or_else(|| format!("unknown lint `{key}` (try --list for the registry)"))?;
         print!("{text}");
         return Ok(true);
     }
 
-    let mut policy = Policy::default();
-    for v in multi_value(args, "--deny")? {
-        policy.deny.extend(v.split(',').map(str::to_string));
-    }
-    for v in multi_value(args, "--allow")? {
-        policy.allow.extend(v.split(',').map(str::to_string));
-    }
+    let list = |flag| -> Result<Vec<String>, String> {
+        Ok(flag_values(args, flag)?
+            .iter()
+            .flat_map(|v| v.split(','))
+            .map(str::to_string)
+            .collect())
+    };
+    let policy = Policy {
+        deny: list("--deny")?,
+        allow: list("--allow")?,
+    };
     policy.validate()?;
 
-    let only = opt_value(args, "--workload")?;
-    let scale: f64 = match opt_value(args, "--scale")? {
-        Some(s) => s.parse().map_err(|_| format!("bad --scale `{s}`"))?,
-        None => 0.05,
-    };
-    let json_out = opt_value(args, "--json")?;
-    let post_inference = args.iter().any(|a| a == "--post-inference");
-
-    let mut workloads = csspgo::workloads::server_workloads();
-    workloads.push(csspgo::workloads::client_compiler());
-    if let Some(name) = &only {
-        workloads.retain(|w| &w.name == name);
-        if workloads.is_empty() {
-            return Err(format!("unknown workload `{name}`"));
-        }
-    }
-
     let mut analyzer = Analyzer::new(policy);
-    for workload in &workloads {
-        let scaled = workload.scaled(scale);
-        lint_workload(&scaled, post_inference, &mut analyzer)
-            .map_err(|e| format!("{}: {e}", workload.name))?;
-    }
-    let report = analyzer.into_report();
+    let mut report = DiffReport::new();
+    match (single("--profile")?, single("--source")?) {
+        (Some(pf), Some(sf)) => {
+            let read = |path: &str| {
+                std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))
+            };
+            report
+                .scenarios
+                .push(analyzer.judge_file(&sf, &read(&sf)?, &read(&pf)?)?);
+        }
+        (None, None) => {
+            let only = single("--workload")?;
+            let scale: f64 = match single("--scale")? {
+                Some(s) => s.parse().map_err(|_| format!("bad --scale `{s}`"))?,
+                None => 0.05,
+            };
+            let wanted = list("--scenario")?;
+            if let Some(name) = wanted
+                .iter()
+                .find(|s| !SCENARIOS.iter().any(|(n, _)| n == s))
+            {
+                return Err(format!("unknown scenario `{name}`"));
+            }
+            let train: Option<usize> = match single("--train")? {
+                Some(n) => Some(n.parse().map_err(|_| format!("bad --train `{n}`"))?),
+                None => None,
+            };
+            if train.is_some() && !wanted.is_empty() {
+                return Err("--train and --scenario are mutually exclusive".into());
+            }
 
-    print!("{}", report.render_human());
-    if let Some(path) = json_out {
+            let mut workloads = csspgo::workloads::server_workloads();
+            workloads.push(csspgo::workloads::client_compiler());
+            if let Some(name) = &only {
+                workloads.retain(|w| &w.name == name);
+                if workloads.is_empty() {
+                    return Err(format!("unknown workload `{name}`"));
+                }
+            }
+            for workload in &workloads {
+                let w = workload.scaled(scale);
+                let rebuilds: Vec<(String, String)> = match train {
+                    Some(n) => drift::release_chain(&w.source, n, &[w.entry.as_str()])
+                        .into_iter()
+                        .enumerate()
+                        .map(|(i, (mutator, src))| (format!("train-r{}-{mutator}", i + 1), src))
+                        .collect(),
+                    None => SCENARIOS
+                        .iter()
+                        .filter(|(name, _)| wanted.is_empty() || wanted.iter().any(|s| s == name))
+                        .map(|(name, rebuild)| (name.to_string(), rebuild(&w)))
+                        .collect(),
+                };
+                let err = |e: &dyn std::fmt::Display| format!("{}: {e}", w.name);
+                let profile = collect_probe_profile(&w).map_err(|e| err(&e))?;
+                for (scenario, source) in rebuilds {
+                    let module = prepared_module(&source, &w.name, true).map_err(|e| err(&e))?;
+                    report
+                        .scenarios
+                        .push(analyzer.judge(&scenario, &w.name, &module, &profile));
+                }
+            }
+        }
+        _ => return Err("--profile and --source must be given together".into()),
+    }
+
+    print_summary(&report);
+    let lint_report = analyzer.into_report();
+    print!("{}", lint_report.render_human());
+    if let Some(path) = single("--json")? {
         std::fs::write(&path, report.to_json()).map_err(|e| format!("writing {path}: {e}"))?;
         eprintln!("wrote JSON report to {path}");
     }
-    Ok(!report.has_denied())
+    Ok(!lint_report.has_denied())
 }
 
-/// Reruns the CSSPGO cycle for one workload, linting each stage.
-fn lint_workload(
-    workload: &Workload,
-    post_inference: bool,
-    analyzer: &mut Analyzer,
-) -> Result<(), String> {
-    let config = PipelineConfig::default();
-
-    // Stage 1: the fresh probed module.
-    let mut module =
-        prepared_module(&workload.source, &workload.name, true).map_err(|e| e.to_string())?;
-    analyzer.analyze_module(&format!("{}/fresh", workload.name), &module, true);
-
-    // Stage 1b: the spanning-tree counter placement the instrumented
-    // variant would emit for this module, certified by the static
-    // Kirchhoff prover (`PP` lints) — no execution involved.
-    analyzer.analyze_placement(&format!("{}/placement", workload.name), &module);
-
-    // Stage 2: the optimized module, with the optimizer's own inter-pass
-    // verifier engaged on top of the final lint sweep.
-    let mut optimized = module.clone();
-    let opt_cfg = csspgo::opt::OptConfig {
-        interpass_verify: true,
-        ..config.opt.clone()
-    };
-    csspgo::opt::run_pipeline(&mut optimized, &opt_cfg);
-    analyzer.analyze_module(&format!("{}/optimized", workload.name), &optimized, false);
-
-    // Stage 3: profile collection on the optimized binary, as in production.
-    let binary = lower_module(&optimized, &config.codegen);
+/// Runs the full CSSPGO collection pipeline on the clean build. Cold
+/// contexts are *not* trimmed: trimming merges them into base profiles,
+/// discarding exactly the call anchors that rename matching aligns on, and
+/// this runs offline where profile size does not matter. The optimizer's
+/// inter-pass checkpoints are on, so a pass that breaks the IR or the probe
+/// metadata of any workload stops the run here, release build or not.
+fn collect_probe_profile(workload: &Workload) -> Result<ProbeProfile, String> {
+    let mut config = PipelineConfig::default();
+    config.opt.interpass_verify = true;
+    let binary = profiling_build(
+        &workload.source,
+        &workload.name,
+        PgoVariant::CsspgoFull,
+        &config,
+    )
+    .map_err(|e| e.to_string())?
+    .binary;
     let run = profiling_run(&binary, workload, config.sim_config(config.sample_period))
         .map_err(|e| e.to_string())?;
-    let mut generated = context_profile(&binary, &run.samples, config.ingest_shards);
-    generated.profile.trim_cold(config.trim_threshold);
-    analyzer.analyze_context_profile(
-        &format!("{}/context-profile", workload.name),
-        &generated.profile,
-    );
-
-    let probe_prof = finish_probe_profile(&generated.profile, &generated.range_counts, &binary);
-    analyzer.analyze_probe_profile(
-        &format!("{}/probe-profile", workload.name),
-        &module,
-        &probe_prof,
-    );
-
-    // Wire-format equivalence: the same profile loaded back through the
-    // text and the binary format must lint identically — a decoder bug
-    // that perturbs counts or structure shows up as diverging reports.
-    let from_text = parse_probe_json(&write_probe_json(&probe_prof))
-        .map_err(|e| format!("text probe round-trip: {e}"))?;
-    let from_bin = binprof::decode_probe(&binprof::encode_probe(&probe_prof))
-        .map_err(|e| format!("binary probe round-trip: {e}"))?;
-    if from_bin != probe_prof {
-        return Err("binary probe round-trip is not lossless".into());
-    }
-    let mut reports = Vec::new();
-    for prof in [&from_text, &from_bin] {
-        let mut scratch = Analyzer::new(Policy::default());
-        scratch.analyze_probe_profile(&format!("{}/probe-profile", workload.name), &module, prof);
-        reports.push(scratch.into_report().to_json());
-    }
-    if reports[0] != reports[1] {
-        return Err("text-loaded and binary-loaded profiles lint differently".into());
-    }
-
-    // Stage 4: the stale matcher over the just-collected profile. The
-    // build has not drifted, so every function must pass through
-    // bit-identical with no SM diagnostics — anchor drift or an invariant
-    // violation here means the matcher or the probe metadata is broken.
-    analyzer.analyze_stale_match(
-        &format!("{}/stale-match", workload.name),
-        &module,
-        &probe_prof,
-        &MatchConfig::default(),
-    );
-
-    // Stage 5: annotate a fresh module (no inline replay, so block counts
-    // stay on the common CFG) and check flow conservation.
-    let no_replay = AnnotateConfig {
-        inline_budget: 0,
-        ..config.annotate
-    };
-    csspgo_annotate(&mut module, &probe_prof, None, &no_replay);
-    analyzer.analyze_flow(&format!("{}/annotated", workload.name), &module);
-    analyzer.analyze_provenance(&format!("{}/annotated", workload.name), &module);
-
-    // Stage 6 (--post-inference): annotate drifted rebuilds through stale
-    // recovery + inference. Salvaged counts are partial and internally
-    // inconsistent before inference; afterwards they must be flow-clean —
-    // this is the "clean by construction" acceptance gate.
-    if post_inference {
-        let scenarios: [(&str, String); 4] = [
-            (
-                "insert_body_comments",
-                csspgo::workloads::drift::insert_body_comments(&workload.source),
-            ),
-            (
-                "change_cfg",
-                csspgo::workloads::drift::change_cfg(&workload.source),
-            ),
-            (
-                "insert_statement",
-                csspgo::workloads::drift::insert_statement(&workload.source, 1),
-            ),
-            (
-                "delete_statement",
-                csspgo::workloads::drift::delete_statement(&workload.source, 1),
-            ),
-        ];
-        for (name, src) in scenarios {
-            let mut drifted =
-                prepared_module(&src, &workload.name, true).map_err(|e| e.to_string())?;
-            let recover = AnnotateConfig {
-                inline_budget: 0,
-                stale_matching: StaleMatching::Recover,
-                ..config.annotate
-            };
-            csspgo_annotate(&mut drifted, &probe_prof, None, &recover);
-            let unit = format!("{}/post-inference/{name}", workload.name);
-            analyzer.analyze_flow(&unit, &drifted);
-            // Drift-appropriate provenance thresholds: these rebuilds
-            // deliberately invalidate much of the profile, so salvage
-            // dominating the module and inference carrying hot functions
-            // are expected; only pathological shares (and any structural
-            // WP002 source mixing) stay deniable.
-            analyzer.analyze_provenance_with(
-                &unit,
-                &drifted,
-                csspgo::analysis::WpTolerance {
-                    inferred_majority: 0.75,
-                    max_salvaged_share: 0.95,
-                    ..csspgo::analysis::WpTolerance::default()
-                },
-            );
-        }
-    }
-    Ok(())
+    let generated = context_profile(&binary, &run.samples, config.ingest_shards);
+    let mut probe_prof = finish_probe_profile(&generated.profile, &generated.range_counts, &binary);
+    name_entered_functions(&mut probe_prof, &generated.range_counts, &binary);
+    Ok(probe_prof)
 }
 
-/// Pulls the (optional, single) value of `--flag`.
-fn opt_value(args: &[String], flag: &str) -> Result<Option<String>, String> {
-    match args.iter().position(|a| a == flag) {
-        Some(i) => args
-            .get(i + 1)
-            .cloned()
-            .map(Some)
-            .ok_or_else(|| format!("{flag} needs a value")),
-        None => Ok(None),
+/// One line per judged pair: the quality headline plus where the annotated
+/// weight came from (sampled/stale-matched/inferred shares).
+fn print_summary(report: &DiffReport) {
+    println!("| scenario | workload | funcs | matched | recovered | renamed | dropped | stale weight recovered | PF raw→inferred | provenance (smp/stale/inf) |");
+    println!("|---|---|---|---|---|---|---|---|---|---|");
+    for s in &report.scenarios {
+        let (q, p) = (&s.inference_quality, &s.provenance);
+        println!(
+            "| {} | {} | {} | {} | {} | {} | {} | {:.1}% | {}→{} | {:.0}%/{:.0}%/{:.0}% |",
+            s.scenario,
+            s.workload,
+            s.funcs_total,
+            s.checksum_matched,
+            s.recovered,
+            s.renamed,
+            s.dropped,
+            s.stale_recovered_fraction * 100.0,
+            q.pf_findings_raw,
+            q.pf_findings_inferred,
+            p.sampled_share * 100.0,
+            p.stale_matched_share * 100.0,
+            p.inferred_share * 100.0
+        );
     }
 }
 
-/// Pulls every value of a repeatable `--flag`.
-fn multi_value(args: &[String], flag: &str) -> Result<Vec<String>, String> {
+/// Every value of `--flag` (none when it is absent).
+fn flag_values(args: &[String], flag: &str) -> Result<Vec<String>, String> {
     let mut out = Vec::new();
     for (i, a) in args.iter().enumerate() {
         if a == flag {

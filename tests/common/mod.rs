@@ -8,7 +8,7 @@ use csspgo::core::profile::ProbeProfile;
 use csspgo::core::Workload;
 
 /// Collects an untrimmed probe profile on the clean build of `w` from the
-/// pipeline's own stages — what `csspgo_diff` matches drifted builds
+/// pipeline's own stages — what `csspgo_lint` judges drifted builds
 /// against.
 pub fn collect_probe_profile(w: &Workload, config: &PipelineConfig) -> ProbeProfile {
     let binary = profiling_build(&w.source, &w.name, PgoVariant::CsspgoFull, config)

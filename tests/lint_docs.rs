@@ -1,8 +1,7 @@
 //! Registry ↔ docs sync: every lint in `diag::LINTS` must be documented in
 //! DESIGN.md, and every family in `diag::LINT_FAMILIES` must appear in the
-//! README's family table. CI enforces the same property by grepping
-//! `csspgo_lint --list` output against DESIGN.md, so a lint added without
-//! docs fails both locally and in the gate.
+//! README's family table. Tier-1 runs this, so a lint added without docs
+//! fails locally and in CI alike.
 
 use csspgo::analysis::{LINTS, LINT_FAMILIES};
 use std::path::Path;

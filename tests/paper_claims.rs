@@ -318,7 +318,10 @@ fn a_drifted_recovered_profile_never_loses_to_o2() {
 fn every_figure_has_a_results_file_and_an_experiments_section() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
     let experiments = std::fs::read_to_string(root.join("EXPERIMENTS.md")).expect("EXPERIMENTS.md");
-    let mut expected = vec!["profile_fleet.txt".to_string()];
+    let mut expected = vec![
+        "profile_fleet.txt".to_string(),
+        "csspgo_lint.txt".to_string(),
+    ];
     for (name, _) in REGISTRY {
         let heading = experiments
             .lines()
@@ -342,6 +345,6 @@ fn every_figure_has_a_results_file_and_an_experiments_section() {
     expected.sort();
     assert_eq!(
         found, expected,
-        "results/ must hold one file per figure plus profile_fleet.txt"
+        "results/ must hold one file per figure plus profile_fleet.txt and csspgo_lint.txt"
     );
 }

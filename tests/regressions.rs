@@ -1,0 +1,227 @@
+//! Hostile and drifted inputs, kept as files under `tests/regressions/` and
+//! fed through the function the CLI calls: `Analyzer::judge_file` for
+//! `csspgo_lint --profile P --source S`, `Machine::try_new` after
+//! `serde_json::from_str` for `csspgo run`. Every input is *text from
+//! outside the process* — which is what "reachable" means in the lint
+//! census (DESIGN.md §8): each id still in the registry fires here, by name,
+//! on a source text and a profile text; none needs a mutated in-memory
+//! struct. `tests/regressions/README.md` says where each file came from.
+
+use csspgo::analysis::{Analyzer, Policy, Report, ScenarioReport, LINTS};
+use csspgo::codegen::Binary;
+use csspgo::sim::{Machine, SimConfig, SimError};
+use std::path::Path;
+
+fn input(name: &str) -> String {
+    let path = Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/regressions")
+        .join(name);
+    std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("read {}: {e}", path.display()))
+}
+
+/// What `csspgo_lint --profile <profile> --source <source>` finds.
+fn lint_files(source: &str, profile: &str) -> (ScenarioReport, Report) {
+    let mut analyzer = Analyzer::new(Policy::default());
+    let pair = analyzer
+        .judge_file("regression", source, profile)
+        .expect("both texts load");
+    (pair, analyzer.into_report())
+}
+
+/// The ids `report` carries, in order, deduplicated.
+fn ids(report: &Report) -> Vec<&str> {
+    let mut out: Vec<&str> = Vec::new();
+    for d in &report.diagnostics {
+        if !out.contains(&d.lint.as_str()) {
+            out.push(&d.lint);
+        }
+    }
+    out
+}
+
+/// What `csspgo run <name>` does before the first instruction.
+fn load_and_decode(name: &str) -> Result<(), SimError> {
+    let binary: Binary = serde_json::from_str(&input(name)).expect("the JSON itself is valid");
+    Machine::try_new(&binary, SimConfig::default()).map(|_| ())
+}
+
+// ---- the four inputs of ISSUE 21 -------------------------------------
+
+#[test]
+fn a_fresh_profile_of_its_own_source_is_silent() {
+    for (source, profile) in [
+        ("serve.mini", "serve.prof"),
+        ("dispatch.mini", "dispatch.prof"),
+    ] {
+        let (pair, report) = lint_files(&input(source), &input(profile));
+        assert!(report.diagnostics.is_empty(), "{}", report.render_human());
+        assert_eq!((pair.funcs_total, pair.checksum_matched), (1, 1));
+    }
+}
+
+/// Parent: `1 matched … 0 warning(s)`, exit 0 — file mode never ran PF005.
+#[test]
+fn a_probe_the_function_never_allocated_is_pf005() {
+    let (_, report) = lint_files(&input("serve.mini"), &input("serve_unallocated_probe.prof"));
+    assert_eq!(ids(&report), ["PF005"], "{}", report.render_human());
+    assert!(report.diagnostics[0].message.contains("probe 77"));
+}
+
+/// Parent: `1 matched … 0 warning(s)`, exit 0 — the top-level checksum still
+/// matches; only the inlined callee's does not.
+#[test]
+fn a_changed_inlined_callee_is_pf004_at_its_call_site_path() {
+    let (_, report) = lint_files(&input("serve_callee_branch.mini"), &input("serve.prof"));
+    assert_eq!(ids(&report), ["PF004"], "{}", report.render_human());
+    let d = &report.diagnostics[0];
+    assert_eq!(d.func.as_deref(), Some("helper"));
+    assert_eq!(d.location.as_deref(), Some("serve@4:helper"));
+}
+
+/// Parent: panic in `Machine::new` (`decode.rs:180`).
+#[test]
+fn a_register_outside_its_frame_is_a_typed_error() {
+    assert_eq!(
+        load_and_decode("bad_register.bin"),
+        Err(SimError::MalformedBinary(
+            "register VReg(200) outside a 3-register frame".into()
+        ))
+    );
+}
+
+/// Parent: ran, then `index out of bounds` in `Machine::call`
+/// (`machine.rs:402`) once the branch was taken.
+#[test]
+fn a_jump_past_the_text_is_a_typed_error() {
+    assert_eq!(
+        load_and_decode("bad_jump_target.bin"),
+        Err(SimError::MalformedBinary(
+            "branch target 9999 past the 5-instruction text".into()
+        ))
+    );
+}
+
+// ---- one firing case per id the census kept --------------------------
+
+#[test]
+fn counts_no_execution_can_produce_are_pf001_and_pf002() {
+    // `helper`'s entry ran 100 times, both arms 5 000.
+    let (_, report) = lint_files(
+        &input("serve.mini"),
+        &input("helper_impossible_counts.prof"),
+    );
+    let found = ids(&report);
+    assert!(
+        found.contains(&"PF001") && found.contains(&"PF002"),
+        "{}",
+        report.render_human()
+    );
+}
+
+#[test]
+fn a_child_context_entered_more_often_than_it_was_called_is_pf003() {
+    let (pair, report) = lint_files(
+        &input("serve.mini"),
+        &input("serve_overcounted_child.snapshot"),
+    );
+    let found = report.by_lint("PF003");
+    assert_eq!(found.len(), 1, "{}", report.render_human());
+    assert_eq!(found[0].location.as_deref(), Some("serve@4:helper"));
+    // The snapshot's context section is what got matched.
+    assert_eq!(pair.funcs_total, 2);
+}
+
+#[test]
+fn a_guard_above_repeated_calls_is_sm001() {
+    let guarded = input("dispatch.mini").replace(
+        "    let i = 0;",
+        "    if (n > 1000000) { return 0; }\n    let i = 0;",
+    );
+    let (pair, report) = lint_files(&guarded, &input("dispatch.prof"));
+    assert_eq!(
+        ids(&report),
+        ["PF004", "SM001"],
+        "{}",
+        report.render_human()
+    );
+    assert_eq!(pair.recovered, 1);
+    assert_eq!(
+        pair.diagnostics.len(),
+        1,
+        "the pair carries its SM findings"
+    );
+}
+
+#[test]
+fn a_retargeted_call_under_an_unchanged_checksum_is_sm004() {
+    let retargeted = input("dispatch.mini").replace("s = s + b(i);", "s = s + a(i);");
+    let (pair, report) = lint_files(&retargeted, &input("dispatch.prof"));
+    assert_eq!(ids(&report), ["SM004"], "{}", report.render_human());
+    assert_eq!(pair.checksum_matched, 1);
+}
+
+#[test]
+fn a_renamed_and_edited_function_is_sm005_and_all_salvage_is_wp003() {
+    let renamed = input("dispatch.mini")
+        .replace("fn serve(n, k)", "fn serve_v2(n, k)")
+        .replace(
+            "        s = s + b(i);",
+            "        s = s + b(i);\n        s = s + b(s);",
+        );
+    let (pair, report) = lint_files(&renamed, &input("dispatch.prof"));
+    assert_eq!(
+        ids(&report),
+        ["SM005", "WP003"],
+        "{}",
+        report.render_human()
+    );
+    assert_eq!(pair.renamed, 1);
+    assert!(pair.provenance.stale_matched_share > 0.99);
+}
+
+#[test]
+fn an_entry_count_the_body_cannot_carry_is_wp001() {
+    // The body counts say ~12 000 iterations; the header claims 200 000
+    // calls, so inference has to invent nearly all of the weight.
+    let inflated = input("dispatch.prof").replacen("\"entry\": 0", "\"entry\": 200000", 1);
+    let (pair, report) = lint_files(&input("dispatch.mini"), &inflated);
+    assert_eq!(ids(&report), ["WP001"], "{}", report.render_human());
+    assert!(pair.provenance.inferred_share > 0.9);
+}
+
+#[test]
+fn every_registered_lint_fires_in_this_file() {
+    let me = std::fs::read_to_string(Path::new(env!("CARGO_MANIFEST_DIR")).join(file!())).unwrap();
+    for l in LINTS {
+        assert!(
+            me.contains(&format!("\"{}\"", l.id)),
+            "{} is registered but no regression input makes it fire",
+            l.id
+        );
+    }
+}
+
+// ---- unloadable files are messages, not panics -----------------------
+
+#[test]
+fn unloadable_files_are_errors_naming_the_file() {
+    let mut analyzer = Analyzer::new(Policy::default());
+    let source = input("serve.mini");
+    for (src, prof, what) in [
+        ("fn serve(", "{\"funcs\": {}, \"names\": {}}", "source:"),
+        (source.as_str(), "{not json", "profile:"),
+        (
+            source.as_str(),
+            "# csspgo-stream-snapshot v1\n",
+            "no !context",
+        ),
+        (
+            source.as_str(),
+            "# csspgo-stream-snapshot v1\n!context\n 1: 2\n",
+            "profile:",
+        ),
+    ] {
+        let err = analyzer.judge_file("bad", src, prof).unwrap_err();
+        assert!(err.contains(what), "{err}");
+    }
+}
