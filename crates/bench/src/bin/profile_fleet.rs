@@ -108,8 +108,8 @@ fn main() {
         .unwrap_or_else(|e| panic!("fleet compile failed: {e}"));
     println!(
         "fleet: {} tenants, {} tenant-version aggregators, resident cap {}/version\n",
-        binaries.tenant_count(),
-        binaries.version_count(),
+        specs.len(),
+        specs.iter().map(|s| s.versions.len()).sum::<usize>(),
         cfg.resident_cap
     );
 

@@ -31,7 +31,7 @@
 use csspgo_bench::traffic_scale;
 use csspgo_core::fleet::FleetConfig;
 use csspgo_core::pipeline::PipelineConfig;
-use csspgo_core::release_train::{run_release_train, ReleaseSpec, TrainBenchDoc, TrainConfig};
+use csspgo_core::release_train::{run_release_train, ReleaseSpec, TrainBenchDoc};
 use csspgo_core::stream::StreamConfig;
 use csspgo_core::Workload;
 use csspgo_workloads::{ad_finder, drift, haas, phase_shifted, tenant_traffic_mix};
@@ -45,7 +45,7 @@ fn arg_value(args: &[String], flag: &str) -> Option<String> {
         .and_then(|i| args.get(i + 1).cloned())
 }
 
-fn train_config() -> TrainConfig {
+fn train_config() -> FleetConfig {
     let pipeline = PipelineConfig::builder()
         .stream(StreamConfig {
             drift_threshold: DRIFT_THRESHOLD,
@@ -53,12 +53,9 @@ fn train_config() -> TrainConfig {
         })
         .build()
         .expect("train pipeline config is valid");
-    TrainConfig {
-        fleet: FleetConfig {
-            pipeline,
-            ..FleetConfig::default()
-        },
-        ..TrainConfig::default()
+    FleetConfig {
+        pipeline,
+        ..FleetConfig::default()
     }
 }
 

@@ -10,9 +10,9 @@
 //! * a [`TenantId`]-keyed registry of tenants, each serving M binary
 //!   versions, each version wrapping its own [`StreamAggregator`];
 //! * concurrent epoch ingestion: each service round fans out across
-//!   tenants with rayon ([`FleetService::run_round`]) — per-tenant state
-//!   is disjoint, so the fan-out is trivially deterministic and every
-//!   tenant's profile stays *bit-identical* to serving it alone;
+//!   tenants with rayon — per-tenant state is disjoint, so the fan-out is
+//!   trivially deterministic and every tenant's profile stays
+//!   *bit-identical* to serving it alone;
 //! * a context-profile store kept under a resident-node cap by
 //!   cold-context eviction: depth-1 trie subtrees are tracked
 //!   LRU-by-epoch ([`ContextEdge`] granules) and the coldest are folded
@@ -20,19 +20,21 @@
 //!   ([`StreamAggregator::evict_contexts`]) — totals are conserved, so
 //!   bounding memory never drops weight;
 //! * per-tenant drift watchdogs: the final eval epoch doubles as a drift
-//!   probe, and stale versions schedule recompiles through a *bounded*
-//!   refresh queue into the [`StaleMatching::Recover`] pipeline path
-//!   (overflow is recorded, not silently grown).
+//!   probe, and stale versions schedule rebuilds through a *bounded*
+//!   refresh queue (overflow is recorded, not silently grown);
+//! * one way from a served profile to a binary: [`FleetService::rebuild`]
+//!   builds a source from a version's *live* profile through
+//!   [`build_from_context`]. A drift refresh is that call under
+//!   [`StaleMatching::Recover`], and so are a release train's baseline,
+//!   candidate and floor.
 //!
 //! Construction is two-phase because [`StreamAggregator`] (and
 //! [`Machine`]) borrow the profiled [`Binary`]: [`FleetBinaries::compile`]
 //! owns the compiled artifacts, then [`FleetService::new`] borrows them
-//! for the serving lifetime. `profile_fleet` (N tenants × M versions) is a
-//! thin CLI wrapper over this type.
+//! for the serving lifetime, and [`FleetService::run`] serves.
 
-use crate::context::ContextProfile;
 use crate::pipeline::{
-    profiling_build, run_pgo_cycle_drifted, staged_machine, PgoVariant, PipelineConfig,
+    build_from_context, profiling_build, staged_machine, PgoOutcome, PgoVariant, PipelineConfig,
     PipelineError,
 };
 use crate::ranges::RangeCounts;
@@ -363,29 +365,6 @@ impl FleetBinaries {
         }
         Ok(FleetBinaries { tenants })
     }
-
-    /// Tenants in the compiled fleet.
-    pub fn tenant_count(&self) -> usize {
-        self.tenants.len()
-    }
-
-    /// Total binary versions across all tenants.
-    pub fn version_count(&self) -> usize {
-        self.tenants.iter().map(|t| t.versions.len()).sum()
-    }
-
-    /// The compiled profiling binary of one tenant-version — the
-    /// checksum/GUID source of truth a release train needs when it builds
-    /// an optimized candidate from that version's live profile.
-    pub fn binary(&self, id: TenantId, version: &str) -> Option<&Binary> {
-        self.tenants
-            .iter()
-            .find(|t| t.spec.id == id)?
-            .versions
-            .iter()
-            .find(|v| v.label == version)
-            .map(|v| &v.binary)
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -413,7 +392,8 @@ pub struct EpochEvent {
     pub evicted_total: EvictStats,
 }
 
-/// One drift-triggered refresh recompile that ran to completion.
+/// One drift-triggered refresh: the [`FleetService::rebuild`] of the tenant's
+/// refresh source from the stale version's live profile.
 #[derive(Clone, Debug)]
 pub struct RefreshEvent {
     /// Tenant that drifted.
@@ -518,10 +498,8 @@ struct RefreshRequest {
 
 /// The serving half of the fleet: borrows a [`FleetBinaries`], owns every
 /// tenant's machines, aggregators, LRU clocks, and the bounded refresh
-/// queue. Drive it with [`FleetService::run`], or compose
-/// [`FleetService::calibrate`] / [`FleetService::run_round`] /
-/// [`FleetService::drift_probe`] / [`FleetService::process_refreshes`]
-/// directly.
+/// queue. [`FleetService::run`] serves; afterwards
+/// [`FleetService::rebuild`] builds from what was served.
 pub struct FleetService<'b> {
     cfg: FleetConfig,
     tenants: Vec<TenantRt<'b>>,
@@ -580,11 +558,7 @@ impl<'b> FleetService<'b> {
     /// Runs the calibration epoch on every tenant-version: the first
     /// epoch of train requests pins each version's tail-call graph,
     /// and the calibration samples become `epoch-0`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FleetError::Pipeline`] when a simulated request fails.
-    pub fn calibrate(&mut self) -> Result<Vec<FleetEvent>, FleetError> {
+    fn calibrate(&mut self) -> Result<Vec<FleetEvent>, FleetError> {
         let cfg = &self.cfg;
         let per_tenant: Vec<Result<Vec<FleetEvent>, FleetError>> = self
             .tenants
@@ -600,13 +574,7 @@ impl<'b> FleetService<'b> {
     /// tenant-version that still has requests, fanning out across tenants
     /// with rayon. Per-tenant state is disjoint, so concurrency cannot
     /// perturb any tenant's profile.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FleetError::Pipeline`] when a simulated request fails
-    /// and [`FleetError::SnapshotDiverged`] when the mid-stream snapshot
-    /// self-check restores to a different state.
-    pub fn run_round(&mut self) -> Result<Vec<FleetEvent>, FleetError> {
+    fn run_round(&mut self) -> Result<Vec<FleetEvent>, FleetError> {
         let cfg = &self.cfg;
         let per_tenant: Vec<Result<Vec<FleetEvent>, FleetError>> = self
             .tenants
@@ -622,7 +590,7 @@ impl<'b> FleetService<'b> {
     }
 
     /// Whether every tenant-version has drained its traffic share.
-    pub fn is_done(&self) -> bool {
+    fn is_done(&self) -> bool {
         self.tenants
             .iter()
             .all(|t| t.versions.iter().all(|v| v.cursor >= v.train_idx.len()))
@@ -632,11 +600,7 @@ impl<'b> FleetService<'b> {
     /// tenant-version — the drift probe. Stale versions are enqueued on
     /// the bounded refresh queue; overflow becomes
     /// [`FleetEvent::RefreshDropped`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FleetError::Pipeline`] when a simulated request fails.
-    pub fn drift_probe(&mut self) -> Result<Vec<FleetEvent>, FleetError> {
+    fn drift_probe(&mut self) -> Result<Vec<FleetEvent>, FleetError> {
         let cfg = &self.cfg;
         let per_tenant: Vec<Result<Vec<(usize, EpochEvent)>, FleetError>> = self
             .tenants
@@ -671,35 +635,21 @@ impl<'b> FleetService<'b> {
         Ok(events)
     }
 
-    /// Drains the refresh queue: each request runs a full drifted PGO
-    /// cycle with [`StaleMatching::Recover`] (profile collected on the
-    /// stale version, build on the tenant's next release source).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FleetError::Pipeline`] when a refresh cycle fails.
-    pub fn process_refreshes(&mut self) -> Result<Vec<FleetEvent>, FleetError> {
+    /// Drains the refresh queue: each stale version's live profile —
+    /// drift-probe epoch included — rebuilds the tenant's next release
+    /// source (its own when the tenant names none) under
+    /// [`StaleMatching::Recover`].
+    fn process_refreshes(&mut self) -> Result<Vec<FleetEvent>, FleetError> {
         let mut events = Vec::new();
         while let Some(req) = self.refresh_queue.pop_front() {
             let tenant = &self.tenants[req.tenant];
             let version = &tenant.versions[req.version];
-
-            // The profile was collected on this version's source; the
-            // refresh builds the tenant's next release against it.
-            let mut profiled = tenant.workload.clone();
-            profiled.source = version.source.clone();
-            let build_source = tenant
-                .refresh_source
-                .clone()
-                .unwrap_or_else(|| version.source.clone());
-
-            let mut refresh_cfg = self.cfg.pipeline.clone();
-            refresh_cfg.annotate.stale_matching = StaleMatching::Recover;
-            let outcome = run_pgo_cycle_drifted(
-                &profiled,
-                PgoVariant::CsspgoFull,
-                &refresh_cfg,
-                &build_source,
+            let build_source = tenant.refresh_source.as_ref().unwrap_or(&version.source);
+            let outcome = self.rebuild(
+                tenant.id,
+                &version.label,
+                build_source,
+                StaleMatching::Recover,
             )?;
             self.refreshes_triggered += 1;
             events.push(FleetEvent::Refresh(RefreshEvent {
@@ -719,8 +669,9 @@ impl<'b> FleetService<'b> {
     ///
     /// # Errors
     ///
-    /// See [`FleetService::calibrate`], [`FleetService::run_round`],
-    /// [`FleetService::drift_probe`], [`FleetService::process_refreshes`].
+    /// Returns [`FleetError::Pipeline`] when a simulated request or a
+    /// refresh rebuild fails and [`FleetError::SnapshotDiverged`] when the
+    /// mid-stream snapshot self-check restores to a different state.
     pub fn run(&mut self) -> Result<FleetRun, FleetError> {
         let mut events = self.calibrate()?;
         while !self.is_done() {
@@ -732,6 +683,47 @@ impl<'b> FleetService<'b> {
             events,
             stats: self.stats(),
         })
+    }
+
+    /// Builds `build_source` from the *live* profile of one tenant-version
+    /// — everything its aggregator has folded so far — and evaluates the
+    /// build on the tenant's eval traffic: [`StreamAggregator::to_generated`]
+    /// into [`build_from_context`] under the service's pipeline
+    /// configuration, with `stale_matching` deciding what happens to
+    /// functions whose checksum `build_source` no longer matches. The
+    /// outcome's profiling side describes the served version: its binary's
+    /// sections and its machine's run statistics so far.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`FleetError::Pipeline`] when the tenant-version is not
+    /// being served or has sealed no epoch yet
+    /// ([`PipelineError::Stream`]), `build_source` fails to compile or the
+    /// evaluation fails.
+    pub fn rebuild(
+        &self,
+        id: TenantId,
+        version: &str,
+        build_source: &str,
+        stale_matching: StaleMatching,
+    ) -> Result<PgoOutcome, FleetError> {
+        let served = self.tenants.iter().find(|t| t.id == id).and_then(|t| {
+            let v = t.versions.iter().find(|v| v.label == version)?;
+            Some((t, v, v.agg.as_ref()?))
+        });
+        let Some((tenant, v, agg)) = served else {
+            return Err(FleetError::Pipeline(PipelineError::Stream(format!(
+                "tenant {id} has no live profile for version `{version}`"
+            ))));
+        };
+        let mut cfg = self.cfg.pipeline.clone();
+        cfg.annotate.stale_matching = stale_matching;
+        let generated = agg.to_generated();
+        let workload = &tenant.workload;
+        let mut outcome = build_from_context(generated, v.binary, workload, build_source, &cfg)?;
+        outcome.profiling = *v.machine.stats();
+        outcome.profiling_sections = v.binary.sections;
+        Ok(outcome)
     }
 
     /// Fleet-wide aggregates over the service so far.
@@ -754,12 +746,6 @@ impl<'b> FleetService<'b> {
             }
         }
         stats
-    }
-
-    /// The cumulative context profile of one tenant-version, if it has
-    /// been calibrated.
-    pub fn context_profile(&self, id: TenantId, version: &str) -> Option<&ContextProfile> {
-        self.aggregator(id, version).map(|a| a.context_profile())
     }
 
     /// Direct access to one tenant-version's aggregator, if calibrated.
@@ -1045,9 +1031,6 @@ fn serve(n, mode) {
             TenantSpec::single_version(TenantId(2), tiny_workload("beta")),
         ];
         let binaries = FleetBinaries::compile(&specs, &cfg).expect("compile fleet");
-        assert_eq!(binaries.tenant_count(), 2);
-        assert_eq!(binaries.version_count(), 2);
-
         let mut service = FleetService::new(&binaries, cfg);
         assert_eq!(service.registry().len(), 2);
         let run = service.run().expect("fleet run");
@@ -1066,8 +1049,8 @@ fn serve(n, mode) {
             .filter(|e| matches!(e, FleetEvent::SnapshotChecked { .. }))
             .count();
         assert_eq!(snapshot_checks, 2);
-        assert!(service.context_profile(TenantId(1), "v0").is_some());
-        assert!(service.context_profile(TenantId(3), "v0").is_none());
+        assert!(service.aggregator(TenantId(1), "v0").is_some());
+        assert!(service.aggregator(TenantId(3), "v0").is_none());
     }
 
     #[test]
@@ -1078,7 +1061,11 @@ fn serve(n, mode) {
         let mut service = FleetService::new(&binaries, uncapped.clone());
         service.run().unwrap();
         let full_nodes = service.stats().resident_contexts;
-        let full_total = service.context_profile(TenantId(7), "v0").unwrap().total();
+        let total = |service: &FleetService<'_>| {
+            let agg = service.aggregator(TenantId(7), "v0").unwrap();
+            agg.context_profile().total()
+        };
+        let full_total = total(&service);
         assert!(full_nodes > 2, "need a trie worth evicting from");
 
         let cap = full_nodes - 1;
@@ -1094,8 +1081,7 @@ fn serve(n, mode) {
         assert!(run.stats.evicted.subtrees > 0, "nothing was evicted");
         assert!(run.stats.evicted.weight_folded > 0);
         // Conservation: the capped profile total matches the uncapped one.
-        let capped_total = service.context_profile(TenantId(7), "v0").unwrap().total();
-        assert_eq!(capped_total, full_total);
+        assert_eq!(total(&service), full_total);
     }
 
     #[test]
@@ -1130,8 +1116,6 @@ fn serve(n, mode) {
             refresh_source: None,
         };
         let binaries = FleetBinaries::compile(std::slice::from_ref(&spec), &cfg).unwrap();
-        assert!(binaries.binary(TenantId(4), "stable").is_some());
-        assert!(binaries.binary(TenantId(4), "missing").is_none());
         let mut service = FleetService::new(&binaries, cfg.clone());
         let run = service.run().unwrap();
         // 16 train calls split 8/8 at 4/epoch: calibration + 1 steady

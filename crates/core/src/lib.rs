@@ -75,7 +75,7 @@ pub use pipeline::{
     run_pgo_cycle, PgoOutcome, PgoVariant, PipelineConfig, PipelineConfigBuilder, PipelineError,
 };
 pub use release_train::{
-    run_release_train, CanaryReport, ReleaseReport, ReleaseSpec, TrainBenchDoc, TrainConfig,
+    canary_promotes, run_release_train, CanaryReport, ReleaseReport, ReleaseSpec, TrainBenchDoc,
     TrainReport, TRAIN_SCHEMA,
 };
 pub use stream::{

@@ -517,7 +517,10 @@ pub fn probe_only_profile(binary: &Binary, samples: &[Sample], shards: usize) ->
     probe_profile(binary, &sharded_range_counts(binary, samples, shards))
 }
 
-/// The product of [`context_profile`].
+/// What full-CSSPGO profile generation produces, for a batch
+/// ([`context_profile`]) or from live state
+/// ([`crate::stream::StreamAggregator::to_generated`]), and what
+/// [`build_from_context`] turns into an evaluated build.
 #[derive(Clone, Debug)]
 pub struct ContextGenerated {
     /// The context trie, checksummed and *untrimmed*.
@@ -530,56 +533,58 @@ pub struct ContextGenerated {
     pub broken_stacks: u64,
 }
 
-/// Stage 3, full CSSPGO — range counts, the tail-call graph, Algorithm 1
-/// (context unwinding) and the binary's probe checksums. Stops *before*
-/// cold trimming and the pre-inliner: consumers differ on both (the
-/// pipeline does both, the lint gate only trims, the differential analyzer
-/// does neither).
-pub fn context_profile(binary: &Binary, samples: &[Sample], shards: usize) -> ContextGenerated {
-    let range_counts = sharded_range_counts(binary, samples, shards);
-    let tail_graph = TailCallGraph::build(binary, &range_counts);
-    let unwound = sharded_context_profile(binary, Some(&tail_graph), samples, shards);
-    let mut profile = unwound.profile;
-    stamp_checksums(&mut profile, binary);
-    ContextGenerated {
-        profile,
-        range_counts,
-        infer_stats: unwound.infer_stats,
-        broken_stacks: unwound.broken_stacks,
-    }
-}
-
-/// Stamps `binary`'s probe CFG checksums onto `profile`.
-pub(crate) fn stamp_checksums(profile: &mut ContextProfile, binary: &Binary) {
-    let checksums = binary
-        .funcs
-        .iter()
-        .filter_map(|f| f.probe_checksum.map(|c| (f.guid, c)))
-        .collect();
-    profile.set_checksums(&checksums);
-}
-
-/// Context entry counts can be sparse; raises each to the plain LBR entry
-/// count where that is larger.
-pub(crate) fn backfill_entries(probe: &mut ProbeProfile, rc: &RangeCounts, binary: &Binary) {
-    for (fidx, c) in rc.entry_counts(binary) {
-        let guid = binary.funcs[fidx as usize].guid;
-        if let Some(fp) = probe.funcs.get_mut(&guid) {
-            fp.entry = fp.entry.max(c);
+impl ContextGenerated {
+    /// Stamps `binary`'s probe CFG checksums onto the unwound `profile` —
+    /// the one place a raw trie becomes a generated profile.
+    pub(crate) fn new(
+        binary: &Binary,
+        mut profile: ContextProfile,
+        range_counts: RangeCounts,
+        (infer_stats, broken_stacks): (InferStats, u64),
+    ) -> Self {
+        let checksums = binary
+            .funcs
+            .iter()
+            .filter_map(|f| f.probe_checksum.map(|c| (f.guid, c)))
+            .collect();
+        profile.set_checksums(&checksums);
+        ContextGenerated {
+            profile,
+            range_counts,
+            infer_stats,
+            broken_stacks,
         }
     }
 }
 
+/// Stage 3, full CSSPGO — range counts, the tail-call graph, Algorithm 1
+/// (context unwinding) and the binary's probe checksums. Stops *before*
+/// cold trimming and the pre-inliner: [`build_from_context`] does both,
+/// `csspgo_lint` does neither.
+pub fn context_profile(binary: &Binary, samples: &[Sample], shards: usize) -> ContextGenerated {
+    let range_counts = sharded_range_counts(binary, samples, shards);
+    let tail_graph = TailCallGraph::build(binary, &range_counts);
+    let unwound = sharded_context_profile(binary, Some(&tail_graph), samples, shards);
+    let diagnostics = (unwound.infer_stats, unwound.broken_stacks);
+    ContextGenerated::new(binary, unwound.profile, range_counts, diagnostics)
+}
+
 /// Stage 3 finisher — flattens a (trimmed, pre-inlined, or neither)
-/// context profile into the [`ProbeProfile`] handed to the compiler, with
-/// LBR entry counts back-filled.
+/// context profile into the [`ProbeProfile`] handed to the compiler.
+/// Context entry counts can be sparse: each is raised to the plain LBR
+/// entry count where that is larger.
 pub fn finish_probe_profile(
     profile: &ContextProfile,
     rc: &RangeCounts,
     binary: &Binary,
 ) -> ProbeProfile {
     let mut probe = profile.to_probe_profile();
-    backfill_entries(&mut probe, rc, binary);
+    for (fidx, c) in rc.entry_counts(binary) {
+        let guid = binary.funcs[fidx as usize].guid;
+        if let Some(fp) = probe.funcs.get_mut(&guid) {
+            fp.entry = fp.entry.max(c);
+        }
+    }
     probe
 }
 
@@ -715,6 +720,77 @@ pub fn optimized_build(
     (lower_module(&module, &config.codegen), stats)
 }
 
+/// Stages 4–6, the tail every build shares: wire hand-off, the quality
+/// snapshot, the profile-guided rebuild of `build_module`, evaluation.
+/// Fills the fields of `outcome` those stages determine.
+fn rebuild_and_evaluate(
+    mut outcome: PgoOutcome,
+    build_module: Module,
+    profile: BuildProfile,
+    plan: Option<&InlinePlan>,
+    workload: &Workload,
+    config: &PipelineConfig,
+) -> Result<PgoOutcome, PipelineError> {
+    let profile = wire_handoff(profile)?;
+    outcome.quality_counts = quality_counts(build_module.clone(), &profile, &config.annotate);
+    let (variant, entry) = (outcome.variant, &workload.entry);
+    let (binary, stats) = optimized_build(build_module, variant, &profile, plan, entry, config);
+    outcome.annotate_stats = stats;
+    outcome.sections = binary.sections;
+    (outcome.eval, outcome.eval_result_hash) = evaluate(&binary, workload, config)?;
+    Ok(outcome)
+}
+
+/// A generated context profile → an evaluated build of `build_source`: the
+/// one path from full-CSSPGO profile to binary, shared by the batch cycle
+/// ([`run_pgo_cycle_drifted`]), the fleet's drift refresh and the release
+/// train's baseline, candidate and floor
+/// ([`crate::fleet::FleetService::rebuild`]). Cold contexts are trimmed at
+/// `config.trim_threshold`, the pre-inliner runs against `profiled` (the
+/// binary the samples came from) and its plan is resolved against the
+/// build module, the trie is flattened with LBR entry counts back-filled,
+/// and the profile goes through the wire hand-off into the rebuild and the
+/// evaluation on `workload`'s traffic. `config.annotate.stale_matching`
+/// decides what happens to functions whose checksum no longer matches.
+///
+/// Returns the [`PgoOutcome`] fields these stages determine; the
+/// profiling-side ones (`profiling`, `profiling_sections`) are the
+/// collector's to fill.
+///
+/// # Errors
+///
+/// Returns [`PipelineError`] if `build_source` fails to compile, the
+/// hand-off does not decode or the evaluation exceeds its budget.
+pub fn build_from_context(
+    mut generated: ContextGenerated,
+    profiled: &Binary,
+    workload: &Workload,
+    build_source: &str,
+    config: &PipelineConfig,
+) -> Result<PgoOutcome, PipelineError> {
+    let mut outcome = PgoOutcome::empty(PgoVariant::CsspgoFull);
+    // The pre-inliner's plan refers to the fresh build module, so its
+    // front end runs first.
+    let build_module = prepared_module(build_source, &workload.name, true)?;
+    outcome.infer_stats = generated.infer_stats;
+    outcome.context_nodes_before_trim = generated.profile.node_count();
+    generated.profile.trim_cold(config.trim_threshold);
+    outcome.context_nodes_after_trim = generated.profile.node_count();
+    let pre = run_preinliner(&mut generated.profile, profiled, &config.preinline);
+    outcome.plan_len = pre.plan_paths.len();
+    let plan = to_inline_plan(&pre.plan_paths, &build_module);
+    let probe = finish_probe_profile(&generated.profile, &generated.range_counts, profiled);
+    let profile = BuildProfile::Probe(probe);
+    rebuild_and_evaluate(
+        outcome,
+        build_module,
+        profile,
+        Some(&plan),
+        workload,
+        config,
+    )
+}
+
 /// Runs one full PGO cycle for `workload` with `variant`.
 ///
 /// # Errors
@@ -745,70 +821,53 @@ pub fn run_pgo_cycle_drifted(
     build_source: &str,
 ) -> Result<PgoOutcome, PipelineError> {
     config.validate()?;
-    let mut outcome = PgoOutcome::empty(variant);
     let shards = config.ingest_shards;
-
-    // Profiling build and run "in production" (none for plain `-O2`).
-    let mut profiled = None;
-    if variant != PgoVariant::O2 {
-        let build = profiling_build(&workload.source, &workload.name, variant, config)?;
-        let period = match variant {
-            PgoVariant::Instr => 0,
-            _ => config.sample_period,
-        };
-        let run = profiling_run(&build.binary, workload, config.sim_config(period))?;
-        outcome.profiling_sections = build.binary.sections;
-        outcome.profiling = run.stats;
-        outcome.counter_sites = build.instrumented.as_ref().map_or(0, |(map, _)| map.len());
-        profiled = Some((build, run));
+    let build_module = || prepared_module(build_source, &workload.name, variant.uses_probes());
+    let rebuild = |module, profile| {
+        let outcome = PgoOutcome::empty(variant);
+        rebuild_and_evaluate(outcome, module, profile, None, workload, config)
+    };
+    if variant == PgoVariant::O2 {
+        return rebuild(build_module()?, BuildProfile::None);
     }
 
-    // The pre-inliner's plan refers to the fresh build module, so its
-    // front end runs first.
-    let build_module = prepared_module(build_source, &workload.name, variant.uses_probes())?;
-
-    let mut plan = None;
-    let profile = match profiled {
-        None => BuildProfile::None,
-        Some((build, run)) => {
-            let binary = &build.binary;
-            match variant {
-                PgoVariant::AutoFdo => {
-                    BuildProfile::Flat(autofdo_profile(binary, &run.samples, shards))
-                }
-                PgoVariant::CsspgoProbeOnly => {
-                    BuildProfile::Probe(probe_only_profile(binary, &run.samples, shards))
-                }
-                PgoVariant::CsspgoFull => {
-                    let mut generated = context_profile(binary, &run.samples, shards);
-                    outcome.infer_stats = generated.infer_stats;
-                    outcome.context_nodes_before_trim = generated.profile.node_count();
-                    generated.profile.trim_cold(config.trim_threshold);
-                    outcome.context_nodes_after_trim = generated.profile.node_count();
-                    let pre = run_preinliner(&mut generated.profile, binary, &config.preinline);
-                    outcome.plan_len = pre.plan_paths.len();
-                    plan = Some(to_inline_plan(&pre.plan_paths, &build_module));
-                    let rc = &generated.range_counts;
-                    BuildProfile::Probe(finish_probe_profile(&generated.profile, rc, binary))
-                }
-                PgoVariant::Instr => {
-                    let (map, reference) = build.instrumented.ok_or(
-                        PipelineError::Inconsistent("instrumented build produced no counter map"),
-                    )?;
-                    instr_profile(map, &run.counters, &reference)?
-                }
-                PgoVariant::O2 => BuildProfile::None,
-            }
-        }
+    // Profiling build and run "in production".
+    let ProfilingBuild {
+        binary,
+        instrumented,
+    } = profiling_build(&workload.source, &workload.name, variant, config)?;
+    let period = match variant {
+        PgoVariant::Instr => 0,
+        _ => config.sample_period,
     };
-    let profile = wire_handoff(profile)?;
-    outcome.quality_counts = quality_counts(build_module.clone(), &profile, &config.annotate);
+    let run = profiling_run(&binary, workload, config.sim_config(period))?;
+    let counter_sites = instrumented.as_ref().map_or(0, |(map, _)| map.len());
 
-    let (plan, entry) = (plan.as_ref(), &workload.entry);
-    let (binary, stats) = optimized_build(build_module, variant, &profile, plan, entry, config);
-    outcome.annotate_stats = stats;
-    outcome.sections = binary.sections;
-    (outcome.eval, outcome.eval_result_hash) = evaluate(&binary, workload, config)?;
+    let mut outcome = match variant {
+        PgoVariant::CsspgoFull => {
+            let generated = context_profile(&binary, &run.samples, shards);
+            build_from_context(generated, &binary, workload, build_source, config)?
+        }
+        PgoVariant::AutoFdo => {
+            let profile = autofdo_profile(&binary, &run.samples, shards);
+            rebuild(build_module()?, BuildProfile::Flat(profile))?
+        }
+        PgoVariant::CsspgoProbeOnly => {
+            let profile = probe_only_profile(&binary, &run.samples, shards);
+            rebuild(build_module()?, BuildProfile::Probe(profile))?
+        }
+        PgoVariant::Instr => {
+            let (map, reference) = instrumented.ok_or(PipelineError::Inconsistent(
+                "instrumented build produced no counter map",
+            ))?;
+            let module = build_module()?;
+            rebuild(module, instr_profile(map, &run.counters, &reference)?)?
+        }
+        PgoVariant::O2 => unreachable!("returned above"),
+    };
+    outcome.profiling_sections = binary.sections;
+    outcome.profiling = run.stats;
+    outcome.counter_sites = counter_sites;
     Ok(outcome)
 }
 
@@ -861,16 +920,9 @@ pub fn build_and_run(
     config: &PipelineConfig,
 ) -> Result<(RunStats, SectionSizes), PipelineError> {
     let module = prepared_module(&workload.source, &workload.name, with_probes)?;
-    let (binary, _) = optimized_build(
-        module,
-        PgoVariant::O2,
-        &BuildProfile::None,
-        None,
-        &workload.entry,
-        config,
-    );
-    let (stats, _) = evaluate(&binary, workload, config)?;
-    Ok((stats, binary.sections))
+    let outcome = PgoOutcome::empty(PgoVariant::O2);
+    let built = rebuild_and_evaluate(outcome, module, BuildProfile::None, None, workload, config)?;
+    Ok((built.eval, built.sections))
 }
 
 #[cfg(test)]

@@ -27,8 +27,10 @@
 //!   per-function base profiles (the [`crate::context`] conservation
 //!   rule), so fleet memory stays bounded while totals are conserved;
 //! * consecutive epochs are compared for *drift* (distribution overlap of
-//!   probe weights); a stale epoch flags the profile for recompilation via
-//!   the existing [`crate::pipeline::run_pgo_cycle_drifted`] path.
+//!   probe weights, [`EpochSummary::stale`]); the fleet answers a stale
+//!   epoch by rebuilding from the live state
+//!   ([`StreamAggregator::to_generated`] →
+//!   [`crate::pipeline::build_from_context`]).
 //!
 //! **The epoch invariant** (enforced by unit, golden, and property tests):
 //! for a fixed tail-call graph, folding N epochs incrementally produces a
@@ -44,8 +46,7 @@
 use crate::binprof::{self, put_uvarint, Kind};
 use crate::context::ContextProfile;
 use crate::merge::merge_context;
-use crate::pipeline::{self, PipelineError};
-use crate::profile::ProbeProfile;
+use crate::pipeline::{ContextGenerated, PipelineError};
 use crate::ranges::RangeCounts;
 use crate::shard::{diagnostics, resolve_shards, sharded_range_counts, unwind_sharded};
 use crate::tailcall::{InferStats, TailCallGraph};
@@ -265,8 +266,6 @@ pub struct StreamAggregator<'b> {
     epochs_sealed: u64,
     total_samples: u64,
     last_weights: Option<BTreeMap<(u64, u32), u64>>,
-    last_overlap: f64,
-    stale: bool,
     last_epoch_edges: Vec<ContextEdge>,
     evicted: EvictStats,
 }
@@ -308,8 +307,6 @@ impl<'b> StreamAggregator<'b> {
             epochs_sealed: 0,
             total_samples: 0,
             last_weights: None,
-            last_overlap: 1.0,
-            stale: false,
             last_epoch_edges: Vec::new(),
             evicted: EvictStats::default(),
         }
@@ -397,8 +394,6 @@ impl<'b> StreamAggregator<'b> {
 
         self.total_samples += summary.samples as u64;
         self.epochs_sealed += 1;
-        self.last_overlap = summary.overlap;
-        self.stale = summary.stale;
         summary.total_samples = self.total_samples;
         summary.nodes_cumulative = self.profile.node_count();
         summary
@@ -433,18 +428,6 @@ impl<'b> StreamAggregator<'b> {
     /// Uninterpretable-stack counter of every epoch this aggregator sealed.
     pub fn broken_stacks(&self) -> u64 {
         diagnostics(&self.unwinders).1
-    }
-
-    /// Whether the most recent sealed epoch drifted below the threshold —
-    /// the signal to refresh the deployed binary through
-    /// [`crate::pipeline::run_pgo_cycle_drifted`].
-    pub fn is_stale(&self) -> bool {
-        self.stale
-    }
-
-    /// Probe-weight overlap reported by the most recent sealed epoch.
-    pub fn last_overlap(&self) -> f64 {
-        self.last_overlap
     }
 
     /// Depth-1 context edges the most recent sealed epoch contributed
@@ -494,36 +477,19 @@ impl<'b> StreamAggregator<'b> {
         stats
     }
 
-    /// Collapses the cumulative profile into a build-ready [`ProbeProfile`]
-    /// the same way the batch pipeline does for full CSSPGO: checksums from
-    /// the profiled binary, cold contexts trimmed at `trim_threshold`,
-    /// context entry counts back-filled from plain LBR entry counts where
-    /// sparse.
-    pub fn to_probe_profile(&self, trim_threshold: u64) -> ProbeProfile {
-        let mut probe_prof = self.context_snapshot(trim_threshold).to_probe_profile();
-        self.backfill_entries(&mut probe_prof);
-        probe_prof
-    }
-
-    /// A checksummed, cold-trimmed clone of the cumulative context
-    /// profile — the pre-inliner's input shape, matching what the batch
-    /// pipeline derives right before `run_preinliner`. The release-train
-    /// harness uses this to grow an inline plan out of a *live* profile.
-    pub fn context_snapshot(&self, trim_threshold: u64) -> ContextProfile {
-        let mut ctx = self.profile.clone();
-        pipeline::stamp_checksums(&mut ctx, self.binary);
-        ctx.trim_cold(trim_threshold);
-        ctx
-    }
-
-    /// Names the functions the LBR saw entered and back-fills their sparse
-    /// entry counts from the plain LBR entry counters — the repair
-    /// [`Self::to_probe_profile`] applies, exposed so a caller deriving its
-    /// own [`ProbeProfile`] (e.g. after pre-inlining mutated a
-    /// [`Self::context_snapshot`]) gets identical entries.
-    pub fn backfill_entries(&self, probe_prof: &mut ProbeProfile) {
-        pipeline::name_entered_functions(probe_prof, &self.rc, self.binary);
-        pipeline::backfill_entries(probe_prof, &self.rc, self.binary);
+    /// The live state in the shape [`crate::pipeline::context_profile`]
+    /// returns for a batch — a checksummed clone of the cumulative trie, the
+    /// cumulative range counts, the diagnostic counters — so a build from
+    /// what the aggregator holds goes through
+    /// [`crate::pipeline::build_from_context`] like a build from a batch.
+    pub fn to_generated(&self) -> ContextGenerated {
+        let diagnostics = diagnostics(&self.unwinders);
+        ContextGenerated::new(
+            self.binary,
+            self.profile.clone(),
+            self.rc.clone(),
+            diagnostics,
+        )
     }
 
     // -----------------------------------------------------------------
@@ -1284,30 +1250,30 @@ fn serve(n, mode) {
         );
         agg.push_batch(shifted).unwrap();
         let s3 = agg.seal_epoch();
-        assert!(
-            s3.stale && agg.is_stale(),
-            "mode shift must drift: overlap {:.3}",
-            s3.overlap
-        );
+        assert!(s3.stale, "mode shift must drift: overlap {:.3}", s3.overlap);
         assert!(s3.overlap < s2.overlap);
     }
 
     #[test]
-    fn finalized_probe_profile_matches_pipeline_shape() {
+    fn live_state_is_the_batch_profile_of_the_same_samples() {
         let b = probed_binary();
-        let samples = traffic(&b, &[(3000, 1)]);
+        let samples = traffic(&b, &[(3000, 1), (2500, 2)]);
+        let batch = crate::pipeline::context_profile(&b, &samples, 0);
+        assert!(batch.profile.total() > 0, "need a meaningful stream");
+
         let graph = calibration_graph(&b, &samples);
         let mut agg = StreamAggregator::with_tail_graph(&b, StreamConfig::default(), 0, graph);
-        agg.push_batch(samples).unwrap();
-        agg.seal_epoch();
-        let pp = agg.to_probe_profile(4);
-        assert!(pp.total() > 0, "probe profile carries counts");
-        let serve_guid = b.func_by_name("serve").unwrap().guid;
-        assert!(pp.funcs.contains_key(&serve_guid));
-        // The finalized profile is valid text-profile material.
-        let text = textprof::write_probe_json(&pp);
-        let back = textprof::parse_probe_json(&text).unwrap();
-        assert_eq!(back.total(), pp.total());
+        for epoch in samples.chunks(samples.len().div_ceil(3)) {
+            agg.push_batch(epoch.to_vec()).unwrap();
+            agg.seal_epoch();
+        }
+        let live = agg.to_generated();
+        assert_eq!(live.profile, batch.profile, "checksums included");
+        assert_eq!(live.range_counts, batch.range_counts);
+        assert_eq!(live.infer_stats, batch.infer_stats);
+        assert_eq!(live.broken_stacks, batch.broken_stacks);
+        // The working profile stays unstamped: a snapshot carries no checksums.
+        assert_ne!(&live.profile, agg.context_profile());
     }
 
     #[test]

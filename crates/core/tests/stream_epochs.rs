@@ -7,7 +7,7 @@
 use csspgo_codegen::Binary;
 use csspgo_core::binprof;
 use csspgo_core::context::ContextProfile;
-use csspgo_core::pipeline::PipelineError;
+use csspgo_core::pipeline::{finish_probe_profile, PipelineError};
 use csspgo_core::ranges::RangeCounts;
 use csspgo_core::stream::{SnapshotFormat, StreamAggregator, StreamConfig};
 use csspgo_core::tailcall::TailCallGraph;
@@ -273,7 +273,7 @@ fn restore_refuses_a_snapshot_without_its_fingerprint() {
 
 /// Regression: range, branch and tail-graph rows were inserted straight
 /// from the payload, so an index past the binary restored `Ok` and panicked
-/// on the next `to_probe_profile` / unwind. Every such row is now refused at
+/// on the next entry back-fill / unwind. Every such row is now refused at
 /// restore time with the format's typed error.
 #[test]
 fn restore_refuses_out_of_binary_indices_in_both_formats() {
@@ -331,7 +331,9 @@ fn restore_refuses_out_of_binary_indices_in_both_formats() {
     for payload in [text.as_bytes(), &bin[..]] {
         let restored =
             StreamAggregator::restore_from(&binary, StreamConfig::default(), 1, payload).unwrap();
-        assert!(restored.to_probe_profile(4).total() > 0);
+        let live = restored.to_generated();
+        let probe = finish_probe_profile(&live.profile, &live.range_counts, &binary);
+        assert!(probe.total() > 0);
     }
 }
 

@@ -3,17 +3,26 @@
 //! promotion) validated across successive releases, per the paper's
 //! continuous-deployment framing.
 
-use csspgo::core::fleet::FleetConfig;
-use csspgo::core::pipeline::PipelineConfig;
-use csspgo::core::release_train::{run_release_train, ReleaseSpec, TrainBenchDoc, TrainConfig};
+use csspgo::core::fleet::{
+    FleetBinaries, FleetConfig, FleetEvent, FleetService, TenantId, TenantSpec, TrafficShare,
+    VersionSpec,
+};
+use csspgo::core::pipeline::{
+    evaluate, finish_probe_profile, optimized_build, prepared_module, profiling_build,
+    run_pgo_cycle, wire_handoff, BuildProfile, PgoVariant, PipelineConfig,
+};
+use csspgo::core::preinline::run_preinliner;
+use csspgo::core::profile::{ProbeFuncProfile, ProbeProfile};
+use csspgo::core::release_train::{canary_promotes, run_release_train, ReleaseSpec};
+use csspgo::core::stalematch::StaleMatching;
 use csspgo::core::stream::StreamConfig;
 use csspgo::core::Workload;
 use csspgo::workloads::{self, drift, phase_shifted, tenant_traffic_mix};
 use std::path::PathBuf;
 
-/// The bench binary's train configuration: drift verdicts at the same
-/// threshold `profile_fleet` uses, defaults elsewhere (recover + MCF).
-fn train_config() -> TrainConfig {
+/// The `release_train` figure's configuration: drift verdicts at the same
+/// threshold `profile_fleet` uses, defaults elsewhere (MCF inference).
+fn train_config() -> FleetConfig {
     let pipeline = PipelineConfig::builder()
         .stream(StreamConfig {
             drift_threshold: 0.8,
@@ -21,12 +30,9 @@ fn train_config() -> TrainConfig {
         })
         .build()
         .expect("valid pipeline config");
-    TrainConfig {
-        fleet: FleetConfig {
-            pipeline,
-            ..FleetConfig::default()
-        },
-        ..TrainConfig::default()
+    FleetConfig {
+        pipeline,
+        ..FleetConfig::default()
     }
 }
 
@@ -40,51 +46,54 @@ fn releases_for(w: &Workload, n: usize) -> Vec<ReleaseSpec> {
         .collect()
 }
 
-/// The acceptance claim: across a 5-release train on two workloads —
-/// a steady tenant-mixed one and a phase-shifted drifting one — the
-/// recover+MCF refresh path retains strictly more of the oracle's win
-/// train-wide than never refreshing (`stale_matching: Off` on the frozen
-/// release-0 profile).
+/// The figure's two trains: a steady tenant-mixed workload and a
+/// phase-shifted drifting one.
+fn steady() -> Workload {
+    tenant_traffic_mix(&workloads::ad_finder().scaled(0.25), 7)
+}
+fn drifting() -> Workload {
+    phase_shifted(&phase_shifted(&workloads::haas().scaled(0.25), 1), 0)
+}
+
+/// The tenant a train on `w` serves during its first release `r1`: v0 and
+/// r1 split the stream, which the first diurnal phase rotates a quarter
+/// turn, and a refresh builds r1's source.
+fn first_release_tenant(w: &Workload, r1: &ReleaseSpec) -> TenantSpec {
+    let mut traffic = w.clone();
+    traffic.train_calls.rotate_left(w.train_calls.len() / 4);
+    let split = |index| TrafficShare::Split { index, of: 2 };
+    TenantSpec {
+        id: TenantId(0),
+        workload: traffic,
+        versions: vec![
+            VersionSpec::new("v0", w.source.clone()).with_share(split(0)),
+            VersionSpec::new("r1", r1.source.clone()).with_share(split(1)),
+        ],
+        refresh_source: Some(r1.source.clone()),
+    }
+}
+
+/// The mechanism behind the retention claim (which
+/// `tests/paper_claims.rs` asserts from the `release_train` figure): on
+/// the drifting train the watchdog fires and its refreshes run, on the
+/// steady one neither happens — and on both the train reports the salvage
+/// of the builds it ships, refresh or no refresh.
 #[test]
 fn recover_mcf_train_beats_never_refresh_floor() {
     let cfg = train_config();
-    let steady = tenant_traffic_mix(&workloads::ad_finder().scaled(0.25), 7);
-    let drifting = phase_shifted(&phase_shifted(&workloads::haas().scaled(0.25), 1), 0);
-
-    for (w, expect_watchdog) in [(&steady, false), (&drifting, true)] {
-        let specs = releases_for(w, 5);
-        let report = run_release_train(w, &specs, &cfg).expect("train runs");
+    for (w, expect_watchdog) in [(steady(), false), (drifting(), true)] {
+        let report = run_release_train(&w, &releases_for(&w, 5), &cfg).expect("train runs");
+        let name = &report.workload;
         assert_eq!(report.releases.len(), 5);
+        assert_eq!(report.watchdog_fires > 0, expect_watchdog, "{name}");
+        assert_eq!(report.refreshes > 0, expect_watchdog, "{name}");
+        let recovered: usize = report.releases.iter().map(|r| r.stale_recovered).sum();
         assert!(
-            report.train_retention_pct > report.floor_retention_pct,
-            "{}: recover+MCF ({:+.2}%) must retain strictly more than the \
-             never-refresh floor ({:+.2}%)",
-            report.workload,
-            report.train_retention_pct,
-            report.floor_retention_pct
+            recovered > 0,
+            "{name}: candidates built against mutated sources must salvage \
+             checksum-mismatched functions"
         );
-        assert!(
-            report.promoted >= 1,
-            "{}: a healthy train should promote releases",
-            report.workload
-        );
-        if expect_watchdog {
-            assert!(
-                report.watchdog_fires > 0,
-                "{}: the drifting workload must trip the watchdog",
-                report.workload
-            );
-            assert!(report.refreshes > 0, "watchdog fires must drive refreshes");
-            let recovered: usize = report.releases.iter().map(|r| r.stale_recovered).sum();
-            assert!(
-                recovered > 0,
-                "{}: refreshes against mutated sources must salvage \
-                 checksum-mismatched functions",
-                report.workload
-            );
-        }
         for r in &report.releases {
-            assert!(!r.canary.sabotaged, "no sabotage was configured");
             assert!(
                 (0.0..=1.0).contains(&r.canary.profile_agreement),
                 "profile agreement is a share"
@@ -93,35 +102,153 @@ fn recover_mcf_train_beats_never_refresh_floor() {
     }
 }
 
-/// The canary gate: a corrupted hand-off profile (hot/cold inversion)
-/// must be rejected, while the identical release without sabotage is
-/// promoted.
+/// A refresh *is* the candidate build. On a release where the watchdog
+/// fires on the stable version, the fleet's refresh of that version and the
+/// train's candidate are the same rebuild of the same live profile — the
+/// drift-probe epoch that tripped the watchdog included.
+#[test]
+fn a_refresh_is_the_candidate_build_from_the_live_profile() {
+    let (cfg, w) = (train_config(), drifting());
+    let specs = releases_for(&w, 1);
+    let report = run_release_train(&w, &specs, &cfg).expect("train runs");
+    let r1 = &report.releases[0];
+    assert!(r1.watchdog_fired && r1.refreshes > 0);
+
+    // Release r1 served by hand.
+    let tenant = TenantId(0);
+    let spec = first_release_tenant(&w, &specs[0]);
+    let binaries = FleetBinaries::compile(&[spec], &cfg).expect("fleet compiles");
+    let mut service = FleetService::new(&binaries, cfg.clone());
+    let run = service.run().expect("fleet serves");
+    let refresh = run.events.iter().find_map(|e| match e {
+        FleetEvent::Refresh(r) if r.version == "v0" => Some(r),
+        _ => None,
+    });
+    let refresh = refresh.expect("the watchdog fires on the stable version");
+    assert_eq!(
+        (
+            refresh.eval_cycles,
+            refresh.stale_dropped,
+            refresh.stale_recovered
+        ),
+        (r1.pgo_cycles, r1.stale_dropped, r1.stale_recovered)
+    );
+
+    // What a refresh builds from is everything the service aggregated.
+    let agg = service.aggregator(tenant, "v0").expect("served");
+    let probe = run.events.iter().find_map(|e| match e {
+        FleetEvent::Epoch(ev) if ev.version == "v0" && ev.label == "drift-probe" => Some(ev),
+        _ => None,
+    });
+    let probe = probe.expect("every version is probed").summary;
+    assert!(probe.samples > 0 && probe.total_samples == agg.total_samples());
+    let live = agg.to_generated();
+    assert_eq!(live.profile.total(), agg.context_profile().total());
+    let rebuilt = service
+        .rebuild(tenant, "v0", &specs[0].source, StaleMatching::Recover)
+        .expect("rebuilds");
+    assert_eq!(rebuilt.eval.cycles, refresh.eval_cycles);
+    assert_eq!(rebuilt.profiling.samples, agg.total_samples());
+    assert_eq!(rebuilt.context_nodes_before_trim, live.profile.node_count());
+}
+
+/// Hot/cold inversion: every probe count `c` becomes `max − c + 1` within
+/// its function, so the profile claims the coldest paths are the hottest.
+/// Checksums are left intact — the corruption must *apply* cleanly and
+/// mislead layout/splitting/inlining, which is exactly the failure a
+/// canary gate exists to catch.
+fn corrupt_profile(profile: &mut ProbeProfile) {
+    fn invert(f: &mut ProbeFuncProfile) {
+        let max = f.probes.values().copied().max().unwrap_or(0);
+        for c in f.probes.values_mut() {
+            *c = max - *c + 1;
+        }
+        f.entry = f.entry.max(1);
+        for child in f.callsites.values_mut() {
+            invert(child);
+        }
+        f.recompute_totals();
+    }
+    for f in profile.funcs.values_mut() {
+        invert(f);
+    }
+}
+
+#[test]
+fn corruption_inverts_hot_and_cold() {
+    let mut p = ProbeProfile::default();
+    let f = p.funcs.entry(1).or_default();
+    f.probes.insert(1, 100);
+    f.probes.insert(2, 0);
+    f.recompute_totals();
+    corrupt_profile(&mut p);
+    let f = &p.funcs[&1];
+    assert_eq!(f.probes[&1], 1, "hottest probe must go cold");
+    assert_eq!(f.probes[&2], 101, "coldest probe must go hot");
+    assert_eq!(f.total, 102);
+}
+
+/// The canary rule gates: the train's own candidate for a release is
+/// promoted, and a candidate for the same release built through the public
+/// stages from a corrupted hand-off profile (hot/cold inversion, inline
+/// plan dropped) is rejected by the same rule.
 #[test]
 fn sabotaged_canary_is_rejected_and_clean_twin_promotes() {
-    let w = tenant_traffic_mix(&workloads::ad_finder().scaled(0.25), 7);
+    let (cfg, w) = (train_config(), steady());
     let specs = releases_for(&w, 1);
+    let mut r1 = w.clone();
+    r1.source = specs[0].source.clone();
+    let o2 = run_pgo_cycle(&r1, PgoVariant::O2, &cfg.pipeline).expect("-O2 builds");
 
-    let clean = run_release_train(&w, &specs, &train_config()).expect("clean train runs");
+    let clean = run_release_train(&w, &specs, &cfg).expect("clean train runs");
+    let clean = &clean.releases[0];
+    assert_eq!(clean.o2_cycles, o2.eval.cycles);
     assert!(
-        clean.releases[0].canary.promoted,
+        clean.canary.promoted && canary_promotes(clean.pgo_cycles, o2.eval_result_hash, &o2),
         "the un-sabotaged release must pass the canary gate (pgo {} vs o2 {})",
-        clean.releases[0].pgo_cycles, clean.releases[0].o2_cycles
+        clean.pgo_cycles,
+        clean.o2_cycles
     );
 
-    let cfg = TrainConfig {
-        sabotage_release: Some(0),
-        ..train_config()
-    };
-    let sabotaged = run_release_train(&w, &specs, &cfg).expect("sabotaged train runs");
-    let rel = &sabotaged.releases[0];
-    assert!(rel.canary.sabotaged, "the sabotage hook must be recorded");
+    // The sabotaged twin, stage by stage: the live v0 profile r1's candidate
+    // is built from — trimmed, pre-inlined and flattened as the hand-off has
+    // it — then inverted; r1 is built from it under the train's own
+    // matching mode, without the plan. (`profiled` is the binary the fleet
+    // serves as v0.)
+    let mut pipe = cfg.pipeline.clone();
+    pipe.annotate.stale_matching = StaleMatching::Recover;
+    let profiled = profiling_build(&w.source, &w.name, PgoVariant::CsspgoFull, &pipe)
+        .expect("v0 compiles")
+        .binary;
+    let spec = first_release_tenant(&w, &specs[0]);
+    let binaries = FleetBinaries::compile(&[spec], &cfg).expect("fleet compiles");
+    let mut service = FleetService::new(&binaries, cfg.clone());
+    service.run().expect("fleet serves");
+    let v0 = service.aggregator(TenantId(0), "v0").expect("served");
+    let mut generated = v0.to_generated();
+    generated.profile.trim_cold(pipe.trim_threshold);
+    run_preinliner(&mut generated.profile, &profiled, &pipe.preinline);
+    let mut probe = finish_probe_profile(&generated.profile, &generated.range_counts, &profiled);
+    corrupt_profile(&mut probe);
+    let profile = wire_handoff(BuildProfile::Probe(probe)).expect("hand-off decodes");
+    let module = prepared_module(&r1.source, &r1.name, true).expect("r1 compiles");
+    let full = PgoVariant::CsspgoFull;
+    let (binary, stats) = optimized_build(module, full, &profile, None, &r1.entry, &pipe);
+    assert!(stats.annotated > 0, "the corruption must apply cleanly");
+    let (eval, hash) = evaluate(&binary, &r1, &pipe).expect("sabotaged build runs");
+    assert_eq!(hash, o2.eval_result_hash, "a profile never changes results");
     assert!(
-        !rel.canary.promoted,
+        !canary_promotes(eval.cycles, hash, &o2),
         "a hot/cold-inverted profile must not pass the canary gate (pgo {} vs o2 {})",
-        rel.pgo_cycles, rel.o2_cycles
+        eval.cycles,
+        o2.eval.cycles
     );
-    assert_eq!(sabotaged.rejected, 1);
-    assert_eq!(sabotaged.promoted, 0);
+    // And no cycle count buys a promotion for a build that misbehaves.
+    assert!(!canary_promotes(
+        clean.pgo_cycles,
+        !o2.eval_result_hash,
+        &o2
+    ));
 }
 
 /// A small fixed-traffic service for the determinism golden: big enough
@@ -169,7 +296,7 @@ fn main(n) {
 }
 
 /// Two identical train runs must serialize byte-identically, and the
-/// document is pinned as a golden (re-bless with `BLESS=1 cargo test`).
+/// report is pinned as a golden (re-bless with `BLESS=1 cargo test`).
 #[test]
 fn train_reports_are_deterministic_and_match_golden() {
     let w = golden_workload();
@@ -178,8 +305,8 @@ fn train_reports_are_deterministic_and_match_golden() {
 
     let a = run_release_train(&w, &specs, &cfg).expect("first run");
     let b = run_release_train(&w, &specs, &cfg).expect("second run");
-    let a_json = TrainBenchDoc::new(vec![a]).to_json();
-    let b_json = TrainBenchDoc::new(vec![b]).to_json();
+    let a_json = serde_json::to_string_pretty(&a).expect("report serializes");
+    let b_json = serde_json::to_string_pretty(&b).expect("report serializes");
     assert_eq!(
         a_json, b_json,
         "two identical train runs must agree byte-for-byte"
