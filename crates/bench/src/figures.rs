@@ -1,5 +1,5 @@
-//! Every table and figure of the paper's evaluation as a function from a
-//! [`Ctx`] to [`Table`]s. No function here prints: the `figures` bin walks
+//! Every table and figure of the paper's evaluation, and the serving
+//! tier's two reports, as a function from a [`Ctx`] to [`Table`]s. No function here prints: the `figures` bin walks
 //! [`REGISTRY`] and renders, `tests/paper_claims.rs` reads cells.
 //!
 //! Every cycle under the default configuration comes from one outcome
@@ -10,18 +10,22 @@
 
 use crate::{improvement_pct, par_map, run_variants, size_delta_pct, Cell, Outcomes, Table};
 use csspgo_codegen::Binary;
+use csspgo_core::fleet::{
+    FleetBinaries, FleetConfig, FleetEvent, FleetService, TenantId, TenantSpec, VersionSpec,
+};
 use csspgo_core::overlap::program_overlap;
 use csspgo_core::pipeline::PgoVariant::{self, AutoFdo, CsspgoFull, CsspgoProbeOnly, Instr, O2};
 use csspgo_core::pipeline::{
     build_and_run, context_profile, probe_only_profile, profiling_build, profiling_run,
     run_pgo_cycle_drifted, PipelineConfig, ProfilingRun,
 };
+use csspgo_core::release_train::{run_release_train, ReleaseSpec};
 use csspgo_core::stalematch::StaleMatching;
 use csspgo_core::textprof::probe_profile_nodes;
 use csspgo_core::Workload;
 use csspgo_ir::probe::ProbeConfig;
 use csspgo_opt::instrument::Placement;
-use csspgo_workloads::drift;
+use csspgo_workloads::{drift, phase_shifted, tenant_traffic_mix};
 use std::borrow::Cow;
 use std::sync::OnceLock;
 
@@ -48,6 +52,8 @@ pub const REGISTRY: &[(&str, Figure)] = registry![
     ablation_pebs,
     extension_balance_sweep,
     bench_pipeline,
+    profile_fleet,
+    release_train,
 ];
 
 /// The text of one experiment as printed and as committed: its tables, a
@@ -107,6 +113,29 @@ impl Ctx {
             return Cow::Borrowed(&self.one(&w.name).1);
         }
         Cow::Owned(run_variants(w, vs, cfg))
+    }
+
+    /// The serving figures' fleet configuration. The drift verdict sits at
+    /// 0.8: between the steady tenants' epoch-to-epoch overlap (≥ 0.94 — the
+    /// same distribution, re-dealt) and the eval-epoch overlap of
+    /// `Ctx::drifting_haas` (≈ 0.68).
+    fn fleet_config(&self, resident_cap: usize, refresh_queue_cap: usize) -> FleetConfig {
+        let mut pipeline = self.cfg.clone();
+        pipeline.stream.drift_threshold = 0.8;
+        FleetConfig {
+            pipeline,
+            resident_cap,
+            refresh_queue_cap,
+        }
+    }
+
+    /// The serving figures' drifting workload: haas with both arguments
+    /// phase-shifted, so evaluation traffic collapses onto a single
+    /// expression root at one rep — a different hot path entirely from the
+    /// steady-state sweep — and the drift watchdog fires.
+    fn drifting_haas(&self) -> Workload {
+        let haas = csspgo_workloads::haas().scaled(self.scale);
+        phase_shifted(&phase_shifted(&haas, 1), 0)
     }
 
     /// An empty table headed `# <title>, scale=<scale>` (see [`Table::new`]).
@@ -573,4 +602,183 @@ pub fn bench_pipeline(ctx: &Ctx) -> Vec<Table> {
         drifted.push(key("drift-mcf"), &row);
     }
     vec![instr, drifted]
+}
+
+/// **Multi-tenant fleet serving** (§III.A's continuous deployment): three
+/// tenants, each with two binary versions in flight, through one
+/// [`FleetService`] — concurrent epoch streams, a per-version
+/// resident-context cap enforced by LRU cold-context eviction, drift
+/// watchdogs feeding a bounded refresh queue.
+///
+/// `t0` / ad_ranker and `t1` / hhvm are steady tenants whose traffic is a
+/// tenant-specific re-deal of the same request multiset; `t2` is
+/// `Ctx::drifting_haas`, whose refresh rebuilds a source carrying a real
+/// edit (a dead guard in one function) from the stale version's live
+/// profile, so its row carries the stale matcher's salvage counters. `v1`
+/// of every tenant is a canary with a behaviour-preserving edit, so the two
+/// versions correlate samples against different probe layouts. The cap is
+/// tuned so the busiest versions run over it mid-stream; the queue has one
+/// slot, so the second concurrent stale verdict is dropped and counted.
+pub fn profile_fleet(ctx: &Ctx) -> Vec<Table> {
+    let cfg = ctx.fleet_config(48, 1);
+    let two_versions = |id, workload: Workload| {
+        let stable = workload.source.clone();
+        let canary = drift::insert_statement(&stable, 1);
+        let versions = vec![
+            VersionSpec::new("v0", stable),
+            VersionSpec::new("v1", canary),
+        ];
+        TenantSpec {
+            id: TenantId(id),
+            workload,
+            versions,
+            refresh_source: None,
+        }
+    };
+    let steady = |w: Workload, seed| tenant_traffic_mix(&w.scaled(ctx.scale), seed);
+    let mut specs = vec![
+        two_versions(0, steady(csspgo_workloads::ad_ranker(), 11)),
+        two_versions(1, steady(csspgo_workloads::hhvm(), 22)),
+        two_versions(2, ctx.drifting_haas()),
+    ];
+    specs[2].refresh_source = Some(drift::insert_statement(&specs[2].workload.source, 3));
+    let binaries = FleetBinaries::compile(&specs, &cfg).expect("fleet compiles");
+    let run = FleetService::new(&binaries, cfg.clone())
+        .run()
+        .expect("fleet serves");
+
+    let mut epochs = ctx.table(
+        "Fleet serving — sealed epochs",
+        "tenant | workload | version | epoch | samples | resident contexts | subtrees evicted | weight folded | overlap {:.3} | verdict",
+    );
+    let mut snapshots = Table::new(
+        "# Mid-stream snapshot self-checks (binary format, restored bit-identical)",
+        "tenant | version | bytes",
+    );
+    let mut refreshes = Table::new(
+        "# Drift refreshes (the refresh source rebuilt from the stale version's live profile)",
+        "tenant | version | eval cycles | stale dropped | stale recovered",
+    );
+    for event in &run.events {
+        match event {
+            FleetEvent::Epoch(e) => {
+                let evicted = e.evicted_this_epoch;
+                let key = format!(
+                    "{} | {} | {} | {}",
+                    e.tenant, e.workload, e.version, e.label
+                );
+                let row = [
+                    e.summary.samples as f64,
+                    e.resident_contexts as f64,
+                    evicted.subtrees as f64,
+                    evicted.weight_folded as f64,
+                    e.summary.overlap,
+                ];
+                epochs.push(key, &row);
+                epochs.end_row_with([Cell::flag(e.summary.stale, "STALE", "")]);
+            }
+            FleetEvent::SnapshotChecked {
+                tenant,
+                version,
+                bytes,
+            } => snapshots.push(format!("{tenant} | {version}"), &[*bytes as f64]),
+            FleetEvent::Refresh(e) => {
+                let row = [
+                    e.eval_cycles as f64,
+                    e.stale_dropped as f64,
+                    e.stale_recovered as f64,
+                ];
+                refreshes.push(format!("{} | {}", e.tenant, e.version), &row);
+            }
+            FleetEvent::RefreshDropped { tenant, version } => {
+                refreshes.push(format!("{tenant} | {version}"), &[] as &[f64]);
+            }
+        }
+    }
+    refreshes.note("(— = the request was dropped at the bounded queue)");
+
+    let stats = run.stats;
+    let mut totals = Table::new("# Fleet totals", "total | value");
+    for (total, value) in [
+        ("tenants", stats.tenants as f64),
+        ("tenant-version aggregators", stats.versions as f64),
+        ("resident cap per version", cfg.resident_cap as f64),
+        ("epochs sealed", stats.epochs_sealed as f64),
+        ("samples folded", stats.total_samples as f64),
+        ("resident contexts", stats.resident_contexts as f64),
+        ("subtrees evicted", stats.evicted.subtrees as f64),
+        ("weight folded", stats.evicted.weight_folded as f64),
+        ("refreshes run", stats.refreshes_triggered as f64),
+        ("refreshes dropped", stats.refreshes_dropped as f64),
+    ] {
+        totals.push(total, &[value]);
+    }
+    vec![epochs, snapshots, refreshes, totals]
+}
+
+/// **Release trains** (§III.A: last week's profile on this week's source):
+/// two workloads rolled through a five-release source lineage
+/// ([`drift::release_chain`]: split/merge refactors, a feature-flag flip, a
+/// dependency bump, comment churn) while live traffic flows through a
+/// [`FleetService`] the whole train — a steady tenant-mixed ad_finder and
+/// `Ctx::drifting_haas`, both workloads where the fresh profile beats
+/// `-O2`, so the oracle win retention is measured against is real.
+///
+/// Per release the candidate rebuilt from the *live* stable profile (`pgo`)
+/// sits between the fresh-profile `oracle` and the never-refresh `floor`
+/// (release 0's profile, stale matching off); `retained` is
+/// `(o2 − x) / (o2 − oracle)`. Five releases is the length at which the
+/// frozen floor profile has collapsed and "the train retains more than the
+/// floor" is a claim.
+pub fn release_train(ctx: &Ctx) -> Vec<Table> {
+    let cfg = ctx.fleet_config(0, 8);
+    let ad_finder = csspgo_workloads::ad_finder().scaled(ctx.scale);
+    let workloads = vec![tenant_traffic_mix(&ad_finder, 7), ctx.drifting_haas()];
+    let reports = par_map(workloads, |w| {
+        let chain = drift::release_chain(&w.source, 5, &[w.entry.as_str()]);
+        let label =
+            |(i, (mutator, source))| ReleaseSpec::new(format!("r{}", i + 1), mutator, source);
+        let releases: Vec<ReleaseSpec> = chain.into_iter().enumerate().map(label).collect();
+        run_release_train(&w, &releases, &cfg).expect("train runs")
+    });
+
+    let mut trains = Table::new(
+        "# Train-wide",
+        "train | baseline cycles | promoted | rejected | watchdog fires | refreshes | train retention % {:+.1} | floor retention % {:+.1}",
+    );
+    let mut tables = Vec::new();
+    for report in &reports {
+        let mut t = ctx.table(
+            &format!("Release train — {}", report.workload),
+            "release | mutator | o2 | oracle | pgo | floor | retained % {:+.1} | floor % {:+.1} | refreshes | stale dropped | stale recovered | agreement {:.4} | watchdog | behaviour | canary",
+        );
+        t.missing = "-";
+        for r in &report.releases {
+            let cycles = [r.o2_cycles, r.oracle_cycles, r.pgo_cycles, r.floor_cycles];
+            let mut row: Vec<Option<f64>> = cycles.map(|c| Some(c as f64)).to_vec();
+            row.extend([r.retained_pct, r.floor_retained_pct]);
+            let counts = [r.refreshes, r.stale_dropped, r.stale_recovered];
+            row.extend(counts.map(|c| Some(c as f64)));
+            row.push(Some(r.canary.profile_agreement));
+            t.push(format!("{} | {}", r.label, r.mutator), &row);
+            t.end_row_with([
+                Cell::flag(r.watchdog_fired, "fired", ""),
+                Cell::flag(r.canary.behavior_ok, "= -O2", "DIVERGED"),
+                Cell::flag(r.canary.promoted, "promoted", "REJECTED"),
+            ]);
+        }
+        tables.push(t);
+        let row = [
+            report.baseline_cycles as f64,
+            report.promoted as f64,
+            report.rejected as f64,
+            report.watchdog_fires as f64,
+            report.refreshes as f64,
+            report.train_retention_pct,
+            report.floor_retention_pct,
+        ];
+        trains.push(&report.workload, &row);
+    }
+    tables.push(trains);
+    tables
 }

@@ -39,6 +39,13 @@ impl Cell {
         let (value, text) = (Some(value), format!("{before}{number}{after}"));
         Cell { value, text }
     }
+
+    /// A yes/no cell: prints `yes` or `no`, reads as 1 or 0.
+    pub fn flag(set: bool, yes: &str, no: &str) -> Cell {
+        let (value, text) = (Some(f64::from(u8::from(set))), if set { yes } else { no });
+        let text = text.to_string();
+        Cell { value, text }
+    }
 }
 
 /// A titled markdown table with keyed rows and trailing notes.
@@ -90,6 +97,13 @@ impl Table {
         self.rows.push((key, cells));
     }
 
+    /// Overwrites the trailing cells of the row pushed last: the flag or
+    /// text columns that follow its numbers.
+    pub fn end_row_with<const N: usize>(&mut self, cells: [Cell; N]) {
+        let (_, row) = self.rows.last_mut().expect("a pushed row");
+        row.splice(row.len() - N.., cells);
+    }
+
     /// Appends a line below the table.
     pub fn note(&mut self, line: impl Into<String>) {
         self.notes.push(line.into());
@@ -132,6 +146,8 @@ mod tests {
         );
         t.push("a | x", &[1200.0, -0.0, 49.6]);
         t.push("b | y", &[Some(7.0), Some(0.125)]);
+        t.push("b | z", &[7.5]);
+        t.end_row_with([Cell::flag(false, "up", ""), Cell::flag(true, "yes", "no")]);
         let blank = Cell::text("");
         let custom = Cell::num(0.5, "about {:.1}x");
         t.rows
@@ -145,6 +161,7 @@ mod tests {
              |---|---|---|---|---|\n\
              | a | x | 1200 | -0.00 | 50% |\n\
              | b | y | 7 | +0.12 | — |\n\
+             | b | z | 7.5 | | yes |\n\
              | c | z | | | about 0.5x |\n\
              \n(a note)"
         );
@@ -152,6 +169,8 @@ mod tests {
         assert_eq!(t.get("a | x", "share"), Some(49.6));
         assert_eq!(t.get("b | y", "delta"), Some(0.125));
         assert_eq!(t.get("b | y", "share"), None);
+        assert_eq!(t.get("b | z", "delta"), Some(0.0));
+        assert_eq!(t.get("b | z", "share"), Some(1.0));
         assert_eq!(t.get("c | z", "cycles"), None);
         assert_eq!(t.get("c | z", "share"), Some(0.5));
         assert_eq!(t.get("b | y", "no such column"), None);

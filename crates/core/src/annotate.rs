@@ -12,7 +12,8 @@
 //!   [`InlinePlan`] it replays the *pre-inliner's* global decisions instead
 //!   of profile-shaped replay (full CSSPGO); without one it replays nested
 //!   probe profiles (probe-only CSSPGO).
-//! * [`instr_annotate`] — exact counter values (ground truth).
+//! * [`instr_annotate_reconstructed`] — exact counter values (ground
+//!   truth), measured or Kirchhoff-recovered.
 //!
 //! All sampling paths finish with profile inference
 //! ([`crate::inference::infer_counts`], min-cost-flow by default), which
@@ -474,41 +475,23 @@ fn call_probe_of(
 // ---------------------------------------------------------------------
 
 /// Annotates exact counter values measured on an identically-shaped fresh
-/// IR (instrumentation-based PGO). Every written count is exact, so it is
-/// tagged [`Provenance::Sampled`].
-pub fn instr_annotate(
-    module: &mut Module,
-    counts: &HashMap<(FuncId, BlockId), u64>,
-) -> AnnotateStats {
-    instr_annotate_tagged(module, counts, Provenance::Sampled, &HashMap::new())
-}
-
-/// Annotates block counts recovered from a sparse spanning-tree counter
-/// placement by Kirchhoff elimination ([`csspgo_ir::flow::reconstruct`]):
-/// functions in `edges` carry solved counts (tagged
+/// IR (instrumentation-based PGO). Functions in `edges` were measured by a
+/// sparse spanning-tree counter placement and carry block counts recovered
+/// by Kirchhoff elimination ([`csspgo_ir::flow::reconstruct`]): tagged
 /// [`Provenance::Reconstructed`], with the recovered edge counts attached
-/// so downstream flow lints can reconcile them); functions without an
-/// entry carried exact full-fallback counters and stay
+/// so downstream flow lints can reconcile them. Functions without an entry
+/// carried exact full-fallback counters and are tagged
 /// [`Provenance::Sampled`].
 pub fn instr_annotate_reconstructed(
     module: &mut Module,
     counts: &HashMap<(FuncId, BlockId), u64>,
     edges: &HashMap<FuncId, Vec<(BlockId, BlockId, u64)>>,
 ) -> AnnotateStats {
-    instr_annotate_tagged(module, counts, Provenance::Reconstructed, edges)
-}
-
-fn instr_annotate_tagged(
-    module: &mut Module,
-    counts: &HashMap<(FuncId, BlockId), u64>,
-    reconstructed_tag: Provenance,
-    edges: &HashMap<FuncId, Vec<(BlockId, BlockId, u64)>>,
-) -> AnnotateStats {
     let mut stats = AnnotateStats::default();
     for fid in 0..module.functions.len() {
         let fid = FuncId::from_index(fid);
         let tag = if edges.contains_key(&fid) {
-            reconstructed_tag
+            Provenance::Reconstructed
         } else {
             Provenance::Sampled
         };
@@ -607,7 +590,7 @@ mod tests {
         counts.insert((fid, BlockId(0)), 100u64);
         counts.insert((fid, BlockId(1)), 70u64);
         counts.insert((fid, BlockId(2)), 30u64);
-        let stats = instr_annotate(&mut m, &counts);
+        let stats = instr_annotate_reconstructed(&mut m, &counts, &HashMap::new());
         assert_eq!(stats.annotated, 1);
         assert_eq!(m.functions[0].block(BlockId(1)).count, Some(70));
         assert_eq!(m.functions[0].entry_count, Some(100));

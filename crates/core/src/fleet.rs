@@ -707,11 +707,8 @@ impl<'b> FleetService<'b> {
         build_source: &str,
         stale_matching: StaleMatching,
     ) -> Result<PgoOutcome, FleetError> {
-        let served = self.tenants.iter().find(|t| t.id == id).and_then(|t| {
-            let v = t.versions.iter().find(|v| v.label == version)?;
-            Some((t, v, v.agg.as_ref()?))
-        });
-        let Some((tenant, v, agg)) = served else {
+        let served = self.served(id, version);
+        let Some((tenant, v, agg)) = served.and_then(|(t, v)| Some((t, v, v.agg.as_ref()?))) else {
             return Err(FleetError::Pipeline(PipelineError::Stream(format!(
                 "tenant {id} has no live profile for version `{version}`"
             ))));
@@ -748,16 +745,16 @@ impl<'b> FleetService<'b> {
         stats
     }
 
+    /// The registry lookup: one tenant-version's runtime state.
+    fn served(&self, id: TenantId, version: &str) -> Option<(&TenantRt<'b>, &VersionRt<'b>)> {
+        let tenant = self.tenants.iter().find(|t| t.id == id)?;
+        let version = tenant.versions.iter().find(|v| v.label == version)?;
+        Some((tenant, version))
+    }
+
     /// Direct access to one tenant-version's aggregator, if calibrated.
     pub fn aggregator(&self, id: TenantId, version: &str) -> Option<&StreamAggregator<'b>> {
-        self.tenants
-            .iter()
-            .find(|t| t.id == id)?
-            .versions
-            .iter()
-            .find(|v| v.label == version)?
-            .agg
-            .as_ref()
+        self.served(id, version)?.1.agg.as_ref()
     }
 
     /// Registry view: every `(tenant, version-label)` pair served.
@@ -1033,7 +1030,20 @@ fn serve(n, mode) {
         let binaries = FleetBinaries::compile(&specs, &cfg).expect("compile fleet");
         let mut service = FleetService::new(&binaries, cfg);
         assert_eq!(service.registry().len(), 2);
+        let source = &specs[0].workload.source;
+        let rebuild = |service: &FleetService<'_>, id| {
+            service.rebuild(TenantId(id), "v0", source, StaleMatching::Off)
+        };
+        // Nothing served yet: no live profile to build from.
+        let unserved = rebuild(&service, 1).map(|_| ()).unwrap_err();
+        let no_profile = |e| matches!(e, FleetError::Pipeline(PipelineError::Stream(_)));
+        assert!(no_profile(unserved));
         let run = service.run().expect("fleet run");
+        let built = rebuild(&service, 1).expect("a served version rebuilds");
+        let served = service.aggregator(TenantId(1), "v0").expect("served");
+        assert_eq!(built.profiling.samples, served.total_samples());
+        assert!(built.eval.cycles > 0 && built.annotate_stats.stale_total() == 0);
+        assert!(no_profile(rebuild(&service, 3).map(|_| ()).unwrap_err()));
 
         let stats = run.stats;
         assert_eq!(stats.tenants, 2);

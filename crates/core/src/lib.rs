@@ -32,17 +32,26 @@
 //!   mapping block probes (the salvage path behind
 //!   [`stalematch::StaleMatching`]);
 //! * [`overlap`] — the block-overlap profile-quality metric of Table I;
+//! * [`merge`] — count-additive cross-host merging of flat profiles and
+//!   context tries;
 //! * [`pipeline`] — the stages of a PGO cycle as plain public functions
 //!   (profiling run, per-variant profile generation, wire hand-off,
-//!   profile-guided rebuild, evaluation) and their composition for every
-//!   variant the paper evaluates ([`pipeline::PgoVariant`]);
+//!   profile-guided rebuild, evaluation), their composition for every
+//!   variant the paper evaluates ([`pipeline::PgoVariant`]), and the one
+//!   path from a context profile to an evaluated build
+//!   ([`pipeline::build_from_context`]);
 //! * [`stream`] — the streaming aggregation service: epoch-incremental
 //!   bounded-memory profile folding with snapshot/restore and drift
-//!   detection (the continuous-profiling deployment mode);
+//!   detection (the continuous-profiling deployment mode), offering its
+//!   live state in the batch profile's shape;
 //! * [`fleet`] — the multi-tenant profile-continuum service: N tenants ×
 //!   M binary versions of per-tenant aggregators behind a registry, with
 //!   LRU-by-epoch cold-context eviction, drift watchdogs scheduling
-//!   bounded-queue refreshes, and rayon fan-out across tenants;
+//!   bounded-queue refreshes, rayon fan-out across tenants, and one
+//!   rebuild from a version's live profile;
+//! * [`release_train`] — a workload rolled through successive releases
+//!   under live fleet traffic: traffic rotation, oracle and never-refresh
+//!   anchors, retention arithmetic, the canary rule;
 //! * [`workload`] — the workload abstraction consumed by the pipelines.
 
 pub mod annotate;
@@ -75,8 +84,7 @@ pub use pipeline::{
     run_pgo_cycle, PgoOutcome, PgoVariant, PipelineConfig, PipelineConfigBuilder, PipelineError,
 };
 pub use release_train::{
-    canary_promotes, run_release_train, CanaryReport, ReleaseReport, ReleaseSpec, TrainBenchDoc,
-    TrainReport, TRAIN_SCHEMA,
+    canary_promotes, run_release_train, CanaryReport, ReleaseReport, ReleaseSpec, TrainReport,
 };
 pub use stream::{
     ContextEdge, EpochSummary, EvictStats, SnapshotFormat, StreamAggregator, StreamConfig,

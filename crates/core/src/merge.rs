@@ -3,12 +3,10 @@
 //! In the paper's deployment, profiles stream in from many production hosts
 //! and build iterations ("the collected profile can be fed to compilation
 //! continuously"); compilation consumes one merged artifact. Merging is
-//! count-additive, with checksum conflicts resolved in favour of the larger
-//! contribution (a host running a stale binary must not poison the majority
-//! profile).
+//! count-additive.
 
 use crate::context::{ContextNode, ContextProfile};
-use crate::profile::{FlatFuncProfile, FlatProfile, ProbeFuncProfile, ProbeProfile};
+use crate::profile::{FlatFuncProfile, FlatProfile};
 
 /// Merges `b` into `a` (flat/AutoFDO profiles). Body counts keyed the same
 /// way are *summed* — two hosts each observing N samples of a line is 2N
@@ -30,45 +28,6 @@ fn merge_flat_func(a: &mut FlatFuncProfile, b: &FlatFuncProfile) {
     }
     for (key, sub) in &b.callsites {
         merge_flat_func(a.callsites.entry(*key).or_default(), sub);
-    }
-}
-
-/// Merges `b` into `a` (probe profiles). When checksums disagree, the
-/// function profile with more samples wins outright — mixing block counts
-/// across different CFGs would mis-attribute both.
-pub fn merge_probe(a: &mut ProbeProfile, b: &ProbeProfile) {
-    for (guid, name) in &b.names {
-        a.names.entry(*guid).or_insert_with(|| name.clone());
-    }
-    for (guid, fp) in &b.funcs {
-        match a.funcs.get_mut(guid) {
-            None => {
-                a.funcs.insert(*guid, fp.clone());
-            }
-            Some(existing) => {
-                if existing.checksum != 0 && fp.checksum != 0 && existing.checksum != fp.checksum {
-                    if fp.total > existing.total {
-                        *existing = fp.clone();
-                    }
-                    continue;
-                }
-                merge_probe_func(existing, fp);
-            }
-        }
-    }
-}
-
-fn merge_probe_func(a: &mut ProbeFuncProfile, b: &ProbeFuncProfile) {
-    a.total += b.total;
-    a.entry += b.entry;
-    if a.checksum == 0 {
-        a.checksum = b.checksum;
-    }
-    for (probe, count) in &b.probes {
-        *a.probes.entry(*probe).or_insert(0) += count;
-    }
-    for (key, sub) in &b.callsites {
-        merge_probe_func(a.callsites.entry(*key).or_default(), sub);
     }
 }
 
@@ -150,56 +109,6 @@ mod tests {
             .record_max(key(0), 50);
         merge_flat(&mut a, &b);
         assert_eq!(a.funcs[&1].callsites[&(key(5), 9)].body[&key(0)], 150);
-    }
-
-    #[test]
-    fn probe_merge_sums_matching_checksums() {
-        let mut a = ProbeProfile::default();
-        let mut b = ProbeProfile::default();
-        let fa = a.funcs.entry(1).or_default();
-        fa.checksum = 0xAA;
-        fa.record_sum(1, 10);
-        fa.recompute_totals();
-        let fb = b.funcs.entry(1).or_default();
-        fb.checksum = 0xAA;
-        fb.record_sum(1, 5);
-        fb.record_sum(2, 3);
-        fb.recompute_totals();
-        merge_probe(&mut a, &b);
-        assert_eq!(a.funcs[&1].probes[&1], 15);
-        assert_eq!(a.funcs[&1].probes[&2], 3);
-    }
-
-    #[test]
-    fn probe_merge_resolves_checksum_conflicts_by_weight() {
-        let mut a = ProbeProfile::default();
-        let mut b = ProbeProfile::default();
-        let fa = a.funcs.entry(1).or_default();
-        fa.checksum = 0xAA;
-        fa.record_sum(1, 10);
-        fa.recompute_totals();
-        let fb = b.funcs.entry(1).or_default();
-        fb.checksum = 0xBB; // a different CFG generation
-        fb.record_sum(1, 500);
-        fb.recompute_totals();
-        merge_probe(&mut a, &b);
-        assert_eq!(a.funcs[&1].checksum, 0xBB, "heavier profile wins");
-        assert_eq!(a.funcs[&1].probes[&1], 500);
-
-        // And the reverse: the light profile must NOT displace the heavy one.
-        let mut heavy = ProbeProfile::default();
-        let fh = heavy.funcs.entry(1).or_default();
-        fh.checksum = 0xAA;
-        fh.record_sum(1, 900);
-        fh.recompute_totals();
-        let mut light = ProbeProfile::default();
-        let fl = light.funcs.entry(1).or_default();
-        fl.checksum = 0xCC;
-        fl.record_sum(1, 2);
-        fl.recompute_totals();
-        merge_probe(&mut heavy, &light);
-        assert_eq!(heavy.funcs[&1].checksum, 0xAA);
-        assert_eq!(heavy.funcs[&1].probes[&1], 900);
     }
 
     #[test]

@@ -722,18 +722,19 @@ pub fn optimized_build(
 
 /// Stages 4–6, the tail every build shares: wire hand-off, the quality
 /// snapshot, the profile-guided rebuild of `build_module`, evaluation.
-/// Fills the fields of `outcome` those stages determine.
+/// Returns the outcome fields those stages determine.
 fn rebuild_and_evaluate(
-    mut outcome: PgoOutcome,
+    variant: PgoVariant,
     build_module: Module,
     profile: BuildProfile,
     plan: Option<&InlinePlan>,
     workload: &Workload,
     config: &PipelineConfig,
 ) -> Result<PgoOutcome, PipelineError> {
+    let mut outcome = PgoOutcome::empty(variant);
     let profile = wire_handoff(profile)?;
     outcome.quality_counts = quality_counts(build_module.clone(), &profile, &config.annotate);
-    let (variant, entry) = (outcome.variant, &workload.entry);
+    let entry = &workload.entry;
     let (binary, stats) = optimized_build(build_module, variant, &profile, plan, entry, config);
     outcome.annotate_stats = stats;
     outcome.sections = binary.sections;
@@ -768,27 +769,24 @@ pub fn build_from_context(
     build_source: &str,
     config: &PipelineConfig,
 ) -> Result<PgoOutcome, PipelineError> {
-    let mut outcome = PgoOutcome::empty(PgoVariant::CsspgoFull);
     // The pre-inliner's plan refers to the fresh build module, so its
     // front end runs first.
     let build_module = prepared_module(build_source, &workload.name, true)?;
-    outcome.infer_stats = generated.infer_stats;
-    outcome.context_nodes_before_trim = generated.profile.node_count();
+    let context_nodes_before_trim = generated.profile.node_count();
     generated.profile.trim_cold(config.trim_threshold);
-    outcome.context_nodes_after_trim = generated.profile.node_count();
+    let context_nodes_after_trim = generated.profile.node_count();
     let pre = run_preinliner(&mut generated.profile, profiled, &config.preinline);
-    outcome.plan_len = pre.plan_paths.len();
-    let plan = to_inline_plan(&pre.plan_paths, &build_module);
+    let plan = Some(to_inline_plan(&pre.plan_paths, &build_module));
     let probe = finish_probe_profile(&generated.profile, &generated.range_counts, profiled);
-    let profile = BuildProfile::Probe(probe);
-    rebuild_and_evaluate(
-        outcome,
-        build_module,
-        profile,
-        Some(&plan),
-        workload,
-        config,
-    )
+    let (full, profile) = (PgoVariant::CsspgoFull, BuildProfile::Probe(probe));
+    let built = rebuild_and_evaluate(full, build_module, profile, plan.as_ref(), workload, config)?;
+    Ok(PgoOutcome {
+        infer_stats: generated.infer_stats,
+        context_nodes_before_trim,
+        context_nodes_after_trim,
+        plan_len: pre.plan_paths.len(),
+        ..built
+    })
 }
 
 /// Runs one full PGO cycle for `workload` with `variant`.
@@ -823,10 +821,8 @@ pub fn run_pgo_cycle_drifted(
     config.validate()?;
     let shards = config.ingest_shards;
     let build_module = || prepared_module(build_source, &workload.name, variant.uses_probes());
-    let rebuild = |module, profile| {
-        let outcome = PgoOutcome::empty(variant);
-        rebuild_and_evaluate(outcome, module, profile, None, workload, config)
-    };
+    let rebuild =
+        |module, profile| rebuild_and_evaluate(variant, module, profile, None, workload, config);
     if variant == PgoVariant::O2 {
         return rebuild(build_module()?, BuildProfile::None);
     }
@@ -920,8 +916,8 @@ pub fn build_and_run(
     config: &PipelineConfig,
 ) -> Result<(RunStats, SectionSizes), PipelineError> {
     let module = prepared_module(&workload.source, &workload.name, with_probes)?;
-    let outcome = PgoOutcome::empty(PgoVariant::O2);
-    let built = rebuild_and_evaluate(outcome, module, BuildProfile::None, None, workload, config)?;
+    let (o2, none) = (PgoVariant::O2, BuildProfile::None);
+    let built = rebuild_and_evaluate(o2, module, none, None, workload, config)?;
     Ok((built.eval, built.sections))
 }
 

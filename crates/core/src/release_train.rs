@@ -40,9 +40,6 @@ use crate::stream::{probe_weights, weight_overlap};
 use crate::workload::Workload;
 use serde::Serialize;
 
-/// Schema tag of `BENCH_release_train.json`.
-pub const TRAIN_SCHEMA: &str = "csspgo-train-v1";
-
 /// One release in a train: a label, the mutator that produced it, and the
 /// cumulative source (see `csspgo_workloads::drift::release_chain`).
 #[derive(Clone, Debug)]
@@ -147,30 +144,6 @@ pub struct TrainReport {
     pub watchdog_fires: usize,
     /// Watchdog refreshes that ran across the train.
     pub refreshes: usize,
-}
-
-/// The `BENCH_release_train.json` document.
-#[derive(Clone, Debug, Serialize)]
-pub struct TrainBenchDoc {
-    /// Always [`TRAIN_SCHEMA`].
-    pub schema: String,
-    /// One train per workload.
-    pub trains: Vec<TrainReport>,
-}
-
-impl TrainBenchDoc {
-    /// Wraps train reports in the versioned document.
-    pub fn new(trains: Vec<TrainReport>) -> Self {
-        TrainBenchDoc {
-            schema: TRAIN_SCHEMA.to_string(),
-            trains,
-        }
-    }
-
-    /// Pretty JSON (the on-disk format).
-    pub fn to_json(&self) -> String {
-        serde_json::to_string_pretty(self).expect("train report serializes")
-    }
 }
 
 /// The canary rule: a candidate is promoted when its eval results

@@ -483,13 +483,8 @@ impl<'b> StreamAggregator<'b> {
     /// what the aggregator holds goes through
     /// [`crate::pipeline::build_from_context`] like a build from a batch.
     pub fn to_generated(&self) -> ContextGenerated {
-        let diagnostics = diagnostics(&self.unwinders);
-        ContextGenerated::new(
-            self.binary,
-            self.profile.clone(),
-            self.rc.clone(),
-            diagnostics,
-        )
+        let (profile, rc) = (self.profile.clone(), self.rc.clone());
+        ContextGenerated::new(self.binary, profile, rc, diagnostics(&self.unwinders))
     }
 
     // -----------------------------------------------------------------

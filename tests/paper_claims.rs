@@ -1,7 +1,7 @@
 //! The paper's claims, asserted from the current code.
 //!
-//! One test per claim of PAPER.md / EXPERIMENTS.md E1–E12, read from the
-//! cells of `csspgo_bench::figures` at traffic scale 0.25 — the same
+//! One test per claim of PAPER.md / EXPERIMENTS.md E1–E12 and E14–E16, read
+//! from the cells of `csspgo_bench::figures` at traffic scale 0.25 — the same
 //! functions the `figures` bin renders into `results/`. All tests share one
 //! context, so the default-configuration outcome matrix is computed once
 //! for the whole binary.
@@ -25,7 +25,7 @@ fn ctx() -> &'static Ctx {
     CTX.get_or_init(|| Ctx::new(0.25))
 }
 
-/// The first table of a figure (the only one for all but `bench_pipeline`).
+/// The first table of a figure (the only one of the paper's own figures).
 fn table(figure: Figure) -> Table {
     figure(ctx()).remove(0)
 }
@@ -310,6 +310,79 @@ fn a_drifted_recovered_profile_never_loses_to_o2() {
     }
 }
 
+// ---- E15, fleet serving ----------------------------------------------
+
+#[test]
+fn fleet_refreshes_the_drifting_tenant_and_only_it_and_holds_the_resident_cap() {
+    let tables = figures::profile_fleet(ctx());
+    let [epochs, _snapshots, refreshes, totals] = &tables[..] else {
+        panic!("four tables");
+    };
+    let cap = num(totals, "resident cap per version", "value");
+    let mut stale = 0;
+    for (row, _) in &epochs.rows {
+        assert!(num(epochs, row, "resident contexts") <= cap, "{row}");
+        if num(epochs, row, "verdict") == 1.0 {
+            assert!(row.starts_with("t2 | haas"), "{row} went stale");
+            stale += 1;
+        }
+    }
+    assert!(num(totals, "subtrees evicted", "value") > 0.0, "{totals}");
+    // Two stale verdicts, one queue slot: one rebuild, one counted drop.
+    assert_eq!(stale, 2, "{epochs}");
+    assert_eq!(num(totals, "refreshes run", "value"), 1.0, "{totals}");
+    assert_eq!(num(totals, "refreshes dropped", "value"), 1.0, "{totals}");
+    assert!(
+        num(refreshes, "t2 | v0", "eval cycles") > 0.0,
+        "{refreshes}"
+    );
+}
+
+// ---- E16, release trains ---------------------------------------------
+
+/// One table per train (`ad_finder`, `haas`), then the train-wide one.
+fn trains() -> &'static [Table] {
+    static TRAINS: OnceLock<Vec<Table>> = OnceLock::new();
+    TRAINS.get_or_init(|| figures::release_train(ctx()))
+}
+
+#[test]
+fn a_live_refreshed_train_retains_more_of_the_oracle_win_than_never_refreshing() {
+    let (wide, per_train) = trains().split_last().expect("three tables");
+    assert_eq!(per_train.len(), 2);
+    for train in ["ad_finder", "haas"] {
+        let retention = |who| num(wide, train, who);
+        assert!(
+            retention("train retention %") > retention("floor retention %"),
+            "{train}\n{wide}"
+        );
+    }
+}
+
+#[test]
+fn every_release_computes_what_its_o2_build_computes() {
+    for t in &trains()[..2] {
+        assert_eq!(t.rows.len(), 5, "{t}");
+        for (release, _) in &t.rows {
+            assert_eq!(num(t, release, "behaviour"), 1.0, "{release}\n{t}");
+        }
+    }
+}
+
+#[test]
+#[ignore = "KD-10: r3 bump_dependency is promoted at 212961 cycles against 205332 at -O2 on ad_finder, and at 4220 against 4196 on haas"]
+fn no_promoted_release_is_slower_than_its_o2_build() {
+    for t in &trains()[..2] {
+        for (release, _) in &t.rows {
+            let promoted = num(t, release, "canary") == 1.0;
+            assert!(
+                !promoted || num(t, release, "pgo") <= num(t, release, "o2"),
+                "{release}\n{t}"
+            );
+        }
+    }
+}
+
 // ---- registry <-> results/ <-> EXPERIMENTS.md -------------------------
 
 /// CI regenerates `results/` and fails on any diff; this keeps the three
@@ -318,10 +391,7 @@ fn a_drifted_recovered_profile_never_loses_to_o2() {
 fn every_figure_has_a_results_file_and_an_experiments_section() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
     let experiments = std::fs::read_to_string(root.join("EXPERIMENTS.md")).expect("EXPERIMENTS.md");
-    let mut expected = vec![
-        "profile_fleet.txt".to_string(),
-        "csspgo_lint.txt".to_string(),
-    ];
+    let mut expected = vec!["csspgo_lint.txt".to_string()];
     for (name, _) in REGISTRY {
         let heading = experiments
             .lines()
@@ -345,6 +415,6 @@ fn every_figure_has_a_results_file_and_an_experiments_section() {
     expected.sort();
     assert_eq!(
         found, expected,
-        "results/ must hold one file per figure plus profile_fleet.txt and csspgo_lint.txt"
+        "results/ must hold one file per figure plus csspgo_lint.txt"
     );
 }

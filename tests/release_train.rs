@@ -87,6 +87,7 @@ fn recover_mcf_train_beats_never_refresh_floor() {
         assert_eq!(report.releases.len(), 5);
         assert_eq!(report.watchdog_fires > 0, expect_watchdog, "{name}");
         assert_eq!(report.refreshes > 0, expect_watchdog, "{name}");
+        assert!(report.promoted >= 1, "{name}: a healthy train promotes");
         let recovered: usize = report.releases.iter().map(|r| r.stale_recovered).sum();
         assert!(
             recovered > 0,
