@@ -2,17 +2,28 @@
 //! incrementally must produce a profile *bit-identical* to one-shot batch
 //! ingestion of the concatenated samples — for real simulated traffic
 //! (golden test), for arbitrary epoch boundaries over arbitrary sample
-//! streams (property test), and across a snapshot→restore→resume cut.
+//! streams (property test), and across a snapshot→restore→resume cut — and
+//! every per-epoch fact the aggregator reports must be what materialising
+//! each epoch's profile and merging it into a cumulative trie gives (the
+//! epoch oracle).
 
 use csspgo_codegen::Binary;
 use csspgo_core::binprof;
 use csspgo_core::context::ContextProfile;
-use csspgo_core::pipeline::{finish_probe_profile, PipelineError};
+use csspgo_core::merge::merge_context;
+use csspgo_core::pipeline::{
+    finish_probe_profile, profiling_build, profiling_run, PgoVariant, PipelineConfig, PipelineError,
+};
 use csspgo_core::ranges::RangeCounts;
-use csspgo_core::stream::{SnapshotFormat, StreamAggregator, StreamConfig};
+use csspgo_core::shard::sharded_context_profile;
+use csspgo_core::stream::{
+    probe_weights, weight_overlap, ContextEdge, EpochSummary, EvictStats, SnapshotFormat,
+    StreamAggregator, StreamConfig,
+};
 use csspgo_core::tailcall::TailCallGraph;
 use csspgo_sim::{Machine, Sample, SimConfig};
 use proptest::prelude::*;
+use std::collections::BTreeMap;
 
 #[path = "../../../tests/common/reference_unwind.rs"]
 mod reference_unwind;
@@ -370,4 +381,258 @@ fn restore_refuses_a_weight_probe_past_u32_in_both_formats() {
         matches!(err, PipelineError::Decode(binprof::DecodeError::Corrupt(_))),
         "{err}"
     );
+}
+
+/// What materialising and merging says an aggregator should hold: the
+/// cumulative trie and range counts, the previous epoch's probe weights and
+/// the eviction counters, kept with public items only — each epoch's profile
+/// from [`sharded_context_profile`], folded by [`merge_context`], drift from
+/// [`probe_weights`] and [`weight_overlap`], eviction by
+/// [`ContextProfile::evict_subtree`].
+struct Materialised<'a> {
+    binary: &'a Binary,
+    graph: &'a TailCallGraph,
+    drift_threshold: f64,
+    profile: ContextProfile,
+    rc: RangeCounts,
+    last_weights: Option<BTreeMap<(u64, u32), u64>>,
+    epochs: u64,
+    total_samples: u64,
+    evicted: EvictStats,
+}
+
+impl<'a> Materialised<'a> {
+    fn new(binary: &'a Binary, graph: &'a TailCallGraph, drift_threshold: f64) -> Self {
+        Materialised {
+            binary,
+            graph,
+            drift_threshold,
+            profile: ContextProfile::new(),
+            rc: RangeCounts::default(),
+            last_weights: None,
+            epochs: 0,
+            total_samples: 0,
+            evicted: EvictStats::default(),
+        }
+    }
+
+    /// Seals `samples` as one epoch: the summary's non-clock fields and the
+    /// depth-1 edges the epoch touched, in `last_epoch_edges()` order.
+    fn seal(&mut self, samples: &[Sample]) -> (EpochSummary, Vec<ContextEdge>) {
+        let mut summary = EpochSummary {
+            epoch: self.epochs,
+            samples: samples.len(),
+            overlap: 1.0,
+            ..EpochSummary::default()
+        };
+        let mut edges = Vec::new();
+        if !samples.is_empty() {
+            self.rc.add_samples(self.binary, samples);
+            let epoch = sharded_context_profile(self.binary, Some(self.graph), samples, 1).profile;
+            summary.nodes_epoch = epoch.node_count();
+            merge_context(&mut self.profile, &epoch);
+            for (&root, node) in &epoch.roots {
+                for &(probe, callee) in node.children.keys() {
+                    edges.push(ContextEdge {
+                        root,
+                        probe,
+                        callee,
+                    });
+                }
+            }
+            let weights = probe_weights(&epoch);
+            // Every epoch of real traffic attributes probe weight; what an
+            // epoch without any does to the drift baseline is not this
+            // oracle's subject.
+            assert!(
+                !weights.is_empty(),
+                "an epoch of real traffic with no probe weight"
+            );
+            if let Some(prev) = &self.last_weights {
+                summary.overlap = weight_overlap(prev, &weights);
+                summary.stale =
+                    self.drift_threshold > 0.0 && summary.overlap < self.drift_threshold;
+            }
+            self.last_weights = Some(weights);
+        }
+        self.epochs += 1;
+        self.total_samples += samples.len() as u64;
+        summary.total_samples = self.total_samples;
+        summary.nodes_cumulative = self.profile.node_count();
+        (summary, edges)
+    }
+
+    fn evict(&mut self, edge: ContextEdge) -> EvictStats {
+        let mut stats = EvictStats::default();
+        if let Some((nodes, weight)) =
+            self.profile
+                .evict_subtree(edge.root, edge.probe, edge.callee)
+        {
+            stats = EvictStats {
+                subtrees: 1,
+                nodes_folded: nodes,
+                weight_folded: weight,
+            };
+        }
+        self.evicted.absorb(stats);
+        stats
+    }
+
+    fn resident_contexts(&self) -> usize {
+        self.profile.node_count() - self.profile.roots.len()
+    }
+}
+
+fn assert_evict_stats_eq(got: EvictStats, want: EvictStats, what: &str) {
+    assert_eq!(
+        (got.subtrees, got.nodes_folded, got.weight_folded),
+        (want.subtrees, want.nodes_folded, want.weight_folded),
+        "{what}"
+    );
+}
+
+/// The epoch oracle. Real evaluation-program streams go through an
+/// aggregator at one, two and three shards in epochs of uneven size (an
+/// empty one among them), with an LRU over `last_epoch_edges()` evicting
+/// down to a small resident cap after every seal and a snapshot → restore in
+/// alternating formats every few epochs; after every seal and every eviction
+/// each fact the aggregator reports is held to [`Materialised`]: every
+/// non-clock [`EpochSummary`] field (`overlap` to the bit), the edges and
+/// their order, `resident_contexts()`, `evict_stats()`, and the profile
+/// after every other seal and every third eviction pass; at the end the
+/// profile (serialized bytes) and the range counts.
+#[test]
+fn every_epoch_fact_matches_materialise_and_merge() {
+    const EPOCH_SIZES: [usize; 6] = [256, 97, 0, 400, 31, 256];
+    const RESIDENT_CAP: usize = 4;
+    const RESTORE_EVERY: usize = 5;
+    let config = PipelineConfig::default();
+    let mut stale_epochs = 0;
+    let stream_cfg = StreamConfig {
+        drift_threshold: 0.9,
+        ..StreamConfig::default()
+    };
+    for (w, scale) in [
+        (csspgo_workloads::ad_retriever(), 0.3),
+        (csspgo_workloads::haas(), 0.3),
+        (csspgo_workloads::hhvm(), 0.2),
+        (csspgo_workloads::client_compiler(), 0.03),
+    ] {
+        let binary = profiling_build(&w.source, &w.name, PgoVariant::CsspgoFull, &config)
+            .unwrap()
+            .binary;
+        let samples = profiling_run(
+            &binary,
+            &w.scaled(scale),
+            config.sim_config(config.sample_period),
+        )
+        .unwrap()
+        .samples;
+        assert!(
+            samples.len() > 1500,
+            "{}: {} samples",
+            w.name,
+            samples.len()
+        );
+        let mut rc = RangeCounts::default();
+        rc.add_samples(&binary, &samples);
+        let graph = TailCallGraph::build(&binary, &rc);
+
+        let (mut evictions, mut stale) = (0, 0);
+        for shards in [1, 2, 3] {
+            let what = |epoch: u64| format!("{} at {shards} shard(s), epoch {epoch}", w.name);
+            let mut agg = StreamAggregator::with_tail_graph(
+                &binary,
+                stream_cfg.clone(),
+                shards,
+                graph.clone(),
+            );
+            let mut model = Materialised::new(&binary, &graph, stream_cfg.drift_threshold);
+            let mut lru: BTreeMap<ContextEdge, u64> = BTreeMap::new();
+            let mut rest = &samples[..];
+            let mut k = 0;
+            while !rest.is_empty() {
+                let (chunk, tail) =
+                    rest.split_at(EPOCH_SIZES[k % EPOCH_SIZES.len()].min(rest.len()));
+                rest = tail;
+                k += 1;
+
+                agg.push_batch(chunk.to_vec()).unwrap();
+                let got = agg.seal_epoch();
+                let (want, edges) = model.seal(chunk);
+                let at = what(got.epoch);
+                assert_eq!(got.epoch, want.epoch, "{at}");
+                assert_eq!(got.samples, want.samples, "{at}");
+                assert_eq!(got.total_samples, want.total_samples, "{at}");
+                assert_eq!(got.nodes_epoch, want.nodes_epoch, "{at}: nodes_epoch");
+                assert_eq!(
+                    got.nodes_cumulative, want.nodes_cumulative,
+                    "{at}: nodes_cumulative"
+                );
+                assert_eq!(
+                    got.overlap.to_bits(),
+                    want.overlap.to_bits(),
+                    "{at}: overlap"
+                );
+                assert_eq!(got.stale, want.stale, "{at}: stale");
+                assert_eq!(agg.last_epoch_edges(), &edges[..], "{at}: edges");
+                assert_eq!(agg.resident_contexts(), model.resident_contexts(), "{at}");
+                assert_evict_stats_eq(agg.evict_stats(), model.evicted, &at);
+                // The profile is read after some seals and some evictions
+                // only, so that snapshots are taken both right after a read
+                // and with no read since the last change.
+                if k % 2 == 1 {
+                    assert_eq!(agg.context_profile(), &model.profile, "{at}: profile");
+                }
+                stale += usize::from(got.stale);
+
+                for &edge in agg.last_epoch_edges() {
+                    lru.insert(edge, got.epoch);
+                }
+                while agg.resident_contexts() > RESIDENT_CAP {
+                    let (&edge, _) = lru.iter().min_by_key(|&(e, &ep)| (ep, *e)).unwrap();
+                    lru.remove(&edge);
+                    let got_stats = agg.evict_contexts(&[edge]);
+                    let want_stats = model.evict(edge);
+                    let at = format!("{at}: evicting {edge:?}");
+                    assert_evict_stats_eq(got_stats, want_stats, &at);
+                    assert_evict_stats_eq(agg.evict_stats(), model.evicted, &at);
+                    assert_eq!(agg.resident_contexts(), model.resident_contexts(), "{at}");
+                    evictions += got_stats.subtrees;
+                }
+                if k % 3 == 0 {
+                    assert_eq!(agg.context_profile(), &model.profile, "{at}: evicted");
+                }
+
+                if k % RESTORE_EVERY == 0 {
+                    let format = if k % (2 * RESTORE_EVERY) == 0 {
+                        SnapshotFormat::Text
+                    } else {
+                        SnapshotFormat::Binary
+                    };
+                    let bytes = agg.snapshot_as(format);
+                    agg =
+                        StreamAggregator::restore_from(&binary, stream_cfg.clone(), shards, &bytes)
+                            .unwrap();
+                    // Like the diagnostic counters, a restored aggregator's
+                    // eviction counters start at zero.
+                    model.evicted = EvictStats::default();
+                    assert_eq!(agg.context_profile(), &model.profile, "{at}: restored");
+                    assert_eq!(agg.resident_contexts(), model.resident_contexts(), "{at}");
+                    assert_evict_stats_eq(agg.evict_stats(), model.evicted, &at);
+                }
+            }
+            let at = what(model.epochs);
+            assert_eq!(
+                serde_json::to_string(agg.context_profile()).unwrap(),
+                serde_json::to_string(&model.profile).unwrap(),
+                "{at}: profile"
+            );
+            assert_eq!(agg.range_counts(), &model.rc, "{at}: range counts");
+            assert_eq!(agg.total_samples(), samples.len() as u64, "{at}");
+        }
+        assert!(evictions > 0, "{}: the cap must evict", w.name);
+        stale_epochs += stale;
+    }
+    assert!(stale_epochs > 0, "some epoch must read stale");
 }
