@@ -309,59 +309,200 @@ impl ContextProfile {
     }
 }
 
-/// Dense identifier of one interned context in a [`ContextTrieBuilder`].
+/// Dense identifier of one interned context in a [`ContextArena`].
 pub(crate) type ContextId = u32;
 
-/// Arena node of the hash-consed builder trie. Counts use plain `HashMap`s
-/// during ingestion; the sort into `BTreeMap`s happens once per drain, in
-/// [`ContextTrieBuilder::take_profile`].
-#[derive(Debug, Default)]
-struct BuilderNode {
+/// The parent of a root.
+const NO_PARENT: ContextId = ContextId::MAX;
+
+/// Arena node of the hash-consed trie: one [`ContextNode`] of the profile
+/// the arena holds when `live`, an interned but empty slot otherwise.
+#[derive(Debug)]
+struct ArenaNode {
     guid: u64,
+    /// The edge that leads here: `(call-site probe, callee)` under
+    /// `parent`, or `(0, root key)` for a root.
+    key: (u32, u64),
+    parent: ContextId,
+    checksum: u64,
+    inlined: bool,
+    /// Part of the profile the arena holds.
+    live: bool,
+    /// The last [`ContextArena::begin`] under which the node was touched.
+    stamp: u32,
     entry: u64,
-    probes: FastMap<u32, u64>,
-    /// Child edges in creation order: `((call-site probe, callee), id)`.
-    children: Vec<((u32, u64), ContextId)>,
+    /// Every probe ever counted here, sorted, each with its counter's slot
+    /// in [`ContextArena::counts`].
+    probes: Vec<(u32, u32)>,
+    children: Vec<ContextId>,
 }
 
-/// A hash-consed write-optimized context trie, the ingestion-side
-/// counterpart of [`ContextProfile`] and the one place
-/// [`crate::unwind::Unwinder`] counts into.
+impl ArenaNode {
+    fn new(guid: u64, key: (u32, u64), parent: ContextId) -> Self {
+        ArenaNode {
+            guid,
+            key,
+            parent,
+            checksum: 0,
+            inlined: false,
+            live: false,
+            stamp: 0,
+            entry: 0,
+            probes: Vec::new(),
+            children: Vec::new(),
+        }
+    }
+
+    /// Leaves the profile: counters and marks back to what a node interned
+    /// by a hit starts with, so a later hit re-attaches it as
+    /// [`crate::merge::merge_context`] would re-create it.
+    fn detach(&mut self, counts: &mut [u64]) {
+        self.guid = self.key.1;
+        self.checksum = 0;
+        self.inlined = false;
+        self.live = false;
+        self.stamp = 0;
+        self.entry = 0;
+        for &(_, slot) in &self.probes {
+            counts[slot as usize] = 0;
+        }
+    }
+}
+
+/// A hash-consed, write-optimized context trie that *holds* a profile —
+/// the one place [`crate::unwind::Unwinder`] counts into, and, for a
+/// stream, the cumulative profile itself.
 ///
 /// [`ContextProfile::node_for_path_mut`] walks a chain of `BTreeMap`s —
-/// one ordered-map lookup (with its pointer-chasing rebalance-ready nodes)
-/// *per frame per hit*, which dominates CSSPGO correlation time. The
-/// builder instead interns each `(parent, call-site probe, callee)` edge
-/// into a dense [`ContextId`] arena through one flat hash map, so walking
-/// a hot path that has been seen before is a few `HashMap` probes over
-/// integer keys, and extending it allocates nothing but the arena slot.
+/// one ordered-map lookup *per frame per hit*. The arena instead interns
+/// each `(parent, call-site probe, callee)` edge into a dense
+/// [`ContextId`] through one flat hash map, so walking a hot path seen
+/// before is a few probes over integer keys, and extending it allocates
+/// nothing but the slot.
 ///
-/// The builder is **order-insensitive by construction**: all counters are
-/// `+=` and [`take_profile`](Self::take_profile) sorts every map, so the
-/// resulting [`ContextProfile`] is bit-identical to one built through
-/// [`ContextProfile::add_probe_hit`]/[`ContextProfile::add_entry`] from the
-/// same hits in any order (`tests/unwind_differential.rs` and
-/// `tests/proptest_kernel.rs` pin this through the unwinder).
-#[derive(Debug, Default)]
-pub(crate) struct ContextTrieBuilder {
-    nodes: Vec<BuilderNode>,
+/// The profile it holds is the set of **live** nodes: a node becomes live
+/// when it or a node below it is hit or absorbed, and stops being live when
+/// it is drained ([`Self::take_profile`]) or evicted ([`Self::evict`]);
+/// interned ids stay valid either way, so a memo of ids outlives both. Two
+/// counts are kept current — live nodes and live roots — and every hit
+/// *touches* its node and the ancestors above it once per
+/// [`Self::begin`], so what one call or epoch reached is a list
+/// ([`Self::touched`]), not a walk. All counters are `+=`, and every
+/// profile the arena emits is sorted into `BTreeMap`s, so it is
+/// bit-identical to one built through [`ContextProfile::add_probe_hit`] /
+/// [`ContextProfile::add_entry`] from the same hits in any order
+/// (`tests/unwind_differential.rs`, `tests/proptest_kernel.rs`).
+#[derive(Debug)]
+pub(crate) struct ContextArena {
+    nodes: Vec<ArenaNode>,
     roots: FastMap<u64, ContextId>,
     /// Edge interner: `(parent id, call-site probe, callee guid)` → child.
     edges: FastMap<(ContextId, u32, u64), ContextId>,
+    /// One counter per `(node, probe)` ever counted: `0` while the probe is
+    /// not in the profile, `c + 1` while its count is `c` — so a counter
+    /// keeps its slot, and a memo its index, across drains and evictions,
+    /// and an absorbed zero count stays in the profile.
+    counts: Vec<u64>,
+    live: usize,
+    live_roots: usize,
+    stamp: u32,
+    /// Nodes touched since the last [`Self::begin`], each once.
+    touched: Vec<ContextId>,
 }
 
-impl ContextTrieBuilder {
-    /// Number of interned contexts (arena size), hit or not.
+impl Default for ContextArena {
+    fn default() -> Self {
+        ContextArena {
+            nodes: Vec::new(),
+            roots: FastMap::default(),
+            edges: FastMap::default(),
+            counts: Vec::new(),
+            live: 0,
+            live_roots: 0,
+            stamp: 1,
+            touched: Vec::new(),
+        }
+    }
+}
+
+impl ContextArena {
+    /// Number of interned contexts (arena size), live or not.
     pub(crate) fn node_count(&self) -> usize {
         self.nodes.len()
     }
 
-    fn alloc(&mut self, guid: u64) -> ContextId {
+    /// Nodes of the profile the arena holds.
+    pub(crate) fn live(&self) -> usize {
+        self.live
+    }
+
+    /// Roots among [`Self::live`].
+    pub(crate) fn live_roots(&self) -> usize {
+        self.live_roots
+    }
+
+    /// An empty arena whose [`Self::begin`] continues `self`'s stamps, for
+    /// rebuilding `self` from its own live profile.
+    pub(crate) fn successor(&self) -> Self {
+        ContextArena {
+            stamp: self.stamp,
+            ..ContextArena::default()
+        }
+    }
+
+    /// Starts a new touch window: [`Self::touched`] empties, and the next
+    /// hits or absorbs list the nodes they reach again.
+    pub(crate) fn begin(&mut self) {
+        if self.stamp == u32::MAX {
+            for n in &mut self.nodes {
+                n.stamp = 0;
+            }
+            self.stamp = 0;
+        }
+        self.stamp += 1;
+        self.touched.clear();
+    }
+
+    /// Nodes hit or absorbed since [`Self::begin`], with every ancestor of
+    /// each, once each — the node set of the profile that window alone
+    /// would give.
+    pub(crate) fn touched(&self) -> &[ContextId] {
+        &self.touched
+    }
+
+    /// The depth-1 edge `(root key, call-site probe, callee)` that `id`
+    /// hangs from, when it sits right below a root.
+    pub(crate) fn depth1_edge(&self, id: ContextId) -> Option<(u64, u32, u64)> {
+        let n = &self.nodes[id as usize];
+        let parent = self.nodes.get(n.parent as usize)?;
+        (parent.parent == NO_PARENT).then_some((parent.key.1, n.key.0, n.key.1))
+    }
+
+    fn alloc(&mut self, guid: u64, key: (u32, u64), parent: ContextId) -> ContextId {
         let id = self.nodes.len() as ContextId;
-        self.nodes.push(BuilderNode {
-            guid,
-            ..BuilderNode::default()
-        });
+        self.nodes.push(ArenaNode::new(guid, key, parent));
+        id
+    }
+
+    /// The root keyed `key`, interned with `guid` if new.
+    fn root(&mut self, key: u64, guid: u64) -> ContextId {
+        if let Some(&id) = self.roots.get(&key) {
+            return id;
+        }
+        let id = self.alloc(guid, (0, key), NO_PARENT);
+        self.roots.insert(key, id);
+        id
+    }
+
+    /// The child of `parent` through `(probe, callee)`, interned with
+    /// `guid` if new.
+    fn child(&mut self, parent: ContextId, probe: u32, callee: u64, guid: u64) -> ContextId {
+        if let Some(&id) = self.edges.get(&(parent, probe, callee)) {
+            return id;
+        }
+        let id = self.alloc(guid, (probe, callee), parent);
+        self.edges.insert((parent, probe, callee), id);
+        self.nodes[parent as usize].children.push(id);
         id
     }
 
@@ -372,81 +513,213 @@ impl ContextTrieBuilder {
     /// function (or `owner_guid` for the last).
     pub(crate) fn intern(&mut self, path: &[FrameKey], owner_guid: u64) -> ContextId {
         let root_guid = path.first().map(|f| f.guid).unwrap_or(owner_guid);
-        let mut id = match self.roots.get(&root_guid) {
-            Some(&id) => id,
-            None => {
-                let id = self.alloc(root_guid);
-                self.roots.insert(root_guid, id);
-                id
-            }
-        };
+        let mut id = self.root(root_guid, root_guid);
         for (k, frame) in path.iter().enumerate() {
             let callee = path.get(k + 1).map(|f| f.guid).unwrap_or(owner_guid);
-            id = match self.edges.get(&(id, frame.probe, callee)) {
-                Some(&child) => child,
-                None => {
-                    let child = self.alloc(callee);
-                    self.edges.insert((id, frame.probe, callee), child);
-                    self.nodes[id as usize]
-                        .children
-                        .push(((frame.probe, callee), child));
-                    child
-                }
-            };
+            id = self.child(id, frame.probe, callee, callee);
         }
         id
     }
 
+    fn set_live(&mut self, id: ContextId) {
+        let n = &mut self.nodes[id as usize];
+        if !n.live {
+            n.live = true;
+            self.live += 1;
+            if n.parent == NO_PARENT {
+                self.live_roots += 1;
+            }
+        }
+    }
+
+    /// Makes `id` and its ancestors live and lists those not yet touched
+    /// in this window. A touched node's ancestors are touched, so the walk
+    /// stops at the first one.
+    fn touch(&mut self, mut id: ContextId) {
+        while id != NO_PARENT && self.nodes[id as usize].stamp != self.stamp {
+            self.nodes[id as usize].stamp = self.stamp;
+            self.touched.push(id);
+            self.set_live(id);
+            id = self.nodes[id as usize].parent;
+        }
+    }
+
+    /// The slot of `probe`'s counter at `id`, made on first use.
+    pub(crate) fn probe_slot(&mut self, id: ContextId, probe: u32) -> u32 {
+        let probes = &mut self.nodes[id as usize].probes;
+        match probes.binary_search_by_key(&probe, |&(p, _)| p) {
+            Ok(k) => probes[k].1,
+            Err(k) => {
+                let slot = self.counts.len() as u32;
+                self.counts.push(0);
+                probes.insert(k, (probe, slot));
+                slot
+            }
+        }
+    }
+
+    /// Adds `count` samples at an already-interned context through the
+    /// counter `slot` ([`Self::probe_slot`] of the probe).
+    pub(crate) fn add_at_slot(&mut self, id: ContextId, slot: u32, count: u64) {
+        self.bump(slot, count);
+        self.touch(id);
+    }
+
+    /// Adds `count` to counter `slot`, putting its probe in the profile.
+    fn bump(&mut self, slot: u32, count: u64) {
+        let c = &mut self.counts[slot as usize];
+        *c = (*c).max(1) + count;
+    }
+
     /// Adds `count` samples of `probe_index` at an already-interned context.
+    #[cfg(test)]
     pub(crate) fn add_probe_hit_at(&mut self, id: ContextId, probe_index: u32, count: u64) {
-        *self.nodes[id as usize]
-            .probes
-            .entry(probe_index)
-            .or_insert(0) += count;
+        let slot = self.probe_slot(id, probe_index);
+        self.add_at_slot(id, slot, count);
     }
 
     /// Records `count` calls entering an already-interned context.
     pub(crate) fn add_entry_at(&mut self, id: ContextId, count: u64) {
         self.nodes[id as usize].entry += count;
+        self.touch(id);
     }
 
-    /// Drains everything counted since the previous drain into a canonical
-    /// [`ContextProfile`] and zeroes the counters. The arena, the interner
-    /// and every [`ContextId`] handed out stay valid, so a memo of ids
-    /// outlives the drain; a node is emitted only if it or a node below it
-    /// was hit, which is exactly the set of nodes an empty builder would
-    /// have interned for the same hits. Checksums and inline marks are
-    /// ingestion-time zero/false, as `ContextProfile::add_probe_hit` leaves
-    /// them.
-    pub(crate) fn take_profile(&mut self) -> ContextProfile {
-        fn take(nodes: &mut [BuilderNode], id: ContextId) -> Option<ContextNode> {
-            let mut children = BTreeMap::new();
-            for k in 0..nodes[id as usize].children.len() {
-                let (key, child) = nodes[id as usize].children[k];
-                if let Some(node) = take(nodes, child) {
-                    children.insert(key, node);
-                }
+    /// Adds `profile` in, as [`crate::merge::merge_context`] adds it to the
+    /// profile the arena holds, touching every node it names. A node new to
+    /// the arena takes the incoming node's guid, so absorbing into an empty
+    /// arena holds exactly `profile` — empty nodes and zero counts
+    /// included — names aside.
+    pub(crate) fn absorb(&mut self, profile: &ContextProfile) {
+        fn absorb_node(arena: &mut ContextArena, id: ContextId, node: &ContextNode) {
+            let n = &mut arena.nodes[id as usize];
+            n.entry += node.entry;
+            if n.checksum == 0 {
+                n.checksum = node.checksum;
             }
-            let n = &mut nodes[id as usize];
-            if n.entry == 0 && n.probes.is_empty() && children.is_empty() {
-                return None;
+            n.inlined |= node.inlined;
+            for (&probe, &count) in &node.probes {
+                let slot = arena.probe_slot(id, probe);
+                arena.add_at_slot(id, slot, count);
             }
-            Some(ContextNode {
-                guid: n.guid,
-                checksum: 0,
-                entry: std::mem::take(&mut n.entry),
-                probes: n.probes.drain().collect(),
-                children,
-                inlined: false,
-            })
+            arena.touch(id);
+            for (&(probe, callee), child) in &node.children {
+                let cid = arena.child(id, probe, callee, child.guid);
+                absorb_node(arena, cid, child);
+            }
         }
+        for (&key, node) in &profile.roots {
+            let id = self.root(key, node.guid);
+            absorb_node(self, id, node);
+        }
+    }
+
+    /// The live subtree under `id` as a [`ContextNode`].
+    fn emit(&self, id: ContextId) -> ContextNode {
+        let n = &self.nodes[id as usize];
+        ContextNode {
+            guid: n.guid,
+            checksum: n.checksum,
+            entry: n.entry,
+            probes: n
+                .probes
+                .iter()
+                .filter_map(|&(p, slot)| self.counts[slot as usize].checked_sub(1).map(|c| (p, c)))
+                .collect(),
+            children: n
+                .children
+                .iter()
+                .filter(|&&c| self.nodes[c as usize].live)
+                .map(|&c| (self.nodes[c as usize].key, self.emit(c)))
+                .collect(),
+            inlined: n.inlined,
+        }
+    }
+
+    /// The profile the arena holds, canonical (`BTreeMap` order), without
+    /// names. O(live nodes).
+    pub(crate) fn to_profile(&self) -> ContextProfile {
         let mut out = ContextProfile::new();
-        for (&guid, &id) in &self.roots {
-            if let Some(node) = take(&mut self.nodes, id) {
-                out.roots.insert(guid, node);
+        for (&key, &id) in &self.roots {
+            if self.nodes[id as usize].live {
+                out.roots.insert(key, self.emit(id));
             }
         }
         out
+    }
+
+    /// Drains the profile the arena holds — everything hit or absorbed
+    /// since the previous drain, when every live node was touched in this
+    /// window — into a canonical [`ContextProfile`]: the live nodes leave
+    /// the profile and their counters go back to zero, while the arena,
+    /// the interner and every [`ContextId`] handed out stay valid, so a
+    /// memo of ids outlives the drain. A node is emitted only if it or a
+    /// node below it was hit, which is exactly the set of nodes an empty
+    /// arena would have interned for the same hits. O(touched nodes).
+    pub(crate) fn take_profile(&mut self) -> ContextProfile {
+        let mut out = ContextProfile::new();
+        for &id in &self.touched {
+            let n = &self.nodes[id as usize];
+            if n.parent == NO_PARENT && n.live {
+                out.roots.insert(n.key.1, self.emit(id));
+            }
+        }
+        for &id in &self.touched {
+            let n = &mut self.nodes[id as usize];
+            if n.live {
+                self.live -= 1;
+                if n.parent == NO_PARENT {
+                    self.live_roots -= 1;
+                }
+                n.detach(&mut self.counts);
+            }
+        }
+        debug_assert_eq!(self.live, 0, "a live node was not touched in this window");
+        out
+    }
+
+    /// Evicts the live depth-1 subtree root `root` → `callee` through
+    /// call-site probe `probe`, folding its counts into the functions' base
+    /// roots exactly as [`ContextProfile::evict_subtree`] does. The
+    /// subtree's nodes stay interned: a later hit re-attaches them.
+    /// Returns `(nodes detached, weight folded)`, or `None` when the edge
+    /// is not in the profile.
+    pub(crate) fn evict(&mut self, root: u64, probe: u32, callee: u64) -> Option<(usize, u64)> {
+        let root = *self.roots.get(&root)?;
+        let top = *self.edges.get(&(root, probe, callee))?;
+        if !self.nodes[top as usize].live {
+            return None;
+        }
+        let (mut nodes, mut weight) = (0, 0);
+        let mut queue = vec![top];
+        while let Some(id) = queue.pop() {
+            let n = &mut self.nodes[id as usize];
+            if !n.live {
+                continue; // nor is anything below it
+            }
+            queue.extend(n.children.iter().copied());
+            nodes += 1;
+            self.live -= 1;
+            let (guid, checksum, entry) = (n.guid, n.checksum, n.entry);
+            let probes = std::mem::take(&mut n.probes);
+            let base = self.root(guid, guid);
+            self.set_live(base);
+            let b = &mut self.nodes[base as usize];
+            b.entry += entry;
+            if b.checksum == 0 {
+                b.checksum = checksum;
+            }
+            for &(p, slot) in &probes {
+                if let Some(c) = self.counts[slot as usize].checked_sub(1) {
+                    weight += c;
+                    let to = self.probe_slot(base, p);
+                    self.bump(to, c);
+                }
+            }
+            let n = &mut self.nodes[id as usize];
+            n.probes = probes;
+            n.detach(&mut self.counts);
+        }
+        Some((nodes, weight))
     }
 }
 
@@ -569,7 +842,7 @@ mod tests {
             (vec![fk(2, 5)], 9, 1, 50),
         ];
         let mut reference = ContextProfile::new();
-        let mut builder = ContextTrieBuilder::default();
+        let mut builder = ContextArena::default();
         for (path, owner, probe, count) in &hits {
             reference.add_probe_hit(path, *owner, *probe, *count);
             let id = builder.intern(path, *owner);
@@ -588,7 +861,7 @@ mod tests {
 
     #[test]
     fn builder_interning_is_stable() {
-        let mut b = ContextTrieBuilder::default();
+        let mut b = ContextArena::default();
         let a = b.intern(&[fk(1, 3)], 9);
         let again = b.intern(&[fk(1, 3)], 9);
         assert_eq!(a, again, "same path must intern to the same id");
@@ -601,7 +874,7 @@ mod tests {
     /// an empty builder would have shaped it, and leaves every id usable.
     #[test]
     fn take_profile_drains_counts_and_keeps_ids() {
-        let mut b = ContextTrieBuilder::default();
+        let mut b = ContextArena::default();
         let deep = b.intern(&[fk(1, 3), fk(9, 2)], 7);
         let side = b.intern(&[fk(1, 4)], 9);
         b.add_probe_hit_at(deep, 4, 12);
@@ -621,6 +894,68 @@ mod tests {
         second.add_probe_hit(&[fk(1, 3), fk(9, 2)], 7, 5, 1);
         assert_eq!(b.take_profile(), second);
         assert_eq!(b.node_count(), 4, "the arena is kept across drains");
+    }
+
+    /// A profile the arena did not count itself — a restored snapshot —
+    /// comes back out exactly: a node whose guid is not its key, checksums,
+    /// inline marks, a zero count, an empty root.
+    #[test]
+    fn an_empty_arena_holds_exactly_what_it_absorbs() {
+        let mut cp = ContextProfile::new();
+        cp.add_probe_hit(&[fk(1, 3), fk(9, 2)], 7, 4, 12);
+        cp.add_probe_hit(&[], 1, 8, 0);
+        cp.add_entry(&[fk(1, 4)], 9, 2);
+        cp.roots.entry(5).or_default().guid = 6;
+        let child = cp
+            .roots
+            .get_mut(&1)
+            .unwrap()
+            .children
+            .get_mut(&(3, 9))
+            .unwrap();
+        child.checksum = 0xab;
+        child.inlined = true;
+        child.guid = 10;
+        let mut arena = ContextArena::default();
+        arena.absorb(&cp);
+        assert_eq!(arena.to_profile(), cp);
+        assert_eq!((arena.live(), arena.live_roots()), (cp.node_count(), 2));
+
+        // Absorbing again adds, as merging does.
+        arena.absorb(&cp);
+        let mut twice = cp.clone();
+        crate::merge::merge_context(&mut twice, &cp);
+        assert_eq!(arena.to_profile(), twice);
+    }
+
+    /// Eviction in the arena is [`ContextProfile::evict_subtree`] on the
+    /// profile it holds; the detached nodes stay interned, and a hit through
+    /// an old id re-attaches the path as a fresh one.
+    #[test]
+    fn arena_eviction_is_evict_subtree_and_a_hit_reattaches() {
+        let mut arena = ContextArena::default();
+        let deep = arena.intern(&[fk(1, 3), fk(9, 2)], 7);
+        let mid = arena.intern(&[fk(1, 3)], 9);
+        let side = arena.intern(&[fk(1, 4)], 9);
+        arena.add_probe_hit_at(deep, 4, 12);
+        arena.add_probe_hit_at(mid, 1, 100);
+        arena.add_entry_at(mid, 3);
+        arena.add_probe_hit_at(side, 1, 40);
+        let mut want = arena.to_profile();
+
+        assert_eq!(arena.evict(1, 3, 9), want.evict_subtree(1, 3, 9));
+        assert_eq!(arena.to_profile(), want);
+        assert_eq!(arena.live(), want.node_count());
+        assert_eq!(arena.live_roots(), want.roots.len());
+        assert_eq!(arena.evict(1, 3, 9), None, "no longer in the profile");
+        assert_eq!(arena.evict(42, 0, 0), None);
+
+        arena.begin();
+        arena.add_probe_hit_at(deep, 4, 1);
+        want.add_probe_hit(&[fk(1, 3), fk(9, 2)], 7, 4, 1);
+        assert_eq!(arena.to_profile(), want);
+        assert_eq!(arena.touched().len(), 3, "the hit, its parent and the root");
+        assert_eq!(arena.node_count(), 6, "nothing interned twice");
     }
 
     #[test]

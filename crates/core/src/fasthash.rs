@@ -17,7 +17,8 @@
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};
 
-/// Multiply-rotate hasher: one rotate + xor + multiply per 8-byte word.
+/// Multiply-rotate hasher: one rotate + xor + multiply per 8-byte word
+/// (per word and lane, for byte strings).
 #[derive(Default)]
 pub struct FastHasher {
     hash: u64,
@@ -28,7 +29,66 @@ const SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
 impl FastHasher {
     #[inline]
     fn add(&mut self, word: u64) {
-        self.hash = (self.hash.rotate_left(5) ^ word).wrapping_mul(SEED);
+        self.hash = step(self.hash, word);
+    }
+}
+
+#[inline]
+fn step(hash: u64, word: u64) -> u64 {
+    (hash.rotate_left(5) ^ word).wrapping_mul(SEED)
+}
+
+/// The same construction over a long word sequence, in four independent
+/// multiply chains — word *i* feeds chain *i* mod 4 — joined at the end.
+/// One chain over every word of a sample (≈35 words for a 16-entry LBR) is
+/// a serial dependency of that many multiplies; four chains let the CPU
+/// overlap them. Used for the keys that are whole samples or stacks.
+#[derive(Clone, Copy, Default)]
+pub(crate) struct Lanes([u64; 4]);
+
+impl Lanes {
+    #[inline]
+    pub(crate) fn block(&mut self, words: [u64; 4]) {
+        let [a, b, c, d] = self.0;
+        self.0 = [
+            step(a, words[0]),
+            step(b, words[1]),
+            step(c, words[2]),
+            step(d, words[3]),
+        ];
+    }
+
+    /// Feeds `words`, zero-padded to a multiple of four.
+    #[inline]
+    pub(crate) fn words(&mut self, words: &[u64]) {
+        let mut blocks = words.chunks_exact(4);
+        for b in &mut blocks {
+            self.block([b[0], b[1], b[2], b[3]]);
+        }
+        let rest = blocks.remainder();
+        if !rest.is_empty() {
+            let mut tail = [0; 4];
+            tail[..rest.len()].copy_from_slice(rest);
+            self.block(tail);
+        }
+    }
+
+    /// Feeds `pairs` as their words, zero-padded to a multiple of four.
+    #[inline]
+    pub(crate) fn pairs(&mut self, pairs: &[(u64, u64)]) {
+        let mut blocks = pairs.chunks_exact(2);
+        for b in &mut blocks {
+            self.block([b[0].0, b[0].1, b[1].0, b[1].1]);
+        }
+        if let [(x, y)] = blocks.remainder() {
+            self.block([*x, *y, 0, 0]);
+        }
+    }
+
+    #[inline]
+    pub(crate) fn finish(self) -> u64 {
+        let [a, b, c, d] = self.0;
+        step(step(step(a, b), c), d)
     }
 }
 
@@ -38,18 +98,21 @@ impl Hasher for FastHasher {
         self.hash
     }
 
+    /// Byte strings — in the kernel, the `(stack, pc)` memo key — go
+    /// through four independent chains, eight bytes a word.
     #[inline]
     fn write(&mut self, bytes: &[u8]) {
-        let mut chunks = bytes.chunks_exact(8);
-        for chunk in &mut chunks {
-            self.add(u64::from_le_bytes(chunk.try_into().unwrap()));
+        let mut lanes = Lanes::default();
+        for block in bytes.chunks(32) {
+            let mut words = [0; 4];
+            for (word, b) in words.iter_mut().zip(block.chunks(8)) {
+                let mut le = [0u8; 8];
+                le[..b.len()].copy_from_slice(b);
+                *word = u64::from_le_bytes(le);
+            }
+            lanes.block(words);
         }
-        let rest = chunks.remainder();
-        if !rest.is_empty() {
-            let mut tail = [0u8; 8];
-            tail[..rest.len()].copy_from_slice(rest);
-            self.add(u64::from_le_bytes(tail));
-        }
+        self.add(lanes.finish());
     }
 
     #[inline]
@@ -100,6 +163,16 @@ mod tests {
     fn distinct_small_keys_spread() {
         let hashes: FastSet<u64> = (0u64..10_000).map(|i| hash_of(&i)).collect();
         assert_eq!(hashes.len(), 10_000, "trivial collisions on dense keys");
+    }
+
+    #[test]
+    fn word_strings_of_every_length_spread() {
+        let keys: Vec<Vec<u64>> = (0..12u64)
+            .flat_map(|len| (0..50u64).map(move |k| (0..len).map(|i| k * 31 + i).collect()))
+            .collect();
+        let hashes: FastSet<u64> = keys.iter().map(hash_of).collect();
+        let distinct: FastSet<&Vec<u64>> = keys.iter().collect();
+        assert_eq!(hashes.len(), distinct.len());
     }
 
     #[test]

@@ -1,15 +1,18 @@
 //! Hostile and drifted inputs, kept as files under `tests/regressions/` and
 //! fed through the function the CLI calls: `Analyzer::judge_file` for
 //! `csspgo_lint --profile P --source S`, `Machine::try_new` after
-//! `serde_json::from_str` for `csspgo run`. Every input is *text from
+//! `serde_json::from_str` for `csspgo run`, `StreamAggregator::push_batch`
+//! for a sample batch from a profiling host. Every input is *text from
 //! outside the process* — which is what "reachable" means in the lint
 //! census (DESIGN.md §8): each id still in the registry fires here, by name,
 //! on a source text and a profile text; none needs a mutated in-memory
 //! struct. `tests/regressions/README.md` says where each file came from.
 
 use csspgo::analysis::{Analyzer, Policy, Report, ScenarioReport, LINTS};
-use csspgo::codegen::Binary;
-use csspgo::sim::{Machine, SimConfig, SimError};
+use csspgo::codegen::{lower_module, Binary, CodegenConfig};
+use csspgo::core::pipeline::prepared_module;
+use csspgo::core::stream::{StreamAggregator, StreamConfig};
+use csspgo::sim::{Machine, Sample, SimConfig, SimError};
 use std::path::Path;
 
 fn input(name: &str) -> String {
@@ -199,6 +202,61 @@ fn every_registered_lint_fires_in_this_file() {
             l.id
         );
     }
+}
+
+// ---- sample batches ----------------------------------------------------
+
+/// `csspgo compile serve.mini --probes`.
+fn serve_binary() -> Binary {
+    let mut module = prepared_module(&input("serve.mini"), "serve.mini", true).unwrap();
+    csspgo::opt::run_pipeline(&mut module, &csspgo::opt::OptConfig::default());
+    lower_module(&module, &CodegenConfig::default())
+}
+
+/// Five `serve(300, 1)` requests' samples at the CLI's period.
+fn steady_samples(machine: &mut Machine<'_>) -> Vec<Sample> {
+    for _ in 0..5 {
+        machine.call("serve", &[300, 1]).unwrap();
+    }
+    machine.take_samples()
+}
+
+/// ROADMAP 6(b), `push_batch` with out-of-range addresses: an epoch whose
+/// samples attribute no probe weight says nothing about drift. Parent: that
+/// epoch read `overlap 0.000, stale true`, and — its empty distribution
+/// having become the baseline — so did the steady epoch after it; in the
+/// fleet each is a refresh.
+#[test]
+fn an_epoch_outside_the_binary_is_no_evidence_of_drift() {
+    let binary = serve_binary();
+    let stray: Vec<Sample> =
+        serde_json::from_str(&input("serve_outside_binary.samples")).expect("a sample batch");
+    assert_eq!(stray.len(), 50);
+    assert!(stray.iter().all(|s| binary.index_of_addr(s.pc).is_none()));
+    let mut machine = Machine::new(
+        &binary,
+        SimConfig {
+            sample_period: 199,
+            ..SimConfig::default()
+        },
+    );
+    let mut agg = StreamAggregator::new(&binary, StreamConfig::default(), 1);
+    agg.push_batch(steady_samples(&mut machine)).unwrap();
+    let first = agg.seal_epoch();
+    assert!(first.nodes_epoch > 0);
+
+    agg.push_batch(stray).unwrap();
+    let stray = agg.seal_epoch();
+    assert_eq!((stray.samples, stray.nodes_epoch), (50, 0), "{stray:?}");
+    assert_eq!((stray.overlap, stray.stale), (1.0, false), "{stray:?}");
+
+    agg.push_batch(steady_samples(&mut machine)).unwrap();
+    let next = agg.seal_epoch();
+    assert!(!next.stale && next.overlap > 0.9, "{next:?}");
+    assert_eq!(
+        agg.total_samples(),
+        (first.samples + 50 + next.samples) as u64
+    );
 }
 
 // ---- unloadable files are messages, not panics -----------------------
