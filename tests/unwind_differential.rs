@@ -22,7 +22,7 @@ mod reference_unwind;
 use program_gen::{build, render_program, stmt_strategy};
 use reference_unwind::{reference_unwind, Reference};
 
-/// Probe notes that sit in inlined code: the frames `attribute_range`
+/// Probe notes that sit in inlined code: the frames the range attribution
 /// expands per probe.
 fn inlined_probe_notes(binary: &Binary) -> usize {
     binary
