@@ -190,7 +190,7 @@ pub const LINTS: &[Lint] = &[
 ];
 
 /// Looks a lint up by stable id (`PF004`) or name (`profile-checksum-stale`).
-pub fn find_lint(key: &str) -> Option<&'static Lint> {
+fn find_lint(key: &str) -> Option<&'static Lint> {
     LINTS
         .iter()
         .find(|l| l.id.eq_ignore_ascii_case(key) || l.name == key)
@@ -260,14 +260,6 @@ pub struct Policy {
 }
 
 impl Policy {
-    /// A policy denying every lint (`--deny all`).
-    pub fn deny_all() -> Self {
-        Policy {
-            deny: vec!["all".into()],
-            allow: Vec::new(),
-        }
-    }
-
     fn matches(list: &[String], lint: &Lint) -> bool {
         list.iter().any(|k| {
             k.eq_ignore_ascii_case("all") || k.eq_ignore_ascii_case(lint.id) || k == lint.name
@@ -275,7 +267,7 @@ impl Policy {
     }
 
     /// The effective severity of `lint` under this policy.
-    pub fn severity_for(&self, lint: &Lint) -> Severity {
+    fn severity_for(&self, lint: &Lint) -> Severity {
         if Self::matches(&self.allow, lint) {
             Severity::Allow
         } else if Self::matches(&self.deny, lint) {
@@ -372,7 +364,7 @@ impl Report {
     }
 
     /// Number of `Deny` diagnostics (nonzero fails the build).
-    pub fn denied(&self) -> usize {
+    fn denied(&self) -> usize {
         self.diagnostics
             .iter()
             .filter(|d| d.severity == Severity::Deny)
@@ -380,7 +372,7 @@ impl Report {
     }
 
     /// Number of `Warn` diagnostics.
-    pub fn warnings(&self) -> usize {
+    fn warnings(&self) -> usize {
         self.diagnostics
             .iter()
             .filter(|d| d.severity == Severity::Warn)
@@ -390,11 +382,6 @@ impl Report {
     /// Whether any diagnostic fails the build.
     pub fn has_denied(&self) -> bool {
         self.denied() > 0
-    }
-
-    /// Diagnostics for one lint id (tests and tooling).
-    pub fn by_lint<'a>(&'a self, id: &str) -> Vec<&'a Diagnostic> {
-        self.diagnostics.iter().filter(|d| d.lint == id).collect()
     }
 
     /// Human-readable rendering, one line per diagnostic plus a summary.
@@ -410,6 +397,25 @@ impl Report {
             self.warnings()
         ));
         out
+    }
+}
+
+#[cfg(test)]
+impl Policy {
+    /// A policy denying every lint (`--deny all`).
+    pub(crate) fn deny_all() -> Self {
+        Policy {
+            deny: vec!["all".into()],
+            allow: Vec::new(),
+        }
+    }
+}
+
+#[cfg(test)]
+impl Report {
+    /// Diagnostics for one lint id.
+    pub(crate) fn by_lint<'a>(&'a self, id: &str) -> Vec<&'a Diagnostic> {
+        self.diagnostics.iter().filter(|d| d.lint == id).collect()
     }
 }
 

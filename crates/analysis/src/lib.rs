@@ -51,8 +51,7 @@ mod profile_lints;
 mod provenance;
 
 pub use diag::{
-    explain, find_lint, render_lint_list, Diagnostic, Lint, Policy, Report, Severity, LINTS,
-    LINT_FAMILIES,
+    explain, render_lint_list, Diagnostic, Lint, Policy, Report, Severity, LINTS, LINT_FAMILIES,
 };
 pub use diffreport::{
     DiffReport, FuncDiffRecord, InferenceQuality, ProvenanceBreakdown, ScenarioReport,

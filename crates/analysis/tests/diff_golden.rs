@@ -16,7 +16,7 @@ use csspgo_analysis::{Analyzer, DiffReport, Policy};
 use csspgo_core::profile::ProbeProfile;
 use csspgo_ir::probe::anchor_sequence;
 use csspgo_ir::Module;
-use csspgo_workloads::drift;
+use csspgo_workloads::drift::{self, Mutator};
 use std::path::Path;
 
 /// The fixture: `mid` carries two call anchors (enough for rename
@@ -79,7 +79,10 @@ fn diff_report_json_matches_golden() {
         ("change_cfg", drift::change_cfg(SRC)),
         // Renames `mid` — the function with call anchors — like
         // csspgo_lint's rename_one picks its best-connected target.
-        ("rename", drift::rename_functions(SRC, &["leaf", "serve"])),
+        (
+            "rename",
+            Mutator::RenameFunctions.apply(SRC, &["leaf", "serve"]),
+        ),
     ];
     for (name, drifted) in scenarios {
         let module = probed(&drifted);

@@ -21,7 +21,7 @@ use csspgo_core::profile::ProbeProfile;
 use csspgo_core::stalematch::{match_stale_profile, MatchConfig};
 use csspgo_ir::probe::anchor_sequence;
 use csspgo_ir::Module;
-use csspgo_workloads::drift;
+use csspgo_workloads::drift::{self, Mutator};
 use proptest::prelude::*;
 
 /// Compiles and probes a source.
@@ -65,7 +65,7 @@ enum Edit {
 
 fn apply(src: &str, entry: &str, edit: Edit) -> String {
     match edit {
-        Edit::InsertComments => drift::insert_comments(src),
+        Edit::InsertComments => Mutator::InsertComments.apply(src, &[]),
         Edit::InsertBodyComments => drift::insert_body_comments(src),
         Edit::ChangeCfg => drift::change_cfg(src),
         Edit::InsertStatement(n) => drift::insert_statement(src, n),
@@ -90,7 +90,7 @@ fn apply(src: &str, entry: &str, edit: Edit) -> String {
                 .map(str::trim)
                 .filter(|n| *n != target)
                 .collect();
-            drift::rename_functions(src, &keep)
+            Mutator::RenameFunctions.apply(src, &keep)
         }
     }
 }

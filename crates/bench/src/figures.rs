@@ -170,7 +170,7 @@ fn probed_o2_cycles(w: &Workload, cfg: &PipelineConfig) -> u64 {
 ///   (paper: 38–78%);
 /// * on HHVM, instrumentation PGO tops the chart and CSSPGO bridges a
 ///   majority of the AutoFDO↔Instr gap (paper: >60%).
-pub fn fig6_perf(ctx: &Ctx) -> Vec<Table> {
+fn fig6_perf(ctx: &Ctx) -> Vec<Table> {
     let mut t = ctx.table(
         "Fig. 6 — performance vs AutoFDO (positive = faster)",
         "workload | AutoFDO cycles | probe-only Δ% {:+.2} | full CSSPGO Δ% {:+.2} | Instr PGO Δ% {:+.2} | probe share of gain {:.0}%",
@@ -206,7 +206,7 @@ pub fn fig6_perf(ctx: &Ctx) -> Vec<Table> {
 /// Paper shapes: CSSPGO produces *smaller* text than AutoFDO on most
 /// workloads, and full CSSPGO (with the more selective pre-inliner) is
 /// smaller than probe-only; one workload (HaaS) stays within ±1%.
-pub fn fig7_codesize(ctx: &Ctx) -> Vec<Table> {
+fn fig7_codesize(ctx: &Ctx) -> Vec<Table> {
     let mut t = ctx.table(
         "Fig. 7 — text size vs AutoFDO (negative = smaller)",
         "workload | AutoFDO text | probe-only Δ% {:+.2} | full CSSPGO Δ% {:+.2}",
@@ -227,7 +227,7 @@ pub fn fig7_codesize(ctx: &Ctx) -> Vec<Table> {
 /// workload (and occasionally *negative*: "this can happen when the
 /// inserted pseudo-probes block undesirable optimizations"). Contrast with
 /// the instrumented binary's slowdown (the 73% of Table I).
-pub fn fig8_overhead(ctx: &Ctx) -> Vec<Table> {
+fn fig8_overhead(ctx: &Ctx) -> Vec<Table> {
     let mut t = ctx.table(
         "Fig. 8 — pseudo-instrumentation run-time overhead",
         "workload | no probes (cycles) | probes (cycles) | overhead % {:+.3}",
@@ -248,7 +248,7 @@ pub fn fig8_overhead(ctx: &Ctx) -> Vec<Table> {
 /// of comparable magnitude. The metadata is self-contained and never loaded
 /// at run time. Sizes do not depend on traffic, so this figure runs no
 /// cycle and ignores the scale.
-pub fn fig9_metadata(ctx: &Ctx) -> Vec<Table> {
+fn fig9_metadata(ctx: &Ctx) -> Vec<Table> {
     let mut t = Table::new(
         "# Fig. 9 — metadata size as % of total binary size",
         "workload | text | debug info | probe metadata | probe % of total {:.1}% | debug % of total {:.1}%",
@@ -280,7 +280,7 @@ pub fn fig9_metadata(ctx: &Ctx) -> Vec<Table> {
 /// all variants are compared block-for-block; profiling overhead compares
 /// each variant's profiling-run cycles with AutoFDO's (whose profiling
 /// binary is the plain production build).
-pub fn table1_quality(ctx: &Ctx) -> Vec<Table> {
+fn table1_quality(ctx: &Ctx) -> Vec<Table> {
     let (_, o) = ctx.one("hhvm");
     let mut t = ctx.table(
         "Table I — HHVM profile quality and profiling overhead",
@@ -310,7 +310,7 @@ pub fn table1_quality(ctx: &Ctx) -> Vec<Table> {
 /// server workloads because one short training run covers far less of the
 /// executed code than instrumentation does. The coverage ratio is printed
 /// to make that mechanism visible.
-pub fn client_workload(ctx: &Ctx) -> Vec<Table> {
+fn client_workload(ctx: &Ctx) -> Vec<Table> {
     let (_, o) = ctx.one("client_compiler");
     let mut t = ctx.table(
         "§IV.D — client workload (compiler bootstrap analogue)",
@@ -344,7 +344,7 @@ pub fn client_workload(ctx: &Ctx) -> Vec<Table> {
 ///
 /// Also exercised: a CFG-changing edit, where CSSPGO must *reject* the
 /// stale profile outright instead of mis-applying it.
-pub fn drift_resilience(ctx: &Ctx) -> Vec<Table> {
+fn drift_resilience(ctx: &Ctx) -> Vec<Table> {
     let (w, o) = ctx.one("ad_retriever");
     let sources = [drift::insert_body_comments, drift::change_cfg].map(|edit| edit(&w.source));
     let mut t = ctx.table(
@@ -370,7 +370,7 @@ pub fn drift_resilience(ctx: &Ctx) -> Vec<Table> {
 ///
 /// Paper: "In practice it is observed that more than two-thirds of the
 /// missing tail call frames can be recovered."
-pub fn tailcall_recovery(ctx: &Ctx) -> Vec<Table> {
+fn tailcall_recovery(ctx: &Ctx) -> Vec<Table> {
     let mut t = ctx.table(
         "§III.B — tail-call missing-frame recovery",
         "workload | recovered frames | failed gaps | recovery rate {:.0}%",
@@ -395,7 +395,7 @@ pub fn tailcall_recovery(ctx: &Ctx) -> Vec<Table> {
 /// better preserve original control flow and vice versa. ... we fine-tune a
 /// few critical optimizations, including if-convert, machine sink and
 /// instruction scheduling, to be unblocked by pseudo-probe."
-pub fn ablation_probe_blocking(ctx: &Ctx) -> Vec<Table> {
+fn ablation_probe_blocking(ctx: &Ctx) -> Vec<Table> {
     let (w, o) = ctx.one("hhvm");
     let plain = o[&O2].eval.cycles;
     let mut t = ctx.table(
@@ -424,7 +424,7 @@ pub fn ablation_probe_blocking(ctx: &Ctx) -> Vec<Table> {
 /// increase due to context-sensitivity can be on the order of 10x ... our
 /// mitigation can produce context-sensitive profile comparable in size to
 /// regular profile, without losing its benefit."
-pub fn ablation_ctx_trim(ctx: &Ctx) -> Vec<Table> {
+fn ablation_ctx_trim(ctx: &Ctx) -> Vec<Table> {
     let (w, o) = ctx.one("haas");
     // The context-insensitive (probe-only) profile is the size baseline.
     let (binary, run) = profiled(w, &ctx.cfg);
@@ -462,7 +462,7 @@ pub fn ablation_ctx_trim(ctx: &Ctx) -> Vec<Table> {
 /// samples. No stack breaks — the LBR re-anchors the walk — but the trie
 /// picks up mis-rooted contexts (more nodes, not fewer: known deviation
 /// KD-6 in EXPERIMENTS.md) and end-to-end CSSPGO performance suffers.
-pub fn ablation_pebs(ctx: &Ctx) -> Vec<Table> {
+fn ablation_pebs(ctx: &Ctx) -> Vec<Table> {
     let (w, o) = ctx.one("ad_retriever");
     let autofdo = o[&AutoFdo].eval.cycles;
     let mut t = ctx.table(
@@ -493,7 +493,7 @@ pub fn ablation_pebs(ctx: &Ctx) -> Vec<Table> {
 /// low-overhead point and the full-barrier point, measuring for each:
 /// profiling-binary overhead (what production pays) and the resulting full
 /// CSSPGO evaluation performance (what better correlation buys).
-pub fn extension_balance_sweep(ctx: &Ctx) -> Vec<Table> {
+fn extension_balance_sweep(ctx: &Ctx) -> Vec<Table> {
     let (w, o) = ctx.one("hhvm");
     let (plain, autofdo) = (o[&O2].eval.cycles, o[&AutoFdo].eval.cycles);
     let instr_gain = improvement_pct(autofdo, o[&Instr].eval.cycles);
@@ -539,7 +539,7 @@ pub fn extension_balance_sweep(ctx: &Ctx) -> Vec<Table> {
 ///    min-cost-flow inference repairs them. Rows carry eval cycles, how much
 ///    of the clean-profile win over `-O2` the drifted cycle retained, the
 ///    repair-effort counters and the provenance mix of the annotated weight.
-pub fn bench_pipeline(ctx: &Ctx) -> Vec<Table> {
+fn bench_pipeline(ctx: &Ctx) -> Vec<Table> {
     let mut instr = ctx.table(
         "bench_pipeline",
         "workload | row | counter sites | profiling cycles | eval cycles",
@@ -619,7 +619,7 @@ pub fn bench_pipeline(ctx: &Ctx) -> Vec<Table> {
 /// versions correlate samples against different probe layouts. The cap is
 /// tuned so the busiest versions run over it mid-stream; the queue has one
 /// slot, so the second concurrent stale verdict is dropped and counted.
-pub fn profile_fleet(ctx: &Ctx) -> Vec<Table> {
+fn profile_fleet(ctx: &Ctx) -> Vec<Table> {
     let cfg = ctx.fleet_config(48, 1);
     let two_versions = |id, workload: Workload| {
         let stable = workload.source.clone();
@@ -730,7 +730,7 @@ pub fn profile_fleet(ctx: &Ctx) -> Vec<Table> {
 /// `(o2 − x) / (o2 − oracle)`. Five releases is the length at which the
 /// frozen floor profile has collapsed and "the train retains more than the
 /// floor" is a claim.
-pub fn release_train(ctx: &Ctx) -> Vec<Table> {
+fn release_train(ctx: &Ctx) -> Vec<Table> {
     let cfg = ctx.fleet_config(0, 8);
     let ad_finder = csspgo_workloads::ad_finder().scaled(ctx.scale);
     let workloads = vec![tenant_traffic_mix(&ad_finder, 7), ctx.drifting_haas()];

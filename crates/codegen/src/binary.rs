@@ -156,14 +156,70 @@ impl Binary {
         self.addr_index.index_of_addr(addr)
     }
 
-    /// Start address of instruction `idx`.
-    pub fn addr_of(&self, idx: usize) -> u64 {
-        self.addrs[idx]
-    }
-
-    /// The function containing instruction `idx`.
-    pub fn func_at(&self, idx: usize) -> &BinFunc {
-        &self.funcs[self.func_of[idx] as usize]
+    /// Checks every index from one table of the binary into another that
+    /// its consumers — the simulator's decoder and profile generation —
+    /// then take on trust: one address, owner and frame span per
+    /// instruction; instruction owners, function entries, probe owners,
+    /// probe inline stacks and debug frames that name real functions and
+    /// instructions; frame spans inside the frame arena; an address map
+    /// that maps to real instructions only. A binary [`crate::lower_module`]
+    /// built always passes; one read from a file need not.
+    ///
+    /// # Errors
+    ///
+    /// Says what is wrong: the text of the simulator's `MalformedBinary`.
+    pub fn check_tables(&self) -> Result<(), String> {
+        let n = self.insts.len();
+        if self.addrs.len() != n || self.func_of.len() != n || self.frame_spans.len() != n {
+            return Err(format!(
+                "{n} instructions but {} addresses, {} owners and {} frame spans",
+                self.addrs.len(),
+                self.func_of.len(),
+                self.frame_spans.len()
+            ));
+        }
+        let funcs = self.funcs.len();
+        let function = |what: String, f: usize| {
+            if f < funcs {
+                Ok(())
+            } else {
+                Err(format!("{what} names function {f} of {funcs}"))
+            }
+        };
+        if let Some(f) = self.funcs.iter().find(|f| f.entry >= n) {
+            return Err(format!(
+                "function `{}` enters at {}, past the {n}-instruction text",
+                f.name, f.entry
+            ));
+        }
+        for (pc, inst) in self.insts.iter().enumerate() {
+            if self.func_of[pc] as usize >= funcs {
+                return Err(format!("instruction {pc} belongs to no function"));
+            }
+            for note in &inst.probes {
+                let what = || format!("probe {} at instruction {pc}", note.index);
+                function(what(), note.owner.index())?;
+                for site in &note.inline_stack {
+                    function(format!("{}'s inline stack", what()), site.func.index())?;
+                }
+            }
+            let (start, len) = self.frame_spans[pc];
+            if start as usize + len as usize > self.frame_table.len() {
+                return Err(format!(
+                    "instruction {pc}'s debug frames run past the frame table"
+                ));
+            }
+        }
+        for &(f, _, _) in &self.frame_table {
+            function("a debug frame".into(), f.index())?;
+        }
+        let mut mapped = self.addr_index.segments.iter().flat_map(|s| &s.map);
+        if mapped.any(|&i| i != u32::MAX && i as usize >= n) {
+            return Err(format!(
+                "the address map points past the {n}-instruction text"
+            ));
+        }
+        Ok(())
     }
 
     /// Looks a function up by GUID.

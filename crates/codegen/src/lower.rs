@@ -626,12 +626,12 @@ fn main(n) {
         assert_eq!(b.addrs.len(), b.insts.len());
         // index_of_addr roundtrips.
         for idx in 0..b.len() {
-            assert_eq!(b.index_of_addr(b.addr_of(idx)), Some(idx));
-            assert_eq!(b.index_of_addr(b.addr_of(idx) + 1), {
+            assert_eq!(b.index_of_addr(b.addrs[idx]), Some(idx));
+            assert_eq!(b.index_of_addr(b.addrs[idx] + 1), {
                 if b.insts[idx].size > 1 {
                     Some(idx)
                 } else {
-                    b.index_of_addr(b.addr_of(idx) + 1)
+                    b.index_of_addr(b.addrs[idx] + 1)
                 }
             });
         }
@@ -755,8 +755,8 @@ fn f(a) {
         let b = lower_module(&m, &CodegenConfig::default());
         let f = &b.funcs[0];
         assert!(f.cold_range.1 > f.cold_range.0, "function must be split");
-        let hot_end_addr = b.addr_of(f.hot_range.1 - 1);
-        let cold_start_addr = b.addr_of(f.cold_range.0);
+        let hot_end_addr = b.addrs[f.hot_range.1 - 1];
+        let cold_start_addr = b.addrs[f.cold_range.0];
         assert!(cold_start_addr > hot_end_addr + COLD_SECTION_GAP / 2);
     }
 }

@@ -105,19 +105,6 @@ impl MInstKind {
             MInstKind::SpillLoad { .. } | MInstKind::SpillStore { .. } => 4,
         }
     }
-
-    /// Whether this is a control-transfer instruction.
-    pub fn is_branch(&self) -> bool {
-        matches!(
-            self,
-            MInstKind::Call { .. }
-                | MInstKind::TailCall { .. }
-                | MInstKind::Ret { .. }
-                | MInstKind::Jmp { .. }
-                | MInstKind::JmpIf { .. }
-                | MInstKind::JmpTable { .. }
-        )
-    }
 }
 
 /// A pseudo-probe note attached to a machine instruction: the probe
@@ -180,17 +167,6 @@ mod tests {
             default: 0,
         };
         assert!(big.size() > small.size());
-    }
-
-    #[test]
-    fn branch_classification() {
-        assert!(MInstKind::Ret { value: None }.is_branch());
-        assert!(MInstKind::Jmp { target: 0 }.is_branch());
-        assert!(!MInstKind::Copy {
-            dst: VReg(0),
-            src: Operand::Imm(1)
-        }
-        .is_branch());
     }
 
     #[test]

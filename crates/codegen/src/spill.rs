@@ -26,7 +26,7 @@ pub struct SpillPlan {
 
 impl SpillPlan {
     /// Whether `r` is spilled.
-    pub fn is_spilled(&self, r: VReg) -> bool {
+    fn is_spilled(&self, r: VReg) -> bool {
         self.slots.contains_key(&r)
     }
 

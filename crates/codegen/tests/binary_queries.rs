@@ -1,7 +1,8 @@
 //! Binary-image query tests: symbolization and section accounting, which
 //! the correlators and Algorithm 3 rely on.
 
-use csspgo_codegen::{lower_module, CodegenConfig};
+use csspgo_codegen::minst::ProbeNote;
+use csspgo_codegen::{lower_module, Binary, CodegenConfig};
 use csspgo_opt::OptConfig;
 
 const SRC: &str = r#"
@@ -20,7 +21,7 @@ fn main(n) {
 }
 "#;
 
-fn build(optimize: bool) -> csspgo_codegen::Binary {
+fn build(optimize: bool) -> Binary {
     let mut m = csspgo_lang::compile(SRC, "t").unwrap();
     csspgo_opt::discriminators::run(&mut m);
     csspgo_opt::probes::run(&mut m);
@@ -45,7 +46,7 @@ fn symbol_lookup_by_name_and_guid_agree() {
 fn every_instruction_belongs_to_its_function_range() {
     let b = build(true);
     for idx in 0..b.len() {
-        let f = b.func_at(idx);
+        let f = &b.funcs[b.func_of[idx] as usize];
         assert!(f.contains(idx), "inst {idx} outside {}", f.name);
     }
 }
@@ -99,13 +100,13 @@ fn section_totals_are_consistent() {
 fn addr_lookup_rejects_gaps_and_out_of_range() {
     let b = build(true);
     let last = b.len() - 1;
-    let end = b.addr_of(last) + b.insts[last].size as u64;
+    let end = b.addrs[last] + b.insts[last].size as u64;
     assert_eq!(b.index_of_addr(end), None, "one past the end");
     assert_eq!(b.index_of_addr(u64::MAX), None);
     // Alignment padding between functions must not resolve.
     for w in 0..b.len() - 1 {
-        let gap_start = b.addr_of(w) + b.insts[w].size as u64;
-        let next = b.addr_of(w + 1);
+        let gap_start = b.addrs[w] + b.insts[w].size as u64;
+        let next = b.addrs[w + 1];
         if next > gap_start {
             assert_eq!(
                 b.index_of_addr(gap_start),
@@ -117,12 +118,12 @@ fn addr_lookup_rejects_gaps_and_out_of_range() {
 }
 
 /// The definition `index_of_addr` must meet, as a linear scan.
-fn naive_index_of_addr(b: &csspgo_codegen::Binary, addr: u64) -> Option<usize> {
+fn naive_index_of_addr(b: &Binary, addr: u64) -> Option<usize> {
     (0..b.len()).find(|&i| b.addrs[i] <= addr && addr < b.addrs[i] + b.insts[i].size as u64)
 }
 
 /// Checks the index on every byte from 8 before the text to 8 past it.
-fn assert_index_matches_scan(b: &csspgo_codegen::Binary) {
+fn assert_index_matches_scan(b: &Binary) {
     let first = b.addrs[0];
     let end = b.addrs[b.len() - 1] + b.insts[b.len() - 1].size as u64;
     for addr in first.saturating_sub(8)..end + 8 {
@@ -184,4 +185,58 @@ fn stripped_functions_emit_stub_text() {
     );
     let h = stripped.func_by_guid(m.func(helper).guid).unwrap();
     assert_eq!(h.hot_range.1 - h.hot_range.0, 1, "stub is one ret");
+}
+
+/// Every index from one table into another that `check_tables` vouches for
+/// is refused when it dangles; what `lower_module` builds passes.
+#[test]
+fn check_tables_refuses_every_dangling_index() {
+    let good = build(true);
+    assert_eq!(good.check_tables(), Ok(()));
+    fn notes(b: &mut Binary) -> impl Iterator<Item = &mut ProbeNote> {
+        b.insts.iter_mut().flat_map(|i| &mut i.probes)
+    }
+    type Corruption = fn(&mut Binary);
+    let cases: Vec<(&str, Corruption)> = vec![
+        ("owners", |b| b.func_of.truncate(5)),
+        ("addresses", |b| {
+            b.addrs.pop();
+        }),
+        ("frame spans", |b| {
+            b.frame_spans.pop();
+        }),
+        ("enters at", |b| b.funcs[0].entry = 9999),
+        ("belongs to no function", |b| b.func_of[0] = 77),
+        ("names function 77", |b| {
+            notes(b).next().unwrap().owner.0 = 77
+        }),
+        ("inline stack names function 77", |b| {
+            let mut inlined = notes(b).filter(|p| !p.inline_stack.is_empty());
+            let note = inlined
+                .next()
+                .expect("the optimised build inlines `helper`");
+            note.inline_stack[0].func.0 = 77;
+        }),
+        ("run past the frame table", |b| {
+            b.frame_spans[0] = (0, u32::MAX)
+        }),
+        ("a debug frame names function 77", |b| {
+            b.frame_table[0].0 .0 = 77
+        }),
+        ("address map points past", |b| {
+            // One instruction fewer, and the map still covers its bytes.
+            b.insts.pop();
+            b.addrs.pop();
+            b.func_of.pop();
+            b.frame_spans.pop();
+        }),
+    ];
+    for (what, corrupt) in cases {
+        let mut bad = good.clone();
+        corrupt(&mut bad);
+        match bad.check_tables() {
+            Err(why) => assert!(why.contains(what), "{what}: {why}"),
+            Ok(()) => panic!("{what}: accepted"),
+        }
+    }
 }

@@ -669,8 +669,15 @@ mod tests {
         fp.recompute_totals();
         let stats = csspgo_annotate(&mut m, &profile, None, &AnnotateConfig::default());
         assert_eq!(stats.annotated, 1);
-        let probe_map = m.functions[0].block_probe_map();
-        let b_of = |p: u32| probe_map[&p];
+        // The block probe `p` of `f` itself anchors.
+        let b_of = |p: u32| {
+            let own = |i: &csspgo_ir::Inst| {
+                matches!(&i.kind, InstKind::PseudoProbe { index, kind: ProbeKind::Block, inline_stack, .. }
+                    if *index == p && inline_stack.is_empty())
+            };
+            let mut blocks = m.functions[0].iter_blocks();
+            blocks.find(|(_, b)| b.insts.iter().any(own)).unwrap().0
+        };
         let c = |b: BlockId| m.functions[0].block(b).count.unwrap();
         assert_eq!(c(b_of(1)), 100);
         assert!(c(b_of(2)) > c(b_of(3)), "bias preserved through inference");

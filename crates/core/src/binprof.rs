@@ -23,7 +23,7 @@ use std::fmt;
 /// File magic: first 8 bytes of every binprof payload.
 pub const MAGIC: [u8; 8] = *b"CSPGOBIN";
 /// Current format version. Decoders reject anything else.
-pub const VERSION: u16 = 1;
+const VERSION: u16 = 1;
 
 /// Payload kind, byte 10 of the header.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -43,15 +43,15 @@ pub enum Kind {
 /// append sections without breaking old readers of the same version line.
 pub mod section {
     /// Deduplicated string table.
-    pub const STRINGS: u8 = 1;
+    pub(super) const STRINGS: u8 = 1;
     /// GUID → string-table-index name map.
-    pub const NAMES: u8 = 2;
+    pub(super) const NAMES: u8 = 2;
     /// Context-trie roots.
-    pub const CONTEXT_ROOTS: u8 = 3;
+    pub(super) const CONTEXT_ROOTS: u8 = 3;
     /// Probe-profile function bodies.
-    pub const PROBE_FUNCS: u8 = 4;
+    pub(super) const PROBE_FUNCS: u8 = 4;
     /// Flat-profile function bodies.
-    pub const FLAT_FUNCS: u8 = 5;
+    pub(super) const FLAT_FUNCS: u8 = 5;
     /// Stream-snapshot scalar metadata (fingerprint, epochs, samples).
     pub const STREAM_META: u8 = 6;
     /// Stream-snapshot tail-call graph edges.
@@ -71,7 +71,8 @@ pub mod section {
 pub enum DecodeError {
     /// The payload does not start with [`MAGIC`].
     BadMagic,
-    /// The version field is not [`VERSION`].
+    /// The version field is not the one version this decoder reads
+    /// (`supported`).
     Version { found: u16, supported: u16 },
     /// The kind byte does not match what the caller asked to decode.
     Kind { found: u8, expected: u8 },
@@ -136,17 +137,17 @@ impl<'a> Reader<'a> {
     }
 
     /// Bytes left to read.
-    pub fn remaining(&self) -> usize {
+    fn remaining(&self) -> usize {
         self.bytes.len() - self.pos
     }
 
     /// True once every byte has been consumed.
-    pub fn at_end(&self) -> bool {
+    fn at_end(&self) -> bool {
         self.pos == self.bytes.len()
     }
 
     /// Reads one byte.
-    pub fn byte(&mut self) -> Result<u8, DecodeError> {
+    fn byte(&mut self) -> Result<u8, DecodeError> {
         let b = *self.bytes.get(self.pos).ok_or(DecodeError::Truncated)?;
         self.pos += 1;
         Ok(b)
@@ -267,14 +268,14 @@ fn require<'a>(sections: &[(u8, &'a [u8])], tag: u8) -> Result<&'a [u8], DecodeE
 /// Deduplicating string table builder. Interning the same string twice
 /// returns the same index; the encoded table lists each string once.
 #[derive(Default)]
-pub struct StringTable {
+struct StringTable {
     strings: Vec<String>,
     index: std::collections::HashMap<String, u32>,
 }
 
 impl StringTable {
     /// Interns `s`, returning its table index.
-    pub fn intern(&mut self, s: &str) -> u32 {
+    fn intern(&mut self, s: &str) -> u32 {
         if let Some(&i) = self.index.get(s) {
             return i;
         }
@@ -286,7 +287,7 @@ impl StringTable {
 
     /// Encodes the table: varint count, then per string varint length +
     /// UTF-8 bytes.
-    pub fn encode(&self) -> Vec<u8> {
+    fn encode(&self) -> Vec<u8> {
         let mut buf = Vec::new();
         put_uvarint(&mut buf, self.strings.len() as u64);
         for s in &self.strings {
@@ -297,7 +298,7 @@ impl StringTable {
     }
 
     /// Decodes a table encoded by [`StringTable::encode`].
-    pub fn decode(payload: &[u8]) -> Result<Vec<String>, DecodeError> {
+    fn decode(payload: &[u8]) -> Result<Vec<String>, DecodeError> {
         let mut r = Reader::new(payload);
         let n = r.len_prefixed()?;
         let mut out = Vec::with_capacity(n);

@@ -44,7 +44,7 @@ pub struct ContextNode {
 
 impl ContextNode {
     /// Samples attributed directly to this node (not children).
-    pub fn self_total(&self) -> u64 {
+    fn self_total(&self) -> u64 {
         self.probes.values().sum()
     }
 
@@ -120,17 +120,6 @@ impl ContextProfile {
         node
     }
 
-    /// Looks a context up without creating it.
-    pub fn node_for_path(&self, path: &[FrameKey], owner_guid: u64) -> Option<&ContextNode> {
-        let root_guid = path.first().map(|f| f.guid).unwrap_or(owner_guid);
-        let mut node = self.roots.get(&root_guid)?;
-        for (k, frame) in path.iter().enumerate() {
-            let callee = path.get(k + 1).map(|f| f.guid).unwrap_or(owner_guid);
-            node = node.children.get(&(frame.probe, callee))?;
-        }
-        Some(node)
-    }
-
     /// Total samples.
     pub fn total(&self) -> u64 {
         self.roots.values().map(|n| n.total()).sum()
@@ -187,57 +176,26 @@ impl ContextProfile {
                 &mut merges,
             );
         }
+        // Each detached node merges into its function's root profile, and
+        // its children queue for the same treatment.
         while let Some(node) = merges.pop() {
-            self.merge_into_base(node, &mut merges);
+            let base = self.roots.entry(node.guid).or_insert_with(|| ContextNode {
+                guid: node.guid,
+                checksum: node.checksum,
+                ..ContextNode::default()
+            });
+            base.entry += node.entry;
+            if base.checksum == 0 {
+                base.checksum = node.checksum;
+            }
+            for (p, c) in node.probes {
+                *base.probes.entry(p).or_insert(0) += c;
+            }
+            merges.extend(node.children.into_values());
         }
         // Roots that lost all content to trimming are dropped.
         self.roots
             .retain(|_, n| n.entry > 0 || !n.probes.is_empty() || !n.children.is_empty());
-    }
-
-    /// Evicts one depth-1 context subtree — root `root` calling `callee`
-    /// through call-site probe `probe` — folding every count in the subtree
-    /// context-insensitively into the functions' base/root profiles (the
-    /// same conservation rule as [`Self::trim_cold`]). This is the
-    /// compaction granule of the fleet's shared context store: cold
-    /// subtrees stop costing trie nodes but their weight survives, so
-    /// [`Self::total`] is unchanged.
-    ///
-    /// Returns `(nodes_detached, weight_folded)` — the subtree's node count
-    /// and total sample weight — or `None` when no such edge exists.
-    pub fn evict_subtree(&mut self, root: u64, probe: u32, callee: u64) -> Option<(usize, u64)> {
-        let node = self
-            .roots
-            .get_mut(&root)?
-            .children
-            .remove(&(probe, callee))?;
-        let nodes = node.node_count();
-        let weight = node.total();
-        let mut queue = vec![node];
-        while let Some(n) = queue.pop() {
-            self.merge_into_base(n, &mut queue);
-        }
-        Some((nodes, weight))
-    }
-
-    /// Merges a detached context node into its function's root profile,
-    /// queueing its children for the same treatment.
-    fn merge_into_base(&mut self, node: ContextNode, queue: &mut Vec<ContextNode>) {
-        let base = self.roots.entry(node.guid).or_insert_with(|| ContextNode {
-            guid: node.guid,
-            checksum: node.checksum,
-            ..ContextNode::default()
-        });
-        base.entry += node.entry;
-        if base.checksum == 0 {
-            base.checksum = node.checksum;
-        }
-        for (p, c) in node.probes {
-            *base.probes.entry(p).or_insert(0) += c;
-        }
-        for (_, child) in node.children {
-            queue.push(child);
-        }
     }
 
     /// Collapses the trie into a [`ProbeProfile`]: contexts marked inlined
@@ -354,8 +312,8 @@ impl ArenaNode {
     }
 
     /// Leaves the profile: counters and marks back to what a node interned
-    /// by a hit starts with, so a later hit re-attaches it as
-    /// [`crate::merge::merge_context`] would re-create it.
+    /// by a hit starts with, so a later hit re-attaches it as a merge into
+    /// a trie without it would re-create it.
     fn detach(&mut self, counts: &mut [u64]) {
         self.guid = self.key.1;
         self.checksum = 0;
@@ -584,11 +542,13 @@ impl ContextArena {
         self.touch(id);
     }
 
-    /// Adds `profile` in, as [`crate::merge::merge_context`] adds it to the
-    /// profile the arena holds, touching every node it names. A node new to
-    /// the arena takes the incoming node's guid, so absorbing into an empty
-    /// arena holds exactly `profile` — empty nodes and zero counts
-    /// included — names aside.
+    /// Adds `profile` to the profile the arena holds by the trie's merge
+    /// rule — structural and count-additive, first nonzero checksum, inline
+    /// marks or-ed — touching every node it names. A node new to the arena
+    /// takes the incoming node's guid, so absorbing into an empty arena
+    /// holds exactly `profile` — empty nodes and zero counts included —
+    /// names aside. The reference this is held to is
+    /// `tests/common/reference_trie.rs`.
     pub(crate) fn absorb(&mut self, profile: &ContextProfile) {
         fn absorb_node(arena: &mut ContextArena, id: ContextId, node: &ContextNode) {
             let n = &mut arena.nodes[id as usize];
@@ -678,9 +638,11 @@ impl ContextArena {
     }
 
     /// Evicts the live depth-1 subtree root `root` → `callee` through
-    /// call-site probe `probe`, folding its counts into the functions' base
-    /// roots exactly as [`ContextProfile::evict_subtree`] does. The
-    /// subtree's nodes stay interned: a later hit re-attaches them.
+    /// call-site probe `probe`, folding every count in it
+    /// context-insensitively into its function's base root (the rule of
+    /// [`ContextProfile::trim_cold`], held to the reference eviction in
+    /// `tests/common/reference_trie.rs`). The subtree's nodes stay
+    /// interned: a later hit re-attaches them.
     /// Returns `(nodes detached, weight folded)`, or `None` when the edge
     /// is not in the profile.
     pub(crate) fn evict(&mut self, root: u64, probe: u32, callee: u64) -> Option<(usize, u64)> {
@@ -736,7 +698,7 @@ mod tests {
         let mut cp = ContextProfile::new();
         // main --(probe 3)--> foo --(probe 2)--> bar
         cp.add_probe_hit(&[fk(1, 3), fk(2, 2)], 3, 7, 10);
-        let node = cp.node_for_path(&[fk(1, 3), fk(2, 2)], 3).unwrap();
+        let node = &cp.roots[&1].children[&(3, 2)].children[&(2, 3)];
         assert_eq!(node.guid, 3);
         assert_eq!(node.probes[&7], 10);
         assert_eq!(cp.node_count(), 3);
@@ -747,8 +709,8 @@ mod tests {
         let mut cp = ContextProfile::new();
         cp.add_probe_hit(&[fk(1, 3)], 9, 1, 100); // via add-path
         cp.add_probe_hit(&[fk(2, 5)], 9, 1, 50); // via sub-path
-        let a = cp.node_for_path(&[fk(1, 3)], 9).unwrap();
-        let b = cp.node_for_path(&[fk(2, 5)], 9).unwrap();
+        let a = &cp.roots[&1].children[&(3, 9)];
+        let b = &cp.roots[&2].children[&(5, 9)];
         assert_eq!(a.probes[&1], 100);
         assert_eq!(b.probes[&1], 50);
     }
@@ -765,7 +727,7 @@ mod tests {
         let base = cp.roots.get(&9).expect("base profile created");
         assert_eq!(base.probes[&1], 2);
         // Hot context untouched.
-        assert_eq!(cp.node_for_path(&[fk(1, 3)], 9).unwrap().probes[&1], 100);
+        assert_eq!(cp.roots[&1].children[&(3, 9)].probes[&1], 100);
         // Totals preserved.
         assert_eq!(cp.total(), 102);
     }
@@ -800,27 +762,6 @@ mod tests {
     }
 
     #[test]
-    fn evict_subtree_conserves_totals() {
-        let mut cp = ContextProfile::new();
-        cp.add_probe_hit(&[], 1, 2, 5); // root body
-        cp.add_probe_hit(&[fk(1, 3)], 9, 1, 100); // context to evict
-        cp.add_probe_hit(&[fk(1, 3), fk(9, 2)], 7, 4, 12); // nested context
-        cp.add_probe_hit(&[fk(1, 4)], 9, 1, 40); // same callee, other context
-        let before_total = cp.total();
-        let (nodes, weight) = cp.evict_subtree(1, 3, 9).expect("edge exists");
-        assert_eq!(nodes, 2, "callee + nested grand-callee detached");
-        assert_eq!(weight, 112);
-        assert_eq!(cp.total(), before_total, "eviction must conserve weight");
-        // Counts fold into base profiles; the surviving context is intact.
-        assert_eq!(cp.roots[&9].probes[&1], 100);
-        assert_eq!(cp.roots[&7].probes[&4], 12);
-        assert_eq!(cp.node_for_path(&[fk(1, 4)], 9).unwrap().probes[&1], 40);
-        // Evicting a missing edge is a no-op.
-        assert!(cp.evict_subtree(1, 3, 9).is_none());
-        assert!(cp.evict_subtree(42, 0, 0).is_none());
-    }
-
-    #[test]
     fn checksums_propagate() {
         let mut cp = ContextProfile::new();
         cp.add_probe_hit(&[fk(1, 3)], 9, 1, 1);
@@ -829,7 +770,7 @@ mod tests {
         table.insert(9u64, 0xbbu64);
         cp.set_checksums(&table);
         assert_eq!(cp.roots[&1].checksum, 0xaa);
-        assert_eq!(cp.node_for_path(&[fk(1, 3)], 9).unwrap().checksum, 0xbb);
+        assert_eq!(cp.roots[&1].children[&(3, 9)].checksum, 0xbb);
     }
 
     #[test]
@@ -921,30 +862,47 @@ mod tests {
         assert_eq!(arena.to_profile(), cp);
         assert_eq!((arena.live(), arena.live_roots()), (cp.node_count(), 2));
 
-        // Absorbing again adds, as merging does.
+        // Absorbing again adds, as merging does: every count doubles, and
+        // guids, checksums and inline marks stay.
         arena.absorb(&cp);
         let mut twice = cp.clone();
-        crate::merge::merge_context(&mut twice, &cp);
+        twice.add_probe_hit(&[fk(1, 3), fk(9, 2)], 7, 4, 12);
+        twice.add_entry(&[fk(1, 4)], 9, 2);
         assert_eq!(arena.to_profile(), twice);
     }
 
-    /// Eviction in the arena is [`ContextProfile::evict_subtree`] on the
-    /// profile it holds; the detached nodes stay interned, and a hit through
-    /// an old id re-attaches the path as a fresh one.
+    /// Eviction folds a depth-1 subtree into base roots and conserves the
+    /// total; the detached nodes stay interned, and a hit through an old id
+    /// re-attaches the path as a fresh one.
     #[test]
-    fn arena_eviction_is_evict_subtree_and_a_hit_reattaches() {
+    fn arena_eviction_folds_into_base_and_a_hit_reattaches() {
         let mut arena = ContextArena::default();
         let deep = arena.intern(&[fk(1, 3), fk(9, 2)], 7);
         let mid = arena.intern(&[fk(1, 3)], 9);
         let side = arena.intern(&[fk(1, 4)], 9);
+        let body = arena.intern(&[], 1);
         arena.add_probe_hit_at(deep, 4, 12);
         arena.add_probe_hit_at(mid, 1, 100);
         arena.add_entry_at(mid, 3);
         arena.add_probe_hit_at(side, 1, 40);
-        let mut want = arena.to_profile();
+        arena.add_probe_hit_at(body, 2, 5);
+        let total = arena.to_profile().total();
 
-        assert_eq!(arena.evict(1, 3, 9), want.evict_subtree(1, 3, 9));
+        assert_eq!(
+            arena.evict(1, 3, 9),
+            Some((2, 112)),
+            "callee + nested grand-callee"
+        );
+        // The counts fold into the base roots of 9 and 7; the root body and
+        // the other context of 9 are intact.
+        let mut want = ContextProfile::new();
+        want.add_probe_hit(&[], 1, 2, 5);
+        want.add_probe_hit(&[fk(1, 4)], 9, 1, 40);
+        want.add_probe_hit(&[], 9, 1, 100);
+        want.add_entry(&[], 9, 3);
+        want.add_probe_hit(&[], 7, 4, 12);
         assert_eq!(arena.to_profile(), want);
+        assert_eq!(want.total(), total, "eviction conserves weight");
         assert_eq!(arena.live(), want.node_count());
         assert_eq!(arena.live_roots(), want.roots.len());
         assert_eq!(arena.evict(1, 3, 9), None, "no longer in the profile");

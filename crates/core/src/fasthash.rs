@@ -14,7 +14,7 @@
 //! (ROADMAP item 6, hostile inputs), not a property of this hasher. Wire
 //! formats and user-facing maps keep the std default.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
 /// Multiply-rotate hasher: one rotate + xor + multiply per 8-byte word
@@ -140,13 +140,13 @@ impl Hasher for FastHasher {
 /// `HashMap` keyed through [`FastHasher`].
 pub type FastMap<K, V> = HashMap<K, V, BuildHasherDefault<FastHasher>>;
 
-/// `HashSet` keyed through [`FastHasher`].
-pub type FastSet<T> = HashSet<T, BuildHasherDefault<FastHasher>>;
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashSet;
     use std::hash::{BuildHasher, Hash};
+
+    type FastSet<T> = HashSet<T, BuildHasherDefault<FastHasher>>;
 
     fn hash_of<T: Hash>(v: &T) -> u64 {
         BuildHasherDefault::<FastHasher>::default().hash_one(v)

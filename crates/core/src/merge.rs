@@ -5,8 +5,9 @@
 //! continuously"); compilation consumes one merged artifact. Merging is
 //! count-additive.
 
-use crate::context::{ContextNode, ContextProfile};
+use crate::context::{ContextArena, ContextProfile};
 use crate::profile::{FlatFuncProfile, FlatProfile};
+use std::collections::BTreeMap;
 
 /// Merges `b` into `a` (flat/AutoFDO profiles). Body counts keyed the same
 /// way are *summed* — two hosts each observing N samples of a line is 2N
@@ -31,35 +32,21 @@ fn merge_flat_func(a: &mut FlatFuncProfile, b: &FlatFuncProfile) {
     }
 }
 
-/// Merges `b` into `a` (context tries): structural, count-additive.
-pub fn merge_context(a: &mut ContextProfile, b: &ContextProfile) {
-    for (guid, name) in &b.names {
-        a.names.entry(*guid).or_insert_with(|| name.clone());
+/// Merges context tries (`csspgo merge --format context`): every profile
+/// is absorbed into one arena, structurally and count-additively, and the
+/// result is materialised once. Names are first-wins, in input order.
+pub fn merge_tries<'a>(profiles: impl IntoIterator<Item = &'a ContextProfile>) -> ContextProfile {
+    let mut arena = ContextArena::default();
+    let mut names = BTreeMap::new();
+    for p in profiles {
+        for (guid, name) in &p.names {
+            names.entry(*guid).or_insert_with(|| name.clone());
+        }
+        arena.absorb(p);
     }
-    for (guid, node) in &b.roots {
-        let dst = a.roots.entry(*guid).or_insert_with(|| ContextNode {
-            guid: *guid,
-            ..ContextNode::default()
-        });
-        merge_context_node(dst, node);
-    }
-}
-
-fn merge_context_node(a: &mut ContextNode, b: &ContextNode) {
-    a.entry += b.entry;
-    if a.checksum == 0 {
-        a.checksum = b.checksum;
-    }
-    a.inlined |= b.inlined;
-    for (probe, count) in &b.probes {
-        *a.probes.entry(*probe).or_insert(0) += count;
-    }
-    for (key, child) in &b.children {
-        let dst = a.children.entry(*key).or_insert_with(|| ContextNode {
-            guid: child.guid,
-            ..ContextNode::default()
-        });
-        merge_context_node(dst, child);
+    ContextProfile {
+        names,
+        ..arena.to_profile()
     }
 }
 
@@ -119,10 +106,15 @@ mod tests {
         a.add_probe_hit(&[f(1, 3)], 9, 1, 100);
         b.add_probe_hit(&[f(1, 3)], 9, 1, 40);
         b.add_probe_hit(&[f(1, 4)], 8, 2, 7);
-        merge_context(&mut a, &b);
-        assert_eq!(a.total(), 147);
-        assert_eq!(a.node_for_path(&[f(1, 3)], 9).unwrap().probes[&1], 140);
-        assert_eq!(a.node_for_path(&[f(1, 4)], 8).unwrap().probes[&2], 7);
+        a.names.insert(1, "main".into());
+        b.names.insert(1, "renamed".into());
+        b.names.insert(8, "g".into());
+        let merged = merge_tries([&a, &b]);
+        assert_eq!(merged.total(), 147);
+        assert_eq!(merged.roots[&1].children[&(3, 9)].probes[&1], 140);
+        assert_eq!(merged.roots[&1].children[&(4, 8)].probes[&2], 7);
+        assert_eq!(merged.names[&1], "main", "the first name wins");
+        assert_eq!(merged.names[&8], "g");
     }
 
     #[test]
@@ -134,11 +126,10 @@ mod tests {
         let mut y = ContextProfile::new();
         y.add_probe_hit(&[], 1, 1, 11);
 
-        let mut xy = x.clone();
-        merge_context(&mut xy, &y);
-        let mut yx = y.clone();
-        merge_context(&mut yx, &x);
-        assert_eq!(xy.total(), yx.total());
-        assert_eq!(xy.node_count(), yx.node_count());
+        let xy = merge_tries([&x, &y]);
+        let yx = merge_tries([&y, &x]);
+        assert_eq!(xy, yx);
+        assert_eq!(xy.total(), 16);
+        assert_eq!(merge_tries([&x]), x, "one input comes back as it is");
     }
 }

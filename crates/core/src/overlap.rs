@@ -21,7 +21,7 @@ use std::collections::HashMap;
 pub type BlockCounts = HashMap<u64, HashMap<BlockId, u64>>;
 
 /// Block overlap degree of one function; 1.0 means identical distributions.
-pub fn function_overlap(f: &HashMap<BlockId, u64>, gt: &HashMap<BlockId, u64>) -> f64 {
+fn function_overlap(f: &HashMap<BlockId, u64>, gt: &HashMap<BlockId, u64>) -> f64 {
     let f_total: u64 = f.values().sum();
     let gt_total: u64 = gt.values().sum();
     if f_total == 0 || gt_total == 0 {

@@ -607,7 +607,7 @@ pub fn name_entered_functions(probe: &mut ProbeProfile, rc: &RangeCounts, binary
 ///
 /// Returns [`PipelineError::Inconsistent`] when a sparse placement fails to
 /// reconstruct.
-pub fn instr_profile(
+fn instr_profile(
     map: CounterMap,
     counters: &[u64],
     reference: &Module,

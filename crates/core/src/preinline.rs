@@ -55,7 +55,7 @@ impl Default for PreInlineConfig {
 
 /// **Algorithm 3**: context-sensitive function sizes extracted from the
 /// profiling binary. Keys are GUID paths (outermost function first).
-pub fn context_sizes(binary: &Binary) -> HashMap<Vec<u64>, u64> {
+fn context_sizes(binary: &Binary) -> HashMap<Vec<u64>, u64> {
     let mut sizes: HashMap<Vec<u64>, u64> = HashMap::new();
     for idx in 0..binary.len() {
         let mut path: Vec<u64> = binary

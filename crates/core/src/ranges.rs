@@ -24,7 +24,7 @@ pub struct RangeCounts {
 impl RangeCounts {
     /// Accumulates one LBR snapshot. Ranges span from one branch's target to
     /// the next branch's source.
-    pub fn add_lbr(&mut self, binary: &Binary, lbr: &[(u64, u64)]) {
+    fn add_lbr(&mut self, binary: &Binary, lbr: &[(u64, u64)]) {
         // The previous entry's resolved target: where the next range begins.
         let mut prev_to = None;
         for &(from, to) in lbr {

@@ -5,8 +5,8 @@
 //! each shard builds a partial [`RangeCounts`] / context profile
 //! independently, and partials are combined count-additively — range counts
 //! by [`RangeCounts::merge`], context profiles by absorbing them into the
-//! first shard's arena, the same fold [`crate::merge::merge_context`] does on
-//! `BTreeMap` tries. Because every per-sample contribution is an
+//! first shard's arena, the same fold [`crate::merge::merge_tries`] does for
+//! `csspgo merge`. Because every per-sample contribution is an
 //! order-independent `+=` into keyed maps — and what an [`Unwinder`] counts
 //! for a chunk depends on nothing it saw before — the merged result is
 //! **identical** for any shard count (proven by tests here and property

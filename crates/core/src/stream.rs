@@ -513,7 +513,7 @@ impl<'b> StreamAggregator<'b> {
     /// Cold-context compaction: detaches each named depth-1 subtree from
     /// the cumulative profile and folds its weight context-insensitively
     /// into the functions' base profiles (the rule of
-    /// [`ContextProfile::evict_subtree`], applied in the arena), so the trie
+    /// [`ContextProfile::trim_cold`], applied in the arena), so the trie
     /// shrinks while [`ContextProfile::total`] is conserved. Edges that no
     /// longer exist (already evicted, or never materialized) are skipped. A
     /// detached context stays interned and re-attaches on its next hit.

@@ -584,11 +584,7 @@ mod tests {
         assert_eq!(p.node_count(), back.node_count());
         let main = function_guid("main");
         let helper = function_guid("helper");
-        let f = FrameKey {
-            guid: main,
-            probe: 3,
-        };
-        let node = back.node_for_path(&[f], helper).unwrap();
+        let node = &back.roots[&main].children[&(3, helper)];
         assert_eq!(node.probes[&1], 440);
         assert_eq!(node.entry, 25);
         assert_eq!(node.checksum, 0x1f2e);

@@ -1003,7 +1003,7 @@ fn main(n) {
         under: bool,
     ) -> u64 {
         let own = if node.guid == target && under {
-            node.self_total()
+            node.probes.values().sum::<u64>()
         } else {
             0
         };
@@ -1101,7 +1101,7 @@ fn main(n) { return top(n); }
             leaf: u64,
             under_mid: bool,
         ) -> bool {
-            if node.guid == leaf && under_mid && node.self_total() > 0 {
+            if node.guid == leaf && under_mid && node.probes.values().any(|&c| c > 0) {
                 return true;
             }
             node.children

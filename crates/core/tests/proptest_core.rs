@@ -4,7 +4,7 @@
 
 use csspgo_core::context::{ContextProfile, FrameKey};
 use csspgo_core::inference::{infer_counts, InferenceMode};
-use csspgo_core::overlap::function_overlap;
+use csspgo_core::overlap::{program_overlap, BlockCounts};
 use csspgo_core::profile::{FlatFuncProfile, FlatProfile, LocKey};
 use csspgo_core::textprof;
 use csspgo_ir::builder::ModuleBuilder;
@@ -127,22 +127,22 @@ proptest! {
         }
     }
 
+    /// The axioms of the overlap degree on a one-function program, where
+    /// the program's degree is the function's.
     #[test]
     fn overlap_axioms(counts in prop::collection::vec((0u32..8, 0u64..1000), 1..10)) {
-        let a: HashMap<BlockId, u64> = counts.iter().map(|&(b, c)| (BlockId(b), c)).collect();
+        let program = |blocks: HashMap<BlockId, u64>| BlockCounts::from([(7, blocks)]);
+        let a = program(counts.iter().map(|&(b, c)| (BlockId(b), c)).collect());
         // Self-overlap is 1 (or trivially for empty/zero profiles).
-        let d = function_overlap(&a, &a);
-        let total: u64 = a.values().sum();
+        let d = program_overlap(&a, &a);
+        let total: u64 = a[&7].values().sum();
         if total > 0 {
             prop_assert!((d - 1.0).abs() < 1e-9);
         }
         // Symmetry.
-        let b: HashMap<BlockId, u64> = counts
-            .iter()
-            .map(|&(k, c)| (BlockId(k ^ 1), c / 2 + 1))
-            .collect();
-        let ab = function_overlap(&a, &b);
-        let ba = function_overlap(&b, &a);
+        let b = program(counts.iter().map(|&(k, c)| (BlockId(k ^ 1), c / 2 + 1)).collect());
+        let ab = program_overlap(&a, &b);
+        let ba = program_overlap(&b, &a);
         prop_assert!((ab - ba).abs() < 1e-9);
         // Bounded.
         prop_assert!((0.0..=1.0 + 1e-9).contains(&ab));

@@ -168,7 +168,7 @@ proptest! {
         let binary = probed_binary();
         let text_end = binary.addrs[binary.len() - 1] + binary.insts[binary.len() - 1].size as u64;
         let place = |(idx, offset): (u64, u64)| match idx as usize {
-            i if i < binary.len() => binary.addr_of(i).wrapping_add(offset),
+            i if i < binary.len() => binary.addrs[i].wrapping_add(offset),
             i if i == binary.len() => text_end.wrapping_add(offset),
             _ => idx.wrapping_add(offset),
         };

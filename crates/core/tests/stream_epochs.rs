@@ -10,7 +10,6 @@
 use csspgo_codegen::Binary;
 use csspgo_core::binprof;
 use csspgo_core::context::ContextProfile;
-use csspgo_core::merge::merge_context;
 use csspgo_core::pipeline::{
     finish_probe_profile, profiling_build, profiling_run, PgoVariant, PipelineConfig, PipelineError,
 };
@@ -24,6 +23,10 @@ use csspgo_core::tailcall::TailCallGraph;
 use csspgo_sim::{Machine, Sample, SimConfig};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
+
+#[path = "../../../tests/common/reference_trie.rs"]
+mod reference_trie;
+use reference_trie::{evict_subtree, merge_context};
 
 #[path = "../../../tests/common/reference_unwind.rs"]
 mod reference_unwind;
@@ -385,10 +388,10 @@ fn restore_refuses_a_weight_probe_past_u32_in_both_formats() {
 
 /// What materialising and merging says an aggregator should hold: the
 /// cumulative trie and range counts, the previous epoch's probe weights and
-/// the eviction counters, kept with public items only — each epoch's profile
-/// from [`sharded_context_profile`], folded by [`merge_context`], drift from
-/// [`probe_weights`] and [`weight_overlap`], eviction by
-/// [`ContextProfile::evict_subtree`].
+/// the eviction counters, kept with public items and the reference trie only
+/// — each epoch's profile from [`sharded_context_profile`], folded by
+/// [`merge_context`], drift from [`probe_weights`] and [`weight_overlap`],
+/// eviction by [`evict_subtree`].
 struct Materialised<'a> {
     binary: &'a Binary,
     graph: &'a TailCallGraph,
@@ -465,8 +468,7 @@ impl<'a> Materialised<'a> {
     fn evict(&mut self, edge: ContextEdge) -> EvictStats {
         let mut stats = EvictStats::default();
         if let Some((nodes, weight)) =
-            self.profile
-                .evict_subtree(edge.root, edge.probe, edge.callee)
+            evict_subtree(&mut self.profile, edge.root, edge.probe, edge.callee)
         {
             stats = EvictStats {
                 subtrees: 1,

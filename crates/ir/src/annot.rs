@@ -1,66 +1,9 @@
-//! Profile annotation and pre-inliner plans: the interface between profile
-//! generation (`csspgo-core`) and the optimizer (`csspgo-opt`).
+//! Pre-inliner plans: the inline decisions profile generation
+//! (`csspgo-core`) hands the optimizer (`csspgo-opt`).
 
-use crate::function::Function;
-use crate::ids::BlockId;
 use crate::probe::ProbeSite;
 use serde::{Deserialize, Serialize};
-use std::collections::{HashMap, HashSet};
-
-/// Correlated block counts for one function, keyed by the block ids of the
-/// *fresh* (pre-optimization) IR the profile was correlated onto.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
-pub struct FuncAnnotation {
-    /// Execution count per block.
-    pub block_counts: HashMap<BlockId, u64>,
-    /// Entry count (calls to the function).
-    pub entry_count: u64,
-    /// Whether the profile was rejected as stale (checksum mismatch).
-    pub stale: bool,
-}
-
-impl FuncAnnotation {
-    /// Total count across blocks (used as a hotness proxy).
-    pub fn total(&self) -> u64 {
-        self.block_counts.values().sum()
-    }
-}
-
-/// A whole-program profile annotation, keyed by function GUID so it survives
-/// `FuncId` renumbering between builds.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
-pub struct ProfileAnnotation {
-    /// Per-function annotations.
-    pub funcs: HashMap<u64, FuncAnnotation>,
-}
-
-impl ProfileAnnotation {
-    /// Creates an empty annotation.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// The annotation for `guid`, if present and not stale.
-    pub fn for_guid(&self, guid: u64) -> Option<&FuncAnnotation> {
-        self.funcs.get(&guid).filter(|a| !a.stale)
-    }
-
-    /// Applies the annotation to `func`, setting block counts. Blocks with no
-    /// correlated count get 0 (they were never sampled). Functions without an
-    /// annotation are left unannotated (`count = None`), which downstream
-    /// passes treat as "no profile" rather than "cold".
-    pub fn apply(&self, func: &mut Function) {
-        let Some(fa) = self.for_guid(func.guid) else {
-            return;
-        };
-        func.entry_count = Some(fa.entry_count);
-        let ids: Vec<BlockId> = func.iter_blocks().map(|(id, _)| id).collect();
-        for bid in ids {
-            let c = fa.block_counts.get(&bid).copied().unwrap_or(0);
-            func.block_mut(bid).count = Some(c);
-        }
-    }
-}
+use std::collections::HashSet;
 
 /// A pre-inliner decision set (paper §III.B, Algorithm 2): inline chains
 /// expressed as paths of call-site probes from an outermost function.
@@ -93,14 +36,6 @@ impl InlinePlan {
         self.paths.contains(path)
     }
 
-    /// Whether the plan has any decision extending `prefix` — used to prune
-    /// top-down traversal.
-    pub fn has_extension(&self, prefix: &[ProbeSite]) -> bool {
-        self.paths
-            .iter()
-            .any(|p| p.len() > prefix.len() && p.starts_with(prefix))
-    }
-
     /// Whether the plan is empty.
     pub fn is_empty(&self) -> bool {
         self.paths.is_empty()
@@ -115,65 +50,7 @@ impl InlinePlan {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::builder::ModuleBuilder;
     use crate::ids::FuncId;
-    use crate::inst::Operand;
-
-    #[test]
-    fn apply_sets_block_counts() {
-        let mut mb = ModuleBuilder::new("m");
-        let f = mb.declare_function("f", 0);
-        {
-            let mut fb = mb.function_builder(f);
-            let e = fb.entry_block();
-            let b = fb.add_block();
-            fb.switch_to(e);
-            fb.br(b);
-            fb.switch_to(b);
-            fb.ret(Some(Operand::Imm(0)));
-        }
-        let mut m = mb.finish();
-        let guid = m.functions[0].guid;
-        let mut annot = ProfileAnnotation::new();
-        annot.funcs.insert(
-            guid,
-            FuncAnnotation {
-                block_counts: HashMap::from([(BlockId(0), 100)]),
-                entry_count: 100,
-                stale: false,
-            },
-        );
-        annot.apply(&mut m.functions[0]);
-        assert_eq!(m.functions[0].block(BlockId(0)).count, Some(100));
-        // Uncounted blocks become 0, not None.
-        assert_eq!(m.functions[0].block(BlockId(1)).count, Some(0));
-        assert_eq!(m.functions[0].entry_count, Some(100));
-    }
-
-    #[test]
-    fn stale_annotation_is_not_applied() {
-        let mut mb = ModuleBuilder::new("m");
-        let f = mb.declare_function("f", 0);
-        {
-            let mut fb = mb.function_builder(f);
-            let e = fb.entry_block();
-            fb.switch_to(e);
-            fb.ret(None);
-        }
-        let mut m = mb.finish();
-        let guid = m.functions[0].guid;
-        let mut annot = ProfileAnnotation::new();
-        annot.funcs.insert(
-            guid,
-            FuncAnnotation {
-                block_counts: HashMap::from([(BlockId(0), 5)]),
-                entry_count: 5,
-                stale: true,
-            },
-        );
-        annot.apply(&mut m.functions[0]);
-        assert_eq!(m.functions[0].block(BlockId(0)).count, None);
-    }
 
     #[test]
     fn inline_plan_prefix_queries() {
@@ -187,8 +64,6 @@ mod tests {
         assert!(plan.should_inline(&[site(0, 1)]));
         assert!(plan.should_inline(&[site(0, 1), site(1, 2)]));
         assert!(!plan.should_inline(&[site(1, 2)]));
-        assert!(plan.has_extension(&[site(0, 1)]));
-        assert!(!plan.has_extension(&[site(0, 1), site(1, 2)]));
         assert_eq!(plan.len(), 2);
     }
 }

@@ -96,7 +96,7 @@ impl<'m> FunctionBuilder<'m> {
     /// Panics if no block has been selected with [`switch_to`].
     ///
     /// [`switch_to`]: FunctionBuilder::switch_to
-    pub fn current_block(&self) -> BlockId {
+    fn current_block(&self) -> BlockId {
         self.current
             .expect("no current block; call switch_to first")
     }
@@ -111,11 +111,6 @@ impl<'m> FunctionBuilder<'m> {
         self.current
             .map(|bb| self.func.block(bb).terminator().is_some())
             .unwrap_or(false)
-    }
-
-    /// Consumes the builder, returning the underlying function borrow.
-    pub fn into_function(self) -> &'m mut Function {
-        self.func
     }
 
     /// Sets the function's header line (AutoFDO offsets are relative to it).
@@ -190,15 +185,6 @@ impl<'m> FunctionBuilder<'m> {
             args,
         });
         dst
-    }
-
-    /// Calls `callee`, discarding any result.
-    pub fn call_void(&mut self, callee: FuncId, args: Vec<Operand>) {
-        self.emit(InstKind::Call {
-            dst: None,
-            callee,
-            args,
-        });
     }
 
     /// Returns `value` (or nothing).

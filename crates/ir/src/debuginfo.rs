@@ -107,14 +107,6 @@ impl DebugLoc {
             inline_stack: stack,
         }
     }
-
-    /// Returns a copy with the discriminator replaced.
-    pub fn with_discriminator(&self, discriminator: u32) -> Self {
-        DebugLoc {
-            discriminator,
-            ..self.clone()
-        }
-    }
 }
 
 impl fmt::Display for DebugLoc {
@@ -168,6 +160,10 @@ mod tests {
     fn display_forms() {
         assert_eq!(DebugLoc::none().to_string(), "!none");
         assert_eq!(DebugLoc::line(4).to_string(), "!4");
-        assert_eq!(DebugLoc::line(4).with_discriminator(2).to_string(), "!4.2");
+        let loc = DebugLoc {
+            discriminator: 2,
+            ..DebugLoc::line(4)
+        };
+        assert_eq!(loc.to_string(), "!4.2");
     }
 }

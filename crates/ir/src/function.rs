@@ -1,7 +1,7 @@
 //! Functions and basic blocks.
 
 use crate::ids::{BlockId, FuncId, VReg};
-use crate::inst::{Inst, InstKind};
+use crate::inst::Inst;
 use serde::{Deserialize, Serialize};
 
 /// A basic block: a straight-line instruction sequence ending in a
@@ -94,15 +94,6 @@ impl EdgeCounts {
         self.edges
             .iter()
             .filter(|&&(f, _, _)| f == from)
-            .map(|&(_, _, c)| c)
-            .sum()
-    }
-
-    /// Combined count of recorded edges entering `to`.
-    pub fn in_total(&self, to: BlockId) -> u64 {
-        self.edges
-            .iter()
-            .filter(|&&(_, t, _)| t == to)
             .map(|&(_, _, c)| c)
             .sum()
     }
@@ -343,36 +334,12 @@ impl Function {
     pub fn size(&self) -> usize {
         self.iter_blocks().map(|(_, b)| b.insts.len()).sum()
     }
-
-    /// Finds the block-probe index anchored in each live block, if probes
-    /// were inserted. Returns `(probe index → block)` for probes owned by
-    /// this function that have not been inlined from elsewhere.
-    pub fn block_probe_map(&self) -> std::collections::HashMap<u32, BlockId> {
-        let mut map = std::collections::HashMap::new();
-        for (bid, block) in self.iter_blocks() {
-            for inst in &block.insts {
-                if let InstKind::PseudoProbe {
-                    owner,
-                    index,
-                    kind: crate::probe::ProbeKind::Block,
-                    inline_stack,
-                    ..
-                } = &inst.kind
-                {
-                    if *owner == self.id && inline_stack.is_empty() {
-                        map.insert(*index, bid);
-                    }
-                }
-            }
-        }
-        map
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::inst::Operand;
+    use crate::inst::{InstKind, Operand};
 
     fn ret(v: i64) -> Inst {
         Inst::synthetic(InstKind::Ret {
@@ -445,7 +412,6 @@ mod tests {
         assert_eq!(e.get(BlockId(1), BlockId(2)), Some(8));
         assert_eq!(e.get(BlockId(2), BlockId(0)), None);
         assert_eq!(e.out_total(BlockId(0)), 9);
-        assert_eq!(e.in_total(BlockId(2)), 10);
         let order: Vec<_> = e.iter().map(|(f, t, _)| (f.0, t.0)).collect();
         assert_eq!(order, vec![(0, 1), (0, 2), (1, 2)]);
     }

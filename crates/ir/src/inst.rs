@@ -20,14 +20,6 @@ pub enum Operand {
 }
 
 impl Operand {
-    /// The register, if this operand is one.
-    pub fn as_reg(self) -> Option<VReg> {
-        match self {
-            Operand::Reg(r) => Some(r),
-            Operand::Imm(_) => None,
-        }
-    }
-
     /// The immediate, if this operand is one.
     pub fn as_imm(self) -> Option<i64> {
         match self {
@@ -148,18 +140,6 @@ impl CmpPred {
             CmpPred::Ge => lhs >= rhs,
         };
         i64::from(b)
-    }
-
-    /// The predicate testing the opposite condition.
-    pub fn inverse(self) -> CmpPred {
-        match self {
-            CmpPred::Eq => CmpPred::Ne,
-            CmpPred::Ne => CmpPred::Eq,
-            CmpPred::Lt => CmpPred::Ge,
-            CmpPred::Le => CmpPred::Gt,
-            CmpPred::Gt => CmpPred::Le,
-            CmpPred::Ge => CmpPred::Lt,
-        }
     }
 }
 
@@ -445,23 +425,6 @@ mod tests {
         assert_eq!(BinOp::Rem.eval(10, 0), 0);
         assert_eq!(BinOp::Add.eval(i64::MAX, 1), i64::MIN);
         assert_eq!(BinOp::Shl.eval(1, 64), 1); // shift amount masked
-    }
-
-    #[test]
-    fn cmp_inverse_is_involution() {
-        for p in [
-            CmpPred::Eq,
-            CmpPred::Ne,
-            CmpPred::Lt,
-            CmpPred::Le,
-            CmpPred::Gt,
-            CmpPred::Ge,
-        ] {
-            assert_eq!(p.inverse().inverse(), p);
-            for (a, b) in [(1, 2), (2, 2), (3, 2)] {
-                assert_eq!(p.eval(a, b), 1 - p.inverse().eval(a, b));
-            }
-        }
     }
 
     #[test]

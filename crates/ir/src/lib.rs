@@ -13,8 +13,8 @@
 //!   instrumentation (lowers to real load/add/store machine code);
 //! * per-function CFG checksums ([`probe::cfg_checksum`]) for the paper's
 //!   source-drift detection;
-//! * profile annotation types ([`annot`]) that carry correlated counts and
-//!   pre-inliner decisions into the optimizer.
+//! * the pre-inliner's plan ([`annot`]), which carries inline decisions
+//!   into the optimizer.
 //!
 //! # Example
 //!
@@ -50,7 +50,7 @@ pub mod probe;
 pub mod probe_verify;
 pub mod verify;
 
-pub use annot::{InlinePlan, ProfileAnnotation};
+pub use annot::InlinePlan;
 pub use debuginfo::{DebugLoc, InlineSite};
 pub use function::{BasicBlock, EdgeCounts, Function, Provenance, ProvenanceMap};
 pub use ids::{BlockId, FuncId, GlobalId, VReg};

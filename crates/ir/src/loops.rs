@@ -22,19 +22,6 @@ impl Loop {
     pub fn contains(&self, b: BlockId) -> bool {
         self.blocks.contains(&b)
     }
-
-    /// Blocks outside the loop that loop blocks branch to.
-    pub fn exits(&self, func: &Function) -> Vec<BlockId> {
-        let mut out = Vec::new();
-        for &b in &self.blocks {
-            for s in cfg::successors(func, b) {
-                if !self.contains(s) && !out.contains(&s) {
-                    out.push(s);
-                }
-            }
-        }
-        out
-    }
 }
 
 /// Loop forest for a function (loops sharing a header are merged).
@@ -86,11 +73,6 @@ impl LoopInfo {
     /// Loop-nesting depth of `b` (0 = not in any loop).
     pub fn depth(&self, b: BlockId) -> u32 {
         self.depth[b.index()]
-    }
-
-    /// The innermost loop headed at `header`, if any.
-    pub fn loop_at(&self, header: BlockId) -> Option<&Loop> {
-        self.loops.iter().find(|l| l.header == header)
     }
 }
 
@@ -165,8 +147,9 @@ mod tests {
         let m = nested();
         let li = LoopInfo::compute(&m.functions[0]);
         assert_eq!(li.loops.len(), 2);
-        let outer = li.loop_at(BlockId(1)).expect("outer loop");
-        let inner = li.loop_at(BlockId(2)).expect("inner loop");
+        let at = |header| li.loops.iter().find(|l| l.header == header);
+        let outer = at(BlockId(1)).expect("outer loop");
+        let inner = at(BlockId(2)).expect("inner loop");
         assert!(outer.contains(BlockId(2)));
         assert!(outer.contains(BlockId(4)));
         assert!(!outer.contains(BlockId(5)));
@@ -184,13 +167,5 @@ mod tests {
         assert_eq!(li.depth(BlockId(3)), 2);
         assert_eq!(li.depth(BlockId(4)), 1);
         assert_eq!(li.depth(BlockId(5)), 0);
-    }
-
-    #[test]
-    fn exits_of_inner_loop() {
-        let m = nested();
-        let li = LoopInfo::compute(&m.functions[0]);
-        let inner = li.loop_at(BlockId(2)).unwrap();
-        assert_eq!(inner.exits(&m.functions[0]), vec![BlockId(4)]);
     }
 }

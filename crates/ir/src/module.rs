@@ -71,14 +71,6 @@ impl Module {
         id
     }
 
-    /// Looks a global up by name.
-    pub fn find_global(&self, name: &str) -> Option<GlobalId> {
-        self.globals
-            .iter()
-            .position(|g| g.name == name)
-            .map(GlobalId::from_index)
-    }
-
     /// Allocates a fresh instrumentation counter.
     pub fn alloc_counter(&mut self) -> u32 {
         let c = self.num_counters;
@@ -106,7 +98,6 @@ mod tests {
     fn globals_and_counters() {
         let mut m = Module::new("m");
         let g = m.add_global("table", 16, vec![1, 2, 3]);
-        assert_eq!(m.find_global("table"), Some(g));
         assert_eq!(m.globals[g.index()].size, 16);
         assert_eq!(m.alloc_counter(), 0);
         assert_eq!(m.alloc_counter(), 1);

@@ -104,7 +104,7 @@ impl Default for ProbeConfig {
 /// checksum and the stale-profile matcher ([`cfg_checksum`] is nothing but
 /// an FNV fold of this stream), so the two can never diverge on what a
 /// shape is.
-pub fn cfg_shape_words(func: &Function) -> Vec<u64> {
+fn cfg_shape_words(func: &Function) -> Vec<u64> {
     let mut words = Vec::new();
     let mut nblocks = 0u64;
     for (bid, block) in func.iter_blocks() {
@@ -130,7 +130,7 @@ pub fn cfg_shape_words(func: &Function) -> Vec<u64> {
 }
 
 /// Computes the function's CFG-shape checksum (paper §III.A): an FNV-1a
-/// fold of [`cfg_shape_words`].
+/// fold of the function's shape words (`cfg_shape_words`).
 ///
 /// The checksum hashes the block structure — per-block successor lists and
 /// instruction *counts per kind class* are deliberately excluded so that

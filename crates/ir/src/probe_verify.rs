@@ -26,8 +26,11 @@
 //!    [`check_discriminators`] is *not* part of [`check_module`].
 //!
 //! [`check_module`] (invariants 1–3) is safe to run after **every** opt pass;
-//! the optimizer's inter-pass verifier does exactly that. The
-//! `csspgo-analysis` crate wraps these checks as stable lints.
+//! the optimizer's inter-pass checkpoint does exactly that and panics on a
+//! finding, and the discriminator pass `debug_assert!`s
+//! [`check_discriminators`] on what it produced. Both are assertions at the
+//! producer: no lint wraps them, since no input from outside the process
+//! reaches them.
 
 use crate::function::Function;
 use crate::ids::{BlockId, FuncId};
@@ -39,10 +42,9 @@ use std::fmt;
 
 /// Maximum tolerated probe inline-stack depth. Real inlining depth in this
 /// repo is single digits; anything deeper indicates a replay cycle.
-pub const MAX_INLINE_DEPTH: usize = 64;
+const MAX_INLINE_DEPTH: usize = 64;
 
-/// Classification of a probe-invariant violation, used by the analysis layer
-/// to map findings onto stable lint ids.
+/// Classification of a probe-invariant violation.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum ProbeIssueKind {
     /// Multiple copies of one probe id with a unit duplication factor.
@@ -105,14 +107,6 @@ pub fn check_module(module: &Module) -> Vec<ProbeIssue> {
     for func in &module.functions {
         check_function_into(module, func, &mut issues);
     }
-    issues
-}
-
-/// Checks invariants 1–3 on a single function.
-#[must_use = "an empty vector means probe invariants hold"]
-pub fn check_function(module: &Module, func: &Function) -> Vec<ProbeIssue> {
-    let mut issues = Vec::new();
-    check_function_into(module, func, &mut issues);
     issues
 }
 

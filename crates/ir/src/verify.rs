@@ -1,12 +1,15 @@
-//! IR well-formedness checks, run after construction and between passes
-//! (always in debug builds, opt-in in release via the optimizer's
-//! `OptConfig::interpass_verify`).
+//! IR well-formedness checks: assertions at the producers. The frontend
+//! runs [`verify_module`] on every module it lowers (a finding is an
+//! internal lowering error), and the optimizer's inter-pass checkpoint runs
+//! it after every pass (always in debug builds, opt-in in release via
+//! `OptConfig::interpass_verify`) and panics on a finding. No lint wraps
+//! it: a malformed module is a bug in the pass that made it, not a property
+//! of an input.
 //!
 //! Unlike a fail-fast verifier, [`verify_module`] collects *every* finding
 //! in deterministic order (functions by id, blocks by id, instructions by
 //! position), so a single broken pass surfaces all of its damage at once —
-//! the same design as LLVM's IR verifier, and the substrate the
-//! `csspgo-analysis` diagnostics engine builds on.
+//! the same design as LLVM's IR verifier.
 
 use crate::function::Function;
 use crate::ids::{BlockId, FuncId};
@@ -52,17 +55,10 @@ pub fn verify_module(module: &Module) -> Vec<VerifyError> {
     errors
 }
 
-/// Verifies one function, returning all findings. Checked properties: a
-/// live block without a terminator, a terminator mid-block, an edge to a
-/// dead or out-of-range block, an out-of-range register or callee, a dead
-/// entry block, and layout consistency.
-#[must_use = "an empty vector means the function verified clean"]
-pub fn verify_function(module: &Module, func: &Function) -> Vec<VerifyError> {
-    let mut errors = Vec::new();
-    verify_function_into(module, func, &mut errors);
-    errors
-}
-
+/// Checks one function, appending to `errors`: a live block without a
+/// terminator, a terminator mid-block, an edge to a dead or out-of-range
+/// block, an out-of-range register, callee or global, a dead entry block,
+/// and layout consistency.
 fn verify_function_into(module: &Module, func: &Function, errors: &mut Vec<VerifyError>) {
     let err = |block: Option<BlockId>, message: String| VerifyError {
         func: func.id,

@@ -222,7 +222,7 @@ const CALLER_SIZE_CAP: usize = 800;
 /// that blocks at or above it cover 99% of the module's total count mass.
 /// Sample-based counts are coverage-scaled, so hotness must be *relative* —
 /// an absolute threshold would misclassify at different sampling rates.
-pub fn hot_count_cutoff(module: &Module) -> u64 {
+fn hot_count_cutoff(module: &Module) -> u64 {
     let mut counts: Vec<u64> = module
         .functions
         .iter()
@@ -292,7 +292,7 @@ pub fn run_bottom_up(module: &mut Module, config: &OptConfig) {
 }
 
 /// The inline heuristic shared by the bottom-up inliner. A call site is hot
-/// when its count reaches the module's relative [`hot_count_cutoff`] (never
+/// when its count reaches the module's relative hot-count cutoff (never
 /// below an absolute floor of 2).
 pub fn should_inline(
     callee_size: usize,
@@ -627,5 +627,36 @@ fn main(a) { return mid(a); }
             .flat_map(|(_, b)| &b.insts)
             .any(|i| matches!(i.kind, InstKind::Call { .. }));
         assert!(has_call, "cold large callee must not be inlined");
+    }
+
+    #[test]
+    fn hot_count_cutoff_covers_99_percent_of_mass() {
+        let mut m = compile("fn f(a) { if (a > 0) { return 1; } return 2; }");
+        // Counts: one dominant block and a long cold tail.
+        let f = &mut m.functions[0];
+        let ids: Vec<BlockId> = f.iter_blocks().map(|(b, _)| b).collect();
+        f.block_mut(ids[0]).count = Some(100_000);
+        for bid in &ids[1..] {
+            f.block_mut(*bid).count = Some(1);
+        }
+        let cutoff = hot_count_cutoff(&m);
+        // 99% of the mass is in the 100k block, but reaching 99% requires
+        // descending into the tail of 1s — the cutoff lands at 1 (everything
+        // executed is "hot" when one block dominates).
+        assert!(cutoff <= 100_000, "cutoff {cutoff}");
+        assert!(cutoff >= 1);
+
+        // Balanced counts: cutoff close to the common value.
+        let f = &mut m.functions[0];
+        for bid in &ids {
+            f.block_mut(*bid).count = Some(500);
+        }
+        assert_eq!(hot_count_cutoff(&m), 500);
+    }
+
+    #[test]
+    fn no_profile_means_nothing_is_hot() {
+        let m = compile("fn f(a) { return a; }");
+        assert_eq!(hot_count_cutoff(&m), u64::MAX);
     }
 }

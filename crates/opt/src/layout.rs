@@ -27,7 +27,7 @@ pub fn run(module: &mut Module) {
 /// Estimated CFG edge weights from block counts: each block's count is
 /// distributed over its successors proportionally to the successors' own
 /// counts (uniform when the successors are uncounted).
-pub fn edge_weights(func: &Function) -> HashMap<(BlockId, BlockId), u64> {
+fn edge_weights(func: &Function) -> HashMap<(BlockId, BlockId), u64> {
     let mut weights = HashMap::new();
     for (bid, block) in func.iter_blocks() {
         let succs = cfg::successors(func, bid);
@@ -52,31 +52,8 @@ pub fn edge_weights(func: &Function) -> HashMap<(BlockId, BlockId), u64> {
     weights
 }
 
-/// The ext-TSP objective for a given block order: fall-through edges score
-/// their full weight, short forward jumps a fraction, everything else less.
-/// Used by tests and the layout-quality bench.
-pub fn ext_tsp_score(func: &Function, order: &[BlockId]) -> f64 {
-    let pos: HashMap<BlockId, usize> = order.iter().enumerate().map(|(i, &b)| (b, i)).collect();
-    let weights = edge_weights(func);
-    let mut score = 0.0;
-    for (&(from, to), &w) in &weights {
-        let (Some(&pf), Some(&pt)) = (pos.get(&from), pos.get(&to)) else {
-            continue;
-        };
-        let w = w as f64;
-        if pt == pf + 1 {
-            score += w; // fall-through
-        } else if pt > pf && pt - pf <= 8 {
-            score += 0.1 * w; // short forward jump
-        } else {
-            score += 0.05 * w; // backward / long jump
-        }
-    }
-    score
-}
-
 /// Greedy chain merging + hot/cold splitting for one function.
-pub fn compute_layout(func: &Function) -> BlockLayout {
+fn compute_layout(func: &Function) -> BlockLayout {
     let live: Vec<BlockId> = cfg::reverse_post_order(func);
     let has_profile = live.iter().any(|b| func.block(*b).count.is_some());
 
@@ -307,15 +284,6 @@ fn f(a) {
         assert!(layout.cold.is_empty());
         assert_eq!(layout.hot[0], m.functions[0].entry);
         assert_eq!(layout.hot.len(), m.functions[0].num_live_blocks());
-    }
-
-    #[test]
-    fn ext_tsp_score_prefers_fallthrough_order() {
-        let m = annotated();
-        let f = &m.functions[0];
-        let good = vec![BlockId(0), BlockId(1), BlockId(3), BlockId(2)];
-        let bad = vec![BlockId(0), BlockId(2), BlockId(3), BlockId(1)];
-        assert!(ext_tsp_score(f, &good) > ext_tsp_score(f, &bad));
     }
 
     #[test]

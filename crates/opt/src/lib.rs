@@ -82,7 +82,7 @@ impl Default for OptConfig {
 /// failure mode the paper attributes to stale debug info, recreated here any
 /// time a cloning pass forgets to raise duplication factors or an inliner
 /// change mangles probe inline stacks.
-pub fn verify_after_pass(module: &Module, stage: &str) {
+fn verify_after_pass(module: &Module, stage: &str) {
     let ir_errors = csspgo_ir::verify::verify_module(module);
     let probe_issues = csspgo_ir::probe_verify::check_module(module);
     if ir_errors.is_empty() && probe_issues.is_empty() {

@@ -18,7 +18,7 @@ pub fn run(module: &mut Module) {
 }
 
 /// Inserts pseudo-probes into one function and records its CFG checksum.
-pub fn insert_into_function(func: &mut Function) {
+fn insert_into_function(func: &mut Function) {
     debug_assert!(
         func.probe_checksum.is_none(),
         "probes already inserted into {}",
@@ -65,30 +65,30 @@ pub fn insert_into_function(func: &mut Function) {
     }
 }
 
-/// Finds the call-site probe index guarding the call at `inst_idx` in
-/// `block`, if probes are present (the probe immediately preceding the call).
-pub fn call_probe_before(
-    func: &Function,
-    block: csspgo_ir::BlockId,
-    inst_idx: usize,
-) -> Option<u32> {
-    if inst_idx == 0 {
-        return None;
-    }
-    match &func.block(block).insts[inst_idx - 1].kind {
-        InstKind::PseudoProbe {
-            index,
-            kind: ProbeKind::Call,
-            ..
-        } => Some(*index),
-        _ => None,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use csspgo_ir::probe::ProbeKind;
+
+    /// Finds the call-site probe index guarding the call at `inst_idx` in
+    /// `block`, if probes are present (the probe immediately preceding the call).
+    fn call_probe_before(
+        func: &Function,
+        block: csspgo_ir::BlockId,
+        inst_idx: usize,
+    ) -> Option<u32> {
+        if inst_idx == 0 {
+            return None;
+        }
+        match &func.block(block).insts[inst_idx - 1].kind {
+            InstKind::PseudoProbe {
+                index,
+                kind: ProbeKind::Call,
+                ..
+            } => Some(*index),
+            _ => None,
+        }
+    }
 
     fn probed(src: &str) -> Module {
         let mut m = csspgo_lang::compile(src, "t").unwrap();

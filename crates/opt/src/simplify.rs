@@ -35,7 +35,7 @@ pub fn run_function(func: &mut Function) {
 
 /// Folds constant computations and branches. Returns whether anything
 /// changed.
-pub fn const_fold(func: &mut Function) -> bool {
+fn const_fold(func: &mut Function) -> bool {
     let mut changed = false;
     for block in func.blocks.iter_mut().filter(|b| !b.dead) {
         for inst in &mut block.insts {
@@ -124,7 +124,7 @@ fn algebraic_identity(
 }
 
 /// Local (per-block) copy propagation. Returns whether anything changed.
-pub fn copy_prop(func: &mut Function) -> bool {
+fn copy_prop(func: &mut Function) -> bool {
     let mut changed = false;
     for block in func.blocks.iter_mut().filter(|b| !b.dead) {
         let mut map: HashMap<csspgo_ir::VReg, Operand> = HashMap::new();
@@ -166,7 +166,7 @@ pub fn copy_prop(func: &mut Function) -> bool {
 
 /// Global dead-code elimination of pure instructions whose results are never
 /// used. Returns whether anything changed.
-pub fn dce(func: &mut Function) -> bool {
+fn dce(func: &mut Function) -> bool {
     let mut changed = false;
     loop {
         let mut used: HashSet<csspgo_ir::VReg> = HashSet::new();
@@ -203,7 +203,7 @@ pub fn dce(func: &mut Function) -> bool {
 
 /// CFG cleanup: unreachable-block removal, empty-block forwarding and
 /// straight-line merging. Returns whether anything changed.
-pub fn cfg_simplify(func: &mut Function) -> bool {
+fn cfg_simplify(func: &mut Function) -> bool {
     let mut changed = false;
     changed |= cfg::remove_unreachable(func) > 0;
 

@@ -1,44 +1,12 @@
 //! Cross-pass integration tests for the optimizer: count maintenance,
-//! probe survival, hotness cutoffs and stripping across the whole pipeline.
+//! probe survival and stripping across the whole pipeline.
 
 use csspgo_ir::inst::InstKind;
 use csspgo_ir::{BlockId, Module};
-use csspgo_opt::inliner::hot_count_cutoff;
 use csspgo_opt::OptConfig;
 
 fn compile(src: &str) -> Module {
     csspgo_lang::compile(src, "t").unwrap()
-}
-
-#[test]
-fn hot_count_cutoff_covers_99_percent_of_mass() {
-    let mut m = compile("fn f(a) { if (a > 0) { return 1; } return 2; }");
-    // Counts: one dominant block and a long cold tail.
-    let f = &mut m.functions[0];
-    let ids: Vec<BlockId> = f.iter_blocks().map(|(b, _)| b).collect();
-    f.block_mut(ids[0]).count = Some(100_000);
-    for bid in &ids[1..] {
-        f.block_mut(*bid).count = Some(1);
-    }
-    let cutoff = hot_count_cutoff(&m);
-    // 99% of the mass is in the 100k block, but reaching 99% requires
-    // descending into the tail of 1s — the cutoff lands at 1 (everything
-    // executed is "hot" when one block dominates).
-    assert!(cutoff <= 100_000, "cutoff {cutoff}");
-    assert!(cutoff >= 1);
-
-    // Balanced counts: cutoff close to the common value.
-    let f = &mut m.functions[0];
-    for bid in &ids {
-        f.block_mut(*bid).count = Some(500);
-    }
-    assert_eq!(hot_count_cutoff(&m), 500);
-}
-
-#[test]
-fn no_profile_means_nothing_is_hot() {
-    let m = compile("fn f(a) { return a; }");
-    assert_eq!(hot_count_cutoff(&m), u64::MAX);
 }
 
 #[test]

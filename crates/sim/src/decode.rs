@@ -217,26 +217,14 @@ impl Program {
     ///
     /// # Errors
     ///
-    /// Says what is wrong with a binary no code generator emits: tables of
-    /// different lengths, a register outside its function's frame, a branch
-    /// target, entry point, callee, global or counter that does not exist,
-    /// text that can run off its own end, or a table too large for a 31-bit
-    /// index.
+    /// Says what is wrong with a binary no code generator emits: what
+    /// [`Binary::check_tables`] finds, a register outside its function's
+    /// frame, a branch target, callee, global or counter that does not
+    /// exist, text that can run off its own end, or a table too large for a
+    /// 31-bit index.
     pub(crate) fn decode(binary: &Binary, cost: &CostModel) -> Result<Program, Malformed> {
+        binary.check_tables()?;
         let text_len = binary.insts.len();
-        if binary.addrs.len() != text_len || binary.func_of.len() != text_len {
-            return Err(format!(
-                "{text_len} instructions but {} addresses and {} owners",
-                binary.addrs.len(),
-                binary.func_of.len()
-            ));
-        }
-        if let Some(f) = binary.funcs.iter().find(|f| f.entry >= text_len) {
-            return Err(format!(
-                "function `{}` enters at {}, past the {text_len}-instruction text",
-                f.name, f.entry
-            ));
-        }
         // Every way out of the last instruction must be a branch: the loop
         // fetches `pc + 1` after anything that falls through or returns to.
         if let Some(last) = binary.insts.last() {
@@ -272,10 +260,7 @@ impl Program {
         let mut const_slots = HashMap::new();
 
         for (pc, inst) in binary.insts.iter().enumerate() {
-            let owner = binary
-                .funcs
-                .get(binary.func_of[pc] as usize)
-                .ok_or_else(|| format!("instruction {pc} belongs to no function"))?;
+            let owner = &binary.funcs[binary.func_of[pc] as usize];
             let mut operands = Operands {
                 consts: &mut program.consts,
                 const_slots: &mut const_slots,

@@ -495,6 +495,7 @@ fn take_sample(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use csspgo_codegen::minst::MInstKind;
     use csspgo_codegen::{lower_module, CodegenConfig};
     use csspgo_opt::OptConfig;
 
@@ -627,7 +628,17 @@ fn bump(x) { acc[0] = acc[0] + x; return acc[0]; }
             // Every LBR source must decode to a branch instruction.
             for &(from, _) in &s.lbr {
                 let idx = b.index_of_addr(from).expect("LBR source resolves");
-                assert!(b.insts[idx].kind.is_branch(), "{:?}", b.insts[idx].kind);
+                let kind = &b.insts[idx].kind;
+                let branch = matches!(
+                    kind,
+                    MInstKind::Call { .. }
+                        | MInstKind::TailCall { .. }
+                        | MInstKind::Ret { .. }
+                        | MInstKind::Jmp { .. }
+                        | MInstKind::JmpIf { .. }
+                        | MInstKind::JmpTable { .. }
+                );
+                assert!(branch, "{kind:?}");
             }
         }
     }
@@ -756,7 +767,6 @@ fn f(n) {
 
     #[test]
     fn malformed_binaries_are_typed_errors_not_panics() {
-        use csspgo_codegen::minst::MInstKind;
         use csspgo_ir::inst::Operand;
         use csspgo_ir::VReg;
 

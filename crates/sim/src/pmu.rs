@@ -216,15 +216,6 @@ impl SampleTimer {
         let jitter = self.rng.below(self.period / 8 + 1);
         self.next_at = cycle + self.period + jitter;
     }
-
-    /// Whether a sample fires at `cycle`; advances the timer when it does.
-    pub fn should_fire(&mut self, cycle: u64) -> bool {
-        if self.period == 0 || cycle < self.next_at {
-            return false;
-        }
-        self.fire(cycle);
-        true
-    }
 }
 
 #[cfg(test)]
@@ -292,7 +283,8 @@ mod tests {
         let mut t = SampleTimer::new(1000, 9);
         let mut fired = 0;
         for cycle in 0..100_000u64 {
-            if t.should_fire(cycle) {
+            if cycle >= t.next_at() {
+                t.fire(cycle);
                 fired += 1;
             }
         }
@@ -301,7 +293,6 @@ mod tests {
 
     #[test]
     fn zero_period_never_fires() {
-        let mut t = SampleTimer::new(0, 9);
-        assert!(!t.should_fire(10_000));
+        assert_eq!(SampleTimer::new(0, 9).next_at(), u64::MAX);
     }
 }

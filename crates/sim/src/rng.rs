@@ -22,7 +22,7 @@ impl XorShift64 {
     }
 
     /// Next raw value.
-    pub fn next_u64(&mut self) -> u64 {
+    fn next_u64(&mut self) -> u64 {
         let mut x = self.state;
         x ^= x >> 12;
         x ^= x << 25;

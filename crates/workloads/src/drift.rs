@@ -13,7 +13,7 @@
 /// AutoFDO's line-offset correlation breaks (offsets within each function
 /// stay intact only for the *first* function; all call-site lines shift);
 /// CSSPGO's checksums still match, so the probe profile applies cleanly.
-pub fn insert_comments(source: &str) -> String {
+fn insert_comments(source: &str) -> String {
     let mut out = String::with_capacity(source.len() + 256);
     for line in source.lines() {
         if line.starts_with("fn ") {
@@ -62,7 +62,7 @@ pub fn change_cfg(source: &str) -> String {
 /// GUIDs are name hashes, so a renamed function vanishes from the profile's
 /// GUID space entirely: the stale matcher's rename detection (anchor-set
 /// similarity) is the only way its counts survive.
-pub fn rename_functions(source: &str, keep: &[&str]) -> String {
+fn rename_functions(source: &str, keep: &[&str]) -> String {
     let mut names: Vec<String> = Vec::new();
     for line in source.lines() {
         if let Some(rest) = line.trim_start().strip_prefix("fn ") {
@@ -159,7 +159,7 @@ fn replace_whole_word(text: &str, from: &str, to: &str) -> String {
 ///
 /// Eligible functions are multi-line, not already `_impl` twins, and have
 /// no `<name>_impl` defined yet. No-op if nothing is eligible.
-pub fn split_function(source: &str, nth: usize) -> String {
+fn split_function(source: &str, nth: usize) -> String {
     let lines: Vec<&str> = source.lines().collect();
     let headers: Vec<usize> = lines
         .iter()
@@ -203,7 +203,7 @@ pub fn split_function(source: &str, nth: usize) -> String {
 /// Applied right after a [`split_function`] release it restores the
 /// original source exactly — the round-trip the release-train harness
 /// leans on for "refactor churn" steps.
-pub fn merge_functions(source: &str, nth: usize) -> String {
+fn merge_functions(source: &str, nth: usize) -> String {
     let norm = |s: &str| s.chars().filter(|c| !c.is_whitespace()).collect::<String>();
     let lines: Vec<&str> = source.lines().collect();
     let mut forwarders: Vec<(usize, String, String)> = Vec::new();
@@ -260,7 +260,7 @@ pub fn merge_functions(source: &str, nth: usize) -> String {
 /// from [`split_function`] survives a bump intact, like real glue code
 /// that never touches the dependency. Behaviour-preserving: the guards
 /// are dead and the shims unreachable.
-pub fn bump_dependency(source: &str, seed: u64) -> String {
+fn bump_dependency(source: &str, seed: u64) -> String {
     let lines: Vec<&str> = source.lines().collect();
     let generation = 1 + lines
         .iter()
@@ -301,14 +301,14 @@ pub fn bump_dependency(source: &str, seed: u64) -> String {
 }
 
 /// The guard a compiled-in-but-disabled feature flag leaves in a body.
-pub const FEATURE_FLAG_GUARD: &str = "    if (0 > 0) { return 0 - 31337; }";
+const FEATURE_FLAG_GUARD: &str = "    if (0 > 0) { return 0 - 31337; }";
 
 /// Flips a feature flag in the `nth` function (0-based, wrapping): if the
 /// flag guard is already present right after the header it is removed
 /// (flag compiled out), otherwise it is inserted (flag compiled in,
 /// disabled). Either direction changes that function's CFG checksum while
 /// preserving behaviour — the guard never fires.
-pub fn flip_feature_flag(source: &str, nth: usize) -> String {
+fn flip_feature_flag(source: &str, nth: usize) -> String {
     let lines: Vec<&str> = source.lines().collect();
     let headers: Vec<usize> = lines
         .iter()
@@ -340,23 +340,29 @@ pub fn flip_feature_flag(source: &str, nth: usize) -> String {
 /// result hashes.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Mutator {
-    /// [`insert_comments`]
+    /// A comment line before every function definition: every later line
+    /// number shifts, the CFG does not.
     InsertComments,
     /// [`insert_body_comments`]
     InsertBodyComments,
     /// [`change_cfg`]
     ChangeCfg,
-    /// [`rename_functions`] over every name not in the caller's keep set.
+    /// Every function not in the caller's keep set renamed with a `_v2`
+    /// suffix, call sites included: its GUID leaves the profile's space.
     RenameFunctions,
     /// [`insert_statement`] into the nth function.
     InsertStatement(usize),
-    /// [`split_function`] on the nth eligible function.
+    /// The nth eligible function split into a forwarder and a `<name>_impl`
+    /// twin holding its body (the extract-function refactor).
     SplitFunction(usize),
-    /// [`merge_functions`] on the nth forwarder.
+    /// The nth forwarder merged back into its callee, which takes over its
+    /// name: the inverse of `SplitFunction`.
     MergeFunctions(usize),
-    /// [`bump_dependency`] with the given seed.
+    /// A dependency bump with the given seed: a new generation of shim
+    /// functions, and a dead guard calling them in every substantial body.
     BumpDependency(u64),
-    /// [`flip_feature_flag`] on the nth function.
+    /// A disabled feature-flag guard inserted into, or removed from, the
+    /// nth function.
     FlipFeatureFlag(usize),
 }
 
@@ -398,7 +404,7 @@ impl Mutator {
 /// dependency bump, comment drift, a whole-tree rename, a local
 /// statement edit, and a CFG-wide change. Parameters advance with the
 /// cycle count so repeated cycles hit different functions.
-pub fn release_mutator(i: usize) -> Mutator {
+fn release_mutator(i: usize) -> Mutator {
     let cycle = i / 8;
     match i % 8 {
         0 => Mutator::SplitFunction(cycle + 1),
@@ -414,7 +420,10 @@ pub fn release_mutator(i: usize) -> Mutator {
 }
 
 /// Builds an `n`-release source lineage from `source`: release `i` is the
-/// cumulative result of applying [`release_mutator`]`(0..=i)` in order.
+/// cumulative result of applying the canonical mutators of releases `0..=i`
+/// in order — an 8-release cycle of refactor churn (split, later merged
+/// back), a feature-flag flip, a dependency bump, comment drift, a
+/// whole-tree rename, a local statement edit and a CFG-wide change.
 /// Returns `(mutator name, source)` per release. `keep` is the set of
 /// function names the rename step must preserve — at minimum the
 /// workload's entry point.

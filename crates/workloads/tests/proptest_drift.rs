@@ -5,7 +5,8 @@
 //! these mutators cumulatively over many releases, so closure under
 //! composition is the invariant that keeps a train well-formed.
 
-use csspgo_workloads::{drift, server_workloads};
+use csspgo_workloads::drift::{self, Mutator};
+use csspgo_workloads::server_workloads;
 use proptest::prelude::*;
 
 /// Applies one mutator by (kind, parameter). Covers the whole module,
@@ -14,16 +15,16 @@ use proptest::prelude::*;
 /// sources compilable).
 fn apply(kind: u8, param: u8, src: &str, keep: &[&str]) -> String {
     match kind % 10 {
-        0 => drift::insert_comments(src),
+        0 => Mutator::InsertComments.apply(src, &[]),
         1 => drift::insert_body_comments(src),
         2 => drift::change_cfg(src),
-        3 => drift::rename_functions(src, keep),
+        3 => Mutator::RenameFunctions.apply(src, keep),
         4 => drift::insert_statement(src, param as usize),
         5 => drift::delete_statement(src, param as usize),
-        6 => drift::split_function(src, param as usize),
-        7 => drift::merge_functions(src, param as usize),
-        8 => drift::bump_dependency(src, param as u64),
-        9 => drift::flip_feature_flag(src, param as usize),
+        6 => Mutator::SplitFunction(param as usize).apply(src, &[]),
+        7 => Mutator::MergeFunctions(param as usize).apply(src, &[]),
+        8 => Mutator::BumpDependency(param as u64).apply(src, &[]),
+        9 => Mutator::FlipFeatureFlag(param as usize).apply(src, &[]),
         _ => unreachable!(),
     }
 }
@@ -76,7 +77,7 @@ proptest! {
             .filter(|(i, n)| mask[i % mask.len()] || n.as_str() == w.entry)
             .map(|(_, n)| n.as_str())
             .collect();
-        let renamed = drift::rename_functions(&w.source, &keep);
+        let renamed = Mutator::RenameFunctions.apply(&w.source, &keep);
         for name in &keep {
             prop_assert!(
                 renamed.lines().any(|l| l.starts_with(&format!("fn {name}("))),

@@ -20,7 +20,7 @@ use csspgo::core::pipeline::{
 };
 use csspgo::core::textprof;
 use csspgo::core::Workload;
-use csspgo::sim::{Machine, Sample, SimConfig};
+use csspgo::sim::{Machine, Sample, SimConfig, SimError};
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
@@ -115,9 +115,17 @@ fn cmd_compile(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
+/// Reads a binary and checks the tables every consumer indexes, so a
+/// hostile file is an error naming it before profile generation or the
+/// simulator touches it.
 fn load_binary(path: &str) -> Result<Binary, String> {
     let json = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
-    serde_json::from_str(&json).map_err(|e| format!("{path}: not a csspgo binary: {e}"))
+    let binary: Binary =
+        serde_json::from_str(&json).map_err(|e| format!("{path}: not a csspgo binary: {e}"))?;
+    binary
+        .check_tables()
+        .map_err(|why| format!("{path}: {}", SimError::MalformedBinary(why)))?;
+    Ok(binary)
 }
 
 fn cmd_run(args: &[String]) -> Result<(), String> {
@@ -242,13 +250,11 @@ fn cmd_merge(args: &[String]) -> Result<(), String> {
             textprof::write_flat(&acc)
         }
         "context" => {
-            let mut acc = textprof::parse_context(&read(inputs[0])?)
-                .map_err(|e| format!("{}: {e}", inputs[0]))?;
-            for p in &inputs[1..] {
-                let next = textprof::parse_context(&read(p)?).map_err(|e| format!("{p}: {e}"))?;
-                csspgo::core::merge::merge_context(&mut acc, &next);
-            }
-            textprof::write_context(&acc)
+            let profiles = inputs
+                .iter()
+                .map(|p| textprof::parse_context(&read(p)?).map_err(|e| format!("{p}: {e}")))
+                .collect::<Result<Vec<_>, _>>()?;
+            textprof::write_context(&csspgo::core::merge::merge_tries(&profiles))
         }
         other => return Err(format!("unknown --format `{other}`")),
     };

@@ -395,7 +395,8 @@ impl<'b> ReferenceMachine<'b> {
             self.stats.cycles += cycles;
 
             // PMU sampling: synchronized LBR + stack snapshot.
-            if self.timer.should_fire(self.stats.cycles) {
+            if self.stats.cycles >= self.timer.next_at() {
+                self.timer.fire(self.stats.cycles);
                 self.stats.samples += 1;
                 let sample_pc = self.binary.addrs[next_pc.min(self.binary.len() - 1)];
                 let mut stack: Vec<u64> = Vec::with_capacity(frames.len());

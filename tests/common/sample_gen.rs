@@ -50,7 +50,7 @@ pub fn addr_strategy(n_insts: usize) -> BoxedStrategy<u64> {
 /// indices, everything else is taken verbatim.
 fn resolve(binary: &Binary, raw: u64) -> u64 {
     if (raw as usize) < binary.len() {
-        binary.addr_of(raw as usize)
+        binary.addrs[raw as usize]
     } else {
         raw
     }

@@ -13,7 +13,7 @@
 //! exactly those; fixing one (ROADMAP item 1) means deleting its
 //! `#[ignore]`.
 
-use csspgo_bench::figures::{self, Ctx, Figure, REGISTRY};
+use csspgo_bench::figures::{Ctx, REGISTRY};
 use csspgo_bench::Table;
 use std::path::Path;
 use std::sync::OnceLock;
@@ -25,9 +25,18 @@ fn ctx() -> &'static Ctx {
     CTX.get_or_init(|| Ctx::new(0.25))
 }
 
+/// The tables of the registered figure `name`, as `figures` renders them.
+fn figure(name: &str) -> Vec<Table> {
+    let (_, figure) = REGISTRY
+        .iter()
+        .find(|(known, _)| *known == name)
+        .unwrap_or_else(|| panic!("no figure `{name}`"));
+    figure(ctx())
+}
+
 /// The first table of a figure (the only one of the paper's own figures).
-fn table(figure: Figure) -> Table {
-    figure(ctx()).remove(0)
+fn table(name: &str) -> Table {
+    figure(name).remove(0)
 }
 
 /// The number at (`row`, `column`). Asking for a cell that is not there is a
@@ -41,7 +50,7 @@ fn num(t: &Table, row: &str, column: &str) -> f64 {
 
 #[test]
 fn fig6_full_csspgo_beats_autofdo_on_every_server_workload() {
-    let t = table(figures::fig6_perf);
+    let t = table("fig6_perf");
     for w in SERVERS {
         assert!(num(&t, w, "full CSSPGO Δ%") > 0.0, "{w}\n{t}");
     }
@@ -49,7 +58,7 @@ fn fig6_full_csspgo_beats_autofdo_on_every_server_workload() {
 
 #[test]
 fn fig6_full_is_no_worse_than_probe_only_which_is_no_worse_than_autofdo() {
-    let t = table(figures::fig6_perf);
+    let t = table("fig6_perf");
     for w in SERVERS {
         let (probe, full) = (num(&t, w, "probe-only Δ%"), num(&t, w, "full CSSPGO Δ%"));
         assert!(full >= probe && probe >= -0.05, "{w}\n{t}");
@@ -59,7 +68,7 @@ fn fig6_full_is_no_worse_than_probe_only_which_is_no_worse_than_autofdo() {
 /// The paper's "substantial fraction" is 38–78% on all five.
 #[test]
 fn fig6_probe_only_alone_is_over_a_third_of_the_gain_on_four_of_five() {
-    let t = table(figures::fig6_perf);
+    let t = table("fig6_perf");
     let over_a_third = |w: &&str| {
         t.get(w, "probe share of gain")
             .is_some_and(|s| s > 100.0 / 3.0)
@@ -70,7 +79,7 @@ fn fig6_probe_only_alone_is_over_a_third_of_the_gain_on_four_of_five() {
 #[test]
 #[ignore = "KD-1: on hhvm Instr PGO is 1.50% slower than AutoFDO (full CSSPGO +1.00%), so there is no gap to bridge"]
 fn fig6_hhvm_instr_tops_the_chart_and_csspgo_bridges_most_of_the_gap() {
-    let t = table(figures::fig6_perf);
+    let t = table("fig6_perf");
     let (full, instr) = (
         num(&t, "hhvm", "full CSSPGO Δ%"),
         num(&t, "hhvm", "Instr PGO Δ%"),
@@ -83,7 +92,7 @@ fn fig6_hhvm_instr_tops_the_chart_and_csspgo_bridges_most_of_the_gap() {
 #[test]
 #[ignore = "KD-2: full CSSPGO text is <= AutoFDO on 2 of 5 and <= probe-only on 1 of 5; haas +62.31%"]
 fn fig7_full_csspgo_is_smaller_than_autofdo_and_than_probe_only_on_four_of_five() {
-    let t = table(figures::fig7_codesize);
+    let t = table("fig7_codesize");
     let (mut no_larger_than_autofdo, mut no_larger_than_probe_only) = (0, 0);
     for w in SERVERS {
         let (probe, full) = (num(&t, w, "probe-only Δ%"), num(&t, w, "full CSSPGO Δ%"));
@@ -100,7 +109,7 @@ fn fig7_full_csspgo_is_smaller_than_autofdo_and_than_probe_only_on_four_of_five(
 
 #[test]
 fn fig8_probe_overhead_is_below_one_percent_except_on_ad_finder() {
-    let t = table(figures::fig8_overhead);
+    let t = table("fig8_overhead");
     for w in SERVERS.into_iter().filter(|&w| w != "ad_finder") {
         assert!(num(&t, w, "overhead %") < 1.0, "{w}\n{t}");
     }
@@ -109,7 +118,7 @@ fn fig8_probe_overhead_is_below_one_percent_except_on_ad_finder() {
 #[test]
 #[ignore = "KD-3: ad_finder pays +1.290% for one probe-blocked tail merge (+0.766% at scale 1)"]
 fn fig8_probe_overhead_is_below_one_percent_on_ad_finder() {
-    let t = table(figures::fig8_overhead);
+    let t = table("fig8_overhead");
     assert!(num(&t, "ad_finder", "overhead %") < 1.0, "{t}");
 }
 
@@ -117,7 +126,7 @@ fn fig8_probe_overhead_is_below_one_percent_on_ad_finder() {
 
 #[test]
 fn fig9_probe_metadata_averages_a_quarter_of_the_binary() {
-    let t = table(figures::fig9_metadata);
+    let t = table("fig9_metadata");
     let shares = SERVERS.map(|w| num(&t, w, "probe % of total"));
     let mean = shares.iter().sum::<f64>() / shares.len() as f64;
     assert!((20.0..=35.0).contains(&mean), "mean {mean}\n{t}");
@@ -127,7 +136,7 @@ fn fig9_probe_metadata_averages_a_quarter_of_the_binary() {
 
 #[test]
 fn table1_overlap_orders_autofdo_below_csspgo_below_instrumentation() {
-    let t = table(figures::table1_quality);
+    let t = table("table1_quality");
     let overlap = |variant| num(&t, "block overlap", variant);
     let (autofdo, probe, full, instr) = (
         overlap("AutoFDO"),
@@ -141,7 +150,7 @@ fn table1_overlap_orders_autofdo_below_csspgo_below_instrumentation() {
 
 #[test]
 fn table1_csspgo_profiles_for_free_and_instrumentation_does_not() {
-    let t = table(figures::table1_quality);
+    let t = table("table1_quality");
     let overhead = |variant| num(&t, "profiling overhead", variant);
     assert!(overhead("CSSPGO (probe-only)") < 0.1, "{t}");
     assert!(overhead("CSSPGO (full)") < 0.1, "{t}");
@@ -152,7 +161,7 @@ fn table1_csspgo_profiles_for_free_and_instrumentation_does_not() {
 
 #[test]
 fn client_sampling_reaches_fewer_functions_than_instrumentation() {
-    let t = table(figures::client_workload);
+    let t = table("client_workload");
     let reached = |variant| num(&t, variant, "functions w/ profile");
     assert!(reached("CSSPGO (full)") < reached("Instr PGO"), "{t}");
 }
@@ -160,10 +169,10 @@ fn client_sampling_reaches_fewer_functions_than_instrumentation() {
 #[test]
 #[ignore = "KD-4: on the client workload full CSSPGO is 3.53% slower than AutoFDO, and Instr PGO leads it by 2.77 pp against 5.05 pp on ad_ranker"]
 fn client_csspgo_beats_autofdo_and_trails_instr_by_more_than_on_any_server() {
-    let client = table(figures::client_workload);
+    let client = table("client_workload");
     let perf = |variant| num(&client, variant, "perf vs AutoFDO");
     assert!(perf("CSSPGO (full)") >= 0.0, "{client}");
-    let servers = table(figures::fig6_perf);
+    let servers = table("fig6_perf");
     let lead = perf("Instr PGO") - perf("CSSPGO (full)");
     for w in SERVERS {
         let on_server = num(&servers, w, "Instr PGO Δ%") - num(&servers, w, "full CSSPGO Δ%");
@@ -175,7 +184,7 @@ fn client_csspgo_beats_autofdo_and_trails_instr_by_more_than_on_any_server() {
 
 #[test]
 fn probe_blocking_barrier_costs_more_than_the_production_tuning() {
-    let t = table(figures::ablation_probe_blocking);
+    let t = table("ablation_probe_blocking");
     let overhead = |tuning| num(&t, tuning, "overhead vs unprobed");
     assert!(
         overhead("low-overhead (production)") <= overhead("high-accuracy (barrier)"),
@@ -186,7 +195,7 @@ fn probe_blocking_barrier_costs_more_than_the_production_tuning() {
 #[test]
 #[ignore = "KD-5: the barrier tuning overlaps 98.2% with instrumentation, the production tuning 99.3%"]
 fn probe_blocking_barrier_buys_accuracy() {
-    let t = table(figures::ablation_probe_blocking);
+    let t = table("ablation_probe_blocking");
     let overlap = |tuning| num(&t, tuning, "block overlap vs instr");
     assert!(
         overlap("high-accuracy (barrier)") >= overlap("low-overhead (production)"),
@@ -196,7 +205,7 @@ fn probe_blocking_barrier_buys_accuracy() {
 
 #[test]
 fn balance_sweep_overhead_never_falls_along_the_dial() {
-    let t = table(figures::extension_balance_sweep);
+    let t = table("extension_balance_sweep");
     let overheads: Vec<f64> = (t.rows.iter())
         .map(|(tuning, _)| num(&t, tuning, "profiling overhead %"))
         .collect();
@@ -208,7 +217,7 @@ fn balance_sweep_overhead_never_falls_along_the_dial() {
 
 #[test]
 fn trimming_shrinks_the_trie_monotonically_and_keeps_the_benefit() {
-    let t = table(figures::ablation_ctx_trim);
+    let t = table("ablation_ctx_trim");
     let thresholds = ["0", "4", "16", "64", "256"];
     let keys: Vec<&str> = t.rows.iter().map(|(key, _)| key.as_str()).collect();
     assert_eq!(keys, thresholds, "{t}");
@@ -227,7 +236,7 @@ fn trimming_shrinks_the_trie_monotonically_and_keeps_the_benefit() {
 #[test]
 #[ignore = "KD-9: at threshold 256 the trimmed trie is still 31.0x the flat profile (75.0x at scale 1)"]
 fn trimming_brings_the_context_profile_within_reach_of_the_flat_one() {
-    let t = table(figures::ablation_ctx_trim);
+    let t = table("ablation_ctx_trim");
     assert!(num(&t, "256", "size vs flat") <= 2.0, "{t}");
 }
 
@@ -235,7 +244,7 @@ fn trimming_brings_the_context_profile_within_reach_of_the_flat_one() {
 
 #[test]
 fn drift_costs_autofdo_and_not_csspgo_which_detects_cfg_changes() {
-    let t = table(figures::drift_resilience);
+    let t = table("drift_resilience");
     assert!(num(&t, "AutoFDO", "drift penalty %") > 5.0, "{t}");
     assert_eq!(num(&t, "CSSPGO (full)", "drift penalty %"), 0.0, "{t}");
     assert_eq!(num(&t, "CSSPGO (full)", "stale fns (comment)"), 0.0, "{t}");
@@ -249,7 +258,7 @@ fn drift_costs_autofdo_and_not_csspgo_which_detects_cfg_changes() {
 
 #[test]
 fn tail_call_frames_are_recovered_wherever_there_are_gaps() {
-    let t = table(figures::tailcall_recovery);
+    let t = table("tailcall_recovery");
     let mut with_gaps = 0;
     for w in SERVERS {
         let gaps = num(&t, w, "recovered frames") + num(&t, w, "failed gaps");
@@ -267,7 +276,7 @@ fn tail_call_frames_are_recovered_wherever_there_are_gaps() {
 
 #[test]
 fn pebs_gains_at_least_as_much_as_skidding_samples() {
-    let t = table(figures::ablation_pebs);
+    let t = table("ablation_pebs");
     let gain = |sampling| num(&t, sampling, "full CSSPGO vs AutoFDO");
     assert!(gain("PEBS (`:upp`)") >= gain("no PEBS (skid)"), "{t}");
 }
@@ -275,7 +284,7 @@ fn pebs_gains_at_least_as_much_as_skidding_samples() {
 #[test]
 #[ignore = "KD-6: skid breaks 0 stacks (0 with PEBS) and grows the trie from 7 to 17 nodes instead of shrinking it"]
 fn pebs_skid_breaks_stacks_and_loses_contexts() {
-    let t = table(figures::ablation_pebs);
+    let t = table("ablation_pebs");
     let (pebs, skid) = ("PEBS (`:upp`)", "no PEBS (skid)");
     assert!(
         num(&t, skid, "broken stacks") > num(&t, pebs, "broken stacks"),
@@ -293,7 +302,7 @@ fn pebs_skid_breaks_stacks_and_loses_contexts() {
 #[test]
 #[ignore = "KD-7: ad_ranker's fresh full-CSSPGO build takes 228455 cycles, its -O2 build 219838"]
 fn fresh_full_csspgo_never_loses_to_o2() {
-    let t = figures::bench_pipeline(ctx()).remove(1);
+    let t = figure("bench_pipeline").remove(1);
     for w in SERVERS {
         let cycles = |row| num(&t, &format!("{w} | {row}"), "eval cycles");
         assert!(cycles("drift-clean") <= cycles("drift-O2"), "{w}\n{t}");
@@ -303,7 +312,7 @@ fn fresh_full_csspgo_never_loses_to_o2() {
 #[test]
 #[ignore = "KD-8: under change_cfg + Recover + MCF, ad_retriever retains -4.1% of the clean win, ad_finder -0.2%, haas -145.4% (ad_ranker has no win to retain)"]
 fn a_drifted_recovered_profile_never_loses_to_o2() {
-    let t = figures::bench_pipeline(ctx()).remove(1);
+    let t = figure("bench_pipeline").remove(1);
     for w in SERVERS {
         let retained = t.get(&format!("{w} | drift-mcf"), "retained %");
         assert!(retained.is_some_and(|r| r >= 0.0), "{w}\n{t}");
@@ -314,7 +323,7 @@ fn a_drifted_recovered_profile_never_loses_to_o2() {
 
 #[test]
 fn fleet_refreshes_the_drifting_tenant_and_only_it_and_holds_the_resident_cap() {
-    let tables = figures::profile_fleet(ctx());
+    let tables = figure("profile_fleet");
     let [epochs, _snapshots, refreshes, totals] = &tables[..] else {
         panic!("four tables");
     };
@@ -343,7 +352,7 @@ fn fleet_refreshes_the_drifting_tenant_and_only_it_and_holds_the_resident_cap() 
 /// One table per train (`ad_finder`, `haas`), then the train-wide one.
 fn trains() -> &'static [Table] {
     static TRAINS: OnceLock<Vec<Table>> = OnceLock::new();
-    TRAINS.get_or_init(|| figures::release_train(ctx()))
+    TRAINS.get_or_init(|| figure("release_train"))
 }
 
 #[test]

@@ -1,8 +1,10 @@
 //! Hostile and drifted inputs, kept as files under `tests/regressions/` and
 //! fed through the function the CLI calls: `Analyzer::judge_file` for
-//! `csspgo_lint --profile P --source S`, `Machine::try_new` after
-//! `serde_json::from_str` for `csspgo run`, `StreamAggregator::push_batch`
-//! for a sample batch from a profiling host. Every input is *text from
+//! `csspgo_lint --profile P --source S`, `Binary::check_tables` for every
+//! binary `csspgo` loads and `Machine::try_new` for `csspgo run`,
+//! `merge_flat` / `merge_tries` for `csspgo merge`,
+//! `StreamAggregator::push_batch` for a sample batch from a profiling host.
+//! Every input is *text from
 //! outside the process* — which is what "reachable" means in the lint
 //! census (DESIGN.md §8): each id still in the registry fires here, by name,
 //! on a source text and a profile text; none needs a mutated in-memory
@@ -10,10 +12,20 @@
 
 use csspgo::analysis::{Analyzer, Policy, Report, ScenarioReport, LINTS};
 use csspgo::codegen::{lower_module, Binary, CodegenConfig};
+use csspgo::core::context::{ContextProfile, FrameKey};
+use csspgo::core::merge::{merge_flat, merge_tries};
 use csspgo::core::pipeline::prepared_module;
+use csspgo::core::profile::{FlatFuncProfile, FlatProfile};
 use csspgo::core::stream::{StreamAggregator, StreamConfig};
+use csspgo::core::textprof;
+use csspgo::ir::probe::function_guid;
 use csspgo::sim::{Machine, Sample, SimConfig, SimError};
+use std::collections::BTreeMap;
 use std::path::Path;
+
+#[path = "common/reference_trie.rs"]
+mod reference_trie;
+use reference_trie::{merge_context, node_for_path};
 
 fn input(name: &str) -> String {
     let path = Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -104,6 +116,79 @@ fn a_jump_past_the_text_is_a_typed_error() {
     );
 }
 
+/// Parent: `csspgo profgen` panicked on both files under every `--format`
+/// (`ranges.rs:36` on the short owner table; `correlate.rs:112` and the
+/// unwinder's table build on the inline stack, whose probes only `probe` and
+/// `context` read), and `csspgo run` ran the second. Now the table check
+/// every load runs, [`Binary::check_tables`], refuses both with the
+/// simulator's typed error, and the CLI prints it under the file's name.
+#[test]
+fn a_binary_whose_tables_point_nowhere_is_a_typed_error_naming_the_file() {
+    let dir = std::env::temp_dir().join(format!("csspgo-regressions-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let samples = dir.join("serve.samples");
+    let binary = serve_binary();
+    let mut machine = Machine::new(
+        &binary,
+        SimConfig {
+            sample_period: 199,
+            ..SimConfig::default()
+        },
+    );
+    std::fs::write(
+        &samples,
+        serde_json::to_string(&steady_samples(&mut machine)).unwrap(),
+    )
+    .unwrap();
+    let regressions = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/regressions");
+    for (file, why) in [
+        (
+            "serve_short_func_of.bin",
+            "28 instructions but 28 addresses, 5 owners and 28 frame spans",
+        ),
+        (
+            "serve_inline_func77.bin",
+            "probe 1 at instruction 13's inline stack names function 77 of 2",
+        ),
+    ] {
+        let bad: Binary = serde_json::from_str(&input(file)).expect("the JSON itself is valid");
+        let want = Err(SimError::MalformedBinary(why.into()));
+        assert_eq!(
+            bad.check_tables().map_err(SimError::MalformedBinary),
+            want,
+            "{file}"
+        );
+        assert_eq!(
+            Machine::try_new(&bad, SimConfig::default()).map(|_| ()),
+            want,
+            "{file}"
+        );
+
+        let path = regressions.join(file);
+        let path = path.to_str().unwrap();
+        let samples = samples.to_str().unwrap();
+        for args in [
+            ["profgen", path, "--samples", samples, "--format", "flat"],
+            ["profgen", path, "--samples", samples, "--format", "probe"],
+            ["profgen", path, "--samples", samples, "--format", "context"],
+            ["run", path, "--entry", "serve", "--args", "300,1"],
+        ] {
+            let out = std::process::Command::new(env!("CARGO_BIN_EXE_csspgo"))
+                .args(args)
+                .output()
+                .unwrap();
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+            assert_eq!(
+                stderr,
+                format!("csspgo: {path}: malformed binary: {why}\n"),
+                "{args:?}"
+            );
+        }
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
 // ---- one firing case per id the census kept --------------------------
 
 #[test]
@@ -127,7 +212,11 @@ fn a_child_context_entered_more_often_than_it_was_called_is_pf003() {
         &input("serve.mini"),
         &input("serve_overcounted_child.snapshot"),
     );
-    let found = report.by_lint("PF003");
+    let found: Vec<_> = report
+        .diagnostics
+        .iter()
+        .filter(|d| d.lint == "PF003")
+        .collect();
     assert_eq!(found.len(), 1, "{}", report.render_human());
     assert_eq!(found[0].location.as_deref(), Some("serve@4:helper"));
     // The snapshot's context section is what got matched.
@@ -257,6 +346,72 @@ fn an_epoch_outside_the_binary_is_no_evidence_of_drift() {
         agg.total_samples(),
         (first.samples + 50 + next.samples) as u64
     );
+}
+
+// ---- csspgo merge ------------------------------------------------------
+
+/// Every counter of a flat profile — totals, entries and body counts, down
+/// through the inlined call sites — by where it sits.
+fn flat_counters(profile: &FlatProfile) -> BTreeMap<String, u64> {
+    fn walk(f: &FlatFuncProfile, at: String, out: &mut BTreeMap<String, u64>) {
+        out.insert(format!("{at} total"), f.total);
+        out.insert(format!("{at} entry"), f.entry);
+        for (key, count) in &f.body {
+            out.insert(format!("{at} {key:?}"), *count);
+        }
+        for ((site, callee), sub) in &f.callsites {
+            walk(sub, format!("{at} {site:?}@{callee}"), out);
+        }
+    }
+    let mut out = BTreeMap::new();
+    for (guid, f) in &profile.funcs {
+        walk(f, guid.to_string(), &mut out);
+    }
+    out
+}
+
+/// `csspgo merge --format flat` on two `csspgo profgen --format flat`
+/// outputs of `serve.mini`'s probed build, trained with different
+/// arguments: every counter of the result is the sum of the inputs'.
+#[test]
+fn a_flat_merge_is_count_additive() {
+    let a = textprof::parse_flat(&input("serve_n300_k1.flat.prof")).unwrap();
+    let b = textprof::parse_flat(&input("serve_n120_k2.flat.prof")).unwrap();
+    let mut merged = a.clone();
+    merge_flat(&mut merged, &b);
+    let mut want = flat_counters(&a);
+    for (at, count) in flat_counters(&b) {
+        *want.entry(at).or_insert(0) += count;
+    }
+    assert_eq!(flat_counters(&merged), want);
+    assert_eq!(merged.total(), a.total() + b.total());
+    assert_eq!(merged.names, a.names);
+}
+
+/// `csspgo merge --format context` on the same two runs' context profiles
+/// is the reference merge of `tests/common/reference_trie.rs`, in either
+/// order and with an input repeated.
+#[test]
+fn a_context_merge_is_the_reference_merge() {
+    let a = textprof::parse_context(&input("serve_n300_k1.context.prof")).unwrap();
+    let b = textprof::parse_context(&input("serve_n120_k2.context.prof")).unwrap();
+    for inputs in [vec![&a, &b], vec![&b, &a], vec![&a, &b, &a]] {
+        let mut want = inputs[0].clone();
+        for p in &inputs[1..] {
+            merge_context(&mut want, p);
+        }
+        assert_eq!(merge_tries(inputs.iter().copied()), want);
+    }
+    let inlined = |p: &ContextProfile| {
+        let serve = FrameKey {
+            guid: function_guid("serve"),
+            probe: 4,
+        };
+        node_for_path(p, &[serve], function_guid("helper"))
+            .expect("helper inlined at probe 4")
+            .probes[&1]
+    };
+    assert_eq!(inlined(&merge_tries([&a, &b])), inlined(&a) + inlined(&b));
 }
 
 // ---- unloadable files are messages, not panics -----------------------
