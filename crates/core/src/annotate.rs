@@ -25,7 +25,7 @@ use crate::profile::{FlatFuncProfile, FlatProfile, LocKey, ProbeFuncProfile, Pro
 use crate::stalematch::{match_stale_profile, FuncMatchStatus, MatchConfig, StaleMatching};
 use csspgo_ir::annot::InlinePlan;
 use csspgo_ir::debuginfo::DebugLoc;
-use csspgo_ir::inst::InstKind;
+use csspgo_ir::inst::{Inst, InstKind};
 use csspgo_ir::probe::{cfg_checksum, ProbeKind, ProbeSite};
 use csspgo_ir::{BlockId, FuncId, Module, Provenance, ProvenanceMap};
 use csspgo_opt::inliner::{inline_call, real_size};
@@ -139,6 +139,38 @@ fn worth_replaying(nested_total: u64, callee: &csspgo_ir::Function) -> bool {
     nested_total >= REPLAY_MIN_TOTAL && real_size(callee) <= REPLAY_MAX_CALLEE_SIZE
 }
 
+/// Replays up to `budget` profile-directed inlines into `fid`: each round
+/// inlines the first call (in block order) to another function that
+/// `should(module, block, index, call, callee)` accepts, then rescans the
+/// changed body. Returns how many inlines happened.
+fn replay_inlines(
+    module: &mut Module,
+    fid: FuncId,
+    budget: usize,
+    mut should: impl FnMut(&Module, BlockId, usize, &Inst, FuncId) -> bool,
+) -> usize {
+    let mut replayed = 0;
+    for _ in 0..budget {
+        let candidate = module.func(fid).iter_blocks().find_map(|(bid, block)| {
+            block
+                .insts
+                .iter()
+                .enumerate()
+                .find_map(|(i, inst)| match inst.kind {
+                    InstKind::Call { callee, .. } if callee != fid => {
+                        should(module, bid, i, inst, callee).then_some((bid, i))
+                    }
+                    _ => None,
+                })
+        });
+        let Some((bid, i)) = candidate else { break };
+        if inline_call(module, fid, bid, i).is_some() {
+            replayed += 1;
+        }
+    }
+    replayed
+}
+
 // ---------------------------------------------------------------------
 // AutoFDO path
 // ---------------------------------------------------------------------
@@ -197,45 +229,26 @@ pub fn autofdo_annotate(
         let fp = fp.clone();
 
         // ---- early inline replay ----
-        let mut budget = cfg.inline_budget;
-        while budget > 0 {
-            let mut candidate: Option<(BlockId, usize)> = None;
-            'scan: for (bid, block) in module.func(fid).iter_blocks() {
-                for (i, inst) in block.insts.iter().enumerate() {
-                    let InstKind::Call { callee, .. } = &inst.kind else {
-                        continue;
-                    };
-                    if *callee == fid {
-                        continue;
-                    }
-                    let Some(enclosing) = flat_navigate(&fp, module, &inst.loc) else {
-                        continue;
-                    };
-                    if inst.loc.scope == FuncId::INVALID {
-                        continue;
-                    }
-                    let start = module.func(inst.loc.scope).start_line;
-                    let key = LocKey::new(inst.loc.line, start, inst.loc.discriminator);
-                    let callee_guid = module.func(*callee).guid;
-                    let Some(nested) = enclosing.callsites.get(&(key, callee_guid)) else {
-                        continue;
-                    };
-                    if worth_replaying(nested.total, module.func(*callee)) {
-                        candidate = Some((bid, i));
-                        break 'scan;
-                    }
+        stats.replayed_inlines += replay_inlines(
+            module,
+            fid,
+            cfg.inline_budget,
+            |module, _, _, inst, callee| {
+                let Some(enclosing) = flat_navigate(&fp, module, &inst.loc) else {
+                    return false;
+                };
+                if inst.loc.scope == FuncId::INVALID {
+                    return false;
                 }
-            }
-            match candidate {
-                Some((bid, i)) => {
-                    if inline_call(module, fid, bid, i).is_some() {
-                        stats.replayed_inlines += 1;
-                    }
-                    budget -= 1;
-                }
-                None => break,
-            }
-        }
+                let start = module.func(inst.loc.scope).start_line;
+                let key = LocKey::new(inst.loc.line, start, inst.loc.discriminator);
+                let callee_guid = module.func(callee).guid;
+                enclosing
+                    .callsites
+                    .get(&(key, callee_guid))
+                    .is_some_and(|nested| worth_replaying(nested.total, module.func(callee)))
+            },
+        );
 
         // ---- block counts by MAX over per-instruction lookups ----
         let mut raw: HashMap<BlockId, u64> = HashMap::new();
@@ -349,64 +362,38 @@ pub fn csspgo_annotate(
         }
 
         // ---- inline replay ----
-        let mut budget = cfg.inline_budget;
-        while budget > 0 {
-            let mut candidate: Option<(BlockId, usize)> = None;
-            'scan: for (bid, block) in module.func(fid).iter_blocks() {
-                for (i, inst) in block.insts.iter().enumerate() {
-                    let InstKind::Call { callee, .. } = &inst.kind else {
-                        continue;
-                    };
-                    if *callee == fid {
-                        continue;
+        stats.replayed_inlines += replay_inlines(
+            module,
+            fid,
+            cfg.inline_budget,
+            |module, bid, i, _, callee| {
+                // The call's probe (immediately preceding instruction).
+                let Some((probe_owner, probe_idx, probe_stack)) =
+                    call_probe_of(module, fid, bid, i)
+                else {
+                    return false;
+                };
+                match plan {
+                    Some(plan) => {
+                        // The path is the probe's inline chain plus the
+                        // probe itself, attributed to its *original
+                        // owner* (an inlined call site keeps its owner).
+                        let mut path = probe_stack;
+                        path.push(ProbeSite {
+                            func: probe_owner,
+                            probe_index: probe_idx,
+                        });
+                        plan.should_inline(&path)
                     }
-                    // The call's probe (immediately preceding instruction).
-                    let Some((probe_owner, probe_idx, probe_stack)) =
-                        call_probe_of(module, fid, bid, i)
-                    else {
-                        continue;
-                    };
-                    let should = match plan {
-                        Some(plan) => {
-                            // The path is the probe's inline chain plus the
-                            // probe itself, attributed to its *original
-                            // owner* (an inlined call site keeps its owner).
-                            let mut path = probe_stack.clone();
-                            path.push(ProbeSite {
-                                func: probe_owner,
-                                probe_index: probe_idx,
-                            });
-                            plan.should_inline(&path)
-                        }
-                        None => {
-                            let enclosing = probe_navigate(&fp, module, &probe_stack, fid);
-                            match enclosing {
-                                Some(e) => {
-                                    let callee_guid = module.func(*callee).guid;
-                                    e.callsites.get(&(probe_idx, callee_guid)).is_some_and(|n| {
-                                        worth_replaying(n.total, module.func(*callee))
-                                    })
-                                }
-                                None => false,
-                            }
-                        }
-                    };
-                    if should {
-                        candidate = Some((bid, i));
-                        break 'scan;
-                    }
+                    None => probe_navigate(&fp, module, &probe_stack, fid).is_some_and(|e| {
+                        let callee_guid = module.func(callee).guid;
+                        e.callsites
+                            .get(&(probe_idx, callee_guid))
+                            .is_some_and(|n| worth_replaying(n.total, module.func(callee)))
+                    }),
                 }
-            }
-            match candidate {
-                Some((bid, i)) => {
-                    if inline_call(module, fid, bid, i).is_some() {
-                        stats.replayed_inlines += 1;
-                    }
-                    budget -= 1;
-                }
-                None => break,
-            }
-        }
+            },
+        );
 
         // ---- block counts via block probes ----
         let mut raw: HashMap<BlockId, u64> = HashMap::new();

@@ -1,4 +1,5 @@
-//! `binprof` — the compact binary profile serialization (DESIGN.md §10).
+//! `binprof` — the compact binary profile serialization (DESIGN.md §10.3),
+//! and the only module that knows its bytes.
 //!
 //! Textprof ([`crate::textprof`]) remains the human-readable debug format;
 //! this module is the *production* wire format, shaped after LLVM's
@@ -10,6 +11,11 @@
 //! cost ~1 byte per entry; function names are deduplicated through a string
 //! table and referenced by index.
 //!
+//! Four documents share the framing: the three profiles (context, probe,
+//! flat), each one envelope — string table, names, one GUID-keyed body —
+//! and a stream snapshot (`stream::Snapshot`). The framing itself is private:
+//! callers see values and [`DecodeError`]s, never sections.
+//!
 //! Encoding is **canonical**: every map in the profile data model is a
 //! `BTreeMap`, so iteration order — and therefore the byte stream — is a
 //! pure function of the profile value. Equal profiles encode to equal
@@ -17,6 +23,8 @@
 
 use crate::context::{ContextNode, ContextProfile};
 use crate::profile::{FlatFuncProfile, FlatProfile, LocKey, ProbeFuncProfile, ProbeProfile};
+use crate::stream::Snapshot;
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -24,24 +32,22 @@ use std::fmt;
 pub const MAGIC: [u8; 8] = *b"CSPGOBIN";
 /// Current format version. Decoders reject anything else.
 const VERSION: u16 = 1;
+/// Deepest nesting of call-site sub-profiles a decoder follows.
+const MAX_DEPTH: usize = 512;
 
 /// Payload kind, byte 10 of the header.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+#[derive(Clone, Copy)]
 #[repr(u8)]
-pub enum Kind {
-    /// A [`ContextProfile`] (the context trie).
+enum Kind {
     Context = 1,
-    /// A [`ProbeProfile`].
     Probe = 2,
-    /// A [`FlatProfile`] (AutoFDO-style).
     Flat = 3,
-    /// A [`crate::stream::StreamAggregator`] snapshot.
     StreamSnapshot = 4,
 }
 
 /// Section tags. Unknown tags are skipped by length, so future versions can
 /// append sections without breaking old readers of the same version line.
-pub mod section {
+mod section {
     /// Deduplicated string table.
     pub(super) const STRINGS: u8 = 1;
     /// GUID → string-table-index name map.
@@ -53,17 +59,17 @@ pub mod section {
     /// Flat-profile function bodies.
     pub(super) const FLAT_FUNCS: u8 = 5;
     /// Stream-snapshot scalar metadata (fingerprint, epochs, samples).
-    pub const STREAM_META: u8 = 6;
+    pub(super) const STREAM_META: u8 = 6;
     /// Stream-snapshot tail-call graph edges.
-    pub const STREAM_TAILGRAPH: u8 = 7;
+    pub(super) const STREAM_TAILGRAPH: u8 = 7;
     /// Stream-snapshot LBR range counts.
-    pub const STREAM_RANGES: u8 = 8;
+    pub(super) const STREAM_RANGES: u8 = 8;
     /// Stream-snapshot branch counts.
-    pub const STREAM_BRANCHES: u8 = 9;
+    pub(super) const STREAM_BRANCHES: u8 = 9;
     /// Stream-snapshot previous-epoch probe weights.
-    pub const STREAM_WEIGHTS: u8 = 10;
+    pub(super) const STREAM_WEIGHTS: u8 = 10;
     /// Stream-snapshot embedded context profile (a nested binprof payload).
-    pub const STREAM_CONTEXT: u8 = 11;
+    pub(super) const STREAM_CONTEXT: u8 = 11;
 }
 
 /// Why a payload failed to decode.
@@ -112,7 +118,7 @@ impl std::error::Error for DecodeError {}
 // ---------------------------------------------------------------------------
 
 /// Appends `v` as a LEB128 unsigned varint.
-pub fn put_uvarint(buf: &mut Vec<u8>, mut v: u64) {
+fn put_uvarint(buf: &mut Vec<u8>, mut v: u64) {
     loop {
         let byte = (v & 0x7f) as u8;
         v >>= 7;
@@ -125,14 +131,14 @@ pub fn put_uvarint(buf: &mut Vec<u8>, mut v: u64) {
 }
 
 /// A cursor over a byte slice with varint/typed readers.
-pub struct Reader<'a> {
+struct Reader<'a> {
     bytes: &'a [u8],
     pos: usize,
 }
 
 impl<'a> Reader<'a> {
     /// Wraps `bytes` starting at offset 0.
-    pub fn new(bytes: &'a [u8]) -> Self {
+    fn new(bytes: &'a [u8]) -> Self {
         Reader { bytes, pos: 0 }
     }
 
@@ -141,9 +147,13 @@ impl<'a> Reader<'a> {
         self.bytes.len() - self.pos
     }
 
-    /// True once every byte has been consumed.
-    fn at_end(&self) -> bool {
-        self.pos == self.bytes.len()
+    /// Refuses bytes left over once a section's content has been read.
+    fn finish(&self, what: &'static str) -> Result<(), DecodeError> {
+        if self.pos == self.bytes.len() {
+            Ok(())
+        } else {
+            Err(DecodeError::Corrupt(what))
+        }
     }
 
     /// Reads one byte.
@@ -154,7 +164,7 @@ impl<'a> Reader<'a> {
     }
 
     /// Reads `n` raw bytes.
-    pub fn take(&mut self, n: usize) -> Result<&'a [u8], DecodeError> {
+    fn take(&mut self, n: usize) -> Result<&'a [u8], DecodeError> {
         let end = self.pos.checked_add(n).ok_or(DecodeError::Truncated)?;
         if end > self.bytes.len() {
             return Err(DecodeError::Truncated);
@@ -165,7 +175,7 @@ impl<'a> Reader<'a> {
     }
 
     /// Reads a LEB128 unsigned varint.
-    pub fn uvarint(&mut self) -> Result<u64, DecodeError> {
+    fn uvarint(&mut self) -> Result<u64, DecodeError> {
         let mut v: u64 = 0;
         let mut shift = 0u32;
         loop {
@@ -184,6 +194,12 @@ impl<'a> Reader<'a> {
         }
     }
 
+    /// Reads a varint key delta off `prev` that must fit a `u32`.
+    fn u32_delta(&mut self, prev: u32, what: &'static str) -> Result<u32, DecodeError> {
+        let delta = u32::try_from(self.uvarint()?).map_err(|_| DecodeError::Corrupt(what))?;
+        Ok(prev.wrapping_add(delta))
+    }
+
     /// Reads a varint and narrows it to usize, guarding against payloads
     /// that claim more elements than bytes remain (allocation bombs).
     fn len_prefixed(&mut self) -> Result<usize, DecodeError> {
@@ -200,7 +216,7 @@ impl<'a> Reader<'a> {
 // ---------------------------------------------------------------------------
 
 /// Writes the fixed header for `kind` into a fresh buffer.
-pub fn header(kind: Kind) -> Vec<u8> {
+fn header(kind: Kind) -> Vec<u8> {
     let mut buf = Vec::with_capacity(64);
     buf.extend_from_slice(&MAGIC);
     buf.extend_from_slice(&VERSION.to_le_bytes());
@@ -210,7 +226,7 @@ pub fn header(kind: Kind) -> Vec<u8> {
 
 /// Validates the header of `bytes` and returns a reader positioned at the
 /// first section.
-pub fn check_header(bytes: &[u8], kind: Kind) -> Result<Reader<'_>, DecodeError> {
+fn check_header(bytes: &[u8], kind: Kind) -> Result<Reader<'_>, DecodeError> {
     let mut r = Reader::new(bytes);
     if r.take(8)? != MAGIC {
         return Err(DecodeError::BadMagic);
@@ -235,16 +251,16 @@ pub fn check_header(bytes: &[u8], kind: Kind) -> Result<Reader<'_>, DecodeError>
 /// Appends one section: `tag`, varint payload length, payload bytes. The
 /// explicit length is what lets decoders skip sections they don't need
 /// without parsing them.
-pub fn put_section(buf: &mut Vec<u8>, tag: u8, payload: &[u8]) {
+fn put_section(buf: &mut Vec<u8>, tag: u8, payload: &[u8]) {
     buf.push(tag);
     put_uvarint(buf, payload.len() as u64);
     buf.extend_from_slice(payload);
 }
 
 /// Splits the remainder of `r` into `(tag, payload)` sections.
-pub fn read_sections<'a>(r: &mut Reader<'a>) -> Result<Vec<(u8, &'a [u8])>, DecodeError> {
+fn read_sections<'a>(r: &mut Reader<'a>) -> Result<Vec<(u8, &'a [u8])>, DecodeError> {
     let mut out = Vec::new();
-    while !r.at_end() {
+    while r.remaining() > 0 {
         let tag = r.byte()?;
         let len = r.len_prefixed()?;
         out.push((tag, r.take(len)?));
@@ -252,13 +268,14 @@ pub fn read_sections<'a>(r: &mut Reader<'a>) -> Result<Vec<(u8, &'a [u8])>, Deco
     Ok(out)
 }
 
+/// Finds a section by tag.
+fn find<'a>(sections: &[(u8, &'a [u8])], tag: u8) -> Option<&'a [u8]> {
+    sections.iter().find(|(t, _)| *t == tag).map(|(_, p)| *p)
+}
+
 /// Finds a required section by tag.
 fn require<'a>(sections: &[(u8, &'a [u8])], tag: u8) -> Result<&'a [u8], DecodeError> {
-    sections
-        .iter()
-        .find(|(t, _)| *t == tag)
-        .map(|(_, p)| *p)
-        .ok_or(DecodeError::Corrupt("missing required section"))
+    find(sections, tag).ok_or(DecodeError::Corrupt("missing required section"))
 }
 
 // ---------------------------------------------------------------------------
@@ -308,16 +325,17 @@ impl StringTable {
                 .map_err(|_| DecodeError::Corrupt("string table entry is not UTF-8"))?;
             out.push(s.to_string());
         }
-        if !r.at_end() {
-            return Err(DecodeError::Corrupt("trailing bytes in string table"));
-        }
+        r.finish("trailing bytes in string table")?;
         Ok(out)
     }
 }
 
+/// A profile's GUID → function-name map.
+type Names = BTreeMap<u64, String>;
+
 /// Encodes a GUID → name map against `table`: varint count, then per entry
 /// a delta-encoded GUID (ascending `BTreeMap` order) + string index.
-fn encode_names(names: &BTreeMap<u64, String>, table: &mut StringTable) -> Vec<u8> {
+fn encode_names(names: &Names, table: &mut StringTable) -> Vec<u8> {
     let mut buf = Vec::new();
     put_uvarint(&mut buf, names.len() as u64);
     let mut prev = 0u64;
@@ -329,7 +347,7 @@ fn encode_names(names: &BTreeMap<u64, String>, table: &mut StringTable) -> Vec<u
     buf
 }
 
-fn decode_names(payload: &[u8], strings: &[String]) -> Result<BTreeMap<u64, String>, DecodeError> {
+fn decode_names(payload: &[u8], strings: &[String]) -> Result<Names, DecodeError> {
     let mut r = Reader::new(payload);
     let n = r.len_prefixed()?;
     let mut out = BTreeMap::new();
@@ -343,14 +361,72 @@ fn decode_names(payload: &[u8], strings: &[String]) -> Result<BTreeMap<u64, Stri
         out.insert(guid, name.clone());
         prev = guid;
     }
-    if !r.at_end() {
-        return Err(DecodeError::Corrupt("trailing bytes in name map"));
-    }
+    r.finish("trailing bytes in name map")?;
     Ok(out)
 }
 
 // ---------------------------------------------------------------------------
-// Count maps (sorted u32 → u64, delta-encoded keys)
+// The profile envelope: header, string table, names, one GUID-keyed body
+// ---------------------------------------------------------------------------
+
+/// A function-body codec: writes one `T`.
+type Put<T> = fn(&mut Vec<u8>, &T);
+/// A function-body codec: reads one `T` at a nesting depth.
+type Get<T> = fn(&mut Reader<'_>, usize) -> Result<T, DecodeError>;
+
+/// Writes one profile document: the header for `kind`, the string table,
+/// the GUID → name map, and section `tag` holding `funcs` — a count, then per
+/// function its GUID delta and its body by `put`.
+fn encode_doc<T>(
+    kind: Kind,
+    tag: u8,
+    names: &Names,
+    funcs: &BTreeMap<u64, T>,
+    put: Put<T>,
+) -> Vec<u8> {
+    let mut table = StringTable::default();
+    let names = encode_names(names, &mut table);
+    let mut body = Vec::new();
+    put_uvarint(&mut body, funcs.len() as u64);
+    let mut prev = 0u64;
+    for (&guid, f) in funcs {
+        put_uvarint(&mut body, guid.wrapping_sub(prev));
+        put(&mut body, f);
+        prev = guid;
+    }
+    let mut buf = header(kind);
+    put_section(&mut buf, section::STRINGS, &table.encode());
+    put_section(&mut buf, section::NAMES, &names);
+    put_section(&mut buf, tag, &body);
+    buf
+}
+
+/// Reads a document written by [`encode_doc`]: its functions and names.
+fn decode_doc<T>(
+    bytes: &[u8],
+    kind: Kind,
+    tag: u8,
+    get: Get<T>,
+) -> Result<(BTreeMap<u64, T>, Names), DecodeError> {
+    let mut r = check_header(bytes, kind)?;
+    let sections = read_sections(&mut r)?;
+    let strings = StringTable::decode(require(&sections, section::STRINGS)?)?;
+    let names = decode_names(require(&sections, section::NAMES)?, &strings)?;
+    let mut r = Reader::new(require(&sections, tag)?);
+    let n = r.len_prefixed()?;
+    let mut funcs = BTreeMap::new();
+    let mut prev = 0u64;
+    for _ in 0..n {
+        let guid = prev.wrapping_add(r.uvarint()?);
+        funcs.insert(guid, get(&mut r, 0)?);
+        prev = guid;
+    }
+    r.finish("trailing bytes in profile body")?;
+    Ok((funcs, names))
+}
+
+// ---------------------------------------------------------------------------
+// Shared body pieces: probe counts, `(probe, callee)` children
 // ---------------------------------------------------------------------------
 
 fn encode_u32_counts(buf: &mut Vec<u8>, counts: &BTreeMap<u32, u64>) {
@@ -368,14 +444,51 @@ fn decode_u32_counts(r: &mut Reader<'_>) -> Result<BTreeMap<u32, u64>, DecodeErr
     let mut out = BTreeMap::new();
     let mut prev = 0u32;
     for _ in 0..n {
-        let delta = r.uvarint()?;
-        let k = prev.wrapping_add(
-            u32::try_from(delta).map_err(|_| DecodeError::Corrupt("probe index overflow"))?,
-        );
+        let k = r.u32_delta(prev, "probe index overflow")?;
         out.insert(k, r.uvarint()?);
         prev = k;
     }
     Ok(out)
+}
+
+/// Writes call-site children keyed `(call probe, callee GUID)`: a count,
+/// then per child its probe delta, its callee and its body by `put`.
+fn encode_children<T>(buf: &mut Vec<u8>, children: &BTreeMap<(u32, u64), T>, put: Put<T>) {
+    put_uvarint(buf, children.len() as u64);
+    let mut prev = 0u32;
+    for (&(probe, callee), child) in children {
+        put_uvarint(buf, u64::from(probe.wrapping_sub(prev)));
+        put_uvarint(buf, callee);
+        put(buf, child);
+        prev = probe;
+    }
+}
+
+/// Reads children written by [`encode_children`], one level below `depth`.
+fn decode_children<T>(
+    r: &mut Reader<'_>,
+    depth: usize,
+    get: Get<T>,
+) -> Result<BTreeMap<(u32, u64), T>, DecodeError> {
+    let n = r.len_prefixed()?;
+    let mut out = BTreeMap::new();
+    let mut prev = 0u32;
+    for _ in 0..n {
+        let probe = r.u32_delta(prev, "callsite probe overflow")?;
+        let callee = r.uvarint()?;
+        out.insert((probe, callee), get(r, nested(depth)?)?);
+        prev = probe;
+    }
+    Ok(out)
+}
+
+/// The depth of a sub-profile one level below `depth`, refused past
+/// [`MAX_DEPTH`].
+fn nested(depth: usize) -> Result<usize, DecodeError> {
+    if depth >= MAX_DEPTH {
+        return Err(DecodeError::Corrupt("profile nested too deep"));
+    }
+    Ok(depth + 1)
 }
 
 // ---------------------------------------------------------------------------
@@ -388,87 +501,43 @@ fn encode_context_node(buf: &mut Vec<u8>, node: &ContextNode) {
     put_uvarint(buf, node.checksum);
     put_uvarint(buf, node.entry);
     encode_u32_counts(buf, &node.probes);
-    put_uvarint(buf, node.children.len() as u64);
-    let mut prev_probe = 0u32;
-    for (&(probe, callee), child) in &node.children {
-        put_uvarint(buf, u64::from(probe.wrapping_sub(prev_probe)));
-        put_uvarint(buf, callee);
-        encode_context_node(buf, child);
-        prev_probe = probe;
-    }
+    encode_children(buf, &node.children, encode_context_node);
 }
 
 fn decode_context_node(r: &mut Reader<'_>, depth: usize) -> Result<ContextNode, DecodeError> {
-    if depth > 512 {
-        return Err(DecodeError::Corrupt("context trie too deep"));
-    }
     let flags = r.byte()?;
     if flags > 1 {
         return Err(DecodeError::Corrupt("unknown context-node flags"));
     }
-    let mut node = ContextNode {
+    Ok(ContextNode {
         inlined: flags == 1,
         guid: r.uvarint()?,
         checksum: r.uvarint()?,
         entry: r.uvarint()?,
-        ..ContextNode::default()
-    };
-    node.probes = decode_u32_counts(r)?;
-    let n_children = r.len_prefixed()?;
-    let mut prev_probe = 0u32;
-    for _ in 0..n_children {
-        let delta = r.uvarint()?;
-        let probe = prev_probe.wrapping_add(
-            u32::try_from(delta).map_err(|_| DecodeError::Corrupt("callsite probe overflow"))?,
-        );
-        let callee = r.uvarint()?;
-        let child = decode_context_node(r, depth + 1)?;
-        node.children.insert((probe, callee), child);
-        prev_probe = probe;
-    }
-    Ok(node)
+        probes: decode_u32_counts(r)?,
+        children: decode_children(r, depth, decode_context_node)?,
+    })
 }
 
 /// Serializes a [`ContextProfile`] to the binprof wire format.
 pub fn encode_context(profile: &ContextProfile) -> Vec<u8> {
-    let mut table = StringTable::default();
-    let names = encode_names(&profile.names, &mut table);
-
-    let mut roots = Vec::new();
-    put_uvarint(&mut roots, profile.roots.len() as u64);
-    let mut prev = 0u64;
-    for (&guid, node) in &profile.roots {
-        put_uvarint(&mut roots, guid.wrapping_sub(prev));
-        encode_context_node(&mut roots, node);
-        prev = guid;
-    }
-
-    let mut buf = header(Kind::Context);
-    put_section(&mut buf, section::STRINGS, &table.encode());
-    put_section(&mut buf, section::NAMES, &names);
-    put_section(&mut buf, section::CONTEXT_ROOTS, &roots);
-    buf
+    encode_doc(
+        Kind::Context,
+        section::CONTEXT_ROOTS,
+        &profile.names,
+        &profile.roots,
+        encode_context_node,
+    )
 }
 
 /// Deserializes a [`ContextProfile`] from the binprof wire format.
 pub fn decode_context(bytes: &[u8]) -> Result<ContextProfile, DecodeError> {
-    let mut r = check_header(bytes, Kind::Context)?;
-    let sections = read_sections(&mut r)?;
-    let strings = StringTable::decode(require(&sections, section::STRINGS)?)?;
-    let names = decode_names(require(&sections, section::NAMES)?, &strings)?;
-
-    let mut rr = Reader::new(require(&sections, section::CONTEXT_ROOTS)?);
-    let n = rr.len_prefixed()?;
-    let mut roots = BTreeMap::new();
-    let mut prev = 0u64;
-    for _ in 0..n {
-        let guid = prev.wrapping_add(rr.uvarint()?);
-        roots.insert(guid, decode_context_node(&mut rr, 0)?);
-        prev = guid;
-    }
-    if !rr.at_end() {
-        return Err(DecodeError::Corrupt("trailing bytes in context roots"));
-    }
+    let (roots, names) = decode_doc(
+        bytes,
+        Kind::Context,
+        section::CONTEXT_ROOTS,
+        decode_context_node,
+    )?;
     Ok(ContextProfile { roots, names })
 }
 
@@ -481,82 +550,33 @@ fn encode_probe_func(buf: &mut Vec<u8>, f: &ProbeFuncProfile) {
     put_uvarint(buf, f.entry);
     put_uvarint(buf, f.checksum);
     encode_u32_counts(buf, &f.probes);
-    put_uvarint(buf, f.callsites.len() as u64);
-    let mut prev_probe = 0u32;
-    for (&(probe, callee), child) in &f.callsites {
-        put_uvarint(buf, u64::from(probe.wrapping_sub(prev_probe)));
-        put_uvarint(buf, callee);
-        encode_probe_func(buf, child);
-        prev_probe = probe;
-    }
+    encode_children(buf, &f.callsites, encode_probe_func);
 }
 
 fn decode_probe_func(r: &mut Reader<'_>, depth: usize) -> Result<ProbeFuncProfile, DecodeError> {
-    if depth > 512 {
-        return Err(DecodeError::Corrupt("probe profile too deep"));
-    }
-    let mut f = ProbeFuncProfile {
+    Ok(ProbeFuncProfile {
         total: r.uvarint()?,
         entry: r.uvarint()?,
         checksum: r.uvarint()?,
-        ..ProbeFuncProfile::default()
-    };
-    f.probes = decode_u32_counts(r)?;
-    let n = r.len_prefixed()?;
-    let mut prev_probe = 0u32;
-    for _ in 0..n {
-        let delta = r.uvarint()?;
-        let probe = prev_probe.wrapping_add(
-            u32::try_from(delta).map_err(|_| DecodeError::Corrupt("callsite probe overflow"))?,
-        );
-        let callee = r.uvarint()?;
-        f.callsites
-            .insert((probe, callee), decode_probe_func(r, depth + 1)?);
-        prev_probe = probe;
-    }
-    Ok(f)
+        probes: decode_u32_counts(r)?,
+        callsites: decode_children(r, depth, decode_probe_func)?,
+    })
 }
 
 /// Serializes a [`ProbeProfile`] to the binprof wire format.
 pub fn encode_probe(profile: &ProbeProfile) -> Vec<u8> {
-    let mut table = StringTable::default();
-    let names = encode_names(&profile.names, &mut table);
-
-    let mut funcs = Vec::new();
-    put_uvarint(&mut funcs, profile.funcs.len() as u64);
-    let mut prev = 0u64;
-    for (&guid, f) in &profile.funcs {
-        put_uvarint(&mut funcs, guid.wrapping_sub(prev));
-        encode_probe_func(&mut funcs, f);
-        prev = guid;
-    }
-
-    let mut buf = header(Kind::Probe);
-    put_section(&mut buf, section::STRINGS, &table.encode());
-    put_section(&mut buf, section::NAMES, &names);
-    put_section(&mut buf, section::PROBE_FUNCS, &funcs);
-    buf
+    encode_doc(
+        Kind::Probe,
+        section::PROBE_FUNCS,
+        &profile.names,
+        &profile.funcs,
+        encode_probe_func,
+    )
 }
 
 /// Deserializes a [`ProbeProfile`] from the binprof wire format.
 pub fn decode_probe(bytes: &[u8]) -> Result<ProbeProfile, DecodeError> {
-    let mut r = check_header(bytes, Kind::Probe)?;
-    let sections = read_sections(&mut r)?;
-    let strings = StringTable::decode(require(&sections, section::STRINGS)?)?;
-    let names = decode_names(require(&sections, section::NAMES)?, &strings)?;
-
-    let mut rr = Reader::new(require(&sections, section::PROBE_FUNCS)?);
-    let n = rr.len_prefixed()?;
-    let mut funcs = BTreeMap::new();
-    let mut prev = 0u64;
-    for _ in 0..n {
-        let guid = prev.wrapping_add(rr.uvarint()?);
-        funcs.insert(guid, decode_probe_func(&mut rr, 0)?);
-        prev = guid;
-    }
-    if !rr.at_end() {
-        return Err(DecodeError::Corrupt("trailing bytes in probe funcs"));
-    }
+    let (funcs, names) = decode_doc(bytes, Kind::Probe, section::PROBE_FUNCS, decode_probe_func)?;
     Ok(ProbeProfile { funcs, names })
 }
 
@@ -571,10 +591,7 @@ fn put_lockey(buf: &mut Vec<u8>, prev: &mut u32, key: LocKey) {
 }
 
 fn get_lockey(r: &mut Reader<'_>, prev: &mut u32) -> Result<LocKey, DecodeError> {
-    let delta = r.uvarint()?;
-    let line_offset = prev.wrapping_add(
-        u32::try_from(delta).map_err(|_| DecodeError::Corrupt("line offset overflow"))?,
-    );
+    let line_offset = r.u32_delta(*prev, "line offset overflow")?;
     let discriminator =
         u32::try_from(r.uvarint()?).map_err(|_| DecodeError::Corrupt("discriminator overflow"))?;
     *prev = line_offset;
@@ -603,9 +620,6 @@ fn encode_flat_func(buf: &mut Vec<u8>, f: &FlatFuncProfile) {
 }
 
 fn decode_flat_func(r: &mut Reader<'_>, depth: usize) -> Result<FlatFuncProfile, DecodeError> {
-    if depth > 512 {
-        return Err(DecodeError::Corrupt("flat profile too deep"));
-    }
     let mut f = FlatFuncProfile {
         total: r.uvarint()?,
         entry: r.uvarint()?,
@@ -623,52 +637,113 @@ fn decode_flat_func(r: &mut Reader<'_>, depth: usize) -> Result<FlatFuncProfile,
         let key = get_lockey(r, &mut prev)?;
         let callee = r.uvarint()?;
         f.callsites
-            .insert((key, callee), decode_flat_func(r, depth + 1)?);
+            .insert((key, callee), decode_flat_func(r, nested(depth)?)?);
     }
     Ok(f)
 }
 
 /// Serializes a [`FlatProfile`] to the binprof wire format.
 pub fn encode_flat(profile: &FlatProfile) -> Vec<u8> {
-    let mut table = StringTable::default();
-    let names = encode_names(&profile.names, &mut table);
-
-    let mut funcs = Vec::new();
-    put_uvarint(&mut funcs, profile.funcs.len() as u64);
-    let mut prev = 0u64;
-    for (&guid, f) in &profile.funcs {
-        put_uvarint(&mut funcs, guid.wrapping_sub(prev));
-        encode_flat_func(&mut funcs, f);
-        prev = guid;
-    }
-
-    let mut buf = header(Kind::Flat);
-    put_section(&mut buf, section::STRINGS, &table.encode());
-    put_section(&mut buf, section::NAMES, &names);
-    put_section(&mut buf, section::FLAT_FUNCS, &funcs);
-    buf
+    encode_doc(
+        Kind::Flat,
+        section::FLAT_FUNCS,
+        &profile.names,
+        &profile.funcs,
+        encode_flat_func,
+    )
 }
 
 /// Deserializes a [`FlatProfile`] from the binprof wire format.
 pub fn decode_flat(bytes: &[u8]) -> Result<FlatProfile, DecodeError> {
-    let mut r = check_header(bytes, Kind::Flat)?;
-    let sections = read_sections(&mut r)?;
-    let strings = StringTable::decode(require(&sections, section::STRINGS)?)?;
-    let names = decode_names(require(&sections, section::NAMES)?, &strings)?;
+    let (funcs, names) = decode_doc(bytes, Kind::Flat, section::FLAT_FUNCS, decode_flat_func)?;
+    Ok(FlatProfile { funcs, names })
+}
 
-    let mut rr = Reader::new(require(&sections, section::FLAT_FUNCS)?);
-    let n = rr.len_prefixed()?;
-    let mut funcs = BTreeMap::new();
+// ---------------------------------------------------------------------------
+// Stream snapshot
+// ---------------------------------------------------------------------------
+
+/// Writes sorted `(a, b, c)` rows: a count, then per row `a` (as a delta
+/// off the previous row's when `delta`), `b` and `c`.
+fn encode_rows(rows: &[(u64, u64, u64)], delta: bool) -> Vec<u8> {
+    let mut buf = Vec::new();
+    put_uvarint(&mut buf, rows.len() as u64);
+    let mut prev = 0u64;
+    for &(a, b, c) in rows {
+        put_uvarint(&mut buf, if delta { a.wrapping_sub(prev) } else { a });
+        put_uvarint(&mut buf, b);
+        put_uvarint(&mut buf, c);
+        prev = a;
+    }
+    buf
+}
+
+/// Reads rows written by [`encode_rows`]; an absent section is no rows.
+fn decode_rows(payload: Option<&[u8]>, delta: bool) -> Result<Vec<(u64, u64, u64)>, DecodeError> {
+    let Some(payload) = payload else {
+        return Ok(Vec::new());
+    };
+    let mut r = Reader::new(payload);
+    let n = r.len_prefixed()?;
+    let mut rows = Vec::with_capacity(n);
     let mut prev = 0u64;
     for _ in 0..n {
-        let guid = prev.wrapping_add(rr.uvarint()?);
-        funcs.insert(guid, decode_flat_func(&mut rr, 0)?);
-        prev = guid;
+        let a = r.uvarint()?;
+        let a = if delta { prev.wrapping_add(a) } else { a };
+        rows.push((a, r.uvarint()?, r.uvarint()?));
+        prev = a;
     }
-    if !rr.at_end() {
-        return Err(DecodeError::Corrupt("trailing bytes in flat funcs"));
+    r.finish("trailing bytes in snapshot rows")?;
+    Ok(rows)
+}
+
+/// Serializes a stream snapshot: the meta section (fingerprint, epochs,
+/// samples), the four row sections, and the context profile as a nested
+/// payload. Ranges and branches are written even when empty; no tail-graph
+/// edges and no weights write no section.
+pub(crate) fn encode_snapshot(snap: &Snapshot<'_>) -> Vec<u8> {
+    let mut buf = header(Kind::StreamSnapshot);
+    let mut meta = Vec::new();
+    for v in [snap.fingerprint, snap.epochs, snap.samples] {
+        put_uvarint(&mut meta, v);
     }
-    Ok(FlatProfile { funcs, names })
+    put_section(&mut buf, section::STREAM_META, &meta);
+    for (tag, rows, delta, always) in [
+        (section::STREAM_TAILGRAPH, &snap.tail_edges, false, false),
+        (section::STREAM_RANGES, &snap.ranges, true, true),
+        (section::STREAM_BRANCHES, &snap.branches, true, true),
+        (section::STREAM_WEIGHTS, &snap.weights, true, false),
+    ] {
+        if always || !rows.is_empty() {
+            put_section(&mut buf, tag, &encode_rows(rows, delta));
+        }
+    }
+    let context = encode_context(&snap.context);
+    put_section(&mut buf, section::STREAM_CONTEXT, &context);
+    buf
+}
+
+/// Deserializes a stream snapshot written by [`encode_snapshot`]. Checks
+/// the bytes only: what the values mean for a binary is
+/// `StreamAggregator`'s one restore check.
+pub(crate) fn decode_snapshot(bytes: &[u8]) -> Result<Snapshot<'static>, DecodeError> {
+    let mut r = check_header(bytes, Kind::StreamSnapshot)?;
+    let sections = read_sections(&mut r)?;
+    let rows = |tag, delta| decode_rows(find(&sections, tag), delta);
+    let mut meta = Reader::new(require(&sections, section::STREAM_META)?);
+    Ok(Snapshot {
+        fingerprint: meta.uvarint()?,
+        epochs: meta.uvarint()?,
+        samples: meta.uvarint()?,
+        tail_edges: rows(section::STREAM_TAILGRAPH, false)?,
+        ranges: rows(section::STREAM_RANGES, true)?,
+        branches: rows(section::STREAM_BRANCHES, true)?,
+        weights: rows(section::STREAM_WEIGHTS, true)?,
+        context: Cow::Owned(decode_context(require(
+            &sections,
+            section::STREAM_CONTEXT,
+        )?)?),
+    })
 }
 
 #[cfg(test)]
@@ -708,7 +783,7 @@ mod tests {
         for &v in &values {
             assert_eq!(r.uvarint().unwrap(), v);
         }
-        assert!(r.at_end());
+        assert_eq!(r.finish("trailing"), Ok(()));
     }
 
     #[test]
@@ -819,5 +894,108 @@ mod tests {
             StringTable::decode(&t.encode()).unwrap(),
             vec!["same", "other"]
         );
+    }
+
+    /// A snapshot with every section present, rows delta-encoded or not.
+    fn sample_snapshot() -> Snapshot<'static> {
+        Snapshot {
+            fingerprint: 0xfeed_f00d,
+            epochs: 3,
+            samples: 1234,
+            tail_edges: vec![(0, 2, 17), (1, 0, 5)],
+            ranges: vec![(4, 9, 100), (4, 12, 3), (30, 31, 8)],
+            branches: vec![(9, 4, 100), (31, 30, 8)],
+            weights: vec![(7, 1, 50), (7, 4, 2), (9, 0, 11)],
+            context: Cow::Owned(sample_context()),
+        }
+    }
+
+    /// `snapshot` re-framed with section `tag` replaced by `payload` (`None`:
+    /// dropped).
+    fn with_section(snapshot: &[u8], tag: u8, payload: Option<&[u8]>) -> Vec<u8> {
+        let mut r = check_header(snapshot, Kind::StreamSnapshot).unwrap();
+        let mut out = header(Kind::StreamSnapshot);
+        for (t, p) in read_sections(&mut r).unwrap() {
+            if t != tag {
+                put_section(&mut out, t, p);
+            }
+        }
+        if let Some(p) = payload {
+            put_section(&mut out, tag, p);
+        }
+        out
+    }
+
+    #[test]
+    fn snapshot_roundtrip_is_lossless_and_canonical() {
+        let snap = sample_snapshot();
+        let bytes = encode_snapshot(&snap);
+        let back = decode_snapshot(&bytes).unwrap();
+        assert_eq!(back, snap);
+        assert_eq!(encode_snapshot(&back), bytes);
+
+        // No edges and no weights: both sections are left out, and read
+        // back as no rows.
+        let bare = Snapshot {
+            tail_edges: Vec::new(),
+            weights: Vec::new(),
+            ..sample_snapshot()
+        };
+        let bytes = encode_snapshot(&bare);
+        assert_eq!(
+            with_section(&bytes, section::STREAM_TAILGRAPH, None),
+            bytes,
+            "no tail-graph section"
+        );
+        assert_eq!(decode_snapshot(&bytes).unwrap(), bare);
+    }
+
+    /// Binary-only hostile snapshots: a missing required section, truncation
+    /// anywhere, a row count past the payload, trailing bytes. Each is a
+    /// typed error, never a panic or an allocation of the claimed size.
+    #[test]
+    fn snapshot_framing_faults_are_typed_errors() {
+        let bytes = encode_snapshot(&sample_snapshot());
+        for tag in [section::STREAM_META, section::STREAM_CONTEXT] {
+            assert_eq!(
+                decode_snapshot(&with_section(&bytes, tag, None)),
+                Err(DecodeError::Corrupt("missing required section")),
+                "section {tag}"
+            );
+        }
+        for cut in 0..bytes.len() {
+            assert!(decode_snapshot(&bytes[..cut]).is_err(), "cut at {cut}");
+        }
+        let mut bomb = Vec::new();
+        put_uvarint(&mut bomb, u64::MAX);
+        let mut trailing = encode_rows(&[(1, 2, 3)], true);
+        trailing.push(0);
+        for (tag, payload, err) in [
+            (
+                section::STREAM_RANGES,
+                &bomb,
+                "length prefix exceeds payload",
+            ),
+            (
+                section::STREAM_WEIGHTS,
+                &bomb,
+                "length prefix exceeds payload",
+            ),
+            (
+                section::STREAM_BRANCHES,
+                &trailing,
+                "trailing bytes in snapshot rows",
+            ),
+        ] {
+            assert_eq!(
+                decode_snapshot(&with_section(&bytes, tag, Some(payload))),
+                Err(DecodeError::Corrupt(err)),
+                "section {tag}"
+            );
+        }
+        assert!(matches!(
+            decode_snapshot(&encode_context(&sample_context())),
+            Err(DecodeError::Kind { .. })
+        ));
     }
 }

@@ -15,45 +15,51 @@
 //! ```
 
 use csspgo_ir::BlockId;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 /// Per-function block counts keyed by GUID.
 pub type BlockCounts = HashMap<u64, HashMap<BlockId, u64>>;
 
-/// Block overlap degree of one function; 1.0 means identical distributions.
-fn function_overlap(f: &HashMap<BlockId, u64>, gt: &HashMap<BlockId, u64>) -> f64 {
-    let f_total: u64 = f.values().sum();
-    let gt_total: u64 = gt.values().sum();
-    if f_total == 0 || gt_total == 0 {
-        // Either side empty: no overlap information; count as zero overlap
-        // unless both are empty (trivially identical).
-        return if f_total == gt_total { 1.0 } else { 0.0 };
+/// `Σₖ min(aₖ/Σa, bₖ/Σb)`, the min-of-normalized-shares overlap of two
+/// distributions (1.0: identical; 1.0 for two empty ones, 0.0 when only one
+/// is empty). Summed in ascending key order — a key missing from either
+/// side adds nothing — so the `f64` is a function of the two maps, never of
+/// a hasher's seed. Table I's block overlap and the stream's drift metric
+/// ([`crate::stream::weight_overlap`]) are both this sum.
+pub(crate) fn share_overlap<K: Ord>(a: &BTreeMap<K, u64>, b: &BTreeMap<K, u64>) -> f64 {
+    let a_total: u64 = a.values().sum();
+    let b_total: u64 = b.values().sum();
+    if a_total == 0 || b_total == 0 {
+        return if a_total == b_total { 1.0 } else { 0.0 };
     }
     let mut d = 0.0;
-    let blocks: std::collections::HashSet<BlockId> = f.keys().chain(gt.keys()).copied().collect();
-    for v in blocks {
-        let fv = f.get(&v).copied().unwrap_or(0) as f64 / f_total as f64;
-        let gv = gt.get(&v).copied().unwrap_or(0) as f64 / gt_total as f64;
-        d += fv.min(gv);
+    for (key, &av) in a {
+        if let Some(&bv) = b.get(key) {
+            d += (av as f64 / a_total as f64).min(bv as f64 / b_total as f64);
+        }
     }
     d
 }
 
-/// Program-level block overlap degree, weighted by the measured profile.
+/// Program-level block overlap degree, weighted by the measured profile;
+/// functions are summed in GUID order.
 pub fn program_overlap(f: &BlockCounts, gt: &BlockCounts) -> f64 {
     let grand_total: u64 = f.values().map(|m| m.values().sum::<u64>()).sum();
     if grand_total == 0 {
         return 0.0;
     }
+    let sorted = |m: &HashMap<BlockId, u64>| -> BTreeMap<BlockId, u64> {
+        m.iter().map(|(&b, &c)| (b, c)).collect()
+    };
+    let funcs: BTreeMap<u64, &HashMap<BlockId, u64>> = f.iter().map(|(&g, m)| (g, m)).collect();
     let mut d = 0.0;
-    for (guid, f_counts) in f {
+    for (guid, f_counts) in funcs {
         let weight = f_counts.values().sum::<u64>() as f64 / grand_total as f64;
         if weight == 0.0 {
             continue;
         }
-        let empty = HashMap::new();
-        let gt_counts = gt.get(guid).unwrap_or(&empty);
-        d += function_overlap(f_counts, gt_counts) * weight;
+        let gt_counts = gt.get(&guid).map(sorted).unwrap_or_default();
+        d += share_overlap(&sorted(f_counts), &gt_counts) * weight;
     }
     d
 }
@@ -62,38 +68,38 @@ pub fn program_overlap(f: &BlockCounts, gt: &BlockCounts) -> f64 {
 mod tests {
     use super::*;
 
-    fn counts(pairs: &[(u32, u64)]) -> HashMap<BlockId, u64> {
+    fn counts<M: FromIterator<(BlockId, u64)>>(pairs: &[(u32, u64)]) -> M {
         pairs.iter().map(|&(b, c)| (BlockId(b), c)).collect()
     }
 
     #[test]
     fn identical_profiles_overlap_fully() {
-        let a = counts(&[(0, 100), (1, 50), (2, 50)]);
-        let d = function_overlap(&a, &a);
+        let a: BTreeMap<_, _> = counts(&[(0, 100), (1, 50), (2, 50)]);
+        let d = share_overlap(&a, &a);
         assert!((d - 1.0).abs() < 1e-9);
     }
 
     #[test]
     fn scaled_profiles_overlap_fully() {
         // Overlap compares distributions, not magnitudes.
-        let a = counts(&[(0, 100), (1, 50)]);
-        let b = counts(&[(0, 10), (1, 5)]);
-        assert!((function_overlap(&a, &b) - 1.0).abs() < 1e-9);
+        let a: BTreeMap<_, _> = counts(&[(0, 100), (1, 50)]);
+        let b: BTreeMap<_, _> = counts(&[(0, 10), (1, 5)]);
+        assert!((share_overlap(&a, &b) - 1.0).abs() < 1e-9);
     }
 
     #[test]
     fn disjoint_profiles_do_not_overlap() {
-        let a = counts(&[(0, 100)]);
-        let b = counts(&[(1, 100)]);
-        assert_eq!(function_overlap(&a, &b), 0.0);
+        let a: BTreeMap<_, _> = counts(&[(0, 100)]);
+        let b: BTreeMap<_, _> = counts(&[(1, 100)]);
+        assert_eq!(share_overlap(&a, &b), 0.0);
     }
 
     #[test]
     fn partial_overlap_is_proportional() {
-        let a = counts(&[(0, 50), (1, 50)]);
-        let b = counts(&[(0, 100), (1, 0)]);
+        let a: BTreeMap<_, _> = counts(&[(0, 50), (1, 50)]);
+        let b: BTreeMap<_, _> = counts(&[(0, 100), (1, 0)]);
         // min(0.5, 1.0) + min(0.5, 0.0) = 0.5
-        assert!((function_overlap(&a, &b) - 0.5).abs() < 1e-9);
+        assert!((share_overlap(&a, &b) - 0.5).abs() < 1e-9);
     }
 
     #[test]
@@ -114,5 +120,33 @@ mod tests {
         let mut gt = BlockCounts::new();
         gt.insert(1, counts(&[(0, 10)]));
         assert_eq!(program_overlap(&f, &gt), 0.0);
+    }
+
+    /// Regression: both sums ran in hash order, seeded per map, so equal
+    /// counts could give a different last bit from one build of the maps to
+    /// the next — and Table I from one run to the next.
+    #[test]
+    fn overlap_is_one_f64_however_the_maps_were_built() {
+        let build = || {
+            let (mut f, mut gt) = (BlockCounts::new(), BlockCounts::new());
+            for guid in 0..8u32 {
+                let shape = |m: u32, k: u32| (0..40).map(move |b| (b, u64::from(b * m % k + guid)));
+                f.insert(
+                    u64::from(guid),
+                    counts(&shape(7919, 101).collect::<Vec<_>>()),
+                );
+                gt.insert(
+                    u64::from(guid),
+                    counts(&shape(104_729, 97).collect::<Vec<_>>()),
+                );
+            }
+            (f, gt)
+        };
+        let (f, gt) = build();
+        let want = program_overlap(&f, &gt).to_bits();
+        for _ in 0..64 {
+            let (f, gt) = build();
+            assert_eq!(program_overlap(&f, &gt).to_bits(), want);
+        }
     }
 }

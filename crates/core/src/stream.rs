@@ -26,7 +26,10 @@
 //!   the compact binary format ([`crate::binprof`]) is the production
 //!   path, the text form stays as the human-readable debug format, and
 //!   the two are losslessly interchangeable — `restore_from` sniffs the
-//!   binprof magic, so callers never track which format was persisted;
+//!   binprof magic, so callers never track which format was persisted.
+//!   Both encode one snapshot value and check only their own syntax; one
+//!   check fits a decoded snapshot to the binary, whichever format it came
+//!   in;
 //! * under a resident-context cap, cold context subtrees can be evicted
 //!   ([`StreamAggregator::evict_contexts`]): their weight folds into the
 //!   per-function base profiles (the [`crate::context`] conservation
@@ -51,7 +54,7 @@
 //! and persisted inside snapshots; rebuilding it mid-stream would change
 //! how later samples unwind.
 
-use crate::binprof::{self, put_uvarint, Kind};
+use crate::binprof;
 use crate::context::ContextProfile;
 use crate::pipeline::{ContextGenerated, PipelineError};
 use crate::ranges::RangeCounts;
@@ -61,6 +64,7 @@ use crate::textprof;
 use crate::unwind::Unwinder;
 use csspgo_codegen::Binary;
 use csspgo_sim::Sample;
+use std::borrow::Cow;
 use std::cell::OnceCell;
 use std::collections::BTreeMap;
 use std::fmt;
@@ -239,21 +243,11 @@ pub fn probe_weights(profile: &ContextProfile) -> BTreeMap<(u64, u32), u64> {
 }
 
 /// Distribution overlap of two weight maps: `Σ min(aᵢ/Σa, bᵢ/Σb)`, the
-/// same min-of-normalized-shares shape as the paper's block-overlap
-/// quality metric. 1.0 means identical distributions.
+/// same min-of-normalized-shares sum as the paper's block-overlap quality
+/// metric ([`crate::overlap`]), in key order. 1.0 means identical
+/// distributions.
 pub fn weight_overlap(a: &BTreeMap<(u64, u32), u64>, b: &BTreeMap<(u64, u32), u64>) -> f64 {
-    let a_total: u64 = a.values().sum();
-    let b_total: u64 = b.values().sum();
-    if a_total == 0 || b_total == 0 {
-        return if a_total == b_total { 1.0 } else { 0.0 };
-    }
-    let mut d = 0.0;
-    for (key, &av) in a {
-        if let Some(&bv) = b.get(key) {
-            d += (av as f64 / a_total as f64).min(bv as f64 / b_total as f64);
-        }
-    }
-    d
+    crate::overlap::share_overlap(a, b)
 }
 
 /// The streaming profile aggregator: accepts PMU sample batches
@@ -286,11 +280,6 @@ pub struct StreamAggregator<'b> {
 }
 
 impl<'b> StreamAggregator<'b> {
-    /// An aggregator without missing-frame inference.
-    pub fn new(binary: &'b Binary, config: StreamConfig, ingest_shards: usize) -> Self {
-        Self::build(binary, config, ingest_shards, None)
-    }
-
     /// An aggregator unwinding with a *pinned* tail-call graph (usually
     /// built from a calibration epoch's [`RangeCounts`]). Pinning is what
     /// keeps incremental folds bit-identical to a batch ingestion that
@@ -556,14 +545,23 @@ impl<'b> StreamAggregator<'b> {
 
     /// Serializes the cumulative state in the requested wire format.
     ///
-    /// Both formats carry the same content — fingerprint guard,
+    /// Both formats encode the same snapshot value — fingerprint guard,
     /// epoch/sample counters, pinned tail-call graph, range/branch counts,
     /// previous-epoch probe weights, the context profile — and both are
     /// canonical: restore → re-snapshot is byte-identical.
     pub fn snapshot_as(&self, format: SnapshotFormat) -> Vec<u8> {
+        let mut snap = self.to_snapshot();
         match format {
-            SnapshotFormat::Text => self.snapshot_text().into_bytes(),
-            SnapshotFormat::Binary => self.snapshot_binary(),
+            SnapshotFormat::Binary => binprof::encode_snapshot(&snap),
+            SnapshotFormat::Text => {
+                // GUIDs cross the text format as function names, so the
+                // context is named from the binary's symbol table.
+                let names = &mut snap.context.to_mut().names;
+                for f in &self.binary.funcs {
+                    names.insert(f.guid, f.name.clone());
+                }
+                write_text(&snap).into_bytes()
+            }
         }
     }
 
@@ -571,402 +569,120 @@ impl<'b> StreamAggregator<'b> {
     /// payload is sniffed for the [`crate::binprof`] magic and decoded as
     /// binary when it matches, as UTF-8 text otherwise. The inverse of
     /// [`Self::snapshot_as`], without the caller having to remember which
-    /// format was persisted.
+    /// format was persisted. Whichever format it came in, the decoded
+    /// snapshot passes the same check against `binary`.
     ///
     /// # Errors
     ///
     /// Returns [`PipelineError::Decode`] for a malformed binary payload,
     /// [`PipelineError::Profile`] for an unparsable text context section,
-    /// and [`PipelineError::Stream`] when the payload is neither format or
-    /// was taken against a different binary build.
+    /// and [`PipelineError::Stream`] when the payload is neither format, is
+    /// malformed text, or does not fit `binary` (another build, an index
+    /// outside it).
     pub fn restore_from(
         binary: &'b Binary,
         config: StreamConfig,
         ingest_shards: usize,
         bytes: &[u8],
     ) -> Result<Self, PipelineError> {
-        if bytes.starts_with(&binprof::MAGIC) {
-            return Self::restore_binary(binary, config, ingest_shards, bytes);
-        }
-        let text = std::str::from_utf8(bytes).map_err(|_| {
-            PipelineError::Stream(
-                "snapshot payload is neither binprof (no magic) nor UTF-8 text".into(),
-            )
-        })?;
-        Self::restore_text(binary, config, ingest_shards, text)
+        let snap = if bytes.starts_with(&binprof::MAGIC) {
+            binprof::decode_snapshot(bytes)?
+        } else {
+            let text = std::str::from_utf8(bytes).map_err(|_| {
+                PipelineError::Stream(
+                    "snapshot payload is neither binprof (no magic) nor UTF-8 text".into(),
+                )
+            })?;
+            parse_text(text)?
+        };
+        Self::from_snapshot(binary, config, ingest_shards, snap)
     }
 
-    /// Serializes the cumulative state to text — the human-readable
-    /// **debug** snapshot format (production snapshots use
-    /// [`SnapshotFormat::Binary`]). The context section is the
-    /// [`crate::textprof`] CS format (named via the binary's symbol table
-    /// so GUIDs survive the name-hash round-trip); ranges, branches, and
-    /// the pinned tail-call graph ride along in sorted line sections, and
-    /// a binary fingerprint guards against restoring onto a different
-    /// build.
-    fn snapshot_text(&self) -> String {
-        let mut out = String::new();
-        let _ = writeln!(out, "# csspgo-stream-snapshot v1");
-        let _ = writeln!(out, "# fingerprint: {:#x}", binary_fingerprint(self.binary));
-        let _ = writeln!(out, "# epochs: {}", self.epochs_sealed);
-        let _ = writeln!(out, "# samples: {}", self.total_samples);
-
-        let _ = writeln!(out, "!tail-graph");
-        if let Some(g) = &self.tail_graph {
-            let mut edges: Vec<(u32, u32, usize)> = g.edges().collect();
-            edges.sort_unstable();
-            for (caller, callee, inst) in edges {
-                let _ = writeln!(out, "{caller} {callee} {inst}");
-            }
+    /// The cumulative state as a [`Snapshot`], rows sorted and the context
+    /// borrowed.
+    fn to_snapshot(&self) -> Snapshot<'_> {
+        let rows = |map: &crate::fasthash::FastMap<(usize, usize), u64>| {
+            let mut rows: Vec<(u64, u64, u64)> = map
+                .iter()
+                .map(|(&(a, b), &c)| (a as u64, b as u64, c))
+                .collect();
+            rows.sort_unstable();
+            rows
+        };
+        let mut tail_edges: Vec<(u64, u64, u64)> = self
+            .tail_graph
+            .iter()
+            .flat_map(TailCallGraph::edges)
+            .map(|(caller, callee, inst)| (u64::from(caller), u64::from(callee), inst as u64))
+            .collect();
+        tail_edges.sort_unstable();
+        Snapshot {
+            fingerprint: binary_fingerprint(self.binary),
+            epochs: self.epochs_sealed,
+            samples: self.total_samples,
+            tail_edges,
+            ranges: rows(&self.rc.ranges),
+            branches: rows(&self.rc.branches),
+            weights: (self.last_weights.iter().flatten())
+                .map(|(&(guid, probe), &count)| (guid, u64::from(probe), count))
+                .collect(),
+            context: Cow::Borrowed(self.context_profile()),
         }
-
-        let _ = writeln!(out, "!ranges");
-        let mut ranges: Vec<((usize, usize), u64)> =
-            self.rc.ranges.iter().map(|(&k, &v)| (k, v)).collect();
-        ranges.sort_unstable();
-        for ((b, e), c) in ranges {
-            let _ = writeln!(out, "{b} {e} {c}");
-        }
-
-        let _ = writeln!(out, "!branches");
-        let mut branches: Vec<((usize, usize), u64)> =
-            self.rc.branches.iter().map(|(&k, &v)| (k, v)).collect();
-        branches.sort_unstable();
-        for ((f, t), c) in branches {
-            let _ = writeln!(out, "{f} {t} {c}");
-        }
-
-        let _ = writeln!(out, "!weights");
-        if let Some(w) = &self.last_weights {
-            for (&(guid, probe), &count) in w {
-                let _ = writeln!(out, "{guid} {probe} {count}");
-            }
-        }
-
-        let _ = writeln!(out, "!context");
-        let mut named = self.context_profile().clone();
-        for f in &self.binary.funcs {
-            named.names.insert(f.guid, f.name.clone());
-        }
-        out.push_str(&textprof::write_context(&named));
-        out
     }
 
-    /// Rebuilds an aggregator from a text snapshot, ready to resume
-    /// folding epochs where the snapshot left off.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PipelineError::Stream`] when the snapshot structure is
-    /// malformed or was taken against a different binary, and
-    /// [`PipelineError::Profile`] when the context section fails to parse.
-    fn restore_text(
+    /// The one check of a decoded snapshot against the binary it is
+    /// restored onto, for both formats: the fingerprint must be `binary`'s,
+    /// every tail-graph, range and branch row must index inside it, and
+    /// every weight's probe must fit a `u32`. A restored aggregator so holds
+    /// no index its next seal or build could trip on. What passes is
+    /// adopted as is: an empty edge or weight list is no graph, no baseline.
+    fn from_snapshot(
         binary: &'b Binary,
         config: StreamConfig,
         ingest_shards: usize,
-        text: &str,
+        snap: Snapshot<'_>,
     ) -> Result<Self, PipelineError> {
-        let bad = |msg: String| PipelineError::Stream(msg);
-        let mut agg = Self::build(binary, config, ingest_shards, None);
-
-        #[derive(PartialEq)]
-        enum Section {
-            Header,
-            TailGraph,
-            Ranges,
-            Branches,
-            Weights,
-        }
-        let mut section = Section::Header;
-        let mut saw_fingerprint = false;
-        let mut graph = TailCallGraph::default();
-        let mut saw_graph_edges = false;
-        let mut weights: BTreeMap<(u64, u32), u64> = BTreeMap::new();
-
-        let Some((head, ctx_text)) = textprof::split_snapshot_context(text) else {
-            return Err(bad("snapshot has no !context section".into()));
-        };
-        for (lineno, line) in head.lines().enumerate() {
-            let trimmed = line.trim();
-            if trimmed.is_empty() {
-                continue;
-            }
-            if let Some(rest) = trimmed.strip_prefix("# fingerprint:") {
-                let v = rest.trim().trim_start_matches("0x");
-                let fp = u64::from_str_radix(v, 16)
-                    .map_err(|_| bad(format!("line {}: bad fingerprint", lineno + 1)))?;
-                if fp != binary_fingerprint(binary) {
-                    return Err(bad(
-                        "snapshot was taken against a different binary build".into()
-                    ));
-                }
-                saw_fingerprint = true;
-                continue;
-            }
-            if let Some(rest) = trimmed.strip_prefix("# epochs:") {
-                agg.epochs_sealed = rest
-                    .trim()
-                    .parse()
-                    .map_err(|_| bad(format!("line {}: bad epoch count", lineno + 1)))?;
-                continue;
-            }
-            if let Some(rest) = trimmed.strip_prefix("# samples:") {
-                agg.total_samples = rest
-                    .trim()
-                    .parse()
-                    .map_err(|_| bad(format!("line {}: bad sample count", lineno + 1)))?;
-                continue;
-            }
-            if trimmed.starts_with('#') {
-                continue;
-            }
-            match trimmed {
-                "!tail-graph" => section = Section::TailGraph,
-                "!ranges" => section = Section::Ranges,
-                "!branches" => section = Section::Branches,
-                "!weights" => section = Section::Weights,
-                _ => {
-                    let mut nums = trimmed.split_whitespace().map(str::parse::<u64>);
-                    let mut next = || {
-                        nums.next().and_then(Result::ok).ok_or_else(|| {
-                            bad(format!("line {}: expected three integers", lineno + 1))
-                        })
-                    };
-                    let (a, b, c) = (next()?, next()?, next()?);
-                    let at = |m: &str| bad(format!("line {}: {m}", lineno + 1));
-                    match section {
-                        Section::Header => {
-                            return Err(bad(format!(
-                                "line {}: data before any section marker",
-                                lineno + 1
-                            )))
-                        }
-                        Section::TailGraph => {
-                            graph.insert_edge(
-                                func_index(binary, a).map_err(at)?,
-                                func_index(binary, b).map_err(at)?,
-                                inst_index(binary, c).map_err(at)?,
-                            );
-                            saw_graph_edges = true;
-                        }
-                        Section::Ranges => {
-                            let range = inst_range(binary, a, b).map_err(at)?;
-                            agg.rc.ranges.insert(range, c);
-                        }
-                        Section::Branches => {
-                            let from = inst_index(binary, a).map_err(at)?;
-                            let to = inst_index(binary, b).map_err(at)?;
-                            agg.rc.branches.insert((from, to), c);
-                        }
-                        Section::Weights => {
-                            let probe =
-                                u32::try_from(b).map_err(|_| at("weight probe overflow"))?;
-                            weights.insert((a, probe), c);
-                        }
-                    }
-                }
-            }
-        }
-
-        if !saw_fingerprint {
-            // Without the guard a snapshot would restore onto any build and
-            // silently mis-correlate its counts.
-            return Err(bad("snapshot has no `# fingerprint:` header".into()));
-        }
-
-        let mut profile = textprof::parse_context(ctx_text)?;
-        // The aggregator's working profile carries no names (exactly like
-        // the batch unwinding path); the snapshot only named functions so
-        // GUIDs would survive the text round-trip.
-        profile.names.clear();
-        if saw_graph_edges {
-            agg.tail_graph = Some(graph);
-        }
-        if !weights.is_empty() {
-            agg.last_weights = Some(weights);
-        }
-        agg.adopt(profile);
-        Ok(agg)
-    }
-
-    /// Serializes the cumulative state to the compact binary snapshot — the
-    /// production snapshot path ([`SnapshotFormat::Text`] is the debug
-    /// format). Same content as the text snapshot: fingerprint guard,
-    /// epoch/sample counters, pinned tail-call graph, range/branch counts,
-    /// previous-epoch probe weights, and the context profile (as a nested
-    /// [`crate::binprof`] payload — GUIDs are stored natively, so no name
-    /// round-trip is needed). The encoding is canonical: restoring and
-    /// re-snapshotting yields byte-identical output.
-    fn snapshot_binary(&self) -> Vec<u8> {
-        let mut buf = binprof::header(Kind::StreamSnapshot);
-
-        let mut meta = Vec::new();
-        put_uvarint(&mut meta, binary_fingerprint(self.binary));
-        put_uvarint(&mut meta, self.epochs_sealed);
-        put_uvarint(&mut meta, self.total_samples);
-        binprof::put_section(&mut buf, binprof::section::STREAM_META, &meta);
-
-        if let Some(g) = &self.tail_graph {
-            let mut edges: Vec<(u32, u32, usize)> = g.edges().collect();
-            edges.sort_unstable();
-            // An edgeless pinned graph is indistinguishable from "no graph"
-            // in the text snapshot; mirror that so the formats stay
-            // losslessly interchangeable.
-            if !edges.is_empty() {
-                let mut sec = Vec::new();
-                put_uvarint(&mut sec, edges.len() as u64);
-                for (caller, callee, inst) in edges {
-                    put_uvarint(&mut sec, u64::from(caller));
-                    put_uvarint(&mut sec, u64::from(callee));
-                    put_uvarint(&mut sec, inst as u64);
-                }
-                binprof::put_section(&mut buf, binprof::section::STREAM_TAILGRAPH, &sec);
-            }
-        }
-
-        let counts_section = |map: &crate::fasthash::FastMap<(usize, usize), u64>| {
-            let mut entries: Vec<((usize, usize), u64)> =
-                map.iter().map(|(&k, &v)| (k, v)).collect();
-            entries.sort_unstable();
-            let mut sec = Vec::new();
-            put_uvarint(&mut sec, entries.len() as u64);
-            let mut prev = 0u64;
-            for ((a, b), c) in entries {
-                put_uvarint(&mut sec, (a as u64).wrapping_sub(prev));
-                put_uvarint(&mut sec, b as u64);
-                put_uvarint(&mut sec, c);
-                prev = a as u64;
-            }
-            sec
-        };
-        binprof::put_section(
-            &mut buf,
-            binprof::section::STREAM_RANGES,
-            &counts_section(&self.rc.ranges),
-        );
-        binprof::put_section(
-            &mut buf,
-            binprof::section::STREAM_BRANCHES,
-            &counts_section(&self.rc.branches),
-        );
-
-        if let Some(w) = self.last_weights.as_ref().filter(|w| !w.is_empty()) {
-            let mut sec = Vec::new();
-            put_uvarint(&mut sec, w.len() as u64);
-            let mut prev = 0u64;
-            for (&(guid, probe), &count) in w {
-                put_uvarint(&mut sec, guid.wrapping_sub(prev));
-                put_uvarint(&mut sec, u64::from(probe));
-                put_uvarint(&mut sec, count);
-                prev = guid;
-            }
-            binprof::put_section(&mut buf, binprof::section::STREAM_WEIGHTS, &sec);
-        }
-
-        binprof::put_section(
-            &mut buf,
-            binprof::section::STREAM_CONTEXT,
-            &binprof::encode_context(self.context_profile()),
-        );
-        buf
-    }
-
-    /// Rebuilds an aggregator from a binary snapshot payload.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PipelineError::Decode`] when the payload is malformed and
-    /// [`PipelineError::Stream`] when it was taken against a different
-    /// binary build.
-    fn restore_binary(
-        binary: &'b Binary,
-        config: StreamConfig,
-        ingest_shards: usize,
-        bytes: &[u8],
-    ) -> Result<Self, PipelineError> {
-        use crate::binprof::DecodeError;
-        let mut r = binprof::check_header(bytes, Kind::StreamSnapshot)?;
-        let sections = binprof::read_sections(&mut r)?;
-        let find = |tag: u8| sections.iter().find(|(t, _)| *t == tag).map(|(_, p)| *p);
-
-        let mut agg = Self::build(binary, config, ingest_shards, None);
-
-        let meta = find(binprof::section::STREAM_META)
-            .ok_or(DecodeError::Corrupt("missing stream metadata section"))?;
-        let mut mr = binprof::Reader::new(meta);
-        let fp = mr.uvarint()?;
-        if fp != binary_fingerprint(binary) {
+        if snap.fingerprint != binary_fingerprint(binary) {
             return Err(PipelineError::Stream(
                 "snapshot was taken against a different binary build".into(),
             ));
         }
-        agg.epochs_sealed = mr.uvarint()?;
-        agg.total_samples = mr.uvarint()?;
-
-        if let Some(sec) = find(binprof::section::STREAM_TAILGRAPH) {
-            let mut gr = binprof::Reader::new(sec);
-            let n = gr.uvarint()?;
-            let mut graph = TailCallGraph::default();
-            for _ in 0..n {
-                let caller = func_index(binary, gr.uvarint()?).map_err(DecodeError::Corrupt)?;
-                let callee = func_index(binary, gr.uvarint()?).map_err(DecodeError::Corrupt)?;
-                let inst = inst_index(binary, gr.uvarint()?).map_err(DecodeError::Corrupt)?;
-                graph.insert_edge(caller, callee, inst);
-            }
-            if n > 0 {
-                agg.tail_graph = Some(graph);
-            }
-        }
-
-        type PairCounts = Vec<((u64, u64), u64)>;
-        let read_counts = |payload: &[u8]| -> Result<PairCounts, DecodeError> {
-            let mut cr = binprof::Reader::new(payload);
-            let n = cr.uvarint()?;
-            let mut out = Vec::new();
-            let mut prev = 0u64;
-            for _ in 0..n {
-                let a = prev.wrapping_add(cr.uvarint()?);
-                let b = cr.uvarint()?;
-                let c = cr.uvarint()?;
-                out.push(((a, b), c));
-                prev = a;
-            }
-            Ok(out)
+        let refuse = |rows: &str, (a, b, c): (u64, u64, u64), why: &str| {
+            PipelineError::Stream(format!("snapshot {rows} row `{a} {b} {c}`: {why}"))
         };
-        if let Some(sec) = find(binprof::section::STREAM_RANGES) {
-            for ((begin, end), v) in read_counts(sec)? {
-                let range = inst_range(binary, begin, end).map_err(DecodeError::Corrupt)?;
-                agg.rc.ranges.insert(range, v);
-            }
+        let mut graph = TailCallGraph::default();
+        for &row @ (caller, callee, inst) in &snap.tail_edges {
+            let at = |why| refuse("tail-graph", row, why);
+            graph.insert_edge(
+                func_index(binary, caller).map_err(at)?,
+                func_index(binary, callee).map_err(at)?,
+                inst_index(binary, inst).map_err(at)?,
+            );
         }
-        if let Some(sec) = find(binprof::section::STREAM_BRANCHES) {
-            for ((from, to), v) in read_counts(sec)? {
-                let from = inst_index(binary, from).map_err(DecodeError::Corrupt)?;
-                let to = inst_index(binary, to).map_err(DecodeError::Corrupt)?;
-                agg.rc.branches.insert((from, to), v);
-            }
+        let tail_graph = (!snap.tail_edges.is_empty()).then_some(graph);
+        let mut agg = Self::build(binary, config, ingest_shards, tail_graph);
+        agg.epochs_sealed = snap.epochs;
+        agg.total_samples = snap.samples;
+        for &row @ (begin, end, count) in &snap.ranges {
+            let range = inst_range(binary, begin, end).map_err(|why| refuse("ranges", row, why))?;
+            agg.rc.ranges.insert(range, count);
         }
-
-        if let Some(sec) = find(binprof::section::STREAM_WEIGHTS) {
-            let mut wr = binprof::Reader::new(sec);
-            let n = wr.uvarint()?;
-            let mut weights: BTreeMap<(u64, u32), u64> = BTreeMap::new();
-            let mut prev = 0u64;
-            for _ in 0..n {
-                let guid = prev.wrapping_add(wr.uvarint()?);
-                let probe = u32::try_from(wr.uvarint()?)
-                    .map_err(|_| DecodeError::Corrupt("weight probe overflow"))?;
-                weights.insert((guid, probe), wr.uvarint()?);
-                prev = guid;
-            }
-            if !weights.is_empty() {
-                agg.last_weights = Some(weights);
-            }
+        for &row @ (from, to, count) in &snap.branches {
+            let at = |why| refuse("branches", row, why);
+            let branch = (
+                inst_index(binary, from).map_err(at)?,
+                inst_index(binary, to).map_err(at)?,
+            );
+            agg.rc.branches.insert(branch, count);
         }
-
-        let ctx = find(binprof::section::STREAM_CONTEXT)
-            .ok_or(DecodeError::Corrupt("missing stream context section"))?;
-        agg.adopt(binprof::decode_context(ctx)?);
+        let mut weights = BTreeMap::new();
+        for &row @ (guid, probe, count) in &snap.weights {
+            let probe = u32::try_from(probe)
+                .map_err(|_| refuse("weights", row, "weight probe overflow"))?;
+            weights.insert((guid, probe), count);
+        }
+        agg.last_weights = (!weights.is_empty()).then_some(weights);
+        agg.adopt(snap.context.into_owned());
         Ok(agg)
     }
 
@@ -983,12 +699,126 @@ impl<'b> StreamAggregator<'b> {
     }
 }
 
+/// A stream's cumulative state as a snapshot carries it: raw values, checked
+/// against no binary. Both wire formats encode exactly this and check only
+/// their own syntax — `binprof::{encode_snapshot, decode_snapshot}`
+/// ([`SnapshotFormat::Binary`]) and `write_text` / `parse_text` below
+/// ([`SnapshotFormat::Text`]) — and `StreamAggregator::from_snapshot` is the
+/// one check of what the values mean, for both.
+#[derive(Clone, Debug, Default, PartialEq)]
+pub(crate) struct Snapshot<'a> {
+    /// Fingerprint of the build the state was counted on.
+    pub(crate) fingerprint: u64,
+    /// Epochs sealed.
+    pub(crate) epochs: u64,
+    /// Samples folded across them.
+    pub(crate) samples: u64,
+    /// The pinned tail-call graph's `(caller, callee, tail-call
+    /// instruction)` edges, sorted; empty for no graph or an edgeless one.
+    pub(crate) tail_edges: Vec<(u64, u64, u64)>,
+    /// LBR range counts `(begin, end, count)`, sorted.
+    pub(crate) ranges: Vec<(u64, u64, u64)>,
+    /// Branch counts `(from, to, count)`, sorted.
+    pub(crate) branches: Vec<(u64, u64, u64)>,
+    /// The previous epoch's probe weights `(guid, probe, count)`, sorted;
+    /// empty for no baseline.
+    pub(crate) weights: Vec<(u64, u64, u64)>,
+    /// The cumulative context profile.
+    pub(crate) context: Cow<'a, ContextProfile>,
+}
+
+/// The text snapshot's row-section markers, in the order of
+/// [`Snapshot`]'s row fields.
+const TEXT_SECTIONS: [&str; 4] = ["!tail-graph", "!ranges", "!branches", "!weights"];
+
+/// Writes `snap` as the human-readable **debug** snapshot: `# key: value`
+/// header lines, each row section under its marker one `a b c` line per
+/// row, then `!context` and the [`crate::textprof`] CS text of the context.
+fn write_text(snap: &Snapshot<'_>) -> String {
+    let mut out = String::new();
+    let _ = writeln!(out, "# csspgo-stream-snapshot v1");
+    let _ = writeln!(out, "# fingerprint: {:#x}", snap.fingerprint);
+    let _ = writeln!(out, "# epochs: {}", snap.epochs);
+    let _ = writeln!(out, "# samples: {}", snap.samples);
+    let rows = [
+        &snap.tail_edges,
+        &snap.ranges,
+        &snap.branches,
+        &snap.weights,
+    ];
+    for (marker, rows) in TEXT_SECTIONS.iter().zip(rows) {
+        let _ = writeln!(out, "{marker}");
+        for (a, b, c) in rows {
+            let _ = writeln!(out, "{a} {b} {c}");
+        }
+    }
+    let _ = writeln!(out, "!context");
+    out.push_str(&textprof::write_context(&snap.context));
+    out
+}
+
+/// Reads a snapshot written by [`write_text`], checking its syntax only:
+/// the three header lines must be present, every row must be three integers
+/// under a section marker, and the context must parse.
+fn parse_text(text: &str) -> Result<Snapshot<'static>, PipelineError> {
+    let bad = |msg: String| PipelineError::Stream(msg);
+    let Some((head, ctx_text)) = textprof::split_snapshot_context(text) else {
+        return Err(bad("snapshot has no !context section".into()));
+    };
+    let (mut fingerprint, mut epochs, mut samples) = (None, None, None);
+    let mut sections: [Vec<(u64, u64, u64)>; 4] = Default::default();
+    let mut current = None;
+    for (lineno, line) in head.lines().enumerate() {
+        let at = |msg: &str| bad(format!("line {}: {msg}", lineno + 1));
+        let line = line.trim();
+        if let Some(v) = line.strip_prefix("# fingerprint:") {
+            let v = v.trim().trim_start_matches("0x");
+            fingerprint = Some(u64::from_str_radix(v, 16).map_err(|_| at("bad fingerprint"))?);
+        } else if let Some(v) = line.strip_prefix("# epochs:") {
+            epochs = Some(v.trim().parse().map_err(|_| at("bad epoch count"))?);
+        } else if let Some(v) = line.strip_prefix("# samples:") {
+            samples = Some(v.trim().parse().map_err(|_| at("bad sample count"))?);
+        } else if line.is_empty() || line.starts_with('#') {
+            continue;
+        } else if let Some(k) = TEXT_SECTIONS.iter().position(|&m| m == line) {
+            current = Some(k);
+        } else {
+            let k = current.ok_or_else(|| at("data before any section marker"))?;
+            let mut nums = line.split_whitespace().map(str::parse::<u64>);
+            let mut next =
+                || (nums.next().and_then(Result::ok)).ok_or_else(|| at("expected three integers"));
+            sections[k].push((next()?, next()?, next()?));
+        }
+    }
+    // Without these a snapshot would restore onto any build, or restart
+    // its counters at zero, without a word.
+    let need = |v: Option<u64>, key: &str| {
+        v.ok_or_else(|| bad(format!("snapshot has no `# {key}:` header")))
+    };
+    let [tail_edges, ranges, branches, weights] = sections;
+    let mut snap = Snapshot {
+        fingerprint: need(fingerprint, "fingerprint")?,
+        epochs: need(epochs, "epochs")?,
+        samples: need(samples, "samples")?,
+        tail_edges,
+        ranges,
+        branches,
+        weights,
+        context: Cow::Owned(textprof::parse_context(ctx_text)?),
+    };
+    // The names only carried GUIDs across the text; the aggregator's own
+    // profile has none, exactly like the batch unwinding path's.
+    snap.context.to_mut().names.clear();
+    Ok(snap)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::shard::sharded_context_profile;
     use csspgo_codegen::{lower_module, CodegenConfig};
     use csspgo_sim::{Machine, SimConfig};
+    use proptest::prelude::*;
 
     const SRC: &str = r#"
 fn helper(x, mode) {
@@ -1170,7 +1000,7 @@ fn serve(n, mode) {
             max_pending_samples: samples.len() - 1,
             ..StreamConfig::default()
         };
-        let mut agg = StreamAggregator::new(&b, cfg, 1);
+        let mut agg = StreamAggregator::with_tail_graph(&b, cfg, 1, TailCallGraph::default());
         let err = agg.push_batch(samples.clone()).unwrap_err();
         assert!(matches!(err, PipelineError::Stream(_)), "{err}");
         // Sealing drains the buffer and makes room again.
@@ -1283,7 +1113,12 @@ fn serve(n, mode) {
     fn binary_restore_rejects_wrong_binary_and_garbage() {
         let b = probed_binary();
         let samples = traffic(&b, &[(1200, 1)]);
-        let mut agg = StreamAggregator::new(&b, StreamConfig::default(), 1);
+        let mut agg = StreamAggregator::with_tail_graph(
+            &b,
+            StreamConfig::default(),
+            1,
+            TailCallGraph::default(),
+        );
         agg.push_batch(samples).unwrap();
         agg.seal_epoch();
         let bin = agg.snapshot_as(SnapshotFormat::Binary);
@@ -1313,7 +1148,12 @@ fn serve(n, mode) {
     fn restore_rejects_wrong_binary_and_garbage() {
         let b = probed_binary();
         let samples = traffic(&b, &[(1200, 1)]);
-        let mut agg = StreamAggregator::new(&b, StreamConfig::default(), 1);
+        let mut agg = StreamAggregator::with_tail_graph(
+            &b,
+            StreamConfig::default(),
+            1,
+            TailCallGraph::default(),
+        );
         agg.push_batch(samples).unwrap();
         agg.seal_epoch();
         let snap = agg.snapshot_as(SnapshotFormat::Text);
@@ -1330,6 +1170,85 @@ fn serve(n, mode) {
         let err = StreamAggregator::restore_from(&b, StreamConfig::default(), 1, b"nonsense")
             .unwrap_err();
         assert!(matches!(err, PipelineError::Stream(_)), "{err}");
+    }
+
+    /// `with_tail_graph(.., TailCallGraph::default())` is what a graphless
+    /// aggregator was: an edgeless graph infers no frame, writes no edge
+    /// into either snapshot format, and restores as no graph at all.
+    #[test]
+    fn an_edgeless_graph_snapshots_and_restores_as_no_graph() {
+        let b = probed_binary();
+        let samples = traffic(&b, &[(2600, 1), (2400, 2)]);
+        let cfg = StreamConfig::default();
+        let mut edgeless =
+            StreamAggregator::with_tail_graph(&b, cfg.clone(), 1, TailCallGraph::default());
+        let mut none = StreamAggregator::build(&b, cfg.clone(), 1, None);
+        for agg in [&mut edgeless, &mut none] {
+            agg.push_batch(samples.clone()).unwrap();
+            agg.seal_epoch();
+        }
+        assert_eq!(edgeless.context_profile(), none.context_profile());
+        assert_eq!(edgeless.infer_stats(), none.infer_stats());
+        for format in [SnapshotFormat::Text, SnapshotFormat::Binary] {
+            let snap = edgeless.snapshot_as(format);
+            assert_eq!(snap, none.snapshot_as(format), "{format}");
+            let restored = StreamAggregator::restore_from(&b, cfg.clone(), 1, &snap).unwrap();
+            assert!(restored.tail_graph.is_none(), "{format}");
+            assert_eq!(restored.snapshot_as(format), snap, "{format}");
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(16))]
+
+        /// Snapshot interchange, over random epoch splits of real traffic
+        /// with random evictions between the seals: both formats decode to
+        /// the same [`Snapshot`] (the aggregator's own), restoring either
+        /// gives aggregators whose binary snapshots are equal, and each
+        /// format re-snapshots byte-identically.
+        #[test]
+        fn both_formats_carry_one_snapshot(
+            cuts in proptest::collection::vec(0usize..1000, 0..5),
+            evictions in proptest::collection::vec(0usize..64, 0..6),
+            shards in 1usize..3,
+        ) {
+            let b = probed_binary();
+            let samples = traffic(&b, &[(2600, 1), (2400, 2)]);
+            let cfg = StreamConfig::default();
+            let graph = calibration_graph(&b, &samples);
+            let mut agg = StreamAggregator::with_tail_graph(&b, cfg.clone(), shards, graph);
+            let mut cuts: Vec<usize> = cuts.iter().map(|c| c * samples.len() / 1000).collect();
+            cuts.sort_unstable();
+            cuts.push(samples.len());
+            let mut from = 0;
+            for (k, &cut) in cuts.iter().enumerate() {
+                agg.push_batch(samples[from..cut].to_vec()).unwrap();
+                agg.seal_epoch();
+                from = cut;
+                let edges = agg.last_epoch_edges();
+                if let (Some(&pick), false) = (evictions.get(k), edges.is_empty()) {
+                    let edge = edges[pick % edges.len()];
+                    agg.evict_contexts(&[edge]);
+                }
+            }
+
+            let (text, bin) = (
+                agg.snapshot_as(SnapshotFormat::Text),
+                agg.snapshot_as(SnapshotFormat::Binary),
+            );
+            let from_text = parse_text(std::str::from_utf8(&text).unwrap()).unwrap();
+            let from_bin = binprof::decode_snapshot(&bin).unwrap();
+            prop_assert_eq!(&from_text, &from_bin);
+            prop_assert_eq!(&from_bin, &agg.to_snapshot());
+
+            let restore = |payload: &[u8]| {
+                StreamAggregator::restore_from(&b, cfg.clone(), shards, payload).unwrap()
+            };
+            let (via_text, via_bin) = (restore(&text), restore(&bin));
+            prop_assert_eq!(via_text.snapshot_as(SnapshotFormat::Binary), bin.clone());
+            prop_assert_eq!(via_bin.snapshot_as(SnapshotFormat::Binary), bin);
+            prop_assert_eq!(via_text.snapshot_as(SnapshotFormat::Text), text);
+        }
     }
 
     #[test]
@@ -1355,7 +1274,7 @@ fn serve(n, mode) {
             drift_threshold: 0.9,
             ..StreamConfig::default()
         };
-        let mut agg = StreamAggregator::new(&b, cfg, 1);
+        let mut agg = StreamAggregator::with_tail_graph(&b, cfg, 1, TailCallGraph::default());
         agg.push_batch(steady1).unwrap();
         let s1 = agg.seal_epoch();
         assert!(!s1.stale, "first epoch has no baseline to drift from");

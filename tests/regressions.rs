@@ -17,6 +17,7 @@ use csspgo::core::merge::{merge_flat, merge_tries};
 use csspgo::core::pipeline::prepared_module;
 use csspgo::core::profile::{FlatFuncProfile, FlatProfile};
 use csspgo::core::stream::{StreamAggregator, StreamConfig};
+use csspgo::core::tailcall::TailCallGraph;
 use csspgo::core::textprof;
 use csspgo::ir::probe::function_guid;
 use csspgo::sim::{Machine, Sample, SimConfig, SimError};
@@ -329,7 +330,12 @@ fn an_epoch_outside_the_binary_is_no_evidence_of_drift() {
             ..SimConfig::default()
         },
     );
-    let mut agg = StreamAggregator::new(&binary, StreamConfig::default(), 1);
+    let mut agg = StreamAggregator::with_tail_graph(
+        &binary,
+        StreamConfig::default(),
+        1,
+        TailCallGraph::default(),
+    );
     agg.push_batch(steady_samples(&mut machine)).unwrap();
     let first = agg.seal_epoch();
     assert!(first.nodes_epoch > 0);

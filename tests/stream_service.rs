@@ -11,6 +11,7 @@ use csspgo::core::pipeline::{
 };
 use csspgo::core::preinline::{run_preinliner, to_inline_plan};
 use csspgo::core::stream::{StreamAggregator, StreamConfig};
+use csspgo::core::tailcall::TailCallGraph;
 use csspgo::core::Workload;
 use csspgo::sim::{Machine, RunStats, Sample, SimConfig};
 use csspgo::workloads::drift;
@@ -190,7 +191,8 @@ fn serve(n, mode) {
         drift_threshold: 0.8,
         ..StreamConfig::default()
     };
-    let mut agg = StreamAggregator::new(&binary, stream_cfg, 2);
+    let mut agg =
+        StreamAggregator::with_tail_graph(&binary, stream_cfg, 2, TailCallGraph::default());
 
     // Two epochs of steady mode-1 traffic.
     for _ in 0..2 {
