@@ -6,13 +6,17 @@
 //! SipHash cost a large slice of correlate time (it showed up as the single
 //! hottest symbol when profiling the unwind). Most of those keys are
 //! derived inside the process (instruction indices, interned ids, GUIDs of
-//! the profiled binary). Two are not: the whole-sample dedup key and the
-//! `(stack, pc)` initial-context memo of [`crate::unwind`] are keyed by raw
-//! sample addresses, which reach them through the public
+//! the profiled binary). Four are not: the whole-sample dedup key and the
+//! `(stack, pc)` initial-context memo of [`crate::unwind`], and the raw
+//! `(previous to, from, to)` triple table of [`crate::ranges`] with the
+//! open-addressed front before it, are keyed by raw sample addresses, which
+//! reach them through the public
 //! [`crate::stream::StreamAggregator::push_batch`], so a hostile sample
-//! stream can craft collisions there. That is an accepted, recorded gap
-//! (ROADMAP item 6, hostile inputs), not a property of this hasher. Wire
-//! formats and user-facing maps keep the std default.
+//! stream can craft collisions there. (The triple table and its front live
+//! for one batch and hold at most one entry per LBR entry of it; the front
+//! hashes with its own multiply chain, not this hasher.) That is an
+//! accepted, recorded gap (ROADMAP item 6, hostile inputs), not a property
+//! of this hasher. Wire formats and user-facing maps keep the std default.
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};

@@ -16,7 +16,7 @@ use std::collections::{HashMap, HashSet};
 #[derive(Clone, Debug, Default)]
 pub struct TailCallGraph {
     /// Edges: caller function index → set of callee function indices,
-    /// each with one representative tail-call instruction index.
+    /// each with the lowest index of a tail call between the two.
     edges: HashMap<u32, HashMap<u32, usize>>,
 }
 
@@ -36,9 +36,7 @@ impl TailCallGraph {
         let mut g = TailCallGraph::default();
         for &(from, to) in rc.branches.keys() {
             if matches!(binary.insts[from].kind, MInstKind::TailCall { .. }) {
-                let caller = binary.func_of[from];
-                let callee = binary.func_of[to];
-                g.edges.entry(caller).or_default().insert(callee, from);
+                g.insert_edge(binary.func_of[from], binary.func_of[to], from);
             }
         }
         g
@@ -59,9 +57,17 @@ impl TailCallGraph {
             .flat_map(|(&caller, m)| m.iter().map(move |(&callee, &inst)| (caller, callee, inst)))
     }
 
-    /// Inserts one edge (see [`TailCallGraph::edges`]).
+    /// Inserts one edge (see [`TailCallGraph::edges`]). A caller that
+    /// tail-calls one callee from several instructions keeps the lowest, so
+    /// the graph does not depend on the order its edges arrive in.
     pub fn insert_edge(&mut self, caller: u32, callee: u32, inst: usize) {
-        self.edges.entry(caller).or_default().insert(callee, inst);
+        let site = self
+            .edges
+            .entry(caller)
+            .or_default()
+            .entry(callee)
+            .or_insert(inst);
+        *site = (*site).min(inst);
     }
 
     /// Finds the unique tail-call path `from → … → to`, returning the
@@ -130,6 +136,7 @@ impl TailCallGraph {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fasthash::FastMap;
     use csspgo_codegen::{lower_module, CodegenConfig};
     use csspgo_sim::{Machine, SimConfig};
 
@@ -225,6 +232,58 @@ fn main(n) {
             None,
             "two paths must make inference fail"
         );
+    }
+
+    /// One caller, two tail calls to one callee: the graph keeps the lower
+    /// call site however the branch map happens to iterate. The same two
+    /// branches go into maps of many capacities, in both insertion orders.
+    #[test]
+    fn two_tail_calls_to_one_callee_do_not_depend_on_map_order() {
+        let src = r#"
+fn z(n) {
+    let i = 0;
+    while (i < n) { i = i + 1; }
+    return i;
+}
+fn x(n) {
+    if (n % 2 == 0) { return z(n); }
+    return z(n + 1);
+}
+fn main(n) { return x(n) + 1; }
+"#;
+        let m = csspgo_lang::compile(src, "t").unwrap();
+        let b = lower_module(&m, &CodegenConfig::default());
+        let fidx = |name: &str| b.funcs.iter().position(|f| f.name == name).unwrap() as u32;
+        let (x, z) = (fidx("x"), fidx("z"));
+        let sites: Vec<usize> = (0..b.len())
+            .filter(|&i| matches!(b.insts[i].kind, MInstKind::TailCall { .. }))
+            .filter(|&i| b.func_of[i] == x)
+            .collect();
+        assert_eq!(sites.len(), 2, "x must tail-call z from two sites");
+        let branches: Vec<(usize, usize)> = sites
+            .iter()
+            .map(|&s| (s, b.funcs[z as usize].entry))
+            .collect();
+        for capacity in (0..12).map(|k| 1usize << k) {
+            for reversed in [false, true] {
+                let mut order = branches.clone();
+                if reversed {
+                    order.reverse();
+                }
+                let mut map = FastMap::with_capacity_and_hasher(capacity, Default::default());
+                map.extend(order.into_iter().map(|branch| (branch, 1)));
+                let rc = RangeCounts {
+                    branches: map,
+                    ..RangeCounts::default()
+                };
+                let edges: Vec<_> = TailCallGraph::build(&b, &rc).edges().collect();
+                assert_eq!(
+                    edges,
+                    vec![(x, z, sites[0])],
+                    "capacity {capacity}, reversed {reversed}"
+                );
+            }
+        }
     }
 
     #[test]

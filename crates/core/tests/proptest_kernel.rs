@@ -7,13 +7,16 @@
 //! every diagnostic counter; and a call on a long-lived unwinder must
 //! return what a fresh unwinder returns for the same samples.
 
+use csspgo_codegen::Binary;
+use csspgo_core::fasthash::FastMap;
 use csspgo_core::ranges::RangeCounts;
-use csspgo_core::shard::sharded_context_profile;
+use csspgo_core::shard::{sharded_context_profile, sharded_range_counts};
 use csspgo_core::stream::{StreamAggregator, StreamConfig};
 use csspgo_core::tailcall::TailCallGraph;
 use csspgo_core::unwind::Unwinder;
 use csspgo_sim::Sample;
 use proptest::prelude::*;
+use std::collections::BTreeMap;
 
 #[path = "../../../tests/common/reference_unwind.rs"]
 mod reference_unwind;
@@ -146,12 +149,15 @@ proptest! {
         }
     }
 
-    /// Range counting through the binary's dense address index and the
-    /// fast-hashed maps ≡ a naive reference — a linear scan per lookup, four
-    /// lookups per LBR window, ordered maps — on LBRs whose addresses are
-    /// instruction starts, mid-instruction bytes, padding, just outside the
-    /// text or plain garbage, so that backwards and cross-function pairs
-    /// all occur.
+    /// Range counting through the binary's dense address index, the
+    /// batch's triple table and the fast-hashed maps ≡ a naive reference
+    /// — a linear scan per lookup, four lookups per LBR window, ordered
+    /// maps — on LBRs whose addresses are instruction starts,
+    /// mid-instruction bytes, padding, just outside the text or plain
+    /// garbage, so that backwards and cross-function pairs all occur. So
+    /// are the same samples fed in arbitrary consecutive chunks into one
+    /// `RangeCounts` (the stream's cumulative counts) and split across 1–3
+    /// shards.
     #[test]
     fn range_counts_match_a_naive_per_entry_reference(
         raw in proptest::collection::vec(
@@ -164,6 +170,7 @@ proptest! {
             ),
             0..40,
         ),
+        fractions in proptest::collection::vec(0usize..1000, 0..6),
     ) {
         let binary = probed_binary();
         let text_end = binary.addrs[binary.len() - 1] + binary.insts[binary.len() - 1].size as u64;
@@ -174,42 +181,142 @@ proptest! {
         };
         let samples: Vec<Sample> = raw
             .iter()
-            .map(|lbr| Sample {
-                cycle: 0,
-                pc: 0,
-                lbr: lbr.iter().map(|&(f, t)| (place(f), place(t))).collect(),
-                stack: Vec::new(),
-            })
+            .map(|lbr| lbr_sample(lbr.iter().map(|&(f, t)| (place(f), place(t))).collect()))
             .collect();
-
         let scan = |addr: u64| {
             (0..binary.len()).find(|&i| {
                 binary.addrs[i] <= addr && addr < binary.addrs[i] + binary.insts[i].size as u64
             })
         };
-        let mut ranges = std::collections::BTreeMap::new();
-        let mut branches = std::collections::BTreeMap::new();
-        for s in &samples {
-            for w in s.lbr.windows(2) {
-                if let (Some(begin), Some(end)) = (scan(w[0].1), scan(w[1].0)) {
-                    if begin <= end && binary.func_of[begin] == binary.func_of[end] {
-                        *ranges.entry((begin, end)).or_insert(0u64) += 1;
-                    }
-                }
-            }
-            for &(from, to) in &s.lbr {
-                if let (Some(f), Some(t)) = (scan(from), scan(to)) {
-                    *branches.entry((f, t)).or_insert(0u64) += 1;
+        let reference = naive_range_counts(&binary, &samples, scan);
+        let cuts: Vec<usize> = fractions.iter().map(|f| f * samples.len() / 1000).collect();
+        for (how, counted) in count_every_way(&binary, &samples, cuts) {
+            prop_assert_eq!(&counted, &reference, "{}", how);
+        }
+    }
+}
+
+/// `[begin, end]` ranges and `(from, to)` branches with their counts, in
+/// key order.
+type Sorted = BTreeMap<(usize, usize), u64>;
+
+/// A sample carrying nothing but `lbr`.
+fn lbr_sample(lbr: Vec<(u64, u64)>) -> Sample {
+    Sample {
+        cycle: 0,
+        pc: 0,
+        lbr,
+        stack: Vec::new(),
+    }
+}
+
+/// The per-entry statement of range counting: each LBR entry resolved on
+/// its own through `resolve`, each window of two adding the range between
+/// them, each entry its branch.
+fn naive_range_counts(
+    binary: &Binary,
+    samples: &[Sample],
+    resolve: impl Fn(u64) -> Option<usize>,
+) -> (Sorted, Sorted) {
+    let mut ranges = Sorted::new();
+    let mut branches = Sorted::new();
+    for s in samples {
+        for w in s.lbr.windows(2) {
+            if let (Some(begin), Some(end)) = (resolve(w[0].1), resolve(w[1].0)) {
+                if begin <= end && binary.func_of[begin] == binary.func_of[end] {
+                    *ranges.entry((begin, end)).or_insert(0) += 1;
                 }
             }
         }
-
-        let mut rc = RangeCounts::default();
-        rc.add_samples(&binary, &samples);
-        let sorted = |m: &csspgo_core::fasthash::FastMap<(usize, usize), u64>| {
-            m.iter().map(|(&k, &v)| (k, v)).collect::<std::collections::BTreeMap<_, _>>()
-        };
-        prop_assert_eq!(sorted(&rc.ranges), ranges);
-        prop_assert_eq!(sorted(&rc.branches), branches);
+        for &(from, to) in &s.lbr {
+            if let (Some(f), Some(t)) = (resolve(from), resolve(to)) {
+                *branches.entry((f, t)).or_insert(0) += 1;
+            }
+        }
     }
+    (ranges, branches)
+}
+
+/// `samples` counted every way production counts them: in one call; cut at
+/// `cuts` into consecutive chunks added one after another to one
+/// `RangeCounts`; and by `sharded_range_counts` at 1–3 shards.
+fn count_every_way(
+    binary: &Binary,
+    samples: &[Sample],
+    mut cuts: Vec<usize>,
+) -> Vec<(String, (Sorted, Sorted))> {
+    let sorted = |rc: &RangeCounts| {
+        let sort = |m: &FastMap<(usize, usize), u64>| m.iter().map(|(&k, &v)| (k, v)).collect();
+        (sort(&rc.ranges), sort(&rc.branches))
+    };
+    let mut out = Vec::new();
+    let mut whole = RangeCounts::default();
+    whole.add_samples(binary, samples);
+    out.push(("one call".to_string(), sorted(&whole)));
+
+    cuts.extend([0, samples.len()]);
+    cuts.sort_unstable();
+    let mut cumulative = RangeCounts::default();
+    for w in cuts.windows(2) {
+        cumulative.add_samples(binary, &samples[w[0]..w[1]]);
+    }
+    out.push((format!("chunks cut at {cuts:?}"), sorted(&cumulative)));
+
+    for shards in 1..=3 {
+        let rc = sharded_range_counts(binary, samples, shards);
+        out.push((format!("{shards} shards"), sorted(&rc)));
+    }
+    out
+}
+
+/// A snapshot's first entry has no predecessor; the triple table keys it
+/// with `u64::MAX` as the previous target. Here `u64::MAX` is a real `from`
+/// and `to`, on a binary that does not resolve it and on one whose address
+/// map (as a file may carry it) does, next to empty and one-entry LBRs: a
+/// first entry and a later entry after a jump to `u64::MAX` then share all
+/// three raw addresses, and only the later one may add a range.
+#[test]
+fn the_no_predecessor_marker_aliases_no_address() {
+    let plain = probed_binary();
+    let entry = plain.funcs.iter().find(|f| f.name == "main").unwrap().entry;
+    // One more address-map segment, last, mapping the byte at `u64::MAX`
+    // to `main`'s entry: the segments array ends at the first `]}]` (a
+    // map's end, its segment's end, the array's end) after its key.
+    let mut json = serde_json::to_string(&plain).unwrap();
+    let key = json.find("\"addr_index\"").unwrap();
+    let end = key + json[key..].find("]}]").unwrap() + 2;
+    json.insert_str(
+        end,
+        &format!(",{{\"base\":{},\"map\":[{entry}]}}", u64::MAX),
+    );
+    let resolving: Binary = serde_json::from_str(&json).unwrap();
+    resolving.check_tables().unwrap();
+    assert_eq!(resolving.index_of_addr(u64::MAX), Some(entry));
+    assert_eq!(plain.index_of_addr(u64::MAX), None);
+
+    // A later instruction of `main` and a branch out of it.
+    let later = (entry + 1..plain.len())
+        .find(|&i| plain.func_of[i] == plain.func_of[entry])
+        .unwrap();
+    let (a, t) = (plain.addrs[later], plain.addrs[0]);
+    let samples = vec![
+        lbr_sample(vec![]),
+        lbr_sample(vec![(a, t)]),
+        lbr_sample(vec![(t, u64::MAX), (a, t)]),
+        lbr_sample(vec![(u64::MAX, t)]),
+        lbr_sample(vec![(u64::MAX, u64::MAX)]),
+        lbr_sample(vec![(a, u64::MAX), (u64::MAX, u64::MAX), (a, t)]),
+        lbr_sample(vec![(a, t), (a, t)]),
+    ];
+    for binary in [&plain, &resolving] {
+        let reference = naive_range_counts(binary, &samples, |addr| binary.index_of_addr(addr));
+        for (how, counted) in count_every_way(binary, &samples, vec![1, 2, 4]) {
+            assert_eq!(counted, reference, "{how}");
+        }
+    }
+    // On the resolving binary the third and sixth samples each add the range
+    // from `main`'s entry to `later`; the second, a first entry with the
+    // third's second entry's raw addresses, adds none.
+    let reference = naive_range_counts(&resolving, &samples, |addr| resolving.index_of_addr(addr));
+    assert_eq!(reference.0.get(&(entry, later)), Some(&2));
 }
