@@ -121,10 +121,9 @@ impl Analyzer {
         profile: &ProbeProfile,
     ) -> ScenarioReport {
         let unit = format!("{workload}/{scenario}");
-        let match_cfg = MatchConfig::default();
-        let outcome = match_stale_profile(module, profile, &match_cfg);
+        let outcome = match_stale_profile(module, profile, &MatchConfig::default());
         let before = self.report.diagnostics.len();
-        matching::emit_match_lints(&self.policy, &unit, &outcome, &match_cfg, &mut self.report);
+        matching::emit_match_lints(&self.policy, &unit, &outcome, &mut self.report);
         let diagnostics = self.report.diagnostics[before..].to_vec();
 
         let (raw, _) = annotated(module, profile, StaleMatching::Recover, InferenceMode::Off);

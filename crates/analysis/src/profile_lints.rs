@@ -6,6 +6,7 @@
 use crate::diag::{lint, Policy, Report};
 use csspgo_core::context::{ContextNode, ContextProfile};
 use csspgo_core::profile::{ProbeFuncProfile, ProbeProfile};
+use csspgo_core::stalematch::is_stale;
 use csspgo_ir::Module;
 
 // `PF003` slack. Child entry counts (from LBR call edges) and parent
@@ -72,7 +73,7 @@ fn check_func_profile(
     if let Some(fid) = module.find_function_by_guid(guid) {
         let func = module.func(fid);
         if let Some(expected) = func.probe_checksum {
-            if fp.checksum != 0 && fp.checksum != expected {
+            if is_stale(fp.checksum, func) {
                 report.emit(
                     policy,
                     lint("PF004"),

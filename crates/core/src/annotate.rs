@@ -22,11 +22,13 @@
 
 use crate::inference::{infer_counts, InferenceMode, InferenceStats};
 use crate::profile::{FlatFuncProfile, FlatProfile, LocKey, ProbeFuncProfile, ProbeProfile};
-use crate::stalematch::{match_stale_profile, FuncMatchStatus, MatchConfig, StaleMatching};
+use crate::stalematch::{
+    is_stale, match_stale_profile, FuncMatchStatus, MatchConfig, StaleMatching,
+};
 use csspgo_ir::annot::InlinePlan;
 use csspgo_ir::debuginfo::DebugLoc;
 use csspgo_ir::inst::{Inst, InstKind};
-use csspgo_ir::probe::{cfg_checksum, ProbeKind, ProbeSite};
+use csspgo_ir::probe::{ProbeKind, ProbeSite};
 use csspgo_ir::{BlockId, FuncId, Module, Provenance, ProvenanceMap};
 use csspgo_opt::inliner::{inline_call, real_size};
 use std::collections::{HashMap, HashSet};
@@ -352,11 +354,7 @@ pub fn csspgo_annotate(
         // Source-drift detection: the profile's checksum must match the
         // fresh IR's CFG checksum. (Under `Recover`, salvaged functions
         // carry the fresh checksum and sail through.)
-        let fresh_checksum = module
-            .func(fid)
-            .probe_checksum
-            .unwrap_or_else(|| cfg_checksum(module.func(fid)));
-        if fp.checksum != 0 && fp.checksum != fresh_checksum {
+        if is_stale(fp.checksum, module.func(fid)) {
             stats.stale_dropped += 1;
             continue;
         }
