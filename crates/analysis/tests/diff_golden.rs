@@ -78,7 +78,8 @@ fn diff_report_json_matches_golden() {
         ("insert_body_comments", drift::insert_body_comments(SRC)),
         ("change_cfg", drift::change_cfg(SRC)),
         // Renames `mid` — the function with call anchors — like
-        // csspgo_lint's rename_one picks its best-connected target.
+        // the `rename` scenario of `drift::SCENARIOS` picks its
+        // best-connected target.
         (
             "rename",
             Mutator::RenameFunctions.apply(SRC, &["leaf", "serve"]),

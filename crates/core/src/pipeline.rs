@@ -589,13 +589,43 @@ pub fn finish_probe_profile(
 }
 
 /// Names every function the LBR saw entered, for profiles that are printed
-/// or persisted. A step of its own: profiles fed straight back to the
+/// or judged. A step of its own: profiles fed straight back to the
 /// compiler stay unnamed.
-pub fn name_entered_functions(probe: &mut ProbeProfile, rc: &RangeCounts, binary: &Binary) {
+fn name_entered_functions(probe: &mut ProbeProfile, rc: &RangeCounts, binary: &Binary) {
     for fidx in rc.entry_counts(binary).into_keys() {
         let f = &binary.funcs[fidx as usize];
         probe.names.entry(f.guid).or_insert_with(|| f.name.clone());
     }
+}
+
+/// The offline collection `csspgo_lint` judges and the matcher oracle
+/// pins: the full-CSSPGO profiling build, its profiling run, and the
+/// context profile finished *untrimmed* with every entered function named.
+/// Trimming merges cold contexts into base profiles, discarding exactly the
+/// call anchors rename matching aligns on, and an offline judge has no
+/// profile-size budget. The optimizer's inter-pass checkpoints are on, so a
+/// pass that breaks the IR or the probe metadata stops the collection,
+/// release build or not.
+///
+/// # Errors
+///
+/// Returns [`PipelineError::Compile`] when the front end rejects the
+/// workload's source, [`PipelineError::Sim`] when a training call fails.
+pub fn untrimmed_probe_profile(workload: &Workload) -> Result<ProbeProfile, PipelineError> {
+    let mut config = PipelineConfig::default();
+    config.opt.interpass_verify = true;
+    let binary = profiling_build(
+        &workload.source,
+        &workload.name,
+        PgoVariant::CsspgoFull,
+        &config,
+    )?
+    .binary;
+    let run = profiling_run(&binary, workload, config.sim_config(config.sample_period))?;
+    let generated = context_profile(&binary, &run.samples, config.ingest_shards);
+    let mut probe = finish_probe_profile(&generated.profile, &generated.range_counts, &binary);
+    name_entered_functions(&mut probe, &generated.range_counts, &binary);
+    Ok(probe)
 }
 
 /// Stage 3, instrumentation — counter values mapped back to exact block

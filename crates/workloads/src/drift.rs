@@ -7,6 +7,8 @@
 //! checksum reflecting the shape of the IR control-flow graph is computed
 //! and persisted in the profile."
 
+use csspgo_core::Workload;
+
 /// Inserts a comment line before every function definition, shifting every
 /// subsequent line number while leaving the CFG untouched.
 ///
@@ -500,6 +502,72 @@ pub fn delete_statement(source: &str, nth: usize) -> String {
         out.push('\n');
     }
     out
+}
+
+/// A named rebuild of a workload's source.
+type Scenario = (&'static str, fn(&Workload) -> String);
+
+/// The named rebuilds of a workload's source that `csspgo_lint`'s scenario
+/// mode judges the clean-build profile against, and the matcher oracle
+/// pins.
+pub const SCENARIOS: [Scenario; 7] = [
+    ("fresh", |w| w.source.clone()),
+    ("insert_comments", |w| {
+        Mutator::InsertComments.apply(&w.source, &[])
+    }),
+    ("insert_body_comments", |w| {
+        Mutator::InsertBodyComments.apply(&w.source, &[])
+    }),
+    ("change_cfg", |w| Mutator::ChangeCfg.apply(&w.source, &[])),
+    ("rename", rename_one),
+    ("insert_statement", |w| {
+        Mutator::InsertStatement(1).apply(&w.source, &[])
+    }),
+    // Not behaviour-preserving, hence not a `Mutator`.
+    ("delete_statement", |w| delete_statement(&w.source, 1)),
+];
+
+/// Renames ONE non-entry function (the realistic refactor): its GUID
+/// vanishes and must be rename-matched by anchor similarity, while its
+/// callers keep their CFG shape but drift their call anchors (`SM004`).
+/// The target is the function with the most calls to other defined
+/// functions: rename matching needs call anchors as evidence, so renaming a
+/// leaf would be undetectable by construction.
+fn rename_one(w: &Workload) -> String {
+    let names: Vec<&str> = w
+        .source
+        .lines()
+        .filter_map(|l| l.strip_prefix("fn "))
+        .filter_map(|rest| rest.split('(').next())
+        .map(str::trim)
+        .collect();
+    let mut calls: Vec<(usize, &str)> = Vec::new();
+    let mut current: Option<&str> = None;
+    for line in w.source.lines() {
+        if let Some(rest) = line.strip_prefix("fn ") {
+            current = rest.split('(').next().map(str::trim);
+            calls.push((0, current.unwrap_or("")));
+            continue;
+        }
+        if let (Some(cur), Some(slot)) = (current, calls.last_mut()) {
+            slot.0 += names
+                .iter()
+                .filter(|n| **n != cur)
+                .map(|n| line.matches(&format!("{n}(")).count())
+                .sum::<usize>();
+        }
+    }
+    let target = calls
+        .iter()
+        .filter(|(_, n)| *n != w.entry)
+        .max_by_key(|(c, _)| *c)
+        .map(|&(_, n)| n);
+    let keep: Vec<&str> = names
+        .iter()
+        .filter(|n| Some(**n) != target)
+        .copied()
+        .collect();
+    Mutator::RenameFunctions.apply(&w.source, &keep)
 }
 
 #[cfg(test)]

@@ -33,13 +33,8 @@
 //! so a finding that appears *or disappears* is a reviewed diff.
 
 use csspgo::analysis::{explain, render_lint_list, Analyzer, DiffReport, Policy};
-use csspgo::core::pipeline::{
-    context_profile, finish_probe_profile, name_entered_functions, prepared_module,
-    profiling_build, profiling_run, PgoVariant, PipelineConfig,
-};
-use csspgo::core::profile::ProbeProfile;
-use csspgo::core::Workload;
-use csspgo::workloads::drift::{self, Mutator};
+use csspgo::core::pipeline::{prepared_module, untrimmed_probe_profile};
+use csspgo::workloads::drift::{self, SCENARIOS};
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
@@ -76,72 +71,6 @@ writes the per-pair report (csspgo-diff-v1). Exits 1 if a lint escalated
 by --deny fires, 2 on usage errors."#,
         SCENARIOS.map(|(name, _)| name).join(", ")
     );
-}
-
-/// A named rebuild of a workload's source.
-type Scenario = (&'static str, fn(&Workload) -> String);
-
-/// The rebuilds scenario mode judges the clean-build profile against.
-const SCENARIOS: [Scenario; 7] = [
-    ("fresh", |w| w.source.clone()),
-    ("insert_comments", |w| {
-        Mutator::InsertComments.apply(&w.source, &[])
-    }),
-    ("insert_body_comments", |w| {
-        Mutator::InsertBodyComments.apply(&w.source, &[])
-    }),
-    ("change_cfg", |w| Mutator::ChangeCfg.apply(&w.source, &[])),
-    ("rename", rename_one),
-    ("insert_statement", |w| {
-        Mutator::InsertStatement(1).apply(&w.source, &[])
-    }),
-    // Not behaviour-preserving, hence not a `Mutator`.
-    ("delete_statement", |w| {
-        drift::delete_statement(&w.source, 1)
-    }),
-];
-
-/// Renames ONE non-entry function (the realistic refactor): its GUID
-/// vanishes and must be rename-matched by anchor similarity, while its
-/// callers keep their CFG shape but drift their call anchors (`SM004`).
-/// The target is the function with the most calls to other defined
-/// functions: rename matching needs call anchors as evidence, so renaming a
-/// leaf would be undetectable by construction.
-fn rename_one(w: &Workload) -> String {
-    let names: Vec<&str> = w
-        .source
-        .lines()
-        .filter_map(|l| l.strip_prefix("fn "))
-        .filter_map(|rest| rest.split('(').next())
-        .map(str::trim)
-        .collect();
-    let mut calls: Vec<(usize, &str)> = Vec::new();
-    let mut current: Option<&str> = None;
-    for line in w.source.lines() {
-        if let Some(rest) = line.strip_prefix("fn ") {
-            current = rest.split('(').next().map(str::trim);
-            calls.push((0, current.unwrap_or("")));
-            continue;
-        }
-        if let (Some(cur), Some(slot)) = (current, calls.last_mut()) {
-            slot.0 += names
-                .iter()
-                .filter(|n| **n != cur)
-                .map(|n| line.matches(&format!("{n}(")).count())
-                .sum::<usize>();
-        }
-    }
-    let target = calls
-        .iter()
-        .filter(|(_, n)| *n != w.entry)
-        .max_by_key(|(c, _)| *c)
-        .map(|&(_, n)| n);
-    let keep: Vec<&str> = names
-        .iter()
-        .filter(|n| Some(**n) != target)
-        .copied()
-        .collect();
-    Mutator::RenameFunctions.apply(&w.source, &keep)
 }
 
 fn run(args: &[String]) -> Result<bool, String> {
@@ -229,7 +158,7 @@ fn run(args: &[String]) -> Result<bool, String> {
                         .collect(),
                 };
                 let err = |e: &dyn std::fmt::Display| format!("{}: {e}", w.name);
-                let profile = collect_probe_profile(&w).map_err(|e| err(&e))?;
+                let profile = untrimmed_probe_profile(&w).map_err(|e| err(&e))?;
                 for (scenario, source) in rebuilds {
                     let module = prepared_module(&source, &w.name, true).map_err(|e| err(&e))?;
                     report
@@ -249,31 +178,6 @@ fn run(args: &[String]) -> Result<bool, String> {
         eprintln!("wrote JSON report to {path}");
     }
     Ok(!lint_report.has_denied())
-}
-
-/// Runs the full CSSPGO collection pipeline on the clean build. Cold
-/// contexts are *not* trimmed: trimming merges them into base profiles,
-/// discarding exactly the call anchors that rename matching aligns on, and
-/// this runs offline where profile size does not matter. The optimizer's
-/// inter-pass checkpoints are on, so a pass that breaks the IR or the probe
-/// metadata of any workload stops the run here, release build or not.
-fn collect_probe_profile(workload: &Workload) -> Result<ProbeProfile, String> {
-    let mut config = PipelineConfig::default();
-    config.opt.interpass_verify = true;
-    let binary = profiling_build(
-        &workload.source,
-        &workload.name,
-        PgoVariant::CsspgoFull,
-        &config,
-    )
-    .map_err(|e| e.to_string())?
-    .binary;
-    let run = profiling_run(&binary, workload, config.sim_config(config.sample_period))
-        .map_err(|e| e.to_string())?;
-    let generated = context_profile(&binary, &run.samples, config.ingest_shards);
-    let mut probe_prof = finish_probe_profile(&generated.profile, &generated.range_counts, &binary);
-    name_entered_functions(&mut probe_prof, &generated.range_counts, &binary);
-    Ok(probe_prof)
 }
 
 /// One line per judged pair: the quality headline plus where the annotated
