@@ -1,6 +1,7 @@
 //! Bit-identity oracle for the stale-profile matcher: the complete
 //! [`MatchOutcome`] — every [`FuncMatch`] field, a rename's payload
-//! included, and the recovered profile as binprof length + hash — for every
+//! included, and the recovered profile as a node count + hash of its counts,
+//! independent of any wire format — for every
 //! shipped workload's clean-build profile matched against the seven
 //! rebuilds `csspgo_lint` judges and a five-release `drift::release_chain`,
 //! pinned in `tests/golden/stale_match.json` (re-bless with
@@ -10,8 +11,8 @@
 //! cannot see a count moved to another probe or a nested sub-profile
 //! rebuilt differently; the hash of the recovered profile can.
 
-use csspgo::core::binprof;
 use csspgo::core::pipeline::{prepared_module, untrimmed_probe_profile};
+use csspgo::core::profile::{ProbeFuncProfile, ProbeProfile};
 use csspgo::core::stalematch::{
     match_stale_profile, FuncMatch, FuncMatchStatus, MatchConfig, MatchOutcome,
 };
@@ -39,11 +40,50 @@ fn rebuilds(w: &Workload) -> Vec<(String, String)> {
     out
 }
 
-/// FNV-1a, 64 bit.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
-        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
-    })
+/// FNV-1a, 64 bit, over a profile's counts: one canonical (`BTreeMap`
+/// order) walk of each function's guid, then per (sub-)profile its checksum,
+/// entry, probe counts and call-site keys. No totals: they follow from the
+/// counts.
+struct Fingerprint {
+    hash: u64,
+    nodes: usize,
+}
+
+impl Fingerprint {
+    fn of(profile: &ProbeProfile) -> Self {
+        let mut fp = Fingerprint {
+            hash: 0xcbf2_9ce4_8422_2325,
+            nodes: 0,
+        };
+        for (&guid, f) in &profile.funcs {
+            fp.mix(guid);
+            fp.walk(f);
+        }
+        fp
+    }
+
+    fn mix(&mut self, v: u64) {
+        for b in v.to_le_bytes() {
+            self.hash = (self.hash ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+
+    fn walk(&mut self, f: &ProbeFuncProfile) {
+        self.nodes += 1;
+        self.mix(f.checksum);
+        self.mix(f.entry);
+        self.mix(f.probes.len() as u64);
+        for (&probe, &count) in &f.probes {
+            self.mix(u64::from(probe));
+            self.mix(count);
+        }
+        self.mix(f.callsites.len() as u64);
+        for (&(probe, callee), sub) in &f.callsites {
+            self.mix(u64::from(probe));
+            self.mix(callee);
+            self.walk(sub);
+        }
+    }
 }
 
 /// One JSON object per function record, every field.
@@ -77,7 +117,7 @@ fn func_json(f: &FuncMatch) -> String {
 }
 
 fn outcome_json(label: &str, o: &MatchOutcome) -> String {
-    let bytes = binprof::encode_probe(&o.profile);
+    let print = Fingerprint::of(&o.profile);
     let funcs: Vec<String> = o
         .funcs
         .iter()
@@ -88,9 +128,8 @@ fn outcome_json(label: &str, o: &MatchOutcome) -> String {
     writeln!(out, "    \"case\": \"{label}\",").unwrap();
     writeln!(
         out,
-        "    \"profile\": {{\"bytes\": {}, \"fnv1a\": \"{:#018x}\"}},",
-        bytes.len(),
-        fnv1a(&bytes)
+        "    \"profile\": {{\"nodes\": {}, \"fnv1a\": \"{:#018x}\"}},",
+        print.nodes, print.hash
     )
     .unwrap();
     writeln!(out, "    \"funcs\": [\n{}\n    ]", funcs.join(",\n")).unwrap();
