@@ -230,7 +230,6 @@ mod tests {
             let fp = p.funcs.entry(f.guid).or_default();
             fp.checksum = f.probe_checksum.unwrap();
             fp.record_sum(1, 5);
-            fp.recompute_totals();
             p.names.insert(f.guid, f.name.clone());
         }
         let sr = Analyzer::new(Policy::default()).judge("s", "w", &m, &p);

@@ -117,7 +117,6 @@ mod tests {
                     fp.callsite_mut(a.index, callee).entry = 10;
                 }
             }
-            fp.recompute_totals();
             p.names.insert(f.guid, f.name.clone());
         }
         p

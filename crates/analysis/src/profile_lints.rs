@@ -130,13 +130,14 @@ pub(crate) fn analyze_context_profile(
 ) {
     for (&guid, root) in &profile.roots {
         let path = guid_name(&profile.names, guid);
-        check_context_node(policy, unit, root, &path, &profile.names, report);
+        check_context_node(policy, unit, guid, root, &path, &profile.names, report);
     }
 }
 
 fn check_context_node(
     policy: &Policy,
     unit: &str,
+    guid: u64,
     node: &ContextNode,
     path: &str,
     names: &std::collections::BTreeMap<u64, String>,
@@ -152,7 +153,7 @@ fn check_context_node(
                     policy,
                     lint("PF003"),
                     unit,
-                    Some(guid_name(names, node.guid)),
+                    Some(guid_name(names, guid)),
                     Some(child_path.clone()),
                     format!(
                         "child context entered {} times but parent call-site probe \
@@ -162,6 +163,6 @@ fn check_context_node(
                 );
             }
         }
-        check_context_node(policy, unit, child, &child_path, names, report);
+        check_context_node(policy, unit, callee_guid, child, &child_path, names, report);
     }
 }

@@ -61,7 +61,6 @@ fn synthetic_profile(module: &Module) -> ProbeProfile {
                 fp.callsite_mut(a.index, callee).entry = 10;
             }
         }
-        fp.recompute_totals();
         p.names.insert(f.guid, f.name.clone());
     }
     p

@@ -46,7 +46,6 @@ fn synthetic_profile(module: &Module) -> ProbeProfile {
                 fp.callsite_mut(a.index, callee).entry = 25;
             }
         }
-        fp.recompute_totals();
         p.names.insert(f.guid, f.name.clone());
     }
     p

@@ -130,13 +130,11 @@ fn context_profile(m: &Module, callsite_count: u64, child_entry: u64) -> Context
     let main_guid = m.func(m.find_function("main").unwrap()).guid;
     let helper_guid = m.func(m.find_function("helper").unwrap()).guid;
     let mut parent = ContextNode {
-        guid: main_guid,
         entry: 10,
         ..ContextNode::default()
     };
     parent.probes.insert(2, callsite_count);
     let child = ContextNode {
-        guid: helper_guid,
         entry: child_entry,
         ..ContextNode::default()
     };

@@ -248,7 +248,7 @@ pub fn autofdo_annotate(
                 enclosing
                     .callsites
                     .get(&(key, callee_guid))
-                    .is_some_and(|nested| worth_replaying(nested.total, module.func(callee)))
+                    .is_some_and(|nested| worth_replaying(nested.total(), module.func(callee)))
             },
         );
 
@@ -387,7 +387,7 @@ pub fn csspgo_annotate(
                         let callee_guid = module.func(callee).guid;
                         e.callsites
                             .get(&(probe_idx, callee_guid))
-                            .is_some_and(|n| worth_replaying(n.total, module.func(callee)))
+                            .is_some_and(|n| worth_replaying(n.total(), module.func(callee)))
                     }),
                 }
             },
@@ -624,7 +624,6 @@ mod tests {
         fp.record_sum(2, 80);
         fp.record_sum(3, 20);
         fp.entry = 100;
-        fp.recompute_totals();
         let cfg = AnnotateConfig {
             stale_matching: StaleMatching::Recover,
             ..AnnotateConfig::default()
@@ -651,7 +650,6 @@ mod tests {
         fp.record_sum(2, 80);
         fp.record_sum(3, 20);
         fp.entry = 100;
-        fp.recompute_totals();
         let stats = csspgo_annotate(&mut m, &profile, None, &AnnotateConfig::default());
         assert_eq!(stats.annotated, 1);
         // The block probe `p` of `f` itself anchors.
@@ -685,7 +683,6 @@ mod tests {
         fp.record_sum(2, 80);
         fp.record_sum(3, 20);
         fp.entry = 100;
-        fp.recompute_totals();
 
         let stats = csspgo_annotate(&mut m, &profile, None, &AnnotateConfig::default());
         let edges = m.functions[0].edge_counts.as_ref().expect("mcf edges");
@@ -737,7 +734,6 @@ mod tests {
             10,
         );
         fp.entry = 100;
-        fp.recompute_totals();
         let stats = autofdo_annotate(&mut m, &profile, &AnnotateConfig::default());
         assert_eq!(stats.annotated, 1);
         let f = &m.functions[0];

@@ -30,12 +30,13 @@ use std::fmt;
 
 /// File magic: first 8 bytes of every binprof payload.
 pub const MAGIC: [u8; 8] = *b"CSPGOBIN";
-/// Current format version. Decoders reject anything else.
-const VERSION: u16 = 1;
-/// Deepest nesting of call-site sub-profiles these decoders and
-/// [`crate::textprof`]'s `parse_flat` and `parse_context` accept, so that
-/// no input they read builds a tree the recursive walks over it cannot
-/// descend. (The probe-profile JSON reader does not hold it yet.)
+/// Current format version. Decoders reject anything else. Version 2 left
+/// out what version 1 stored twice: a context node's GUID (its key names
+/// it) and a sub-profile's total (the sum of its counts).
+const VERSION: u16 = 2;
+/// Deepest nesting of call-site sub-profiles these decoders and every
+/// [`crate::textprof`] reader accept, so that no input they read builds a
+/// tree the recursive walks over it cannot descend.
 pub(crate) const MAX_DEPTH: usize = 512;
 
 /// Payload kind, byte 10 of the header.
@@ -500,7 +501,6 @@ fn nested(depth: usize) -> Result<usize, DecodeError> {
 
 fn encode_context_node(buf: &mut Vec<u8>, node: &ContextNode) {
     buf.push(u8::from(node.inlined));
-    put_uvarint(buf, node.guid);
     put_uvarint(buf, node.checksum);
     put_uvarint(buf, node.entry);
     encode_u32_counts(buf, &node.probes);
@@ -514,7 +514,6 @@ fn decode_context_node(r: &mut Reader<'_>, depth: usize) -> Result<ContextNode, 
     }
     Ok(ContextNode {
         inlined: flags == 1,
-        guid: r.uvarint()?,
         checksum: r.uvarint()?,
         entry: r.uvarint()?,
         probes: decode_u32_counts(r)?,
@@ -549,7 +548,6 @@ pub fn decode_context(bytes: &[u8]) -> Result<ContextProfile, DecodeError> {
 // ---------------------------------------------------------------------------
 
 fn encode_probe_func(buf: &mut Vec<u8>, f: &ProbeFuncProfile) {
-    put_uvarint(buf, f.total);
     put_uvarint(buf, f.entry);
     put_uvarint(buf, f.checksum);
     encode_u32_counts(buf, &f.probes);
@@ -558,7 +556,6 @@ fn encode_probe_func(buf: &mut Vec<u8>, f: &ProbeFuncProfile) {
 
 fn decode_probe_func(r: &mut Reader<'_>, depth: usize) -> Result<ProbeFuncProfile, DecodeError> {
     Ok(ProbeFuncProfile {
-        total: r.uvarint()?,
         entry: r.uvarint()?,
         checksum: r.uvarint()?,
         probes: decode_u32_counts(r)?,
@@ -605,7 +602,6 @@ fn get_lockey(r: &mut Reader<'_>, prev: &mut u32) -> Result<LocKey, DecodeError>
 }
 
 fn encode_flat_func(buf: &mut Vec<u8>, f: &FlatFuncProfile) {
-    put_uvarint(buf, f.total);
     put_uvarint(buf, f.entry);
     put_uvarint(buf, f.body.len() as u64);
     let mut prev = 0u32;
@@ -624,7 +620,6 @@ fn encode_flat_func(buf: &mut Vec<u8>, f: &FlatFuncProfile) {
 
 fn decode_flat_func(r: &mut Reader<'_>, depth: usize) -> Result<FlatFuncProfile, DecodeError> {
     let mut f = FlatFuncProfile {
-        total: r.uvarint()?,
         entry: r.uvarint()?,
         ..FlatFuncProfile::default()
     };
@@ -844,7 +839,6 @@ mod tests {
             3,
         );
         f.entry = 2;
-        f.recompute_totals();
         fp.names.insert(42, "f".into());
         fp.names.insert(77, "g".into());
         let bytes = encode_flat(&fp);

@@ -24,12 +24,12 @@ pub struct FrameKey {
     pub probe: u32,
 }
 
-/// One function profiled under one calling context.
+/// One function profiled under one calling context. The function is named
+/// by the key the node sits under: its `roots` key, or the callee of its
+/// `(call-site probe, callee)` key.
 #[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ContextNode {
-    /// The profiled function.
-    pub guid: u64,
-    /// Its CFG checksum (from the profiled binary).
+    /// The profiled function's CFG checksum (from the profiled binary).
     pub checksum: u64,
     /// Calls observed entering this context.
     pub entry: u64,
@@ -103,19 +103,10 @@ impl ContextProfile {
     /// probe leading to `path[k+1].guid` (or `owner_guid` for the last).
     pub fn node_for_path_mut(&mut self, path: &[FrameKey], owner_guid: u64) -> &mut ContextNode {
         let root_guid = path.first().map(|f| f.guid).unwrap_or(owner_guid);
-        let mut node = self.roots.entry(root_guid).or_insert_with(|| ContextNode {
-            guid: root_guid,
-            ..ContextNode::default()
-        });
+        let mut node = self.roots.entry(root_guid).or_default();
         for (k, frame) in path.iter().enumerate() {
             let callee = path.get(k + 1).map(|f| f.guid).unwrap_or(owner_guid);
-            node = node
-                .children
-                .entry((frame.probe, callee))
-                .or_insert_with(|| ContextNode {
-                    guid: callee,
-                    ..ContextNode::default()
-                });
+            node = node.children.entry((frame.probe, callee)).or_default();
         }
         node
     }
@@ -133,16 +124,16 @@ impl ContextProfile {
 
     /// Fills per-node checksums from a GUID → checksum table.
     pub fn set_checksums(&mut self, table: &BTreeMap<u64, u64>) {
-        fn walk(node: &mut ContextNode, table: &BTreeMap<u64, u64>) {
-            if let Some(&c) = table.get(&node.guid) {
+        fn walk(guid: u64, node: &mut ContextNode, table: &BTreeMap<u64, u64>) {
+            if let Some(&c) = table.get(&guid) {
                 node.checksum = c;
             }
-            for child in node.children.values_mut() {
-                walk(child, table);
+            for (&(_, callee), child) in &mut node.children {
+                walk(callee, child, table);
             }
         }
-        for node in self.roots.values_mut() {
-            walk(node, table);
+        for (&guid, node) in &mut self.roots {
+            walk(guid, node, table);
         }
     }
 
@@ -150,15 +141,16 @@ impl ContextProfile {
     /// samples are merged (context-insensitively) into their function's
     /// base/root profile.
     pub fn trim_cold(&mut self, threshold: u64) {
-        // Collect merges first to avoid aliasing the trie while walking it.
-        let mut merges: Vec<ContextNode> = Vec::new();
-        fn walk(node: &mut ContextNode, threshold: u64, merges: &mut Vec<ContextNode>) {
+        // Collect merges first to avoid aliasing the trie while walking it:
+        // each detached node with the function its key named.
+        let mut merges: Vec<(u64, ContextNode)> = Vec::new();
+        fn walk(node: &mut ContextNode, threshold: u64, merges: &mut Vec<(u64, ContextNode)>) {
             let keys: Vec<(u32, u64)> = node.children.keys().copied().collect();
             for key in keys {
                 let cold = node.children[&key].total() < threshold;
                 if cold {
                     let child = node.children.remove(&key).expect("key collected above");
-                    merges.push(child);
+                    merges.push((key.1, child));
                 } else {
                     walk(
                         node.children.get_mut(&key).expect("hot child"),
@@ -178,12 +170,8 @@ impl ContextProfile {
         }
         // Each detached node merges into its function's root profile, and
         // its children queue for the same treatment.
-        while let Some(node) = merges.pop() {
-            let base = self.roots.entry(node.guid).or_insert_with(|| ContextNode {
-                guid: node.guid,
-                checksum: node.checksum,
-                ..ContextNode::default()
-            });
+        while let Some((guid, node)) = merges.pop() {
+            let base = self.roots.entry(guid).or_default();
             base.entry += node.entry;
             if base.checksum == 0 {
                 base.checksum = node.checksum;
@@ -191,7 +179,7 @@ impl ContextProfile {
             for (p, c) in node.probes {
                 *base.probes.entry(p).or_insert(0) += c;
             }
-            merges.extend(node.children.into_values());
+            merges.extend(node.children.into_iter().map(|((_, g), n)| (g, n)));
         }
         // Roots that lost all content to trimming are dropped.
         self.roots
@@ -213,13 +201,13 @@ impl ContextProfile {
             names: self.names.clone(),
             ..ProbeProfile::default()
         };
-        // Queue of (node, Option<destination nested profile path>) — we
-        // process roots, descending into inlined children in place and
-        // deferring non-inlined children to their own base profiles.
-        fn convert(
-            node: &ContextNode,
+        // We process roots, descending into inlined children in place and
+        // deferring non-inlined children, each with its function, to their
+        // own base profiles.
+        fn convert<'a>(
+            node: &'a ContextNode,
             dest: &mut ProbeFuncProfile,
-            deferred: &mut Vec<ContextNode>,
+            deferred: &mut Vec<(u64, &'a ContextNode)>,
         ) {
             dest.checksum = node.checksum;
             dest.entry += node.entry;
@@ -242,26 +230,18 @@ impl ContextProfile {
                     if stub.checksum == 0 {
                         stub.checksum = child.checksum;
                     }
-                    deferred.push(child.clone());
+                    deferred.push((*callee, child));
                 }
             }
         }
 
-        let mut deferred: Vec<ContextNode> = Vec::new();
+        let mut deferred: Vec<(u64, &ContextNode)> = Vec::new();
         for (g, node) in &self.roots {
             let dest = out.funcs.entry(*g).or_default();
             convert(node, dest, &mut deferred);
         }
-        while let Some(node) = deferred.pop() {
-            let mut flat = ContextProfile::default();
-            flat.roots.insert(node.guid, node);
-            for (g, n) in &flat.roots {
-                let dest = out.funcs.entry(*g).or_default();
-                convert(n, dest, &mut deferred);
-            }
-        }
-        for f in out.funcs.values_mut() {
-            f.recompute_totals();
+        while let Some((g, node)) = deferred.pop() {
+            convert(node, out.funcs.entry(g).or_default(), &mut deferred);
         }
         out
     }
@@ -277,9 +257,9 @@ const NO_PARENT: ContextId = ContextId::MAX;
 /// the arena holds when `live`, an interned but empty slot otherwise.
 #[derive(Debug)]
 struct ArenaNode {
-    guid: u64,
     /// The edge that leads here: `(call-site probe, callee)` under
-    /// `parent`, or `(0, root key)` for a root.
+    /// `parent`, or `(0, root key)` for a root. `key.1` is the node's
+    /// function.
     key: (u32, u64),
     parent: ContextId,
     checksum: u64,
@@ -296,9 +276,8 @@ struct ArenaNode {
 }
 
 impl ArenaNode {
-    fn new(guid: u64, key: (u32, u64), parent: ContextId) -> Self {
+    fn new(key: (u32, u64), parent: ContextId) -> Self {
         ArenaNode {
-            guid,
             key,
             parent,
             checksum: 0,
@@ -315,7 +294,6 @@ impl ArenaNode {
     /// by a hit starts with, so a later hit re-attaches it as a merge into
     /// a trie without it would re-create it.
     fn detach(&mut self, counts: &mut [u64]) {
-        self.guid = self.key.1;
         self.checksum = 0;
         self.inlined = false;
         self.live = false;
@@ -436,29 +414,28 @@ impl ContextArena {
         (parent.parent == NO_PARENT).then_some((parent.key.1, n.key.0, n.key.1))
     }
 
-    fn alloc(&mut self, guid: u64, key: (u32, u64), parent: ContextId) -> ContextId {
+    fn alloc(&mut self, key: (u32, u64), parent: ContextId) -> ContextId {
         let id = self.nodes.len() as ContextId;
-        self.nodes.push(ArenaNode::new(guid, key, parent));
+        self.nodes.push(ArenaNode::new(key, parent));
         id
     }
 
-    /// The root keyed `key`, interned with `guid` if new.
-    fn root(&mut self, key: u64, guid: u64) -> ContextId {
-        if let Some(&id) = self.roots.get(&key) {
+    /// The root of function `guid`, interned if new.
+    fn root(&mut self, guid: u64) -> ContextId {
+        if let Some(&id) = self.roots.get(&guid) {
             return id;
         }
-        let id = self.alloc(guid, (0, key), NO_PARENT);
-        self.roots.insert(key, id);
+        let id = self.alloc((0, guid), NO_PARENT);
+        self.roots.insert(guid, id);
         id
     }
 
-    /// The child of `parent` through `(probe, callee)`, interned with
-    /// `guid` if new.
-    fn child(&mut self, parent: ContextId, probe: u32, callee: u64, guid: u64) -> ContextId {
+    /// The child of `parent` through `(probe, callee)`, interned if new.
+    fn child(&mut self, parent: ContextId, probe: u32, callee: u64) -> ContextId {
         if let Some(&id) = self.edges.get(&(parent, probe, callee)) {
             return id;
         }
-        let id = self.alloc(guid, (probe, callee), parent);
+        let id = self.alloc((probe, callee), parent);
         self.edges.insert((parent, probe, callee), id);
         self.nodes[parent as usize].children.push(id);
         id
@@ -471,10 +448,10 @@ impl ContextArena {
     /// function (or `owner_guid` for the last).
     pub(crate) fn intern(&mut self, path: &[FrameKey], owner_guid: u64) -> ContextId {
         let root_guid = path.first().map(|f| f.guid).unwrap_or(owner_guid);
-        let mut id = self.root(root_guid, root_guid);
+        let mut id = self.root(root_guid);
         for (k, frame) in path.iter().enumerate() {
             let callee = path.get(k + 1).map(|f| f.guid).unwrap_or(owner_guid);
-            id = self.child(id, frame.probe, callee, callee);
+            id = self.child(id, frame.probe, callee);
         }
         id
     }
@@ -544,10 +521,9 @@ impl ContextArena {
 
     /// Adds `profile` to the profile the arena holds by the trie's merge
     /// rule — structural and count-additive, first nonzero checksum, inline
-    /// marks or-ed — touching every node it names. A node new to the arena
-    /// takes the incoming node's guid, so absorbing into an empty arena
-    /// holds exactly `profile` — empty nodes and zero counts included —
-    /// names aside. The reference this is held to is
+    /// marks or-ed — touching every node it names. Absorbing into an empty
+    /// arena holds exactly `profile` — empty nodes and zero counts included
+    /// — names aside. The reference this is held to is
     /// `tests/common/reference_trie.rs`.
     pub(crate) fn absorb(&mut self, profile: &ContextProfile) {
         fn absorb_node(arena: &mut ContextArena, id: ContextId, node: &ContextNode) {
@@ -563,12 +539,12 @@ impl ContextArena {
             }
             arena.touch(id);
             for (&(probe, callee), child) in &node.children {
-                let cid = arena.child(id, probe, callee, child.guid);
+                let cid = arena.child(id, probe, callee);
                 absorb_node(arena, cid, child);
             }
         }
-        for (&key, node) in &profile.roots {
-            let id = self.root(key, node.guid);
+        for (&guid, node) in &profile.roots {
+            let id = self.root(guid);
             absorb_node(self, id, node);
         }
     }
@@ -577,7 +553,6 @@ impl ContextArena {
     fn emit(&self, id: ContextId) -> ContextNode {
         let n = &self.nodes[id as usize];
         ContextNode {
-            guid: n.guid,
             checksum: n.checksum,
             entry: n.entry,
             probes: n
@@ -661,9 +636,9 @@ impl ContextArena {
             queue.extend(n.children.iter().copied());
             nodes += 1;
             self.live -= 1;
-            let (guid, checksum, entry) = (n.guid, n.checksum, n.entry);
+            let (guid, checksum, entry) = (n.key.1, n.checksum, n.entry);
             let probes = std::mem::take(&mut n.probes);
-            let base = self.root(guid, guid);
+            let base = self.root(guid);
             self.set_live(base);
             let b = &mut self.nodes[base as usize];
             b.entry += entry;
@@ -699,7 +674,6 @@ mod tests {
         // main --(probe 3)--> foo --(probe 2)--> bar
         cp.add_probe_hit(&[fk(1, 3), fk(2, 2)], 3, 7, 10);
         let node = &cp.roots[&1].children[&(3, 2)].children[&(2, 3)];
-        assert_eq!(node.guid, 3);
         assert_eq!(node.probes[&7], 10);
         assert_eq!(cp.node_count(), 3);
     }
@@ -755,10 +729,9 @@ mod tests {
         // label survives, the counts do not.
         let stub = &pp.funcs[&1].callsites[&(4, 9)];
         assert!(stub.probes.is_empty());
-        assert_eq!(stub.total, 0, "stubs must not add weight");
+        assert_eq!(stub.total(), 0, "stubs must not add weight");
         // Total weight is conserved: 5 (main) + 100 (inlined) + 40 (base).
-        let total: u64 = pp.funcs.values().map(|f| f.total).sum();
-        assert_eq!(total, 145);
+        assert_eq!(pp.total(), 145);
     }
 
     #[test]
@@ -838,15 +811,15 @@ mod tests {
     }
 
     /// A profile the arena did not count itself — a restored snapshot —
-    /// comes back out exactly: a node whose guid is not its key, checksums,
-    /// inline marks, a zero count, an empty root.
+    /// comes back out exactly: checksums, inline marks, a zero count, an
+    /// empty root.
     #[test]
     fn an_empty_arena_holds_exactly_what_it_absorbs() {
         let mut cp = ContextProfile::new();
         cp.add_probe_hit(&[fk(1, 3), fk(9, 2)], 7, 4, 12);
         cp.add_probe_hit(&[], 1, 8, 0);
         cp.add_entry(&[fk(1, 4)], 9, 2);
-        cp.roots.entry(5).or_default().guid = 6;
+        cp.roots.entry(5).or_default();
         let child = cp
             .roots
             .get_mut(&1)
@@ -856,14 +829,13 @@ mod tests {
             .unwrap();
         child.checksum = 0xab;
         child.inlined = true;
-        child.guid = 10;
         let mut arena = ContextArena::default();
         arena.absorb(&cp);
         assert_eq!(arena.to_profile(), cp);
         assert_eq!((arena.live(), arena.live_roots()), (cp.node_count(), 2));
 
         // Absorbing again adds, as merging does: every count doubles, and
-        // guids, checksums and inline marks stay.
+        // checksums and inline marks stay.
         arena.absorb(&cp);
         let mut twice = cp.clone();
         twice.add_probe_hit(&[fk(1, 3), fk(9, 2)], 7, 4, 12);

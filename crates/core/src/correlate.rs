@@ -83,9 +83,6 @@ pub fn dwarf_profile(binary: &Binary, rc: &RangeCounts) -> FlatProfile {
         let guid = binary.funcs[fidx as usize].guid;
         out.funcs.entry(guid).or_default().entry += c;
     }
-    for f in out.funcs.values_mut() {
-        f.recompute_totals();
-    }
     let mut needed: BTreeSet<u64> = out.funcs.keys().copied().collect();
     for f in out.funcs.values() {
         collect_flat_guids(f, &mut needed);
@@ -146,9 +143,6 @@ pub fn probe_profile(binary: &Binary, rc: &RangeCounts) -> ProbeProfile {
         let f = out.funcs.get_mut(&g).expect("guid collected");
         stamp(f, g, binary);
     }
-    for f in out.funcs.values_mut() {
-        f.recompute_totals();
-    }
     let mut needed: BTreeSet<u64> = out.funcs.keys().copied().collect();
     for f in out.funcs.values() {
         collect_probe_guids(f, &mut needed);
@@ -208,7 +202,7 @@ fn main(n) {
         let p = dwarf_profile(&b, &rc);
         let main_guid = b.func_by_name("main").unwrap().guid;
         let main = &p.funcs[&main_guid];
-        assert!(main.total > 0);
+        assert!(main.total() > 0);
         // Loop body lines (offset 5..7 from `fn main` header) must be hot.
         let hot_key = main
             .body
@@ -242,7 +236,7 @@ fn main(n) {
         let p = probe_profile(&b, &rc);
         let main_guid = b.func_by_name("main").unwrap().guid;
         let main = &p.funcs[&main_guid];
-        assert!(main.total > 0);
+        assert!(main.total() > 0);
         assert!(main.probes.len() >= 3, "several probes must be hit");
         assert_ne!(main.checksum, 0);
     }

@@ -22,7 +22,6 @@ pub fn merge_flat(a: &mut FlatProfile, b: &FlatProfile) {
 }
 
 fn merge_flat_func(a: &mut FlatFuncProfile, b: &FlatFuncProfile) {
-    a.total += b.total;
     a.entry += b.entry;
     for (key, count) in &b.body {
         *a.body.entry(*key).or_insert(0) += count;
@@ -72,9 +71,6 @@ mod tests {
         a.funcs.entry(1).or_default().record_max(key(3), 10);
         b.funcs.entry(1).or_default().record_max(key(3), 7);
         b.funcs.entry(2).or_default().record_max(key(1), 4);
-        a.funcs.get_mut(&1).unwrap().recompute_totals();
-        b.funcs.get_mut(&1).unwrap().recompute_totals();
-        b.funcs.get_mut(&2).unwrap().recompute_totals();
         merge_flat(&mut a, &b);
         assert_eq!(a.funcs[&1].body[&key(3)], 17);
         assert_eq!(a.funcs[&2].body[&key(1)], 4, "new functions adopted");

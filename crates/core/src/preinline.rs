@@ -123,7 +123,7 @@ pub fn run_preinliner(
 
     let mut result = PreInlineResult::default();
     let mut processed: HashSet<u64> = HashSet::new();
-    let mut promotions: Vec<ContextNode> = Vec::new();
+    let mut promotions: Vec<(u64, ContextNode)> = Vec::new();
 
     // Call hotness (Algorithm 2's `GetCallHotness`): the call-site probe's
     // count in the caller (covers inlined call sites) plus physically
@@ -160,13 +160,8 @@ pub fn run_preinliner(
         profile.roots.insert(root_guid, root);
 
         // Merge promotions structurally into their functions' base roots.
-        for node in promotions.drain(..) {
-            let guid = node.guid;
-            let base = profile.roots.entry(guid).or_insert_with(|| ContextNode {
-                guid,
-                ..ContextNode::default()
-            });
-            merge_structural(base, node);
+        for (guid, node) in promotions.drain(..) {
+            merge_structural(profile.roots.entry(guid).or_default(), node);
         }
     }
     result
@@ -209,7 +204,7 @@ fn process_root(
     cfg: &PreInlineConfig,
     hot_cutoff: u64,
     result: &mut PreInlineResult,
-    promotions: &mut Vec<ContextNode>,
+    promotions: &mut Vec<(u64, ContextNode)>,
 ) {
     let call_hotness = |parent: &ContextNode, key: (u32, u64)| -> u64 {
         parent.probes.get(&key.0).copied().unwrap_or(0)
@@ -270,8 +265,8 @@ fn process_root(
 }
 
 /// Removes not-inlined children (recursively stopping at them) and queues
-/// them for base-profile promotion.
-fn detach_not_inlined(node: &mut ContextNode, promotions: &mut Vec<ContextNode>) {
+/// them, each with its function, for base-profile promotion.
+fn detach_not_inlined(node: &mut ContextNode, promotions: &mut Vec<(u64, ContextNode)>) {
     let keys: Vec<(u32, u64)> = node.children.keys().copied().collect();
     for key in keys {
         let inlined = node.children[&key].inlined;
@@ -279,19 +274,13 @@ fn detach_not_inlined(node: &mut ContextNode, promotions: &mut Vec<ContextNode>)
             detach_not_inlined(node.children.get_mut(&key).expect("child"), promotions);
         } else {
             let child = node.children.remove(&key).expect("child");
-            promotions.push(child);
+            promotions.push((key.1, child));
         }
     }
 }
 
 /// Structurally merges `src` into `dst` (same function).
 fn merge_structural(dst: &mut ContextNode, src: ContextNode) {
-    debug_assert!(
-        dst.guid == 0 || dst.guid == src.guid || dst.probes.is_empty() || src.probes.is_empty()
-    );
-    if dst.guid == 0 {
-        dst.guid = src.guid;
-    }
     dst.entry += src.entry;
     if dst.checksum == 0 {
         dst.checksum = src.checksum;
@@ -300,11 +289,7 @@ fn merge_structural(dst: &mut ContextNode, src: ContextNode) {
         *dst.probes.entry(p).or_insert(0) += c;
     }
     for (key, child) in src.children {
-        let slot = dst.children.entry(key).or_insert_with(|| ContextNode {
-            guid: child.guid,
-            ..ContextNode::default()
-        });
-        merge_structural(slot, child);
+        merge_structural(dst.children.entry(key).or_default(), child);
     }
 }
 

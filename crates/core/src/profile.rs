@@ -40,8 +40,6 @@ impl LocKey {
 /// AutoFDO-style per-function profile (possibly nested under a call site).
 #[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct FlatFuncProfile {
-    /// Total samples attributed to this (sub-)profile.
-    pub total: u64,
     /// Calls observed entering this function (LBR call edges).
     pub entry: u64,
     /// Body counts (MAX over machine instructions sharing a key — the
@@ -65,14 +63,10 @@ impl FlatFuncProfile {
         self.callsites.entry((key, callee_guid)).or_default()
     }
 
-    /// Recomputes `total` as the sum of body counts plus nested totals.
-    pub fn recompute_totals(&mut self) -> u64 {
-        let mut t: u64 = self.body.values().sum();
-        for child in self.callsites.values_mut() {
-            t += child.recompute_totals();
-        }
-        self.total = t;
-        t
+    /// Samples attributed to this (sub-)profile: its body counts plus its
+    /// nested profiles' totals.
+    pub fn total(&self) -> u64 {
+        self.body.values().sum::<u64>() + self.callsites.values().map(Self::total).sum::<u64>()
     }
 }
 
@@ -88,15 +82,13 @@ pub struct FlatProfile {
 impl FlatProfile {
     /// Total samples across all functions.
     pub fn total(&self) -> u64 {
-        self.funcs.values().map(|f| f.total).sum()
+        self.funcs.values().map(FlatFuncProfile::total).sum()
     }
 }
 
 /// CSSPGO probe-based per-function profile (possibly nested).
 #[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ProbeFuncProfile {
-    /// Total samples attributed here.
-    pub total: u64,
     /// Calls observed entering this function.
     pub entry: u64,
     /// The CFG checksum recorded in the profiled binary.
@@ -119,14 +111,10 @@ impl ProbeFuncProfile {
         self.callsites.entry((probe, callee_guid)).or_default()
     }
 
-    /// Recomputes `total` recursively.
-    pub fn recompute_totals(&mut self) -> u64 {
-        let mut t: u64 = self.probes.values().sum();
-        for child in self.callsites.values_mut() {
-            t += child.recompute_totals();
-        }
-        self.total = t;
-        t
+    /// Samples attributed here: its probe counts plus its nested profiles'
+    /// totals.
+    pub fn total(&self) -> u64 {
+        self.probes.values().sum::<u64>() + self.callsites.values().map(Self::total).sum::<u64>()
     }
 }
 
@@ -142,7 +130,7 @@ pub struct ProbeProfile {
 impl ProbeProfile {
     /// Total samples across all functions.
     pub fn total(&self) -> u64 {
-        self.funcs.values().map(|f| f.total).sum()
+        self.funcs.values().map(ProbeFuncProfile::total).sum()
     }
 }
 
@@ -204,7 +192,7 @@ mod tests {
             },
             7,
         );
-        assert_eq!(p.recompute_totals(), 12);
+        assert_eq!(p.total(), 12);
     }
 
     #[test]

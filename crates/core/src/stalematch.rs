@@ -271,7 +271,7 @@ impl<'p> Recorded<'p> {
             callees.entry(probe).or_default().push(callee);
         }
         for (&probe, recorded) in &mut callees {
-            recorded.sort_by_key(|&c| (Reverse(fp.callsites[&(probe, c)].total), c));
+            recorded.sort_by_cached_key(|&c| (Reverse(fp.callsites[&(probe, c)].total()), c));
         }
         let mut probes: BTreeSet<u32> = fp.probes.keys().copied().collect();
         probes.extend(callees.keys());
@@ -428,7 +428,6 @@ impl<'m> Matcher<'m> {
             for (&(_, callee), sub) in out.callsites.iter_mut() {
                 *sub = self.nested(callee, sub, depth, rec);
             }
-            out.recompute_totals();
         }
         out
     }
@@ -571,7 +570,6 @@ impl<'m> Matcher<'m> {
             let nested = self.nested(callee, sub, depth, rec);
             out.callsites.insert((new_probe, callee), nested);
         }
-        out.recompute_totals();
         out
     }
 }
@@ -638,11 +636,6 @@ fn rename_evidence(old_guid: u64, old: &Recorded, cand: &Fresh) -> Option<(bool,
 // The run
 // ---------------------------------------------------------------------
 
-/// A function's total profile weight (probe counts, nested included).
-fn profile_weight(fp: &ProbeFuncProfile) -> u64 {
-    fp.probes.values().sum::<u64>() + fp.callsites.values().map(profile_weight).sum::<u64>()
-}
-
 /// The one [`FuncMatch`] constructor: nothing mapped and nothing kept yet.
 fn record(guid: u64, name: String, old: &ProbeFuncProfile) -> FuncMatch {
     FuncMatch {
@@ -655,7 +648,7 @@ fn record(guid: u64, name: String, old: &ProbeFuncProfile) -> FuncMatch {
         ambiguous_anchors: 0,
         two_to_one: 0,
         anchor_drift: false,
-        old_weight: profile_weight(old),
+        old_weight: old.total(),
         recovered_weight: 0,
     }
 }
@@ -688,8 +681,7 @@ pub fn match_stale_profile(
         let mut rec = record(guid, func.name.clone(), fp);
         let kept = if is_stale(fp.checksum, func) {
             let rebuilt = matcher.align(matcher.fresh(fid), &Recorded::new(fp), 0, &mut rec);
-            let salvaged =
-                profile_weight(&rebuilt) > 0 || rec.matched_probes + rec.fuzzy_probes > 0;
+            let salvaged = rebuilt.total() > 0 || rec.matched_probes + rec.fuzzy_probes > 0;
             if salvaged {
                 rec.status = FuncMatchStatus::Recovered;
             }
@@ -702,7 +694,7 @@ pub fn match_stale_profile(
             Some(matcher.match_func(fid, fp, 0, &mut rec))
         };
         if let Some(kept) = kept {
-            rec.recovered_weight = profile_weight(&kept);
+            rec.recovered_weight = kept.total();
             out.funcs.insert(guid, kept);
         }
         funcs.push(rec);
@@ -716,7 +708,7 @@ pub fn match_stale_profile(
         .filter(|f| !profile.funcs.contains_key(&f.guid))
         .map(|f| f.id)
         .collect();
-    orphans.sort_by_key(|&(guid, ref old)| (Reverse(profile_weight(old.fp)), guid));
+    orphans.sort_by_key(|&(guid, ref old)| (Reverse(old.fp.total()), guid));
     for (old_guid, old) in orphans {
         let old_name = profile
             .names
@@ -749,7 +741,7 @@ pub fn match_stale_profile(
             similarity,
         };
         let kept = matcher.match_func(fid, old.fp, 0, &mut rec);
-        rec.recovered_weight = profile_weight(&kept);
+        rec.recovered_weight = kept.total();
         out.funcs.insert(rec.guid, kept);
         out.names.insert(rec.guid, rec.name.clone());
         funcs.push(rec);
@@ -795,7 +787,6 @@ mod tests {
                     fp.callsite_mut(a.index, callee).entry = 10;
                 }
             }
-            fp.recompute_totals();
             p.names.insert(f.guid, f.name.clone());
         }
         p
@@ -863,12 +854,10 @@ fn top(n) {
             for a in anchor_sequence(&m_old, old_leaf_fid) {
                 sub.record_sum(a.index, 7 + a.index as u64);
             }
-            sub.recompute_totals();
         }
-        mid_fp.recompute_totals();
         let old_nested_weight: u64 = nested_keys
             .iter()
-            .map(|k| profile_weight(&p.funcs[&mid_guid].callsites[k]))
+            .map(|k| p.funcs[&mid_guid].callsites[k].total())
             .sum();
 
         let drifted = SRC.replace(
@@ -900,7 +889,7 @@ fn top(n) {
                 new_leaf.probe_checksum.unwrap(),
                 "nested sub-profile must carry the fresh inlinee checksum"
             );
-            rec_nested_weight += profile_weight(sub);
+            rec_nested_weight += sub.total();
         }
         assert!(rec_nested_weight > 0, "nested counts must survive");
         assert!(
@@ -1050,7 +1039,6 @@ fn top(n) {
         let orphan = p.funcs.get_mut(&function_guid("leaf")).unwrap();
         assert_eq!(orphan.checksum, cand.probe_checksum.unwrap());
         orphan.record_sum(cand.next_probe_index, 5);
-        orphan.recompute_totals();
 
         let out = match_stale_profile(&m_new, &p, &MatchConfig::default());
         assert_eq!(out.count("renamed"), 0, "{:#?}", out.funcs);

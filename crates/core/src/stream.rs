@@ -227,17 +227,17 @@ fn inst_range(binary: &Binary, begin: u64, end: u64) -> Result<(usize, usize), &
 /// Public so canary evaluation can measure per-version profile agreement
 /// with the same [`weight_overlap`] metric the watchdog uses.
 pub fn probe_weights(profile: &ContextProfile) -> BTreeMap<(u64, u32), u64> {
-    fn walk(node: &crate::context::ContextNode, out: &mut BTreeMap<(u64, u32), u64>) {
+    fn walk(guid: u64, node: &crate::context::ContextNode, out: &mut BTreeMap<(u64, u32), u64>) {
         for (&probe, &count) in &node.probes {
-            *out.entry((node.guid, probe)).or_insert(0) += count;
+            *out.entry((guid, probe)).or_insert(0) += count;
         }
-        for child in node.children.values() {
-            walk(child, out);
+        for (&(_, callee), child) in &node.children {
+            walk(callee, child, out);
         }
     }
     let mut out = BTreeMap::new();
-    for node in profile.roots.values() {
-        walk(node, &mut out);
+    for (&guid, node) in &profile.roots {
+        walk(guid, node, &mut out);
     }
     out
 }

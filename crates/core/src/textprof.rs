@@ -61,8 +61,8 @@ fn err(line: usize, message: impl Into<String>) -> ParseError {
     }
 }
 
-/// A profile nested `depth` call sites deep, past the bound the binary
-/// decoders and the two text parsers share ([`MAX_DEPTH`]).
+/// A profile nested `depth` call sites deep, past the bound every profile
+/// reader shares ([`MAX_DEPTH`]).
 fn too_deep(line: usize, depth: usize) -> ParseError {
     err(
         line,
@@ -99,7 +99,8 @@ fn write_flat_func(
     let pad = " ".repeat(depth);
     out.push_str(&format!(
         "{header_prefix}{name}:{}:{}\n",
-        fp.total, fp.entry
+        fp.total(),
+        fp.entry
     ));
     for (key, count) in &fp.body {
         if key.discriminator == 0 {
@@ -126,6 +127,22 @@ fn write_flat_func(
     }
 }
 
+/// A function header, `name:total:entry`: the name and the entry count.
+/// The stated total must be a number and is otherwise ignored: a profile's
+/// total is the sum of its counts, so a file cannot claim another.
+fn parse_header(text: &str, lineno: usize) -> Result<(&str, u64), ParseError> {
+    let mut parts = text.split(':');
+    let name = parts.next().unwrap_or_default();
+    let mut number = |what: &str| {
+        parts
+            .next()
+            .and_then(|p| p.trim().parse::<u64>().ok())
+            .ok_or_else(|| err(lineno, what))
+    };
+    number("bad total")?;
+    Ok((name, number("bad entry count")?))
+}
+
 /// Parses the flat text format.
 ///
 /// # Errors
@@ -134,14 +151,13 @@ fn write_flat_func(
 /// site nested deeper than any profile reader accepts.
 pub fn parse_flat(text: &str) -> Result<FlatProfile, ParseError> {
     let mut profile = FlatProfile::default();
-    // Stack of (indent, profile pointer path). We parse with an explicit
-    // recursion over owned frames to keep borrows simple: collect into a
-    // tree of temporary nodes first.
+    // The open function profiles, outermost first, each with its indent and
+    // the call-site key it hangs off in its parent; a frame is attached to
+    // its parent (or the profile) when it closes.
     struct Frame {
         indent: usize,
         name: String,
         fp: FlatFuncProfile,
-        // The call-site key this frame hangs off in its parent.
         site: Option<LocKey>,
     }
     let mut stack: Vec<Frame> = Vec::new();
@@ -169,6 +185,21 @@ pub fn parse_flat(text: &str) -> Result<FlatProfile, ParseError> {
         Ok(())
     }
 
+    /// Closes every open frame at `indent` or deeper, but never the last
+    /// `keep`: a plain header closes them all, a call-site header or a body
+    /// line stays inside the outermost function.
+    fn close(
+        profile: &mut FlatProfile,
+        stack: &mut Vec<Frame>,
+        indent: usize,
+        keep: usize,
+    ) -> Result<(), ParseError> {
+        while stack.len() > keep && stack.last().is_some_and(|f| f.indent >= indent) {
+            pop_into(profile, stack)?;
+        }
+        Ok(())
+    }
+
     for (lineno, raw) in text.lines().enumerate() {
         let lineno = lineno + 1;
         if raw.trim().is_empty() || raw.trim_start().starts_with('#') {
@@ -177,65 +208,11 @@ pub fn parse_flat(text: &str) -> Result<FlatProfile, ParseError> {
         let indent = raw.len() - raw.trim_start().len();
         let line = raw.trim_start();
 
-        // Close frames deeper or equal to this indent if this line starts a
-        // new function header at that indent.
-        let header_like = !line.contains('@') && line.split(':').count() == 3 && {
-            let mut it = line.split(':');
-            it.next();
-            it.clone().all(|p| p.trim().parse::<u64>().is_ok())
-        };
-        let site_header = line.contains('@');
-
-        if header_like && !site_header {
-            while stack.last().map(|f| f.indent >= indent).unwrap_or(false) {
-                pop_into(&mut profile, &mut stack)?;
-            }
-            let mut parts = line.split(':');
-            let name = parts.next().ok_or_else(|| err(lineno, "missing name"))?;
-            let total = parts
-                .next()
-                .and_then(|p| p.trim().parse().ok())
-                .ok_or_else(|| err(lineno, "bad total"))?;
-            let entry = parts
-                .next()
-                .and_then(|p| p.trim().parse().ok())
-                .ok_or_else(|| err(lineno, "bad entry count"))?;
-            stack.push(Frame {
-                indent,
-                name: name.to_string(),
-                fp: FlatFuncProfile {
-                    total,
-                    entry,
-                    ..FlatFuncProfile::default()
-                },
-                site: None,
-            });
-            continue;
-        }
-
-        if site_header {
+        if let Some((key_part, header)) = line.split_once('@') {
             // `off[.disc]@name:total:entry` — a nested inlined profile.
-            while stack.last().map(|f| f.indent >= indent).unwrap_or(false)
-                && stack.len() > 1
-                && stack.last().map(|f| f.indent >= indent).unwrap_or(false)
-            {
-                if stack.last().map(|f| f.indent < indent).unwrap_or(true) {
-                    break;
-                }
-                pop_into(&mut profile, &mut stack)?;
-            }
-            let (key_part, rest) = line.split_once('@').ok_or_else(|| err(lineno, "bad @"))?;
+            close(&mut profile, &mut stack, indent, 1)?;
             let site = parse_lockey(key_part.trim(), lineno)?;
-            let mut parts = rest.split(':');
-            let name = parts.next().ok_or_else(|| err(lineno, "missing callee"))?;
-            let total = parts
-                .next()
-                .and_then(|p| p.trim().parse().ok())
-                .ok_or_else(|| err(lineno, "bad total"))?;
-            let entry = parts
-                .next()
-                .and_then(|p| p.trim().parse().ok())
-                .ok_or_else(|| err(lineno, "bad entry count"))?;
+            let (name, entry) = parse_header(header, lineno)?;
             if stack.is_empty() {
                 return Err(err(lineno, "call-site profile without a function"));
             }
@@ -246,7 +223,6 @@ pub fn parse_flat(text: &str) -> Result<FlatProfile, ParseError> {
                 indent,
                 name: name.to_string(),
                 fp: FlatFuncProfile {
-                    total,
                     entry,
                     ..FlatFuncProfile::default()
                 },
@@ -255,7 +231,29 @@ pub fn parse_flat(text: &str) -> Result<FlatProfile, ParseError> {
             continue;
         }
 
-        // Body line: `off[.disc]: count`.
+        // A plain header `name:total:entry` opens a top-level function.
+        let header_like = line.split(':').count() == 3
+            && line
+                .split(':')
+                .skip(1)
+                .all(|p| p.trim().parse::<u64>().is_ok());
+        if header_like {
+            close(&mut profile, &mut stack, indent, 0)?;
+            let (name, entry) = parse_header(line, lineno)?;
+            stack.push(Frame {
+                indent,
+                name: name.to_string(),
+                fp: FlatFuncProfile {
+                    entry,
+                    ..FlatFuncProfile::default()
+                },
+                site: None,
+            });
+            continue;
+        }
+
+        // Body line: `off[.disc]: count`, attached to the innermost frame
+        // whose indent is shallower than ours.
         let (key_part, count_part) = line
             .split_once(':')
             .ok_or_else(|| err(lineno, "expected `off: count`"))?;
@@ -264,18 +262,13 @@ pub fn parse_flat(text: &str) -> Result<FlatProfile, ParseError> {
             .trim()
             .parse()
             .map_err(|_| err(lineno, "bad count"))?;
-        // Attach to the innermost frame whose indent is shallower than ours.
-        while stack.len() > 1 && stack.last().map(|f| f.indent >= indent).unwrap_or(false) {
-            pop_into(&mut profile, &mut stack)?;
-        }
+        close(&mut profile, &mut stack, indent, 1)?;
         let frame = stack
             .last_mut()
             .ok_or_else(|| err(lineno, "body count without a function"))?;
         frame.fp.body.insert(key, count);
     }
-    while !stack.is_empty() {
-        pop_into(&mut profile, &mut stack)?;
-    }
+    close(&mut profile, &mut stack, 0, 0)?;
     Ok(profile)
 }
 
@@ -310,6 +303,7 @@ pub fn write_context(profile: &ContextProfile) -> String {
     };
     fn walk(
         out: &mut String,
+        guid: u64,
         node: &ContextNode,
         path: &mut Vec<FrameKey>,
         name: &dyn Fn(u64) -> String,
@@ -318,7 +312,7 @@ pub fn write_context(profile: &ContextProfile) -> String {
             .iter()
             .map(|f| format!("{}:{}", name(f.guid), f.probe))
             .collect();
-        ctx.push(name(node.guid));
+        ctx.push(name(guid));
         out.push_str(&format!(
             "[{}]:{}:{}\n",
             ctx.join(" @ "),
@@ -334,17 +328,14 @@ pub fn write_context(profile: &ContextProfile) -> String {
         for (probe, count) in &node.probes {
             out.push_str(&format!(" {probe}: {count}\n"));
         }
-        for ((probe, _), child) in &node.children {
-            path.push(FrameKey {
-                guid: node.guid,
-                probe: *probe,
-            });
-            walk(out, child, path, name);
+        for (&(probe, callee), child) in &node.children {
+            path.push(FrameKey { guid, probe });
+            walk(out, callee, child, path, name);
             path.pop();
         }
     }
-    for node in profile.roots.values() {
-        walk(&mut out, node, &mut Vec::new(), &name);
+    for (&guid, node) in &profile.roots {
+        walk(&mut out, guid, node, &mut Vec::new(), &name);
     }
     out
 }
@@ -467,13 +458,28 @@ pub fn split_snapshot_context(text: &str) -> Option<(&str, &str)> {
     None
 }
 
-/// Parses a probe profile from JSON.
+/// Parses a probe profile from JSON. A `total` a file states is ignored:
+/// it is the sum of the counts.
 ///
 /// # Errors
 ///
-/// Returns a [`ParseError`] describing the JSON failure.
+/// Returns a [`ParseError`] describing the JSON failure, also for a call
+/// site nested deeper than any profile reader accepts (at line 0: the
+/// parsed value keeps no positions).
 pub fn parse_probe_json(text: &str) -> Result<ProbeProfile, ParseError> {
-    serde_json::from_str(text).map_err(|e| err(e.line(), e.to_string()))
+    let profile: ProbeProfile =
+        serde_json::from_str(text).map_err(|e| err(e.line(), e.to_string()))?;
+    fn depth(p: &ProbeFuncProfile) -> usize {
+        p.callsites
+            .values()
+            .map(|c| 1 + depth(c))
+            .max()
+            .unwrap_or(0)
+    }
+    match profile.funcs.values().map(depth).max() {
+        Some(d) if d > MAX_DEPTH => Err(too_deep(0, d)),
+        _ => Ok(profile),
+    }
 }
 
 /// Total nested profile nodes (a size metric for reports).
@@ -538,7 +544,6 @@ mod tests {
             },
             440,
         );
-        p.funcs.get_mut(&main_guid).unwrap().recompute_totals();
         p
     }
 
@@ -625,7 +630,6 @@ mod tests {
         let fp = p.funcs.entry(g).or_default();
         fp.checksum = 77;
         fp.record_sum(1, 10);
-        fp.recompute_totals();
         let back = parse_probe_json(&write_probe_json(&p)).unwrap();
         assert_eq!(back.funcs[&g].probes[&1], 10);
         assert_eq!(probe_profile_nodes(&back), 1);

@@ -994,24 +994,33 @@ fn main(n) {
         (b, profile, stats)
     }
 
-    /// Finds every subtree node with `guid`, noting whether `ancestor` was
-    /// passed through on the way.
-    fn subtree_total_under(
-        node: &crate::context::ContextNode,
-        target: u64,
-        ancestor: u64,
-        under: bool,
-    ) -> u64 {
-        let own = if node.guid == target && under {
-            node.probes.values().sum::<u64>()
-        } else {
-            0
-        };
-        own + node
-            .children
-            .values()
-            .map(|c| subtree_total_under(c, target, ancestor, under || node.guid == ancestor))
-            .sum::<u64>()
+    /// Sums the probe counts of every node of function `target` in
+    /// `profile`, but only where `ancestor` was passed through on the way.
+    fn total_under(profile: &crate::context::ContextProfile, target: u64, ancestor: u64) -> u64 {
+        fn walk(
+            guid: u64,
+            node: &crate::context::ContextNode,
+            target: u64,
+            ancestor: u64,
+            under: bool,
+        ) -> u64 {
+            let own = if guid == target && under {
+                node.probes.values().sum::<u64>()
+            } else {
+                0
+            };
+            let under = under || guid == ancestor;
+            own + node
+                .children
+                .iter()
+                .map(|(&(_, callee), c)| walk(callee, c, target, ancestor, under))
+                .sum::<u64>()
+        }
+        profile
+            .roots
+            .iter()
+            .map(|(&guid, r)| walk(guid, r, target, ancestor, false))
+            .sum()
     }
 
     /// The binary's byte→instruction map must agree with a linear scan on
@@ -1041,16 +1050,8 @@ fn main(n) {
         // scalar_op must appear under BOTH vector heads as distinct contexts
         // (somewhere below the main root).
         let op = guid("scalar_op");
-        let via_add: u64 = profile
-            .roots
-            .values()
-            .map(|r| subtree_total_under(r, op, guid("add_vector_head"), false))
-            .sum();
-        let via_sub: u64 = profile
-            .roots
-            .values()
-            .map(|r| subtree_total_under(r, op, guid("sub_vector_head"), false))
-            .sum();
+        let via_add = total_under(&profile, op, guid("add_vector_head"));
+        let via_sub = total_under(&profile, op, guid("sub_vector_head"));
         assert!(via_add > 0, "scalar_op context under add_vector_head");
         assert!(via_sub > 0, "scalar_op context under sub_vector_head");
     }
@@ -1061,13 +1062,8 @@ fn main(n) {
         let guid = |n: &str| b.func_by_name(n).unwrap().guid;
         // Under add_vector_head, scalar_add should dominate scalar_sub (and
         // vice versa) — the paper's Fig. 3b insight.
-        let totals = |ancestor: &str, target: &str| -> u64 {
-            profile
-                .roots
-                .values()
-                .map(|r| subtree_total_under(r, guid(target), guid(ancestor), false))
-                .sum()
-        };
+        let totals =
+            |ancestor: &str, target: &str| total_under(&profile, guid(target), guid(ancestor));
         let add_in_add = totals("add_vector_head", "scalar_add");
         let sub_in_add = totals("add_vector_head", "scalar_sub");
         let add_in_sub = totals("sub_vector_head", "scalar_add");
@@ -1095,24 +1091,10 @@ fn main(n) { return top(n); }
         );
         // leaf's hot loop must appear under a context mentioning mid.
         let guid = |n: &str| b.func_by_name(n).unwrap().guid;
-        fn has_leaf_under_mid(
-            node: &crate::context::ContextNode,
-            mid: u64,
-            leaf: u64,
-            under_mid: bool,
-        ) -> bool {
-            if node.guid == leaf && under_mid && node.probes.values().any(|&c| c > 0) {
-                return true;
-            }
-            node.children
-                .values()
-                .any(|c| has_leaf_under_mid(c, mid, leaf, under_mid || node.guid == mid))
-        }
-        let ok = profile
-            .roots
-            .values()
-            .any(|r| has_leaf_under_mid(r, guid("mid"), guid("leaf"), false));
-        assert!(ok, "leaf must be contextualized under mid despite TCE");
+        assert!(
+            total_under(&profile, guid("leaf"), guid("mid")) > 0,
+            "leaf must be contextualized under mid despite TCE"
+        );
     }
 
     #[test]

@@ -54,7 +54,6 @@ fn autofdo_replays_nested_inline_instances() {
         },
         400,
     );
-    fp.recompute_totals();
 
     let stats = autofdo_annotate(&mut m, &profile, &AnnotateConfig::default());
     assert_eq!(stats.replayed_inlines, 1, "nested instance must replay");
@@ -75,7 +74,6 @@ fn autofdo_does_not_replay_without_nested_profile() {
         },
         400,
     );
-    fp.recompute_totals();
     let stats = autofdo_annotate(&mut m, &profile, &AnnotateConfig::default());
     assert_eq!(stats.replayed_inlines, 0);
     assert_eq!(call_count(&m, "main"), 1, "call stays");
@@ -118,11 +116,6 @@ fn probe_profile_with_nested(m: &Module) -> ProbeProfile {
         .probe_checksum
         .unwrap_or_else(|| cfg_checksum(m.func(helper)));
     nested.record_sum(1, 500);
-    profile
-        .funcs
-        .get_mut(&m.func(main).guid)
-        .unwrap()
-        .recompute_totals();
     profile
 }
 

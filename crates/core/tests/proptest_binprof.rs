@@ -3,7 +3,8 @@
 //! shapes, counts, checksums, inlined flags), the text and binary formats
 //! must interchange losslessly in both directions, and the encoding must
 //! be canonical (decode→re-encode is byte-identical). A golden fixture
-//! pins the version-1 wire bytes so silent format drift fails CI.
+//! pins the version-2 wire bytes so silent format drift fails CI, and the
+//! last version-1 fixture stays to show such a payload is refused.
 
 use csspgo_core::binprof::{self, DecodeError};
 use csspgo_core::context::{ContextNode, ContextProfile, FrameKey};
@@ -28,8 +29,8 @@ fn guid_of(i: usize) -> u64 {
 type Op = (Vec<(usize, u32)>, usize, u32, u64, bool);
 
 fn collect_guids(node: &ContextNode, out: &mut BTreeSet<u64>) {
-    out.insert(node.guid);
-    for child in node.children.values() {
+    for (&(_, callee), child) in &node.children {
+        out.insert(callee);
         collect_guids(child, out);
     }
 }
@@ -63,18 +64,18 @@ fn profile_strategy() -> BoxedStrategy<ContextProfile> {
                 .map(|i| (guid_of(i), (i as u64 + 1).wrapping_mul(0x9e37)))
                 .collect();
             p.set_checksums(&table);
-            fn flag(node: &mut ContextNode) {
-                node.inlined = node.guid.is_multiple_of(3);
-                for child in node.children.values_mut() {
-                    flag(child);
+            fn flag(guid: u64, node: &mut ContextNode) {
+                node.inlined = guid.is_multiple_of(3);
+                for (&(_, callee), child) in &mut node.children {
+                    flag(callee, child);
                 }
             }
-            for root in p.roots.values_mut() {
-                flag(root);
+            for (&guid, root) in &mut p.roots {
+                flag(guid, root);
             }
             // Name every referenced function, as real correlation does —
             // the text format identifies functions by name.
-            let mut used = BTreeSet::new();
+            let mut used: BTreeSet<u64> = p.roots.keys().copied().collect();
             for root in p.roots.values() {
                 collect_guids(root, &mut used);
             }
@@ -147,10 +148,10 @@ fn golden_profile() -> ContextProfile {
 
 const FIXTURE: &str = concat!(
     env!("CARGO_MANIFEST_DIR"),
-    "/tests/fixtures/context_v1.binprof"
+    "/tests/fixtures/context_v2.binprof"
 );
 
-/// The version-1 wire bytes of [`golden_profile`] are pinned on disk: any
+/// The version-2 wire bytes of [`golden_profile`] are pinned on disk: any
 /// byte-level drift of the format must come with a `binprof::VERSION` bump
 /// and a deliberate re-bless (`BLESS=1 cargo test`).
 #[test]
@@ -164,9 +165,28 @@ fn golden_binary_fixture_is_stable() {
         std::fs::read(FIXTURE).expect("golden fixture missing; regenerate with BLESS=1 cargo test");
     assert_eq!(
         bytes, golden,
-        "binprof wire bytes drifted from the v1 fixture; bump VERSION and re-bless deliberately"
+        "binprof wire bytes drifted from the v2 fixture; bump VERSION and re-bless deliberately"
     );
     assert_eq!(binprof::decode_context(&golden).unwrap(), profile);
+}
+
+/// Version 1 wrote each context node's GUID beside the key that names it,
+/// and each sub-profile's total beside the counts it sums. Its payloads are
+/// refused, not read: there is one reader, for the current version.
+#[test]
+fn a_version_1_payload_is_refused() {
+    let v1 = std::fs::read(concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/tests/fixtures/context_v1.binprof"
+    ))
+    .unwrap();
+    assert_eq!(
+        binprof::decode_context(&v1),
+        Err(DecodeError::Version {
+            found: 1,
+            supported: 2
+        })
+    );
 }
 
 /// A reader built for version N must reject version N+1 (and garbage)
@@ -180,7 +200,7 @@ fn future_version_and_wrong_kind_are_rejected() {
     newer[8] = newer[8].wrapping_add(1);
     match binprof::decode_context(&newer) {
         Err(DecodeError::Version { found, supported }) => {
-            assert_eq!(supported, 1, "the v1 fixture");
+            assert_eq!(supported, 2, "the v2 fixture");
             assert_eq!(found, supported + 1);
         }
         other => panic!("expected version rejection, got {other:?}"),

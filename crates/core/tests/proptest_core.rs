@@ -185,7 +185,6 @@ proptest! {
         for (off, disc, count) in &entries {
             fp.record_max(LocKey { line_offset: *off, discriminator: *disc }, *count);
         }
-        fp.recompute_totals();
         let text = textprof::write_flat(&p);
         let back = textprof::parse_flat(&text).unwrap();
         prop_assert_eq!(&p.funcs, &back.funcs, "text:\n{}", text);
@@ -211,7 +210,6 @@ proptest! {
         for (off, count) in &inner {
             sub.record_max(LocKey { line_offset: *off, discriminator: 0 }, *count);
         }
-        fp.recompute_totals();
         let text = textprof::write_flat(&p);
         let back = textprof::parse_flat(&text).unwrap();
         prop_assert_eq!(&p.funcs, &back.funcs, "text:\n{}", text);

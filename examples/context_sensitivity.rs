@@ -37,7 +37,7 @@ fn main(n) {
 }
 "#;
 
-fn print_node(profile: &ContextProfile, node: &ContextNode, indent: usize) {
+fn print_node(profile: &ContextProfile, guid: u64, node: &ContextNode, indent: usize) {
     let name = |g: u64| {
         profile
             .names
@@ -48,18 +48,18 @@ fn print_node(profile: &ContextProfile, node: &ContextNode, indent: usize) {
     println!(
         "{:indent$}{} (samples: {}, inlined: {})",
         "",
-        name(node.guid),
+        name(guid),
         node.total(),
         node.inlined,
         indent = indent
     );
-    for ((probe, _), child) in &node.children {
+    for (&(probe, callee), child) in &node.children {
         println!(
             "{:indent$}@ call-site probe {probe}:",
             "",
             indent = indent + 2
         );
-        print_node(profile, child, indent + 4);
+        print_node(profile, callee, child, indent + 4);
     }
 }
 
@@ -94,8 +94,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let result = run_preinliner(&mut profile, &binary, &PreInlineConfig::default());
 
     println!("context trie (paper Fig. 3b — scalar_op has a distinct profile per caller):");
-    for root in profile.roots.values() {
-        print_node(&profile, root, 2);
+    for (&guid, root) in &profile.roots {
+        print_node(&profile, guid, root, 2);
     }
     println!(
         "\npre-inliner: considered {} contexts, inlined {}",

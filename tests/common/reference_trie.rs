@@ -17,17 +17,13 @@
 use csspgo_core::context::{ContextNode, ContextProfile, FrameKey};
 
 /// Merges `b` into `a`: structural and count-additive. A name already in
-/// `a` wins; a node `a` lacks starts as an empty node of `b`'s function.
+/// `a` wins; a node `a` lacks starts empty.
 pub fn merge_context(a: &mut ContextProfile, b: &ContextProfile) {
     for (guid, name) in &b.names {
         a.names.entry(*guid).or_insert_with(|| name.clone());
     }
     for (guid, node) in &b.roots {
-        let dst = a.roots.entry(*guid).or_insert_with(|| ContextNode {
-            guid: *guid,
-            ..ContextNode::default()
-        });
-        merge_context_node(dst, node);
+        merge_context_node(a.roots.entry(*guid).or_default(), node);
     }
 }
 
@@ -41,11 +37,7 @@ fn merge_context_node(a: &mut ContextNode, b: &ContextNode) {
         *a.probes.entry(*probe).or_insert(0) += count;
     }
     for (key, child) in &b.children {
-        let dst = a.children.entry(*key).or_insert_with(|| ContextNode {
-            guid: child.guid,
-            ..ContextNode::default()
-        });
-        merge_context_node(dst, child);
+        merge_context_node(a.children.entry(*key).or_default(), child);
     }
 }
 
@@ -67,13 +59,9 @@ pub fn evict_subtree(
         .remove(&(probe, callee))?;
     let nodes = node.node_count();
     let weight = node.total();
-    let mut queue = vec![node];
-    while let Some(n) = queue.pop() {
-        let base = profile.roots.entry(n.guid).or_insert_with(|| ContextNode {
-            guid: n.guid,
-            checksum: n.checksum,
-            ..ContextNode::default()
-        });
+    let mut queue = vec![(callee, node)];
+    while let Some((guid, n)) = queue.pop() {
+        let base = profile.roots.entry(guid).or_default();
         base.entry += n.entry;
         if base.checksum == 0 {
             base.checksum = n.checksum;
@@ -81,7 +69,7 @@ pub fn evict_subtree(
         for (p, c) in n.probes {
             *base.probes.entry(p).or_insert(0) += c;
         }
-        queue.extend(n.children.into_values());
+        queue.extend(n.children.into_iter().map(|((_, g), c)| (g, c)));
     }
     Some((nodes, weight))
 }

@@ -12,14 +12,19 @@
 
 use csspgo::analysis::{Analyzer, Policy, Report, ScenarioReport, LINTS};
 use csspgo::codegen::{lower_module, Binary, CodegenConfig};
+use csspgo::core::annotate::{
+    autofdo_annotate, collect_block_counts, csspgo_annotate, AnnotateConfig, AnnotateStats,
+};
 use csspgo::core::context::{ContextProfile, FrameKey};
 use csspgo::core::merge::{merge_flat, merge_tries};
+use csspgo::core::overlap::BlockCounts;
 use csspgo::core::pipeline::{prepared_module, PipelineError};
 use csspgo::core::profile::{FlatFuncProfile, FlatProfile};
 use csspgo::core::stream::{StreamAggregator, StreamConfig};
 use csspgo::core::tailcall::TailCallGraph;
 use csspgo::core::textprof;
 use csspgo::ir::probe::function_guid;
+use csspgo::ir::Module;
 use csspgo::sim::{Machine, Sample, SimConfig, SimError};
 use std::collections::BTreeMap;
 use std::path::Path;
@@ -356,11 +361,10 @@ fn an_epoch_outside_the_binary_is_no_evidence_of_drift() {
 
 // ---- csspgo merge ------------------------------------------------------
 
-/// Every counter of a flat profile — totals, entries and body counts, down
-/// through the inlined call sites — by where it sits.
+/// Every counter of a flat profile — entries and body counts, down through
+/// the inlined call sites — by where it sits.
 fn flat_counters(profile: &FlatProfile) -> BTreeMap<String, u64> {
     fn walk(f: &FlatFuncProfile, at: String, out: &mut BTreeMap<String, u64>) {
-        out.insert(format!("{at} total"), f.total);
         out.insert(format!("{at} entry"), f.entry);
         for (key, count) in &f.body {
             out.insert(format!("{at} {key:?}"), *count);
@@ -420,6 +424,59 @@ fn a_context_merge_is_the_reference_merge() {
     assert_eq!(inlined(&merge_tries([&a, &b])), inlined(&a) + inlined(&b));
 }
 
+// ---- a file cannot lie about a sum ---------------------------------------
+
+/// What `annotate` leaves on `serve.mini`'s prepared module: the inlines
+/// replayed and every block count.
+fn annotation(
+    probes: bool,
+    annotate: impl FnOnce(&mut Module) -> AnnotateStats,
+) -> (usize, BlockCounts) {
+    let mut module = prepared_module(&input("serve.mini"), "serve.mini", probes).unwrap();
+    let stats = annotate(&mut module);
+    (stats.replayed_inlines, collect_block_counts(&module))
+}
+
+/// `serve_n300_k1.flat.prof` with `helper`'s inlined body cut to one count
+/// of 3 under its unchanged header, which still claims 21 605 samples.
+/// Parent: the stated total passed the replay gate (8 samples), so AutoFDO
+/// replayed an inline that the same profile with its true total of 3 does
+/// not. Now the stated total is ignored: both annotate alike.
+#[test]
+fn a_flat_header_claiming_more_than_its_counts_annotates_like_its_true_total() {
+    let lying = input("serve_lying_total.flat.prof");
+    let truthful = lying.replacen("4@helper:21605:0", "4@helper:3:0", 1);
+    assert_ne!(lying, truthful);
+    let annotate = |text: &str| {
+        let profile = textprof::parse_flat(text).unwrap();
+        annotation(false, |m| {
+            autofdo_annotate(m, &profile, &AnnotateConfig::default())
+        })
+    };
+    let want = annotate(&truthful);
+    assert_eq!(want.0, 0, "3 samples do not replay the inline");
+    assert_eq!(annotate(&lying), want);
+}
+
+/// `serve.prof` with `helper`'s inlined probe counts cut to one count of 3
+/// under its unchanged `"total": 28841`. Parent: probe-only CSSPGO replayed
+/// the inline on the stated total. Now the JSON's `total` is ignored.
+#[test]
+fn a_probe_json_total_claiming_more_than_its_counts_annotates_like_its_true_total() {
+    let lying = input("serve_lying_total.prof");
+    let truthful = lying.replacen("\"total\": 28841", "\"total\": 3", 1);
+    assert_ne!(lying, truthful);
+    let annotate = |text: &str| {
+        let profile = textprof::parse_probe_json(text).unwrap();
+        annotation(true, |m| {
+            csspgo_annotate(m, &profile, None, &AnnotateConfig::default())
+        })
+    };
+    let want = annotate(&truthful);
+    assert_eq!(want.0, 0, "3 samples do not replay the inline");
+    assert_eq!(annotate(&lying), want);
+}
+
 // ---- one nesting bound for the binary and text profile readers ---------
 
 /// ROADMAP 6(b): `binprof` refused a sub-profile nested past its bound of
@@ -465,6 +522,92 @@ fn a_context_path_past_the_nesting_bound_is_a_typed_error() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert_eq!(out.status.code(), Some(1), "{stderr}");
     assert_eq!(stderr, format!("csspgo: {deep}: {why}\n"));
+}
+
+/// A probe-profile JSON whose `serve` profile nests `depth` call sites of
+/// `helper` at probe 4, with one count at the bottom, on one line.
+fn nested_probe_json(depth: usize) -> String {
+    let (serve, helper) = (function_guid("serve"), function_guid("helper"));
+    let open =
+        format!(r#"{{"entry": 0, "checksum": 0, "probes": {{}}, "callsites": {{"[4,{helper}]": "#);
+    let bottom = r#"{"entry": 0, "checksum": 0, "probes": {"1": 1}, "callsites": {}}"#;
+    format!(
+        r#"{{"funcs": {{"{serve}": {}{bottom}{}}}, "names": {{}}}}"#,
+        open.repeat(depth),
+        "}}".repeat(depth)
+    )
+}
+
+/// ROADMAP 6(b), the JSON readers. Parent: a probe JSON 50 000 call sites
+/// deep aborted `csspgo_lint --profile … --source serve.mini`, and 400 000
+/// nested brackets aborted `csspgo run` (as the binary) and `csspgo profgen
+/// --samples` (as the samples), each with a stack overflow. Now the JSON
+/// parser refuses nesting past `serde_json::MAX_NESTING` with its typed
+/// error, and the probe-profile reader holds the profile readers' bound of
+/// 512 call sites with their message.
+#[test]
+fn json_nested_past_the_bounds_is_a_typed_error() {
+    assert!(textprof::parse_probe_json(&nested_probe_json(512)).is_ok());
+    assert_eq!(
+        textprof::parse_probe_json(&nested_probe_json(513))
+            .unwrap_err()
+            .to_string(),
+        "profile line 0: nested 513 call sites deep, past the bound of 512"
+    );
+    let too_deep = format!(
+        "nested deeper than {} arrays and objects at line 1",
+        serde_json::MAX_NESTING
+    );
+
+    let dir = std::env::temp_dir().join(format!("csspgo-deep-json-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let write = |name: &str, text: &str| {
+        let path = dir.join(name);
+        std::fs::write(&path, text).unwrap();
+        path.to_str().unwrap().to_string()
+    };
+    let profile = write("deep.json", &nested_probe_json(50_000));
+    let brackets = write(
+        "brackets.json",
+        &format!("{}{}", "[".repeat(400_000), "]".repeat(400_000)),
+    );
+    let binary = write(
+        "serve.bin",
+        &serde_json::to_string(&serve_binary()).unwrap(),
+    );
+    let source = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/regressions/serve.mini");
+    let source = source.to_str().unwrap();
+
+    // `csspgo_lint` exits 2 on an input it cannot use; 1 means a denied lint.
+    for (bin, args, code, want) in [
+        (
+            env!("CARGO_BIN_EXE_csspgo_lint"),
+            vec!["--profile", &profile, "--source", source],
+            2,
+            format!("csspgo_lint: profile: profile line 1: {too_deep}\n"),
+        ),
+        (
+            env!("CARGO_BIN_EXE_csspgo"),
+            vec!["run", &brackets, "--entry", "serve"],
+            1,
+            format!("csspgo: {brackets}: not a csspgo binary: {too_deep}\n"),
+        ),
+        (
+            env!("CARGO_BIN_EXE_csspgo"),
+            vec!["profgen", &binary, "--samples", &brackets],
+            1,
+            format!("csspgo: {brackets}: {too_deep}\n"),
+        ),
+    ] {
+        let out = std::process::Command::new(bin)
+            .args(&args)
+            .output()
+            .unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(code), "{args:?}: {stderr}");
+        assert_eq!(stderr, want, "{args:?}");
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 // ---- unloadable files are messages, not panics -----------------------
