@@ -879,6 +879,55 @@ mod tests {
         }
     }
 
+    /// One nesting bound for the three profile decoders: a sub-profile
+    /// [`MAX_DEPTH`] call sites deep decodes, one level deeper is refused.
+    #[test]
+    fn each_profile_decoder_accepts_max_depth_and_refuses_one_more() {
+        let deep = DecodeError::Corrupt("profile nested too deep");
+        let key = LocKey {
+            line_offset: 3,
+            discriminator: 0,
+        };
+        for depth in [MAX_DEPTH, MAX_DEPTH + 1] {
+            let mut flat = FlatFuncProfile::default();
+            let mut probe = ProbeFuncProfile::default();
+            for _ in 0..depth {
+                let mut parent = FlatFuncProfile::default();
+                parent.callsites.insert((key, 7), flat);
+                flat = parent;
+                let mut parent = ProbeFuncProfile::default();
+                parent.callsites.insert((4, 7), probe);
+                probe = parent;
+            }
+            let flat = FlatProfile {
+                funcs: [(1, flat)].into(),
+                ..FlatProfile::default()
+            };
+            let probe = ProbeProfile {
+                funcs: [(1, probe)].into(),
+                ..ProbeProfile::default()
+            };
+            let path = vec![crate::context::FrameKey { guid: 1, probe: 4 }; depth];
+            let mut context = ContextProfile::new();
+            context.add_probe_hit(&path, 7, 1, 1);
+
+            let (flat_back, probe_back, context_back) = (
+                decode_flat(&encode_flat(&flat)),
+                decode_probe(&encode_probe(&probe)),
+                decode_context(&encode_context(&context)),
+            );
+            if depth == MAX_DEPTH {
+                assert_eq!(flat_back, Ok(flat));
+                assert_eq!(probe_back, Ok(probe));
+                assert_eq!(context_back, Ok(context));
+            } else {
+                assert_eq!(flat_back.unwrap_err(), deep);
+                assert_eq!(probe_back.unwrap_err(), deep);
+                assert_eq!(context_back.unwrap_err(), deep);
+            }
+        }
+    }
+
     #[test]
     fn string_table_deduplicates() {
         let mut t = StringTable::default();

@@ -441,19 +441,17 @@ pub fn write_probe_json(profile: &ProbeProfile) -> String {
 /// section body after it. Returns `None` when the marker is missing.
 ///
 /// Shared by snapshot restore and by offline consumers (`csspgo_lint`'s
-/// file mode) that only need the embedded context profile.
+/// file mode) that only need the embedded context profile. Offsets are each
+/// line's own byte length, line ending included, so a CRLF snapshot splits
+/// where its LF original does, and a snapshot that ends at the marker has an
+/// empty context section.
 pub fn split_snapshot_context(text: &str) -> Option<(&str, &str)> {
     let mut offset = 0usize;
-    for line in text.lines() {
-        let raw_len = line.len() + 1;
+    for line in text.split_inclusive('\n') {
         if line.trim() == "!context" {
-            // A snapshot truncated right at the marker has no trailing
-            // newline, putting the body start one past the end: that is an
-            // empty context section, not an out-of-bounds slice.
-            let body = text.get(offset + raw_len..).unwrap_or("");
-            return Some((&text[..offset], body));
+            return Some((&text[..offset], &text[offset + line.len()..]));
         }
-        offset += raw_len;
+        offset += line.len();
     }
     None
 }

@@ -228,6 +228,37 @@ fn restore_survives_snapshot_truncated_at_context_marker() {
     );
 }
 
+/// Regression: the text restore found the `!context` marker by adding
+/// `line.len() + 1` per line, one byte short per CRLF line ending. A CRLF
+/// snapshot then split inside its header: with a non-ASCII comment line the
+/// cut fell inside a character and `restore_from` panicked; without one it
+/// failed on a mangled row. Both now restore, and re-snapshot to the LF
+/// original byte for byte.
+#[test]
+fn a_crlf_text_snapshot_restores_like_its_lf_original() {
+    let binary = probed_binary();
+    let agg = StreamAggregator::with_tail_graph(
+        &binary,
+        StreamConfig::default(),
+        1,
+        TailCallGraph::default(),
+    );
+    let lf = String::from_utf8(agg.snapshot_as(SnapshotFormat::Text)).unwrap();
+    let commented = lf.replacen(
+        "!context\n",
+        &format!("# {}\n!context\n", "é".repeat(20)),
+        1,
+    );
+    assert_ne!(commented, lf);
+    for text in [&lf, &commented] {
+        let crlf = text.replace('\n', "\r\n");
+        let restored =
+            StreamAggregator::restore_from(&binary, StreamConfig::default(), 1, crlf.as_bytes())
+                .unwrap();
+        assert_eq!(restored.snapshot_as(SnapshotFormat::Text), lf.as_bytes());
+    }
+}
+
 /// A sealed one-epoch aggregator over real traffic, snapshotted as text.
 ///
 /// Both formats decode to one snapshot value, and one check restores it
