@@ -35,11 +35,15 @@
 use csspgo::analysis::{explain, render_lint_list, Analyzer, DiffReport, Policy};
 use csspgo::core::pipeline::{prepared_module, untrimmed_probe_profile};
 use csspgo::workloads::drift::{self, SCENARIOS};
+use std::fmt::Write as _;
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match run(&args) {
+    let mut out = String::new();
+    let result = run(&args, &mut out);
+    print!("{out}");
+    match result {
         Ok(true) => ExitCode::SUCCESS,
         Ok(false) => ExitCode::FAILURE,
         Err(e) => {
@@ -49,8 +53,9 @@ fn main() -> ExitCode {
     }
 }
 
-fn print_usage() {
-    println!(
+fn write_usage(out: &mut String) {
+    let _ = writeln!(
+        out,
         r#"csspgo_lint — does a profile still fit the build it is about to feed?
 
 USAGE:
@@ -73,20 +78,22 @@ by --deny fires, 2 on usage errors."#,
     );
 }
 
-fn run(args: &[String]) -> Result<bool, String> {
+/// One invocation. What it prints goes to `out` (with no flag: one summary
+/// row per judged pair, then every finding); `Ok(false)` is a denied lint.
+pub(crate) fn run(args: &[String], out: &mut String) -> Result<bool, String> {
     if args.iter().any(|a| a == "--help" || a == "-h") {
-        print_usage();
+        write_usage(out);
         return Ok(true);
     }
     if args.iter().any(|a| a == "--list") {
-        print!("{}", render_lint_list());
+        out.push_str(&render_lint_list());
         return Ok(true);
     }
     let single = |flag| Ok::<_, String>(flag_values(args, flag)?.into_iter().next());
     if let Some(key) = single("--explain")? {
         let text = explain(&key)
             .ok_or_else(|| format!("unknown lint `{key}` (try --list for the registry)"))?;
-        print!("{text}");
+        out.push_str(&text);
         return Ok(true);
     }
 
@@ -170,9 +177,9 @@ fn run(args: &[String]) -> Result<bool, String> {
         _ => return Err("--profile and --source must be given together".into()),
     }
 
-    print_summary(&report);
+    write_summary(&report, out);
     let lint_report = analyzer.into_report();
-    print!("{}", lint_report.render_human());
+    out.push_str(&lint_report.render_human());
     if let Some(path) = single("--json")? {
         std::fs::write(&path, report.to_json()).map_err(|e| format!("writing {path}: {e}"))?;
         eprintln!("wrote JSON report to {path}");
@@ -182,12 +189,13 @@ fn run(args: &[String]) -> Result<bool, String> {
 
 /// One line per judged pair: the quality headline plus where the annotated
 /// weight came from (sampled/stale-matched/inferred shares).
-fn print_summary(report: &DiffReport) {
-    println!("| scenario | workload | funcs | matched | recovered | renamed | dropped | stale weight recovered | PF raw→inferred | provenance (smp/stale/inf) |");
-    println!("|---|---|---|---|---|---|---|---|---|---|");
+fn write_summary(report: &DiffReport, out: &mut String) {
+    let _ = writeln!(out, "| scenario | workload | funcs | matched | recovered | renamed | dropped | stale weight recovered | PF raw→inferred | provenance (smp/stale/inf) |");
+    let _ = writeln!(out, "|---|---|---|---|---|---|---|---|---|---|");
     for s in &report.scenarios {
         let (q, p) = (&s.inference_quality, &s.provenance);
-        println!(
+        let _ = writeln!(
+            out,
             "| {} | {} | {} | {} | {} | {} | {} | {:.1}% | {}→{} | {:.0}%/{:.0}%/{:.0}% |",
             s.scenario,
             s.workload,
