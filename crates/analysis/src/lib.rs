@@ -34,11 +34,12 @@
 //!
 //! ```
 //! use csspgo_analysis::{Analyzer, Policy};
+//! use csspgo_core::{binprof, profile::ProbeProfile};
 //!
 //! let source = "fn f(x) { if (x > 0) { return x + 1; } return 0; }";
-//! let profile = r#"{"funcs": {}, "names": {}}"#;
+//! let profile = binprof::encode_probe(&ProbeProfile::default());
 //! let mut analyzer = Analyzer::new(Policy::default());
-//! let pair = analyzer.judge_file("demo", source, profile).unwrap();
+//! let pair = analyzer.judge_file("demo", source, &profile).unwrap();
 //! assert_eq!(pair.funcs_total, 0);
 //! assert!(analyzer.report().diagnostics.is_empty());
 //! ```
@@ -58,12 +59,12 @@ pub use diffreport::{
 };
 
 use csspgo_core::annotate::{csspgo_annotate, AnnotateConfig, AnnotateStats};
+use csspgo_core::binprof::{self, DecodeError};
 use csspgo_core::context::ContextProfile;
 use csspgo_core::inference::InferenceMode;
 use csspgo_core::pipeline::prepared_module;
 use csspgo_core::profile::ProbeProfile;
 use csspgo_core::stalematch::{match_stale_profile, MatchConfig, StaleMatching};
-use csspgo_core::textprof;
 use csspgo_ir::Module;
 
 /// A clone of `module` annotated from `profile` with no inline replay, so it
@@ -152,32 +153,33 @@ impl Analyzer {
     /// Judges a profile *file* against a source *file* — where a profile
     /// from outside the process enters, so the lints written for files run
     /// here, on the profile as loaded and before the matcher touches it:
-    /// `PF003` when the text is a `csspgo-stream-snapshot` (its context
-    /// section is what gets matched), `PF004`/`PF005` against the compiled
-    /// source, and `PF001`/`PF002` on the block counts exactly as the file
-    /// states them (no salvage, no inference). Then [`Analyzer::judge`],
-    /// as scenario `file` of workload `unit`.
+    /// `PF003` when `profile` is a binprof context document (it is then
+    /// flattened to the probe profile that gets matched), `PF004`/`PF005`
+    /// against the compiled source, and `PF001`/`PF002` on the block counts
+    /// exactly as the file states them (no salvage, no inference). Then
+    /// [`Analyzer::judge`], as scenario `file` of workload `unit`.
     ///
     /// # Errors
     ///
-    /// A source that does not compile, a profile that does not parse, or a
-    /// snapshot without a `!context` section, as a message naming which.
+    /// A source that does not compile, or a profile that is not a binprof
+    /// probe or context document the decoders accept, as a message naming
+    /// which.
     pub fn judge_file(
         &mut self,
         unit: &str,
         source: &str,
-        profile_text: &str,
+        profile: &[u8],
     ) -> Result<ScenarioReport, String> {
         let module = prepared_module(source, unit, true).map_err(|e| format!("source: {e}"))?;
         let lint_unit = format!("{unit}/file");
-        let profile = if profile_text.starts_with("# csspgo-stream-snapshot") {
-            let (_, ctx) = textprof::split_snapshot_context(profile_text)
-                .ok_or("profile: snapshot has no !context section")?;
-            let ctx = textprof::parse_context(ctx).map_err(|e| format!("profile: {e}"))?;
-            self.analyze_context_profile(&lint_unit, &ctx);
-            ctx.to_probe_profile()
-        } else {
-            textprof::parse_probe_json(profile_text).map_err(|e| format!("profile: {e}"))?
+        let refuse = |e: DecodeError| format!("profile: {e}");
+        let profile = match binprof::decode_probe(profile) {
+            Err(DecodeError::Kind { .. }) => {
+                let context = binprof::decode_context(profile).map_err(refuse)?;
+                self.analyze_context_profile(&lint_unit, &context);
+                context.to_probe_profile()
+            }
+            probe => probe.map_err(refuse)?,
         };
         self.analyze_probe_profile(&lint_unit, &module, &profile);
         let (as_written, _) = annotated(&module, &profile, StaleMatching::Off, InferenceMode::Off);

@@ -1,8 +1,8 @@
 //! `binprof` — the compact binary profile serialization (DESIGN.md §10.3),
 //! and the only module that knows its bytes.
 //!
-//! Textprof ([`crate::textprof`]) remains the human-readable debug format;
-//! this module is the *production* wire format, shaped after LLVM's
+//! It is the one profile format the tools read; [`crate::textprof`] is the
+//! human-readable view they print. The wire format is shaped after LLVM's
 //! ExtBinary sample-profile container: a fixed header (magic + version +
 //! payload kind), then a sequence of independently-skippable sections, each
 //! framed as `tag byte + varint byte length + payload`. All integers are
@@ -34,10 +34,18 @@ pub const MAGIC: [u8; 8] = *b"CSPGOBIN";
 /// out what version 1 stored twice: a context node's GUID (its key names
 /// it) and a sub-profile's total (the sum of its counts).
 const VERSION: u16 = 2;
-/// Deepest nesting of call-site sub-profiles these decoders and every
-/// [`crate::textprof`] reader accept, so that no input they read builds a
+/// Deepest nesting of call-site sub-profiles these decoders and the text
+/// snapshot's context reader accept, so that no input they read builds a
 /// tree the recursive walks over it cannot descend.
 pub(crate) const MAX_DEPTH: usize = 512;
+/// Largest sum of all counts (entries, probe and body counts) in one
+/// document these decoders and the text snapshot's context reader accept,
+/// 2⁴⁸. Every weight derived from a profile is a sum of some of its counts:
+/// annotation's block weights and `ProvenanceTotals`, and the `d * 4` of
+/// its inference-adjustment test, stay at least 2¹⁴ below `u64::MAX`, with
+/// room left for what inference adds to a block. The shipped workloads'
+/// profiles sum to about a million.
+pub(crate) const MAX_COUNT_SUM: u64 = 1 << 48;
 
 /// Payload kind, byte 10 of the header.
 #[derive(Clone, Copy)]
@@ -138,12 +146,18 @@ fn put_uvarint(buf: &mut Vec<u8>, mut v: u64) {
 struct Reader<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// The sum of the counts read by [`Reader::count`] so far.
+    counted: u64,
 }
 
 impl<'a> Reader<'a> {
     /// Wraps `bytes` starting at offset 0.
     fn new(bytes: &'a [u8]) -> Self {
-        Reader { bytes, pos: 0 }
+        Reader {
+            bytes,
+            pos: 0,
+            counted: 0,
+        }
     }
 
     /// Bytes left to read.
@@ -196,6 +210,17 @@ impl<'a> Reader<'a> {
                 return Err(DecodeError::Corrupt("varint too long"));
             }
         }
+    }
+
+    /// Reads a count, refused once the counts read so far sum past
+    /// [`MAX_COUNT_SUM`].
+    fn count(&mut self) -> Result<u64, DecodeError> {
+        let count = self.uvarint()?;
+        self.counted = self.counted.saturating_add(count);
+        if self.counted > MAX_COUNT_SUM {
+            return Err(DecodeError::Corrupt("profile counts sum past 2^48"));
+        }
+        Ok(count)
     }
 
     /// Reads a varint key delta off `prev` that must fit a `u32`.
@@ -449,7 +474,7 @@ fn decode_u32_counts(r: &mut Reader<'_>) -> Result<BTreeMap<u32, u64>, DecodeErr
     let mut prev = 0u32;
     for _ in 0..n {
         let k = r.u32_delta(prev, "probe index overflow")?;
-        out.insert(k, r.uvarint()?);
+        out.insert(k, r.count()?);
         prev = k;
     }
     Ok(out)
@@ -515,7 +540,7 @@ fn decode_context_node(r: &mut Reader<'_>, depth: usize) -> Result<ContextNode, 
     Ok(ContextNode {
         inlined: flags == 1,
         checksum: r.uvarint()?,
-        entry: r.uvarint()?,
+        entry: r.count()?,
         probes: decode_u32_counts(r)?,
         children: decode_children(r, depth, decode_context_node)?,
     })
@@ -556,7 +581,7 @@ fn encode_probe_func(buf: &mut Vec<u8>, f: &ProbeFuncProfile) {
 
 fn decode_probe_func(r: &mut Reader<'_>, depth: usize) -> Result<ProbeFuncProfile, DecodeError> {
     Ok(ProbeFuncProfile {
-        entry: r.uvarint()?,
+        entry: r.count()?,
         checksum: r.uvarint()?,
         probes: decode_u32_counts(r)?,
         callsites: decode_children(r, depth, decode_probe_func)?,
@@ -620,14 +645,14 @@ fn encode_flat_func(buf: &mut Vec<u8>, f: &FlatFuncProfile) {
 
 fn decode_flat_func(r: &mut Reader<'_>, depth: usize) -> Result<FlatFuncProfile, DecodeError> {
     let mut f = FlatFuncProfile {
-        entry: r.uvarint()?,
+        entry: r.count()?,
         ..FlatFuncProfile::default()
     };
     let n_body = r.len_prefixed()?;
     let mut prev = 0u32;
     for _ in 0..n_body {
         let key = get_lockey(r, &mut prev)?;
-        f.body.insert(key, r.uvarint()?);
+        f.body.insert(key, r.count()?);
     }
     let n_sites = r.len_prefixed()?;
     let mut prev = 0u32;
@@ -924,6 +949,59 @@ mod tests {
                 assert_eq!(flat_back.unwrap_err(), deep);
                 assert_eq!(probe_back.unwrap_err(), deep);
                 assert_eq!(context_back.unwrap_err(), deep);
+            }
+        }
+    }
+
+    /// One count bound for the three profile decoders: counts summing to
+    /// [`MAX_COUNT_SUM`] decode, one more is refused, and so are two counts
+    /// whose sum wraps a `u64`. Entries count, and so do nested call sites.
+    #[test]
+    fn each_profile_decoder_accepts_the_count_bound_and_refuses_one_more() {
+        let past = DecodeError::Corrupt("profile counts sum past 2^48");
+        let key = |line_offset| LocKey {
+            line_offset,
+            discriminator: 0,
+        };
+        for (entry, nested, ok) in [
+            (1, MAX_COUNT_SUM - 3, true),
+            (2, MAX_COUNT_SUM - 3, false),
+            (1, 1 << 63, false),
+        ] {
+            let mut flat = FlatProfile::default();
+            let f = flat.funcs.entry(1).or_default();
+            f.entry = entry;
+            f.body.insert(key(1), 1);
+            f.callsite_mut(key(2), 7).body.insert(key(0), nested);
+            f.body.insert(key(3), 1);
+
+            let mut probe = ProbeProfile::default();
+            let p = probe.funcs.entry(1).or_default();
+            p.entry = entry;
+            p.record_sum(1, 1);
+            p.callsite_mut(2, 7).record_sum(1, nested);
+            p.record_sum(3, 1);
+
+            let mut context = ContextProfile::new();
+            let site = crate::context::FrameKey { guid: 1, probe: 2 };
+            context.add_entry(&[], 1, entry);
+            context.add_probe_hit(&[], 1, 1, 1);
+            context.add_probe_hit(&[site], 7, 1, nested);
+            context.add_probe_hit(&[], 1, 3, 1);
+
+            let (flat_back, probe_back, context_back) = (
+                decode_flat(&encode_flat(&flat)),
+                decode_probe(&encode_probe(&probe)),
+                decode_context(&encode_context(&context)),
+            );
+            if ok {
+                assert_eq!(flat_back, Ok(flat));
+                assert_eq!(probe_back, Ok(probe));
+                assert_eq!(context_back, Ok(context));
+            } else {
+                assert_eq!(flat_back.unwrap_err(), past);
+                assert_eq!(probe_back.unwrap_err(), past);
+                assert_eq!(context_back.unwrap_err(), past);
             }
         }
     }

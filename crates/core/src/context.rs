@@ -14,11 +14,11 @@
 
 use crate::fasthash::FastMap;
 use crate::profile::{ProbeFuncProfile, ProbeProfile};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::collections::BTreeMap;
 
 /// A frame in a context key: call-site probe `probe` inside function `guid`.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize)]
 pub struct FrameKey {
     pub guid: u64,
     pub probe: u32,
@@ -27,7 +27,7 @@ pub struct FrameKey {
 /// One function profiled under one calling context. The function is named
 /// by the key the node sits under: its `roots` key, or the callee of its
 /// `(call-site probe, callee)` key.
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize)]
 pub struct ContextNode {
     /// The profiled function's CFG checksum (from the profiled binary).
     pub checksum: u64,
@@ -64,7 +64,7 @@ impl ContextNode {
 }
 
 /// The whole-program context trie.
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize)]
 pub struct ContextProfile {
     /// Root contexts (un-inlined outermost functions) by GUID.
     pub roots: BTreeMap<u64, ContextNode>,

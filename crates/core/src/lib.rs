@@ -17,8 +17,8 @@
 //! * [`shard`] — parallel sharded sample ingestion (chunk → partial
 //!   profiles → count-additive merge, bit-identical to sequential);
 //! * [`binprof`] — the compact binary profile wire format (ExtBinary-shaped
-//!   header/sections/varints), the production serialization behind
-//!   snapshots and pipeline hand-off; textprof stays the debug format;
+//!   header/sections/varints), the one format the tools read, behind
+//!   snapshots, pipeline hand-off and every CLI; [`textprof`] prints it;
 //! * [`tailcall`] — the missing-frame inferrer for tail-call-broken stacks;
 //! * [`inference`] — profile inference (min-cost-flow flow-conservation
 //!   repair — real Profi — used by *all* sampling variants, per the paper's

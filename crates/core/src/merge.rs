@@ -31,7 +31,7 @@ fn merge_flat_func(a: &mut FlatFuncProfile, b: &FlatFuncProfile) {
     }
 }
 
-/// Merges context tries (`csspgo merge --format context`): every profile
+/// Merges context tries (`csspgo merge` on context profiles): every profile
 /// is absorbed into one arena, structurally and count-additively, and the
 /// result is materialised once. Names are first-wins, in input order.
 pub fn merge_tries<'a>(profiles: impl IntoIterator<Item = &'a ContextProfile>) -> ContextProfile {

@@ -13,12 +13,12 @@
 //!
 //! The fully context-sensitive trie lives in [`crate::context`].
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::collections::BTreeMap;
 
 /// An AutoFDO body-count key: line offset from the function header plus
 /// discriminator.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize)]
 pub struct LocKey {
     /// `line - function_start_line` (0 when the line precedes the header,
     /// which can happen under source drift).
@@ -38,7 +38,7 @@ impl LocKey {
 }
 
 /// AutoFDO-style per-function profile (possibly nested under a call site).
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize)]
 pub struct FlatFuncProfile {
     /// Calls observed entering this function (LBR call edges).
     pub entry: u64,
@@ -71,7 +71,7 @@ impl FlatFuncProfile {
 }
 
 /// A whole-program AutoFDO-style profile.
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize)]
 pub struct FlatProfile {
     /// Top-level (outermost) function profiles by GUID.
     pub funcs: BTreeMap<u64, FlatFuncProfile>,
@@ -87,7 +87,7 @@ impl FlatProfile {
 }
 
 /// CSSPGO probe-based per-function profile (possibly nested).
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize)]
 pub struct ProbeFuncProfile {
     /// Calls observed entering this function.
     pub entry: u64,
@@ -119,7 +119,7 @@ impl ProbeFuncProfile {
 }
 
 /// A whole-program probe profile (probe-only CSSPGO).
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize)]
 pub struct ProbeProfile {
     /// Top-level function profiles by GUID.
     pub funcs: BTreeMap<u64, ProbeFuncProfile>,
@@ -193,18 +193,5 @@ mod tests {
             7,
         );
         assert_eq!(p.total(), 12);
-    }
-
-    #[test]
-    fn profiles_serialize_roundtrip() {
-        let mut p = ProbeProfile::default();
-        let f = p.funcs.entry(99).or_default();
-        f.record_sum(1, 3);
-        f.checksum = 0xdead;
-        p.names.insert(99, "f".into());
-        let json = serde_json::to_string(&p).unwrap();
-        let back: ProbeProfile = serde_json::from_str(&json).unwrap();
-        assert_eq!(back.funcs[&99].probes[&1], 3);
-        assert_eq!(back.funcs[&99].checksum, 0xdead);
     }
 }

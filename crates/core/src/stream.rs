@@ -634,7 +634,11 @@ impl<'b> StreamAggregator<'b> {
     /// restored onto, for both formats: the fingerprint must be `binary`'s,
     /// every tail-graph, range and branch row must index inside it, and
     /// every weight's probe must fit a `u32`. A restored aggregator so holds
-    /// no index its next seal or build could trip on. What passes is
+    /// no index its next seal or build could trip on. The context's nesting
+    /// and count bounds ([`binprof::MAX_DEPTH`], [`binprof::MAX_COUNT_SUM`])
+    /// were held by the reader that produced it, `binprof::decode_context`
+    /// or `textprof::parse_context`, in the pass that read it, so both
+    /// formats arrive checked without a second walk. What passes is
     /// adopted as is: an empty edge or weight list is no graph, no baseline.
     fn from_snapshot(
         binary: &'b Binary,
@@ -757,12 +761,29 @@ fn write_text(snap: &Snapshot<'_>) -> String {
     out
 }
 
+/// Splits a text snapshot at its `!context` marker: the header and row
+/// sections before the marker, and the context section after it; `None`
+/// when the marker is missing. Offsets are each line's own byte length,
+/// line ending included, so a CRLF snapshot splits where its LF original
+/// does, and a snapshot that ends at the marker has an empty context
+/// section.
+fn split_snapshot_context(text: &str) -> Option<(&str, &str)> {
+    let mut offset = 0usize;
+    for line in text.split_inclusive('\n') {
+        if line.trim() == "!context" {
+            return Some((&text[..offset], &text[offset + line.len()..]));
+        }
+        offset += line.len();
+    }
+    None
+}
+
 /// Reads a snapshot written by [`write_text`], checking its syntax only:
 /// the three header lines must be present, every row must be three integers
 /// under a section marker, and the context must parse.
 fn parse_text(text: &str) -> Result<Snapshot<'static>, PipelineError> {
     let bad = |msg: String| PipelineError::Stream(msg);
-    let Some((head, ctx_text)) = textprof::split_snapshot_context(text) else {
+    let Some((head, ctx_text)) = split_snapshot_context(text) else {
         return Err(bad("snapshot has no !context section".into()));
     };
     let (mut fingerprint, mut epochs, mut samples) = (None, None, None);
@@ -1086,6 +1107,19 @@ fn serve(n, mode) {
             .unwrap()
             .snapshot_as(SnapshotFormat::Binary);
         assert_eq!(resnap, bin);
+    }
+
+    #[test]
+    fn snapshot_context_splits_at_marker() {
+        let text = "# header\n!ranges\n1 2 3\n!context\n[main]:10:1\n 1: 10\n";
+        let (head, ctx) = split_snapshot_context(text).unwrap();
+        assert!(head.contains("!ranges"));
+        assert!(!head.contains("!context"));
+        assert!(ctx.starts_with("[main]"));
+        // Marker with nothing after it: empty context, not a panic.
+        let (_, ctx) = split_snapshot_context("# h\n!context").unwrap();
+        assert_eq!(ctx, "");
+        assert!(split_snapshot_context("# no marker\n").is_none());
     }
 
     #[test]

@@ -1,5 +1,9 @@
 //! Text profile formats, modelled on the LLVM sample-profile text format
 //! that AutoFDO and CSSPGO persist between the profiling and build steps.
+//! The tools read profiles as [`crate::binprof`] documents only: text is
+//! what `csspgo show` prints, and its one reader, the context format's, is
+//! crate-private for the text stream snapshot
+//! ([`crate::stream::SnapshotFormat::Text`]).
 //!
 //! Two formats:
 //!
@@ -25,13 +29,13 @@
 //!    1: 440
 //!   ```
 //!
-//! Function identity round-trips through names: GUIDs are name hashes
-//! ([`csspgo_ir::probe::function_guid`]), so the parser recovers them
-//! without a symbol table.
+//! A probe profile prints as JSON. Function identity round-trips through
+//! names: GUIDs are name hashes ([`csspgo_ir::probe::function_guid`]), so
+//! the context reader recovers them without a symbol table.
 
-use crate::binprof::MAX_DEPTH;
+use crate::binprof::{MAX_COUNT_SUM, MAX_DEPTH};
 use crate::context::{ContextNode, ContextProfile, FrameKey};
-use crate::profile::{FlatFuncProfile, FlatProfile, LocKey, ProbeFuncProfile, ProbeProfile};
+use crate::profile::{FlatFuncProfile, FlatProfile, ProbeFuncProfile, ProbeProfile};
 use csspgo_ir::probe::function_guid;
 use std::collections::BTreeMap;
 use std::error::Error;
@@ -127,165 +131,6 @@ fn write_flat_func(
     }
 }
 
-/// A function header, `name:total:entry`: the name and the entry count.
-/// The stated total must be a number and is otherwise ignored: a profile's
-/// total is the sum of its counts, so a file cannot claim another.
-fn parse_header(text: &str, lineno: usize) -> Result<(&str, u64), ParseError> {
-    let mut parts = text.split(':');
-    let name = parts.next().unwrap_or_default();
-    let mut number = |what: &str| {
-        parts
-            .next()
-            .and_then(|p| p.trim().parse::<u64>().ok())
-            .ok_or_else(|| err(lineno, what))
-    };
-    number("bad total")?;
-    Ok((name, number("bad entry count")?))
-}
-
-/// Parses the flat text format.
-///
-/// # Errors
-///
-/// Returns a [`ParseError`] naming the offending line, also for a call
-/// site nested deeper than any profile reader accepts.
-pub fn parse_flat(text: &str) -> Result<FlatProfile, ParseError> {
-    let mut profile = FlatProfile::default();
-    // The open function profiles, outermost first, each with its indent and
-    // the call-site key it hangs off in its parent; a frame is attached to
-    // its parent (or the profile) when it closes.
-    struct Frame {
-        indent: usize,
-        name: String,
-        fp: FlatFuncProfile,
-        site: Option<LocKey>,
-    }
-    let mut stack: Vec<Frame> = Vec::new();
-
-    fn pop_into(profile: &mut FlatProfile, stack: &mut Vec<Frame>) -> Result<(), ParseError> {
-        let Some(frame) = stack.pop() else {
-            return Ok(());
-        };
-        let guid = function_guid(&frame.name);
-        profile.names.insert(guid, frame.name.clone());
-        if let Some(parent) = stack.last_mut() {
-            // A frame nested under another function must have come from a
-            // `site@callee` line; an indented plain header has no call site
-            // to hang off — malformed input, not an invariant violation.
-            let site = frame.site.ok_or_else(|| {
-                err(
-                    0,
-                    format!("nested function `{}` has no call site", frame.name),
-                )
-            })?;
-            parent.fp.callsites.insert((site, guid), frame.fp);
-        } else {
-            profile.funcs.insert(guid, frame.fp);
-        }
-        Ok(())
-    }
-
-    /// Closes every open frame at `indent` or deeper, but never the last
-    /// `keep`: a plain header closes them all, a call-site header or a body
-    /// line stays inside the outermost function.
-    fn close(
-        profile: &mut FlatProfile,
-        stack: &mut Vec<Frame>,
-        indent: usize,
-        keep: usize,
-    ) -> Result<(), ParseError> {
-        while stack.len() > keep && stack.last().is_some_and(|f| f.indent >= indent) {
-            pop_into(profile, stack)?;
-        }
-        Ok(())
-    }
-
-    for (lineno, raw) in text.lines().enumerate() {
-        let lineno = lineno + 1;
-        if raw.trim().is_empty() || raw.trim_start().starts_with('#') {
-            continue;
-        }
-        let indent = raw.len() - raw.trim_start().len();
-        let line = raw.trim_start();
-
-        if let Some((key_part, header)) = line.split_once('@') {
-            // `off[.disc]@name:total:entry` — a nested inlined profile.
-            close(&mut profile, &mut stack, indent, 1)?;
-            let site = parse_lockey(key_part.trim(), lineno)?;
-            let (name, entry) = parse_header(header, lineno)?;
-            if stack.is_empty() {
-                return Err(err(lineno, "call-site profile without a function"));
-            }
-            if stack.len() > MAX_DEPTH {
-                return Err(too_deep(lineno, stack.len()));
-            }
-            stack.push(Frame {
-                indent,
-                name: name.to_string(),
-                fp: FlatFuncProfile {
-                    entry,
-                    ..FlatFuncProfile::default()
-                },
-                site: Some(site),
-            });
-            continue;
-        }
-
-        // A plain header `name:total:entry` opens a top-level function.
-        let header_like = line.split(':').count() == 3
-            && line
-                .split(':')
-                .skip(1)
-                .all(|p| p.trim().parse::<u64>().is_ok());
-        if header_like {
-            close(&mut profile, &mut stack, indent, 0)?;
-            let (name, entry) = parse_header(line, lineno)?;
-            stack.push(Frame {
-                indent,
-                name: name.to_string(),
-                fp: FlatFuncProfile {
-                    entry,
-                    ..FlatFuncProfile::default()
-                },
-                site: None,
-            });
-            continue;
-        }
-
-        // Body line: `off[.disc]: count`, attached to the innermost frame
-        // whose indent is shallower than ours.
-        let (key_part, count_part) = line
-            .split_once(':')
-            .ok_or_else(|| err(lineno, "expected `off: count`"))?;
-        let key = parse_lockey(key_part.trim(), lineno)?;
-        let count: u64 = count_part
-            .trim()
-            .parse()
-            .map_err(|_| err(lineno, "bad count"))?;
-        close(&mut profile, &mut stack, indent, 1)?;
-        let frame = stack
-            .last_mut()
-            .ok_or_else(|| err(lineno, "body count without a function"))?;
-        frame.fp.body.insert(key, count);
-    }
-    close(&mut profile, &mut stack, 0, 0)?;
-    Ok(profile)
-}
-
-fn parse_lockey(text: &str, lineno: usize) -> Result<LocKey, ParseError> {
-    let (off, disc) = match text.split_once('.') {
-        Some((o, d)) => (
-            o.parse().map_err(|_| err(lineno, "bad offset"))?,
-            d.parse().map_err(|_| err(lineno, "bad discriminator"))?,
-        ),
-        None => (text.parse().map_err(|_| err(lineno, "bad offset"))?, 0),
-    };
-    Ok(LocKey {
-        line_offset: off,
-        discriminator: disc,
-    })
-}
-
 // ---------------------------------------------------------------------
 // Context (CSSPGO-style)
 // ---------------------------------------------------------------------
@@ -340,15 +185,25 @@ pub fn write_context(profile: &ContextProfile) -> String {
     out
 }
 
-/// Parses the context text format.
+/// Parses the context text format: the context section of a text stream
+/// snapshot.
 ///
 /// # Errors
 ///
 /// Returns a [`ParseError`] naming the offending line, also for a context
-/// path deeper than any profile reader accepts.
-pub fn parse_context(text: &str) -> Result<ContextProfile, ParseError> {
+/// path deeper, or counts summing higher, than the binary decoders accept
+/// ([`MAX_DEPTH`], [`MAX_COUNT_SUM`]).
+pub(crate) fn parse_context(text: &str) -> Result<ContextProfile, ParseError> {
     let mut profile = ContextProfile::new();
     let mut current: Option<(Vec<FrameKey>, u64)> = None; // (path, leaf guid)
+    let mut counted = 0u64;
+    let mut tally = |lineno: usize, count: u64| {
+        counted = counted.saturating_add(count);
+        if counted > MAX_COUNT_SUM {
+            return Err(err(lineno, "counts sum past the bound of 2^48"));
+        }
+        Ok(count)
+    };
 
     for (lineno, raw) in text.lines().enumerate() {
         let lineno = lineno + 1;
@@ -371,6 +226,7 @@ pub fn parse_context(text: &str) -> Result<ContextProfile, ParseError> {
                 .next()
                 .and_then(|p| p.trim().parse().ok())
                 .ok_or_else(|| err(lineno, "bad entry"))?;
+            let entry = tally(lineno, entry)?;
 
             let frames: Vec<&str> = ctx.split('@').map(str::trim).collect();
             if frames.len() > MAX_DEPTH + 1 {
@@ -420,64 +276,18 @@ pub fn parse_context(text: &str) -> Result<ContextProfile, ParseError> {
             .ok_or_else(|| err(lineno, "expected `probe: count`"))?;
         let probe: u32 = probe.trim().parse().map_err(|_| err(lineno, "bad probe"))?;
         let count: u64 = count.trim().parse().map_err(|_| err(lineno, "bad count"))?;
-        profile.add_probe_hit(path, *leaf, probe, count);
+        profile.add_probe_hit(path, *leaf, probe, tally(lineno, count)?);
     }
     Ok(profile)
 }
 
 // ---------------------------------------------------------------------
-// Probe profile (flat CSSPGO) — reuses the context writer through a
-// conversion, plus direct JSON for lossless round-trips.
+// Probe profile (flat CSSPGO)
 // ---------------------------------------------------------------------
 
 /// Serializes a probe profile as JSON (lossless).
 pub fn write_probe_json(profile: &ProbeProfile) -> String {
     serde_json::to_string_pretty(profile).expect("probe profiles are serializable")
-}
-
-/// Splits a stream-snapshot text (see
-/// [`crate::stream::StreamAggregator::snapshot_as`]) at its `!context`
-/// marker: the header/section lines before the marker, and the context
-/// section body after it. Returns `None` when the marker is missing.
-///
-/// Shared by snapshot restore and by offline consumers (`csspgo_lint`'s
-/// file mode) that only need the embedded context profile. Offsets are each
-/// line's own byte length, line ending included, so a CRLF snapshot splits
-/// where its LF original does, and a snapshot that ends at the marker has an
-/// empty context section.
-pub fn split_snapshot_context(text: &str) -> Option<(&str, &str)> {
-    let mut offset = 0usize;
-    for line in text.split_inclusive('\n') {
-        if line.trim() == "!context" {
-            return Some((&text[..offset], &text[offset + line.len()..]));
-        }
-        offset += line.len();
-    }
-    None
-}
-
-/// Parses a probe profile from JSON. A `total` a file states is ignored:
-/// it is the sum of the counts.
-///
-/// # Errors
-///
-/// Returns a [`ParseError`] describing the JSON failure, also for a call
-/// site nested deeper than any profile reader accepts (at line 0: the
-/// parsed value keeps no positions).
-pub fn parse_probe_json(text: &str) -> Result<ProbeProfile, ParseError> {
-    let profile: ProbeProfile =
-        serde_json::from_str(text).map_err(|e| err(e.line(), e.to_string()))?;
-    fn depth(p: &ProbeFuncProfile) -> usize {
-        p.callsites
-            .values()
-            .map(|c| 1 + depth(c))
-            .max()
-            .unwrap_or(0)
-    }
-    match profile.funcs.values().map(depth).max() {
-        Some(d) if d > MAX_DEPTH => Err(too_deep(0, d)),
-        _ => Ok(profile),
-    }
 }
 
 /// Total nested profile nodes (a size metric for reports).
@@ -491,19 +301,8 @@ pub fn probe_profile_nodes(profile: &ProbeProfile) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn snapshot_context_splits_at_marker() {
-        let text = "# header\n!ranges\n1 2 3\n!context\n[main]:10:1\n 1: 10\n";
-        let (head, ctx) = split_snapshot_context(text).unwrap();
-        assert!(head.contains("!ranges"));
-        assert!(!head.contains("!context"));
-        assert!(ctx.starts_with("[main]"));
-        // Marker with nothing after it: empty context, not a panic.
-        let (_, ctx) = split_snapshot_context("# h\n!context").unwrap();
-        assert_eq!(ctx, "");
-        assert!(split_snapshot_context("# no marker\n").is_none());
-    }
+    use crate::binprof;
+    use crate::profile::LocKey;
 
     fn sample_flat() -> FlatProfile {
         let mut p = FlatProfile::default();
@@ -546,34 +345,12 @@ mod tests {
     }
 
     #[test]
-    fn flat_roundtrip() {
-        let p = sample_flat();
-        let text = write_flat(&p);
-        let back = parse_flat(&text).unwrap();
-        assert_eq!(p.funcs, back.funcs, "text:\n{text}");
-        assert_eq!(p.names, back.names);
-    }
-
-    #[test]
     fn flat_text_is_human_readable() {
         let text = write_flat(&sample_flat());
-        assert!(text.contains("main:"), "{text}");
-        assert!(text.contains(" 2.1: 480"), "{text}");
-        assert!(text.contains("@helper:"), "{text}");
-    }
-
-    #[test]
-    fn flat_parse_reports_line_numbers() {
-        let e = parse_flat("main:10:5\n bogus line\n").unwrap_err();
-        assert_eq!(e.line, 2);
-    }
-
-    #[test]
-    fn flat_parse_rejects_nested_header_without_call_site() {
-        // An indented plain header has no `site@` to hang off its parent —
-        // must surface as a ParseError, not a panic.
-        let e = parse_flat("a:1:1\n  b:2:2\n").unwrap_err();
-        assert!(e.message.contains("call site"), "{e}");
+        assert_eq!(
+            text,
+            "main:1420:25\n 1: 500\n 2.1: 480\n 3@helper:440:25\n  0: 440\n"
+        );
     }
 
     fn sample_context() -> ContextProfile {
@@ -621,21 +398,25 @@ mod tests {
     }
 
     #[test]
-    fn probe_json_roundtrip() {
+    fn probe_json_names_every_field() {
         let mut p = ProbeProfile::default();
         let g = function_guid("f");
         p.names.insert(g, "f".into());
         let fp = p.funcs.entry(g).or_default();
         fp.checksum = 77;
         fp.record_sum(1, 10);
-        let back = parse_probe_json(&write_probe_json(&p)).unwrap();
-        assert_eq!(back.funcs[&g].probes[&1], 10);
-        assert_eq!(probe_profile_nodes(&back), 1);
+        let json = write_probe_json(&p);
+        for field in ["\"entry\": 0", "\"checksum\": 77", "\"1\": 10", "\"f\""] {
+            assert!(json.contains(field), "{field} in {json}");
+        }
+        assert!(!json.contains("total"), "{json}");
+        assert_eq!(probe_profile_nodes(&p), 1);
     }
 
     #[test]
     fn real_pipeline_profiles_roundtrip() {
-        // Generate a real profile and round-trip it through text.
+        // Generate a real profile, round-trip it through binprof and
+        // print both.
         use crate::correlate::dwarf_profile;
         use crate::ranges::RangeCounts;
         use csspgo_codegen::{lower_module, CodegenConfig};
@@ -665,12 +446,13 @@ fn main(n) {
         let mut rc = RangeCounts::default();
         rc.add_samples(&b, &samples);
         let profile = dwarf_profile(&b, &rc);
-        let back = parse_flat(&write_flat(&profile)).unwrap();
-        assert_eq!(profile.funcs, back.funcs);
+        let back = binprof::decode_flat(&binprof::encode_flat(&profile)).unwrap();
+        assert_eq!(write_flat(&back), write_flat(&profile));
+        assert_eq!(back, profile);
     }
 
     #[test]
-    fn nesting_past_the_shared_bound_is_refused_by_both_text_readers() {
+    fn context_nesting_and_counts_past_the_decoders_bounds_are_refused() {
         let context = |depth: usize| format!("[{}leaf]:1:1\n 1: 1\n", "main:3 @ ".repeat(depth));
         assert!(parse_context(&context(MAX_DEPTH)).is_ok());
         assert_eq!(
@@ -678,21 +460,21 @@ fn main(n) {
             Err(too_deep(1, MAX_DEPTH + 1))
         );
 
-        let flat = |depth: usize| {
-            let mut text = String::from("main:1:1\n");
-            for d in 1..=depth {
-                text.push_str(&format!("{}3@leaf:1:1\n", " ".repeat(d)));
-            }
-            text
-        };
-        let mut sub = &parse_flat(&flat(MAX_DEPTH)).unwrap().funcs[&function_guid("main")];
-        for _ in 0..MAX_DEPTH {
-            sub = sub.callsites.values().next().unwrap();
-        }
-        assert!(sub.callsites.is_empty());
+        let counts =
+            |probes: [u64; 2]| format!("[main]:0:1\n 1: {}\n 2: {}\n", probes[0], probes[1]);
+        let ok = parse_context(&counts([MAX_COUNT_SUM - 2, 1])).unwrap();
         assert_eq!(
-            parse_flat(&flat(MAX_DEPTH + 1)),
-            Err(too_deep(MAX_DEPTH + 2, MAX_DEPTH + 1))
+            ok.total() + ok.roots[&function_guid("main")].entry,
+            MAX_COUNT_SUM
+        );
+        let past = "counts sum past the bound of 2^48";
+        assert_eq!(
+            parse_context(&counts([MAX_COUNT_SUM - 1, 1])),
+            Err(err(3, past))
+        );
+        assert_eq!(
+            parse_context(&counts([1 << 63, 1 << 63])),
+            Err(err(2, past))
         );
     }
 }

@@ -2,6 +2,7 @@
 //! overlap metric axioms, context-trie accounting, and text-format
 //! round-trips.
 
+use csspgo_core::binprof;
 use csspgo_core::context::{ContextProfile, FrameKey};
 use csspgo_core::inference::{infer_counts, InferenceMode};
 use csspgo_core::overlap::{program_overlap, BlockCounts};
@@ -174,7 +175,7 @@ proptest! {
     }
 
     #[test]
-    fn flat_text_roundtrip(entries in prop::collection::vec(
+    fn flat_binprof_roundtrip(entries in prop::collection::vec(
         (0u32..50, 0u32..4, 1u64..10_000), 1..12
     ), entry in 0u64..1000) {
         let mut p = FlatProfile::default();
@@ -185,13 +186,12 @@ proptest! {
         for (off, disc, count) in &entries {
             fp.record_max(LocKey { line_offset: *off, discriminator: *disc }, *count);
         }
-        let text = textprof::write_flat(&p);
-        let back = textprof::parse_flat(&text).unwrap();
-        prop_assert_eq!(&p.funcs, &back.funcs, "text:\n{}", text);
+        let back = binprof::decode_flat(&binprof::encode_flat(&p)).unwrap();
+        prop_assert_eq!(&p, &back, "text:\n{}", textprof::write_flat(&p));
     }
 
     #[test]
-    fn nested_flat_text_roundtrip(
+    fn nested_flat_binprof_roundtrip(
         outer in prop::collection::vec((0u32..30, 1u64..1000), 1..6),
         inner in prop::collection::vec((0u32..30, 1u64..1000), 1..6),
         site_off in 0u32..30,
@@ -210,8 +210,7 @@ proptest! {
         for (off, count) in &inner {
             sub.record_max(LocKey { line_offset: *off, discriminator: 0 }, *count);
         }
-        let text = textprof::write_flat(&p);
-        let back = textprof::parse_flat(&text).unwrap();
-        prop_assert_eq!(&p.funcs, &back.funcs, "text:\n{}", text);
+        let back = binprof::decode_flat(&binprof::encode_flat(&p)).unwrap();
+        prop_assert_eq!(&p, &back, "text:\n{}", textprof::write_flat(&p));
     }
 }

@@ -1,6 +1,6 @@
-//! Profile persistence: generate a real AutoFDO-style text profile and a
-//! CSSPGO context profile from one simulated production run, print both, and
-//! round-trip them through their parsers.
+//! Profile persistence: generate a real AutoFDO-style profile and a CSSPGO
+//! context profile from one simulated production run, round-trip both
+//! through the binprof wire format, and print them as text.
 //!
 //! ```sh
 //! cargo run --release --example profile_formats
@@ -8,7 +8,7 @@
 
 use csspgo::codegen::{lower_module, CodegenConfig};
 use csspgo::core::pipeline::{autofdo_profile, context_profile, prepared_module};
-use csspgo::core::textprof;
+use csspgo::core::{binprof, textprof};
 use csspgo::sim::{Machine, SimConfig};
 
 const SRC: &str = r#"
@@ -45,22 +45,30 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
     let samples = machine.take_samples();
 
-    // --- AutoFDO-style flat text profile ---
+    // --- AutoFDO-style flat profile ---
     let flat = autofdo_profile(&binary, &samples, 0);
-    let flat_text = textprof::write_flat(&flat);
-    println!("--- flat (AutoFDO-style) profile ---\n{flat_text}");
-    let parsed = textprof::parse_flat(&flat_text)?;
-    assert_eq!(parsed.funcs, flat.funcs, "flat round-trip");
+    let bytes = binprof::encode_flat(&flat);
+    let parsed = binprof::decode_flat(&bytes)?;
+    assert_eq!(parsed, flat, "flat round-trip");
+    println!(
+        "--- flat (AutoFDO-style) profile, {} bytes ---\n{}",
+        bytes.len(),
+        textprof::write_flat(&parsed)
+    );
 
     // --- CSSPGO context profile ---
     let mut ctx = context_profile(&binary, &samples, 0).profile;
     for f in &binary.funcs {
         ctx.names.insert(f.guid, f.name.clone());
     }
-    let ctx_text = textprof::write_context(&ctx);
-    println!("--- context (CSSPGO) profile ---\n{ctx_text}");
-    let parsed = textprof::parse_context(&ctx_text)?;
-    assert_eq!(parsed.total(), ctx.total(), "context round-trip");
+    let bytes = binprof::encode_context(&ctx);
+    let parsed = binprof::decode_context(&bytes)?;
+    assert_eq!(parsed, ctx, "context round-trip");
+    println!(
+        "--- context (CSSPGO) profile, {} bytes ---\n{}",
+        bytes.len(),
+        textprof::write_context(&parsed)
+    );
 
     println!("both formats round-tripped losslessly ✓");
     Ok(())

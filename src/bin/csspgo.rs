@@ -6,14 +6,18 @@
 //! csspgo run service.bin --entry serve --args 3,1 --repeat 100 \
 //!        --sample-period 199 --samples-out samples.json
 //! csspgo profgen service.bin --samples samples.json --format context -o service.prof
+//! csspgo show service.prof
 //! csspgo pgo service.mini --entry serve --variant csspgo --train 3,1 --eval 4,2
 //! ```
 //!
 //! Everything is file-based: binaries and samples serialize as JSON,
-//! profiles as the LLVM-style text formats in
-//! [`csspgo::core::textprof`].
+//! profiles as [`csspgo::core::binprof`] documents, the one profile format
+//! the tools read. `show` prints a profile as the LLVM-style text of
+//! [`csspgo::core::textprof`], which is output only.
 
 use csspgo::codegen::{lower_module, Binary, CodegenConfig};
+use csspgo::core::binprof::{self, DecodeError};
+use csspgo::core::merge::{merge_flat, merge_tries};
 use csspgo::core::pipeline::{
     autofdo_profile, context_profile, prepared_module, probe_only_profile, run_pgo_cycle,
     PgoVariant, PipelineConfig,
@@ -30,6 +34,7 @@ fn main() -> ExitCode {
         Some("run") => cmd_run(&args[1..]),
         Some("profgen") => cmd_profgen(&args[1..]),
         Some("merge") => cmd_merge(&args[1..]),
+        Some("show") => cmd_show(&args[1..]),
         Some("pgo") => cmd_pgo(&args[1..]),
         Some("help") | None => {
             print_usage();
@@ -55,13 +60,15 @@ USAGE:
   csspgo run <bin> --entry <fn> [--args a,b] [--repeat N]
              [--sample-period N] [--samples-out <file>]
   csspgo profgen <bin> --samples <file> --format flat|probe|context
-             [-o <file>]
-  csspgo merge --format flat|context <prof1> <prof2> ... [-o <file>]
+             -o <file>
+  csspgo merge <prof1> <prof2> ... -o <file>
+  csspgo show <prof>
   csspgo pgo <src> --entry <fn> --variant o2|instr|autofdo|probe|csspgo
              [--train a,b] [--eval a,b] [--repeat N]
 
-Sources are MiniLang (.mini); binaries and samples are JSON; profiles use
-the LLVM-style text formats."#
+Sources are MiniLang (.mini); binaries and samples are JSON; profiles are
+binprof documents. `show` prints one as LLVM-style text (a probe profile as
+JSON); `merge` takes flat or context profiles, all of one kind."#
     );
 }
 
@@ -186,6 +193,7 @@ fn cmd_profgen(args: &[String]) -> Result<(), String> {
         .ok_or("profgen: missing binary")?;
     let samples_path = opt_value(args, "--samples").ok_or("profgen: missing --samples")?;
     let format = opt_value(args, "--format").unwrap_or_else(|| "flat".into());
+    let out = opt_value(args, "-o").ok_or("profgen: missing -o <out>")?;
     let binary = load_binary(bin_path)?;
     let samples: Vec<Sample> = {
         let json = std::fs::read_to_string(&samples_path)
@@ -193,33 +201,60 @@ fn cmd_profgen(args: &[String]) -> Result<(), String> {
         serde_json::from_str(&json).map_err(|e| format!("{samples_path}: {e}"))?
     };
     // `0`: one ingestion shard per available thread.
-    let text = match format.as_str() {
-        "flat" => textprof::write_flat(&autofdo_profile(&binary, &samples, 0)),
-        "probe" => textprof::write_probe_json(&probe_only_profile(&binary, &samples, 0)),
+    let bytes = match format.as_str() {
+        "flat" => binprof::encode_flat(&autofdo_profile(&binary, &samples, 0)),
+        "probe" => binprof::encode_probe(&probe_only_profile(&binary, &samples, 0)),
         "context" => {
             let mut profile = context_profile(&binary, &samples, 0).profile;
             for f in &binary.funcs {
                 profile.names.insert(f.guid, f.name.clone());
             }
-            textprof::write_context(&profile)
+            binprof::encode_context(&profile)
         }
         other => return Err(format!("unknown --format `{other}`")),
     };
-    match opt_value(args, "-o") {
-        Some(out) => {
-            std::fs::write(&out, &text).map_err(|e| format!("writing {out}: {e}"))?;
-            println!("wrote {out} ({} bytes)", text.len());
-        }
-        None => print!("{text}"),
-    }
+    write_profile(&out, &bytes)
+}
+
+fn write_profile(out: &str, bytes: &[u8]) -> Result<(), String> {
+    std::fs::write(out, bytes).map_err(|e| format!("writing {out}: {e}"))?;
+    println!("wrote {out} ({} bytes)", bytes.len());
     Ok(())
 }
 
+fn read_profile(path: &str) -> Result<Vec<u8>, String> {
+    std::fs::read(path).map_err(|e| format!("reading {path}: {e}"))
+}
+
+/// Prints a profile of any kind as text: flat and context profiles in the
+/// LLVM-style formats, a probe profile as JSON.
+fn cmd_show(args: &[String]) -> Result<(), String> {
+    let path = args
+        .first()
+        .filter(|a| !a.starts_with('-'))
+        .ok_or("show: missing profile")?;
+    let bytes = read_profile(path)?;
+    let text = match binprof::decode_flat(&bytes) {
+        Err(DecodeError::Kind { .. }) => match binprof::decode_probe(&bytes) {
+            Err(DecodeError::Kind { .. }) => {
+                binprof::decode_context(&bytes).map(|p| textprof::write_context(&p))
+            }
+            probe => probe.map(|p| textprof::write_probe_json(&p)),
+        },
+        flat => flat.map(|p| textprof::write_flat(&p)),
+    }
+    .map_err(|e| format!("{path}: {e}"))?;
+    print!("{text}");
+    Ok(())
+}
+
+/// Merges flat or context profiles, the kind taken from the first input;
+/// a probe profile is refused. The result is checked by the reader that
+/// loads it after every input, so no file is written that the tools refuse.
 fn cmd_merge(args: &[String]) -> Result<(), String> {
-    let format = opt_value(args, "--format").unwrap_or_else(|| "flat".into());
-    let out = opt_value(args, "-o");
+    let out = opt_value(args, "-o").ok_or("merge: missing -o <out>")?;
     let inputs: Vec<&String> = {
-        // Positional arguments: everything not a flag and not a flag value.
+        // Positional arguments: everything but `-o` and its value.
         let mut skip_next = false;
         args.iter()
             .filter(|a| {
@@ -227,45 +262,50 @@ fn cmd_merge(args: &[String]) -> Result<(), String> {
                     skip_next = false;
                     return false;
                 }
-                if a.starts_with("--") || *a == "-o" {
-                    skip_next = true;
-                    return false;
-                }
-                true
+                skip_next = *a == "-o";
+                !skip_next
             })
             .collect()
     };
     if inputs.len() < 2 {
         return Err("merge: need at least two profiles".into());
     }
-    let read = |p: &str| std::fs::read_to_string(p).map_err(|e| format!("reading {p}: {e}"));
-    let text = match format.as_str() {
-        "flat" => {
-            let mut acc = textprof::parse_flat(&read(inputs[0])?)
-                .map_err(|e| format!("{}: {e}", inputs[0]))?;
-            for p in &inputs[1..] {
-                let next = textprof::parse_flat(&read(p)?).map_err(|e| format!("{p}: {e}"))?;
-                csspgo::core::merge::merge_flat(&mut acc, &next);
-            }
-            textprof::write_flat(&acc)
-        }
-        "context" => {
-            let profiles = inputs
-                .iter()
-                .map(|p| textprof::parse_context(&read(p)?).map_err(|e| format!("{p}: {e}")))
-                .collect::<Result<Vec<_>, _>>()?;
-            textprof::write_context(&csspgo::core::merge::merge_tries(&profiles))
-        }
-        other => return Err(format!("unknown --format `{other}`")),
-    };
-    match out {
-        Some(o) => {
-            std::fs::write(&o, &text).map_err(|e| format!("writing {o}: {e}"))?;
-            println!("wrote {o} ({} bytes)", text.len());
-        }
-        None => print!("{text}"),
+    let first = read_profile(inputs[0])?;
+    let bytes = match binprof::decode_flat(&first) {
+        Err(DecodeError::Kind { .. }) => merged(
+            &inputs,
+            binprof::decode_context,
+            binprof::encode_context,
+            |acc, next| *acc = merge_tries([&*acc, next]),
+        ),
+        _ => merged(
+            &inputs,
+            binprof::decode_flat,
+            binprof::encode_flat,
+            merge_flat,
+        ),
+    }?;
+    write_profile(&out, &bytes)
+}
+
+/// The encoded merge of `inputs`, each loaded by `decode`. The running
+/// result is encoded and loaded again after every input, so a merge past
+/// what the reader accepts stops there.
+fn merged<T>(
+    inputs: &[&String],
+    decode: fn(&[u8]) -> Result<T, DecodeError>,
+    encode: fn(&T) -> Vec<u8>,
+    merge: impl Fn(&mut T, &T),
+) -> Result<Vec<u8>, String> {
+    let load = |p: &str| decode(&read_profile(p)?).map_err(|e| format!("{p}: {e}"));
+    let mut acc = load(inputs[0])?;
+    let mut bytes = Vec::new();
+    for p in &inputs[1..] {
+        merge(&mut acc, &load(p)?);
+        bytes = encode(&acc);
+        decode(&bytes).map_err(|e| format!("merge: the result would not load after {p}: {e}"))?;
     }
-    Ok(())
+    Ok(bytes)
 }
 
 fn cmd_pgo(args: &[String]) -> Result<(), String> {

@@ -14,15 +14,15 @@
 //!   cumulative releases of [`drift::release_chain`] — the decay curve a
 //!   never-refreshed profile suffers across a release train.
 //! * **File mode** (`--profile` + `--source`): judge a saved profile — a
-//!   probe-profile JSON or a `csspgo-stream-snapshot` text — against a
-//!   source file; the profile comes from outside the process, so the `PF`
-//!   lints written for files run on it first.
+//!   binprof probe or context document, as `csspgo profgen -o` writes
+//!   them — against a source file; the profile comes from outside the
+//!   process, so the `PF` lints written for files run on it first.
 //!
 //! ```text
 //! csspgo_lint > results/csspgo_lint.txt
 //! csspgo_lint --workload ad_ranker --scenario change_cfg --json pair.json
 //! csspgo_lint --train 5 --workload ad_finder
-//! csspgo_lint --profile probe.json --source new_version.mini
+//! csspgo_lint --profile service.prof --source new_version.mini
 //! csspgo_lint --list
 //! csspgo_lint --explain WP003
 //! ```
@@ -62,14 +62,15 @@ USAGE:
   csspgo_lint [--workload <name>] [--scenario <name,...>] [--scale <f>]
               [--deny <lint,...|all>] [--allow <lint,...|all>] [--json <file>]
   csspgo_lint --train <n> [--workload <name>] [--scale <f>] [--json <file>]
-  csspgo_lint --profile <probe.json|snapshot.txt> --source <file> [--json <file>]
+  csspgo_lint --profile <binprof> --source <file> [--json <file>]
   csspgo_lint --list | --explain <lint>
 
 Scenarios: {}.
 Default judges the clean-build profile of every shipped workload against
 every scenario's rebuild at --scale 0.05. --train chains <n> cumulative
 releases (drift::release_chain) instead. --profile/--source judge a saved
-profile against a source file, running the PF lints on the file first.
+binprof probe or context profile against a source file, running the PF
+lints on the file first.
 Lints are named by stable id (PF004) or name (profile-checksum-stale);
 --list prints the registry, --explain one lint's documentation. --json
 writes the per-pair report (csspgo-diff-v1). Exits 1 if a lint escalated
@@ -114,12 +115,11 @@ pub(crate) fn run(args: &[String], out: &mut String) -> Result<bool, String> {
     let mut report = DiffReport::new();
     match (single("--profile")?, single("--source")?) {
         (Some(pf), Some(sf)) => {
-            let read = |path: &str| {
-                std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))
-            };
+            let source = std::fs::read_to_string(&sf).map_err(|e| format!("reading {sf}: {e}"))?;
+            let profile = std::fs::read(&pf).map_err(|e| format!("reading {pf}: {e}"))?;
             report
                 .scenarios
-                .push(analyzer.judge_file(&sf, &read(&sf)?, &read(&pf)?)?);
+                .push(analyzer.judge_file(&sf, &source, &profile)?);
         }
         (None, None) => {
             let only = single("--workload")?;

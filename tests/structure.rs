@@ -492,3 +492,31 @@ fn counts_not_sums() {
         &found,
     );
 }
+
+#[test]
+fn one_reader() {
+    let textprof = file("crates/core/src/textprof.rs");
+    let mut found = lines_where(&textprof, textprof.code().map(|(l, _)| l), |l| {
+        l.contains("pub fn parse_")
+    });
+    for src in sources(&["crates/*/src", "src", "examples"]) {
+        if src.path.ends_with("core/src/textprof.rs") || src.path.ends_with("core/src/stream.rs") {
+            continue;
+        }
+        let named: Vec<usize> = (src.code())
+            .filter(|(_, text)| text.contains("parse_context"))
+            .map(|(l, _)| l)
+            .collect();
+        found.extend(lines_where(&src, named.into_iter(), |_| true));
+    }
+    found.extend(grep(
+        &["crates/core/src/profile.rs", "crates/core/src/context.rs"],
+        |l| l.contains("Deserialize"),
+    ));
+    holds(
+        "One reader",
+        "§10.3",
+        "the tools read profiles as binprof; text is output, save the text snapshot's context reader, and no profile type deserialises",
+        &found,
+    );
+}
