@@ -30,23 +30,9 @@ pub use binary::{AddrIndex, BinFunc, Binary, SectionSizes};
 pub use lower::lower_module;
 pub use minst::{MInst, MInstKind, ProbeNote};
 
-use serde::{Deserialize, Serialize};
-
-/// Code-generation knobs.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
-pub struct CodegenConfig {
-    /// Number of physical registers before spilling kicks in.
-    pub num_regs: usize,
-    /// Whether calls in return position become tail jumps (breaking the
-    /// frame chain for the profiler).
-    pub tail_call_elim: bool,
-}
-
-impl Default for CodegenConfig {
-    fn default() -> Self {
-        CodegenConfig {
-            num_regs: 12,
-            tail_call_elim: true,
-        }
-    }
-}
+/// The parameter type of [`lower_module`]. It has no fields: lowering has
+/// one configuration. Its register count is a constant beside the code that
+/// reads it ([`spill::plan_spills`]), and every call in return position
+/// becomes a tail jump.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct CodegenConfig {}

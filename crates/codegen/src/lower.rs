@@ -20,11 +20,11 @@ const FUNC_ALIGN: u64 = 16;
 const COLD_SECTION_GAP: u64 = 1 << 20;
 
 /// Lowers a whole module to a laid-out [`Binary`].
-pub fn lower_module(module: &Module, config: &CodegenConfig) -> Binary {
+pub fn lower_module(module: &Module, _: &CodegenConfig) -> Binary {
     let lowerings: Vec<FuncLowering> = module
         .functions
         .iter()
-        .map(|f| lower_function(module, f, config))
+        .map(|f| lower_function(module, f))
         .collect();
 
     // ----- placement: hot parts, then cold parts -----
@@ -208,16 +208,16 @@ struct FuncLowering {
     cold_blocks: Vec<(BlockId, usize)>,
 }
 
-fn lower_function(module: &Module, func: &Function, config: &CodegenConfig) -> FuncLowering {
-    let spills = plan_spills(func, config.num_regs);
+fn lower_function(module: &Module, func: &Function) -> FuncLowering {
+    let spills = plan_spills(func);
 
     let (hot_order, cold_order): (Vec<BlockId>, Vec<BlockId>) = match &func.layout {
         Some(l) => (l.hot.clone(), l.cold.clone()),
         None => (func.iter_blocks().map(|(b, _)| b).collect(), vec![]),
     };
 
-    let (hot, hot_fixups, hot_blocks) = lower_stream(module, func, &hot_order, &spills, config);
-    let (cold, cold_fixups, cold_blocks) = lower_stream(module, func, &cold_order, &spills, config);
+    let (hot, hot_fixups, hot_blocks) = lower_stream(module, func, &hot_order, &spills);
+    let (cold, cold_fixups, cold_blocks) = lower_stream(module, func, &cold_order, &spills);
 
     FuncLowering {
         hot,
@@ -234,7 +234,6 @@ fn lower_stream(
     func: &Function,
     order: &[BlockId],
     spills: &SpillPlan,
-    config: &CodegenConfig,
 ) -> (Vec<MInst>, Vec<Fixup>, Vec<(BlockId, usize)>) {
     let mut out: Vec<MInst> = Vec::new();
     let mut fixups: Vec<Fixup> = Vec::new();
@@ -400,7 +399,7 @@ fn lower_stream(
                 InstKind::Call { dst, callee, args } => {
                     // Tail-call elimination: `x = call f(...); ret x` (with
                     // only probes in between) becomes a tail jump.
-                    if config.tail_call_elim && is_tail_position(block, i, *dst) {
+                    if is_tail_position(block, i, *dst) {
                         emit(
                             &mut out,
                             &mut pending_probes,
@@ -668,20 +667,14 @@ fn main(n) {
     }
 
     #[test]
-    fn tail_call_disabled_by_config() {
-        let mut m = csspgo_lang::compile(SRC, "t").unwrap();
-        let b = lower_module(
-            &m,
-            &CodegenConfig {
-                tail_call_elim: false,
-                ..CodegenConfig::default()
-            },
-        );
-        assert!(!b
-            .insts
-            .iter()
-            .any(|i| matches!(i.kind, MInstKind::TailCall { .. })),);
-        m.name.clear(); // silence unused-mut lint paranoia
+    fn calls_outside_return_position_stay_calls() {
+        // `main` calls `helper` inside its loop: a plain call, whose frame
+        // the unwinder sees, never a tail jump.
+        let b = build(SRC, false, false);
+        let main = b.func_by_name("main").unwrap();
+        let kinds = || (main.hot_range.0..main.hot_range.1).map(|i| &b.insts[i].kind);
+        assert!(kinds().any(|k| matches!(k, MInstKind::Call { .. })));
+        assert!(!kinds().any(|k| matches!(k, MInstKind::TailCall { .. })));
     }
 
     #[test]

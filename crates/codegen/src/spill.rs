@@ -41,9 +41,12 @@ impl SpillPlan {
     }
 }
 
-/// Decides which registers spill for `func` under `num_regs` physical
+/// Physical registers before spilling kicks in.
+const REGISTERS: usize = 12;
+
+/// Decides which registers spill for `func` under `REGISTERS` physical
 /// registers, using annotated block counts as the (possibly wrong) belief.
-pub fn plan_spills(func: &Function, num_regs: usize) -> SpillPlan {
+pub fn plan_spills(func: &Function) -> SpillPlan {
     let lv = Liveness::compute(func);
 
     // Believed cost of spilling each register: total believed count of
@@ -113,7 +116,7 @@ pub fn plan_spills(func: &Function, num_regs: usize) -> SpillPlan {
         let Some((worst_bid, pressure)) = worst else {
             break;
         };
-        if pressure <= num_regs {
+        if pressure <= REGISTERS {
             break;
         }
         // Spill candidates: values live *through* the block (block-local
@@ -158,14 +161,14 @@ mod tests {
     #[test]
     fn no_spills_under_low_pressure() {
         let m = pressured(4);
-        let plan = plan_spills(&m.functions[0], 12);
+        let plan = plan_spills(&m.functions[0]);
         assert!(plan.is_empty(), "{plan:?}");
     }
 
     #[test]
     fn spills_appear_beyond_register_count() {
         let m = pressured(20);
-        let plan = plan_spills(&m.functions[0], 12);
+        let plan = plan_spills(&m.functions[0]);
         assert!(!plan.is_empty());
         // After spilling, point-precise pressure must be within budget in
         // every block.
@@ -194,7 +197,7 @@ mod tests {
                 }
                 maxp = maxp.max(live.len());
             }
-            assert!(maxp <= 12, "block {bid} still over budget: {maxp}");
+            assert!(maxp <= REGISTERS, "block {bid} still over budget: {maxp}");
         }
     }
 
@@ -209,8 +212,8 @@ mod tests {
         for bid in ids {
             f.block_mut(bid).count = Some(10);
         }
-        let p1 = plan_spills(f, 12);
-        let p2 = plan_spills(f, 12);
+        let p1 = plan_spills(f);
+        let p2 = plan_spills(f);
         assert_eq!(p1.slots, p2.slots, "spill choice must be deterministic");
     }
 }

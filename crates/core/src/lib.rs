@@ -45,10 +45,12 @@
 //!   detection (the continuous-profiling deployment mode), offering its
 //!   live state in the batch profile's shape;
 //! * [`fleet`] — the multi-tenant profile-continuum service: N tenants ×
-//!   M binary versions of per-tenant aggregators behind a registry, with
-//!   LRU-by-epoch cold-context eviction, drift watchdogs scheduling
-//!   bounded-queue refreshes, rayon fan-out across tenants, and one
-//!   rebuild from a version's live profile;
+//!   M binary versions, each tenant-version one runtime unit (machine,
+//!   aggregator, LRU clock) served by one round loop with rayon fan-out
+//!   across tenant-versions, LRU-by-epoch cold-context eviction, a drift
+//!   probe whose first stale versions (up to a bounded queue depth) are
+//!   refreshed, totals read off what was served, and one rebuild from a
+//!   version's live profile;
 //! * [`release_train`] — a workload rolled through successive releases
 //!   under live fleet traffic: traffic rotation, oracle and never-refresh
 //!   anchors, retention arithmetic, the canary rule;

@@ -24,9 +24,10 @@ pub type BlockCounts = HashMap<u64, HashMap<BlockId, u64>>;
 /// distributions (1.0: identical; 1.0 for two empty ones, 0.0 when only one
 /// is empty). Summed in ascending key order — a key missing from either
 /// side adds nothing — so the `f64` is a function of the two maps, never of
-/// a hasher's seed. Table I's block overlap and the stream's drift metric
-/// ([`crate::stream::weight_overlap`]) are both this sum.
-pub(crate) fn share_overlap<K: Ord>(a: &BTreeMap<K, u64>, b: &BTreeMap<K, u64>) -> f64 {
+/// a hasher's seed. Table I's block overlap, the stream's drift metric
+/// ([`crate::stream::StreamAggregator::seal_epoch`]) and canary profile
+/// agreement are all this sum.
+pub fn share_overlap<K: Ord>(a: &BTreeMap<K, u64>, b: &BTreeMap<K, u64>) -> f64 {
     let a_total: u64 = a.values().sum();
     let b_total: u64 = b.values().sum();
     if a_total == 0 || b_total == 0 {
@@ -100,6 +101,15 @@ mod tests {
         let b: BTreeMap<_, _> = counts(&[(0, 100), (1, 0)]);
         // min(0.5, 1.0) + min(0.5, 0.0) = 0.5
         assert!((share_overlap(&a, &b) - 0.5).abs() < 1e-9);
+    }
+
+    #[test]
+    fn empty_distributions_overlap_by_convention() {
+        let empty: BTreeMap<(u64, u32), u64> = BTreeMap::new();
+        let a = BTreeMap::from([((1u64, 1u32), 100u64), ((1, 2), 50)]);
+        assert_eq!(share_overlap(&empty, &empty), 1.0);
+        assert_eq!(share_overlap(&a, &empty), 0.0);
+        assert_eq!(share_overlap(&empty, &a), 0.0);
     }
 
     #[test]

@@ -21,37 +21,13 @@
 
 use crate::context::{ContextNode, ContextProfile, FrameKey};
 use csspgo_codegen::Binary;
-use serde::{Deserialize, Serialize};
 use std::collections::{BinaryHeap, HashMap, HashSet};
 
-/// Pre-inliner tuning.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
-pub struct PreInlineConfig {
-    /// Call-site sample total at or above which a context is hot.
-    pub hot_threshold: u64,
-    /// Maximum callee size (bytes) for hot call sites.
-    pub size_limit: u64,
-    /// Callee size (bytes) below which hot-enough candidates always inline.
-    pub small_size: u64,
-    /// Stop growing a function past `growth_factor ×` its original size
-    /// (Algorithm 2's `FuncSize < Limit`), floored by `growth_floor` bytes
-    /// so small functions can still absorb a helper.
-    pub growth_factor: u64,
-    /// Absolute floor for the per-function growth budget, in bytes.
-    pub growth_floor: u64,
-}
-
-impl Default for PreInlineConfig {
-    fn default() -> Self {
-        PreInlineConfig {
-            hot_threshold: 24,
-            size_limit: 280,
-            small_size: 80,
-            growth_factor: 3,
-            growth_floor: 400,
-        }
-    }
-}
+/// The parameter type of [`run_preinliner`]. It has no fields: the
+/// pre-inliner has one configuration, and its thresholds are constants
+/// beside the code that reads them.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct PreInlineConfig {}
 
 /// **Algorithm 3**: context-sensitive function sizes extracted from the
 /// profiling binary. Keys are GUID paths (outermost function first).
@@ -111,8 +87,12 @@ fn standalone_size(binary: &Binary, guid: u64) -> u64 {
 pub fn run_preinliner(
     profile: &mut ContextProfile,
     binary: &Binary,
-    cfg: &PreInlineConfig,
+    _: &PreInlineConfig,
 ) -> PreInlineResult {
+    /// Call-site sample total at or above which a context is hot, at the
+    /// least.
+    const HOT_THRESHOLD: u64 = 24;
+
     let sizes = context_sizes(binary);
     let size_of = |path: &[u64]| -> u64 {
         sizes
@@ -128,9 +108,9 @@ pub fn run_preinliner(
     // Call hotness (Algorithm 2's `GetCallHotness`): the call-site probe's
     // count in the caller (covers inlined call sites) plus physically
     // observed call edges, judged *relative* to the whole profile (a
-    // ProfileSummary-style cutoff) with the configured threshold as an
-    // absolute floor.
-    let hot_cutoff = cfg.hot_threshold.max(profile.total() / 256);
+    // ProfileSummary-style cutoff) with `HOT_THRESHOLD` as an absolute
+    // floor.
+    let hot_cutoff = HOT_THRESHOLD.max(profile.total() / 256);
 
     // Top-down: repeatedly process the hottest unprocessed root. Promotions
     // of not-inlined contexts create/augment other roots, which are then
@@ -152,7 +132,6 @@ pub fn run_preinliner(
             &mut root,
             root_guid,
             &size_of,
-            cfg,
             hot_cutoff,
             &mut result,
             &mut promotions,
@@ -201,17 +180,25 @@ fn process_root(
     root: &mut ContextNode,
     root_guid: u64,
     size_of: &dyn Fn(&[u64]) -> u64,
-    cfg: &PreInlineConfig,
     hot_cutoff: u64,
     result: &mut PreInlineResult,
     promotions: &mut Vec<(u64, ContextNode)>,
 ) {
+    /// Maximum callee size (bytes) a hot call site inlines.
+    const SIZE_LIMIT: u64 = 280;
+    /// A function stops growing past `GROWTH_FACTOR ×` its original size
+    /// (Algorithm 2's `FuncSize < Limit`), floored by `GROWTH_FLOOR` bytes
+    /// so small functions can still absorb a helper.
+    const GROWTH_FACTOR: u64 = 3;
+    /// Absolute floor for the per-function growth budget, in bytes.
+    const GROWTH_FLOOR: u64 = 400;
+
     let call_hotness = |parent: &ContextNode, key: (u32, u64)| -> u64 {
         parent.probes.get(&key.0).copied().unwrap_or(0)
             + parent.children.get(&key).map(|c| c.entry).unwrap_or(0)
     };
     let mut func_size = size_of(&[root_guid]);
-    let growth_limit = (func_size * cfg.growth_factor).max(cfg.growth_floor);
+    let growth_limit = (func_size * GROWTH_FACTOR).max(GROWTH_FLOOR);
     let mut queue: BinaryHeap<Candidate> = BinaryHeap::new();
     for key in root.children.keys() {
         queue.push(Candidate {
@@ -228,9 +215,7 @@ fn process_root(
         guid_path.extend(cand.path.iter().map(|&(_, callee)| callee));
         let cand_size = size_of(&guid_path);
         let hot = cand.hotness >= hot_cutoff;
-        let should = func_size < growth_limit
-            && hot
-            && (cand_size <= cfg.small_size || cand_size <= cfg.size_limit);
+        let should = func_size < growth_limit && hot && cand_size <= SIZE_LIMIT;
         let node = node_mut(root, &cand.path);
         if should {
             node.inlined = true;
@@ -388,19 +373,27 @@ mod tests {
 
     #[test]
     fn growth_limit_stops_inlining() {
+        // A hundred equally hot call sites of `hot` in `main`, each within
+        // the size limit: only the growth budget, max(3 × main's size, 400)
+        // bytes, stops inlining, right after the site that takes `main` to
+        // it.
         let b = tiny_binary();
         let hot_guid = b.func_by_name("hot").unwrap().guid;
         let main_guid = b.func_by_name("main").unwrap().guid;
+        let sites = 100u32;
         let mut cp = ContextProfile::new();
-        cp.add_probe_hit(&[fk(main_guid, 3)], hot_guid, 1, 500);
-        cp.add_entry(&[fk(main_guid, 3)], hot_guid, 500);
-        let cfg = PreInlineConfig {
-            growth_factor: 0,
-            growth_floor: 0,
-            ..PreInlineConfig::default()
-        };
-        let result = run_preinliner(&mut cp, &b, &cfg);
-        assert_eq!(result.inlined, 0);
+        for probe in 1000..1000 + sites {
+            cp.add_probe_hit(&[fk(main_guid, probe)], hot_guid, 1, 500);
+            cp.add_entry(&[fk(main_guid, probe)], hot_guid, 500);
+        }
+        let main_size = context_sizes(&b)[&vec![main_guid]];
+        let budget = (3 * main_size).max(400);
+        let admitted = (budget - main_size).div_ceil(standalone_size(&b, hot_guid));
+        assert!(admitted > 0 && admitted < u64::from(sites), "{admitted}");
+
+        let result = run_preinliner(&mut cp, &b, &PreInlineConfig::default());
+        assert_eq!(result.considered, sites as usize);
+        assert_eq!(result.inlined as u64, admitted);
     }
 
     #[test]

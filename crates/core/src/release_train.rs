@@ -34,9 +34,10 @@ use crate::fleet::{
     FleetBinaries, FleetConfig, FleetError, FleetEvent, FleetService, TenantId, TenantSpec,
     TrafficShare, VersionSpec,
 };
+use crate::overlap::share_overlap;
 use crate::pipeline::{run_pgo_cycle, PgoOutcome, PgoVariant};
 use crate::stalematch::StaleMatching;
-use crate::stream::{probe_weights, weight_overlap};
+use crate::stream::probe_weights;
 use crate::workload::Workload;
 use serde::Serialize;
 
@@ -79,7 +80,7 @@ pub struct CanaryReport {
     /// Whether the candidate's eval results hash-matched the `-O2`
     /// reference build of the same source.
     pub behavior_ok: bool,
-    /// [`weight_overlap`] of the stable and candidate live profiles over
+    /// [`share_overlap`] of the stable and candidate live profiles over
     /// their split traffic halves (1.0 = identical distributions).
     pub profile_agreement: f64,
 }
@@ -163,7 +164,7 @@ pub fn canary_promotes(candidate_cycles: u64, candidate_hash: u64, o2: &PgoOutco
 /// Rolls `workload` through `releases` with live traffic flowing through
 /// a [`FleetService`] the entire train. Per release: the stable and
 /// candidate versions split the (diurnally rotated) train stream, the
-/// drift watchdog probes on eval traffic and drains its refresh queue,
+/// drift watchdog probes on eval traffic and refreshes what it admits,
 /// the candidate is rebuilt from the stable version's *live* profile, and
 /// the canary rule decides promotion. See the module docs for the
 /// oracle/floor/pgo definitions.
@@ -252,7 +253,7 @@ pub fn run_release_train(
             let agg = service.aggregator(tenant, label).expect("served above");
             probe_weights(agg.context_profile())
         };
-        let profile_agreement = round4(weight_overlap(&live(&stable_label), &live(&rel.label)));
+        let profile_agreement = round4(share_overlap(&live(&stable_label), &live(&rel.label)));
         let candidate =
             service.rebuild(tenant, &stable_label, &rel.source, StaleMatching::Recover)?;
 

@@ -56,6 +56,7 @@
 
 use crate::binprof;
 use crate::context::ContextProfile;
+use crate::overlap::share_overlap;
 use crate::pipeline::{ContextGenerated, PipelineError};
 use crate::ranges::RangeCounts;
 use crate::shard::{diagnostics, fold_sharded, resolve_shards};
@@ -225,7 +226,7 @@ fn inst_range(binary: &Binary, begin: u64, end: u64) -> Result<(usize, usize), &
 /// Flattens a context profile into context-insensitive probe weights
 /// `(guid, probe) → count` — the distribution the drift detector compares.
 /// Public so canary evaluation can measure per-version profile agreement
-/// with the same [`weight_overlap`] metric the watchdog uses.
+/// with the same [`share_overlap`] metric the watchdog uses.
 pub fn probe_weights(profile: &ContextProfile) -> BTreeMap<(u64, u32), u64> {
     fn walk(guid: u64, node: &crate::context::ContextNode, out: &mut BTreeMap<(u64, u32), u64>) {
         for (&probe, &count) in &node.probes {
@@ -240,14 +241,6 @@ pub fn probe_weights(profile: &ContextProfile) -> BTreeMap<(u64, u32), u64> {
         walk(guid, node, &mut out);
     }
     out
-}
-
-/// Distribution overlap of two weight maps: `Σ min(aᵢ/Σa, bᵢ/Σb)`, the
-/// same min-of-normalized-shares sum as the paper's block-overlap quality
-/// metric ([`crate::overlap`]), in key order. 1.0 means identical
-/// distributions.
-pub fn weight_overlap(a: &BTreeMap<(u64, u32), u64>, b: &BTreeMap<(u64, u32), u64>) -> f64 {
-    crate::overlap::share_overlap(a, b)
 }
 
 /// The streaming profile aggregator: accepts PMU sample batches
@@ -410,7 +403,7 @@ impl<'b> StreamAggregator<'b> {
             if !weights.is_empty() {
                 let weights: BTreeMap<(u64, u32), u64> = weights.into_iter().collect();
                 if let Some(prev) = &self.last_weights {
-                    summary.overlap = weight_overlap(prev, &weights);
+                    summary.overlap = share_overlap(prev, &weights);
                     summary.stale = self.config.drift_threshold > 0.0
                         && summary.overlap < self.config.drift_threshold;
                 }
@@ -1345,22 +1338,5 @@ fn serve(n, mode) {
         assert_eq!(live.broken_stacks, batch.broken_stacks);
         // The working profile stays unstamped: a snapshot carries no checksums.
         assert_ne!(&live.profile, agg.context_profile());
-    }
-
-    #[test]
-    fn weight_overlap_behaves_like_a_distribution_metric() {
-        let mut a = BTreeMap::new();
-        a.insert((1u64, 1u32), 100u64);
-        a.insert((1, 2), 50);
-        assert!((weight_overlap(&a, &a) - 1.0).abs() < 1e-12);
-        let mut scaled = BTreeMap::new();
-        scaled.insert((1u64, 1u32), 10u64);
-        scaled.insert((1, 2), 5);
-        assert!((weight_overlap(&a, &scaled) - 1.0).abs() < 1e-12);
-        let mut disjoint = BTreeMap::new();
-        disjoint.insert((2u64, 1u32), 100u64);
-        assert_eq!(weight_overlap(&a, &disjoint), 0.0);
-        assert_eq!(weight_overlap(&BTreeMap::new(), &BTreeMap::new()), 1.0);
-        assert_eq!(weight_overlap(&a, &BTreeMap::new()), 0.0);
     }
 }

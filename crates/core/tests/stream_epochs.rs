@@ -9,14 +9,15 @@
 
 use csspgo_codegen::Binary;
 use csspgo_core::context::ContextProfile;
+use csspgo_core::overlap::share_overlap;
 use csspgo_core::pipeline::{
     finish_probe_profile, profiling_build, profiling_run, PgoVariant, PipelineConfig, PipelineError,
 };
 use csspgo_core::ranges::RangeCounts;
 use csspgo_core::shard::sharded_context_profile;
 use csspgo_core::stream::{
-    probe_weights, weight_overlap, ContextEdge, EpochSummary, EvictStats, SnapshotFormat,
-    StreamAggregator, StreamConfig,
+    probe_weights, ContextEdge, EpochSummary, EvictStats, SnapshotFormat, StreamAggregator,
+    StreamConfig,
 };
 use csspgo_core::tailcall::TailCallGraph;
 use csspgo_sim::{Machine, Sample, SimConfig};
@@ -394,7 +395,7 @@ fn restore_refuses_a_weight_probe_past_u32_in_both_formats() {
 /// cumulative trie and range counts, the previous epoch's probe weights and
 /// the eviction counters, kept with public items and the reference trie only
 /// — each epoch's profile from [`sharded_context_profile`], folded by
-/// [`merge_context`], drift from [`probe_weights`] and [`weight_overlap`],
+/// [`merge_context`], drift from [`probe_weights`] and [`share_overlap`],
 /// eviction by [`evict_subtree`].
 struct Materialised<'a> {
     binary: &'a Binary,
@@ -456,7 +457,7 @@ impl<'a> Materialised<'a> {
                 "an epoch of real traffic with no probe weight"
             );
             if let Some(prev) = &self.last_weights {
-                summary.overlap = weight_overlap(prev, &weights);
+                summary.overlap = share_overlap(prev, &weights);
                 summary.stale =
                     self.drift_threshold > 0.0 && summary.overlap < self.drift_threshold;
             }

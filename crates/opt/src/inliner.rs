@@ -30,8 +30,6 @@ use std::collections::HashMap;
 pub struct InlineResult {
     /// Callee block id → the caller block now holding its clone.
     pub block_map: HashMap<BlockId, BlockId>,
-    /// The caller block where execution continues after the inlined body.
-    pub cont_block: BlockId,
 }
 
 /// Counts "real" instructions (probes excluded — they are metadata-only and
@@ -196,10 +194,7 @@ pub fn inline_call(
         ));
     }
 
-    Some(InlineResult {
-        block_map,
-        cont_block: cont,
-    })
+    Some(InlineResult { block_map })
 }
 
 fn remap_def(kind: &mut InstKind, base: u32) {

@@ -77,13 +77,16 @@ fn resident_cap_bounds_every_tenant_and_conserves_weight() {
     let free_cfg = fleet_cfg(0);
     let specs = two_tenants();
     let bins = FleetBinaries::compile(&specs, &free_cfg).expect("fleet compiles");
+    let served: Vec<(TenantId, &str)> = specs
+        .iter()
+        .flat_map(|s| s.versions.iter().map(move |v| (s.id, v.label.as_str())))
+        .collect();
 
     let mut free = FleetService::new(&bins, free_cfg);
     free.run().expect("uncapped fleet serves");
-    let max_resident = free
-        .registry()
-        .into_iter()
-        .map(|(id, v)| free.aggregator(id, &v).unwrap().resident_contexts())
+    let max_resident = served
+        .iter()
+        .map(|&(id, v)| free.aggregator(id, v).unwrap().resident_contexts())
         .max()
         .unwrap();
     assert!(max_resident > 2, "need a store worth capping");
@@ -96,9 +99,9 @@ fn resident_cap_bounds_every_tenant_and_conserves_weight() {
         "cap {cap} under max residency {max_resident} must evict"
     );
 
-    for (id, version) in capped.registry() {
-        let capped_agg = capped.aggregator(id, &version).unwrap();
-        let free_agg = free.aggregator(id, &version).unwrap();
+    for &(id, version) in &served {
+        let capped_agg = capped.aggregator(id, version).unwrap();
+        let free_agg = free.aggregator(id, version).unwrap();
         assert!(
             capped_agg.resident_contexts() <= cap,
             "tenant {id} {version}: {} resident over cap {cap}",

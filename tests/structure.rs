@@ -285,8 +285,19 @@ fn one_value_one_path() {
         "enable_split",
         "fn with_config",
     ];
+    // Removed config leaves, matched as words.
+    let leaves = [
+        "snapshot_check",
+        "snapshot_format",
+        "num_regs",
+        "tail_call_elim",
+        "growth_floor",
+        "growth_factor",
+        "hot_threshold",
+        "size_limit",
+    ];
     let found = grep(&["crates/*/src", "src", "examples"], |l| {
-        any_of(l, &deleted) || has_word(l, "snapshot_check") || has_word(l, "snapshot_format")
+        any_of(l, &deleted) || leaves.iter().any(|w| has_word(l, w))
     });
     holds(
         "One value, one path",
