@@ -37,7 +37,7 @@ pub struct Lint {
     /// Stable id, never reused: `PF…` profile flow/integrity, `SM…` stale
     /// matching, `WP…` weight provenance. (`IV`, `PI`, `PP` and the ids
     /// missing from the sequences were retired by the census of DESIGN.md
-    /// §8: they checked internal producers and are assertions there now.)
+    /// §14: they checked internal producers and are assertions there now.)
     pub id: &'static str,
     /// Kebab-case name, usable interchangeably with the id on the CLI.
     pub name: &'static str,
@@ -71,7 +71,7 @@ fn family_rank(id: &str) -> usize {
 }
 
 /// Every lint the analyzer can emit: each fires on input from outside the
-/// process or on a real source drift (DESIGN.md §8 has the census). Grouped
+/// process or on a real source drift (DESIGN.md §14 has the census). Grouped
 /// by family; ids are append-only and never reused. None denies by default
 /// — a "must never happen" check is an assertion at its producer, not a
 /// lint.

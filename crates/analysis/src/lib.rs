@@ -5,8 +5,8 @@
 //! registered [`Lint`] with a stable id, lints are escalated or silenced by a
 //! [`Policy`] (`--deny` / `--allow`), and findings accumulate in a [`Report`].
 //! A lint is in the registry only if it can fire on input that reaches it —
-//! a profile from outside the process, or a real source drift (the census in
-//! DESIGN.md §8 records the verdict for every id there has ever been).
+//! a profile from outside the process, or a real source drift (DESIGN.md
+//! §14 says what became of every id there has ever been).
 //! Checks on what an internal producer emits are assertions at that
 //! producer (`opt::verify_after_pass`, `debug_assert!`s in the matcher and
 //! the discriminator pass) or oracles under `tests/`, not lints.

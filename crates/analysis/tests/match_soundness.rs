@@ -12,7 +12,7 @@
 //! The mutators (`insert_statement`, `delete_statement`, renames, comment
 //! drift) are *generators* here: some change behaviour, which is fine —
 //! these properties are about the mapping's structure, not result
-//! equality. Until the lint census (DESIGN.md §8) the first two were also
+//! equality. Until the lint census (DESIGN.md §14) the first two were also
 //! the lints `SM002`/`SM003`; a matcher that breaks them is a bug here, not
 //! a finding about anybody's profile, so `match_stale_profile` asserts them
 //! on its way out and this property is what exercises the assertion.

@@ -7,7 +7,7 @@
 //! `Analyzer::judge`; their seeded cases are unit tests beside the
 //! emitters.)
 //!
-//! Cases that left with their lint ids (census: DESIGN.md §8), each beside
+//! Cases that left with their lint ids (census: DESIGN.md §14), each beside
 //! the test that still checks the behaviour:
 //!
 //! | removed here | held by |

@@ -1,7 +1,7 @@
 //! Machine instructions.
 //!
 //! The machine keeps virtual-register operational semantics (spills are
-//! cost-only pseudo-instructions; see DESIGN.md §5) but is otherwise a real
+//! cost-only pseudo-instructions; see DESIGN.md §1.2) but is otherwise a real
 //! linear machine program: byte-sized instructions, flat branch targets,
 //! fall-through execution, call/return/tail-call control transfer.
 
@@ -11,10 +11,8 @@ use csspgo_ir::probe::{ProbeKind, ProbeSite};
 use csspgo_ir::{FuncId, GlobalId, VReg};
 use serde::{Deserialize, Serialize};
 
-/// A flat-index branch target (index into [`crate::Binary::insts`]).
-pub type Target = usize;
-
-/// Machine operation.
+/// Machine operation. A branch target is a flat index into
+/// [`crate::Binary::insts`].
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub enum MInstKind {
     /// `dst = src`.
@@ -66,18 +64,18 @@ pub enum MInstKind {
     /// Return.
     Ret { value: Option<Operand> },
     /// Unconditional jump.
-    Jmp { target: Target },
+    Jmp { target: usize },
     /// Conditional jump: taken when `cond != 0` (xor `negate`).
     JmpIf {
         cond: Operand,
         negate: bool,
-        target: Target,
+        target: usize,
     },
     /// Jump table (lowered `switch`).
     JmpTable {
         value: Operand,
-        targets: Vec<(i64, Target)>,
-        default: Target,
+        targets: Vec<(i64, usize)>,
+        default: usize,
     },
     /// Cost-only reload of a spilled register (no operational effect).
     SpillLoad { slot: u32 },

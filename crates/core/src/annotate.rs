@@ -166,7 +166,7 @@ fn replay_inlines(
                 })
         });
         let Some((bid, i)) = candidate else { break };
-        if inline_call(module, fid, bid, i).is_some() {
+        if inline_call(module, fid, bid, i) {
             replayed += 1;
         }
     }

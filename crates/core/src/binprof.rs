@@ -1,4 +1,4 @@
-//! `binprof` — the compact binary profile serialization (DESIGN.md §10.3),
+//! `binprof` — the compact binary profile serialization (DESIGN.md §9.1),
 //! and the only module that knows its bytes.
 //!
 //! It is the one profile format the tools read; [`crate::textprof`] is the
@@ -824,10 +824,7 @@ mod tests {
         let pp = sample_context().to_probe_profile();
         let bytes = encode_probe(&pp);
         let back = decode_probe(&bytes).unwrap();
-        assert_eq!(
-            serde_json::to_string(&back).unwrap(),
-            serde_json::to_string(&pp).unwrap()
-        );
+        assert_eq!(back, pp);
         assert_eq!(encode_probe(&back), bytes);
     }
 
@@ -868,10 +865,7 @@ mod tests {
         fp.names.insert(77, "g".into());
         let bytes = encode_flat(&fp);
         let back = decode_flat(&bytes).unwrap();
-        assert_eq!(
-            serde_json::to_string(&back).unwrap(),
-            serde_json::to_string(&fp).unwrap()
-        );
+        assert_eq!(back, fp);
     }
 
     #[test]

@@ -14,11 +14,10 @@
 
 use crate::fasthash::FastMap;
 use crate::profile::{ProbeFuncProfile, ProbeProfile};
-use serde::Serialize;
 use std::collections::BTreeMap;
 
 /// A frame in a context key: call-site probe `probe` inside function `guid`.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct FrameKey {
     pub guid: u64,
     pub probe: u32,
@@ -27,7 +26,7 @@ pub struct FrameKey {
 /// One function profiled under one calling context. The function is named
 /// by the key the node sits under: its `roots` key, or the callee of its
 /// `(call-site probe, callee)` key.
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct ContextNode {
     /// The profiled function's CFG checksum (from the profiled binary).
     pub checksum: u64,
@@ -64,7 +63,7 @@ impl ContextNode {
 }
 
 /// The whole-program context trie.
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct ContextProfile {
     /// Root contexts (un-inlined outermost functions) by GUID.
     pub roots: BTreeMap<u64, ContextNode>,
@@ -767,10 +766,6 @@ mod tests {
         builder.add_entry_at(id, 7);
         let built = builder.take_profile();
         assert_eq!(built, reference);
-        assert_eq!(
-            serde_json::to_string(&built).unwrap(),
-            serde_json::to_string(&reference).unwrap()
-        );
     }
 
     #[test]

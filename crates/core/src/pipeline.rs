@@ -26,7 +26,6 @@ use csspgo_ir::{BlockId, FuncId, InlinePlan, Module};
 use csspgo_opt::instrument::CounterMap;
 use csspgo_opt::OptConfig;
 use csspgo_sim::{Machine, RunStats, Sample, SimConfig};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
@@ -36,7 +35,7 @@ use std::fmt;
 /// Marked `#[non_exhaustive]`: downstream matches must carry a wildcard arm
 /// so future variants (e.g. streaming-refresh hybrids) are not breaking
 /// changes.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 #[non_exhaustive]
 pub enum PgoVariant {
     /// Plain optimized build, no profile (the pre-PGO baseline).

@@ -18,7 +18,7 @@ use std::collections::BTreeMap;
 
 /// An AutoFDO body-count key: line offset from the function header plus
 /// discriminator.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct LocKey {
     /// `line - function_start_line` (0 when the line precedes the header,
     /// which can happen under source drift).
@@ -38,7 +38,7 @@ impl LocKey {
 }
 
 /// AutoFDO-style per-function profile (possibly nested under a call site).
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct FlatFuncProfile {
     /// Calls observed entering this function (LBR call edges).
     pub entry: u64,
@@ -71,7 +71,7 @@ impl FlatFuncProfile {
 }
 
 /// A whole-program AutoFDO-style profile.
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct FlatProfile {
     /// Top-level (outermost) function profiles by GUID.
     pub funcs: BTreeMap<u64, FlatFuncProfile>,

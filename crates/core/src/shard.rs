@@ -24,7 +24,7 @@ use rayon::prelude::*;
 /// spawn/join (the vendored rayon has no pool) and, for a throw-away
 /// unwinder, an O(instructions) set-up: measured on two cores, two shards
 /// run a 256-sample batch at 0.54× the speed of one, a 1 024-sample batch at
-/// 0.86× and a 2 048-sample batch at 1.14× (DESIGN.md §18.6).
+/// 0.86× and a 2 048-sample batch at 1.14× (DESIGN.md §7.5).
 const MIN_AUTO_SHARD_SAMPLES: usize = 1024;
 
 /// Resolves a shard-count request. `0` means auto: one shard per available

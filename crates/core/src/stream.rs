@@ -957,7 +957,7 @@ fn serve(n, mode) {
         assert_eq!(again.weight_folded, 0);
     }
 
-    /// The memory bound (DESIGN.md §18.4): an aggregator whose first arena
+    /// The memory bound (DESIGN.md §7.4): an aggregator whose first arena
     /// is rebuilt from its live profile, and its memos dropped, at every
     /// epoch but the first two reports epoch by epoch — summary, edges,
     /// evictions, residency, profile — what one that never forgets

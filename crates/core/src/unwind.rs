@@ -27,7 +27,7 @@
 //! one per shard for a stream ([`crate::stream`]), where an epoch is simply
 //! a small batch. Everything the unwinder memoizes is a pure function of
 //! `(binary, tail-call graph)`, so what a call returns never depends on
-//! the calls before it (DESIGN.md §18). The per-sample, memo-free form of
+//! the calls before it (DESIGN.md §7.3). The per-sample, memo-free form of
 //! the algorithm lives outside this crate, in
 //! `tests/common/reference_unwind.rs`, as the oracle the differential tests
 //! hold this kernel to.
@@ -1111,7 +1111,7 @@ fn main(n) { return top(n); }
         assert_eq!(p.len(), 3, "aperiodic paths untouched");
     }
 
-    /// The memory bound (DESIGN.md §18): an unwinder whose memos start
+    /// The memory bound (DESIGN.md §7.4): an unwinder whose memos start
     /// over every few entries — here at every call but the first — returns
     /// call by call what one that never forgets returns.
     #[test]

@@ -1,10 +1,8 @@
 //! The workload abstraction consumed by the PGO pipelines: MiniLang source,
 //! global-array staging data, and separate train/eval request streams.
 
-use serde::{Deserialize, Serialize};
-
 /// A benchmarkable workload.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Workload {
     /// Display name (e.g. `ad_ranker`).
     pub name: String,

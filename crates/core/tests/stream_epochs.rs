@@ -84,10 +84,9 @@ fn golden_incremental_epochs_equal_batch_ingestion() {
             agg.push_batch(batch.to_vec()).unwrap();
             agg.seal_epoch();
         }
-        // Bit-identity, checked on the serialized bytes, not just map equality.
         assert_eq!(
-            serde_json::to_string(agg.context_profile()).unwrap(),
-            serde_json::to_string(&profile_ref).unwrap(),
+            agg.context_profile(),
+            &profile_ref,
             "{epochs} epochs x {shards} shards diverged from batch"
         );
         assert_eq!(agg.range_counts(), &rc_ref);
@@ -144,9 +143,7 @@ proptest! {
         prop_assert_eq!(agg.epochs_sealed(), epochs as u64);
         prop_assert_eq!(agg.total_samples(), samples.len() as u64);
         prop_assert_eq!(agg.range_counts(), &rc_ref);
-        let incr = serde_json::to_string(agg.context_profile()).unwrap();
-        let batch = serde_json::to_string(&profile_ref).unwrap();
-        prop_assert_eq!(incr, batch);
+        prop_assert_eq!(agg.context_profile(), &profile_ref);
     }
 
     /// Snapshotting at ANY epoch boundary, restoring, and resuming the
@@ -183,9 +180,7 @@ proptest! {
         resumed.seal_epoch();
 
         prop_assert_eq!(resumed.range_counts(), &rc_ref);
-        let resumed_json = serde_json::to_string(resumed.context_profile()).unwrap();
-        let batch_json = serde_json::to_string(&profile_ref).unwrap();
-        prop_assert_eq!(resumed_json, batch_json);
+        prop_assert_eq!(resumed.context_profile(), &profile_ref);
     }
 }
 
@@ -507,7 +502,7 @@ fn assert_evict_stats_eq(got: EvictStats, want: EvictStats, what: &str) {
 /// non-clock [`EpochSummary`] field (`overlap` to the bit), the edges and
 /// their order, `resident_contexts()`, `evict_stats()`, and the profile
 /// after every other seal and every third eviction pass; at the end the
-/// profile (serialized bytes) and the range counts.
+/// profile and the range counts.
 #[test]
 fn every_epoch_fact_matches_materialise_and_merge() {
     const EPOCH_SIZES: [usize; 6] = [256, 97, 0, 400, 31, 256];
@@ -630,11 +625,7 @@ fn every_epoch_fact_matches_materialise_and_merge() {
                 }
             }
             let at = what(model.epochs);
-            assert_eq!(
-                serde_json::to_string(agg.context_profile()).unwrap(),
-                serde_json::to_string(&model.profile).unwrap(),
-                "{at}: profile"
-            );
+            assert_eq!(agg.context_profile(), &model.profile, "{at}: profile");
             assert_eq!(agg.range_counts(), &model.rc, "{at}: range counts");
             assert_eq!(agg.total_samples(), samples.len() as u64, "{at}");
         }

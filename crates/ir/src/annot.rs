@@ -2,7 +2,6 @@
 //! (`csspgo-core`) hands the optimizer (`csspgo-opt`).
 
 use crate::probe::ProbeSite;
-use serde::{Deserialize, Serialize};
 use std::collections::HashSet;
 
 /// A pre-inliner decision set (paper §III.B, Algorithm 2): inline chains
@@ -11,7 +10,7 @@ use std::collections::HashSet;
 /// The optimizer's top-down sample-loader inliner honours these decisions
 /// when legal, which is how the paper works around ThinLTO's inability to
 /// move profile across modules.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct InlinePlan {
     /// Each entry is a chain of call-site probes, outermost first; the chain
     /// `[(f, p1), (g, p2)]` means "inline the callee at probe `p1` of `f`

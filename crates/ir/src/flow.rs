@@ -75,8 +75,6 @@ pub struct CounterSite {
 pub struct MeasurementPlan {
     /// Counter sites, one per co-tree edge, in deterministic order.
     pub counters: Vec<CounterSite>,
-    /// Total number of augmented-graph edges (tree + counted).
-    pub num_edges: usize,
     /// Number of augmented-graph nodes (reachable blocks + the exit node).
     pub num_nodes: usize,
     /// True when the function has no reachable return: the circulation
@@ -233,7 +231,6 @@ pub fn plan_function(func: &Function) -> MeasurementPlan {
     if !edges.iter().any(|e| matches!(e, FlowEdge::ToExit { .. })) {
         return MeasurementPlan {
             counters: Vec::new(),
-            num_edges: edges.len(),
             num_nodes,
             full_fallback: true,
         };
@@ -282,7 +279,6 @@ pub fn plan_function(func: &Function) -> MeasurementPlan {
             None => {
                 return MeasurementPlan {
                     counters: Vec::new(),
-                    num_edges: edges.len(),
                     num_nodes,
                     full_fallback: true,
                 }
@@ -291,7 +287,6 @@ pub fn plan_function(func: &Function) -> MeasurementPlan {
     }
     MeasurementPlan {
         counters,
-        num_edges: edges.len(),
         num_nodes,
         full_fallback: false,
     }
@@ -474,7 +469,7 @@ mod tests {
         assert!(!plan.full_fallback);
         // 6 edges (4 cfg + ToExit + FromExit), 5 nodes incl. exit:
         // cyclomatic number 6 - 5 + 1 = 2, vs 4 full-mode counters.
-        assert_eq!(plan.num_edges, 6);
+        assert_eq!(flow_edges(f).len(), 6);
         assert_eq!(plan.num_nodes, 5);
         assert_eq!(plan.counters.len(), 2);
     }

@@ -2,11 +2,10 @@
 
 use crate::ids::{BlockId, FuncId, VReg};
 use crate::inst::Inst;
-use serde::{Deserialize, Serialize};
 
 /// A basic block: a straight-line instruction sequence ending in a
 /// terminator.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct BasicBlock {
     /// Instructions; the last one must be a terminator once the function is
     /// complete.
@@ -54,7 +53,7 @@ impl BasicBlock {
 /// Edge counts describe the CFG *at annotation time*; transformation passes
 /// maintain block counts but not edge counts, so the optimizer pipeline
 /// clears this annotation on entry rather than letting it go stale.
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct EdgeCounts {
     edges: Vec<(BlockId, BlockId, u64)>,
 }
@@ -113,7 +112,7 @@ impl EdgeCounts {
 /// path so downstream consumers (the WP lint family, `csspgo_lint`, bench
 /// records) can tell raw measurements from salvaged or solver-invented
 /// weight.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Provenance {
     /// Count comes straight from correlated samples (or exact counters) on a
     /// checksum-matching build.
@@ -142,7 +141,7 @@ impl Provenance {
 /// Per-block provenance tags, stored sparsely like [`EdgeCounts`]: a sorted
 /// `(block, tag)` list. Blocks without an entry have no annotated count (or
 /// the annotation predates provenance tracking).
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct ProvenanceMap {
     tags: Vec<(BlockId, Provenance)>,
 }
@@ -183,7 +182,7 @@ impl ProvenanceMap {
 /// The block layout decided by the layout pass: hot blocks in order, then
 /// (optionally, with function splitting) cold blocks placed in a separate
 /// cold region of the binary.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct BlockLayout {
     /// Hot-part order; must start with the entry block.
     pub hot: Vec<BlockId>,
@@ -199,7 +198,7 @@ impl BlockLayout {
 }
 
 /// A function: parameters, virtual registers, and a CFG of basic blocks.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Function {
     /// This function's id within its module.
     pub id: FuncId,

@@ -158,7 +158,7 @@ impl fmt::Display for CmpPred {
 }
 
 /// The operation an instruction performs.
-#[derive(Clone, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Hash, Debug)]
 pub enum InstKind {
     /// `dst = src`.
     Copy { dst: VReg, src: Operand },
@@ -389,7 +389,7 @@ impl InstKind {
 }
 
 /// An instruction: an operation plus its source location.
-#[derive(Clone, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Hash, Debug)]
 pub struct Inst {
     pub kind: InstKind,
     pub loc: DebugLoc,

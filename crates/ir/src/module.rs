@@ -4,6 +4,13 @@ use crate::function::Function;
 use crate::ids::{FuncId, GlobalId};
 use serde::{Deserialize, Serialize};
 
+/// The most data cells a program may declare, over all its globals: 8 MiB
+/// of memory, 127× the 8 256 cells of the largest shipped workload. The
+/// front end refuses a program past it and the simulator a binary past it,
+/// so no source text or binary file can make a machine allocate without
+/// bound.
+pub const MAX_GLOBAL_CELLS: usize = 1 << 20;
+
 /// A global array of 64-bit cells. Workload state lives here (locals are
 /// virtual registers and cannot be address-taken).
 #[derive(Clone, Debug, Serialize, Deserialize)]
@@ -17,7 +24,7 @@ pub struct Global {
 }
 
 /// A whole program: functions plus globals.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Module {
     /// Module name (used for diagnostics only).
     pub name: String,

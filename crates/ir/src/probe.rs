@@ -58,7 +58,7 @@ impl fmt::Display for ProbeSite {
 /// against profile accuracy; the paper's production tuning unblocks them all
 /// ("we fine-tune a few critical optimizations, including if-convert, machine
 /// sink and instruction scheduling, to be unblocked by pseudo-probe").
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct ProbeConfig {
     /// Probes block if-conversion of the guarded blocks.
     pub block_if_convert: bool,

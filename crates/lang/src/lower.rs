@@ -4,6 +4,7 @@ use crate::ast::*;
 use crate::CompileError;
 use csspgo_ir::builder::{FunctionBuilder, ModuleBuilder};
 use csspgo_ir::inst::{BinOp, CmpPred, InstKind, Operand};
+use csspgo_ir::module::MAX_GLOBAL_CELLS;
 use csspgo_ir::{BlockId, FuncId, GlobalId, Module, VReg};
 use std::collections::HashMap;
 
@@ -11,17 +12,28 @@ use std::collections::HashMap;
 ///
 /// # Errors
 ///
-/// Returns a [`CompileError`] for unknown names, duplicate definitions, or
-/// call-arity mismatches.
+/// Returns a [`CompileError`] for unknown names, duplicate definitions,
+/// call-arity mismatches, or globals past [`MAX_GLOBAL_CELLS`] in all.
 pub fn lower(program: &Program, module_name: &str) -> Result<Module, CompileError> {
     let mut mb = ModuleBuilder::new(module_name);
 
     let mut globals: HashMap<String, GlobalId> = HashMap::new();
+    let mut cells = 0usize;
     for g in &program.globals {
         if globals.contains_key(&g.name) {
             return Err(CompileError::new(
                 g.line,
                 format!("duplicate global `{}`", g.name),
+            ));
+        }
+        cells = cells.saturating_add(g.size);
+        if cells > MAX_GLOBAL_CELLS {
+            return Err(CompileError::new(
+                g.line,
+                format!(
+                    "global `{}` takes the program to {cells} data cells, past the bound of {MAX_GLOBAL_CELLS}",
+                    g.name
+                ),
             ));
         }
         let id = mb.add_global(g.name.clone(), g.size, g.init.clone());

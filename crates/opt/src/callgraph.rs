@@ -12,8 +12,6 @@ pub struct CallGraph {
     /// SCC index per function; SCCs are numbered in *reverse topological*
     /// order (callees' SCCs get lower numbers than callers').
     pub scc: Vec<usize>,
-    /// Number of SCCs.
-    pub num_sccs: usize,
 }
 
 impl CallGraph {
@@ -33,12 +31,8 @@ impl CallGraph {
                 }
             }
         }
-        let (scc, num_sccs) = tarjan(&callees, n);
-        CallGraph {
-            callees,
-            scc,
-            num_sccs,
-        }
+        let scc = tarjan(&callees, n);
+        CallGraph { callees, scc }
     }
 
     /// Whether `a` and `b` are mutually recursive (same SCC).
@@ -61,10 +55,10 @@ impl CallGraph {
     }
 }
 
-/// Iterative Tarjan SCC. Returns (scc index per node, number of SCCs), with
-/// SCCs numbered so that every edge `u -> v` (u caller, v callee) has
-/// `scc[v] <= scc[u]` — i.e. reverse-topological numbering.
-fn tarjan(adj: &[Vec<FuncId>], n: usize) -> (Vec<usize>, usize) {
+/// Iterative Tarjan SCC. Returns the SCC index per node, with SCCs numbered
+/// so that every edge `u -> v` (u caller, v callee) has `scc[v] <= scc[u]` —
+/// i.e. reverse-topological numbering.
+fn tarjan(adj: &[Vec<FuncId>], n: usize) -> Vec<usize> {
     #[derive(Clone, Copy)]
     struct NodeState {
         index: usize,
@@ -134,7 +128,7 @@ fn tarjan(adj: &[Vec<FuncId>], n: usize) -> (Vec<usize>, usize) {
             }
         }
     }
-    (scc, next_scc)
+    scc
 }
 
 #[cfg(test)]
@@ -177,7 +171,6 @@ mod tests {
         let (m, g) = graph("fn f(x) { if (x > 0) { return f(x - 1); } return 0; }");
         let f = m.find_function("f").unwrap();
         assert!(g.same_scc(f, f));
-        assert_eq!(g.num_sccs, 1);
     }
 
     #[test]

@@ -36,10 +36,9 @@ pub mod unroll;
 
 use csspgo_ir::probe::ProbeConfig;
 use csspgo_ir::Module;
-use serde::{Deserialize, Serialize};
 
 /// Tuning knobs for the whole pipeline.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct OptConfig {
     /// How strongly probes block optimizations.
     pub probe: ProbeConfig,
@@ -47,12 +46,6 @@ pub struct OptConfig {
     pub inline_small_size: usize,
     /// Callee size limit for hot call sites.
     pub inline_hot_size: usize,
-    /// Loop unroll factor.
-    pub unroll_factor: u32,
-    /// Maximum loop body size (instructions) eligible for unrolling.
-    pub unroll_max_body: usize,
-    /// Maximum block size (instructions) eligible for tail duplication.
-    pub tail_dup_max_insts: usize,
     /// Run the IR verifier and probe-invariant checker after every pass in
     /// [`run_pipeline`], panicking (with every finding) on the first pass
     /// that breaks an invariant. Defaults to on in debug builds, off in
@@ -66,9 +59,6 @@ impl Default for OptConfig {
             probe: ProbeConfig::default(),
             inline_small_size: 14,
             inline_hot_size: 80,
-            unroll_factor: 4,
-            unroll_max_body: 14,
-            tail_dup_max_insts: 4,
             interpass_verify: cfg!(debug_assertions),
         }
     }
@@ -136,7 +126,7 @@ pub fn run_pipeline(module: &mut Module, config: &OptConfig) {
     inliner::run_bottom_up(module, config);
     simplify::run(module);
     checkpoint(module, "inline");
-    unroll::run(module, config);
+    unroll::run(module);
     simplify::run(module);
     checkpoint(module, "unroll");
     tailmerge::run(module);

@@ -11,6 +11,9 @@ use crate::OptConfig;
 use csspgo_ir::inst::InstKind;
 use csspgo_ir::{cfg, BlockId, Module};
 
+/// The largest join block (instructions, probes excluded) that is copied.
+const MAX_INSTS: usize = 4;
+
 /// Runs tail duplication on every function.
 pub fn run(module: &mut Module, config: &OptConfig) {
     for func in &mut module.functions {
@@ -18,7 +21,7 @@ pub fn run(module: &mut Module, config: &OptConfig) {
         if config.probe.block_jump_threading && func.probe_checksum.is_some() {
             continue;
         }
-        run_function(func, config.tail_dup_max_insts);
+        run_function(func, MAX_INSTS);
     }
 }
 

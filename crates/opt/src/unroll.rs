@@ -15,14 +15,18 @@
 //!
 //! Profile maintenance divides the loop counts across the copies.
 
-use crate::OptConfig;
 use csspgo_ir::inst::InstKind;
 use csspgo_ir::{cfg, BlockId, Function, Module};
 
+/// The unroll factor.
+const FACTOR: u32 = 4;
+/// The largest loop body (instructions, probes excluded) that is unrolled.
+const MAX_BODY: usize = 14;
+
 /// Runs unrolling on every function.
-pub fn run(module: &mut Module, config: &OptConfig) {
+pub fn run(module: &mut Module) {
     for func in &mut module.functions {
-        run_function(func, config.unroll_factor, config.unroll_max_body);
+        run_function(func, FACTOR, MAX_BODY);
     }
 }
 

@@ -80,7 +80,7 @@ fn fresh_ir_discriminators_are_sound() {
 }
 
 /// The five module corruptions that were the seeded cases of the `IV001`
-/// and `PI001`–`PI004` lints until the census of DESIGN.md §8: the lints
+/// and `PI001`–`PI004` lints until the census of DESIGN.md §14: the lints
 /// re-reported what `verify_after_pass` already refuses, so the inputs
 /// moved here, to the assertion that holds the invariant.
 #[test]
@@ -171,7 +171,7 @@ fn each_cloning_pass_alone_preserves_probe_invariants() {
     assert_probes_sound(&m, "tail_dup");
 
     let mut m = base.clone();
-    csspgo_opt::unroll::run(&mut m, &config);
+    csspgo_opt::unroll::run(&mut m);
     assert_probes_sound(&m, "unroll");
 
     let mut m = base.clone();
@@ -184,10 +184,9 @@ fn repeated_unrolling_compounds_factors_correctly() {
     // Unrolling twice squares the duplication: every surviving copy's
     // factor must cover the full replication, not just the last round.
     let mut m = probed_module();
-    let config = OptConfig::default();
-    csspgo_opt::unroll::run(&mut m, &config);
+    csspgo_opt::unroll::run(&mut m);
     csspgo_opt::simplify::run(&mut m);
-    csspgo_opt::unroll::run(&mut m, &config);
+    csspgo_opt::unroll::run(&mut m);
     csspgo_opt::simplify::run(&mut m);
     assert_probes_sound(&m, "unroll twice");
 }
@@ -208,17 +207,21 @@ proptest! {
         unroll_max_body in 8usize..64,
         tail_dup_max_insts in 4usize..32,
     ) {
-        let config = OptConfig {
-            unroll_factor,
-            unroll_max_body,
-            tail_dup_max_insts,
-            ..OptConfig::default()
-        };
         let mut m = probed_module();
         for (step, p) in passes.iter().enumerate() {
             let name = match p {
-                0 => { csspgo_opt::tail_dup::run(&mut m, &config); "tail_dup" }
-                1 => { csspgo_opt::unroll::run(&mut m, &config); "unroll" }
+                0 => {
+                    for f in &mut m.functions {
+                        csspgo_opt::tail_dup::run_function(f, tail_dup_max_insts);
+                    }
+                    "tail_dup"
+                }
+                1 => {
+                    for f in &mut m.functions {
+                        csspgo_opt::unroll::run_function(f, unroll_factor, unroll_max_body);
+                    }
+                    "unroll"
+                }
                 2 => { csspgo_opt::tailmerge::run(&mut m); "tailmerge" }
                 _ => { csspgo_opt::simplify::run(&mut m); "simplify" }
             };

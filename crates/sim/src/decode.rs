@@ -17,13 +17,14 @@
 //! * call arguments live in [`Program::args`], jump-table entries in
 //!   [`Program::cases`], immediates in [`Program::consts`].
 //!
-//! DESIGN.md §17 argues why each of these reads back exactly what the
+//! DESIGN.md §6.2 argues why each of these reads back exactly what the
 //! per-step decoder computed.
 
 use crate::CostModel;
 use csspgo_codegen::minst::MInstKind;
 use csspgo_codegen::Binary;
 use csspgo_ir::inst::{BinOp, CmpPred, Operand};
+use csspgo_ir::module::MAX_GLOBAL_CELLS;
 use csspgo_ir::VReg;
 use std::collections::HashMap;
 
@@ -35,6 +36,14 @@ pub(crate) const NO_REG: Reg = u32::MAX;
 
 /// Marks a [`Src`] as a constant-area slot.
 const CONST_BIT: u32 = 1 << 31;
+
+/// The most instrumentation counters a binary may declare (8 MiB of them;
+/// the per-block placement of a shipped workload needs at most 149).
+const MAX_COUNTERS: u32 = 1 << 20;
+
+/// The largest register window a function may open (512 KiB per frame; a
+/// shipped workload's optimised functions use at most 93).
+const MAX_FRAME_REGISTERS: usize = 1 << 16;
 
 /// A source operand: a register of the current frame, or a slot of the
 /// constant area at the bottom of the register stack.
@@ -220,8 +229,9 @@ impl Program {
     /// Says what is wrong with a binary no code generator emits: what
     /// [`Binary::check_tables`] finds, a register outside its function's
     /// frame, a branch target, callee, global or counter that does not
-    /// exist, text that can run off its own end, or a table too large for a
-    /// 31-bit index.
+    /// exist, text that can run off its own end, data, counters or a
+    /// register window past their bounds, or a table too large for a 31-bit
+    /// index.
     pub(crate) fn decode(binary: &Binary, cost: &CostModel) -> Result<Program, Malformed> {
         binary.check_tables()?;
         let text_len = binary.insts.len();
@@ -248,7 +258,23 @@ impl Program {
             ));
             memory_len = memory_len.saturating_add(g.size);
         }
-        narrow(memory_len, "data size")?;
+        if memory_len > MAX_GLOBAL_CELLS {
+            return Err(format!(
+                "{memory_len} data cells past the bound of {MAX_GLOBAL_CELLS}"
+            ));
+        }
+        if binary.num_counters > MAX_COUNTERS {
+            return Err(format!(
+                "{} counters past the bound of {MAX_COUNTERS}",
+                binary.num_counters
+            ));
+        }
+        if let Some(f) = (binary.funcs.iter()).find(|f| f.num_vregs > MAX_FRAME_REGISTERS) {
+            return Err(format!(
+                "function `{}` opens {} registers, past the bound of {MAX_FRAME_REGISTERS}",
+                f.name, f.num_vregs
+            ));
+        }
 
         let mut program = Program {
             ops: Vec::with_capacity(text_len),

@@ -25,10 +25,8 @@ pub mod rng;
 pub use machine::{Machine, RunStats, SimError};
 pub use pmu::Sample;
 
-use serde::{Deserialize, Serialize};
-
 /// Simulator configuration.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct SimConfig {
     /// LBR capacity (the paper: "16 or 32 pairs").
     pub lbr_size: usize,
@@ -60,7 +58,7 @@ impl Default for SimConfig {
 
 /// Cycle costs. Values are a plausible abstraction of a Skylake-class core;
 /// only their relative magnitudes matter.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct CostModel {
     /// Base cost of every instruction.
     pub base: u64,

@@ -105,7 +105,8 @@ impl<'b> Machine<'b> {
     /// Returns [`SimError::MalformedBinary`] for a binary no code generator
     /// emits: a register outside its function's frame, a branch target,
     /// callee, global or counter that does not exist, text that can run off
-    /// its own end.
+    /// its own end, or data, counters or a register window past the bounds
+    /// that keep a machine's memory in proportion to what it runs.
     pub fn try_new(binary: &'b Binary, config: SimConfig) -> Result<Self, SimError> {
         let program = Program::decode(binary, &config.cost).map_err(SimError::MalformedBinary)?;
         let mut memory = vec![0; program.memory_len()];

@@ -7,7 +7,7 @@
 //! is information-free, and the function's invocation count (`exit → entry`)
 //! is among the recovered values.
 //!
-//! Until the lint census (DESIGN.md §8) this was `analysis::dataflow` behind
+//! Until the lint census (DESIGN.md §14) this was `analysis::dataflow` behind
 //! the `PP001`–`PP004` lints; nothing outside the process can hand the
 //! planner a placement, so it judges the planner from here: on the six
 //! workloads and on generated programs (`tests/placement.rs`), and on

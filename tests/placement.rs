@@ -81,7 +81,6 @@ fn empty_placement_is_unrecoverable() {
     let f = &m.functions[0];
     let plan = MeasurementPlan {
         counters: vec![],
-        num_edges: flow::flow_edges(f).len(),
         num_nodes: 0,
         full_fallback: false,
     };
@@ -105,7 +104,6 @@ fn over_instrumentation_is_redundant() {
         })
         .collect();
     let plan = MeasurementPlan {
-        num_edges: counters.len(),
         num_nodes: 0,
         counters,
         full_fallback: false,

@@ -5,7 +5,7 @@
 //! `merge_flat` / `merge_tries` for `csspgo merge`,
 //! `StreamAggregator::push_batch` for a sample batch from a profiling host.
 //! Every input is *bytes from outside the process* — which is what
-//! "reachable" means in the lint census (DESIGN.md §8): each id still in the
+//! "reachable" means in the lint census (DESIGN.md §14): each id still in the
 //! registry fires here, by name, on a source text and a binprof profile.
 //! A hand-edited profile is an edit of a decoded file, written below as a
 //! function and encoded back to the bytes the CLI would read.
@@ -21,6 +21,7 @@ use csspgo::core::profile::{FlatFuncProfile, FlatProfile, LocKey, ProbeFuncProfi
 use csspgo::core::stream::{SnapshotFormat, StreamAggregator, StreamConfig};
 use csspgo::core::tailcall::TailCallGraph;
 use csspgo::ir::probe::function_guid;
+use csspgo::ir::Global;
 use csspgo::sim::{Machine, Sample, SimConfig, SimError};
 use std::collections::BTreeMap;
 use std::path::Path;
@@ -195,6 +196,67 @@ fn a_jump_past_the_text_is_a_typed_error() {
             "branch target 9999 past the 5-instruction text".into()
         ))
     );
+}
+
+/// Parent: compiled, and `Machine::new` then allocated every cell asked
+/// for (a `global t[1073741824];` is an 8 GiB vector). The bound is
+/// `ir::module::MAX_GLOBAL_CELLS` = 2²⁰ cells over all globals.
+#[test]
+fn globals_past_the_data_bound_are_a_compile_error() {
+    let at_bound = "global t[1048576];\nfn main() { return t[0]; }\n";
+    assert!(csspgo::lang::compile(at_bound, "at_bound.mini").is_ok());
+    for (source, want) in [
+        (
+            "global t[1073741824];\nfn main() { return t[0]; }\n",
+            "line 1: global `t` takes the program to 1073741824 data cells, past the bound of 1048576",
+        ),
+        (
+            "global a[524288];\nglobal b[524289];\nfn main() { return a[0] + b[0]; }\n",
+            "line 2: global `b` takes the program to 1048577 data cells, past the bound of 1048576",
+        ),
+    ] {
+        let err = csspgo::lang::compile(source, "big.mini").unwrap_err();
+        assert_eq!(err.to_string(), want);
+    }
+}
+
+/// Parent: a JSON binary could state any global size, counter count or
+/// register window, and `Machine::try_new` allocated the data and counters
+/// (and a call the window) without asking. Each is now a typed error at
+/// decode, as `csspgo run` meets it.
+#[test]
+fn sizes_past_the_simulators_bounds_are_malformed_binaries() {
+    /// What `csspgo run` makes of `serve.mini`'s binary after `edit`.
+    fn load(edit: fn(&mut Binary)) -> Result<(), SimError> {
+        let mut binary = serve_binary();
+        edit(&mut binary);
+        let file: Binary = serde_json::from_str(&serde_json::to_string(&binary).unwrap()).unwrap();
+        Machine::try_new(&file, SimConfig::default()).map(|_| ())
+    }
+    assert_eq!(load(|_| {}), Ok(()));
+    let big_global = |b: &mut Binary| {
+        b.globals.push(Global {
+            name: "t".into(),
+            size: (1 << 20) + 1,
+            init: Vec::new(),
+        })
+    };
+    for (edit, why) in [
+        (
+            big_global as fn(&mut Binary),
+            "1048577 data cells past the bound of 1048576",
+        ),
+        (
+            |b| b.num_counters = (1 << 20) + 1,
+            "1048577 counters past the bound of 1048576",
+        ),
+        (
+            |b| b.funcs[0].num_vregs = (1 << 16) + 1,
+            "function `helper` opens 65537 registers, past the bound of 65536",
+        ),
+    ] {
+        assert_eq!(load(edit), Err(SimError::MalformedBinary(why.into())));
+    }
 }
 
 /// Parent: `csspgo profgen` panicked on both files under every `--format`

@@ -156,7 +156,7 @@ fn resolve_once() {
     }));
     holds(
         "Resolve once",
-        "§17",
+        "§6",
         "one interpreter loop, without a VecDeque; one index_of_addr, without a binary search",
         &found,
     );
@@ -205,7 +205,7 @@ fn epochs_fold_in_place() {
     let found = lines_where(&stream, seal, |l| any_of(l, &banned));
     holds(
         "Epochs fold in place",
-        "§7.2",
+        "§12.1",
         "StreamAggregator::seal_epoch materialises, merges and walks no profile, and has no shard-count fork",
         &found,
     );
@@ -218,7 +218,7 @@ fn oracles_live_under_tests() {
     });
     holds(
         "Oracles live under tests/",
-        "§21",
+        "§8.1",
         "the reference trie's merge, eviction and lookup are not library items",
         &found,
     );
@@ -237,7 +237,7 @@ fn one_wire_format() {
     let found = grep(&["crates/core/src/stream.rs"], |l| any_of(l, &framing));
     holds(
         "One wire format",
-        "§10.3",
+        "§9.1",
         "binprof alone knows the bytes; the stream hands it a snapshot value and names none of its framing",
         &found,
     );
@@ -257,7 +257,7 @@ fn one_kernel() {
     let found = grep(&["crates/*/src", "src", "examples"], |l| any_of(l, &banned));
     holds(
         "One kernel",
-        "§18",
+        "§7.3",
         "no second unwind path, sink trait or public depth knob in the library",
         &found,
     );
@@ -295,13 +295,16 @@ fn one_value_one_path() {
         "growth_factor",
         "hot_threshold",
         "size_limit",
+        "unroll_factor",
+        "unroll_max_body",
+        "tail_dup_max_insts",
     ];
     let found = grep(&["crates/*/src", "src", "examples"], |l| {
         any_of(l, &deleted) || leaves.iter().any(|w| has_word(l, w))
     });
     holds(
         "One value, one path",
-        "§19",
+        "§17.2",
         "no deleted option, builder, dead mode or heuristic inference comes back into the library",
         &found,
     );
@@ -328,7 +331,7 @@ fn figures_are_values() {
     }
     holds(
         "Figures are values",
-        "§20",
+        "§15.3",
         "one bin renders every figure, and no second report path comes back",
         &found,
     );
@@ -361,7 +364,7 @@ fn one_judge() {
     }
     holds(
         "One judge",
-        "§8.6",
+        "§14",
         "one lint/diff bin, no tolerance knob, no lint id the census retired",
         &found,
     );
@@ -405,7 +408,7 @@ fn one_refresh() {
     }
     holds(
         "One refresh",
-        "§15",
+        "§13.1",
         "the serving tier builds only through FleetService::rebuild, and one line outside preinline.rs runs the pre-inliner",
         &found,
     );
@@ -416,7 +419,7 @@ fn count_once() {
     let found = grep(&["crates/core/src/ranges.rs"], |l| l.contains("fn add_lbr"));
     holds(
         "Count once",
-        "§6.4",
+        "§7.1",
         "range counting resolves each distinct LBR triple once per batch; no per-entry path",
         &found,
     );
@@ -474,7 +477,7 @@ fn one_stale_verdict() {
     found.extend(grep(&["crates/analysis/src"], |l| l.contains("0.9")));
     holds(
         "One stale verdict",
-        "§9.6",
+        "§10.2",
         "the matcher views each function at most once, builds every record in one place and has no knob; one checksum fallback, one SM005 threshold",
         &found,
     );
@@ -498,7 +501,7 @@ fn counts_not_sums() {
     }
     holds(
         "Counts, not sums",
-        "§10.5",
+        "§8.1",
         "a profile stores counts: a total is summed on demand and a context node is named by its key",
         &found,
     );
@@ -526,7 +529,7 @@ fn one_reader() {
     ));
     holds(
         "One reader",
-        "§10.3",
+        "§9.2",
         "the tools read profiles as binprof; text is output, save the text snapshot's context reader, and no profile type deserialises",
         &found,
     );

@@ -3,8 +3,8 @@
 //! at three shards) against the per-sample reference unwinder kept in
 //! `tests/common/reference_unwind.rs`, on *optimised* probe-carrying
 //! builds — inlined probe frames, tail calls, jump tables, recursion — of
-//! the six evaluation programs and of generated programs. Profile (down to
-//! the serialized bytes), missing-frame inference counters and broken-stack
+//! the six evaluation programs and of generated programs. Profile (every
+//! node and count), missing-frame inference counters and broken-stack
 //! counter must be equal.
 
 use csspgo::codegen::Binary;
@@ -47,8 +47,7 @@ fn assert_production_matches_reference(
     for shards in [1, 3] {
         let out = sharded_context_profile(binary, Some(&graph), samples, shards);
         assert_eq!(
-            serde_json::to_string(&out.profile).unwrap(),
-            serde_json::to_string(&reference.profile).unwrap(),
+            out.profile, reference.profile,
             "{what}: profile at {shards} shard(s)"
         );
         assert_eq!(
