@@ -8,10 +8,12 @@
 //!   build's inlining where the profile has nested call-site sub-profiles
 //!   (AutoFDO's early inliner and its "partial context-sensitivity").
 //! * [`csspgo_annotate`] — looks counts up by pseudo-probe, rejecting
-//!   functions whose CFG checksum mismatches (source drift). With an
-//!   [`InlinePlan`] it replays the *pre-inliner's* global decisions instead
-//!   of profile-shaped replay (full CSSPGO); without one it replays nested
-//!   probe profiles (probe-only CSSPGO).
+//!   functions whose CFG checksum mismatches (source drift). Both CSSPGO
+//!   arms replay the nested call-site profiles found at a call's probe. The
+//!   profile is the plan: under the full-CSSPGO marker ([`InlinePlan`])
+//!   every nested call site with a body is a *pre-inliner* decision and
+//!   replays; probe-only CSSPGO replays the profiling build's inlining where
+//!   it looks worth it.
 //! * [`instr_annotate_reconstructed`] — exact counter values (ground
 //!   truth), measured or Kirchhoff-recovered.
 //!
@@ -69,7 +71,9 @@ pub struct AnnotateStats {
     /// Checksum-mismatched functions whose counts the stale matcher
     /// recovered (always 0 unless [`StaleMatching::Recover`] is on).
     pub stale_recovered: usize,
-    /// Inlines replayed from the profile or plan.
+    /// Inlines replayed from the profile's nested call sites: the
+    /// profiling build's inlining (AutoFDO, probe-only) or the
+    /// pre-inliner's decisions (full CSSPGO).
     pub replayed_inlines: usize,
     /// Aggregate profile-inference work across all annotated functions.
     pub inference: InferenceStats,
@@ -303,8 +307,10 @@ fn probe_navigate<'p>(
 }
 
 /// Annotates `module` (which must already carry pseudo-probes) from a probe
-/// profile. `plan` switches between full-CSSPGO (replay the pre-inliner's
-/// decisions) and probe-only (replay profile-observed inlining).
+/// profile. `plan` marks full CSSPGO: a nested call site with a body is
+/// the pre-inliner's decision and replays, a zero-body stub does not.
+/// Without it (probe-only) a nested call site replays when it looks worth
+/// it.
 pub fn csspgo_annotate(
     module: &mut Module,
     profile: &ProbeProfile,
@@ -365,31 +371,19 @@ pub fn csspgo_annotate(
             fid,
             cfg.inline_budget,
             |module, bid, i, _, callee| {
-                // The call's probe (immediately preceding instruction).
-                let Some((probe_owner, probe_idx, probe_stack)) =
-                    call_probe_of(module, fid, bid, i)
-                else {
+                // The call's probe (immediately preceding instruction),
+                // looked up under its original owner: an inlined call site
+                // keeps its owner, and the profile nests it there.
+                let Some((owner, probe, stack)) = call_probe_of(module, fid, bid, i) else {
                     return false;
                 };
-                match plan {
-                    Some(plan) => {
-                        // The path is the probe's inline chain plus the
-                        // probe itself, attributed to its *original
-                        // owner* (an inlined call site keeps its owner).
-                        let mut path = probe_stack;
-                        path.push(ProbeSite {
-                            func: probe_owner,
-                            probe_index: probe_idx,
-                        });
-                        plan.should_inline(&path)
-                    }
-                    None => probe_navigate(&fp, module, &probe_stack, fid).is_some_and(|e| {
-                        let callee_guid = module.func(callee).guid;
-                        e.callsites
-                            .get(&(probe_idx, callee_guid))
-                            .is_some_and(|n| worth_replaying(n.total(), module.func(callee)))
-                    }),
-                }
+                let callee_guid = module.func(callee).guid;
+                let nested = probe_navigate(&fp, module, &stack, owner)
+                    .and_then(|sub| sub.callsites.get(&(probe, callee_guid)));
+                nested.is_some_and(|n| match plan {
+                    Some(InlinePlan) => !n.probes.is_empty(),
+                    None => worth_replaying(n.total(), module.func(callee)),
+                })
             },
         );
 

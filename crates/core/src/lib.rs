@@ -25,8 +25,9 @@
 //!   setup);
 //! * [`preinline`] — **Algorithms 2 and 3**: the context-sensitive
 //!   pre-inliner with binary-extracted size estimates;
-//! * [`annotate`] — applying profiles onto fresh IR, replaying inline
-//!   decisions (AutoFDO's early inliner and CSSPGO's plan-driven inliner);
+//! * [`annotate`] — applying profiles onto fresh IR, replaying the inline
+//!   decisions the profile carries (AutoFDO's early inliner, and CSSPGO's
+//!   replay of the pre-inliner's decisions);
 //! * [`stalematch`] — static anchor-based stale-profile matching: recovers
 //!   checksum-mismatched counts by LCS-aligning call anchors and interval-
 //!   mapping block probes (the salvage path behind

@@ -13,7 +13,7 @@ use crate::annotate::{
 use crate::context::ContextProfile;
 use crate::correlate::{dwarf_profile, probe_profile};
 use crate::overlap::BlockCounts;
-use crate::preinline::{run_preinliner, to_inline_plan, PreInlineConfig};
+use crate::preinline::{run_preinliner, PreInlineConfig};
 use crate::profile::{FlatProfile, ProbeProfile};
 use crate::ranges::RangeCounts;
 use crate::shard::{sharded_context_profile, sharded_range_counts};
@@ -374,7 +374,7 @@ pub struct PgoOutcome {
     pub context_nodes_before_trim: usize,
     /// Context-trie size after trimming.
     pub context_nodes_after_trim: usize,
-    /// Pre-inliner plan size (full CSSPGO).
+    /// Contexts the pre-inliner inlined (full CSSPGO).
     pub plan_len: usize,
     /// Counter sites placed in the profiling build (instrumented variant
     /// only; 0 elsewhere). Each site lowers to one counter instruction.
@@ -683,17 +683,21 @@ pub enum BuildProfile {
 }
 
 impl BuildProfile {
-    /// Annotates `module` with this profile.
+    /// Annotates `module` with this profile; a probe profile replays the
+    /// pre-inliner's decisions it carries when `variant` is full CSSPGO.
     fn annotate(
         &self,
         module: &mut Module,
-        plan: Option<&InlinePlan>,
+        variant: PgoVariant,
         config: &AnnotateConfig,
     ) -> AnnotateStats {
         match self {
             BuildProfile::None => AnnotateStats::default(),
             BuildProfile::Flat(p) => autofdo_annotate(module, p, config),
-            BuildProfile::Probe(p) => csspgo_annotate(module, p, plan, config),
+            BuildProfile::Probe(p) => {
+                let plan = (variant == PgoVariant::CsspgoFull).then_some(&InlinePlan);
+                csspgo_annotate(module, p, plan, config)
+            }
             BuildProfile::Counters(c, e) => instr_annotate_reconstructed(module, c, e),
         }
     }
@@ -721,7 +725,8 @@ pub fn wire_handoff(profile: BuildProfile) -> Result<BuildProfile, PipelineError
 }
 
 /// Stage 5 — the profile-guided rebuild of a [`prepared_module`]: annotate
-/// (replaying `plan`), optimize, strip what `entry` no longer reaches
+/// (full CSSPGO replays the pre-inliner's decisions the profile carries),
+/// optimize, strip what `entry` no longer reaches
 /// (link-time GC: fully-inlined functions lose their standalone bodies),
 /// lower.
 ///
@@ -733,11 +738,10 @@ pub fn optimized_build(
     mut module: Module,
     variant: PgoVariant,
     profile: &BuildProfile,
-    plan: Option<&InlinePlan>,
     entry: &str,
     config: &PipelineConfig,
 ) -> (Binary, AnnotateStats) {
-    let stats = profile.annotate(&mut module, plan, &config.annotate);
+    let stats = profile.annotate(&mut module, variant, &config.annotate);
     let mut opt_cfg = config.opt.clone();
     if variant == PgoVariant::CsspgoFull {
         opt_cfg.inline_hot_size = opt_cfg.inline_small_size;
@@ -756,7 +760,6 @@ fn rebuild_and_evaluate(
     variant: PgoVariant,
     build_module: Module,
     profile: BuildProfile,
-    plan: Option<&InlinePlan>,
     workload: &Workload,
     config: &PipelineConfig,
 ) -> Result<PgoOutcome, PipelineError> {
@@ -764,7 +767,7 @@ fn rebuild_and_evaluate(
     let profile = wire_handoff(profile)?;
     outcome.quality_counts = quality_counts(build_module.clone(), &profile, &config.annotate);
     let entry = &workload.entry;
-    let (binary, stats) = optimized_build(build_module, variant, &profile, plan, entry, config);
+    let (binary, stats) = optimized_build(build_module, variant, &profile, entry, config);
     outcome.annotate_stats = stats;
     outcome.sections = binary.sections;
     (outcome.eval, outcome.eval_result_hash) = evaluate(&binary, workload, config)?;
@@ -777,10 +780,11 @@ fn rebuild_and_evaluate(
 /// train's baseline, candidate and floor
 /// ([`crate::fleet::FleetService::rebuild`]). Cold contexts are trimmed at
 /// `config.trim_threshold`, the pre-inliner runs against `profiled` (the
-/// binary the samples came from) and its plan is resolved against the
-/// build module, the trie is flattened with LBR entry counts back-filled,
-/// and the profile goes through the wire hand-off into the rebuild and the
-/// evaluation on `workload`'s traffic. `config.annotate.stale_matching`
+/// binary the samples came from) and marks the contexts it inlines, the
+/// trie is flattened with LBR entry counts back-filled (the marked
+/// contexts stay nested: the profile is the plan), and the profile goes
+/// through the wire hand-off into the rebuild and the evaluation on
+/// `workload`'s traffic. `config.annotate.stale_matching`
 /// decides what happens to functions whose checksum no longer matches.
 ///
 /// Returns the [`PgoOutcome`] fields these stages determine; the
@@ -798,17 +802,14 @@ pub fn build_from_context(
     build_source: &str,
     config: &PipelineConfig,
 ) -> Result<PgoOutcome, PipelineError> {
-    // The pre-inliner's plan refers to the fresh build module, so its
-    // front end runs first.
     let build_module = prepared_module(build_source, &workload.name, true)?;
     let context_nodes_before_trim = generated.profile.node_count();
     generated.profile.trim_cold(config.trim_threshold);
     let context_nodes_after_trim = generated.profile.node_count();
     let pre = run_preinliner(&mut generated.profile, profiled, &config.preinline);
-    let plan = Some(to_inline_plan(&pre.plan_paths, &build_module));
     let probe = finish_probe_profile(&generated.profile, &generated.range_counts, profiled);
     let (full, profile) = (PgoVariant::CsspgoFull, BuildProfile::Probe(probe));
-    let built = rebuild_and_evaluate(full, build_module, profile, plan.as_ref(), workload, config)?;
+    let built = rebuild_and_evaluate(full, build_module, profile, workload, config)?;
     Ok(PgoOutcome {
         infer_stats: generated.infer_stats,
         context_nodes_before_trim,
@@ -851,7 +852,7 @@ pub fn run_pgo_cycle_drifted(
     let shards = config.ingest_shards;
     let build_module = || prepared_module(build_source, &workload.name, variant.uses_probes());
     let rebuild =
-        |module, profile| rebuild_and_evaluate(variant, module, profile, None, workload, config);
+        |module, profile| rebuild_and_evaluate(variant, module, profile, workload, config);
     if variant == PgoVariant::O2 {
         return rebuild(build_module()?, BuildProfile::None);
     }
@@ -907,7 +908,8 @@ fn quality_counts(
         inline_budget: 0,
         ..*annotate
     };
-    profile.annotate(&mut module, None, &no_replay);
+    // With no inline budget the variant decides nothing.
+    profile.annotate(&mut module, PgoVariant::O2, &no_replay);
     collect_block_counts(&module)
 }
 
@@ -946,7 +948,7 @@ pub fn build_and_run(
 ) -> Result<(RunStats, SectionSizes), PipelineError> {
     let module = prepared_module(&workload.source, &workload.name, with_probes)?;
     let (o2, none) = (PgoVariant::O2, BuildProfile::None);
-    let built = rebuild_and_evaluate(o2, module, none, None, workload, config)?;
+    let built = rebuild_and_evaluate(o2, module, none, workload, config)?;
     Ok((built.eval, built.sections))
 }
 

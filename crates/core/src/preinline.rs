@@ -15,8 +15,9 @@
 //!   budget, and merges not-inlined context profiles back into base
 //!   profiles.
 //!
-//! The decisions are persisted as inline paths (call-site probe chains) that
-//! the compiler's sample loader replays
+//! The decisions are persisted in the profile itself: an inlined context
+//! stays nested under its call site, and the compiler's sample loader
+//! replays every nested call site with a body
 //! ([`crate::annotate::csspgo_annotate`]).
 
 use crate::context::{ContextNode, ContextProfile, FrameKey};
@@ -83,7 +84,7 @@ fn standalone_size(binary: &Binary, guid: u64) -> u64 {
 
 /// **Algorithm 2**: top-down pre-inlining over the context trie. Mutates
 /// `profile` (inlined marks, promotion of not-inlined contexts into base
-/// profiles) and returns the decided plan.
+/// profiles) and returns what it decided.
 pub fn run_preinliner(
     profile: &mut ContextProfile,
     binary: &Binary,
@@ -278,31 +279,12 @@ fn merge_structural(dst: &mut ContextNode, src: ContextNode) {
     }
 }
 
-/// Converts guid-based plan paths into an IR [`csspgo_ir::InlinePlan`] for
-/// a concrete (fresh) module.
-pub fn to_inline_plan(
-    paths: &[Vec<FrameKey>],
-    module: &csspgo_ir::Module,
-) -> csspgo_ir::InlinePlan {
-    let by_guid: HashMap<u64, csspgo_ir::FuncId> =
-        module.functions.iter().map(|f| (f.guid, f.id)).collect();
-    let mut plan = csspgo_ir::InlinePlan::new();
-    'outer: for path in paths {
-        let mut sites = Vec::with_capacity(path.len());
-        for frame in path {
-            let Some(&fid) = by_guid.get(&frame.guid) else {
-                continue 'outer;
-            };
-            sites.push(csspgo_ir::ProbeSite {
-                func: fid,
-                probe_index: frame.probe,
-            });
-        }
-        if !sites.is_empty() {
-            plan.add(sites);
-        }
-    }
-    plan
+/// The full-CSSPGO marker for `csspgo_annotate`. The decisions are not
+/// resolved here: they travel in the profile, as the contexts
+/// [`run_preinliner`] marked inlined and
+/// [`ContextProfile::to_probe_profile`] keeps nested.
+pub fn to_inline_plan(_: &[Vec<FrameKey>], _: &csspgo_ir::Module) -> csspgo_ir::InlinePlan {
+    csspgo_ir::InlinePlan
 }
 
 #[cfg(test)]
@@ -394,21 +376,6 @@ mod tests {
         let result = run_preinliner(&mut cp, &b, &PreInlineConfig::default());
         assert_eq!(result.considered, sites as usize);
         assert_eq!(result.inlined as u64, admitted);
-    }
-
-    #[test]
-    fn plan_conversion_maps_guids_to_func_ids() {
-        let src = "fn hot(x) { return x + 1; }\nfn main(a) { return hot(a); }";
-        let m = csspgo_lang::compile(src, "t").unwrap();
-        let main_guid = m.functions[m.find_function("main").unwrap().index()].guid;
-        let paths = vec![vec![fk(main_guid, 2)]];
-        let plan = to_inline_plan(&paths, &m);
-        assert_eq!(plan.len(), 1);
-        let main_id = m.find_function("main").unwrap();
-        assert!(plan.should_inline(&[csspgo_ir::ProbeSite {
-            func: main_id,
-            probe_index: 2
-        }]));
     }
 
     #[test]

@@ -1,12 +1,14 @@
 //! Inline-replay tests for the sample loader: AutoFDO replays the profiling
 //! build's nested inline instances; probe-only CSSPGO replays nested probe
-//! profiles; full CSSPGO replays exactly the pre-inliner's plan.
+//! profiles it judges worth it; full CSSPGO replays exactly the
+//! pre-inliner's decisions, which the profile carries as nested call sites
+//! with a body.
 
 use csspgo_core::annotate::{autofdo_annotate, csspgo_annotate, AnnotateConfig};
 use csspgo_core::profile::{FlatProfile, LocKey, ProbeProfile};
 use csspgo_ir::inst::InstKind;
 use csspgo_ir::probe::{cfg_checksum, function_guid};
-use csspgo_ir::{InlinePlan, Module, ProbeSite};
+use csspgo_ir::{InlinePlan, Module};
 
 const SRC: &str = "fn helper(x) {\n    return x + 1;\n}\nfn main(a) {\n    return helper(a);\n}";
 
@@ -84,20 +86,7 @@ fn autofdo_does_not_replay_without_nested_profile() {
 fn probe_profile_with_nested(m: &Module) -> ProbeProfile {
     let main = m.find_function("main").unwrap();
     let helper = m.find_function("helper").unwrap();
-    // Find main's call-site probe index.
-    let call_probe = m
-        .func(main)
-        .iter_blocks()
-        .flat_map(|(_, b)| &b.insts)
-        .find_map(|i| match &i.kind {
-            InstKind::PseudoProbe {
-                index,
-                kind: csspgo_ir::ProbeKind::Call,
-                ..
-            } => Some(*index),
-            _ => None,
-        })
-        .expect("main has a call probe");
+    let call_probe = own_call_probe(m, "main");
 
     let mut profile = ProbeProfile::default();
     profile.names.insert(m.func(main).guid, "main".into());
@@ -131,44 +120,46 @@ fn probe_only_replays_nested_probe_profiles() {
 
 #[test]
 fn plan_replay_is_exact_not_heuristic() {
-    // With a plan present, nested profiles alone must NOT trigger replay —
-    // only the plan's paths do.
-    let mut m = fresh(true);
-    let profile = probe_profile_with_nested(&m);
-    let empty_plan = InlinePlan::new();
-    let stats = csspgo_annotate(
-        &mut m,
-        &profile,
-        Some(&empty_plan),
-        &AnnotateConfig::default(),
-    );
-    assert_eq!(stats.replayed_inlines, 0, "empty plan inlines nothing");
-    assert_eq!(call_count(&m, "main"), 1);
+    // Under the full-CSSPGO marker the profile is the plan: a nested call
+    // site with a body is the pre-inliner's decision and replays whatever
+    // its weight, and a zero-body stub is no decision at all.
+    let call_probe = own_call_probe(&fresh(true), "main");
+    let helper_guid = function_guid("helper");
+    let with_nested_body = |count: u64| {
+        let mut profile = probe_profile_with_nested(&fresh(true));
+        let main = profile.funcs.get_mut(&function_guid("main")).unwrap();
+        let nested = main.callsites.get_mut(&(call_probe, helper_guid)).unwrap();
+        nested.probes.clear();
+        if count > 0 {
+            nested.record_sum(1, count);
+        } else {
+            nested.entry = 500;
+        }
+        profile
+    };
+    let replays = |profile: &ProbeProfile, plan: Option<&InlinePlan>| {
+        let mut m = fresh(true);
+        let stats = csspgo_annotate(&mut m, profile, plan, &AnnotateConfig::default());
+        assert_eq!(call_count(&m, "main"), 1 - stats.replayed_inlines);
+        stats.replayed_inlines
+    };
 
-    // Now with the matching plan path.
-    let mut m = fresh(true);
-    let main = m.find_function("main").unwrap();
-    let call_probe = m
-        .func(main)
-        .iter_blocks()
-        .flat_map(|(_, b)| &b.insts)
-        .find_map(|i| match &i.kind {
-            InstKind::PseudoProbe {
-                index,
-                kind: csspgo_ir::ProbeKind::Call,
-                ..
-            } => Some(*index),
-            _ => None,
-        })
-        .unwrap();
-    let mut plan = InlinePlan::new();
-    plan.add(vec![ProbeSite {
-        func: main,
-        probe_index: call_probe,
-    }]);
-    let stats = csspgo_annotate(&mut m, &profile, Some(&plan), &AnnotateConfig::default());
-    assert_eq!(stats.replayed_inlines, 1, "planned path replays");
-    assert_eq!(call_count(&m, "main"), 0);
+    // A body too light for the probe-only heuristic is still a decision.
+    let light = with_nested_body(1);
+    assert_eq!(
+        replays(&light, Some(&InlinePlan)),
+        1,
+        "a body is a decision"
+    );
+    assert_eq!(replays(&light, None), 0, "probe-only weighs it");
+
+    // A stub (entry count, no probe counts) decides nothing.
+    let stub = with_nested_body(0);
+    assert_eq!(
+        replays(&stub, Some(&InlinePlan)),
+        0,
+        "a stub is no decision"
+    );
 }
 
 #[test]
@@ -186,4 +177,59 @@ fn replayed_bodies_receive_context_counts() {
         .max()
         .unwrap_or(0);
     assert!(max >= 400, "inlined body counts applied: {max}");
+}
+
+const NESTED_SRC: &str = "fn leaf(x) {\n    return x + 1;\n}\nfn mid(x) {\n    return leaf(x) * 2;\n}\nfn main(a) {\n    return mid(a);\n}";
+
+/// The index of the (only) call-site probe in `name`'s own body.
+fn own_call_probe(m: &Module, name: &str) -> u32 {
+    let f = m.find_function(name).unwrap();
+    m.func(f)
+        .iter_blocks()
+        .flat_map(|(_, b)| &b.insts)
+        .find_map(|i| match &i.kind {
+            InstKind::PseudoProbe {
+                index,
+                kind: csspgo_ir::ProbeKind::Call,
+                ..
+            } => Some(*index),
+            _ => None,
+        })
+        .unwrap_or_else(|| panic!("{name} has a call probe"))
+}
+
+#[test]
+fn probe_only_replays_a_depth_two_nested_profile_at_both_levels() {
+    // main -> mid -> leaf, both inlined in the profiled binary: the profile
+    // nests leaf's body under mid's call site, under main's. Replaying mid
+    // into main leaves a call to leaf whose probe is still owned by mid, so
+    // the second level is found only by navigating with the probe's owner.
+    let mut m = csspgo_lang::compile(NESTED_SRC, "t").unwrap();
+    csspgo_opt::discriminators::run(&mut m);
+    csspgo_opt::probes::run(&mut m);
+    let guid = |name: &str| m.func(m.find_function(name).unwrap()).guid;
+    let checksum = |name: &str| {
+        m.func(m.find_function(name).unwrap())
+            .probe_checksum
+            .unwrap()
+    };
+    let (main_call, mid_call) = (own_call_probe(&m, "main"), own_call_probe(&m, "mid"));
+
+    let mut profile = ProbeProfile::default();
+    let fp = profile.funcs.entry(guid("main")).or_default();
+    fp.checksum = checksum("main");
+    fp.entry = 50;
+    fp.record_sum(1, 500);
+    fp.record_sum(main_call, 500);
+    let mid = fp.callsite_mut(main_call, guid("mid"));
+    mid.checksum = checksum("mid");
+    mid.record_sum(1, 500);
+    mid.record_sum(mid_call, 500);
+    let leaf = mid.callsite_mut(mid_call, guid("leaf"));
+    leaf.checksum = checksum("leaf");
+    leaf.record_sum(1, 500);
+
+    let stats = csspgo_annotate(&mut m, &profile, None, &AnnotateConfig::default());
+    assert_eq!(stats.replayed_inlines, 2, "mid, then leaf inside it");
+    assert_eq!(call_count(&m, "main"), 0);
 }

@@ -13,8 +13,8 @@
 //!   instrumentation (lowers to real load/add/store machine code);
 //! * per-function CFG checksums ([`probe::cfg_checksum`]) for the paper's
 //!   source-drift detection;
-//! * the pre-inliner's plan ([`annot`]), which carries inline decisions
-//!   into the optimizer.
+//! * the full-CSSPGO marker ([`annot`]); the pre-inliner's inline
+//!   decisions themselves travel inside the profile.
 //!
 //! # Example
 //!

@@ -3,8 +3,13 @@
 //! ordering.
 
 use csspgo::core::overlap::program_overlap;
-use csspgo::core::pipeline::{run_pgo_cycle, PgoOutcome, PgoVariant, PipelineConfig};
+use csspgo::core::pipeline::{
+    optimized_build, prepared_module, run_pgo_cycle, BuildProfile, PgoOutcome, PgoVariant,
+    PipelineConfig,
+};
+use csspgo::core::profile::{FlatProfile, ProbeProfile};
 use csspgo::core::Workload;
+use csspgo::workloads::{client_compiler, server_workloads};
 use std::collections::HashMap;
 
 fn service() -> Workload {
@@ -176,4 +181,39 @@ fn deterministic_outcomes() {
     assert_eq!(a.eval_result_hash, b.eval_result_hash);
     assert_eq!(a.plan_len, b.plan_len);
     assert_eq!(a.sections.text, b.sections.text);
+}
+
+/// An empty profile builds exactly `-O2`: on all six workloads, the
+/// AutoFDO, probe-only and full-CSSPGO builds from an empty profile are
+/// byte-identical to the `-O2` build with the same probe setting. So every
+/// loss to `-O2` comes from a decision taken on profile data.
+#[test]
+fn an_empty_profile_builds_exactly_o2() {
+    let cfg = PipelineConfig::default();
+    let empty = [
+        (
+            PgoVariant::AutoFdo,
+            BuildProfile::Flat(FlatProfile::default()),
+        ),
+        (
+            PgoVariant::CsspgoProbeOnly,
+            BuildProfile::Probe(ProbeProfile::default()),
+        ),
+        (
+            PgoVariant::CsspgoFull,
+            BuildProfile::Probe(ProbeProfile::default()),
+        ),
+    ];
+    for w in server_workloads().iter().chain([&client_compiler()]) {
+        for (variant, profile) in &empty {
+            let probes = variant.uses_probes();
+            let build = |variant, profile: &BuildProfile| {
+                let module = prepared_module(&w.source, &w.name, probes).unwrap();
+                let (binary, _) = optimized_build(module, variant, profile, &w.entry, &cfg);
+                serde_json::to_string(&binary).unwrap()
+            };
+            let o2 = build(PgoVariant::O2, &BuildProfile::None);
+            assert!(build(*variant, profile) == o2, "{} {variant}", w.name);
+        }
+    }
 }

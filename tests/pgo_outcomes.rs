@@ -185,3 +185,24 @@ fn back_to_back_cycles_are_equal() {
         assert_eq!(run(), run(), "{variant}");
     }
 }
+
+/// `change_cfg` moves the probe indices of the calls the pre-inliner chose
+/// to inline. The decisions travel in the profile's nested call sites,
+/// which the stale matcher re-keys onto the new probes, so the drifted full
+/// build still inlines them: as many replays and as few calls as the fresh
+/// full build.
+#[test]
+fn a_drifted_full_build_inlines_what_the_pre_inliner_chose() {
+    let w = csspgo::workloads::ad_retriever().scaled(0.1);
+    let full = PgoVariant::CsspgoFull;
+    let fresh = run_pgo_cycle(&w, full, &config(Placement::Full, false)).unwrap();
+    let drifted_source = drift::change_cfg(&w.source);
+    let cfg = config(Placement::Full, true);
+    let drifted = run_pgo_cycle_drifted(&w, full, &cfg, &drifted_source).unwrap();
+    assert!(fresh.annotate_stats.replayed_inlines > 0);
+    assert_eq!(
+        drifted.annotate_stats.replayed_inlines,
+        fresh.annotate_stats.replayed_inlines
+    );
+    assert_eq!(drifted.eval.calls, fresh.eval.calls);
+}

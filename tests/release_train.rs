@@ -189,8 +189,8 @@ fn corruption_inverts_hot_and_cold() {
 
 /// The canary rule gates: the train's own candidate for a release is
 /// promoted, and a candidate for the same release built through the public
-/// stages from a corrupted hand-off profile (hot/cold inversion, inline
-/// plan dropped) is rejected by the same rule.
+/// stages from a corrupted hand-off profile (hot/cold inversion) is
+/// rejected by the same rule.
 #[test]
 fn sabotaged_canary_is_rejected_and_clean_twin_promotes() {
     let (cfg, w) = (train_config(), steady());
@@ -212,8 +212,7 @@ fn sabotaged_canary_is_rejected_and_clean_twin_promotes() {
     // The sabotaged twin, stage by stage: the live v0 profile r1's candidate
     // is built from — trimmed, pre-inlined and flattened as the hand-off has
     // it — then inverted; r1 is built from it under the train's own
-    // matching mode, without the plan. (`profiled` is the binary the fleet
-    // serves as v0.)
+    // matching mode. (`profiled` is the binary the fleet serves as v0.)
     let mut pipe = cfg.pipeline.clone();
     pipe.annotate.stale_matching = StaleMatching::Recover;
     let profiled = profiling_build(&w.source, &w.name, PgoVariant::CsspgoFull, &pipe)
@@ -232,7 +231,7 @@ fn sabotaged_canary_is_rejected_and_clean_twin_promotes() {
     let profile = wire_handoff(BuildProfile::Probe(probe)).expect("hand-off decodes");
     let module = prepared_module(&r1.source, &r1.name, true).expect("r1 compiles");
     let full = PgoVariant::CsspgoFull;
-    let (binary, stats) = optimized_build(module, full, &profile, None, &r1.entry, &pipe);
+    let (binary, stats) = optimized_build(module, full, &profile, &r1.entry, &pipe);
     assert!(stats.annotated > 0, "the corruption must apply cleanly");
     let (eval, hash) = evaluate(&binary, &r1, &pipe).expect("sabotaged build runs");
     assert_eq!(hash, o2.eval_result_hash, "a profile never changes results");

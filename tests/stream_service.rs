@@ -9,7 +9,7 @@ use csspgo::core::pipeline::{
     prepared_module, profiling_build, profiling_run, run_pgo_cycle, run_pgo_cycle_drifted,
     staged_machine, wire_handoff, BuildProfile, PgoOutcome, PgoVariant, PipelineConfig,
 };
-use csspgo::core::preinline::{run_preinliner, to_inline_plan};
+use csspgo::core::preinline::run_preinliner;
 use csspgo::core::stream::{StreamAggregator, StreamConfig};
 use csspgo::core::tailcall::TailCallGraph;
 use csspgo::core::Workload;
@@ -69,7 +69,7 @@ fn staged_cycle(
     };
 
     let build_module = prepared_module(&w.source, &w.name, variant.uses_probes()).unwrap();
-    let (mut plan, mut nodes_after_trim, mut plan_len) = (None, 0, 0);
+    let (mut nodes_after_trim, mut plan_len) = (0, 0);
     let profile = if variant == PgoVariant::AutoFdo {
         BuildProfile::Flat(autofdo_profile(&binary, &samples, cfg.ingest_shards))
     } else {
@@ -78,19 +78,12 @@ fn staged_cycle(
         nodes_after_trim = generated.profile.node_count();
         let pre = run_preinliner(&mut generated.profile, &binary, &cfg.preinline);
         plan_len = pre.plan_paths.len();
-        plan = Some(to_inline_plan(&pre.plan_paths, &build_module));
         let rc = &generated.range_counts;
         BuildProfile::Probe(finish_probe_profile(&generated.profile, rc, &binary))
     };
     let profile = wire_handoff(profile).unwrap();
-    let (optimized, annotate_stats) = optimized_build(
-        build_module,
-        variant,
-        &profile,
-        plan.as_ref(),
-        &w.entry,
-        cfg,
-    );
+    let (optimized, annotate_stats) =
+        optimized_build(build_module, variant, &profile, &w.entry, cfg);
     let (eval, eval_result_hash) = evaluate(&optimized, w, cfg).unwrap();
     Staged {
         profiling,
