@@ -10,21 +10,21 @@
 
 use crate::{improvement_pct, par_map, run_variants, size_delta_pct, Cell, Outcomes, Table};
 use csspgo_codegen::Binary;
-use csspgo_core::fleet::{
-    FleetBinaries, FleetConfig, FleetEvent, FleetService, TenantId, TenantSpec, VersionSpec,
-};
 use csspgo_core::overlap::program_overlap;
 use csspgo_core::pipeline::PgoVariant::{self, AutoFdo, CsspgoFull, CsspgoProbeOnly, Instr, O2};
 use csspgo_core::pipeline::{
     build_and_run, context_profile, probe_only_profile, profiling_build, profiling_run,
     run_pgo_cycle_drifted, PipelineConfig, ProfilingRun,
 };
-use csspgo_core::release_train::{run_release_train, ReleaseSpec};
 use csspgo_core::stalematch::StaleMatching;
 use csspgo_core::textprof::probe_profile_nodes;
 use csspgo_core::Workload;
 use csspgo_ir::probe::ProbeConfig;
 use csspgo_opt::instrument::Placement;
+use csspgo_serve::fleet::{
+    FleetBinaries, FleetConfig, FleetEvent, FleetService, TenantId, TenantSpec, VersionSpec,
+};
+use csspgo_serve::release_train::{run_release_train, ReleaseSpec};
 use csspgo_workloads::{drift, phase_shifted, tenant_traffic_mix};
 use std::borrow::Cow;
 use std::sync::OnceLock;

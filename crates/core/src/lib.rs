@@ -44,17 +44,8 @@
 //! * [`stream`] — the streaming aggregation service: epoch-incremental
 //!   bounded-memory profile folding with snapshot/restore and drift
 //!   detection (the continuous-profiling deployment mode), offering its
-//!   live state in the batch profile's shape;
-//! * [`fleet`] — the multi-tenant profile-continuum service: N tenants ×
-//!   M binary versions, each tenant-version one runtime unit (machine,
-//!   aggregator, LRU clock) served by one round loop with rayon fan-out
-//!   across tenant-versions, LRU-by-epoch cold-context eviction, a drift
-//!   probe whose first stale versions (up to a bounded queue depth) are
-//!   refreshed, totals read off what was served, and one rebuild from a
-//!   version's live profile;
-//! * [`release_train`] — a workload rolled through successive releases
-//!   under live fleet traffic: traffic rotation, oracle and never-refresh
-//!   anchors, retention arithmetic, the canary rule;
+//!   live state in the batch profile's shape (the serving tier built on
+//!   it, fleet and release train, is the `csspgo-serve` crate);
 //! * [`workload`] — the workload abstraction consumed by the pipelines.
 
 pub mod annotate;
@@ -62,7 +53,6 @@ pub mod binprof;
 pub mod context;
 pub mod correlate;
 pub mod fasthash;
-pub mod fleet;
 pub mod inference;
 pub mod merge;
 pub mod overlap;
@@ -70,7 +60,6 @@ pub mod pipeline;
 pub mod preinline;
 pub mod profile;
 pub mod ranges;
-pub mod release_train;
 pub mod shard;
 pub mod stalematch;
 pub mod stream;
@@ -79,17 +68,4 @@ pub mod textprof;
 pub mod unwind;
 pub mod workload;
 
-pub use fleet::{
-    EpochEvent, FleetBinaries, FleetConfig, FleetError, FleetEvent, FleetRun, FleetService,
-    FleetStats, RefreshEvent, TenantId, TenantSpec, TrafficShare, VersionSpec,
-};
-pub use pipeline::{
-    run_pgo_cycle, PgoOutcome, PgoVariant, PipelineConfig, PipelineConfigBuilder, PipelineError,
-};
-pub use release_train::{
-    canary_promotes, run_release_train, CanaryReport, ReleaseReport, ReleaseSpec, TrainReport,
-};
-pub use stream::{
-    ContextEdge, EpochSummary, EvictStats, SnapshotFormat, StreamAggregator, StreamConfig,
-};
 pub use workload::Workload;

@@ -16,7 +16,7 @@ use crate::overlap::BlockCounts;
 use crate::preinline::{run_preinliner, PreInlineConfig};
 use crate::profile::{FlatProfile, ProbeProfile};
 use crate::ranges::RangeCounts;
-use crate::shard::{sharded_context_profile, sharded_range_counts};
+use crate::shard::{sharded_context_profile, sharded_range_counts, MAX_INGEST_SHARDS};
 use crate::stream::StreamConfig;
 use crate::tailcall::{InferStats, TailCallGraph};
 use crate::workload::Workload;
@@ -138,10 +138,6 @@ impl Default for PipelineConfig {
         }
     }
 }
-
-/// Hard cap on explicit shard requests; anything beyond this is a typo, not
-/// a parallelism plan.
-const MAX_INGEST_SHARDS: usize = 1 << 16;
 
 impl PipelineConfig {
     /// Starts a validating builder seeded with the default configuration.
@@ -777,8 +773,8 @@ fn rebuild_and_evaluate(
 /// A generated context profile → an evaluated build of `build_source`: the
 /// one path from full-CSSPGO profile to binary, shared by the batch cycle
 /// ([`run_pgo_cycle_drifted`]), the fleet's drift refresh and the release
-/// train's baseline, candidate and floor
-/// ([`crate::fleet::FleetService::rebuild`]). Cold contexts are trimmed at
+/// train's baseline, candidate and floor (`csspgo-serve`'s
+/// `FleetService::rebuild`). Cold contexts are trimmed at
 /// `config.trim_threshold`, the pre-inliner runs against `profiled` (the
 /// binary the samples came from) and marks the contexts it inlines, the
 /// trie is flattened with LBR entry counts back-filled (the marked

@@ -27,17 +27,26 @@ use rayon::prelude::*;
 /// 0.86× and a 2 048-sample batch at 1.14× (DESIGN.md §7.5).
 const MIN_AUTO_SHARD_SAMPLES: usize = 1024;
 
+/// Hard cap on explicit shard requests; anything beyond this is a typo, not
+/// a parallelism plan. [`PipelineConfig::validate`] rejects a larger
+/// request and [`resolve_shards`] clamps one, so a caller that skips
+/// validation still gets no more unwinders than this.
+///
+/// [`PipelineConfig::validate`]: crate::pipeline::PipelineConfig::validate
+pub(crate) const MAX_INGEST_SHARDS: usize = 1 << 16;
+
 /// Resolves a shard-count request. `0` means auto: one shard per available
 /// thread (`RAYON_NUM_THREADS` honored), but never one of fewer than
 /// 1 024 samples — an epoch-sized batch stays on the calling thread. An
-/// explicit request is honored exactly, up to one sample per shard.
+/// explicit request is honored exactly, up to one sample per shard and
+/// `MAX_INGEST_SHARDS` shards.
 pub fn resolve_shards(requested: usize, n_samples: usize) -> usize {
     let shards = if requested == 0 {
         rayon::current_num_threads().min(n_samples / MIN_AUTO_SHARD_SAMPLES)
     } else {
         requested
     };
-    shards.clamp(1, n_samples.max(1))
+    shards.clamp(1, n_samples.clamp(1, MAX_INGEST_SHARDS))
 }
 
 /// Splits `samples` into at most `shards` contiguous chunks.
@@ -230,6 +239,13 @@ fn main(n) {
         // An explicit request is honored exactly, up to one sample a shard.
         assert_eq!(resolve_shards(7, 100), 7);
         assert_eq!(resolve_shards(7, 3), 3);
+    }
+
+    #[test]
+    fn no_request_gets_more_shards_than_the_cap() {
+        // Every caller resolves through here, validated config or not:
+        // `StreamAggregator`, the fleet and `sharded_*` directly.
+        assert_eq!(resolve_shards(usize::MAX, 1 << 20), MAX_INGEST_SHARDS);
     }
 
     #[test]

@@ -3,9 +3,10 @@
 //! The paper's CSSPGO deployment is fleet-scale: AlwaysOn sampling across
 //! many services and binary versions, with periodic profile refreshes.
 //! This module is that service surface, composing three existing
-//! subsystems — [`crate::stream`] epoch aggregation, [`crate::shard`]'s
-//! bit-identical sharded ingestion (inside every aggregator), and the
-//! [`crate::stalematch`] recovery path — behind one library API:
+//! subsystems — [`csspgo_core::stream`] epoch aggregation,
+//! [`csspgo_core::shard`]'s bit-identical sharded ingestion (inside every
+//! aggregator), and the [`csspgo_core::stalematch`] recovery path — behind
+//! one library API:
 //!
 //! * a [`TenantId`]-keyed registry of tenants, each serving M binary
 //!   versions, each version wrapping its own [`StreamAggregator`];
@@ -33,16 +34,18 @@
 //! owns the compiled artifacts, then [`FleetService::new`] borrows them
 //! for the serving lifetime, and [`FleetService::run`] serves.
 
-use crate::pipeline::{
+use csspgo_codegen::Binary;
+use csspgo_core::pipeline::{
     build_from_context, profiling_build, staged_machine, PgoOutcome, PgoVariant, PipelineConfig,
     PipelineError,
 };
-use crate::ranges::RangeCounts;
-use crate::stalematch::StaleMatching;
-use crate::stream::{ContextEdge, EpochSummary, EvictStats, SnapshotFormat, StreamAggregator};
-use crate::tailcall::TailCallGraph;
-use crate::workload::Workload;
-use csspgo_codegen::Binary;
+use csspgo_core::ranges::RangeCounts;
+use csspgo_core::stalematch::StaleMatching;
+use csspgo_core::stream::{
+    ContextEdge, EpochSummary, EvictStats, SnapshotFormat, StreamAggregator,
+};
+use csspgo_core::tailcall::TailCallGraph;
+use csspgo_core::workload::Workload;
 use csspgo_sim::Machine;
 use rayon::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
@@ -134,7 +137,9 @@ pub struct TenantSpec {
     /// staged globals). `workload.source` is only used as the profiling
     /// source of a version whose [`VersionSpec::source`] equals it.
     pub workload: Workload,
-    /// Binary versions served concurrently (canary + stable, etc.).
+    /// Binary versions served concurrently (canary + stable, etc.); their
+    /// labels must be distinct, since a label names the version to
+    /// [`FleetService::rebuild`] and [`FleetService::aggregator`].
     pub versions: Vec<VersionSpec>,
     /// Source of the *next* release a drift-triggered refresh builds
     /// against (profile collected on the stale version, build on this).
@@ -293,8 +298,11 @@ impl FleetBinaries {
     /// # Errors
     ///
     /// Returns [`FleetError::NoTenants`] / [`FleetError::DuplicateTenant`]
-    /// / [`FleetError::NoVersions`] for malformed fleets and
-    /// [`FleetError::Pipeline`] when a source fails to compile.
+    /// / [`FleetError::NoVersions`] for malformed fleets,
+    /// [`FleetError::InvalidConfig`] for an invalid configuration, a
+    /// version label repeated within a tenant or a split share that is not
+    /// a residue class, and [`FleetError::Pipeline`] when a source fails to
+    /// compile.
     pub fn compile(specs: &[TenantSpec], cfg: &FleetConfig) -> Result<FleetBinaries, FleetError> {
         cfg.validate()?;
         if specs.is_empty() {
@@ -308,7 +316,14 @@ impl FleetBinaries {
             if spec.versions.is_empty() {
                 return Err(FleetError::NoVersions(spec.id));
             }
+            let mut labels = BTreeSet::new();
             for v in &spec.versions {
+                if !labels.insert(v.label.as_str()) {
+                    return Err(FleetError::InvalidConfig(format!(
+                        "tenant {} declares version label `{}` twice",
+                        spec.id, v.label
+                    )));
+                }
                 if let TrafficShare::Split { index, of } = v.share {
                     if of == 0 || index >= of {
                         return Err(FleetError::InvalidConfig(format!(
@@ -861,6 +876,14 @@ fn serve(n, mode) {
             matches!(err, FleetError::DuplicateTenant(TenantId(1))),
             "{err}"
         );
+
+        let mut twice = spec.clone();
+        let again = VersionSpec::new("v0", twice.workload.source.clone());
+        twice.versions.push(again);
+        let err = FleetBinaries::compile(&[twice], &cfg)
+            .map(|_| ())
+            .unwrap_err();
+        assert!(matches!(err, FleetError::InvalidConfig(_)), "{err}");
 
         let mut empty = spec;
         empty.versions.clear();

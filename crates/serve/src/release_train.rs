@@ -34,11 +34,11 @@ use crate::fleet::{
     FleetBinaries, FleetConfig, FleetError, FleetEvent, FleetService, TenantId, TenantSpec,
     TrafficShare, VersionSpec,
 };
-use crate::overlap::share_overlap;
-use crate::pipeline::{run_pgo_cycle, PgoOutcome, PgoVariant};
-use crate::stalematch::StaleMatching;
-use crate::stream::probe_weights;
-use crate::workload::Workload;
+use csspgo_core::overlap::share_overlap;
+use csspgo_core::pipeline::{run_pgo_cycle, PgoOutcome, PgoVariant};
+use csspgo_core::stalematch::StaleMatching;
+use csspgo_core::stream::probe_weights;
+use csspgo_core::workload::Workload;
 use serde::Serialize;
 
 /// One release in a train: a label, the mutator that produced it, and the
@@ -171,9 +171,9 @@ pub fn canary_promotes(candidate_cycles: u64, candidate_hash: u64, o2: &PgoOutco
 ///
 /// # Errors
 ///
-/// Returns [`FleetError::InvalidConfig`] for an empty train or a release
-/// label colliding with the incumbent stable label, and propagates any
-/// fleet or pipeline failure.
+/// Returns [`FleetError::InvalidConfig`] for an empty train or, from
+/// [`FleetBinaries::compile`], a release label colliding with the
+/// incumbent stable label, and propagates any fleet or pipeline failure.
 pub fn run_release_train(
     workload: &Workload,
     releases: &[ReleaseSpec],
@@ -205,13 +205,6 @@ pub fn run_release_train(
     let (mut sum_o2, mut sum_oracle, mut sum_pgo, mut sum_floor) = (0u128, 0u128, 0u128, 0u128);
 
     for (ri, rel) in releases.iter().enumerate() {
-        if rel.label == stable_label {
-            return Err(FleetError::InvalidConfig(format!(
-                "release {ri} label `{}` collides with the incumbent stable label",
-                rel.label
-            )));
-        }
-
         // Diurnal traffic: release `i` rotates the stream by
         // `((i+1) mod period) / period` of its length, so hot contexts
         // shift between releases (eval traffic stays pinned, so the drift
@@ -347,9 +340,13 @@ mod tests {
             vec![vec![1]],
             vec![vec![1]],
         );
-        let err = run_release_train(&w, &[], &FleetConfig::default())
-            .map(|_| ())
-            .unwrap_err();
-        assert!(matches!(err, FleetError::InvalidConfig(_)), "{err}");
+        // No release, or one labelled like the incumbent stable `v0`.
+        let colliding = ReleaseSpec::new("v0", "none", "fn f(x) { return x + 1; }");
+        for releases in [&[][..], &[colliding]] {
+            let err = run_release_train(&w, releases, &FleetConfig::default())
+                .map(|_| ())
+                .unwrap_err();
+            assert!(matches!(err, FleetError::InvalidConfig(_)), "{err}");
+        }
     }
 }

@@ -14,6 +14,8 @@
 //! * [`core`] — the paper's contribution: probe correlation, context
 //!   reconstruction (Algorithm 1), the missing-frame inferrer, profile
 //!   inference, the pre-inliner (Algorithms 2–3), and end-to-end pipelines,
+//! * [`serve`] — the serving tier around it: the multi-tenant fleet and
+//!   release trains under live traffic,
 //! * [`workloads`] — synthetic server/client workloads mirroring the paper's
 //!   evaluation set,
 //! * [`analysis`] — probe-invariant and profile-integrity lints (the
@@ -39,5 +41,6 @@ pub use csspgo_core as core;
 pub use csspgo_ir as ir;
 pub use csspgo_lang as lang;
 pub use csspgo_opt as opt;
+pub use csspgo_serve as serve;
 pub use csspgo_sim as sim;
 pub use csspgo_workloads as workloads;

@@ -241,8 +241,8 @@ pub fn impl_self_type(line: &str) -> Option<&str> {
     path.rsplit("::").next().filter(|name| !name.is_empty())
 }
 
-/// Every Rust source the census reads, loaded: the nine library crates'
-/// `src` first, then the other non-test code (`src/`, `examples/`, the
+/// Every Rust source the census reads, loaded: the library crates' `src`
+/// first, then the other non-test code (`src/`, `examples/`, the
 /// frozen `benchmark/src`), then the test files. Returns the sources and how
 /// many of them are library files.
 pub fn workspace() -> (Vec<Source>, usize) {

@@ -4,10 +4,10 @@
 //! resident-context cap must bound every tenant-version's store while
 //! conserving the weight its evictions fold away.
 
-use csspgo::core::fleet::{
+use csspgo::core::pipeline::PipelineConfig;
+use csspgo::serve::fleet::{
     FleetBinaries, FleetConfig, FleetError, FleetService, TenantId, TenantSpec,
 };
-use csspgo::core::pipeline::PipelineConfig;
 use csspgo::workloads::{self, tenant_traffic_mix};
 
 fn fleet_cfg(resident_cap: usize) -> FleetConfig {

@@ -20,7 +20,7 @@
 use csspgo_bench::figures::{render, Ctx, REGISTRY};
 use csspgo_bench::Table;
 use std::cell::RefCell;
-use std::collections::{BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::path::Path;
 use std::sync::{Arc, Mutex, OnceLock};
 
@@ -486,15 +486,30 @@ fn numbers(text: &str) -> Vec<(usize, &str, f64)> {
     found
 }
 
-/// The numbers of a known deviation's `reason` that the figures it `cited`
-/// do not show. A number is looked up among the numbers of the figures
-/// rendered at the claims' scale, or, when followed by "at scale 1", in
-/// `results/`, which `tests/results.rs` holds equal to the scale-1
-/// rendering. A difference in percentage points ("2.77 pp") must be the
-/// difference of two numbers shown; a tally ("2 of 5") is the claim's own
-/// count and is not looked up.
-fn unquoted(reason: &str, cited: &BTreeSet<&'static str>) -> Vec<String> {
-    let text = reason.split_once(": ").map_or(reason, |(_, text)| text);
+/// `(id, the number)` of every row of EXPERIMENTS.md's known-deviation
+/// table: `| KD-n | experiment | the claim that fails | the number |`.
+fn known_deviation_rows() -> Vec<(String, String)> {
+    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("EXPERIMENTS.md");
+    let experiments = std::fs::read_to_string(path).expect("EXPERIMENTS.md");
+    (experiments.lines())
+        .filter(|l| l.starts_with("| KD-"))
+        .map(|row| {
+            let cells: Vec<&str> = row.split('|').map(str::trim).collect();
+            assert_eq!(cells.len(), 6, "four cells in {row}");
+            (cells[1].to_string(), cells[4].to_string())
+        })
+        .collect()
+}
+
+/// The numbers of a known deviation's text (its ignore reason past the
+/// `KD-n` id, or the last cell of its EXPERIMENTS.md row) that the figures
+/// it `cited` do not show. A number is looked up among the numbers of the figures
+/// rendered at the claims' scale, or, when followed by "at scale 1" (past
+/// a `%`, `x` or `×` sign), in `results/`, which `tests/results.rs` holds
+/// equal to the scale-1 rendering. A difference in percentage points
+/// ("2.77 pp") must be the difference of two numbers shown; a tally ("2 of
+/// 5") is the claim's own count and is not looked up.
+fn unquoted(text: &str, cited: &BTreeSet<&'static str>) -> Vec<String> {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
     let (mut here, mut at_scale_1) = (String::new(), String::new());
     for &name in cited {
@@ -511,7 +526,7 @@ fn unquoted(reason: &str, cited: &BTreeSet<&'static str>) -> Vec<String> {
     let mut missing = Vec::new();
     let mut tally = false;
     for (at, token, _) in numbers(text) {
-        let after = text[at + token.len()..].trim_start_matches(['%', 'x']);
+        let after = text[at + token.len()..].trim_start_matches(['%', 'x', '×']);
         if std::mem::take(&mut tally) || text[..at].ends_with("scale ") {
             continue;
         }
@@ -537,12 +552,22 @@ fn unquoted(reason: &str, cited: &BTreeSet<&'static str>) -> Vec<String> {
 }
 
 /// ROADMAP item 17: every `#[ignore]`d claim still fails, so a fixed known
-/// deviation cannot stay ignored, and every number its reason quotes is in
-/// a figure the claim reads, so no reason carries a stale number.
+/// deviation cannot stay ignored; EXPERIMENTS.md's table has one row per
+/// ignored claim and no other; and every number its reason and its row
+/// quote is in a figure the claim reads, so neither carries a stale number.
 #[test]
 fn every_known_deviation_still_fails_and_quotes_its_figures() {
     let deviations = known_deviations();
     assert!(!deviations.is_empty(), "no #[ignore]d claim found");
+    let rows: BTreeMap<String, String> = known_deviation_rows().into_iter().collect();
+    let ids: BTreeSet<&str> = (deviations.iter())
+        .map(|(_, reason)| reason.split_once(": ").expect("`KD-n: …`").0)
+        .collect();
+    assert_eq!(
+        rows.keys().map(String::as_str).collect::<BTreeSet<_>>(),
+        ids,
+        "EXPERIMENTS.md's KD rows (left) must be exactly the ignored claims (right)"
+    );
     let mut wrong = Vec::new();
     for (name, reason) in &deviations {
         let (_, claim) = (CLAIMS.iter())
@@ -554,8 +579,14 @@ fn every_known_deviation_still_fails_and_quotes_its_figures() {
                 "{reason}\n  `{name}` now holds: delete its #[ignore] and its row in EXPERIMENTS.md"
             ));
         }
-        for number in unquoted(reason, &figures.cited.borrow()) {
+        let (id, text) = reason.split_once(": ").expect("`KD-n: …`");
+        let row = &rows[id];
+        let cited = figures.cited.borrow();
+        for number in unquoted(text, &cited) {
             wrong.push(format!("{reason}\n  {number}"));
+        }
+        for number in unquoted(row, &cited) {
+            wrong.push(format!("EXPERIMENTS.md {id}: {row}\n  {number}"));
         }
     }
     assert!(wrong.is_empty(), "{}", wrong.join("\n"));

@@ -1,9 +1,10 @@
-//! Public-item census: every `pub` item of the nine library crates must be
+//! Public-item census: every `pub` item of the library crates must be
 //! named by non-test code outside its own definition. Non-test code is
 //! `crates/*/src`, `src/`, `examples/` and the frozen `benchmark/src`, minus
 //! every `#[cfg(test)]` item; a `pub use` re-export names nothing. An item
 //! nothing names is dead and goes; an item only tests name moves under
-//! `tests/`. Tier-1 runs this, so the list cannot rot.
+//! `tests/`. The count per crate is the one DESIGN.md §17.1 states. Tier-1
+//! runs this, so neither the list nor the numbers can rot.
 //!
 //! The census works on names, not resolved paths: two items that share a
 //! name (`new`, `len`) vouch for each other. It can therefore miss a dead
@@ -12,8 +13,8 @@
 #[path = "common/source.rs"]
 mod source;
 
-use source::{impl_self_type, item_end, strip, workspace, Source};
-use std::collections::HashMap;
+use source::{impl_self_type, item_end, root, strip, workspace, Source};
+use std::collections::{BTreeMap, HashMap};
 
 /// The item keywords counted, as in `pub (const |unsafe )?(fn|…) NAME`.
 const KINDS: &[&str] = &["fn", "struct", "enum", "type", "const", "trait", "static"];
@@ -133,6 +134,17 @@ impl Census {
         uses
     }
 
+    /// Items per library crate, by directory name (`core`, `serve`, …).
+    fn per_crate(&self) -> BTreeMap<String, usize> {
+        let mut counts = BTreeMap::new();
+        for item in &self.items {
+            let path = &self.sources[item.file].path;
+            let name = path.split('/').nth(1).expect("crates/<name>/src/…");
+            *counts.entry(name.to_owned()).or_default() += 1;
+        }
+        counts
+    }
+
     fn describe(&self, item: &Item) -> String {
         let src = &self.sources[item.file];
         format!(
@@ -172,6 +184,43 @@ fn every_public_item_has_a_non_test_caller() {
          only tests name them (move them under tests/):\n    {}",
         dead.join("\n    "),
         test_only.join("\n    "),
+    );
+}
+
+/// The census DESIGN.md §17.1 states: `**total** — crate n, crate n, …`.
+fn stated_census() -> (usize, BTreeMap<String, usize>) {
+    let design = std::fs::read_to_string(root().join("DESIGN.md")).expect("DESIGN.md");
+    let section = design
+        .split("\n### ")
+        .find(|s| s.starts_with("17.1 "))
+        .expect("DESIGN.md §17.1");
+    let text = section.split_whitespace().collect::<Vec<_>>().join(" ");
+    let (_, stated) = text
+        .split_once("outside test code): **")
+        .expect("the census");
+    let (total, rest) = stated.split_once("** — ").expect("`**total** — `");
+    let list = &rest[..rest.find('.').expect("a closing period")];
+    let per_crate = (list.split(", "))
+        .map(|entry| {
+            let (name, n) = entry.split_once(' ').expect("`crate n`");
+            (name.to_owned(), n.parse().expect("a count"))
+        })
+        .collect();
+    (total.parse().expect("a total"), per_crate)
+}
+
+#[test]
+fn design_states_the_census_per_crate() {
+    let (total, stated) = stated_census();
+    let counted = Census::take().per_crate();
+    assert_eq!(
+        stated.values().sum::<usize>(),
+        total,
+        "DESIGN.md §17.1: the crates do not add up to the total"
+    );
+    assert_eq!(
+        stated, counted,
+        "DESIGN.md §17.1 states the census on the left; the code has the right"
     );
 }
 

@@ -3,20 +3,20 @@
 //! promotion) validated across successive releases, per the paper's
 //! continuous-deployment framing.
 
-use csspgo::core::fleet::{
-    FleetBinaries, FleetConfig, FleetEvent, FleetService, TenantId, TenantSpec, TrafficShare,
-    VersionSpec,
-};
 use csspgo::core::pipeline::{
     evaluate, finish_probe_profile, optimized_build, prepared_module, profiling_build,
     run_pgo_cycle, wire_handoff, BuildProfile, PgoVariant, PipelineConfig,
 };
 use csspgo::core::preinline::run_preinliner;
 use csspgo::core::profile::{ProbeFuncProfile, ProbeProfile};
-use csspgo::core::release_train::{canary_promotes, run_release_train, ReleaseSpec};
 use csspgo::core::stalematch::StaleMatching;
 use csspgo::core::stream::StreamConfig;
 use csspgo::core::Workload;
+use csspgo::serve::fleet::{
+    FleetBinaries, FleetConfig, FleetEvent, FleetService, TenantId, TenantSpec, TrafficShare,
+    VersionSpec,
+};
+use csspgo::serve::release_train::{canary_promotes, run_release_train, ReleaseSpec};
 use csspgo::workloads::{self, drift, phase_shifted, tenant_traffic_mix};
 use std::path::PathBuf;
 
