@@ -72,7 +72,7 @@ fn analyze_function_flow(policy: &Policy, unit: &str, func: &Function, report: &
 
         // Outflow: a block that does not return must hand its executions to
         // its successors.
-        let succs = block.successors();
+        let succs: Vec<BlockId> = block.targets().collect();
         if !succs.is_empty() {
             let counts: Option<Vec<u64>> = succs.iter().map(|&s| func.block(s).count).collect();
             if let Some(counts) = counts {

@@ -21,10 +21,10 @@
 //!   paper's "sub-optimal spill placement").
 
 pub mod binary;
-pub mod liveness;
+mod liveness;
 pub mod lower;
 pub mod minst;
-pub mod spill;
+mod spill;
 
 pub use binary::{AddrIndex, BinFunc, Binary, SectionSizes};
 pub use lower::lower_module;
@@ -32,7 +32,7 @@ pub use minst::{MInst, MInstKind, ProbeNote};
 
 /// The parameter type of [`lower_module`]. It has no fields: lowering has
 /// one configuration. Its register count is a constant beside the code that
-/// reads it ([`spill::plan_spills`]), and every call in return position
+/// reads it (the crate-private spill planner), and every call in return position
 /// becomes a tail jump.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct CodegenConfig {}

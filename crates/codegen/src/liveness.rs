@@ -1,68 +1,87 @@
-//! Backward block-level liveness over virtual registers.
+//! Backward block-level liveness over virtual registers, as dense bitsets.
 
-use csspgo_ir::inst::Operand;
 use csspgo_ir::{cfg, BlockId, Function, VReg};
-use std::collections::HashSet;
 
-/// Per-block liveness sets.
+/// Per-block liveness sets: one bit per register, `words` 64-bit words per
+/// block, the blocks' sets back to back and indexed by block id.
 #[derive(Clone, Debug)]
-pub struct Liveness {
-    /// Registers live on entry to each block (indexed by block id).
-    pub live_in: Vec<HashSet<VReg>>,
-    /// Registers live on exit from each block.
-    pub live_out: Vec<HashSet<VReg>>,
-    /// Registers defined in each block.
-    pub defs: Vec<HashSet<VReg>>,
+pub(crate) struct Liveness {
+    words: usize,
+    live_in: Vec<u64>,
+    live_out: Vec<u64>,
+}
+
+/// Whether `r` is in `set`.
+pub(crate) fn contains(set: &[u64], r: VReg) -> bool {
+    set[r.index() / 64] & (1 << (r.index() % 64)) != 0
+}
+
+/// Adds `r` to `set`.
+pub(crate) fn insert(set: &mut [u64], r: VReg) {
+    set[r.index() / 64] |= 1 << (r.index() % 64);
+}
+
+/// The registers in `set`, in increasing order.
+pub(crate) fn members(set: &[u64]) -> impl Iterator<Item = VReg> + '_ {
+    set.iter().enumerate().flat_map(|(w, &bits)| {
+        let mut rest = bits;
+        std::iter::from_fn(move || {
+            (rest != 0).then(|| {
+                let bit = rest.trailing_zeros() as usize;
+                rest &= rest - 1;
+                VReg::from_index(w * 64 + bit)
+            })
+        })
+    })
 }
 
 impl Liveness {
-    /// Computes block-level liveness for `func`.
-    pub fn compute(func: &Function) -> Self {
+    /// Computes block-level liveness for `func`. Blocks the entry cannot
+    /// reach keep empty sets.
+    pub(crate) fn compute(func: &Function) -> Self {
+        let words = func.num_vregs().div_ceil(64);
         let n = func.blocks.len();
-        let mut gen_: Vec<HashSet<VReg>> = vec![HashSet::new(); n];
-        let mut defs: Vec<HashSet<VReg>> = vec![HashSet::new(); n];
+        let mut gen_ = vec![0u64; n * words];
+        let mut defs = vec![0u64; n * words];
         for (bid, block) in func.iter_blocks() {
-            let g = &mut gen_[bid.index()];
-            let d = &mut defs[bid.index()];
+            let at = bid.index() * words..(bid.index() + 1) * words;
+            let (g, d) = (&mut gen_[at.clone()], &mut defs[at]);
             for inst in &block.insts {
-                for op in inst.kind.uses() {
-                    if let Operand::Reg(r) = op {
-                        if !d.contains(&r) {
-                            g.insert(r);
-                        }
+                inst.kind.for_each_use(|r| {
+                    if !contains(d, r) {
+                        insert(g, r);
                     }
-                }
+                });
                 if let Some(r) = inst.kind.def() {
-                    d.insert(r);
+                    insert(d, r);
                 }
             }
         }
 
-        let mut live_in: Vec<HashSet<VReg>> = vec![HashSet::new(); n];
-        let mut live_out: Vec<HashSet<VReg>> = vec![HashSet::new(); n];
+        let mut live_in = vec![0u64; n * words];
+        let mut live_out = vec![0u64; n * words];
         // Iterate to fixpoint (reverse order helps convergence).
-        let order: Vec<BlockId> = {
-            let mut o = cfg::reverse_post_order(func);
-            o.reverse();
-            o
-        };
+        let mut order = cfg::reverse_post_order(func);
+        order.reverse();
+        let mut out = vec![0u64; words];
         loop {
             let mut changed = false;
             for &b in &order {
-                let mut out: HashSet<VReg> = HashSet::new();
-                for s in cfg::successors(func, b) {
-                    out.extend(live_in[s.index()].iter().copied());
-                }
-                let mut inn: HashSet<VReg> = gen_[b.index()].clone();
-                for &r in &out {
-                    if !defs[b.index()].contains(&r) {
-                        inn.insert(r);
+                out.fill(0);
+                for s in func.block(b).targets() {
+                    let succ_in = &live_in[s.index() * words..(s.index() + 1) * words];
+                    for (o, i) in out.iter_mut().zip(succ_in) {
+                        *o |= i;
                     }
                 }
-                if out != live_out[b.index()] || inn != live_in[b.index()] {
-                    live_out[b.index()] = out;
-                    live_in[b.index()] = inn;
-                    changed = true;
+                let at = b.index() * words;
+                for (w, &o) in out.iter().enumerate() {
+                    let inn = gen_[at + w] | (o & !defs[at + w]);
+                    if o != live_out[at + w] || inn != live_in[at + w] {
+                        live_out[at + w] = o;
+                        live_in[at + w] = inn;
+                        changed = true;
+                    }
                 }
             }
             if !changed {
@@ -70,18 +89,25 @@ impl Liveness {
             }
         }
         Liveness {
+            words,
             live_in,
             live_out,
-            defs,
         }
     }
 
-    /// Register pressure of a block: values simultaneously alive there.
-    pub fn pressure(&self, b: BlockId) -> usize {
-        let mut s: HashSet<VReg> = self.live_in[b.index()].clone();
-        s.extend(self.live_out[b.index()].iter().copied());
-        s.extend(self.defs[b.index()].iter().copied());
-        s.len()
+    /// Words per block set.
+    pub(crate) fn words(&self) -> usize {
+        self.words
+    }
+
+    /// Registers live on entry to `b`.
+    pub(crate) fn live_in(&self, b: BlockId) -> &[u64] {
+        &self.live_in[b.index() * self.words..(b.index() + 1) * self.words]
+    }
+
+    /// Registers live on exit from `b`.
+    pub(crate) fn live_out(&self, b: BlockId) -> &[u64] {
+        &self.live_out[b.index() * self.words..(b.index() + 1) * self.words]
     }
 }
 
@@ -116,7 +142,8 @@ fn f(n) {
             })
             .map(|(b, _)| b)
             .unwrap();
-        assert!(lv.live_in[header.index()].len() >= 3, "{:?}", lv.live_in);
+        let live: Vec<VReg> = members(lv.live_in(header)).collect();
+        assert!(live.len() >= 3, "{live:?}");
     }
 
     #[test]
@@ -126,19 +153,21 @@ fn f(n) {
         let f = &m.functions[0];
         let lv = Liveness::compute(f);
         // x (%1... defined but unused) must not be live out of any block.
-        for out in &lv.live_out {
-            for r in out {
-                assert_eq!(*r, VReg(0), "only the param flows");
+        for (bid, _) in f.iter_blocks() {
+            for r in members(lv.live_out(bid)) {
+                assert_eq!(r, VReg(0), "only the param flows");
             }
         }
     }
 
     #[test]
-    fn pressure_counts_defs() {
-        let src = "fn f(a, b) { return a * b + a - b; }";
-        let m = csspgo_lang::compile(src, "t").unwrap();
-        let f = &m.functions[0];
-        let lv = Liveness::compute(f);
-        assert!(lv.pressure(f.entry) >= 4);
+    fn bitset_members_round_trip() {
+        let mut set = vec![0u64; 3];
+        for r in [0, 5, 63, 64, 130] {
+            insert(&mut set, VReg(r));
+        }
+        assert!(contains(&set, VReg(64)) && !contains(&set, VReg(65)));
+        let got: Vec<u32> = members(&set).map(|r| r.0).collect();
+        assert_eq!(got, vec![0, 5, 63, 64, 130]);
     }
 }

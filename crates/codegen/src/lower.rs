@@ -12,16 +12,17 @@ use crate::spill::{plan_spills, SpillPlan};
 use crate::CodegenConfig;
 use csspgo_ir::inst::{InstKind, Operand};
 use csspgo_ir::{BlockId, Function, Module, VReg};
-use std::collections::HashMap;
 
 /// Bytes of alignment padding between functions.
 const FUNC_ALIGN: u64 = 16;
 /// Byte offset separating the cold section from the hot section.
 const COLD_SECTION_GAP: u64 = 1 << 20;
+/// The flat start of a block no stream placed.
+const UNPLACED: usize = usize::MAX;
 
 /// Lowers a whole module to a laid-out [`Binary`].
 pub fn lower_module(module: &Module, _: &CodegenConfig) -> Binary {
-    let lowerings: Vec<FuncLowering> = module
+    let mut lowerings: Vec<FuncLowering> = module
         .functions
         .iter()
         .map(|f| lower_function(module, f))
@@ -41,40 +42,40 @@ pub fn lower_module(module: &Module, _: &CodegenConfig) -> Binary {
     }
     let total = cursor;
 
-    // Flat start index for every block.
-    let mut block_flat: Vec<HashMap<BlockId, usize>> = Vec::with_capacity(lowerings.len());
-    for (i, l) in lowerings.iter().enumerate() {
-        let mut map = HashMap::new();
+    // Flat start index for every block, by block id.
+    let mut block_flat: Vec<Vec<usize>> = Vec::with_capacity(lowerings.len());
+    for (i, (l, f)) in lowerings.iter().zip(&module.functions).enumerate() {
+        let mut starts = vec![UNPLACED; f.blocks.len()];
         for &(b, pos) in &l.hot_blocks {
-            map.insert(b, hot_start[i] + pos);
+            starts[b.index()] = hot_start[i] + pos;
         }
         for &(b, pos) in &l.cold_blocks {
-            map.insert(b, cold_start[i] + pos);
+            starts[b.index()] = cold_start[i] + pos;
         }
-        block_flat.push(map);
+        block_flat.push(starts);
     }
+    let hot_len: Vec<usize> = lowerings.iter().map(|l| l.hot.len()).collect();
+    let cold_len: Vec<usize> = lowerings.iter().map(|l| l.cold.len()).collect();
 
-    // ----- assemble + fixups -----
+    // ----- assemble + fixups: every stream moves into place -----
     let mut insts: Vec<MInst> = Vec::with_capacity(total);
     let mut func_of: Vec<u32> = Vec::with_capacity(total);
-    for (i, l) in lowerings.iter().enumerate() {
-        let mut stream = l.hot.clone();
-        apply_fixups(&mut stream, &l.hot_fixups, &block_flat[i]);
-        insts.extend(stream);
-        func_of.extend(std::iter::repeat_n(i as u32, l.hot.len()));
+    for (i, l) in lowerings.iter_mut().enumerate() {
+        apply_fixups(&mut l.hot, &l.hot_fixups, &block_flat[i]);
+        insts.append(&mut l.hot);
+        func_of.extend(std::iter::repeat_n(i as u32, hot_len[i]));
     }
-    for (i, l) in lowerings.iter().enumerate() {
-        let mut stream = l.cold.clone();
-        apply_fixups(&mut stream, &l.cold_fixups, &block_flat[i]);
-        insts.extend(stream);
-        func_of.extend(std::iter::repeat_n(i as u32, l.cold.len()));
+    for (i, l) in lowerings.iter_mut().enumerate() {
+        apply_fixups(&mut l.cold, &l.cold_fixups, &block_flat[i]);
+        insts.append(&mut l.cold);
+        func_of.extend(std::iter::repeat_n(i as u32, cold_len[i]));
     }
 
     // ----- addresses -----
     let mut addrs = Vec::with_capacity(total);
     let mut addr = 0u64;
     let mut prev_func = u32::MAX;
-    let hot_insts: usize = lowerings.iter().map(|l| l.hot.len()).sum();
+    let hot_insts: usize = hot_len.iter().sum();
     for (idx, inst) in insts.iter().enumerate() {
         if idx == hot_insts && idx != 0 {
             addr += COLD_SECTION_GAP; // cold section starts far away
@@ -89,10 +90,9 @@ pub fn lower_module(module: &Module, _: &CodegenConfig) -> Binary {
 
     // ----- symbols -----
     let mut funcs = Vec::with_capacity(lowerings.len());
-    for (i, (l, f)) in lowerings.iter().zip(&module.functions).enumerate() {
-        let entry = *block_flat[i]
-            .get(&f.entry)
-            .expect("entry block placed in hot part");
+    for (i, f) in module.functions.iter().enumerate() {
+        let entry = block_flat[i][f.entry.index()];
+        assert_ne!(entry, UNPLACED, "entry block placed in hot part");
         funcs.push(BinFunc {
             id: f.id,
             guid: f.guid,
@@ -101,8 +101,8 @@ pub fn lower_module(module: &Module, _: &CodegenConfig) -> Binary {
             num_vregs: f.num_vregs(),
             probe_checksum: f.probe_checksum,
             entry,
-            hot_range: (hot_start[i], hot_start[i] + l.hot.len()),
-            cold_range: (cold_start[i], cold_start[i] + l.cold.len()),
+            hot_range: (hot_start[i], hot_start[i] + hot_len[i]),
+            cold_range: (cold_start[i], cold_start[i] + cold_len[i]),
         });
     }
 
@@ -182,11 +182,10 @@ struct Fixup {
     block: BlockId,
 }
 
-fn apply_fixups(stream: &mut [MInst], fixups: &[Fixup], block_flat: &HashMap<BlockId, usize>) {
+fn apply_fixups(stream: &mut [MInst], fixups: &[Fixup], block_flat: &[usize]) {
     for f in fixups {
-        let target = *block_flat
-            .get(&f.block)
-            .expect("branch target block was placed");
+        let target = block_flat[f.block.index()];
+        assert_ne!(target, UNPLACED, "branch target block was placed");
         match (&mut stream[f.pos].kind, &f.slot) {
             (MInstKind::Jmp { target: t }, Slot::Jmp) => *t = target,
             (MInstKind::JmpIf { target: t, .. }, Slot::JmpIf) => *t = target,
@@ -258,20 +257,18 @@ fn lower_stream(
 
             // Spill reloads for the instruction's uses.
             let mut reloaded: Vec<u32> = Vec::new();
-            for op in inst.kind.uses() {
-                if let Operand::Reg(r) = op {
-                    if let Some(&slot) = spills.slots.get(&r) {
-                        if !reloaded.contains(&slot) {
-                            reloaded.push(slot);
-                            emit(
-                                &mut out,
-                                &mut pending_probes,
-                                MInst::new(MInstKind::SpillLoad { slot }, loc.clone()),
-                            );
-                        }
+            inst.kind.for_each_use(|r| {
+                if let Some(slot) = spills.slot(r) {
+                    if !reloaded.contains(&slot) {
+                        reloaded.push(slot);
+                        emit(
+                            &mut out,
+                            &mut pending_probes,
+                            MInst::new(MInstKind::SpillLoad { slot }, loc.clone()),
+                        );
                     }
                 }
-            }
+            });
 
             match &inst.kind {
                 InstKind::PseudoProbe {
@@ -550,7 +547,7 @@ fn lower_simple(
     inst.probes.append(pending);
     out.push(inst);
     if let Some(d) = def {
-        if let Some(&slot) = spills.slots.get(&d) {
+        if let Some(slot) = spills.slot(d) {
             out.push(MInst::new(MInstKind::SpillStore { slot }, loc));
         }
     }

@@ -12,32 +12,23 @@
 //! paper's post-inline profile-quality effect on register allocation
 //! ("potentially causing sub-optimal spill placement", §III.B).
 
-use crate::liveness::Liveness;
-use csspgo_ir::inst::Operand;
+use crate::liveness::{contains, insert, members, Liveness};
 use csspgo_ir::{BlockId, Function, VReg};
-use std::collections::{HashMap, HashSet};
 
 /// Which registers spill, and their assigned spill slots.
-#[derive(Clone, Debug, Default)]
-pub struct SpillPlan {
-    /// Spilled registers with their slot numbers.
-    pub slots: HashMap<VReg, u32>,
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub(crate) struct SpillPlan {
+    /// Per register, its slot number, or [`NO_SLOT`].
+    slots: Vec<u32>,
 }
 
+/// The slot of a register that stays in a register.
+const NO_SLOT: u32 = u32::MAX;
+
 impl SpillPlan {
-    /// Whether `r` is spilled.
-    fn is_spilled(&self, r: VReg) -> bool {
-        self.slots.contains_key(&r)
-    }
-
-    /// Number of spilled registers.
-    pub fn len(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// Whether nothing spills.
-    pub fn is_empty(&self) -> bool {
-        self.slots.is_empty()
+    /// The slot `r` spills to, if it spills.
+    pub(crate) fn slot(&self, r: VReg) -> Option<u32> {
+        self.slots.get(r.index()).copied().filter(|&s| s != NO_SLOT)
     }
 }
 
@@ -46,100 +37,129 @@ const REGISTERS: usize = 12;
 
 /// Decides which registers spill for `func` under `REGISTERS` physical
 /// registers, using annotated block counts as the (possibly wrong) belief.
-pub fn plan_spills(func: &Function) -> SpillPlan {
+pub(crate) fn plan_spills(func: &Function) -> SpillPlan {
     let lv = Liveness::compute(func);
+    let words = lv.words();
+    let regs = func.num_vregs();
+
+    let live_ids: Vec<BlockId> = func.iter_blocks().map(|(b, _)| b).collect();
+    let mut spilled = vec![0u64; words];
+    let mut live = vec![0u64; words];
+    let mut pressure: Vec<usize> = live_ids
+        .iter()
+        .map(|&b| point_pressure(func, &lv, b, &spilled, &mut live))
+        .collect();
+    if pressure.iter().all(|&p| p <= REGISTERS) {
+        return SpillPlan::default();
+    }
 
     // Believed cost of spilling each register: total believed count of
-    // blocks that use or define it (each use pays a reload).
-    let mut believed_cost: HashMap<VReg, u64> = HashMap::new();
-    let mut blocks_of: HashMap<VReg, Vec<BlockId>> = HashMap::new();
+    // blocks that use or define it (each use pays a reload). `mentions`
+    // holds, per block, the registers it touches or keeps live out — the
+    // registers whose spilling changes its pressure.
+    let mut believed_cost = vec![0u64; regs];
+    let mut last_block = vec![u32::MAX; regs];
+    let mut mentions = vec![0u64; func.blocks.len() * words];
     for (bid, block) in func.iter_blocks() {
         let w = block.count.unwrap_or(1); // no profile: uniform belief
-        let mut touched: HashSet<VReg> = HashSet::new();
+        let mentioned = &mut mentions[bid.index() * words..(bid.index() + 1) * words];
+        mentioned.copy_from_slice(lv.live_out(bid));
         for inst in &block.insts {
-            for op in inst.kind.uses() {
-                if let Operand::Reg(r) = op {
-                    touched.insert(r);
+            let mut touch = |r: VReg| {
+                if last_block[r.index()] != bid.0 {
+                    last_block[r.index()] = bid.0;
+                    believed_cost[r.index()] += w;
+                    insert(mentioned, r);
                 }
-            }
+            };
+            inst.kind.for_each_use(&mut touch);
             if let Some(d) = inst.kind.def() {
-                touched.insert(d);
+                touch(d);
             }
-        }
-        for r in touched {
-            *believed_cost.entry(r).or_insert(0) += w;
-            blocks_of.entry(r).or_default().push(bid);
         }
     }
 
-    // Point-precise per-block pressure: walk instructions backward from
-    // live-out, tracking the live set; the block's pressure is its maximum
-    // over all program points. (Counting every def in a block as
-    // simultaneously live would overestimate wildly for large post-inline
-    // blocks and punish inlining with phantom spills.)
-    let point_pressure = |bid: BlockId, spilled: &HashMap<VReg, u32>| -> usize {
-        let block = func.block(bid);
-        let mut live: HashSet<VReg> = lv.live_out[bid.index()]
-            .iter()
-            .copied()
-            .filter(|r| !spilled.contains_key(r))
-            .collect();
-        let mut maxp = live.len();
-        for inst in block.insts.iter().rev() {
-            if let Some(d) = inst.kind.def() {
-                if !spilled.contains_key(&d) {
-                    maxp = maxp.max(live.len() + usize::from(!live.contains(&d)));
-                    live.remove(&d);
-                }
-            }
-            for op in inst.kind.uses() {
-                if let Operand::Reg(r) = op {
-                    if !spilled.contains_key(&r) {
-                        live.insert(r);
-                    }
-                }
-            }
-            maxp = maxp.max(live.len());
-        }
-        maxp
+    let mut plan = SpillPlan {
+        slots: vec![NO_SLOT; regs],
     };
-
-    let live_ids: Vec<BlockId> = func.iter_blocks().map(|(b, _)| b).collect();
-    let mut plan = SpillPlan::default();
     let mut next_slot = 0u32;
     loop {
-        // Find the most pressured block.
-        let worst = live_ids
-            .iter()
-            .map(|&b| (b, point_pressure(b, &plan.slots)))
-            .max_by_key(|&(_, p)| p);
-        let Some((worst_bid, pressure)) = worst else {
+        // Find the most pressured block (the last of equals).
+        let worst = live_ids.iter().zip(&pressure).max_by_key(|&(_, &p)| p);
+        let Some((&worst_bid, &worst_pressure)) = worst else {
             break;
         };
-        if pressure <= REGISTERS {
+        if worst_pressure <= REGISTERS {
             break;
         }
         // Spill candidates: values live *through* the block (block-local
         // temps cannot usefully spill). Believed-cheapest first, with a
         // deterministic tiebreak on the register number.
-        let through: HashSet<VReg> = lv.live_in[worst_bid.index()]
-            .union(&lv.live_out[worst_bid.index()])
-            .copied()
-            .collect();
-        let victim = through
-            .iter()
-            .filter(|r| !plan.is_spilled(**r))
-            .min_by_key(|r| (believed_cost.get(r).copied().unwrap_or(0), r.0));
-        let Some(&victim) = victim else { break };
-        plan.slots.insert(victim, next_slot);
+        let (live_in, live_out) = (lv.live_in(worst_bid), lv.live_out(worst_bid));
+        let through = live_in.iter().zip(live_out).map(|(i, o)| i | o);
+        let candidates: Vec<u64> = through.zip(&spilled).map(|(t, s)| t & !s).collect();
+        let victim = members(&candidates).min_by_key(|r| (believed_cost[r.index()], r.0));
+        let Some(victim) = victim else { break };
+        plan.slots[victim.index()] = next_slot;
         next_slot += 1;
+        insert(&mut spilled, victim);
+        for (i, &b) in live_ids.iter().enumerate() {
+            if contains(
+                &mentions[b.index() * words..(b.index() + 1) * words],
+                victim,
+            ) {
+                pressure[i] = point_pressure(func, &lv, b, &spilled, &mut live);
+            }
+        }
     }
     plan
+}
+
+/// Point-precise pressure of block `b`: walk its instructions backward from
+/// live-out, tracking the unspilled live set in `live`; the pressure is its
+/// maximum over all program points. (Counting every def in a block as
+/// simultaneously live would overestimate wildly for large post-inline
+/// blocks and punish inlining with phantom spills.)
+fn point_pressure(
+    func: &Function,
+    lv: &Liveness,
+    b: BlockId,
+    spilled: &[u64],
+    live: &mut [u64],
+) -> usize {
+    let mut count = 0usize;
+    for ((l, o), s) in live.iter_mut().zip(lv.live_out(b)).zip(spilled) {
+        *l = o & !s;
+        count += l.count_ones() as usize;
+    }
+    let mut maxp = count;
+    for inst in func.block(b).insts.iter().rev() {
+        if let Some(d) = inst.kind.def() {
+            if !contains(spilled, d) {
+                let was_live = contains(live, d);
+                maxp = maxp.max(count + usize::from(!was_live));
+                if was_live {
+                    live[d.index() / 64] &= !(1 << (d.index() % 64));
+                    count -= 1;
+                }
+            }
+        }
+        inst.kind.for_each_use(|r| {
+            if !contains(spilled, r) && !contains(live, r) {
+                insert(live, r);
+                count += 1;
+            }
+        });
+        maxp = maxp.max(count);
+    }
+    maxp
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use csspgo_ir::inst::InstKind;
+    use std::collections::HashSet;
 
     /// A function with many simultaneously-live values.
     fn pressured(k: usize) -> csspgo_ir::Module {
@@ -158,62 +178,148 @@ mod tests {
         csspgo_lang::compile(&src, "t").unwrap()
     }
 
+    /// The spilled registers in slot order.
+    fn victims(plan: &SpillPlan) -> Vec<VReg> {
+        let mut by_slot: Vec<(u32, VReg)> = (0..plan.slots.len())
+            .map(VReg::from_index)
+            .filter_map(|r| plan.slot(r).map(|s| (s, r)))
+            .collect();
+        by_slot.sort();
+        by_slot.into_iter().map(|(_, r)| r).collect()
+    }
+
     #[test]
     fn no_spills_under_low_pressure() {
         let m = pressured(4);
         let plan = plan_spills(&m.functions[0]);
-        assert!(plan.is_empty(), "{plan:?}");
+        assert!(victims(&plan).is_empty(), "{plan:?}");
     }
 
     #[test]
     fn spills_appear_beyond_register_count() {
         let m = pressured(20);
         let plan = plan_spills(&m.functions[0]);
-        assert!(!plan.is_empty());
+        assert!(!victims(&plan).is_empty());
         // After spilling, point-precise pressure must be within budget in
-        // every block.
+        // every block (restated over plain sets).
         let f = &m.functions[0];
         let lv = Liveness::compute(f);
+        let spilled = |r: VReg| plan.slot(r).is_some();
         for (bid, block) in f.iter_blocks() {
-            let mut live: HashSet<VReg> = lv.live_out[bid.index()]
-                .iter()
-                .copied()
-                .filter(|r| !plan.is_spilled(*r))
-                .collect();
+            let mut live: HashSet<VReg> =
+                members(lv.live_out(bid)).filter(|&r| !spilled(r)).collect();
             let mut maxp = live.len();
             for inst in block.insts.iter().rev() {
                 if let Some(d) = inst.kind.def() {
-                    if !plan.is_spilled(d) {
+                    if !spilled(d) {
                         maxp = maxp.max(live.len() + usize::from(!live.contains(&d)));
                         live.remove(&d);
                     }
                 }
-                for op in inst.kind.uses() {
-                    if let Operand::Reg(r) = op {
-                        if !plan.is_spilled(r) {
-                            live.insert(r);
-                        }
+                inst.kind.for_each_use(|r| {
+                    if !spilled(r) {
+                        live.insert(r);
                     }
-                }
+                });
                 maxp = maxp.max(live.len());
             }
             assert!(maxp <= REGISTERS, "block {bid} still over budget: {maxp}");
         }
     }
 
+    /// `h` values summed after an `if`, `c` values used only inside its
+    /// `then` arm; all defined in the entry, so all live through it.
+    fn hot_and_cold(h: usize, c: usize) -> csspgo_ir::Module {
+        let hot: String = (0..h)
+            .map(|i| format!("    let h{i} = a + {i};\n"))
+            .collect();
+        let cold: String = (0..c)
+            .map(|i| format!("    let c{i} = a * {};\n", i + 2))
+            .collect();
+        let cold_sum = (0..c)
+            .map(|i| format!("c{i}"))
+            .collect::<Vec<_>>()
+            .join(" + ");
+        let hot_sum = (0..h)
+            .map(|i| format!("h{i}"))
+            .collect::<Vec<_>>()
+            .join(" + ");
+        let src = format!(
+            "fn f(a) {{\n{hot}{cold}    if (a > 0) {{ a = {cold_sum}; }}\n    return a + {hot_sum};\n}}"
+        );
+        csspgo_lang::compile(&src, "t").unwrap()
+    }
+
+    /// The `then` arm of the entry's branch.
+    fn then_arm(f: &Function) -> BlockId {
+        match f.block(f.entry).terminator().map(|t| &t.kind) {
+            Some(InstKind::CondBr { then_bb, .. }) => *then_bb,
+            other => panic!("entry does not branch: {other:?}"),
+        }
+    }
+
+    /// Registers that only `arm` reads.
+    fn read_only_in(f: &Function, arm: BlockId) -> HashSet<VReg> {
+        let reads = |b: &csspgo_ir::BasicBlock| -> HashSet<VReg> {
+            let mut read = HashSet::new();
+            for i in &b.insts {
+                i.kind.for_each_use(|r| {
+                    read.insert(r);
+                });
+            }
+            read
+        };
+        let elsewhere: HashSet<VReg> = f
+            .iter_blocks()
+            .filter(|&(b, _)| b != arm)
+            .flat_map(|(_, b)| reads(b))
+            .collect();
+        reads(f.block(arm))
+            .into_iter()
+            .filter(|r| {
+                !elsewhere.contains(r)
+                    && f.block(f.entry)
+                        .insts
+                        .iter()
+                        .any(|i| i.kind.def() == Some(*r))
+            })
+            .collect()
+    }
+
     #[test]
     fn believed_cold_registers_spill_first() {
-        let mut m = pressured(20);
+        let mut m = hot_and_cold(10, 8);
         let f = &mut m.functions[0];
-        // Mark every block hot except one; registers used only in the
-        // "cold" block should be preferred victims. Here all registers are
-        // used in the entry, so we simply verify determinism instead.
+        let arm = then_arm(f);
+        let cold = read_only_in(f, arm);
+        assert_eq!(cold.len(), 8, "the eight c values: {cold:?}");
         let ids: Vec<BlockId> = f.iter_blocks().map(|(b, _)| b).collect();
-        for bid in ids {
-            f.block_mut(bid).count = Some(10);
+        for &bid in &ids {
+            f.block_mut(bid).count = Some(if bid == arm { 1 } else { 1000 });
         }
+        let plan = plan_spills(f);
+        let order = victims(&plan);
+        assert!(order.len() >= cold.len(), "{order:?}");
+        let first: HashSet<VReg> = order[..cold.len()].iter().copied().collect();
+        assert_eq!(
+            first, cold,
+            "believed-cold registers spill first: {order:?}"
+        );
+        // Lowest register first among equally cold ones.
+        let mut sorted = order[..cold.len()].to_vec();
+        sorted.sort();
+        assert_eq!(sorted, order[..cold.len()]);
+
+        // Believe the arm hot and everything else cold: the c values are
+        // now the dearest, so the first victim is another register.
+        for &bid in &ids {
+            f.block_mut(bid).count = Some(if bid == arm { 1000 } else { 1 });
+        }
+        let flipped = victims(&plan_spills(f));
+        assert!(!cold.contains(&flipped[0]), "{flipped:?}");
+
         let p1 = plan_spills(f);
         let p2 = plan_spills(f);
-        assert_eq!(p1.slots, p2.slots, "spill choice must be deterministic");
+        assert_eq!(p1, p2, "spill choice must be deterministic");
     }
 }

@@ -6,16 +6,12 @@ use crate::ids::BlockId;
 
 /// Successors of `bb` (deduplicated, preserving first-seen order).
 pub fn successors(func: &Function, bb: BlockId) -> Vec<BlockId> {
-    let mut out = func.block(bb).successors();
-    let mut seen = Vec::new();
-    out.retain(|b| {
-        if seen.contains(b) {
-            false
-        } else {
-            seen.push(*b);
-            true
+    let mut out = Vec::new();
+    for t in func.block(bb).targets() {
+        if !out.contains(&t) {
+            out.push(t);
         }
-    });
+    }
     out
 }
 
@@ -23,10 +19,12 @@ pub fn successors(func: &Function, bb: BlockId) -> Vec<BlockId> {
 /// once per predecessor *block* (parallel edges deduplicated).
 pub fn predecessors(func: &Function) -> Vec<Vec<BlockId>> {
     let mut preds = vec![Vec::new(); func.blocks.len()];
-    for (bid, _) in func.iter_blocks() {
-        for succ in successors(func, bid) {
+    for (bid, block) in func.iter_blocks() {
+        for succ in block.targets() {
+            // Blocks are visited in id order, so a repeat of `bid` can only
+            // be the list's last entry.
             let list: &mut Vec<BlockId> = &mut preds[succ.index()];
-            if !list.contains(&bid) {
+            if list.last() != Some(&bid) {
                 list.push(bid);
             }
         }
@@ -40,7 +38,7 @@ pub fn reachable(func: &Function) -> Vec<bool> {
     let mut stack = vec![func.entry];
     seen[func.entry.index()] = true;
     while let Some(bb) = stack.pop() {
-        for succ in successors(func, bb) {
+        for succ in func.block(bb).targets() {
             if !seen[succ.index()] {
                 seen[succ.index()] = true;
                 stack.push(succ);
@@ -51,25 +49,29 @@ pub fn reachable(func: &Function) -> Vec<bool> {
 }
 
 /// Reverse post-order starting at the entry (only reachable blocks).
+///
+/// A repeated edge meets an already-seen block, so walking a terminator's
+/// targets with repeats visits blocks in the order of its deduplicated
+/// successors.
 pub fn reverse_post_order(func: &Function) -> Vec<BlockId> {
     let mut post = Vec::with_capacity(func.blocks.len());
-    let mut state = vec![0u8; func.blocks.len()]; // 0=unseen 1=open 2=done
-                                                  // Iterative DFS computing postorder.
-    let mut stack: Vec<(BlockId, usize)> = vec![(func.entry, 0)];
-    state[func.entry.index()] = 1;
-    while let Some(&mut (bb, ref mut next)) = stack.last_mut() {
-        let succs = successors(func, bb);
-        if *next < succs.len() {
-            let s = succs[*next];
-            *next += 1;
-            if state[s.index()] == 0 {
-                state[s.index()] = 1;
-                stack.push((s, 0));
+    let mut seen = vec![false; func.blocks.len()];
+    // Iterative DFS computing postorder; each frame resumes its block's
+    // target walk.
+    let mut stack = vec![(func.entry, func.block(func.entry).targets())];
+    seen[func.entry.index()] = true;
+    while let Some((bb, targets)) = stack.last_mut() {
+        match targets.next() {
+            Some(s) => {
+                if !seen[s.index()] {
+                    seen[s.index()] = true;
+                    stack.push((s, func.block(s).targets()));
+                }
             }
-        } else {
-            state[bb.index()] = 2;
-            post.push(bb);
-            stack.pop();
+            None => {
+                post.push(*bb);
+                stack.pop();
+            }
         }
     }
     post.reverse();

@@ -29,11 +29,10 @@ impl BasicBlock {
         self.insts.last_mut().filter(|i| i.is_terminator())
     }
 
-    /// Successor blocks (empty if the block is incomplete or returns).
-    pub fn successors(&self) -> Vec<BlockId> {
-        self.terminator()
-            .map(|t| t.kind.successors())
-            .unwrap_or_default()
+    /// Successor blocks in edge order, with repeats (empty if the block is
+    /// incomplete or returns). Allocates nothing.
+    pub fn targets(&self) -> impl Iterator<Item = BlockId> + '_ {
+        self.terminator().into_iter().flat_map(|t| t.kind.targets())
     }
 
     /// Instructions excluding the terminator.

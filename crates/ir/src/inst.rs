@@ -259,20 +259,21 @@ impl InstKind {
         )
     }
 
-    /// Successor blocks of a terminator (empty for non-terminators and `Ret`).
-    pub fn successors(&self) -> Vec<BlockId> {
-        match self {
-            InstKind::Br { target } => vec![*target],
+    /// Successor blocks of a terminator, in edge order and with repeats
+    /// (empty for non-terminators and `Ret`). Allocates nothing.
+    pub fn targets(&self) -> impl Iterator<Item = BlockId> + '_ {
+        let (cases, fixed): (&[(i64, BlockId)], [Option<BlockId>; 2]) = match self {
+            InstKind::Br { target } => (&[], [Some(*target), None]),
             InstKind::CondBr {
                 then_bb, else_bb, ..
-            } => vec![*then_bb, *else_bb],
-            InstKind::Switch { cases, default, .. } => {
-                let mut out: Vec<BlockId> = cases.iter().map(|&(_, b)| b).collect();
-                out.push(*default);
-                out
-            }
-            _ => Vec::new(),
-        }
+            } => (&[], [Some(*then_bb), Some(*else_bb)]),
+            InstKind::Switch { cases, default, .. } => (cases, [Some(*default), None]),
+            _ => (&[], [None, None]),
+        };
+        cases
+            .iter()
+            .map(|&(_, b)| b)
+            .chain(fixed.into_iter().flatten())
     }
 
     /// Rewrites every successor edge through `f`.
@@ -308,26 +309,40 @@ impl InstKind {
         }
     }
 
-    /// Collects the operands this instruction reads.
-    pub fn uses(&self) -> Vec<Operand> {
+    /// Calls `f` on every register this instruction reads, in operand order
+    /// (a register read twice is passed twice). Allocates nothing.
+    pub fn for_each_use(&self, mut f: impl FnMut(VReg)) {
+        let mut reg = |op: &Operand| {
+            if let Operand::Reg(r) = *op {
+                f(r);
+            }
+        };
         match self {
-            InstKind::Copy { src, .. } => vec![*src],
-            InstKind::Bin { lhs, rhs, .. } | InstKind::Cmp { lhs, rhs, .. } => vec![*lhs, *rhs],
+            InstKind::Copy { src, .. } => reg(src),
+            InstKind::Bin { lhs, rhs, .. } | InstKind::Cmp { lhs, rhs, .. } => {
+                reg(lhs);
+                reg(rhs);
+            }
             InstKind::Select {
                 cond,
                 on_true,
                 on_false,
                 ..
-            } => vec![*cond, *on_true, *on_false],
-            InstKind::Load { index, .. } => vec![*index],
-            InstKind::Store { index, value, .. } => vec![*index, *value],
-            InstKind::Call { args, .. } => args.clone(),
-            InstKind::Ret { value } => value.iter().copied().collect(),
-            InstKind::CondBr { cond, .. } => vec![*cond],
-            InstKind::Switch { value, .. } => vec![*value],
-            InstKind::Br { .. } | InstKind::PseudoProbe { .. } | InstKind::CounterIncr { .. } => {
-                Vec::new()
+            } => {
+                reg(cond);
+                reg(on_true);
+                reg(on_false);
             }
+            InstKind::Load { index, .. } => reg(index),
+            InstKind::Store { index, value, .. } => {
+                reg(index);
+                reg(value);
+            }
+            InstKind::Call { args, .. } => args.iter().for_each(reg),
+            InstKind::Ret { value } => value.iter().for_each(reg),
+            InstKind::CondBr { cond, .. } => reg(cond),
+            InstKind::Switch { value, .. } => reg(value),
+            InstKind::Br { .. } | InstKind::PseudoProbe { .. } | InstKind::CounterIncr { .. } => {}
         }
     }
 
@@ -430,20 +445,26 @@ mod tests {
     #[test]
     fn successors_of_terminators() {
         let br = InstKind::Br { target: BlockId(1) };
-        assert_eq!(br.successors(), vec![BlockId(1)]);
+        assert_eq!(br.targets().collect::<Vec<_>>(), vec![BlockId(1)]);
         let cb = InstKind::CondBr {
             cond: Operand::Imm(1),
             then_bb: BlockId(1),
             else_bb: BlockId(2),
         };
-        assert_eq!(cb.successors(), vec![BlockId(1), BlockId(2)]);
+        assert_eq!(
+            cb.targets().collect::<Vec<_>>(),
+            vec![BlockId(1), BlockId(2)]
+        );
         let sw = InstKind::Switch {
             value: Operand::Imm(0),
             cases: vec![(0, BlockId(3)), (1, BlockId(4))],
             default: BlockId(5),
         };
-        assert_eq!(sw.successors(), vec![BlockId(3), BlockId(4), BlockId(5)]);
-        assert!(InstKind::Ret { value: None }.successors().is_empty());
+        assert_eq!(
+            sw.targets().collect::<Vec<_>>(),
+            vec![BlockId(3), BlockId(4), BlockId(5)]
+        );
+        assert_eq!(InstKind::Ret { value: None }.targets().count(), 0);
     }
 
     #[test]
@@ -454,7 +475,10 @@ mod tests {
             default: BlockId(5),
         };
         sw.map_successors(|b| BlockId(b.0 + 10));
-        assert_eq!(sw.successors(), vec![BlockId(13), BlockId(15)]);
+        assert_eq!(
+            sw.targets().collect::<Vec<_>>(),
+            vec![BlockId(13), BlockId(15)]
+        );
     }
 
     #[test]
@@ -465,7 +489,9 @@ mod tests {
             args: vec![Operand::Reg(VReg(1)), Operand::Imm(2)],
         };
         assert_eq!(call.def(), Some(VReg(3)));
-        assert_eq!(call.uses().len(), 2);
+        let mut read = Vec::new();
+        call.for_each_use(|r| read.push(r));
+        assert_eq!(read, vec![VReg(1)]);
         assert!(call.has_side_effects());
 
         let probe = InstKind::PseudoProbe {
@@ -476,7 +502,7 @@ mod tests {
             factor: 1,
         };
         assert_eq!(probe.def(), None);
-        assert!(probe.uses().is_empty());
+        probe.for_each_use(|r| panic!("a probe reads {r}"));
         // Probes may not be deleted as dead code: modelled as a side effect.
         assert!(probe.has_side_effects());
     }
@@ -496,8 +522,14 @@ mod tests {
                 Operand::Reg(r)
             }
         });
-        assert_eq!(add.uses(), vec![Operand::Imm(7), Operand::Reg(VReg(1))]);
-        // def untouched
-        assert_eq!(add.def(), Some(VReg(2)));
+        assert_eq!(
+            add,
+            InstKind::Bin {
+                op: BinOp::Add,
+                dst: VReg(2),
+                lhs: Operand::Imm(7),
+                rhs: Operand::Reg(VReg(1)),
+            }
+        );
     }
 }

@@ -120,7 +120,7 @@ fn cfg_shape_words(func: &Function) -> Vec<u64> {
                 _ => 0,
             };
             words.push(tag);
-            for succ in term.kind.successors() {
+            for succ in term.kind.targets() {
                 words.push(succ.0 as u64);
             }
         }

@@ -13,7 +13,7 @@
 
 use crate::function::Function;
 use crate::ids::{BlockId, FuncId};
-use crate::inst::{InstKind, Operand};
+use crate::inst::InstKind;
 use crate::module::Module;
 use std::error::Error;
 use std::fmt;
@@ -82,13 +82,11 @@ fn verify_function_into(module: &Module, func: &Function, errors: &mut Vec<Verif
             if inst.is_terminator() && i + 1 != block.insts.len() {
                 errors.push(err(Some(bid), "terminator in the middle of a block".into()));
             }
-            for op in inst.kind.uses() {
-                if let Operand::Reg(r) = op {
-                    if r.index() >= func.num_vregs() {
-                        errors.push(err(Some(bid), format!("use of unallocated register {r}")));
-                    }
+            inst.kind.for_each_use(|r| {
+                if r.index() >= func.num_vregs() {
+                    errors.push(err(Some(bid), format!("use of unallocated register {r}")));
                 }
-            }
+            });
             if let Some(d) = inst.kind.def() {
                 if d.index() >= func.num_vregs() {
                     errors.push(err(Some(bid), format!("def of unallocated register {d}")));
@@ -105,7 +103,7 @@ fn verify_function_into(module: &Module, func: &Function, errors: &mut Vec<Verif
                 }
             }
         }
-        for succ in block.successors() {
+        for succ in block.targets() {
             if succ.index() >= func.blocks.len() {
                 errors.push(err(Some(bid), format!("edge to out-of-range block {succ}")));
             } else if func.block(succ).dead {
@@ -139,6 +137,7 @@ mod tests {
     use super::*;
     use crate::builder::ModuleBuilder;
     use crate::ids::VReg;
+    use crate::inst::Operand;
 
     fn tiny() -> Module {
         let mut mb = ModuleBuilder::new("m");

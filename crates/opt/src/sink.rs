@@ -12,7 +12,7 @@
 //! keeps its line, which now executes at the successor's frequency.
 
 use crate::OptConfig;
-use csspgo_ir::inst::{InstKind, Operand};
+use csspgo_ir::inst::InstKind;
 use csspgo_ir::{cfg, BlockId, Function, Module, VReg};
 use std::collections::{HashMap, HashSet};
 
@@ -48,11 +48,9 @@ fn sink_round(func: &mut Function) -> usize {
     let mut def_blocks: HashMap<VReg, HashSet<BlockId>> = HashMap::new();
     for (bid, block) in func.iter_blocks() {
         for inst in &block.insts {
-            for op in inst.kind.uses() {
-                if let Operand::Reg(r) = op {
-                    use_blocks.entry(r).or_default().insert(bid);
-                }
-            }
+            inst.kind.for_each_use(|r| {
+                use_blocks.entry(r).or_default().insert(bid);
+            });
             if let Some(d) = inst.kind.def() {
                 def_blocks.entry(d).or_default().insert(bid);
             }
@@ -106,9 +104,9 @@ fn sink_round(func: &mut Function) -> usize {
             // conservatively: not defined in the target block before use and
             // not defined later in this block. Cheap approximation: operands
             // must be defined only once in the whole function.
-            let operands_stable = inst.kind.uses().iter().all(|op| match op {
-                Operand::Imm(_) => true,
-                Operand::Reg(r) => def_blocks.get(r).map(|s| s.len()).unwrap_or(0) <= 1,
+            let mut operands_stable = true;
+            inst.kind.for_each_use(|r| {
+                operands_stable &= def_blocks.get(&r).map(|s| s.len()).unwrap_or(0) <= 1;
             });
             if !operands_stable {
                 i += 1;

@@ -54,7 +54,7 @@ pub fn run_function(func: &mut csspgo_ir::Function, max_insts: usize) -> usize {
             {
                 continue;
             }
-            if bj.successors().contains(&j) {
+            if bj.targets().any(|s| s == j) {
                 continue;
             }
         }

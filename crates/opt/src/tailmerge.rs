@@ -35,7 +35,7 @@ pub fn run_function(func: &mut Function) -> usize {
             }
             // A block branching to itself cannot merge safely with another
             // self-looping block (targets differ once remapped); skip loops.
-            if block.successors().contains(&bid) {
+            if block.targets().any(|s| s == bid) {
                 continue;
             }
             let shape: Vec<InstKind> = block.insts.iter().map(|i| i.kind.clone()).collect();

@@ -18,7 +18,6 @@ use csspgo::core::pipeline::{
 use csspgo::core::Workload;
 use csspgo::ir::Module;
 use csspgo::workloads::drift;
-use std::fmt::Write as _;
 use std::path::PathBuf;
 
 /// Traffic scale of the profiling runs behind the PGO rows.
@@ -70,11 +69,9 @@ fn profiled(w: &Workload, variant: PgoVariant, config: &PipelineConfig) -> Binar
     let run = profiling_run(&built, &w, config.sim_config(config.sample_period))
         .expect("training traffic completes");
     let profile = match variant {
-        PgoVariant::AutoFdo => BuildProfile::Flat(autofdo_profile(
-            &built,
-            &run.samples,
-            config.ingest_shards,
-        )),
+        PgoVariant::AutoFdo => {
+            BuildProfile::Flat(autofdo_profile(&built, &run.samples, config.ingest_shards))
+        }
         _ => {
             let generated = context_profile(&built, &run.samples, config.ingest_shards);
             BuildProfile::Probe(finish_probe_profile(
@@ -110,16 +107,12 @@ fn every_compile_matches_golden() {
             ("csspgo", PgoVariant::CsspgoFull),
         ] {
             let binary = profiled(&w, variant, &config);
-            let mut row = String::new();
-            write!(
-                row,
+            rows.push(format!(
                 "  {{\"case\": \"{}/base/{label}\", \"binary_fnv\": {}, \"insts\": {}}}",
                 w.name,
                 fnv_debug(&binary),
                 binary.len()
-            )
-            .unwrap();
-            rows.push(row);
+            ));
         }
     }
     let json = format!("[\n{}\n]\n", rows.join(",\n"));

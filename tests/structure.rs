@@ -528,3 +528,34 @@ fn one_reader() {
         &found,
     );
 }
+
+#[test]
+fn compile_without_hashing() {
+    let banned = [
+        "HashMap",
+        "HashSet",
+        ".uses()",
+        ".successors()",
+        "cfg::successors(",
+    ];
+    let mut found = Vec::new();
+    for path in [
+        "crates/opt/src/simplify.rs",
+        "crates/ir/src/cfg.rs",
+        "crates/codegen/src/liveness.rs",
+        "crates/codegen/src/spill.rs",
+    ] {
+        let src = file(path);
+        let hits: Vec<usize> = (src.code())
+            .filter(|(_, text)| any_of(text, &banned))
+            .map(|(l, _)| l)
+            .collect();
+        found.extend(lines_where(&src, hits.into_iter(), |_| true));
+    }
+    holds(
+        "Compile without hashing",
+        "§4",
+        "simplify, the CFG walks, liveness and spill planning use dense tables and walk operands and successors without allocating",
+        &found,
+    );
+}
