@@ -14,6 +14,16 @@ pub enum Stmt {
     If(Expr, Vec<Stmt>, Vec<Stmt>),
     Loop(u8, Vec<Stmt>),
     CallHelper(usize, Expr),
+    /// An early `return <expr>;`.
+    Return(Expr),
+}
+
+/// A generated `main`: its statements, then a final return reading the
+/// variables whose bit is set in `returned` (bit `i` for `vi`).
+#[derive(Debug, Clone)]
+pub struct Program {
+    pub stmts: Vec<Stmt>,
+    pub returned: u8,
 }
 
 /// An expression over `main`'s four variables and the global.
@@ -59,12 +69,13 @@ fn expr_strategy() -> impl Strategy<Value = Expr> {
     })
 }
 
-pub fn stmt_strategy() -> impl Strategy<Value = Stmt> {
+fn stmt_strategy() -> impl Strategy<Value = Stmt> {
     let leaf = prop_oneof![
-        ((0usize..4), expr_strategy()).prop_map(|(v, e)| Stmt::Let(v, e)),
-        ((0usize..4), expr_strategy()).prop_map(|(v, e)| Stmt::Assign(v, e)),
-        (expr_strategy(), expr_strategy()).prop_map(|(i, v)| Stmt::Store(i, v)),
-        ((0usize..2), expr_strategy()).prop_map(|(h, e)| Stmt::CallHelper(h, e)),
+        4 => ((0usize..4), expr_strategy()).prop_map(|(v, e)| Stmt::Let(v, e)),
+        4 => ((0usize..4), expr_strategy()).prop_map(|(v, e)| Stmt::Assign(v, e)),
+        4 => (expr_strategy(), expr_strategy()).prop_map(|(i, v)| Stmt::Store(i, v)),
+        4 => ((0usize..2), expr_strategy()).prop_map(|(h, e)| Stmt::CallHelper(h, e)),
+        1 => expr_strategy().prop_map(Stmt::Return),
     ];
     leaf.prop_recursive(2, 12, 4, |inner| {
         prop_oneof![
@@ -123,16 +134,31 @@ fn render_stmts(stmts: &[Stmt], depth: usize, counter: &mut usize, out: &mut Str
             Stmt::CallHelper(h, e) => {
                 out.push_str(&format!("{pad}v0 = helper{h}({});\n", render_expr(e)));
             }
+            Stmt::Return(e) => {
+                out.push_str(&format!("{pad}return {};\n", render_expr(e)));
+            }
         }
     }
 }
 
+/// One to five statements and any subset of the variables returned.
+pub fn program_strategy() -> impl Strategy<Value = Program> {
+    (prop::collection::vec(stmt_strategy(), 1..6), 0u8..16)
+        .prop_map(|(stmts, returned)| Program { stmts, returned })
+}
+
 /// The generated body as `main(a, b)`, with two fixed helpers and a 64-cell
 /// global it may read and write.
-pub fn render_program(stmts: &[Stmt]) -> String {
+pub fn render_program(program: &Program) -> String {
     let mut body = String::new();
     let mut counter = 0usize;
-    render_stmts(stmts, 0, &mut counter, &mut body);
+    render_stmts(&program.stmts, 0, &mut counter, &mut body);
+    let mut ret = String::new();
+    for (v, weight) in [1, 3, 5, 7].into_iter().enumerate() {
+        if program.returned & (1 << v) != 0 {
+            ret.push_str(&format!("v{v} * {weight} + "));
+        }
+    }
     format!(
         r#"
 global mem[64];
@@ -151,7 +177,7 @@ fn main(a, b) {{
     let v1 = b;
     let v2 = a + b;
     let v3 = a - b;
-{body}    return v0 + v1 * 3 + v2 * 5 + v3 * 7 + mem[0] + mem[13];
+{body}    return {ret}mem[0] + mem[13];
 }}
 "#
     )

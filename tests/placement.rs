@@ -19,7 +19,7 @@ mod flow_prover;
 #[path = "common/program_gen.rs"]
 mod program_gen;
 use flow_prover::prove_plan;
-use program_gen::{render_program, stmt_strategy};
+use program_gen::{program_strategy, render_program};
 
 /// Asserts the prover certifies the planned placement of every function of
 /// `module` that has one (exit-free functions fall back to full per-block
@@ -68,9 +68,9 @@ proptest! {
 
     #[test]
     fn planned_placements_prove_clean_on_generated_programs(
-        stmts in prop::collection::vec(stmt_strategy(), 1..6),
+        program in program_strategy(),
     ) {
-        let module = compile(&render_program(&stmts));
+        let module = compile(&render_program(&program));
         prop_assert_eq!(assert_planned_placements_certified(&module), 3);
     }
 }

@@ -8,7 +8,7 @@ use proptest::prelude::*;
 
 #[path = "common/program_gen.rs"]
 mod program_gen;
-use program_gen::{build, render_program, stmt_strategy};
+use program_gen::{build, program_strategy, render_program};
 
 /// Runs `src` under a build configuration, returning outputs for several
 /// inputs (or None if the machine hit its budget).
@@ -31,9 +31,9 @@ proptest! {
 
     #[test]
     fn every_build_configuration_is_semantics_preserving(
-        stmts in prop::collection::vec(stmt_strategy(), 1..6)
+        program in program_strategy()
     ) {
-        let src = render_program(&stmts);
+        let src = render_program(&program);
         let reference = run_config(&src, false, false, false);
         prop_assert_eq!(&run_config(&src, false, false, true), &reference, "plain -O2");
         prop_assert_eq!(&run_config(&src, true, false, true), &reference, "probed -O2");

@@ -220,6 +220,30 @@ fn globals_past_the_data_bound_are_a_compile_error() {
     }
 }
 
+/// Parent: `sink` read "defined in one block" as "defined once", so `-O2`
+/// (and `csspgo compile` without `--no-opt`) moved `x = a` into the return
+/// block below `x = 47`, and `main` returned its argument instead of 47.
+#[test]
+fn a_variable_reassigned_before_a_branch_keeps_its_last_value() {
+    let source = input("reassigned_before_branch.mini");
+    for optimise in [false, true] {
+        // What `csspgo compile` builds, with and without `--no-opt`.
+        let mut module = prepared_module(&source, "reassigned_before_branch.mini", false).unwrap();
+        if optimise {
+            csspgo::opt::run_pipeline(&mut module, &csspgo::opt::OptConfig::default());
+        }
+        let binary = lower_module(&module, &CodegenConfig::default());
+        let mut machine = Machine::new(&binary, SimConfig::default());
+        for a in [-3, 0, 5] {
+            assert_eq!(
+                machine.call("main", &[a]).unwrap(),
+                47,
+                "optimised: {optimise}, a = {a}"
+            );
+        }
+    }
+}
+
 /// Parent: a JSON binary could state any global size, counter count or
 /// register window, and `Machine::try_new` allocated the data and counters
 /// (and a call the window) without asking. Each is now a typed error at

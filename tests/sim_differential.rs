@@ -15,7 +15,7 @@ use proptest::prelude::*;
 mod program_gen;
 #[path = "common/reference_sim.rs"]
 mod reference_sim;
-use program_gen::{build, render_program, stmt_strategy};
+use program_gen::{build, program_strategy, render_program};
 use reference_sim::ReferenceMachine;
 
 /// What the generator's `main` never produces on its own: a jump table, a
@@ -108,10 +108,10 @@ proptest! {
 
     #[test]
     fn machine_is_bit_identical_to_the_reference_interpreter(
-        stmts in prop::collection::vec(stmt_strategy(), 1..6),
+        program in program_strategy(),
         seed in any::<u64>(),
     ) {
-        let src = render_program(&stmts) + DRIVER;
+        let src = render_program(&program) + DRIVER;
         // Plain, optimised, probed and instrumented builds.
         for (probes, instrument, optimize) in [
             (false, false, false),

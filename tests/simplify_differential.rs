@@ -18,7 +18,7 @@ mod reference_simplify;
 #[allow(dead_code)] // `build` lowers to a binary; this oracle compares IR
 #[path = "common/program_gen.rs"]
 mod program_gen;
-use program_gen::{render_program, stmt_strategy};
+use program_gen::{program_strategy, render_program};
 
 /// Simplifies `module` both ways and fails unless the results agree.
 /// Returns the simplified module.
@@ -70,9 +70,9 @@ proptest! {
 
     #[test]
     fn simplify_matches_the_reference_on_generated_programs(
-        stmts in prop::collection::vec(stmt_strategy(), 1..6)
+        program in program_strategy()
     ) {
-        let src = render_program(&stmts);
+        let src = render_program(&program);
         for probes in [false, true] {
             let mut m = prepared(&src, probes);
             agree_around_inlining(&m, &format!("probes={probes}"));

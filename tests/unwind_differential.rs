@@ -19,7 +19,7 @@ use proptest::prelude::*;
 mod program_gen;
 #[path = "common/reference_unwind.rs"]
 mod reference_unwind;
-use program_gen::{build, render_program, stmt_strategy};
+use program_gen::{build, program_strategy, render_program};
 use reference_unwind::{reference_unwind, Reference};
 
 /// Probe notes that sit in inlined code: the frames the range attribution
@@ -132,12 +132,12 @@ proptest! {
 
     #[test]
     fn production_matches_reference_on_generated_programs(
-        stmts in prop::collection::vec(stmt_strategy(), 1..6),
+        program in program_strategy(),
         seed in any::<u64>(),
         lbr_size in prop_oneof![Just(4usize), Just(16)],
         pebs in any::<bool>(),
     ) {
-        let src = render_program(&stmts) + DRIVER;
+        let src = render_program(&program) + DRIVER;
         // Optimised: inlined probe frames. Unoptimised: every tail call of
         // the driver survives, so the two routes into `chain` are there to
         // defeat the inference.
