@@ -3,7 +3,11 @@
 //! the six `csspgo_workloads` programs — each base source and the five
 //! releases `drift::release_chain` derives from it, built at `-O2` and with
 //! pseudo-probes — plus the profile-guided CSSPGO and AutoFDO rebuilds of
-//! each base source, pinned in `tests/golden/compile_outputs.json`.
+//! each base source, pinned in `tests/golden/compile_outputs.json`. The same
+//! golden pins the front end: the module `lang::compile` returns for a fixed
+//! set of generated programs (and their `-O2` and probed builds), and the
+//! `CompileError` it returns for each program cut short at three points,
+//! with a variable undeclared, a helper renamed and a stray character.
 //!
 //! The golden was written before the optimiser and code generator moved to
 //! dense per-function tables and must never be re-blessed for a change that
@@ -18,7 +22,16 @@ use csspgo::core::pipeline::{
 use csspgo::core::Workload;
 use csspgo::ir::Module;
 use csspgo::workloads::drift;
+use proptest::{Strategy, TestRng};
 use std::path::PathBuf;
+
+#[allow(dead_code)] // `build` is for the semantics tests
+#[path = "common/program_gen.rs"]
+mod program_gen;
+use program_gen::{program_strategy, render_program};
+
+/// Generated programs whose front-end output the golden pins.
+const GENERATED: u64 = 48;
 
 /// Traffic scale of the profiling runs behind the PGO rows.
 const SCALE: f64 = 0.05;
@@ -85,6 +98,58 @@ fn profiled(w: &Workload, variant: PgoVariant, config: &PipelineConfig) -> Binar
     optimized_build(module, variant, &profile, &w.entry, config).0
 }
 
+/// The golden's rows for the generated programs: the front end's module,
+/// the `-O2` and probed builds of it, and the error of each truncation.
+fn front_end_rows(config: &PipelineConfig) -> Vec<String> {
+    let mut rows = Vec::new();
+    for case in 0..GENERATED {
+        let program = program_strategy().pick(&mut TestRng::for_case("compile_outputs", case));
+        let source = render_program(&program);
+        let front = csspgo::lang::compile(&source, "gen").expect("generated program compiles");
+        let mut row = format!(
+            "  {{\"case\": \"gen{case}/front\", \"module_fnv\": {}}}",
+            fnv_debug(&front)
+        );
+        for (label, probes) in [("o2", false), ("probes", true)] {
+            let (module, binary) = unprofiled(&source, "gen", probes, config);
+            row.push_str(&format!(
+                ",\n  {{\"case\": \"gen{case}/{label}\", \"module_fnv\": {}, \"binary_fnv\": {}, \"insts\": {}}}",
+                fnv_debug(&module),
+                fnv_debug(&binary),
+                binary.len()
+            ));
+        }
+        rows.push(row);
+        let mut broken: Vec<(String, String)> = (1..4)
+            .map(|quarter| {
+                let mut cut = source.len() * quarter / 4;
+                while !source.is_char_boundary(cut) {
+                    cut -= 1;
+                }
+                (format!("cut{quarter}"), source[..cut].to_string())
+            })
+            .collect();
+        broken.push((
+            "undeclared".into(),
+            source.replacen("let v3 = ", "v3 = ", 1),
+        ));
+        broken.push(("renamed".into(), source.replacen("helper1(", "helper9(", 2)));
+        let mut stray = source.clone();
+        stray.insert(source.len() * 2 / 3, '#');
+        broken.push(("stray".into(), stray));
+        for (label, text) in broken {
+            let error = match csspgo::lang::compile(&text, "gen") {
+                Ok(_) => "none".to_string(),
+                Err(e) => e.to_string().replace('\\', "\\\\").replace('"', "\\\""),
+            };
+            rows.push(format!(
+                "  {{\"case\": \"gen{case}/{label}\", \"error\": \"{error}\"}}"
+            ));
+        }
+    }
+    rows
+}
+
 #[test]
 fn every_compile_matches_golden() {
     let config = PipelineConfig::default();
@@ -115,6 +180,7 @@ fn every_compile_matches_golden() {
             ));
         }
     }
+    rows.extend(front_end_rows(&config));
     let json = format!("[\n{}\n]\n", rows.join(",\n"));
 
     let golden: PathBuf = [
