@@ -22,7 +22,7 @@
 //! also attaches flow-consistent [`csspgo_ir::EdgeCounts`] when the MCF
 //! solver runs.
 
-use crate::inference::{infer_counts, InferenceMode, InferenceStats};
+use crate::inference::{infer_dense, InferenceMode, InferenceStats};
 use crate::profile::{FlatFuncProfile, FlatProfile, LocKey, ProbeFuncProfile, ProbeProfile};
 use crate::stalematch::{
     is_stale, match_stale_profile, FuncMatchStatus, MatchConfig, StaleMatching,
@@ -232,7 +232,6 @@ pub fn autofdo_annotate(
         let Some(fp) = profile.funcs.get(&guid) else {
             continue;
         };
-        let fp = fp.clone();
 
         // ---- early inline replay ----
         stats.replayed_inlines += replay_inlines(
@@ -240,7 +239,7 @@ pub fn autofdo_annotate(
             fid,
             cfg.inline_budget,
             |module, _, _, inst, callee| {
-                let Some(enclosing) = flat_navigate(&fp, module, &inst.loc) else {
+                let Some(enclosing) = flat_navigate(fp, module, &inst.loc) else {
                     return false;
                 };
                 if inst.loc.scope == FuncId::INVALID {
@@ -257,21 +256,17 @@ pub fn autofdo_annotate(
         );
 
         // ---- block counts by MAX over per-instruction lookups ----
-        let mut raw: HashMap<BlockId, u64> = HashMap::new();
-        for (bid, block) in module.func(fid).iter_blocks() {
-            let mut best: Option<u64> = None;
+        let func = module.func(fid);
+        let mut raw: Vec<Option<u64>> = vec![None; func.blocks.len()];
+        for (bid, block) in func.iter_blocks() {
             for inst in &block.insts {
-                if let Some(c) = flat_lookup(&fp, module, &inst.loc) {
-                    best = Some(best.unwrap_or(0).max(c));
+                if let Some(c) = flat_lookup(fp, module, &inst.loc) {
+                    let best = &mut raw[bid.index()];
+                    *best = Some(best.unwrap_or(0).max(c));
                 }
             }
-            if let Some(c) = best {
-                raw.insert(bid, c);
-            }
         }
-        let entry = fp
-            .entry
-            .max(raw.get(&module.func(fid).entry).copied().unwrap_or(0));
+        let entry = fp.entry.max(raw[func.entry.index()].unwrap_or(0));
         apply(
             module,
             fid,
@@ -355,7 +350,6 @@ pub fn csspgo_annotate(
         let Some(fp) = profile.funcs.get(&guid) else {
             continue;
         };
-        let fp = fp.clone();
 
         // Source-drift detection: the profile's checksum must match the
         // fresh IR's CFG checksum. (Under `Recover`, salvaged functions
@@ -378,7 +372,7 @@ pub fn csspgo_annotate(
                     return false;
                 };
                 let callee_guid = module.func(callee).guid;
-                let nested = probe_navigate(&fp, module, &stack, owner)
+                let nested = probe_navigate(fp, module, stack, owner)
                     .and_then(|sub| sub.callsites.get(&(probe, callee_guid)));
                 nested.is_some_and(|n| match plan {
                     Some(InlinePlan) => !n.probes.is_empty(),
@@ -388,8 +382,9 @@ pub fn csspgo_annotate(
         );
 
         // ---- block counts via block probes ----
-        let mut raw: HashMap<BlockId, u64> = HashMap::new();
-        for (bid, block) in module.func(fid).iter_blocks() {
+        let func = module.func(fid);
+        let mut raw: Vec<Option<u64>> = vec![None; func.blocks.len()];
+        for (bid, block) in func.iter_blocks() {
             for inst in &block.insts {
                 let InstKind::PseudoProbe {
                     owner,
@@ -404,17 +399,15 @@ pub fn csspgo_annotate(
                 // Only the block's own anchoring probe (the first block
                 // probe) sets the count; the rest came from inlining and
                 // describe the same block.
-                let count = probe_navigate(&fp, module, inline_stack, *owner)
+                let count = probe_navigate(fp, module, inline_stack, *owner)
                     .and_then(|sub| sub.probes.get(index).copied());
                 if let Some(c) = count {
-                    let slot = raw.entry(bid).or_insert(0);
-                    *slot = (*slot).max(c);
+                    let slot = &mut raw[bid.index()];
+                    *slot = Some(slot.unwrap_or(0).max(c));
                 }
             }
         }
-        let entry = fp
-            .entry
-            .max(raw.get(&module.func(fid).entry).copied().unwrap_or(0));
+        let entry = fp.entry.max(raw[func.entry.index()].unwrap_or(0));
         let base = if salvaged_guids.contains(&guid) {
             Provenance::StaleMatched
         } else {
@@ -433,7 +426,7 @@ fn call_probe_of(
     fid: FuncId,
     bid: BlockId,
     i: usize,
-) -> Option<(FuncId, u32, Vec<ProbeSite>)> {
+) -> Option<(FuncId, u32, &[ProbeSite])> {
     if i == 0 {
         return None;
     }
@@ -444,7 +437,7 @@ fn call_probe_of(
             kind: ProbeKind::Call,
             inline_stack,
             ..
-        } => Some((*owner, *index, inline_stack.clone())),
+        } => Some((*owner, *index, inline_stack.as_slice())),
         _ => None,
     }
 }
@@ -511,31 +504,33 @@ pub fn instr_annotate_reconstructed(
 fn apply(
     module: &mut Module,
     fid: FuncId,
-    raw: &HashMap<BlockId, u64>,
+    raw: &[Option<u64>],
     entry: u64,
     mode: InferenceMode,
     base: Provenance,
     stats: &mut AnnotateStats,
 ) {
-    let result = infer_counts(module.func(fid), raw, entry, mode);
-    let ids: Vec<BlockId> = module.func(fid).iter_blocks().map(|(b, _)| b).collect();
+    let (counts, edges, inference) = infer_dense(module.func(fid), raw, entry, mode);
     let f = module.func_mut(fid);
-    let mut tags = Vec::with_capacity(ids.len());
-    for bid in ids {
-        let count = result.counts.get(&bid).copied().unwrap_or(0);
-        f.block_mut(bid).count = Some(count);
-        let tag = if materially_adjusted(raw.get(&bid).copied(), count) {
+    let mut tags = Vec::with_capacity(f.blocks.len());
+    for (i, block) in f.blocks.iter_mut().enumerate() {
+        if block.dead {
+            continue;
+        }
+        let count = counts[i];
+        block.count = Some(count);
+        let tag = if materially_adjusted(raw[i], count) {
             Provenance::Inferred
         } else {
             base
         };
         stats.provenance.add(tag, count);
-        tags.push((bid, tag));
+        tags.push((BlockId::from_index(i), tag));
     }
     f.entry_count = Some(entry);
-    f.edge_counts = result.edges.map(csspgo_ir::EdgeCounts::new);
+    f.edge_counts = edges.map(csspgo_ir::EdgeCounts::new);
     f.count_provenance = Some(ProvenanceMap::new(tags));
-    stats.inference.merge(&result.stats);
+    stats.inference.merge(&inference);
 }
 
 /// Snapshot of per-function block counts keyed by GUID (for the overlap

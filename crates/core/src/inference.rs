@@ -88,36 +88,82 @@ pub fn infer_counts(
 ) -> InferenceResult {
     let solved = match mode {
         InferenceMode::Off => None,
-        InferenceMode::Mcf => mcf::solve(func, raw, entry_count),
+        InferenceMode::Mcf => {
+            let mut dense = vec![None; func.blocks.len()];
+            for (b, &c) in raw {
+                if let Some(slot) = dense.get_mut(b.index()) {
+                    *slot = Some(c);
+                }
+            }
+            mcf::solve(func, &dense, entry_count)
+        }
     };
     let Some(out) = solved else {
         return InferenceResult {
             counts: raw.clone(),
             edges: None,
-            stats: InferenceStats {
-                functions: 1,
-                declined: u64::from(mode == InferenceMode::Mcf),
-                ..InferenceStats::default()
-            },
+            stats: unsolved_stats(mode),
         };
     };
+    let stats = solved_stats(&out, |b| raw.get(&b).copied());
+    InferenceResult {
+        counts: out.order.iter().copied().zip(out.counts).collect(),
+        edges: Some(out.edges),
+        stats,
+    }
+}
+
+/// [`infer_counts`] over dense tables, for annotation: `raw[b]` is block
+/// `b`'s measured count by block index. Returns the count of every block by
+/// index — the repaired one, or the measured one where inference is off or
+/// declines, 0 where there is neither — the edge counts when the solver
+/// ran, and the stats.
+pub(crate) fn infer_dense(
+    func: &Function,
+    raw: &[Option<u64>],
+    entry_count: u64,
+    mode: InferenceMode,
+) -> (Vec<u64>, Option<Vec<(BlockId, BlockId, u64)>>, InferenceStats) {
+    let solved = match mode {
+        InferenceMode::Off => None,
+        InferenceMode::Mcf => mcf::solve(func, raw, entry_count),
+    };
+    let Some(out) = solved else {
+        let counts = raw.iter().map(|c| c.unwrap_or(0)).collect();
+        return (counts, None, unsolved_stats(mode));
+    };
+    let stats = solved_stats(&out, |b| raw[b.index()]);
+    let mut counts = vec![0; func.blocks.len()];
+    for (&b, &c) in out.order.iter().zip(&out.counts) {
+        counts[b.index()] = c;
+    }
+    (counts, Some(out.edges), stats)
+}
+
+/// The stats of a function inference did not repair: off, or declined.
+fn unsolved_stats(mode: InferenceMode) -> InferenceStats {
+    InferenceStats {
+        functions: 1,
+        declined: u64::from(mode == InferenceMode::Mcf),
+        ..InferenceStats::default()
+    }
+}
+
+/// The stats of a solved function, against its measured counts.
+fn solved_stats(out: &mcf::McfOutcome, raw: impl Fn(BlockId) -> Option<u64>) -> InferenceStats {
     let mut stats = InferenceStats {
         functions: 1,
         residual_cost: out.cost,
         ..InferenceStats::default()
     };
-    for (b, &c) in &out.counts {
-        let r = raw.get(b).copied().unwrap_or(0);
+    for (&b, &c) in out.order.iter().zip(&out.counts) {
+        let r = raw(b).unwrap_or(0);
         if c != r {
             stats.counts_adjusted += 1;
             stats.flow_moved += c.abs_diff(r);
         }
     }
-    InferenceResult {
-        counts: out.counts,
-        edges: Some(out.edges),
-        stats,
-    }
+    stats
 }
 
 #[cfg(test)]

@@ -53,12 +53,26 @@
 //! graph costs nothing, only deviating from measurements does.
 //!
 //! Determinism: blocks are numbered in reverse post-order, adjacency lists
-//! are built in that order, and the Dijkstra heap breaks distance ties by
-//! node id — the solver is bit-deterministic for a given input.
+//! are built in that order, and every search settles nodes in increasing
+//! `(distance, node id)` order — the solver is bit-deterministic for a given
+//! input.
+//!
+//! # Dense tables
+//!
+//! The network is flat: one [`Arc`] record per residual arc (twins at
+//! `a ^ 1`), adjacency in compressed rows that keep each node's arcs in
+//! insertion order, blocks indexed by their reverse post-order position
+//! through a table over block ids, and one `dist` / `prev` / potential
+//! buffer for all searches of a solve. A search's queue is a bitset of the
+//! nodes whose distance it has lowered and not yet settled; the next node
+//! settled is the first one in id order with the least distance. That is
+//! the order a `(distance, node id)` min-heap with lazy deletion pops live
+//! entries in, so the augmentation sequence — one augmentation per search,
+//! arcs relaxed in insertion order, strict improvement only — is the one
+//! `tests/common/reference_mcf.rs` makes with a `BinaryHeap`, at a fraction
+//! of its cost on these 20–200-node networks.
 
 use csspgo_ir::{cfg, BlockId, Function};
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
 
 /// "Unbounded" capacity; low enough that path bottlenecks never overflow.
 const INF_CAP: u64 = u64::MAX / 4;
@@ -86,91 +100,142 @@ fn c_dec(w: u64) -> i64 {
 /// counts, plus the total routing cost (the confidence-weighted distance
 /// between the raw and repaired profiles).
 pub(crate) struct McfOutcome {
-    pub counts: HashMap<BlockId, u64>,
+    /// The blocks the entry reaches, in reverse post-order.
+    pub order: Vec<BlockId>,
+    /// The repaired count of `order[i]`.
+    pub counts: Vec<u64>,
     pub edges: Vec<(BlockId, BlockId, u64)>,
     pub cost: u64,
 }
 
+/// One residual arc.
+#[derive(Clone, Copy)]
+struct Arc {
+    to: u32,
+    cap: u64,
+    cost: i64,
+}
+
 /// Residual flow network: paired forward/backward arcs (`a ^ 1` is the
-/// reverse of `a`), per-node adjacency in insertion order.
+/// reverse of `a`); adjacency is built once all arcs are in.
 struct FlowNet {
-    adj: Vec<Vec<u32>>,
-    to: Vec<u32>,
-    cap: Vec<u64>,
-    cost: Vec<i64>,
+    nodes: usize,
+    arcs: Vec<Arc>,
+    /// The node each arc leaves (the CSR rows are counted from it).
+    tail: Vec<u32>,
 }
 
 impl FlowNet {
-    fn new(nodes: usize) -> Self {
+    fn new(nodes: usize, arcs: usize) -> Self {
         FlowNet {
-            adj: vec![Vec::new(); nodes],
-            to: Vec::new(),
-            cap: Vec::new(),
-            cost: Vec::new(),
+            nodes,
+            arcs: Vec::with_capacity(2 * arcs),
+            tail: Vec::with_capacity(2 * arcs),
         }
     }
 
     /// Adds `u → v` with the given capacity and cost; returns the forward
     /// arc index (its residual twin is `index ^ 1`).
     fn arc(&mut self, u: usize, v: usize, cap: u64, cost: i64) -> usize {
-        let a = self.to.len();
-        self.to.push(v as u32);
-        self.cap.push(cap);
-        self.cost.push(cost);
-        self.adj[u].push(a as u32);
-        self.to.push(u as u32);
-        self.cap.push(0);
-        self.cost.push(-cost);
-        self.adj[v].push(a as u32 + 1);
+        let a = self.arcs.len();
+        self.arcs.push(Arc {
+            to: v as u32,
+            cap,
+            cost,
+        });
+        self.tail.push(u as u32);
+        self.arcs.push(Arc {
+            to: u as u32,
+            cap: 0,
+            cost: -cost,
+        });
+        self.tail.push(v as u32);
         a
     }
 
     /// Flow pushed through forward arc `a` (accumulated on its twin).
     fn flow(&self, a: usize) -> u64 {
-        self.cap[a ^ 1]
+        self.arcs[a ^ 1].cap
+    }
+
+    /// Compressed adjacency rows: node `u`'s arcs are
+    /// `adj[start[u]..start[u + 1]]`, in the order they were added.
+    fn rows(&self) -> (Vec<u32>, Vec<u32>) {
+        let mut start = vec![0u32; self.nodes + 1];
+        for &u in &self.tail {
+            start[u as usize + 1] += 1;
+        }
+        for u in 0..self.nodes {
+            start[u + 1] += start[u];
+        }
+        let mut fill = start.clone();
+        let mut adj = vec![0u32; self.arcs.len()];
+        for (a, &u) in self.tail.iter().enumerate() {
+            adj[fill[u as usize] as usize] = a as u32;
+            fill[u as usize] += 1;
+        }
+        (start, adj)
     }
 
     /// Successive shortest paths from `s` to `t` until `want` units are
     /// routed. Returns the total cost, or `None` if the network saturates
     /// before all supply is placed (infeasible).
     fn route(&mut self, s: usize, t: usize, want: u64) -> Option<i128> {
-        let n = self.adj.len();
+        let n = self.nodes;
+        let (start, adj) = self.rows();
         let mut pot = vec![0i64; n];
+        let mut dist = vec![u64::MAX; n];
+        let mut prev = vec![u32::MAX; n];
+        // Reached and not yet settled, one bit per node.
+        let mut queued = vec![0u64; n.div_ceil(64)];
         let mut sent = 0u64;
         let mut total = 0i128;
         while sent < want {
-            let mut dist = vec![u64::MAX; n];
-            let mut prev = vec![u32::MAX; n];
-            let mut heap: BinaryHeap<Reverse<(u64, u32)>> = BinaryHeap::new();
+            dist.fill(u64::MAX);
+            prev.fill(u32::MAX);
             dist[s] = 0;
-            heap.push(Reverse((0, s as u32)));
-            while let Some(Reverse((d, u))) = heap.pop() {
-                let u = u as usize;
-                if d > dist[u] {
-                    continue;
+            queued[s / 64] |= 1 << (s % 64);
+            loop {
+                // Settle the first node in id order with the least distance.
+                let mut u = usize::MAX;
+                let mut d = u64::MAX;
+                for (w, &bits) in queued.iter().enumerate() {
+                    let mut bits = bits;
+                    while bits != 0 {
+                        let v = w * 64 + bits.trailing_zeros() as usize;
+                        bits &= bits - 1;
+                        if dist[v] < d {
+                            d = dist[v];
+                            u = v;
+                        }
+                    }
                 }
-                for &ai in &self.adj[u] {
-                    let a = ai as usize;
-                    if self.cap[a] == 0 {
+                if u == usize::MAX {
+                    break;
+                }
+                queued[u / 64] &= !(1 << (u % 64));
+                for &ai in &adj[start[u] as usize..start[u + 1] as usize] {
+                    let arc = self.arcs[ai as usize];
+                    if arc.cap == 0 {
                         continue;
                     }
-                    let v = self.to[a] as usize;
-                    let reduced = self.cost[a] + pot[u] - pot[v];
+                    let v = arc.to as usize;
+                    let reduced = arc.cost + pot[u] - pot[v];
                     debug_assert!(reduced >= 0, "potential invariant violated");
                     let nd = d + reduced.max(0) as u64;
                     if nd < dist[v] {
                         dist[v] = nd;
                         prev[v] = ai;
-                        heap.push(Reverse((nd, v as u32)));
+                        queued[v / 64] |= 1 << (v % 64);
                     }
                 }
             }
             if dist[t] == u64::MAX {
                 return None;
             }
-            for v in 0..n {
-                if dist[v] != u64::MAX {
-                    pot[v] += dist[v] as i64;
+            for (p, &d) in pot.iter_mut().zip(&dist) {
+                if d != u64::MAX {
+                    *p += d as i64;
                 }
             }
             // Bottleneck along the shortest path, then augment.
@@ -178,16 +243,16 @@ impl FlowNet {
             let mut v = t;
             while v != s {
                 let a = prev[v] as usize;
-                push = push.min(self.cap[a]);
-                v = self.to[a ^ 1] as usize;
+                push = push.min(self.arcs[a].cap);
+                v = self.arcs[a ^ 1].to as usize;
             }
             let mut v = t;
             while v != s {
                 let a = prev[v] as usize;
-                self.cap[a] -= push;
-                self.cap[a ^ 1] += push;
-                total += i128::from(push) * i128::from(self.cost[a]);
-                v = self.to[a ^ 1] as usize;
+                self.arcs[a].cap -= push;
+                self.arcs[a ^ 1].cap += push;
+                total += i128::from(push) * i128::from(self.arcs[a].cost);
+                v = self.arcs[a ^ 1].to as usize;
             }
             sent += push;
         }
@@ -195,57 +260,75 @@ impl FlowNet {
     }
 }
 
-/// Solves min-cost-flow inference for one function. Returns `None` when the
-/// CFG has no blocks or the network is infeasible (the caller keeps the
-/// measured counts and records the decline).
-pub(crate) fn solve(
-    func: &Function,
-    raw: &HashMap<BlockId, u64>,
-    entry_count: u64,
-) -> Option<McfOutcome> {
+/// Solves min-cost-flow inference for one function from `raw`, the
+/// measured count of each block by block index (`None`, or past the end:
+/// unmeasured). Returns `None` when the CFG has no blocks or the network is
+/// infeasible (the caller keeps the measured counts and records the
+/// decline).
+pub(crate) fn solve(func: &Function, raw: &[Option<u64>], entry_count: u64) -> Option<McfOutcome> {
     let order = cfg::reverse_post_order(func);
     if order.is_empty() {
         return None;
     }
     let n = order.len();
-    let idx: HashMap<BlockId, usize> = order.iter().enumerate().map(|(i, &b)| (b, i)).collect();
+    // Reverse post-order position by block index; `u32::MAX` off the order.
+    let mut pos = vec![u32::MAX; func.blocks.len()];
+    for (i, &b) in order.iter().enumerate() {
+        pos[b.index()] = i as u32;
+    }
+    let weight = |b: BlockId| raw.get(b.index()).copied().flatten().unwrap_or(0);
     // Node layout: in(i) = 2i, out(i) = 2i+1, then sink, super-source,
     // super-sink.
     let t_node = 2 * n;
     let ss = 2 * n + 1;
     let st = 2 * n + 2;
-    let mut net = FlowNet::new(2 * n + 3);
-    let weight = |b: BlockId| raw.get(&b).copied().unwrap_or(0);
+    let edge_guess: usize = order
+        .iter()
+        .map(|&b| func.block(b).targets().count().max(1))
+        .sum();
+    let mut net = FlowNet::new(2 * n + 3, 2 * n + edge_guess + 2 * n + 1);
     let head = entry_count.max(1);
 
     let mut ex = vec![0i128; 2 * n + 1];
-    let entry_i = idx[&func.entry];
+    let entry_i = pos[func.entry.index()] as usize;
     ex[2 * entry_i] += i128::from(head);
     ex[t_node] -= i128::from(head);
 
-    let mut inc_arcs = Vec::with_capacity(n);
-    let mut dec_arcs = Vec::with_capacity(n);
+    // Each block's increase arc, then its decrease arc (`usize::MAX` when
+    // it has no measured weight to cancel).
+    let mut block_arcs = Vec::with_capacity(n);
     for (i, &b) in order.iter().enumerate() {
         let w = weight(b);
-        inc_arcs.push(net.arc(2 * i, 2 * i + 1, INF_CAP, c_inc(w)));
-        dec_arcs.push((w > 0).then(|| net.arc(2 * i + 1, 2 * i, w, c_dec(w))));
+        let inc = net.arc(2 * i, 2 * i + 1, INF_CAP, c_inc(w));
+        let dec = if w > 0 {
+            net.arc(2 * i + 1, 2 * i, w, c_dec(w))
+        } else {
+            usize::MAX
+        };
+        block_arcs.push((inc, dec));
         ex[2 * i] -= i128::from(w);
         ex[2 * i + 1] += i128::from(w);
     }
 
-    let mut edge_arcs: Vec<(BlockId, BlockId, usize)> = Vec::new();
+    let mut edge_arcs: Vec<(BlockId, BlockId, usize)> = Vec::with_capacity(edge_guess);
+    // `seen[j] == i` once the edge `order[i] → order[j]` is in: a repeated
+    // target adds no second arc.
+    let mut seen = vec![u32::MAX; n];
     let mut has_exit = false;
     for (i, &b) in order.iter().enumerate() {
-        let succs = cfg::successors(func, b);
-        if succs.is_empty() {
+        let mut any = false;
+        for s in func.block(b).targets() {
+            any = true;
+            let j = pos[s.index()];
+            if j == u32::MAX || seen[j as usize] == i as u32 {
+                continue;
+            }
+            seen[j as usize] = i as u32;
+            edge_arcs.push((b, s, net.arc(2 * i + 1, 2 * j as usize, INF_CAP, 0)));
+        }
+        if !any {
             net.arc(2 * i + 1, t_node, INF_CAP, 0);
             has_exit = true;
-        } else {
-            for s in succs {
-                if let Some(&j) = idx.get(&s) {
-                    edge_arcs.push((b, s, net.arc(2 * i + 1, 2 * j, INF_CAP, 0)));
-                }
-            }
         }
     }
     if !has_exit {
@@ -267,17 +350,20 @@ pub(crate) fn solve(
 
     let cost = net.route(ss, st, want)?;
 
-    let mut counts = HashMap::with_capacity(n);
-    for (i, &b) in order.iter().enumerate() {
-        let inc = net.flow(inc_arcs[i]);
-        let dec = dec_arcs[i].map_or(0, |a| net.flow(a));
-        counts.insert(b, weight(b) + inc - dec);
-    }
+    let counts = order
+        .iter()
+        .zip(&block_arcs)
+        .map(|(&b, &(inc, dec))| {
+            let dec = if dec == usize::MAX { 0 } else { net.flow(dec) };
+            weight(b) + net.flow(inc) - dec
+        })
+        .collect();
     let edges = edge_arcs
         .iter()
         .map(|&(from, to, a)| (from, to, net.flow(a)))
         .collect();
     Some(McfOutcome {
+        order,
         counts,
         edges,
         cost: u64::try_from(cost).unwrap_or(u64::MAX),
@@ -287,6 +373,22 @@ pub(crate) fn solve(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashMap;
+
+    /// `raw` by block index.
+    fn dense(f: &Function, raw: &HashMap<BlockId, u64>) -> Vec<Option<u64>> {
+        let mut out = vec![None; f.blocks.len()];
+        for (b, &c) in raw {
+            out[b.index()] = Some(c);
+        }
+        out
+    }
+
+    /// The repaired count of `b`.
+    fn count(out: &McfOutcome, b: BlockId) -> u64 {
+        let i = out.order.iter().position(|&o| o == b).expect("reached");
+        out.counts[i]
+    }
 
     #[test]
     fn cost_model_orders_confidence() {
@@ -310,10 +412,10 @@ mod tests {
             (BlockId(2), 10),
             (BlockId(3), 100),
         ]);
-        let out = solve(f, &raw, 100).unwrap();
+        let out = solve(f, &dense(f, &raw), 100).unwrap();
         assert_eq!(out.cost, 0, "consistent input routes at zero cost");
-        for (b, w) in &raw {
-            assert_eq!(out.counts[b], *w);
+        for (&b, &w) in &raw {
+            assert_eq!(count(&out, b), w);
         }
         // Edge counts mirror the branch split.
         let get = |from: u32, to: u32| {
@@ -341,9 +443,9 @@ mod tests {
             .iter_blocks()
             .map(|(b, _)| (b, 37 * (b.0 as u64 + 1)))
             .collect();
-        let out = solve(f, &raw, 20).unwrap();
+        let out = solve(f, &dense(f, &raw), 20).unwrap();
         for (b, _) in f.iter_blocks() {
-            let c = out.counts[&b];
+            let c = count(&out, b);
             let out_sum: u64 = out
                 .edges
                 .iter()

@@ -1,7 +1,8 @@
 //! Property tests for min-cost-flow profile inference: Kirchhoff
 //! conservation on arbitrary corrupted inputs, entry-flow conservation,
-//! bit-determinism, raw pass-through of declined (exit-free) functions, and
-//! exactness on already-consistent profiles.
+//! bit-determinism, raw pass-through of declined (exit-free) functions,
+//! exactness on already-consistent profiles, and agreement with the solver
+//! as it stood before it went dense (`tests/common/reference_mcf.rs`).
 
 use csspgo_core::inference::{infer_counts, InferenceMode};
 use csspgo_ir::builder::ModuleBuilder;
@@ -9,6 +10,9 @@ use csspgo_ir::inst::{CmpPred, Operand};
 use csspgo_ir::{cfg, BlockId, Module, VReg};
 use proptest::prelude::*;
 use std::collections::HashMap;
+
+#[path = "../../../tests/common/reference_mcf.rs"]
+mod reference_mcf;
 
 /// Random CFG of any shape (cycles, unreachable blocks, multiple or zero
 /// exits) — the same generator family as `proptest_core`.
@@ -90,6 +94,48 @@ fn build_consistent_tree(shapes: &[(u8, u8)], entry_flow: u64) -> (Module, HashM
         }
     }
     (mb.finish(), flows.into_iter().collect())
+}
+
+/// A CFG of up to 24 blocks and, per block, no measurement, a zero, or a
+/// small or a large count.
+fn measured_cfg_strategy() -> impl Strategy<Value = (usize, Vec<(u8, u8, u8)>, Vec<(u8, u32)>)> {
+    (2usize..24).prop_flat_map(|n| {
+        (
+            Just(n),
+            prop::collection::vec((any::<u8>(), any::<u8>(), any::<u8>()), n..=n),
+            prop::collection::vec((any::<u8>(), any::<u32>()), n..=n),
+        )
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(400))]
+
+    /// The dense solver makes the reference's augmentations: the same
+    /// counts, edges, routing cost and stats, declines included.
+    #[test]
+    fn mcf_matches_the_reference_solver(
+        (n, edges, measured) in measured_cfg_strategy(),
+        entry_count in prop_oneof![Just(0u64), 1u64..100, 100u64..1_000_000],
+    ) {
+        let m = build_cfg(n, &edges);
+        let f = &m.functions[0];
+        let mut raw = HashMap::new();
+        for (i, &(kind, count)) in measured.iter().enumerate() {
+            let count = match kind % 4 {
+                0 => continue,
+                1 => 0,
+                2 => u64::from(count % 64),
+                _ => u64::from(count),
+            };
+            raw.insert(BlockId::from_index(i), count);
+        }
+        let got = infer_counts(f, &raw, entry_count, InferenceMode::Mcf);
+        let (counts, edges, stats) = reference_mcf::infer_counts(f, &raw, entry_count);
+        prop_assert_eq!(&got.counts, &counts);
+        prop_assert_eq!(&got.edges, &edges);
+        prop_assert_eq!(got.stats, stats);
+    }
 }
 
 proptest! {
