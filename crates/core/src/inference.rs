@@ -113,6 +113,9 @@ pub fn infer_counts(
     }
 }
 
+/// Edge counts `(from, to, count)`.
+type Edges = Vec<(BlockId, BlockId, u64)>;
+
 /// [`infer_counts`] over dense tables, for annotation: `raw[b]` is block
 /// `b`'s measured count by block index. Returns the count of every block by
 /// index — the repaired one, or the measured one where inference is off or
@@ -123,7 +126,7 @@ pub(crate) fn infer_dense(
     raw: &[Option<u64>],
     entry_count: u64,
     mode: InferenceMode,
-) -> (Vec<u64>, Option<Vec<(BlockId, BlockId, u64)>>, InferenceStats) {
+) -> (Vec<u64>, Option<Edges>, InferenceStats) {
     let solved = match mode {
         InferenceMode::Off => None,
         InferenceMode::Mcf => mcf::solve(func, raw, entry_count),
