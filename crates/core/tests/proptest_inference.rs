@@ -96,9 +96,13 @@ fn build_consistent_tree(shapes: &[(u8, u8)], entry_flow: u64) -> (Module, HashM
     (mb.finish(), flows.into_iter().collect())
 }
 
+/// Block count, `build_cfg`'s terminators, and per block a measurement
+/// kind and count.
+type MeasuredCfg = (usize, Vec<(u8, u8, u8)>, Vec<(u8, u32)>);
+
 /// A CFG of up to 24 blocks and, per block, no measurement, a zero, or a
 /// small or a large count.
-fn measured_cfg_strategy() -> impl Strategy<Value = (usize, Vec<(u8, u8, u8)>, Vec<(u8, u32)>)> {
+fn measured_cfg_strategy() -> impl Strategy<Value = MeasuredCfg> {
     (2usize..24).prop_flat_map(|n| {
         (
             Just(n),
@@ -131,10 +135,10 @@ proptest! {
             raw.insert(BlockId::from_index(i), count);
         }
         let got = infer_counts(f, &raw, entry_count, InferenceMode::Mcf);
-        let (counts, edges, stats) = reference_mcf::infer_counts(f, &raw, entry_count);
-        prop_assert_eq!(&got.counts, &counts);
-        prop_assert_eq!(&got.edges, &edges);
-        prop_assert_eq!(got.stats, stats);
+        let want = reference_mcf::infer_counts(f, &raw, entry_count);
+        prop_assert_eq!(&got.counts, &want.counts);
+        prop_assert_eq!(&got.edges, &want.edges);
+        prop_assert_eq!(got.stats, want.stats);
     }
 }
 

@@ -10,6 +10,7 @@
 
 #![allow(dead_code)]
 
+use csspgo_core::inference::{InferenceResult, InferenceStats};
 use csspgo_ir::{cfg, BlockId, Function};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
@@ -241,18 +242,18 @@ pub fn infer_counts(
     func: &Function,
     raw: &HashMap<BlockId, u64>,
     entry_count: u64,
-) -> (
-    HashMap<BlockId, u64>,
-    Option<Vec<(BlockId, BlockId, u64)>>,
-    csspgo_core::inference::InferenceStats,
-) {
-    let mut stats = csspgo_core::inference::InferenceStats {
+) -> InferenceResult {
+    let mut stats = InferenceStats {
         functions: 1,
         ..Default::default()
     };
     let Some(out) = solve(func, raw, entry_count) else {
         stats.declined = 1;
-        return (raw.clone(), None, stats);
+        return InferenceResult {
+            counts: raw.clone(),
+            edges: None,
+            stats,
+        };
     };
     stats.residual_cost = out.cost;
     for (b, &c) in &out.counts {
@@ -262,5 +263,9 @@ pub fn infer_counts(
             stats.flow_moved += c.abs_diff(r);
         }
     }
-    (out.counts, Some(out.edges), stats)
+    InferenceResult {
+        counts: out.counts,
+        edges: Some(out.edges),
+        stats,
+    }
 }
