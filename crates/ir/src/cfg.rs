@@ -32,6 +32,53 @@ pub fn predecessors(func: &Function) -> Vec<Vec<BlockId>> {
     preds
 }
 
+/// [`predecessors`] in compressed rows: the same lists in the same order,
+/// held in two flat arrays.
+pub(crate) struct PredRows {
+    start: Vec<u32>,
+    preds: Vec<BlockId>,
+}
+
+impl PredRows {
+    /// The predecessor blocks of `b`.
+    pub(crate) fn of(&self, b: BlockId) -> &[BlockId] {
+        &self.preds[self.start[b.index()] as usize..self.start[b.index() + 1] as usize]
+    }
+}
+
+/// [`predecessors`] as [`PredRows`].
+pub(crate) fn predecessor_rows(func: &Function) -> PredRows {
+    let n = func.blocks.len();
+    let mut start = vec![0u32; n + 1];
+    // The last block counted into each row: a repeated edge counts once.
+    let mut last = vec![u32::MAX; n];
+    for (bid, block) in func.iter_blocks() {
+        for succ in block.targets() {
+            if last[succ.index()] != bid.index() as u32 {
+                last[succ.index()] = bid.index() as u32;
+                start[succ.index() + 1] += 1;
+            }
+        }
+    }
+    for i in 0..n {
+        start[i + 1] += start[i];
+    }
+    let mut preds = vec![BlockId::from_index(0); start[n] as usize];
+    // The next free slot of each row.
+    let mut next: Vec<u32> = start[..n].to_vec();
+    last.fill(u32::MAX);
+    for (bid, block) in func.iter_blocks() {
+        for succ in block.targets() {
+            if last[succ.index()] != bid.index() as u32 {
+                last[succ.index()] = bid.index() as u32;
+                preds[next[succ.index()] as usize] = bid;
+                next[succ.index()] += 1;
+            }
+        }
+    }
+    PredRows { start, preds }
+}
+
 /// Blocks reachable from the entry, as a dense bitmap.
 pub fn reachable(func: &Function) -> Vec<bool> {
     let mut seen = vec![false; func.blocks.len()];

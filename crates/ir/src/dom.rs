@@ -21,7 +21,7 @@ impl Dominators {
         for (i, &b) in rpo.iter().enumerate() {
             rpo_num[b.index()] = i;
         }
-        let preds = cfg::predecessors(func);
+        let preds = cfg::predecessor_rows(func);
         let mut idom: Vec<Option<BlockId>> = vec![None; func.blocks.len()];
         idom[func.entry.index()] = Some(func.entry);
 
@@ -42,7 +42,7 @@ impl Dominators {
             changed = false;
             for &b in rpo.iter().skip(1) {
                 let mut new_idom: Option<BlockId> = None;
-                for &p in &preds[b.index()] {
+                for &p in preds.of(b) {
                     if idom[p.index()].is_none() {
                         continue; // unprocessed or unreachable
                     }

@@ -36,13 +36,44 @@ pub struct LoopInfo {
 impl LoopInfo {
     /// Detects natural loops in `func`.
     pub fn compute(func: &Function) -> Self {
+        // A natural loop needs a back edge, and a back edge closes a cycle:
+        // it retreats in reverse post-order, and some edge of the cycle
+        // does not lead to a higher block id. Without such edges there is
+        // no loop, and no dominator tree to build.
+        let no_loops = || LoopInfo {
+            loops: Vec::new(),
+            depth: vec![0; func.blocks.len()],
+        };
+        if !func
+            .iter_blocks()
+            .any(|(b, block)| block.targets().any(|s| s <= b))
+        {
+            return no_loops();
+        }
+        let rpo = cfg::reverse_post_order(func);
+        let mut pos = vec![u32::MAX; func.blocks.len()];
+        for (i, &b) in rpo.iter().enumerate() {
+            pos[b.index()] = i as u32;
+        }
+        let retreats = rpo.iter().any(|&b| {
+            func.block(b)
+                .targets()
+                .any(|s| pos[s.index()] <= pos[b.index()])
+        });
+        if !retreats {
+            return no_loops();
+        }
         let dom = Dominators::compute(func);
-        let preds = cfg::predecessors(func);
+        let preds = cfg::predecessor_rows(func);
         let reachable = cfg::reachable(func);
         let mut loops: Vec<Loop> = Vec::new();
 
-        for (bid, _) in func.iter_blocks() {
-            for succ in cfg::successors(func, bid) {
+        for (bid, block) in func.iter_blocks() {
+            // Successors once each, in first-seen order.
+            for (k, succ) in block.targets().enumerate() {
+                if block.targets().take(k).any(|t| t == succ) {
+                    continue;
+                }
                 if dom.is_reachable(bid) && dom.dominates(succ, bid) {
                     // bid -> succ is a back edge; succ is a header.
                     let header = succ;
@@ -82,7 +113,7 @@ impl LoopInfo {
 fn collect_loop(
     header: BlockId,
     latch: BlockId,
-    preds: &[Vec<BlockId>],
+    preds: &cfg::PredRows,
     reachable: &[bool],
 ) -> HashSet<BlockId> {
     let mut blocks: HashSet<BlockId> = HashSet::new();
@@ -93,7 +124,7 @@ fn collect_loop(
             continue;
         }
         if blocks.insert(b) {
-            for &p in &preds[b.index()] {
+            for &p in preds.of(b) {
                 stack.push(p);
             }
         }

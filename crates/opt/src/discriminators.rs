@@ -13,43 +13,66 @@
 //! compiler is not practical" — and is where probe-based correlation wins.
 
 use csspgo_ir::Module;
-use std::collections::HashMap;
+
+/// No block yet.
+const NONE: u32 = u32::MAX;
 
 /// Runs discriminator assignment on every function.
+///
+/// The tables are dense over the function's line range and kept for the
+/// next function: per line the first block using it, the last
+/// discriminator handed out, and the block and discriminator it was last
+/// given in.
 pub fn run(module: &mut Module) {
+    let mut first_block: Vec<u32> = Vec::new();
+    let mut next_disc: Vec<u32> = Vec::new();
+    let mut local: Vec<(u32, u32)> = Vec::new();
     for func in &mut module.functions {
+        let lines = func
+            .blocks
+            .iter()
+            .filter(|b| !b.dead)
+            .flat_map(|b| &b.insts)
+            .map(|i| i.loc.line)
+            .filter(|&l| l != 0);
+        let lo = lines.clone().min().unwrap_or(1);
+        let span = lines.max().map_or(0, |hi| (hi - lo) as usize + 1);
         // line -> (first block that used it). Blocks after the first get
         // fresh discriminators for that line.
-        let mut line_first_block: HashMap<u32, usize> = HashMap::new();
-        let mut line_next_disc: HashMap<u32, u32> = HashMap::new();
-        let nblocks = func.blocks.len();
-        for b in 0..nblocks {
-            if func.blocks[b].dead {
+        first_block.clear();
+        first_block.resize(span, NONE);
+        next_disc.clear();
+        next_disc.resize(span, 0);
+        // line -> (block, discriminator): assigned lazily per block, shared
+        // by all insts of that line in the block.
+        local.clear();
+        local.resize(span, (NONE, 0));
+        for (b, block) in func.blocks.iter_mut().enumerate() {
+            if block.dead {
                 continue;
             }
-            // Discriminator for each line within this block (assigned lazily,
-            // shared by all insts of that line in the block).
-            let mut local: HashMap<u32, u32> = HashMap::new();
-            for inst in &mut func.blocks[b].insts {
+            let b = b as u32;
+            for inst in &mut block.insts {
                 let line = inst.loc.line;
                 if line == 0 {
                     continue;
                 }
-                let disc =
-                    *local
-                        .entry(line)
-                        .or_insert_with(|| match line_first_block.get(&line) {
-                            None => {
-                                line_first_block.insert(line, b);
-                                0
-                            }
-                            Some(&first) if first == b => 0,
-                            Some(_) => {
-                                let d = line_next_disc.entry(line).or_insert(0);
-                                *d += 1;
-                                *d
-                            }
-                        });
+                let k = (line - lo) as usize;
+                let disc = if local[k].0 == b {
+                    local[k].1
+                } else {
+                    let d = if first_block[k] == NONE {
+                        first_block[k] = b;
+                        0
+                    } else if first_block[k] == b {
+                        0
+                    } else {
+                        next_disc[k] += 1;
+                        next_disc[k]
+                    };
+                    local[k] = (b, d);
+                    d
+                };
                 if disc != 0 {
                     inst.loc.discriminator = disc;
                 }

@@ -29,7 +29,8 @@ pub fn run(module: &mut Module, config: &OptConfig) {
 
 /// A decomposed convertible arm: leading probes + single copy + branch.
 struct Arm {
-    probes: Vec<Inst>,
+    /// How many probes lead the arm.
+    probes: usize,
     dst: VReg,
     src: Operand,
     join: BlockId,
@@ -41,11 +42,10 @@ fn decompose_arm(func: &Function, bb: BlockId) -> Option<Arm> {
         .iter()
         .position(|i| !matches!(i.kind, InstKind::PseudoProbe { .. }))
         .unwrap_or(insts.len());
-    let probes: Vec<Inst> = insts[..split].to_vec();
     match &insts[split..] {
         [copy, br] => match (&copy.kind, &br.kind) {
             (InstKind::Copy { dst, src }, InstKind::Br { target }) => Some(Arm {
-                probes,
+                probes: split,
                 dst: *dst,
                 src: *src,
                 join: *target,
@@ -56,27 +56,49 @@ fn decompose_arm(func: &Function, bb: BlockId) -> Option<Arm> {
     }
 }
 
+/// Marks in `only_pred` each live block's one predecessor block: `NONE`
+/// for none, `MANY` for more than one.
+fn single_predecessors(func: &Function, only_pred: &mut Vec<u32>) {
+    only_pred.clear();
+    only_pred.resize(func.blocks.len(), NONE);
+    for (bid, block) in func.iter_blocks() {
+        let b = bid.index() as u32;
+        for s in block.targets() {
+            let slot = &mut only_pred[s.index()];
+            if *slot == NONE {
+                *slot = b;
+            } else if *slot != b {
+                *slot = MANY;
+            }
+        }
+    }
+}
+
+/// No predecessor yet, in [`single_predecessors`]' table.
+const NONE: u32 = u32::MAX;
+/// More than one predecessor block.
+const MANY: u32 = u32::MAX - 1;
+
 /// Converts eligible diamonds; returns the number of conversions.
 pub fn run_function(func: &mut Function, config: &OptConfig) -> usize {
     let mut converted = 0;
+    let mut only_pred = Vec::new();
     loop {
-        let preds = cfg::predecessors(func);
+        single_predecessors(func, &mut only_pred);
         let mut found: Option<(BlockId, BlockId, BlockId)> = None;
         for (p, block) in func.iter_blocks() {
             let Some(InstKind::CondBr {
-                cond,
-                then_bb,
-                else_bb,
-            }) = block.terminator().map(|t| t.kind.clone())
+                then_bb, else_bb, ..
+            }) = block.terminator().map(|t| &t.kind)
             else {
                 continue;
             };
-            let _ = cond;
+            let (then_bb, else_bb) = (*then_bb, *else_bb);
             if then_bb == else_bb || then_bb == p || else_bb == p {
                 continue;
             }
-            if preds[then_bb.index()].as_slice() != [p] || preds[else_bb.index()].as_slice() != [p]
-            {
+            let p32 = p.index() as u32;
+            if only_pred[then_bb.index()] != p32 || only_pred[else_bb.index()] != p32 {
                 continue;
             }
             let (Some(t_arm), Some(e_arm)) =
@@ -92,9 +114,7 @@ pub fn run_function(func: &mut Function, config: &OptConfig) -> usize {
                 continue;
             }
             // Probe blocking (high-accuracy tuning).
-            if config.probe.block_if_convert
-                && (!t_arm.probes.is_empty() || !e_arm.probes.is_empty())
-            {
+            if config.probe.block_if_convert && (t_arm.probes > 0 || e_arm.probes > 0) {
                 continue;
             }
             // Profile heuristic: leave strongly biased branches alone — a
@@ -114,16 +134,18 @@ pub fn run_function(func: &mut Function, config: &OptConfig) -> usize {
         let t_arm = decompose_arm(func, t).expect("checked above");
         let e_arm = decompose_arm(func, e).expect("checked above");
         let join = t_arm.join;
-        let InstKind::CondBr { cond, .. } = func.block(p).terminator().expect("condbr").kind else {
+        // The arms die here: their probes move out of them, not by copy.
+        let mut t_insts = std::mem::take(&mut func.block_mut(t).insts);
+        let mut e_insts = std::mem::take(&mut func.block_mut(e).insts);
+        let pb = func.block_mut(p);
+        let condbr = pb.insts.pop().expect("condbr");
+        let InstKind::CondBr { cond, .. } = condbr.kind else {
             unreachable!()
         };
-        let term_loc = func.block(p).terminator().expect("condbr").loc.clone();
-
-        let pb = func.block_mut(p);
-        pb.insts.pop(); // condbr
-                        // Hoist arm probes (frequency distortion accepted — paper's tuning).
-        pb.insts.extend(t_arm.probes);
-        pb.insts.extend(e_arm.probes);
+        let term_loc = condbr.loc;
+        // Hoist arm probes (frequency distortion accepted — paper's tuning).
+        pb.insts.extend(t_insts.drain(..t_arm.probes));
+        pb.insts.extend(e_insts.drain(..e_arm.probes));
         pb.insts.push(Inst::new(
             InstKind::Select {
                 dst: t_arm.dst,

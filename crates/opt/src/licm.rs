@@ -12,9 +12,9 @@
 
 use crate::OptConfig;
 use csspgo_ir::inst::{Inst, InstKind, Operand};
-use csspgo_ir::loops::LoopInfo;
-use csspgo_ir::{cfg, BlockId, Function, GlobalId, Module, VReg};
-use std::collections::{HashMap, HashSet};
+use csspgo_ir::loops::{Loop, LoopInfo};
+use csspgo_ir::{BlockId, Function, GlobalId, Module};
+use std::collections::HashSet;
 
 /// Runs LICM on every function.
 pub fn run(module: &mut Module, config: &OptConfig) {
@@ -30,6 +30,10 @@ pub fn run(module: &mut Module, config: &OptConfig) {
 /// hoisted instructions.
 pub fn run_function(func: &mut Function) -> usize {
     let mut hoisted_total = 0;
+    // Writes of each register inside the current loop, by register index.
+    let mut defs_in_loop: Vec<u32> = Vec::new();
+    let mut stored_globals: Vec<GlobalId> = Vec::new();
+    let mut to_hoist: Vec<(BlockId, usize)> = Vec::new();
     // Recompute loops after each change batch (preheader insertion mutates
     // the CFG); bound iterations for safety.
     for _ in 0..4 {
@@ -40,22 +44,23 @@ pub fn run_function(func: &mut Function) -> usize {
         let mut hoisted_this_round = 0;
 
         // Innermost-ish first: loops with fewer blocks first.
-        let mut loops = info.loops.clone();
+        let mut loops: Vec<&Loop> = info.loops.iter().collect();
         loops.sort_by_key(|l| l.blocks.len());
 
-        for l in &loops {
+        for l in loops {
             // Facts about the loop body.
-            let mut defs_in_loop: HashMap<VReg, usize> = HashMap::new();
-            let mut stored_globals: HashSet<GlobalId> = HashSet::new();
+            defs_in_loop.clear();
+            defs_in_loop.resize(func.num_vregs(), 0);
+            stored_globals.clear();
             let mut has_call = false;
             for &b in &l.blocks {
                 for inst in &func.block(b).insts {
                     if let Some(d) = inst.kind.def() {
-                        *defs_in_loop.entry(d).or_insert(0) += 1;
+                        defs_in_loop[d.index()] += 1;
                     }
                     match inst.kind {
-                        InstKind::Store { global, .. } => {
-                            stored_globals.insert(global);
+                        InstKind::Store { global, .. } if !stored_globals.contains(&global) => {
+                            stored_globals.push(global);
                         }
                         InstKind::Call { .. } => has_call = true,
                         _ => {}
@@ -63,30 +68,29 @@ pub fn run_function(func: &mut Function) -> usize {
                 }
             }
 
-            let invariant_op = |op: Operand, defs: &HashMap<VReg, usize>| match op {
+            let defs = &defs_in_loop;
+            let invariant_op = |op: Operand| match op {
                 Operand::Imm(_) => true,
-                Operand::Reg(r) => !defs.contains_key(&r),
+                Operand::Reg(r) => defs[r.index()] == 0,
             };
 
             // Collect hoistable instructions (single static def of their
             // register inside the loop, invariant operands, pure — or an
             // invariant load when the loop has no stores to that global and
             // no calls).
-            let mut to_hoist: Vec<(BlockId, usize)> = Vec::new();
+            to_hoist.clear();
             for &b in &l.blocks {
                 for (i, inst) in func.block(b).insts.iter().enumerate() {
                     let hoistable = match &inst.kind {
                         InstKind::Bin { dst, lhs, rhs, .. }
                         | InstKind::Cmp { dst, lhs, rhs, .. } => {
-                            defs_in_loop.get(dst) == Some(&1)
-                                && invariant_op(*lhs, &defs_in_loop)
-                                && invariant_op(*rhs, &defs_in_loop)
+                            defs[dst.index()] == 1 && invariant_op(*lhs) && invariant_op(*rhs)
                         }
                         InstKind::Load { dst, global, index } => {
                             !has_call
                                 && !stored_globals.contains(global)
-                                && defs_in_loop.get(dst) == Some(&1)
-                                && invariant_op(*index, &defs_in_loop)
+                                && defs[dst.index()] == 1
+                                && invariant_op(*index)
                         }
                         _ => false,
                     };
@@ -103,24 +107,16 @@ pub fn run_function(func: &mut Function) -> usize {
             let Some(ph) = preheader else { continue };
 
             // Remove (in reverse index order per block) and append to the
-            // preheader, preserving original relative order.
-            let mut moved: Vec<Inst> = Vec::new();
-            let mut by_block: HashMap<BlockId, Vec<usize>> = HashMap::new();
-            for (b, i) in &to_hoist {
-                by_block.entry(*b).or_default().push(*i);
-            }
-            // Deterministic block order.
-            let mut blocks: Vec<BlockId> = by_block.keys().copied().collect();
-            blocks.sort();
-            for b in blocks {
-                let mut idxs = by_block.remove(&b).expect("collected above");
-                idxs.sort_unstable();
-                let mut batch = Vec::with_capacity(idxs.len());
-                for &i in idxs.iter().rev() {
-                    batch.push(func.block_mut(b).insts.remove(i));
+            // preheader, in block order and original order within a block.
+            to_hoist.sort_unstable();
+            let mut moved: Vec<Inst> = Vec::with_capacity(to_hoist.len());
+            for group in to_hoist.chunk_by(|a, b| a.0 == b.0) {
+                let b = group[0].0;
+                let start = moved.len();
+                for &(_, i) in group.iter().rev() {
+                    moved.push(func.block_mut(b).insts.remove(i));
                 }
-                batch.reverse(); // keep original order within the block
-                moved.extend(batch);
+                moved[start..].reverse();
             }
             hoisted_this_round += moved.len();
             let phb = func.block_mut(ph);
@@ -148,30 +144,29 @@ fn ensure_preheader(
     if header == func.entry {
         return None;
     }
-    let preds = cfg::predecessors(func);
-    let outside: Vec<BlockId> = preds[header.index()]
-        .iter()
-        .copied()
-        .filter(|p| !loop_blocks.contains(p))
+    // The header's predecessor blocks from outside the loop, in block order.
+    let outside: Vec<BlockId> = func
+        .iter_blocks()
+        .filter(|(p, block)| !loop_blocks.contains(p) && block.targets().any(|s| s == header))
+        .map(|(p, _)| p)
         .collect();
     if outside.is_empty() {
         return None;
     }
     // An existing preheader: single outside pred whose only successor is the
     // header.
-    if outside.len() == 1 {
-        let p = outside[0];
-        if cfg::successors(func, p) == vec![header] {
+    if let [p] = outside[..] {
+        if func.block(p).targets().all(|s| s == header) {
             return Some(p);
         }
     }
     // Create one.
     let ph = func.add_block();
     let header_count = func.block(header).count;
-    let back_count: u64 = preds[header.index()]
-        .iter()
-        .filter(|p| loop_blocks.contains(p))
-        .map(|p| func.block(*p).count.unwrap_or(0))
+    let back_count: u64 = func
+        .iter_blocks()
+        .filter(|(p, block)| loop_blocks.contains(p) && block.targets().any(|s| s == header))
+        .map(|(_, block)| block.count.unwrap_or(0))
         .sum();
     func.block_mut(ph)
         .insts

@@ -13,8 +13,7 @@
 
 use crate::OptConfig;
 use csspgo_ir::inst::InstKind;
-use csspgo_ir::{cfg, BlockId, Function, Module, VReg};
-use std::collections::{HashMap, HashSet};
+use csspgo_ir::{BlockId, Function, Module};
 
 /// Runs sinking on every function.
 pub fn run(module: &mut Module, config: &OptConfig) {
@@ -26,12 +25,62 @@ pub fn run(module: &mut Module, config: &OptConfig) {
     }
 }
 
+/// No block yet, in [`Tables`]' single-block slots.
+const NONE: u32 = u32::MAX;
+/// More than one block.
+const MANY: u32 = u32::MAX - 1;
+
+/// What a round knows about the function as it stood when the round began,
+/// in dense tables: per register the one block reading it (terminators
+/// count) and how often it is written, per block its one predecessor block.
+#[derive(Default)]
+struct Tables {
+    user: Vec<u32>,
+    defs: Vec<u32>,
+    pred: Vec<u32>,
+}
+
+/// Records `block` in a single-block slot.
+fn note(slot: &mut u32, block: u32) {
+    if *slot == NONE {
+        *slot = block;
+    } else if *slot != block {
+        *slot = MANY;
+    }
+}
+
+impl Tables {
+    fn fill(&mut self, func: &Function) {
+        self.user.clear();
+        self.user.resize(func.num_vregs(), NONE);
+        self.defs.clear();
+        self.defs.resize(func.num_vregs(), 0);
+        self.pred.clear();
+        self.pred.resize(func.blocks.len(), NONE);
+        for (bid, block) in func.iter_blocks() {
+            let b = bid.index() as u32;
+            for inst in &block.insts {
+                inst.kind
+                    .for_each_use(|r| note(&mut self.user[r.index()], b));
+                if let Some(d) = inst.kind.def() {
+                    let n = &mut self.defs[d.index()];
+                    *n = n.saturating_add(1);
+                }
+            }
+            for s in block.targets() {
+                note(&mut self.pred[s.index()], b);
+            }
+        }
+    }
+}
+
 /// Sinks eligible instructions; returns how many moved.
 pub fn run_function(func: &mut Function) -> usize {
+    let mut tables = Tables::default();
     let mut moved_total = 0;
     // A few rounds: sinking can enable further sinking.
     for _ in 0..3 {
-        let moved = sink_round(func);
+        let moved = sink_round(func, &mut tables);
         moved_total += moved;
         if moved == 0 {
             break;
@@ -40,30 +89,23 @@ pub fn run_function(func: &mut Function) -> usize {
     moved_total
 }
 
-fn sink_round(func: &mut Function) -> usize {
-    let preds = cfg::predecessors(func);
+/// Whether `bid` has at least two distinct successors.
+fn branches(func: &Function, bid: BlockId) -> bool {
+    let mut targets = func.block(bid).targets();
+    let Some(first) = targets.next() else {
+        return false;
+    };
+    targets.any(|s| s != first)
+}
 
-    // Where is each register used? (block set; terminators count.) How
-    // often is it defined? (Definitions, not defining blocks: two writes in
-    // one block are two definitions.)
-    let mut use_blocks: HashMap<VReg, HashSet<BlockId>> = HashMap::new();
-    let mut defs: HashMap<VReg, usize> = HashMap::new();
-    for (bid, block) in func.iter_blocks() {
-        for inst in &block.insts {
-            inst.kind.for_each_use(|r| {
-                use_blocks.entry(r).or_default().insert(bid);
-            });
-            if let Some(d) = inst.kind.def() {
-                *defs.entry(d).or_default() += 1;
-            }
-        }
-    }
-
-    let ids: Vec<BlockId> = func.iter_blocks().map(|(b, _)| b).collect();
+fn sink_round(func: &mut Function, tables: &mut Tables) -> usize {
+    // The tables describe the function as the round found it; a move does
+    // not update them, and the rest of its block waits for the next round.
+    tables.fill(func);
     let mut moved = 0;
-    for bid in ids {
-        let succs = cfg::successors(func, bid);
-        if succs.len() < 2 {
+    for b in 0..func.blocks.len() {
+        let bid = BlockId::from_index(b);
+        if func.block(bid).dead || !branches(func, bid) {
             continue; // sinking only pays when some successor skips the work
         }
         let mut i = 0;
@@ -80,35 +122,35 @@ fn sink_round(func: &mut Function) -> usize {
                 i += 1;
                 continue;
             };
+            // Defined exactly once (non-SSA safety: a register written
+            // twice, in one block or two, stays), and every use in one
+            // other block.
+            let target = tables.user[dst.index()];
             if !sinkable
-                // Defined exactly once (non-SSA safety).
-                || defs.get(&dst).copied().unwrap_or(0) != 1
-                // Not used in its own block (including the terminator).
-                || use_blocks.get(&dst).map(|s| s.contains(&bid)).unwrap_or(false)
+                || tables.defs[dst.index()] != 1
+                || target == NONE
+                || target == MANY
+                || target == b as u32
             {
                 i += 1;
                 continue;
             }
-            // All uses in exactly one successor, which must have no other
-            // predecessor (otherwise the value could be read on a path that
-            // skipped the def).
-            let users = use_blocks.get(&dst).cloned().unwrap_or_default();
-            if users.len() != 1 {
-                i += 1;
-                continue;
-            }
-            let target = *users.iter().next().expect("one user block");
-            if !succs.contains(&target) || preds[target.index()].as_slice() != [bid] {
+            // That block must be a successor with no other predecessor
+            // (otherwise the value could be read on a path that skipped the
+            // def).
+            let target = BlockId::from_index(target as usize);
+            if !func.block(bid).targets().any(|s| s == target)
+                || tables.pred[target.index()] != b as u32
+            {
                 i += 1;
                 continue;
             }
             // The operands must not be redefined between here and the use —
-            // conservatively: not defined in the target block before use and
-            // not defined later in this block. Cheap approximation: operands
-            // must be defined only once in the whole function.
+            // conservatively: each operand is defined at most once in the
+            // whole function.
             let mut operands_stable = true;
             inst.kind.for_each_use(|r| {
-                operands_stable &= defs.get(&r).copied().unwrap_or(0) <= 1;
+                operands_stable &= tables.defs[r.index()] <= 1;
             });
             if !operands_stable {
                 i += 1;
@@ -117,7 +159,6 @@ fn sink_round(func: &mut Function) -> usize {
             let inst = func.block_mut(bid).insts.remove(i);
             func.block_mut(target).insts.insert(0, inst);
             moved += 1;
-            // Maps are stale for dst now; conservatively finish the block.
             break;
         }
     }

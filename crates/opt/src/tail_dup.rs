@@ -9,7 +9,7 @@
 
 use crate::OptConfig;
 use csspgo_ir::inst::InstKind;
-use csspgo_ir::{cfg, BlockId, Module};
+use csspgo_ir::{cfg, BasicBlock, BlockId, Function, Module};
 
 /// The largest join block (instructions, probes excluded) that is copied.
 const MAX_INSTS: usize = 4;
@@ -34,10 +34,12 @@ fn real_len(insts: &[csspgo_ir::Inst]) -> usize {
 
 /// Duplicates eligible join blocks into predecessors ending in an
 /// unconditional branch. Returns the number of duplications performed.
-pub fn run_function(func: &mut csspgo_ir::Function, max_insts: usize) -> usize {
+pub fn run_function(func: &mut Function, max_insts: usize) -> usize {
     let mut duplicated = 0;
-    let ids: Vec<BlockId> = func.iter_blocks().map(|(id, _)| id).collect();
-    for j in ids {
+    // Predecessors reaching the current block by unconditional branch.
+    let mut targets: Vec<BlockId> = Vec::new();
+    for j in 0..func.blocks.len() {
+        let j = BlockId::from_index(j);
         if j == func.entry || func.block(j).dead {
             continue;
         }
@@ -58,22 +60,27 @@ pub fn run_function(func: &mut csspgo_ir::Function, max_insts: usize) -> usize {
                 continue;
             }
         }
-        let preds = cfg::predecessors(func);
-        let plist = preds[j.index()].clone();
-        if plist.len() < 2 {
+        // j's predecessor blocks as the function stands now; duplicate into
+        // those that reach j by unconditional branch.
+        let mut preds = 0;
+        targets.clear();
+        for (p, block) in func.iter_blocks() {
+            if !block.targets().any(|s| s == j) {
+                continue;
+            }
+            preds += 1;
+            if p != j
+                && matches!(
+                    block.terminator().map(|t| &t.kind),
+                    Some(InstKind::Br { target }) if *target == j
+                )
+            {
+                targets.push(p);
+            }
+        }
+        if preds < 2 {
             continue;
         }
-        // Duplicate into predecessors that reach j by unconditional branch.
-        let targets: Vec<BlockId> = plist
-            .into_iter()
-            .filter(|&p| {
-                p != j
-                    && matches!(
-                        func.block(p).terminator().map(|t| &t.kind),
-                        Some(InstKind::Br { target }) if *target == j
-                    )
-            })
-            .collect();
         if !targets.is_empty() {
             // j's probes will co-exist in each absorbing predecessor plus
             // (at most) the original block: raise their duplication factors
@@ -88,17 +95,14 @@ pub fn run_function(func: &mut csspgo_ir::Function, max_insts: usize) -> usize {
             }
         }
         let mut absorbed = 0u64;
-        let mut any = false;
-        for p in targets {
-            let j_insts = func.block(j).insts.clone();
-            let pb = func.block_mut(p);
+        for &p in &targets {
+            let (pb, jb) = two_blocks(func, p, j);
             pb.insts.pop(); // drop `br j`
-            pb.insts.extend(j_insts);
-            absorbed += func.block(p).count.unwrap_or(0);
-            any = true;
+            pb.insts.extend_from_slice(&jb.insts);
+            absorbed += pb.count.unwrap_or(0);
             duplicated += 1;
         }
-        if any {
+        if !targets.is_empty() {
             // Profile maintenance: j keeps only the flow still reaching it.
             if let Some(c) = func.block(j).count {
                 func.block_mut(j).count = Some(c.saturating_sub(absorbed));
@@ -107,6 +111,18 @@ pub fn run_function(func: &mut csspgo_ir::Function, max_insts: usize) -> usize {
         }
     }
     duplicated
+}
+
+/// Block `p` to change and block `j` to read, `p != j`.
+fn two_blocks(func: &mut Function, p: BlockId, j: BlockId) -> (&mut BasicBlock, &BasicBlock) {
+    let (p, j) = (p.index(), j.index());
+    if p < j {
+        let (lo, hi) = func.blocks.split_at_mut(j);
+        (&mut lo[p], &hi[0])
+    } else {
+        let (lo, hi) = func.blocks.split_at_mut(p);
+        (&mut hi[0], &lo[j])
+    }
 }
 
 #[cfg(test)]

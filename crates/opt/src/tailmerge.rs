@@ -11,9 +11,7 @@
 //! unequal ("blocks with probes incrementing different counters cannot be
 //! merged").
 
-use csspgo_ir::inst::InstKind;
 use csspgo_ir::{BlockId, Function, Module};
-use std::collections::HashMap;
 
 /// Runs tail merging on every function.
 pub fn run(module: &mut Module) {
@@ -24,31 +22,35 @@ pub fn run(module: &mut Module) {
 
 /// Merges identical blocks in `func`; returns how many blocks were merged
 /// away.
+///
+/// Each merge takes the first block, in block order, whose shape an
+/// earlier block already has, and merges it into that earlier block (the
+/// first with the shape). Shapes are compared in place, shortest test
+/// first: no shape is copied or hashed, and a rescan after a merge costs
+/// one pass over the candidates' lengths.
 pub fn run_function(func: &mut Function) -> usize {
     let mut merged = 0;
+    // Blocks that may merge, in block order.
+    let mut candidates: Vec<BlockId> = Vec::with_capacity(func.blocks.len());
     loop {
-        let mut by_shape: HashMap<Vec<InstKind>, BlockId> = HashMap::new();
-        let mut victim: Option<(BlockId, BlockId)> = None; // (survivor, dup)
-        for (bid, block) in func.iter_blocks() {
-            if bid == func.entry {
-                continue;
-            }
+        candidates.clear();
+        candidates.extend(func.iter_blocks().filter_map(|(bid, block)| {
             // A block branching to itself cannot merge safely with another
             // self-looping block (targets differ once remapped); skip loops.
-            if block.targets().any(|s| s == bid) {
-                continue;
-            }
-            let shape: Vec<InstKind> = block.insts.iter().map(|i| i.kind.clone()).collect();
-            match by_shape.get(&shape) {
-                Some(&first) => {
-                    victim = Some((first, bid));
-                    break;
-                }
-                None => {
-                    by_shape.insert(shape, bid);
-                }
-            }
-        }
+            (bid != func.entry && !block.targets().any(|s| s == bid)).then_some(bid)
+        }));
+        let same_shape = |a: BlockId, b: BlockId| {
+            let (a, b) = (&func.block(a).insts, &func.block(b).insts);
+            a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.kind == y.kind)
+        };
+        // Earlier candidates have pairwise distinct shapes until the first
+        // repeat, so the first match is the first block with the shape.
+        let victim = candidates.iter().enumerate().find_map(|(j, &dup)| {
+            candidates[..j]
+                .iter()
+                .find(|&&first| same_shape(first, dup))
+                .map(|&survivor| (survivor, dup))
+        });
         let Some((survivor, dup)) = victim else { break };
         // Retarget all edges into `dup` to `survivor`.
         for block in func.blocks.iter_mut().filter(|b| !b.dead) {
