@@ -210,13 +210,17 @@ struct FuncLowering {
 fn lower_function(module: &Module, func: &Function) -> FuncLowering {
     let spills = plan_spills(func);
 
-    let (hot_order, cold_order): (Vec<BlockId>, Vec<BlockId>) = match &func.layout {
-        Some(l) => (l.hot.clone(), l.cold.clone()),
-        None => (func.iter_blocks().map(|(b, _)| b).collect(), vec![]),
+    let linear: Vec<BlockId>;
+    let (hot_order, cold_order): (&[BlockId], &[BlockId]) = match &func.layout {
+        Some(l) => (&l.hot, &l.cold),
+        None => {
+            linear = func.iter_blocks().map(|(b, _)| b).collect();
+            (&linear, &[])
+        }
     };
 
-    let (hot, hot_fixups, hot_blocks) = lower_stream(module, func, &hot_order, &spills);
-    let (cold, cold_fixups, cold_blocks) = lower_stream(module, func, &cold_order, &spills);
+    let (hot, hot_fixups, hot_blocks) = lower_stream(module, func, hot_order, &spills);
+    let (cold, cold_fixups, cold_blocks) = lower_stream(module, func, cold_order, &spills);
 
     FuncLowering {
         hot,
@@ -234,9 +238,11 @@ fn lower_stream(
     order: &[BlockId],
     spills: &SpillPlan,
 ) -> (Vec<MInst>, Vec<Fixup>, Vec<(BlockId, usize)>) {
-    let mut out: Vec<MInst> = Vec::new();
-    let mut fixups: Vec<Fixup> = Vec::new();
-    let mut blocks: Vec<(BlockId, usize)> = Vec::new();
+    // One machine instruction per IR instruction is the usual count.
+    let ir_insts: usize = order.iter().map(|&b| func.block(b).insts.len()).sum();
+    let mut out: Vec<MInst> = Vec::with_capacity(ir_insts);
+    let mut fixups: Vec<Fixup> = Vec::with_capacity(order.len());
+    let mut blocks: Vec<(BlockId, usize)> = Vec::with_capacity(order.len());
     let mut pending_probes: Vec<ProbeNote> = Vec::new();
 
     let emit = |out: &mut Vec<MInst>, pending: &mut Vec<ProbeNote>, mut inst: MInst| {
@@ -253,7 +259,9 @@ fn lower_stream(
         let mut i = 0usize;
         while i < n {
             let inst = &block.insts[i];
-            let loc = inst.loc.clone();
+            // Cloned only where an instruction is emitted: probes and
+            // fall-through branches emit nothing.
+            let loc = &inst.loc;
 
             // Spill reloads for the instruction's uses.
             let mut reloaded: Vec<u32> = Vec::new();
@@ -290,7 +298,7 @@ fn lower_stream(
                     emit(
                         &mut out,
                         &mut pending_probes,
-                        MInst::new(MInstKind::CounterIncr { counter: *counter }, loc),
+                        MInst::new(MInstKind::CounterIncr { counter: *counter }, loc.clone()),
                     );
                 }
                 InstKind::Copy { dst, src } => {
@@ -389,7 +397,7 @@ fn lower_stream(
                                 index: *index,
                                 value: *value,
                             },
-                            loc,
+                            loc.clone(),
                         ),
                     );
                 }
@@ -405,7 +413,7 @@ fn lower_stream(
                                     callee: callee.0,
                                     args: args.clone(),
                                 },
-                                loc,
+                                loc.clone(),
                             ),
                         );
                         // Skip the remaining probes + ret: consumed.
@@ -428,7 +436,7 @@ fn lower_stream(
                     emit(
                         &mut out,
                         &mut pending_probes,
-                        MInst::new(MInstKind::Ret { value: *value }, loc),
+                        MInst::new(MInstKind::Ret { value: *value }, loc.clone()),
                     );
                 }
                 InstKind::Br { target } => {
@@ -441,7 +449,7 @@ fn lower_stream(
                         emit(
                             &mut out,
                             &mut pending_probes,
-                            MInst::new(MInstKind::Jmp { target: usize::MAX }, loc),
+                            MInst::new(MInstKind::Jmp { target: usize::MAX }, loc.clone()),
                         );
                     }
                 }
@@ -484,7 +492,7 @@ fn lower_stream(
                         emit(
                             &mut out,
                             &mut pending_probes,
-                            MInst::new(MInstKind::Jmp { target: usize::MAX }, loc),
+                            MInst::new(MInstKind::Jmp { target: usize::MAX }, loc.clone()),
                         );
                     }
                 }
@@ -514,7 +522,7 @@ fn lower_stream(
                                 targets: cases.iter().map(|&(k, _)| (k, usize::MAX)).collect(),
                                 default: usize::MAX,
                             },
-                            loc,
+                            loc.clone(),
                         ),
                     );
                 }
@@ -539,7 +547,7 @@ fn lower_simple(
     out: &mut Vec<MInst>,
     pending: &mut Vec<ProbeNote>,
     kind: MInstKind,
-    loc: csspgo_ir::DebugLoc,
+    loc: &csspgo_ir::DebugLoc,
     def: Option<VReg>,
     spills: &SpillPlan,
 ) {
@@ -548,7 +556,7 @@ fn lower_simple(
     out.push(inst);
     if let Some(d) = def {
         if let Some(slot) = spills.slot(d) {
-            out.push(MInst::new(MInstKind::SpillStore { slot }, loc));
+            out.push(MInst::new(MInstKind::SpillStore { slot }, loc.clone()));
         }
     }
 }
