@@ -1,17 +1,50 @@
 //! Abstract syntax tree, with source lines on every node that lowers to
-//! code.
+//! code. Names are slices of the source text (`'a`). Statements and
+//! expressions live in two arenas per program, [`Program::stmts`] and
+//! [`Program::exprs`]: a block is a [`Body`], a run of statements, and an
+//! expression names its operands by [`ExprId`], so parsing a statement or
+//! an expression allocates nothing of its own.
 
 /// A whole source file.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub struct Program {
-    pub globals: Vec<GlobalDecl>,
-    pub functions: Vec<FunctionDecl>,
+pub struct Program<'a> {
+    pub globals: Vec<GlobalDecl<'a>>,
+    pub functions: Vec<FunctionDecl<'a>>,
+    /// Every statement of the program, each block's in one run.
+    pub stmts: Vec<Stmt<'a>>,
+    /// Every expression of the program, each after its operands.
+    pub exprs: Vec<Expr<'a>>,
+    /// Call arguments: each call's run of operands, in order.
+    pub args: Vec<ExprId>,
+}
+
+/// A block's statements: `Program::stmts[start..end]`.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct Body {
+    pub start: u32,
+    pub end: u32,
+}
+
+/// An expression: its index in [`Program::exprs`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct ExprId(pub u32);
+
+impl<'a> Program<'a> {
+    /// The statements of `body`.
+    pub fn body(&self, body: Body) -> &[Stmt<'a>] {
+        &self.stmts[body.start as usize..body.end as usize]
+    }
+
+    /// The expression `id` names.
+    pub fn expr(&self, id: ExprId) -> &Expr<'a> {
+        &self.exprs[id.0 as usize]
+    }
 }
 
 /// `global name[size];` or `global name[size] = [v0, v1, ...];`
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub struct GlobalDecl {
-    pub name: String,
+pub struct GlobalDecl<'a> {
+    pub name: &'a str,
     pub size: usize,
     pub init: Vec<i64>,
     pub line: u32,
@@ -19,67 +52,63 @@ pub struct GlobalDecl {
 
 /// `fn name(p0, p1, ...) { body }`
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub struct FunctionDecl {
-    pub name: String,
-    pub params: Vec<String>,
-    pub body: Vec<Stmt>,
+pub struct FunctionDecl<'a> {
+    pub name: &'a str,
+    pub params: Vec<&'a str>,
+    pub body: Body,
     /// Line of the `fn` keyword (the function's header line).
     pub line: u32,
 }
 
 /// Statements.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub enum Stmt {
+pub enum Stmt<'a> {
     /// `let name = expr;`
     Let {
-        name: String,
-        value: Expr,
+        name: &'a str,
+        value: ExprId,
         line: u32,
     },
     /// `name = expr;`
     Assign {
-        name: String,
-        value: Expr,
+        name: &'a str,
+        value: ExprId,
         line: u32,
     },
     /// `name[index] = expr;`
     StoreIndex {
-        name: String,
-        index: Expr,
-        value: Expr,
+        name: &'a str,
+        index: ExprId,
+        value: ExprId,
         line: u32,
     },
     /// `if (cond) { .. } else { .. }`
     If {
-        cond: Expr,
-        then_body: Vec<Stmt>,
-        else_body: Vec<Stmt>,
+        cond: ExprId,
+        then_body: Body,
+        else_body: Body,
         line: u32,
     },
     /// `while (cond) { .. }`
-    While {
-        cond: Expr,
-        body: Vec<Stmt>,
-        line: u32,
-    },
+    While { cond: ExprId, body: Body, line: u32 },
     /// `switch (value) { case k { .. } ... default { .. } }`
     Switch {
-        value: Expr,
-        cases: Vec<(i64, Vec<Stmt>)>,
-        default: Vec<Stmt>,
+        value: ExprId,
+        cases: Vec<(i64, Body)>,
+        default: Body,
         line: u32,
     },
     /// `return;` or `return expr;`
-    Return { value: Option<Expr>, line: u32 },
+    Return { value: Option<ExprId>, line: u32 },
     /// `break;`
     Break { line: u32 },
     /// `continue;`
     Continue { line: u32 },
     /// An expression evaluated for effect (a call).
-    Expr { expr: Expr, line: u32 },
+    Expr { expr: ExprId, line: u32 },
 }
 
-impl Stmt {
+impl Stmt<'_> {
     /// The statement's source line.
     pub fn line(&self) -> u32 {
         match self {
@@ -124,35 +153,36 @@ pub enum AstBinOp {
 
 /// Expressions; each carries the line it starts on.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub enum Expr {
+pub enum Expr<'a> {
     Int {
         value: i64,
         line: u32,
     },
     Var {
-        name: String,
+        name: &'a str,
         line: u32,
     },
     /// `name[index]` — global array read.
     Index {
-        name: String,
-        index: Box<Expr>,
+        name: &'a str,
+        index: ExprId,
         line: u32,
     },
     Unary {
         op: UnaryOp,
-        operand: Box<Expr>,
+        operand: ExprId,
         line: u32,
     },
     Binary {
         op: AstBinOp,
-        lhs: Box<Expr>,
-        rhs: Box<Expr>,
+        lhs: ExprId,
+        rhs: ExprId,
         line: u32,
     },
+    /// `name(args…)`; the arguments are `Program::args[args]`.
     Call {
-        name: String,
-        args: Vec<Expr>,
+        name: &'a str,
+        args: std::ops::Range<u32>,
         line: u32,
     },
 }
@@ -166,7 +196,7 @@ pub enum UnaryOp {
     Not,
 }
 
-impl Expr {
+impl Expr<'_> {
     /// The expression's source line.
     pub fn line(&self) -> u32 {
         match self {

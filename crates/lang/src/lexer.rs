@@ -1,14 +1,15 @@
-//! Lexer: source text → token stream with line numbers.
+//! Lexer: source text → token stream with line numbers. Identifiers are
+//! slices of the source, so a token is two words and copies for free.
 
 use crate::CompileError;
 use std::fmt;
 
-/// A lexical token kind.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum Tok {
+/// A lexical token kind; an identifier borrows its name from the source.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Tok<'a> {
     // Literals and names
     Int(i64),
-    Ident(String),
+    Ident(&'a str),
     // Keywords
     Fn,
     Let,
@@ -57,7 +58,7 @@ pub enum Tok {
     Eof,
 }
 
-impl fmt::Display for Tok {
+impl fmt::Display for Tok<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Tok::Int(v) => write!(f, "{v}"),
@@ -115,9 +116,9 @@ impl fmt::Display for Tok {
 }
 
 /// A token plus the 1-based line it starts on.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct Token {
-    pub tok: Tok,
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Token<'a> {
+    pub tok: Tok<'a>,
     pub line: u32,
 }
 
@@ -127,8 +128,9 @@ pub struct Token {
 ///
 /// Returns a [`CompileError`] on unknown characters or malformed integer
 /// literals.
-pub fn lex(source: &str) -> Result<Vec<Token>, CompileError> {
-    let mut tokens = Vec::new();
+pub fn lex(source: &str) -> Result<Vec<Token<'_>>, CompileError> {
+    // About one token per four bytes of MiniLang source.
+    let mut tokens = Vec::with_capacity(source.len() / 4 + 1);
     let bytes = source.as_bytes();
     let mut i = 0usize;
     let mut line = 1u32;
@@ -179,7 +181,7 @@ pub fn lex(source: &str) -> Result<Vec<Token>, CompileError> {
                     "default" => Tok::Default,
                     "break" => Tok::Break,
                     "continue" => Tok::Continue,
-                    _ => Tok::Ident(text.to_string()),
+                    _ => Tok::Ident(text),
                 };
                 tokens.push(Token { tok, line });
             }
@@ -249,7 +251,7 @@ pub fn lex(source: &str) -> Result<Vec<Token>, CompileError> {
 mod tests {
     use super::*;
 
-    fn toks(src: &str) -> Vec<Tok> {
+    fn toks(src: &str) -> Vec<Tok<'_>> {
         lex(src).unwrap().into_iter().map(|t| t.tok).collect()
     }
 
@@ -259,9 +261,9 @@ mod tests {
             toks("fn foo let iffy"),
             vec![
                 Tok::Fn,
-                Tok::Ident("foo".into()),
+                Tok::Ident("foo"),
                 Tok::Let,
-                Tok::Ident("iffy".into()),
+                Tok::Ident("iffy"),
                 Tok::Eof
             ]
         );

@@ -1,4 +1,6 @@
-//! AST → IR lowering with line-accurate debug locations.
+//! AST → IR lowering with line-accurate debug locations. Globals,
+//! functions and a function's locals are looked up by name in tables kept
+//! sorted by name: no name is copied or hashed.
 
 use crate::ast::*;
 use crate::CompileError;
@@ -6,7 +8,39 @@ use csspgo_ir::builder::{FunctionBuilder, ModuleBuilder};
 use csspgo_ir::inst::{BinOp, CmpPred, InstKind, Operand};
 use csspgo_ir::module::MAX_GLOBAL_CELLS;
 use csspgo_ir::{BlockId, FuncId, GlobalId, Module, VReg};
-use std::collections::HashMap;
+
+/// A name → value table, sorted by name.
+struct Names<'a, T> {
+    sorted: Vec<(&'a str, T)>,
+}
+
+impl<'a, T: Copy> Names<'a, T> {
+    fn with_capacity(n: usize) -> Self {
+        Names {
+            sorted: Vec::with_capacity(n),
+        }
+    }
+
+    fn find(&self, name: &str) -> Result<usize, usize> {
+        self.sorted.binary_search_by(|&(n, _)| n.cmp(name))
+    }
+
+    fn get(&self, name: &str) -> Option<T> {
+        self.find(name).ok().map(|i| self.sorted[i].1)
+    }
+
+    fn contains(&self, name: &str) -> bool {
+        self.find(name).is_ok()
+    }
+
+    /// Binds `name` to `value`, replacing an earlier binding.
+    fn set(&mut self, name: &'a str, value: T) {
+        match self.find(name) {
+            Ok(i) => self.sorted[i].1 = value,
+            Err(i) => self.sorted.insert(i, (name, value)),
+        }
+    }
+}
 
 /// Lowers a parsed [`Program`] into an IR [`Module`].
 ///
@@ -14,13 +48,13 @@ use std::collections::HashMap;
 ///
 /// Returns a [`CompileError`] for unknown names, duplicate definitions,
 /// call-arity mismatches, or globals past [`MAX_GLOBAL_CELLS`] in all.
-pub fn lower(program: &Program, module_name: &str) -> Result<Module, CompileError> {
+pub fn lower(program: &Program<'_>, module_name: &str) -> Result<Module, CompileError> {
     let mut mb = ModuleBuilder::new(module_name);
 
-    let mut globals: HashMap<String, GlobalId> = HashMap::new();
+    let mut globals = Names::with_capacity(program.globals.len());
     let mut cells = 0usize;
     for g in &program.globals {
-        if globals.contains_key(&g.name) {
+        if globals.contains(g.name) {
             return Err(CompileError::new(
                 g.line,
                 format!("duplicate global `{}`", g.name),
@@ -36,45 +70,50 @@ pub fn lower(program: &Program, module_name: &str) -> Result<Module, CompileErro
                 ),
             ));
         }
-        let id = mb.add_global(g.name.clone(), g.size, g.init.clone());
-        globals.insert(g.name.clone(), id);
+        let id = mb.add_global(g.name, g.size, g.init.clone());
+        globals.set(g.name, id);
     }
 
-    let mut funcs: HashMap<String, (FuncId, usize)> = HashMap::new();
+    let mut funcs = Names::with_capacity(program.functions.len());
     for f in &program.functions {
-        if funcs.contains_key(&f.name) {
+        if funcs.contains(f.name) {
             return Err(CompileError::new(
                 f.line,
                 format!("duplicate function `{}`", f.name),
             ));
         }
-        let id = mb.declare_function(f.name.clone(), f.params.len());
-        funcs.insert(f.name.clone(), (id, f.params.len()));
+        let id = mb.declare_function(f.name, f.params.len());
+        funcs.set(f.name, (id, f.params.len()));
     }
 
+    // One locals table and loop stack, emptied for each function.
+    let mut locals = Names::with_capacity(16);
+    let mut loop_stack = Vec::new();
     for f in &program.functions {
-        let (id, _) = funcs[&f.name];
+        let (id, _) = funcs.get(f.name).expect("declared above");
         let mut fb = mb.function_builder(id);
         fb.set_start_line(f.line);
+        locals.sorted.clear();
+        loop_stack.clear();
         let mut ctx = LowerCtx {
             fb,
+            program,
             globals: &globals,
             funcs: &funcs,
-            locals: HashMap::new(),
-            loop_stack: Vec::new(),
+            locals: &mut locals,
+            loop_stack: &mut loop_stack,
         };
-        for (i, p) in f.params.iter().enumerate() {
-            ctx.locals.insert(p.clone(), VReg(i as u32));
+        for (i, &p) in f.params.iter().enumerate() {
+            ctx.locals.set(p, VReg(i as u32));
         }
         let entry = ctx.fb.entry_block();
         ctx.fb.switch_to(entry);
-        ctx.lower_body(&f.body)?;
+        ctx.lower_body(f.body)?;
         // Implicit `return 0;` if control can fall off the end.
         if !ctx.block_terminated() {
             ctx.fb.set_line(f.line);
             ctx.fb.ret(Some(Operand::Imm(0)));
         }
-        drop(ctx);
         csspgo_ir::cfg::remove_unreachable(mb.func_mut(id));
     }
 
@@ -88,22 +127,24 @@ pub fn lower(program: &Program, module_name: &str) -> Result<Module, CompileErro
     Ok(module)
 }
 
-struct LowerCtx<'m, 'e> {
+struct LowerCtx<'m, 'e, 'a> {
     fb: FunctionBuilder<'m>,
-    globals: &'e HashMap<String, GlobalId>,
-    funcs: &'e HashMap<String, (FuncId, usize)>,
-    locals: HashMap<String, VReg>,
+    program: &'e Program<'a>,
+    globals: &'e Names<'a, GlobalId>,
+    funcs: &'e Names<'a, (FuncId, usize)>,
+    locals: &'e mut Names<'a, VReg>,
     /// (continue target, break target) per enclosing loop.
-    loop_stack: Vec<(BlockId, BlockId)>,
+    loop_stack: &'e mut Vec<(BlockId, BlockId)>,
 }
 
-impl LowerCtx<'_, '_> {
+impl<'a> LowerCtx<'_, '_, 'a> {
     fn block_terminated(&self) -> bool {
         self.fb.current_is_terminated()
     }
 
-    fn lower_body(&mut self, stmts: &[Stmt]) -> Result<(), CompileError> {
-        for stmt in stmts {
+    fn lower_body(&mut self, body: Body) -> Result<(), CompileError> {
+        let program = self.program;
+        for stmt in program.body(body) {
             if self.block_terminated() {
                 // Unreachable code after return/break; lower into a fresh
                 // orphan block that remove_unreachable will delete, so that
@@ -116,7 +157,7 @@ impl LowerCtx<'_, '_> {
         Ok(())
     }
 
-    fn lower_stmt(&mut self, stmt: &Stmt) -> Result<(), CompileError> {
+    fn lower_stmt(&mut self, stmt: &Stmt<'a>) -> Result<(), CompileError> {
         self.fb.set_line(stmt.line());
         match stmt {
             Stmt::Let {
@@ -124,14 +165,14 @@ impl LowerCtx<'_, '_> {
                 value,
                 line: _,
             } => {
-                let v = self.lower_expr(value)?;
+                let v = self.lower_expr(*value)?;
                 // Bind (or rebind) the name to a dedicated register so later
                 // assignments can overwrite it.
                 let dst = match self.locals.get(name) {
-                    Some(&r) => r,
+                    Some(r) => r,
                     None => {
                         let r = self.fb.new_vreg();
-                        self.locals.insert(name.clone(), r);
+                        self.locals.set(name, r);
                         r
                     }
                 };
@@ -139,9 +180,9 @@ impl LowerCtx<'_, '_> {
                 Ok(())
             }
             Stmt::Assign { name, value, line } => {
-                let v = self.lower_expr(value)?;
+                let v = self.lower_expr(*value)?;
                 self.fb.set_line(*line);
-                let dst = *self.locals.get(name).ok_or_else(|| {
+                let dst = self.locals.get(name).ok_or_else(|| {
                     CompileError::new(*line, format!("assignment to unknown variable `{name}`"))
                 })?;
                 self.fb.emit(InstKind::Copy { dst, src: v });
@@ -153,11 +194,11 @@ impl LowerCtx<'_, '_> {
                 value,
                 line,
             } => {
-                let g = *self.globals.get(name).ok_or_else(|| {
+                let g = self.globals.get(name).ok_or_else(|| {
                     CompileError::new(*line, format!("store to unknown global `{name}`"))
                 })?;
-                let idx = self.lower_expr(index)?;
-                let val = self.lower_expr(value)?;
+                let idx = self.lower_expr(*index)?;
+                let val = self.lower_expr(*value)?;
                 self.fb.set_line(*line);
                 self.fb.store(g, idx, val);
                 Ok(())
@@ -168,7 +209,7 @@ impl LowerCtx<'_, '_> {
                 else_body,
                 line,
             } => {
-                let c = self.lower_expr(cond)?;
+                let c = self.lower_expr(*cond)?;
                 let then_bb = self.fb.add_block();
                 let else_bb = self.fb.add_block();
                 let join = self.fb.add_block();
@@ -176,12 +217,12 @@ impl LowerCtx<'_, '_> {
                 self.fb.cond_br(c, then_bb, else_bb);
 
                 self.fb.switch_to(then_bb);
-                self.lower_body(then_body)?;
+                self.lower_body(*then_body)?;
                 if !self.block_terminated() {
                     self.fb.br(join);
                 }
                 self.fb.switch_to(else_bb);
-                self.lower_body(else_body)?;
+                self.lower_body(*else_body)?;
                 if !self.block_terminated() {
                     self.fb.br(join);
                 }
@@ -195,12 +236,12 @@ impl LowerCtx<'_, '_> {
                 self.fb.br(header);
                 self.fb.switch_to(header);
                 self.fb.set_line(*line);
-                let c = self.lower_expr(cond)?;
+                let c = self.lower_expr(*cond)?;
                 self.fb.set_line(*line);
                 self.fb.cond_br(c, body_bb, exit);
                 self.fb.switch_to(body_bb);
                 self.loop_stack.push((header, exit));
-                self.lower_body(body)?;
+                self.lower_body(*body)?;
                 self.loop_stack.pop();
                 if !self.block_terminated() {
                     self.fb.br(header);
@@ -214,7 +255,7 @@ impl LowerCtx<'_, '_> {
                 default,
                 line,
             } => {
-                let v = self.lower_expr(value)?;
+                let v = self.lower_expr(*value)?;
                 let join = self.fb.add_block();
                 let default_bb = self.fb.add_block();
                 let mut case_bbs = Vec::with_capacity(cases.len());
@@ -231,13 +272,13 @@ impl LowerCtx<'_, '_> {
 
                 for ((_, body), bb) in cases.iter().zip(&case_bbs) {
                     self.fb.switch_to(*bb);
-                    self.lower_body(body)?;
+                    self.lower_body(*body)?;
                     if !self.block_terminated() {
                         self.fb.br(join);
                     }
                 }
                 self.fb.switch_to(default_bb);
-                self.lower_body(default)?;
+                self.lower_body(*default)?;
                 if !self.block_terminated() {
                     self.fb.br(join);
                 }
@@ -246,7 +287,7 @@ impl LowerCtx<'_, '_> {
             }
             Stmt::Return { value, line } => {
                 let v = match value {
-                    Some(e) => Some(self.lower_expr(e)?),
+                    Some(e) => Some(self.lower_expr(*e)?),
                     None => None,
                 };
                 self.fb.set_line(*line);
@@ -270,32 +311,33 @@ impl LowerCtx<'_, '_> {
                 Ok(())
             }
             Stmt::Expr { expr, .. } => {
-                self.lower_expr(expr)?;
+                self.lower_expr(*expr)?;
                 Ok(())
             }
         }
     }
 
-    fn lower_expr(&mut self, expr: &Expr) -> Result<Operand, CompileError> {
+    fn lower_expr(&mut self, id: ExprId) -> Result<Operand, CompileError> {
+        let expr = self.program.expr(id);
         self.fb.set_line(expr.line());
         match expr {
             Expr::Int { value, .. } => Ok(Operand::Imm(*value)),
             Expr::Var { name, line } => self
                 .locals
                 .get(name)
-                .map(|&r| Operand::Reg(r))
+                .map(Operand::Reg)
                 .ok_or_else(|| CompileError::new(*line, format!("unknown variable `{name}`"))),
             Expr::Index { name, index, line } => {
-                let g = *self
+                let g = self
                     .globals
                     .get(name)
                     .ok_or_else(|| CompileError::new(*line, format!("unknown global `{name}`")))?;
-                let idx = self.lower_expr(index)?;
+                let idx = self.lower_expr(*index)?;
                 self.fb.set_line(*line);
                 Ok(Operand::Reg(self.fb.load(g, idx)))
             }
             Expr::Unary { op, operand, line } => {
-                let v = self.lower_expr(operand)?;
+                let v = self.lower_expr(*operand)?;
                 self.fb.set_line(*line);
                 let r = match op {
                     UnaryOp::Neg => self.fb.bin(BinOp::Sub, Operand::Imm(0), v),
@@ -305,10 +347,10 @@ impl LowerCtx<'_, '_> {
             }
             Expr::Binary { op, lhs, rhs, line } => {
                 if matches!(op, AstBinOp::LogicalAnd | AstBinOp::LogicalOr) {
-                    return self.lower_short_circuit(*op, lhs, rhs, *line);
+                    return self.lower_short_circuit(*op, *lhs, *rhs, *line);
                 }
-                let a = self.lower_expr(lhs)?;
-                let b = self.lower_expr(rhs)?;
+                let a = self.lower_expr(*lhs)?;
+                let b = self.lower_expr(*rhs)?;
                 self.fb.set_line(*line);
                 let r = match op {
                     AstBinOp::Add => self.fb.bin(BinOp::Add, a, b),
@@ -332,7 +374,7 @@ impl LowerCtx<'_, '_> {
                 Ok(Operand::Reg(r))
             }
             Expr::Call { name, args, line } => {
-                let &(callee, arity) = self.funcs.get(name).ok_or_else(|| {
+                let (callee, arity) = self.funcs.get(name).ok_or_else(|| {
                     CompileError::new(*line, format!("unknown function `{name}`"))
                 })?;
                 if args.len() != arity {
@@ -342,7 +384,7 @@ impl LowerCtx<'_, '_> {
                     ));
                 }
                 let mut lowered = Vec::with_capacity(args.len());
-                for a in args {
+                for &a in &self.program.args[args.start as usize..args.end as usize] {
                     lowered.push(self.lower_expr(a)?);
                 }
                 self.fb.set_line(*line);
@@ -356,8 +398,8 @@ impl LowerCtx<'_, '_> {
     fn lower_short_circuit(
         &mut self,
         op: AstBinOp,
-        lhs: &Expr,
-        rhs: &Expr,
+        lhs: ExprId,
+        rhs: ExprId,
         line: u32,
     ) -> Result<Operand, CompileError> {
         let result = self.fb.new_vreg();

@@ -1,43 +1,81 @@
 //! Recursive-descent parser with precedence climbing.
+//!
+//! Recursion is bounded by [`MAX_NESTING`], so a hostile source is a
+//! [`CompileError`], not a stack overflow.
 
 use crate::ast::*;
 use crate::lexer::{Tok, Token};
 use crate::CompileError;
+
+/// The deepest nesting the parser accepts. One level is a block inside a
+/// block (an `else if` link counts as one), a parenthesised expression, a
+/// unary operand, a call argument or an array index inside an expression;
+/// and no expression tree may be taller (`1 + 1 + … + 1` is as tall as it
+/// is long). Parsing, lowering and dropping the tree each recurse once per
+/// level, so the bound caps their stack depth.
+const MAX_NESTING: u32 = 256;
 
 /// Parses a token stream (as produced by [`crate::lexer::lex`]) into a
 /// [`Program`].
 ///
 /// # Errors
 ///
-/// Returns a [`CompileError`] naming the unexpected token and its line.
-pub fn parse(tokens: &[Token]) -> Result<Program, CompileError> {
-    let mut p = Parser { tokens, pos: 0 };
+/// Returns a [`CompileError`] naming the unexpected token and its line, or
+/// the line where nesting first goes deeper than the parser's bound of
+/// 256 levels.
+pub fn parse<'a>(tokens: &[Token<'a>]) -> Result<Program<'a>, CompileError> {
+    let mut p = Parser {
+        tokens,
+        pos: 0,
+        depth: 0,
+        height: 0,
+        // About one statement per eight tokens, one expression per two.
+        stmts: Vec::with_capacity(tokens.len() / 8),
+        pending_stmts: Vec::new(),
+        exprs: Vec::with_capacity(tokens.len() / 2),
+        args: Vec::new(),
+        pending_args: Vec::new(),
+    };
     p.program()
 }
 
-struct Parser<'a> {
-    tokens: &'a [Token],
+struct Parser<'t, 'a> {
+    tokens: &'t [Token<'a>],
     pos: usize,
+    /// Open nesting levels.
+    depth: u32,
+    /// Height of the expression the last expression rule returned.
+    height: u32,
+    /// The program's statements so far.
+    stmts: Vec<Stmt<'a>>,
+    /// Statements of the blocks being parsed, innermost block's last: a
+    /// block moves its own run to `stmts` when it closes.
+    pending_stmts: Vec<Stmt<'a>>,
+    /// The program's expressions so far.
+    exprs: Vec<Expr<'a>>,
+    /// The program's call arguments so far.
+    args: Vec<ExprId>,
+    /// Arguments of the calls being parsed, innermost call's last: a call
+    /// moves its own run to `args` when it closes.
+    pending_args: Vec<ExprId>,
 }
 
-impl<'a> Parser<'a> {
-    fn peek(&self) -> &Tok {
-        &self.tokens[self.pos].tok
+impl<'a> Parser<'_, 'a> {
+    fn peek(&self) -> Tok<'a> {
+        self.tokens[self.pos].tok
     }
 
     fn line(&self) -> u32 {
         self.tokens[self.pos].line
     }
 
-    fn bump(&mut self) -> &Tok {
-        let t = &self.tokens[self.pos].tok;
+    fn bump(&mut self) {
         if self.pos + 1 < self.tokens.len() {
             self.pos += 1;
         }
-        t
     }
 
-    fn eat(&mut self, tok: &Tok) -> bool {
+    fn eat(&mut self, tok: Tok<'_>) -> bool {
         if self.peek() == tok {
             self.bump();
             true
@@ -46,8 +84,8 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn expect(&mut self, tok: Tok) -> Result<(), CompileError> {
-        if self.peek() == &tok {
+    fn expect(&mut self, tok: Tok<'_>) -> Result<(), CompileError> {
+        if self.peek() == tok {
             self.bump();
             Ok(())
         } else {
@@ -58,8 +96,47 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn ident(&mut self) -> Result<String, CompileError> {
-        match self.peek().clone() {
+    /// Opens a nesting level; past the bound, the error names `line`.
+    fn enter(&mut self, line: u32) -> Result<(), CompileError> {
+        self.depth += 1;
+        if self.depth > MAX_NESTING {
+            return Err(too_deep(line));
+        }
+        Ok(())
+    }
+
+    fn leave(&mut self) {
+        self.depth -= 1;
+    }
+
+    /// Records the height of an expression built one level above operands
+    /// of height `below`.
+    fn set_height(&mut self, below: u32, line: u32) -> Result<(), CompileError> {
+        self.height = below + 1;
+        if self.height > MAX_NESTING {
+            return Err(too_deep(line));
+        }
+        Ok(())
+    }
+
+    /// Moves the statements pending since `mark` to the arena as one body.
+    fn close_body(&mut self, mark: usize) -> Body {
+        let start = self.stmts.len() as u32;
+        self.stmts.extend(self.pending_stmts.drain(mark..));
+        Body {
+            start,
+            end: self.stmts.len() as u32,
+        }
+    }
+
+    /// Adds `e` to the arena.
+    fn push(&mut self, e: Expr<'a>) -> ExprId {
+        self.exprs.push(e);
+        ExprId(self.exprs.len() as u32 - 1)
+    }
+
+    fn ident(&mut self) -> Result<&'a str, CompileError> {
+        match self.peek() {
             Tok::Ident(name) => {
                 self.bump();
                 Ok(name)
@@ -73,20 +150,20 @@ impl<'a> Parser<'a> {
 
     fn int(&mut self) -> Result<i64, CompileError> {
         // Allow a leading minus in constant positions.
-        let neg = self.eat(&Tok::Minus);
-        match *self.peek() {
+        let neg = self.eat(Tok::Minus);
+        match self.peek() {
             Tok::Int(v) => {
                 self.bump();
                 Ok(if neg { -v } else { v })
             }
-            ref other => Err(CompileError::new(
+            other => Err(CompileError::new(
                 self.line(),
                 format!("expected integer, found `{other}`"),
             )),
         }
     }
 
-    fn program(&mut self) -> Result<Program, CompileError> {
+    fn program(&mut self) -> Result<Program<'a>, CompileError> {
         let mut globals = Vec::new();
         let mut functions = Vec::new();
         loop {
@@ -102,10 +179,16 @@ impl<'a> Parser<'a> {
                 }
             }
         }
-        Ok(Program { globals, functions })
+        Ok(Program {
+            globals,
+            functions,
+            stmts: std::mem::take(&mut self.stmts),
+            exprs: std::mem::take(&mut self.exprs),
+            args: std::mem::take(&mut self.args),
+        })
     }
 
-    fn global_decl(&mut self) -> Result<GlobalDecl, CompileError> {
+    fn global_decl(&mut self) -> Result<GlobalDecl<'a>, CompileError> {
         let line = self.line();
         self.expect(Tok::Global)?;
         let name = self.ident()?;
@@ -116,12 +199,12 @@ impl<'a> Parser<'a> {
         }
         self.expect(Tok::RBracket)?;
         let mut init = Vec::new();
-        if self.eat(&Tok::Assign) {
+        if self.eat(Tok::Assign) {
             self.expect(Tok::LBracket)?;
-            if !self.eat(&Tok::RBracket) {
+            if !self.eat(Tok::RBracket) {
                 loop {
                     init.push(self.int()?);
-                    if !self.eat(&Tok::Comma) {
+                    if !self.eat(Tok::Comma) {
                         break;
                     }
                 }
@@ -137,16 +220,16 @@ impl<'a> Parser<'a> {
         })
     }
 
-    fn function_decl(&mut self) -> Result<FunctionDecl, CompileError> {
+    fn function_decl(&mut self) -> Result<FunctionDecl<'a>, CompileError> {
         let line = self.line();
         self.expect(Tok::Fn)?;
         let name = self.ident()?;
         self.expect(Tok::LParen)?;
         let mut params = Vec::new();
-        if !self.eat(&Tok::RParen) {
+        if !self.eat(Tok::RParen) {
             loop {
                 params.push(self.ident()?);
-                if !self.eat(&Tok::Comma) {
+                if !self.eat(Tok::Comma) {
                     break;
                 }
             }
@@ -161,24 +244,28 @@ impl<'a> Parser<'a> {
         })
     }
 
-    fn block(&mut self) -> Result<Vec<Stmt>, CompileError> {
+    fn block(&mut self) -> Result<Body, CompileError> {
+        let line = self.line();
         self.expect(Tok::LBrace)?;
-        let mut stmts = Vec::new();
-        while !self.eat(&Tok::RBrace) {
-            if self.peek() == &Tok::Eof {
+        self.enter(line)?;
+        let mark = self.pending_stmts.len();
+        while !self.eat(Tok::RBrace) {
+            if self.peek() == Tok::Eof {
                 return Err(CompileError::new(
                     self.line(),
                     "unexpected end of input in block",
                 ));
             }
-            stmts.push(self.stmt()?);
+            let stmt = self.stmt()?;
+            self.pending_stmts.push(stmt);
         }
-        Ok(stmts)
+        self.leave();
+        Ok(self.close_body(mark))
     }
 
-    fn stmt(&mut self) -> Result<Stmt, CompileError> {
+    fn stmt(&mut self) -> Result<Stmt<'a>, CompileError> {
         let line = self.line();
-        match self.peek().clone() {
+        match self.peek() {
             Tok::Let => {
                 self.bump();
                 let name = self.ident()?;
@@ -193,15 +280,20 @@ impl<'a> Parser<'a> {
                 let cond = self.expr()?;
                 self.expect(Tok::RParen)?;
                 let then_body = self.block()?;
-                let else_body = if self.eat(&Tok::Else) {
-                    if self.peek() == &Tok::If {
+                let else_body = if self.eat(Tok::Else) {
+                    if self.peek() == Tok::If {
                         // `else if` chains as a nested if.
-                        vec![self.stmt()?]
+                        self.enter(self.line())?;
+                        let nested = self.stmt()?;
+                        self.leave();
+                        let mark = self.pending_stmts.len();
+                        self.pending_stmts.push(nested);
+                        self.close_body(mark)
                     } else {
                         self.block()?
                     }
                 } else {
-                    Vec::new()
+                    Body::default()
                 };
                 Ok(Stmt::If {
                     cond,
@@ -225,16 +317,16 @@ impl<'a> Parser<'a> {
                 self.expect(Tok::RParen)?;
                 self.expect(Tok::LBrace)?;
                 let mut cases = Vec::new();
-                let mut default = Vec::new();
+                let mut default = Body::default();
                 loop {
-                    if self.eat(&Tok::RBrace) {
+                    if self.eat(Tok::RBrace) {
                         break;
                     }
-                    if self.eat(&Tok::Case) {
+                    if self.eat(Tok::Case) {
                         let k = self.int()?;
                         let body = self.block()?;
                         cases.push((k, body));
-                    } else if self.eat(&Tok::Default) {
+                    } else if self.eat(Tok::Default) {
                         default = self.block()?;
                     } else {
                         return Err(CompileError::new(
@@ -255,7 +347,7 @@ impl<'a> Parser<'a> {
             }
             Tok::Return => {
                 self.bump();
-                let value = if self.peek() == &Tok::Semi {
+                let value = if self.peek() == Tok::Semi {
                     None
                 } else {
                     Some(self.expr()?)
@@ -275,7 +367,7 @@ impl<'a> Parser<'a> {
             }
             Tok::Ident(name) => {
                 // Could be assignment, indexed store, or a call statement.
-                match &self.tokens[self.pos + 1].tok {
+                match self.tokens[self.pos + 1].tok {
                     Tok::Assign => {
                         self.bump();
                         self.bump();
@@ -290,7 +382,7 @@ impl<'a> Parser<'a> {
                         self.bump();
                         let index = self.expr()?;
                         self.expect(Tok::RBracket)?;
-                        if self.eat(&Tok::Assign) {
+                        if self.eat(Tok::Assign) {
                             let value = self.expr()?;
                             self.expect(Tok::Semi)?;
                             Ok(Stmt::StoreIndex {
@@ -301,14 +393,8 @@ impl<'a> Parser<'a> {
                             })
                         } else {
                             self.expect(Tok::Semi)?;
-                            Ok(Stmt::Expr {
-                                expr: Expr::Index {
-                                    name,
-                                    index: Box::new(index),
-                                    line,
-                                },
-                                line,
-                            })
+                            let expr = self.push(Expr::Index { name, index, line });
+                            Ok(Stmt::Expr { expr, line })
                         }
                     }
                     _ => {
@@ -325,13 +411,14 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn expr(&mut self) -> Result<Expr, CompileError> {
+    fn expr(&mut self) -> Result<ExprId, CompileError> {
         self.binary_expr(0)
     }
 
     /// Precedence climbing; higher binds tighter.
-    fn binary_expr(&mut self, min_prec: u8) -> Result<Expr, CompileError> {
+    fn binary_expr(&mut self, min_prec: u8) -> Result<ExprId, CompileError> {
         let mut lhs = self.unary_expr()?;
+        let mut height = self.height;
         loop {
             let (op, prec) = match self.peek() {
                 Tok::PipePipe => (AstBinOp::LogicalOr, 1),
@@ -360,47 +447,42 @@ impl<'a> Parser<'a> {
             let line = self.line();
             self.bump();
             let rhs = self.binary_expr(prec + 1)?;
-            lhs = Expr::Binary {
-                op,
-                lhs: Box::new(lhs),
-                rhs: Box::new(rhs),
-                line,
-            };
+            self.set_height(height.max(self.height), line)?;
+            height = self.height;
+            lhs = self.push(Expr::Binary { op, lhs, rhs, line });
         }
+        self.height = height;
         Ok(lhs)
     }
 
-    fn unary_expr(&mut self) -> Result<Expr, CompileError> {
+    fn unary_expr(&mut self) -> Result<ExprId, CompileError> {
         let line = self.line();
-        if self.eat(&Tok::Minus) {
-            let operand = self.unary_expr()?;
-            return Ok(Expr::Unary {
-                op: UnaryOp::Neg,
-                operand: Box::new(operand),
-                line,
-            });
-        }
-        if self.eat(&Tok::Bang) {
-            let operand = self.unary_expr()?;
-            return Ok(Expr::Unary {
-                op: UnaryOp::Not,
-                operand: Box::new(operand),
-                line,
-            });
-        }
-        self.primary_expr()
+        let op = match self.peek() {
+            Tok::Minus => UnaryOp::Neg,
+            Tok::Bang => UnaryOp::Not,
+            _ => return self.primary_expr(),
+        };
+        self.bump();
+        self.enter(line)?;
+        let operand = self.unary_expr()?;
+        self.leave();
+        self.set_height(self.height, line)?;
+        Ok(self.push(Expr::Unary { op, operand, line }))
     }
 
-    fn primary_expr(&mut self) -> Result<Expr, CompileError> {
+    fn primary_expr(&mut self) -> Result<ExprId, CompileError> {
         let line = self.line();
-        match self.peek().clone() {
+        match self.peek() {
             Tok::Int(v) => {
                 self.bump();
-                Ok(Expr::Int { value: v, line })
+                self.height = 0;
+                Ok(self.push(Expr::Int { value: v, line }))
             }
             Tok::LParen => {
                 self.bump();
+                self.enter(line)?;
                 let e = self.expr()?;
+                self.leave();
                 self.expect(Tok::RParen)?;
                 Ok(e)
             }
@@ -409,29 +491,40 @@ impl<'a> Parser<'a> {
                 match self.peek() {
                     Tok::LParen => {
                         self.bump();
-                        let mut args = Vec::new();
-                        if !self.eat(&Tok::RParen) {
+                        self.enter(line)?;
+                        let mark = self.pending_args.len();
+                        let mut height = 0;
+                        if !self.eat(Tok::RParen) {
                             loop {
-                                args.push(self.expr()?);
-                                if !self.eat(&Tok::Comma) {
+                                let arg = self.expr()?;
+                                self.pending_args.push(arg);
+                                height = height.max(self.height);
+                                if !self.eat(Tok::Comma) {
                                     break;
                                 }
                             }
                             self.expect(Tok::RParen)?;
                         }
-                        Ok(Expr::Call { name, args, line })
+                        self.leave();
+                        self.set_height(height, line)?;
+                        let start = self.args.len() as u32;
+                        self.args.extend(self.pending_args.drain(mark..));
+                        let args = start..self.args.len() as u32;
+                        Ok(self.push(Expr::Call { name, args, line }))
                     }
                     Tok::LBracket => {
                         self.bump();
+                        self.enter(line)?;
                         let index = self.expr()?;
+                        self.leave();
                         self.expect(Tok::RBracket)?;
-                        Ok(Expr::Index {
-                            name,
-                            index: Box::new(index),
-                            line,
-                        })
+                        self.set_height(self.height, line)?;
+                        Ok(self.push(Expr::Index { name, index, line }))
                     }
-                    _ => Ok(Expr::Var { name, line }),
+                    _ => {
+                        self.height = 0;
+                        Ok(self.push(Expr::Var { name, line }))
+                    }
                 }
             }
             other => Err(CompileError::new(
@@ -442,12 +535,17 @@ impl<'a> Parser<'a> {
     }
 }
 
+/// The error for nesting past [`MAX_NESTING`].
+fn too_deep(line: u32) -> CompileError {
+    CompileError::new(line, format!("nesting deeper than {MAX_NESTING} levels"))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::lexer::lex;
 
-    fn parse_src(src: &str) -> Program {
+    fn parse_src(src: &str) -> Program<'_> {
         parse(&lex(src).unwrap()).unwrap()
     }
 
@@ -468,19 +566,19 @@ mod tests {
     #[test]
     fn precedence_mul_binds_tighter_than_add() {
         let p = parse_src("fn f() { let x = 1 + 2 * 3; return x; }");
-        let Stmt::Let { value, .. } = &p.functions[0].body[0] else {
+        let Stmt::Let { value, .. } = &p.body(p.functions[0].body)[0] else {
             panic!("expected let");
         };
         let Expr::Binary {
             op: AstBinOp::Add,
             rhs,
             ..
-        } = value
+        } = p.expr(*value)
         else {
             panic!("expected add at top: {value:?}");
         };
         assert!(matches!(
-            **rhs,
+            p.expr(*rhs),
             Expr::Binary {
                 op: AstBinOp::Mul,
                 ..
@@ -491,26 +589,29 @@ mod tests {
     #[test]
     fn else_if_chains() {
         let p = parse_src("fn f(x) { if (x == 0) { return 1; } else if (x == 1) { return 2; } else { return 3; } }");
-        let Stmt::If { else_body, .. } = &p.functions[0].body[0] else {
+        let Stmt::If { else_body, .. } = &p.body(p.functions[0].body)[0] else {
             panic!();
         };
-        assert!(matches!(else_body[0], Stmt::If { .. }));
+        assert!(matches!(p.body(*else_body)[0], Stmt::If { .. }));
     }
 
     #[test]
     fn switch_statement() {
         let p = parse_src("fn f(x) { switch (x) { case 0 { return 1; } case 1 { return 2; } default { return 0; } } }");
-        let Stmt::Switch { cases, default, .. } = &p.functions[0].body[0] else {
+        let Stmt::Switch { cases, default, .. } = &p.body(p.functions[0].body)[0] else {
             panic!();
         };
         assert_eq!(cases.len(), 2);
-        assert_eq!(default.len(), 1);
+        assert_eq!(p.body(*default).len(), 1);
     }
 
     #[test]
     fn indexed_store_vs_read() {
         let p = parse_src("global t[4]; fn f(i) { t[i] = t[i] + 1; return t[i]; }");
-        assert!(matches!(p.functions[0].body[0], Stmt::StoreIndex { .. }));
+        assert!(matches!(
+            p.body(p.functions[0].body)[0],
+            Stmt::StoreIndex { .. }
+        ));
     }
 
     #[test]
@@ -523,19 +624,19 @@ mod tests {
     #[test]
     fn statement_lines_recorded() {
         let p = parse_src("fn f() {\n  let x = 1;\n  return x;\n}");
-        assert_eq!(p.functions[0].body[0].line(), 2);
-        assert_eq!(p.functions[0].body[1].line(), 3);
+        assert_eq!(p.body(p.functions[0].body)[0].line(), 2);
+        assert_eq!(p.body(p.functions[0].body)[1].line(), 3);
         assert_eq!(p.functions[0].line, 1);
     }
 
     #[test]
     fn logical_ops_parse() {
         let p = parse_src("fn f(a, b) { return a && b || !a; }");
-        let Stmt::Return { value: Some(e), .. } = &p.functions[0].body[0] else {
+        let Stmt::Return { value: Some(e), .. } = &p.body(p.functions[0].body)[0] else {
             panic!();
         };
         assert!(matches!(
-            e,
+            p.expr(*e),
             Expr::Binary {
                 op: AstBinOp::LogicalOr,
                 ..

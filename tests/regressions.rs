@@ -244,6 +244,47 @@ fn a_variable_reassigned_before_a_branch_keeps_its_last_value() {
     }
 }
 
+/// Parent: the front end had no depth bound. `deep_nesting.mini`'s 3 000
+/// nested `if` blocks overflowed a 2 MiB thread's stack (10 000 overflowed
+/// an 8 MiB main thread, as `csspgo compile` meets them), and so did deep
+/// enough parentheses, unary minuses and call arguments. Now nesting past
+/// 256 levels, and an expression tree taller than that, is a typed error.
+#[test]
+fn nesting_past_the_front_ends_bound_is_a_compile_error() {
+    let err = csspgo::lang::compile(&input("deep_nesting.mini"), "deep_nesting.mini").unwrap_err();
+    assert_eq!(err.to_string(), "line 7: nesting deeper than 256 levels");
+
+    let wrap = |open: &str, close: &str, depth: usize| {
+        format!(
+            "fn f(x) {{ return x; }}\nfn main(x) {{\nreturn {}x{};\n}}\n",
+            open.repeat(depth),
+            close.repeat(depth)
+        )
+    };
+    for (what, open, close) in [
+        ("parentheses", "(", ")"),
+        ("unary minuses", "-", ""),
+        ("call arguments", "f(", ")"),
+    ] {
+        // At the bound (the function body is one level), it compiles.
+        let at = wrap(open, close, 255);
+        assert!(csspgo::lang::compile(&at, "deep.mini").is_ok(), "{what}");
+        for depth in [256, 30_000] {
+            let err = csspgo::lang::compile(&wrap(open, close, depth), "deep.mini").unwrap_err();
+            assert_eq!(
+                err.to_string(),
+                "line 3: nesting deeper than 256 levels",
+                "{what} x{depth}"
+            );
+        }
+    }
+    // A left-deep chain is as tall as it is long.
+    let chain = |n: usize| format!("fn main(x) {{\nreturn x{};\n}}\n", " + 1".repeat(n));
+    assert!(csspgo::lang::compile(&chain(256), "chain.mini").is_ok());
+    let err = csspgo::lang::compile(&chain(100_000), "chain.mini").unwrap_err();
+    assert_eq!(err.to_string(), "line 2: nesting deeper than 256 levels");
+}
+
 /// Parent: a JSON binary could state any global size, counter count or
 /// register window, and `Machine::try_new` allocated the data and counters
 /// (and a call the window) without asking. Each is now a typed error at
