@@ -3,12 +3,17 @@
 use csspgo_ir::{cfg, BlockId, Function, VReg};
 
 /// Per-block liveness sets: one bit per register, `words` 64-bit words per
-/// block, the blocks' sets back to back and indexed by block id.
-#[derive(Clone, Debug)]
+/// block, the blocks' sets back to back and indexed by block id. The
+/// working sets of the computation stay with it, so recomputing for the
+/// next function reuses every buffer.
+#[derive(Clone, Debug, Default)]
 pub(crate) struct Liveness {
     words: usize,
     live_in: Vec<u64>,
     live_out: Vec<u64>,
+    gen_: Vec<u64>,
+    defs: Vec<u64>,
+    out: Vec<u64>,
 }
 
 /// Whether `r` is in `set`.
@@ -38,11 +43,33 @@ pub(crate) fn members(set: &[u64]) -> impl Iterator<Item = VReg> + '_ {
 impl Liveness {
     /// Computes block-level liveness for `func`. Blocks the entry cannot
     /// reach keep empty sets.
+    #[cfg(test)]
     pub(crate) fn compute(func: &Function) -> Self {
+        let mut lv = Liveness::default();
+        lv.recompute(func);
+        lv
+    }
+
+    /// Computes block-level liveness for `func` in this value's buffers.
+    /// Blocks the entry cannot reach keep empty sets.
+    pub(crate) fn recompute(&mut self, func: &Function) {
         let words = func.num_vregs().div_ceil(64);
         let n = func.blocks.len();
-        let mut gen_ = vec![0u64; n * words];
-        let mut defs = vec![0u64; n * words];
+        let Liveness {
+            live_in,
+            live_out,
+            gen_,
+            defs,
+            out,
+            ..
+        } = self;
+        self.words = words;
+        for set in [&mut *gen_, &mut *defs, &mut *live_in, &mut *live_out] {
+            set.clear();
+            set.resize(n * words, 0);
+        }
+        out.clear();
+        out.resize(words, 0);
         for (bid, block) in func.iter_blocks() {
             let at = bid.index() * words..(bid.index() + 1) * words;
             let (g, d) = (&mut gen_[at.clone()], &mut defs[at]);
@@ -58,12 +85,9 @@ impl Liveness {
             }
         }
 
-        let mut live_in = vec![0u64; n * words];
-        let mut live_out = vec![0u64; n * words];
         // Iterate to fixpoint (reverse order helps convergence).
         let mut order = cfg::reverse_post_order(func);
         order.reverse();
-        let mut out = vec![0u64; words];
         loop {
             let mut changed = false;
             for &b in &order {
@@ -87,11 +111,6 @@ impl Liveness {
             if !changed {
                 break;
             }
-        }
-        Liveness {
-            words,
-            live_in,
-            live_out,
         }
     }
 

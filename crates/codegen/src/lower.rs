@@ -8,7 +8,7 @@
 
 use crate::binary::{AddrIndex, BinFunc, Binary, SectionSizes};
 use crate::minst::{MInst, MInstKind, ProbeNote};
-use crate::spill::{plan_spills, SpillPlan};
+use crate::spill::{plan_spills, SpillPlan, SpillScratch};
 use crate::CodegenConfig;
 use csspgo_ir::inst::{InstKind, Operand};
 use csspgo_ir::{BlockId, Function, Module, VReg};
@@ -21,61 +21,70 @@ const COLD_SECTION_GAP: u64 = 1 << 20;
 const UNPLACED: usize = usize::MAX;
 
 /// Lowers a whole module to a laid-out [`Binary`].
+///
+/// Every function's hot part is lowered into one module-wide hot section
+/// and its cold part into one cold section, so the streams, fixups and
+/// block tables are allocated once per module, not once per function; the
+/// spill planner's buffers likewise pass from function to function.
 pub fn lower_module(module: &Module, _: &CodegenConfig) -> Binary {
-    let mut lowerings: Vec<FuncLowering> = module
-        .functions
-        .iter()
-        .map(|f| lower_function(module, f))
-        .collect();
+    let mut spill_scratch = SpillScratch::default();
+    let mut hot = Section::default();
+    let mut cold = Section::default();
+    // Per function: its first flat block key, and its range in each section.
+    let mut block_base = Vec::with_capacity(module.functions.len());
+    let mut hot_ranges = Vec::with_capacity(module.functions.len());
+    let mut cold_ranges = Vec::with_capacity(module.functions.len());
+    let mut keys = 0usize;
+    let mut linear: Vec<BlockId> = Vec::new();
+    for func in &module.functions {
+        let spills = plan_spills(func, &mut spill_scratch);
+        let (hot_order, cold_order): (&[BlockId], &[BlockId]) = match &func.layout {
+            Some(l) => (&l.hot, &l.cold),
+            None => {
+                linear.clear();
+                linear.extend(func.iter_blocks().map(|(b, _)| b));
+                (&linear, &[])
+            }
+        };
+        block_base.push(keys);
+        let start = hot.insts.len();
+        lower_stream(module, func, hot_order, &spills, keys, &mut hot);
+        hot_ranges.push((start, hot.insts.len()));
+        let start = cold.insts.len();
+        lower_stream(module, func, cold_order, &spills, keys, &mut cold);
+        cold_ranges.push((start, cold.insts.len()));
+        keys += func.blocks.len();
+    }
 
     // ----- placement: hot parts, then cold parts -----
-    let mut hot_start = vec![0usize; lowerings.len()];
-    let mut cold_start = vec![0usize; lowerings.len()];
-    let mut cursor = 0usize;
-    for (i, l) in lowerings.iter().enumerate() {
-        hot_start[i] = cursor;
-        cursor += l.hot.len();
+    let hot_insts = hot.insts.len();
+    let total = hot_insts + cold.insts.len();
+    // Flat start index for every block, by flat block key.
+    let mut block_flat = vec![UNPLACED; keys];
+    for &(key, pos) in &hot.blocks {
+        block_flat[key] = pos;
     }
-    for (i, l) in lowerings.iter().enumerate() {
-        cold_start[i] = cursor;
-        cursor += l.cold.len();
+    for &(key, pos) in &cold.blocks {
+        block_flat[key] = hot_insts + pos;
     }
-    let total = cursor;
 
-    // Flat start index for every block, by block id.
-    let mut block_flat: Vec<Vec<usize>> = Vec::with_capacity(lowerings.len());
-    for (i, (l, f)) in lowerings.iter().zip(&module.functions).enumerate() {
-        let mut starts = vec![UNPLACED; f.blocks.len()];
-        for &(b, pos) in &l.hot_blocks {
-            starts[b.index()] = hot_start[i] + pos;
-        }
-        for &(b, pos) in &l.cold_blocks {
-            starts[b.index()] = cold_start[i] + pos;
-        }
-        block_flat.push(starts);
-    }
-    let hot_len: Vec<usize> = lowerings.iter().map(|l| l.hot.len()).collect();
-    let cold_len: Vec<usize> = lowerings.iter().map(|l| l.cold.len()).collect();
-
-    // ----- assemble + fixups: every stream moves into place -----
-    let mut insts: Vec<MInst> = Vec::with_capacity(total);
+    // ----- assemble + fixups: the cold section moves in after the hot -----
+    apply_fixups(&mut hot.insts, &hot.fixups, &block_flat);
+    apply_fixups(&mut cold.insts, &cold.fixups, &block_flat);
+    let mut insts = hot.insts;
+    insts.append(&mut cold.insts);
     let mut func_of: Vec<u32> = Vec::with_capacity(total);
-    for (i, l) in lowerings.iter_mut().enumerate() {
-        apply_fixups(&mut l.hot, &l.hot_fixups, &block_flat[i]);
-        insts.append(&mut l.hot);
-        func_of.extend(std::iter::repeat_n(i as u32, hot_len[i]));
+    for (i, &(s, e)) in hot_ranges.iter().enumerate() {
+        func_of.extend(std::iter::repeat_n(i as u32, e - s));
     }
-    for (i, l) in lowerings.iter_mut().enumerate() {
-        apply_fixups(&mut l.cold, &l.cold_fixups, &block_flat[i]);
-        insts.append(&mut l.cold);
-        func_of.extend(std::iter::repeat_n(i as u32, cold_len[i]));
+    for (i, &(s, e)) in cold_ranges.iter().enumerate() {
+        func_of.extend(std::iter::repeat_n(i as u32, e - s));
     }
 
     // ----- addresses -----
     let mut addrs = Vec::with_capacity(total);
     let mut addr = 0u64;
     let mut prev_func = u32::MAX;
-    let hot_insts: usize = hot_len.iter().sum();
     for (idx, inst) in insts.iter().enumerate() {
         if idx == hot_insts && idx != 0 {
             addr += COLD_SECTION_GAP; // cold section starts far away
@@ -89,9 +98,9 @@ pub fn lower_module(module: &Module, _: &CodegenConfig) -> Binary {
     }
 
     // ----- symbols -----
-    let mut funcs = Vec::with_capacity(lowerings.len());
+    let mut funcs = Vec::with_capacity(module.functions.len());
     for (i, f) in module.functions.iter().enumerate() {
-        let entry = block_flat[i][f.entry.index()];
+        let entry = block_flat[block_base[i] + f.entry.index()];
         assert_ne!(entry, UNPLACED, "entry block placed in hot part");
         funcs.push(BinFunc {
             id: f.id,
@@ -101,8 +110,8 @@ pub fn lower_module(module: &Module, _: &CodegenConfig) -> Binary {
             num_vregs: f.num_vregs(),
             probe_checksum: f.probe_checksum,
             entry,
-            hot_range: (hot_start[i], hot_start[i] + hot_len[i]),
-            cold_range: (cold_start[i], cold_start[i] + cold_len[i]),
+            hot_range: hot_ranges[i],
+            cold_range: (hot_insts + cold_ranges[i].0, hot_insts + cold_ranges[i].1),
         });
     }
 
@@ -177,14 +186,16 @@ enum Slot {
 
 #[derive(Clone, Debug)]
 struct Fixup {
+    /// The branch's position in its section.
     pos: usize,
     slot: Slot,
-    block: BlockId,
+    /// The target's flat block key (function base + block index).
+    block: usize,
 }
 
 fn apply_fixups(stream: &mut [MInst], fixups: &[Fixup], block_flat: &[usize]) {
     for f in fixups {
-        let target = block_flat[f.block.index()];
+        let target = block_flat[f.block];
         assert_ne!(target, UNPLACED, "branch target block was placed");
         match (&mut stream[f.pos].kind, &f.slot) {
             (MInstKind::Jmp { target: t }, Slot::Jmp) => *t = target,
@@ -196,54 +207,38 @@ fn apply_fixups(stream: &mut [MInst], fixups: &[Fixup], block_flat: &[usize]) {
     }
 }
 
-struct FuncLowering {
-    hot: Vec<MInst>,
-    cold: Vec<MInst>,
-    hot_fixups: Vec<Fixup>,
-    cold_fixups: Vec<Fixup>,
-    /// (block, start position in stream) — empty blocks naturally share the
+/// One section's instructions for the whole module, and what placement
+/// needs to resolve them.
+#[derive(Default)]
+struct Section {
+    insts: Vec<MInst>,
+    fixups: Vec<Fixup>,
+    /// (flat block key, start position) — empty blocks naturally share the
     /// next block's start.
-    hot_blocks: Vec<(BlockId, usize)>,
-    cold_blocks: Vec<(BlockId, usize)>,
+    blocks: Vec<(usize, usize)>,
+    /// Probes waiting for the next emitted instruction.
+    pending_probes: Vec<ProbeNote>,
 }
 
-fn lower_function(module: &Module, func: &Function) -> FuncLowering {
-    let spills = plan_spills(func);
-
-    let linear: Vec<BlockId>;
-    let (hot_order, cold_order): (&[BlockId], &[BlockId]) = match &func.layout {
-        Some(l) => (&l.hot, &l.cold),
-        None => {
-            linear = func.iter_blocks().map(|(b, _)| b).collect();
-            (&linear, &[])
-        }
-    };
-
-    let (hot, hot_fixups, hot_blocks) = lower_stream(module, func, hot_order, &spills);
-    let (cold, cold_fixups, cold_blocks) = lower_stream(module, func, cold_order, &spills);
-
-    FuncLowering {
-        hot,
-        cold,
-        hot_fixups,
-        cold_fixups,
-        hot_blocks,
-        cold_blocks,
-    }
-}
-
+/// Lowers `func`'s blocks in `order` onto the end of `section`; `base` is
+/// the function's first flat block key.
 fn lower_stream(
     module: &Module,
     func: &Function,
     order: &[BlockId],
     spills: &SpillPlan,
-) -> (Vec<MInst>, Vec<Fixup>, Vec<(BlockId, usize)>) {
+    base: usize,
+    section: &mut Section,
+) {
+    let Section {
+        insts: out,
+        fixups,
+        blocks,
+        pending_probes,
+    } = section;
+    let start = out.len();
     // One machine instruction per IR instruction is the usual count.
-    let ir_insts: usize = order.iter().map(|&b| func.block(b).insts.len()).sum();
-    let mut out: Vec<MInst> = Vec::with_capacity(ir_insts);
-    let mut fixups: Vec<Fixup> = Vec::with_capacity(order.len());
-    let mut blocks: Vec<(BlockId, usize)> = Vec::with_capacity(order.len());
-    let mut pending_probes: Vec<ProbeNote> = Vec::new();
+    out.reserve(order.iter().map(|&b| func.block(b).insts.len()).sum());
 
     let emit = |out: &mut Vec<MInst>, pending: &mut Vec<ProbeNote>, mut inst: MInst| {
         inst.probes.append(pending);
@@ -251,7 +246,7 @@ fn lower_stream(
     };
 
     for (pos, &bid) in order.iter().enumerate() {
-        blocks.push((bid, out.len()));
+        blocks.push((base + bid.index(), out.len()));
         let next = order.get(pos + 1).copied();
         let block = func.block(bid);
         let n = block.insts.len();
@@ -270,8 +265,8 @@ fn lower_stream(
                     if !reloaded.contains(&slot) {
                         reloaded.push(slot);
                         emit(
-                            &mut out,
-                            &mut pending_probes,
+                            out,
+                            pending_probes,
                             MInst::new(MInstKind::SpillLoad { slot }, loc.clone()),
                         );
                     }
@@ -296,15 +291,15 @@ fn lower_stream(
                 }
                 InstKind::CounterIncr { counter } => {
                     emit(
-                        &mut out,
-                        &mut pending_probes,
+                        out,
+                        pending_probes,
                         MInst::new(MInstKind::CounterIncr { counter: *counter }, loc.clone()),
                     );
                 }
                 InstKind::Copy { dst, src } => {
                     lower_simple(
-                        &mut out,
-                        &mut pending_probes,
+                        out,
+                        pending_probes,
                         MInstKind::Copy {
                             dst: *dst,
                             src: *src,
@@ -316,8 +311,8 @@ fn lower_stream(
                 }
                 InstKind::Bin { op, dst, lhs, rhs } => {
                     lower_simple(
-                        &mut out,
-                        &mut pending_probes,
+                        out,
+                        pending_probes,
                         MInstKind::Bin {
                             op: *op,
                             dst: *dst,
@@ -336,8 +331,8 @@ fn lower_stream(
                     rhs,
                 } => {
                     lower_simple(
-                        &mut out,
-                        &mut pending_probes,
+                        out,
+                        pending_probes,
                         MInstKind::Cmp {
                             pred: *pred,
                             dst: *dst,
@@ -356,8 +351,8 @@ fn lower_stream(
                     on_false,
                 } => {
                     lower_simple(
-                        &mut out,
-                        &mut pending_probes,
+                        out,
+                        pending_probes,
                         MInstKind::Select {
                             dst: *dst,
                             cond: *cond,
@@ -371,8 +366,8 @@ fn lower_stream(
                 }
                 InstKind::Load { dst, global, index } => {
                     lower_simple(
-                        &mut out,
-                        &mut pending_probes,
+                        out,
+                        pending_probes,
                         MInstKind::Load {
                             dst: *dst,
                             global: *global,
@@ -389,8 +384,8 @@ fn lower_stream(
                     value,
                 } => {
                     emit(
-                        &mut out,
-                        &mut pending_probes,
+                        out,
+                        pending_probes,
                         MInst::new(
                             MInstKind::Store {
                                 global: *global,
@@ -406,8 +401,8 @@ fn lower_stream(
                     // only probes in between) becomes a tail jump.
                     if is_tail_position(block, i, *dst) {
                         emit(
-                            &mut out,
-                            &mut pending_probes,
+                            out,
+                            pending_probes,
                             MInst::new(
                                 MInstKind::TailCall {
                                     callee: callee.0,
@@ -420,8 +415,8 @@ fn lower_stream(
                         break;
                     }
                     lower_simple(
-                        &mut out,
-                        &mut pending_probes,
+                        out,
+                        pending_probes,
                         MInstKind::Call {
                             dst: *dst,
                             callee: callee.0,
@@ -434,8 +429,8 @@ fn lower_stream(
                 }
                 InstKind::Ret { value } => {
                     emit(
-                        &mut out,
-                        &mut pending_probes,
+                        out,
+                        pending_probes,
                         MInst::new(MInstKind::Ret { value: *value }, loc.clone()),
                     );
                 }
@@ -444,11 +439,11 @@ fn lower_stream(
                         fixups.push(Fixup {
                             pos: out.len(),
                             slot: Slot::Jmp,
-                            block: *target,
+                            block: base + target.index(),
                         });
                         emit(
-                            &mut out,
-                            &mut pending_probes,
+                            out,
+                            pending_probes,
                             MInst::new(MInstKind::Jmp { target: usize::MAX }, loc.clone()),
                         );
                     }
@@ -469,11 +464,11 @@ fn lower_stream(
                     fixups.push(Fixup {
                         pos: out.len(),
                         slot: Slot::JmpIf,
-                        block: jump_to,
+                        block: base + jump_to.index(),
                     });
                     emit(
-                        &mut out,
-                        &mut pending_probes,
+                        out,
+                        pending_probes,
                         MInst::new(
                             MInstKind::JmpIf {
                                 cond: *cond,
@@ -487,11 +482,11 @@ fn lower_stream(
                         fixups.push(Fixup {
                             pos: out.len(),
                             slot: Slot::Jmp,
-                            block: e,
+                            block: base + e.index(),
                         });
                         emit(
-                            &mut out,
-                            &mut pending_probes,
+                            out,
+                            pending_probes,
                             MInst::new(MInstKind::Jmp { target: usize::MAX }, loc.clone()),
                         );
                     }
@@ -505,17 +500,17 @@ fn lower_stream(
                         fixups.push(Fixup {
                             pos: out.len(),
                             slot: Slot::TableCase(ci),
-                            block: *b,
+                            block: base + b.index(),
                         });
                     }
                     fixups.push(Fixup {
                         pos: out.len(),
                         slot: Slot::TableDefault,
-                        block: *default,
+                        block: base + default.index(),
                     });
                     emit(
-                        &mut out,
-                        &mut pending_probes,
+                        out,
+                        pending_probes,
                         MInst::new(
                             MInstKind::JmpTable {
                                 value: *value,
@@ -532,14 +527,14 @@ fn lower_stream(
     }
 
     // Leftover probes (e.g. a trailing probe in a fully-elided block at the
-    // end of the stream) attach to the last instruction.
-    if !pending_probes.is_empty() {
-        if let Some(last) = out.last_mut() {
-            last.probes.append(&mut pending_probes);
-        }
+    // end of the stream) attach to the stream's last instruction; a stream
+    // that emitted nothing drops them.
+    if out.len() > start {
+        let last = out.last_mut().expect("a non-empty stream");
+        last.probes.append(pending_probes);
+    } else {
+        pending_probes.clear();
     }
-
-    (out, fixups, blocks)
 }
 
 /// Emits a register-writing instruction plus its spill store.

@@ -35,20 +35,43 @@ impl SpillPlan {
 /// Physical registers before spilling kicks in.
 const REGISTERS: usize = 12;
 
+/// The buffers of [`plan_spills`], handed from one function to the next.
+#[derive(Default)]
+pub(crate) struct SpillScratch {
+    lv: Liveness,
+    live_ids: Vec<BlockId>,
+    spilled: Vec<u64>,
+    live: Vec<u64>,
+    pressure: Vec<usize>,
+}
+
 /// Decides which registers spill for `func` under `REGISTERS` physical
 /// registers, using annotated block counts as the (possibly wrong) belief.
-pub(crate) fn plan_spills(func: &Function) -> SpillPlan {
-    let lv = Liveness::compute(func);
+pub(crate) fn plan_spills(func: &Function, scratch: &mut SpillScratch) -> SpillPlan {
+    let SpillScratch {
+        lv,
+        live_ids,
+        spilled,
+        live,
+        pressure,
+    } = scratch;
+    lv.recompute(func);
+    let lv = &*lv;
     let words = lv.words();
     let regs = func.num_vregs();
 
-    let live_ids: Vec<BlockId> = func.iter_blocks().map(|(b, _)| b).collect();
-    let mut spilled = vec![0u64; words];
-    let mut live = vec![0u64; words];
-    let mut pressure: Vec<usize> = live_ids
-        .iter()
-        .map(|&b| point_pressure(func, &lv, b, &spilled, &mut live))
-        .collect();
+    live_ids.clear();
+    live_ids.extend(func.iter_blocks().map(|(b, _)| b));
+    spilled.clear();
+    spilled.resize(words, 0);
+    live.clear();
+    live.resize(words, 0);
+    pressure.clear();
+    pressure.extend(
+        live_ids
+            .iter()
+            .map(|&b| point_pressure(func, lv, b, spilled, live)),
+    );
     if pressure.iter().all(|&p| p <= REGISTERS) {
         return SpillPlan::default();
     }
@@ -85,7 +108,10 @@ pub(crate) fn plan_spills(func: &Function) -> SpillPlan {
     let mut next_slot = 0u32;
     loop {
         // Find the most pressured block (the last of equals).
-        let worst = live_ids.iter().zip(&pressure).max_by_key(|&(_, &p)| p);
+        let worst = live_ids
+            .iter()
+            .zip(pressure.iter())
+            .max_by_key(|&(_, &p)| p);
         let Some((&worst_bid, &worst_pressure)) = worst else {
             break;
         };
@@ -97,18 +123,18 @@ pub(crate) fn plan_spills(func: &Function) -> SpillPlan {
         // deterministic tiebreak on the register number.
         let (live_in, live_out) = (lv.live_in(worst_bid), lv.live_out(worst_bid));
         let through = live_in.iter().zip(live_out).map(|(i, o)| i | o);
-        let candidates: Vec<u64> = through.zip(&spilled).map(|(t, s)| t & !s).collect();
+        let candidates: Vec<u64> = through.zip(spilled.iter()).map(|(t, s)| t & !s).collect();
         let victim = members(&candidates).min_by_key(|r| (believed_cost[r.index()], r.0));
         let Some(victim) = victim else { break };
         plan.slots[victim.index()] = next_slot;
         next_slot += 1;
-        insert(&mut spilled, victim);
+        insert(spilled, victim);
         for (i, &b) in live_ids.iter().enumerate() {
             if contains(
                 &mentions[b.index() * words..(b.index() + 1) * words],
                 victim,
             ) {
-                pressure[i] = point_pressure(func, &lv, b, &spilled, &mut live);
+                pressure[i] = point_pressure(func, lv, b, spilled, live);
             }
         }
     }
@@ -191,14 +217,14 @@ mod tests {
     #[test]
     fn no_spills_under_low_pressure() {
         let m = pressured(4);
-        let plan = plan_spills(&m.functions[0]);
+        let plan = plan_spills(&m.functions[0], &mut SpillScratch::default());
         assert!(victims(&plan).is_empty(), "{plan:?}");
     }
 
     #[test]
     fn spills_appear_beyond_register_count() {
         let m = pressured(20);
-        let plan = plan_spills(&m.functions[0]);
+        let plan = plan_spills(&m.functions[0], &mut SpillScratch::default());
         assert!(!victims(&plan).is_empty());
         // After spilling, point-precise pressure must be within budget in
         // every block (restated over plain sets).
@@ -297,7 +323,7 @@ mod tests {
         for &bid in &ids {
             f.block_mut(bid).count = Some(if bid == arm { 1 } else { 1000 });
         }
-        let plan = plan_spills(f);
+        let plan = plan_spills(f, &mut SpillScratch::default());
         let order = victims(&plan);
         assert!(order.len() >= cold.len(), "{order:?}");
         let first: HashSet<VReg> = order[..cold.len()].iter().copied().collect();
@@ -315,11 +341,11 @@ mod tests {
         for &bid in &ids {
             f.block_mut(bid).count = Some(if bid == arm { 1000 } else { 1 });
         }
-        let flipped = victims(&plan_spills(f));
+        let flipped = victims(&plan_spills(f, &mut SpillScratch::default()));
         assert!(!cold.contains(&flipped[0]), "{flipped:?}");
 
-        let p1 = plan_spills(f);
-        let p2 = plan_spills(f);
+        let p1 = plan_spills(f, &mut SpillScratch::default());
+        let p2 = plan_spills(f, &mut SpillScratch::default());
         assert_eq!(p1, p2, "spill choice must be deterministic");
     }
 }

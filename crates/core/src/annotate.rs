@@ -22,7 +22,7 @@
 //! also attaches flow-consistent [`csspgo_ir::EdgeCounts`] when the MCF
 //! solver runs.
 
-use crate::inference::{infer_dense, InferenceMode, InferenceStats};
+use crate::inference::{infer_dense, mcf, InferenceMode, InferenceStats};
 use crate::profile::{FlatFuncProfile, FlatProfile, LocKey, ProbeFuncProfile, ProbeProfile};
 use crate::stalematch::{
     is_stale, match_stale_profile, FuncMatchStatus, MatchConfig, StaleMatching,
@@ -225,6 +225,7 @@ pub fn autofdo_annotate(
     cfg: &AnnotateConfig,
 ) -> AnnotateStats {
     let mut stats = AnnotateStats::default();
+    let mut repair = Repair::new(cfg.inference);
     let order = csspgo_opt::callgraph::CallGraph::build(module).top_down_order();
 
     for fid in order {
@@ -272,7 +273,7 @@ pub fn autofdo_annotate(
             fid,
             &raw,
             entry,
-            cfg.inference,
+            &mut repair,
             Provenance::Sampled,
             &mut stats,
         );
@@ -313,6 +314,7 @@ pub fn csspgo_annotate(
     cfg: &AnnotateConfig,
 ) -> AnnotateStats {
     let mut stats = AnnotateStats::default();
+    let mut repair = Repair::new(cfg.inference);
 
     // Stale-profile salvage (the paper's drift story, §III.A): instead of
     // dropping checksum-mismatched functions below, statically re-map
@@ -413,7 +415,7 @@ pub fn csspgo_annotate(
         } else {
             Provenance::Sampled
         };
-        apply(module, fid, &raw, entry, cfg.inference, base, &mut stats);
+        apply(module, fid, &raw, entry, &mut repair, base, &mut stats);
         stats.annotated += 1;
     }
     stats
@@ -495,6 +497,22 @@ pub fn instr_annotate_reconstructed(
     stats
 }
 
+/// How one annotation pass repairs counts: the inference mode, and the
+/// solver's working memory, handed from function to function.
+struct Repair {
+    mode: InferenceMode,
+    scratch: mcf::Scratch,
+}
+
+impl Repair {
+    fn new(mode: InferenceMode) -> Self {
+        Repair {
+            mode,
+            scratch: mcf::Scratch::default(),
+        }
+    }
+}
+
 /// Runs the configured inference on the raw counts and writes the repaired
 /// block (and, under MCF, edge) counts onto the function, tagging each
 /// block's provenance: `base` (how the raw count was measured) when
@@ -506,11 +524,17 @@ fn apply(
     fid: FuncId,
     raw: &[Option<u64>],
     entry: u64,
-    mode: InferenceMode,
+    repair: &mut Repair,
     base: Provenance,
     stats: &mut AnnotateStats,
 ) {
-    let (counts, edges, inference) = infer_dense(module.func(fid), raw, entry, mode);
+    let (counts, edges, inference) = infer_dense(
+        module.func(fid),
+        raw,
+        entry,
+        repair.mode,
+        &mut repair.scratch,
+    );
     let f = module.func_mut(fid);
     let mut tags = Vec::with_capacity(f.blocks.len());
     for (i, block) in f.blocks.iter_mut().enumerate() {

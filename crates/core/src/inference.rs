@@ -95,7 +95,7 @@ pub fn infer_counts(
                     *slot = Some(c);
                 }
             }
-            mcf::solve(func, &dense, entry_count)
+            mcf::solve(func, &dense, entry_count, &mut mcf::Scratch::default())
         }
     };
     let Some(out) = solved else {
@@ -120,16 +120,18 @@ type Edges = Vec<(BlockId, BlockId, u64)>;
 /// `b`'s measured count by block index. Returns the count of every block by
 /// index — the repaired one, or the measured one where inference is off or
 /// declines, 0 where there is neither — the edge counts when the solver
-/// ran, and the stats.
+/// ran, and the stats. `scratch` is the solver's working memory, handed
+/// from one function to the next.
 pub(crate) fn infer_dense(
     func: &Function,
     raw: &[Option<u64>],
     entry_count: u64,
     mode: InferenceMode,
+    scratch: &mut mcf::Scratch,
 ) -> (Vec<u64>, Option<Edges>, InferenceStats) {
     let solved = match mode {
         InferenceMode::Off => None,
-        InferenceMode::Mcf => mcf::solve(func, raw, entry_count),
+        InferenceMode::Mcf => mcf::solve(func, raw, entry_count, scratch),
     };
     let Some(out) = solved else {
         let counts = raw.iter().map(|c| c.unwrap_or(0)).collect();

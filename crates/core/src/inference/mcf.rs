@@ -63,7 +63,8 @@
 //! `a ^ 1`), adjacency in compressed rows that keep each node's arcs in
 //! insertion order, blocks indexed by their reverse post-order position
 //! through a table over block ids, and one `dist` / `prev` / potential
-//! buffer for all searches of a solve. A search's queue is a bitset of the
+//! buffer for all searches of a solve — all of it in a [`Scratch`] that an
+//! annotation pass hands from one function's solve to the next. A search's queue is a bitset of the
 //! nodes whose distance it has lowered and not yet settled; the next node
 //! settled is the first one in id order with the least distance. That is
 //! the order a `(distance, node id)` min-heap with lazy deletion pops live
@@ -117,21 +118,32 @@ struct Arc {
 }
 
 /// Residual flow network: paired forward/backward arcs (`a ^ 1` is the
-/// reverse of `a`); adjacency is built once all arcs are in.
+/// reverse of `a`); adjacency is built once all arcs are in. It owns the
+/// buffers of its searches too, so one network serves every solve of a
+/// [`Scratch`].
+#[derive(Default)]
 struct FlowNet {
     nodes: usize,
     arcs: Vec<Arc>,
     /// The node each arc leaves (the CSR rows are counted from it).
     tail: Vec<u32>,
+    /// Compressed adjacency rows: node `u`'s arcs are
+    /// `adj[start[u]..start[u + 1]]`, in the order they were added.
+    start: Vec<u32>,
+    adj: Vec<u32>,
+    pot: Vec<i64>,
+    dist: Vec<u64>,
+    prev: Vec<u32>,
+    /// Reached and not yet settled, one bit per node.
+    queued: Vec<u64>,
 }
 
 impl FlowNet {
-    fn new(nodes: usize, arcs: usize) -> Self {
-        FlowNet {
-            nodes,
-            arcs: Vec::with_capacity(2 * arcs),
-            tail: Vec::with_capacity(2 * arcs),
-        }
+    /// Empties the network for `nodes` nodes.
+    fn reset(&mut self, nodes: usize) {
+        self.nodes = nodes;
+        self.arcs.clear();
+        self.tail.clear();
     }
 
     /// Adds `u → v` with the given capacity and cost; returns the forward
@@ -158,23 +170,29 @@ impl FlowNet {
         self.arcs[a ^ 1].cap
     }
 
-    /// Compressed adjacency rows: node `u`'s arcs are
-    /// `adj[start[u]..start[u + 1]]`, in the order they were added.
-    fn rows(&self) -> (Vec<u32>, Vec<u32>) {
-        let mut start = vec![0u32; self.nodes + 1];
+    /// Builds the adjacency rows, keeping each node's arcs in insertion
+    /// order.
+    fn build_rows(&mut self) {
+        let n = self.nodes;
+        self.start.clear();
+        self.start.resize(n + 2, 0);
+        // Count into `start[u + 2]`, so that after the prefix sums
+        // `start[u + 1]` is row `u`'s first free slot while filling and its
+        // end afterwards.
         for &u in &self.tail {
-            start[u as usize + 1] += 1;
+            self.start[u as usize + 2] += 1;
         }
-        for u in 0..self.nodes {
-            start[u + 1] += start[u];
+        for u in 0..n {
+            self.start[u + 2] += self.start[u + 1];
         }
-        let mut fill = start.clone();
-        let mut adj = vec![0u32; self.arcs.len()];
+        self.adj.clear();
+        self.adj.resize(self.arcs.len(), 0);
         for (a, &u) in self.tail.iter().enumerate() {
-            adj[fill[u as usize] as usize] = a as u32;
-            fill[u as usize] += 1;
+            let slot = &mut self.start[u as usize + 1];
+            self.adj[*slot as usize] = a as u32;
+            *slot += 1;
         }
-        (start, adj)
+        self.start.pop();
     }
 
     /// Successive shortest paths from `s` to `t` until `want` units are
@@ -182,12 +200,23 @@ impl FlowNet {
     /// before all supply is placed (infeasible).
     fn route(&mut self, s: usize, t: usize, want: u64) -> Option<i128> {
         let n = self.nodes;
-        let (start, adj) = self.rows();
-        let mut pot = vec![0i64; n];
-        let mut dist = vec![u64::MAX; n];
-        let mut prev = vec![u32::MAX; n];
-        // Reached and not yet settled, one bit per node.
-        let mut queued = vec![0u64; n.div_ceil(64)];
+        self.build_rows();
+        let FlowNet {
+            arcs,
+            start,
+            adj,
+            pot,
+            dist,
+            prev,
+            queued,
+            ..
+        } = self;
+        pot.clear();
+        pot.resize(n, 0);
+        dist.resize(n, u64::MAX);
+        prev.resize(n, u32::MAX);
+        queued.clear();
+        queued.resize(n.div_ceil(64), 0);
         let mut sent = 0u64;
         let mut total = 0i128;
         while sent < want {
@@ -215,7 +244,7 @@ impl FlowNet {
                 }
                 queued[u / 64] &= !(1 << (u % 64));
                 for &ai in &adj[start[u] as usize..start[u + 1] as usize] {
-                    let arc = self.arcs[ai as usize];
+                    let arc = arcs[ai as usize];
                     if arc.cap == 0 {
                         continue;
                     }
@@ -233,7 +262,7 @@ impl FlowNet {
             if dist[t] == u64::MAX {
                 return None;
             }
-            for (p, &d) in pot.iter_mut().zip(&dist) {
+            for (p, &d) in pot.iter_mut().zip(dist.iter()) {
                 if d != u64::MAX {
                     *p += d as i64;
                 }
@@ -243,16 +272,16 @@ impl FlowNet {
             let mut v = t;
             while v != s {
                 let a = prev[v] as usize;
-                push = push.min(self.arcs[a].cap);
-                v = self.arcs[a ^ 1].to as usize;
+                push = push.min(arcs[a].cap);
+                v = arcs[a ^ 1].to as usize;
             }
             let mut v = t;
             while v != s {
                 let a = prev[v] as usize;
-                self.arcs[a].cap -= push;
-                self.arcs[a ^ 1].cap += push;
-                total += i128::from(push) * i128::from(self.arcs[a].cost);
-                v = self.arcs[a ^ 1].to as usize;
+                arcs[a].cap -= push;
+                arcs[a ^ 1].cap += push;
+                total += i128::from(push) * i128::from(arcs[a].cost);
+                v = arcs[a ^ 1].to as usize;
             }
             sent += push;
         }
@@ -260,19 +289,51 @@ impl FlowNet {
     }
 }
 
+/// The buffers a solve works in. One annotation pass hands the same
+/// scratch to each function it solves; nothing in it outlives the solve
+/// that filled it.
+#[derive(Default)]
+pub(crate) struct Scratch {
+    net: FlowNet,
+    /// Reverse post-order position by block index; `u32::MAX` off the
+    /// order.
+    pos: Vec<u32>,
+    /// Node imbalances before routing.
+    ex: Vec<i128>,
+    /// Each block's increase arc, then its decrease arc (`usize::MAX` when
+    /// it has no measured weight to cancel).
+    block_arcs: Vec<(usize, usize)>,
+    edge_arcs: Vec<(BlockId, BlockId, usize)>,
+    /// `seen[j] == i` once the edge `order[i] → order[j]` is in.
+    seen: Vec<u32>,
+}
+
 /// Solves min-cost-flow inference for one function from `raw`, the
 /// measured count of each block by block index (`None`, or past the end:
 /// unmeasured). Returns `None` when the CFG has no blocks or the network is
 /// infeasible (the caller keeps the measured counts and records the
 /// decline).
-pub(crate) fn solve(func: &Function, raw: &[Option<u64>], entry_count: u64) -> Option<McfOutcome> {
+pub(crate) fn solve(
+    func: &Function,
+    raw: &[Option<u64>],
+    entry_count: u64,
+    scratch: &mut Scratch,
+) -> Option<McfOutcome> {
     let order = cfg::reverse_post_order(func);
     if order.is_empty() {
         return None;
     }
     let n = order.len();
-    // Reverse post-order position by block index; `u32::MAX` off the order.
-    let mut pos = vec![u32::MAX; func.blocks.len()];
+    let Scratch {
+        net,
+        pos,
+        ex,
+        block_arcs,
+        edge_arcs,
+        seen,
+    } = scratch;
+    pos.clear();
+    pos.resize(func.blocks.len(), u32::MAX);
     for (i, &b) in order.iter().enumerate() {
         pos[b.index()] = i as u32;
     }
@@ -282,21 +343,16 @@ pub(crate) fn solve(func: &Function, raw: &[Option<u64>], entry_count: u64) -> O
     let t_node = 2 * n;
     let ss = 2 * n + 1;
     let st = 2 * n + 2;
-    let edge_guess: usize = order
-        .iter()
-        .map(|&b| func.block(b).targets().count().max(1))
-        .sum();
-    let mut net = FlowNet::new(2 * n + 3, 2 * n + edge_guess + 2 * n + 1);
+    net.reset(2 * n + 3);
     let head = entry_count.max(1);
 
-    let mut ex = vec![0i128; 2 * n + 1];
+    ex.clear();
+    ex.resize(2 * n + 1, 0);
     let entry_i = pos[func.entry.index()] as usize;
     ex[2 * entry_i] += i128::from(head);
     ex[t_node] -= i128::from(head);
 
-    // Each block's increase arc, then its decrease arc (`usize::MAX` when
-    // it has no measured weight to cancel).
-    let mut block_arcs = Vec::with_capacity(n);
+    block_arcs.clear();
     for (i, &b) in order.iter().enumerate() {
         let w = weight(b);
         let inc = net.arc(2 * i, 2 * i + 1, INF_CAP, c_inc(w));
@@ -310,16 +366,16 @@ pub(crate) fn solve(func: &Function, raw: &[Option<u64>], entry_count: u64) -> O
         ex[2 * i + 1] += i128::from(w);
     }
 
-    let mut edge_arcs: Vec<(BlockId, BlockId, usize)> = Vec::with_capacity(edge_guess);
-    // `seen[j] == i` once the edge `order[i] → order[j]` is in: a repeated
-    // target adds no second arc.
-    let mut seen = vec![u32::MAX; n];
+    edge_arcs.clear();
+    seen.clear();
+    seen.resize(n, u32::MAX);
     let mut has_exit = false;
     for (i, &b) in order.iter().enumerate() {
         let mut any = false;
         for s in func.block(b).targets() {
             any = true;
             let j = pos[s.index()];
+            // A repeated target adds no second arc.
             if j == u32::MAX || seen[j as usize] == i as u32 {
                 continue;
             }
@@ -352,7 +408,7 @@ pub(crate) fn solve(func: &Function, raw: &[Option<u64>], entry_count: u64) -> O
 
     let counts = order
         .iter()
-        .zip(&block_arcs)
+        .zip(block_arcs.iter())
         .map(|(&b, &(inc, dec))| {
             let dec = if dec == usize::MAX { 0 } else { net.flow(dec) };
             weight(b) + net.flow(inc) - dec
@@ -412,7 +468,7 @@ mod tests {
             (BlockId(2), 10),
             (BlockId(3), 100),
         ]);
-        let out = solve(f, &dense(f, &raw), 100).unwrap();
+        let out = solve(f, &dense(f, &raw), 100, &mut Scratch::default()).unwrap();
         assert_eq!(out.cost, 0, "consistent input routes at zero cost");
         for (&b, &w) in &raw {
             assert_eq!(count(&out, b), w);
@@ -443,7 +499,7 @@ mod tests {
             .iter_blocks()
             .map(|(b, _)| (b, 37 * (b.0 as u64 + 1)))
             .collect();
-        let out = solve(f, &dense(f, &raw), 20).unwrap();
+        let out = solve(f, &dense(f, &raw), 20, &mut Scratch::default()).unwrap();
         for (b, _) in f.iter_blocks() {
             let c = count(&out, b);
             let out_sum: u64 = out

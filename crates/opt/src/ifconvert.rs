@@ -22,8 +22,9 @@ use csspgo_ir::{cfg, BlockId, Function, Module, VReg};
 
 /// Runs if-conversion on every function.
 pub fn run(module: &mut Module, config: &OptConfig) {
+    let mut only_pred = Vec::new();
     for func in &mut module.functions {
-        run_function(func, config);
+        convert_function(func, config, &mut only_pred);
     }
 }
 
@@ -81,10 +82,14 @@ const MANY: u32 = u32::MAX - 1;
 
 /// Converts eligible diamonds; returns the number of conversions.
 pub fn run_function(func: &mut Function, config: &OptConfig) -> usize {
+    convert_function(func, config, &mut Vec::new())
+}
+
+/// [`run_function`] with `only_pred` as the single-predecessor table.
+fn convert_function(func: &mut Function, config: &OptConfig, only_pred: &mut Vec<u32>) -> usize {
     let mut converted = 0;
-    let mut only_pred = Vec::new();
     loop {
-        single_predecessors(func, &mut only_pred);
+        single_predecessors(func, only_pred);
         let mut found: Option<(BlockId, BlockId, BlockId)> = None;
         for (p, block) in func.iter_blocks() {
             let Some(InstKind::CondBr {

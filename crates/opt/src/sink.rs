@@ -17,11 +17,12 @@ use csspgo_ir::{BlockId, Function, Module};
 
 /// Runs sinking on every function.
 pub fn run(module: &mut Module, config: &OptConfig) {
+    let mut tables = Tables::default();
     for func in &mut module.functions {
         if config.probe.block_code_motion && func.probe_checksum.is_some() {
             continue;
         }
-        run_function(func);
+        sink_function(func, &mut tables);
     }
 }
 
@@ -76,11 +77,15 @@ impl Tables {
 
 /// Sinks eligible instructions; returns how many moved.
 pub fn run_function(func: &mut Function) -> usize {
-    let mut tables = Tables::default();
+    sink_function(func, &mut Tables::default())
+}
+
+/// [`run_function`] in `tables`' buffers.
+fn sink_function(func: &mut Function, tables: &mut Tables) -> usize {
     let mut moved_total = 0;
     // A few rounds: sinking can enable further sinking.
     for _ in 0..3 {
-        let moved = sink_round(func, &mut tables);
+        let moved = sink_round(func, tables);
         moved_total += moved;
         if moved == 0 {
             break;
