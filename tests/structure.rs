@@ -540,10 +540,16 @@ fn compile_without_hashing() {
     ];
     let mut found = Vec::new();
     for path in [
+        "crates/lang/src/lexer.rs",
+        "crates/lang/src/parser.rs",
+        "crates/lang/src/lower.rs",
         "crates/opt/src/simplify.rs",
+        "crates/opt/src/sink.rs",
+        "crates/opt/src/tailmerge.rs",
         "crates/ir/src/cfg.rs",
         "crates/codegen/src/liveness.rs",
         "crates/codegen/src/spill.rs",
+        "crates/core/src/inference/mcf.rs",
     ] {
         let src = file(path);
         let hits: Vec<usize> = (src.code())
@@ -555,7 +561,7 @@ fn compile_without_hashing() {
     holds(
         "Compile without hashing",
         "§4",
-        "simplify, the CFG walks, liveness and spill planning use dense tables and walk operands and successors without allocating",
+        "the front end, simplify, sink, tailmerge, the CFG walks, liveness, spill planning and the MCF solver use dense tables and walk operands and successors without allocating",
         &found,
     );
 }
