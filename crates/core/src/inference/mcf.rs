@@ -64,14 +64,21 @@
 //! insertion order, blocks indexed by their reverse post-order position
 //! through a table over block ids, and one `dist` / `prev` / potential
 //! buffer for all searches of a solve — all of it in a [`Scratch`] that an
-//! annotation pass hands from one function's solve to the next. A search's queue is a bitset of the
-//! nodes whose distance it has lowered and not yet settled; the next node
-//! settled is the first one in id order with the least distance. That is
-//! the order a `(distance, node id)` min-heap with lazy deletion pops live
-//! entries in, so the augmentation sequence — one augmentation per search,
-//! arcs relaxed in insertion order, strict improvement only — is the one
-//! `tests/common/reference_mcf.rs` makes with a `BinaryHeap`, at a fraction
-//! of its cost on these 20–200-node networks.
+//! annotation pass hands from one function's solve to the next.
+//!
+//! A search's queue is two bitsets: the nodes whose distance it has lowered
+//! and not yet settled, and among them the *level*, those at the least
+//! queued distance. The next node settled is the level's first in id order;
+//! an empty level is refilled by one scan for the next least distance.
+//! Reduced costs are nonnegative, so no node drops below the level and a
+//! node reached at the level's distance joins it — and since the supply
+//! arcs and CFG arcs cost nothing, most of a search happens at a handful of
+//! levels. The node settled is always the queued one with the least
+//! `(distance, node id)`: the order a min-heap of those pairs with lazy
+//! deletion pops live entries in. So the augmentation sequence — one
+//! augmentation per search, arcs relaxed in insertion order, strict
+//! improvement only — is the one `tests/common/reference_mcf.rs` makes with
+//! a `BinaryHeap`.
 
 use csspgo_ir::{cfg, BlockId, Function};
 
@@ -136,6 +143,8 @@ struct FlowNet {
     prev: Vec<u32>,
     /// Reached and not yet settled, one bit per node.
     queued: Vec<u64>,
+    /// The queued nodes at the least queued distance.
+    level: Vec<u64>,
 }
 
 impl FlowNet {
@@ -209,6 +218,7 @@ impl FlowNet {
             dist,
             prev,
             queued,
+            level,
             ..
         } = self;
         pot.clear();
@@ -217,6 +227,8 @@ impl FlowNet {
         prev.resize(n, u32::MAX);
         queued.clear();
         queued.resize(n.div_ceil(64), 0);
+        level.clear();
+        level.resize(n.div_ceil(64), 0);
         let mut sent = 0u64;
         let mut total = 0i128;
         while sent < want {
@@ -224,24 +236,35 @@ impl FlowNet {
             prev.fill(u32::MAX);
             dist[s] = 0;
             queued[s / 64] |= 1 << (s % 64);
+            // `d` is the least distance among queued nodes and `level` the
+            // queued nodes at it; reduced costs are nonnegative, so a node
+            // reached at `d` joins the level and no node drops below it.
+            let mut d = 0u64;
+            level.fill(0);
+            level[s / 64] |= 1 << (s % 64);
             loop {
                 // Settle the first node in id order with the least distance.
-                let mut u = usize::MAX;
-                let mut d = u64::MAX;
-                for (w, &bits) in queued.iter().enumerate() {
-                    let mut bits = bits;
-                    while bits != 0 {
-                        let v = w * 64 + bits.trailing_zeros() as usize;
-                        bits &= bits - 1;
-                        if dist[v] < d {
-                            d = dist[v];
-                            u = v;
+                let u = match first_member(level) {
+                    Some(u) => u,
+                    None => {
+                        // The next level: the least distance still queued.
+                        let mut next = u64::MAX;
+                        for v in members(queued) {
+                            next = next.min(dist[v]);
                         }
+                        if next == u64::MAX {
+                            break;
+                        }
+                        d = next;
+                        for v in members(queued) {
+                            if dist[v] == d {
+                                level[v / 64] |= 1 << (v % 64);
+                            }
+                        }
+                        first_member(level).expect("a node at the least distance")
                     }
-                }
-                if u == usize::MAX {
-                    break;
-                }
+                };
+                level[u / 64] &= !(1 << (u % 64));
                 queued[u / 64] &= !(1 << (u % 64));
                 for &ai in &adj[start[u] as usize..start[u + 1] as usize] {
                     let arc = arcs[ai as usize];
@@ -256,6 +279,9 @@ impl FlowNet {
                         dist[v] = nd;
                         prev[v] = ai;
                         queued[v / 64] |= 1 << (v % 64);
+                        if nd == d {
+                            level[v / 64] |= 1 << (v % 64);
+                        }
                     }
                 }
             }
@@ -306,6 +332,27 @@ pub(crate) struct Scratch {
     edge_arcs: Vec<(BlockId, BlockId, usize)>,
     /// `seen[j] == i` once the edge `order[i] → order[j]` is in.
     seen: Vec<u32>,
+}
+
+/// The members of bitset `set`, in increasing order.
+fn members(set: &[u64]) -> impl Iterator<Item = usize> + '_ {
+    set.iter().enumerate().flat_map(|(w, &bits)| {
+        let mut rest = bits;
+        std::iter::from_fn(move || {
+            (rest != 0).then(|| {
+                let bit = rest.trailing_zeros() as usize;
+                rest &= rest - 1;
+                w * 64 + bit
+            })
+        })
+    })
+}
+
+/// The least member of bitset `set`.
+fn first_member(set: &[u64]) -> Option<usize> {
+    set.iter()
+        .position(|&bits| bits != 0)
+        .map(|w| w * 64 + set[w].trailing_zeros() as usize)
 }
 
 /// Solves min-cost-flow inference for one function from `raw`, the
