@@ -59,11 +59,11 @@
 //!
 //! # Dense tables
 //!
-//! The network is flat: one [`Arc`] record per residual arc (twins at
+//! The network is flat: one `Arc` record per residual arc (twins at
 //! `a ^ 1`), adjacency in compressed rows that keep each node's arcs in
 //! insertion order, blocks indexed by their reverse post-order position
 //! through a table over block ids, and one `dist` / `prev` / potential
-//! buffer for all searches of a solve — all of it in a [`Scratch`] that an
+//! buffer for all searches of a solve — all of it in a `Scratch` that an
 //! annotation pass hands from one function's solve to the next.
 //!
 //! A search's queue is two bitsets: the nodes whose distance it has lowered

@@ -1,6 +1,6 @@
 //! Recursive-descent parser with precedence climbing.
 //!
-//! Recursion is bounded by [`MAX_NESTING`], so a hostile source is a
+//! Recursion is bounded (256 levels of nesting), so a hostile source is a
 //! [`CompileError`], not a stack overflow.
 
 use crate::ast::*;
