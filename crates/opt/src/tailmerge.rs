@@ -25,9 +25,8 @@ pub fn run(module: &mut Module) {
 ///
 /// Each merge takes the first block, in block order, whose shape an
 /// earlier block already has, and merges it into that earlier block (the
-/// first with the shape). Shapes are compared in place, shortest test
-/// first: no shape is copied or hashed, and a rescan after a merge costs
-/// one pass over the candidates' lengths.
+/// first with the shape). Shapes are compared in place, lengths first, so
+/// no shape is copied or hashed and most pairs cost one comparison.
 pub fn run_function(func: &mut Function) -> usize {
     let mut merged = 0;
     // Blocks that may merge, in block order.
