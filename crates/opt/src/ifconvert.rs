@@ -16,7 +16,7 @@
 //! distortion for zero run-time cost; when set, probed diamonds are skipped
 //! entirely.
 
-use crate::OptConfig;
+use crate::{single_predecessors, OptConfig};
 use csspgo_ir::inst::{Inst, InstKind, Operand};
 use csspgo_ir::{cfg, BlockId, Function, Module, VReg};
 
@@ -56,29 +56,6 @@ fn decompose_arm(func: &Function, bb: BlockId) -> Option<Arm> {
         _ => None,
     }
 }
-
-/// Marks in `only_pred` each live block's one predecessor block: `NONE`
-/// for none, `MANY` for more than one.
-fn single_predecessors(func: &Function, only_pred: &mut Vec<u32>) {
-    only_pred.clear();
-    only_pred.resize(func.blocks.len(), NONE);
-    for (bid, block) in func.iter_blocks() {
-        let b = bid.index() as u32;
-        for s in block.targets() {
-            let slot = &mut only_pred[s.index()];
-            if *slot == NONE {
-                *slot = b;
-            } else if *slot != b {
-                *slot = MANY;
-            }
-        }
-    }
-}
-
-/// No predecessor yet, in [`single_predecessors`]' table.
-const NONE: u32 = u32::MAX;
-/// More than one predecessor block.
-const MANY: u32 = u32::MAX - 1;
 
 /// Converts eligible diamonds; returns the number of conversions.
 pub fn run_function(func: &mut Function, config: &OptConfig) -> usize {

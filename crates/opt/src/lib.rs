@@ -35,7 +35,34 @@ pub mod tailmerge;
 pub mod unroll;
 
 use csspgo_ir::probe::ProbeConfig;
-use csspgo_ir::Module;
+use csspgo_ir::{Function, Module};
+
+/// No block yet, in a single-block table.
+pub(crate) const NO_BLOCK: u32 = u32::MAX;
+/// More than one block, in a single-block table.
+pub(crate) const MANY_BLOCKS: u32 = u32::MAX - 1;
+
+/// Records `block` in a single-block slot: the one block seen so far,
+/// [`NO_BLOCK`] or [`MANY_BLOCKS`].
+pub(crate) fn note_block(slot: &mut u32, block: u32) {
+    if *slot == NO_BLOCK {
+        *slot = block;
+    } else if *slot != block {
+        *slot = MANY_BLOCKS;
+    }
+}
+
+/// Fills `table` with each block's one predecessor among the live blocks,
+/// by block index: a block reached twice from one block has one.
+pub(crate) fn single_predecessors(func: &Function, table: &mut Vec<u32>) {
+    table.clear();
+    table.resize(func.blocks.len(), NO_BLOCK);
+    for (bid, block) in func.iter_blocks() {
+        for s in block.targets() {
+            note_block(&mut table[s.index()], bid.index() as u32);
+        }
+    }
+}
 
 /// Tuning knobs for the whole pipeline.
 #[derive(Clone, Debug)]

@@ -11,7 +11,7 @@
 //! Like LICM, sinking is a debug-info decay source: the sunk instruction
 //! keeps its line, which now executes at the successor's frequency.
 
-use crate::OptConfig;
+use crate::{note_block, single_predecessors, OptConfig, MANY_BLOCKS, NO_BLOCK};
 use csspgo_ir::inst::InstKind;
 use csspgo_ir::{BlockId, Function, Module};
 
@@ -26,11 +26,6 @@ pub fn run(module: &mut Module, config: &OptConfig) {
     }
 }
 
-/// No block yet, in [`Tables`]' single-block slots.
-const NONE: u32 = u32::MAX;
-/// More than one block.
-const MANY: u32 = u32::MAX - 1;
-
 /// What a round knows about the function as it stood when the round began,
 /// in dense tables: per register the one block reading it (terminators
 /// count) and how often it is written, per block its one predecessor block.
@@ -41,37 +36,24 @@ struct Tables {
     pred: Vec<u32>,
 }
 
-/// Records `block` in a single-block slot.
-fn note(slot: &mut u32, block: u32) {
-    if *slot == NONE {
-        *slot = block;
-    } else if *slot != block {
-        *slot = MANY;
-    }
-}
-
 impl Tables {
     fn fill(&mut self, func: &Function) {
         self.user.clear();
-        self.user.resize(func.num_vregs(), NONE);
+        self.user.resize(func.num_vregs(), NO_BLOCK);
         self.defs.clear();
         self.defs.resize(func.num_vregs(), 0);
-        self.pred.clear();
-        self.pred.resize(func.blocks.len(), NONE);
         for (bid, block) in func.iter_blocks() {
             let b = bid.index() as u32;
             for inst in &block.insts {
                 inst.kind
-                    .for_each_use(|r| note(&mut self.user[r.index()], b));
+                    .for_each_use(|r| note_block(&mut self.user[r.index()], b));
                 if let Some(d) = inst.kind.def() {
                     let n = &mut self.defs[d.index()];
                     *n = n.saturating_add(1);
                 }
             }
-            for s in block.targets() {
-                note(&mut self.pred[s.index()], b);
-            }
         }
+        single_predecessors(func, &mut self.pred);
     }
 }
 
@@ -133,8 +115,8 @@ fn sink_round(func: &mut Function, tables: &mut Tables) -> usize {
             let target = tables.user[dst.index()];
             if !sinkable
                 || tables.defs[dst.index()] != 1
-                || target == NONE
-                || target == MANY
+                || target == NO_BLOCK
+                || target == MANY_BLOCKS
                 || target == b as u32
             {
                 i += 1;
