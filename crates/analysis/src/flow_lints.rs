@@ -93,7 +93,7 @@ fn analyze_function_flow(policy: &Policy, unit: &str, func: &Function, report: &
 
         // Inflow: a non-entry block must be reached through its predecessors.
         if bid != func.entry {
-            let ps = &preds[bid.index()];
+            let ps = preds.of(bid);
             let counts: Option<Vec<u64>> = ps.iter().map(|&p| func.block(p).count).collect();
             if let Some(counts) = counts {
                 let total: u64 = counts.iter().sum();

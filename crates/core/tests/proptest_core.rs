@@ -113,7 +113,7 @@ proptest! {
                 let s = succs[0];
                 if s != f.entry
                     && rep.contains_key(&s)
-                    && preds[s.index()].len() == 1
+                    && preds.of(s).len() == 1
                     && !dom.dominates(s, b)
                 {
                     let diff = rep[&b].abs_diff(rep[&s]);

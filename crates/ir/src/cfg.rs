@@ -15,39 +15,23 @@ pub fn successors(func: &Function, bb: BlockId) -> Vec<BlockId> {
     out
 }
 
-/// Predecessor lists for every block, indexed by block id. A block appears
-/// once per predecessor *block* (parallel edges deduplicated).
-pub fn predecessors(func: &Function) -> Vec<Vec<BlockId>> {
-    let mut preds = vec![Vec::new(); func.blocks.len()];
-    for (bid, block) in func.iter_blocks() {
-        for succ in block.targets() {
-            // Blocks are visited in id order, so a repeat of `bid` can only
-            // be the list's last entry.
-            let list: &mut Vec<BlockId> = &mut preds[succ.index()];
-            if list.last() != Some(&bid) {
-                list.push(bid);
-            }
-        }
-    }
-    preds
-}
-
-/// [`predecessors`] in compressed rows: the same lists in the same order,
-/// held in two flat arrays.
-pub(crate) struct PredRows {
+/// Predecessor lists for every block, held in compressed rows: one flat
+/// array of blocks and one start offset per block. A block appears once per
+/// predecessor *block* (parallel edges deduplicated), in block-id order.
+pub struct Predecessors {
     start: Vec<u32>,
     preds: Vec<BlockId>,
 }
 
-impl PredRows {
+impl Predecessors {
     /// The predecessor blocks of `b`.
-    pub(crate) fn of(&self, b: BlockId) -> &[BlockId] {
+    pub fn of(&self, b: BlockId) -> &[BlockId] {
         &self.preds[self.start[b.index()] as usize..self.start[b.index() + 1] as usize]
     }
 }
 
-/// [`predecessors`] as [`PredRows`].
-pub(crate) fn predecessor_rows(func: &Function) -> PredRows {
+/// The [`Predecessors`] of every block of `func`.
+pub fn predecessors(func: &Function) -> Predecessors {
     let n = func.blocks.len();
     let mut start = vec![0u32; n + 1];
     // The last block counted into each row: a repeated edge counts once.
@@ -76,7 +60,7 @@ pub(crate) fn predecessor_rows(func: &Function) -> PredRows {
             }
         }
     }
-    PredRows { start, preds }
+    Predecessors { start, preds }
 }
 
 /// Blocks reachable from the entry, as a dense bitmap.
@@ -184,8 +168,8 @@ mod tests {
         let f = &m.functions[0];
         assert_eq!(successors(f, BlockId(0)), vec![BlockId(1), BlockId(2)]);
         let preds = predecessors(f);
-        assert_eq!(preds[3], vec![BlockId(1), BlockId(2)]);
-        assert!(preds[0].is_empty());
+        assert_eq!(preds.of(BlockId(3)), [BlockId(1), BlockId(2)]);
+        assert!(preds.of(BlockId(0)).is_empty());
     }
 
     #[test]
@@ -226,6 +210,6 @@ mod tests {
         let m = mb.finish();
         let f = &m.functions[0];
         assert_eq!(successors(f, BlockId(0)), vec![BlockId(1)]);
-        assert_eq!(predecessors(f)[1], vec![BlockId(0)]);
+        assert_eq!(predecessors(f).of(BlockId(1)), [BlockId(0)]);
     }
 }

@@ -21,7 +21,7 @@ impl Dominators {
         for (i, &b) in rpo.iter().enumerate() {
             rpo_num[b.index()] = i;
         }
-        let preds = cfg::predecessor_rows(func);
+        let preds = cfg::predecessors(func);
         let mut idom: Vec<Option<BlockId>> = vec![None; func.blocks.len()];
         idom[func.entry.index()] = Some(func.entry);
 

@@ -64,7 +64,7 @@ impl LoopInfo {
             return no_loops();
         }
         let dom = Dominators::compute(func);
-        let preds = cfg::predecessor_rows(func);
+        let preds = cfg::predecessors(func);
         let reachable = cfg::reachable(func);
         let mut loops: Vec<Loop> = Vec::new();
 
@@ -113,7 +113,7 @@ impl LoopInfo {
 fn collect_loop(
     header: BlockId,
     latch: BlockId,
-    preds: &cfg::PredRows,
+    preds: &cfg::Predecessors,
     reachable: &[bool],
 ) -> HashSet<BlockId> {
     let mut blocks: HashSet<BlockId> = HashSet::new();

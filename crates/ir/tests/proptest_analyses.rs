@@ -191,12 +191,12 @@ proptest! {
         let preds = cfg::predecessors(f);
         for (b, _) in f.iter_blocks() {
             for s in cfg::successors(f, b) {
-                prop_assert!(preds[s.index()].contains(&b), "{b} -> {s} missing in preds");
+                prop_assert!(preds.of(s).contains(&b), "{b} -> {s} missing in preds");
             }
         }
-        for (i, plist) in preds.iter().enumerate() {
+        for i in 0..f.blocks.len() {
             let b = BlockId::from_index(i);
-            for &p in plist {
+            for &p in preds.of(b) {
                 prop_assert!(cfg::successors(f, p).contains(&b));
             }
         }

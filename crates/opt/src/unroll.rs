@@ -159,7 +159,7 @@ fn unroll_while_loops(func: &mut Function, factor: u32, max_body: usize) -> usiz
             _ => continue,
         };
         let preds = cfg::predecessors(func);
-        if preds[body.index()].as_slice() != [h] {
+        if preds.of(body) != [h] {
             continue;
         }
         let total_size = real_len(&func.block(h).insts) + real_len(&func.block(body).insts);
