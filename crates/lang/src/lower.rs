@@ -86,9 +86,12 @@ pub fn lower(program: &Program<'_>, module_name: &str) -> Result<Module, Compile
         funcs.set(f.name, (id, f.params.len()));
     }
 
-    // One locals table and loop stack, emptied for each function.
+    // One locals table and loop stack, emptied for each function, and one
+    // stack each for the `if` and operator chains being lowered.
     let mut locals = Names::with_capacity(16);
     let mut loop_stack = Vec::new();
+    let mut joins = Vec::new();
+    let mut chain = Vec::new();
     for f in &program.functions {
         let (id, _) = funcs.get(f.name).expect("declared above");
         let mut fb = mb.function_builder(id);
@@ -102,6 +105,8 @@ pub fn lower(program: &Program<'_>, module_name: &str) -> Result<Module, Compile
             funcs: &funcs,
             locals: &mut locals,
             loop_stack: &mut loop_stack,
+            joins: &mut joins,
+            chain: &mut chain,
         };
         for (i, &p) in f.params.iter().enumerate() {
             ctx.locals.set(p, VReg(i as u32));
@@ -135,9 +140,24 @@ struct LowerCtx<'m, 'e, 'a> {
     locals: &'e mut Names<'a, VReg>,
     /// (continue target, break target) per enclosing loop.
     loop_stack: &'e mut Vec<(BlockId, BlockId)>,
+    /// Join blocks of the `else if` links being lowered, innermost last.
+    joins: &'e mut Vec<BlockId>,
+    /// The binary expressions down the left operands of the operator
+    /// chains being lowered, innermost last.
+    chain: &'e mut Vec<(ExprId, Option<ShortCircuit>)>,
 }
 
-impl<'a> LowerCtx<'_, '_, 'a> {
+/// The result register and blocks of a short-circuit `&&` / `||`, made
+/// before its left operand is lowered.
+#[derive(Clone, Copy)]
+struct ShortCircuit {
+    result: VReg,
+    rhs_bb: BlockId,
+    short_bb: BlockId,
+    join: BlockId,
+}
+
+impl<'e, 'a> LowerCtx<'_, 'e, 'a> {
     fn block_terminated(&self) -> bool {
         self.fb.current_is_terminated()
     }
@@ -157,7 +177,7 @@ impl<'a> LowerCtx<'_, '_, 'a> {
         Ok(())
     }
 
-    fn lower_stmt(&mut self, stmt: &Stmt<'a>) -> Result<(), CompileError> {
+    fn lower_stmt(&mut self, stmt: &'e Stmt<'a>) -> Result<(), CompileError> {
         self.fb.set_line(stmt.line());
         match stmt {
             Stmt::Let {
@@ -203,32 +223,7 @@ impl<'a> LowerCtx<'_, '_, 'a> {
                 self.fb.store(g, idx, val);
                 Ok(())
             }
-            Stmt::If {
-                cond,
-                then_body,
-                else_body,
-                line,
-            } => {
-                let c = self.lower_expr(*cond)?;
-                let then_bb = self.fb.add_block();
-                let else_bb = self.fb.add_block();
-                let join = self.fb.add_block();
-                self.fb.set_line(*line);
-                self.fb.cond_br(c, then_bb, else_bb);
-
-                self.fb.switch_to(then_bb);
-                self.lower_body(*then_body)?;
-                if !self.block_terminated() {
-                    self.fb.br(join);
-                }
-                self.fb.switch_to(else_bb);
-                self.lower_body(*else_body)?;
-                if !self.block_terminated() {
-                    self.fb.br(join);
-                }
-                self.fb.switch_to(join);
-                Ok(())
-            }
+            Stmt::If { .. } => self.lower_if_chain(stmt),
             Stmt::While { cond, body, line } => {
                 let header = self.fb.add_block();
                 let body_bb = self.fb.add_block();
@@ -317,6 +312,55 @@ impl<'a> LowerCtx<'_, '_, 'a> {
         }
     }
 
+    /// Lowers an `if` and, in a loop, each `if` that is the whole else body
+    /// of the one before (an `else if` chain), emitting what lowering each
+    /// else body recursively would.
+    fn lower_if_chain(&mut self, mut stmt: &'e Stmt<'a>) -> Result<(), CompileError> {
+        let program = self.program;
+        let mark = self.joins.len();
+        loop {
+            let Stmt::If {
+                cond,
+                then_body,
+                else_body,
+                line,
+            } = stmt
+            else {
+                unreachable!("an if chain holds only `if`s")
+            };
+            self.fb.set_line(*line);
+            let c = self.lower_expr(*cond)?;
+            let then_bb = self.fb.add_block();
+            let else_bb = self.fb.add_block();
+            let join = self.fb.add_block();
+            self.fb.set_line(*line);
+            self.fb.cond_br(c, then_bb, else_bb);
+
+            self.fb.switch_to(then_bb);
+            self.lower_body(*then_body)?;
+            if !self.block_terminated() {
+                self.fb.br(join);
+            }
+            self.fb.switch_to(else_bb);
+            self.joins.push(join);
+            match program.body(*else_body) {
+                [next @ Stmt::If { .. }] => stmt = next,
+                _ => {
+                    self.lower_body(*else_body)?;
+                    break;
+                }
+            }
+        }
+        while self.joins.len() > mark {
+            let join = self.joins.pop().expect("one join per link");
+            if !self.block_terminated() {
+                self.fb.br(join);
+            }
+            self.fb.switch_to(join);
+        }
+        Ok(())
+    }
+
     fn lower_expr(&mut self, id: ExprId) -> Result<Operand, CompileError> {
         let expr = self.program.expr(id);
         self.fb.set_line(expr.line());
@@ -345,34 +389,7 @@ impl<'a> LowerCtx<'_, '_, 'a> {
                 };
                 Ok(Operand::Reg(r))
             }
-            Expr::Binary { op, lhs, rhs, line } => {
-                if matches!(op, AstBinOp::LogicalAnd | AstBinOp::LogicalOr) {
-                    return self.lower_short_circuit(*op, *lhs, *rhs, *line);
-                }
-                let a = self.lower_expr(*lhs)?;
-                let b = self.lower_expr(*rhs)?;
-                self.fb.set_line(*line);
-                let r = match op {
-                    AstBinOp::Add => self.fb.bin(BinOp::Add, a, b),
-                    AstBinOp::Sub => self.fb.bin(BinOp::Sub, a, b),
-                    AstBinOp::Mul => self.fb.bin(BinOp::Mul, a, b),
-                    AstBinOp::Div => self.fb.bin(BinOp::Div, a, b),
-                    AstBinOp::Rem => self.fb.bin(BinOp::Rem, a, b),
-                    AstBinOp::And => self.fb.bin(BinOp::And, a, b),
-                    AstBinOp::Or => self.fb.bin(BinOp::Or, a, b),
-                    AstBinOp::Xor => self.fb.bin(BinOp::Xor, a, b),
-                    AstBinOp::Shl => self.fb.bin(BinOp::Shl, a, b),
-                    AstBinOp::Shr => self.fb.bin(BinOp::Shr, a, b),
-                    AstBinOp::Eq => self.fb.cmp(CmpPred::Eq, a, b),
-                    AstBinOp::Ne => self.fb.cmp(CmpPred::Ne, a, b),
-                    AstBinOp::Lt => self.fb.cmp(CmpPred::Lt, a, b),
-                    AstBinOp::Le => self.fb.cmp(CmpPred::Le, a, b),
-                    AstBinOp::Gt => self.fb.cmp(CmpPred::Gt, a, b),
-                    AstBinOp::Ge => self.fb.cmp(CmpPred::Ge, a, b),
-                    AstBinOp::LogicalAnd | AstBinOp::LogicalOr => unreachable!(),
-                };
-                Ok(Operand::Reg(r))
-            }
+            Expr::Binary { .. } => self.lower_binary_chain(id),
             Expr::Call { name, args, line } => {
                 let (callee, arity) = self.funcs.get(name).ok_or_else(|| {
                     CompileError::new(*line, format!("unknown function `{name}`"))
@@ -393,21 +410,78 @@ impl<'a> LowerCtx<'_, '_, 'a> {
         }
     }
 
-    /// Lowers `a && b` / `a || b` with short-circuit control flow into a
-    /// 0/1-valued register.
+    /// Lowers a binary expression and the binary expressions down its left
+    /// operands (`a + b + … + z` is a left-leaning tree as tall as it is
+    /// long) in a loop, emitting what lowering each left operand
+    /// recursively would.
+    fn lower_binary_chain(&mut self, top: ExprId) -> Result<Operand, CompileError> {
+        let program = self.program;
+        let mark = self.chain.len();
+        let mut id = top;
+        while let Expr::Binary { op, lhs, line, .. } = *program.expr(id) {
+            self.fb.set_line(line);
+            let frame =
+                matches!(op, AstBinOp::LogicalAnd | AstBinOp::LogicalOr).then(|| ShortCircuit {
+                    result: self.fb.new_vreg(),
+                    rhs_bb: self.fb.add_block(),
+                    short_bb: self.fb.add_block(),
+                    join: self.fb.add_block(),
+                });
+            self.chain.push((id, frame));
+            id = lhs;
+        }
+        let mut a = self.lower_expr(id)?;
+        while self.chain.len() > mark {
+            let (id, frame) = self.chain.pop().expect("one entry per operator");
+            let Expr::Binary { op, rhs, line, .. } = *program.expr(id) else {
+                unreachable!("a chain holds only binary expressions")
+            };
+            a = match frame {
+                Some(frame) => self.lower_short_circuit(op, a, rhs, line, frame)?,
+                None => {
+                    let b = self.lower_expr(rhs)?;
+                    self.fb.set_line(line);
+                    Operand::Reg(match op {
+                        AstBinOp::Add => self.fb.bin(BinOp::Add, a, b),
+                        AstBinOp::Sub => self.fb.bin(BinOp::Sub, a, b),
+                        AstBinOp::Mul => self.fb.bin(BinOp::Mul, a, b),
+                        AstBinOp::Div => self.fb.bin(BinOp::Div, a, b),
+                        AstBinOp::Rem => self.fb.bin(BinOp::Rem, a, b),
+                        AstBinOp::And => self.fb.bin(BinOp::And, a, b),
+                        AstBinOp::Or => self.fb.bin(BinOp::Or, a, b),
+                        AstBinOp::Xor => self.fb.bin(BinOp::Xor, a, b),
+                        AstBinOp::Shl => self.fb.bin(BinOp::Shl, a, b),
+                        AstBinOp::Shr => self.fb.bin(BinOp::Shr, a, b),
+                        AstBinOp::Eq => self.fb.cmp(CmpPred::Eq, a, b),
+                        AstBinOp::Ne => self.fb.cmp(CmpPred::Ne, a, b),
+                        AstBinOp::Lt => self.fb.cmp(CmpPred::Lt, a, b),
+                        AstBinOp::Le => self.fb.cmp(CmpPred::Le, a, b),
+                        AstBinOp::Gt => self.fb.cmp(CmpPred::Gt, a, b),
+                        AstBinOp::Ge => self.fb.cmp(CmpPred::Ge, a, b),
+                        AstBinOp::LogicalAnd | AstBinOp::LogicalOr => unreachable!(),
+                    })
+                }
+            };
+        }
+        Ok(a)
+    }
+
+    /// Finishes `a && b` / `a || b` with short-circuit control flow into a
+    /// 0/1-valued register, once `a` is lowered.
     fn lower_short_circuit(
         &mut self,
         op: AstBinOp,
-        lhs: ExprId,
+        a: Operand,
         rhs: ExprId,
         line: u32,
+        frame: ShortCircuit,
     ) -> Result<Operand, CompileError> {
-        let result = self.fb.new_vreg();
-        let rhs_bb = self.fb.add_block();
-        let short_bb = self.fb.add_block();
-        let join = self.fb.add_block();
-
-        let a = self.lower_expr(lhs)?;
+        let ShortCircuit {
+            result,
+            rhs_bb,
+            short_bb,
+            join,
+        } = frame;
         self.fb.set_line(line);
         let a_bool = self.fb.cmp(CmpPred::Ne, a, Operand::Imm(0));
         match op {

@@ -1,18 +1,21 @@
 //! Recursive-descent parser with precedence climbing.
 //!
 //! Recursion is bounded (256 levels of nesting), so a hostile source is a
-//! [`CompileError`], not a stack overflow.
+//! [`CompileError`], not a stack overflow. A run of operators of one
+//! precedence (`1 + 1 + … + 1`) and an `else if` chain are parsed in loops
+//! and lowered in loops, so neither counts as nesting.
 
 use crate::ast::*;
 use crate::lexer::{Tok, Token};
 use crate::CompileError;
 
 /// The deepest nesting the parser accepts. One level is a block inside a
-/// block (an `else if` link counts as one), a parenthesised expression, a
-/// unary operand, a call argument or an array index inside an expression;
-/// and no expression tree may be taller (`1 + 1 + … + 1` is as tall as it
-/// is long). Parsing, lowering and dropping the tree each recurse once per
-/// level, so the bound caps their stack depth.
+/// block, a parenthesised expression, a unary operand, a call argument or an
+/// array index inside an expression. Parsing and lowering recurse a bounded
+/// number of times per level (at most once per precedence level between two
+/// parentheses), so the bound caps their stack depth. The costliest level,
+/// a parenthesis holding all ten precedence levels, compiles 648 deep on a
+/// 2 MiB thread in a release build: 256 leaves 2.5× of that.
 const MAX_NESTING: u32 = 256;
 
 /// Parses a token stream (as produced by [`crate::lexer::lex`]) into a
@@ -28,13 +31,13 @@ pub fn parse<'a>(tokens: &[Token<'a>]) -> Result<Program<'a>, CompileError> {
         tokens,
         pos: 0,
         depth: 0,
-        height: 0,
         // About one statement per eight tokens, one expression per two.
         stmts: Vec::with_capacity(tokens.len() / 8),
         pending_stmts: Vec::new(),
         exprs: Vec::with_capacity(tokens.len() / 2),
         args: Vec::new(),
         pending_args: Vec::new(),
+        links: Vec::new(),
     };
     p.program()
 }
@@ -44,8 +47,6 @@ struct Parser<'t, 'a> {
     pos: usize,
     /// Open nesting levels.
     depth: u32,
-    /// Height of the expression the last expression rule returned.
-    height: u32,
     /// The program's statements so far.
     stmts: Vec<Stmt<'a>>,
     /// Statements of the blocks being parsed, innermost block's last: a
@@ -58,6 +59,9 @@ struct Parser<'t, 'a> {
     /// Arguments of the calls being parsed, innermost call's last: a call
     /// moves its own run to `args` when it closes.
     pending_args: Vec<ExprId>,
+    /// `(condition, then body, line)` of the `if` chains being parsed,
+    /// innermost chain's last.
+    links: Vec<(ExprId, Body, u32)>,
 }
 
 impl<'a> Parser<'_, 'a> {
@@ -107,16 +111,6 @@ impl<'a> Parser<'_, 'a> {
 
     fn leave(&mut self) {
         self.depth -= 1;
-    }
-
-    /// Records the height of an expression built one level above operands
-    /// of height `below`.
-    fn set_height(&mut self, below: u32, line: u32) -> Result<(), CompileError> {
-        self.height = below + 1;
-        if self.height > MAX_NESTING {
-            return Err(too_deep(line));
-        }
-        Ok(())
     }
 
     /// Moves the statements pending since `mark` to the arena as one body.
@@ -274,34 +268,7 @@ impl<'a> Parser<'_, 'a> {
                 self.expect(Tok::Semi)?;
                 Ok(Stmt::Let { name, value, line })
             }
-            Tok::If => {
-                self.bump();
-                self.expect(Tok::LParen)?;
-                let cond = self.expr()?;
-                self.expect(Tok::RParen)?;
-                let then_body = self.block()?;
-                let else_body = if self.eat(Tok::Else) {
-                    if self.peek() == Tok::If {
-                        // `else if` chains as a nested if.
-                        self.enter(self.line())?;
-                        let nested = self.stmt()?;
-                        self.leave();
-                        let mark = self.pending_stmts.len();
-                        self.pending_stmts.push(nested);
-                        self.close_body(mark)
-                    } else {
-                        self.block()?
-                    }
-                } else {
-                    Body::default()
-                };
-                Ok(Stmt::If {
-                    cond,
-                    then_body,
-                    else_body,
-                    line,
-                })
-            }
+            Tok::If => self.if_chain(),
             Tok::While => {
                 self.bump();
                 self.expect(Tok::LParen)?;
@@ -411,6 +378,44 @@ impl<'a> Parser<'_, 'a> {
         }
     }
 
+    /// `if (c) { … } else if (c) { … } … else { … }`. Each `else if` link is
+    /// the whole else body of the link before it, as a nested `if`. The
+    /// links are parsed in a loop and then nested innermost first, which
+    /// lays out the arenas as parsing each link recursively would.
+    fn if_chain(&mut self) -> Result<Stmt<'a>, CompileError> {
+        let mark = self.links.len();
+        let mut else_body = loop {
+            let line = self.line();
+            self.expect(Tok::If)?;
+            self.expect(Tok::LParen)?;
+            let cond = self.expr()?;
+            self.expect(Tok::RParen)?;
+            let then_body = self.block()?;
+            self.links.push((cond, then_body, line));
+            if !self.eat(Tok::Else) {
+                break Body::default();
+            }
+            if self.peek() != Tok::If {
+                break self.block()?;
+            }
+        };
+        loop {
+            let (cond, then_body, line) = self.links.pop().expect("one link per pass");
+            let stmt = Stmt::If {
+                cond,
+                then_body,
+                else_body,
+                line,
+            };
+            if self.links.len() == mark {
+                return Ok(stmt);
+            }
+            let body_mark = self.pending_stmts.len();
+            self.pending_stmts.push(stmt);
+            else_body = self.close_body(body_mark);
+        }
+    }
+
     fn expr(&mut self) -> Result<ExprId, CompileError> {
         self.binary_expr(0)
     }
@@ -418,7 +423,6 @@ impl<'a> Parser<'_, 'a> {
     /// Precedence climbing; higher binds tighter.
     fn binary_expr(&mut self, min_prec: u8) -> Result<ExprId, CompileError> {
         let mut lhs = self.unary_expr()?;
-        let mut height = self.height;
         loop {
             let (op, prec) = match self.peek() {
                 Tok::PipePipe => (AstBinOp::LogicalOr, 1),
@@ -447,11 +451,8 @@ impl<'a> Parser<'_, 'a> {
             let line = self.line();
             self.bump();
             let rhs = self.binary_expr(prec + 1)?;
-            self.set_height(height.max(self.height), line)?;
-            height = self.height;
             lhs = self.push(Expr::Binary { op, lhs, rhs, line });
         }
-        self.height = height;
         Ok(lhs)
     }
 
@@ -466,7 +467,6 @@ impl<'a> Parser<'_, 'a> {
         self.enter(line)?;
         let operand = self.unary_expr()?;
         self.leave();
-        self.set_height(self.height, line)?;
         Ok(self.push(Expr::Unary { op, operand, line }))
     }
 
@@ -475,7 +475,6 @@ impl<'a> Parser<'_, 'a> {
         match self.peek() {
             Tok::Int(v) => {
                 self.bump();
-                self.height = 0;
                 Ok(self.push(Expr::Int { value: v, line }))
             }
             Tok::LParen => {
@@ -493,12 +492,10 @@ impl<'a> Parser<'_, 'a> {
                         self.bump();
                         self.enter(line)?;
                         let mark = self.pending_args.len();
-                        let mut height = 0;
                         if !self.eat(Tok::RParen) {
                             loop {
                                 let arg = self.expr()?;
                                 self.pending_args.push(arg);
-                                height = height.max(self.height);
                                 if !self.eat(Tok::Comma) {
                                     break;
                                 }
@@ -506,7 +503,6 @@ impl<'a> Parser<'_, 'a> {
                             self.expect(Tok::RParen)?;
                         }
                         self.leave();
-                        self.set_height(height, line)?;
                         let start = self.args.len() as u32;
                         self.args.extend(self.pending_args.drain(mark..));
                         let args = start..self.args.len() as u32;
@@ -518,13 +514,9 @@ impl<'a> Parser<'_, 'a> {
                         let index = self.expr()?;
                         self.leave();
                         self.expect(Tok::RBracket)?;
-                        self.set_height(self.height, line)?;
                         Ok(self.push(Expr::Index { name, index, line }))
                     }
-                    _ => {
-                        self.height = 0;
-                        Ok(self.push(Expr::Var { name, line }))
-                    }
+                    _ => Ok(self.push(Expr::Var { name, line })),
                 }
             }
             other => Err(CompileError::new(

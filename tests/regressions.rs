@@ -244,45 +244,112 @@ fn a_variable_reassigned_before_a_branch_keeps_its_last_value() {
     }
 }
 
+/// What `csspgo compile` builds from `source`, with and without `--no-opt`,
+/// run on `arg`.
+fn run_main(source: &str, optimise: bool, arg: i64) -> i64 {
+    let mut module = prepared_module(source, "main.mini", false).unwrap();
+    if optimise {
+        csspgo::opt::run_pipeline(&mut module, &csspgo::opt::OptConfig::default());
+    }
+    let binary = lower_module(&module, &CodegenConfig::default());
+    Machine::new(&binary, SimConfig::default())
+        .call("main", &[arg])
+        .unwrap()
+}
+
 /// Parent: the front end had no depth bound. `deep_nesting.mini`'s 3 000
 /// nested `if` blocks overflowed a 2 MiB thread's stack (10 000 overflowed
 /// an 8 MiB main thread, as `csspgo compile` meets them), and so did deep
 /// enough parentheses, unary minuses and call arguments. Now nesting past
-/// 256 levels, and an expression tree taller than that, is a typed error.
+/// 256 levels is a typed error. The bound is measured: in a release build
+/// on a 2 MiB thread, the costliest level — a parenthesis holding all ten
+/// precedence levels — compiles through `-O2` and codegen 648 deep and a
+/// block 5 625 deep, so 256 leaves 2.5× of the stack free. Debug frames are
+/// up to 12× larger, so a debug build checks the bound on a 16 MiB thread.
 #[test]
 fn nesting_past_the_front_ends_bound_is_a_compile_error() {
     let err = csspgo::lang::compile(&input("deep_nesting.mini"), "deep_nesting.mini").unwrap_err();
     assert_eq!(err.to_string(), "line 7: nesting deeper than 256 levels");
 
-    let wrap = |open: &str, close: &str, depth: usize| {
-        format!(
-            "fn f(x) {{ return x; }}\nfn main(x) {{\nreturn {}x{};\n}}\n",
-            open.repeat(depth),
-            close.repeat(depth)
-        )
-    };
-    for (what, open, close) in [
-        ("parentheses", "(", ")"),
-        ("unary minuses", "-", ""),
-        ("call arguments", "f(", ")"),
-    ] {
-        // At the bound (the function body is one level), it compiles.
-        let at = wrap(open, close, 255);
-        assert!(csspgo::lang::compile(&at, "deep.mini").is_ok(), "{what}");
-        for depth in [256, 30_000] {
-            let err = csspgo::lang::compile(&wrap(open, close, depth), "deep.mini").unwrap_err();
-            assert_eq!(
-                err.to_string(),
-                "line 3: nesting deeper than 256 levels",
-                "{what} x{depth}"
-            );
+    // The function body is one level; `depth` more open on line 2.
+    let nest = |open: &str, close: &str, depth: usize, in_expr: bool| {
+        let (open, close) = (open.repeat(depth), close.repeat(depth));
+        if in_expr {
+            format!(
+                "fn f(x) {{ return x; }} global g[4];\nfn main(x) {{ return {open}x{close}; }}\n"
+            )
+        } else {
+            format!("fn main(x) {{\n{open} x = x + 1; {close}\nreturn x;\n}}\n")
         }
+    };
+    let kinds = [
+        ("blocks", "if (x) { ", "} ", false),
+        ("loops", "while (x) { x = x - 1; ", "} ", false),
+        ("switch cases", "switch (x) { case 1 { ", "} } ", false),
+        ("parentheses", "(", ")", true),
+        (
+            "precedence levels",
+            "x || x && x | x ^ x & x == x < x << x + x * (",
+            ")",
+            true,
+        ),
+        ("unary minuses", "-", "", true),
+        ("call arguments", "f(", ")", true),
+        ("indexes", "g[", "]", true),
+    ];
+    let stack = if cfg!(debug_assertions) {
+        16 << 20
+    } else {
+        2 << 20
+    };
+    std::thread::Builder::new()
+        .stack_size(stack)
+        .spawn(move || {
+            for (what, open, close, in_expr) in kinds {
+                // At the bound, it compiles, optimises and lowers.
+                run_main(&nest(open, close, 255, in_expr), true, 0);
+                for depth in [256, 30_000] {
+                    let src = nest(open, close, depth, in_expr);
+                    let err = csspgo::lang::compile(&src, "deep.mini").unwrap_err();
+                    assert_eq!(
+                        err.to_string(),
+                        "line 2: nesting deeper than 256 levels",
+                        "{what} x{depth}"
+                    );
+                }
+            }
+        })
+        .unwrap()
+        .join()
+        .unwrap();
+}
+
+/// Parent of the nesting bound: a 257-term sum and a 257-arm `else if`
+/// chain compiled, and the bound's first version refused them (it counted
+/// each `else if` link and each operator of a left-leaning chain as a
+/// level). A run of one precedence and an `else if` chain are now parsed
+/// and lowered in loops, so neither is nesting, at any length.
+#[test]
+fn operator_and_else_if_chains_are_not_nesting() {
+    let sum = format!("fn main(x) {{\nreturn x{};\n}}\n", " + 1".repeat(1_000));
+    let mut arms = String::from("fn main(x) {\n");
+    for k in 0..300 {
+        arms += &format!("if (x == {k}) {{ return {k} * 2; }} else ");
     }
-    // A left-deep chain is as tall as it is long.
-    let chain = |n: usize| format!("fn main(x) {{\nreturn x{};\n}}\n", " + 1".repeat(n));
-    assert!(csspgo::lang::compile(&chain(256), "chain.mini").is_ok());
-    let err = csspgo::lang::compile(&chain(100_000), "chain.mini").unwrap_err();
-    assert_eq!(err.to_string(), "line 2: nesting deeper than 256 levels");
+    arms += "{ return 7; }\n}\n";
+    let ands = format!("fn main(x) {{\nreturn x{};\n}}\n", " && x".repeat(300));
+    let ors = format!("fn main(x) {{\nreturn 0{};\n}}\n", " || x".repeat(300));
+    for optimise in [false, true] {
+        assert_eq!(run_main(&sum, optimise, 5), 1_005);
+        assert_eq!(run_main(&arms, optimise, 299), 598);
+        assert_eq!(run_main(&arms, optimise, 300), 7);
+        assert_eq!(run_main(&ands, optimise, 3), 1);
+        assert_eq!(run_main(&ands, optimise, 0), 0);
+        assert_eq!(run_main(&ors, optimise, 3), 1);
+        assert_eq!(run_main(&ors, optimise, 0), 0);
+    }
+    let long = format!("fn main(x) {{\nreturn x{};\n}}\n", " - 1".repeat(100_000));
+    assert!(csspgo::lang::compile(&long, "long.mini").is_ok());
 }
 
 /// Parent: a JSON binary could state any global size, counter count or
