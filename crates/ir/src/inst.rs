@@ -11,7 +11,7 @@ use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// An instruction operand: a virtual register or an immediate.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize, Deserialize)]
 pub enum Operand {
     /// Value of a virtual register.
     Reg(VReg),
@@ -51,7 +51,7 @@ impl fmt::Display for Operand {
 }
 
 /// Integer binary operations.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize, Deserialize)]
 pub enum BinOp {
     Add,
     Sub,
@@ -117,7 +117,7 @@ impl fmt::Display for BinOp {
 }
 
 /// Integer comparison predicates.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize, Deserialize)]
 pub enum CmpPred {
     Eq,
     Ne,
@@ -157,8 +157,9 @@ impl fmt::Display for CmpPred {
     }
 }
 
-/// The operation an instruction performs.
-#[derive(Clone, PartialEq, Eq, Hash, Debug)]
+/// The operation an instruction performs. Ordered variant by variant and
+/// field by field, so equal kinds sort together.
+#[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub enum InstKind {
     /// `dst = src`.
     Copy { dst: VReg, src: Operand },

@@ -12,6 +12,7 @@
 //! merged").
 
 use csspgo_ir::{BlockId, Function, Module};
+use std::cmp::Ordering;
 
 /// Runs tail merging on every function.
 pub fn run(module: &mut Module) {
@@ -25,37 +26,53 @@ pub fn run(module: &mut Module) {
 ///
 /// Each merge takes the first block, in block order, whose shape an
 /// earlier block already has, and merges it into that earlier block (the
-/// first with the shape). Shapes are compared in place, lengths first, so
-/// no shape is copied or hashed and most pairs cost one comparison.
+/// first with the shape). The candidates stay sorted by shape (length, then
+/// instruction kinds) and block id, so blocks of one shape lie together in
+/// block order and no shape is copied or hashed; a merge re-places only
+/// the blocks whose branches it rewrote.
 pub fn run_function(func: &mut Function) -> usize {
-    let mut merged = 0;
-    // Blocks that may merge, in block order.
+    // A block branching to itself cannot merge safely with another
+    // self-looping block (targets differ once remapped); skip loops.
+    let eligible =
+        |func: &Function, b: BlockId| b != func.entry && !func.block(b).targets().any(|s| s == b);
     let mut candidates: Vec<BlockId> = Vec::with_capacity(func.blocks.len());
+    candidates.extend(
+        func.iter_blocks()
+            .map(|(b, _)| b)
+            .filter(|&b| eligible(func, b)),
+    );
+    candidates.sort_unstable_by(|&a, &b| shape_order(func, a, b));
+    // Blocks whose branches the last merge rewrote, in block order.
+    let mut rewritten: Vec<BlockId> = Vec::new();
+    let mut merged = 0;
     loop {
-        candidates.clear();
-        candidates.extend(func.iter_blocks().filter_map(|(bid, block)| {
-            // A block branching to itself cannot merge safely with another
-            // self-looping block (targets differ once remapped); skip loops.
-            (bid != func.entry && !block.targets().any(|s| s == bid)).then_some(bid)
-        }));
-        let same_shape = |a: BlockId, b: BlockId| {
-            let (a, b) = (&func.block(a).insts, &func.block(b).insts);
-            a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.kind == y.kind)
-        };
-        // Earlier candidates have pairwise distinct shapes until the first
-        // repeat, so the first match is the first block with the shape.
-        let victim = candidates.iter().enumerate().find_map(|(j, &dup)| {
-            candidates[..j]
-                .iter()
-                .find(|&&first| same_shape(first, dup))
-                .map(|&survivor| (survivor, dup))
-        });
+        // Each run of one shape starts with its first block; the run whose
+        // second block comes first holds the merge.
+        let victim = candidates
+            .chunk_by(|&a, &b| same_shape(func, a, b))
+            .filter(|run| run.len() > 1)
+            .map(|run| (run[0], run[1]))
+            .min_by_key(|&(_, dup)| dup);
         let Some((survivor, dup)) = victim else { break };
         // Retarget all edges into `dup` to `survivor`.
-        for block in func.blocks.iter_mut().filter(|b| !b.dead) {
+        rewritten.clear();
+        for (i, block) in func.blocks.iter_mut().enumerate() {
+            if block.dead {
+                continue;
+            }
             if let Some(t) = block.terminator_mut() {
-                t.kind
-                    .map_successors(|s| if s == dup { survivor } else { s });
+                let mut hit = false;
+                t.kind.map_successors(|s| {
+                    if s == dup {
+                        hit = true;
+                        survivor
+                    } else {
+                        s
+                    }
+                });
+                if hit {
+                    rewritten.push(BlockId::from_index(i));
+                }
             }
         }
         // Profile maintenance: the survivor now executes both flows.
@@ -70,8 +87,34 @@ pub fn run_function(func: &mut Function) -> usize {
         d.dead = true;
         d.insts.clear();
         merged += 1;
+
+        // Only `dup` and the rewritten blocks changed shape or eligibility.
+        candidates.retain(|&b| b != dup && rewritten.binary_search(&b).is_err());
+        for &b in &rewritten {
+            if eligible(func, b) {
+                let at = candidates
+                    .binary_search_by(|&c| shape_order(func, c, b))
+                    .expect_err("a re-placed block is not among the candidates");
+                candidates.insert(at, b);
+            }
+        }
     }
     merged
+}
+
+/// Orders blocks by length, then instruction kinds, then id.
+fn shape_order(func: &Function, a: BlockId, b: BlockId) -> Ordering {
+    let (x, y) = (&func.block(a).insts, &func.block(b).insts);
+    x.len()
+        .cmp(&y.len())
+        .then_with(|| x.iter().map(|i| &i.kind).cmp(y.iter().map(|i| &i.kind)))
+        .then(a.cmp(&b))
+}
+
+/// Whether `a` and `b` have the same instruction kinds.
+fn same_shape(func: &Function, a: BlockId, b: BlockId) -> bool {
+    let (x, y) = (&func.block(a).insts, &func.block(b).insts);
+    x.len() == y.len() && x.iter().zip(y).all(|(p, q)| p.kind == q.kind)
 }
 
 #[cfg(test)]
@@ -149,5 +192,68 @@ fn f(a) {
         crate::simplify::run(&mut m);
         let n = run_function(&mut m.functions[0]);
         assert_eq!(n, 0);
+    }
+
+    /// The search the sorted candidates replace: after each merge, every
+    /// candidate against every earlier one.
+    fn pairwise(func: &mut Function) -> usize {
+        let mut merged = 0;
+        loop {
+            let candidates: Vec<BlockId> = func
+                .iter_blocks()
+                .filter(|&(b, block)| b != func.entry && !block.targets().any(|s| s == b))
+                .map(|(b, _)| b)
+                .collect();
+            let victim = candidates.iter().enumerate().find_map(|(j, &dup)| {
+                candidates[..j]
+                    .iter()
+                    .find(|&&first| same_shape(func, first, dup))
+                    .map(|&survivor| (survivor, dup))
+            });
+            let Some((survivor, dup)) = victim else { break };
+            for block in func.blocks.iter_mut().filter(|b| !b.dead) {
+                if let Some(t) = block.terminator_mut() {
+                    t.kind
+                        .map_successors(|s| if s == dup { survivor } else { s });
+                }
+            }
+            let dup_count = func.block(dup).count.unwrap_or(0);
+            *func.block_mut(survivor).count.get_or_insert(0) += dup_count;
+            let d = func.block_mut(dup);
+            d.dead = true;
+            d.insts.clear();
+            merged += 1;
+        }
+        merged
+    }
+
+    #[test]
+    fn merges_what_the_pairwise_search_merged() {
+        // 60 arms of 9 shapes, in an order that is not the shapes' order;
+        // merging retargets the chain's branches, which makes more shapes
+        // equal.
+        let mut src = String::from("global t[8];\nfn f(x) {\n");
+        for k in 0..60 {
+            let v = (k * 7) % 9;
+            src += &format!(
+                "if (x == {k}) {{ t[{}] = {}; return {}; }} else ",
+                v % 4,
+                v / 4,
+                v % 2
+            );
+        }
+        src += "{ return 0; }\n}\n";
+        let mut m = csspgo_lang::compile(&src, "t").unwrap();
+        crate::simplify::run(&mut m);
+        let f = &mut m.functions[0];
+        let ids: Vec<BlockId> = f.iter_blocks().map(|(b, _)| b).collect();
+        for b in ids {
+            f.block_mut(b).count = Some(b.index() as u64 + 1);
+        }
+        let mut want = f.clone();
+        let n = run_function(f);
+        assert!(n > 50, "{n} merges");
+        assert_eq!(n, pairwise(&mut want));
+        assert_eq!(format!("{f:?}"), format!("{want:?}"));
     }
 }
