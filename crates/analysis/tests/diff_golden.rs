@@ -74,7 +74,10 @@ fn diff_report_json_matches_golden() {
     let mut analyzer = Analyzer::new(Policy::default());
     let mut report = DiffReport::new();
     let scenarios = [
-        ("insert_body_comments", drift::insert_body_comments(SRC)),
+        (
+            "insert_body_comments",
+            Mutator::InsertBodyComments.apply(SRC, &[]),
+        ),
         ("change_cfg", drift::change_cfg(SRC)),
         // Renames `mid` — the function with call anchors — like
         // the `rename` scenario of `drift::SCENARIOS` picks its

@@ -65,10 +65,10 @@ enum Edit {
 fn apply(src: &str, entry: &str, edit: Edit) -> String {
     match edit {
         Edit::InsertComments => Mutator::InsertComments.apply(src, &[]),
-        Edit::InsertBodyComments => drift::insert_body_comments(src),
+        Edit::InsertBodyComments => Mutator::InsertBodyComments.apply(src, &[]),
         Edit::ChangeCfg => drift::change_cfg(src),
-        Edit::InsertStatement(n) => drift::insert_statement(src, n),
-        Edit::DeleteStatement(n) => drift::delete_statement(src, n),
+        Edit::InsertStatement(n) => Mutator::InsertStatement(n).apply(src, &[]),
+        Edit::DeleteStatement(n) => Mutator::DeleteStatement(n).apply(src, &[]),
         Edit::RenameOne(k) => {
             // Rename the k-th non-entry function (wrapping), keep the rest.
             let names: Vec<&str> = src

@@ -25,7 +25,8 @@ use csspgo_serve::fleet::{
     FleetBinaries, FleetConfig, FleetEvent, FleetService, TenantId, TenantSpec, VersionSpec,
 };
 use csspgo_serve::release_train::{run_release_train, ReleaseSpec};
-use csspgo_workloads::{drift, phase_shifted, tenant_traffic_mix};
+use csspgo_workloads::drift::{self, Mutator};
+use csspgo_workloads::{phase_shifted, tenant_traffic_mix};
 use std::borrow::Cow;
 use std::sync::OnceLock;
 
@@ -346,7 +347,8 @@ fn client_workload(ctx: &Ctx) -> Vec<Table> {
 /// stale profile outright instead of mis-applying it.
 fn drift_resilience(ctx: &Ctx) -> Vec<Table> {
     let (w, o) = ctx.one("ad_retriever");
-    let sources = [drift::insert_body_comments, drift::change_cfg].map(|edit| edit(&w.source));
+    let sources =
+        [Mutator::InsertBodyComments, Mutator::ChangeCfg].map(|m| m.apply(&w.source, &[]));
     let mut t = ctx.table(
         "§III.A — source-drift resilience",
         "variant | clean cycles | comment-drift cycles | drift penalty % {:+.2} | stale fns (comment) | stale fns (CFG change)",
@@ -623,7 +625,7 @@ fn profile_fleet(ctx: &Ctx) -> Vec<Table> {
     let cfg = ctx.fleet_config(48, 1);
     let two_versions = |id, workload: Workload| {
         let stable = workload.source.clone();
-        let canary = drift::insert_statement(&stable, 1);
+        let canary = Mutator::InsertStatement(1).apply(&stable, &[]);
         let versions = vec![
             VersionSpec::new("v0", stable),
             VersionSpec::new("v1", canary),
@@ -641,7 +643,8 @@ fn profile_fleet(ctx: &Ctx) -> Vec<Table> {
         two_versions(1, steady(csspgo_workloads::hhvm(), 22)),
         two_versions(2, ctx.drifting_haas()),
     ];
-    specs[2].refresh_source = Some(drift::insert_statement(&specs[2].workload.source, 3));
+    specs[2].refresh_source =
+        Some(Mutator::InsertStatement(3).apply(&specs[2].workload.source, &[]));
     let binaries = FleetBinaries::compile(&specs, &cfg).expect("fleet compiles");
     let run = FleetService::new(&binaries, cfg.clone())
         .run()

@@ -6,138 +6,123 @@
 //! workload. This problem is mitigated with pseudo-instrumentation where a
 //! checksum reflecting the shape of the IR control-flow graph is computed
 //! and persisted in the profile."
+//!
+//! [`Mutator`] is the one way to apply a drift. Each application reads the
+//! source once into a private view — its lines, and for every function
+//! defined at column 0 the header line, the name and, when the header opens
+//! a multi-line body, the parameters and the column-0 `}` that closes it —
+//! and every mutator is an edit over that view. A function whose `fn` is
+//! indented is invisible to every mutator, the rename included.
 
 use csspgo_core::Workload;
 
-/// Inserts a comment line before every function definition, shifting every
-/// subsequent line number while leaving the CFG untouched.
-///
-/// AutoFDO's line-offset correlation breaks (offsets within each function
-/// stay intact only for the *first* function; all call-site lines shift);
-/// CSSPGO's checksums still match, so the probe profile applies cleanly.
-fn insert_comments(source: &str) -> String {
-    let mut out = String::with_capacity(source.len() + 256);
-    for line in source.lines() {
-        if line.starts_with("fn ") {
-            out.push_str("// drift: reviewed in Q3, see T12345\n");
-            out.push_str("// drift: perf-sensitive, do not touch\n");
-        }
-        out.push_str(line);
-        out.push('\n');
-    }
-    out
+/// A function definition: a line that starts with `fn ` at column 0.
+struct Func<'a> {
+    /// Index of the header line.
+    line: usize,
+    /// The header's text before its first `(`, trimmed.
+    name: &'a str,
+    /// Present when the header ends in `{`: the body is on the lines below.
+    body: Option<Body<'a>>,
 }
 
-/// Inserts a line-shifting comment *inside* every function body (after the
-/// header), so even intra-function line offsets move. Still CFG-neutral.
-pub fn insert_body_comments(source: &str) -> String {
-    let mut out = String::with_capacity(source.len() + 256);
-    for line in source.lines() {
-        out.push_str(line);
-        out.push('\n');
-        if line.starts_with("fn ") && line.trim_end().ends_with('{') {
-            out.push_str("    // drift: refactor pending\n");
-        }
-    }
-    out
+struct Body<'a> {
+    /// The header's text between its first `(` and the next `)`, trimmed.
+    params: &'a str,
+    /// Index of the first column-0 `}` after the header (the line count if
+    /// there is none).
+    close: usize,
 }
 
-/// A drift that *changes the CFG* of every function: a dead guard branch is
-/// added at the top of each body. CSSPGO must detect this via checksum
-/// mismatch and reject the stale profile rather than mis-apply it.
-pub fn change_cfg(source: &str) -> String {
-    let mut out = String::with_capacity(source.len() + 512);
-    for line in source.lines() {
-        out.push_str(line);
-        out.push('\n');
-        if line.starts_with("fn ") && line.trim_end().ends_with('{') {
-            out.push_str("    if (0 > 1) { return 0 - 987654321; }\n");
-        }
-    }
-    out
+/// A source read once: its lines and the functions they define.
+struct Source<'a> {
+    text: &'a str,
+    lines: Vec<&'a str>,
+    funcs: Vec<Func<'a>>,
 }
 
-/// Renames every function whose name is *not* in `keep` by appending
-/// `_v2` — definition and all call sites, whole-word. Call sites inside
-/// kept functions retarget too, so the rename is behaviour-preserving.
-///
-/// GUIDs are name hashes, so a renamed function vanishes from the profile's
-/// GUID space entirely: the stale matcher's rename detection (anchor-set
-/// similarity) is the only way its counts survive.
-fn rename_functions(source: &str, keep: &[&str]) -> String {
-    let mut names: Vec<String> = Vec::new();
-    for line in source.lines() {
-        if let Some(rest) = line.trim_start().strip_prefix("fn ") {
-            if let Some(name) = rest.split('(').next() {
-                let name = name.trim();
-                if !name.is_empty() && !keep.contains(&name) {
-                    names.push(name.to_string());
+impl<'a> Source<'a> {
+    fn new(text: &'a str) -> Self {
+        let lines: Vec<&str> = text.lines().collect();
+        let funcs = (lines.iter().enumerate())
+            .filter_map(|(line, l)| {
+                let rest = l.strip_prefix("fn ")?;
+                let (name, after) = rest.split_once('(').unwrap_or((rest, ""));
+                let body = l.trim_end().ends_with('{').then(|| Body {
+                    params: after.split_once(')').map_or("", |(p, _)| p.trim()),
+                    close: (line + 1..lines.len())
+                        .find(|&j| lines[j] == "}")
+                        .unwrap_or(lines.len()),
+                });
+                Some(Func {
+                    line,
+                    name: name.trim(),
+                    body,
+                })
+            })
+            .collect();
+        Source { text, lines, funcs }
+    }
+
+    /// The functions with a multi-line body.
+    fn bodies(&self) -> impl Iterator<Item = (&Func<'a>, &Body<'a>)> {
+        (self.funcs.iter()).filter_map(|f| Some((f, f.body.as_ref()?)))
+    }
+
+    /// The function whose header is line `line`.
+    fn func_at(&self, line: usize) -> Option<&Func<'a>> {
+        let k = self.funcs.binary_search_by_key(&line, |f| f.line).ok()?;
+        Some(&self.funcs[k])
+    }
+
+    /// Re-emits every line, each followed by `\n`, except that where
+    /// `edit(i, line)` returns text, that text (its own `\n`s included;
+    /// empty deletes the line) stands in for line `i`.
+    fn rewrite(&self, edit: impl Fn(usize, &str) -> Option<String>) -> String {
+        let mut out = String::with_capacity(self.text.len() + 512);
+        for (i, &line) in self.lines.iter().enumerate() {
+            match edit(i, line) {
+                Some(text) => out.push_str(&text),
+                None => {
+                    out.push_str(line);
+                    out.push('\n');
                 }
             }
         }
+        out
     }
-    // Longest first so `helper_fast` is not clobbered by a `helper` pass.
-    names.sort_by(|a, b| b.len().cmp(&a.len()).then(a.cmp(b)));
-    let mut out = source.to_string();
-    for name in &names {
-        let mut rewritten = String::with_capacity(out.len() + 64);
-        let bytes = out.as_bytes();
-        let mut i = 0;
-        while let Some(pos) = out[i..].find(name.as_str()) {
-            let start = i + pos;
-            let end = start + name.len();
-            let before_ok = start == 0
-                || !(bytes[start - 1].is_ascii_alphanumeric() || bytes[start - 1] == b'_');
-            let after_ok =
-                end == out.len() || !(bytes[end].is_ascii_alphanumeric() || bytes[end] == b'_');
-            rewritten.push_str(&out[i..end]);
-            if before_ok && after_ok {
-                rewritten.push_str("_v2");
-            }
-            i = end;
-        }
-        rewritten.push_str(&out[i..]);
-        out = rewritten;
+
+    /// Inserts `text` (whole lines) after the header of every multi-line
+    /// function `at` accepts.
+    fn insert_after_headers(&self, text: &str, at: impl Fn(&Func, &Body) -> bool) -> String {
+        self.rewrite(|i, line| {
+            let f = self.func_at(i)?;
+            at(f, f.body.as_ref()?).then(|| format!("{line}\n{text}"))
+        })
     }
-    out
 }
 
-/// Parses a multi-line MiniLang function header (`fn name(params) {` at
-/// column 0) into `(name, params)`. Single-line functions — header and
-/// body on one line — are not headers in this sense and return `None`,
-/// matching the convention of every other mutator in this module.
-fn parse_header(line: &str) -> Option<(&str, &str)> {
-    let rest = line.strip_prefix("fn ")?;
-    if !line.trim_end().ends_with('{') {
-        return None;
-    }
-    let open = rest.find('(')?;
-    let close = rest.find(')')?;
-    if close < open {
-        return None;
-    }
-    let name = rest[..open].trim();
-    if name.is_empty() {
-        return None;
-    }
-    Some((name, rest[open + 1..close].trim()))
+/// The `nth` item (0-based, wrapping), or `None` if there are none.
+fn wrapping_nth<T>(items: impl Iterator<Item = T>, nth: usize) -> Option<T> {
+    let items: Vec<T> = items.collect();
+    let len = items.len().max(1);
+    items.into_iter().nth(nth % len)
 }
 
-/// Replaces every whole-word occurrence of `from` with `to` — the same
-/// word-boundary rule `rename_functions` uses (an adjacent alphanumeric
-/// or `_` suppresses the match).
+/// Replaces every whole-word occurrence of `from` with `to`: an adjacent
+/// alphanumeric or `_` suppresses the match.
 fn replace_whole_word(text: &str, from: &str, to: &str) -> String {
+    let word = |i: usize| {
+        text.as_bytes()
+            .get(i)
+            .is_some_and(|&b| b.is_ascii_alphanumeric() || b == b'_')
+    };
     let mut out = String::with_capacity(text.len() + 64);
-    let bytes = text.as_bytes();
     let mut i = 0;
     while let Some(pos) = text[i..].find(from) {
         let start = i + pos;
         let end = start + from.len();
-        let before_ok =
-            start == 0 || !(bytes[start - 1].is_ascii_alphanumeric() || bytes[start - 1] == b'_');
-        let after_ok =
-            end == text.len() || !(bytes[end].is_ascii_alphanumeric() || bytes[end] == b'_');
-        if before_ok && after_ok {
+        if (start == 0 || !word(start - 1)) && !word(end) {
             out.push_str(&text[i..start]);
             out.push_str(to);
         } else {
@@ -147,6 +132,38 @@ fn replace_whole_word(text: &str, from: &str, to: &str) -> String {
     }
     out.push_str(&text[i..]);
     out
+}
+
+/// The two comment lines [`Mutator::InsertComments`] puts before every
+/// function definition.
+const REVIEW_COMMENTS: &str =
+    "// drift: reviewed in Q3, see T12345\n// drift: perf-sensitive, do not touch\n";
+
+/// A drift that *changes the CFG*: a dead guard branch is added at the top of
+/// every multi-line function body (a function written on one line gets
+/// none). CSSPGO must detect this via checksum mismatch and reject the stale
+/// profile rather than mis-apply it.
+pub fn change_cfg(source: &str) -> String {
+    Mutator::ChangeCfg.apply(source, &[])
+}
+
+/// Renames every function whose name is *not* in `keep` by appending
+/// `_v2` — definition and all call sites, whole-word. Call sites inside
+/// kept functions retarget too, so the rename is behaviour-preserving.
+///
+/// GUIDs are name hashes, so a renamed function vanishes from the profile's
+/// GUID space entirely: the stale matcher's rename detection (anchor-set
+/// similarity) is the only way its counts survive.
+fn rename_functions(src: &Source, keep: &[&str]) -> String {
+    let mut names: Vec<&str> = (src.funcs.iter())
+        .map(|f| f.name)
+        .filter(|n| !n.is_empty() && !keep.contains(n))
+        .collect();
+    // Longest first so `helper_fast` is not clobbered by a `helper` pass.
+    names.sort_by(|a, b| b.len().cmp(&a.len()).then(a.cmp(b)));
+    names.iter().fold(src.text.to_string(), |out, name| {
+        replace_whole_word(&out, name, &format!("{name}_v2"))
+    })
 }
 
 /// Splits the `nth` eligible function (0-based, wrapping) into a thin
@@ -160,96 +177,52 @@ fn replace_whole_word(text: &str, from: &str, to: &str) -> String {
 /// previous release.
 ///
 /// Eligible functions are multi-line, not already `_impl` twins, and have
-/// no `<name>_impl` defined yet. No-op if nothing is eligible.
-fn split_function(source: &str, nth: usize) -> String {
-    let lines: Vec<&str> = source.lines().collect();
-    let headers: Vec<usize> = lines
-        .iter()
-        .enumerate()
-        .filter_map(|(i, l)| {
-            let (name, _) = parse_header(l)?;
-            let defines_twin = lines
-                .iter()
-                .any(|x| x.starts_with(&format!("fn {name}_impl(")));
-            (!name.ends_with("_impl") && !defines_twin).then_some(i)
+/// no `<name>_impl` defined yet.
+fn split_function(src: &Source, nth: usize) -> Option<String> {
+    let has_twin =
+        |f: &Func| (src.funcs.iter()).any(|g| g.name.strip_suffix("_impl") == Some(f.name));
+    let eligible = src
+        .bodies()
+        .filter(|(f, _)| !f.name.ends_with("_impl") && !has_twin(f));
+    let (f, b) = wrapping_nth(eligible, nth)?;
+    let (name, params) = (f.name, b.params);
+    Some(src.rewrite(|i, _| {
+        (i == f.line).then(|| {
+            format!(
+                "fn {name}({params}) {{\n    return {name}_impl({params});\n}}\nfn {name}_impl({params}) {{\n"
+            )
         })
-        .collect();
-    if headers.is_empty() {
-        return source.to_string();
-    }
-    let h = headers[nth % headers.len()];
-    let (name, params) = parse_header(lines[h]).expect("header re-parse");
-    let mut out = String::with_capacity(source.len() + 96);
-    for (i, l) in lines.iter().enumerate() {
-        if i == h {
-            out.push_str(&format!("fn {name}({params}) {{\n"));
-            out.push_str(&format!("    return {name}_impl({params});\n"));
-            out.push_str("}\n");
-            out.push_str(&format!("fn {name}_impl({params}) {{\n"));
-        } else {
-            out.push_str(l);
-            out.push('\n');
-        }
-    }
-    out
+    }))
 }
 
 /// Merges the `nth` forwarder function (0-based, wrapping) back into its
 /// callee: the inverse refactor of [`split_function`]. A forwarder is a
 /// three-line function whose whole body is `return callee(<params>);`
 /// with the argument list textually equal to its own parameter list and
-/// `callee` defined in the same source. The forwarder is deleted and the
-/// callee takes over its name (whole-word rename of definition and every
-/// call site), so behaviour is preserved. No-op if no forwarder exists.
+/// `callee` defined (multi-line) in the same source. The forwarder is
+/// deleted and the callee takes over its name (whole-word rename of
+/// definition and every call site), so behaviour is preserved.
 ///
 /// Applied right after a [`split_function`] release it restores the
 /// original source exactly — the round-trip the release-train harness
 /// leans on for "refactor churn" steps.
-fn merge_functions(source: &str, nth: usize) -> String {
+fn merge_functions(src: &Source, nth: usize) -> Option<String> {
     let norm = |s: &str| s.chars().filter(|c| !c.is_whitespace()).collect::<String>();
-    let lines: Vec<&str> = source.lines().collect();
-    let mut forwarders: Vec<(usize, String, String)> = Vec::new();
-    for i in 0..lines.len() {
-        let Some((name, params)) = parse_header(lines[i]) else {
-            continue;
-        };
-        if i + 2 >= lines.len() || lines[i + 2] != "}" {
-            continue;
+    let forwarders = src.bodies().filter_map(|(f, b)| {
+        if b.close != f.line + 2 {
+            return None;
         }
-        let body = lines[i + 1].trim();
-        let Some(call) = body
-            .strip_prefix("return ")
-            .and_then(|r| r.strip_suffix(");"))
-        else {
-            continue;
-        };
-        let Some(open) = call.find('(') else {
-            continue;
-        };
-        let callee = call[..open].trim();
-        if callee == name || norm(&call[open + 1..]) != norm(params) {
-            continue;
-        }
-        let callee_defined = lines
-            .iter()
-            .any(|l| parse_header(l).is_some_and(|(n, _)| n == callee));
-        if callee_defined {
-            forwarders.push((i, name.to_string(), callee.to_string()));
-        }
-    }
-    if forwarders.is_empty() {
-        return source.to_string();
-    }
-    let (h, name, callee) = forwarders[nth % forwarders.len()].clone();
-    let mut out = String::with_capacity(source.len());
-    for (i, l) in lines.iter().enumerate() {
-        if (h..h + 3).contains(&i) {
-            continue;
-        }
-        out.push_str(l);
-        out.push('\n');
-    }
-    replace_whole_word(&out, &callee, &name)
+        let line = src.lines[f.line + 1].trim();
+        let call = line.strip_prefix("return ")?.strip_suffix(");")?;
+        let (callee, args) = call.split_once('(')?;
+        let callee = callee.trim();
+        let defined = src.bodies().any(|(g, _)| g.name == callee);
+        (callee != f.name && norm(args) == norm(b.params) && defined)
+            .then_some((f.line, f.name, callee))
+    });
+    let (h, name, callee) = wrapping_nth(forwarders, nth)?;
+    let out = src.rewrite(|i, _| (h..h + 3).contains(&i).then(String::new));
+    Some(replace_whole_word(&out, callee, name))
 }
 
 /// Simulates a dependency bump: a new generation of `dep_shim_g<N>_*`
@@ -262,36 +235,19 @@ fn merge_functions(source: &str, nth: usize) -> String {
 /// from [`split_function`] survives a bump intact, like real glue code
 /// that never touches the dependency. Behaviour-preserving: the guards
 /// are dead and the shims unreachable.
-fn bump_dependency(source: &str, seed: u64) -> String {
-    let lines: Vec<&str> = source.lines().collect();
-    let generation = 1 + lines
-        .iter()
-        .filter_map(|l| {
-            let (name, _) = parse_header(l)?;
-            let digits = name.strip_prefix("dep_shim_g")?;
+fn bump_dependency(src: &Source, seed: u64) -> String {
+    let generation = 1 + src
+        .bodies()
+        .filter_map(|(f, _)| {
+            let digits = f.name.strip_prefix("dep_shim_g")?;
             digits.split('_').next()?.parse::<u64>().ok()
         })
         .max()
         .unwrap_or(0);
     let k = seed.wrapping_mul(0x9E37_79B9).wrapping_add(17) % 997;
     let guard = format!("    if (0 > 1) {{ return dep_shim_g{generation}_1({k}); }}\n");
-    // Body length per multi-line function: lines between header and the
-    // column-0 closing brace.
-    let mut out = String::with_capacity(source.len() + 512);
-    let mut i = 0;
-    while i < lines.len() {
-        out.push_str(lines[i]);
-        out.push('\n');
-        if parse_header(lines[i]).is_some() {
-            let close = (i + 1..lines.len())
-                .find(|&j| lines[j] == "}")
-                .unwrap_or(lines.len());
-            if close - i > 2 {
-                out.push_str(&guard);
-            }
-        }
-        i += 1;
-    }
+    // A body of more than one line between header and closing brace.
+    let mut out = src.insert_after_headers(&guard, |f, b| b.close - f.line > 2);
     out.push_str(&format!(
         "fn dep_shim_g{generation}_0(x) {{\n    let acc = x + {k};\n    if (acc > 1000) {{\n        return acc % 977;\n    }}\n    return acc * 3 + 7;\n}}\n"
     ));
@@ -305,55 +261,64 @@ fn bump_dependency(source: &str, seed: u64) -> String {
 /// The guard a compiled-in-but-disabled feature flag leaves in a body.
 const FEATURE_FLAG_GUARD: &str = "    if (0 > 0) { return 0 - 31337; }";
 
-/// Flips a feature flag in the `nth` function (0-based, wrapping): if the
-/// flag guard is already present right after the header it is removed
-/// (flag compiled out), otherwise it is inserted (flag compiled in,
-/// disabled). Either direction changes that function's CFG checksum while
-/// preserving behaviour — the guard never fires.
-fn flip_feature_flag(source: &str, nth: usize) -> String {
-    let lines: Vec<&str> = source.lines().collect();
-    let headers: Vec<usize> = lines
-        .iter()
-        .enumerate()
-        .filter_map(|(i, l)| parse_header(l).map(|_| i))
-        .collect();
-    if headers.is_empty() {
-        return source.to_string();
-    }
-    let h = headers[nth % headers.len()];
-    let mut out = String::with_capacity(source.len() + 64);
-    for (i, l) in lines.iter().enumerate() {
-        if i == h + 1 && *l == FEATURE_FLAG_GUARD {
-            continue; // flag compiled out
-        }
-        out.push_str(l);
-        out.push('\n');
-        if i == h && lines.get(h + 1).copied() != Some(FEATURE_FLAG_GUARD) {
-            out.push_str(FEATURE_FLAG_GUARD);
-            out.push('\n');
-        }
-    }
-    out
+/// Flips a feature flag in the `nth` multi-line function (0-based,
+/// wrapping): if the flag guard is already present right after the header
+/// it is removed (flag compiled out), otherwise it is inserted (flag
+/// compiled in, disabled). Either direction changes that function's CFG
+/// checksum while preserving behaviour — the guard never fires.
+fn flip_feature_flag(src: &Source, nth: usize) -> Option<String> {
+    let h = wrapping_nth(src.bodies(), nth)?.0.line;
+    Some(if src.lines.get(h + 1) == Some(&FEATURE_FLAG_GUARD) {
+        src.rewrite(|i, _| (i == h + 1).then(String::new))
+    } else {
+        src.insert_after_headers(&format!("{FEATURE_FLAG_GUARD}\n"), |f, _| f.line == h)
+    })
 }
 
-/// One source mutation, parameterized — the unit a release train composes.
-/// Every variant except the test-only [`delete_statement`] is
-/// behaviour-preserving, so a train of these is safe to canary against
-/// result hashes.
+/// Deletes one single-line guard (`if (...) { ...; }`): among the
+/// multi-line functions from whose header some guard follows, take the
+/// `nth` (0-based, wrapping) and delete the first guard after its header,
+/// in that function or a later one. See [`Mutator::DeleteStatement`].
+fn delete_statement(src: &Source, nth: usize) -> Option<String> {
+    let is_guard = |l: &str| l.trim_start().starts_with("if (") && l.trim_end().ends_with("; }");
+    let last = src.lines.iter().rposition(|l| is_guard(l))?;
+    let starts = src.bodies().map(|(f, _)| f.line).filter(|&h| h < last);
+    let start = wrapping_nth(starts, nth)?;
+    let guard = (start + 1..=last).find(|&i| is_guard(src.lines[i]))?;
+    Some(src.rewrite(|i, _| (i == guard).then(String::new)))
+}
+
+/// One source mutation, parameterized — the unit a release train composes,
+/// and the one way to apply a drift. Every variant except
+/// [`DeleteStatement`](Mutator::DeleteStatement) is behaviour-preserving, so
+/// a train of these is safe to canary against result hashes. A mutator
+/// that picks the `nth` of some functions counts from 0 and wraps; with none
+/// to pick it returns the source unchanged.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Mutator {
-    /// A comment line before every function definition: every later line
-    /// number shifts, the CFG does not.
+    /// Two comment lines before every function definition: every later
+    /// line number shifts, the CFG does not. AutoFDO's line-offset
+    /// correlation breaks; CSSPGO's checksums still match.
     InsertComments,
-    /// [`insert_body_comments`]
+    /// A comment line after every multi-line function's header, so even
+    /// line offsets within a body move. Still CFG-neutral.
     InsertBodyComments,
     /// [`change_cfg`]
     ChangeCfg,
     /// Every function not in the caller's keep set renamed with a `_v2`
     /// suffix, call sites included: its GUID leaves the profile's space.
     RenameFunctions,
-    /// [`insert_statement`] into the nth function.
+    /// A dead, CFG-visible guard after the header of the nth multi-line
+    /// function: a *partial* drift where only that checksum mismatches.
     InsertStatement(usize),
+    /// One single-line guard deleted: the first after the header of the nth
+    /// multi-line function from which some guard follows, so it may lie in
+    /// a later function. CFG-changing in the *shrinking* direction — the
+    /// probe space loses indices instead of gaining them. It may change
+    /// behaviour, so no release train picks it; the matcher's soundness
+    /// tests, which assert only structural invariants of the mapping, and
+    /// the `delete_statement` scenario do.
+    DeleteStatement(usize),
     /// The nth eligible function split into a forwarder and a `<name>_impl`
     /// twin holding its body (the extract-function refactor).
     SplitFunction(usize),
@@ -364,7 +329,7 @@ pub enum Mutator {
     /// functions, and a dead guard calling them in every substantial body.
     BumpDependency(u64),
     /// A disabled feature-flag guard inserted into, or removed from, the
-    /// nth function.
+    /// nth multi-line function.
     FlipFeatureFlag(usize),
 }
 
@@ -377,6 +342,7 @@ impl Mutator {
             Mutator::ChangeCfg => "change_cfg",
             Mutator::RenameFunctions => "rename_functions",
             Mutator::InsertStatement(_) => "insert_statement",
+            Mutator::DeleteStatement(_) => "delete_statement",
             Mutator::SplitFunction(_) => "split_function",
             Mutator::MergeFunctions(_) => "merge_functions",
             Mutator::BumpDependency(_) => "bump_dependency",
@@ -387,16 +353,35 @@ impl Mutator {
     /// Applies the mutation. `keep` is honoured by `RenameFunctions` (the
     /// entry point must keep its name) and ignored by the rest.
     pub fn apply(&self, source: &str, keep: &[&str]) -> String {
-        match self {
-            Mutator::InsertComments => insert_comments(source),
-            Mutator::InsertBodyComments => insert_body_comments(source),
-            Mutator::ChangeCfg => change_cfg(source),
-            Mutator::RenameFunctions => rename_functions(source, keep),
-            Mutator::InsertStatement(nth) => insert_statement(source, *nth),
-            Mutator::SplitFunction(nth) => split_function(source, *nth),
-            Mutator::MergeFunctions(nth) => merge_functions(source, *nth),
-            Mutator::BumpDependency(seed) => bump_dependency(source, *seed),
-            Mutator::FlipFeatureFlag(nth) => flip_feature_flag(source, *nth),
+        self.edit(&Source::new(source), keep)
+            .unwrap_or_else(|| source.to_string())
+    }
+
+    /// The mutated source, or `None` when there is nothing to act on.
+    fn edit(&self, src: &Source, keep: &[&str]) -> Option<String> {
+        match *self {
+            Mutator::InsertComments => {
+                Some(src.rewrite(|i, line| {
+                    src.func_at(i).map(|_| format!("{REVIEW_COMMENTS}{line}\n"))
+                }))
+            }
+            Mutator::InsertBodyComments => {
+                Some(src.insert_after_headers("    // drift: refactor pending\n", |_, _| true))
+            }
+            Mutator::ChangeCfg => Some(
+                src.insert_after_headers("    if (0 > 1) { return 0 - 987654321; }\n", |_, _| true),
+            ),
+            Mutator::RenameFunctions => Some(rename_functions(src, keep)),
+            Mutator::InsertStatement(nth) => {
+                let h = wrapping_nth(src.bodies(), nth)?.0.line;
+                let guard = "    if (1 > 2) { return 0 - 424242; }\n";
+                Some(src.insert_after_headers(guard, |f, _| f.line == h))
+            }
+            Mutator::DeleteStatement(nth) => delete_statement(src, nth),
+            Mutator::SplitFunction(nth) => split_function(src, nth),
+            Mutator::MergeFunctions(nth) => merge_functions(src, nth),
+            Mutator::BumpDependency(seed) => Some(bump_dependency(src, seed)),
+            Mutator::FlipFeatureFlag(nth) => flip_feature_flag(src, nth),
         }
     }
 }
@@ -405,7 +390,8 @@ impl Mutator {
 /// of refactor churn (split, later merged back), a feature-flag flip, a
 /// dependency bump, comment drift, a whole-tree rename, a local
 /// statement edit, and a CFG-wide change. Parameters advance with the
-/// cycle count so repeated cycles hit different functions.
+/// cycle count so repeated cycles hit different functions. It never picks
+/// `DeleteStatement`, the one edit that may change behaviour.
 fn release_mutator(i: usize) -> Mutator {
     let cycle = i / 8;
     match i % 8 {
@@ -440,70 +426,6 @@ pub fn release_chain(source: &str, n: usize, keep: &[&str]) -> Vec<(String, Stri
     out
 }
 
-/// Inserts a harmless-but-CFG-visible statement (`let`-free dead loop
-/// guard) after the `nth` function header (0-based, wrapping), leaving the
-/// other functions untouched — a *partial* drift where only some checksums
-/// mismatch. Used by the matcher soundness property tests to generate
-/// varied edits.
-pub fn insert_statement(source: &str, nth: usize) -> String {
-    let headers = source
-        .lines()
-        .filter(|l| l.starts_with("fn ") && l.trim_end().ends_with('{'))
-        .count();
-    if headers == 0 {
-        return source.to_string();
-    }
-    let target = nth % headers;
-    let mut seen = 0usize;
-    let mut out = String::with_capacity(source.len() + 64);
-    for line in source.lines() {
-        out.push_str(line);
-        out.push('\n');
-        if line.starts_with("fn ") && line.trim_end().ends_with('{') {
-            if seen == target {
-                out.push_str("    if (1 > 2) { return 0 - 424242; }\n");
-            }
-            seen += 1;
-        }
-    }
-    out
-}
-
-/// Deletes the first single-line guard (`if (...) { ...; }`) from the
-/// `nth` function that has one (0-based, wrapping). CFG-changing in the
-/// *shrinking* direction — the probe space loses indices instead of
-/// gaining them. Unlike the other mutators this may change behaviour;
-/// it exists for matcher *soundness* property tests, which only assert
-/// structural invariants of the mapping, not result equality.
-pub fn delete_statement(source: &str, nth: usize) -> String {
-    let is_guard = |l: &str| l.trim_start().starts_with("if (") && l.trim_end().ends_with("; }");
-    let mut fn_starts: Vec<usize> = Vec::new();
-    let lines: Vec<&str> = source.lines().collect();
-    for (i, l) in lines.iter().enumerate() {
-        if l.starts_with("fn ")
-            && l.trim_end().ends_with('{')
-            && lines[i..].iter().any(|x| is_guard(x))
-        {
-            fn_starts.push(i);
-        }
-    }
-    if fn_starts.is_empty() {
-        return source.to_string();
-    }
-    let start = fn_starts[nth % fn_starts.len()];
-    let mut removed = false;
-    let mut out = String::with_capacity(source.len());
-    for (i, l) in lines.iter().enumerate() {
-        if !removed && i > start && is_guard(l) {
-            removed = true;
-            continue;
-        }
-        out.push_str(l);
-        out.push('\n');
-    }
-    out
-}
-
 /// A named rebuild of a workload's source.
 type Scenario = (&'static str, fn(&Workload) -> String);
 
@@ -523,8 +445,9 @@ pub const SCENARIOS: [Scenario; 7] = [
     ("insert_statement", |w| {
         Mutator::InsertStatement(1).apply(&w.source, &[])
     }),
-    // Not behaviour-preserving, hence not a `Mutator`.
-    ("delete_statement", |w| delete_statement(&w.source, 1)),
+    ("delete_statement", |w| {
+        Mutator::DeleteStatement(1).apply(&w.source, &[])
+    }),
 ];
 
 /// Renames ONE non-entry function (the realistic refactor): its GUID
@@ -534,40 +457,32 @@ pub const SCENARIOS: [Scenario; 7] = [
 /// functions: rename matching needs call anchors as evidence, so renaming a
 /// leaf would be undetectable by construction.
 fn rename_one(w: &Workload) -> String {
-    let names: Vec<&str> = w
-        .source
-        .lines()
-        .filter_map(|l| l.strip_prefix("fn "))
-        .filter_map(|rest| rest.split('(').next())
-        .map(str::trim)
-        .collect();
-    let mut calls: Vec<(usize, &str)> = Vec::new();
-    let mut current: Option<&str> = None;
-    for line in w.source.lines() {
-        if let Some(rest) = line.strip_prefix("fn ") {
-            current = rest.split('(').next().map(str::trim);
-            calls.push((0, current.unwrap_or("")));
-            continue;
-        }
-        if let (Some(cur), Some(slot)) = (current, calls.last_mut()) {
-            slot.0 += names
-                .iter()
-                .filter(|n| **n != cur)
-                .map(|n| line.matches(&format!("{n}(")).count())
-                .sum::<usize>();
-        }
-    }
+    let src = Source::new(&w.source);
+    let names: Vec<&str> = src.funcs.iter().map(|f| f.name).collect();
+    // A function's calls: those on the lines after its header, up to the
+    // next function's header.
+    let calls = src.funcs.iter().enumerate().map(|(k, f)| {
+        let end = src.funcs.get(k + 1).map_or(src.lines.len(), |g| g.line);
+        let calls: usize = (src.lines[f.line + 1..end].iter())
+            .map(|line| {
+                (names.iter())
+                    .filter(|n| **n != f.name)
+                    .map(|n| line.matches(&format!("{n}(")).count())
+                    .sum::<usize>()
+            })
+            .sum();
+        (calls, f.name)
+    });
     let target = calls
-        .iter()
         .filter(|(_, n)| *n != w.entry)
         .max_by_key(|(c, _)| *c)
-        .map(|&(_, n)| n);
+        .map(|(_, n)| n);
     let keep: Vec<&str> = names
         .iter()
         .filter(|n| Some(**n) != target)
         .copied()
         .collect();
-    Mutator::RenameFunctions.apply(&w.source, &keep)
+    rename_functions(&src, &keep)
 }
 
 #[cfg(test)]
@@ -584,13 +499,19 @@ mod tests {
 
     #[test]
     fn comment_drift_keeps_cfg_checksums() {
-        assert_eq!(checksums(SRC), checksums(&insert_comments(SRC)));
-        assert_eq!(checksums(SRC), checksums(&insert_body_comments(SRC)));
+        assert_eq!(
+            checksums(SRC),
+            checksums(&Mutator::InsertComments.apply(SRC, &[]))
+        );
+        assert_eq!(
+            checksums(SRC),
+            checksums(&Mutator::InsertBodyComments.apply(SRC, &[]))
+        );
     }
 
     #[test]
     fn comment_drift_shifts_lines() {
-        let drifted = insert_body_comments(SRC);
+        let drifted = Mutator::InsertBodyComments.apply(SRC, &[]);
         let m0 = csspgo_lang::compile(SRC, "t").unwrap();
         let m1 = csspgo_lang::compile(&drifted, "t").unwrap();
         let first_line = |m: &csspgo_ir::Module| {
@@ -612,7 +533,7 @@ mod tests {
     #[test]
     fn rename_rewrites_definition_and_call_sites() {
         let src = "fn helper(x) { return x; }\nfn main(n) { return helper(n); }\n";
-        let renamed = rename_functions(src, &["main"]);
+        let renamed = Mutator::RenameFunctions.apply(src, &["main"]);
         assert!(renamed.contains("fn helper_v2(x)"), "{renamed}");
         assert!(renamed.contains("return helper_v2(n);"), "{renamed}");
         assert!(renamed.contains("fn main(n)"), "kept name must not change");
@@ -620,7 +541,7 @@ mod tests {
         csspgo_lang::compile(&renamed, "t").unwrap();
         // Whole-word only: `helper_fast` must not become `helper_v2_fast`.
         let tricky = "fn helper(x) { return x; }\nfn helper_fast(x) { return helper(x); }\n";
-        let r = rename_functions(tricky, &["helper_fast"]);
+        let r = Mutator::RenameFunctions.apply(tricky, &["helper_fast"]);
         assert!(
             r.contains("fn helper_fast(x) { return helper_v2(x); }"),
             "{r}"
@@ -628,18 +549,28 @@ mod tests {
     }
 
     #[test]
+    fn only_column_zero_definitions_are_functions() {
+        // An indented `fn` is not a definition to any mutator: the rename
+        // leaves it and its call sites alone.
+        let src = "  fn helper(x) { return x; }\nfn main(n) {\n    return helper(n);\n}\n";
+        assert_eq!(Mutator::RenameFunctions.apply(src, &["main"]), src);
+        let commented = Mutator::InsertComments.apply(src, &[]);
+        assert!(commented.starts_with("  fn helper"), "{commented}");
+    }
+
+    #[test]
     fn statement_mutators_change_one_functions_checksum() {
         let two = "fn a(x) {\n    if (x > 0) { return 1; }\n    return 2;\n}\nfn b(x) {\n    return x;\n}\n";
         let base = checksums(two);
-        let ins = checksums(&insert_statement(two, 1));
+        let ins = checksums(&Mutator::InsertStatement(1).apply(two, &[]));
         assert_eq!(base[0], ins[0], "untargeted function untouched");
         assert_ne!(base[1], ins[1], "targeted function must drift");
-        let del = checksums(&delete_statement(two, 0));
+        let del = checksums(&Mutator::DeleteStatement(0).apply(two, &[]));
         assert_ne!(base[0], del[0], "guard removal must drift");
         assert_eq!(base[1], del[1]);
         // No-ops degrade gracefully.
         assert_eq!(
-            delete_statement("fn c() { return 0; }\n", 0),
+            Mutator::DeleteStatement(0).apply("fn c() { return 0; }\n", &[]),
             "fn c() { return 0; }\n"
         );
     }
@@ -648,7 +579,7 @@ mod tests {
     fn split_creates_forwarder_and_twin() {
         let two =
             "fn a(x, y) {\n    let t = x + y;\n    return t * 2;\n}\nfn b(x) {\n    return x;\n}\n";
-        let split = split_function(two, 0);
+        let split = Mutator::SplitFunction(0).apply(two, &[]);
         assert!(
             split.contains("fn a(x, y) {\n    return a_impl(x, y);\n}"),
             "{split}"
@@ -662,22 +593,25 @@ mod tests {
         assert_eq!(after.len(), base.len() + 1);
         assert!(after.contains(&base[1]), "b untouched");
         // Splitting again skips `a` (its twin exists) and picks `b`.
-        let again = split_function(&split, 0);
+        let again = Mutator::SplitFunction(0).apply(&split, &[]);
         assert!(again.contains("fn b_impl(x)"), "{again}");
     }
 
     #[test]
     fn merge_inverts_split_exactly() {
         let two = "fn a(x, y) {\n    let t = x + y;\n    return t * 2;\n}\nfn b(x) {\n    return a(x, x);\n}\n";
-        assert_eq!(merge_functions(&split_function(two, 0), 0), two);
+        assert_eq!(
+            Mutator::MergeFunctions(0).apply(&Mutator::SplitFunction(0).apply(two, &[]), &[]),
+            two
+        );
         // No forwarder → no-op.
-        assert_eq!(merge_functions(two, 0), two);
+        assert_eq!(Mutator::MergeFunctions(0).apply(two, &[]), two);
     }
 
     #[test]
     fn bump_dependency_adds_shims_and_drifts_big_bodies() {
         let two = "fn a(x) {\n    let t = x + 1;\n    return t * 2;\n}\nfn fwd(x) {\n    return a(x);\n}\n";
-        let bumped = bump_dependency(two, 7);
+        let bumped = Mutator::BumpDependency(7).apply(two, &[]);
         assert!(bumped.contains("fn dep_shim_g1_0(x)"), "{bumped}");
         assert!(bumped.contains("fn dep_shim_g1_1(x)"), "{bumped}");
         csspgo_lang::compile(&bumped, "t").unwrap();
@@ -686,20 +620,22 @@ mod tests {
         assert_ne!(base[0], after[0], "substantial body must drift");
         assert_eq!(base[1], after[1], "trivial forwarder untouched");
         // A second bump starts generation 2.
-        assert!(bump_dependency(&bumped, 8).contains("fn dep_shim_g2_0(x)"));
+        assert!(Mutator::BumpDependency(8)
+            .apply(&bumped, &[])
+            .contains("fn dep_shim_g2_0(x)"));
     }
 
     #[test]
     fn flip_feature_flag_toggles_one_checksum() {
         let two = "fn a(x) {\n    return x;\n}\nfn b(x) {\n    return x + 1;\n}\n";
         let base = checksums(two);
-        let on = flip_feature_flag(two, 1);
+        let on = Mutator::FlipFeatureFlag(1).apply(two, &[]);
         assert!(on.contains(FEATURE_FLAG_GUARD), "{on}");
         let flipped = checksums(&on);
         assert_eq!(base[0], flipped[0]);
         assert_ne!(base[1], flipped[1]);
         // Flipping the same function again removes the guard: involution.
-        assert_eq!(flip_feature_flag(&on, 1), two);
+        assert_eq!(Mutator::FlipFeatureFlag(1).apply(&on, &[]), two);
     }
 
     #[test]
@@ -748,8 +684,8 @@ mod tests {
     #[test]
     fn drifted_sources_still_compile_for_all_workloads() {
         for w in crate::server_workloads() {
-            csspgo_lang::compile(&insert_comments(&w.source), "d1").unwrap();
-            csspgo_lang::compile(&insert_body_comments(&w.source), "d2").unwrap();
+            csspgo_lang::compile(&Mutator::InsertComments.apply(&w.source, &[]), "d1").unwrap();
+            csspgo_lang::compile(&Mutator::InsertBodyComments.apply(&w.source, &[]), "d2").unwrap();
             csspgo_lang::compile(&change_cfg(&w.source), "d3").unwrap();
         }
     }
@@ -769,7 +705,10 @@ mod tests {
             }
             machine.call(&w.entry, &w.eval_calls[0]).unwrap()
         };
-        assert_eq!(run(&w.source), run(&insert_comments(&w.source)));
+        assert_eq!(
+            run(&w.source),
+            run(&Mutator::InsertComments.apply(&w.source, &[]))
+        );
         assert_eq!(run(&w.source), run(&change_cfg(&w.source)));
     }
 }

@@ -5,26 +5,26 @@
 //! these mutators cumulatively over many releases, so closure under
 //! composition is the invariant that keeps a train well-formed.
 
-use csspgo_workloads::drift::{self, Mutator};
+use csspgo_workloads::drift::Mutator;
 use csspgo_workloads::server_workloads;
 use proptest::prelude::*;
 
-/// Applies one mutator by (kind, parameter). Covers the whole module,
-/// including the test-only `delete_statement` (not part of the
-/// [`drift::Mutator`] release vocabulary but still required to keep
-/// sources compilable).
-fn apply(kind: u8, param: u8, src: &str, keep: &[&str]) -> String {
+/// The mutator of a (kind, parameter) pair: every arm of [`Mutator`],
+/// `DeleteStatement` included (no release train picks it, but it must
+/// still keep sources compilable).
+fn mutator(kind: u8, param: u8) -> Mutator {
+    let n = usize::from(param);
     match kind % 10 {
-        0 => Mutator::InsertComments.apply(src, &[]),
-        1 => drift::insert_body_comments(src),
-        2 => drift::change_cfg(src),
-        3 => Mutator::RenameFunctions.apply(src, keep),
-        4 => drift::insert_statement(src, param as usize),
-        5 => drift::delete_statement(src, param as usize),
-        6 => Mutator::SplitFunction(param as usize).apply(src, &[]),
-        7 => Mutator::MergeFunctions(param as usize).apply(src, &[]),
-        8 => Mutator::BumpDependency(param as u64).apply(src, &[]),
-        9 => Mutator::FlipFeatureFlag(param as usize).apply(src, &[]),
+        0 => Mutator::InsertComments,
+        1 => Mutator::InsertBodyComments,
+        2 => Mutator::ChangeCfg,
+        3 => Mutator::RenameFunctions,
+        4 => Mutator::InsertStatement(n),
+        5 => Mutator::DeleteStatement(n),
+        6 => Mutator::SplitFunction(n),
+        7 => Mutator::MergeFunctions(n),
+        8 => Mutator::BumpDependency(u64::from(param)),
+        9 => Mutator::FlipFeatureFlag(n),
         _ => unreachable!(),
     }
 }
@@ -54,7 +54,7 @@ proptest! {
         let keep = [w.entry.as_str()];
         let mut src = w.source.clone();
         for (i, &(kind, param)) in steps.iter().enumerate() {
-            src = apply(kind, param, &src, &keep);
+            src = mutator(kind, param).apply(&src, &keep);
             csspgo_lang::compile(&src, &w.name)
                 .unwrap_or_else(|e| panic!("{} step {i} (kind {}): {e}", w.name, kind % 10));
         }

@@ -11,13 +11,13 @@
 //! ```
 
 use csspgo::core::pipeline::{run_pgo_cycle, run_pgo_cycle_drifted, PgoVariant, PipelineConfig};
-use csspgo::workloads::drift;
+use csspgo::workloads::drift::{self, Mutator};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let workload = csspgo::workloads::ad_retriever().scaled(0.5);
     let config = PipelineConfig::default();
 
-    let commented = drift::insert_body_comments(&workload.source);
+    let commented = Mutator::InsertBodyComments.apply(&workload.source, &[]);
     let cfg_changed = drift::change_cfg(&workload.source);
 
     for variant in [PgoVariant::AutoFdo, PgoVariant::CsspgoFull] {

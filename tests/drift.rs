@@ -4,7 +4,7 @@ use csspgo::core::pipeline::{
     prepared_module, run_pgo_cycle, run_pgo_cycle_drifted, PgoVariant, PipelineConfig,
 };
 use csspgo::core::stalematch::{match_stale_profile, MatchConfig, StaleMatching};
-use csspgo::workloads::drift;
+use csspgo::workloads::drift::{self, Mutator};
 
 mod common;
 use common::collect_probe_profile;
@@ -19,7 +19,7 @@ fn cfg() -> PipelineConfig {
 #[test]
 fn csspgo_is_immune_to_comment_drift() {
     let w = csspgo::workloads::ad_retriever().scaled(0.1);
-    let drifted = drift::insert_body_comments(&w.source);
+    let drifted = Mutator::InsertBodyComments.apply(&w.source, &[]);
     let clean = run_pgo_cycle(&w, PgoVariant::CsspgoFull, &cfg()).unwrap();
     let after = run_pgo_cycle_drifted(&w, PgoVariant::CsspgoFull, &cfg(), &drifted).unwrap();
     assert_eq!(
@@ -37,7 +37,7 @@ fn csspgo_is_immune_to_comment_drift() {
 #[test]
 fn autofdo_profile_degrades_under_comment_drift() {
     let w = csspgo::workloads::ad_retriever().scaled(0.1);
-    let drifted = drift::insert_body_comments(&w.source);
+    let drifted = Mutator::InsertBodyComments.apply(&w.source, &[]);
     let clean = run_pgo_cycle(&w, PgoVariant::AutoFdo, &cfg()).unwrap();
     let after = run_pgo_cycle_drifted(&w, PgoVariant::AutoFdo, &cfg(), &drifted).unwrap();
     // The line-shifted profile mis-applies; the paper observed ~8% loss.

@@ -35,8 +35,7 @@ impl Fnv {
     }
 }
 
-/// The ten mutator kinds: every `Mutator` arm and the one edit that is not
-/// behaviour-preserving.
+/// The ten mutator kinds, one per `Mutator` arm.
 const KINDS: [&str; 10] = [
     "insert_comments",
     "insert_body_comments",
@@ -58,7 +57,7 @@ fn apply(kind: &str, param: u8, src: &str, keep: &[&str]) -> String {
         "change_cfg" => Mutator::ChangeCfg,
         "rename_functions" => Mutator::RenameFunctions,
         "insert_statement" => Mutator::InsertStatement(n),
-        "delete_statement" => return drift::delete_statement(src, n),
+        "delete_statement" => Mutator::DeleteStatement(n),
         "split_function" => Mutator::SplitFunction(n),
         "merge_functions" => Mutator::MergeFunctions(n),
         "bump_dependency" => Mutator::BumpDependency(u64::from(param)),

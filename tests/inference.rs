@@ -11,7 +11,7 @@ use csspgo::core::pipeline::{
     prepared_module, run_pgo_cycle, run_pgo_cycle_drifted, PgoVariant, PipelineConfig,
 };
 use csspgo::core::stalematch::StaleMatching;
-use csspgo::workloads::drift;
+use csspgo::workloads::drift::{self, Mutator};
 
 mod common;
 use common::collect_probe_profile;
@@ -41,8 +41,14 @@ fn mcf_inferred_profiles_are_flow_clean_by_construction() {
     let scenarios = [
         ("clean", w.source.clone()),
         ("change_cfg", drift::change_cfg(&w.source)),
-        ("insert_statement", drift::insert_statement(&w.source, 1)),
-        ("delete_statement", drift::delete_statement(&w.source, 1)),
+        (
+            "insert_statement",
+            Mutator::InsertStatement(1).apply(&w.source, &[]),
+        ),
+        (
+            "delete_statement",
+            Mutator::DeleteStatement(1).apply(&w.source, &[]),
+        ),
     ];
     for (name, src) in scenarios {
         let mut module = prepared_module(&src, &w.name, true).unwrap();

@@ -14,7 +14,7 @@ use csspgo::core::stream::{StreamAggregator, StreamConfig};
 use csspgo::core::tailcall::TailCallGraph;
 use csspgo::core::Workload;
 use csspgo::sim::{Machine, RunStats, Sample, SimConfig};
-use csspgo::workloads::drift;
+use csspgo::workloads::drift::Mutator;
 
 fn cfg() -> PipelineConfig {
     PipelineConfig::builder()
@@ -206,7 +206,7 @@ fn serve(n, mode) {
 
     // The stale signal hooks the existing drifted-cycle path: recompile
     // with today's (drifted) source while profiling the old deployment.
-    let drifted_src = drift::insert_body_comments(src);
+    let drifted_src = Mutator::InsertBodyComments.apply(src, &[]);
     let refreshed =
         run_pgo_cycle_drifted(&w, PgoVariant::CsspgoFull, &cfg(), &drifted_src).unwrap();
     assert_eq!(
