@@ -129,20 +129,26 @@ pub fn endpoints(edge: FlowEdge, func: &Function, exit_node: usize) -> (usize, u
 /// * the `FromExit` edge is witnessed by the entry only when the entry has
 ///   no real predecessors.
 ///
-/// `preds` must be restricted to reachable blocks. Returns `None` when no
-/// block witnesses the edge — for a real edge that means it is *critical*
-/// and needs a split block; for `FromExit` it means the edge cannot host a
-/// counter at all and must be kept on the spanning tree.
+/// `reach` is [`cfg::reachable`]: the augmented graph spans reachable blocks
+/// only, so an unreachable predecessor does not count (it would distort the
+/// hosting rules). Returns `None` when no block witnesses the edge — for a
+/// real edge that means it is *critical* and needs a split block; for
+/// `FromExit` it means the edge cannot host a counter at all and must be
+/// kept on the spanning tree.
 pub fn counter_host(
     func: &Function,
-    preds: &[Vec<BlockId>],
+    preds: &cfg::Predecessors,
+    reach: &[bool],
     edge: FlowEdge,
 ) -> Option<CounterHost> {
+    let reachable_preds = |b: BlockId| preds.of(b).iter().filter(|p| reach[p.index()]).count();
     match edge {
         FlowEdge::Cfg { from, to } => {
-            if cfg::successors(func, from).len() == 1 {
+            let mut targets = func.block(from).targets();
+            let first = targets.next();
+            if first.is_some() && targets.all(|t| Some(t) == first) {
                 Some(CounterHost::Block(from))
-            } else if to != func.entry && preds[to.index()].len() == 1 {
+            } else if to != func.entry && reachable_preds(to) == 1 {
                 Some(CounterHost::Block(to))
             } else {
                 Some(CounterHost::Split)
@@ -150,33 +156,13 @@ pub fn counter_host(
         }
         FlowEdge::ToExit { from } => Some(CounterHost::Block(from)),
         FlowEdge::FromExit => {
-            if preds[func.entry.index()].is_empty() {
+            if reachable_preds(func.entry) == 0 {
                 Some(CounterHost::Block(func.entry))
             } else {
                 None
             }
         }
     }
-}
-
-/// Predecessor lists restricted to reachable blocks (the augmented graph
-/// only spans reachable blocks; a live-but-unreachable predecessor would
-/// otherwise distort the hosting rules).
-pub fn reachable_predecessors(func: &Function) -> Vec<Vec<BlockId>> {
-    let reach = cfg::reachable(func);
-    let mut preds = vec![Vec::new(); func.blocks.len()];
-    for (bid, _) in func.iter_blocks() {
-        if !reach[bid.index()] {
-            continue;
-        }
-        for succ in cfg::successors(func, bid) {
-            let list = &mut preds[succ.index()];
-            if !list.contains(&bid) {
-                list.push(bid);
-            }
-        }
-    }
-    preds
 }
 
 /// A small union–find over augmented-graph nodes (used by Kruskal here and
@@ -235,7 +221,7 @@ pub fn plan_function(func: &Function) -> MeasurementPlan {
             full_fallback: true,
         };
     }
-    let preds = reachable_predecessors(func);
+    let preds = cfg::predecessors(func);
     let loops = LoopInfo::compute(func);
     let dom = crate::dom::Dominators::compute(func);
     // Static frequency estimate: deeper loop nesting dominates, and at
@@ -255,7 +241,7 @@ pub fn plan_function(func: &Function) -> MeasurementPlan {
     // order for determinism.
     let mut order: Vec<usize> = (0..edges.len()).collect();
     order.sort_by_key(|&i| {
-        let forced = counter_host(func, &preds, edges[i]).is_none();
+        let forced = counter_host(func, &preds, &reach, edges[i]).is_none();
         (!forced, std::cmp::Reverse(weight(&edges[i])), i)
     });
     let mut uf = UnionFind::new(func.blocks.len() + 1);
@@ -272,7 +258,7 @@ pub fn plan_function(func: &Function) -> MeasurementPlan {
         if in_tree[i] {
             continue;
         }
-        match counter_host(func, &preds, edge) {
+        match counter_host(func, &preds, &reach, edge) {
             Some(host) => counters.push(CounterSite { edge, host }),
             // Only FromExit can be unhostable, and forced edges always make
             // the (initially empty) tree — but degrade safely if not.
@@ -642,12 +628,14 @@ mod tests {
     fn hosting_rules() {
         let m = diamond();
         let f = &m.functions[0];
-        let preds = reachable_predecessors(f);
+        let preds = cfg::predecessors(f);
+        let reach = cfg::reachable(f);
         // entry -> a: a has a single pred, hosted in a.
         assert_eq!(
             counter_host(
                 f,
                 &preds,
+                &reach,
                 FlowEdge::Cfg {
                     from: BlockId(0),
                     to: BlockId(1)
@@ -660,6 +648,7 @@ mod tests {
             counter_host(
                 f,
                 &preds,
+                &reach,
                 FlowEdge::Cfg {
                     from: BlockId(1),
                     to: BlockId(3)
@@ -669,12 +658,12 @@ mod tests {
         );
         // ToExit hosts in the returning block.
         assert_eq!(
-            counter_host(f, &preds, FlowEdge::ToExit { from: BlockId(3) }),
+            counter_host(f, &preds, &reach, FlowEdge::ToExit { from: BlockId(3) }),
             Some(CounterHost::Block(BlockId(3)))
         );
         // Entry has no real preds: FromExit hosts in the entry.
         assert_eq!(
-            counter_host(f, &preds, FlowEdge::FromExit),
+            counter_host(f, &preds, &reach, FlowEdge::FromExit),
             Some(CounterHost::Block(BlockId(0)))
         );
         let _ = FuncId(0);

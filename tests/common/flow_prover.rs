@@ -16,6 +16,7 @@
 //! has critical co-tree edges and entry blocks inside loops; no compiled
 //! MiniLang program does.
 
+use csspgo_ir::cfg;
 use csspgo_ir::flow::{self, CounterHost, FlowEdge, MeasurementPlan, UnionFind};
 use csspgo_ir::Function;
 use std::collections::HashSet;
@@ -56,7 +57,7 @@ pub fn prove_plan(func: &Function, plan: &MeasurementPlan) -> FlowProof {
     let edges = flow::flow_edges(func);
     let exit_node = func.blocks.len();
     let num_nodes = func.blocks.len() + 1;
-    let preds = flow::reachable_predecessors(func);
+    let (preds, reach) = (cfg::predecessors(func), cfg::reachable(func));
     let measured: HashSet<FlowEdge> = plan.counters.iter().map(|s| s.edge).collect();
 
     let mut proof = FlowProof {
@@ -70,7 +71,7 @@ pub fn prove_plan(func: &Function, plan: &MeasurementPlan) -> FlowProof {
     // always witness exactly their edge.
     for site in &plan.counters {
         if let CounterHost::Block(claimed) = site.host {
-            match flow::counter_host(func, &preds, site.edge) {
+            match flow::counter_host(func, &preds, &reach, site.edge) {
                 Some(CounterHost::Block(expected)) if expected == claimed => {}
                 _ => proof.bad_host.push(site.edge),
             }

@@ -7,6 +7,7 @@
 //! generated programs, and refutes hand-broken ones.
 
 use csspgo::core::pipeline::{run_pgo_cycle, PgoVariant, PipelineConfig};
+use csspgo::ir::cfg;
 use csspgo::ir::flow::{self, CounterHost, CounterSite, MeasurementPlan};
 use csspgo::ir::Module;
 use csspgo::opt::instrument::{self, InstrumentConfig, Placement};
@@ -95,12 +96,12 @@ fn over_instrumentation_is_redundant() {
     let m = compile("fn f(x) { if (x > 0) { return 1; } return 2; }");
     let f = &m.functions[0];
     // Measure every edge at its natural host: massively redundant.
-    let preds = flow::reachable_predecessors(f);
+    let (preds, reach) = (cfg::predecessors(f), cfg::reachable(f));
     let counters: Vec<CounterSite> = flow::flow_edges(f)
         .into_iter()
         .map(|edge| CounterSite {
             edge,
-            host: flow::counter_host(f, &preds, edge).unwrap_or(CounterHost::Split),
+            host: flow::counter_host(f, &preds, &reach, edge).unwrap_or(CounterHost::Split),
         })
         .collect();
     let plan = MeasurementPlan {
@@ -131,11 +132,13 @@ fn unsplit_critical_edge_is_flagged() {
     if !corrupted {
         // Shape produced no critical edge; corrupt a block host whose
         // correct witness is not the entry block.
-        let preds = flow::reachable_predecessors(f);
+        let (preds, reach) = (cfg::predecessors(f), cfg::reachable(f));
         let site = bad
             .counters
             .iter_mut()
-            .find(|s| flow::counter_host(f, &preds, s.edge) != Some(CounterHost::Block(f.entry)))
+            .find(|s| {
+                flow::counter_host(f, &preds, &reach, s.edge) != Some(CounterHost::Block(f.entry))
+            })
             .expect("some counter has a non-entry host");
         site.host = CounterHost::Block(f.entry);
     }
