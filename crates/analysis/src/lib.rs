@@ -41,7 +41,7 @@
 //! let mut analyzer = Analyzer::new(Policy::default());
 //! let pair = analyzer.judge_file("demo", source, &profile).unwrap();
 //! assert_eq!(pair.funcs_total, 0);
-//! assert!(analyzer.report().diagnostics.is_empty());
+//! assert!(analyzer.into_report().diagnostics.is_empty());
 //! ```
 
 mod diag;
@@ -202,11 +202,6 @@ impl Analyzer {
     /// Context-tree consistency lint (`PF003`) over a context trie.
     pub fn analyze_context_profile(&mut self, unit: &str, profile: &ContextProfile) {
         profile_lints::analyze_context_profile(&self.policy, unit, profile, &mut self.report);
-    }
-
-    /// The accumulated findings.
-    pub fn report(&self) -> &Report {
-        &self.report
     }
 
     /// Consumes the analyzer, returning the findings.

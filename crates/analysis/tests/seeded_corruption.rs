@@ -107,7 +107,7 @@ fn impossible_block_counts_fire_pf001_and_pf002() {
     // The flow lints warn by default; denying is the caller's choice.
     let mut a = Analyzer::new(Policy::default());
     a.analyze_flow("seeded", &m);
-    let found = &a.report().diagnostics;
+    let found = a.into_report().diagnostics;
     assert!(!found.is_empty());
     assert!(
         found.iter().all(|d| d.severity == Severity::Warn),

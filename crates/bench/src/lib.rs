@@ -128,10 +128,11 @@ fn work(n) {
 }
 "#;
         let w = Workload::new("mini", src, "work", vec![vec![400]; 2], vec![vec![401]; 2]);
-        let cfg = PipelineConfig::builder()
-            .sample_period(61)
-            .build()
-            .expect("valid test config");
+        let cfg = PipelineConfig {
+            sample_period: 61,
+            ..PipelineConfig::default()
+        };
+        cfg.validate().expect("valid test config");
         let out = run_variants(&w, &PgoVariant::ALL, &cfg);
         assert_eq!(out.len(), PgoVariant::ALL.len());
         let first = out[&PgoVariant::O2].eval_result_hash;

@@ -47,14 +47,6 @@ pub struct BinFunc {
     pub cold_range: (usize, usize),
 }
 
-impl BinFunc {
-    /// Whether flat index `idx` belongs to this function.
-    pub fn contains(&self, idx: usize) -> bool {
-        (idx >= self.hot_range.0 && idx < self.hot_range.1)
-            || (idx >= self.cold_range.0 && idx < self.cold_range.1)
-    }
-}
-
 /// One debug frame: `(scope function, line, discriminator)`.
 pub type DebugFrame = (FuncId, u32, u32);
 

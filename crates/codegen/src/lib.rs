@@ -28,7 +28,6 @@ mod spill;
 
 pub use binary::{AddrIndex, BinFunc, Binary, SectionSizes};
 pub use lower::lower_module;
-pub use minst::{MInst, MInstKind, ProbeNote};
 
 /// The parameter type of [`lower_module`]. It has no fields: lowering has
 /// one configuration. Its register count is a constant beside the code that

@@ -232,26 +232,12 @@ impl PipelineConfigBuilder {
         self
     }
 
-    /// Sets the streaming-aggregation knobs.
-    #[must_use]
-    pub fn stream(mut self, stream: StreamConfig) -> Self {
-        self.cfg.stream = stream;
-        self
-    }
-
     /// Sets the counter-placement policy for the instrumented variant
     /// (`full | spanning_tree`) — shorthand for overriding just that field
     /// of the instrumentation knobs.
     #[must_use]
     pub fn placement(mut self, placement: csspgo_opt::instrument::Placement) -> Self {
         self.cfg.instrument.placement = placement;
-        self
-    }
-
-    /// Sets the PMU sampling period in cycles.
-    #[must_use]
-    pub fn sample_period(mut self, period: u64) -> Self {
-        self.cfg.sample_period = period;
         self
     }
 
@@ -972,10 +958,12 @@ fn score(n) {
     }
 
     fn quick_config() -> PipelineConfig {
-        PipelineConfig::builder()
-            .sample_period(61)
-            .build()
-            .expect("valid test config")
+        let cfg = PipelineConfig {
+            sample_period: 61,
+            ..PipelineConfig::default()
+        };
+        cfg.validate().expect("valid test config");
+        cfg
     }
 
     #[test]
@@ -1095,11 +1083,12 @@ fn score(n) {
 
     #[test]
     fn validate_accepts_valid_and_rejects_invalid_combos() {
-        let cfg = PipelineConfig::builder()
-            .sample_period(97)
-            .ingest_shards(4)
-            .build()
-            .expect("valid combo");
+        let cfg = PipelineConfig {
+            sample_period: 97,
+            ingest_shards: 4,
+            ..PipelineConfig::default()
+        };
+        cfg.validate().expect("valid combo");
         assert_eq!(cfg.sample_period, 97);
         assert_eq!(cfg.ingest_shards, 4);
 
@@ -1138,7 +1127,6 @@ fn score(n) {
     fn builder_inference_shorthand() {
         use crate::inference::InferenceMode;
         let cfg = PipelineConfig::builder()
-            .sample_period(61)
             .inference(InferenceMode::Off)
             .build()
             .expect("valid combo");

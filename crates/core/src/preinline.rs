@@ -208,7 +208,6 @@ fn process_root(
         });
     }
 
-    let mut inlined_paths: HashSet<Vec<(u32, u64)>> = HashSet::new();
     while let Some(cand) = queue.pop() {
         result.considered += 1;
         // GUID path for the size table: root plus each callee on the way.
@@ -222,7 +221,6 @@ fn process_root(
             node.inlined = true;
             result.inlined += 1;
             func_size += cand_size;
-            inlined_paths.insert(cand.path.clone());
             let keys: Vec<(u32, u64)> = node.children.keys().copied().collect();
             let hots: Vec<u64> = keys.iter().map(|k| call_hotness(node, *k)).collect();
             for (key, hot) in keys.into_iter().zip(hots) {

@@ -190,7 +190,7 @@ fn own_call_probe(m: &Module, name: &str) -> u32 {
         .find_map(|i| match &i.kind {
             InstKind::PseudoProbe {
                 index,
-                kind: csspgo_ir::ProbeKind::Call,
+                kind: csspgo_ir::probe::ProbeKind::Call,
                 ..
             } => Some(*index),
             _ => None,

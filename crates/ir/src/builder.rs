@@ -49,11 +49,6 @@ impl ModuleBuilder {
         }
     }
 
-    /// Read-only access to the module under construction.
-    pub fn module(&self) -> &Module {
-        &self.module
-    }
-
     /// Mutable access to a declared function.
     pub fn func_mut(&mut self, func: FuncId) -> &mut Function {
         self.module.func_mut(func)
@@ -132,13 +127,6 @@ impl<'m> FunctionBuilder<'m> {
             DebugLoc::line_in(self.line, self.func.id)
         };
         self.func.block_mut(bb).insts.push(Inst::new(kind, loc));
-    }
-
-    /// `dst = src`; returns `dst`.
-    pub fn copy(&mut self, src: Operand) -> VReg {
-        let dst = self.new_vreg();
-        self.emit(InstKind::Copy { dst, src });
-        dst
     }
 
     /// `dst = lhs <op> rhs`; returns `dst`.
@@ -239,7 +227,11 @@ mod tests {
 
             fb.switch_to(then_bb);
             fb.set_line(2);
-            let a = fb.copy(Operand::Imm(1));
+            let a = fb.new_vreg();
+            fb.emit(InstKind::Copy {
+                dst: a,
+                src: Operand::Imm(1),
+            });
             fb.br(join);
 
             fb.switch_to(else_bb);

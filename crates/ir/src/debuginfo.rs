@@ -63,16 +63,6 @@ impl Default for DebugLoc {
 }
 
 impl DebugLoc {
-    /// A location on `line` with no discriminator and no inline stack.
-    pub fn line(line: u32) -> Self {
-        DebugLoc {
-            line,
-            discriminator: 0,
-            scope: FuncId::INVALID,
-            inline_stack: Vec::new(),
-        }
-    }
-
     /// A location on `line` inside function `scope`.
     pub fn line_in(line: u32, scope: FuncId) -> Self {
         DebugLoc {
@@ -132,12 +122,12 @@ mod tests {
     #[test]
     fn none_is_none() {
         assert!(DebugLoc::none().is_none());
-        assert!(!DebugLoc::line(3).is_none());
+        assert!(!DebugLoc::line_in(3, FuncId::INVALID).is_none());
     }
 
     #[test]
     fn inlined_at_prepends_site() {
-        let inner = DebugLoc::line(10);
+        let inner = DebugLoc::line_in(10, FuncId::INVALID);
         let site_a = InlineSite {
             func: FuncId(1),
             line: 5,
@@ -159,10 +149,10 @@ mod tests {
     #[test]
     fn display_forms() {
         assert_eq!(DebugLoc::none().to_string(), "!none");
-        assert_eq!(DebugLoc::line(4).to_string(), "!4");
+        assert_eq!(DebugLoc::line_in(4, FuncId::INVALID).to_string(), "!4");
         let loc = DebugLoc {
             discriminator: 2,
-            ..DebugLoc::line(4)
+            ..DebugLoc::line_in(4, FuncId::INVALID)
         };
         assert_eq!(loc.to_string(), "!4.2");
     }

@@ -34,14 +34,6 @@ impl BasicBlock {
     pub fn targets(&self) -> impl Iterator<Item = BlockId> + '_ {
         self.terminator().into_iter().flat_map(|t| t.kind.targets())
     }
-
-    /// Instructions excluding the terminator.
-    pub fn body(&self) -> &[Inst] {
-        match self.terminator() {
-            Some(_) => &self.insts[..self.insts.len() - 1],
-            None => &self.insts,
-        }
-    }
 }
 
 /// Annotated CFG edge counts, produced by flow inference
@@ -125,18 +117,6 @@ pub enum Provenance {
     Reconstructed,
 }
 
-impl Provenance {
-    /// Stable lowercase tag for reports and JSON.
-    pub fn tag(self) -> &'static str {
-        match self {
-            Provenance::Sampled => "sampled",
-            Provenance::StaleMatched => "stale_matched",
-            Provenance::Inferred => "inferred",
-            Provenance::Reconstructed => "reconstructed",
-        }
-    }
-}
-
 /// Per-block provenance tags, stored sparsely like [`EdgeCounts`]: a sorted
 /// `(block, tag)` list. Blocks without an entry have no annotated count (or
 /// the annotation predates provenance tracking).
@@ -160,21 +140,6 @@ impl ProvenanceMap {
             .binary_search_by_key(&block, |&(b, _)| b)
             .ok()
             .map(|i| self.tags[i].1)
-    }
-
-    /// All recorded tags in block order.
-    pub fn iter(&self) -> impl Iterator<Item = (BlockId, Provenance)> + '_ {
-        self.tags.iter().copied()
-    }
-
-    /// Number of tagged blocks.
-    pub fn len(&self) -> usize {
-        self.tags.len()
-    }
-
-    /// Whether no blocks are tagged.
-    pub fn is_empty(&self) -> bool {
-        self.tags.is_empty()
     }
 }
 
@@ -277,11 +242,6 @@ impl Function {
         self.next_vreg = self.next_vreg.max(n);
     }
 
-    /// The parameter registers.
-    pub fn params(&self) -> impl Iterator<Item = VReg> {
-        (0..self.num_params as u32).map(VReg)
-    }
-
     /// Appends a new, empty, live block.
     pub fn add_block(&mut self) -> BlockId {
         let id = BlockId::from_index(self.blocks.len());
@@ -327,11 +287,6 @@ impl Function {
         self.next_probe_index += 1;
         i
     }
-
-    /// Total number of instructions in live blocks (a cheap size proxy).
-    pub fn size(&self) -> usize {
-        self.iter_blocks().map(|(_, b)| b.insts.len()).sum()
-    }
 }
 
 #[cfg(test)]
@@ -351,7 +306,6 @@ mod tests {
         assert_eq!(f.entry, BlockId(0));
         assert_eq!(f.num_live_blocks(), 1);
         assert_eq!(f.num_vregs(), 2); // params
-        assert_eq!(f.params().collect::<Vec<_>>(), vec![VReg(0), VReg(1)]);
     }
 
     #[test]
@@ -364,7 +318,7 @@ mod tests {
     }
 
     #[test]
-    fn terminator_and_body() {
+    fn terminator_is_the_last_instruction_when_it_ends_the_block() {
         let mut f = Function::new(FuncId(0), "f", 0);
         let b = f.block_mut(BlockId(0));
         b.insts.push(Inst::synthetic(InstKind::Copy {
@@ -374,7 +328,6 @@ mod tests {
         assert!(b.terminator().is_none());
         b.insts.push(ret(0));
         assert!(b.terminator().is_some());
-        assert_eq!(b.body().len(), 1);
     }
 
     #[test]

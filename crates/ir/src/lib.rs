@@ -56,4 +56,3 @@ pub use function::{BasicBlock, EdgeCounts, Function, Provenance, ProvenanceMap};
 pub use ids::{BlockId, FuncId, GlobalId, VReg};
 pub use inst::{BinOp, CmpPred, Inst, InstKind, Operand};
 pub use module::{Global, Module};
-pub use probe::{ProbeConfig, ProbeKind, ProbeSite};

@@ -17,13 +17,6 @@ pub struct Loop {
     pub blocks: HashSet<BlockId>,
 }
 
-impl Loop {
-    /// Whether `b` belongs to this loop.
-    pub fn contains(&self, b: BlockId) -> bool {
-        self.blocks.contains(&b)
-    }
-}
-
 /// Loop forest for a function (loops sharing a header are merged).
 #[derive(Clone, Debug)]
 pub struct LoopInfo {
@@ -181,11 +174,11 @@ mod tests {
         let at = |header| li.loops.iter().find(|l| l.header == header);
         let outer = at(BlockId(1)).expect("outer loop");
         let inner = at(BlockId(2)).expect("inner loop");
-        assert!(outer.contains(BlockId(2)));
-        assert!(outer.contains(BlockId(4)));
-        assert!(!outer.contains(BlockId(5)));
-        assert!(inner.contains(BlockId(3)));
-        assert!(!inner.contains(BlockId(4)));
+        assert!(outer.blocks.contains(&BlockId(2)));
+        assert!(outer.blocks.contains(&BlockId(4)));
+        assert!(!outer.blocks.contains(&BlockId(5)));
+        assert!(inner.blocks.contains(&BlockId(3)));
+        assert!(!inner.blocks.contains(&BlockId(4)));
     }
 
     #[test]

@@ -133,9 +133,9 @@ proptest! {
         for l in &li.loops {
             for &latch in &l.latches {
                 prop_assert!(dom.dominates(l.header, latch));
-                prop_assert!(l.contains(latch));
+                prop_assert!(l.blocks.contains(&latch));
             }
-            prop_assert!(l.contains(l.header));
+            prop_assert!(l.blocks.contains(&l.header));
             // Every loop block reaches the header without leaving the loop
             // (by construction of natural loops, the header dominates all).
             for &b in &l.blocks {

@@ -57,12 +57,8 @@ fn decompose_arm(func: &Function, bb: BlockId) -> Option<Arm> {
     }
 }
 
-/// Converts eligible diamonds; returns the number of conversions.
-pub fn run_function(func: &mut Function, config: &OptConfig) -> usize {
-    convert_function(func, config, &mut Vec::new())
-}
-
-/// [`run_function`] with `only_pred` as the single-predecessor table.
+/// Converts eligible diamonds of `func` with `only_pred` as the
+/// single-predecessor table; returns the number of conversions.
 fn convert_function(func: &mut Function, config: &OptConfig, only_pred: &mut Vec<u32>) -> usize {
     let mut converted = 0;
     loop {
@@ -149,6 +145,11 @@ fn convert_function(func: &mut Function, config: &OptConfig, only_pred: &mut Vec
 mod tests {
     use super::*;
     use csspgo_ir::verify::verify_module;
+
+    /// Converts eligible diamonds; returns the number of conversions.
+    fn run_function(func: &mut Function, config: &OptConfig) -> usize {
+        convert_function(func, config, &mut Vec::new())
+    }
 
     const SRC: &str = r#"
 fn f(a) {

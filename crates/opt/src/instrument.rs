@@ -59,8 +59,6 @@ pub struct CounterMap {
     /// The edge refers to the *pre-instrumentation* CFG; split blocks
     /// inserted to host a counter are not part of it.
     pub by_edge: Vec<(FuncId, FlowEdge, u32)>,
-    /// The placement that produced this map.
-    pub placement: Placement,
 }
 
 impl CounterMap {
@@ -84,10 +82,7 @@ pub fn run(module: &mut Module) -> CounterMap {
 
 /// Instruments `module` according to `config`.
 pub fn run_with(module: &mut Module, config: &InstrumentConfig) -> CounterMap {
-    let mut map = CounterMap {
-        placement: config.placement,
-        ..CounterMap::default()
-    };
+    let mut map = CounterMap::default();
     for fid in 0..module.functions.len() {
         match config.placement {
             Placement::Full => instrument_full_function(module, fid, &mut map),

@@ -57,12 +57,8 @@ impl Tables {
     }
 }
 
-/// Sinks eligible instructions; returns how many moved.
-pub fn run_function(func: &mut Function) -> usize {
-    sink_function(func, &mut Tables::default())
-}
-
-/// [`run_function`] in `tables`' buffers.
+/// Sinks eligible instructions of `func` in `tables`' buffers; returns how
+/// many moved.
 fn sink_function(func: &mut Function, tables: &mut Tables) -> usize {
     let mut moved_total = 0;
     // A few rounds: sinking can enable further sinking.
@@ -155,6 +151,11 @@ fn sink_round(func: &mut Function, tables: &mut Tables) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Sinks eligible instructions; returns how many moved.
+    fn run_function(func: &mut Function) -> usize {
+        sink_function(func, &mut Tables::default())
+    }
 
     /// `x * 37` is only needed on the rare path.
     const SRC: &str = r#"

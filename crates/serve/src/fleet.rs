@@ -395,8 +395,6 @@ pub struct EpochEvent {
 pub struct RefreshEvent {
     /// Tenant that drifted.
     pub tenant: TenantId,
-    /// Workload display name.
-    pub workload: String,
     /// Version label whose profile went stale.
     pub version: String,
     /// Checksum-gated functions dropped during annotation.
@@ -587,7 +585,6 @@ impl<'b> FleetService<'b> {
             let outcome = self.rebuild(tenant, version, build_source, StaleMatching::Recover)?;
             events.push(FleetEvent::Refresh(RefreshEvent {
                 tenant,
-                workload: v.tenant.workload.name.clone(),
                 version: version.clone(),
                 stale_dropped: outcome.annotate_stats.stale_dropped,
                 stale_recovered: outcome.annotate_stats.stale_recovered,

@@ -18,7 +18,7 @@ use csspgo_codegen::Binary;
 use csspgo_core::context::{ContextProfile, FrameKey};
 use csspgo_core::tailcall::{InferStats, TailCallGraph};
 use csspgo_core::unwind::compress_cycles;
-use csspgo_ir::ProbeKind;
+use csspgo_ir::probe::ProbeKind;
 use csspgo_sim::Sample;
 
 /// Contexts deeper than this keep their innermost frames only.

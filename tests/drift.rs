@@ -10,10 +10,12 @@ mod common;
 use common::collect_probe_profile;
 
 fn cfg() -> PipelineConfig {
-    PipelineConfig::builder()
-        .sample_period(101)
-        .build()
-        .expect("valid test config")
+    let cfg = PipelineConfig {
+        sample_period: 101,
+        ..PipelineConfig::default()
+    };
+    cfg.validate().expect("valid test config");
+    cfg
 }
 
 #[test]
@@ -88,11 +90,9 @@ fn stale_matching_recovers_cfg_drift_counts() {
     );
 
     // Pipeline-level check: the recover path consumes the salvaged counts.
-    let recover_cfg = PipelineConfig::builder()
-        .sample_period(101)
-        .stale_matching(StaleMatching::Recover)
-        .build()
-        .expect("valid test config");
+    let mut recover_cfg = cfg();
+    recover_cfg.annotate.stale_matching = StaleMatching::Recover;
+    recover_cfg.validate().expect("valid test config");
     let off = run_pgo_cycle_drifted(&w, PgoVariant::CsspgoFull, &cfg(), &drifted).unwrap();
     let rec = run_pgo_cycle_drifted(&w, PgoVariant::CsspgoFull, &recover_cfg, &drifted).unwrap();
     assert!(rec.annotate_stats.stale_recovered > 0, "nothing salvaged");

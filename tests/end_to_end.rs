@@ -68,10 +68,11 @@ fn main(n) {
 
 fn run_all() -> HashMap<PgoVariant, PgoOutcome> {
     let w = service();
-    let cfg = PipelineConfig::builder()
-        .sample_period(67)
-        .build()
-        .expect("valid test config");
+    let cfg = PipelineConfig {
+        sample_period: 67,
+        ..PipelineConfig::default()
+    };
+    cfg.validate().expect("valid test config");
     PgoVariant::ALL
         .iter()
         .map(|&v| (v, run_pgo_cycle(&w, v, &cfg).expect("cycle runs")))
@@ -171,10 +172,11 @@ fn instrumented_profiling_run_is_much_slower() {
 #[test]
 fn deterministic_outcomes() {
     let w = service();
-    let cfg = PipelineConfig::builder()
-        .sample_period(67)
-        .build()
-        .expect("valid test config");
+    let cfg = PipelineConfig {
+        sample_period: 67,
+        ..PipelineConfig::default()
+    };
+    cfg.validate().expect("valid test config");
     let a = run_pgo_cycle(&w, PgoVariant::CsspgoFull, &cfg).unwrap();
     let b = run_pgo_cycle(&w, PgoVariant::CsspgoFull, &cfg).unwrap();
     assert_eq!(a.eval.cycles, b.eval.cycles);

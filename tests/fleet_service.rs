@@ -12,10 +12,10 @@ use csspgo::workloads::{self, tenant_traffic_mix};
 
 fn fleet_cfg(resident_cap: usize) -> FleetConfig {
     FleetConfig {
-        pipeline: PipelineConfig::builder()
-            .sample_period(89)
-            .build()
-            .expect("valid pipeline config"),
+        pipeline: PipelineConfig {
+            sample_period: 89,
+            ..PipelineConfig::default()
+        },
         resident_cap,
         ..FleetConfig::default()
     }

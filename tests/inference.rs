@@ -17,10 +17,12 @@ mod common;
 use common::collect_probe_profile;
 
 fn cfg() -> PipelineConfig {
-    PipelineConfig::builder()
-        .sample_period(101)
-        .build()
-        .expect("valid test config")
+    let cfg = PipelineConfig {
+        sample_period: 101,
+        ..PipelineConfig::default()
+    };
+    cfg.validate().expect("valid test config");
+    cfg
 }
 
 fn deny_all() -> Policy {

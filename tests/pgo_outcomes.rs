@@ -15,15 +15,17 @@ use std::fmt::Write as _;
 use std::path::PathBuf;
 
 fn config(placement: Placement, drifted: bool) -> PipelineConfig {
-    let mut b = PipelineConfig::builder()
-        .sample_period(101)
-        .placement(placement);
+    let mut cfg = PipelineConfig {
+        sample_period: 101,
+        ..PipelineConfig::default()
+    };
+    cfg.instrument.placement = placement;
     if drifted {
-        b = b
-            .stale_matching(StaleMatching::Recover)
-            .inference(InferenceMode::Mcf);
+        cfg.annotate.stale_matching = StaleMatching::Recover;
+        cfg.annotate.inference = InferenceMode::Mcf;
     }
-    b.build().expect("valid test config")
+    cfg.validate().expect("valid test config");
+    cfg
 }
 
 /// One JSON object holding every field of `o`.

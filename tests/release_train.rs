@@ -23,13 +23,14 @@ use std::path::PathBuf;
 /// The `release_train` figure's configuration: drift verdicts at the same
 /// threshold `profile_fleet` uses, defaults elsewhere (MCF inference).
 fn train_config() -> FleetConfig {
-    let pipeline = PipelineConfig::builder()
-        .stream(StreamConfig {
+    let pipeline = PipelineConfig {
+        stream: StreamConfig {
             drift_threshold: 0.8,
             ..StreamConfig::default()
-        })
-        .build()
-        .expect("valid pipeline config");
+        },
+        ..PipelineConfig::default()
+    };
+    pipeline.validate().expect("valid pipeline config");
     FleetConfig {
         pipeline,
         ..FleetConfig::default()

@@ -17,10 +17,12 @@ use csspgo::sim::{Machine, RunStats, Sample, SimConfig};
 use csspgo::workloads::drift::Mutator;
 
 fn cfg() -> PipelineConfig {
-    PipelineConfig::builder()
-        .sample_period(89)
-        .build()
-        .expect("valid test config")
+    let cfg = PipelineConfig {
+        sample_period: 89,
+        ..PipelineConfig::default()
+    };
+    cfg.validate().expect("valid test config");
+    cfg
 }
 
 /// What a cycle assembled by hand from the public stages produced.
