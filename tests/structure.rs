@@ -565,3 +565,31 @@ fn compile_without_hashing() {
         &found,
     );
 }
+
+#[test]
+fn one_source_model() {
+    let drift = file("crates/workloads/src/drift.rs");
+    let mut found = Vec::new();
+    for (what, needle) in [
+        ("split a source into lines", ".lines()"),
+        ("test a word boundary", "is_ascii_alphanumeric"),
+    ] {
+        let n = drift.code().filter(|(_, t)| t.contains(needle)).count();
+        if n != 1 {
+            found.push(format!("{}: {n} non-test lines {what}, not 1", drift.path));
+        }
+    }
+    let public: Vec<usize> = (drift.code())
+        .filter(|(_, t)| t.starts_with("pub fn "))
+        .map(|(l, _)| l)
+        .collect();
+    found.extend(lines_where(&drift, public.into_iter(), |l| {
+        !l.starts_with("pub fn change_cfg(") && !l.starts_with("pub fn release_chain(")
+    }));
+    holds(
+        "One source model",
+        "§11.2",
+        "the drift mutators read a source into one view, in one place, and share one whole-word replacer; `Mutator` is the way in, beside `change_cfg` and `release_chain`",
+        &found,
+    );
+}
