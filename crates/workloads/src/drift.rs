@@ -110,8 +110,12 @@ fn wrapping_nth<T>(items: impl Iterator<Item = T>, nth: usize) -> Option<T> {
 }
 
 /// Replaces every whole-word occurrence of `from` with `to`: an adjacent
-/// alphanumeric or `_` suppresses the match.
+/// alphanumeric or `_` suppresses the match. An empty `from` (a nameless
+/// definition, `fn (x) {`) is no word.
 fn replace_whole_word(text: &str, from: &str, to: &str) -> String {
+    if from.is_empty() {
+        return text.to_string();
+    }
     let word = |i: usize| {
         text.as_bytes()
             .get(i)
@@ -157,7 +161,7 @@ pub fn change_cfg(source: &str) -> String {
 fn rename_functions(src: &Source, keep: &[&str]) -> String {
     let mut names: Vec<&str> = (src.funcs.iter())
         .map(|f| f.name)
-        .filter(|n| !n.is_empty() && !keep.contains(n))
+        .filter(|n| !keep.contains(n))
         .collect();
     // Longest first so `helper_fast` is not clobbered by a `helper` pass.
     names.sort_by(|a, b| b.len().cmp(&a.len()).then(a.cmp(b)));
@@ -556,6 +560,16 @@ mod tests {
         assert_eq!(Mutator::RenameFunctions.apply(src, &["main"]), src);
         let commented = Mutator::InsertComments.apply(src, &[]);
         assert!(commented.starts_with("  fn helper"), "{commented}");
+    }
+
+    #[test]
+    fn a_nameless_definition_is_no_word_to_replace() {
+        // `return (x);` reads as a forward to the nameless function below:
+        // the merge deletes the forwarder and renames nothing.
+        let src = "fn a(x) {\n    return (x);\n}\nfn (x) {\n    return 1;\n}\n";
+        let merged = Mutator::MergeFunctions(0).apply(src, &[]);
+        assert_eq!(merged, "fn (x) {\n    return 1;\n}\n");
+        assert_eq!(Mutator::RenameFunctions.apply(src, &["a"]), src);
     }
 
     #[test]
