@@ -8,6 +8,10 @@
 //! set of generated programs (and their `-O2` and probed builds), and the
 //! `CompileError` it returns for each program cut short at three points,
 //! with a variable undeclared, a helper renamed and a stray character.
+//! Last come the sample loader's own outputs: each program's base source
+//! and its `drift::change_cfg` rebuild annotated, before any optimisation,
+//! from its AutoFDO, probe-only and full-CSSPGO profiles at two inline
+//! budgets, under stale-profile recovery.
 //!
 //! The golden was written before the optimiser and code generator moved to
 //! dense per-function tables and must never be re-blessed for a change that
@@ -15,12 +19,16 @@
 //! compile_outputs` is for an intended change to what the compiler emits).
 
 use csspgo::codegen::{lower_module, Binary};
+use csspgo::core::annotate::{autofdo_annotate, csspgo_annotate, AnnotateConfig};
 use csspgo::core::pipeline::{
     autofdo_profile, context_profile, finish_probe_profile, optimized_build, prepared_module,
-    profiling_build, profiling_run, BuildProfile, PgoVariant, PipelineConfig,
+    probe_only_profile, profiling_build, profiling_run, wire_handoff, BuildProfile, PgoVariant,
+    PipelineConfig,
 };
+use csspgo::core::preinline::run_preinliner;
+use csspgo::core::stalematch::StaleMatching;
 use csspgo::core::Workload;
-use csspgo::ir::Module;
+use csspgo::ir::{InlinePlan, Module};
 use csspgo::workloads::drift;
 use proptest::{Strategy, TestRng};
 use std::path::PathBuf;
@@ -96,6 +104,80 @@ fn profiled(w: &Workload, variant: PgoVariant, config: &PipelineConfig) -> Binar
     };
     let module = prepared_module(&w.source, &w.name, variant.uses_probes()).expect("compiles");
     optimized_build(module, variant, &profile, &w.entry, config).0
+}
+
+/// The three profiles of `w`'s base source that the compiler is handed —
+/// AutoFDO, probe-only and full CSSPGO — each through the wire hand-off.
+fn loader_profiles(w: &Workload, config: &PipelineConfig) -> Vec<(&'static str, BuildProfile)> {
+    let w = w.scaled(SCALE);
+    let shards = config.ingest_shards;
+    let mut out = Vec::new();
+    for variant in [PgoVariant::AutoFdo, PgoVariant::CsspgoFull] {
+        let built = profiling_build(&w.source, &w.name, variant, config)
+            .expect("workload compiles")
+            .binary;
+        let samples = profiling_run(&built, &w, config.sim_config(config.sample_period))
+            .expect("training traffic completes")
+            .samples;
+        if variant == PgoVariant::AutoFdo {
+            let flat = BuildProfile::Flat(autofdo_profile(&built, &samples, shards));
+            out.push(("autofdo", flat));
+            continue;
+        }
+        let probe_only = BuildProfile::Probe(probe_only_profile(&built, &samples, shards));
+        out.push(("probe_only", probe_only));
+        let mut generated = context_profile(&built, &samples, shards);
+        generated.profile.trim_cold(config.trim_threshold);
+        run_preinliner(&mut generated.profile, &built, &config.preinline);
+        let full = finish_probe_profile(&generated.profile, &generated.range_counts, &built);
+        out.push(("csspgo", BuildProfile::Probe(full)));
+    }
+    out.into_iter()
+        .map(|(label, p)| (label, wire_handoff(p).expect("hand-off decodes")))
+        .collect()
+}
+
+/// The golden's rows for the sample loader: every annotated module (block
+/// and entry counts, provenance tags, edge counts and the replayed inlines)
+/// before optimisation, and its `AnnotateStats`.
+fn loader_rows(config: &PipelineConfig) -> Vec<String> {
+    let mut rows = Vec::new();
+    for w in workloads() {
+        let profiles = loader_profiles(&w, config);
+        let drifted = drift::change_cfg(&w.source);
+        for (release, source) in [("base", &w.source), ("change_cfg", &drifted)] {
+            for (label, profile) in &profiles {
+                for inline_budget in [0, 64] {
+                    let annotate = AnnotateConfig {
+                        inline_budget,
+                        stale_matching: StaleMatching::Recover,
+                        ..config.annotate
+                    };
+                    let probes = !matches!(profile, BuildProfile::Flat(_));
+                    let mut module = prepared_module(source, &w.name, probes).expect("compiles");
+                    let stats = match profile {
+                        BuildProfile::Flat(p) => autofdo_annotate(&mut module, p, &annotate),
+                        BuildProfile::Probe(p) => {
+                            let plan = (*label == "csspgo").then_some(&InlinePlan);
+                            csspgo_annotate(&mut module, p, plan, &annotate)
+                        }
+                        _ => unreachable!("a sampled profile"),
+                    };
+                    rows.push(format!(
+                        "  {{\"case\": \"{}/{release}/{label}/inline{inline_budget}\", \"module_fnv\": {}, \"stats_fnv\": {}, \"annotated\": {}, \"replayed\": {}, \"stale_recovered\": {}, \"stale_dropped\": {}}}",
+                        w.name,
+                        fnv_debug(&module),
+                        fnv_debug(&stats),
+                        stats.annotated,
+                        stats.replayed_inlines,
+                        stats.stale_recovered,
+                        stats.stale_dropped
+                    ));
+                }
+            }
+        }
+    }
+    rows
 }
 
 /// The golden's rows for the generated programs: the front end's module,
@@ -181,6 +263,7 @@ fn every_compile_matches_golden() {
         }
     }
     rows.extend(front_end_rows(&config));
+    rows.extend(loader_rows(&config));
     let json = format!("[\n{}\n]\n", rows.join(",\n"));
 
     let golden: PathBuf = [
