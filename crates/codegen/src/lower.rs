@@ -10,7 +10,7 @@ use crate::binary::{AddrIndex, BinFunc, Binary, SectionSizes};
 use crate::minst::{MInst, MInstKind, ProbeNote};
 use crate::spill::{plan_spills, SpillPlan, SpillScratch};
 use crate::CodegenConfig;
-use csspgo_ir::inst::{InstKind, Operand};
+use csspgo_ir::inst::{Inst, InstKind, Operand};
 use csspgo_ir::{BlockId, Function, Module, VReg};
 
 /// Bytes of alignment padding between functions.
@@ -289,150 +289,22 @@ fn lower_stream(
                         inline_stack: inline_stack.clone(),
                     });
                 }
-                InstKind::CounterIncr { counter } => {
-                    emit(
-                        out,
-                        pending_probes,
-                        MInst::new(MInstKind::CounterIncr { counter: *counter }, loc.clone()),
-                    );
-                }
-                InstKind::Copy { dst, src } => {
-                    lower_simple(
-                        out,
-                        pending_probes,
-                        MInstKind::Copy {
-                            dst: *dst,
-                            src: *src,
-                        },
-                        loc,
-                        inst.kind.def(),
-                        spills,
-                    );
-                }
-                InstKind::Bin { op, dst, lhs, rhs } => {
-                    lower_simple(
-                        out,
-                        pending_probes,
-                        MInstKind::Bin {
-                            op: *op,
-                            dst: *dst,
-                            lhs: *lhs,
-                            rhs: *rhs,
-                        },
-                        loc,
-                        inst.kind.def(),
-                        spills,
-                    );
-                }
-                InstKind::Cmp {
-                    pred,
-                    dst,
-                    lhs,
-                    rhs,
-                } => {
-                    lower_simple(
-                        out,
-                        pending_probes,
-                        MInstKind::Cmp {
-                            pred: *pred,
-                            dst: *dst,
-                            lhs: *lhs,
-                            rhs: *rhs,
-                        },
-                        loc,
-                        inst.kind.def(),
-                        spills,
-                    );
-                }
-                InstKind::Select {
-                    dst,
-                    cond,
-                    on_true,
-                    on_false,
-                } => {
-                    lower_simple(
-                        out,
-                        pending_probes,
-                        MInstKind::Select {
-                            dst: *dst,
-                            cond: *cond,
-                            on_true: *on_true,
-                            on_false: *on_false,
-                        },
-                        loc,
-                        inst.kind.def(),
-                        spills,
-                    );
-                }
-                InstKind::Load { dst, global, index } => {
-                    lower_simple(
-                        out,
-                        pending_probes,
-                        MInstKind::Load {
-                            dst: *dst,
-                            global: *global,
-                            index: *index,
-                        },
-                        loc,
-                        inst.kind.def(),
-                        spills,
-                    );
-                }
-                InstKind::Store {
-                    global,
-                    index,
-                    value,
-                } => {
+                InstKind::Call { dst, callee, args } if is_tail_position(block, i, *dst) => {
+                    // Tail-call elimination: `x = call f(...); ret x` (with
+                    // only probes in between) becomes a tail jump.
                     emit(
                         out,
                         pending_probes,
                         MInst::new(
-                            MInstKind::Store {
-                                global: *global,
-                                index: *index,
-                                value: *value,
+                            MInstKind::TailCall {
+                                callee: callee.0,
+                                args: args.clone(),
                             },
                             loc.clone(),
                         ),
                     );
-                }
-                InstKind::Call { dst, callee, args } => {
-                    // Tail-call elimination: `x = call f(...); ret x` (with
-                    // only probes in between) becomes a tail jump.
-                    if is_tail_position(block, i, *dst) {
-                        emit(
-                            out,
-                            pending_probes,
-                            MInst::new(
-                                MInstKind::TailCall {
-                                    callee: callee.0,
-                                    args: args.clone(),
-                                },
-                                loc.clone(),
-                            ),
-                        );
-                        // Skip the remaining probes + ret: consumed.
-                        break;
-                    }
-                    lower_simple(
-                        out,
-                        pending_probes,
-                        MInstKind::Call {
-                            dst: *dst,
-                            callee: callee.0,
-                            args: args.clone(),
-                        },
-                        loc,
-                        *dst,
-                        spills,
-                    );
-                }
-                InstKind::Ret { value } => {
-                    emit(
-                        out,
-                        pending_probes,
-                        MInst::new(MInstKind::Ret { value: *value }, loc.clone()),
-                    );
+                    // Skip the remaining probes + ret: consumed.
+                    break;
                 }
                 InstKind::Br { target } => {
                     if next != Some(*target) {
@@ -521,6 +393,7 @@ fn lower_stream(
                         ),
                     );
                 }
+                _ => lower_simple(out, pending_probes, inst, spills),
             }
             i += 1;
         }
@@ -537,22 +410,68 @@ fn lower_stream(
     }
 }
 
-/// Emits a register-writing instruction plus its spill store.
+/// The machine form of a straight-line IR instruction: the same operation
+/// under the same name.
+fn straight_line(kind: &InstKind) -> MInstKind {
+    match kind.clone() {
+        InstKind::Copy { dst, src } => MInstKind::Copy { dst, src },
+        InstKind::Bin { op, dst, lhs, rhs } => MInstKind::Bin { op, dst, lhs, rhs },
+        InstKind::Cmp {
+            pred,
+            dst,
+            lhs,
+            rhs,
+        } => MInstKind::Cmp {
+            pred,
+            dst,
+            lhs,
+            rhs,
+        },
+        InstKind::Select {
+            dst,
+            cond,
+            on_true,
+            on_false,
+        } => MInstKind::Select {
+            dst,
+            cond,
+            on_true,
+            on_false,
+        },
+        InstKind::Load { dst, global, index } => MInstKind::Load { dst, global, index },
+        InstKind::Store {
+            global,
+            index,
+            value,
+        } => MInstKind::Store {
+            global,
+            index,
+            value,
+        },
+        InstKind::CounterIncr { counter } => MInstKind::CounterIncr { counter },
+        InstKind::Call { dst, callee, args } => MInstKind::Call {
+            dst,
+            callee: callee.0,
+            args,
+        },
+        InstKind::Ret { value } => MInstKind::Ret { value },
+        other => unreachable!("not a straight-line instruction: {other:?}"),
+    }
+}
+
+/// Emits a straight-line instruction in its machine form, plus a spill
+/// store when it writes a spilled register.
 fn lower_simple(
     out: &mut Vec<MInst>,
     pending: &mut Vec<ProbeNote>,
-    kind: MInstKind,
-    loc: &csspgo_ir::DebugLoc,
-    def: Option<VReg>,
+    inst: &Inst,
     spills: &SpillPlan,
 ) {
-    let mut inst = MInst::new(kind, loc.clone());
-    inst.probes.append(pending);
-    out.push(inst);
-    if let Some(d) = def {
-        if let Some(slot) = spills.slot(d) {
-            out.push(MInst::new(MInstKind::SpillStore { slot }, loc.clone()));
-        }
+    let mut minst = MInst::new(straight_line(&inst.kind), inst.loc.clone());
+    minst.probes.append(pending);
+    out.push(minst);
+    if let Some(slot) = inst.kind.def().and_then(|d| spills.slot(d)) {
+        out.push(MInst::new(MInstKind::SpillStore { slot }, inst.loc.clone()));
     }
 }
 

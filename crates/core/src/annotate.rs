@@ -1,26 +1,26 @@
 //! Applying generated profiles back onto fresh IR — the compiler side of
 //! PGO ("sample loader").
 //!
-//! Three paths, one per correlation mechanism:
+//! Two paths: one sample loader for the sampled profiles, and exact
+//! counters beside it.
 //!
-//! * [`autofdo_annotate`] — looks counts up by `(line offset,
-//!   discriminator)` through debug inline stacks, replaying the profiling
-//!   build's inlining where the profile has nested call-site sub-profiles
-//!   (AutoFDO's early inliner and its "partial context-sensitivity").
-//! * [`csspgo_annotate`] — looks counts up by pseudo-probe, rejecting
-//!   functions whose CFG checksum mismatches (source drift). Both CSSPGO
-//!   arms replay the nested call-site profiles found at a call's probe. The
-//!   profile is the plan: under the full-CSSPGO marker ([`InlinePlan`])
-//!   every nested call site with a body is a *pre-inliner* decision and
-//!   replays; probe-only CSSPGO replays the profiling build's inlining where
-//!   it looks worth it.
+//! * [`autofdo_annotate`] and [`csspgo_annotate`] enter the one loader. It
+//!   visits functions top-down, replays the inlines the profile nests at a
+//!   call site, sets each block's count to the MAX over what its
+//!   instructions read, and repairs the counts with profile inference
+//!   ([`crate::inference::infer_counts`], min-cost-flow by default, which
+//!   also attaches flow-consistent [`csspgo_ir::EdgeCounts`]). The kinds
+//!   differ only in the per-function reader. AutoFDO reads `(line offset,
+//!   discriminator)` through debug inline stacks and is never stale; its
+//!   replay is the early inliner and its "partial context-sensitivity".
+//!   CSSPGO reads block probes through probe inline stacks and drops a
+//!   function whose CFG checksum mismatches (source drift), unless the
+//!   stale matcher salvaged it first. Under the full-CSSPGO marker
+//!   ([`InlinePlan`]) every nested call site with a body is a
+//!   *pre-inliner* decision and replays; probe-only CSSPGO replays the
+//!   profiling build's inlining where it looks worth it.
 //! * [`instr_annotate_reconstructed`] — exact counter values (ground
-//!   truth), measured or Kirchhoff-recovered.
-//!
-//! All sampling paths finish with profile inference
-//! ([`crate::inference::infer_counts`], min-cost-flow by default), which
-//! also attaches flow-consistent [`csspgo_ir::EdgeCounts`] when the MCF
-//! solver runs.
+//!   truth), measured or Kirchhoff-recovered. They skip inference.
 
 use crate::inference::{infer_dense, mcf, InferenceMode, InferenceStats};
 use crate::profile::{FlatFuncProfile, FlatProfile, LocKey, ProbeFuncProfile, ProbeProfile};
@@ -145,78 +145,9 @@ fn worth_replaying(nested_total: u64, callee: &csspgo_ir::Function) -> bool {
     nested_total >= REPLAY_MIN_TOTAL && real_size(callee) <= REPLAY_MAX_CALLEE_SIZE
 }
 
-/// Replays up to `budget` profile-directed inlines into `fid`: each round
-/// inlines the first call (in block order) to another function that
-/// `should(module, block, index, call, callee)` accepts, then rescans the
-/// changed body. Returns how many inlines happened.
-fn replay_inlines(
-    module: &mut Module,
-    fid: FuncId,
-    budget: usize,
-    mut should: impl FnMut(&Module, BlockId, usize, &Inst, FuncId) -> bool,
-) -> usize {
-    let mut replayed = 0;
-    for _ in 0..budget {
-        let candidate = module.func(fid).iter_blocks().find_map(|(bid, block)| {
-            block
-                .insts
-                .iter()
-                .enumerate()
-                .find_map(|(i, inst)| match inst.kind {
-                    InstKind::Call { callee, .. } if callee != fid => {
-                        should(module, bid, i, inst, callee).then_some((bid, i))
-                    }
-                    _ => None,
-                })
-        });
-        let Some((bid, i)) = candidate else { break };
-        if inline_call(module, fid, bid, i) {
-            replayed += 1;
-        }
-    }
-    replayed
-}
-
 // ---------------------------------------------------------------------
-// AutoFDO path
+// Sample loader (AutoFDO and CSSPGO)
 // ---------------------------------------------------------------------
-
-/// Navigates a flat profile by a debug location's inline stack; returns the
-/// sub-profile containing the location's leaf.
-fn flat_navigate<'p>(
-    fp: &'p FlatFuncProfile,
-    module: &Module,
-    loc: &DebugLoc,
-) -> Option<&'p FlatFuncProfile> {
-    let mut cur = fp;
-    for (k, site) in loc.inline_stack.iter().enumerate() {
-        let start = module.func(site.func).start_line;
-        let key = LocKey::new(site.line, start, site.discriminator);
-        let callee = loc
-            .inline_stack
-            .get(k + 1)
-            .map(|s| s.func)
-            .unwrap_or(loc.scope);
-        if callee == FuncId::INVALID {
-            return None;
-        }
-        let callee_guid = module.func(callee).guid;
-        cur = cur.callsites.get(&(key, callee_guid))?;
-    }
-    Some(cur)
-}
-
-/// Body-count lookup for one instruction location.
-fn flat_lookup(fp: &FlatFuncProfile, module: &Module, loc: &DebugLoc) -> Option<u64> {
-    if loc.scope == FuncId::INVALID || loc.line == 0 {
-        return None;
-    }
-    let sub = flat_navigate(fp, module, loc)?;
-    let start = module.func(loc.scope).start_line;
-    sub.body
-        .get(&LocKey::new(loc.line, start, loc.discriminator))
-        .copied()
-}
 
 /// Annotates `module` from an AutoFDO-style profile.
 pub fn autofdo_annotate(
@@ -224,82 +155,14 @@ pub fn autofdo_annotate(
     profile: &FlatProfile,
     cfg: &AnnotateConfig,
 ) -> AnnotateStats {
-    let mut stats = AnnotateStats::default();
-    let mut repair = Repair::new(cfg.inference);
-    let order = csspgo_opt::callgraph::CallGraph::build(module).top_down_order();
-
-    for fid in order {
-        let guid = module.func(fid).guid;
-        let Some(fp) = profile.funcs.get(&guid) else {
-            continue;
-        };
-
-        // ---- early inline replay ----
-        stats.replayed_inlines += replay_inlines(
-            module,
-            fid,
-            cfg.inline_budget,
-            |module, _, _, inst, callee| {
-                let Some(enclosing) = flat_navigate(fp, module, &inst.loc) else {
-                    return false;
-                };
-                if inst.loc.scope == FuncId::INVALID {
-                    return false;
-                }
-                let start = module.func(inst.loc.scope).start_line;
-                let key = LocKey::new(inst.loc.line, start, inst.loc.discriminator);
-                let callee_guid = module.func(callee).guid;
-                enclosing
-                    .callsites
-                    .get(&(key, callee_guid))
-                    .is_some_and(|nested| worth_replaying(nested.total(), module.func(callee)))
-            },
-        );
-
-        // ---- block counts by MAX over per-instruction lookups ----
-        let func = module.func(fid);
-        let mut raw: Vec<Option<u64>> = vec![None; func.blocks.len()];
-        for (bid, block) in func.iter_blocks() {
-            for inst in &block.insts {
-                if let Some(c) = flat_lookup(fp, module, &inst.loc) {
-                    let best = &mut raw[bid.index()];
-                    *best = Some(best.unwrap_or(0).max(c));
-                }
-            }
-        }
-        let entry = fp.entry.max(raw[func.entry.index()].unwrap_or(0));
-        apply(
-            module,
-            fid,
-            &raw,
-            entry,
-            &mut repair,
-            Provenance::Sampled,
-            &mut stats,
-        );
-        stats.annotated += 1;
-    }
-    stats
-}
-
-// ---------------------------------------------------------------------
-// CSSPGO path
-// ---------------------------------------------------------------------
-
-/// Navigates a probe profile by a probe inline stack.
-fn probe_navigate<'p>(
-    fp: &'p ProbeFuncProfile,
-    module: &Module,
-    stack: &[ProbeSite],
-    owner: FuncId,
-) -> Option<&'p ProbeFuncProfile> {
-    let mut cur = fp;
-    for (k, site) in stack.iter().enumerate() {
-        let callee = stack.get(k + 1).map(|s| s.func).unwrap_or(owner);
-        let callee_guid = module.func(callee).guid;
-        cur = cur.callsites.get(&(site.probe_index, callee_guid))?;
-    }
-    Some(cur)
+    let reader = |guid| profile.funcs.get(&guid).map(Reader::Lines);
+    load(
+        module,
+        cfg,
+        AnnotateStats::default(),
+        &HashSet::new(),
+        reader,
+    )
 }
 
 /// Annotates `module` (which must already carry pseudo-probes) from a probe
@@ -314,11 +177,10 @@ pub fn csspgo_annotate(
     cfg: &AnnotateConfig,
 ) -> AnnotateStats {
     let mut stats = AnnotateStats::default();
-    let mut repair = Repair::new(cfg.inference);
 
     // Stale-profile salvage (the paper's drift story, §III.A): instead of
-    // dropping checksum-mismatched functions below, statically re-map
-    // their counts onto the fresh probe space first. Checksum-matched
+    // dropping checksum-mismatched functions in the loader, statically
+    // re-map their counts onto the fresh probe space first. Checksum-matched
     // functions pass through the matcher bit-identical, so this is a
     // no-op on undrifted profiles.
     let salvaged;
@@ -344,73 +206,53 @@ pub fn csspgo_annotate(
     } else {
         profile
     };
+    let full = plan.is_some();
+    let reader = |guid| {
+        profile
+            .funcs
+            .get(&guid)
+            .map(|fp| Reader::Probes { fp, full })
+    };
+    load(module, cfg, stats, &salvaged_guids, reader)
+}
 
-    let order = csspgo_opt::callgraph::CallGraph::build(module).top_down_order();
-
-    for fid in order {
+/// The sample loader both sampling paths share. Visits `module`'s
+/// functions top-down; for each one `reader_of` finds a profile for and
+/// that is not stale, it replays the profile's nested call sites as
+/// inlines, sets each block's raw count to the MAX over what its
+/// instructions read, and hands the counts to inference ([`apply`]).
+/// Counts of a function in `salvaged` came through the stale matcher.
+fn load<'p>(
+    module: &mut Module,
+    cfg: &AnnotateConfig,
+    mut stats: AnnotateStats,
+    salvaged: &HashSet<u64>,
+    reader_of: impl Fn(u64) -> Option<Reader<'p>>,
+) -> AnnotateStats {
+    let mut repair = Repair::new(cfg.inference);
+    for fid in csspgo_opt::callgraph::CallGraph::build(module).top_down_order() {
         let guid = module.func(fid).guid;
-        let Some(fp) = profile.funcs.get(&guid) else {
+        let Some(reader) = reader_of(guid) else {
             continue;
         };
-
-        // Source-drift detection: the profile's checksum must match the
-        // fresh IR's CFG checksum. (Under `Recover`, salvaged functions
-        // carry the fresh checksum and sail through.)
-        if is_stale(fp.checksum, module.func(fid)) {
+        if reader.is_stale(module.func(fid)) {
             stats.stale_dropped += 1;
             continue;
         }
+        stats.replayed_inlines += replay_inlines(module, fid, cfg.inline_budget, reader);
 
-        // ---- inline replay ----
-        stats.replayed_inlines += replay_inlines(
-            module,
-            fid,
-            cfg.inline_budget,
-            |module, bid, i, _, callee| {
-                // The call's probe (immediately preceding instruction),
-                // looked up under its original owner: an inlined call site
-                // keeps its owner, and the profile nests it there.
-                let Some((owner, probe, stack)) = call_probe_of(module, fid, bid, i) else {
-                    return false;
-                };
-                let callee_guid = module.func(callee).guid;
-                let nested = probe_navigate(fp, module, stack, owner)
-                    .and_then(|sub| sub.callsites.get(&(probe, callee_guid)));
-                nested.is_some_and(|n| match plan {
-                    Some(InlinePlan) => !n.probes.is_empty(),
-                    None => worth_replaying(n.total(), module.func(callee)),
-                })
-            },
-        );
-
-        // ---- block counts via block probes ----
         let func = module.func(fid);
         let mut raw: Vec<Option<u64>> = vec![None; func.blocks.len()];
         for (bid, block) in func.iter_blocks() {
             for inst in &block.insts {
-                let InstKind::PseudoProbe {
-                    owner,
-                    index,
-                    kind: ProbeKind::Block,
-                    inline_stack,
-                    ..
-                } = &inst.kind
-                else {
-                    continue;
-                };
-                // Only the block's own anchoring probe (the first block
-                // probe) sets the count; the rest came from inlining and
-                // describe the same block.
-                let count = probe_navigate(fp, module, inline_stack, *owner)
-                    .and_then(|sub| sub.probes.get(index).copied());
-                if let Some(c) = count {
+                if let Some(c) = reader.count(module, inst) {
                     let slot = &mut raw[bid.index()];
                     *slot = Some(slot.unwrap_or(0).max(c));
                 }
             }
         }
-        let entry = fp.entry.max(raw[func.entry.index()].unwrap_or(0));
-        let base = if salvaged_guids.contains(&guid) {
+        let entry = reader.entry().max(raw[func.entry.index()].unwrap_or(0));
+        let base = if salvaged.contains(&guid) {
             Provenance::StaleMatched
         } else {
             Provenance::Sampled
@@ -421,27 +263,163 @@ pub fn csspgo_annotate(
     stats
 }
 
-/// The call probe guarding the call at `(bid, i)`: its owner, index and
-/// inline stack.
-fn call_probe_of(
+/// Replays up to `budget` of the inlines `reader`'s profile nests into
+/// `fid`: each round inlines the first call (in block order) to another
+/// function that [`Reader::replays`] accepts, then rescans the changed
+/// body. Returns how many inlines happened.
+fn replay_inlines(module: &mut Module, fid: FuncId, budget: usize, reader: Reader) -> usize {
+    let mut replayed = 0;
+    for _ in 0..budget {
+        let candidate = module.func(fid).iter_blocks().find_map(|(bid, block)| {
+            (0..block.insts.len()).find_map(|i| match block.insts[i].kind {
+                InstKind::Call { callee, .. } if callee != fid => reader
+                    .replays(module, &block.insts, i, callee)
+                    .then_some((bid, i)),
+                _ => None,
+            })
+        });
+        let Some((bid, i)) = candidate else { break };
+        if inline_call(module, fid, bid, i) {
+            replayed += 1;
+        }
+    }
+    replayed
+}
+
+/// One function's sampled profile as the loader reads it — the only place
+/// AutoFDO and CSSPGO differ.
+#[derive(Clone, Copy)]
+enum Reader<'p> {
+    /// AutoFDO: counts keyed by `(line offset, discriminator)`, reached
+    /// through a debug location's inline stack. Never stale.
+    Lines(&'p FlatFuncProfile),
+    /// CSSPGO: counts keyed by block probe, reached through a probe's
+    /// inline stack, and gated on the CFG checksum. `full` is the
+    /// [`InlinePlan`] marker: every nested call site with a body replays.
+    Probes {
+        fp: &'p ProbeFuncProfile,
+        full: bool,
+    },
+}
+
+impl Reader<'_> {
+    fn entry(self) -> u64 {
+        match self {
+            Reader::Lines(fp) => fp.entry,
+            Reader::Probes { fp, .. } => fp.entry,
+        }
+    }
+
+    /// Whether the profile's checksum mismatches `func`'s CFG (source
+    /// drift). Under `Recover`, salvaged functions carry the fresh
+    /// checksum and pass.
+    fn is_stale(self, func: &csspgo_ir::Function) -> bool {
+        matches!(self, Reader::Probes { fp, .. } if is_stale(fp.checksum, func))
+    }
+
+    /// The body count the profile records for `inst`: its line, or, for a
+    /// block probe, the probe. Every block probe counts, the block's own
+    /// and those inlining brought in, so the block takes their MAX.
+    fn count(self, module: &Module, inst: &Inst) -> Option<u64> {
+        match self {
+            Reader::Lines(fp) if inst.loc.line != 0 => {
+                let (sub, key) = line_site(fp, module, &inst.loc)?;
+                sub.body.get(&key).copied()
+            }
+            Reader::Lines(_) => None,
+            Reader::Probes { fp, .. } => match &inst.kind {
+                InstKind::PseudoProbe {
+                    owner,
+                    index,
+                    kind: ProbeKind::Block,
+                    inline_stack,
+                    ..
+                } => probe_site(fp, module, inline_stack, *owner)?
+                    .probes
+                    .get(index)
+                    .copied(),
+                _ => None,
+            },
+        }
+    }
+
+    /// Whether the call `insts[i]` to `callee` replays an inline the
+    /// profile nests at its site: the call's line, or its call probe (the
+    /// instruction before it), looked up under the probe's original owner —
+    /// an inlined call site keeps its owner, and the profile nests it
+    /// there.
+    fn replays(self, module: &Module, insts: &[Inst], i: usize, callee: FuncId) -> bool {
+        let body = module.func(callee);
+        let guid = body.guid;
+        match self {
+            Reader::Lines(fp) => line_site(fp, module, &insts[i].loc)
+                .and_then(|(sub, key)| sub.callsites.get(&(key, guid)))
+                .is_some_and(|nested| worth_replaying(nested.total(), body)),
+            Reader::Probes { fp, full } => match i.checked_sub(1).map(|p| &insts[p].kind) {
+                Some(InstKind::PseudoProbe {
+                    owner,
+                    index,
+                    kind: ProbeKind::Call,
+                    inline_stack,
+                    ..
+                }) => probe_site(fp, module, inline_stack, *owner)
+                    .and_then(|sub| sub.callsites.get(&(*index, guid)))
+                    .is_some_and(|nested| {
+                        if full {
+                            !nested.probes.is_empty()
+                        } else {
+                            worth_replaying(nested.total(), body)
+                        }
+                    }),
+                _ => false,
+            },
+        }
+    }
+}
+
+/// The sub-profile holding `loc`'s leaf, reached through its debug inline
+/// stack, and the leaf's key in it.
+fn line_site<'p>(
+    fp: &'p FlatFuncProfile,
     module: &Module,
-    fid: FuncId,
-    bid: BlockId,
-    i: usize,
-) -> Option<(FuncId, u32, &[ProbeSite])> {
-    if i == 0 {
+    loc: &DebugLoc,
+) -> Option<(&'p FlatFuncProfile, LocKey)> {
+    let key = |func: FuncId, line, discriminator| {
+        LocKey::new(line, module.func(func).start_line, discriminator)
+    };
+    if loc.scope == FuncId::INVALID {
         return None;
     }
-    match &module.func(fid).block(bid).insts[i - 1].kind {
-        InstKind::PseudoProbe {
-            owner,
-            index,
-            kind: ProbeKind::Call,
-            inline_stack,
-            ..
-        } => Some((*owner, *index, inline_stack.as_slice())),
-        _ => None,
+    let mut cur = fp;
+    for (k, site) in loc.inline_stack.iter().enumerate() {
+        let callee = loc.inline_stack.get(k + 1).map_or(loc.scope, |s| s.func);
+        if callee == FuncId::INVALID {
+            return None;
+        }
+        let at = (
+            key(site.func, site.line, site.discriminator),
+            module.func(callee).guid,
+        );
+        cur = cur.callsites.get(&at)?;
     }
+    Some((cur, key(loc.scope, loc.line, loc.discriminator)))
+}
+
+/// The sub-profile a probe of `owner` with inline stack `stack` reads.
+fn probe_site<'p>(
+    fp: &'p ProbeFuncProfile,
+    module: &Module,
+    stack: &[ProbeSite],
+    owner: FuncId,
+) -> Option<&'p ProbeFuncProfile> {
+    let mut cur = fp;
+    for (k, site) in stack.iter().enumerate() {
+        let callee = stack.get(k + 1).map_or(owner, |s| s.func);
+        cur = cur
+            .callsites
+            .get(&(site.probe_index, module.func(callee).guid))?;
+    }
+    Some(cur)
 }
 
 // ---------------------------------------------------------------------
