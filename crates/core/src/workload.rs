@@ -40,9 +40,11 @@ impl Workload {
 
     /// Returns a copy whose train/eval request streams are scaled down by
     /// `factor` (for quick tests: `scaled(0.1)` keeps every 10th request).
+    /// A non-empty stream keeps at least one request; an empty one stays
+    /// empty.
     pub fn scaled(&self, factor: f64) -> Workload {
         let keep = |calls: &[Vec<i64>]| -> Vec<Vec<i64>> {
-            if factor >= 1.0 {
+            if factor >= 1.0 || calls.is_empty() {
                 return calls.to_vec();
             }
             let n = ((calls.len() as f64 * factor).ceil() as usize).max(1);
@@ -81,5 +83,8 @@ mod tests {
         assert_eq!(s.train_calls.len(), 25);
         let s = w.scaled(2.0);
         assert_eq!(s.train_calls.len(), 100);
+        let idle = Workload::new("w", "fn f(){return 0;}", "f", vec![vec![1]; 4], Vec::new());
+        let s = idle.scaled(0.5);
+        assert_eq!((s.train_calls.len(), s.eval_calls.len()), (2, 0));
     }
 }
