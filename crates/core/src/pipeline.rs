@@ -290,6 +290,8 @@ pub enum PipelineError {
     Stream(String),
     /// An internal invariant on sample/profile data did not hold.
     Inconsistent(&'static str),
+    /// The workload stages a global array its program does not declare.
+    UnknownGlobal(String),
 }
 
 impl fmt::Display for PipelineError {
@@ -302,6 +304,12 @@ impl fmt::Display for PipelineError {
             PipelineError::Decode(e) => write!(f, "profile decode error: {e}"),
             PipelineError::Stream(msg) => write!(f, "stream aggregation error: {msg}"),
             PipelineError::Inconsistent(msg) => write!(f, "internal inconsistency: {msg}"),
+            PipelineError::UnknownGlobal(name) => {
+                write!(
+                    f,
+                    "workload stages global `{name}`, which its program does not declare"
+                )
+            }
         }
     }
 }
@@ -445,12 +453,24 @@ pub fn profiling_build(
 }
 
 /// A machine over `binary` with the workload's global arrays staged.
-pub fn staged_machine<'b>(binary: &'b Binary, workload: &Workload, sim: SimConfig) -> Machine<'b> {
+///
+/// # Errors
+///
+/// Returns [`PipelineError::UnknownGlobal`] when the workload stages a
+/// global that `binary` does not declare.
+pub fn staged_machine<'b>(
+    binary: &'b Binary,
+    workload: &Workload,
+    sim: SimConfig,
+) -> Result<Machine<'b>, PipelineError> {
     let mut machine = Machine::new(binary, sim);
     for (name, values) in &workload.setup {
+        if machine.global(name).is_none() {
+            return Err(PipelineError::UnknownGlobal(name.clone()));
+        }
         machine.set_global(name, values);
     }
-    machine
+    Ok(machine)
 }
 
 /// What a profiling run leaves behind.
@@ -471,13 +491,14 @@ pub struct ProfilingRun {
 /// # Errors
 ///
 /// Returns [`PipelineError::Sim`] when a training call fails (e.g. step
-/// budget exceeded).
+/// budget exceeded), [`PipelineError::UnknownGlobal`] when the workload
+/// stages a global the binary does not declare.
 pub fn profiling_run(
     binary: &Binary,
     workload: &Workload,
     sim: SimConfig,
 ) -> Result<ProfilingRun, PipelineError> {
-    let mut machine = staged_machine(binary, workload, sim);
+    let mut machine = staged_machine(binary, workload, sim)?;
     for args in &workload.train_calls {
         machine.call(&workload.entry, args)?;
     }
@@ -900,13 +921,15 @@ fn quality_counts(
 ///
 /// # Errors
 ///
-/// Returns [`PipelineError::Sim`] when an evaluation call fails.
+/// Returns [`PipelineError::Sim`] when an evaluation call fails,
+/// [`PipelineError::UnknownGlobal`] when the workload stages a global the
+/// binary does not declare.
 pub fn evaluate(
     binary: &Binary,
     workload: &Workload,
     config: &PipelineConfig,
 ) -> Result<(RunStats, u64), PipelineError> {
-    let mut machine = staged_machine(binary, workload, config.sim_config(0));
+    let mut machine = staged_machine(binary, workload, config.sim_config(0))?;
     let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
     for args in &workload.eval_calls {
         let r = machine.call(&workload.entry, args)?;

@@ -300,8 +300,9 @@ impl FleetBinaries {
     /// Returns [`FleetError::NoTenants`] / [`FleetError::DuplicateTenant`]
     /// / [`FleetError::NoVersions`] for malformed fleets,
     /// [`FleetError::InvalidConfig`] for an invalid configuration, a
-    /// version label repeated within a tenant or a split share that is not
-    /// a residue class, and [`FleetError::Pipeline`] when a source fails to
+    /// version label repeated within a tenant, a split share that is not a
+    /// residue class or a workload that stages a global its version does
+    /// not declare, and [`FleetError::Pipeline`] when a source fails to
     /// compile.
     pub fn compile(specs: &[TenantSpec], cfg: &FleetConfig) -> Result<FleetBinaries, FleetError> {
         cfg.validate()?;
@@ -359,9 +360,22 @@ impl FleetBinaries {
                 ))
             })
             .collect();
+        let versions: Vec<(usize, CompiledVersion)> =
+            compiled.into_iter().collect::<Result<_, _>>()?;
+        // Staging is the service's first act on every version: refuse here
+        // what `FleetService::new` could not stage.
+        let sim = cfg.pipeline.sim_config(0);
+        for (ti, v) in &versions {
+            if let Err(e) = staged_machine(&v.binary, &specs[*ti].workload, sim.clone()) {
+                let (id, label) = (specs[*ti].id, &v.spec.label);
+                return Err(FleetError::InvalidConfig(format!(
+                    "tenant {id} version {label}: {e}"
+                )));
+            }
+        }
         Ok(FleetBinaries {
             specs: specs.to_vec(),
-            versions: compiled.into_iter().collect::<Result<_, _>>()?,
+            versions,
         })
     }
 }
@@ -509,7 +523,8 @@ impl<'b> FleetService<'b> {
                     tenant,
                     spec: &v.spec,
                     binary: &v.binary,
-                    machine: staged_machine(&v.binary, &tenant.workload, sim.clone()),
+                    machine: staged_machine(&v.binary, &tenant.workload, sim.clone())
+                        .expect("`FleetBinaries::compile` staged every global"),
                     agg: None,
                     train_idx: v.spec.share.train_indices(train_calls),
                     cursor: 0,
@@ -881,6 +896,16 @@ fn serve(n, mode) {
             .map(|_| ())
             .unwrap_err();
         assert!(matches!(err, FleetError::InvalidConfig(_)), "{err}");
+
+        let mut stray = spec.clone();
+        stray.workload.setup.push(("undeclared".into(), vec![1]));
+        let err = FleetBinaries::compile(&[stray], &cfg)
+            .map(|_| ())
+            .unwrap_err();
+        assert!(
+            matches!(&err, FleetError::InvalidConfig(m) if m.contains("`undeclared`")),
+            "{err}"
+        );
 
         let mut empty = spec;
         empty.versions.clear();

@@ -16,10 +16,13 @@ use csspgo::codegen::{lower_module, Binary, CodegenConfig};
 use csspgo::core::binprof;
 use csspgo::core::context::{ContextProfile, FrameKey};
 use csspgo::core::merge::{merge_flat, merge_tries};
-use csspgo::core::pipeline::{prepared_module, PipelineError};
+use csspgo::core::pipeline::{
+    prepared_module, run_pgo_cycle, PgoVariant, PipelineConfig, PipelineError,
+};
 use csspgo::core::profile::{FlatFuncProfile, FlatProfile, LocKey, ProbeFuncProfile, ProbeProfile};
 use csspgo::core::stream::{SnapshotFormat, StreamAggregator, StreamConfig};
 use csspgo::core::tailcall::TailCallGraph;
+use csspgo::core::Workload;
 use csspgo::ir::probe::function_guid;
 use csspgo::ir::Global;
 use csspgo::sim::{Machine, Sample, SimConfig, SimError};
@@ -217,6 +220,24 @@ fn globals_past_the_data_bound_are_a_compile_error() {
     ] {
         let err = csspgo::lang::compile(source, "big.mini").unwrap_err();
         assert_eq!(err.to_string(), want);
+    }
+}
+
+/// Parent: `pipeline::staged_machine` staged a workload's globals through
+/// `Machine::set_global`, which panics on a name the program does not
+/// declare, so every cycle of such a workload panicked in its first run.
+#[test]
+fn a_staged_global_the_program_does_not_declare_is_a_typed_error() {
+    let source = "global t[4];\nfn main(i) { return t[i]; }\n";
+    let calls = vec![vec![1]; 4];
+    let mut workload = Workload::new("stray", source, "main", calls.clone(), calls);
+    workload.setup.push(("u".into(), vec![7]));
+    for variant in [PgoVariant::O2, PgoVariant::AutoFdo, PgoVariant::CsspgoFull] {
+        let err = run_pgo_cycle(&workload, variant, &PipelineConfig::default()).unwrap_err();
+        assert!(
+            matches!(&err, PipelineError::UnknownGlobal(name) if name == "u"),
+            "{err}"
+        );
     }
 }
 

@@ -94,7 +94,7 @@ fn every_run_matches_golden() {
             let binary = profiling_build(&w.source, &w.name, variant, &config)
                 .expect("workload compiles")
                 .binary;
-            let mut machine = staged_machine(&binary, &w, sim);
+            let mut machine = staged_machine(&binary, &w, sim).expect("globals stage");
             let mut results = Fnv::new();
             for args in w.train_calls.iter().chain(&w.eval_calls) {
                 let r = machine.call(&w.entry, args).expect("request completes");

@@ -51,7 +51,7 @@ fn staged_cycle(
         .binary;
     let sim = cfg.sim_config(cfg.sample_period);
     let (samples, profiling) = if drain_per_call {
-        let mut machine = staged_machine(&binary, w, sim);
+        let mut machine = staged_machine(&binary, w, sim).expect("globals stage");
         let mut samples = Vec::new();
         let mut epochs = 0;
         for args in &w.train_calls {
