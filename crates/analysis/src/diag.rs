@@ -1,8 +1,8 @@
 //! The diagnostics engine: lint registry, severities, reports.
 //!
 //! Modeled on clippy/rustc lints: every check is a registered [`Lint`] with a
-//! stable id (`PF004`), a kebab-case name (`profile-checksum-stale`) and a
-//! default [`Severity`]. A [`Policy`] escalates (`--deny`) or silences
+//! stable id (`PF004`) and a kebab-case name (`profile-checksum-stale`);
+//! every lint warns by default. A [`Policy`] escalates (`--deny`) or silences
 //! (`--allow`) lints by id, name or `all`. Checks append [`Diagnostic`]s to a
 //! [`Report`], which renders for humans or serializes to JSON.
 
@@ -41,14 +41,16 @@ pub struct Lint {
     pub id: &'static str,
     /// Kebab-case name, usable interchangeably with the id on the CLI.
     pub name: &'static str,
-    /// Severity when no policy overrides it.
-    pub default_severity: Severity,
     /// One-line description (shown in `csspgo_lint --list`).
     pub description: &'static str,
     /// One-paragraph doc (shown by `csspgo_lint --explain <ID>`): what the
     /// check proves, when it fires, and what to do about it.
     pub explanation: &'static str,
 }
+
+/// Every lint's severity when no policy overrides it: none denies by
+/// default, so exit 1 needs `--deny`.
+const DEFAULT_SEVERITY: Severity = Severity::Warn;
 
 /// Lint families in presentation order, with one-line descriptions (the
 /// README table and `--list` grouping follow this order).
@@ -79,7 +81,6 @@ pub const LINTS: &[Lint] = &[
     Lint {
         id: "PF001",
         name: "flow-conservation",
-        default_severity: Severity::Warn,
         description: "annotated block counts violate Kirchhoff inflow/outflow bounds",
         explanation: "An annotated block's count is outside the bounds implied by its \
             neighbors: it executes more often than everything that can branch into it \
@@ -90,7 +91,6 @@ pub const LINTS: &[Lint] = &[
     Lint {
         id: "PF002",
         name: "flow-dominance",
-        default_severity: Severity::Warn,
         description: "acyclic block hotter than its immediate dominator",
         explanation: "Outside any loop, a block cannot execute more often than its \
             immediate dominator — every path to it passes through the dominator. A \
@@ -100,7 +100,6 @@ pub const LINTS: &[Lint] = &[
     Lint {
         id: "PF003",
         name: "context-parent-bound",
-        default_severity: Severity::Warn,
         description: "child-context entry count exceeds the parent call-site probe count",
         explanation: "In the context trie, a child context claims more entries than its \
             parent's call-site probe observed calls. The context tree is hierarchical by \
@@ -111,7 +110,6 @@ pub const LINTS: &[Lint] = &[
     Lint {
         id: "PF004",
         name: "profile-checksum-stale",
-        default_severity: Severity::Warn,
         description: "profile checksum does not match the module's CFG checksum",
         explanation: "A function's profile carries the CFG checksum of the build it was \
             collected on, and it differs from the current module's — the source drifted \
@@ -122,7 +120,6 @@ pub const LINTS: &[Lint] = &[
     Lint {
         id: "PF005",
         name: "profile-probe-range",
-        default_severity: Severity::Warn,
         description: "profile references probe indices the function never allocated",
         explanation: "The profile contains counts for probe indices beyond what the \
             function ever allocated. Those entries cannot be applied and usually \
@@ -132,7 +129,6 @@ pub const LINTS: &[Lint] = &[
     Lint {
         id: "SM001",
         name: "match-ambiguous-anchor",
-        default_severity: Severity::Warn,
         description: "repeated call-anchor label: stale matching is positional there",
         explanation: "The stale matcher aligns old and new probes on call anchors \
             (callee names); a function contains the same callee name several times, so \
@@ -143,7 +139,6 @@ pub const LINTS: &[Lint] = &[
     Lint {
         id: "SM004",
         name: "match-anchor-drift",
-        default_severity: Severity::Warn,
         description: "checksum matches but call-anchor targets changed (silent retarget)",
         explanation: "A function's CFG checksum still matches the profile, but the \
             callee names at its call anchors changed — e.g. a call was redirected to a \
@@ -154,7 +149,6 @@ pub const LINTS: &[Lint] = &[
     Lint {
         id: "SM005",
         name: "match-rename-low-confidence",
-        default_severity: Severity::Warn,
         description: "function rename adopted below the high-confidence similarity threshold",
         explanation: "Rename detection adopted a stale function's profile for a \
             new/renamed function on anchor-set similarity below the high-confidence \
@@ -165,7 +159,6 @@ pub const LINTS: &[Lint] = &[
     Lint {
         id: "WP001",
         name: "provenance-hot-inferred",
-        default_severity: Severity::Warn,
         description: "hot function whose weight is majority solver-inferred",
         explanation: "A function carrying a significant share of the module's total \
             weight got most of that weight from flow inference rather than from raw \
@@ -178,7 +171,6 @@ pub const LINTS: &[Lint] = &[
     Lint {
         id: "WP003",
         name: "provenance-salvage-share",
-        default_severity: Severity::Warn,
         description: "stale-matched weight exceeds half of the module's weight",
         explanation: "More than half of the module's \
             annotated weight was transferred by the stale-profile matcher instead of \
@@ -215,7 +207,7 @@ pub fn render_lint_list() -> String {
             "{}  {:name_w$}  {:7}  {}\n",
             l.id,
             l.name,
-            l.default_severity.to_string(),
+            DEFAULT_SEVERITY.to_string(),
             l.description
         ));
     }
@@ -228,7 +220,7 @@ pub fn explain(key: &str) -> Option<String> {
     let l = find_lint(key)?;
     let mut out = format!(
         "{} ({})\ndefault severity: {}\n\n{}\n\n",
-        l.id, l.name, l.default_severity, l.description
+        l.id, l.name, DEFAULT_SEVERITY, l.description
     );
     // Re-wrap the explanation to readable lines.
     let mut col = 0usize;
@@ -249,7 +241,7 @@ pub fn explain(key: &str) -> Option<String> {
 
 /// Severity overrides, applied at diagnostic-emission time.
 ///
-/// Precedence (highest first): `allow` > `deny` > the lint's default. The
+/// Precedence (highest first): `allow` > `deny` > the registry default. The
 /// special key `all` matches every lint.
 #[derive(Clone, Debug, Default)]
 pub struct Policy {
@@ -273,7 +265,7 @@ impl Policy {
         } else if Self::matches(&self.deny, lint) {
             Severity::Deny
         } else {
-            lint.default_severity
+            DEFAULT_SEVERITY
         }
     }
 
@@ -446,7 +438,7 @@ mod tests {
             assert!(line.contains(l.name), "{line}");
             assert!(line.contains(l.description), "{line}");
             assert!(
-                line.contains(&l.default_severity.to_string()),
+                line.contains(&DEFAULT_SEVERITY.to_string()),
                 "{line} lacks severity"
             );
         }

@@ -128,7 +128,7 @@ impl AddrIndex {
 
     /// The flat index of the instruction whose byte range contains `addr`.
     #[inline]
-    pub fn index_of_addr(&self, addr: u64) -> Option<usize> {
+    fn index_of_addr(&self, addr: u64) -> Option<usize> {
         for seg in self.segments.iter().rev() {
             if let Some(off) = addr.checked_sub(seg.base) {
                 return match seg.map.get(usize::try_from(off).ok()?) {

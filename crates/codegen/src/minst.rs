@@ -86,7 +86,7 @@ pub enum MInstKind {
 impl MInstKind {
     /// Encoded size in bytes (a plausible x86-64-flavoured model; absolute
     /// values only matter relatively, for layout distances and Fig. 9).
-    pub fn size(&self) -> u32 {
+    fn size(&self) -> u32 {
         match self {
             MInstKind::Copy { .. } => 3,
             MInstKind::Bin { .. } => 4,

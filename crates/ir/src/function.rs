@@ -156,7 +156,7 @@ pub struct BlockLayout {
 
 impl BlockLayout {
     /// All placed blocks in emission order (hot then cold).
-    pub fn iter(&self) -> impl Iterator<Item = BlockId> + '_ {
+    fn iter(&self) -> impl Iterator<Item = BlockId> + '_ {
         self.hot.iter().chain(self.cold.iter()).copied()
     }
 }

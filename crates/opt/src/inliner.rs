@@ -278,7 +278,7 @@ pub fn run_bottom_up(module: &mut Module, config: &OptConfig) {
 /// The inline heuristic shared by the bottom-up inliner. A call site is hot
 /// when its count reaches the module's relative hot-count cutoff (never
 /// below an absolute floor of 2).
-pub fn should_inline(
+fn should_inline(
     callee_size: usize,
     site_count: Option<u64>,
     hot_cutoff: u64,

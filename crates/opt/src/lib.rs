@@ -34,8 +34,9 @@ pub mod tail_dup;
 pub mod tailmerge;
 pub mod unroll;
 
+use csspgo_ir::inst::InstKind;
 use csspgo_ir::probe::ProbeConfig;
-use csspgo_ir::{Function, Module};
+use csspgo_ir::{Function, Inst, Module};
 
 /// No block yet, in a single-block table.
 pub(crate) const NO_BLOCK: u32 = u32::MAX;
@@ -60,6 +61,26 @@ pub(crate) fn single_predecessors(func: &Function, table: &mut Vec<u32>) {
     for (bid, block) in func.iter_blocks() {
         for s in block.targets() {
             note_block(&mut table[s.index()], bid.index() as u32);
+        }
+    }
+}
+
+/// The instructions of `insts` that are not pseudo-probes: a block's size
+/// to the duplicating passes.
+pub(crate) fn real_len(insts: &[Inst]) -> usize {
+    insts
+        .iter()
+        .filter(|i| !matches!(i.kind, InstKind::PseudoProbe { .. }))
+        .count()
+}
+
+/// Multiplies the duplication factor of every probe in `insts` by `k`: each
+/// probe now co-exists with `k` times as many copies of itself. Applied to
+/// the original *and* every clone, keeping probe counts summable.
+pub(crate) fn scale_probe_factors(insts: &mut [Inst], k: u32) {
+    for inst in insts {
+        if let InstKind::PseudoProbe { factor, .. } = &mut inst.kind {
+            *factor = factor.saturating_mul(k);
         }
     }
 }

@@ -28,7 +28,7 @@ pub fn run(module: &mut Module, config: &OptConfig) {
 
 /// Hoists invariant code in all loops of `func`; returns the number of
 /// hoisted instructions.
-pub fn run_function(func: &mut Function) -> usize {
+fn run_function(func: &mut Function) -> usize {
     let mut hoisted_total = 0;
     // Writes of each register inside the current loop, by register index.
     let mut defs_in_loop: Vec<u32> = Vec::new();

@@ -7,7 +7,7 @@
 //! debug-info MAX heuristic under-counts them, while duplicated pseudo-probes
 //! are summed exactly.
 
-use crate::OptConfig;
+use crate::{real_len, scale_probe_factors, OptConfig};
 use csspgo_ir::inst::InstKind;
 use csspgo_ir::{cfg, BasicBlock, BlockId, Function, Module};
 
@@ -23,13 +23,6 @@ pub fn run(module: &mut Module, config: &OptConfig) {
         }
         run_function(func, MAX_INSTS);
     }
-}
-
-fn real_len(insts: &[csspgo_ir::Inst]) -> usize {
-    insts
-        .iter()
-        .filter(|i| !matches!(i.kind, InstKind::PseudoProbe { .. }))
-        .count()
 }
 
 /// Duplicates eligible join blocks into predecessors ending in an
@@ -88,11 +81,7 @@ pub fn run_function(func: &mut Function, max_insts: usize) -> usize {
             // conservative — if j ends up unreachable it is removed below
             // and the factor remains a valid upper bound.
             let copies = targets.len() as u32 + 1;
-            for inst in &mut func.block_mut(j).insts {
-                if let InstKind::PseudoProbe { factor, .. } = &mut inst.kind {
-                    *factor = factor.saturating_mul(copies);
-                }
-            }
+            scale_probe_factors(&mut func.block_mut(j).insts, copies);
         }
         let mut absorbed = 0u64;
         for &p in &targets {

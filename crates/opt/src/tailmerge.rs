@@ -30,7 +30,7 @@ pub fn run(module: &mut Module) {
 /// instruction kinds) and block id, so blocks of one shape lie together in
 /// block order and no shape is copied or hashed; a merge re-places only
 /// the blocks whose branches it rewrote.
-pub fn run_function(func: &mut Function) -> usize {
+fn run_function(func: &mut Function) -> usize {
     // A block branching to itself cannot merge safely with another
     // self-looping block (targets differ once remapped); skip loops.
     let eligible =

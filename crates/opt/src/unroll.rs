@@ -15,6 +15,7 @@
 //!
 //! Profile maintenance divides the loop counts across the copies.
 
+use crate::{real_len, scale_probe_factors};
 use csspgo_ir::inst::InstKind;
 use csspgo_ir::{cfg, BlockId, Function, Module};
 
@@ -27,24 +28,6 @@ const MAX_BODY: usize = 14;
 pub fn run(module: &mut Module) {
     for func in &mut module.functions {
         run_function(func, FACTOR, MAX_BODY);
-    }
-}
-
-fn real_len(insts: &[csspgo_ir::Inst]) -> usize {
-    insts
-        .iter()
-        .filter(|i| !matches!(i.kind, InstKind::PseudoProbe { .. }))
-        .count()
-}
-
-/// Multiplies the duplication factor of every probe in `insts` by `k`: each
-/// probe now co-exists with `k` times as many copies of itself. Applied to
-/// the original *and* every clone, keeping probe counts summable.
-fn scale_probe_factors(insts: &mut [csspgo_ir::Inst], k: u32) {
-    for inst in insts {
-        if let InstKind::PseudoProbe { factor, .. } = &mut inst.kind {
-            *factor = factor.saturating_mul(k);
-        }
     }
 }
 

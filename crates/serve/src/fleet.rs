@@ -202,7 +202,7 @@ impl FleetConfig {
     ///
     /// Returns [`FleetError::InvalidConfig`] for a zero queue depth or an
     /// invalid inner pipeline config.
-    pub fn validate(&self) -> Result<(), FleetError> {
+    fn validate(&self) -> Result<(), FleetError> {
         if self.refresh_queue_cap == 0 {
             return Err(FleetError::InvalidConfig(
                 "refresh_queue_cap must be non-zero: every drift refresh would be dropped".into(),
@@ -222,7 +222,7 @@ impl FleetConfig {
 #[derive(Debug)]
 #[non_exhaustive]
 pub enum FleetError {
-    /// A configuration combination rejected by [`FleetConfig::validate`].
+    /// A configuration or tenant spec the fleet refuses before serving.
     InvalidConfig(String),
     /// The fleet was given no tenants to serve.
     NoTenants,

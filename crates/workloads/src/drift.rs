@@ -339,7 +339,7 @@ pub enum Mutator {
 
 impl Mutator {
     /// Stable name, used in release labels and bench records.
-    pub fn name(&self) -> &'static str {
+    fn name(&self) -> &'static str {
         match self {
             Mutator::InsertComments => "insert_comments",
             Mutator::InsertBodyComments => "insert_body_comments",
