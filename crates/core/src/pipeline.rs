@@ -305,10 +305,7 @@ impl fmt::Display for PipelineError {
             PipelineError::Stream(msg) => write!(f, "stream aggregation error: {msg}"),
             PipelineError::Inconsistent(msg) => write!(f, "internal inconsistency: {msg}"),
             PipelineError::UnknownGlobal(name) => {
-                write!(
-                    f,
-                    "workload stages global `{name}`, which its program does not declare"
-                )
+                write!(f, "workload stages unknown global `{name}`")
             }
         }
     }

@@ -366,12 +366,10 @@ impl FleetBinaries {
         // what `FleetService::new` could not stage.
         let sim = cfg.pipeline.sim_config(0);
         for (ti, v) in &versions {
-            if let Err(e) = staged_machine(&v.binary, &specs[*ti].workload, sim.clone()) {
-                let (id, label) = (specs[*ti].id, &v.spec.label);
-                return Err(FleetError::InvalidConfig(format!(
-                    "tenant {id} version {label}: {e}"
-                )));
-            }
+            let (tenant, label) = (&specs[*ti], &v.spec.label);
+            staged_machine(&v.binary, &tenant.workload, sim.clone()).map_err(|e| {
+                FleetError::InvalidConfig(format!("tenant {} version {label}: {e}", tenant.id))
+            })?;
         }
         Ok(FleetBinaries {
             specs: specs.to_vec(),
