@@ -593,3 +593,59 @@ fn one_source_model() {
         &found,
     );
 }
+
+/// How many times `line` calls `name` (given with its opening parenthesis):
+/// occurrences not inside a longer identifier and not its definition.
+fn calls(line: &str, name: &str) -> usize {
+    (line.match_indices(name))
+        .filter(|&(i, _)| {
+            let before = &line[..i];
+            !before.ends_with(|c: char| c.is_alphanumeric() || c == '_') && !before.ends_with("fn ")
+        })
+        .count()
+}
+
+#[test]
+fn one_loader_one_lowering() {
+    let mut found = Vec::new();
+    let annotate = file("crates/core/src/annotate.rs");
+    for step in ["top_down_order()", "replay_inlines(", "apply("] {
+        let n: usize = annotate.code().map(|(_, t)| calls(t, step)).sum();
+        if n != 1 {
+            found.push(format!(
+                "{}: {n} non-test calls of `{step}`, not 1",
+                annotate.path
+            ));
+        }
+    }
+    let lower = file("crates/codegen/src/lower.rs");
+    for kind in [
+        "Copy",
+        "Bin",
+        "Cmp",
+        "Select",
+        "Load",
+        "Store",
+        "CounterIncr",
+        "Call",
+        "Ret",
+    ] {
+        let name = format!("MInstKind::{kind}");
+        let n: usize = (lower.code())
+            .map(|(_, t)| {
+                let ends = t.match_indices(&name).map(|(i, _)| &t[i + name.len()..]);
+                ends.filter(|rest| !rest.starts_with(|c: char| c.is_alphanumeric() || c == '_'))
+                    .count()
+            })
+            .sum();
+        if n != 1 {
+            found.push(format!("{}: {n} non-test `{name}`, not 1", lower.path));
+        }
+    }
+    holds(
+        "One loader, one lowering",
+        "§10.1",
+        "AutoFDO and both CSSPGO arms share one sample loader (one top-down walk, one replay, one `apply`), and codegen lowers every straight-line instruction through one conversion",
+        &found,
+    );
+}
