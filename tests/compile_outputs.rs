@@ -11,7 +11,10 @@
 //! Last come the sample loader's own outputs: each program's base source
 //! and its `drift::change_cfg` rebuild annotated, before any optimisation,
 //! from its AutoFDO, probe-only and full-CSSPGO profiles at two inline
-//! budgets, under stale-profile recovery.
+//! budgets, under stale-profile recovery. After them, the profiles
+//! themselves: the FNV-1a of each one's binprof bytes and text, plus the
+//! debug-info profile of the probed build and the merge of two hosts'
+//! AutoFDO profiles.
 //!
 //! The golden was written before the optimiser and code generator moved to
 //! dense per-function tables and must never be re-blessed for a change that
@@ -20,6 +23,8 @@
 
 use csspgo::codegen::{lower_module, Binary};
 use csspgo::core::annotate::{autofdo_annotate, csspgo_annotate, AnnotateConfig};
+use csspgo::core::binprof::{encode_context, encode_flat, encode_probe};
+use csspgo::core::merge::merge_flat;
 use csspgo::core::pipeline::{
     autofdo_profile, context_profile, finish_probe_profile, optimized_build, prepared_module,
     probe_only_profile, profiling_build, profiling_run, wire_handoff, BuildProfile, PgoVariant,
@@ -27,6 +32,7 @@ use csspgo::core::pipeline::{
 };
 use csspgo::core::preinline::run_preinliner;
 use csspgo::core::stalematch::StaleMatching;
+use csspgo::core::textprof::{write_context, write_flat};
 use csspgo::core::Workload;
 use csspgo::ir::{InlinePlan, Module};
 use csspgo::workloads::drift;
@@ -44,14 +50,32 @@ const GENERATED: u64 = 48;
 /// Traffic scale of the profiling runs behind the PGO rows.
 const SCALE: f64 = 0.05;
 
-/// FNV-1a, 64 bit, over the `Debug` rendering of `value`.
-fn fnv_debug(value: &impl std::fmt::Debug) -> u64 {
+/// FNV-1a, 64 bit, over `bytes`.
+fn fnv(bytes: &[u8]) -> u64 {
     let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for b in format!("{value:?}").bytes() {
+    for &b in bytes {
         hash ^= b as u64;
         hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
     }
     hash
+}
+
+/// FNV-1a, 64 bit, over the `Debug` rendering of `value`.
+fn fnv_debug(value: &impl std::fmt::Debug) -> u64 {
+    fnv(format!("{value:?}").as_bytes())
+}
+
+/// A golden row for one profile: the FNV-1a of its binprof bytes and, for
+/// the kinds `textprof` writes as text, of its text.
+fn profile_row(case: String, bytes: &[u8], text: Option<&str>) -> String {
+    let text = text.map_or(String::new(), |t| {
+        format!(", \"text_fnv\": {}", fnv(t.as_bytes()))
+    });
+    format!(
+        "  {{\"case\": \"{case}\", \"binprof_fnv\": {}, \"binprof_len\": {}{text}}}",
+        fnv(bytes),
+        bytes.len()
+    )
 }
 
 fn workloads() -> Vec<Workload> {
@@ -108,7 +132,13 @@ fn profiled(w: &Workload, variant: PgoVariant, config: &PipelineConfig) -> Binar
 
 /// The three profiles of `w`'s base source that the compiler is handed —
 /// AutoFDO, probe-only and full CSSPGO — each through the wire hand-off.
-fn loader_profiles(w: &Workload, config: &PipelineConfig) -> Vec<(&'static str, BuildProfile)> {
+/// Pushes each one's profile row to `rows`, with the debug-info profile of
+/// the probed build and the merge of two halves of the AutoFDO samples.
+fn loader_profiles(
+    w: &Workload,
+    config: &PipelineConfig,
+    rows: &mut Vec<String>,
+) -> Vec<(&'static str, BuildProfile)> {
     let w = w.scaled(SCALE);
     let shards = config.ingest_shards;
     let mut out = Vec::new();
@@ -119,17 +149,49 @@ fn loader_profiles(w: &Workload, config: &PipelineConfig) -> Vec<(&'static str, 
         let samples = profiling_run(&built, &w, config.sim_config(config.sample_period))
             .expect("training traffic completes")
             .samples;
+        let case = |label: &str| format!("{}/profile/{label}", w.name);
         if variant == PgoVariant::AutoFdo {
-            let flat = BuildProfile::Flat(autofdo_profile(&built, &samples, shards));
-            out.push(("autofdo", flat));
+            let flat = autofdo_profile(&built, &samples, shards);
+            rows.push(profile_row(
+                case("autofdo"),
+                &encode_flat(&flat),
+                Some(&write_flat(&flat)),
+            ));
+            let (first, second) = samples.split_at(samples.len() / 2);
+            let mut merged = autofdo_profile(&built, first, shards);
+            merge_flat(&mut merged, &autofdo_profile(&built, second, shards));
+            rows.push(profile_row(
+                case("merge"),
+                &encode_flat(&merged),
+                Some(&write_flat(&merged)),
+            ));
+            out.push(("autofdo", BuildProfile::Flat(flat)));
             continue;
         }
-        let probe_only = BuildProfile::Probe(probe_only_profile(&built, &samples, shards));
-        out.push(("probe_only", probe_only));
+        let on_probes = autofdo_profile(&built, &samples, shards);
+        rows.push(profile_row(
+            case("dwarf_on_probes"),
+            &encode_flat(&on_probes),
+            Some(&write_flat(&on_probes)),
+        ));
+        let probe_only = probe_only_profile(&built, &samples, shards);
+        rows.push(profile_row(
+            case("probe_only"),
+            &encode_probe(&probe_only),
+            None,
+        ));
+        out.push(("probe_only", BuildProfile::Probe(probe_only)));
         let mut generated = context_profile(&built, &samples, shards);
         generated.profile.trim_cold(config.trim_threshold);
         run_preinliner(&mut generated.profile, &built, &config.preinline);
+        let text = write_context(&generated.profile);
+        rows.push(profile_row(
+            case("context"),
+            &encode_context(&generated.profile),
+            Some(&text),
+        ));
         let full = finish_probe_profile(&generated.profile, &generated.range_counts, &built);
+        rows.push(profile_row(case("csspgo"), &encode_probe(&full), None));
         out.push(("csspgo", BuildProfile::Probe(full)));
     }
     out.into_iter()
@@ -139,11 +201,12 @@ fn loader_profiles(w: &Workload, config: &PipelineConfig) -> Vec<(&'static str, 
 
 /// The golden's rows for the sample loader: every annotated module (block
 /// and entry counts, provenance tags, edge counts and the replayed inlines)
-/// before optimisation, and its `AnnotateStats`.
+/// before optimisation, and its `AnnotateStats`; then the profile rows.
 fn loader_rows(config: &PipelineConfig) -> Vec<String> {
     let mut rows = Vec::new();
+    let mut profile_rows = Vec::new();
     for w in workloads() {
-        let profiles = loader_profiles(&w, config);
+        let profiles = loader_profiles(&w, config, &mut profile_rows);
         let drifted = drift::change_cfg(&w.source);
         for (release, source) in [("base", &w.source), ("change_cfg", &drifted)] {
             for (label, profile) in &profiles {
@@ -177,6 +240,7 @@ fn loader_rows(config: &PipelineConfig) -> Vec<String> {
             }
         }
     }
+    rows.extend(profile_rows);
     rows
 }
 
