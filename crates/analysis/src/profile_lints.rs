@@ -5,7 +5,7 @@
 
 use crate::diag::{lint, Policy, Report};
 use csspgo_core::context::{ContextNode, ContextProfile};
-use csspgo_core::profile::{ProbeFuncProfile, ProbeProfile};
+use csspgo_core::profile::{FuncProfile, ProbeProfile};
 use csspgo_core::stalematch::is_stale;
 use csspgo_ir::Module;
 
@@ -62,7 +62,7 @@ fn check_func_profile(
     unit: &str,
     module: &Module,
     guid: u64,
-    fp: &ProbeFuncProfile,
+    fp: &FuncProfile<u32>,
     path: &str,
     names: &std::collections::BTreeMap<u64, String>,
     report: &mut Report,
@@ -86,7 +86,7 @@ fn check_func_profile(
                     ),
                 );
             }
-            for &index in fp.probes.keys() {
+            for &index in fp.body.keys() {
                 if index == 0 || index >= func.next_probe_index {
                     report.emit(
                         policy,

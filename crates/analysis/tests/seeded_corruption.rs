@@ -27,7 +27,7 @@
 
 use csspgo_analysis::{Analyzer, Diagnostic, Policy, Report, Severity};
 use csspgo_core::context::{ContextNode, ContextProfile};
-use csspgo_core::profile::{ProbeFuncProfile, ProbeProfile};
+use csspgo_core::profile::{FuncProfile, ProbeProfile};
 use csspgo_ir::ids::BlockId;
 use csspgo_ir::Module;
 
@@ -168,7 +168,7 @@ fn child_context_within_its_parents_bound_is_lint_free() {
 
 /// A one-function probe profile for `main`, built from the module's own
 /// checksum and probe watermark by `build`.
-fn main_profile(m: &Module, build: impl FnOnce(u64, u32) -> ProbeFuncProfile) -> ProbeProfile {
+fn main_profile(m: &Module, build: impl FnOnce(u64, u32) -> FuncProfile<u32>) -> ProbeProfile {
     let func = m.func(m.find_function("main").unwrap());
     let checksum = func
         .probe_checksum
@@ -184,9 +184,9 @@ fn main_profile(m: &Module, build: impl FnOnce(u64, u32) -> ProbeFuncProfile) ->
 #[test]
 fn stale_profile_checksum_fires_pf004() {
     let m = fresh_module();
-    let profile = main_profile(&m, |checksum, _| ProbeFuncProfile {
+    let profile = main_profile(&m, |checksum, _| FuncProfile {
         checksum: checksum ^ 0xdead_beef, // perturbed: stale binary
-        ..ProbeFuncProfile::default()
+        ..FuncProfile::default()
     });
     let report = findings(|a| a.analyze_probe_profile("seeded", &m, &profile));
     assert!(
@@ -200,11 +200,11 @@ fn stale_profile_checksum_fires_pf004() {
 fn out_of_range_profile_probe_fires_pf005() {
     let m = fresh_module();
     let profile = main_profile(&m, |checksum, next_probe_index| {
-        let mut fp = ProbeFuncProfile {
+        let mut fp = FuncProfile {
             checksum,
-            ..ProbeFuncProfile::default()
+            ..FuncProfile::default()
         };
-        fp.probes.insert(next_probe_index + 7, 123); // never allocated
+        fp.body.insert(next_probe_index + 7, 123); // never allocated
         fp
     });
     let report = findings(|a| a.analyze_probe_profile("seeded", &m, &profile));
@@ -219,11 +219,11 @@ fn out_of_range_profile_probe_fires_pf005() {
 fn matching_checksum_and_allocated_probes_are_lint_free() {
     let m = fresh_module();
     let profile = main_profile(&m, |checksum, next_probe_index| {
-        let mut fp = ProbeFuncProfile {
+        let mut fp = FuncProfile {
             checksum,
-            ..ProbeFuncProfile::default()
+            ..FuncProfile::default()
         };
-        fp.probes.insert(next_probe_index - 1, 123); // the last real probe
+        fp.body.insert(next_probe_index - 1, 123); // the last real probe
         fp
     });
     let report = findings(|a| a.analyze_probe_profile("clean", &m, &profile));

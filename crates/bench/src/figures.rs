@@ -17,7 +17,6 @@ use csspgo_core::pipeline::{
     run_pgo_cycle_drifted, PipelineConfig, ProfilingRun,
 };
 use csspgo_core::stalematch::StaleMatching;
-use csspgo_core::textprof::probe_profile_nodes;
 use csspgo_core::Workload;
 use csspgo_ir::probe::ProbeConfig;
 use csspgo_opt::instrument::Placement;
@@ -431,7 +430,7 @@ fn ablation_ctx_trim(ctx: &Ctx) -> Vec<Table> {
     // The context-insensitive (probe-only) profile is the size baseline.
     let (binary, run) = profiled(w, &ctx.cfg);
     let flat_profile = probe_only_profile(&binary, &run.samples, ctx.cfg.ingest_shards);
-    let flat = probe_profile_nodes(&flat_profile);
+    let flat = flat_profile.node_count();
     let mut t = ctx.table(
         "Ablation — cold-context trimming (haas)",
         "trim threshold | trie nodes before | after | size vs flat {:.1}x | perf vs AutoFDO {:+.2}%",

@@ -23,7 +23,7 @@
 //!   truth), measured or Kirchhoff-recovered. They skip inference.
 
 use crate::inference::{infer_dense, mcf, InferenceMode, InferenceStats};
-use crate::profile::{FlatFuncProfile, FlatProfile, LocKey, ProbeFuncProfile, ProbeProfile};
+use crate::profile::{FlatProfile, FuncProfile, LocKey, ProbeProfile};
 use crate::stalematch::{
     is_stale, match_stale_profile, FuncMatchStatus, MatchConfig, StaleMatching,
 };
@@ -292,12 +292,12 @@ fn replay_inlines(module: &mut Module, fid: FuncId, budget: usize, reader: Reade
 enum Reader<'p> {
     /// AutoFDO: counts keyed by `(line offset, discriminator)`, reached
     /// through a debug location's inline stack. Never stale.
-    Lines(&'p FlatFuncProfile),
+    Lines(&'p FuncProfile<LocKey>),
     /// CSSPGO: counts keyed by block probe, reached through a probe's
     /// inline stack, and gated on the CFG checksum. `full` is the
     /// [`InlinePlan`] marker: every nested call site with a body replays.
     Probes {
-        fp: &'p ProbeFuncProfile,
+        fp: &'p FuncProfile<u32>,
         full: bool,
     },
 }
@@ -335,7 +335,7 @@ impl Reader<'_> {
                     inline_stack,
                     ..
                 } => probe_site(fp, module, inline_stack, *owner)?
-                    .probes
+                    .body
                     .get(index)
                     .copied(),
                 _ => None,
@@ -366,7 +366,7 @@ impl Reader<'_> {
                     .and_then(|sub| sub.callsites.get(&(*index, guid)))
                     .is_some_and(|nested| {
                         if full {
-                            !nested.probes.is_empty()
+                            !nested.body.is_empty()
                         } else {
                             worth_replaying(nested.total(), body)
                         }
@@ -380,44 +380,52 @@ impl Reader<'_> {
 /// The sub-profile holding `loc`'s leaf, reached through its debug inline
 /// stack, and the leaf's key in it.
 fn line_site<'p>(
-    fp: &'p FlatFuncProfile,
+    fp: &'p FuncProfile<LocKey>,
     module: &Module,
     loc: &DebugLoc,
-) -> Option<(&'p FlatFuncProfile, LocKey)> {
+) -> Option<(&'p FuncProfile<LocKey>, LocKey)> {
     let key = |func: FuncId, line, discriminator| {
         LocKey::new(line, module.func(func).start_line, discriminator)
     };
     if loc.scope == FuncId::INVALID {
         return None;
     }
-    let mut cur = fp;
-    for (k, site) in loc.inline_stack.iter().enumerate() {
-        let callee = loc.inline_stack.get(k + 1).map_or(loc.scope, |s| s.func);
-        if callee == FuncId::INVALID {
-            return None;
-        }
-        let at = (
-            key(site.func, site.line, site.discriminator),
-            module.func(callee).guid,
-        );
-        cur = cur.callsites.get(&at)?;
-    }
-    Some((cur, key(loc.scope, loc.line, loc.discriminator)))
+    let sub = nested(fp, module, &loc.inline_stack, loc.scope, |s| {
+        (s.func, key(s.func, s.line, s.discriminator))
+    })?;
+    Some((sub, key(loc.scope, loc.line, loc.discriminator)))
 }
 
 /// The sub-profile a probe of `owner` with inline stack `stack` reads.
 fn probe_site<'p>(
-    fp: &'p ProbeFuncProfile,
+    fp: &'p FuncProfile<u32>,
     module: &Module,
     stack: &[ProbeSite],
     owner: FuncId,
-) -> Option<&'p ProbeFuncProfile> {
+) -> Option<&'p FuncProfile<u32>> {
+    nested(fp, module, stack, owner, |s| (s.func, s.probe_index))
+}
+
+/// The one walk down `callsites`: the sub-profile an inline stack reaches,
+/// each frame of `stack` a call site in function `frame(s).0` at anchor
+/// `frame(s).1`, calling the next frame's function (`leaf` after the
+/// last). `None` when a frame names no function or the profile nests no
+/// such call.
+fn nested<'p, K: Ord, S>(
+    fp: &'p FuncProfile<K>,
+    module: &Module,
+    stack: &[S],
+    leaf: FuncId,
+    frame: impl Fn(&S) -> (FuncId, K),
+) -> Option<&'p FuncProfile<K>> {
     let mut cur = fp;
-    for (k, site) in stack.iter().enumerate() {
-        let callee = stack.get(k + 1).map_or(owner, |s| s.func);
-        cur = cur
-            .callsites
-            .get(&(site.probe_index, module.func(callee).guid))?;
+    let mut frames = stack.iter().map(frame).peekable();
+    while let Some((_, at)) = frames.next() {
+        let callee = frames.peek().map_or(leaf, |&(f, _)| f);
+        if callee == FuncId::INVALID {
+            return None;
+        }
+        cur = cur.callsites.get(&(at, module.func(callee).guid))?;
     }
     Some(cur)
 }

@@ -22,7 +22,7 @@
 //! bytes, which the snapshot tests rely on.
 
 use crate::context::{ContextNode, ContextProfile};
-use crate::profile::{FlatFuncProfile, FlatProfile, LocKey, ProbeFuncProfile, ProbeProfile};
+use crate::profile::{FlatProfile, FuncProfile, LocKey, ProbeProfile, Profile};
 use crate::stream::Snapshot;
 use std::borrow::Cow;
 use std::collections::BTreeMap;
@@ -112,9 +112,18 @@ impl fmt::Display for DecodeError {
                 )
             }
             DecodeError::Kind { found, expected } => {
+                let name = |k: u8| match k {
+                    1 => Cow::from("a context profile"),
+                    2 => "a probe profile".into(),
+                    3 => "a flat profile".into(),
+                    4 => "a stream snapshot".into(),
+                    k => format!("unknown kind {k}").into(),
+                };
                 write!(
                     f,
-                    "binprof kind mismatch: found {found}, expected {expected}"
+                    "binprof kind mismatch: found {}, expected {}",
+                    name(*found),
+                    name(*expected)
                 )
             }
             DecodeError::Truncated => write!(f, "binprof payload truncated"),
@@ -455,58 +464,111 @@ fn decode_doc<T>(
 }
 
 // ---------------------------------------------------------------------------
-// Shared body pieces: probe counts, `(probe, callee)` children
+// One node codec: counts per anchor, `(anchor, callee)` children
 // ---------------------------------------------------------------------------
 
-fn encode_u32_counts(buf: &mut Vec<u8>, counts: &BTreeMap<u32, u64>) {
-    put_uvarint(buf, counts.len() as u64);
-    let mut prev = 0u32;
-    for (&k, &v) in counts {
-        put_uvarint(buf, u64::from(k.wrapping_sub(prev)));
-        put_uvarint(buf, v);
-        prev = k;
+/// A profile anchor's wire codec. Keys are written in ascending order, each
+/// one's leading `u32` as a delta off the previous key's.
+trait Anchor: Copy + Ord + Default {
+    /// The document kind and body section of a profile anchored on `Self`.
+    const DOC: (Kind, u8);
+    /// Whether a node stores its CFG checksum: a probe node does, a flat
+    /// one does not (debug info has none).
+    const CHECKSUM: bool;
+    /// The part of the key the next key is a delta off.
+    fn lead(self) -> u32;
+    /// Writes the key after one whose lead was `prev`.
+    fn put(self, buf: &mut Vec<u8>, prev: u32);
+    /// Reads a key written after one whose lead was `prev`.
+    fn get(r: &mut Reader<'_>, prev: u32) -> Result<Self, DecodeError>;
+}
+
+/// A probe index.
+impl Anchor for u32 {
+    const DOC: (Kind, u8) = (Kind::Probe, section::PROBE_FUNCS);
+    const CHECKSUM: bool = true;
+    fn lead(self) -> u32 {
+        self
+    }
+    fn put(self, buf: &mut Vec<u8>, prev: u32) {
+        put_uvarint(buf, u64::from(self.wrapping_sub(prev)));
+    }
+    fn get(r: &mut Reader<'_>, prev: u32) -> Result<u32, DecodeError> {
+        r.u32_delta(prev, "probe index overflow")
     }
 }
 
-fn decode_u32_counts(r: &mut Reader<'_>) -> Result<BTreeMap<u32, u64>, DecodeError> {
+/// A line offset (the delta) and its discriminator.
+impl Anchor for LocKey {
+    const DOC: (Kind, u8) = (Kind::Flat, section::FLAT_FUNCS);
+    const CHECKSUM: bool = false;
+    fn lead(self) -> u32 {
+        self.line_offset
+    }
+    fn put(self, buf: &mut Vec<u8>, prev: u32) {
+        put_uvarint(buf, u64::from(self.line_offset.wrapping_sub(prev)));
+        put_uvarint(buf, u64::from(self.discriminator));
+    }
+    fn get(r: &mut Reader<'_>, prev: u32) -> Result<LocKey, DecodeError> {
+        Ok(LocKey {
+            line_offset: r.u32_delta(prev, "line offset overflow")?,
+            discriminator: u32::try_from(r.uvarint()?)
+                .map_err(|_| DecodeError::Corrupt("discriminator overflow"))?,
+        })
+    }
+}
+
+/// Writes counts per anchor: a count, then per entry its key and count.
+fn encode_counts<K: Anchor>(buf: &mut Vec<u8>, counts: &BTreeMap<K, u64>) {
+    put_uvarint(buf, counts.len() as u64);
+    let mut prev = 0u32;
+    for (&k, &v) in counts {
+        k.put(buf, prev);
+        put_uvarint(buf, v);
+        prev = k.lead();
+    }
+}
+
+/// Reads counts written by [`encode_counts`].
+fn decode_counts<K: Anchor>(r: &mut Reader<'_>) -> Result<BTreeMap<K, u64>, DecodeError> {
     let n = r.len_prefixed()?;
     let mut out = BTreeMap::new();
     let mut prev = 0u32;
     for _ in 0..n {
-        let k = r.u32_delta(prev, "probe index overflow")?;
+        let k = K::get(r, prev)?;
         out.insert(k, r.count()?);
-        prev = k;
+        prev = k.lead();
     }
     Ok(out)
 }
 
-/// Writes call-site children keyed `(call probe, callee GUID)`: a count,
-/// then per child its probe delta, its callee and its body by `put`.
-fn encode_children<T>(buf: &mut Vec<u8>, children: &BTreeMap<(u32, u64), T>, put: Put<T>) {
+/// Writes call-site children keyed `(anchor, callee GUID)`: a count, then
+/// per child its key, its callee and its body by `put`.
+fn encode_children<K: Anchor, T>(buf: &mut Vec<u8>, children: &BTreeMap<(K, u64), T>, put: Put<T>) {
     put_uvarint(buf, children.len() as u64);
     let mut prev = 0u32;
-    for (&(probe, callee), child) in children {
-        put_uvarint(buf, u64::from(probe.wrapping_sub(prev)));
+    for (&(k, callee), child) in children {
+        k.put(buf, prev);
         put_uvarint(buf, callee);
         put(buf, child);
-        prev = probe;
+        prev = k.lead();
     }
 }
 
 /// Reads children written by [`encode_children`], one level below `depth`.
-fn decode_children<T>(
+fn decode_children<K: Anchor, T>(
     r: &mut Reader<'_>,
     depth: usize,
     get: Get<T>,
-) -> Result<BTreeMap<(u32, u64), T>, DecodeError> {
+) -> Result<BTreeMap<(K, u64), T>, DecodeError> {
     let n = r.len_prefixed()?;
     let mut out = BTreeMap::new();
     let mut prev = 0u32;
     for _ in 0..n {
-        let probe = r.u32_delta(prev, "callsite probe overflow")?;
+        let k = K::get(r, prev)?;
         let callee = r.uvarint()?;
-        out.insert((probe, callee), get(r, nested(depth)?)?);
-        prev = probe;
+        out.insert((k, callee), get(r, nested(depth)?)?);
+        prev = k.lead();
     }
     Ok(out)
 }
@@ -528,7 +590,7 @@ fn encode_context_node(buf: &mut Vec<u8>, node: &ContextNode) {
     buf.push(u8::from(node.inlined));
     put_uvarint(buf, node.checksum);
     put_uvarint(buf, node.entry);
-    encode_u32_counts(buf, &node.probes);
+    encode_counts(buf, &node.probes);
     encode_children(buf, &node.children, encode_context_node);
 }
 
@@ -541,7 +603,7 @@ fn decode_context_node(r: &mut Reader<'_>, depth: usize) -> Result<ContextNode, 
         inlined: flags == 1,
         checksum: r.uvarint()?,
         entry: r.count()?,
-        probes: decode_u32_counts(r)?,
+        probes: decode_counts(r)?,
         children: decode_children(r, depth, decode_context_node)?,
     })
 }
@@ -569,117 +631,57 @@ pub fn decode_context(bytes: &[u8]) -> Result<ContextProfile, DecodeError> {
 }
 
 // ---------------------------------------------------------------------------
-// Probe profile
+// Probe and flat (AutoFDO-style) profiles
 // ---------------------------------------------------------------------------
 
-fn encode_probe_func(buf: &mut Vec<u8>, f: &ProbeFuncProfile) {
+fn encode_func<K: Anchor>(buf: &mut Vec<u8>, f: &FuncProfile<K>) {
     put_uvarint(buf, f.entry);
-    put_uvarint(buf, f.checksum);
-    encode_u32_counts(buf, &f.probes);
-    encode_children(buf, &f.callsites, encode_probe_func);
+    if K::CHECKSUM {
+        put_uvarint(buf, f.checksum);
+    }
+    encode_counts(buf, &f.body);
+    encode_children(buf, &f.callsites, encode_func);
 }
 
-fn decode_probe_func(r: &mut Reader<'_>, depth: usize) -> Result<ProbeFuncProfile, DecodeError> {
-    Ok(ProbeFuncProfile {
+fn decode_func<K: Anchor>(r: &mut Reader<'_>, depth: usize) -> Result<FuncProfile<K>, DecodeError> {
+    Ok(FuncProfile {
         entry: r.count()?,
-        checksum: r.uvarint()?,
-        probes: decode_u32_counts(r)?,
-        callsites: decode_children(r, depth, decode_probe_func)?,
+        checksum: if K::CHECKSUM { r.uvarint()? } else { 0 },
+        body: decode_counts(r)?,
+        callsites: decode_children(r, depth, decode_func)?,
     })
+}
+
+fn encode_profile<K: Anchor>(profile: &Profile<K>) -> Vec<u8> {
+    let (kind, tag) = K::DOC;
+    encode_doc(kind, tag, &profile.names, &profile.funcs, encode_func)
+}
+
+fn decode_profile<K: Anchor>(bytes: &[u8]) -> Result<Profile<K>, DecodeError> {
+    let (kind, tag) = K::DOC;
+    let (funcs, names) = decode_doc(bytes, kind, tag, decode_func)?;
+    Ok(Profile { funcs, names })
 }
 
 /// Serializes a [`ProbeProfile`] to the binprof wire format.
 pub fn encode_probe(profile: &ProbeProfile) -> Vec<u8> {
-    encode_doc(
-        Kind::Probe,
-        section::PROBE_FUNCS,
-        &profile.names,
-        &profile.funcs,
-        encode_probe_func,
-    )
+    encode_profile(profile)
 }
 
 /// Deserializes a [`ProbeProfile`] from the binprof wire format.
 pub fn decode_probe(bytes: &[u8]) -> Result<ProbeProfile, DecodeError> {
-    let (funcs, names) = decode_doc(bytes, Kind::Probe, section::PROBE_FUNCS, decode_probe_func)?;
-    Ok(ProbeProfile { funcs, names })
+    decode_profile(bytes)
 }
 
-// ---------------------------------------------------------------------------
-// Flat (AutoFDO-style) profile
-// ---------------------------------------------------------------------------
-
-fn put_lockey(buf: &mut Vec<u8>, prev: &mut u32, key: LocKey) {
-    put_uvarint(buf, u64::from(key.line_offset.wrapping_sub(*prev)));
-    put_uvarint(buf, u64::from(key.discriminator));
-    *prev = key.line_offset;
-}
-
-fn get_lockey(r: &mut Reader<'_>, prev: &mut u32) -> Result<LocKey, DecodeError> {
-    let line_offset = r.u32_delta(*prev, "line offset overflow")?;
-    let discriminator =
-        u32::try_from(r.uvarint()?).map_err(|_| DecodeError::Corrupt("discriminator overflow"))?;
-    *prev = line_offset;
-    Ok(LocKey {
-        line_offset,
-        discriminator,
-    })
-}
-
-fn encode_flat_func(buf: &mut Vec<u8>, f: &FlatFuncProfile) {
-    put_uvarint(buf, f.entry);
-    put_uvarint(buf, f.body.len() as u64);
-    let mut prev = 0u32;
-    for (&key, &count) in &f.body {
-        put_lockey(buf, &mut prev, key);
-        put_uvarint(buf, count);
-    }
-    put_uvarint(buf, f.callsites.len() as u64);
-    let mut prev = 0u32;
-    for (&(key, callee), child) in &f.callsites {
-        put_lockey(buf, &mut prev, key);
-        put_uvarint(buf, callee);
-        encode_flat_func(buf, child);
-    }
-}
-
-fn decode_flat_func(r: &mut Reader<'_>, depth: usize) -> Result<FlatFuncProfile, DecodeError> {
-    let mut f = FlatFuncProfile {
-        entry: r.count()?,
-        ..FlatFuncProfile::default()
-    };
-    let n_body = r.len_prefixed()?;
-    let mut prev = 0u32;
-    for _ in 0..n_body {
-        let key = get_lockey(r, &mut prev)?;
-        f.body.insert(key, r.count()?);
-    }
-    let n_sites = r.len_prefixed()?;
-    let mut prev = 0u32;
-    for _ in 0..n_sites {
-        let key = get_lockey(r, &mut prev)?;
-        let callee = r.uvarint()?;
-        f.callsites
-            .insert((key, callee), decode_flat_func(r, nested(depth)?)?);
-    }
-    Ok(f)
-}
-
-/// Serializes a [`FlatProfile`] to the binprof wire format.
+/// Serializes a [`FlatProfile`] to the binprof wire format. Flat nodes
+/// store no checksum.
 pub fn encode_flat(profile: &FlatProfile) -> Vec<u8> {
-    encode_doc(
-        Kind::Flat,
-        section::FLAT_FUNCS,
-        &profile.names,
-        &profile.funcs,
-        encode_flat_func,
-    )
+    encode_profile(profile)
 }
 
 /// Deserializes a [`FlatProfile`] from the binprof wire format.
 pub fn decode_flat(bytes: &[u8]) -> Result<FlatProfile, DecodeError> {
-    let (funcs, names) = decode_doc(bytes, Kind::Flat, section::FLAT_FUNCS, decode_flat_func)?;
-    Ok(FlatProfile { funcs, names })
+    decode_profile(bytes)
 }
 
 // ---------------------------------------------------------------------------
@@ -908,13 +910,13 @@ mod tests {
             discriminator: 0,
         };
         for depth in [MAX_DEPTH, MAX_DEPTH + 1] {
-            let mut flat = FlatFuncProfile::default();
-            let mut probe = ProbeFuncProfile::default();
+            let mut flat = FuncProfile::<LocKey>::default();
+            let mut probe = FuncProfile::<u32>::default();
             for _ in 0..depth {
-                let mut parent = FlatFuncProfile::default();
+                let mut parent = FuncProfile::<LocKey>::default();
                 parent.callsites.insert((key, 7), flat);
                 flat = parent;
-                let mut parent = ProbeFuncProfile::default();
+                let mut parent = FuncProfile::<u32>::default();
                 parent.callsites.insert((4, 7), probe);
                 probe = parent;
             }

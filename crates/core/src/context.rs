@@ -3,7 +3,7 @@
 //! Each node profiles one function *under one calling context*: the path of
 //! `(function, call-site probe)` frames from an un-inlined root function.
 //! Children are keyed by `(call-site probe index, callee GUID)` — the same
-//! navigation as [`crate::profile::ProbeFuncProfile`], which is what the
+//! navigation as [`crate::profile::FuncProfile`], which is what the
 //! trie collapses into once the pre-inliner has decided which contexts stay
 //! inlined.
 //!
@@ -13,7 +13,7 @@
 //! per-function base profiles.
 
 use crate::fasthash::FastMap;
-use crate::profile::{ProbeFuncProfile, ProbeProfile};
+use crate::profile::{FuncProfile, ProbeProfile};
 use std::collections::BTreeMap;
 
 /// A frame in a context key: call-site probe `probe` inside function `guid`.
@@ -205,13 +205,13 @@ impl ContextProfile {
         // own base profiles.
         fn convert<'a>(
             node: &'a ContextNode,
-            dest: &mut ProbeFuncProfile,
+            dest: &mut FuncProfile<u32>,
             deferred: &mut Vec<(u64, &'a ContextNode)>,
         ) {
             dest.checksum = node.checksum;
             dest.entry += node.entry;
-            for (p, c) in &node.probes {
-                *dest.probes.entry(*p).or_insert(0) += c;
+            for (&p, &c) in &node.probes {
+                dest.record_sum(p, c);
             }
             for ((probe, callee), child) in &node.children {
                 if child.inlined {
@@ -721,13 +721,13 @@ mod tests {
             .inlined = true;
         let pp = cp.to_probe_profile();
         // Inlined context stays nested under main.
-        assert_eq!(pp.funcs[&1].callsites[&(3, 9)].probes[&1], 100);
+        assert_eq!(pp.funcs[&1].callsites[&(3, 9)].body[&1], 100);
         // Non-inlined context became guid 9's base profile...
-        assert_eq!(pp.funcs[&9].probes[&1], 40);
+        assert_eq!(pp.funcs[&9].body[&1], 40);
         // ...but leaves a weightless call-edge stub behind: the anchor
         // label survives, the counts do not.
         let stub = &pp.funcs[&1].callsites[&(4, 9)];
-        assert!(stub.probes.is_empty());
+        assert!(stub.body.is_empty());
         assert_eq!(stub.total(), 0, "stubs must not add weight");
         // Total weight is conserved: 5 (main) + 100 (inlined) + 40 (base).
         assert_eq!(pp.total(), 145);

@@ -13,141 +13,102 @@
 //!   duplicated probes **SUM**; the recorded CFG checksum rides along for
 //!   staleness detection.
 
-use crate::profile::{FlatFuncProfile, FlatProfile, LocKey, ProbeFuncProfile, ProbeProfile};
+use crate::profile::{FlatProfile, FuncProfile, LocKey, ProbeProfile, Profile};
 use crate::ranges::RangeCounts;
 use csspgo_codegen::Binary;
-use std::collections::BTreeSet;
-
-/// GUIDs a flat profile can ask a name for: nested call-site callees.
-fn collect_flat_guids(f: &FlatFuncProfile, out: &mut BTreeSet<u64>) {
-    for (&(_, callee), child) in &f.callsites {
-        out.insert(callee);
-        collect_flat_guids(child, out);
-    }
-}
-
-/// GUIDs a probe profile can ask a name for: nested call-site callees.
-fn collect_probe_guids(f: &ProbeFuncProfile, out: &mut BTreeSet<u64>) {
-    for (&(_, callee), child) in &f.callsites {
-        out.insert(callee);
-        collect_probe_guids(child, out);
-    }
-}
-
-/// Fills `names` from the binary's function table, but only for GUIDs the
-/// profile actually references. The former per-build "clone every function
-/// name" loop was O(program size) per correlation regardless of how little
-/// was profiled; sharing the binary's name table by borrow and copying
-/// just the referenced entries keeps profile construction proportional to
-/// profile content.
-fn name_referenced(
-    names: &mut std::collections::BTreeMap<u64, String>,
-    binary: &Binary,
-    needed: &BTreeSet<u64>,
-) {
-    for &guid in needed {
-        if let Some(f) = binary.func_by_guid(guid) {
-            names.insert(guid, f.name.clone());
-        }
-    }
-}
+use csspgo_ir::FuncId;
+use std::collections::BTreeMap;
+use std::iter::once;
 
 /// Builds an AutoFDO-style profile from LBR range counts.
 pub fn dwarf_profile(binary: &Binary, rc: &RangeCounts) -> FlatProfile {
-    let counts = rc.inst_counts(binary);
-    let mut out = FlatProfile::default();
-
-    for (idx, &count) in counts.iter().enumerate() {
-        if count == 0 {
-            continue;
-        }
-        let frames = binary.debug_frames(idx);
-        if frames.is_empty() {
-            continue; // debug-info decay: the sample is lost
-        }
-        let top = &binary.funcs[frames[0].0.index()];
-        let mut cur: &mut FlatFuncProfile = out.funcs.entry(top.guid).or_default();
-        for k in 0..frames.len() - 1 {
-            let (func, line, disc) = frames[k];
-            let start = binary.funcs[func.index()].start_line;
-            let key = LocKey::new(line, start, disc);
-            let callee_guid = binary.funcs[frames[k + 1].0.index()].guid;
-            cur = cur.callsite_mut(key, callee_guid);
-        }
-        let (leaf_func, line, disc) = *frames.last().expect("non-empty frames");
-        let start = binary.funcs[leaf_func.index()].start_line;
-        cur.record_max(LocKey::new(line, start, disc), count);
-    }
-
-    for (fidx, c) in rc.entry_counts(binary) {
-        let guid = binary.funcs[fidx as usize].guid;
-        out.funcs.entry(guid).or_default().entry += c;
-    }
-    let mut needed: BTreeSet<u64> = out.funcs.keys().copied().collect();
-    for f in out.funcs.values() {
-        collect_flat_guids(f, &mut needed);
-    }
-    name_referenced(&mut out.names, binary, &needed);
-    out
+    let func = |f: FuncId| &binary.funcs[f.index()];
+    // An instruction without frames (debug-info decay) has no anchor: the
+    // sample is lost.
+    correlate(binary, rc, FuncProfile::record_max, false, |idx| {
+        let frames = binary.debug_frames(idx).iter();
+        once(frames.map(move |&(f, line, disc)| {
+            (func(f).guid, LocKey::new(line, func(f).start_line, disc))
+        }))
+    })
 }
 
 /// Builds a (context-insensitive) probe profile from LBR range counts.
 pub fn probe_profile(binary: &Binary, rc: &RangeCounts) -> ProbeProfile {
-    let counts = rc.inst_counts(binary);
-    let mut out = ProbeProfile::default();
+    let guid = |f: FuncId| binary.funcs[f.index()].guid;
+    // A probe's frames are its inline stack (a call-site probe per frame),
+    // then the probe in its owner.
+    correlate(binary, rc, FuncProfile::record_sum, true, |idx| {
+        binary.insts[idx].probes.iter().map(move |note| {
+            let sites = note.inline_stack.iter();
+            let sites = sites.map(move |site| (guid(site.func), site.probe_index));
+            sites.chain(once((note.owner_guid, note.index)))
+        })
+    })
+}
 
-    for (idx, &count) in counts.iter().enumerate() {
+/// The one correlation loop. `anchors(idx)` yields instruction `idx`'s
+/// anchors, each as its frames outermost first (a function's GUID and the
+/// anchor in it), the leaf last. Each count lands at its leaf anchor,
+/// nested under the call sites above it, by `record` (MAX or SUM); then the
+/// LBR entry counts are added, every profiled GUID is named from the
+/// binary's function table (only those, so that building a profile stays
+/// proportional to its content) and, when `stamp`, every (nested) profile
+/// takes its function's CFG checksum.
+fn correlate<
+    K: Ord + Copy + Default,
+    A: IntoIterator<Item = (u64, K)>,
+    I: IntoIterator<Item = A>,
+>(
+    binary: &Binary,
+    rc: &RangeCounts,
+    record: fn(&mut FuncProfile<K>, K, u64),
+    stamp: bool,
+    anchors: impl Fn(usize) -> I,
+) -> Profile<K> {
+    let mut out = Profile::default();
+    for (idx, &count) in rc.inst_counts(binary).iter().enumerate() {
         if count == 0 {
             continue;
         }
-        for note in &binary.insts[idx].probes {
-            // Navigate by the probe's inline stack: each frame is a
-            // call-site probe in some function.
-            let top_guid = note
-                .inline_stack
-                .first()
-                .map(|s| binary.funcs[s.func.index()].guid)
-                .unwrap_or(note.owner_guid);
-            let mut cur: &mut ProbeFuncProfile = out.funcs.entry(top_guid).or_default();
-            for (k, site) in note.inline_stack.iter().enumerate() {
-                let callee_guid = note
-                    .inline_stack
-                    .get(k + 1)
-                    .map(|s| binary.funcs[s.func.index()].guid)
-                    .unwrap_or(note.owner_guid);
-                cur = cur.callsite_mut(site.probe_index, callee_guid);
+        for frames in anchors(idx) {
+            let mut frames = frames.into_iter();
+            let Some((top, mut key)) = frames.next() else {
+                continue;
+            };
+            let mut cur = out.funcs.entry(top).or_default();
+            for (callee, callee_key) in frames {
+                cur = cur.callsite_mut(key, callee);
+                key = callee_key;
             }
-            cur.record_sum(note.index, count);
+            record(cur, key, count);
         }
     }
-
     for (fidx, c) in rc.entry_counts(binary) {
         let guid = binary.funcs[fidx as usize].guid;
         out.funcs.entry(guid).or_default().entry += c;
     }
 
-    // Stamp checksums (recursively: nested profiles carry their own
-    // function's checksum, found via the callee GUID key).
-    fn stamp(profile: &mut ProbeFuncProfile, guid: u64, binary: &Binary) {
-        if let Some(f) = binary.func_by_guid(guid) {
-            profile.checksum = f.probe_checksum.unwrap_or(0);
+    fn finish<K>(
+        f: &mut FuncProfile<K>,
+        guid: u64,
+        b: &Binary,
+        stamp: bool,
+        names: &mut BTreeMap<u64, String>,
+    ) {
+        if let Some(func) = b.func_by_guid(guid) {
+            names.entry(guid).or_insert_with(|| func.name.clone());
+            if stamp {
+                f.checksum = func.probe_checksum.unwrap_or(0);
+            }
         }
-        let keys: Vec<(u32, u64)> = profile.callsites.keys().copied().collect();
-        for key in keys {
-            let child = profile.callsites.get_mut(&key).expect("key collected");
-            stamp(child, key.1, binary);
+        for (&(_, callee), child) in &mut f.callsites {
+            finish(child, callee, b, stamp, names);
         }
     }
-    let guids: Vec<u64> = out.funcs.keys().copied().collect();
-    for g in guids {
-        let f = out.funcs.get_mut(&g).expect("guid collected");
-        stamp(f, g, binary);
+    for (&guid, f) in &mut out.funcs {
+        finish(f, guid, binary, stamp, &mut out.names);
     }
-    let mut needed: BTreeSet<u64> = out.funcs.keys().copied().collect();
-    for f in out.funcs.values() {
-        collect_probe_guids(f, &mut needed);
-    }
-    name_referenced(&mut out.names, binary, &needed);
     out
 }
 
@@ -237,7 +198,7 @@ fn main(n) {
         let main_guid = b.func_by_name("main").unwrap().guid;
         let main = &p.funcs[&main_guid];
         assert!(main.total() > 0);
-        assert!(main.probes.len() >= 3, "several probes must be hit");
+        assert!(main.body.len() >= 3, "several probes must be hit");
         assert_ne!(main.checksum, 0);
     }
 
@@ -266,7 +227,7 @@ fn main(n) {
         let pd = dwarf_profile(&bd, &rcd);
         let main_guid = bp.func_by_name("main").unwrap().guid;
         let probe_max = pp.funcs[&main_guid]
-            .probes
+            .body
             .values()
             .max()
             .copied()

@@ -6,7 +6,7 @@
 //! count-additive.
 
 use crate::context::{ContextArena, ContextProfile};
-use crate::profile::{FlatFuncProfile, FlatProfile};
+use crate::profile::{FlatProfile, FuncProfile, LocKey};
 use std::collections::BTreeMap;
 
 /// Merges `b` into `a` (flat/AutoFDO profiles). Body counts keyed the same
@@ -21,10 +21,10 @@ pub fn merge_flat(a: &mut FlatProfile, b: &FlatProfile) {
     }
 }
 
-fn merge_flat_func(a: &mut FlatFuncProfile, b: &FlatFuncProfile) {
+fn merge_flat_func(a: &mut FuncProfile<LocKey>, b: &FuncProfile<LocKey>) {
     a.entry += b.entry;
-    for (key, count) in &b.body {
-        *a.body.entry(*key).or_insert(0) += count;
+    for (&key, &count) in &b.body {
+        a.record_sum(key, count);
     }
     for (key, sub) in &b.callsites {
         merge_flat_func(a.callsites.entry(*key).or_default(), sub);

@@ -1,24 +1,26 @@
 //! Profile data models.
 //!
-//! Two shapes mirror the two correlation mechanisms:
+//! AutoFDO and CSSPGO profiles have one shape, [`Profile`]: per function a
+//! count per anchor, an entry count, and *nested* sub-profiles for call
+//! sites whose callees were observed inlined in the profiled binary, keyed
+//! by `(call-site anchor, callee GUID)` (this is what lets the early inliner
+//! replay profiling-build inlining, the paper's §II.B "partial
+//! context-sensitivity"). The kinds differ only in the anchor:
 //!
-//! * [`FlatProfile`] — the AutoFDO-style profile: per function, counts keyed
-//!   by `(line offset, discriminator)`, with *nested* sub-profiles for call
-//!   sites whose callees were observed inlined in the profiled binary (this
-//!   is what lets AutoFDO's early inliner replay profiling-build inlining,
-//!   the paper's §II.B "partial context-sensitivity").
-//! * [`ProbeProfile`] — the CSSPGO probe profile: counts keyed by pseudo-
-//!   probe index, same nesting by call-site probe, plus the CFG checksum for
-//!   staleness detection.
+//! * [`FlatProfile`] — the AutoFDO-style profile, anchored on
+//!   `(line offset, discriminator)` ([`LocKey`]). Debug info carries no CFG
+//!   checksum, so a flat profile's `checksum` stays 0.
+//! * [`ProbeProfile`] — the CSSPGO probe profile, anchored on pseudo-probe
+//!   indices, with the CFG checksum for staleness detection.
 //!
 //! The fully context-sensitive trie lives in [`crate::context`].
 
-use serde::Serialize;
 use std::collections::BTreeMap;
+use std::fmt;
 
 /// An AutoFDO body-count key: line offset from the function header plus
 /// discriminator.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Default)]
 pub struct LocKey {
     /// `line - function_start_line` (0 when the line precedes the header,
     /// which can happen under source drift).
@@ -37,29 +39,49 @@ impl LocKey {
     }
 }
 
-/// AutoFDO-style per-function profile (possibly nested under a call site).
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct FlatFuncProfile {
-    /// Calls observed entering this function (LBR call edges).
-    pub entry: u64,
-    /// Body counts (MAX over machine instructions sharing a key — the
-    /// debug-info heuristic the paper dissects).
-    pub body: BTreeMap<LocKey, u64>,
-    /// Nested profiles for call sites whose callees were inlined in the
-    /// profiled binary, keyed by (call-site location, callee GUID).
-    pub callsites: BTreeMap<(LocKey, u64), FlatFuncProfile>,
+/// `offset` or `offset.discriminator`, as the LLVM text format prints it.
+impl fmt::Display for LocKey {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self.discriminator {
+            0 => write!(f, "{}", self.line_offset),
+            d => write!(f, "{}.{d}", self.line_offset),
+        }
+    }
 }
 
-impl FlatFuncProfile {
+/// One function's profile (possibly nested under a call site), anchored on
+/// `K`: a [`LocKey`] for AutoFDO, a probe index for CSSPGO.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct FuncProfile<K> {
+    /// Calls observed entering this function (LBR call edges).
+    pub entry: u64,
+    /// The CFG checksum recorded in the profiled binary (0 in a flat
+    /// profile: debug info has none).
+    pub checksum: u64,
+    /// Counts per anchor: MAX over machine instructions sharing a line key
+    /// (the debug-info heuristic the paper dissects), SUM over duplicated
+    /// probes (the probe advantage).
+    pub body: BTreeMap<K, u64>,
+    /// Nested profiles for call sites whose callees were inlined in the
+    /// profiled binary, keyed by (call-site anchor, callee GUID).
+    pub callsites: BTreeMap<(K, u64), FuncProfile<K>>,
+}
+
+impl<K: Ord + Default> FuncProfile<K> {
     /// Registers `count` at `key`, keeping the maximum (the debug-info MAX
     /// heuristic).
-    pub fn record_max(&mut self, key: LocKey, count: u64) {
+    pub fn record_max(&mut self, key: K, count: u64) {
         let slot = self.body.entry(key).or_insert(0);
         *slot = (*slot).max(count);
     }
 
+    /// Adds `count` at `key` (duplicated probes sum).
+    pub fn record_sum(&mut self, key: K, count: u64) {
+        *self.body.entry(key).or_insert(0) += count;
+    }
+
     /// Child profile for a call site, creating it on first use.
-    pub fn callsite_mut(&mut self, key: LocKey, callee_guid: u64) -> &mut FlatFuncProfile {
+    pub fn callsite_mut(&mut self, key: K, callee_guid: u64) -> &mut FuncProfile<K> {
         self.callsites.entry((key, callee_guid)).or_default()
     }
 
@@ -68,71 +90,40 @@ impl FlatFuncProfile {
     pub fn total(&self) -> u64 {
         self.body.values().sum::<u64>() + self.callsites.values().map(Self::total).sum::<u64>()
     }
+
+    /// This profile and its nested profiles, counted.
+    pub fn node_count(&self) -> usize {
+        1 + self.callsites.values().map(Self::node_count).sum::<usize>()
+    }
 }
 
-/// A whole-program AutoFDO-style profile.
+/// A whole-program profile: top-level (outermost) function profiles by
+/// GUID, and the names of the GUIDs it references.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct FlatProfile {
-    /// Top-level (outermost) function profiles by GUID.
-    pub funcs: BTreeMap<u64, FlatFuncProfile>,
+pub struct Profile<K> {
+    /// Top-level function profiles by GUID.
+    pub funcs: BTreeMap<u64, FuncProfile<K>>,
     /// GUID → name, for reporting.
     pub names: BTreeMap<u64, String>,
 }
 
-impl FlatProfile {
+impl<K: Ord + Default> Profile<K> {
     /// Total samples across all functions.
     pub fn total(&self) -> u64 {
-        self.funcs.values().map(FlatFuncProfile::total).sum()
+        self.funcs.values().map(FuncProfile::total).sum()
+    }
+
+    /// Function profiles, nested ones included (a size metric for reports).
+    pub fn node_count(&self) -> usize {
+        self.funcs.values().map(FuncProfile::node_count).sum()
     }
 }
 
-/// CSSPGO probe-based per-function profile (possibly nested).
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize)]
-pub struct ProbeFuncProfile {
-    /// Calls observed entering this function.
-    pub entry: u64,
-    /// The CFG checksum recorded in the profiled binary.
-    pub checksum: u64,
-    /// Counts per probe index (SUM over duplicated probes — the probe
-    /// advantage over the MAX heuristic).
-    pub probes: BTreeMap<u32, u64>,
-    /// Nested profiles keyed by (call-site probe index, callee GUID).
-    pub callsites: BTreeMap<(u32, u64), ProbeFuncProfile>,
-}
-
-impl ProbeFuncProfile {
-    /// Adds `count` at probe `index` (duplicated probes sum).
-    pub fn record_sum(&mut self, index: u32, count: u64) {
-        *self.probes.entry(index).or_insert(0) += count;
-    }
-
-    /// Child profile for a call-site probe, creating it on first use.
-    pub fn callsite_mut(&mut self, probe: u32, callee_guid: u64) -> &mut ProbeFuncProfile {
-        self.callsites.entry((probe, callee_guid)).or_default()
-    }
-
-    /// Samples attributed here: its probe counts plus its nested profiles'
-    /// totals.
-    pub fn total(&self) -> u64 {
-        self.probes.values().sum::<u64>() + self.callsites.values().map(Self::total).sum::<u64>()
-    }
-}
+/// A whole-program AutoFDO-style profile.
+pub type FlatProfile = Profile<LocKey>;
 
 /// A whole-program probe profile (probe-only CSSPGO).
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize)]
-pub struct ProbeProfile {
-    /// Top-level function profiles by GUID.
-    pub funcs: BTreeMap<u64, ProbeFuncProfile>,
-    /// GUID → name.
-    pub names: BTreeMap<u64, String>,
-}
-
-impl ProbeProfile {
-    /// Total samples across all functions.
-    pub fn total(&self) -> u64 {
-        self.funcs.values().map(ProbeFuncProfile::total).sum()
-    }
-}
+pub type ProbeProfile = Profile<u32>;
 
 #[cfg(test)]
 mod tests {
@@ -149,7 +140,7 @@ mod tests {
 
     #[test]
     fn flat_profile_keeps_max() {
-        let mut p = FlatFuncProfile::default();
+        let mut p = FuncProfile::<LocKey>::default();
         let k = LocKey {
             line_offset: 1,
             discriminator: 0,
@@ -162,15 +153,15 @@ mod tests {
 
     #[test]
     fn probe_profile_sums() {
-        let mut p = ProbeFuncProfile::default();
+        let mut p = FuncProfile::<u32>::default();
         p.record_sum(3, 10);
         p.record_sum(3, 4); // duplicated probe: summed
-        assert_eq!(p.probes[&3], 14);
+        assert_eq!(p.body[&3], 14);
     }
 
     #[test]
     fn nested_totals_roll_up() {
-        let mut p = FlatFuncProfile::default();
+        let mut p = FuncProfile::<LocKey>::default();
         p.record_max(
             LocKey {
                 line_offset: 0,
@@ -193,5 +184,12 @@ mod tests {
             7,
         );
         assert_eq!(p.total(), 12);
+        assert_eq!(p.node_count(), 2);
+    }
+
+    #[test]
+    fn lockey_prints_the_discriminator_when_there_is_one() {
+        assert_eq!(LocKey::new(13, 10, 0).to_string(), "3");
+        assert_eq!(LocKey::new(13, 10, 2).to_string(), "3.2");
     }
 }

@@ -50,7 +50,7 @@
 //! replay applies nested counts by probe index and has no nested checksum
 //! gate of its own).
 
-use crate::profile::{ProbeFuncProfile, ProbeProfile};
+use crate::profile::{FuncProfile, ProbeProfile};
 use csspgo_ir::probe::{anchor_sequence, cfg_checksum};
 use csspgo_ir::{FuncId, Function, Module};
 use std::cell::OnceCell;
@@ -256,7 +256,7 @@ impl<'m> Fresh<'m> {
 
 /// A profiled function's side.
 struct Recorded<'p> {
-    fp: &'p ProbeFuncProfile,
+    fp: &'p FuncProfile<u32>,
     /// Per call-site probe, every recorded callee, heaviest first (GUID
     /// breaks ties): indirect calls and tail-call unwinding record several.
     callees: BTreeMap<u32, Vec<u64>>,
@@ -265,7 +265,7 @@ struct Recorded<'p> {
 }
 
 impl<'p> Recorded<'p> {
-    fn new(fp: &'p ProbeFuncProfile) -> Self {
+    fn new(fp: &'p FuncProfile<u32>) -> Self {
         let mut callees: BTreeMap<u32, Vec<u64>> = BTreeMap::new();
         for &(probe, callee) in fp.callsites.keys() {
             callees.entry(probe).or_default().push(callee);
@@ -273,7 +273,7 @@ impl<'p> Recorded<'p> {
         for (&probe, recorded) in &mut callees {
             recorded.sort_by_cached_key(|&c| (Reverse(fp.callsites[&(probe, c)].total()), c));
         }
-        let mut probes: BTreeSet<u32> = fp.probes.keys().copied().collect();
+        let mut probes: BTreeSet<u32> = fp.body.keys().copied().collect();
         probes.extend(callees.keys());
         Recorded {
             fp,
@@ -289,7 +289,7 @@ impl<'p> Recorded<'p> {
 /// Below 1.0 on a checksum-matched function is `SM004`, a call retarget the
 /// checksum cannot see; checksum rename evidence needs
 /// [`RENAME_SIMILARITY`] of it.
-fn agreement(calls: &[(u32, u64)], fp: &ProbeFuncProfile) -> f64 {
+fn agreement(calls: &[(u32, u64)], fp: &FuncProfile<u32>) -> f64 {
     let (mut common, mut agree) = (0usize, 0usize);
     for &(probe, label) in calls {
         if fp
@@ -415,14 +415,14 @@ impl<'m> Matcher<'m> {
     fn match_func(
         &self,
         fid: FuncId,
-        fp: &ProbeFuncProfile,
+        fp: &FuncProfile<u32>,
         depth: usize,
         rec: &mut FuncMatch,
-    ) -> ProbeFuncProfile {
+    ) -> FuncProfile<u32> {
         if is_stale(fp.checksum, self.module.func(fid)) {
             return self.align(self.fresh(fid), &Recorded::new(fp), depth, rec);
         }
-        rec.matched_probes += fp.probes.len();
+        rec.matched_probes += fp.body.len();
         let mut out = fp.clone();
         if self.has_stale_nested(fp) {
             for (&(_, callee), sub) in out.callsites.iter_mut() {
@@ -435,7 +435,7 @@ impl<'m> Matcher<'m> {
     /// Does any inlined sub-profile of `fp`, recursively, carry a checksum
     /// the fresh module rejects? (Sub-profiles of functions the module no
     /// longer defines cannot be judged and are left alone.)
-    fn has_stale_nested(&self, fp: &ProbeFuncProfile) -> bool {
+    fn has_stale_nested(&self, fp: &FuncProfile<u32>) -> bool {
         fp.callsites.iter().any(|(&(_, callee), sub)| {
             self.module
                 .find_function_by_guid(callee)
@@ -451,10 +451,10 @@ impl<'m> Matcher<'m> {
     fn nested(
         &self,
         callee: u64,
-        sub: &ProbeFuncProfile,
+        sub: &FuncProfile<u32>,
         depth: usize,
         rec: &mut FuncMatch,
-    ) -> ProbeFuncProfile {
+    ) -> FuncProfile<u32> {
         match self.module.find_function_by_guid(callee) {
             Some(fid) if depth < MAX_DEPTH => self.match_func(fid, sub, depth + 1, rec),
             _ => sub.clone(),
@@ -469,7 +469,7 @@ impl<'m> Matcher<'m> {
         old: &Recorded,
         depth: usize,
         rec: &mut FuncMatch,
-    ) -> ProbeFuncProfile {
+    ) -> FuncProfile<u32> {
         let fp = old.fp;
         // The profile's labeled call anchors: the heaviest recorded callee
         // per call-site probe; the extra ones count as ambiguity.
@@ -535,10 +535,10 @@ impl<'m> Matcher<'m> {
 
         // Transfer counts through the mapping; injectivity is defended with a
         // seen-set so a matcher bug can never double-count.
-        let mut out = ProbeFuncProfile {
+        let mut out = FuncProfile {
             checksum: current_checksum(fresh.func),
             entry: fp.entry,
-            ..ProbeFuncProfile::default()
+            ..FuncProfile::default()
         };
         let mut seen_new: BTreeSet<u32> = BTreeSet::new();
         for (&from, &(to, exact)) in &map {
@@ -551,8 +551,8 @@ impl<'m> Matcher<'m> {
             } else {
                 rec.fuzzy_probes += 1;
             }
-            if let Some(&c) = fp.probes.get(&from) {
-                out.probes.insert(to, c);
+            if let Some(&c) = fp.body.get(&from) {
+                out.body.insert(to, c);
             }
         }
         rec.dropped_probes += old.probes.iter().filter(|p| !map.contains_key(p)).count();
@@ -637,7 +637,7 @@ fn rename_evidence(old_guid: u64, old: &Recorded, cand: &Fresh) -> Option<(bool,
 // ---------------------------------------------------------------------
 
 /// The one [`FuncMatch`] constructor: nothing mapped and nothing kept yet.
-fn record(guid: u64, name: String, old: &ProbeFuncProfile) -> FuncMatch {
+fn record(guid: u64, name: String, old: &FuncProfile<u32>) -> FuncMatch {
     FuncMatch {
         guid,
         name,

@@ -7,9 +7,10 @@
 //!
 //! Two formats:
 //!
-//! * **flat** (AutoFDO-style) — per function, body counts keyed by
-//!   `offset[.discriminator]`, with indentation-nested inlined call-site
-//!   sub-profiles:
+//! * **flat** (AutoFDO-style and probe profiles) — per function, body
+//!   counts keyed by anchor — `offset[.discriminator]` for AutoFDO, the
+//!   probe index for a probe profile — with indentation-nested inlined
+//!   call-site sub-profiles and, in a probe profile, the CFG checksum:
 //!
 //!   ```text
 //!   main:1384:25
@@ -29,13 +30,13 @@
 //!    1: 440
 //!   ```
 //!
-//! A probe profile prints as JSON. Function identity round-trips through
-//! names: GUIDs are name hashes ([`csspgo_ir::probe::function_guid`]), so
-//! the context reader recovers them without a symbol table.
+//! Function identity round-trips through names: GUIDs are name hashes
+//! ([`csspgo_ir::probe::function_guid`]), so the context reader recovers
+//! them without a symbol table.
 
 use crate::binprof::{MAX_COUNT_SUM, MAX_DEPTH};
 use crate::context::{ContextNode, ContextProfile, FrameKey};
-use crate::profile::{FlatFuncProfile, FlatProfile, ProbeFuncProfile, ProbeProfile};
+use crate::profile::{FuncProfile, Profile};
 use csspgo_ir::probe::function_guid;
 use std::collections::BTreeMap;
 use std::error::Error;
@@ -74,29 +75,37 @@ fn too_deep(line: usize, depth: usize) -> ParseError {
     )
 }
 
+/// `guid`'s name, or `guid.<hex>` when the profile names none.
+fn name_of(names: &BTreeMap<u64, String>, guid: u64) -> String {
+    names
+        .get(&guid)
+        .cloned()
+        .unwrap_or_else(|| format!("guid.{guid:x}"))
+}
+
 // ---------------------------------------------------------------------
-// Flat (AutoFDO-style)
+// Flat (AutoFDO-style and probe)
 // ---------------------------------------------------------------------
 
-/// Serializes a flat profile to text.
-pub fn write_flat(profile: &FlatProfile) -> String {
+/// Serializes a flat or probe profile to text, as LLVM prints a line- or
+/// probe-based sample profile: a `name:total:entry` header per function, a
+/// `!CFGChecksum:` line when it has a checksum, an `anchor: count` line per
+/// body count, and each call site's profile one space deeper under an
+/// `anchor@callee` header.
+pub fn write_profile<K: Ord + Default + fmt::Display>(profile: &Profile<K>) -> String {
     let mut out = String::new();
-    for (guid, fp) in &profile.funcs {
-        let name = profile
-            .names
-            .get(guid)
-            .cloned()
-            .unwrap_or_else(|| format!("guid.{guid:x}"));
-        write_flat_func(&mut out, "", &name, fp, 0, &profile.names);
+    for (&guid, fp) in &profile.funcs {
+        let name = name_of(&profile.names, guid);
+        write_func(&mut out, "", &name, fp, 0, &profile.names);
     }
     out
 }
 
-fn write_flat_func(
+fn write_func<K: Ord + Default + fmt::Display>(
     out: &mut String,
     header_prefix: &str,
     name: &str,
-    fp: &FlatFuncProfile,
+    fp: &FuncProfile<K>,
     depth: usize,
     names: &BTreeMap<u64, String>,
 ) {
@@ -106,28 +115,22 @@ fn write_flat_func(
         fp.total(),
         fp.entry
     ));
+    if fp.checksum != 0 {
+        out.push_str(&format!("{pad} !CFGChecksum: {}\n", fp.checksum));
+    }
     for (key, count) in &fp.body {
-        if key.discriminator == 0 {
-            out.push_str(&format!("{pad} {}: {count}\n", key.line_offset));
-        } else {
-            out.push_str(&format!(
-                "{pad} {}.{}: {count}\n",
-                key.line_offset, key.discriminator
-            ));
-        }
+        out.push_str(&format!("{pad} {key}: {count}\n"));
     }
     for ((key, callee), sub) in &fp.callsites {
-        let callee_name = names
-            .get(callee)
-            .cloned()
-            .unwrap_or_else(|| format!("guid.{callee:x}"));
-        let k = if key.discriminator == 0 {
-            format!("{}", key.line_offset)
-        } else {
-            format!("{}.{}", key.line_offset, key.discriminator)
-        };
-        let prefix = format!("{pad} {k}@");
-        write_flat_func(out, &prefix, &callee_name, sub, depth + 1, names);
+        let prefix = format!("{pad} {key}@");
+        write_func(
+            out,
+            &prefix,
+            &name_of(names, *callee),
+            sub,
+            depth + 1,
+            names,
+        );
     }
 }
 
@@ -139,13 +142,7 @@ fn write_flat_func(
 /// bracketed context line (as `llvm-profgen` prints CS profiles).
 pub fn write_context(profile: &ContextProfile) -> String {
     let mut out = String::new();
-    let name = |g: u64| {
-        profile
-            .names
-            .get(&g)
-            .cloned()
-            .unwrap_or_else(|| format!("guid.{g:x}"))
-    };
+    let name = |g: u64| name_of(&profile.names, g);
     fn walk(
         out: &mut String,
         guid: u64,
@@ -281,28 +278,11 @@ pub(crate) fn parse_context(text: &str) -> Result<ContextProfile, ParseError> {
     Ok(profile)
 }
 
-// ---------------------------------------------------------------------
-// Probe profile (flat CSSPGO)
-// ---------------------------------------------------------------------
-
-/// Serializes a probe profile as JSON (lossless).
-pub fn write_probe_json(profile: &ProbeProfile) -> String {
-    serde_json::to_string_pretty(profile).expect("probe profiles are serializable")
-}
-
-/// Total nested profile nodes (a size metric for reports).
-pub fn probe_profile_nodes(profile: &ProbeProfile) -> usize {
-    fn nodes(p: &ProbeFuncProfile) -> usize {
-        1 + p.callsites.values().map(nodes).sum::<usize>()
-    }
-    profile.funcs.values().map(nodes).sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::binprof;
-    use crate::profile::LocKey;
+    use crate::profile::{FlatProfile, LocKey, ProbeProfile};
 
     fn sample_flat() -> FlatProfile {
         let mut p = FlatProfile::default();
@@ -346,7 +326,7 @@ mod tests {
 
     #[test]
     fn flat_text_is_human_readable() {
-        let text = write_flat(&sample_flat());
+        let text = write_profile(&sample_flat());
         assert_eq!(
             text,
             "main:1420:25\n 1: 500\n 2.1: 480\n 3@helper:440:25\n  0: 440\n"
@@ -398,19 +378,24 @@ mod tests {
     }
 
     #[test]
-    fn probe_json_names_every_field() {
+    fn probe_text_is_the_flat_format_with_a_checksum() {
         let mut p = ProbeProfile::default();
-        let g = function_guid("f");
-        p.names.insert(g, "f".into());
-        let fp = p.funcs.entry(g).or_default();
+        let (f, g) = (function_guid("f"), function_guid("g"));
+        p.names.insert(f, "f".into());
+        let fp = p.funcs.entry(f).or_default();
         fp.checksum = 77;
+        fp.entry = 3;
         fp.record_sum(1, 10);
-        let json = write_probe_json(&p);
-        for field in ["\"entry\": 0", "\"checksum\": 77", "\"1\": 10", "\"f\""] {
-            assert!(json.contains(field), "{field} in {json}");
-        }
-        assert!(!json.contains("total"), "{json}");
-        assert_eq!(probe_profile_nodes(&p), 1);
+        let nested = fp.callsite_mut(2, g);
+        nested.checksum = 5;
+        nested.record_sum(1, 4);
+        assert_eq!(
+            write_profile(&p),
+            format!(
+                "f:14:3\n !CFGChecksum: 77\n 1: 10\n 2@guid.{g:x}:4:0\n  !CFGChecksum: 5\n  1: 4\n"
+            )
+        );
+        assert_eq!(p.node_count(), 2);
     }
 
     #[test]
@@ -447,7 +432,7 @@ fn main(n) {
         rc.add_samples(&b, &samples);
         let profile = dwarf_profile(&b, &rc);
         let back = binprof::decode_flat(&binprof::encode_flat(&profile)).unwrap();
-        assert_eq!(write_flat(&back), write_flat(&profile));
+        assert_eq!(write_profile(&back), write_profile(&profile));
         assert_eq!(back, profile);
     }
 

@@ -129,7 +129,7 @@ fn plan_replay_is_exact_not_heuristic() {
         let mut profile = probe_profile_with_nested(&fresh(true));
         let main = profile.funcs.get_mut(&function_guid("main")).unwrap();
         let nested = main.callsites.get_mut(&(call_probe, helper_guid)).unwrap();
-        nested.probes.clear();
+        nested.body.clear();
         if count > 0 {
             nested.record_sum(1, count);
         } else {

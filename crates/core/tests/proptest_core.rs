@@ -6,7 +6,7 @@ use csspgo_core::binprof;
 use csspgo_core::context::{ContextProfile, FrameKey};
 use csspgo_core::inference::{infer_counts, InferenceMode};
 use csspgo_core::overlap::{program_overlap, BlockCounts};
-use csspgo_core::profile::{FlatFuncProfile, FlatProfile, LocKey};
+use csspgo_core::profile::{FlatProfile, FuncProfile, LocKey};
 use csspgo_core::textprof;
 use csspgo_ir::builder::ModuleBuilder;
 use csspgo_ir::inst::{CmpPred, Operand};
@@ -187,7 +187,7 @@ proptest! {
             fp.record_max(LocKey { line_offset: *off, discriminator: *disc }, *count);
         }
         let back = binprof::decode_flat(&binprof::encode_flat(&p)).unwrap();
-        prop_assert_eq!(&p, &back, "text:\n{}", textprof::write_flat(&p));
+        prop_assert_eq!(&p, &back, "text:\n{}", textprof::write_profile(&p));
     }
 
     #[test]
@@ -205,12 +205,12 @@ proptest! {
         for (off, count) in &outer {
             fp.record_max(LocKey { line_offset: *off, discriminator: 0 }, *count);
         }
-        let sub: &mut FlatFuncProfile =
+        let sub: &mut FuncProfile<LocKey> =
             fp.callsite_mut(LocKey { line_offset: site_off, discriminator: 0 }, callee);
         for (off, count) in &inner {
             sub.record_max(LocKey { line_offset: *off, discriminator: 0 }, *count);
         }
         let back = binprof::decode_flat(&binprof::encode_flat(&p)).unwrap();
-        prop_assert_eq!(&p, &back, "text:\n{}", textprof::write_flat(&p));
+        prop_assert_eq!(&p, &back, "text:\n{}", textprof::write_profile(&p));
     }
 }

@@ -53,7 +53,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!(
         "--- flat (AutoFDO-style) profile, {} bytes ---\n{}",
         bytes.len(),
-        textprof::write_flat(&parsed)
+        textprof::write_profile(&parsed)
     );
 
     // --- CSSPGO context profile ---

@@ -64,13 +64,17 @@ USAGE:
   csspgo merge <prof1> <prof2> ... -o <file>
   csspgo show <prof>
   csspgo pgo <src> --entry <fn> --variant o2|instr|autofdo|probe|csspgo
-             [--train a,b] [--eval a,b] [--repeat N]
+             [--train a,b] [--eval a,b] [--repeat N]   (N <= {MAX_PGO_REPEAT})
 
 Sources are MiniLang (.mini); binaries and samples are JSON; profiles are
-binprof documents. `show` prints one as LLVM-style text (a probe profile as
-JSON); `merge` takes flat or context profiles, all of one kind."#
+binprof documents. `show` prints one as LLVM-style text; `merge` takes flat
+or context profiles, all of one kind."#
     );
 }
+
+/// The most training and evaluation calls `pgo --repeat` asks for: the
+/// workload holds each call's arguments before any of them runs.
+const MAX_PGO_REPEAT: usize = 100_000;
 
 /// Pulls `--flag value` out of an argument list.
 fn opt_value(args: &[String], flag: &str) -> Option<String> {
@@ -226,8 +230,7 @@ fn read_profile(path: &str) -> Result<Vec<u8>, String> {
     std::fs::read(path).map_err(|e| format!("reading {path}: {e}"))
 }
 
-/// Prints a profile of any kind as text: flat and context profiles in the
-/// LLVM-style formats, a probe profile as JSON.
+/// Prints a profile of any kind as LLVM-style text.
 fn cmd_show(args: &[String]) -> Result<(), String> {
     let path = args
         .first()
@@ -239,9 +242,9 @@ fn cmd_show(args: &[String]) -> Result<(), String> {
             Err(DecodeError::Kind { .. }) => {
                 binprof::decode_context(&bytes).map(|p| textprof::write_context(&p))
             }
-            probe => probe.map(|p| textprof::write_probe_json(&p)),
+            probe => probe.map(|p| textprof::write_profile(&p)),
         },
-        flat => flat.map(|p| textprof::write_flat(&p)),
+        flat => flat.map(|p| textprof::write_profile(&p)),
     }
     .map_err(|e| format!("{path}: {e}"))?;
     print!("{text}");
@@ -272,6 +275,10 @@ fn cmd_merge(args: &[String]) -> Result<(), String> {
     }
     let first = read_profile(inputs[0])?;
     let bytes = match binprof::decode_flat(&first) {
+        Err(DecodeError::Kind { .. }) if binprof::decode_probe(&first).is_ok() => Err(format!(
+            "merge: {} is a probe profile; merge takes flat or context profiles",
+            inputs[0]
+        )),
         Err(DecodeError::Kind { .. }) => merged(
             &inputs,
             binprof::decode_context,
@@ -331,6 +338,11 @@ fn cmd_pgo(args: &[String]) -> Result<(), String> {
         .map(|v| v.parse().map_err(|_| "bad --repeat"))
         .transpose()?
         .unwrap_or(10);
+    if repeat > MAX_PGO_REPEAT {
+        return Err(format!(
+            "pgo: --repeat {repeat} is past the bound of {MAX_PGO_REPEAT}"
+        ));
+    }
 
     let source =
         std::fs::read_to_string(src_path).map_err(|e| format!("reading {src_path}: {e}"))?;

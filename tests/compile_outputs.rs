@@ -32,7 +32,7 @@ use csspgo::core::pipeline::{
 };
 use csspgo::core::preinline::run_preinliner;
 use csspgo::core::stalematch::StaleMatching;
-use csspgo::core::textprof::{write_context, write_flat};
+use csspgo::core::textprof::{write_context, write_profile};
 use csspgo::core::Workload;
 use csspgo::ir::{InlinePlan, Module};
 use csspgo::workloads::drift;
@@ -155,7 +155,7 @@ fn loader_profiles(
             rows.push(profile_row(
                 case("autofdo"),
                 &encode_flat(&flat),
-                Some(&write_flat(&flat)),
+                Some(&write_profile(&flat)),
             ));
             let (first, second) = samples.split_at(samples.len() / 2);
             let mut merged = autofdo_profile(&built, first, shards);
@@ -163,7 +163,7 @@ fn loader_profiles(
             rows.push(profile_row(
                 case("merge"),
                 &encode_flat(&merged),
-                Some(&write_flat(&merged)),
+                Some(&write_profile(&merged)),
             ));
             out.push(("autofdo", BuildProfile::Flat(flat)));
             continue;
@@ -172,7 +172,7 @@ fn loader_profiles(
         rows.push(profile_row(
             case("dwarf_on_probes"),
             &encode_flat(&on_probes),
-            Some(&write_flat(&on_probes)),
+            Some(&write_profile(&on_probes)),
         ));
         let probe_only = probe_only_profile(&built, &samples, shards);
         rows.push(profile_row(

@@ -19,7 +19,7 @@ use csspgo::core::merge::{merge_flat, merge_tries};
 use csspgo::core::pipeline::{
     prepared_module, run_pgo_cycle, PgoVariant, PipelineConfig, PipelineError,
 };
-use csspgo::core::profile::{FlatFuncProfile, FlatProfile, LocKey, ProbeFuncProfile, ProbeProfile};
+use csspgo::core::profile::{FlatProfile, FuncProfile, LocKey, ProbeProfile};
 use csspgo::core::stream::{SnapshotFormat, StreamAggregator, StreamConfig};
 use csspgo::core::tailcall::TailCallGraph;
 use csspgo::core::Workload;
@@ -67,7 +67,7 @@ fn context_input(name: &str) -> ContextProfile {
 fn serve_unallocated_probe() -> ProbeProfile {
     let mut profile = probe_input("serve.binprof");
     let serve = profile.funcs.get_mut(&function_guid("serve")).unwrap();
-    serve.probes.insert(77, 5);
+    serve.body.insert(77, 5);
     profile
 }
 
@@ -79,10 +79,10 @@ fn helper_impossible_counts() -> ProbeProfile {
     ProbeProfile {
         funcs: [(
             helper,
-            ProbeFuncProfile {
+            FuncProfile {
                 entry: 100,
                 checksum,
-                probes: [(1, 100), (2, 5_000), (3, 5_000), (4, 5_000)].into(),
+                body: [(1, 100), (2, 5_000), (3, 5_000), (4, 5_000)].into(),
                 callsites: BTreeMap::new(),
             },
         )]
@@ -665,7 +665,7 @@ fn an_epoch_outside_the_binary_is_no_evidence_of_drift() {
 /// Every counter of a flat profile — entries and body counts, down through
 /// the inlined call sites — by where it sits.
 fn flat_counters(profile: &FlatProfile) -> BTreeMap<String, u64> {
-    fn walk(f: &FlatFuncProfile, at: String, out: &mut BTreeMap<String, u64>) {
+    fn walk(f: &FuncProfile<LocKey>, at: String, out: &mut BTreeMap<String, u64>) {
         out.insert(format!("{at} entry"), f.entry);
         for (key, count) in &f.body {
             out.insert(format!("{at} {key:?}"), *count);
@@ -759,23 +759,23 @@ fn nested_profiles(depth: usize) -> [Vec<u8>; 3] {
         line_offset,
         discriminator: 0,
     };
-    let mut flat = FlatFuncProfile {
+    let mut flat = FuncProfile {
         body: [(key(1), 1)].into(),
-        ..FlatFuncProfile::default()
+        ..FuncProfile::default()
     };
-    let mut probe = ProbeFuncProfile {
-        probes: [(1, 1)].into(),
-        ..ProbeFuncProfile::default()
+    let mut probe = FuncProfile {
+        body: [(1, 1)].into(),
+        ..FuncProfile::default()
     };
     for level in 0..depth {
         let callee = if level == 0 { helper } else { serve };
-        flat = FlatFuncProfile {
+        flat = FuncProfile {
             callsites: [((key(4), callee), flat)].into(),
-            ..FlatFuncProfile::default()
+            ..FuncProfile::default()
         };
-        probe = ProbeFuncProfile {
+        probe = FuncProfile {
             callsites: [((4, callee), probe)].into(),
-            ..ProbeFuncProfile::default()
+            ..FuncProfile::default()
         };
     }
     let mut context = ContextProfile::new();
@@ -807,7 +807,10 @@ fn nested_profiles(depth: usize) -> [Vec<u8>; 3] {
 /// tools read binprof only: `csspgo show` and `csspgo merge` refuse a
 /// profile 513 call sites deep with exit 1 and `csspgo_lint --profile` with
 /// exit 2, each naming the decoder's error, and show 512. The text restore
-/// still reads a text context and refuses the 50 000-frame path.
+/// still reads a text context and refuses the 50 000-frame path. A profile
+/// of the wrong kind is named by kind: `csspgo merge` of probe profiles
+/// printed `binprof kind mismatch: found 2, expected 1`, and
+/// `csspgo_lint --profile` of a flat one `found 3, expected 1`.
 #[test]
 fn a_context_path_past_the_nesting_bound_is_a_typed_error() {
     let frames = 50_000;
@@ -824,12 +827,14 @@ fn a_context_path_past_the_nesting_bound_is_a_typed_error() {
 
     let dir = scratch_dir("deep");
     let [flat, probe, context] = nested_profiles(512);
+    let mut ok = Vec::new();
     for (kind, bytes) in [("flat", flat), ("probe", probe), ("context", context)] {
         let path = write(&dir, &format!("ok.{kind}"), bytes);
         assert_eq!(
             run_bin(env!("CARGO_BIN_EXE_csspgo"), &["show", &path]).0,
             Some(0)
         );
+        ok.push(path);
     }
     let [flat, probe, context] = nested_profiles(513);
     let flat = write(&dir, "deep.flat", flat);
@@ -864,11 +869,76 @@ fn a_context_path_past_the_nesting_bound_is_a_typed_error() {
             lint.clone(),
             vec!["--profile", &context, "--source", &source],
         ),
+        (
+            (
+                env!("CARGO_BIN_EXE_csspgo"),
+                1,
+                format!(
+                    "csspgo: merge: {} is a probe profile; merge takes flat or context profiles\n",
+                    ok[1]
+                ),
+            ),
+            vec!["merge", &ok[1], &ok[1], "-o", &out],
+        ),
+        (
+            (
+                env!("CARGO_BIN_EXE_csspgo_lint"),
+                2,
+                "csspgo_lint: profile: binprof kind mismatch: found a flat profile, expected a context profile\n".to_string(),
+            ),
+            vec!["--profile", &ok[0], "--source", &source],
+        ),
     ] {
         assert_eq!(run_bin(bin, &args), (Some(code), want), "{args:?}");
     }
     assert!(!Path::new(&out).exists());
     std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// `csspgo show` prints every profile kind as LLVM-style text ending in a
+/// newline: a probe profile in the flat format, with its checksums (it
+/// printed JSON, with no final newline).
+#[test]
+fn show_prints_every_kind_as_text() {
+    for (file, head) in [
+        ("serve_n300_k1.flat.binprof", "serve:53652:0\n 3.1: 10531\n"),
+        (
+            "serve.binprof",
+            "serve:61342:0\n !CFGChecksum: 7211454609221161474\n 2: 10531\n",
+        ),
+        (
+            "serve_n300_k1.context.binprof",
+            "[serve]:63386:0\n checksum: 0x64143bc2587b1202\n",
+        ),
+    ] {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_csspgo"))
+            .args(["show", &input_path(file)])
+            .output()
+            .unwrap();
+        let text = String::from_utf8(out.stdout).unwrap();
+        assert_eq!(out.status.code(), Some(0), "{file}");
+        assert!(text.starts_with(head), "{file}:\n{text}");
+        assert!(text.ends_with('\n'), "{file}:\n{text}");
+    }
+}
+
+/// Parent: `csspgo pgo … --repeat 18446744073709551615` panicked with
+/// `capacity overflow` (exit 101), and a large value allocated its request
+/// vectors before any work ran. Now a value past the bound the usage names
+/// is refused first.
+#[test]
+fn a_pgo_repeat_past_its_bound_is_refused() {
+    let source = input_path("serve.mini");
+    for repeat in ["100001", "18446744073709551615"] {
+        let args = ["pgo", &source, "--entry", "serve", "--repeat", repeat];
+        assert_eq!(
+            run_bin(env!("CARGO_BIN_EXE_csspgo"), &args),
+            (
+                Some(1),
+                format!("csspgo: pgo: --repeat {repeat} is past the bound of 100000\n")
+            )
+        );
+    }
 }
 
 /// ROADMAP 6(b), the JSON readers. Parent: 400 000 nested brackets aborted
@@ -932,7 +1002,7 @@ fn counts_near_the_top_of_u64_are_a_typed_error() {
         let mut profile = probe_input("serve.binprof");
         let mut context = context_input("serve_n300_k1.context.binprof");
         for &p in probes {
-            profile.funcs.get_mut(&serve).unwrap().probes.insert(p, big);
+            profile.funcs.get_mut(&serve).unwrap().body.insert(p, big);
             context.roots.get_mut(&serve).unwrap().probes.insert(p, big);
         }
         for bytes in [
@@ -1029,7 +1099,7 @@ fn unloadable_files_are_errors_naming_the_file() {
         (
             source.as_str(),
             &flat[..],
-            "profile: binprof kind mismatch: found 3, expected 1",
+            "profile: binprof kind mismatch: found a flat profile, expected a context profile",
         ),
         (
             source.as_str(),

@@ -8,7 +8,7 @@ use csspgo::core::pipeline::{
     run_pgo_cycle, wire_handoff, BuildProfile, PgoVariant, PipelineConfig,
 };
 use csspgo::core::preinline::run_preinliner;
-use csspgo::core::profile::{ProbeFuncProfile, ProbeProfile};
+use csspgo::core::profile::{FuncProfile, ProbeProfile};
 use csspgo::core::stalematch::StaleMatching;
 use csspgo::core::stream::StreamConfig;
 use csspgo::core::Workload;
@@ -160,9 +160,9 @@ fn a_refresh_is_the_candidate_build_from_the_live_profile() {
 /// mislead layout/splitting/inlining, which is exactly the failure a
 /// canary gate exists to catch.
 fn corrupt_profile(profile: &mut ProbeProfile) {
-    fn invert(f: &mut ProbeFuncProfile) {
-        let max = f.probes.values().copied().max().unwrap_or(0);
-        for c in f.probes.values_mut() {
+    fn invert(f: &mut FuncProfile<u32>) {
+        let max = f.body.values().copied().max().unwrap_or(0);
+        for c in f.body.values_mut() {
             *c = max - *c + 1;
         }
         f.entry = f.entry.max(1);
@@ -179,12 +179,12 @@ fn corrupt_profile(profile: &mut ProbeProfile) {
 fn corruption_inverts_hot_and_cold() {
     let mut p = ProbeProfile::default();
     let f = p.funcs.entry(1).or_default();
-    f.probes.insert(1, 100);
-    f.probes.insert(2, 0);
+    f.body.insert(1, 100);
+    f.body.insert(2, 0);
     corrupt_profile(&mut p);
     let f = &p.funcs[&1];
-    assert_eq!(f.probes[&1], 1, "hottest probe must go cold");
-    assert_eq!(f.probes[&2], 101, "coldest probe must go hot");
+    assert_eq!(f.body[&1], 1, "hottest probe must go cold");
+    assert_eq!(f.body[&2], 101, "coldest probe must go hot");
     assert_eq!(f.total(), 102);
 }
 

@@ -12,7 +12,7 @@
 //! rebuilt differently; the hash of the recovered profile can.
 
 use csspgo::core::pipeline::{prepared_module, untrimmed_probe_profile};
-use csspgo::core::profile::{ProbeFuncProfile, ProbeProfile};
+use csspgo::core::profile::{FuncProfile, ProbeProfile};
 use csspgo::core::stalematch::{
     match_stale_profile, FuncMatch, FuncMatchStatus, MatchConfig, MatchOutcome,
 };
@@ -68,12 +68,12 @@ impl Fingerprint {
         }
     }
 
-    fn walk(&mut self, f: &ProbeFuncProfile) {
+    fn walk(&mut self, f: &FuncProfile<u32>) {
         self.nodes += 1;
         self.mix(f.checksum);
         self.mix(f.entry);
-        self.mix(f.probes.len() as u64);
-        for (&probe, &count) in &f.probes {
+        self.mix(f.body.len() as u64);
+        for (&probe, &count) in &f.body {
             self.mix(u64::from(probe));
             self.mix(count);
         }

@@ -649,3 +649,43 @@ fn one_loader_one_lowering() {
         &found,
     );
 }
+
+#[test]
+fn one_profile_shape() {
+    let mut found = Vec::new();
+    let profile = file("crates/core/src/profile.rs");
+    let shapes: Vec<usize> = (profile.code())
+        .filter_map(|(l, t)| t.find("struct ").map(|c| (l, c)))
+        .filter(|&(l, c)| {
+            (l..=item_end(&profile.lines, l, c))
+                .any(|i| declares_field(&profile.lines[i], "callsites"))
+        })
+        .map(|(l, _)| l)
+        .collect();
+    if shapes.len() != 1 {
+        found.extend(lines_where(&profile, shapes.into_iter(), |_| true));
+    }
+    let correlate = file("crates/core/src/correlate.rs");
+    for step in ["inst_counts(", "entry_counts("] {
+        let n: usize = correlate.code().map(|(_, t)| calls(t, step)).sum();
+        if n != 1 {
+            found.push(format!(
+                "{}: {n} non-test calls of `{step}`, not 1",
+                correlate.path
+            ));
+        }
+    }
+    let binprof = file("crates/core/src/binprof.rs");
+    found.extend(lines_where(&binprof, binprof.code().map(|(l, _)| l), |l| {
+        any_of(l, &["encode_flat_func", "encode_probe_func"])
+    }));
+    found.extend(grep(&["crates/core/src/profile.rs"], |l| {
+        l.contains("Serialize")
+    }));
+    holds(
+        "One profile shape",
+        "§8.1",
+        "AutoFDO and probe profiles are one generic function-profile type, correlated by one loop and encoded by one node codec; no profile type serialises",
+        &found,
+    );
+}
