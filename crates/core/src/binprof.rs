@@ -469,7 +469,7 @@ fn decode_doc<T>(
 
 /// A profile anchor's wire codec. Keys are written in ascending order, each
 /// one's leading `u32` as a delta off the previous key's.
-trait Anchor: Copy + Ord + Default {
+trait Anchor: Copy + Ord {
     /// The document kind and body section of a profile anchored on `Self`.
     const DOC: (Kind, u8);
     /// Whether a node stores its CFG checksum: a probe node does, a flat
