@@ -1,11 +1,12 @@
 //! Bit-identity oracle for the compiler: the FNV-1a of the `Debug`
 //! rendering of every optimised [`Module`] and every lowered [`Binary`] of
 //! the six `csspgo_workloads` programs — each base source and the five
-//! releases `drift::release_chain` derives from it, built at `-O2` and with
-//! pseudo-probes — plus the profile-guided CSSPGO and AutoFDO rebuilds of
+//! releases `drift::release_chain` derives from it, built at `-O2`, with
+//! pseudo-probes, and with pseudo-probes under the full probe barrier (the
+//! only builds whose loops reach the unroller while-shaped) — plus the profile-guided CSSPGO and AutoFDO rebuilds of
 //! each base source, pinned in `tests/golden/compile_outputs.json`. The same
 //! golden pins the front end: the module `lang::compile` returns for a fixed
-//! set of generated programs (and their `-O2` and probed builds), and the
+//! set of generated programs (and their `-O2`, probed and barrier builds), and the
 //! `CompileError` it returns for each program cut short at three points,
 //! with a variable undeclared, a helper renamed and a stray character.
 //! Last come the sample loader's own outputs: each program's base source
@@ -34,6 +35,7 @@ use csspgo::core::preinline::run_preinliner;
 use csspgo::core::stalematch::StaleMatching;
 use csspgo::core::textprof::{write_context, write_profile};
 use csspgo::core::Workload;
+use csspgo::ir::probe::ProbeConfig;
 use csspgo::ir::{InlinePlan, Module};
 use csspgo::workloads::drift;
 use proptest::{Strategy, TestRng};
@@ -94,6 +96,19 @@ fn sources(w: &Workload) -> Vec<(String, String)> {
         out.push((format!("r{}-{mutator}", i + 1), src));
     }
     out
+}
+
+/// The unprofiled builds each source is pinned at: `-O2`, probed, and
+/// probed under the full probe barrier, where tail duplication no longer
+/// rotates while loops, so the unroller sees them while-shaped.
+fn builds(config: &PipelineConfig) -> [(&'static str, bool, PipelineConfig); 3] {
+    let mut barrier = config.clone();
+    barrier.opt.probe = ProbeConfig::high_accuracy();
+    [
+        ("o2", false, config.clone()),
+        ("probes", true, config.clone()),
+        ("barrier", true, barrier),
+    ]
 }
 
 /// Optimises and lowers `source` without a profile.
@@ -245,7 +260,8 @@ fn loader_rows(config: &PipelineConfig) -> Vec<String> {
 }
 
 /// The golden's rows for the generated programs: the front end's module,
-/// the `-O2` and probed builds of it, and the error of each truncation.
+/// the `-O2`, probed and barrier builds of it, and the error of each
+/// truncation.
 fn front_end_rows(config: &PipelineConfig) -> Vec<String> {
     let mut rows = Vec::new();
     for case in 0..GENERATED {
@@ -256,8 +272,8 @@ fn front_end_rows(config: &PipelineConfig) -> Vec<String> {
             "  {{\"case\": \"gen{case}/front\", \"module_fnv\": {}}}",
             fnv_debug(&front)
         );
-        for (label, probes) in [("o2", false), ("probes", true)] {
-            let (module, binary) = unprofiled(&source, "gen", probes, config);
+        for (label, probes, config) in builds(config) {
+            let (module, binary) = unprofiled(&source, "gen", probes, &config);
             row.push_str(&format!(
                 ",\n  {{\"case\": \"gen{case}/{label}\", \"module_fnv\": {}, \"binary_fnv\": {}, \"insts\": {}}}",
                 fnv_debug(&module),
@@ -302,7 +318,7 @@ fn every_compile_matches_golden() {
     let mut rows = Vec::new();
     for w in workloads() {
         for (release, source) in sources(&w) {
-            for (label, probes) in [("o2", false), ("probes", true)] {
+            for (label, probes, config) in builds(&config) {
                 let (module, binary) = unprofiled(&source, &w.name, probes, &config);
                 rows.push(format!(
                     "  {{\"case\": \"{}/{release}/{label}\", \"module_fnv\": {}, \"binary_fnv\": {}, \"insts\": {}}}",
