@@ -18,7 +18,7 @@ use csspgo_core::pipeline::{
 };
 use csspgo_core::stalematch::StaleMatching;
 use csspgo_core::Workload;
-use csspgo_ir::probe::ProbeConfig;
+use csspgo_ir::probe::ProbeBarrier;
 use csspgo_opt::instrument::Placement;
 use csspgo_serve::fleet::{
     FleetBinaries, FleetConfig, FleetEvent, FleetService, TenantId, TenantSpec, VersionSpec,
@@ -106,10 +106,9 @@ impl Ctx {
     }
 
     /// Outcomes of the variants `vs` on `w` under `cfg`: the matrix row when
-    /// `cfg` is the default configuration (compared through `Debug`, for
-    /// want of a `PartialEq`), fresh cycles otherwise.
+    /// `cfg` is the default configuration, fresh cycles otherwise.
     fn under(&self, w: &Workload, vs: &[PgoVariant], cfg: &PipelineConfig) -> Cow<'_, Outcomes> {
-        if format!("{cfg:?}") == format!("{:?}", self.cfg) {
+        if *cfg == self.cfg {
             return Cow::Borrowed(&self.one(&w.name).1);
         }
         Cow::Owned(run_variants(w, vs, cfg))
@@ -404,8 +403,8 @@ fn ablation_probe_blocking(ctx: &Ctx) -> Vec<Table> {
         "probe tuning | probed binary cycles | overhead vs unprobed {:+.3}% | block overlap vs instr {:.1}%",
     );
     for (name, probe) in [
-        ("low-overhead (production)", ProbeConfig::low_overhead()),
-        ("high-accuracy (barrier)", ProbeConfig::high_accuracy()),
+        ("low-overhead (production)", ProbeBarrier::None),
+        ("high-accuracy (barrier)", ProbeBarrier::Duplication),
     ] {
         let mut cfg = ctx.cfg.clone();
         cfg.opt.probe = probe;
@@ -490,8 +489,8 @@ fn ablation_pebs(ctx: &Ctx) -> Vec<Table> {
 /// different overhead and performance balance with CSSPGO to further
 /// approach instrumentation-based PGO performance."
 ///
-/// This sweep enumerates the probe-blocking lattice between the production
-/// low-overhead point and the full-barrier point, measuring for each:
+/// This sweep walks the probe-barrier levels from the production
+/// low-overhead point to the full-barrier point, measuring for each:
 /// profiling-binary overhead (what production pays) and the resulting full
 /// CSSPGO evaluation performance (what better correlation buys).
 fn extension_balance_sweep(ctx: &Ctx) -> Vec<Table> {
@@ -503,19 +502,17 @@ fn extension_balance_sweep(ctx: &Ctx) -> Vec<Table> {
         "probe tuning | profiling overhead % {:+.3} | full CSSPGO vs AutoFDO {:+.2}%",
     );
     t.heading += &format!("\n(Instr PGO reference: {instr_gain:+.2}% over AutoFDO)\n");
-    // Blocked: [if-convert, code motion, jump threading (duplication)].
-    for (name, [block_if_convert, block_code_motion, block_jump_threading]) in [
-        ("production (nothing blocked)", [false, false, false]),
-        ("+ block if-convert", [true, false, false]),
-        ("+ block code motion", [true, true, false]),
-        ("full barrier (+ block duplication)", [true, true, true]),
+    for (name, probe) in [
+        ("production (nothing blocked)", ProbeBarrier::None),
+        ("+ block if-convert", ProbeBarrier::IfConvert),
+        ("+ block code motion", ProbeBarrier::CodeMotion),
+        (
+            "full barrier (+ block duplication)",
+            ProbeBarrier::Duplication,
+        ),
     ] {
         let mut cfg = ctx.cfg.clone();
-        cfg.opt.probe = ProbeConfig {
-            block_if_convert,
-            block_code_motion,
-            block_jump_threading,
-        };
+        cfg.opt.probe = probe;
         let overhead = size_delta_pct(plain, probed_o2_cycles(w, &cfg));
         let o = ctx.under(w, &[CsspgoFull], &cfg);
         let perf = improvement_pct(autofdo, o[&CsspgoFull].eval.cycles);

@@ -33,5 +33,5 @@ pub use lower::lower_module;
 /// one configuration. Its register count is a constant beside the code that
 /// reads it (the crate-private spill planner), and every call in return position
 /// becomes a tail jump.
-#[derive(Clone, Copy, Debug, Default)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct CodegenConfig {}

@@ -36,7 +36,7 @@ use csspgo_opt::inliner::{inline_call, real_size};
 use std::collections::{HashMap, HashSet};
 
 /// Annotation tuning.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct AnnotateConfig {
     /// Maximum replayed inlines per function.
     pub inline_budget: usize,

@@ -87,7 +87,7 @@ impl fmt::Display for PgoVariant {
 /// Either way [`PipelineConfig::validate`] runs where a configuration is
 /// consumed ([`run_pgo_cycle_drifted`], `FleetBinaries::compile`), so
 /// validity does not depend on how the struct was built.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct PipelineConfig {
     /// Optimizer knobs (shared across variants for fair comparison).
     pub opt: OptConfig,

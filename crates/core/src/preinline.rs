@@ -27,7 +27,7 @@ use std::collections::{BinaryHeap, HashMap, HashSet};
 /// The parameter type of [`run_preinliner`]. It has no fields: the
 /// pre-inliner has one configuration, and its thresholds are constants
 /// beside the code that reads them.
-#[derive(Clone, Copy, Debug, Default)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct PreInlineConfig {}
 
 /// **Algorithm 3**: context-sensitive function sizes extracted from the

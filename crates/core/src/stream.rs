@@ -74,7 +74,7 @@ use std::time::Instant;
 
 /// Streaming-aggregation knobs (embedded in
 /// [`crate::pipeline::PipelineConfig`] and validated by its builder).
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct StreamConfig {
     /// Maximum samples buffered between epoch seals; `push_batch` refuses
     /// to grow past this, which is the bounded-memory contract.

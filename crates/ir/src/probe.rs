@@ -1,5 +1,5 @@
 //! Pseudo-probe support types: probe kinds, inline-stack frames, CFG
-//! checksums and the optimization-blocking configuration.
+//! checksums and the optimization-barrier level.
 //!
 //! Pseudo-instrumentation (paper §III.A) inserts one *block probe* into every
 //! basic block and one *call probe* before every call site, early in the
@@ -51,48 +51,28 @@ impl fmt::Display for ProbeSite {
 }
 
 /// How strongly pseudo-probes block optimizations (paper §III.A: "a flexible
-/// framework ... a desired balance between overhead and accuracy").
+/// framework ... a desired balance between overhead and accuracy"): one
+/// ordered dial, where each level blocks everything the level below it
+/// blocks plus one more class of transform. A pass gated by a level skips
+/// probed code when the configured barrier is at or above that level.
 ///
 /// Code *merge* is always blocked — distinct probes must never merge, that is
-/// the point of the mechanism. The remaining knobs trade run-time overhead
-/// against profile accuracy; the paper's production tuning unblocks them all
-/// ("we fine-tune a few critical optimizations, including if-convert, machine
-/// sink and instruction scheduling, to be unblocked by pseudo-probe").
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub struct ProbeConfig {
-    /// Probes block if-conversion of the guarded blocks.
-    pub block_if_convert: bool,
-    /// Probes block sinking/hoisting code motion (LICM).
-    pub block_code_motion: bool,
-    /// Probes block jump threading (a duplication transform).
-    pub block_jump_threading: bool,
-}
-
-impl ProbeConfig {
-    /// The paper's production tuning: near-zero overhead, probes block only
-    /// code merge.
-    pub fn low_overhead() -> Self {
-        ProbeConfig {
-            block_if_convert: false,
-            block_code_motion: false,
-            block_jump_threading: false,
-        }
-    }
-
-    /// Maximum accuracy: probes behave like full instrumentation barriers.
-    pub fn high_accuracy() -> Self {
-        ProbeConfig {
-            block_if_convert: true,
-            block_code_motion: true,
-            block_jump_threading: true,
-        }
-    }
-}
-
-impl Default for ProbeConfig {
-    fn default() -> Self {
-        ProbeConfig::low_overhead()
-    }
+/// the point of the mechanism. The default, [`ProbeBarrier::None`], blocks
+/// nothing else: the paper's production tuning ("we fine-tune a few critical
+/// optimizations, including if-convert, machine sink and instruction
+/// scheduling, to be unblocked by pseudo-probe").
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Default)]
+pub enum ProbeBarrier {
+    /// Probes block only code merge: near-zero overhead (production).
+    #[default]
+    None,
+    /// Probes also block if-conversion of the guarded blocks.
+    IfConvert,
+    /// Probes also block sinking and hoisting code motion (sink, LICM).
+    CodeMotion,
+    /// Probes also block tail duplication (jump threading): maximum
+    /// accuracy, probes behave like full instrumentation barriers.
+    Duplication,
 }
 
 /// The exact word stream [`cfg_checksum`] hashes: per live block, the block
@@ -372,11 +352,10 @@ mod tests {
     }
 
     #[test]
-    fn probe_config_presets() {
-        let low = ProbeConfig::low_overhead();
-        assert!(!low.block_if_convert && !low.block_code_motion);
-        let high = ProbeConfig::high_accuracy();
-        assert!(high.block_if_convert && high.block_code_motion && high.block_jump_threading);
-        assert_eq!(ProbeConfig::default(), low);
+    fn probe_barrier_levels_are_ordered_from_the_default() {
+        use ProbeBarrier as B;
+        assert_eq!(B::default(), B::None);
+        assert!(B::None < B::IfConvert && B::IfConvert < B::CodeMotion);
+        assert!(B::CodeMotion < B::Duplication);
     }
 }

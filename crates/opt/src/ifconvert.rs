@@ -10,14 +10,14 @@
 //!
 //! With profile, *biased* branches are left alone (a predictable branch
 //! beats a select); balanced branches convert. This is one of the paper's
-//! tuned interactions with pseudo-probes: with
-//! [`ProbeConfig::block_if_convert`](csspgo_ir::probe::ProbeConfig::block_if_convert) unset (the low-overhead production
-//! tuning) the arm probes are hoisted into `P`, trading a small frequency
-//! distortion for zero run-time cost; when set, probed diamonds are skipped
-//! entirely.
+//! tuned interactions with pseudo-probes: below [`ProbeBarrier::IfConvert`]
+//! (the production tuning is [`ProbeBarrier::None`]) the arm probes are
+//! hoisted into `P`, trading a small frequency distortion for zero run-time
+//! cost; at it or above, probed diamonds are skipped entirely.
 
 use crate::{single_predecessors, OptConfig};
 use csspgo_ir::inst::{Inst, InstKind, Operand};
+use csspgo_ir::probe::ProbeBarrier;
 use csspgo_ir::{cfg, BlockId, Function, Module, VReg};
 
 /// Runs if-conversion on every function.
@@ -91,8 +91,7 @@ fn convert_function(func: &mut Function, config: &OptConfig, only_pred: &mut Vec
             if t_arm.src == Operand::Reg(t_arm.dst) || e_arm.src == Operand::Reg(e_arm.dst) {
                 continue;
             }
-            // Probe blocking (high-accuracy tuning).
-            if config.probe.block_if_convert && (t_arm.probes > 0 || e_arm.probes > 0) {
+            if config.probe >= ProbeBarrier::IfConvert && (t_arm.probes > 0 || e_arm.probes > 0) {
                 continue;
             }
             // Profile heuristic: leave strongly biased branches alone — a
@@ -234,7 +233,7 @@ fn f(a) {
         let mut m = csspgo_lang::compile(SRC, "t").unwrap();
         crate::probes::run(&mut m);
         let config = OptConfig {
-            probe: csspgo_ir::probe::ProbeConfig::high_accuracy(),
+            probe: ProbeBarrier::IfConvert,
             ..OptConfig::default()
         };
         let n = run_function(&mut m.functions[0], &config);

@@ -35,7 +35,7 @@ pub mod tailmerge;
 pub mod unroll;
 
 use csspgo_ir::inst::InstKind;
-use csspgo_ir::probe::ProbeConfig;
+use csspgo_ir::probe::ProbeBarrier;
 use csspgo_ir::{Function, Inst, Module};
 
 /// No block yet, in a single-block table.
@@ -86,10 +86,10 @@ pub(crate) fn scale_probe_factors(insts: &mut [Inst], k: u32) {
 }
 
 /// Tuning knobs for the whole pipeline.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct OptConfig {
     /// How strongly probes block optimizations.
-    pub probe: ProbeConfig,
+    pub probe: ProbeBarrier,
     /// Callee size (instructions) below which calls are always inlined.
     pub inline_small_size: usize,
     /// Callee size limit for hot call sites.
@@ -104,7 +104,7 @@ pub struct OptConfig {
 impl Default for OptConfig {
     fn default() -> Self {
         OptConfig {
-            probe: ProbeConfig::default(),
+            probe: ProbeBarrier::default(),
             inline_small_size: 14,
             inline_hot_size: 80,
             interpass_verify: cfg!(debug_assertions),

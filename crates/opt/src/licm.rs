@@ -6,20 +6,21 @@
 //! frequencies — the debug-info correlation then takes the MAX (paper
 //! §III.A, "Code Duplication" discussion of moved instructions).
 //!
-//! When `ProbeConfig::block_code_motion` is set, probed functions are left
-//! untouched (the paper's high-accuracy tuning where probes behave like
-//! stronger barriers).
+//! When the probe barrier is at [`ProbeBarrier::CodeMotion`] or above,
+//! probed functions are left untouched (probes behave like stronger
+//! barriers, trading run-time overhead for profile accuracy).
 
 use crate::OptConfig;
 use csspgo_ir::inst::{Inst, InstKind, Operand};
 use csspgo_ir::loops::{Loop, LoopInfo};
+use csspgo_ir::probe::ProbeBarrier;
 use csspgo_ir::{BlockId, Function, GlobalId, Module};
 use std::collections::HashSet;
 
 /// Runs LICM on every function.
 pub fn run(module: &mut Module, config: &OptConfig) {
     for func in &mut module.functions {
-        if config.probe.block_code_motion && func.probe_checksum.is_some() {
+        if config.probe >= ProbeBarrier::CodeMotion && func.probe_checksum.is_some() {
             continue;
         }
         run_function(func);
@@ -270,8 +271,10 @@ fn f(n) {
     fn probe_blocking_respected() {
         let mut m = csspgo_lang::compile(SRC, "t").unwrap();
         crate::probes::run(&mut m);
-        let mut config = OptConfig::default();
-        config.probe.block_code_motion = true;
+        let config = OptConfig {
+            probe: ProbeBarrier::CodeMotion,
+            ..OptConfig::default()
+        };
         let before = format!("{}", &m.functions[0]);
         run(&mut m, &config);
         assert_eq!(

@@ -5,21 +5,22 @@
 //! This is one of the three optimizations the paper names in its probe
 //! tuning ("we fine-tune a few critical optimizations, including if-convert,
 //! machine sink and instruction scheduling, to be unblocked by
-//! pseudo-probe"): with [`ProbeConfig::block_code_motion`](csspgo_ir::probe::ProbeConfig::block_code_motion) unset the pass
-//! moves code freely past probes; set, probed functions are left alone.
+//! pseudo-probe"): below [`ProbeBarrier::CodeMotion`] the pass moves code
+//! freely past probes; at it or above, probed functions are left alone.
 //!
 //! Like LICM, sinking is a debug-info decay source: the sunk instruction
 //! keeps its line, which now executes at the successor's frequency.
 
 use crate::{note_block, single_predecessors, OptConfig, MANY_BLOCKS, NO_BLOCK};
 use csspgo_ir::inst::InstKind;
+use csspgo_ir::probe::ProbeBarrier;
 use csspgo_ir::{BlockId, Function, Module};
 
 /// Runs sinking on every function.
 pub fn run(module: &mut Module, config: &OptConfig) {
     let mut tables = Tables::default();
     for func in &mut module.functions {
-        if config.probe.block_code_motion && func.probe_checksum.is_some() {
+        if config.probe >= ProbeBarrier::CodeMotion && func.probe_checksum.is_some() {
             continue;
         }
         sink_function(func, &mut tables);
@@ -222,8 +223,10 @@ fn f(a) {
     fn probe_blocking_respected() {
         let mut m = csspgo_lang::compile(SRC, "t").unwrap();
         crate::probes::run(&mut m);
-        let mut config = OptConfig::default();
-        config.probe.block_code_motion = true;
+        let config = OptConfig {
+            probe: ProbeBarrier::CodeMotion,
+            ..OptConfig::default()
+        };
         let before = format!("{}", m.functions[0]);
         run(&mut m, &config);
         assert_eq!(before, format!("{}", m.functions[0]));
@@ -234,7 +237,7 @@ fn f(a) {
         let mut m = csspgo_lang::compile(SRC, "t").unwrap();
         crate::probes::run(&mut m);
         let config = OptConfig::default();
-        assert!(!config.probe.block_code_motion);
+        assert!(config.probe < ProbeBarrier::CodeMotion);
         run(&mut m, &config);
         assert_eq!(csspgo_ir::verify::verify_module(&m), vec![]);
         // The multiply left the entry block past its probe.

@@ -5,10 +5,13 @@
 //! (paper §III.A, "Code Duplication"): a source line's instructions now
 //! exist at several binary locations with *equal discriminators*, so the
 //! debug-info MAX heuristic under-counts them, while duplicated pseudo-probes
-//! are summed exactly.
+//! are summed exactly. At the top probe barrier,
+//! [`ProbeBarrier::Duplication`], probed functions are left alone, so their
+//! while loops reach the unroller unrotated.
 
 use crate::{real_len, scale_probe_factors, OptConfig};
 use csspgo_ir::inst::InstKind;
+use csspgo_ir::probe::ProbeBarrier;
 use csspgo_ir::{cfg, BasicBlock, BlockId, Function, Module};
 
 /// The largest join block (instructions, probes excluded) that is copied.
@@ -17,8 +20,7 @@ const MAX_INSTS: usize = 4;
 /// Runs tail duplication on every function.
 pub fn run(module: &mut Module, config: &OptConfig) {
     for func in &mut module.functions {
-        // Optionally blocked by probes (high-accuracy probe tuning).
-        if config.probe.block_jump_threading && func.probe_checksum.is_some() {
+        if config.probe >= ProbeBarrier::Duplication && func.probe_checksum.is_some() {
             continue;
         }
         run_function(func, MAX_INSTS);

@@ -1,19 +1,21 @@
 //! Loop unrolling of small loops.
 //!
-//! Two shapes are handled:
+//! A loop is unrolled as a *cycle* of one or two blocks, found by one of two
+//! shape detectors:
 //!
 //! * **self-loops** — a single block branching back to itself (do-while);
 //! * **while-shaped loops** — a header testing the condition plus a single
 //!   body block branching back to the header.
 //!
-//! Unrolling replicates the body (and, for while-shapes, the header test)
-//! `factor` times, re-testing the exit condition between copies, so
-//! semantics are preserved for any trip count. It is the second **code
-//! duplication** transform: copies keep their source lines and
+//! One routine unrolls both: it replicates the cycle `factor` times, each
+//! copy's back edge entering the next copy and the last copy's the original,
+//! and keeps every exit edge, so the exit condition is re-tested between
+//! copies and semantics are preserved for any trip count. It is the second
+//! **code duplication** transform: copies keep their source lines and
 //! discriminators (breaking MAX-heuristic correlation for debug-info-based
 //! PGO) while duplicated probes remain summable.
 //!
-//! Profile maintenance divides the loop counts across the copies.
+//! Profile maintenance divides each block's count across its copies.
 
 use crate::{real_len, scale_probe_factors};
 use csspgo_ir::inst::InstKind;
@@ -23,6 +25,10 @@ use csspgo_ir::{cfg, BlockId, Function, Module};
 const FACTOR: u32 = 4;
 /// The largest loop body (instructions, probes excluded) that is unrolled.
 const MAX_BODY: usize = 14;
+
+/// A shape detector: the cycle of the loop `b` heads, in flow order (the last
+/// block branches back to the first), if `b` heads a loop of that shape.
+type Shape = fn(&Function, BlockId) -> Option<Vec<BlockId>>;
 
 /// Runs unrolling on every function.
 pub fn run(module: &mut Module) {
@@ -38,170 +44,87 @@ fn has_call(func: &Function, b: BlockId) -> bool {
         .any(|i| matches!(i.kind, InstKind::Call { .. }))
 }
 
-/// Unrolls eligible loops; returns the number of loops unrolled.
+/// Unrolls eligible loops; returns the number of loops unrolled. Every
+/// self-loop goes first, then every while-shape; each scan visits the blocks
+/// that exist when it starts.
 pub fn run_function(func: &mut Function, factor: u32, max_body: usize) -> usize {
     if factor < 2 {
         return 0;
     }
     let mut unrolled = 0;
-    unrolled += unroll_self_loops(func, factor, max_body);
-    unrolled += unroll_while_loops(func, factor, max_body);
-    unrolled
-}
-
-/// Case A: a block branching back to itself.
-fn unroll_self_loops(func: &mut Function, factor: u32, max_body: usize) -> usize {
-    let mut unrolled = 0;
-    let ids: Vec<BlockId> = func.iter_blocks().map(|(id, _)| id).collect();
-    for b in ids {
-        if func.block(b).dead {
-            continue;
-        }
-        let loops_on_true = match func.block(b).terminator().map(|t| &t.kind) {
-            Some(InstKind::CondBr {
-                then_bb, else_bb, ..
-            }) => {
-                if *then_bb == b && *else_bb != b {
-                    true
-                } else if *else_bb == b && *then_bb != b {
-                    false
-                } else {
-                    continue;
-                }
+    for shape in [self_loop as Shape, while_loop] {
+        let ids: Vec<BlockId> = func.iter_blocks().map(|(id, _)| id).collect();
+        for b in ids {
+            let Some(cycle) = shape(func, b) else {
+                continue;
+            };
+            let size: usize = cycle.iter().map(|&c| real_len(&func.block(c).insts)).sum();
+            if size > max_body || cycle.iter().any(|&c| has_call(func, c)) {
+                continue;
             }
-            _ => continue,
-        };
-        if real_len(&func.block(b).insts) > max_body || has_call(func, b) {
-            continue;
+            unroll_cycle(func, &cycle, factor);
+            unrolled += 1;
         }
-
-        scale_probe_factors(&mut func.block_mut(b).insts, factor);
-        let body = func.block(b).insts.clone();
-        let per_copy = func.block(b).count.map(|c| c / factor as u64);
-        let mut chain = vec![b];
-        for _ in 1..factor {
-            let nb = func.add_block();
-            func.block_mut(nb).insts = body.clone();
-            func.block_mut(nb).count = per_copy;
-            chain.push(nb);
-        }
-        func.block_mut(b).count = per_copy;
-
-        for (i, &cur) in chain.iter().enumerate() {
-            let next = chain[(i + 1) % chain.len()];
-            let term = func
-                .block_mut(cur)
-                .terminator_mut()
-                .expect("loop block has terminator");
-            if let InstKind::CondBr {
-                then_bb, else_bb, ..
-            } = &mut term.kind
-            {
-                if loops_on_true {
-                    *then_bb = next;
-                } else {
-                    *else_bb = next;
-                }
-            }
-        }
-        unrolled += 1;
     }
     unrolled
 }
 
-/// Case B: header `H: condbr c, B, X` (either polarity) + body `B: ...; br H`
-/// where `B`'s only predecessor is `H`.
-fn unroll_while_loops(func: &mut Function, factor: u32, max_body: usize) -> usize {
-    let mut unrolled = 0;
-    let ids: Vec<BlockId> = func.iter_blocks().map(|(id, _)| id).collect();
-    for h in ids {
-        if func.block(h).dead {
-            continue;
-        }
-        let (body, body_on_true) = match func.block(h).terminator().map(|t| &t.kind) {
-            Some(InstKind::CondBr {
-                then_bb, else_bb, ..
-            }) => {
-                // The body is whichever successor branches straight back.
-                let is_body = |b: BlockId| {
-                    b != h
-                        && !func.block(b).dead
-                        && matches!(
-                            func.block(b).terminator().map(|t| &t.kind),
-                            Some(InstKind::Br { target }) if *target == h
-                        )
-                };
-                if is_body(*then_bb) && *else_bb != *then_bb {
-                    (*then_bb, true)
-                } else if is_body(*else_bb) && *else_bb != *then_bb {
-                    (*else_bb, false)
-                } else {
-                    continue;
-                }
-            }
-            _ => continue,
-        };
-        let preds = cfg::predecessors(func);
-        if preds.of(body) != [h] {
-            continue;
-        }
-        let total_size = real_len(&func.block(h).insts) + real_len(&func.block(body).insts);
-        if total_size > max_body || has_call(func, h) || has_call(func, body) {
-            continue;
-        }
-
-        scale_probe_factors(&mut func.block_mut(h).insts, factor);
-        scale_probe_factors(&mut func.block_mut(body).insts, factor);
-        let h_insts = func.block(h).insts.clone();
-        let b_insts = func.block(body).insts.clone();
-        let h_per = func.block(h).count.map(|c| c / factor as u64);
-        let b_per = func.block(body).count.map(|c| c / factor as u64);
-
-        // Build copies: (H_i, B_i) for i in 1..factor.
-        let mut headers = vec![h];
-        let mut bodies = vec![body];
-        for _ in 1..factor {
-            let nh = func.add_block();
-            func.block_mut(nh).insts = h_insts.clone();
-            func.block_mut(nh).count = h_per;
-            let nb = func.add_block();
-            func.block_mut(nb).insts = b_insts.clone();
-            func.block_mut(nb).count = b_per;
-            headers.push(nh);
-            bodies.push(nb);
-        }
-        func.block_mut(h).count = h_per;
-        func.block_mut(body).count = b_per;
-
-        let n = factor as usize;
-        for i in 0..n {
-            // H_i's body edge goes to B_i (exit edge unchanged).
-            let term = func
-                .block_mut(headers[i])
-                .terminator_mut()
-                .expect("header has terminator");
-            if let InstKind::CondBr {
-                then_bb, else_bb, ..
-            } = &mut term.kind
-            {
-                if body_on_true {
-                    *then_bb = bodies[i];
-                } else {
-                    *else_bb = bodies[i];
-                }
-            }
-            // B_i jumps to H_{i+1} (wrapping to the original header).
-            let term = func
-                .block_mut(bodies[i])
-                .terminator_mut()
-                .expect("body has terminator");
-            if let InstKind::Br { target } = &mut term.kind {
-                *target = headers[(i + 1) % n];
-            }
-        }
-        unrolled += 1;
+/// A block branching back to itself on one arm of its `condbr`.
+fn self_loop(func: &Function, b: BlockId) -> Option<Vec<BlockId>> {
+    match func.block(b).terminator()?.kind {
+        InstKind::CondBr {
+            then_bb, else_bb, ..
+        } if (then_bb == b) != (else_bb == b) => Some(vec![b]),
+        _ => None,
     }
-    unrolled
+}
+
+/// Header `h: condbr c, B, X` (either polarity) and body `B: ...; br h`,
+/// where `B`'s only predecessor is `h`.
+fn while_loop(func: &Function, h: BlockId) -> Option<Vec<BlockId>> {
+    let arms = match func.block(h).terminator()?.kind {
+        InstKind::CondBr {
+            then_bb, else_bb, ..
+        } if then_bb != else_bb => [then_bb, else_bb],
+        _ => return None,
+    };
+    let branches_back = |b: BlockId| {
+        matches!(func.block(b).terminator().map(|t| &t.kind),
+            Some(InstKind::Br { target }) if *target == h)
+    };
+    let body = arms.into_iter().find(|&b| b != h && branches_back(b))?;
+    (cfg::predecessors(func).of(body) == [h]).then(|| vec![h, body])
+}
+
+/// Replicates `cycle` so the loop runs `factor` copies of it per trip
+/// around: the original and its copies form one ring, each block's in-cycle
+/// edge entering the next block of the ring. Probe factors are scaled on the
+/// originals before they are cloned, and every copy takes `count / factor`.
+fn unroll_cycle(func: &mut Function, cycle: &[BlockId], factor: u32) {
+    for &b in cycle {
+        let block = func.block_mut(b);
+        scale_probe_factors(&mut block.insts, factor);
+        block.count = block.count.map(|c| c / factor as u64);
+    }
+    let mut ring = Vec::with_capacity(cycle.len() * factor as usize);
+    ring.extend_from_slice(cycle);
+    for _ in 1..factor {
+        for &b in cycle {
+            let (insts, count) = (func.block(b).insts.clone(), func.block(b).count);
+            let copy = func.add_block();
+            func.block_mut(copy).insts = insts;
+            func.block_mut(copy).count = count;
+            ring.push(copy);
+        }
+    }
+    for (i, &b) in ring.iter().enumerate() {
+        let (from, to) = (cycle[(i + 1) % cycle.len()], ring[(i + 1) % ring.len()]);
+        let term = func
+            .block_mut(b)
+            .terminator_mut()
+            .expect("loop block has terminator");
+        term.kind.map_successors(|t| if t == from { to } else { t });
+    }
 }
 
 #[cfg(test)]
@@ -235,6 +158,41 @@ fn f(n) {
         assert_eq!(n, 1, "{}", m.functions[0]);
         // factor-1 copies of header and body each.
         assert_eq!(m.functions[0].num_live_blocks(), before + 6);
+        assert_eq!(verify_module(&m), vec![]);
+    }
+
+    #[test]
+    fn unrolls_self_loop_by_factor() {
+        let mut m = prepared();
+        // Tail duplication rotates the while loop into a do-while, the
+        // self-loop every production build unrolls: the header test is
+        // copied into the entry and into the body.
+        assert_eq!(crate::tail_dup::run_function(&mut m.functions[0], 4), 2);
+        let f = &mut m.functions[0];
+        let ids: Vec<BlockId> = f.iter_blocks().map(|(b, _)| b).collect();
+        for &bid in &ids {
+            f.block_mut(bid).count = Some(400);
+        }
+        let head = ids.iter().copied().find(|&b| self_loop(f, b).is_some());
+        let head = head.expect("a self-loop after rotation");
+        let before = f.blocks.len();
+        assert_eq!(run_function(f, 4, 14), 1, "{f}");
+        let copies: Vec<BlockId> = (before..f.blocks.len()).map(BlockId::from_index).collect();
+        assert_eq!(copies.len(), 3, "three added blocks");
+        // The back edge runs copy i -> copy i+1, the last copy's into the
+        // original.
+        let ring = [head, copies[0], copies[1], copies[2], head];
+        for pair in ring.windows(2) {
+            let in_loop: Vec<BlockId> = f
+                .block(pair[0])
+                .targets()
+                .filter(|t| ring.contains(t))
+                .collect();
+            assert_eq!(in_loop, [pair[1]], "{f}");
+        }
+        for &b in &ring[..4] {
+            assert_eq!(f.block(b).count, Some(100), "count / 4 on every copy");
+        }
         assert_eq!(verify_module(&m), vec![]);
     }
 

@@ -35,7 +35,7 @@ use csspgo::core::preinline::run_preinliner;
 use csspgo::core::stalematch::StaleMatching;
 use csspgo::core::textprof::{write_context, write_profile};
 use csspgo::core::Workload;
-use csspgo::ir::probe::ProbeConfig;
+use csspgo::ir::probe::ProbeBarrier;
 use csspgo::ir::{InlinePlan, Module};
 use csspgo::workloads::drift;
 use proptest::{Strategy, TestRng};
@@ -103,7 +103,7 @@ fn sources(w: &Workload) -> Vec<(String, String)> {
 /// rotates while loops, so the unroller sees them while-shaped.
 fn builds(config: &PipelineConfig) -> [(&'static str, bool, PipelineConfig); 3] {
     let mut barrier = config.clone();
-    barrier.opt.probe = ProbeConfig::high_accuracy();
+    barrier.opt.probe = ProbeBarrier::Duplication;
     [
         ("o2", false, config.clone()),
         ("probes", true, config.clone()),

@@ -298,6 +298,11 @@ fn one_value_one_path() {
         "unroll_factor",
         "unroll_max_body",
         "tail_dup_max_insts",
+        "block_if_convert",
+        "block_code_motion",
+        "block_jump_threading",
+        "low_overhead",
+        "high_accuracy",
     ];
     let found = grep(&["crates/*/src", "src", "examples"], |l| {
         any_of(l, &deleted) || leaves.iter().any(|w| has_word(l, w))
@@ -686,6 +691,27 @@ fn one_profile_shape() {
         "One profile shape",
         "§8.1",
         "AutoFDO and probe profiles are one generic function-profile type, correlated by one loop and encoded by one node codec; no profile type serialises",
+        &found,
+    );
+}
+
+#[test]
+fn one_unroller() {
+    let unroll = file("crates/opt/src/unroll.rs");
+    let mut found = Vec::new();
+    for step in ["add_block(", "scale_probe_factors("] {
+        let n: usize = unroll.code().map(|(_, t)| calls(t, step)).sum();
+        if n != 1 {
+            found.push(format!(
+                "{}: {n} non-test calls of `{step}`, not 1",
+                unroll.path
+            ));
+        }
+    }
+    holds(
+        "One unroller",
+        "§4",
+        "self-loops and while-shapes are unrolled by one cycle routine that adds the copies and scales their probes",
         &found,
     );
 }
