@@ -26,14 +26,9 @@ const MIN_WEIGHT: u64 = 64;
 /// a tag contribute nothing.
 fn weights<'a>(funcs: impl IntoIterator<Item = &'a Function>) -> ProvenanceTotals {
     let mut w = ProvenanceTotals::default();
-    for func in funcs {
-        let Some(tags) = &func.count_provenance else {
-            continue;
-        };
-        for (bid, block) in func.iter_blocks() {
-            if let (Some(count), Some(tag)) = (block.count, tags.get(bid)) {
-                w.add(tag, count);
-            }
+    for (_, block) in funcs.into_iter().flat_map(Function::iter_blocks) {
+        if let (Some(count), Some(tag)) = (block.count, block.provenance) {
+            w.add(tag, count);
         }
     }
     w
@@ -100,20 +95,16 @@ pub(crate) fn analyze_provenance(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use csspgo_ir::ids::BlockId;
-    use csspgo_ir::{Provenance, ProvenanceMap};
+    use csspgo_ir::Provenance;
 
     fn annotated(src: &str, tag: Provenance, count: u64) -> Module {
         let mut m = csspgo_lang::compile(src, "t").unwrap();
         for f in &mut m.functions {
-            let mut tags = Vec::new();
-            let live: Vec<BlockId> = f.iter_blocks().map(|(b, _)| b).collect();
-            for bid in live {
-                f.block_mut(bid).count = Some(count);
-                tags.push((bid, tag));
+            for block in f.blocks.iter_mut().filter(|b| !b.dead) {
+                block.count = Some(count);
+                block.provenance = Some(tag);
             }
             f.entry_count = Some(count);
-            f.count_provenance = Some(ProvenanceMap::new(tags));
         }
         m
     }

@@ -8,9 +8,9 @@
 //!   visits functions top-down, replays the inlines the profile nests at a
 //!   call site, sets each block's count to the MAX over what its
 //!   instructions read, and repairs the counts with profile inference
-//!   ([`crate::inference::infer_counts`], min-cost-flow by default, which
-//!   also attaches flow-consistent [`csspgo_ir::EdgeCounts`]). The kinds
-//!   differ only in the per-function reader. AutoFDO reads `(line offset,
+//!   ([`crate::inference::infer_counts`], min-cost-flow by default). Each
+//!   block it counts carries a [`Provenance`] tag beside its count. The
+//!   kinds differ only in the per-function reader. AutoFDO reads `(line offset,
 //!   discriminator)` through debug inline stacks and is never stale; its
 //!   replay is the early inliner and its "partial context-sensitivity".
 //!   CSSPGO reads block probes through probe inline stacks and drops a
@@ -20,7 +20,8 @@
 //!   *pre-inliner* decision and replays; probe-only CSSPGO replays the
 //!   profiling build's inlining where it looks worth it.
 //! * [`instr_annotate_reconstructed`] — exact counter values (ground
-//!   truth), measured or Kirchhoff-recovered. They skip inference.
+//!   truth), measured or Kirchhoff-recovered, each tagged on its block.
+//!   They skip inference.
 
 use crate::inference::{infer_dense, mcf, InferenceMode, InferenceStats};
 use crate::profile::{FlatProfile, FuncProfile, LocKey, ProbeProfile};
@@ -31,7 +32,7 @@ use csspgo_ir::annot::InlinePlan;
 use csspgo_ir::debuginfo::DebugLoc;
 use csspgo_ir::inst::{Inst, InstKind};
 use csspgo_ir::probe::{ProbeKind, ProbeSite};
-use csspgo_ir::{BlockId, FuncId, Module, Provenance, ProvenanceMap};
+use csspgo_ir::{BlockId, FuncId, Module, Provenance};
 use csspgo_opt::inliner::{inline_call, real_size};
 use std::collections::{HashMap, HashSet};
 
@@ -435,48 +436,42 @@ fn nested<'p, K: Ord, S>(
 // ---------------------------------------------------------------------
 
 /// Annotates exact counter values measured on an identically-shaped fresh
-/// IR (instrumentation-based PGO). Functions in `edges` were measured by a
-/// sparse spanning-tree counter placement and carry block counts recovered
-/// by Kirchhoff elimination ([`csspgo_ir::flow::reconstruct`]): tagged
-/// [`Provenance::Reconstructed`], with the recovered edge counts attached
-/// so downstream flow lints can reconcile them. Functions without an entry
-/// carried exact full-fallback counters and are tagged
-/// [`Provenance::Sampled`].
+/// IR (instrumentation-based PGO). Functions in `reconstructed` were
+/// measured by a sparse spanning-tree counter placement and carry block
+/// counts recovered by Kirchhoff elimination
+/// ([`csspgo_ir::flow::reconstruct`]): their blocks are tagged
+/// [`Provenance::Reconstructed`]. Other functions carried exact
+/// full-fallback counters, tagged [`Provenance::Sampled`]. Only a block
+/// with a counter value gets a count and a tag.
 pub fn instr_annotate_reconstructed(
     module: &mut Module,
     counts: &HashMap<(FuncId, BlockId), u64>,
-    edges: &HashMap<FuncId, Vec<(BlockId, BlockId, u64)>>,
+    reconstructed: &HashSet<FuncId>,
 ) -> AnnotateStats {
     let mut stats = AnnotateStats::default();
-    for fid in 0..module.functions.len() {
-        let fid = FuncId::from_index(fid);
-        let tag = if edges.contains_key(&fid) {
+    for (i, f) in module.functions.iter_mut().enumerate() {
+        let fid = FuncId::from_index(i);
+        let tag = if reconstructed.contains(&fid) {
             Provenance::Reconstructed
         } else {
             Provenance::Sampled
         };
-        let ids: Vec<BlockId> = module.func(fid).iter_blocks().map(|(b, _)| b).collect();
         let mut any = false;
-        let mut tags = Vec::new();
-        for bid in &ids {
-            if let Some(&c) = counts.get(&(fid, *bid)) {
-                module.func_mut(fid).block_mut(*bid).count = Some(c);
+        let live = f
+            .blocks
+            .iter_mut()
+            .enumerate()
+            .filter(|(_, block)| !block.dead);
+        for (b, block) in live {
+            if let Some(&c) = counts.get(&(fid, BlockId::from_index(b))) {
+                block.count = Some(c);
+                block.provenance = Some(tag);
                 stats.provenance.add(tag, c);
-                tags.push((*bid, tag));
                 any = true;
             }
         }
         if any {
-            let entry = counts
-                .get(&(fid, module.func(fid).entry))
-                .copied()
-                .unwrap_or(0);
-            let f = module.func_mut(fid);
-            f.entry_count = Some(entry);
-            f.count_provenance = Some(ProvenanceMap::new(tags));
-            if let Some(es) = edges.get(&fid) {
-                f.edge_counts = Some(csspgo_ir::EdgeCounts::new(es.clone()));
-            }
+            f.entry_count = Some(counts.get(&(fid, f.entry)).copied().unwrap_or(0));
             stats.annotated += 1;
         }
     }
@@ -500,11 +495,10 @@ impl Repair {
 }
 
 /// Runs the configured inference on the raw counts and writes the repaired
-/// block (and, under MCF, edge) counts onto the function, tagging each
-/// block's provenance: `base` (how the raw count was measured) when
-/// inference kept it close, [`Provenance::Inferred`] when inference
-/// invented or materially adjusted it. Merges inference and provenance
-/// accounting into `stats`.
+/// count of every live block onto it, with its provenance tag: `base` (how
+/// the raw count was measured) when inference kept it close,
+/// [`Provenance::Inferred`] when inference invented or materially adjusted
+/// it. Merges inference and provenance accounting into `stats`.
 fn apply(
     module: &mut Module,
     fid: FuncId,
@@ -514,7 +508,7 @@ fn apply(
     base: Provenance,
     stats: &mut AnnotateStats,
 ) {
-    let (counts, edges, inference) = infer_dense(
+    let (counts, inference) = infer_dense(
         module.func(fid),
         raw,
         entry,
@@ -522,24 +516,21 @@ fn apply(
         &mut repair.scratch,
     );
     let f = module.func_mut(fid);
-    let mut tags = Vec::with_capacity(f.blocks.len());
     for (i, block) in f.blocks.iter_mut().enumerate() {
         if block.dead {
             continue;
         }
         let count = counts[i];
-        block.count = Some(count);
         let tag = if materially_adjusted(raw[i], count) {
             Provenance::Inferred
         } else {
             base
         };
+        block.count = Some(count);
+        block.provenance = Some(tag);
         stats.provenance.add(tag, count);
-        tags.push((BlockId::from_index(i), tag));
     }
     f.entry_count = Some(entry);
-    f.edge_counts = edges.map(csspgo_ir::EdgeCounts::new);
-    f.count_provenance = Some(ProvenanceMap::new(tags));
     stats.inference.merge(&inference);
 }
 
@@ -567,17 +558,29 @@ mod tests {
 
     #[test]
     fn instr_annotation_is_exact() {
-        let src = "fn f(a) { if (a > 0) { return 1; } return 2; }";
+        let src = "fn f(a) { if (a > 0) { return 1; } return 2; }\nfn g(a) { return a; }";
         let mut m = csspgo_lang::compile(src, "t").unwrap();
-        let fid = FuncId(0);
+        let (f, g) = (FuncId(0), FuncId(1));
         let mut counts = HashMap::new();
-        counts.insert((fid, BlockId(0)), 100u64);
-        counts.insert((fid, BlockId(1)), 70u64);
-        counts.insert((fid, BlockId(2)), 30u64);
-        let stats = instr_annotate_reconstructed(&mut m, &counts, &HashMap::new());
-        assert_eq!(stats.annotated, 1);
-        assert_eq!(m.functions[0].block(BlockId(1)).count, Some(70));
-        assert_eq!(m.functions[0].entry_count, Some(100));
+        counts.insert((f, BlockId(0)), 100u64);
+        counts.insert((f, BlockId(1)), 70u64);
+        counts.insert((g, BlockId(0)), 5u64);
+        // `g` was measured by a sparse placement and reconstructed.
+        let stats = instr_annotate_reconstructed(&mut m, &counts, &HashSet::from([g]));
+        assert_eq!(stats.annotated, 2);
+        let f = &m.functions[0];
+        assert_eq!(f.block(BlockId(1)).count, Some(70));
+        assert_eq!(f.entry_count, Some(100));
+        for (bid, block) in f.iter_blocks() {
+            let counted = counts.contains_key(&(FuncId(0), bid));
+            let tag = counted.then_some(Provenance::Sampled);
+            assert_eq!(block.provenance, tag, "only a counted block is tagged");
+        }
+        for (_, block) in m.functions[1].iter_blocks() {
+            assert_eq!(block.provenance, Some(Provenance::Reconstructed));
+        }
+        assert_eq!(stats.provenance.sampled, 170);
+        assert_eq!(stats.provenance.reconstructed, 5);
     }
 
     #[test]
@@ -663,42 +666,9 @@ mod tests {
         let c = |b: BlockId| m.functions[0].block(b).count.unwrap();
         assert_eq!(c(b_of(1)), 100);
         assert!(c(b_of(2)) > c(b_of(3)), "bias preserved through inference");
-    }
-
-    #[test]
-    fn annotation_attaches_edge_counts_under_mcf_only() {
-        let src = "fn f(a) { if (a > 0) { return 1; } return 2; }";
-        let build = || {
-            let mut m = csspgo_lang::compile(src, "t").unwrap();
-            csspgo_opt::probes::run(&mut m);
-            m
-        };
-        let mut m = build();
-        let guid = m.functions[0].guid;
-        let mut profile = ProbeProfile::default();
-        let fp = profile.funcs.entry(guid).or_default();
-        fp.checksum = m.functions[0].probe_checksum.unwrap();
-        fp.record_sum(1, 100);
-        fp.record_sum(2, 80);
-        fp.record_sum(3, 20);
-        fp.entry = 100;
-
-        let stats = csspgo_annotate(&mut m, &profile, None, &AnnotateConfig::default());
-        let edges = m.functions[0].edge_counts.as_ref().expect("mcf edges");
-        assert!(!edges.is_empty());
-        assert_eq!(edges.out_total(m.functions[0].entry), 100);
-        assert_eq!(stats.inference.functions, 1);
-
-        let mut m2 = build();
-        let cfg = AnnotateConfig {
-            inference: InferenceMode::Off,
-            ..AnnotateConfig::default()
-        };
-        csspgo_annotate(&mut m2, &profile, None, &cfg);
-        assert!(
-            m2.functions[0].edge_counts.is_none(),
-            "raw counts carry no edge annotation"
-        );
+        for (bid, block) in m.functions[0].iter_blocks() {
+            assert!(block.provenance.is_some(), "{bid:?} is counted and tagged");
+        }
     }
 
     #[test]

@@ -113,36 +113,32 @@ pub fn infer_counts(
     }
 }
 
-/// Edge counts `(from, to, count)`.
-type Edges = Vec<(BlockId, BlockId, u64)>;
-
 /// [`infer_counts`] over dense tables, for annotation: `raw[b]` is block
 /// `b`'s measured count by block index. Returns the count of every block by
 /// index — the repaired one, or the measured one where inference is off or
-/// declines, 0 where there is neither — the edge counts when the solver
-/// ran, and the stats. `scratch` is the solver's working memory, handed
-/// from one function to the next.
+/// declines, 0 where there is neither — and the stats. `scratch` is the
+/// solver's working memory, handed from one function to the next.
 pub(crate) fn infer_dense(
     func: &Function,
     raw: &[Option<u64>],
     entry_count: u64,
     mode: InferenceMode,
     scratch: &mut mcf::Scratch,
-) -> (Vec<u64>, Option<Edges>, InferenceStats) {
+) -> (Vec<u64>, InferenceStats) {
     let solved = match mode {
         InferenceMode::Off => None,
         InferenceMode::Mcf => mcf::solve(func, raw, entry_count, scratch),
     };
     let Some(out) = solved else {
         let counts = raw.iter().map(|c| c.unwrap_or(0)).collect();
-        return (counts, None, unsolved_stats(mode));
+        return (counts, unsolved_stats(mode));
     };
     let stats = solved_stats(&out, |b| raw[b.index()]);
     let mut counts = vec![0; func.blocks.len()];
     for (&b, &c) in out.order.iter().zip(&out.counts) {
         counts[b.index()] = c;
     }
-    (counts, Some(out.edges), stats)
+    (counts, stats)
 }
 
 /// The stats of a function inference did not repair: off, or declined.

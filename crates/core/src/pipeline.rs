@@ -26,7 +26,7 @@ use csspgo_ir::{BlockId, FuncId, InlinePlan, Module};
 use csspgo_opt::instrument::CounterMap;
 use csspgo_opt::OptConfig;
 use csspgo_sim::{Machine, RunStats, Sample, SimConfig};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::error::Error;
 use std::fmt;
 
@@ -157,7 +157,6 @@ impl PipelineConfig {
             sample_period,
             seed: self.seed,
             max_steps: self.max_steps,
-            ..SimConfig::default()
         }
     }
 
@@ -652,7 +651,7 @@ fn instr_profile(
             .or_default()
             .insert(edge, counters[counter as usize]);
     }
-    let mut recovered_edges = HashMap::new();
+    let mut reconstructed = HashSet::new();
     for (fid, measured) in per_func {
         let flow = csspgo_ir::flow::reconstruct(reference.func(fid), &measured).ok_or(
             PipelineError::Inconsistent("sparse counter placement failed to reconstruct full flow"),
@@ -660,9 +659,9 @@ fn instr_profile(
         for (bid, c) in &flow.block_counts {
             exact.insert((fid, *bid), *c);
         }
-        recovered_edges.insert(fid, flow.edge_counts);
+        reconstructed.insert(fid);
     }
-    Ok(BuildProfile::Counters(exact, recovered_edges))
+    Ok(BuildProfile::Counters(exact, reconstructed))
 }
 
 /// What profile generation hands the compiler.
@@ -674,12 +673,9 @@ pub enum BuildProfile {
     Flat(FlatProfile),
     /// CSSPGO's probe-keyed profile (probe-only and full).
     Probe(ProbeProfile),
-    /// Exact per-block counts plus, under sparse placement, the
-    /// Kirchhoff-recovered edge counts per function.
-    Counters(
-        HashMap<(FuncId, BlockId), u64>,
-        HashMap<FuncId, Vec<(BlockId, BlockId, u64)>>,
-    ),
+    /// Exact per-block counts, and the functions whose counts a sparse
+    /// placement's Kirchhoff reconstruction recovered.
+    Counters(HashMap<(FuncId, BlockId), u64>, HashSet<FuncId>),
 }
 
 impl BuildProfile {
@@ -698,7 +694,7 @@ impl BuildProfile {
                 let plan = (variant == PgoVariant::CsspgoFull).then_some(&InlinePlan);
                 csspgo_annotate(module, p, plan, config)
             }
-            BuildProfile::Counters(c, e) => instr_annotate_reconstructed(module, c, e),
+            BuildProfile::Counters(c, r) => instr_annotate_reconstructed(module, c, r),
         }
     }
 }

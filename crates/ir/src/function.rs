@@ -14,6 +14,9 @@ pub struct BasicBlock {
     /// applied. Maintained by every transformation (paper §II.B "profile
     /// maintenance").
     pub count: Option<u64>,
+    /// Where `count` came from, set beside it by annotation; `None` for a
+    /// block annotation did not count. The optimizer pipeline clears it.
+    pub provenance: Option<Provenance>,
     /// Dead blocks are kept in place (ids are stable) but ignored.
     pub dead: bool,
 }
@@ -36,71 +39,8 @@ impl BasicBlock {
     }
 }
 
-/// Annotated CFG edge counts, produced by flow inference
-/// (`csspgo_core::inference` in its min-cost-flow mode) alongside the block
-/// counts. Stored sparsely as a sorted `(from, to, count)` list so the
-/// structure serializes cleanly and lookups stay deterministic.
-///
-/// Edge counts describe the CFG *at annotation time*; transformation passes
-/// maintain block counts but not edge counts, so the optimizer pipeline
-/// clears this annotation on entry rather than letting it go stale.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct EdgeCounts {
-    edges: Vec<(BlockId, BlockId, u64)>,
-}
-
-impl EdgeCounts {
-    /// Builds the annotation from `(from, to, count)` triples. Duplicate
-    /// `(from, to)` pairs are summed; the result is sorted for
-    /// deterministic iteration and binary-search lookup.
-    pub fn new(mut edges: Vec<(BlockId, BlockId, u64)>) -> Self {
-        edges.sort_by_key(|&(f, t, _)| (f, t));
-        edges.dedup_by(|next, kept| {
-            if kept.0 == next.0 && kept.1 == next.1 {
-                kept.2 += next.2;
-                true
-            } else {
-                false
-            }
-        });
-        EdgeCounts { edges }
-    }
-
-    /// The count recorded for edge `from → to`, if any.
-    pub fn get(&self, from: BlockId, to: BlockId) -> Option<u64> {
-        self.edges
-            .binary_search_by_key(&(from, to), |&(f, t, _)| (f, t))
-            .ok()
-            .map(|i| self.edges[i].2)
-    }
-
-    /// All recorded edges in `(from, to)` order.
-    pub fn iter(&self) -> impl Iterator<Item = (BlockId, BlockId, u64)> + '_ {
-        self.edges.iter().copied()
-    }
-
-    /// Combined count of recorded edges leaving `from`.
-    pub fn out_total(&self, from: BlockId) -> u64 {
-        self.edges
-            .iter()
-            .filter(|&&(f, _, _)| f == from)
-            .map(|&(_, _, c)| c)
-            .sum()
-    }
-
-    /// Number of recorded edges.
-    pub fn len(&self) -> usize {
-        self.edges.len()
-    }
-
-    /// Whether no edges are recorded.
-    pub fn is_empty(&self) -> bool {
-        self.edges.is_empty()
-    }
-}
-
-/// Where an annotated block count came from. Threaded through the annotation
-/// path so downstream consumers (the WP lint family, `csspgo_lint`, bench
+/// Where an annotated block count came from, kept on the block beside the
+/// count so downstream consumers (the WP lint family, `csspgo_lint`, bench
 /// records) can tell raw measurements from salvaged or solver-invented
 /// weight.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -115,32 +55,6 @@ pub enum Provenance {
     /// Count was recovered from a sparse spanning-tree counter placement by
     /// Kirchhoff elimination.
     Reconstructed,
-}
-
-/// Per-block provenance tags, stored sparsely like [`EdgeCounts`]: a sorted
-/// `(block, tag)` list. Blocks without an entry have no annotated count (or
-/// the annotation predates provenance tracking).
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct ProvenanceMap {
-    tags: Vec<(BlockId, Provenance)>,
-}
-
-impl ProvenanceMap {
-    /// Builds the map from `(block, tag)` pairs. Duplicates keep the first
-    /// tag after a stable sort; the result is sorted for binary search.
-    pub fn new(mut tags: Vec<(BlockId, Provenance)>) -> Self {
-        tags.sort_by_key(|&(b, _)| b);
-        tags.dedup_by_key(|&mut (b, _)| b);
-        ProvenanceMap { tags }
-    }
-
-    /// The tag recorded for `block`, if any.
-    pub fn get(&self, block: BlockId) -> Option<Provenance> {
-        self.tags
-            .binary_search_by_key(&block, |&(b, _)| b)
-            .ok()
-            .map(|i| self.tags[i].1)
-    }
 }
 
 /// The block layout decided by the layout pass: hot blocks in order, then
@@ -188,16 +102,6 @@ pub struct Function {
     pub layout: Option<BlockLayout>,
     /// Annotated entry count, if a profile has been applied.
     pub entry_count: Option<u64>,
-    /// Annotated CFG edge counts, if flow inference produced them. Cleared
-    /// by the optimizer pipeline (passes maintain block counts only).
-    /// Absent in serialized modules from before edge inference existed
-    /// (the vendored serde treats a missing `Option` field as `None`).
-    pub edge_counts: Option<EdgeCounts>,
-    /// Per-block weight provenance, written alongside block counts by the
-    /// annotation path. Cleared by the optimizer pipeline together with
-    /// `edge_counts` (cloning passes would leave it stale). Absent in
-    /// serialized modules from before provenance tracking existed.
-    pub count_provenance: Option<ProvenanceMap>,
     next_vreg: u32,
 }
 
@@ -218,8 +122,6 @@ impl Function {
             next_probe_index: 1,
             layout: None,
             entry_count: None,
-            edge_counts: None,
-            count_provenance: None,
             next_vreg: num_params as u32,
         }
     }
@@ -349,22 +251,6 @@ mod tests {
             cold: vec![b1],
         });
         assert_eq!(f.linear_order(), vec![BlockId(0), b2, b1]);
-    }
-
-    #[test]
-    fn edge_counts_sort_sum_and_lookup() {
-        let e = EdgeCounts::new(vec![
-            (BlockId(1), BlockId(2), 5),
-            (BlockId(0), BlockId(1), 7),
-            (BlockId(1), BlockId(2), 3),
-            (BlockId(0), BlockId(2), 2),
-        ]);
-        assert_eq!(e.len(), 3);
-        assert_eq!(e.get(BlockId(1), BlockId(2)), Some(8));
-        assert_eq!(e.get(BlockId(2), BlockId(0)), None);
-        assert_eq!(e.out_total(BlockId(0)), 9);
-        let order: Vec<_> = e.iter().map(|(f, t, _)| (f.0, t.0)).collect();
-        assert_eq!(order, vec![(0, 1), (0, 2), (1, 2)]);
     }
 
     #[test]

@@ -52,7 +52,7 @@ pub mod verify;
 
 pub use annot::InlinePlan;
 pub use debuginfo::{DebugLoc, InlineSite};
-pub use function::{BasicBlock, EdgeCounts, Function, Provenance, ProvenanceMap};
+pub use function::{BasicBlock, Function, Provenance};
 pub use ids::{BlockId, FuncId, GlobalId, VReg};
 pub use inst::{BinOp, CmpPred, Inst, InstKind, Operand};
 pub use module::{Global, Module};

@@ -154,13 +154,11 @@ pub fn run_pipeline(module: &mut Module, config: &OptConfig) {
         }
     };
     checkpoint(module, "input");
-    // Passes maintain block counts ("profile maintenance") but not the
-    // edge-count annotation inference attaches, nor the per-block
-    // provenance tags — drop both rather than let a transformed CFG carry
-    // stale annotations.
-    for f in &mut module.functions {
-        f.edge_counts = None;
-        f.count_provenance = None;
+    // Passes maintain block counts ("profile maintenance") but not their
+    // provenance tags: drop the tags rather than let a transformed CFG
+    // carry stale ones.
+    for block in module.functions.iter_mut().flat_map(|f| &mut f.blocks) {
+        block.provenance = None;
     }
     simplify::run(module);
     checkpoint(module, "simplify");

@@ -11,22 +11,39 @@
 //!   without a branch — the loop never asks what kind an operand is;
 //! * **branch targets and callees** are flat instruction indices (a callee
 //!   is its entry index plus the size of the register window to open);
-//! * the **static cost** of an instruction — `base` plus whichever of
-//!   `mem_op`, `select`, `counter`, `call + nargs`, `ret` or the jump-table
-//!   load applies — is one field, next to the instruction's **address**;
+//! * the **static cost** of an instruction — [`BASE`] plus whichever of
+//!   [`MEM_OP`], [`SELECT`], [`COUNTER`], [`CALL`] + nargs, [`RET`] or the
+//!   jump-table load applies — is one field, next to the instruction's
+//!   **address**;
 //! * call arguments live in [`Program::args`], jump-table entries in
 //!   [`Program::cases`], immediates in [`Program::consts`].
 //!
 //! DESIGN.md §6.2 argues why each of these reads back exactly what the
 //! per-step decoder computed.
 
-use crate::CostModel;
 use csspgo_codegen::minst::MInstKind;
 use csspgo_codegen::Binary;
 use csspgo_ir::inst::{BinOp, CmpPred, Operand};
 use csspgo_ir::module::MAX_GLOBAL_CELLS;
 use csspgo_ir::VReg;
 use std::collections::HashMap;
+
+// Static prices in cycles, a plausible abstraction of a Skylake-class core
+// (only their relative magnitudes matter). The machine loop charges the
+// event-dependent ones.
+
+/// Base cost of every instruction.
+const BASE: u64 = 1;
+/// Extra cost of a data-memory access (load, store, spill).
+const MEM_OP: u64 = 2;
+/// Extra cost of an instrumentation counter increment (load, add, store).
+const COUNTER: u64 = 4;
+/// Call overhead (frame setup), plus one cycle per argument.
+const CALL: u64 = 3;
+/// Return overhead.
+const RET: u64 = 2;
+/// Extra cost of a select (cmov dependency).
+const SELECT: u64 = 1;
 
 /// A frame-relative register index.
 pub(crate) type Reg = u32;
@@ -148,8 +165,8 @@ pub(crate) enum Kind {
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct Op {
     pub(crate) kind: Kind,
-    /// Cycles the instruction costs whatever happens: the cost model's
-    /// `base` plus its kind's fixed extra.
+    /// Cycles the instruction costs whatever happens: [`BASE`] plus its
+    /// kind's fixed extra.
     pub(crate) cost: u64,
     /// Start byte address ([`Binary::addrs`]).
     pub(crate) addr: u64,
@@ -221,7 +238,7 @@ impl Operands<'_> {
 }
 
 impl Program {
-    /// Decodes `binary` under `cost`, checking once everything the
+    /// Decodes `binary`, checking once everything the
     /// instruction loop then takes on trust.
     ///
     /// # Errors
@@ -232,7 +249,7 @@ impl Program {
     /// exist, text that can run off its own end, data, counters or a
     /// register window past their bounds, or a table too large for a 31-bit
     /// index.
-    pub(crate) fn decode(binary: &Binary, cost: &CostModel) -> Result<Program, Malformed> {
+    pub(crate) fn decode(binary: &Binary) -> Result<Program, Malformed> {
         binary.check_tables()?;
         let text_len = binary.insts.len();
         // Every way out of the last instruction must be a branch: the loop
@@ -369,7 +386,7 @@ impl Program {
                         on_true: operands.src(*on_true)?,
                         on_false: operands.src(*on_false)?,
                     },
-                    cost.select,
+                    SELECT,
                 ),
                 MInstKind::Load {
                     dst,
@@ -384,7 +401,7 @@ impl Program {
                             len,
                             index: operands.src(*index)?,
                         },
-                        cost.mem_op,
+                        MEM_OP,
                     )
                 }
                 MInstKind::Store {
@@ -400,7 +417,7 @@ impl Program {
                             index: operands.src(*index)?,
                             value: operands.src(*value)?,
                         },
-                        cost.mem_op,
+                        MEM_OP,
                     )
                 }
                 MInstKind::CounterIncr { counter } => {
@@ -410,11 +427,9 @@ impl Program {
                             binary.num_counters
                         ));
                     }
-                    (Kind::CounterIncr { counter: *counter }, cost.counter)
+                    (Kind::CounterIncr { counter: *counter }, COUNTER)
                 }
-                MInstKind::SpillLoad { .. } | MInstKind::SpillStore { .. } => {
-                    (Kind::Nop, cost.mem_op)
-                }
+                MInstKind::SpillLoad { .. } | MInstKind::SpillStore { .. } => (Kind::Nop, MEM_OP),
                 MInstKind::Call { dst, callee, args } => {
                     let (entry, window, start, nargs) = call(*callee, args, &mut operands)?;
                     (
@@ -428,7 +443,7 @@ impl Program {
                             args: start,
                             nargs,
                         },
-                        cost.call + args.len() as u64,
+                        CALL + args.len() as u64,
                     )
                 }
                 MInstKind::TailCall { callee, args } => {
@@ -440,14 +455,14 @@ impl Program {
                             args: start,
                             nargs,
                         },
-                        cost.call,
+                        CALL,
                     )
                 }
                 MInstKind::Ret { value } => (
                     Kind::Ret {
                         value: operands.src(value.unwrap_or(Operand::Imm(0)))?,
                     },
-                    cost.ret,
+                    RET,
                 ),
                 MInstKind::Jmp { target: t } => (
                     Kind::Jmp {
@@ -489,7 +504,7 @@ impl Program {
             };
             program.ops.push(Op {
                 kind,
-                cost: cost.base + extra,
+                cost: BASE + extra,
                 addr: binary.addrs[pc],
             });
         }

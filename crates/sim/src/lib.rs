@@ -39,8 +39,6 @@ pub struct SimConfig {
     pub seed: u64,
     /// Hard step limit; exceeded means a runaway program.
     pub max_steps: u64,
-    /// Cycle cost model.
-    pub cost: CostModel,
 }
 
 impl Default for SimConfig {
@@ -51,47 +49,6 @@ impl Default for SimConfig {
             sample_period: 0,
             seed: 0x5eed,
             max_steps: 2_000_000_000,
-            cost: CostModel::default(),
-        }
-    }
-}
-
-/// Cycle costs. Values are a plausible abstraction of a Skylake-class core;
-/// only their relative magnitudes matter.
-#[derive(Clone, Copy, Debug)]
-pub struct CostModel {
-    /// Base cost of every instruction.
-    pub base: u64,
-    /// Extra cost of a data-memory access (load/store/spill).
-    pub mem_op: u64,
-    /// Extra cost of an instrumentation counter increment (load+add+store).
-    pub counter: u64,
-    /// Front-end bubble for any taken branch.
-    pub taken_branch: u64,
-    /// Branch misprediction penalty.
-    pub mispredict: u64,
-    /// Call overhead (frame setup), plus one cycle per argument.
-    pub call: u64,
-    /// Return overhead.
-    pub ret: u64,
-    /// I-cache miss penalty.
-    pub icache_miss: u64,
-    /// Extra cost of a select (cmov dependency).
-    pub select: u64,
-}
-
-impl Default for CostModel {
-    fn default() -> Self {
-        CostModel {
-            base: 1,
-            mem_op: 2,
-            counter: 4,
-            taken_branch: 1,
-            mispredict: 14,
-            call: 3,
-            ret: 2,
-            icache_miss: 24,
-            select: 1,
         }
     }
 }

@@ -1,4 +1,4 @@
-//! The machine: runs a pre-decoded [`Binary`] with the cost model and PMU.
+//! The machine: runs a pre-decoded [`Binary`] with its cycle prices and the PMU.
 
 use crate::decode::{Kind, Op, Program, Reg, NO_REG};
 use crate::pmu::{ICache, Lbr, Predictor, Sample, SampleTimer};
@@ -7,6 +7,16 @@ use crate::SimConfig;
 use csspgo_codegen::Binary;
 use std::error::Error;
 use std::fmt;
+
+// Event-dependent prices in cycles; the static ones are folded into each op
+// at decode.
+
+/// Front-end bubble for any taken branch.
+const TAKEN_BRANCH: u64 = 1;
+/// Branch misprediction penalty.
+const MISPREDICT: u64 = 14;
+/// I-cache miss penalty.
+const ICACHE_MISS: u64 = 24;
 
 /// Simulation failure.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -108,7 +118,7 @@ impl<'b> Machine<'b> {
     /// its own end, or data, counters or a register window past the bounds
     /// that keep a machine's memory in proportion to what it runs.
     pub fn try_new(binary: &'b Binary, config: SimConfig) -> Result<Self, SimError> {
-        let program = Program::decode(binary, &config.cost).map_err(SimError::MalformedBinary)?;
+        let program = Program::decode(binary).map_err(SimError::MalformedBinary)?;
         let mut memory = vec![0; program.memory_len()];
         for (g, &(start, len)) in binary.globals.iter().zip(&program.globals) {
             let n = g.init.len().min(len as usize);
@@ -223,7 +233,6 @@ impl<'b> Machine<'b> {
             consts,
             ..
         } = &*program;
-        let cost = config.cost;
         let max_steps = config.max_steps;
 
         // The root frame's window opens right above the constant area.
@@ -265,7 +274,7 @@ impl<'b> Machine<'b> {
 
             // Instruction fetch.
             if icache.fetch(addr) {
-                cycles += cost.icache_miss;
+                cycles += ICACHE_MISS;
                 icache_misses += 1;
             }
 
@@ -277,7 +286,7 @@ impl<'b> Machine<'b> {
                     next_pc = $target as usize;
                     lbr.record(addr, ops[next_pc].addr);
                     taken_branches += 1;
-                    cycles += cost.taken_branch;
+                    cycles += TAKEN_BRANCH;
                 }};
             }
 
@@ -412,7 +421,7 @@ impl<'b> Machine<'b> {
                 } => {
                     let taken = (regs[cond.slot(base)] != 0) ^ negate;
                     if predictor.conditional(addr, taken) {
-                        cycles += cost.mispredict;
+                        cycles += MISPREDICT;
                         mispredicts += 1;
                     }
                     if taken {
@@ -431,7 +440,7 @@ impl<'b> Machine<'b> {
                         .find(|&&(k, _)| k == v)
                         .map_or(default, |&(_, t)| t);
                     if predictor.indirect(addr, ops[target as usize].addr) {
-                        cycles += cost.mispredict;
+                        cycles += MISPREDICT;
                         mispredicts += 1;
                     }
                     branch_to!(target);

@@ -16,6 +16,32 @@ use csspgo::sim::rng::XorShift64;
 use csspgo::sim::{RunStats, SimConfig, SimError};
 use std::collections::VecDeque;
 
+/// Cycle prices, the simulator's own values kept here as a copy, so the
+/// oracle does not read them from the code it checks.
+struct Prices {
+    base: u64,
+    mem_op: u64,
+    counter: u64,
+    taken_branch: u64,
+    mispredict: u64,
+    call: u64,
+    ret: u64,
+    icache_miss: u64,
+    select: u64,
+}
+
+const PRICES: Prices = Prices {
+    base: 1,
+    mem_op: 2,
+    counter: 4,
+    taken_branch: 1,
+    mispredict: 14,
+    call: 3,
+    ret: 2,
+    icache_miss: 24,
+    select: 1,
+};
+
 /// Last Branch Record ring buffer.
 #[derive(Clone, Debug)]
 pub struct Lbr {
@@ -201,7 +227,7 @@ impl<'b> ReferenceMachine<'b> {
             ret_dst: None,
         }];
         let mut pc = func.entry;
-        let cost = self.config.cost;
+        let cost = PRICES;
         let mut steps_left = self
             .config
             .max_steps

@@ -118,9 +118,8 @@ enum Mode {
 /// `run_pipeline` pass by pass, each pass charged to its own layer.
 fn optimise(module: &mut Module, config: &OptConfig, tally: &mut Tally) {
     use csspgo::opt::*;
-    for f in &mut module.functions {
-        f.edge_counts = None;
-        f.count_provenance = None;
+    for block in module.functions.iter_mut().flat_map(|f| &mut f.blocks) {
+        block.provenance = None;
     }
     tally.count("simplify", || simplify::run(module));
     tally.count("tail_dup", || tail_dup::run(module, config));

@@ -21,6 +21,14 @@
 //! dense per-function tables and must never be re-blessed for a change that
 //! only means to make compilation faster (`BLESS=1 cargo test --test
 //! compile_outputs` is for an intended change to what the compiler emits).
+//! Module rows hash a `Debug` rendering, so a change to how the IR is
+//! represented moves them without changing what the compiler emits. Such a
+//! change may re-bless module rows only, and only with proof that the rows
+//! changed in representation alone: in scratch copies of the parent and of
+//! the change, hash every module row over a normal form that reads each
+//! moved datum the way its own side stores it, and the two row sets must be
+//! identical. Every `binary_fnv`, `insts`, profile and error row must pass
+//! unchanged.
 
 use csspgo::codegen::{lower_module, Binary};
 use csspgo::core::annotate::{autofdo_annotate, csspgo_annotate, AnnotateConfig};
@@ -215,8 +223,8 @@ fn loader_profiles(
 }
 
 /// The golden's rows for the sample loader: every annotated module (block
-/// and entry counts, provenance tags, edge counts and the replayed inlines)
-/// before optimisation, and its `AnnotateStats`; then the profile rows.
+/// and entry counts, provenance tags and the replayed inlines) before
+/// optimisation, and its `AnnotateStats`; then the profile rows.
 fn loader_rows(config: &PipelineConfig) -> Vec<String> {
     let mut rows = Vec::new();
     let mut profile_rows = Vec::new();

@@ -135,7 +135,6 @@ proptest! {
                                 sample_period,
                                 seed,
                                 max_steps,
-                                ..SimConfig::default()
                             };
                             let stats = run_both(&binary, &config)?;
                             // The test tests what it says it does.

@@ -284,6 +284,7 @@ fn one_value_one_path() {
         "enable_layout",
         "enable_split",
         "fn with_config",
+        "CostModel",
     ];
     // Removed config leaves, matched as words.
     let leaves = [
@@ -712,6 +713,23 @@ fn one_unroller() {
         "One unroller",
         "§4",
         "self-loops and while-shapes are unrolled by one cycle routine that adds the copies and scales their probes",
+        &found,
+    );
+}
+
+#[test]
+fn counts_live_on_blocks() {
+    let mut found = Vec::new();
+    for src in sources(&["crates/*/src", "src", "examples"]) {
+        let outside_tests = (0..src.raw.len()).filter(|&l| !src.test[l]);
+        found.extend(lines_where(&src, outside_tests, |l| {
+            any_of(l, &["EdgeCounts", "ProvenanceMap", "count_provenance"])
+        }));
+    }
+    holds(
+        "Counts live on blocks",
+        "§10.4",
+        "a block's count and its provenance tag live on the block: no edge-count annotation and no side table of tags beside it",
         &found,
     );
 }
