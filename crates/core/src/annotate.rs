@@ -120,15 +120,15 @@ impl ProvenanceTotals {
     }
 }
 
-/// Whether inference changed a raw count enough that the result should be
-/// tagged [`Provenance::Inferred`] rather than inherit the measurement's
-/// tag: the block had no raw count at all (and got weight), or the final
+/// Whether the solver's count should be tagged [`Provenance::Inferred`]
+/// rather than inherit the measurement's tag: the block had no raw count
+/// at all (whatever count the solver gave it, 0 included), or the final
 /// count moved beyond both an absolute and a 25% relative slack. Small
 /// smoothing of sampled counts keeps the measurement tag — the solver is
 /// calibrating, not inventing.
 fn materially_adjusted(raw: Option<u64>, finalc: u64) -> bool {
     match raw {
-        None => finalc > 0,
+        None => true,
         Some(r) => {
             let d = finalc.abs_diff(r);
             d > 16 && d * 4 > r
@@ -496,9 +496,10 @@ impl Repair {
 
 /// Runs the configured inference on the raw counts and writes the repaired
 /// count of every live block onto it, with its provenance tag: `base` (how
-/// the raw count was measured) when inference kept it close,
-/// [`Provenance::Inferred`] when inference invented or materially adjusted
-/// it. Merges inference and provenance accounting into `stats`.
+/// the raw count was measured) when inference is off or kept it close,
+/// [`Provenance::Inferred`] when MCF counted a block no measurement counted
+/// or materially adjusted a measured one. Merges inference and provenance
+/// accounting into `stats`.
 fn apply(
     module: &mut Module,
     fid: FuncId,
@@ -521,7 +522,7 @@ fn apply(
             continue;
         }
         let count = counts[i];
-        let tag = if materially_adjusted(raw[i], count) {
+        let tag = if repair.mode == InferenceMode::Mcf && materially_adjusted(raw[i], count) {
             Provenance::Inferred
         } else {
             base
@@ -668,6 +669,43 @@ mod tests {
         assert!(c(b_of(2)) > c(b_of(3)), "bias preserved through inference");
         for (bid, block) in m.functions[0].iter_blocks() {
             assert!(block.provenance.is_some(), "{bid:?} is counted and tagged");
+        }
+    }
+
+    #[test]
+    fn an_invented_zero_is_inferred_under_mcf_only() {
+        // The else arm (line 5) has no sample at all; the solver routes the
+        // whole entry count through the then arm and leaves it at 0.
+        let src = "fn f(a) {\n    if (a > 0) {\n        return 1;\n    }\n    return 2;\n}";
+        let mut profile = FlatProfile::default();
+        let fp = profile
+            .funcs
+            .entry(csspgo_ir::probe::function_guid("f"))
+            .or_default();
+        for line_offset in [1, 2] {
+            fp.record_max(
+                LocKey {
+                    line_offset,
+                    discriminator: 0,
+                },
+                100,
+            );
+        }
+        fp.entry = 100;
+        for (inference, tag) in [
+            (InferenceMode::Mcf, Provenance::Inferred),
+            (InferenceMode::Off, Provenance::Sampled),
+        ] {
+            let mut m = csspgo_lang::compile(src, "t").unwrap();
+            csspgo_opt::discriminators::run(&mut m);
+            let cfg = AnnotateConfig {
+                inference,
+                ..AnnotateConfig::default()
+            };
+            autofdo_annotate(&mut m, &profile, &cfg);
+            let else_arm = m.functions[0].block(BlockId(2));
+            assert_eq!(else_arm.count, Some(0), "{inference:?}");
+            assert_eq!(else_arm.provenance, Some(tag), "{inference:?}");
         }
     }
 
