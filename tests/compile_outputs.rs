@@ -14,8 +14,9 @@
 //! from its AutoFDO, probe-only and full-CSSPGO profiles at two inline
 //! budgets, under stale-profile recovery. After them, the profiles
 //! themselves: the FNV-1a of each one's binprof bytes and text, plus the
-//! debug-info profile of the probed build and the merge of two hosts'
-//! AutoFDO profiles.
+//! debug-info profile of the probed build, the merge of two hosts'
+//! AutoFDO profiles, the untrimmed context profile and its flattening, and
+//! the merge of two hosts' context tries.
 //!
 //! The golden was written before the optimiser and code generator moved to
 //! dense per-function tables and must never be re-blessed for a change that
@@ -33,7 +34,7 @@
 use csspgo::codegen::{lower_module, Binary};
 use csspgo::core::annotate::{autofdo_annotate, csspgo_annotate, AnnotateConfig};
 use csspgo::core::binprof::{encode_context, encode_flat, encode_probe};
-use csspgo::core::merge::merge_flat;
+use csspgo::core::merge::{merge_flat, merge_tries};
 use csspgo::core::pipeline::{
     autofdo_profile, context_profile, finish_probe_profile, optimized_build, prepared_module,
     probe_only_profile, profiling_build, profiling_run, wire_handoff, BuildProfile, PgoVariant,
@@ -156,7 +157,9 @@ fn profiled(w: &Workload, variant: PgoVariant, config: &PipelineConfig) -> Binar
 /// The three profiles of `w`'s base source that the compiler is handed —
 /// AutoFDO, probe-only and full CSSPGO — each through the wire hand-off.
 /// Pushes each one's profile row to `rows`, with the debug-info profile of
-/// the probed build and the merge of two halves of the AutoFDO samples.
+/// the probed build and the merge of two halves of the AutoFDO samples, and
+/// with the untrimmed context profile, its flattening (the zero-body-stub
+/// path `csspgo_lint` judges) and the merge of two halves' context tries.
 fn loader_profiles(
     w: &Workload,
     config: &PipelineConfig,
@@ -205,6 +208,27 @@ fn loader_profiles(
         ));
         out.push(("probe_only", BuildProfile::Probe(probe_only)));
         let mut generated = context_profile(&built, &samples, shards);
+        rows.push(profile_row(
+            case("context_untrimmed"),
+            &encode_context(&generated.profile),
+            Some(&write_context(&generated.profile)),
+        ));
+        let untrimmed = finish_probe_profile(&generated.profile, &generated.range_counts, &built);
+        rows.push(profile_row(
+            case("csspgo_untrimmed"),
+            &encode_probe(&untrimmed),
+            Some(&write_profile(&untrimmed)),
+        ));
+        let (first, second) = samples.split_at(samples.len() / 2);
+        let merged = merge_tries([
+            &context_profile(&built, first, shards).profile,
+            &context_profile(&built, second, shards).profile,
+        ]);
+        rows.push(profile_row(
+            case("merge_context"),
+            &encode_context(&merged),
+            Some(&write_context(&merged)),
+        ));
         generated.profile.trim_cold(config.trim_threshold);
         run_preinliner(&mut generated.profile, &built, &config.preinline);
         let text = write_context(&generated.profile);
