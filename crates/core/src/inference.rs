@@ -86,6 +86,7 @@ pub fn infer_counts(
     entry_count: u64,
     mode: InferenceMode,
 ) -> InferenceResult {
+    let mut scratch = mcf::Scratch::default();
     let solved = match mode {
         InferenceMode::Off => None,
         InferenceMode::Mcf => {
@@ -95,7 +96,7 @@ pub fn infer_counts(
                     *slot = Some(c);
                 }
             }
-            mcf::solve(func, &dense, entry_count, &mut mcf::Scratch::default())
+            mcf::solve(func, &dense, entry_count, &mut scratch)
         }
     };
     let Some(out) = solved else {
@@ -108,7 +109,7 @@ pub fn infer_counts(
     let stats = solved_stats(&out, |b| raw.get(&b).copied());
     InferenceResult {
         counts: out.order.iter().copied().zip(out.counts).collect(),
-        edges: Some(out.edges),
+        edges: Some(scratch.edge_flows()),
         stats,
     }
 }

@@ -104,15 +104,15 @@ fn c_dec(w: u64) -> i64 {
     20 + 3 * log2w(w)
 }
 
-/// A solved inference problem: jointly flow-consistent block and edge
-/// counts, plus the total routing cost (the confidence-weighted distance
-/// between the raw and repaired profiles).
+/// A solved inference problem: flow-consistent block counts, plus the
+/// total routing cost (the confidence-weighted distance between the raw and
+/// repaired profiles). The edge counts stay in the solved network
+/// ([`Scratch::edge_flows`]).
 pub(crate) struct McfOutcome {
     /// The blocks the entry reaches, in reverse post-order.
     pub order: Vec<BlockId>,
     /// The repaired count of `order[i]`.
     pub counts: Vec<u64>,
-    pub edges: Vec<(BlockId, BlockId, u64)>,
     pub cost: u64,
 }
 
@@ -316,8 +316,8 @@ impl FlowNet {
 }
 
 /// The buffers a solve works in. One annotation pass hands the same
-/// scratch to each function it solves; nothing in it outlives the solve
-/// that filled it.
+/// scratch to each function it solves; nothing in it outlives the next
+/// solve.
 #[derive(Default)]
 pub(crate) struct Scratch {
     net: FlowNet,
@@ -332,6 +332,16 @@ pub(crate) struct Scratch {
     edge_arcs: Vec<(BlockId, BlockId, usize)>,
     /// `seen[j] == i` once the edge `order[i] → order[j]` is in.
     seen: Vec<u32>,
+}
+
+impl Scratch {
+    /// The repaired count of every CFG edge of the function the last
+    /// successful [`solve`] solved, as `(from, to, count)`.
+    pub(crate) fn edge_flows(&self) -> Vec<(BlockId, BlockId, u64)> {
+        (self.edge_arcs.iter())
+            .map(|&(from, to, a)| (from, to, self.net.flow(a)))
+            .collect()
+    }
 }
 
 /// The members of bitset `set`, in increasing order.
@@ -461,14 +471,9 @@ pub(crate) fn solve(
             weight(b) + net.flow(inc) - dec
         })
         .collect();
-    let edges = edge_arcs
-        .iter()
-        .map(|&(from, to, a)| (from, to, net.flow(a)))
-        .collect();
     Some(McfOutcome {
         order,
         counts,
-        edges,
         cost: u64::try_from(cost).unwrap_or(u64::MAX),
     })
 }
@@ -515,14 +520,16 @@ mod tests {
             (BlockId(2), 10),
             (BlockId(3), 100),
         ]);
-        let out = solve(f, &dense(f, &raw), 100, &mut Scratch::default()).unwrap();
+        let mut scratch = Scratch::default();
+        let out = solve(f, &dense(f, &raw), 100, &mut scratch).unwrap();
         assert_eq!(out.cost, 0, "consistent input routes at zero cost");
         for (&b, &w) in &raw {
             assert_eq!(count(&out, b), w);
         }
         // Edge counts mirror the branch split.
+        let edges = scratch.edge_flows();
         let get = |from: u32, to: u32| {
-            out.edges
+            edges
                 .iter()
                 .find(|&&(f, t, _)| f == BlockId(from) && t == BlockId(to))
                 .map(|&(_, _, c)| c)
@@ -546,11 +553,12 @@ mod tests {
             .iter_blocks()
             .map(|(b, _)| (b, 37 * (b.0 as u64 + 1)))
             .collect();
-        let out = solve(f, &dense(f, &raw), 20, &mut Scratch::default()).unwrap();
+        let mut scratch = Scratch::default();
+        let out = solve(f, &dense(f, &raw), 20, &mut scratch).unwrap();
+        let edges = scratch.edge_flows();
         for (b, _) in f.iter_blocks() {
             let c = count(&out, b);
-            let out_sum: u64 = out
-                .edges
+            let out_sum: u64 = edges
                 .iter()
                 .filter(|&&(from, _, _)| from == b)
                 .map(|&(_, _, w)| w)
@@ -558,8 +566,7 @@ mod tests {
             if !cfg::successors(f, b).is_empty() {
                 assert_eq!(out_sum, c, "out-edges of {b:?} sum to its count");
             }
-            let in_sum: u64 = out
-                .edges
+            let in_sum: u64 = edges
                 .iter()
                 .filter(|&&(_, to, _)| to == b)
                 .map(|&(_, _, w)| w)
