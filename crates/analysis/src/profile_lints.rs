@@ -4,7 +4,7 @@
 //! context-tree consistency (`PF003`).
 
 use crate::diag::{lint, Policy, Report};
-use csspgo_core::context::{ContextNode, ContextProfile};
+use csspgo_core::context::ContextProfile;
 use csspgo_core::profile::{FuncProfile, ProbeProfile};
 use csspgo_core::stalematch::is_stale;
 use csspgo_ir::Module;
@@ -138,15 +138,15 @@ fn check_context_node(
     policy: &Policy,
     unit: &str,
     guid: u64,
-    node: &ContextNode,
+    node: &FuncProfile<u32>,
     path: &str,
     names: &std::collections::BTreeMap<u64, String>,
     report: &mut Report,
 ) {
-    for (&(callsite, callee_guid), child) in &node.children {
+    for (&(callsite, callee_guid), child) in &node.callsites {
         let child_path = format!("{path}@{callsite}:{}", guid_name(names, callee_guid));
         if child.entry >= MIN_ENTRY {
-            let parent_count = node.probes.get(&callsite).copied().unwrap_or(0);
+            let parent_count = node.body.get(&callsite).copied().unwrap_or(0);
             let bound = (parent_count as f64) * (1.0 + REL) + ABS;
             if (child.entry as f64) > bound {
                 report.emit(

@@ -26,7 +26,7 @@
 //! `crates/opt/tests/probe_invariants.rs::every_seeded_corruption_trips_the_interpass_checkpoint`.
 
 use csspgo_analysis::{Analyzer, Diagnostic, Policy, Report, Severity};
-use csspgo_core::context::{ContextNode, ContextProfile};
+use csspgo_core::context::ContextProfile;
 use csspgo_core::profile::{FuncProfile, ProbeProfile};
 use csspgo_ir::ids::BlockId;
 use csspgo_ir::Module;
@@ -129,16 +129,16 @@ fn consistent_block_counts_are_lint_free() {
 fn context_profile(m: &Module, callsite_count: u64, child_entry: u64) -> ContextProfile {
     let main_guid = m.func(m.find_function("main").unwrap()).guid;
     let helper_guid = m.func(m.find_function("helper").unwrap()).guid;
-    let mut parent = ContextNode {
+    let mut parent = FuncProfile {
         entry: 10,
-        ..ContextNode::default()
+        ..FuncProfile::default()
     };
-    parent.probes.insert(2, callsite_count);
-    let child = ContextNode {
+    parent.body.insert(2, callsite_count);
+    let child = FuncProfile {
         entry: child_entry,
-        ..ContextNode::default()
+        ..FuncProfile::default()
     };
-    parent.children.insert((2, helper_guid), child);
+    parent.callsites.insert((2, helper_guid), child);
     let mut profile = ContextProfile::new();
     profile.roots.insert(main_guid, parent);
     profile.names.insert(main_guid, "main".into());

@@ -21,7 +21,7 @@
 //! pure function of the profile value. Equal profiles encode to equal
 //! bytes, which the snapshot tests rely on.
 
-use crate::context::{ContextNode, ContextProfile};
+use crate::context::ContextProfile;
 use crate::profile::{FlatProfile, FuncProfile, LocKey, ProbeProfile, Profile};
 use crate::stream::Snapshot;
 use std::borrow::Cow;
@@ -586,25 +586,27 @@ fn nested(depth: usize) -> Result<usize, DecodeError> {
 // Context profile
 // ---------------------------------------------------------------------------
 
-fn encode_context_node(buf: &mut Vec<u8>, node: &ContextNode) {
+/// A context node: its inline mark as a flag byte, then its checksum,
+/// entry, counts and deeper contexts.
+fn encode_context_node(buf: &mut Vec<u8>, node: &FuncProfile<u32>) {
     buf.push(u8::from(node.inlined));
     put_uvarint(buf, node.checksum);
     put_uvarint(buf, node.entry);
-    encode_counts(buf, &node.probes);
-    encode_children(buf, &node.children, encode_context_node);
+    encode_counts(buf, &node.body);
+    encode_children(buf, &node.callsites, encode_context_node);
 }
 
-fn decode_context_node(r: &mut Reader<'_>, depth: usize) -> Result<ContextNode, DecodeError> {
+fn decode_context_node(r: &mut Reader<'_>, depth: usize) -> Result<FuncProfile<u32>, DecodeError> {
     let flags = r.byte()?;
     if flags > 1 {
         return Err(DecodeError::Corrupt("unknown context-node flags"));
     }
-    Ok(ContextNode {
+    Ok(FuncProfile {
         inlined: flags == 1,
         checksum: r.uvarint()?,
         entry: r.count()?,
-        probes: decode_counts(r)?,
-        children: decode_children(r, depth, decode_context_node)?,
+        body: decode_counts(r)?,
+        callsites: decode_children(r, depth, decode_context_node)?,
     })
 }
 
@@ -649,6 +651,7 @@ fn decode_func<K: Anchor>(r: &mut Reader<'_>, depth: usize) -> Result<FuncProfil
         checksum: if K::CHECKSUM { r.uvarint()? } else { 0 },
         body: decode_counts(r)?,
         callsites: decode_children(r, depth, decode_func)?,
+        inlined: false,
     })
 }
 
@@ -790,7 +793,7 @@ mod tests {
         cp.roots
             .get_mut(&1)
             .unwrap()
-            .children
+            .callsites
             .get_mut(&(3, 9))
             .unwrap()
             .inlined = true;

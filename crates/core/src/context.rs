@@ -2,10 +2,12 @@
 //!
 //! Each node profiles one function *under one calling context*: the path of
 //! `(function, call-site probe)` frames from an un-inlined root function.
-//! Children are keyed by `(call-site probe index, callee GUID)` — the same
-//! navigation as [`crate::profile::FuncProfile`], which is what the
-//! trie collapses into once the pre-inliner has decided which contexts stay
-//! inlined.
+//! A node is a [`FuncProfile<u32>`] — the type of every probe profile — so
+//! its children are its `callsites`, keyed by `(call-site probe index,
+//! callee GUID)`, and its function is the key it sits under: its `roots`
+//! key, or the callee of its key. The trie collapses into a
+//! [`ProbeProfile`] once the pre-inliner has marked (`inlined`) which
+//! contexts stay inlined.
 //!
 //! Cold-context trimming ("we mitigate the profile size increase by only
 //! keeping context-sensitive profile for hot functions and trim profiles for
@@ -23,50 +25,11 @@ pub struct FrameKey {
     pub probe: u32,
 }
 
-/// One function profiled under one calling context. The function is named
-/// by the key the node sits under: its `roots` key, or the callee of its
-/// `(call-site probe, callee)` key.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct ContextNode {
-    /// The profiled function's CFG checksum (from the profiled binary).
-    pub checksum: u64,
-    /// Calls observed entering this context.
-    pub entry: u64,
-    /// Probe counts within this context.
-    pub probes: BTreeMap<u32, u64>,
-    /// Deeper contexts: (call-site probe, callee GUID) → node.
-    pub children: BTreeMap<(u32, u64), ContextNode>,
-    /// Pre-inliner decision: this context will be inlined into its parent
-    /// (Algorithm 2's `MarkContextInlined`).
-    pub inlined: bool,
-}
-
-impl ContextNode {
-    /// Samples attributed directly to this node (not children).
-    fn self_total(&self) -> u64 {
-        self.probes.values().sum()
-    }
-
-    /// Samples in this node and all children.
-    pub fn total(&self) -> u64 {
-        self.self_total() + self.children.values().map(|c| c.total()).sum::<u64>()
-    }
-
-    /// Number of nodes in this subtree.
-    pub fn node_count(&self) -> usize {
-        1 + self
-            .children
-            .values()
-            .map(|c| c.node_count())
-            .sum::<usize>()
-    }
-}
-
 /// The whole-program context trie.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct ContextProfile {
     /// Root contexts (un-inlined outermost functions) by GUID.
-    pub roots: BTreeMap<u64, ContextNode>,
+    pub roots: BTreeMap<u64, FuncProfile<u32>>,
     /// GUID → name.
     pub names: BTreeMap<u64, String>,
 }
@@ -86,8 +49,8 @@ impl ContextProfile {
         probe_index: u32,
         count: u64,
     ) {
-        let node = self.node_for_path_mut(path, owner_guid);
-        *node.probes.entry(probe_index).or_insert(0) += count;
+        self.node_for_path_mut(path, owner_guid)
+            .record_sum(probe_index, count);
     }
 
     /// Records a call entering `owner_guid` via `path`.
@@ -100,34 +63,38 @@ impl ContextProfile {
     ///
     /// `path[0].guid` is the root function; each `path[k]` is the call-site
     /// probe leading to `path[k+1].guid` (or `owner_guid` for the last).
-    pub fn node_for_path_mut(&mut self, path: &[FrameKey], owner_guid: u64) -> &mut ContextNode {
+    pub fn node_for_path_mut(
+        &mut self,
+        path: &[FrameKey],
+        owner_guid: u64,
+    ) -> &mut FuncProfile<u32> {
         let root_guid = path.first().map(|f| f.guid).unwrap_or(owner_guid);
         let mut node = self.roots.entry(root_guid).or_default();
         for (k, frame) in path.iter().enumerate() {
             let callee = path.get(k + 1).map(|f| f.guid).unwrap_or(owner_guid);
-            node = node.children.entry((frame.probe, callee)).or_default();
+            node = node.callsite_mut(frame.probe, callee);
         }
         node
     }
 
     /// Total samples.
     pub fn total(&self) -> u64 {
-        self.roots.values().map(|n| n.total()).sum()
+        self.roots.values().map(FuncProfile::total).sum()
     }
 
     /// Total trie nodes — the paper's profile-size proxy (§III.B
     /// "Scalability": up to 10x without trimming).
     pub fn node_count(&self) -> usize {
-        self.roots.values().map(|n| n.node_count()).sum()
+        self.roots.values().map(FuncProfile::node_count).sum()
     }
 
     /// Fills per-node checksums from a GUID → checksum table.
     pub fn set_checksums(&mut self, table: &BTreeMap<u64, u64>) {
-        fn walk(guid: u64, node: &mut ContextNode, table: &BTreeMap<u64, u64>) {
+        fn walk(guid: u64, node: &mut FuncProfile<u32>, table: &BTreeMap<u64, u64>) {
             if let Some(&c) = table.get(&guid) {
                 node.checksum = c;
             }
-            for (&(_, callee), child) in &mut node.children {
+            for (&(_, callee), child) in &mut node.callsites {
                 walk(callee, child, table);
             }
         }
@@ -140,19 +107,20 @@ impl ContextProfile {
     /// samples are merged (context-insensitively) into their function's
     /// base/root profile.
     pub fn trim_cold(&mut self, threshold: u64) {
+        type Detached = Vec<(u64, FuncProfile<u32>)>;
         // Collect merges first to avoid aliasing the trie while walking it:
         // each detached node with the function its key named.
-        let mut merges: Vec<(u64, ContextNode)> = Vec::new();
-        fn walk(node: &mut ContextNode, threshold: u64, merges: &mut Vec<(u64, ContextNode)>) {
-            let keys: Vec<(u32, u64)> = node.children.keys().copied().collect();
+        let mut merges: Detached = Vec::new();
+        fn walk(node: &mut FuncProfile<u32>, threshold: u64, merges: &mut Detached) {
+            let keys: Vec<(u32, u64)> = node.callsites.keys().copied().collect();
             for key in keys {
-                let cold = node.children[&key].total() < threshold;
+                let cold = node.callsites[&key].total() < threshold;
                 if cold {
-                    let child = node.children.remove(&key).expect("key collected above");
+                    let child = node.callsites.remove(&key).expect("key collected above");
                     merges.push((key.1, child));
                 } else {
                     walk(
-                        node.children.get_mut(&key).expect("hot child"),
+                        node.callsites.get_mut(&key).expect("hot child"),
                         threshold,
                         merges,
                     );
@@ -167,27 +135,24 @@ impl ContextProfile {
                 &mut merges,
             );
         }
-        // Each detached node merges into its function's root profile, and
-        // its children queue for the same treatment.
-        while let Some((guid, node)) = merges.pop() {
-            let base = self.roots.entry(guid).or_default();
-            base.entry += node.entry;
-            if base.checksum == 0 {
-                base.checksum = node.checksum;
-            }
-            for (p, c) in node.probes {
-                *base.probes.entry(p).or_insert(0) += c;
-            }
-            merges.extend(node.children.into_iter().map(|((_, g), n)| (g, n)));
+        // Each detached node merges into its function's root profile
+        // without its children and without its mark, so the base keeps its
+        // own; the children queue for the same treatment.
+        while let Some((guid, mut node)) = merges.pop() {
+            let children = std::mem::take(&mut node.callsites);
+            node.inlined = false;
+            self.roots.entry(guid).or_default().merge(node);
+            merges.extend(children.into_iter().map(|((_, g), n)| (g, n)));
         }
         // Roots that lost all content to trimming are dropped.
         self.roots
-            .retain(|_, n| n.entry > 0 || !n.probes.is_empty() || !n.children.is_empty());
+            .retain(|_, n| n.entry > 0 || !n.body.is_empty() || !n.callsites.is_empty());
     }
 
     /// Collapses the trie into a [`ProbeProfile`]: contexts marked inlined
     /// stay as nested call-site profiles; everything else merges into base
-    /// profiles (Algorithm 2's `MoveContextProfileToBaseProfile`).
+    /// profiles (Algorithm 2's `MoveContextProfileToBaseProfile`). The
+    /// result carries no mark: a probe document does not store one.
     ///
     /// Non-inlined call edges leave a zero-body callsite *stub* (entry
     /// count + callee checksum, no probes) in the caller, preserving which
@@ -204,16 +169,16 @@ impl ContextProfile {
         // deferring non-inlined children, each with its function, to their
         // own base profiles.
         fn convert<'a>(
-            node: &'a ContextNode,
+            node: &'a FuncProfile<u32>,
             dest: &mut FuncProfile<u32>,
-            deferred: &mut Vec<(u64, &'a ContextNode)>,
+            deferred: &mut Vec<(u64, &'a FuncProfile<u32>)>,
         ) {
             dest.checksum = node.checksum;
             dest.entry += node.entry;
-            for (&p, &c) in &node.probes {
+            for (&p, &c) in &node.body {
                 dest.record_sum(p, c);
             }
-            for ((probe, callee), child) in &node.children {
+            for ((probe, callee), child) in &node.callsites {
                 if child.inlined {
                     let slot = dest.callsites.entry((*probe, *callee)).or_default();
                     convert(child, slot, deferred);
@@ -234,7 +199,7 @@ impl ContextProfile {
             }
         }
 
-        let mut deferred: Vec<(u64, &ContextNode)> = Vec::new();
+        let mut deferred: Vec<(u64, &FuncProfile<u32>)> = Vec::new();
         for (g, node) in &self.roots {
             let dest = out.funcs.entry(*g).or_default();
             convert(node, dest, &mut deferred);
@@ -252,8 +217,8 @@ pub(crate) type ContextId = u32;
 /// The parent of a root.
 const NO_PARENT: ContextId = ContextId::MAX;
 
-/// Arena node of the hash-consed trie: one [`ContextNode`] of the profile
-/// the arena holds when `live`, an interned but empty slot otherwise.
+/// Arena node of the hash-consed trie: one node of the profile the arena
+/// holds when `live`, an interned but empty slot otherwise.
 #[derive(Debug)]
 struct ArenaNode {
     /// The edge that leads here: `(call-site probe, callee)` under
@@ -525,19 +490,19 @@ impl ContextArena {
     /// — names aside. The reference this is held to is
     /// `tests/common/reference_trie.rs`.
     pub(crate) fn absorb(&mut self, profile: &ContextProfile) {
-        fn absorb_node(arena: &mut ContextArena, id: ContextId, node: &ContextNode) {
+        fn absorb_node(arena: &mut ContextArena, id: ContextId, node: &FuncProfile<u32>) {
             let n = &mut arena.nodes[id as usize];
             n.entry += node.entry;
             if n.checksum == 0 {
                 n.checksum = node.checksum;
             }
             n.inlined |= node.inlined;
-            for (&probe, &count) in &node.probes {
+            for (&probe, &count) in &node.body {
                 let slot = arena.probe_slot(id, probe);
                 arena.add_at_slot(id, slot, count);
             }
             arena.touch(id);
-            for (&(probe, callee), child) in &node.children {
+            for (&(probe, callee), child) in &node.callsites {
                 let cid = arena.child(id, probe, callee);
                 absorb_node(arena, cid, child);
             }
@@ -548,18 +513,18 @@ impl ContextArena {
         }
     }
 
-    /// The live subtree under `id` as a [`ContextNode`].
-    fn emit(&self, id: ContextId) -> ContextNode {
+    /// The live subtree under `id` as a context node.
+    fn emit(&self, id: ContextId) -> FuncProfile<u32> {
         let n = &self.nodes[id as usize];
-        ContextNode {
+        FuncProfile {
             checksum: n.checksum,
             entry: n.entry,
-            probes: n
+            body: n
                 .probes
                 .iter()
                 .filter_map(|&(p, slot)| self.counts[slot as usize].checked_sub(1).map(|c| (p, c)))
                 .collect(),
-            children: n
+            callsites: n
                 .children
                 .iter()
                 .filter(|&&c| self.nodes[c as usize].live)
@@ -672,8 +637,8 @@ mod tests {
         let mut cp = ContextProfile::new();
         // main --(probe 3)--> foo --(probe 2)--> bar
         cp.add_probe_hit(&[fk(1, 3), fk(2, 2)], 3, 7, 10);
-        let node = &cp.roots[&1].children[&(3, 2)].children[&(2, 3)];
-        assert_eq!(node.probes[&7], 10);
+        let node = &cp.roots[&1].callsites[&(3, 2)].callsites[&(2, 3)];
+        assert_eq!(node.body[&7], 10);
         assert_eq!(cp.node_count(), 3);
     }
 
@@ -682,10 +647,10 @@ mod tests {
         let mut cp = ContextProfile::new();
         cp.add_probe_hit(&[fk(1, 3)], 9, 1, 100); // via add-path
         cp.add_probe_hit(&[fk(2, 5)], 9, 1, 50); // via sub-path
-        let a = &cp.roots[&1].children[&(3, 9)];
-        let b = &cp.roots[&2].children[&(5, 9)];
-        assert_eq!(a.probes[&1], 100);
-        assert_eq!(b.probes[&1], 50);
+        let a = &cp.roots[&1].callsites[&(3, 9)];
+        let b = &cp.roots[&2].callsites[&(5, 9)];
+        assert_eq!(a.body[&1], 100);
+        assert_eq!(b.body[&1], 50);
     }
 
     #[test]
@@ -698,9 +663,9 @@ mod tests {
         assert!(cp.node_count() < before);
         // Cold context merged into base profile of guid 9.
         let base = cp.roots.get(&9).expect("base profile created");
-        assert_eq!(base.probes[&1], 2);
+        assert_eq!(base.body[&1], 2);
         // Hot context untouched.
-        assert_eq!(cp.roots[&1].children[&(3, 9)].probes[&1], 100);
+        assert_eq!(cp.roots[&1].callsites[&(3, 9)].body[&1], 100);
         // Totals preserved.
         assert_eq!(cp.total(), 102);
     }
@@ -715,7 +680,7 @@ mod tests {
         cp.roots
             .get_mut(&1)
             .unwrap()
-            .children
+            .callsites
             .get_mut(&(3, 9))
             .unwrap()
             .inlined = true;
@@ -742,7 +707,7 @@ mod tests {
         table.insert(9u64, 0xbbu64);
         cp.set_checksums(&table);
         assert_eq!(cp.roots[&1].checksum, 0xaa);
-        assert_eq!(cp.roots[&1].children[&(3, 9)].checksum, 0xbb);
+        assert_eq!(cp.roots[&1].callsites[&(3, 9)].checksum, 0xbb);
     }
 
     #[test]
@@ -819,7 +784,7 @@ mod tests {
             .roots
             .get_mut(&1)
             .unwrap()
-            .children
+            .callsites
             .get_mut(&(3, 9))
             .unwrap();
         child.checksum = 0xab;
@@ -890,6 +855,6 @@ mod tests {
         cp.add_probe_hit(&[fk(1, 2)], 2, 1, 7);
         assert_eq!(cp.total(), 12);
         assert_eq!(cp.roots[&1].total(), 12);
-        assert_eq!(cp.roots[&1].self_total(), 5);
+        assert_eq!(cp.roots[&1].body.values().sum::<u64>(), 5);
     }
 }

@@ -6,28 +6,19 @@
 //! count-additive.
 
 use crate::context::{ContextArena, ContextProfile};
-use crate::profile::{FlatProfile, FuncProfile, LocKey};
+use crate::profile::FlatProfile;
 use std::collections::BTreeMap;
 
 /// Merges `b` into `a` (flat/AutoFDO profiles). Body counts keyed the same
 /// way are *summed* — two hosts each observing N samples of a line is 2N
 /// samples, unlike the intra-binary MAX over duplicated instructions.
+/// Each function merges by [`crate::profile::FuncProfile::merge`].
 pub fn merge_flat(a: &mut FlatProfile, b: &FlatProfile) {
     for (guid, name) in &b.names {
         a.names.entry(*guid).or_insert_with(|| name.clone());
     }
     for (guid, fp) in &b.funcs {
-        merge_flat_func(a.funcs.entry(*guid).or_default(), fp);
-    }
-}
-
-fn merge_flat_func(a: &mut FuncProfile<LocKey>, b: &FuncProfile<LocKey>) {
-    a.entry += b.entry;
-    for (&key, &count) in &b.body {
-        a.record_sum(key, count);
-    }
-    for (key, sub) in &b.callsites {
-        merge_flat_func(a.callsites.entry(*key).or_default(), sub);
+        a.funcs.entry(*guid).or_default().merge(fp.clone());
     }
 }
 
@@ -107,8 +98,8 @@ mod tests {
         b.names.insert(8, "g".into());
         let merged = merge_tries([&a, &b]);
         assert_eq!(merged.total(), 147);
-        assert_eq!(merged.roots[&1].children[&(3, 9)].probes[&1], 140);
-        assert_eq!(merged.roots[&1].children[&(4, 8)].probes[&2], 7);
+        assert_eq!(merged.roots[&1].callsites[&(3, 9)].body[&1], 140);
+        assert_eq!(merged.roots[&1].callsites[&(4, 8)].body[&2], 7);
         assert_eq!(merged.names[&1], "main", "the first name wins");
         assert_eq!(merged.names[&8], "g");
     }

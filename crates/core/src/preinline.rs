@@ -20,7 +20,8 @@
 //! replays every nested call site with a body
 //! ([`crate::annotate::csspgo_annotate`]).
 
-use crate::context::{ContextNode, ContextProfile, FrameKey};
+use crate::context::{ContextProfile, FrameKey};
+use crate::profile::FuncProfile;
 use csspgo_codegen::Binary;
 use std::collections::{BinaryHeap, HashMap, HashSet};
 
@@ -104,7 +105,7 @@ pub fn run_preinliner(
 
     let mut result = PreInlineResult::default();
     let mut processed: HashSet<u64> = HashSet::new();
-    let mut promotions: Vec<(u64, ContextNode)> = Vec::new();
+    let mut promotions: Vec<(u64, FuncProfile<u32>)> = Vec::new();
 
     // Call hotness (Algorithm 2's `GetCallHotness`): the call-site probe's
     // count in the caller (covers inlined call sites) plus physically
@@ -139,9 +140,10 @@ pub fn run_preinliner(
         );
         profile.roots.insert(root_guid, root);
 
-        // Merge promotions structurally into their functions' base roots.
+        // Merge promotions into their functions' base roots. A promoted
+        // subtree lies outside every inlined chain, so it carries no mark.
         for (guid, node) in promotions.drain(..) {
-            merge_structural(profile.roots.entry(guid).or_default(), node);
+            profile.roots.entry(guid).or_default().merge(node);
         }
     }
     result
@@ -169,21 +171,21 @@ impl PartialOrd for Candidate {
     }
 }
 
-fn node_mut<'a>(root: &'a mut ContextNode, path: &[(u32, u64)]) -> &'a mut ContextNode {
+fn node_mut<'a>(root: &'a mut FuncProfile<u32>, path: &[(u32, u64)]) -> &'a mut FuncProfile<u32> {
     let mut cur = root;
     for key in path {
-        cur = cur.children.get_mut(key).expect("path stays valid");
+        cur = cur.callsites.get_mut(key).expect("path stays valid");
     }
     cur
 }
 
 fn process_root(
-    root: &mut ContextNode,
+    root: &mut FuncProfile<u32>,
     root_guid: u64,
     size_of: &dyn Fn(&[u64]) -> u64,
     hot_cutoff: u64,
     result: &mut PreInlineResult,
-    promotions: &mut Vec<(u64, ContextNode)>,
+    promotions: &mut Vec<(u64, FuncProfile<u32>)>,
 ) {
     /// Maximum callee size (bytes) a hot call site inlines.
     const SIZE_LIMIT: u64 = 280;
@@ -194,14 +196,14 @@ fn process_root(
     /// Absolute floor for the per-function growth budget, in bytes.
     const GROWTH_FLOOR: u64 = 400;
 
-    let call_hotness = |parent: &ContextNode, key: (u32, u64)| -> u64 {
-        parent.probes.get(&key.0).copied().unwrap_or(0)
-            + parent.children.get(&key).map(|c| c.entry).unwrap_or(0)
+    let call_hotness = |parent: &FuncProfile<u32>, key: (u32, u64)| -> u64 {
+        parent.body.get(&key.0).copied().unwrap_or(0)
+            + parent.callsites.get(&key).map(|c| c.entry).unwrap_or(0)
     };
     let mut func_size = size_of(&[root_guid]);
     let growth_limit = (func_size * GROWTH_FACTOR).max(GROWTH_FLOOR);
     let mut queue: BinaryHeap<Candidate> = BinaryHeap::new();
-    for key in root.children.keys() {
+    for key in root.callsites.keys() {
         queue.push(Candidate {
             hotness: call_hotness(root, *key),
             path: vec![*key],
@@ -221,7 +223,7 @@ fn process_root(
             node.inlined = true;
             result.inlined += 1;
             func_size += cand_size;
-            let keys: Vec<(u32, u64)> = node.children.keys().copied().collect();
+            let keys: Vec<(u32, u64)> = node.callsites.keys().copied().collect();
             let hots: Vec<u64> = keys.iter().map(|k| call_hotness(node, *k)).collect();
             for (key, hot) in keys.into_iter().zip(hots) {
                 let mut p = cand.path.clone();
@@ -250,30 +252,16 @@ fn process_root(
 
 /// Removes not-inlined children (recursively stopping at them) and queues
 /// them, each with its function, for base-profile promotion.
-fn detach_not_inlined(node: &mut ContextNode, promotions: &mut Vec<(u64, ContextNode)>) {
-    let keys: Vec<(u32, u64)> = node.children.keys().copied().collect();
+fn detach_not_inlined(node: &mut FuncProfile<u32>, promotions: &mut Vec<(u64, FuncProfile<u32>)>) {
+    let keys: Vec<(u32, u64)> = node.callsites.keys().copied().collect();
     for key in keys {
-        let inlined = node.children[&key].inlined;
+        let inlined = node.callsites[&key].inlined;
         if inlined {
-            detach_not_inlined(node.children.get_mut(&key).expect("child"), promotions);
+            detach_not_inlined(node.callsites.get_mut(&key).expect("child"), promotions);
         } else {
-            let child = node.children.remove(&key).expect("child");
+            let child = node.callsites.remove(&key).expect("child");
             promotions.push((key.1, child));
         }
-    }
-}
-
-/// Structurally merges `src` into `dst` (same function).
-fn merge_structural(dst: &mut ContextNode, src: ContextNode) {
-    dst.entry += src.entry;
-    if dst.checksum == 0 {
-        dst.checksum = src.checksum;
-    }
-    for (p, c) in src.probes {
-        *dst.probes.entry(p).or_insert(0) += c;
-    }
-    for (key, child) in src.children {
-        merge_structural(dst.children.entry(key).or_default(), child);
     }
 }
 
@@ -342,13 +330,13 @@ mod tests {
         assert_eq!(result.plan_paths, vec![vec![fk(main_guid, 3)]]);
         // Hot context still nested & marked.
         let hot_node = cp.roots[&main_guid]
-            .children
+            .callsites
             .get(&(3, hot_guid))
             .expect("hot child kept");
         assert!(hot_node.inlined);
         // Cold context promoted to its own base.
         assert!(cp.roots.contains_key(&cold_guid));
-        assert_eq!(cp.roots[&cold_guid].probes[&1], 2);
+        assert_eq!(cp.roots[&cold_guid].body[&1], 2);
     }
 
     #[test]
@@ -393,5 +381,34 @@ mod tests {
         assert!(result
             .plan_paths
             .contains(&vec![fk(g("main"), 3), fk(g("mid"), 2)]));
+    }
+
+    /// The marks stay in the context trie: its probe profile carries none,
+    /// so the probe document (which stores no mark) gives it back equal.
+    #[test]
+    fn a_preinlined_tries_probe_profile_is_unmarked_and_round_trips() {
+        let src = "fn leaf(x) { return x; }\nfn mid(x) { return leaf(x); }\nfn main(a) { return mid(a); }";
+        let m = csspgo_lang::compile(src, "t").unwrap();
+        let b = lower_module(&m, &CodegenConfig::default());
+        let g = |n: &str| b.func_by_name(n).unwrap().guid;
+        let mut cp = ContextProfile::new();
+        cp.add_probe_hit(&[fk(g("main"), 3)], g("mid"), 1, 500);
+        cp.add_entry(&[fk(g("main"), 3)], g("mid"), 500);
+        cp.add_probe_hit(&[fk(g("main"), 3), fk(g("mid"), 2)], g("leaf"), 1, 400);
+        cp.add_entry(&[fk(g("main"), 3), fk(g("mid"), 2)], g("leaf"), 400);
+        cp.add_probe_hit(&[fk(g("main"), 4)], g("leaf"), 1, 1);
+        run_preinliner(&mut cp, &b, &PreInlineConfig::default());
+        let mid = &cp.roots[&g("main")].callsites[&(3, g("mid"))];
+        assert!(mid.inlined && mid.callsites[&(2, g("leaf"))].inlined);
+
+        let probe = cp.to_probe_profile();
+        fn marked(f: &FuncProfile<u32>) -> bool {
+            f.inlined || f.callsites.values().any(marked)
+        }
+        assert!(!probe.funcs.values().any(marked));
+        let nested = &probe.funcs[&g("main")].callsites[&(3, g("mid"))];
+        assert_eq!(nested.callsites[&(2, g("leaf"))].body[&1], 400);
+        let bytes = crate::binprof::encode_probe(&probe);
+        assert_eq!(crate::binprof::decode_probe(&bytes).unwrap(), probe);
     }
 }

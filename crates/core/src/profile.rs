@@ -13,8 +13,12 @@
 //! * [`ProbeProfile`] — the CSSPGO probe profile, anchored on pseudo-probe
 //!   indices, with the CFG checksum for staleness detection.
 //!
-//! The fully context-sensitive trie lives in [`crate::context`].
+//! The fully context-sensitive trie, [`crate::context::ContextProfile`], is
+//! a tree of the same [`FuncProfile<u32>`]: a context profile is a function
+//! profile filed under a calling context. Every kind merges by one rule,
+//! [`FuncProfile::merge`].
 
+use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -63,8 +67,14 @@ pub struct FuncProfile<K> {
     /// probes (the probe advantage).
     pub body: BTreeMap<K, u64>,
     /// Nested profiles for call sites whose callees were inlined in the
-    /// profiled binary, keyed by (call-site anchor, callee GUID).
+    /// profiled binary, keyed by (call-site anchor, callee GUID); in a
+    /// context trie, the deeper contexts.
     pub callsites: BTreeMap<(K, u64), FuncProfile<K>>,
+    /// The pre-inliner's decision on a context: it will be inlined into
+    /// its parent (Algorithm 2's `MarkContextInlined`, LLVM's
+    /// `ContextShouldBeInlined`). Only a context document carries it; the
+    /// flat and probe codecs and `write_profile` never write it.
+    pub inlined: bool,
 }
 
 impl<K: Ord + Default> FuncProfile<K> {
@@ -94,6 +104,29 @@ impl<K: Ord + Default> FuncProfile<K> {
     /// This profile and its nested profiles, counted.
     pub fn node_count(&self) -> usize {
         1 + self.callsites.values().map(Self::node_count).sum::<usize>()
+    }
+
+    /// Merges `other` (the same function) into `self`, the one merge rule
+    /// of every profile kind: counts add, the first non-zero checksum wins,
+    /// marks are or-ed, and call sites merge recursively — a call site
+    /// `self` lacks is taken whole.
+    pub fn merge(&mut self, other: FuncProfile<K>) {
+        self.entry += other.entry;
+        if self.checksum == 0 {
+            self.checksum = other.checksum;
+        }
+        self.inlined |= other.inlined;
+        for (key, count) in other.body {
+            *self.body.entry(key).or_insert(0) += count;
+        }
+        for (key, sub) in other.callsites {
+            match self.callsites.entry(key) {
+                Entry::Vacant(slot) => {
+                    slot.insert(sub);
+                }
+                Entry::Occupied(mut slot) => slot.get_mut().merge(sub),
+            }
+        }
     }
 }
 

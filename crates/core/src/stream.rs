@@ -58,6 +58,7 @@ use crate::binprof;
 use crate::context::ContextProfile;
 use crate::overlap::share_overlap;
 use crate::pipeline::{ContextGenerated, PipelineError};
+use crate::profile::FuncProfile;
 use crate::ranges::RangeCounts;
 use crate::shard::{diagnostics, fold_sharded, resolve_shards};
 use crate::tailcall::{InferStats, TailCallGraph};
@@ -228,11 +229,11 @@ fn inst_range(binary: &Binary, begin: u64, end: u64) -> Result<(usize, usize), &
 /// Public so canary evaluation can measure per-version profile agreement
 /// with the same [`share_overlap`] metric the watchdog uses.
 pub fn probe_weights(profile: &ContextProfile) -> BTreeMap<(u64, u32), u64> {
-    fn walk(guid: u64, node: &crate::context::ContextNode, out: &mut BTreeMap<(u64, u32), u64>) {
-        for (&probe, &count) in &node.probes {
+    fn walk(guid: u64, node: &FuncProfile<u32>, out: &mut BTreeMap<(u64, u32), u64>) {
+        for (&probe, &count) in &node.body {
             *out.entry((guid, probe)).or_insert(0) += count;
         }
-        for (&(_, callee), child) in &node.children {
+        for (&(_, callee), child) in &node.callsites {
             walk(callee, child, out);
         }
     }

@@ -35,7 +35,7 @@
 //! them without a symbol table.
 
 use crate::binprof::{MAX_COUNT_SUM, MAX_DEPTH};
-use crate::context::{ContextNode, ContextProfile, FrameKey};
+use crate::context::{ContextProfile, FrameKey};
 use crate::profile::{FuncProfile, Profile};
 use csspgo_ir::probe::function_guid;
 use std::collections::BTreeMap;
@@ -146,7 +146,7 @@ pub fn write_context(profile: &ContextProfile) -> String {
     fn walk(
         out: &mut String,
         guid: u64,
-        node: &ContextNode,
+        node: &FuncProfile<u32>,
         path: &mut Vec<FrameKey>,
         name: &dyn Fn(u64) -> String,
     ) {
@@ -167,10 +167,10 @@ pub fn write_context(profile: &ContextProfile) -> String {
         if node.inlined {
             out.push_str(" inlined: true\n");
         }
-        for (probe, count) in &node.probes {
+        for (probe, count) in &node.body {
             out.push_str(&format!(" {probe}: {count}\n"));
         }
-        for (&(probe, callee), child) in &node.children {
+        for (&(probe, callee), child) in &node.callsites {
             path.push(FrameKey { guid, probe });
             walk(out, callee, child, path, name);
             path.pop();
@@ -362,8 +362,8 @@ mod tests {
         assert_eq!(p.node_count(), back.node_count());
         let main = function_guid("main");
         let helper = function_guid("helper");
-        let node = &back.roots[&main].children[&(3, helper)];
-        assert_eq!(node.probes[&1], 440);
+        let node = &back.roots[&main].callsites[&(3, helper)];
+        assert_eq!(node.body[&1], 440);
         assert_eq!(node.entry, 25);
         assert_eq!(node.checksum, 0x1f2e);
         assert!(node.inlined);

@@ -999,19 +999,19 @@ fn main(n) {
     fn total_under(profile: &crate::context::ContextProfile, target: u64, ancestor: u64) -> u64 {
         fn walk(
             guid: u64,
-            node: &crate::context::ContextNode,
+            node: &crate::profile::FuncProfile<u32>,
             target: u64,
             ancestor: u64,
             under: bool,
         ) -> u64 {
             let own = if guid == target && under {
-                node.probes.values().sum::<u64>()
+                node.body.values().sum::<u64>()
             } else {
                 0
             };
             let under = under || guid == ancestor;
             own + node
-                .children
+                .callsites
                 .iter()
                 .map(|(&(_, callee), c)| walk(callee, c, target, ancestor, under))
                 .sum::<u64>()

@@ -7,7 +7,8 @@
 //! last version-1 fixture stays to show such a payload is refused.
 
 use csspgo_core::binprof::{self, DecodeError};
-use csspgo_core::context::{ContextNode, ContextProfile, FrameKey};
+use csspgo_core::context::{ContextProfile, FrameKey};
+use csspgo_core::profile::FuncProfile;
 use csspgo_core::textprof;
 use csspgo_ir::probe::function_guid;
 use proptest::prelude::*;
@@ -28,8 +29,8 @@ fn guid_of(i: usize) -> u64 {
 /// entry-or-probe)` with functions as pool indices.
 type Op = (Vec<(usize, u32)>, usize, u32, u64, bool);
 
-fn collect_guids(node: &ContextNode, out: &mut BTreeSet<u64>) {
-    for (&(_, callee), child) in &node.children {
+fn collect_guids(node: &FuncProfile<u32>, out: &mut BTreeSet<u64>) {
+    for (&(_, callee), child) in &node.callsites {
         out.insert(callee);
         collect_guids(child, out);
     }
@@ -64,9 +65,9 @@ fn profile_strategy() -> BoxedStrategy<ContextProfile> {
                 .map(|i| (guid_of(i), (i as u64 + 1).wrapping_mul(0x9e37)))
                 .collect();
             p.set_checksums(&table);
-            fn flag(guid: u64, node: &mut ContextNode) {
+            fn flag(guid: u64, node: &mut FuncProfile<u32>) {
                 node.inlined = guid.is_multiple_of(3);
-                for (&(_, callee), child) in &mut node.children {
+                for (&(_, callee), child) in &mut node.callsites {
                     flag(callee, child);
                 }
             }
@@ -131,7 +132,7 @@ fn golden_profile() -> ContextProfile {
     p.roots
         .get_mut(&3)
         .unwrap()
-        .children
+        .callsites
         .values_mut()
         .for_each(|c| c.inlined = true);
     p

@@ -36,7 +36,7 @@ fn edges(profile: &ContextProfile) -> Vec<ContextEdge> {
         .roots
         .iter()
         .flat_map(|(&root, node)| {
-            node.children
+            node.callsites
                 .keys()
                 .map(move |&(probe, callee)| ContextEdge {
                     root,
@@ -143,7 +143,7 @@ proptest! {
         prop_assert_eq!(agg.resident_contexts(), 0);
         let drained = agg.context_profile();
         prop_assert_eq!(drained.total(), total);
-        prop_assert!(drained.roots.values().all(|n| n.children.is_empty()));
+        prop_assert!(drained.roots.values().all(|n| n.callsites.is_empty()));
         prop_assert_eq!(drained, &model);
     }
 }

@@ -134,7 +134,7 @@ proptest! {
             agg.push_batch(chunk.to_vec()).unwrap();
             let summary = agg.seal_epoch();
             prop_assert_eq!(summary.nodes_epoch, alone.node_count());
-            let depth1: usize = alone.roots.values().map(|r| r.children.len()).sum();
+            let depth1: usize = alone.roots.values().map(|r| r.callsites.len()).sum();
             prop_assert_eq!(agg.last_epoch_edges().len(), depth1);
             prop_assert_eq!(agg.infer_stats(), long_lived.infer_stats);
             prop_assert_eq!(agg.broken_stacks(), broken);

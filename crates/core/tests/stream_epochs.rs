@@ -435,7 +435,7 @@ impl<'a> Materialised<'a> {
             summary.nodes_epoch = epoch.node_count();
             merge_context(&mut self.profile, &epoch);
             for (&root, node) in &epoch.roots {
-                for &(probe, callee) in node.children.keys() {
+                for &(probe, callee) in node.callsites.keys() {
                     edges.push(ContextEdge {
                         root,
                         probe,

@@ -8,9 +8,10 @@
 //! ```
 
 use csspgo::codegen::{lower_module, CodegenConfig};
-use csspgo::core::context::{ContextNode, ContextProfile};
+use csspgo::core::context::ContextProfile;
 use csspgo::core::pipeline::{context_profile, prepared_module};
 use csspgo::core::preinline::{run_preinliner, PreInlineConfig};
+use csspgo::core::profile::FuncProfile;
 use csspgo::sim::{Machine, SimConfig};
 
 const SRC: &str = r#"
@@ -37,7 +38,7 @@ fn main(n) {
 }
 "#;
 
-fn print_node(profile: &ContextProfile, guid: u64, node: &ContextNode, indent: usize) {
+fn print_node(profile: &ContextProfile, guid: u64, node: &FuncProfile<u32>, indent: usize) {
     let name = |g: u64| {
         profile
             .names
@@ -53,7 +54,7 @@ fn print_node(profile: &ContextProfile, guid: u64, node: &ContextNode, indent: u
         node.inlined,
         indent = indent
     );
-    for (&(probe, callee), child) in &node.children {
+    for (&(probe, callee), child) in &node.callsites {
         println!(
             "{:indent$}@ call-site probe {probe}:",
             "",

@@ -14,7 +14,8 @@
 //! some of it.
 #![allow(dead_code)]
 
-use csspgo_core::context::{ContextNode, ContextProfile, FrameKey};
+use csspgo_core::context::{ContextProfile, FrameKey};
+use csspgo_core::profile::FuncProfile;
 
 /// Merges `b` into `a`: structural and count-additive. A name already in
 /// `a` wins; a node `a` lacks starts empty.
@@ -27,17 +28,17 @@ pub fn merge_context(a: &mut ContextProfile, b: &ContextProfile) {
     }
 }
 
-fn merge_context_node(a: &mut ContextNode, b: &ContextNode) {
+fn merge_context_node(a: &mut FuncProfile<u32>, b: &FuncProfile<u32>) {
     a.entry += b.entry;
     if a.checksum == 0 {
         a.checksum = b.checksum;
     }
     a.inlined |= b.inlined;
-    for (probe, count) in &b.probes {
-        *a.probes.entry(*probe).or_insert(0) += count;
+    for (probe, count) in &b.body {
+        *a.body.entry(*probe).or_insert(0) += count;
     }
-    for (key, child) in &b.children {
-        merge_context_node(a.children.entry(*key).or_default(), child);
+    for (key, child) in &b.callsites {
+        merge_context_node(a.callsites.entry(*key).or_default(), child);
     }
 }
 
@@ -55,7 +56,7 @@ pub fn evict_subtree(
     let node = profile
         .roots
         .get_mut(&root)?
-        .children
+        .callsites
         .remove(&(probe, callee))?;
     let nodes = node.node_count();
     let weight = node.total();
@@ -66,10 +67,10 @@ pub fn evict_subtree(
         if base.checksum == 0 {
             base.checksum = n.checksum;
         }
-        for (p, c) in n.probes {
-            *base.probes.entry(p).or_insert(0) += c;
+        for (p, c) in n.body {
+            *base.body.entry(p).or_insert(0) += c;
         }
-        queue.extend(n.children.into_iter().map(|((_, g), c)| (g, c)));
+        queue.extend(n.callsites.into_iter().map(|((_, g), c)| (g, c)));
     }
     Some((nodes, weight))
 }
@@ -82,12 +83,12 @@ pub fn node_for_path<'a>(
     profile: &'a ContextProfile,
     path: &[FrameKey],
     owner_guid: u64,
-) -> Option<&'a ContextNode> {
+) -> Option<&'a FuncProfile<u32>> {
     let root_guid = path.first().map_or(owner_guid, |f| f.guid);
     let mut node = profile.roots.get(&root_guid)?;
     for (k, frame) in path.iter().enumerate() {
         let callee = path.get(k + 1).map_or(owner_guid, |f| f.guid);
-        node = node.children.get(&(frame.probe, callee))?;
+        node = node.callsites.get(&(frame.probe, callee))?;
     }
     Some(node)
 }

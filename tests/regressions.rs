@@ -83,7 +83,7 @@ fn helper_impossible_counts() -> ProbeProfile {
                 entry: 100,
                 checksum,
                 body: [(1, 100), (2, 5_000), (3, 5_000), (4, 5_000)].into(),
-                callsites: BTreeMap::new(),
+                ..FuncProfile::default()
             },
         )]
         .into(),
@@ -98,7 +98,7 @@ fn serve_overcounted_child() -> ContextProfile {
     let mut profile = context_input("serve_n300_k1.context.binprof");
     let serve = profile.roots.get_mut(&function_guid("serve")).unwrap();
     let child = serve
-        .children
+        .callsites
         .get_mut(&(4, function_guid("helper")))
         .unwrap();
     child.entry = 99_999;
@@ -712,6 +712,17 @@ fn a_context_merge_is_the_reference_merge() {
             merge_context(&mut want, p);
         }
         assert_eq!(merge_tries(inputs.iter().copied()), want);
+        // The one function-profile merge, root by root, names first-wins.
+        let mut by_node = inputs[0].clone();
+        for p in &inputs[1..] {
+            for (guid, name) in &p.names {
+                by_node.names.entry(*guid).or_insert_with(|| name.clone());
+            }
+            for (guid, root) in &p.roots {
+                by_node.roots.entry(*guid).or_default().merge(root.clone());
+            }
+        }
+        assert_eq!(by_node, want);
     }
     let inlined = |p: &ContextProfile| {
         let serve = FrameKey {
@@ -720,7 +731,7 @@ fn a_context_merge_is_the_reference_merge() {
         };
         node_for_path(p, &[serve], function_guid("helper"))
             .expect("helper inlined at probe 4")
-            .probes[&1]
+            .body[&1]
     };
     assert_eq!(inlined(&merge_tries([&a, &b])), inlined(&a) + inlined(&b));
 }
@@ -1003,7 +1014,7 @@ fn counts_near_the_top_of_u64_are_a_typed_error() {
         let mut context = context_input("serve_n300_k1.context.binprof");
         for &p in probes {
             profile.funcs.get_mut(&serve).unwrap().body.insert(p, big);
-            context.roots.get_mut(&serve).unwrap().probes.insert(p, big);
+            context.roots.get_mut(&serve).unwrap().body.insert(p, big);
         }
         for bytes in [
             binprof::encode_probe(&profile),

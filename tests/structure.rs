@@ -493,16 +493,20 @@ fn counts_not_sums() {
     found.extend(grep(&["crates/core/src/profile.rs"], |l| {
         declares_field(l, "total")
     }));
-    let context = file("crates/core/src/context.rs");
-    for node in ["struct ContextNode {", "struct ArenaNode {"] {
-        found.extend(lines_where(&context, item(&context, node), |l| {
+    // A node of every profile kind, and the unwinder's arena node.
+    for (path, node) in [
+        ("crates/core/src/profile.rs", "struct FuncProfile<K> {"),
+        ("crates/core/src/context.rs", "struct ArenaNode {"),
+    ] {
+        let src = file(path);
+        found.extend(lines_where(&src, item(&src, node), |l| {
             declares_field(l, "guid")
         }));
     }
     holds(
         "Counts, not sums",
         "§8.1",
-        "a profile stores counts: a total is summed on demand and a context node is named by its key",
+        "a profile stores counts: a total is summed on demand and a node is named by its key",
         &found,
     );
 }
@@ -688,10 +692,17 @@ fn one_profile_shape() {
     found.extend(grep(&["crates/core/src/profile.rs"], |l| {
         l.contains("Serialize")
     }));
+    // The context trie is a tree of the same type: no second node struct.
+    for src in sources(&["crates/*/src", "src", "examples"]) {
+        let outside_tests = (0..src.raw.len()).filter(|&l| !src.test[l]);
+        found.extend(lines_where(&src, outside_tests, |l| {
+            l.contains("struct ContextNode")
+        }));
+    }
     holds(
         "One profile shape",
         "§8.1",
-        "AutoFDO and probe profiles are one generic function-profile type, correlated by one loop and encoded by one node codec; no profile type serialises",
+        "AutoFDO, probe and context profiles are one generic function-profile type, correlated by one loop, encoded by one node codec per document kind and merged by one rule; no profile type serialises",
         &found,
     );
 }
