@@ -699,14 +699,35 @@ fn a_flat_merge_is_count_additive() {
     assert_eq!(merged.names, a.names);
 }
 
-/// `csspgo merge` on the same two runs' context profiles
-/// is the reference merge of `tests/common/reference_trie.rs`, in either
-/// order and with an input repeated.
+/// `csspgo merge` on the same two runs' context profiles, and
+/// `FuncProfile::merge` root by root, are the reference merge of
+/// `tests/common/reference_trie.rs`, in either order and with an input
+/// repeated — and for a copy with every checksum zeroed against one with
+/// every node marked inlined, where the first non-zero checksum and the
+/// or-ed mark decide.
 #[test]
 fn a_context_merge_is_the_reference_merge() {
     let a = context_input("serve_n300_k1.context.binprof");
     let b = context_input("serve_n120_k2.context.binprof");
-    for inputs in [vec![&a, &b], vec![&b, &a], vec![&a, &b, &a]] {
+    fn rewrite(node: &mut FuncProfile<u32>, f: fn(&mut FuncProfile<u32>)) {
+        f(node);
+        node.callsites.values_mut().for_each(|c| rewrite(c, f));
+    }
+    let (mut bare, mut marked) = (a.clone(), a.clone());
+    bare.roots
+        .values_mut()
+        .for_each(|r| rewrite(r, |n| n.checksum = 0));
+    marked
+        .roots
+        .values_mut()
+        .for_each(|r| rewrite(r, |n| n.inlined = true));
+    for inputs in [
+        vec![&a, &b],
+        vec![&b, &a],
+        vec![&a, &b, &a],
+        vec![&bare, &marked],
+        vec![&marked, &bare],
+    ] {
         let mut want = inputs[0].clone();
         for p in &inputs[1..] {
             merge_context(&mut want, p);
