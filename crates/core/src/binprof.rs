@@ -586,8 +586,6 @@ fn nested(depth: usize) -> Result<usize, DecodeError> {
 // Context profile
 // ---------------------------------------------------------------------------
 
-/// A context node: its inline mark as a flag byte, then its checksum,
-/// entry, counts and deeper contexts.
 fn encode_context_node(buf: &mut Vec<u8>, node: &FuncProfile<u32>) {
     buf.push(u8::from(node.inlined));
     put_uvarint(buf, node.checksum);
