@@ -161,53 +161,41 @@ impl ContextProfile {
     /// without them — but they are the call anchors the stale matcher's
     /// rename detection aligns on.
     pub fn to_probe_profile(&self) -> ProbeProfile {
-        let mut out = ProbeProfile {
-            names: self.names.clone(),
-            ..ProbeProfile::default()
-        };
-        // We process roots, descending into inlined children in place and
-        // deferring non-inlined children, each with its function, to their
-        // own base profiles.
-        fn convert<'a>(
+        // Each context merges its stub into its function's base profile by
+        // the one merge rule and adds its counts there; an inlined child
+        // does the same in its call-site slot, and a non-inlined one leaves
+        // its stub in the slot and queues for its own base.
+        fn fold<'a>(
             node: &'a FuncProfile<u32>,
             dest: &mut FuncProfile<u32>,
-            deferred: &mut Vec<(u64, &'a FuncProfile<u32>)>,
+            queue: &mut Vec<(u64, &'a FuncProfile<u32>)>,
         ) {
-            dest.checksum = node.checksum;
-            dest.entry += node.entry;
-            for (&p, &c) in &node.body {
-                dest.record_sum(p, c);
+            dest.add_stub(node.entry, node.checksum);
+            for (&probe, &count) in &node.body {
+                dest.record_sum(probe, count);
             }
-            for ((probe, callee), child) in &node.callsites {
+            for (&(probe, callee), child) in &node.callsites {
+                let slot = dest.callsite_mut(probe, callee);
                 if child.inlined {
-                    let slot = dest.callsites.entry((*probe, *callee)).or_default();
-                    convert(child, slot, deferred);
+                    fold(child, slot, queue);
                 } else {
-                    // The child's counts move to its base profile, but the
-                    // call *edge* — which target this call-site probe
-                    // reached, and how often — is profile data in its own
-                    // right (the stale matcher's call anchors). Keep it as
-                    // a zero-body stub: entry and checksum only, so totals,
-                    // replay gates, and annotation are untouched.
-                    let stub = dest.callsites.entry((*probe, *callee)).or_default();
-                    stub.entry += child.entry;
-                    if stub.checksum == 0 {
-                        stub.checksum = child.checksum;
-                    }
-                    deferred.push((*callee, child));
+                    slot.add_stub(child.entry, child.checksum);
+                    queue.push((callee, child));
                 }
             }
         }
-
-        let mut deferred: Vec<(u64, &FuncProfile<u32>)> = Vec::new();
-        for (g, node) in &self.roots {
-            let dest = out.funcs.entry(*g).or_default();
-            convert(node, dest, &mut deferred);
+        // Roots first, then the queued contexts in the order they queued.
+        let mut queue: Vec<_> = (self.roots.iter()).map(|(&g, n)| (g, n)).collect();
+        let mut funcs = BTreeMap::new();
+        let mut next = 0;
+        while let Some(&(guid, node)) = queue.get(next) {
+            next += 1;
+            fold(node, funcs.entry(guid).or_default(), &mut queue);
         }
-        while let Some((g, node)) = deferred.pop() {
-            convert(node, out.funcs.entry(g).or_default(), &mut deferred);
+        ProbeProfile {
+            funcs,
+            names: self.names.clone(),
         }
-        out
     }
 }
 
@@ -696,6 +684,18 @@ mod tests {
         assert_eq!(stub.total(), 0, "stubs must not add weight");
         // Total weight is conserved: 5 (main) + 100 (inlined) + 40 (base).
         assert_eq!(pp.total(), 145);
+    }
+
+    #[test]
+    fn a_folded_context_keeps_its_base_checksum() {
+        let mut cp = ContextProfile::new();
+        cp.add_probe_hit(&[], 9, 1, 7); // guid 9's base profile
+        cp.add_probe_hit(&[fk(1, 3)], 9, 1, 5); // guid 9 under main, not inlined
+        cp.roots.get_mut(&9).unwrap().checksum = 0xaa;
+        let pp = cp.to_probe_profile();
+        // The first non-zero checksum wins, as in every merge.
+        assert_eq!(pp.funcs[&9].checksum, 0xaa);
+        assert_eq!(pp.funcs[&9].body[&1], 12);
     }
 
     #[test]

@@ -106,18 +106,25 @@ impl<K: Ord + Default> FuncProfile<K> {
         1 + self.callsites.values().map(Self::node_count).sum::<usize>()
     }
 
+    /// Merges a stub — a profile of nothing but `entry` calls and
+    /// `checksum` — into `self` by [`merge`](Self::merge)'s rule: the entry
+    /// adds and the first non-zero checksum wins.
+    pub(crate) fn add_stub(&mut self, entry: u64, checksum: u64) {
+        self.entry += entry;
+        if self.checksum == 0 {
+            self.checksum = checksum;
+        }
+    }
+
     /// Merges `other` (the same function) into `self`, the one merge rule
     /// of every profile kind: counts add, the first non-zero checksum wins,
     /// marks are or-ed, and call sites merge recursively — a call site
     /// `self` lacks is taken whole.
     pub fn merge(&mut self, other: FuncProfile<K>) {
-        self.entry += other.entry;
-        if self.checksum == 0 {
-            self.checksum = other.checksum;
-        }
+        self.add_stub(other.entry, other.checksum);
         self.inlined |= other.inlined;
         for (key, count) in other.body {
-            *self.body.entry(key).or_insert(0) += count;
+            self.record_sum(key, count);
         }
         for (key, sub) in other.callsites {
             match self.callsites.entry(key) {

@@ -13,6 +13,12 @@
 //! * **Late layout passes** driven purely by profile: [`layout`] (ext-TSP
 //!   block ordering + hot/cold function splitting).
 //!
+//! The mid-level and late passes run in one order, written once as data (a
+//! private table of named entries, each `simplify` repeat its own entry).
+//! [`run_passes`] walks it and shows the module to an observer on the input
+//! and after every entry; [`run_pipeline`] is that walk with the inter-pass
+//! verifier as the observer when [`OptConfig::interpass_verify`] is set.
+//!
 //! Profile-quality damage is *deliberately realistic*: tail merge destroys
 //! per-block counts for debug-info correlation but is blocked by distinct
 //! probes; tail duplication and unrolling duplicate debug lines (the MAX
@@ -94,10 +100,10 @@ pub struct OptConfig {
     pub inline_small_size: usize,
     /// Callee size limit for hot call sites.
     pub inline_hot_size: usize,
-    /// Run the IR verifier and probe-invariant checker after every pass in
-    /// [`run_pipeline`], panicking (with every finding) on the first pass
-    /// that breaks an invariant. Defaults to on in debug builds, off in
-    /// release; release users opt in via `PipelineConfig`.
+    /// Run the IR verifier and probe-invariant checker on the input and
+    /// after every entry of [`run_pipeline`], panicking (with every finding)
+    /// on the first entry that breaks an invariant. Defaults to on in debug
+    /// builds, off in release; release users opt in via `PipelineConfig`.
     pub interpass_verify: bool,
 }
 
@@ -112,76 +118,88 @@ impl Default for OptConfig {
     }
 }
 
-/// Checks IR well-formedness and probe invariants after a pipeline pass,
+/// Checks IR well-formedness and probe invariants after a pipeline entry,
 /// panicking with *all* findings if anything is broken. `stage` names the
-/// pass that just ran so the report points at the culprit.
+/// entry that just ran and `step` its place in the walk (0 for `input`), so
+/// the report points at the culprit.
 ///
 /// This is the pipeline's safety net against silent probe corruption — the
 /// failure mode the paper attributes to stale debug info, recreated here any
 /// time a cloning pass forgets to raise duplication factors or an inliner
 /// change mangles probe inline stacks.
-fn verify_after_pass(module: &Module, stage: &str) {
+fn verify_after_pass(module: &Module, stage: &str, step: usize) {
     let ir_errors = csspgo_ir::verify::verify_module(module);
     let probe_issues = csspgo_ir::probe_verify::check_module(module);
-    if ir_errors.is_empty() && probe_issues.is_empty() {
-        return;
-    }
-    let mut report = format!(
-        "inter-pass verification failed after `{stage}` ({} IR error(s), {} probe issue(s))",
+    let findings: Vec<String> = (ir_errors.iter().map(ToString::to_string))
+        .chain(probe_issues.iter().map(ToString::to_string))
+        .collect();
+    assert!(
+        findings.is_empty(),
+        "inter-pass verification failed after `{stage}`, step {step} of {} ({} IR error(s), {} probe issue(s))\n  {}",
+        PASSES.len(),
         ir_errors.len(),
-        probe_issues.len()
+        probe_issues.len(),
+        findings.join("\n  ")
     );
-    for e in &ir_errors {
-        report.push_str("\n  ");
-        report.push_str(&e.to_string());
-    }
-    for i in &probe_issues {
-        report.push_str("\n  ");
-        report.push_str(&i.to_string());
-    }
-    panic!("{report}");
 }
 
-/// Runs the mid-level + late pipeline on an (optionally annotated) module.
-///
-/// Anchoring passes (probes/discriminators/instrumentation) and the
-/// top-down sample-loader inliner are *not* included: the PGO driver in
-/// `csspgo-core` sequences those explicitly around profile annotation.
-pub fn run_pipeline(module: &mut Module, config: &OptConfig) {
-    let checkpoint = |module: &Module, stage: &str| {
-        if config.interpass_verify {
-            verify_after_pass(module, stage);
-        }
-    };
-    checkpoint(module, "input");
+/// An entry's pass; every entry takes the config, read or not.
+type Pass = fn(&mut Module, &OptConfig);
+
+/// The mid-level and late passes in pipeline order, each `simplify` repeat
+/// an entry of its own: the one statement of the order.
+const PASSES: [(&str, Pass); 13] = [
+    ("simplify", |m, _| simplify::run(m)),
+    ("tail_dup", tail_dup::run),
+    ("simplify", |m, _| simplify::run(m)),
+    ("licm", licm::run),
+    ("sink", sink::run),
+    ("inliner", inliner::run_bottom_up),
+    ("simplify", |m, _| simplify::run(m)),
+    ("unroll", |m, _| unroll::run(m)),
+    ("simplify", |m, _| simplify::run(m)),
+    ("tailmerge", |m, _| tailmerge::run(m)),
+    ("ifconvert", ifconvert::run),
+    ("simplify", |m, _| simplify::run(m)),
+    ("layout", |m, _| layout::run(m)),
+];
+
+/// Walks the pass list over `module`, calling `observe` with the module and a
+/// name first on the input (`"input"`), then after every entry with the
+/// entry's name.
+pub fn run_passes(
+    module: &mut Module,
+    config: &OptConfig,
+    mut observe: impl FnMut(&Module, &'static str),
+) {
+    observe(module, "input");
     // Passes maintain block counts ("profile maintenance") but not their
     // provenance tags: drop the tags rather than let a transformed CFG
     // carry stale ones.
     for block in module.functions.iter_mut().flat_map(|f| &mut f.blocks) {
         block.provenance = None;
     }
-    simplify::run(module);
-    checkpoint(module, "simplify");
-    tail_dup::run(module, config);
-    simplify::run(module);
-    checkpoint(module, "tail_dup");
-    licm::run(module, config);
-    checkpoint(module, "licm");
-    sink::run(module, config);
-    checkpoint(module, "sink");
-    inliner::run_bottom_up(module, config);
-    simplify::run(module);
-    checkpoint(module, "inline");
-    unroll::run(module);
-    simplify::run(module);
-    checkpoint(module, "unroll");
-    tailmerge::run(module);
-    checkpoint(module, "tailmerge");
-    ifconvert::run(module, config);
-    simplify::run(module);
-    checkpoint(module, "ifconvert");
-    layout::run(module);
-    checkpoint(module, "layout");
+    for (name, pass) in PASSES {
+        pass(module, config);
+        observe(module, name);
+    }
+}
+
+/// Runs the mid-level + late pipeline on an (optionally annotated) module:
+/// [`run_passes`], verified on the input and after every entry when
+/// [`OptConfig::interpass_verify`] is set.
+///
+/// Anchoring passes (probes/discriminators/instrumentation) and the
+/// top-down sample-loader inliner are *not* included: the PGO driver in
+/// `csspgo-core` sequences those explicitly around profile annotation.
+pub fn run_pipeline(module: &mut Module, config: &OptConfig) {
+    let mut step = 0;
+    run_passes(module, config, |module, stage| {
+        if config.interpass_verify {
+            verify_after_pass(module, stage, step);
+        }
+        step += 1;
+    });
 }
 
 #[cfg(test)]
@@ -243,6 +261,6 @@ fn main(n) {
         // Corrupt: duplicate the entry block probe without a factor.
         let probe = m.functions[0].blocks[0].insts[0].clone();
         m.functions[0].blocks[0].insts.insert(0, probe);
-        verify_after_pass(&m, "test");
+        verify_after_pass(&m, "test", 0);
     }
 }

@@ -9,15 +9,10 @@
 //!
 //! `cargo test --test compile_allocations -- --nocapture` prints the table.
 
+use common::Lineage;
 use csspgo::codegen::{lower_module, CodegenConfig};
-use csspgo::core::annotate::{csspgo_annotate, AnnotateConfig};
-use csspgo::core::inference::InferenceMode;
-use csspgo::core::pipeline::PipelineConfig;
-use csspgo::core::stalematch::StaleMatching;
-use csspgo::core::Workload;
-use csspgo::ir::{InlinePlan, Module};
-use csspgo::opt::OptConfig;
-use csspgo::workloads::drift;
+use csspgo::core::annotate::csspgo_annotate;
+use csspgo::ir::InlinePlan;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -59,10 +54,8 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static COUNTING: Counting = Counting;
 
-/// Traffic scale of the profiling run behind each annotated build.
-const SCALE: f64 = 0.05;
-
-/// The layers, in pipeline order, with the most allocations each may make
+/// The layers, in pipeline order (the passes by the names
+/// `opt::run_passes` gives them), with the most allocations each may make
 /// over the whole set of builds: about 8 % above what a debug build makes
 /// (a release build makes no more). The total was 416 489 before the front
 /// end, inference, the instruction stream and the passes on the compile
@@ -95,15 +88,20 @@ const LAP_BOUND: u64 = 19_828;
 struct Tally([u64; LAYERS.len()]);
 
 impl Tally {
-    /// Runs `f`, charging its allocations to `layer`.
-    fn count<R>(&mut self, layer: &str, f: impl FnOnce() -> R) -> R {
+    /// Charges `n` allocations to `layer`.
+    fn charge(&mut self, layer: &str, n: u64) {
         let slot = LAYERS
             .iter()
             .position(|&(name, _)| name == layer)
             .expect("a known layer");
+        self.0[slot] += n;
+    }
+
+    /// Runs `f`, charging its allocations to `layer`.
+    fn count<R>(&mut self, layer: &str, f: impl FnOnce() -> R) -> R {
         let before = ALLOCATIONS.with(Cell::get);
         let out = f();
-        self.0[slot] += ALLOCATIONS.with(Cell::get) - before;
+        self.charge(layer, ALLOCATIONS.with(Cell::get) - before);
         out
     }
 }
@@ -115,28 +113,8 @@ enum Mode {
     Annotated,
 }
 
-/// `run_pipeline` pass by pass, each pass charged to its own layer.
-fn optimise(module: &mut Module, config: &OptConfig, tally: &mut Tally) {
-    use csspgo::opt::*;
-    for block in module.functions.iter_mut().flat_map(|f| &mut f.blocks) {
-        block.provenance = None;
-    }
-    tally.count("simplify", || simplify::run(module));
-    tally.count("tail_dup", || tail_dup::run(module, config));
-    tally.count("simplify", || simplify::run(module));
-    tally.count("licm", || licm::run(module, config));
-    tally.count("sink", || sink::run(module, config));
-    tally.count("inliner", || inliner::run_bottom_up(module, config));
-    tally.count("simplify", || simplify::run(module));
-    tally.count("unroll", || unroll::run(module));
-    tally.count("simplify", || simplify::run(module));
-    tally.count("tailmerge", || tailmerge::run(module));
-    tally.count("ifconvert", || ifconvert::run(module, config));
-    tally.count("simplify", || simplify::run(module));
-    tally.count("layout", || layout::run(module));
-}
-
-fn build(w: &Workload, source: &str, mode: Mode, profile: &Profile, tally: &mut Tally) {
+fn build(lineage: &Lineage, source: &str, mode: Mode, tally: &mut Tally) {
+    let w = &lineage.workload;
     let module = tally.count("lang", || csspgo::lang::compile(source, &w.name));
     let mut module = module.expect("workload compiles");
     tally.count("prepare", || {
@@ -149,24 +127,26 @@ fn build(w: &Workload, source: &str, mode: Mode, profile: &Profile, tally: &mut 
         tally.count("annotate", || {
             csspgo_annotate(
                 &mut module,
-                &profile.probe,
+                &lineage.probe,
                 Some(&InlinePlan),
-                &profile.annotate,
+                &lineage.annotate,
             )
         });
     }
     let opt = if mode == Mode::Annotated {
-        &profile.opt_annotated
+        &lineage.opt_annotated
     } else {
-        &profile.config.opt
+        &lineage.opt
     };
-    let mut replayed = module.clone();
-    csspgo::opt::run_pipeline(&mut module, opt);
-    optimise(&mut replayed, opt, tally);
-    assert!(
-        format!("{replayed:?}") == format!("{module:?}"),
-        "the replay is `run_pipeline`"
-    );
+    // Each entry is charged what was allocated since the walk last called.
+    let mut last = 0;
+    csspgo::opt::run_passes(&mut module, opt, |_, pass| {
+        let now = ALLOCATIONS.with(Cell::get);
+        if pass != "input" {
+            tally.charge(pass, now - last);
+        }
+        last = now;
+    });
     if mode != Mode::Probes {
         if let Some(root) = module.find_function(&w.entry) {
             tally.count("strip", || csspgo::opt::strip::run(&mut module, &[root]));
@@ -178,52 +158,22 @@ fn build(w: &Workload, source: &str, mode: Mode, profile: &Profile, tally: &mut 
     assert!(!binary.is_empty());
 }
 
-/// What the annotated builds of one lineage share.
-struct Profile {
-    config: PipelineConfig,
-    probe: csspgo::core::profile::ProbeProfile,
-    annotate: AnnotateConfig,
-    opt_annotated: OptConfig,
-}
-
 #[test]
 fn every_compile_layer_stays_under_its_allocation_bound() {
-    let mut workloads = csspgo::workloads::server_workloads();
-    workloads.push(csspgo::workloads::client_compiler());
     let mut tally = Tally::default();
     // `ad_retriever`'s lineage alone: the benchmark's compile lap.
     let mut lap = Tally::default();
-    for w in &workloads {
-        let config = PipelineConfig::default();
-        let probe = common::collect_probe_profile(&w.scaled(SCALE), &config);
-        let mut opt_annotated = config.opt.clone();
-        opt_annotated.inline_hot_size = opt_annotated.inline_small_size;
-        let profile = Profile {
-            annotate: AnnotateConfig {
-                stale_matching: StaleMatching::Recover,
-                inference: InferenceMode::Mcf,
-                ..config.annotate
-            },
-            config,
-            probe,
-            opt_annotated,
-        };
-        let mut sources = vec![w.source.clone()];
-        sources.extend(
-            drift::release_chain(&w.source, 5, &[w.entry.as_str()])
-                .into_iter()
-                .map(|(_, s)| s),
-        );
+    for lineage in &common::lineages() {
         let mut mine = Tally::default();
-        for source in &sources {
+        for source in &lineage.sources {
             for mode in [Mode::O2, Mode::Probes, Mode::Annotated] {
-                build(w, source, mode, &profile, &mut mine);
+                build(lineage, source, mode, &mut mine);
             }
         }
         for (all, n) in tally.0.iter_mut().zip(mine.0) {
             *all += n;
         }
-        if w.name == "ad_retriever" {
+        if lineage.workload.name == "ad_retriever" {
             lap = mine;
         }
     }

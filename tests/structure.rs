@@ -744,3 +744,38 @@ fn counts_live_on_blocks() {
         &found,
     );
 }
+
+#[test]
+fn one_pass_list() {
+    let passes = [
+        "simplify::run(",
+        "tail_dup::run(",
+        "licm::run(",
+        "sink::run(",
+        "run_bottom_up(",
+        "unroll::run(",
+        "tailmerge::run(",
+        "ifconvert::run(",
+        "layout::run(",
+    ];
+    let runs_a_pass = |t: &str| passes.iter().any(|p| calls(t, p) > 0);
+    let table = item(&file("crates/opt/src/lib.rs"), "const PASSES");
+    let mut found = Vec::new();
+    for src in sources(&["crates/*/src", "src", "examples"]) {
+        let in_table = |l: usize| src.path == "crates/opt/src/lib.rs" && table.contains(&l);
+        let hits: Vec<usize> = (src.code())
+            .filter(|&(l, t)| runs_a_pass(t) && !in_table(l))
+            .map(|(l, _)| l)
+            .collect();
+        found.extend(lines_where(&src, hits.into_iter(), |_| true));
+    }
+    let tally = file("tests/compile_allocations.rs");
+    let hits = (0..tally.lines.len()).filter(|&l| runs_a_pass(&tally.lines[l]));
+    found.extend(lines_where(&tally, hits, |_| true));
+    holds(
+        "One pass list",
+        "§4",
+        "the optimizer's pass order is written once, in `opt`'s `PASSES` table: no other non-test code runs a pass of it, and the allocation tally walks it through `run_passes`",
+        &found,
+    );
+}
