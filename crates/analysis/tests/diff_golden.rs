@@ -1,12 +1,8 @@
 //! Golden test pinning the `csspgo_lint --json` report (`csspgo-diff-v1`):
 //! the exact bytes a fixed program + synthetic profile produce across the
 //! three interesting drift classes, through the same `Analyzer::judge` the
-//! tool's three modes call. Format changes must be deliberate — re-bless
-//! with
-//!
-//! ```text
-//! BLESS=1 cargo test -p csspgo-analysis --test diff_golden
-//! ```
+//! tool's three modes call. Format changes must be deliberate (`BLESS=1
+//! cargo test -p csspgo-analysis --test diff_golden` re-blesses).
 //!
 //! Everything feeding the report is deterministic: GUIDs are name hashes,
 //! the profile is synthesized (no simulation), and fractions are rounded
@@ -17,7 +13,9 @@ use csspgo_core::profile::ProbeProfile;
 use csspgo_ir::probe::anchor_sequence;
 use csspgo_ir::Module;
 use csspgo_workloads::drift::{self, Mutator};
-use std::path::Path;
+
+#[path = "../../../tests/common/golden.rs"]
+mod golden;
 
 /// The fixture: `mid` carries two call anchors (enough for rename
 /// detection), `serve` exercises interval mapping around a loop.
@@ -125,22 +123,9 @@ fn diff_report_json_matches_golden() {
     assert!(report.scenarios[1].recovered > 0, "change_cfg must recover");
     assert!(report.scenarios[2].renamed == 1, "mid_v2 must be adopted");
 
-    let got = report.to_json();
-    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/diff_report.json");
-    if std::env::var("BLESS").is_ok() {
-        std::fs::write(&path, &got).unwrap();
-        return;
-    }
-    let want = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-        panic!(
-            "missing golden file {} ({e}); run with BLESS=1",
-            path.display()
-        )
-    });
-    assert_eq!(
-        got.trim_end(),
-        want.trim_end(),
-        "csspgo_lint JSON drifted from the golden report; if intentional, \
-         re-bless: BLESS=1 cargo test -p csspgo-analysis --test diff_golden"
+    golden::check(
+        "tests/golden/diff_report.json",
+        report.to_json(),
+        "csspgo_lint JSON drifted from the golden report; re-bless only for an intended change",
     );
 }

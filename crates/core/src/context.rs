@@ -242,6 +242,17 @@ impl ArenaNode {
         }
     }
 
+    /// Adds a stub — `entry` calls and `checksum` — by the merge rule
+    /// [`FuncProfile::add_stub`] states: the entry adds, the first non-zero
+    /// checksum wins. Absorbing a node and folding an evicted one into its
+    /// base both go through here.
+    fn add_stub(&mut self, entry: u64, checksum: u64) {
+        self.entry += entry;
+        if self.checksum == 0 {
+            self.checksum = checksum;
+        }
+    }
+
     /// Leaves the profile: counters and marks back to what a node interned
     /// by a hit starts with, so a later hit re-attaches it as a merge into
     /// a trie without it would re-create it.
@@ -480,10 +491,7 @@ impl ContextArena {
     pub(crate) fn absorb(&mut self, profile: &ContextProfile) {
         fn absorb_node(arena: &mut ContextArena, id: ContextId, node: &FuncProfile<u32>) {
             let n = &mut arena.nodes[id as usize];
-            n.entry += node.entry;
-            if n.checksum == 0 {
-                n.checksum = node.checksum;
-            }
+            n.add_stub(node.entry, node.checksum);
             n.inlined |= node.inlined;
             for (&probe, &count) in &node.body {
                 let slot = arena.probe_slot(id, probe);
@@ -592,11 +600,7 @@ impl ContextArena {
             let probes = std::mem::take(&mut n.probes);
             let base = self.root(guid);
             self.set_live(base);
-            let b = &mut self.nodes[base as usize];
-            b.entry += entry;
-            if b.checksum == 0 {
-                b.checksum = checksum;
-            }
+            self.nodes[base as usize].add_stub(entry, checksum);
             for &(p, slot) in &probes {
                 if let Some(c) = self.counts[slot as usize].checked_sub(1) {
                     weight += c;

@@ -923,13 +923,19 @@ pub fn evaluate(
     config: &PipelineConfig,
 ) -> Result<(RunStats, u64), PipelineError> {
     let mut machine = staged_machine(binary, workload, config.sim_config(0))?;
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for args in &workload.eval_calls {
-        let r = machine.call(&workload.entry, args)?;
-        hash ^= r as u64;
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    Ok((*machine.stats(), hash))
+    let results = (workload.eval_calls.iter())
+        .map(|args| machine.call(&workload.entry, args).map(|r| r as u64))
+        .collect::<Result<Vec<_>, _>>()?;
+    Ok((*machine.stats(), fnv_words(results)))
+}
+
+/// FNV-1a over whole 64-bit words (each folded in at once, not byte by
+/// byte): the evaluation's result hash and the snapshot's binary
+/// fingerprint.
+pub(crate) fn fnv_words(words: impl IntoIterator<Item = u64>) -> u64 {
+    (words.into_iter()).fold(0xcbf2_9ce4_8422_2325, |h, w| {
+        (h ^ w).wrapping_mul(0x0000_0100_0000_01b3)
+    })
 }
 
 /// Builds `workload` at plain `-O2` (probes on or off) and evaluates it —

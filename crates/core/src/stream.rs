@@ -57,7 +57,7 @@
 use crate::binprof;
 use crate::context::ContextProfile;
 use crate::overlap::share_overlap;
-use crate::pipeline::{ContextGenerated, PipelineError};
+use crate::pipeline::{fnv_words, ContextGenerated, PipelineError};
 use crate::profile::FuncProfile;
 use crate::ranges::RangeCounts;
 use crate::shard::{diagnostics, fold_sharded, resolve_shards};
@@ -184,17 +184,8 @@ impl EvictStats {
 /// a restore onto a different build is rejected instead of silently
 /// mis-correlating counts.
 fn binary_fingerprint(binary: &Binary) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mix = |h: &mut u64, v: u64| {
-        *h ^= v;
-        *h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    };
-    mix(&mut h, binary.len() as u64);
-    for f in &binary.funcs {
-        mix(&mut h, f.guid);
-        mix(&mut h, f.probe_checksum.unwrap_or(0));
-    }
-    h
+    let funcs = (binary.funcs.iter()).flat_map(|f| [f.guid, f.probe_checksum.unwrap_or(0)]);
+    fnv_words(std::iter::once(binary.len() as u64).chain(funcs))
 }
 
 /// A flat instruction index read from a snapshot payload. Restored counts

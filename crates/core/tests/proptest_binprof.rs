@@ -14,6 +14,9 @@ use csspgo_ir::probe::function_guid;
 use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
 
+#[path = "../../../tests/common/golden.rs"]
+mod golden;
+
 /// Function-name pool; GUIDs derive from these the way real builds derive
 /// them, so the name-keyed text format can round-trip the profile.
 const POOL: [&str; 12] = [
@@ -138,28 +141,19 @@ fn golden_profile() -> ContextProfile {
     p
 }
 
-const FIXTURE: &str = concat!(
-    env!("CARGO_MANIFEST_DIR"),
-    "/tests/fixtures/context_v2.binprof"
-);
-
 /// The version-2 wire bytes of [`golden_profile`] are pinned on disk: any
 /// byte-level drift of the format must come with a `binprof::VERSION` bump
-/// and a deliberate re-bless (`BLESS=1 cargo test`).
+/// and a deliberate re-bless.
 #[test]
 fn golden_binary_fixture_is_stable() {
     let profile = golden_profile();
     let bytes = binprof::encode_context(&profile);
-    if std::env::var("BLESS").is_ok() {
-        std::fs::write(FIXTURE, &bytes).unwrap();
-    }
-    let golden =
-        std::fs::read(FIXTURE).expect("golden fixture missing; regenerate with BLESS=1 cargo test");
-    assert_eq!(
-        bytes, golden,
-        "binprof wire bytes drifted from the v2 fixture; bump VERSION and re-bless deliberately"
+    golden::check(
+        "tests/fixtures/context_v2.binprof",
+        &bytes,
+        "binprof wire bytes drifted from the v2 fixture; bump VERSION and re-bless deliberately",
     );
-    assert_eq!(binprof::decode_context(&golden).unwrap(), profile);
+    assert_eq!(binprof::decode_context(&bytes).unwrap(), profile);
 }
 
 /// Version 1 wrote each context node's GUID beside the key that names it,

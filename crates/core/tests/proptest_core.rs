@@ -8,56 +8,20 @@ use csspgo_core::inference::{infer_counts, InferenceMode};
 use csspgo_core::overlap::{program_overlap, BlockCounts};
 use csspgo_core::profile::{FlatProfile, FuncProfile, LocKey};
 use csspgo_core::textprof;
-use csspgo_ir::builder::ModuleBuilder;
-use csspgo_ir::inst::{CmpPred, Operand};
 use csspgo_ir::probe::function_guid;
-use csspgo_ir::{cfg, BlockId, Module, VReg};
+use csspgo_ir::{cfg, BlockId};
 use proptest::prelude::*;
 use std::collections::HashMap;
 
-/// Random acyclic-ish diamond CFG for inference tests (ret-terminated).
-fn build_cfg(n: usize, edges: &[(u8, u8, u8)]) -> Module {
-    let mut mb = ModuleBuilder::new("prop");
-    let f = mb.declare_function("f", 1);
-    {
-        let mut fb = mb.function_builder(f);
-        let entry = fb.entry_block();
-        let mut blocks = vec![entry];
-        for _ in 1..n {
-            blocks.push(fb.add_block());
-        }
-        for (i, &(kind, a, b)) in edges.iter().enumerate().take(n) {
-            fb.switch_to(blocks[i]);
-            let t1 = blocks[a as usize % n];
-            let t2 = blocks[b as usize % n];
-            match kind % 3 {
-                0 => fb.ret(Some(Operand::Reg(VReg(0)))),
-                1 => fb.br(t1),
-                _ => {
-                    let c = fb.cmp(CmpPred::Gt, Operand::Reg(VReg(0)), Operand::Imm(i as i64));
-                    fb.cond_br(Operand::Reg(c), t1, t2);
-                }
-            }
-        }
-    }
-    mb.finish()
-}
-
-fn cfg_strategy() -> impl Strategy<Value = (usize, Vec<(u8, u8, u8)>, Vec<u16>)> {
-    (2usize..10).prop_flat_map(|n| {
-        (
-            Just(n),
-            prop::collection::vec((any::<u8>(), any::<u8>(), any::<u8>()), n..=n),
-            prop::collection::vec(any::<u16>(), n..=n),
-        )
-    })
-}
+#[path = "../../../tests/common/random_cfg.rs"]
+mod random_cfg;
+use random_cfg::{build_cfg, counted_cfg_strategy};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(150))]
 
     #[test]
-    fn inference_conserves_flow_at_forward_joins((n, edges, raws) in cfg_strategy()) {
+    fn inference_conserves_flow_at_forward_joins((n, edges, raws) in counted_cfg_strategy()) {
         let m = build_cfg(n, &edges);
         let f = &m.functions[0];
         let mut raw = HashMap::new();
@@ -85,7 +49,7 @@ proptest! {
     }
 
     #[test]
-    fn inference_single_successor_chains_conserve((n, edges, raws) in cfg_strategy()) {
+    fn inference_single_successor_chains_conserve((n, edges, raws) in counted_cfg_strategy()) {
         let m = build_cfg(n, &edges);
         let f = &m.functions[0];
         let mut raw = HashMap::new();

@@ -11,47 +11,12 @@ use csspgo_ir::{cfg, BlockId, Module, VReg};
 use proptest::prelude::*;
 use std::collections::HashMap;
 
+#[path = "../../../tests/common/random_cfg.rs"]
+mod random_cfg;
+use random_cfg::{build_cfg, counted_cfg_strategy};
+
 #[path = "../../../tests/common/reference_mcf.rs"]
 mod reference_mcf;
-
-/// Random CFG of any shape (cycles, unreachable blocks, multiple or zero
-/// exits) — the same generator family as `proptest_core`.
-fn build_cfg(n: usize, edges: &[(u8, u8, u8)]) -> Module {
-    let mut mb = ModuleBuilder::new("prop");
-    let f = mb.declare_function("f", 1);
-    {
-        let mut fb = mb.function_builder(f);
-        let entry = fb.entry_block();
-        let mut blocks = vec![entry];
-        for _ in 1..n {
-            blocks.push(fb.add_block());
-        }
-        for (i, &(kind, a, b)) in edges.iter().enumerate().take(n) {
-            fb.switch_to(blocks[i]);
-            let t1 = blocks[a as usize % n];
-            let t2 = blocks[b as usize % n];
-            match kind % 3 {
-                0 => fb.ret(Some(Operand::Reg(VReg(0)))),
-                1 => fb.br(t1),
-                _ => {
-                    let c = fb.cmp(CmpPred::Gt, Operand::Reg(VReg(0)), Operand::Imm(i as i64));
-                    fb.cond_br(Operand::Reg(c), t1, t2);
-                }
-            }
-        }
-    }
-    mb.finish()
-}
-
-fn cfg_strategy() -> impl Strategy<Value = (usize, Vec<(u8, u8, u8)>, Vec<u16>)> {
-    (2usize..10).prop_flat_map(|n| {
-        (
-            Just(n),
-            prop::collection::vec((any::<u8>(), any::<u8>(), any::<u8>()), n..=n),
-            prop::collection::vec(any::<u16>(), n..=n),
-        )
-    })
-}
 
 /// Tree-shaped CFG (every block has exactly one predecessor) plus exactly
 /// flow-consistent counts derived by splitting the entry flow at each
@@ -150,7 +115,7 @@ proptest! {
     /// Kirchhoff at every reachable block and conserve the entry flow —
     /// and it must be bit-deterministic.
     #[test]
-    fn mcf_satisfies_kirchhoff_on_corrupted_inputs((n, edges, raws) in cfg_strategy()) {
+    fn mcf_satisfies_kirchhoff_on_corrupted_inputs((n, edges, raws) in counted_cfg_strategy()) {
         let m = build_cfg(n, &edges);
         let f = &m.functions[0];
         let mut raw = HashMap::new();

@@ -1,52 +1,15 @@
 //! Property tests over random CFGs: dominators, loops, reachability and the
 //! CFG checksum must uphold their defining invariants on arbitrary shapes.
 
-use csspgo_ir::builder::ModuleBuilder;
 use csspgo_ir::dom::Dominators;
-use csspgo_ir::inst::{CmpPred, Operand};
 use csspgo_ir::loops::LoopInfo;
 use csspgo_ir::probe::cfg_checksum;
-use csspgo_ir::{cfg, BlockId, Function, Module, VReg};
+use csspgo_ir::{cfg, BlockId, Function};
 use proptest::prelude::*;
 
-/// Builds a function with `n` blocks and pseudo-random branch structure
-/// derived from `edges`: block i terminates with a conditional branch to two
-/// chosen targets, a jump, or a return.
-fn build_cfg(n: usize, edges: &[(u8, u8, u8)]) -> Module {
-    let mut mb = ModuleBuilder::new("prop");
-    let f = mb.declare_function("f", 1);
-    {
-        let mut fb = mb.function_builder(f);
-        let entry = fb.entry_block();
-        let mut blocks = vec![entry];
-        for _ in 1..n {
-            blocks.push(fb.add_block());
-        }
-        for (i, &(kind, a, b)) in edges.iter().enumerate().take(n) {
-            fb.switch_to(blocks[i]);
-            let t1 = blocks[a as usize % n];
-            let t2 = blocks[b as usize % n];
-            match kind % 3 {
-                0 => fb.ret(Some(Operand::Reg(VReg(0)))),
-                1 => fb.br(t1),
-                _ => {
-                    let c = fb.cmp(CmpPred::Gt, Operand::Reg(VReg(0)), Operand::Imm(i as i64));
-                    fb.cond_br(Operand::Reg(c), t1, t2);
-                }
-            }
-        }
-    }
-    mb.finish()
-}
-
-fn cfg_strategy() -> impl Strategy<Value = (usize, Vec<(u8, u8, u8)>)> {
-    (2usize..12).prop_flat_map(|n| {
-        (
-            Just(n),
-            prop::collection::vec((any::<u8>(), any::<u8>(), any::<u8>()), n..=n),
-        )
-    })
-}
+#[path = "../../../tests/common/random_cfg.rs"]
+mod random_cfg;
+use random_cfg::{build_cfg, cfg_strategy};
 
 /// Which blocks stay reachable from entry when every path through `avoid`
 /// is cut — the naive oracle for dominance: `a` dominates `b` exactly when

@@ -9,54 +9,18 @@
 //! program, have critical edges off the spanning tree and entry blocks
 //! inside loops.
 
-use csspgo_ir::builder::ModuleBuilder;
 use csspgo_ir::flow::{self, FlowEdge};
-use csspgo_ir::inst::{CmpPred, InstKind, Operand};
-use csspgo_ir::{cfg, BlockId, Function, Module, VReg};
+use csspgo_ir::inst::InstKind;
+use csspgo_ir::{cfg, BlockId, Function};
 use proptest::prelude::*;
 use std::collections::HashMap;
 
+#[path = "../../../tests/common/random_cfg.rs"]
+mod random_cfg;
+use random_cfg::{build_cfg, cfg_strategy};
+
 #[path = "../../../tests/common/flow_prover.rs"]
 mod flow_prover;
-
-/// Builds a function with `n` blocks and pseudo-random branch structure
-/// derived from `edges` (same generator as `proptest_analyses`): block i
-/// terminates with a return, a jump, or a conditional branch.
-fn build_cfg(n: usize, edges: &[(u8, u8, u8)]) -> Module {
-    let mut mb = ModuleBuilder::new("prop");
-    let f = mb.declare_function("f", 1);
-    {
-        let mut fb = mb.function_builder(f);
-        let entry = fb.entry_block();
-        let mut blocks = vec![entry];
-        for _ in 1..n {
-            blocks.push(fb.add_block());
-        }
-        for (i, &(kind, a, b)) in edges.iter().enumerate().take(n) {
-            fb.switch_to(blocks[i]);
-            let t1 = blocks[a as usize % n];
-            let t2 = blocks[b as usize % n];
-            match kind % 3 {
-                0 => fb.ret(Some(Operand::Reg(VReg(0)))),
-                1 => fb.br(t1),
-                _ => {
-                    let c = fb.cmp(CmpPred::Gt, Operand::Reg(VReg(0)), Operand::Imm(i as i64));
-                    fb.cond_br(Operand::Reg(c), t1, t2);
-                }
-            }
-        }
-    }
-    mb.finish()
-}
-
-fn cfg_strategy() -> impl Strategy<Value = (usize, Vec<(u8, u8, u8)>)> {
-    (2usize..12).prop_flat_map(|n| {
-        (
-            Just(n),
-            prop::collection::vec((any::<u8>(), any::<u8>(), any::<u8>()), n..=n),
-        )
-    })
-}
 
 fn is_ret(f: &Function, b: BlockId) -> bool {
     matches!(

@@ -12,6 +12,7 @@ use csspgo::core::profile::ProbeProfile;
 use csspgo::core::stalematch::StaleMatching;
 use csspgo::core::Workload;
 use csspgo::opt::OptConfig;
+use csspgo::sim::RunStats;
 use csspgo::workloads::drift;
 
 /// Collects an untrimmed probe profile on the clean build of `w` from the
@@ -71,4 +72,19 @@ pub fn lineages() -> Vec<Lineage> {
             }
         })
         .collect()
+}
+
+/// `s` as the goldens hold it: one JSON object, every field.
+pub fn run_stats_json(s: &RunStats) -> String {
+    format!(
+        "{{\"cycles\": {}, \"instructions\": {}, \"taken_branches\": {}, \"mispredicts\": {}, \
+         \"icache_misses\": {}, \"calls\": {}, \"samples\": {}}}",
+        s.cycles,
+        s.instructions,
+        s.taken_branches,
+        s.mispredicts,
+        s.icache_misses,
+        s.calls,
+        s.samples
+    )
 }

@@ -48,7 +48,10 @@ use csspgo::ir::probe::ProbeBarrier;
 use csspgo::ir::{InlinePlan, Module};
 use csspgo::workloads::drift;
 use proptest::{Strategy, TestRng};
-use std::path::PathBuf;
+
+#[path = "common/golden.rs"]
+mod golden;
+use golden::Fnv;
 
 #[allow(dead_code)] // `build` is for the semantics tests
 #[path = "common/program_gen.rs"]
@@ -61,30 +64,20 @@ const GENERATED: u64 = 48;
 /// Traffic scale of the profiling runs behind the PGO rows.
 const SCALE: f64 = 0.05;
 
-/// FNV-1a, 64 bit, over `bytes`.
-fn fnv(bytes: &[u8]) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
-
 /// FNV-1a, 64 bit, over the `Debug` rendering of `value`.
 fn fnv_debug(value: &impl std::fmt::Debug) -> u64 {
-    fnv(format!("{value:?}").as_bytes())
+    Fnv::new().bytes(format!("{value:?}").as_bytes()).0
 }
 
 /// A golden row for one profile: the FNV-1a of its binprof bytes and, for
 /// the kinds `textprof` writes as text, of its text.
 fn profile_row(case: String, bytes: &[u8], text: Option<&str>) -> String {
     let text = text.map_or(String::new(), |t| {
-        format!(", \"text_fnv\": {}", fnv(t.as_bytes()))
+        format!(", \"text_fnv\": {}", Fnv::new().bytes(t.as_bytes()).0)
     });
     format!(
         "  {{\"case\": \"{case}\", \"binprof_fnv\": {}, \"binprof_len\": {}{text}}}",
-        fnv(bytes),
+        Fnv::new().bytes(bytes).0,
         bytes.len()
     )
 }
@@ -376,28 +369,10 @@ fn every_compile_matches_golden() {
     }
     rows.extend(front_end_rows(&config));
     rows.extend(loader_rows(&config));
-    let json = format!("[\n{}\n]\n", rows.join(",\n"));
-
-    let golden: PathBuf = [
-        env!("CARGO_MANIFEST_DIR"),
-        "tests",
-        "golden",
-        "compile_outputs.json",
-    ]
-    .iter()
-    .collect();
-    if std::env::var_os("BLESS").is_some() {
-        std::fs::write(&golden, &json).expect("bless golden");
-        return;
-    }
-    let pinned = std::fs::read_to_string(&golden)
-        .expect("golden missing — run `BLESS=1 cargo test --test compile_outputs` to create it");
-    for (got, want) in json.lines().zip(pinned.lines()) {
-        assert_eq!(
-            got, want,
-            "a compile output drifted from the golden; re-bless only for an \
-             intended change to what the compiler emits"
-        );
-    }
-    assert_eq!(json, pinned, "the golden's row set changed");
+    golden::check(
+        "tests/golden/compile_outputs.json",
+        golden::array(&rows),
+        "a compile output drifted from the golden; re-bless only for an \
+         intended change to what the compiler emits",
+    );
 }

@@ -12,7 +12,10 @@
 
 use csspgo::core::Workload;
 use csspgo::workloads::drift::{self, Mutator, SCENARIOS};
-use std::path::PathBuf;
+
+#[path = "common/golden.rs"]
+mod golden;
+use golden::Fnv;
 
 /// Releases per chain: three full cycles of the eight release mutators.
 const RELEASES: usize = 24;
@@ -20,19 +23,9 @@ const RELEASES: usize = 24;
 /// Parameters each mutator kind is applied with.
 const PARAMS: u8 = 12;
 
-/// FNV-1a, 64 bit, folded over byte strings, each one length-delimited.
-struct Fnv(u64);
-
-impl Fnv {
-    fn new() -> Self {
-        Fnv(0xcbf2_9ce4_8422_2325)
-    }
-
-    fn bytes(&mut self, b: &[u8]) {
-        for &x in b.iter().chain(&(b.len() as u64).to_le_bytes()) {
-            self.0 = (self.0 ^ u64::from(x)).wrapping_mul(0x0100_0000_01b3);
-        }
-    }
+/// Folds `s` into `h`, delimited by its length.
+fn text(h: &mut Fnv, s: &str) {
+    h.bytes(s.as_bytes()).word(s.len() as u64);
 }
 
 /// The ten mutator kinds, one per `Mutator` arm.
@@ -78,20 +71,20 @@ fn rows(w: &Workload) -> Vec<(String, u64)> {
         let mut h = Fnv::new();
         for src in &sources {
             for param in 0..PARAMS {
-                h.bytes(apply(kind, param, src, &keep).as_bytes());
+                text(&mut h, &apply(kind, param, src, &keep));
             }
         }
         out.push((format!("{}/{kind}", w.name), h.0));
     }
     for (name, rebuild) in SCENARIOS {
         let mut h = Fnv::new();
-        h.bytes(rebuild(w).as_bytes());
+        text(&mut h, &rebuild(w));
         out.push((format!("{}/scenario/{name}", w.name), h.0));
     }
     let mut h = Fnv::new();
     for (name, src) in &chain {
-        h.bytes(name.as_bytes());
-        h.bytes(src.as_bytes());
+        text(&mut h, name);
+        text(&mut h, src);
     }
     out.push((format!("{}/release_chain", w.name), h.0));
     out
@@ -107,25 +100,9 @@ fn every_drift_output_matches_golden() {
         .map(|(case, hash)| format!("  {{\"case\": \"{case}\", \"fnv1a\": \"{hash:#018x}\"}}"))
         .collect();
     assert_eq!(rows.len(), 6 * (KINDS.len() + SCENARIOS.len() + 1));
-    let json = format!("[\n{}\n]\n", rows.join(",\n"));
-
-    let golden: PathBuf = [
-        env!("CARGO_MANIFEST_DIR"),
-        "tests",
-        "golden",
-        "drift_outputs.json",
-    ]
-    .iter()
-    .collect();
-    if std::env::var_os("BLESS").is_some() {
-        std::fs::write(&golden, &json).expect("bless golden");
-        return;
-    }
-    let pinned = std::fs::read_to_string(&golden)
-        .expect("golden missing — run `BLESS=1 cargo test --test drift_outputs` to create it");
-    assert_eq!(
-        json, pinned,
-        "a drift output moved from the golden; if intentional, re-bless \
-         with `BLESS=1 cargo test --test drift_outputs`"
+    golden::check(
+        "tests/golden/drift_outputs.json",
+        golden::array(&rows),
+        "a drift output moved from the golden; re-bless only for an intended change",
     );
 }

@@ -16,9 +16,12 @@ use csspgo::core::annotate::csspgo_annotate;
 use csspgo::core::inference::{infer_counts, InferenceMode};
 use csspgo::ir::{InlinePlan, Module};
 use std::collections::HashMap;
-use std::path::Path;
 
 mod common;
+#[path = "common/golden.rs"]
+mod golden;
+
+const GOLDEN: &str = "tests/golden/flow_ledger.json";
 
 /// One ledger row: what it sums, then `(entry, flow_moved)` on the input
 /// and after each entry of the pass list.
@@ -83,7 +86,7 @@ fn render(rows: &[Row]) -> String {
             format!("  [\"{what}\", [{}]]", cells.join(", "))
         })
         .collect();
-    format!("[\n{}\n]\n", lines.join(",\n"))
+    golden::array(&lines)
 }
 
 #[test]
@@ -96,32 +99,26 @@ fn no_pass_moves_counts_further_from_a_flow() {
         let cells: String = cells.iter().map(|(_, n)| format!("{n:>10}")).collect();
         eprintln!("  {what:<25}{cells}");
     }
-    let golden = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/flow_ledger.json");
-    if std::env::var_os("BLESS").is_some() {
-        std::fs::write(&golden, render(&rows)).expect("bless golden");
-        return;
-    }
-    let pinned: Vec<Row> = serde_json::from_str(
-        &std::fs::read_to_string(&golden)
-            .expect("golden missing — run `BLESS=1 cargo test --test flow_ledger` to create it"),
-    )
-    .expect("the golden parses");
-    let mut rises = Vec::new();
-    for ((what, cells), (_, was)) in rows.iter().zip(&pinned) {
-        for ((pass, n), (_, w)) in cells.iter().zip(was) {
-            if n > w {
-                rises.push(format!("{what}, after `{pass}`: {w} -> {n}"));
+    if let Some(pinned) = golden::pinned(GOLDEN) {
+        let pinned: Vec<Row> =
+            serde_json::from_str(std::str::from_utf8(&pinned).unwrap()).expect("the golden parses");
+        let mut rises = Vec::new();
+        for ((what, cells), (_, was)) in rows.iter().zip(&pinned) {
+            for ((pass, n), (_, w)) in cells.iter().zip(was) {
+                if n > w {
+                    rises.push(format!("{what}, after `{pass}`: {w} -> {n}"));
+                }
             }
         }
+        assert!(
+            rises.is_empty(),
+            "a pass left counts further from a flow than the ledger allows:\n  {}",
+            rises.join("\n  ")
+        );
     }
-    assert!(
-        rises.is_empty(),
-        "a pass left counts further from a flow than the ledger allows:\n  {}",
-        rises.join("\n  ")
-    );
-    assert!(
-        render(&rows) == render(&pinned),
-        "the ledger changed without a rise (a fall, or a new row or entry); \
-         pin it with `BLESS=1 cargo test --test flow_ledger`"
+    golden::check(
+        GOLDEN,
+        render(&rows),
+        "the ledger changed without a rise (a fall, or a new row or entry); pin it",
     );
 }

@@ -2,7 +2,7 @@
 //! five variants (the instrumented one under both counter
 //! placements), on a fresh build and on a `change_cfg`-drifted one with
 //! stale recovery and MCF inference, pinned in
-//! `tests/golden/pgo_outcomes.json` (re-bless with `BLESS=1 cargo test`).
+//! `tests/golden/pgo_outcomes.json` (`BLESS=1 cargo test --test pgo_outcomes`).
 
 use csspgo::core::inference::InferenceMode;
 use csspgo::core::pipeline::{
@@ -11,8 +11,10 @@ use csspgo::core::pipeline::{
 use csspgo::core::stalematch::StaleMatching;
 use csspgo::opt::instrument::Placement;
 use csspgo::workloads::drift;
-use std::fmt::Write as _;
-use std::path::PathBuf;
+
+mod common;
+#[path = "common/golden.rs"]
+mod golden;
 
 fn config(placement: Placement, drifted: bool) -> PipelineConfig {
     let mut cfg = PipelineConfig {
@@ -30,19 +32,6 @@ fn config(placement: Placement, drifted: bool) -> PipelineConfig {
 
 /// One JSON object holding every field of `o`.
 fn outcome_json(label: &str, o: &PgoOutcome) -> String {
-    let run = |s: &csspgo::sim::RunStats| {
-        format!(
-            "{{\"cycles\": {}, \"instructions\": {}, \"taken_branches\": {}, \"mispredicts\": {}, \
-             \"icache_misses\": {}, \"calls\": {}, \"samples\": {}}}",
-            s.cycles,
-            s.instructions,
-            s.taken_branches,
-            s.mispredicts,
-            s.icache_misses,
-            s.calls,
-            s.samples
-        )
-    };
     let sections = |s: &csspgo::codegen::SectionSizes| {
         format!(
             "{{\"text\": {}, \"debug_line\": {}, \"pseudo_probe\": {}}}",
@@ -60,63 +49,55 @@ fn outcome_json(label: &str, o: &PgoOutcome) -> String {
         .map(|(g, b, c)| format!("[{g}, {b}, {c}]"))
         .collect();
     let a = &o.annotate_stats;
-    let mut out = String::new();
-    writeln!(out, "  {{").unwrap();
-    writeln!(out, "    \"case\": \"{label}\",").unwrap();
-    writeln!(out, "    \"variant\": \"{}\",", o.variant).unwrap();
-    writeln!(out, "    \"profiling\": {},", run(&o.profiling)).unwrap();
-    writeln!(out, "    \"eval\": {},", run(&o.eval)).unwrap();
-    writeln!(out, "    \"eval_result_hash\": {},", o.eval_result_hash).unwrap();
-    writeln!(out, "    \"sections\": {},", sections(&o.sections)).unwrap();
-    writeln!(
-        out,
-        "    \"profiling_sections\": {},",
-        sections(&o.profiling_sections)
-    )
-    .unwrap();
-    writeln!(
-        out,
-        "    \"annotate_stats\": {{\"annotated\": {}, \"stale_dropped\": {}, \"stale_recovered\": {}, \
-         \"replayed_inlines\": {}, \"inference\": {{\"functions\": {}, \"counts_adjusted\": {}, \
-         \"flow_moved\": {}, \"residual_cost\": {}}}, \"provenance\": {{\"sampled\": {}, \
-         \"stale_matched\": {}, \"inferred\": {}, \"reconstructed\": {}}}}},",
-        a.annotated,
-        a.stale_dropped,
-        a.stale_recovered,
-        a.replayed_inlines,
-        a.inference.functions,
-        a.inference.counts_adjusted,
-        a.inference.flow_moved,
-        a.inference.residual_cost,
-        a.provenance.sampled,
-        a.provenance.stale_matched,
-        a.provenance.inferred,
-        a.provenance.reconstructed
-    )
-    .unwrap();
-    writeln!(
-        out,
-        "    \"context_nodes_before_trim\": {},",
-        o.context_nodes_before_trim
-    )
-    .unwrap();
-    writeln!(
-        out,
-        "    \"context_nodes_after_trim\": {},",
-        o.context_nodes_after_trim
-    )
-    .unwrap();
-    writeln!(out, "    \"plan_len\": {},", o.plan_len).unwrap();
-    writeln!(out, "    \"counter_sites\": {},", o.counter_sites).unwrap();
-    writeln!(
-        out,
-        "    \"infer_stats\": {{\"recovered\": {}, \"failed\": {}}},",
-        o.infer_stats.recovered, o.infer_stats.failed
-    )
-    .unwrap();
-    writeln!(out, "    \"quality_counts\": [{}]", quality.join(", ")).unwrap();
-    write!(out, "  }}").unwrap();
-    out
+    golden::object(&[
+        ("case", format!("\"{label}\"")),
+        ("variant", format!("\"{}\"", o.variant)),
+        ("profiling", common::run_stats_json(&o.profiling)),
+        ("eval", common::run_stats_json(&o.eval)),
+        ("eval_result_hash", o.eval_result_hash.to_string()),
+        ("sections", sections(&o.sections)),
+        ("profiling_sections", sections(&o.profiling_sections)),
+        (
+            "annotate_stats",
+            format!(
+                "{{\"annotated\": {}, \"stale_dropped\": {}, \"stale_recovered\": {}, \
+                 \"replayed_inlines\": {}, \"inference\": {{\"functions\": {}, \
+                 \"counts_adjusted\": {}, \"flow_moved\": {}, \"residual_cost\": {}}}, \
+                 \"provenance\": {{\"sampled\": {}, \"stale_matched\": {}, \"inferred\": {}, \
+                 \"reconstructed\": {}}}}}",
+                a.annotated,
+                a.stale_dropped,
+                a.stale_recovered,
+                a.replayed_inlines,
+                a.inference.functions,
+                a.inference.counts_adjusted,
+                a.inference.flow_moved,
+                a.inference.residual_cost,
+                a.provenance.sampled,
+                a.provenance.stale_matched,
+                a.provenance.inferred,
+                a.provenance.reconstructed
+            ),
+        ),
+        (
+            "context_nodes_before_trim",
+            o.context_nodes_before_trim.to_string(),
+        ),
+        (
+            "context_nodes_after_trim",
+            o.context_nodes_after_trim.to_string(),
+        ),
+        ("plan_len", o.plan_len.to_string()),
+        ("counter_sites", o.counter_sites.to_string()),
+        (
+            "infer_stats",
+            format!(
+                "{{\"recovered\": {}, \"failed\": {}}}",
+                o.infer_stats.recovered, o.infer_stats.failed
+            ),
+        ),
+        ("quality_counts", format!("[{}]", quality.join(", "))),
+    ])
 }
 
 #[test]
@@ -152,26 +133,10 @@ fn every_variant_outcome_matches_golden() {
             rows.push(outcome_json(&label, &outcome));
         }
     }
-    let json = format!("[\n{}\n]\n", rows.join(",\n"));
-
-    let golden: PathBuf = [
-        env!("CARGO_MANIFEST_DIR"),
-        "tests",
-        "golden",
-        "pgo_outcomes.json",
-    ]
-    .iter()
-    .collect();
-    if std::env::var_os("BLESS").is_some() {
-        std::fs::write(&golden, &json).expect("bless golden");
-        return;
-    }
-    let pinned = std::fs::read_to_string(&golden)
-        .expect("golden missing — run `BLESS=1 cargo test` to create it");
-    assert_eq!(
-        json, pinned,
-        "a PgoOutcome drifted from the golden; if intentional, re-bless \
-         with `BLESS=1 cargo test`"
+    golden::check(
+        "tests/golden/pgo_outcomes.json",
+        golden::array(&rows),
+        "a PgoOutcome drifted from the golden; re-bless only for an intended change",
     );
 }
 

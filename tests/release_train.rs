@@ -18,7 +18,9 @@ use csspgo::serve::fleet::{
 };
 use csspgo::serve::release_train::{canary_promotes, run_release_train, ReleaseSpec};
 use csspgo::workloads::{self, drift, phase_shifted, tenant_traffic_mix};
-use std::path::PathBuf;
+
+#[path = "common/golden.rs"]
+mod golden;
 
 /// The `release_train` figure's configuration: drift verdicts at the same
 /// threshold `profile_fleet` uses, defaults elsewhere (MCF inference).
@@ -295,7 +297,7 @@ fn main(n) {
 }
 
 /// Two identical train runs must serialize byte-identically, and the
-/// report is pinned as a golden (re-bless with `BLESS=1 cargo test`).
+/// report is pinned as a golden (`BLESS=1 cargo test --test release_train`).
 #[test]
 fn train_reports_are_deterministic_and_match_golden() {
     let w = golden_workload();
@@ -311,25 +313,9 @@ fn train_reports_are_deterministic_and_match_golden() {
         "two identical train runs must agree byte-for-byte"
     );
 
-    let golden: PathBuf = [
-        env!("CARGO_MANIFEST_DIR"),
-        "tests",
-        "golden",
-        "release_train.json",
-    ]
-    .iter()
-    .collect();
-    if std::env::var_os("BLESS").is_some() {
-        std::fs::create_dir_all(golden.parent().expect("golden has a parent"))
-            .expect("create golden dir");
-        std::fs::write(&golden, &a_json).expect("bless golden");
-        return;
-    }
-    let pinned = std::fs::read_to_string(&golden)
-        .expect("golden missing — run `BLESS=1 cargo test` to create it");
-    assert_eq!(
-        a_json, pinned,
-        "train report drifted from the golden; if intentional, re-bless \
-         with `BLESS=1 cargo test`"
+    golden::check(
+        "tests/golden/release_train.json",
+        a_json,
+        "the train report drifted from the golden; re-bless only for an intended change",
     );
 }

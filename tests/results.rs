@@ -7,31 +7,23 @@
 
 use csspgo_bench::figures::{render, Ctx, REGISTRY};
 use csspgo_bench::par_map;
-use std::path::Path;
 
 #[path = "../src/bin/csspgo_lint.rs"]
 #[allow(dead_code)] // the bin's `main`
 mod csspgo_lint;
 
-/// Where `rendered` first departs from the committed `results/<name>.txt`,
-/// if it does.
+#[path = "common/golden.rs"]
+mod golden;
+
+/// What moved from the committed `results/<name>.txt` to `rendered`, if
+/// anything did, as the golden harness reports it. `results/` has no
+/// bless: an intended move is the diff `figures --out results` writes.
 fn differs(name: &str, rendered: &str) -> Option<String> {
-    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join(format!("results/{name}.txt"));
-    let committed =
-        std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("read {}: {e}", path.display()));
-    if rendered == committed {
-        return None;
-    }
-    let (a, b): (Vec<&str>, Vec<&str>) = (committed.lines().collect(), rendered.lines().collect());
-    let line = (0..a.len().max(b.len()))
-        .find(|&l| a.get(l) != b.get(l))
-        .unwrap_or(0);
-    Some(format!(
-        "results/{name}.txt line {}:\n  committed: {:?}\n  rendered:  {:?}",
-        line + 1,
-        a.get(line).unwrap_or(&""),
-        b.get(line).unwrap_or(&"")
-    ))
+    let file = format!("results/{name}.txt");
+    let committed = std::fs::read_to_string(format!("{}/{file}", env!("CARGO_MANIFEST_DIR")))
+        .unwrap_or_else(|e| panic!("read {file}: {e}"));
+    let report = || golden::diff(&committed, rendered);
+    (rendered != committed).then(|| format!("{file} (old → new):\n{}", report()))
 }
 
 #[test]
@@ -54,4 +46,20 @@ fn the_lint_report_renders_its_committed_results_file() {
     if let Some(diff) = differs("csspgo_lint", &out) {
         panic!("{diff}");
     }
+}
+
+/// The harness's reporter names a moved cell by its row's `"case"`, with
+/// both values, then the rows added and removed; a text without cases, as
+/// `results/` files are, by line number.
+#[test]
+fn the_golden_reporter_names_every_moved_cell_and_row() {
+    let old = "[\n  {\"case\": \"a\", \"n\": 1},\n  {\"case\": \"b\", \"n\": 2}\n]\n";
+    let new = "[\n  {\"case\": \"a\", \"n\": 3},\n  {\"case\": \"c\", \"n\": 2}\n]\n";
+    assert_eq!(
+        golden::diff(old, new),
+        r#"  a: {"case": "a", "n": 1} → {"case": "a", "n": 3}
+  added: c
+  removed: b"#
+    );
+    assert_eq!(golden::diff("x\ny\n", "x\nz\n"), "  line 2: y → z");
 }

@@ -9,37 +9,22 @@
 //! is for an intended change to the cost model or the PMU).
 
 use csspgo::core::pipeline::{profiling_build, staged_machine, PgoVariant, PipelineConfig};
-use csspgo::sim::{RunStats, Sample, SimConfig};
-use std::fmt::Write as _;
-use std::path::PathBuf;
+use csspgo::sim::{Sample, SimConfig};
 
-/// FNV-1a over 64-bit words.
-struct Fnv(u64);
+mod common;
+#[path = "common/golden.rs"]
+mod golden;
+use golden::Fnv;
 
-impl Fnv {
-    fn new() -> Self {
-        Fnv(0xcbf2_9ce4_8422_2325)
+/// Folds every field of `s` into `h`, word by word.
+fn hash_sample(h: &mut Fnv, s: &Sample) {
+    h.word(s.cycle).word(s.pc).word(s.lbr.len() as u64);
+    for &(from, to) in &s.lbr {
+        h.word(from).word(to);
     }
-
-    fn word(&mut self, w: u64) {
-        for b in w.to_le_bytes() {
-            self.0 ^= b as u64;
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-
-    fn sample(&mut self, s: &Sample) {
-        self.word(s.cycle);
-        self.word(s.pc);
-        self.word(s.lbr.len() as u64);
-        for &(from, to) in &s.lbr {
-            self.word(from);
-            self.word(to);
-        }
-        self.word(s.stack.len() as u64);
-        for &a in &s.stack {
-            self.word(a);
-        }
+    h.word(s.stack.len() as u64);
+    for &a in &s.stack {
+        h.word(a);
     }
 }
 
@@ -67,20 +52,6 @@ fn cases() -> [(&'static str, PgoVariant, SimConfig); 4] {
     ]
 }
 
-fn stats_json(s: &RunStats) -> String {
-    format!(
-        "{{\"cycles\": {}, \"instructions\": {}, \"taken_branches\": {}, \"mispredicts\": {}, \
-         \"icache_misses\": {}, \"calls\": {}, \"samples\": {}}}",
-        s.cycles,
-        s.instructions,
-        s.taken_branches,
-        s.mispredicts,
-        s.icache_misses,
-        s.calls,
-        s.samples
-    )
-}
-
 #[test]
 fn every_run_matches_golden() {
     let config = PipelineConfig::builder().build().expect("default config");
@@ -104,7 +75,7 @@ fn every_run_matches_golden() {
             let mut sample_hash = Fnv::new();
             let mut lbr_entries = 0usize;
             for s in &samples {
-                sample_hash.sample(s);
+                hash_sample(&mut sample_hash, s);
                 lbr_entries += s.lbr.len();
             }
             let mut counters = Fnv::new();
@@ -120,41 +91,24 @@ fn every_run_matches_golden() {
                 }
             }
 
-            let mut out = String::new();
-            writeln!(out, "  {{").unwrap();
-            writeln!(out, "    \"case\": \"{}/{label}\",", w.name).unwrap();
-            writeln!(out, "    \"insts\": {},", binary.len()).unwrap();
-            writeln!(out, "    \"stats\": {},", stats_json(machine.stats())).unwrap();
-            writeln!(out, "    \"results_fnv\": {},", results.0).unwrap();
-            writeln!(out, "    \"samples\": {},", samples.len()).unwrap();
-            writeln!(out, "    \"lbr_entries\": {lbr_entries},").unwrap();
-            writeln!(out, "    \"samples_fnv\": {},", sample_hash.0).unwrap();
-            writeln!(out, "    \"counters\": {},", machine.counters().len()).unwrap();
-            writeln!(out, "    \"counters_fnv\": {},", counters.0).unwrap();
-            writeln!(out, "    \"globals_fnv\": {}", globals.0).unwrap();
-            write!(out, "  }}").unwrap();
-            rows.push(out);
+            rows.push(golden::object(&[
+                ("case", format!("\"{}/{label}\"", w.name)),
+                ("insts", binary.len().to_string()),
+                ("stats", common::run_stats_json(machine.stats())),
+                ("results_fnv", results.0.to_string()),
+                ("samples", samples.len().to_string()),
+                ("lbr_entries", lbr_entries.to_string()),
+                ("samples_fnv", sample_hash.0.to_string()),
+                ("counters", machine.counters().len().to_string()),
+                ("counters_fnv", counters.0.to_string()),
+                ("globals_fnv", globals.0.to_string()),
+            ]));
         }
     }
-    let json = format!("[\n{}\n]\n", rows.join(",\n"));
-
-    let golden: PathBuf = [
-        env!("CARGO_MANIFEST_DIR"),
-        "tests",
-        "golden",
-        "sim_runs.json",
-    ]
-    .iter()
-    .collect();
-    if std::env::var_os("BLESS").is_some() {
-        std::fs::write(&golden, &json).expect("bless golden");
-        return;
-    }
-    let pinned = std::fs::read_to_string(&golden)
-        .expect("golden missing — run `BLESS=1 cargo test --test sim_runs` to create it");
-    assert_eq!(
-        json, pinned,
+    golden::check(
+        "tests/golden/sim_runs.json",
+        golden::array(&rows),
         "a simulator run drifted from the golden; re-bless only for an \
-         intended change to the cost model or the PMU"
+         intended change to the cost model or the PMU",
     );
 }

@@ -18,8 +18,10 @@ use csspgo::core::stalematch::{
 };
 use csspgo::core::Workload;
 use csspgo::workloads::drift::{self, SCENARIOS};
-use std::fmt::Write as _;
-use std::path::PathBuf;
+
+#[path = "common/golden.rs"]
+mod golden;
+use golden::Fnv;
 
 /// `csspgo_lint`'s default scale.
 const SCALE: f64 = 0.05;
@@ -40,50 +42,29 @@ fn rebuilds(w: &Workload) -> Vec<(String, String)> {
     out
 }
 
-/// FNV-1a, 64 bit, over a profile's counts: one canonical (`BTreeMap`
-/// order) walk of each function's guid, then per (sub-)profile its checksum,
-/// entry, probe counts and call-site keys. No totals: they follow from the
-/// counts.
-struct Fingerprint {
-    hash: u64,
-    nodes: usize,
-}
-
-impl Fingerprint {
-    fn of(profile: &ProbeProfile) -> Self {
-        let mut fp = Fingerprint {
-            hash: 0xcbf2_9ce4_8422_2325,
-            nodes: 0,
-        };
-        for (&guid, f) in &profile.funcs {
-            fp.mix(guid);
-            fp.walk(f);
-        }
-        fp
-    }
-
-    fn mix(&mut self, v: u64) {
-        for b in v.to_le_bytes() {
-            self.hash = (self.hash ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
-        }
-    }
-
-    fn walk(&mut self, f: &FuncProfile<u32>) {
-        self.nodes += 1;
-        self.mix(f.checksum);
-        self.mix(f.entry);
-        self.mix(f.body.len() as u64);
+/// The node count and the FNV-1a, 64 bit, of a profile's counts: one
+/// canonical (`BTreeMap` order) walk of each function's guid, then per
+/// (sub-)profile its checksum, entry, probe counts and call-site keys. No
+/// totals: they follow from the counts.
+fn fingerprint(profile: &ProbeProfile) -> (usize, u64) {
+    fn walk(h: &mut Fnv, f: &FuncProfile<u32>) -> usize {
+        h.word(f.checksum).word(f.entry).word(f.body.len() as u64);
         for (&probe, &count) in &f.body {
-            self.mix(u64::from(probe));
-            self.mix(count);
+            h.word(u64::from(probe)).word(count);
         }
-        self.mix(f.callsites.len() as u64);
+        h.word(f.callsites.len() as u64);
+        let mut nodes = 1;
         for (&(probe, callee), sub) in &f.callsites {
-            self.mix(u64::from(probe));
-            self.mix(callee);
-            self.walk(sub);
+            h.word(u64::from(probe)).word(callee);
+            nodes += walk(h, sub);
         }
+        nodes
     }
+    let mut h = Fnv::new();
+    let nodes = (profile.funcs.iter())
+        .map(|(&guid, f)| walk(h.word(guid), f))
+        .sum();
+    (nodes, h.0)
 }
 
 /// One JSON object per function record, every field.
@@ -117,24 +98,20 @@ fn func_json(f: &FuncMatch) -> String {
 }
 
 fn outcome_json(label: &str, o: &MatchOutcome) -> String {
-    let print = Fingerprint::of(&o.profile);
+    let (nodes, hash) = fingerprint(&o.profile);
     let funcs: Vec<String> = o
         .funcs
         .iter()
         .map(|f| format!("      {}", func_json(f)))
         .collect();
-    let mut out = String::new();
-    writeln!(out, "  {{").unwrap();
-    writeln!(out, "    \"case\": \"{label}\",").unwrap();
-    writeln!(
-        out,
-        "    \"profile\": {{\"nodes\": {}, \"fnv1a\": \"{:#018x}\"}},",
-        print.nodes, print.hash
-    )
-    .unwrap();
-    writeln!(out, "    \"funcs\": [\n{}\n    ]", funcs.join(",\n")).unwrap();
-    write!(out, "  }}").unwrap();
-    out
+    golden::object(&[
+        ("case", format!("\"{label}\"")),
+        (
+            "profile",
+            format!("{{\"nodes\": {nodes}, \"fnv1a\": \"{hash:#018x}\"}}"),
+        ),
+        ("funcs", format!("[\n{}\n    ]", funcs.join(",\n"))),
+    ])
 }
 
 #[test]
@@ -152,25 +129,9 @@ fn every_match_outcome_matches_golden() {
         }
     }
     assert_eq!(rows.len(), 6 * 12);
-    let json = format!("[\n{}\n]\n", rows.join(",\n"));
-
-    let golden: PathBuf = [
-        env!("CARGO_MANIFEST_DIR"),
-        "tests",
-        "golden",
-        "stale_match.json",
-    ]
-    .iter()
-    .collect();
-    if std::env::var_os("BLESS").is_some() {
-        std::fs::write(&golden, &json).expect("bless golden");
-        return;
-    }
-    let pinned = std::fs::read_to_string(&golden)
-        .expect("golden missing — run `BLESS=1 cargo test --test stale_match` to create it");
-    assert_eq!(
-        json, pinned,
-        "a MatchOutcome drifted from the golden; if intentional, re-bless \
-         with `BLESS=1 cargo test --test stale_match`"
+    golden::check(
+        "tests/golden/stale_match.json",
+        golden::array(&rows),
+        "a MatchOutcome drifted from the golden; re-bless only for an intended change",
     );
 }

@@ -25,15 +25,15 @@ fn holds(guard: &str, section: &str, invariant: &str, found: &[String]) {
     );
 }
 
-/// `paths` relative to the repository root, `crates/*/src` expanded to every
-/// crate's `src`.
+/// `paths` relative to the repository root, `crates/*/X` expanded to every
+/// crate's `X`.
 fn expand(paths: &[&str]) -> Vec<PathBuf> {
     let mut out = Vec::new();
     for p in paths {
-        if *p == "crates/*/src" {
+        if let Some(sub) = p.strip_prefix("crates/*/") {
             let mut dirs: Vec<PathBuf> = std::fs::read_dir(root().join("crates"))
                 .unwrap()
-                .map(|e| e.unwrap().path().join("src"))
+                .map(|e| e.unwrap().path().join(sub))
                 .collect();
             dirs.sort();
             out.extend(dirs);
@@ -776,6 +776,24 @@ fn one_pass_list() {
         "One pass list",
         "§4",
         "the optimizer's pass order is written once, in `opt`'s `PASSES` table: no other non-test code runs a pass of it, and the allocation tally walks it through `run_passes`",
+        &found,
+    );
+}
+
+#[test]
+fn one_golden_harness() {
+    let basis = ["0xcbf29ce4", "84222325"].concat();
+    let mut found = grep(&["tests", "crates/*/tests"], |l| {
+        l.contains("\"BLESS\"") || l.replace('_', "").contains(&basis)
+    });
+    found.retain(|l| {
+        let file = l.split(':').next().unwrap();
+        file.ends_with(".rs") && file != "tests/common/golden.rs"
+    });
+    holds(
+        "One golden harness",
+        "§17.5",
+        "among the tests only `tests/common/golden.rs` reads `BLESS` or starts an FNV-1a hash: every golden is blessed, compared and reported, and every golden hash taken, through it",
         &found,
     );
 }
