@@ -5,9 +5,8 @@
 //! continuously"); compilation consumes one merged artifact. Merging is
 //! count-additive.
 
-use crate::context::{ContextArena, ContextProfile};
+use crate::context::ContextProfile;
 use crate::profile::FlatProfile;
-use std::collections::BTreeMap;
 
 /// Merges `b` into `a` (flat/AutoFDO profiles). Body counts keyed the same
 /// way are *summed* — two hosts each observing N samples of a line is 2N
@@ -22,22 +21,20 @@ pub fn merge_flat(a: &mut FlatProfile, b: &FlatProfile) {
     }
 }
 
-/// Merges context tries (`csspgo merge` on context profiles): every profile
-/// is absorbed into one arena, structurally and count-additively, and the
-/// result is materialised once. Names are first-wins, in input order.
+/// Merges context tries (`csspgo merge` on context profiles) root by root,
+/// each by [`crate::profile::FuncProfile::merge`] as [`merge_flat`] merges
+/// functions. Names are first-wins, in input order.
 pub fn merge_tries<'a>(profiles: impl IntoIterator<Item = &'a ContextProfile>) -> ContextProfile {
-    let mut arena = ContextArena::default();
-    let mut names = BTreeMap::new();
+    let mut out = ContextProfile::new();
     for p in profiles {
         for (guid, name) in &p.names {
-            names.entry(*guid).or_insert_with(|| name.clone());
+            out.names.entry(*guid).or_insert_with(|| name.clone());
         }
-        arena.absorb(p);
+        for (guid, root) in &p.roots {
+            out.roots.entry(*guid).or_default().merge(root.clone());
+        }
     }
-    ContextProfile {
-        names,
-        ..arena.to_profile()
-    }
+    out
 }
 
 #[cfg(test)]

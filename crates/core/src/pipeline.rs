@@ -231,15 +231,6 @@ impl PipelineConfigBuilder {
         self
     }
 
-    /// Sets the counter-placement policy for the instrumented variant
-    /// (`full | spanning_tree`) — shorthand for overriding just that field
-    /// of the instrumentation knobs.
-    #[must_use]
-    pub fn placement(mut self, placement: csspgo_opt::instrument::Placement) -> Self {
-        self.cfg.instrument.placement = placement;
-        self
-    }
-
     /// Sets the deterministic seed.
     #[must_use]
     pub fn seed(mut self, seed: u64) -> Self {

@@ -5,12 +5,12 @@
 //! each shard builds a partial [`RangeCounts`] / context profile
 //! independently, and partials are combined count-additively — range counts
 //! by [`RangeCounts::merge`], context profiles by absorbing them into the
-//! first shard's arena, the same fold [`crate::merge::merge_tries`] does for
-//! `csspgo merge`. Because every per-sample contribution is an
-//! order-independent `+=` into keyed maps — and what an [`Unwinder`] counts
-//! for a chunk depends on nothing it saw before — the merged result is
-//! **identical** for any shard count (proven by tests here and property
-//! tests in `tests/`).
+//! first shard's arena, which adds counts by the rule that
+//! [`crate::merge::merge_tries`] applies for `csspgo merge`. Because every
+//! per-sample contribution is an order-independent `+=` into keyed maps —
+//! and what an [`Unwinder`] counts for a chunk depends on nothing it saw
+//! before — the merged result is **identical** for any shard count (proven
+//! by tests here and property tests in `tests/`).
 
 use crate::context::ContextProfile;
 use crate::ranges::RangeCounts;

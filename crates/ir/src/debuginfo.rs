@@ -13,7 +13,6 @@
 
 use crate::ids::FuncId;
 use serde::{Deserialize, Serialize};
-use std::fmt;
 
 /// One frame of an inline stack: the call site (within `func`) through which
 /// the instruction was inlined.
@@ -25,12 +24,6 @@ pub struct InlineSite {
     pub line: u32,
     /// Discriminator of the call site.
     pub discriminator: u32,
-}
-
-impl fmt::Display for InlineSite {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}:{}.{}", self.func, self.line, self.discriminator)
-    }
 }
 
 /// A source location attached to an instruction.
@@ -99,22 +92,6 @@ impl DebugLoc {
     }
 }
 
-impl fmt::Display for DebugLoc {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.is_none() {
-            return write!(f, "!none");
-        }
-        write!(f, "!{}", self.line)?;
-        if self.discriminator != 0 {
-            write!(f, ".{}", self.discriminator)?;
-        }
-        for site in &self.inline_stack {
-            write!(f, " @{site}")?;
-        }
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -144,16 +121,5 @@ mod tests {
         let twice = once.inlined_at(site_b);
         assert_eq!(twice.inline_stack, vec![site_b, site_a]);
         assert_eq!(twice.line, 10);
-    }
-
-    #[test]
-    fn display_forms() {
-        assert_eq!(DebugLoc::none().to_string(), "!none");
-        assert_eq!(DebugLoc::line_in(4, FuncId::INVALID).to_string(), "!4");
-        let loc = DebugLoc {
-            discriminator: 2,
-            ..DebugLoc::line_in(4, FuncId::INVALID)
-        };
-        assert_eq!(loc.to_string(), "!4.2");
     }
 }

@@ -40,16 +40,6 @@ pub enum FlowEdge {
     FromExit,
 }
 
-impl std::fmt::Display for FlowEdge {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            FlowEdge::Cfg { from, to } => write!(f, "bb{} -> bb{}", from.0, to.0),
-            FlowEdge::ToExit { from } => write!(f, "bb{} -> exit", from.0),
-            FlowEdge::FromExit => write!(f, "exit -> entry"),
-        }
-    }
-}
-
 /// Where a counter for an edge physically lives.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum CounterHost {

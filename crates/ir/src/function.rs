@@ -68,13 +68,6 @@ pub struct BlockLayout {
     pub cold: Vec<BlockId>,
 }
 
-impl BlockLayout {
-    /// All placed blocks in emission order (hot then cold).
-    fn iter(&self) -> impl Iterator<Item = BlockId> + '_ {
-        self.hot.iter().chain(self.cold.iter()).copied()
-    }
-}
-
 /// A function: parameters, virtual registers, and a CFG of basic blocks.
 #[derive(Clone, Debug)]
 pub struct Function {
@@ -175,14 +168,6 @@ impl Function {
         self.blocks.iter().filter(|b| !b.dead).count()
     }
 
-    /// Emission order: the decided layout, or live blocks in id order.
-    pub fn linear_order(&self) -> Vec<BlockId> {
-        match &self.layout {
-            Some(l) => l.iter().collect(),
-            None => self.iter_blocks().map(|(id, _)| id).collect(),
-        }
-    }
-
     /// Allocates the next probe index (1-based, dense per function).
     pub fn alloc_probe_index(&mut self) -> u32 {
         let i = self.next_probe_index;
@@ -238,19 +223,10 @@ mod tests {
         let b1 = f.add_block();
         f.block_mut(b1).dead = true;
         assert_eq!(f.num_live_blocks(), 1);
-        assert_eq!(f.linear_order(), vec![BlockId(0)]);
-    }
-
-    #[test]
-    fn layout_overrides_linear_order() {
-        let mut f = Function::new(FuncId(0), "f", 0);
-        let b1 = f.add_block();
-        let b2 = f.add_block();
-        f.layout = Some(BlockLayout {
-            hot: vec![BlockId(0), b2],
-            cold: vec![b1],
-        });
-        assert_eq!(f.linear_order(), vec![BlockId(0), b2, b1]);
+        assert_eq!(
+            f.iter_blocks().map(|(b, _)| b).collect::<Vec<_>>(),
+            [BlockId(0)]
+        );
     }
 
     #[test]

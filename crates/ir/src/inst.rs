@@ -8,7 +8,6 @@ use crate::debuginfo::DebugLoc;
 use crate::ids::{BlockId, FuncId, GlobalId, VReg};
 use crate::probe::{ProbeKind, ProbeSite};
 use serde::{Deserialize, Serialize};
-use std::fmt;
 
 /// An instruction operand: a virtual register or an immediate.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize, Deserialize)]
@@ -25,27 +24,6 @@ impl Operand {
         match self {
             Operand::Reg(_) => None,
             Operand::Imm(v) => Some(v),
-        }
-    }
-}
-
-impl From<VReg> for Operand {
-    fn from(r: VReg) -> Self {
-        Operand::Reg(r)
-    }
-}
-
-impl From<i64> for Operand {
-    fn from(v: i64) -> Self {
-        Operand::Imm(v)
-    }
-}
-
-impl fmt::Display for Operand {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Operand::Reg(r) => write!(f, "{r}"),
-            Operand::Imm(v) => write!(f, "{v}"),
         }
     }
 }
@@ -98,24 +76,6 @@ impl BinOp {
     }
 }
 
-impl fmt::Display for BinOp {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
-            BinOp::Add => "add",
-            BinOp::Sub => "sub",
-            BinOp::Mul => "mul",
-            BinOp::Div => "div",
-            BinOp::Rem => "rem",
-            BinOp::And => "and",
-            BinOp::Or => "or",
-            BinOp::Xor => "xor",
-            BinOp::Shl => "shl",
-            BinOp::Shr => "shr",
-        };
-        f.write_str(s)
-    }
-}
-
 /// Integer comparison predicates.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize, Deserialize)]
 pub enum CmpPred {
@@ -140,20 +100,6 @@ impl CmpPred {
             CmpPred::Ge => lhs >= rhs,
         };
         i64::from(b)
-    }
-}
-
-impl fmt::Display for CmpPred {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
-            CmpPred::Eq => "eq",
-            CmpPred::Ne => "ne",
-            CmpPred::Lt => "lt",
-            CmpPred::Le => "le",
-            CmpPred::Gt => "gt",
-            CmpPred::Ge => "ge",
-        };
-        f.write_str(s)
     }
 }
 

@@ -45,7 +45,6 @@ pub mod ids;
 pub mod inst;
 pub mod loops;
 pub mod module;
-pub mod printer;
 pub mod probe;
 pub mod probe_verify;
 pub mod verify;

@@ -13,7 +13,6 @@ use crate::ids::FuncId;
 use crate::inst::InstKind;
 use crate::module::Module;
 use serde::{Deserialize, Serialize};
-use std::fmt;
 
 /// What a probe anchors.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize, Deserialize)]
@@ -22,15 +21,6 @@ pub enum ProbeKind {
     Block,
     /// Anchors a call site: attributes callee samples to this site.
     Call,
-}
-
-impl fmt::Display for ProbeKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ProbeKind::Block => f.write_str("block"),
-            ProbeKind::Call => f.write_str("call"),
-        }
-    }
 }
 
 /// One frame of a probe inline stack: "inlined through call-site probe
@@ -42,12 +32,6 @@ pub struct ProbeSite {
     pub func: FuncId,
     /// The call-site probe's index within `func`.
     pub probe_index: u32,
-}
-
-impl fmt::Display for ProbeSite {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}#{}", self.func, self.probe_index)
-    }
 }
 
 /// How strongly pseudo-probes block optimizations (paper §III.A: "a flexible

@@ -163,7 +163,7 @@ proptest! {
         // Every planned counter measures a distinct edge.
         let mut seen = std::collections::HashSet::new();
         for site in &plan.counters {
-            prop_assert!(seen.insert(site.edge), "duplicate counter for {}", site.edge);
+            prop_assert!(seen.insert(site.edge), "duplicate counter for {:?}", site.edge);
         }
         let proof = flow_prover::prove_plan(f, &plan);
         prop_assert!(proof.certified(), "{:#?}", proof);

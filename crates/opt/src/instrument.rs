@@ -33,15 +33,6 @@ pub enum Placement {
     SpanningTree,
 }
 
-impl std::fmt::Display for Placement {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Placement::Full => write!(f, "full"),
-            Placement::SpanningTree => write!(f, "spanning_tree"),
-        }
-    }
-}
-
 /// Configuration for the instrumentation pass.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct InstrumentConfig {
@@ -181,7 +172,7 @@ mod tests {
                     InstKind::CounterIncr { counter } => {
                         assert_eq!(map.by_block[&(f.id, bid)], counter);
                     }
-                    ref other => panic!("expected counter, got {other}"),
+                    ref other => panic!("expected counter, got {other:?}"),
                 }
             }
         }

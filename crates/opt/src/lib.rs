@@ -203,8 +203,31 @@ pub fn run_pipeline(module: &mut Module, config: &OptConfig) {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use csspgo_ir::BlockId;
+
+    /// What a pass can change in `f`: the entry count, the probe checksum,
+    /// and each block in emission order (the layout, else live blocks by
+    /// id) with its count and instructions, locations included.
+    pub(crate) type LinearView = (
+        Option<u64>,
+        Option<u64>,
+        Vec<(BlockId, Option<u64>, Vec<Inst>)>,
+    );
+
+    /// `f`'s [`LinearView`]; dead blocks and register counters are left out.
+    pub(crate) fn linear_view(f: &Function) -> LinearView {
+        let order: Vec<BlockId> = match &f.layout {
+            Some(l) => l.hot.iter().chain(&l.cold).copied().collect(),
+            None => f.iter_blocks().map(|(b, _)| b).collect(),
+        };
+        let blocks = order.into_iter().map(|b| {
+            let block = f.block(b);
+            (b, block.count, block.insts.clone())
+        });
+        (f.entry_count, f.probe_checksum, blocks.collect())
+    }
 
     #[test]
     fn default_inline_limits_are_ordered() {

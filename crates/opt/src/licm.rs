@@ -184,6 +184,7 @@ fn ensure_preheader(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tests::linear_view;
     use csspgo_ir::verify::verify_module;
 
     const SRC: &str = r#"
@@ -260,9 +261,9 @@ fn f(n) {
     #[test]
     fn semantics_preserved() {
         let mut m = csspgo_lang::compile(SRC, "t").unwrap();
-        let before = format!("{}", &m.functions[0]);
+        let before = linear_view(&m.functions[0]);
         run_function(&mut m.functions[0]);
-        let after = format!("{}", &m.functions[0]);
+        let after = linear_view(&m.functions[0]);
         assert_ne!(before, after, "licm should change the IR");
         assert_eq!(verify_module(&m), vec![]);
     }
@@ -275,11 +276,11 @@ fn f(n) {
             probe: ProbeBarrier::CodeMotion,
             ..OptConfig::default()
         };
-        let before = format!("{}", &m.functions[0]);
+        let before = linear_view(&m.functions[0]);
         run(&mut m, &config);
         assert_eq!(
             before,
-            format!("{}", &m.functions[0]),
+            linear_view(&m.functions[0]),
             "motion must be blocked"
         );
     }

@@ -110,7 +110,7 @@ mod tests {
                         ..
                     }
                 ),
-                "block must start with a block probe, got {}",
+                "block must start with a block probe, got {:?}",
                 first.kind
             );
         }

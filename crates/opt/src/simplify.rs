@@ -457,7 +457,7 @@ mod tests {
                     value: Some(Operand::Imm(20))
                 }
             ),
-            "got {}",
+            "got {:?}",
             term.kind
         );
     }
@@ -477,7 +477,7 @@ mod tests {
                     value: Some(Operand::Imm(10))
                 }
             ),
-            "got {}",
+            "got {:?}",
             term.kind
         );
         assert_eq!(f.num_live_blocks(), 1);
@@ -559,7 +559,7 @@ mod tests {
                     value: Some(Operand::Reg(csspgo_ir::VReg(0)))
                 }
             ),
-            "got {}",
+            "got {:?}",
             term.kind
         );
     }
@@ -579,7 +579,7 @@ mod tests {
                     value: Some(Operand::Imm(5))
                 }
             ),
-            "copy propagation across redefinition is wrong: {}",
+            "copy propagation across redefinition is wrong: {:?}",
             term.kind
         );
     }

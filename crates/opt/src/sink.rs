@@ -152,6 +152,7 @@ fn sink_round(func: &mut Function, tables: &mut Tables) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tests::linear_view;
 
     /// Sinks eligible instructions; returns how many moved.
     fn run_function(func: &mut Function) -> usize {
@@ -186,7 +187,7 @@ fn f(a) {
                 }
             )
         });
-        assert!(!entry_has_mul, "{f}");
+        assert!(!entry_has_mul, "{f:?}");
     }
 
     #[test]
@@ -227,9 +228,9 @@ fn f(a) {
             probe: ProbeBarrier::CodeMotion,
             ..OptConfig::default()
         };
-        let before = format!("{}", m.functions[0]);
+        let before = linear_view(&m.functions[0]);
         run(&mut m, &config);
-        assert_eq!(before, format!("{}", m.functions[0]));
+        assert_eq!(before, linear_view(&m.functions[0]));
     }
 
     #[test]
@@ -247,7 +248,7 @@ fn f(a) {
             entry
                 .iter()
                 .any(|i| matches!(i.kind, InstKind::PseudoProbe { .. })),
-            "{f}"
+            "{f:?}"
         );
         assert!(
             !entry.iter().any(|i| matches!(
@@ -257,7 +258,7 @@ fn f(a) {
                     ..
                 }
             )),
-            "{f}"
+            "{f:?}"
         );
     }
 
@@ -275,6 +276,6 @@ fn f(a) {
 }
 "#;
         let mut m = csspgo_lang::compile(src, "t").unwrap();
-        assert_eq!(run_function(&mut m.functions[0]), 0, "{}", m.functions[0]);
+        assert_eq!(run_function(&mut m.functions[0]), 0, "{:?}", m.functions[0]);
     }
 }

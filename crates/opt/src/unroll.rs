@@ -155,7 +155,7 @@ fn f(n) {
         let mut m = prepared();
         let before = m.functions[0].num_live_blocks();
         let n = run_function(&mut m.functions[0], 4, 14);
-        assert_eq!(n, 1, "{}", m.functions[0]);
+        assert_eq!(n, 1, "{:?}", m.functions[0]);
         // factor-1 copies of header and body each.
         assert_eq!(m.functions[0].num_live_blocks(), before + 6);
         assert_eq!(verify_module(&m), vec![]);
@@ -176,7 +176,7 @@ fn f(n) {
         let head = ids.iter().copied().find(|&b| self_loop(f, b).is_some());
         let head = head.expect("a self-loop after rotation");
         let before = f.blocks.len();
-        assert_eq!(run_function(f, 4, 14), 1, "{f}");
+        assert_eq!(run_function(f, 4, 14), 1, "{f:?}");
         let copies: Vec<BlockId> = (before..f.blocks.len()).map(BlockId::from_index).collect();
         assert_eq!(copies.len(), 3, "three added blocks");
         // The back edge runs copy i -> copy i+1, the last copy's into the
@@ -188,7 +188,7 @@ fn f(n) {
                 .targets()
                 .filter(|t| ring.contains(t))
                 .collect();
-            assert_eq!(in_loop, [pair[1]], "{f}");
+            assert_eq!(in_loop, [pair[1]], "{f:?}");
         }
         for &b in &ring[..4] {
             assert_eq!(f.block(b).count, Some(100), "count / 4 on every copy");

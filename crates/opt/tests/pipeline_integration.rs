@@ -2,11 +2,32 @@
 //! probe survival and stripping across the whole pipeline.
 
 use csspgo_ir::inst::InstKind;
-use csspgo_ir::{BlockId, Module};
+use csspgo_ir::{BlockId, Function, Inst, Module};
 use csspgo_opt::OptConfig;
 
 fn compile(src: &str) -> Module {
     csspgo_lang::compile(src, "t").unwrap()
+}
+
+/// What a pass can change in `f`: the entry count, the probe checksum, and
+/// each block in emission order (the layout, else live blocks by id) with
+/// its count and instructions, locations included.
+type LinearView = (
+    Option<u64>,
+    Option<u64>,
+    Vec<(BlockId, Option<u64>, Vec<Inst>)>,
+);
+
+fn linear_view(f: &Function) -> LinearView {
+    let order: Vec<BlockId> = match &f.layout {
+        Some(l) => l.hot.iter().chain(&l.cold).copied().collect(),
+        None => f.iter_blocks().map(|(b, _)| b).collect(),
+    };
+    let blocks = order.into_iter().map(|b| {
+        let block = f.block(b);
+        (b, block.count, block.insts.clone())
+    });
+    (f.entry_count, f.probe_checksum, blocks.collect())
 }
 
 #[test]
@@ -118,8 +139,8 @@ fn f(n) {
 "#;
     let mut m = compile(src);
     csspgo_opt::run_pipeline(&mut m, &OptConfig::default());
-    let once = format!("{}", m.functions[0]);
+    let once = linear_view(&m.functions[0]);
     csspgo_opt::run_pipeline(&mut m, &OptConfig::default());
-    let twice = format!("{}", m.functions[0]);
+    let twice = linear_view(&m.functions[0]);
     assert_eq!(once, twice, "second pipeline run must be a fixpoint");
 }

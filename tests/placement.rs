@@ -174,10 +174,9 @@ fn sparse_instrumentation_profile_is_bit_identical_to_full() {
     for w in server_workloads() {
         let w = w.scaled(0.05);
         let cfg = |p: Placement| {
-            PipelineConfig::builder()
-                .placement(p)
-                .build()
-                .expect("valid test config")
+            let mut cfg = PipelineConfig::default();
+            cfg.instrument.placement = p;
+            cfg
         };
         let full = run_pgo_cycle(&w, PgoVariant::Instr, &cfg(Placement::Full)).unwrap();
         let sparse = run_pgo_cycle(&w, PgoVariant::Instr, &cfg(Placement::SpanningTree)).unwrap();

@@ -305,9 +305,13 @@ fn one_value_one_path() {
         "low_overhead",
         "high_accuracy",
     ];
-    let found = grep(&["crates/*/src", "src", "examples"], |l| {
+    let mut found = grep(&["crates/*/src", "src", "examples"], |l| {
         any_of(l, &deleted) || leaves.iter().any(|w| has_word(l, w))
     });
+    // The builder keeps one setter per field the benchmark overrides.
+    found.extend(grep(&["crates/core/src/pipeline.rs"], |l| {
+        l.contains("fn placement(")
+    }));
     holds(
         "One value, one path",
         "§17.2",
@@ -776,6 +780,47 @@ fn one_pass_list() {
         "One pass list",
         "§4",
         "the optimizer's pass order is written once, in `opt`'s `PASSES` table: no other non-test code runs a pass of it, and the allocation tally walks it through `run_passes`",
+        &found,
+    );
+}
+
+#[test]
+fn impls_have_production_readers() {
+    let printed = [
+        "InstKind",
+        "Function",
+        "Module",
+        "Operand",
+        "BinOp",
+        "CmpPred",
+        "DebugLoc",
+        "InlineSite",
+        "ProbeKind",
+        "ProbeSite",
+        "FlowEdge",
+        "Placement",
+    ];
+    let converted = ["From<VReg> for Operand", "From<i64> for Operand"];
+    let banned = |t: &str| {
+        has_word(t, "mod printer")
+            || printed
+                .iter()
+                .any(|ty| has_word(t, &format!("Display for {ty}")))
+            || any_of(t, &converted)
+    };
+    let mut found = Vec::new();
+    for src in sources(&["crates/*/src"]) {
+        let hits: Vec<usize> = src
+            .code()
+            .filter(|&(_, t)| banned(t))
+            .map(|(l, _)| l)
+            .collect();
+        found.extend(lines_where(&src, hits.into_iter(), |_| true));
+    }
+    holds(
+        "Impls have production readers",
+        "§17.1",
+        "no trait impl that only tests read comes back: no IR text printer, no `Display` for a type only tests printed, no `Operand` conversions",
         &found,
     );
 }
