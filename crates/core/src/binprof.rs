@@ -6,15 +6,20 @@
 //! ExtBinary sample-profile container: a fixed header (magic + version +
 //! payload kind), then a sequence of independently-skippable sections, each
 //! framed as `tag byte + varint byte length + payload`. All integers are
-//! LEB128 varints; sorted key sequences (probe indices, GUID tables,
-//! location keys) are delta-encoded so hot functions with dense probe maps
-//! cost ~1 byte per entry; function names are deduplicated through a string
-//! table and referenced by index.
+//! LEB128 varints; sorted key sequences (probe indices, location keys) are
+//! delta-encoded so hot functions with dense probe maps cost ~1 byte per
+//! entry. As ExtBinary writes each function name once, in its name table,
+//! and refers to it by index, binprof writes each function name once in a
+//! string table and each function GUID once in a GUID table, beside that
+//! function's default checksum: a node names its function by table index
+//! and stores a checksum only where it differs from the default.
 //!
 //! Four documents share the framing: the three profiles (context, probe,
-//! flat), each one envelope — string table, names, one GUID-keyed body —
-//! and a stream snapshot (`stream::Snapshot`). The framing itself is private:
-//! callers see values and [`DecodeError`]s, never sections.
+//! flat), each one envelope — string table, GUID table, names, one
+//! GUID-keyed body — and a stream snapshot (`stream::Snapshot`), whose
+//! context profile is a whole nested document with its own tables. The
+//! framing itself is private: callers see values and [`DecodeError`]s,
+//! never sections.
 //!
 //! Encoding is **canonical**: every map in the profile data model is a
 //! `BTreeMap`, so iteration order — and therefore the byte stream — is a
@@ -32,8 +37,11 @@ use std::fmt;
 pub const MAGIC: [u8; 8] = *b"CSPGOBIN";
 /// Current format version. Decoders reject anything else. Version 2 left
 /// out what version 1 stored twice: a context node's GUID (its key names
-/// it) and a sub-profile's total (the sum of its counts).
-const VERSION: u16 = 2;
+/// it) and a sub-profile's total (the sum of its counts). Version 3 writes
+/// each GUID and each function's checksum once per document, in its GUID
+/// table, where version 2 wrote a GUID at every key and a checksum at every
+/// node.
+const VERSION: u16 = 3;
 /// Deepest nesting of call-site sub-profiles these decoders and the text
 /// snapshot's context reader accept, so that no input they read builds a
 /// tree the recursive walks over it cannot descend.
@@ -62,7 +70,7 @@ enum Kind {
 mod section {
     /// Deduplicated string table.
     pub(super) const STRINGS: u8 = 1;
-    /// GUID → string-table-index name map.
+    /// GUID-table-index → string-table-index name map.
     pub(super) const NAMES: u8 = 2;
     /// Context-trie roots.
     pub(super) const CONTEXT_ROOTS: u8 = 3;
@@ -82,6 +90,9 @@ mod section {
     pub(super) const STREAM_WEIGHTS: u8 = 10;
     /// Stream-snapshot embedded context profile (a nested binprof payload).
     pub(super) const STREAM_CONTEXT: u8 = 11;
+    /// GUID table: every GUID a profile document names, with its default
+    /// checksum.
+    pub(super) const GUIDS: u8 = 12;
 }
 
 /// Why a payload failed to decode.
@@ -225,6 +236,12 @@ impl<'a> Reader<'a> {
     /// [`MAX_COUNT_SUM`].
     fn count(&mut self) -> Result<u64, DecodeError> {
         let count = self.uvarint()?;
+        self.tally(count)
+    }
+
+    /// Adds a count read some other way to the sum [`Reader::count`] holds
+    /// to [`MAX_COUNT_SUM`].
+    fn tally(&mut self, count: u64) -> Result<u64, DecodeError> {
         self.counted = self.counted.saturating_add(count);
         if self.counted > MAX_COUNT_SUM {
             return Err(DecodeError::Corrupt("profile counts sum past 2^48"));
@@ -317,7 +334,7 @@ fn require<'a>(sections: &[(u8, &'a [u8])], tag: u8) -> Result<&'a [u8], DecodeE
 }
 
 // ---------------------------------------------------------------------------
-// String table + name maps
+// String table
 // ---------------------------------------------------------------------------
 
 /// Deduplicating string table builder. Interning the same string twice
@@ -368,96 +385,200 @@ impl StringTable {
     }
 }
 
+// ---------------------------------------------------------------------------
+// GUID table + name maps
+// ---------------------------------------------------------------------------
+
+/// A profile document's GUID table: every GUID it names — root keys,
+/// callee keys and names keys — once, ascending, each beside its function's
+/// default checksum. Nodes name a function by its index here.
+struct GuidTable {
+    /// `(GUID, default checksum)` pairs, strictly ascending by GUID.
+    entries: Vec<(u64, u64)>,
+}
+
+impl GuidTable {
+    /// The table of a document with bodies `funcs` and names `names`. A
+    /// function's default checksum is that of its first node in canonical
+    /// (`BTreeMap`) pre-order, 0 for a function only `names` names.
+    fn of<K>(funcs: &BTreeMap<u64, FuncProfile<K>>, names: &Names) -> Self {
+        fn walk<K>(guid: u64, node: &FuncProfile<K>, table: &mut BTreeMap<u64, u64>) {
+            table.entry(guid).or_insert(node.checksum);
+            for (&(_, callee), child) in &node.callsites {
+                walk(callee, child, table);
+            }
+        }
+        let mut table = BTreeMap::new();
+        for (&guid, f) in funcs {
+            walk(guid, f, &mut table);
+        }
+        for &guid in names.keys() {
+            table.entry(guid).or_insert(0);
+        }
+        GuidTable {
+            entries: table.into_iter().collect(),
+        }
+    }
+
+    /// The index of `guid`, which the document names, and its function's
+    /// default checksum.
+    fn find(&self, guid: u64) -> (u64, u64) {
+        let i = (self.entries)
+            .binary_search_by_key(&guid, |&(g, _)| g)
+            .expect("the GUID table lists every GUID its document names");
+        (i as u64, self.entries[i].1)
+    }
+
+    /// The GUID at index `i` and its function's default checksum.
+    fn get(&self, i: u64) -> Result<(u64, u64), DecodeError> {
+        (usize::try_from(i).ok())
+            .and_then(|i| self.entries.get(i).copied())
+            .ok_or(DecodeError::Corrupt("GUID index past the table"))
+    }
+
+    /// Reads a GUID index and resolves it through [`GuidTable::get`].
+    fn read(&self, r: &mut Reader<'_>) -> Result<(u64, u64), DecodeError> {
+        self.get(r.uvarint()?)
+    }
+
+    /// Encodes the table: varint count, then per entry its Δ GUID and, when
+    /// the document stores checksums, its default checksum. The one place a
+    /// GUID is written.
+    fn encode(&self, checksums: bool) -> Vec<u8> {
+        let mut buf = Vec::new();
+        put_uvarint(&mut buf, self.entries.len() as u64);
+        let mut prev = 0u64;
+        for &(guid, checksum) in &self.entries {
+            put_uvarint(&mut buf, guid.wrapping_sub(prev));
+            if checksums {
+                put_uvarint(&mut buf, checksum);
+            }
+            prev = guid;
+        }
+        buf
+    }
+
+    /// Decodes a table encoded by [`GuidTable::encode`], refusing one that
+    /// is not strictly ascending.
+    fn decode(payload: &[u8], checksums: bool) -> Result<Self, DecodeError> {
+        let mut r = Reader::new(payload);
+        let n = r.len_prefixed()?;
+        let mut entries: Vec<(u64, u64)> = Vec::with_capacity(n);
+        for _ in 0..n {
+            let delta = r.uvarint()?;
+            let guid = match entries.last() {
+                None => Some(delta),
+                Some(&(prev, _)) => prev.checked_add(delta).filter(|_| delta > 0),
+            }
+            .ok_or(DecodeError::Corrupt("GUID table not strictly ascending"))?;
+            let checksum = if checksums { r.uvarint()? } else { 0 };
+            entries.push((guid, checksum));
+        }
+        r.finish("trailing bytes in GUID table")?;
+        Ok(GuidTable { entries })
+    }
+}
+
 /// A profile's GUID → function-name map.
 type Names = BTreeMap<u64, String>;
 
-/// Encodes a GUID → name map against `table`: varint count, then per entry
-/// a delta-encoded GUID (ascending `BTreeMap` order) + string index.
-fn encode_names(names: &Names, table: &mut StringTable) -> Vec<u8> {
+/// Encodes a GUID → name map: varint count, then per entry a GUID-table
+/// index + string index.
+fn encode_names(names: &Names, guids: &GuidTable, strings: &mut StringTable) -> Vec<u8> {
     let mut buf = Vec::new();
     put_uvarint(&mut buf, names.len() as u64);
-    let mut prev = 0u64;
     for (&guid, name) in names {
-        put_uvarint(&mut buf, guid.wrapping_sub(prev));
-        put_uvarint(&mut buf, u64::from(table.intern(name)));
-        prev = guid;
+        put_uvarint(&mut buf, guids.find(guid).0);
+        put_uvarint(&mut buf, u64::from(strings.intern(name)));
     }
     buf
 }
 
-fn decode_names(payload: &[u8], strings: &[String]) -> Result<Names, DecodeError> {
+fn decode_names(
+    payload: &[u8],
+    guids: &GuidTable,
+    strings: &[String],
+) -> Result<Names, DecodeError> {
     let mut r = Reader::new(payload);
     let n = r.len_prefixed()?;
     let mut out = BTreeMap::new();
-    let mut prev = 0u64;
     for _ in 0..n {
-        let guid = prev.wrapping_add(r.uvarint()?);
+        let (guid, _) = guids.read(&mut r)?;
         let idx = r.uvarint()? as usize;
         let name = strings
             .get(idx)
             .ok_or(DecodeError::Corrupt("name references missing string"))?;
         out.insert(guid, name.clone());
-        prev = guid;
     }
     r.finish("trailing bytes in name map")?;
     Ok(out)
 }
 
 // ---------------------------------------------------------------------------
-// The profile envelope: header, string table, names, one GUID-keyed body
+// The profile envelope: header, string table, GUID table, names, one
+// GUID-keyed body
 // ---------------------------------------------------------------------------
 
-/// A function-body codec: writes one `T`.
-type Put<T> = fn(&mut Vec<u8>, &T);
-/// A function-body codec: reads one `T` at a nesting depth.
-type Get<T> = fn(&mut Reader<'_>, usize) -> Result<T, DecodeError>;
+/// A node codec: writes one node of a function whose default checksum is
+/// the `u64`, naming callees through the document's table.
+type Put<K> = fn(&mut Vec<u8>, &GuidTable, u64, &FuncProfile<K>);
+/// A node codec: reads one node of a function whose default checksum is
+/// the `u64`, at the nesting depth the `usize` gives.
+type Get<K> = fn(&mut Reader<'_>, &GuidTable, u64, usize) -> Result<FuncProfile<K>, DecodeError>;
 
 /// Writes one profile document: the header for `kind`, the string table,
-/// the GUID → name map, and section `tag` holding `funcs` — a count, then per
-/// function its GUID delta and its body by `put`.
-fn encode_doc<T>(
+/// the GUID table, the names, and section `tag` holding `funcs` — a count,
+/// then per function its Δ GUID-table index and its body by `put`.
+fn encode_doc<K: Anchor>(
     kind: Kind,
     tag: u8,
     names: &Names,
-    funcs: &BTreeMap<u64, T>,
-    put: Put<T>,
+    funcs: &BTreeMap<u64, FuncProfile<K>>,
+    put: Put<K>,
 ) -> Vec<u8> {
-    let mut table = StringTable::default();
-    let names = encode_names(names, &mut table);
+    let guids = GuidTable::of(funcs, names);
+    let mut strings = StringTable::default();
+    let names = encode_names(names, &guids, &mut strings);
     let mut body = Vec::new();
     put_uvarint(&mut body, funcs.len() as u64);
     let mut prev = 0u64;
     for (&guid, f) in funcs {
-        put_uvarint(&mut body, guid.wrapping_sub(prev));
-        put(&mut body, f);
-        prev = guid;
+        let (i, checksum) = guids.find(guid);
+        put_uvarint(&mut body, i - prev);
+        put(&mut body, &guids, checksum, f);
+        prev = i;
     }
     let mut buf = header(kind);
-    put_section(&mut buf, section::STRINGS, &table.encode());
+    put_section(&mut buf, section::STRINGS, &strings.encode());
+    put_section(&mut buf, section::GUIDS, &guids.encode(K::CHECKSUM));
     put_section(&mut buf, section::NAMES, &names);
     put_section(&mut buf, tag, &body);
     buf
 }
 
 /// Reads a document written by [`encode_doc`]: its functions and names.
-fn decode_doc<T>(
+fn decode_doc<K: Anchor>(
     bytes: &[u8],
     kind: Kind,
     tag: u8,
-    get: Get<T>,
-) -> Result<(BTreeMap<u64, T>, Names), DecodeError> {
+    get: Get<K>,
+) -> Result<(BTreeMap<u64, FuncProfile<K>>, Names), DecodeError> {
     let mut r = check_header(bytes, kind)?;
     let sections = read_sections(&mut r)?;
     let strings = StringTable::decode(require(&sections, section::STRINGS)?)?;
-    let names = decode_names(require(&sections, section::NAMES)?, &strings)?;
+    let guids = GuidTable::decode(require(&sections, section::GUIDS)?, K::CHECKSUM)?;
+    let names = decode_names(require(&sections, section::NAMES)?, &guids, &strings)?;
     let mut r = Reader::new(require(&sections, tag)?);
     let n = r.len_prefixed()?;
     let mut funcs = BTreeMap::new();
     let mut prev = 0u64;
     for _ in 0..n {
-        let guid = prev.wrapping_add(r.uvarint()?);
-        funcs.insert(guid, get(&mut r, 0)?);
-        prev = guid;
+        let i = prev
+            .checked_add(r.uvarint()?)
+            .ok_or(DecodeError::Corrupt("GUID index past the table"))?;
+        let (guid, checksum) = guids.get(i)?;
+        funcs.insert(guid, get(&mut r, &guids, checksum, 0)?);
+        prev = i;
     }
     r.finish("trailing bytes in profile body")?;
     Ok((funcs, names))
@@ -543,31 +664,38 @@ fn decode_counts<K: Anchor>(r: &mut Reader<'_>) -> Result<BTreeMap<K, u64>, Deco
 }
 
 /// Writes call-site children keyed `(anchor, callee GUID)`: a count, then
-/// per child its key, its callee and its body by `put`.
-fn encode_children<K: Anchor, T>(buf: &mut Vec<u8>, children: &BTreeMap<(K, u64), T>, put: Put<T>) {
+/// per child its key, its callee's GUID-table index and its body by `put`.
+fn encode_children<K: Anchor>(
+    buf: &mut Vec<u8>,
+    guids: &GuidTable,
+    children: &BTreeMap<(K, u64), FuncProfile<K>>,
+    put: Put<K>,
+) {
     put_uvarint(buf, children.len() as u64);
     let mut prev = 0u32;
     for (&(k, callee), child) in children {
+        let (i, checksum) = guids.find(callee);
         k.put(buf, prev);
-        put_uvarint(buf, callee);
-        put(buf, child);
+        put_uvarint(buf, i);
+        put(buf, guids, checksum, child);
         prev = k.lead();
     }
 }
 
 /// Reads children written by [`encode_children`], one level below `depth`.
-fn decode_children<K: Anchor, T>(
+fn decode_children<K: Anchor>(
     r: &mut Reader<'_>,
+    guids: &GuidTable,
     depth: usize,
-    get: Get<T>,
-) -> Result<BTreeMap<(K, u64), T>, DecodeError> {
+    get: Get<K>,
+) -> Result<BTreeMap<(K, u64), FuncProfile<K>>, DecodeError> {
     let n = r.len_prefixed()?;
     let mut out = BTreeMap::new();
     let mut prev = 0u32;
     for _ in 0..n {
         let k = K::get(r, prev)?;
-        let callee = r.uvarint()?;
-        out.insert((k, callee), get(r, nested(depth)?)?);
+        let (callee, checksum) = guids.read(r)?;
+        out.insert((k, callee), get(r, guids, checksum, nested(depth)?)?);
         prev = k.lead();
     }
     Ok(out)
@@ -586,25 +714,48 @@ fn nested(depth: usize) -> Result<usize, DecodeError> {
 // Context profile
 // ---------------------------------------------------------------------------
 
-fn encode_context_node(buf: &mut Vec<u8>, node: &FuncProfile<u32>) {
-    buf.push(u8::from(node.inlined));
-    put_uvarint(buf, node.checksum);
+/// Context-node flag bit: the pre-inliner's mark.
+const INLINED: u8 = 1;
+/// Context-node flag bit: the node's checksum follows, as it differs from
+/// its function's default.
+const OWN_CHECKSUM: u8 = 2;
+
+fn encode_context_node(
+    buf: &mut Vec<u8>,
+    guids: &GuidTable,
+    checksum: u64,
+    node: &FuncProfile<u32>,
+) {
+    let own = node.checksum != checksum;
+    buf.push((u8::from(node.inlined) * INLINED) | (u8::from(own) * OWN_CHECKSUM));
+    if own {
+        put_uvarint(buf, node.checksum);
+    }
     put_uvarint(buf, node.entry);
     encode_counts(buf, &node.body);
-    encode_children(buf, &node.callsites, encode_context_node);
+    encode_children(buf, guids, &node.callsites, encode_context_node);
 }
 
-fn decode_context_node(r: &mut Reader<'_>, depth: usize) -> Result<FuncProfile<u32>, DecodeError> {
+fn decode_context_node(
+    r: &mut Reader<'_>,
+    guids: &GuidTable,
+    checksum: u64,
+    depth: usize,
+) -> Result<FuncProfile<u32>, DecodeError> {
     let flags = r.byte()?;
-    if flags > 1 {
+    if flags & !(INLINED | OWN_CHECKSUM) != 0 {
         return Err(DecodeError::Corrupt("unknown context-node flags"));
     }
     Ok(FuncProfile {
-        inlined: flags == 1,
-        checksum: r.uvarint()?,
+        inlined: flags & INLINED != 0,
+        checksum: if flags & OWN_CHECKSUM != 0 {
+            r.uvarint()?
+        } else {
+            checksum
+        },
         entry: r.count()?,
         body: decode_counts(r)?,
-        callsites: decode_children(r, depth, decode_context_node)?,
+        callsites: decode_children(r, guids, depth, decode_context_node)?,
     })
 }
 
@@ -634,21 +785,44 @@ pub fn decode_context(bytes: &[u8]) -> Result<ContextProfile, DecodeError> {
 // Probe and flat (AutoFDO-style) profiles
 // ---------------------------------------------------------------------------
 
-fn encode_func<K: Anchor>(buf: &mut Vec<u8>, f: &FuncProfile<K>) {
-    put_uvarint(buf, f.entry);
+fn encode_func<K: Anchor>(buf: &mut Vec<u8>, guids: &GuidTable, checksum: u64, f: &FuncProfile<K>) {
     if K::CHECKSUM {
-        put_uvarint(buf, f.checksum);
+        // The entry's low bit says whether the node's own checksum follows.
+        // An entry past 2⁶³ is clamped: the reader refuses it as past
+        // `MAX_COUNT_SUM` either way.
+        let own = f.checksum != checksum;
+        put_uvarint(buf, (f.entry.min(u64::MAX >> 1) << 1) | u64::from(own));
+        if own {
+            put_uvarint(buf, f.checksum);
+        }
+    } else {
+        put_uvarint(buf, f.entry);
     }
     encode_counts(buf, &f.body);
-    encode_children(buf, &f.callsites, encode_func);
+    encode_children(buf, guids, &f.callsites, encode_func);
 }
 
-fn decode_func<K: Anchor>(r: &mut Reader<'_>, depth: usize) -> Result<FuncProfile<K>, DecodeError> {
+fn decode_func<K: Anchor>(
+    r: &mut Reader<'_>,
+    guids: &GuidTable,
+    checksum: u64,
+    depth: usize,
+) -> Result<FuncProfile<K>, DecodeError> {
+    let (entry, checksum) = if K::CHECKSUM {
+        let entry = r.uvarint()?;
+        let own = entry & 1 == 1;
+        (
+            r.tally(entry >> 1)?,
+            if own { r.uvarint()? } else { checksum },
+        )
+    } else {
+        (r.count()?, 0)
+    };
     Ok(FuncProfile {
-        entry: r.count()?,
-        checksum: if K::CHECKSUM { r.uvarint()? } else { 0 },
+        entry,
+        checksum,
         body: decode_counts(r)?,
-        callsites: decode_children(r, depth, decode_func)?,
+        callsites: decode_children(r, guids, depth, decode_func)?,
         inlined: false,
     })
 }
@@ -689,15 +863,44 @@ pub fn decode_flat(bytes: &[u8]) -> Result<FlatProfile, DecodeError> {
 // Stream snapshot
 // ---------------------------------------------------------------------------
 
-/// Writes sorted `(a, b, c)` rows: a count, then per row `a` (as a delta
-/// off the previous row's when `delta`), `b` and `c`.
-fn encode_rows(rows: &[(u64, u64, u64)], delta: bool) -> Vec<u8> {
+/// How a snapshot row section writes its sorted `(a, b, c)` rows.
+#[derive(Clone, Copy)]
+enum Rows {
+    /// `a`, `b`, `c` as they are: tail-call edges.
+    Plain,
+    /// `a` as a delta off the previous row's, then `b`, `c`: weights.
+    Delta,
+    /// `a` as a delta off the previous row's, `b` as a zigzag delta off `a`,
+    /// then `c`: ranges `(begin, end)` and branches `(from, to)`, whose two
+    /// ends lie close together in either order.
+    Span,
+}
+
+/// `d` read as a two's-complement `i64`, zigzag-mapped so small magnitudes
+/// of either sign are small varints.
+fn zigzag(d: u64) -> u64 {
+    (d << 1) ^ ((d as i64 >> 63) as u64)
+}
+
+/// The inverse of [`zigzag`].
+fn unzigzag(z: u64) -> u64 {
+    (z >> 1) ^ (z & 1).wrapping_neg()
+}
+
+/// Writes sorted `(a, b, c)` rows laid out as `layout` says, after their
+/// count.
+fn encode_rows(rows: &[(u64, u64, u64)], layout: Rows) -> Vec<u8> {
     let mut buf = Vec::new();
     put_uvarint(&mut buf, rows.len() as u64);
     let mut prev = 0u64;
     for &(a, b, c) in rows {
-        put_uvarint(&mut buf, if delta { a.wrapping_sub(prev) } else { a });
-        put_uvarint(&mut buf, b);
+        let (a_out, b_out) = match layout {
+            Rows::Plain => (a, b),
+            Rows::Delta => (a.wrapping_sub(prev), b),
+            Rows::Span => (a.wrapping_sub(prev), zigzag(b.wrapping_sub(a))),
+        };
+        put_uvarint(&mut buf, a_out);
+        put_uvarint(&mut buf, b_out);
         put_uvarint(&mut buf, c);
         prev = a;
     }
@@ -705,7 +908,7 @@ fn encode_rows(rows: &[(u64, u64, u64)], delta: bool) -> Vec<u8> {
 }
 
 /// Reads rows written by [`encode_rows`]; an absent section is no rows.
-fn decode_rows(payload: Option<&[u8]>, delta: bool) -> Result<Vec<(u64, u64, u64)>, DecodeError> {
+fn decode_rows(payload: Option<&[u8]>, layout: Rows) -> Result<Vec<(u64, u64, u64)>, DecodeError> {
     let Some(payload) = payload else {
         return Ok(Vec::new());
     };
@@ -714,10 +917,17 @@ fn decode_rows(payload: Option<&[u8]>, delta: bool) -> Result<Vec<(u64, u64, u64
     let mut rows = Vec::with_capacity(n);
     let mut prev = 0u64;
     for _ in 0..n {
-        let a = r.uvarint()?;
-        let a = if delta { prev.wrapping_add(a) } else { a };
-        rows.push((a, r.uvarint()?, r.uvarint()?));
-        prev = a;
+        let (a, b) = (r.uvarint()?, r.uvarint()?);
+        let row = match layout {
+            Rows::Plain => (a, b),
+            Rows::Delta => (prev.wrapping_add(a), b),
+            Rows::Span => {
+                let a = prev.wrapping_add(a);
+                (a, a.wrapping_add(unzigzag(b)))
+            }
+        };
+        rows.push((row.0, row.1, r.uvarint()?));
+        prev = row.0;
     }
     r.finish("trailing bytes in snapshot rows")?;
     Ok(rows)
@@ -734,14 +944,19 @@ pub(crate) fn encode_snapshot(snap: &Snapshot<'_>) -> Vec<u8> {
         put_uvarint(&mut meta, v);
     }
     put_section(&mut buf, section::STREAM_META, &meta);
-    for (tag, rows, delta, always) in [
-        (section::STREAM_TAILGRAPH, &snap.tail_edges, false, false),
-        (section::STREAM_RANGES, &snap.ranges, true, true),
-        (section::STREAM_BRANCHES, &snap.branches, true, true),
-        (section::STREAM_WEIGHTS, &snap.weights, true, false),
+    for (tag, rows, layout, always) in [
+        (
+            section::STREAM_TAILGRAPH,
+            &snap.tail_edges,
+            Rows::Plain,
+            false,
+        ),
+        (section::STREAM_RANGES, &snap.ranges, Rows::Span, true),
+        (section::STREAM_BRANCHES, &snap.branches, Rows::Span, true),
+        (section::STREAM_WEIGHTS, &snap.weights, Rows::Delta, false),
     ] {
         if always || !rows.is_empty() {
-            put_section(&mut buf, tag, &encode_rows(rows, delta));
+            put_section(&mut buf, tag, &encode_rows(rows, layout));
         }
     }
     let context = encode_context(&snap.context);
@@ -755,16 +970,16 @@ pub(crate) fn encode_snapshot(snap: &Snapshot<'_>) -> Vec<u8> {
 pub(crate) fn decode_snapshot(bytes: &[u8]) -> Result<Snapshot<'static>, DecodeError> {
     let mut r = check_header(bytes, Kind::StreamSnapshot)?;
     let sections = read_sections(&mut r)?;
-    let rows = |tag, delta| decode_rows(find(&sections, tag), delta);
+    let rows = |tag, layout| decode_rows(find(&sections, tag), layout);
     let mut meta = Reader::new(require(&sections, section::STREAM_META)?);
     Ok(Snapshot {
         fingerprint: meta.uvarint()?,
         epochs: meta.uvarint()?,
         samples: meta.uvarint()?,
-        tail_edges: rows(section::STREAM_TAILGRAPH, false)?,
-        ranges: rows(section::STREAM_RANGES, true)?,
-        branches: rows(section::STREAM_BRANCHES, true)?,
-        weights: rows(section::STREAM_WEIGHTS, true)?,
+        tail_edges: rows(section::STREAM_TAILGRAPH, Rows::Plain)?,
+        ranges: rows(section::STREAM_RANGES, Rows::Span)?,
+        branches: rows(section::STREAM_BRANCHES, Rows::Span)?,
+        weights: rows(section::STREAM_WEIGHTS, Rows::Delta)?,
         context: Cow::Owned(decode_context(require(
             &sections,
             section::STREAM_CONTEXT,
@@ -776,6 +991,7 @@ pub(crate) fn decode_snapshot(bytes: &[u8]) -> Result<Snapshot<'static>, DecodeE
 mod tests {
     use super::*;
     use crate::context::FrameKey;
+    use proptest::prelude::*;
 
     fn sample_context() -> ContextProfile {
         let mut cp = ContextProfile::new();
@@ -901,6 +1117,135 @@ mod tests {
         }
     }
 
+    /// A document of `kind` framed by hand from `sections`.
+    fn doc(kind: Kind, sections: &[(u8, &[u8])]) -> Vec<u8> {
+        let mut out = header(kind);
+        for &(tag, payload) in sections {
+            put_section(&mut out, tag, payload);
+        }
+        out
+    }
+
+    /// `values` as consecutive uvarints.
+    fn varints(values: &[u64]) -> Vec<u8> {
+        let mut buf = Vec::new();
+        for &v in values {
+            put_uvarint(&mut buf, v);
+        }
+        buf
+    }
+
+    /// Hostile GUID tables and the indices into them: an index past the
+    /// table (as a root or body key, a callee and a names key), a table
+    /// unsorted or duplicated, a table count past the payload, a truncated
+    /// or missing table, unknown context-node flag bits. Each is a typed
+    /// error, never a panic, in every document kind.
+    #[test]
+    fn guid_table_faults_are_typed_errors() {
+        let strings = varints(&[0]);
+        let no_names = varints(&[0]);
+        // One GUID, 5, whose default checksum is 0.
+        let table = varints(&[1, 5, 0]);
+        // One root at index 0: no flags, entry 0, no counts, no children.
+        let root = varints(&[1, 0, 0, 0, 0, 0]);
+        let context = |guids: &[u8], names: &[u8], roots: &[u8]| {
+            decode_context(&doc(
+                Kind::Context,
+                &[
+                    (section::STRINGS, &strings),
+                    (section::GUIDS, guids),
+                    (section::NAMES, names),
+                    (section::CONTEXT_ROOTS, roots),
+                ],
+            ))
+        };
+        let ok = context(&table, &no_names, &root).unwrap();
+        assert_eq!(ok.roots.keys().collect::<Vec<_>>(), [&5]);
+
+        let past = DecodeError::Corrupt("GUID index past the table");
+        let child_of_index_1 = varints(&[1, 0, 0, 0, 0, 1, 3, 1, 0, 0, 0, 0]);
+        for (names, roots) in [
+            (&no_names, &varints(&[1, 1, 0, 0, 0, 0])),
+            (
+                &no_names,
+                &varints(&[2, 0, 0, 0, 0, 0, u64::MAX, 0, 0, 0, 0]),
+            ),
+            (&no_names, &child_of_index_1),
+            (&varints(&[1, 1, 0]), &root),
+        ] {
+            assert_eq!(context(&table, names, roots).unwrap_err(), past);
+        }
+        let unsorted = DecodeError::Corrupt("GUID table not strictly ascending");
+        for guids in [&[2, 5, 0, 0, 0][..], &[2, 5, 0, u64::MAX - 1, 0]] {
+            assert_eq!(
+                context(&varints(guids), &no_names, &root).unwrap_err(),
+                unsorted
+            );
+        }
+        assert_eq!(
+            context(&varints(&[u64::MAX]), &no_names, &root),
+            Err(DecodeError::Corrupt("length prefix exceeds payload"))
+        );
+        assert_eq!(
+            context(&varints(&[2, 5, 0, 1]), &no_names, &root),
+            Err(DecodeError::Truncated)
+        );
+        for flags in [4, 0x40] {
+            assert_eq!(
+                context(&table, &no_names, &varints(&[1, 0, flags, 0, 0, 0])),
+                Err(DecodeError::Corrupt("unknown context-node flags"))
+            );
+        }
+        let untabled = doc(
+            Kind::Context,
+            &[
+                (section::STRINGS, &strings),
+                (section::NAMES, &no_names),
+                (section::CONTEXT_ROOTS, &root),
+            ],
+        );
+        assert_eq!(
+            decode_context(&untabled),
+            Err(DecodeError::Corrupt("missing required section"))
+        );
+
+        // A probe table carries checksums, a flat one does not.
+        let profile = |kind, tag, guids: &[u8], body: &[u8]| {
+            doc(
+                kind,
+                &[
+                    (section::STRINGS, &strings),
+                    (section::GUIDS, guids),
+                    (section::NAMES, &no_names),
+                    (tag, body),
+                ],
+            )
+        };
+        let probe = |guids: &[u8], body: &[u8]| {
+            decode_probe(&profile(Kind::Probe, section::PROBE_FUNCS, guids, body))
+        };
+        let flat = |guids: &[u8], body: &[u8]| {
+            decode_flat(&profile(Kind::Flat, section::FLAT_FUNCS, guids, body))
+        };
+        let body = varints(&[1, 0, 0, 0, 0]);
+        assert_eq!(probe(&table, &body).unwrap().funcs.len(), 1);
+        assert_eq!(flat(&varints(&[1, 5]), &body).unwrap().funcs.len(), 1);
+        assert_eq!(probe(&table, &varints(&[1, 1, 0, 0, 0])).unwrap_err(), past);
+        assert_eq!(
+            flat(&varints(&[1, 5]), &varints(&[1, 1, 0, 0, 0])).unwrap_err(),
+            past
+        );
+        assert_eq!(
+            probe(&varints(&[2, 5, 0, 0, 0]), &body).unwrap_err(),
+            unsorted
+        );
+        assert_eq!(flat(&varints(&[2, 5, 0]), &body).unwrap_err(), unsorted);
+        assert_eq!(
+            probe(&varints(&[2, 5, 0]), &body),
+            Err(DecodeError::Truncated)
+        );
+    }
+
     /// One nesting bound for the three profile decoders: a sub-profile
     /// [`MAX_DEPTH`] call sites deep decodes, one level deeper is refused.
     #[test]
@@ -1024,7 +1369,7 @@ mod tests {
             epochs: 3,
             samples: 1234,
             tail_edges: vec![(0, 2, 17), (1, 0, 5)],
-            ranges: vec![(4, 9, 100), (4, 12, 3), (30, 31, 8)],
+            ranges: vec![(4, 9, 100), (4, 12, 3), (30, 2, 1), (30, 31, 8)],
             branches: vec![(9, 4, 100), (31, 30, 8)],
             weights: vec![(7, 1, 50), (7, 4, 2), (9, 0, 11)],
             context: Cow::Owned(sample_context()),
@@ -1071,6 +1416,34 @@ mod tests {
         assert_eq!(decode_snapshot(&bytes).unwrap(), bare);
     }
 
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Snapshot rows round-trip whatever their values: ends before their
+        /// begins, far from them, at either end of `u64`.
+        #[test]
+        fn snapshot_rows_roundtrip_in_any_order(
+            wide in proptest::collection::vec((any::<u64>(), any::<u64>(), any::<u64>()), 0..12),
+            near in proptest::collection::vec((0u64..64, 0u64..64, 0u64..1000), 0..12),
+        ) {
+            let sorted = |mut rows: Vec<(u64, u64, u64)>| {
+                rows.sort_unstable();
+                rows
+            };
+            let snap = Snapshot {
+                tail_edges: sorted(wide.clone()),
+                ranges: sorted(near.clone()),
+                branches: sorted(wide),
+                weights: sorted(near),
+                ..sample_snapshot()
+            };
+            let bytes = encode_snapshot(&snap);
+            let back = decode_snapshot(&bytes).unwrap();
+            prop_assert_eq!(&back, &snap);
+            prop_assert_eq!(encode_snapshot(&back), bytes);
+        }
+    }
+
     /// Binary-only hostile snapshots: a missing required section, truncation
     /// anywhere, a row count past the payload, trailing bytes. Each is a
     /// typed error, never a panic or an allocation of the claimed size.
@@ -1089,7 +1462,7 @@ mod tests {
         }
         let mut bomb = Vec::new();
         put_uvarint(&mut bomb, u64::MAX);
-        let mut trailing = encode_rows(&[(1, 2, 3)], true);
+        let mut trailing = encode_rows(&[(1, 2, 3)], Rows::Span);
         trailing.push(0);
         for (tag, payload, err) in [
             (

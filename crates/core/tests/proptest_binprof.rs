@@ -1,14 +1,16 @@
 //! Property tests for the binary profile wire format (`core::binprof`):
 //! encode→decode must be lossless for *arbitrary* context tries (random
-//! shapes, counts, checksums, inlined flags), the text and binary formats
-//! must interchange losslessly in both directions, and the encoding must
-//! be canonical (decode→re-encode is byte-identical). A golden fixture
-//! pins the version-2 wire bytes so silent format drift fails CI, and the
-//! last version-1 fixture stays to show such a payload is refused.
+//! shapes, counts, checksums that differ from their function's default or
+//! are 0, inlined flags, functions only the names name) and for the probe
+//! and flat profiles derived from them, the text and binary formats must
+//! interchange losslessly, and the encoding must be canonical
+//! (decode→re-encode is byte-identical). A golden fixture pins the
+//! version-3 wire bytes so silent format drift fails CI, and the last
+//! version-1 and version-2 fixtures stay to show such payloads are refused.
 
 use csspgo_core::binprof::{self, DecodeError};
 use csspgo_core::context::{ContextProfile, FrameKey};
-use csspgo_core::profile::FuncProfile;
+use csspgo_core::profile::{FlatProfile, FuncProfile, LocKey};
 use csspgo_core::textprof;
 use csspgo_ir::probe::function_guid;
 use proptest::prelude::*;
@@ -39,56 +41,81 @@ fn collect_guids(node: &FuncProfile<u32>, out: &mut BTreeSet<u64>) {
     }
 }
 
+/// Rewrites node checksums in pre-order by `edits`, cycled: 0 keeps the
+/// function's checksum, 1 sets 0, 2 sets one that differs from it.
+fn edit_checksums(node: &mut FuncProfile<u32>, edits: &[u8], at: &mut usize) {
+    if !edits.is_empty() {
+        match edits[*at % edits.len()] {
+            1 => node.checksum = 0,
+            2 => node.checksum ^= 0x5a5a,
+            _ => {}
+        }
+        *at += 1;
+    }
+    for child in node.callsites.values_mut() {
+        edit_checksums(child, edits, at);
+    }
+}
+
 /// Random context profiles built through the public trie API: random
-/// paths, owners, probe indices and counts, plus entry hits.
+/// paths, owners, probe indices and counts, plus entry hits; checksums
+/// edited per node, and extra names for functions no node is.
 fn profile_strategy() -> BoxedStrategy<ContextProfile> {
     let frame = (0usize..12, 0u32..8);
     let path = proptest::collection::vec(frame, 0..5);
     let op = (path, 0usize..12, 0u32..16, 1u64..1_000, any::<bool>());
-    proptest::collection::vec(op, 0..60)
-        .prop_map(|ops: Vec<Op>| {
-            let mut p = ContextProfile::new();
-            for (path, owner, probe, count, is_entry) in ops {
-                let frames: Vec<FrameKey> = path
-                    .into_iter()
-                    .map(|(i, probe)| FrameKey {
-                        guid: guid_of(i),
-                        probe,
-                    })
+    let edits = proptest::collection::vec(0u8..3, 0..8);
+    let extra_names = proptest::collection::vec(0usize..12, 0..4);
+    (proptest::collection::vec(op, 0..60), edits, extra_names)
+        .prop_map(
+            |(ops, edits, extra_names): (Vec<Op>, Vec<u8>, Vec<usize>)| {
+                let mut p = ContextProfile::new();
+                for (path, owner, probe, count, is_entry) in ops {
+                    let frames: Vec<FrameKey> = path
+                        .into_iter()
+                        .map(|(i, probe)| FrameKey {
+                            guid: guid_of(i),
+                            probe,
+                        })
+                        .collect();
+                    if is_entry {
+                        p.add_entry(&frames, guid_of(owner), count);
+                    } else {
+                        p.add_probe_hit(&frames, guid_of(owner), probe, count);
+                    }
+                }
+                // Exercise the non-default node fields too: checksums from a
+                // synthetic table, inlined flags derived from node identity.
+                let table: BTreeMap<u64, u64> = (0..POOL.len())
+                    .map(|i| (guid_of(i), (i as u64 + 1).wrapping_mul(0x9e37)))
                     .collect();
-                if is_entry {
-                    p.add_entry(&frames, guid_of(owner), count);
-                } else {
-                    p.add_probe_hit(&frames, guid_of(owner), probe, count);
+                p.set_checksums(&table);
+                fn flag(guid: u64, node: &mut FuncProfile<u32>) {
+                    node.inlined = guid.is_multiple_of(3);
+                    for (&(_, callee), child) in &mut node.callsites {
+                        flag(callee, child);
+                    }
                 }
-            }
-            // Exercise the non-default node fields too: checksums from a
-            // synthetic table, inlined flags derived from node identity.
-            let table: BTreeMap<u64, u64> = (0..POOL.len())
-                .map(|i| (guid_of(i), (i as u64 + 1).wrapping_mul(0x9e37)))
-                .collect();
-            p.set_checksums(&table);
-            fn flag(guid: u64, node: &mut FuncProfile<u32>) {
-                node.inlined = guid.is_multiple_of(3);
-                for (&(_, callee), child) in &mut node.callsites {
-                    flag(callee, child);
+                let mut at = 0;
+                for (&guid, root) in &mut p.roots {
+                    flag(guid, root);
+                    edit_checksums(root, &edits, &mut at);
                 }
-            }
-            for (&guid, root) in &mut p.roots {
-                flag(guid, root);
-            }
-            // Name every referenced function, as real correlation does —
-            // the text format identifies functions by name.
-            let mut used: BTreeSet<u64> = p.roots.keys().copied().collect();
-            for root in p.roots.values() {
-                collect_guids(root, &mut used);
-            }
-            for g in used {
-                let name = POOL.iter().find(|n| function_guid(n) == g).unwrap();
-                p.names.insert(g, name.to_string());
-            }
-            p
-        })
+                // Name every referenced function, as real correlation does —
+                // the text format identifies functions by name — and some that
+                // no node is.
+                let mut used: BTreeSet<u64> = p.roots.keys().copied().collect();
+                for root in p.roots.values() {
+                    collect_guids(root, &mut used);
+                }
+                used.extend(extra_names.into_iter().map(guid_of));
+                for g in used {
+                    let name = POOL.iter().find(|n| function_guid(n) == g).unwrap();
+                    p.names.insert(g, name.to_string());
+                }
+                p
+            },
+        )
         .boxed()
 }
 
@@ -106,6 +133,34 @@ proptest! {
         prop_assert_eq!(binprof::encode_context(&back), bytes);
     }
 
+    /// The probe and flat documents round-trip the same shapes: the probe
+    /// profile the context flattens to, with its checksums edited too, and
+    /// a flat profile keyed by the same anchors.
+    #[test]
+    fn binary_probe_and_flat_roundtrip_lossless(
+        profile in profile_strategy(),
+        edits in proptest::collection::vec(0u8..3, 0..8),
+    ) {
+        let mut probe = profile.to_probe_profile();
+        let mut at = 0;
+        for f in probe.funcs.values_mut() {
+            edit_checksums(f, &edits, &mut at);
+        }
+        let bytes = binprof::encode_probe(&probe);
+        let back = binprof::decode_probe(&bytes).unwrap();
+        prop_assert_eq!(&back, &probe);
+        prop_assert_eq!(binprof::encode_probe(&back), bytes);
+
+        let flat = FlatProfile {
+            funcs: probe.funcs.iter().map(|(&g, f)| (g, to_flat(f))).collect(),
+            names: probe.names.clone(),
+        };
+        let bytes = binprof::encode_flat(&flat);
+        let back = binprof::decode_flat(&bytes).unwrap();
+        prop_assert_eq!(&back, &flat);
+        prop_assert_eq!(binprof::encode_flat(&back), bytes);
+    }
+
     /// Binary to text: a decoded profile renders the text of the profile
     /// encoded (what `csspgo show` prints). The text's way back is the text
     /// snapshot's, held by `stream::tests::both_formats_carry_one_snapshot`.
@@ -119,8 +174,27 @@ proptest! {
     }
 }
 
+/// `node` keyed by line offsets (discriminator `probe % 3`), with no
+/// checksum: what a flat document stores.
+fn to_flat(node: &FuncProfile<u32>) -> FuncProfile<LocKey> {
+    let key = |probe: u32| LocKey {
+        line_offset: probe,
+        discriminator: probe % 3,
+    };
+    FuncProfile {
+        entry: node.entry,
+        checksum: 0,
+        body: node.body.iter().map(|(&p, &c)| (key(p), c)).collect(),
+        callsites: (node.callsites.iter())
+            .map(|(&(p, callee), child)| ((key(p), callee), to_flat(child)))
+            .collect(),
+        inlined: false,
+    }
+}
+
 /// The fixed profile behind the golden fixture: touches nesting, entry
-/// counts, checksums and the inlined flag.
+/// counts, checksums (a function's default, one node's own, one 0), the
+/// inlined flag and a function only the names name.
 fn golden_profile() -> ContextProfile {
     let mut p = ContextProfile::new();
     let a = FrameKey { guid: 3, probe: 2 };
@@ -130,18 +204,22 @@ fn golden_profile() -> ContextProfile {
     p.add_probe_hit(&[a, b], 9, 6, 25);
     p.add_entry(&[a, b], 9, 3);
     p.add_probe_hit(&[], 3, 0, 1_000_000);
+    p.add_probe_hit(&[], 7, 4, 50);
+    p.add_entry(&[], 9, 2);
     let table: BTreeMap<u64, u64> = [(3, 0xabc), (7, 0xdef), (9, 0x123)].into_iter().collect();
     p.set_checksums(&table);
-    p.roots
-        .get_mut(&3)
-        .unwrap()
-        .callsites
-        .values_mut()
-        .for_each(|c| c.inlined = true);
+    let root = p.roots.get_mut(&3).unwrap();
+    root.callsites.values_mut().for_each(|c| c.inlined = true);
+    // The first `7` and `9` nodes met in pre-order, under root 3, set those
+    // functions' defaults; roots 7 and 9 then store their own checksums.
+    let inner = root.callsites.get_mut(&(2, 7)).unwrap();
+    inner.checksum = 0xfed;
+    inner.callsites.get_mut(&(5, 9)).unwrap().checksum = 0;
+    p.names.insert(11, "named_only".into());
     p
 }
 
-/// The version-2 wire bytes of [`golden_profile`] are pinned on disk: any
+/// The version-3 wire bytes of [`golden_profile`] are pinned on disk: any
 /// byte-level drift of the format must come with a `binprof::VERSION` bump
 /// and a deliberate re-bless.
 #[test]
@@ -149,30 +227,33 @@ fn golden_binary_fixture_is_stable() {
     let profile = golden_profile();
     let bytes = binprof::encode_context(&profile);
     golden::check(
-        "tests/fixtures/context_v2.binprof",
+        "tests/fixtures/context_v3.binprof",
         &bytes,
-        "binprof wire bytes drifted from the v2 fixture; bump VERSION and re-bless deliberately",
+        "binprof wire bytes drifted from the v3 fixture; bump VERSION and re-bless deliberately",
     );
     assert_eq!(binprof::decode_context(&bytes).unwrap(), profile);
 }
 
 /// Version 1 wrote each context node's GUID beside the key that names it,
-/// and each sub-profile's total beside the counts it sums. Its payloads are
+/// and each sub-profile's total beside the counts it sums; version 2 wrote
+/// a GUID at every key and a checksum at every node. Their payloads are
 /// refused, not read: there is one reader, for the current version.
 #[test]
-fn a_version_1_payload_is_refused() {
-    let v1 = std::fs::read(concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/tests/fixtures/context_v1.binprof"
-    ))
-    .unwrap();
-    assert_eq!(
-        binprof::decode_context(&v1),
-        Err(DecodeError::Version {
-            found: 1,
-            supported: 2
-        })
-    );
+fn version_1_and_2_payloads_are_refused() {
+    for found in [1, 2] {
+        let old = std::fs::read(format!(
+            "{}/tests/fixtures/context_v{found}.binprof",
+            env!("CARGO_MANIFEST_DIR")
+        ))
+        .unwrap();
+        assert_eq!(
+            binprof::decode_context(&old),
+            Err(DecodeError::Version {
+                found,
+                supported: 3
+            })
+        );
+    }
 }
 
 /// A reader built for version N must reject version N+1 (and garbage)
@@ -186,7 +267,7 @@ fn future_version_and_wrong_kind_are_rejected() {
     newer[8] = newer[8].wrapping_add(1);
     match binprof::decode_context(&newer) {
         Err(DecodeError::Version { found, supported }) => {
-            assert_eq!(supported, 2, "the v2 fixture");
+            assert_eq!(supported, 3, "the v3 fixture");
             assert_eq!(found, supported + 1);
         }
         other => panic!("expected version rejection, got {other:?}"),

@@ -4,7 +4,7 @@ use crate::decode::{Kind, Op, Program, Reg, NO_REG};
 use crate::pmu::{ICache, Lbr, Predictor, Sample, SampleTimer};
 use crate::rng::XorShift64;
 use crate::SimConfig;
-use csspgo_codegen::Binary;
+use csspgo_codegen::{BinFunc, Binary};
 use std::error::Error;
 use std::fmt;
 
@@ -210,6 +210,19 @@ impl<'b> Machine<'b> {
             .binary
             .func_by_name(name)
             .ok_or_else(|| SimError::NoSuchFunction(name.to_string()))?;
+        // With period 0 no sample is ever taken and the configuration cannot
+        // change, so nothing ever reads the LBR: that loop skips it and the
+        // sample-deadline compare.
+        if self.config.sample_period == 0 {
+            self.run::<false>(func, args)
+        } else {
+            self.run::<true>(func, args)
+        }
+    }
+
+    /// The instruction loop of [`Machine::call`] from `func`'s entry, with
+    /// the PMU (LBR recording and sampling) on when `PMU`.
+    fn run<const PMU: bool>(&mut self, func: &BinFunc, args: &[i64]) -> Result<i64, SimError> {
         let Machine {
             config,
             program,
@@ -284,7 +297,9 @@ impl<'b> Machine<'b> {
             macro_rules! branch_to {
                 ($target:expr) => {{
                     next_pc = $target as usize;
-                    lbr.record(addr, ops[next_pc].addr);
+                    if PMU {
+                        lbr.record(addr, ops[next_pc].addr);
+                    }
                     taken_branches += 1;
                     cycles += TAKEN_BRANCH;
                 }};
@@ -448,7 +463,7 @@ impl<'b> Machine<'b> {
             }
 
             // PMU sampling: synchronized LBR + stack snapshot.
-            if cycles >= next_sample_at {
+            if PMU && cycles >= next_sample_at {
                 timer.fire(cycles);
                 next_sample_at = timer.next_at();
                 samples_taken += 1;

@@ -243,6 +243,38 @@ fn one_wire_format() {
     );
 }
 
+/// Whether `line` writes a raw GUID: `put_uvarint(buf, guid …)` or
+/// `put_uvarint(buf, callee …)`, or a GUID delta `guid.wrapping_sub(` /
+/// `callee.wrapping_sub(`.
+fn writes_raw_guid(line: &str) -> bool {
+    let is_guid = |t: &str| {
+        ["guid", "callee"].iter().any(|w| {
+            t.strip_prefix(w)
+                .is_some_and(|rest| !rest.starts_with(|c: char| c.is_alphanumeric() || c == '_'))
+        })
+    };
+    let put = line.match_indices("put_uvarint(").any(|(i, _)| {
+        let args = &line[i + "put_uvarint(".len()..];
+        args.split_once(',')
+            .is_some_and(|(_, value)| is_guid(value.trim_start()))
+    });
+    put || any_of(line, &["guid.wrapping_sub(", "callee.wrapping_sub("])
+}
+
+#[test]
+fn one_guid_table() {
+    let binprof = file("crates/core/src/binprof.rs");
+    let writer = item(&binprof, "fn encode(&self, checksums: bool)");
+    let outside = (binprof.code().map(|(l, _)| l)).filter(|l| !writer.contains(l));
+    let found = lines_where(&binprof, outside, writes_raw_guid);
+    holds(
+        "One GUID table",
+        "§9.1",
+        "a binprof document writes each GUID once, in its GUID table; every other GUID is a table index",
+        &found,
+    );
+}
+
 #[test]
 fn one_kernel() {
     let banned = [
