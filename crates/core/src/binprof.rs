@@ -11,20 +11,23 @@
 //! entry. As ExtBinary writes each function name once, in its name table,
 //! and refers to it by index, binprof writes each function name once in a
 //! string table and each function GUID once in a GUID table, beside that
-//! function's default checksum: a node names its function by table index
-//! and stores a checksum only where it differs from the default.
+//! function's default checksum: everything else names a function by table
+//! index, and a node stores a checksum only where it differs from the
+//! default.
 //!
-//! Four documents share the framing: the three profiles (context, probe,
-//! flat), each one envelope — string table, GUID table, names, one
-//! GUID-keyed body — and a stream snapshot (`stream::Snapshot`), whose
-//! context profile is a whole nested document with its own tables. The
-//! framing itself is private: callers see values and [`DecodeError`]s,
-//! never sections.
+//! Every document is one envelope — header, string table, GUID table,
+//! names, one body — and every node of every body is written by one node
+//! codec. The three profiles (context, probe, flat) are that envelope; a
+//! stream snapshot (`stream::Snapshot`) is its context profile's envelope
+//! plus a meta section and four row sections. The framing itself is
+//! private: callers see values and [`DecodeError`]s, never sections.
 //!
 //! Encoding is **canonical**: every map in the profile data model is a
 //! `BTreeMap`, so iteration order — and therefore the byte stream — is a
 //! pure function of the profile value. Equal profiles encode to equal
-//! bytes, which the snapshot tests rely on.
+//! bytes, which the snapshot tests rely on. Decoding refuses a key that is
+//! not strictly greater than the one before it, so no payload the encoder
+//! could not have written decodes.
 
 use crate::context::ContextProfile;
 use crate::profile::{FlatProfile, FuncProfile, LocKey, ProbeProfile, Profile};
@@ -32,6 +35,7 @@ use crate::stream::Snapshot;
 use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::fmt;
+use std::iter;
 
 /// File magic: first 8 bytes of every binprof payload.
 pub const MAGIC: [u8; 8] = *b"CSPGOBIN";
@@ -40,8 +44,9 @@ pub const MAGIC: [u8; 8] = *b"CSPGOBIN";
 /// it) and a sub-profile's total (the sum of its counts). Version 3 writes
 /// each GUID and each function's checksum once per document, in its GUID
 /// table, where version 2 wrote a GUID at every key and a checksum at every
-/// node.
-const VERSION: u16 = 3;
+/// node. Version 4 writes every node with one codec and every document,
+/// the stream snapshot included, as one envelope.
+const VERSION: u16 = 4;
 /// Deepest nesting of call-site sub-profiles these decoders and the text
 /// snapshot's context reader accept, so that no input they read builds a
 /// tree the recursive walks over it cannot descend.
@@ -72,12 +77,9 @@ mod section {
     pub(super) const STRINGS: u8 = 1;
     /// GUID-table-index → string-table-index name map.
     pub(super) const NAMES: u8 = 2;
-    /// Context-trie roots.
-    pub(super) const CONTEXT_ROOTS: u8 = 3;
-    /// Probe-profile function bodies.
-    pub(super) const PROBE_FUNCS: u8 = 4;
-    /// Flat-profile function bodies.
-    pub(super) const FLAT_FUNCS: u8 = 5;
+    /// The body: every function's node, in every document kind (the kind
+    /// byte says which document it is).
+    pub(super) const BODY: u8 = 3;
     /// Stream-snapshot scalar metadata (fingerprint, epochs, samples).
     pub(super) const STREAM_META: u8 = 6;
     /// Stream-snapshot tail-call graph edges.
@@ -88,10 +90,7 @@ mod section {
     pub(super) const STREAM_BRANCHES: u8 = 9;
     /// Stream-snapshot previous-epoch probe weights.
     pub(super) const STREAM_WEIGHTS: u8 = 10;
-    /// Stream-snapshot embedded context profile (a nested binprof payload).
-    pub(super) const STREAM_CONTEXT: u8 = 11;
-    /// GUID table: every GUID a profile document names, with its default
-    /// checksum.
+    /// GUID table: every GUID a document names, with its default checksum.
     pub(super) const GUIDS: u8 = 12;
 }
 
@@ -389,19 +388,21 @@ impl StringTable {
 // GUID table + name maps
 // ---------------------------------------------------------------------------
 
-/// A profile document's GUID table: every GUID it names — root keys,
-/// callee keys and names keys — once, ascending, each beside its function's
-/// default checksum. Nodes name a function by its index here.
+/// A document's GUID table: every GUID it names — root keys, callee keys,
+/// names keys and a snapshot's weight GUIDs — once, ascending, each beside
+/// its function's default checksum. Everything else names a function by its
+/// index here.
 struct GuidTable {
     /// `(GUID, default checksum)` pairs, strictly ascending by GUID.
     entries: Vec<(u64, u64)>,
 }
 
 impl GuidTable {
-    /// The table of a document with bodies `funcs` and names `names`. A
-    /// function's default checksum is that of its first node in canonical
-    /// (`BTreeMap`) pre-order, 0 for a function only `names` names.
-    fn of<K>(funcs: &BTreeMap<u64, FuncProfile<K>>, names: &Names) -> Self {
+    /// The table of a document with bodies `funcs` that also names the
+    /// GUIDs in `named`. A function's default checksum is that of its first
+    /// node in canonical (`BTreeMap`) pre-order, 0 for a function only
+    /// `named` names.
+    fn of<K>(funcs: &BTreeMap<u64, FuncProfile<K>>, named: impl Iterator<Item = u64>) -> Self {
         fn walk<K>(guid: u64, node: &FuncProfile<K>, table: &mut BTreeMap<u64, u64>) {
             table.entry(guid).or_insert(node.checksum);
             for (&(_, callee), child) in &node.callsites {
@@ -412,7 +413,7 @@ impl GuidTable {
         for (&guid, f) in funcs {
             walk(guid, f, &mut table);
         }
-        for &guid in names.keys() {
+        for guid in named {
             table.entry(guid).or_insert(0);
         }
         GuidTable {
@@ -479,6 +480,22 @@ impl GuidTable {
     }
 }
 
+/// Inserts a decoded `key` into `map`, refusing one not strictly greater
+/// than every key before it as `what`: each map is written in ascending
+/// order, so a repeated key would silently replace the entry before it.
+fn insert_ascending<K: Ord, V>(
+    map: &mut BTreeMap<K, V>,
+    key: K,
+    value: V,
+    what: &'static str,
+) -> Result<(), DecodeError> {
+    if map.last_key_value().is_some_and(|(last, _)| *last >= key) {
+        return Err(DecodeError::Corrupt(what));
+    }
+    map.insert(key, value);
+    Ok(())
+}
+
 /// A profile's GUID → function-name map.
 type Names = BTreeMap<u64, String>;
 
@@ -508,35 +525,29 @@ fn decode_names(
         let name = strings
             .get(idx)
             .ok_or(DecodeError::Corrupt("name references missing string"))?;
-        out.insert(guid, name.clone());
+        insert_ascending(&mut out, guid, name.clone(), "names not strictly ascending")?;
     }
     r.finish("trailing bytes in name map")?;
     Ok(out)
 }
 
 // ---------------------------------------------------------------------------
-// The profile envelope: header, string table, GUID table, names, one
-// GUID-keyed body
+// The envelope: header, string table, GUID table, names, one body
 // ---------------------------------------------------------------------------
 
-/// A node codec: writes one node of a function whose default checksum is
-/// the `u64`, naming callees through the document's table.
-type Put<K> = fn(&mut Vec<u8>, &GuidTable, u64, &FuncProfile<K>);
-/// A node codec: reads one node of a function whose default checksum is
-/// the `u64`, at the nesting depth the `usize` gives.
-type Get<K> = fn(&mut Reader<'_>, &GuidTable, u64, usize) -> Result<FuncProfile<K>, DecodeError>;
-
-/// Writes one profile document: the header for `kind`, the string table,
-/// the GUID table, the names, and section `tag` holding `funcs` — a count,
-/// then per function its Δ GUID-table index and its body by `put`.
+/// Writes the envelope every document is: the header for `kind`, the
+/// string table, the GUID table of `funcs`, `names` and the GUIDs in
+/// `named`, the names, and the body holding `funcs` — a count, then per
+/// function its Δ GUID-table index and its node. Returns the table too, for
+/// a snapshot to name its weights' GUIDs by index in the sections it
+/// appends.
 fn encode_doc<K: Anchor>(
     kind: Kind,
-    tag: u8,
     names: &Names,
     funcs: &BTreeMap<u64, FuncProfile<K>>,
-    put: Put<K>,
-) -> Vec<u8> {
-    let guids = GuidTable::of(funcs, names);
+    named: impl Iterator<Item = u64>,
+) -> (Vec<u8>, GuidTable) {
+    let guids = GuidTable::of(funcs, names.keys().copied().chain(named));
     let mut strings = StringTable::default();
     let names = encode_names(names, &guids, &mut strings);
     let mut body = Vec::new();
@@ -545,30 +556,34 @@ fn encode_doc<K: Anchor>(
     for (&guid, f) in funcs {
         let (i, checksum) = guids.find(guid);
         put_uvarint(&mut body, i - prev);
-        put(&mut body, &guids, checksum, f);
+        encode_func(&mut body, &guids, checksum, f);
         prev = i;
     }
     let mut buf = header(kind);
     put_section(&mut buf, section::STRINGS, &strings.encode());
-    put_section(&mut buf, section::GUIDS, &guids.encode(K::CHECKSUM));
+    put_section(&mut buf, section::GUIDS, &guids.encode(K::PROBED));
     put_section(&mut buf, section::NAMES, &names);
-    put_section(&mut buf, tag, &body);
-    buf
+    put_section(&mut buf, section::BODY, &body);
+    (buf, guids)
 }
 
-/// Reads a document written by [`encode_doc`]: its functions and names.
-fn decode_doc<K: Anchor>(
-    bytes: &[u8],
-    kind: Kind,
-    tag: u8,
-    get: Get<K>,
-) -> Result<(BTreeMap<u64, FuncProfile<K>>, Names), DecodeError> {
+/// A document read by [`decode_doc`]: its functions and names, and the GUID
+/// table and sections a snapshot reads the rest through.
+struct Doc<'a, K> {
+    funcs: BTreeMap<u64, FuncProfile<K>>,
+    names: Names,
+    guids: GuidTable,
+    sections: Vec<(u8, &'a [u8])>,
+}
+
+/// Reads the envelope written by [`encode_doc`].
+fn decode_doc<K: Anchor>(bytes: &[u8], kind: Kind) -> Result<Doc<'_, K>, DecodeError> {
     let mut r = check_header(bytes, kind)?;
     let sections = read_sections(&mut r)?;
     let strings = StringTable::decode(require(&sections, section::STRINGS)?)?;
-    let guids = GuidTable::decode(require(&sections, section::GUIDS)?, K::CHECKSUM)?;
+    let guids = GuidTable::decode(require(&sections, section::GUIDS)?, K::PROBED)?;
     let names = decode_names(require(&sections, section::NAMES)?, &guids, &strings)?;
-    let mut r = Reader::new(require(&sections, tag)?);
+    let mut r = Reader::new(require(&sections, section::BODY)?);
     let n = r.len_prefixed()?;
     let mut funcs = BTreeMap::new();
     let mut prev = 0u64;
@@ -577,11 +592,17 @@ fn decode_doc<K: Anchor>(
             .checked_add(r.uvarint()?)
             .ok_or(DecodeError::Corrupt("GUID index past the table"))?;
         let (guid, checksum) = guids.get(i)?;
-        funcs.insert(guid, get(&mut r, &guids, checksum, 0)?);
+        let f = decode_func(&mut r, &guids, checksum, 0)?;
+        insert_ascending(&mut funcs, guid, f, "functions not strictly ascending")?;
         prev = i;
     }
     r.finish("trailing bytes in profile body")?;
-    Ok((funcs, names))
+    Ok(Doc {
+        funcs,
+        names,
+        guids,
+        sections,
+    })
 }
 
 // ---------------------------------------------------------------------------
@@ -591,11 +612,10 @@ fn decode_doc<K: Anchor>(
 /// A profile anchor's wire codec. Keys are written in ascending order, each
 /// one's leading `u32` as a delta off the previous key's.
 trait Anchor: Copy + Ord {
-    /// The document kind and body section of a profile anchored on `Self`.
-    const DOC: (Kind, u8);
-    /// Whether a node stores its CFG checksum: a probe node does, a flat
-    /// one does not (debug info has none).
-    const CHECKSUM: bool;
+    /// Whether a node of this anchor is probe-anchored, and so stores its
+    /// CFG checksum and the pre-inliner's mark: a context or probe node
+    /// does, a flat one does neither (debug info has no checksum).
+    const PROBED: bool;
     /// The part of the key the next key is a delta off.
     fn lead(self) -> u32;
     /// Writes the key after one whose lead was `prev`.
@@ -606,8 +626,7 @@ trait Anchor: Copy + Ord {
 
 /// A probe index.
 impl Anchor for u32 {
-    const DOC: (Kind, u8) = (Kind::Probe, section::PROBE_FUNCS);
-    const CHECKSUM: bool = true;
+    const PROBED: bool = true;
     fn lead(self) -> u32 {
         self
     }
@@ -621,8 +640,7 @@ impl Anchor for u32 {
 
 /// A line offset (the delta) and its discriminator.
 impl Anchor for LocKey {
-    const DOC: (Kind, u8) = (Kind::Flat, section::FLAT_FUNCS);
-    const CHECKSUM: bool = false;
+    const PROBED: bool = false;
     fn lead(self) -> u32 {
         self.line_offset
     }
@@ -637,6 +655,55 @@ impl Anchor for LocKey {
                 .map_err(|_| DecodeError::Corrupt("discriminator overflow"))?,
         })
     }
+}
+
+/// Writes one node of a function whose default checksum is `checksum`. A
+/// probe-anchored node's head is `entry × 4 + own checksum × 2 + mark`,
+/// then its own checksum if it differs from the default; a flat node's is
+/// its entry. Then its counts and its children.
+fn encode_func<K: Anchor>(buf: &mut Vec<u8>, guids: &GuidTable, checksum: u64, f: &FuncProfile<K>) {
+    if K::PROBED {
+        // An entry past 2⁶² is clamped: the reader refuses it as past
+        // `MAX_COUNT_SUM` either way.
+        let own = f.checksum != checksum;
+        let head = (f.entry.min(u64::MAX >> 2) << 2) | (u64::from(own) << 1) | u64::from(f.inlined);
+        put_uvarint(buf, head);
+        if own {
+            put_uvarint(buf, f.checksum);
+        }
+    } else {
+        put_uvarint(buf, f.entry);
+    }
+    encode_counts(buf, &f.body);
+    encode_children(buf, guids, &f.callsites);
+}
+
+/// Reads a node written by [`encode_func`], at nesting depth `depth`.
+fn decode_func<K: Anchor>(
+    r: &mut Reader<'_>,
+    guids: &GuidTable,
+    checksum: u64,
+    depth: usize,
+) -> Result<FuncProfile<K>, DecodeError> {
+    let (entry, checksum, inlined) = if K::PROBED {
+        let head = r.uvarint()?;
+        let entry = r.tally(head >> 2)?;
+        let checksum = if head & 2 != 0 {
+            r.uvarint()?
+        } else {
+            checksum
+        };
+        (entry, checksum, head & 1 != 0)
+    } else {
+        (r.count()?, checksum, false)
+    };
+    Ok(FuncProfile {
+        entry,
+        checksum,
+        body: decode_counts(r)?,
+        callsites: decode_children(r, guids, depth)?,
+        inlined,
+    })
 }
 
 /// Writes counts per anchor: a count, then per entry its key and count.
@@ -657,19 +724,18 @@ fn decode_counts<K: Anchor>(r: &mut Reader<'_>) -> Result<BTreeMap<K, u64>, Deco
     let mut prev = 0u32;
     for _ in 0..n {
         let k = K::get(r, prev)?;
-        out.insert(k, r.count()?);
+        insert_ascending(&mut out, k, r.count()?, "counts not strictly ascending")?;
         prev = k.lead();
     }
     Ok(out)
 }
 
 /// Writes call-site children keyed `(anchor, callee GUID)`: a count, then
-/// per child its key, its callee's GUID-table index and its body by `put`.
+/// per child its key, its callee's GUID-table index and its node.
 fn encode_children<K: Anchor>(
     buf: &mut Vec<u8>,
     guids: &GuidTable,
     children: &BTreeMap<(K, u64), FuncProfile<K>>,
-    put: Put<K>,
 ) {
     put_uvarint(buf, children.len() as u64);
     let mut prev = 0u32;
@@ -677,7 +743,7 @@ fn encode_children<K: Anchor>(
         let (i, checksum) = guids.find(callee);
         k.put(buf, prev);
         put_uvarint(buf, i);
-        put(buf, guids, checksum, child);
+        encode_func(buf, guids, checksum, child);
         prev = k.lead();
     }
 }
@@ -687,7 +753,6 @@ fn decode_children<K: Anchor>(
     r: &mut Reader<'_>,
     guids: &GuidTable,
     depth: usize,
-    get: Get<K>,
 ) -> Result<BTreeMap<(K, u64), FuncProfile<K>>, DecodeError> {
     let n = r.len_prefixed()?;
     let mut out = BTreeMap::new();
@@ -695,7 +760,13 @@ fn decode_children<K: Anchor>(
     for _ in 0..n {
         let k = K::get(r, prev)?;
         let (callee, checksum) = guids.read(r)?;
-        out.insert((k, callee), get(r, guids, checksum, nested(depth)?)?);
+        let child = decode_func(r, guids, checksum, nested(depth)?)?;
+        insert_ascending(
+            &mut out,
+            (k, callee),
+            child,
+            "call sites not strictly ascending",
+        )?;
         prev = k.lead();
     }
     Ok(out)
@@ -711,152 +782,50 @@ fn nested(depth: usize) -> Result<usize, DecodeError> {
 }
 
 // ---------------------------------------------------------------------------
-// Context profile
+// The three profile documents
 // ---------------------------------------------------------------------------
-
-/// Context-node flag bit: the pre-inliner's mark.
-const INLINED: u8 = 1;
-/// Context-node flag bit: the node's checksum follows, as it differs from
-/// its function's default.
-const OWN_CHECKSUM: u8 = 2;
-
-fn encode_context_node(
-    buf: &mut Vec<u8>,
-    guids: &GuidTable,
-    checksum: u64,
-    node: &FuncProfile<u32>,
-) {
-    let own = node.checksum != checksum;
-    buf.push((u8::from(node.inlined) * INLINED) | (u8::from(own) * OWN_CHECKSUM));
-    if own {
-        put_uvarint(buf, node.checksum);
-    }
-    put_uvarint(buf, node.entry);
-    encode_counts(buf, &node.body);
-    encode_children(buf, guids, &node.callsites, encode_context_node);
-}
-
-fn decode_context_node(
-    r: &mut Reader<'_>,
-    guids: &GuidTable,
-    checksum: u64,
-    depth: usize,
-) -> Result<FuncProfile<u32>, DecodeError> {
-    let flags = r.byte()?;
-    if flags & !(INLINED | OWN_CHECKSUM) != 0 {
-        return Err(DecodeError::Corrupt("unknown context-node flags"));
-    }
-    Ok(FuncProfile {
-        inlined: flags & INLINED != 0,
-        checksum: if flags & OWN_CHECKSUM != 0 {
-            r.uvarint()?
-        } else {
-            checksum
-        },
-        entry: r.count()?,
-        body: decode_counts(r)?,
-        callsites: decode_children(r, guids, depth, decode_context_node)?,
-    })
-}
 
 /// Serializes a [`ContextProfile`] to the binprof wire format.
 pub fn encode_context(profile: &ContextProfile) -> Vec<u8> {
-    encode_doc(
-        Kind::Context,
-        section::CONTEXT_ROOTS,
-        &profile.names,
-        &profile.roots,
-        encode_context_node,
-    )
+    encode_doc(Kind::Context, &profile.names, &profile.roots, iter::empty()).0
 }
 
 /// Deserializes a [`ContextProfile`] from the binprof wire format.
 pub fn decode_context(bytes: &[u8]) -> Result<ContextProfile, DecodeError> {
-    let (roots, names) = decode_doc(
-        bytes,
-        Kind::Context,
-        section::CONTEXT_ROOTS,
-        decode_context_node,
-    )?;
-    Ok(ContextProfile { roots, names })
-}
-
-// ---------------------------------------------------------------------------
-// Probe and flat (AutoFDO-style) profiles
-// ---------------------------------------------------------------------------
-
-fn encode_func<K: Anchor>(buf: &mut Vec<u8>, guids: &GuidTable, checksum: u64, f: &FuncProfile<K>) {
-    if K::CHECKSUM {
-        // The entry's low bit says whether the node's own checksum follows.
-        // An entry past 2⁶³ is clamped: the reader refuses it as past
-        // `MAX_COUNT_SUM` either way.
-        let own = f.checksum != checksum;
-        put_uvarint(buf, (f.entry.min(u64::MAX >> 1) << 1) | u64::from(own));
-        if own {
-            put_uvarint(buf, f.checksum);
-        }
-    } else {
-        put_uvarint(buf, f.entry);
-    }
-    encode_counts(buf, &f.body);
-    encode_children(buf, guids, &f.callsites, encode_func);
-}
-
-fn decode_func<K: Anchor>(
-    r: &mut Reader<'_>,
-    guids: &GuidTable,
-    checksum: u64,
-    depth: usize,
-) -> Result<FuncProfile<K>, DecodeError> {
-    let (entry, checksum) = if K::CHECKSUM {
-        let entry = r.uvarint()?;
-        let own = entry & 1 == 1;
-        (
-            r.tally(entry >> 1)?,
-            if own { r.uvarint()? } else { checksum },
-        )
-    } else {
-        (r.count()?, 0)
-    };
-    Ok(FuncProfile {
-        entry,
-        checksum,
-        body: decode_counts(r)?,
-        callsites: decode_children(r, guids, depth, decode_func)?,
-        inlined: false,
+    let doc = decode_doc(bytes, Kind::Context)?;
+    Ok(ContextProfile {
+        roots: doc.funcs,
+        names: doc.names,
     })
-}
-
-fn encode_profile<K: Anchor>(profile: &Profile<K>) -> Vec<u8> {
-    let (kind, tag) = K::DOC;
-    encode_doc(kind, tag, &profile.names, &profile.funcs, encode_func)
-}
-
-fn decode_profile<K: Anchor>(bytes: &[u8]) -> Result<Profile<K>, DecodeError> {
-    let (kind, tag) = K::DOC;
-    let (funcs, names) = decode_doc(bytes, kind, tag, decode_func)?;
-    Ok(Profile { funcs, names })
 }
 
 /// Serializes a [`ProbeProfile`] to the binprof wire format.
 pub fn encode_probe(profile: &ProbeProfile) -> Vec<u8> {
-    encode_profile(profile)
+    encode_doc(Kind::Probe, &profile.names, &profile.funcs, iter::empty()).0
 }
 
 /// Deserializes a [`ProbeProfile`] from the binprof wire format.
 pub fn decode_probe(bytes: &[u8]) -> Result<ProbeProfile, DecodeError> {
-    decode_profile(bytes)
+    let doc = decode_doc(bytes, Kind::Probe)?;
+    Ok(Profile {
+        funcs: doc.funcs,
+        names: doc.names,
+    })
 }
 
 /// Serializes a [`FlatProfile`] to the binprof wire format. Flat nodes
 /// store no checksum.
 pub fn encode_flat(profile: &FlatProfile) -> Vec<u8> {
-    encode_profile(profile)
+    encode_doc(Kind::Flat, &profile.names, &profile.funcs, iter::empty()).0
 }
 
 /// Deserializes a [`FlatProfile`] from the binprof wire format.
 pub fn decode_flat(bytes: &[u8]) -> Result<FlatProfile, DecodeError> {
-    decode_profile(bytes)
+    let doc = decode_doc(bytes, Kind::Flat)?;
+    Ok(Profile {
+        funcs: doc.funcs,
+        names: doc.names,
+    })
 }
 
 // ---------------------------------------------------------------------------
@@ -868,7 +837,8 @@ pub fn decode_flat(bytes: &[u8]) -> Result<FlatProfile, DecodeError> {
 enum Rows {
     /// `a`, `b`, `c` as they are: tail-call edges.
     Plain,
-    /// `a` as a delta off the previous row's, then `b`, `c`: weights.
+    /// `a` as a delta off the previous row's, then `b`, `c`: weights, whose
+    /// `a` is a GUID-table index.
     Delta,
     /// `a` as a delta off the previous row's, `b` as a zigzag delta off `a`,
     /// then `c`: ranges `(begin, end)` and branches `(from, to)`, whose two
@@ -933,17 +903,23 @@ fn decode_rows(payload: Option<&[u8]>, layout: Rows) -> Result<Vec<(u64, u64, u6
     Ok(rows)
 }
 
-/// Serializes a stream snapshot: the meta section (fingerprint, epochs,
-/// samples), the four row sections, and the context profile as a nested
-/// payload. Ranges and branches are written even when empty; no tail-graph
-/// edges and no weights write no section.
+/// Serializes a stream snapshot: its context profile's envelope, whose GUID
+/// table also lists every GUID a weight names, then the four row sections,
+/// a weight's GUID written as its table index, then the meta section
+/// (fingerprint, epochs, samples). Ranges and branches are written even
+/// when empty; no tail-graph edges and no weights write no section.
 pub(crate) fn encode_snapshot(snap: &Snapshot<'_>) -> Vec<u8> {
-    let mut buf = header(Kind::StreamSnapshot);
-    let mut meta = Vec::new();
-    for v in [snap.fingerprint, snap.epochs, snap.samples] {
-        put_uvarint(&mut meta, v);
-    }
-    put_section(&mut buf, section::STREAM_META, &meta);
+    let context = &snap.context;
+    let weight_guids = snap.weights.iter().map(|&(guid, _, _)| guid);
+    let (mut buf, guids) = encode_doc(
+        Kind::StreamSnapshot,
+        &context.names,
+        &context.roots,
+        weight_guids,
+    );
+    let weights: Vec<(u64, u64, u64)> = (snap.weights.iter())
+        .map(|&(guid, probe, count)| (guids.find(guid).0, probe, count))
+        .collect();
     for (tag, rows, layout, always) in [
         (
             section::STREAM_TAILGRAPH,
@@ -953,14 +929,19 @@ pub(crate) fn encode_snapshot(snap: &Snapshot<'_>) -> Vec<u8> {
         ),
         (section::STREAM_RANGES, &snap.ranges, Rows::Span, true),
         (section::STREAM_BRANCHES, &snap.branches, Rows::Span, true),
-        (section::STREAM_WEIGHTS, &snap.weights, Rows::Delta, false),
+        (section::STREAM_WEIGHTS, &weights, Rows::Delta, false),
     ] {
         if always || !rows.is_empty() {
             put_section(&mut buf, tag, &encode_rows(rows, layout));
         }
     }
-    let context = encode_context(&snap.context);
-    put_section(&mut buf, section::STREAM_CONTEXT, &context);
+    // The one required section after the envelope comes last, so a snapshot
+    // cut short anywhere is refused, not read without its last rows.
+    let mut meta = Vec::new();
+    for v in [snap.fingerprint, snap.epochs, snap.samples] {
+        put_uvarint(&mut meta, v);
+    }
+    put_section(&mut buf, section::STREAM_META, &meta);
     buf
 }
 
@@ -968,22 +949,27 @@ pub(crate) fn encode_snapshot(snap: &Snapshot<'_>) -> Vec<u8> {
 /// the bytes only: what the values mean for a binary is
 /// `StreamAggregator`'s one restore check.
 pub(crate) fn decode_snapshot(bytes: &[u8]) -> Result<Snapshot<'static>, DecodeError> {
-    let mut r = check_header(bytes, Kind::StreamSnapshot)?;
-    let sections = read_sections(&mut r)?;
-    let rows = |tag, layout| decode_rows(find(&sections, tag), layout);
-    let mut meta = Reader::new(require(&sections, section::STREAM_META)?);
+    let doc = decode_doc(bytes, Kind::StreamSnapshot)?;
+    let rows = |tag, layout| decode_rows(find(&doc.sections, tag), layout);
+    let mut r = Reader::new(require(&doc.sections, section::STREAM_META)?);
+    let meta = [r.uvarint()?, r.uvarint()?, r.uvarint()?];
+    r.finish("trailing bytes in snapshot meta")?;
+    let weights = (rows(section::STREAM_WEIGHTS, Rows::Delta)?.into_iter())
+        .map(|(i, probe, count)| Ok((doc.guids.get(i)?.0, probe, count)))
+        .collect::<Result<_, DecodeError>>()?;
+    let [fingerprint, epochs, samples] = meta;
     Ok(Snapshot {
-        fingerprint: meta.uvarint()?,
-        epochs: meta.uvarint()?,
-        samples: meta.uvarint()?,
+        fingerprint,
+        epochs,
+        samples,
         tail_edges: rows(section::STREAM_TAILGRAPH, Rows::Plain)?,
         ranges: rows(section::STREAM_RANGES, Rows::Span)?,
         branches: rows(section::STREAM_BRANCHES, Rows::Span)?,
-        weights: rows(section::STREAM_WEIGHTS, Rows::Delta)?,
-        context: Cow::Owned(decode_context(require(
-            &sections,
-            section::STREAM_CONTEXT,
-        )?)?),
+        weights,
+        context: Cow::Owned(ContextProfile {
+            roots: doc.funcs,
+            names: doc.names,
+        }),
     })
 }
 
@@ -1135,115 +1121,285 @@ mod tests {
         buf
     }
 
+    /// The three profile documents, each with whether its nodes are
+    /// probe-anchored (its GUID table carries checksums, its anchors are one
+    /// varint).
+    const KINDS: [(Kind, bool); 3] = [
+        (Kind::Context, true),
+        (Kind::Probe, true),
+        (Kind::Flat, false),
+    ];
+
+    /// A GUID table of `kind` framed by hand: the GUID deltas `deltas`, each
+    /// with default checksum 0 where the kind stores one.
+    fn table(probed: bool, deltas: &[u64]) -> Vec<u8> {
+        let mut values = vec![deltas.len() as u64];
+        for &d in deltas {
+            values.push(d);
+            values.extend(probed.then_some(0));
+        }
+        varints(&values)
+    }
+
+    /// Decodes a profile document of `kind` framed by hand from one string
+    /// (`f`), `guids`, `names` and `body`, as its function count.
+    fn decode_kind(
+        kind: Kind,
+        guids: &[u8],
+        names: &[u8],
+        body: &[u8],
+    ) -> Result<usize, DecodeError> {
+        let strings = varints(&[1, 1, u64::from(b'f')]);
+        let bytes = doc(
+            kind,
+            &[
+                (section::STRINGS, &strings),
+                (section::GUIDS, guids),
+                (section::NAMES, names),
+                (section::BODY, body),
+            ],
+        );
+        match kind {
+            Kind::Context => decode_context(&bytes).map(|p| p.roots.len()),
+            Kind::Probe => decode_probe(&bytes).map(|p| p.funcs.len()),
+            Kind::Flat | Kind::StreamSnapshot => decode_flat(&bytes).map(|p| p.funcs.len()),
+        }
+    }
+
+    /// A call-site anchor after none: probe 3, or line offset 3 with
+    /// discriminator 0.
+    fn site(probed: bool) -> &'static [u64] {
+        if probed {
+            &[3]
+        } else {
+            &[3, 0]
+        }
+    }
+
     /// Hostile GUID tables and the indices into them: an index past the
     /// table (as a root or body key, a callee and a names key), a table
     /// unsorted or duplicated, a table count past the payload, a truncated
-    /// or missing table, unknown context-node flag bits. Each is a typed
-    /// error, never a panic, in every document kind.
+    /// or missing table. Each is a typed error, never a panic, in every
+    /// document kind.
     #[test]
     fn guid_table_faults_are_typed_errors() {
-        let strings = varints(&[0]);
-        let no_names = varints(&[0]);
-        // One GUID, 5, whose default checksum is 0.
-        let table = varints(&[1, 5, 0]);
-        // One root at index 0: no flags, entry 0, no counts, no children.
-        let root = varints(&[1, 0, 0, 0, 0, 0]);
-        let context = |guids: &[u8], names: &[u8], roots: &[u8]| {
-            decode_context(&doc(
-                Kind::Context,
-                &[
-                    (section::STRINGS, &strings),
-                    (section::GUIDS, guids),
-                    (section::NAMES, names),
-                    (section::CONTEXT_ROOTS, roots),
-                ],
-            ))
-        };
-        let ok = context(&table, &no_names, &root).unwrap();
-        assert_eq!(ok.roots.keys().collect::<Vec<_>>(), [&5]);
-
         let past = DecodeError::Corrupt("GUID index past the table");
-        let child_of_index_1 = varints(&[1, 0, 0, 0, 0, 1, 3, 1, 0, 0, 0, 0]);
-        for (names, roots) in [
-            (&no_names, &varints(&[1, 1, 0, 0, 0, 0])),
-            (
-                &no_names,
-                &varints(&[2, 0, 0, 0, 0, 0, u64::MAX, 0, 0, 0, 0]),
-            ),
-            (&no_names, &child_of_index_1),
-            (&varints(&[1, 1, 0]), &root),
-        ] {
-            assert_eq!(context(&table, names, roots).unwrap_err(), past);
-        }
         let unsorted = DecodeError::Corrupt("GUID table not strictly ascending");
-        for guids in [&[2, 5, 0, 0, 0][..], &[2, 5, 0, u64::MAX - 1, 0]] {
+        let no_names = varints(&[0]);
+        // One function at index 0: entry 0, no counts, no children.
+        let root = varints(&[1, 0, 0, 0, 0]);
+        for (kind, probed) in KINDS {
+            let one = table(probed, &[5]);
+            assert_eq!(decode_kind(kind, &one, &no_names, &root), Ok(1));
+            let child_of_index_1 =
+                varints(&[&[1, 0, 0, 0, 1], site(probed), &[1, 0, 0, 0]].concat());
+            for (names, body) in [
+                (&no_names, &varints(&[1, 1, 0, 0, 0])),
+                (&no_names, &varints(&[2, 0, 0, 0, 0, u64::MAX, 0, 0, 0])),
+                (&no_names, &child_of_index_1),
+                (&varints(&[1, 1, 0]), &root),
+            ] {
+                assert_eq!(decode_kind(kind, &one, names, body), Err(past.clone()));
+            }
+            for deltas in [[5, 0], [5, u64::MAX - 1]] {
+                let guids = table(probed, &deltas);
+                assert_eq!(
+                    decode_kind(kind, &guids, &no_names, &root),
+                    Err(unsorted.clone())
+                );
+            }
             assert_eq!(
-                context(&varints(guids), &no_names, &root).unwrap_err(),
-                unsorted
+                decode_kind(kind, &varints(&[u64::MAX]), &no_names, &root),
+                Err(DecodeError::Corrupt("length prefix exceeds payload"))
             );
+            if probed {
+                assert_eq!(
+                    decode_kind(kind, &varints(&[2, 5, 0, 1]), &no_names, &root),
+                    Err(DecodeError::Truncated)
+                );
+            }
         }
-        assert_eq!(
-            context(&varints(&[u64::MAX]), &no_names, &root),
-            Err(DecodeError::Corrupt("length prefix exceeds payload"))
-        );
-        assert_eq!(
-            context(&varints(&[2, 5, 0, 1]), &no_names, &root),
-            Err(DecodeError::Truncated)
-        );
-        for flags in [4, 0x40] {
-            assert_eq!(
-                context(&table, &no_names, &varints(&[1, 0, flags, 0, 0, 0])),
-                Err(DecodeError::Corrupt("unknown context-node flags"))
-            );
-        }
+        let strings = varints(&[0]);
         let untabled = doc(
             Kind::Context,
             &[
                 (section::STRINGS, &strings),
                 (section::NAMES, &no_names),
-                (section::CONTEXT_ROOTS, &root),
+                (section::BODY, &root),
             ],
         );
         assert_eq!(
             decode_context(&untabled),
             Err(DecodeError::Corrupt("missing required section"))
         );
+    }
 
-        // A probe table carries checksums, a flat one does not.
-        let profile = |kind, tag, guids: &[u8], body: &[u8]| {
-            doc(
-                kind,
-                &[
-                    (section::STRINGS, &strings),
-                    (section::GUIDS, guids),
-                    (section::NAMES, &no_names),
-                    (tag, body),
-                ],
-            )
-        };
-        let probe = |guids: &[u8], body: &[u8]| {
-            decode_probe(&profile(Kind::Probe, section::PROBE_FUNCS, guids, body))
-        };
-        let flat = |guids: &[u8], body: &[u8]| {
-            decode_flat(&profile(Kind::Flat, section::FLAT_FUNCS, guids, body))
-        };
-        let body = varints(&[1, 0, 0, 0, 0]);
-        assert_eq!(probe(&table, &body).unwrap().funcs.len(), 1);
-        assert_eq!(flat(&varints(&[1, 5]), &body).unwrap().funcs.len(), 1);
-        assert_eq!(probe(&table, &varints(&[1, 1, 0, 0, 0])).unwrap_err(), past);
-        assert_eq!(
-            flat(&varints(&[1, 5]), &varints(&[1, 1, 0, 0, 0])).unwrap_err(),
-            past
-        );
-        assert_eq!(
-            probe(&varints(&[2, 5, 0, 0, 0]), &body).unwrap_err(),
-            unsorted
-        );
-        assert_eq!(flat(&varints(&[2, 5, 0]), &body).unwrap_err(), unsorted);
-        assert_eq!(
-            probe(&varints(&[2, 5, 0]), &body),
-            Err(DecodeError::Truncated)
-        );
+    /// `decode_doc`: a function listed twice (Δ index 0 after the first) is
+    /// refused in every document kind; the encoder writes each once.
+    #[test]
+    fn a_repeated_function_is_a_typed_error() {
+        let no_names = varints(&[0]);
+        for (kind, probed) in KINDS {
+            let guids = table(probed, &[5, 1]);
+            let body = |second: u64| varints(&[2, 0, 0, 0, 0, second, 0, 0, 0]);
+            assert_eq!(decode_kind(kind, &guids, &no_names, &body(1)), Ok(2));
+            assert_eq!(
+                decode_kind(kind, &guids, &no_names, &body(0)),
+                Err(DecodeError::Corrupt("functions not strictly ascending"))
+            );
+        }
+    }
+
+    /// `decode_names`: a names key repeated or below the one before it is
+    /// refused in every document kind.
+    #[test]
+    fn a_repeated_name_is_a_typed_error() {
+        let no_funcs = varints(&[0]);
+        for (kind, probed) in KINDS {
+            let guids = table(probed, &[5, 1]);
+            let names = |first: u64, second: u64| varints(&[2, first, 0, second, 0]);
+            assert_eq!(decode_kind(kind, &guids, &names(0, 1), &no_funcs), Ok(0));
+            for (first, second) in [(0, 0), (1, 0)] {
+                assert_eq!(
+                    decode_kind(kind, &guids, &names(first, second), &no_funcs),
+                    Err(DecodeError::Corrupt("names not strictly ascending"))
+                );
+            }
+        }
+    }
+
+    /// `decode_counts`: an anchor repeated or below the one before it is
+    /// refused, comparing the whole key — a flat anchor's line offset and
+    /// discriminator — and a probe delta that wraps past `u32::MAX` too.
+    #[test]
+    fn a_repeated_count_is_a_typed_error() {
+        let no_names = varints(&[0]);
+        let repeated = DecodeError::Corrupt("counts not strictly ascending");
+        // One function at index 0, entry 0, with the counts `counts`.
+        let body = |counts: &[u64]| varints(&[&[1, 0, 0], counts, &[0]].concat());
+        let wrap = u64::from(u32::MAX);
+        let probe_counts = [
+            (&[2, 4, 1, 1, 1][..], true),
+            (&[2, 4, 1, 0, 1], false),
+            (&[2, 4, 1, wrap, 1], false),
+        ];
+        let flat_counts = [
+            (&[2, 4, 2, 1, 0, 3, 1][..], true),
+            (&[2, 4, 2, 1, 1, 0, 1], true),
+            (&[2, 4, 2, 1, 0, 2, 1], false),
+            (&[2, 4, 2, 1, 0, 1, 1], false),
+        ];
+        for (kind, probed) in KINDS {
+            let cases = if probed {
+                &probe_counts[..]
+            } else {
+                &flat_counts
+            };
+            for &(counts, ok) in cases {
+                let got = decode_kind(kind, &table(probed, &[5]), &no_names, &body(counts));
+                assert_eq!(got, if ok { Ok(1) } else { Err(repeated.clone()) });
+            }
+        }
+    }
+
+    /// `decode_children`: a call site repeated or below the one before it
+    /// is refused, comparing the whole key — anchor and callee — in every
+    /// document kind.
+    #[test]
+    fn a_repeated_call_site_is_a_typed_error() {
+        let no_names = varints(&[0]);
+        for (kind, probed) in KINDS {
+            let guids = table(probed, &[5, 1]);
+            // The same anchor again: Δ 0 (and discriminator 0).
+            let again: &[u64] = if probed { &[0] } else { &[0, 0] };
+            // One function at index 0 whose two children sit at `site`
+            // then `again`, calling `first` then `second`.
+            let body = |first: u64, second: u64| {
+                let leaf = [0, 0, 0];
+                let head = [1, 0, 0, 0, 2];
+                let parts: [&[u64]; 7] = [
+                    &head,
+                    site(probed),
+                    &[first],
+                    &leaf,
+                    again,
+                    &[second],
+                    &leaf,
+                ];
+                varints(&parts.concat())
+            };
+            assert_eq!(decode_kind(kind, &guids, &no_names, &body(0, 1)), Ok(1));
+            for (first, second) in [(0, 0), (1, 0)] {
+                assert_eq!(
+                    decode_kind(kind, &guids, &no_names, &body(first, second)),
+                    Err(DecodeError::Corrupt("call sites not strictly ascending"))
+                );
+            }
+        }
+    }
+
+    /// One node codec, at the steps of its head varint: a probe-anchored
+    /// node with or without the mark and its own checksum round-trips in a
+    /// context and a probe document at entries either side of 32 and 4 096,
+    /// where its head `entry × 4 + own × 2 + mark` grows a byte.
+    #[test]
+    fn probe_anchored_nodes_round_trip_at_every_head_step() {
+        let mut sizes = BTreeMap::new();
+        for entry in [0, 31, 32, 4095, 4096] {
+            for (inlined, own) in [(false, false), (true, false), (false, true), (true, true)] {
+                // Root 1's child sets function 7's default checksum; root 7
+                // is the node under test.
+                let mut roots = BTreeMap::new();
+                let mut root = FuncProfile::<u32>::default();
+                root.callsite_mut(2, 7).checksum = 0xaa;
+                roots.insert(1, root);
+                let node = roots.entry(7).or_default();
+                node.entry = entry;
+                node.inlined = inlined;
+                node.checksum = if own { 0xbb } else { 0xaa };
+                node.record_sum(1, 5);
+                let context = ContextProfile {
+                    roots: roots.clone(),
+                    names: BTreeMap::new(),
+                };
+                let probe = ProbeProfile {
+                    funcs: roots,
+                    names: BTreeMap::new(),
+                };
+                let bytes = encode_context(&context);
+                assert_eq!(decode_context(&bytes), Ok(context));
+                let probe_bytes = encode_probe(&probe);
+                assert_eq!(decode_probe(&probe_bytes), Ok(probe));
+                // One envelope: only the kind byte tells the two apart.
+                assert_eq!(probe_bytes[11..], bytes[11..]);
+                sizes.insert((entry, inlined, own), bytes.len());
+            }
+        }
+        for (inlined, own) in [(false, false), (true, true)] {
+            let size = |entry| sizes[&(entry, inlined, own)];
+            assert_eq!(size(0), size(31));
+            assert_eq!(size(32), size(31) + 1);
+            assert_eq!(size(4095), size(32));
+            assert_eq!(size(4096), size(4095) + 1);
+        }
+    }
+
+    /// A probe-anchored entry past 2⁶², which the head leaves no room for,
+    /// is written clamped and refused as past [`MAX_COUNT_SUM`] by the probe
+    /// and context decoders alike.
+    #[test]
+    fn an_entry_past_2_62_is_clamped_and_refused() {
+        for entry in [1 << 62, u64::MAX] {
+            let mut probe = ProbeProfile::default();
+            probe.funcs.entry(1).or_default().entry = entry;
+            let context = ContextProfile {
+                roots: probe.funcs.clone(),
+                names: BTreeMap::new(),
+            };
+            let past = DecodeError::Corrupt("profile counts sum past 2^48");
+            assert_eq!(decode_probe(&encode_probe(&probe)), Err(past.clone()));
+            assert_eq!(decode_context(&encode_context(&context)), Err(past));
+        }
     }
 
     /// One nesting bound for the three profile decoders: a sub-profile
@@ -1362,7 +1518,11 @@ mod tests {
         );
     }
 
-    /// A snapshot with every section present, rows delta-encoded or not.
+    /// A GUID only [`sample_snapshot`]'s weights name.
+    const WEIGHT_ONLY: u64 = 1 << 40;
+
+    /// A snapshot with every section present, rows delta-encoded or not, and
+    /// a weight naming a function the context does not.
     fn sample_snapshot() -> Snapshot<'static> {
         Snapshot {
             fingerprint: 0xfeed_f00d,
@@ -1371,7 +1531,7 @@ mod tests {
             tail_edges: vec![(0, 2, 17), (1, 0, 5)],
             ranges: vec![(4, 9, 100), (4, 12, 3), (30, 2, 1), (30, 31, 8)],
             branches: vec![(9, 4, 100), (31, 30, 8)],
-            weights: vec![(7, 1, 50), (7, 4, 2), (9, 0, 11)],
+            weights: vec![(7, 1, 50), (7, 4, 2), (9, 0, 11), (WEIGHT_ONLY, 2, 3)],
             context: Cow::Owned(sample_context()),
         }
     }
@@ -1399,6 +1559,14 @@ mod tests {
         let back = decode_snapshot(&bytes).unwrap();
         assert_eq!(back, snap);
         assert_eq!(encode_snapshot(&back), bytes);
+        // The weight-only GUID sits in the one GUID table, default
+        // checksum 0.
+        let doc = decode_doc::<u32>(&bytes, Kind::StreamSnapshot).unwrap();
+        assert_eq!(
+            doc.guids.get(doc.guids.find(WEIGHT_ONLY).0),
+            Ok((WEIGHT_ONLY, 0))
+        );
+        assert!(!snap.context.names.contains_key(&WEIGHT_ONLY));
 
         // No edges and no weights: both sections are left out, and read
         // back as no rows.
@@ -1414,6 +1582,10 @@ mod tests {
             "no tail-graph section"
         );
         assert_eq!(decode_snapshot(&bytes).unwrap(), bare);
+        // Without weights a snapshot is its context document's envelope,
+        // under its own kind byte, followed by its rows.
+        let context = encode_context(&bare.context);
+        assert!(bytes[11..].starts_with(&context[11..]));
     }
 
     proptest! {
@@ -1444,13 +1616,14 @@ mod tests {
         }
     }
 
-    /// Binary-only hostile snapshots: a missing required section, truncation
-    /// anywhere, a row count past the payload, trailing bytes. Each is a
-    /// typed error, never a panic or an allocation of the claimed size.
+    /// Binary-only hostile snapshots: a missing required section (meta, GUID
+    /// table, body), truncation anywhere, a row count past the payload,
+    /// trailing bytes after rows or meta, a weight index past the GUID table. Each is a typed
+    /// error, never a panic or an allocation of the claimed size.
     #[test]
     fn snapshot_framing_faults_are_typed_errors() {
         let bytes = encode_snapshot(&sample_snapshot());
-        for tag in [section::STREAM_META, section::STREAM_CONTEXT] {
+        for tag in [section::STREAM_META, section::GUIDS, section::BODY] {
             assert_eq!(
                 decode_snapshot(&with_section(&bytes, tag, None)),
                 Err(DecodeError::Corrupt("missing required section")),
@@ -1464,6 +1637,13 @@ mod tests {
         put_uvarint(&mut bomb, u64::MAX);
         let mut trailing = encode_rows(&[(1, 2, 3)], Rows::Span);
         trailing.push(0);
+        let guids = decode_doc::<u32>(&bytes, Kind::StreamSnapshot)
+            .unwrap()
+            .guids;
+        let past = encode_rows(
+            &[(0, 1, 1), (guids.entries.len() as u64, 0, 1)],
+            Rows::Delta,
+        );
         for (tag, payload, err) in [
             (
                 section::STREAM_RANGES,
@@ -1479,6 +1659,12 @@ mod tests {
                 section::STREAM_BRANCHES,
                 &trailing,
                 "trailing bytes in snapshot rows",
+            ),
+            (section::STREAM_WEIGHTS, &past, "GUID index past the table"),
+            (
+                section::STREAM_META,
+                &varints(&[1, 2, 3, 0]),
+                "trailing bytes in snapshot meta",
             ),
         ] {
             assert_eq!(

@@ -72,8 +72,9 @@ pub struct FuncProfile<K> {
     pub callsites: BTreeMap<(K, u64), FuncProfile<K>>,
     /// The pre-inliner's decision on a context: it will be inlined into
     /// its parent (Algorithm 2's `MarkContextInlined`, LLVM's
-    /// `ContextShouldBeInlined`). Only a context document carries it; the
-    /// flat and probe codecs and `write_profile` never write it.
+    /// `ContextShouldBeInlined`). Only the pre-inliner sets it, on a
+    /// context profile; `to_probe_profile` never does, and the flat codec
+    /// and `write_profile` never write it.
     pub inlined: bool,
 }
 

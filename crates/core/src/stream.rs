@@ -68,7 +68,7 @@ use csspgo_codegen::Binary;
 use csspgo_sim::Sample;
 use std::borrow::Cow;
 use std::cell::OnceCell;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -617,12 +617,15 @@ impl<'b> StreamAggregator<'b> {
 
     /// The one check of a decoded snapshot against the binary it is
     /// restored onto, for both formats: the fingerprint must be `binary`'s,
-    /// every tail-graph, range and branch row must index inside it, and
-    /// every weight's probe must fit a `u32`. A restored aggregator so holds
-    /// no index its next seal or build could trip on. The context's nesting
-    /// and count bounds ([`binprof::MAX_DEPTH`], [`binprof::MAX_COUNT_SUM`])
-    /// were held by the reader that produced it, `binprof::decode_context`
-    /// or `textprof::parse_context`, in the pass that read it, so both
+    /// every tail-graph, range and branch row must index inside it, every
+    /// weight's probe must fit a `u32`, and no row may repeat the key of one
+    /// before it (a tail edge's caller and callee, a range's ends, a
+    /// branch's ends, a weight's function and probe), which would silently
+    /// replace it. A restored aggregator so holds no index its next seal or
+    /// build could trip on. The context's nesting and count bounds
+    /// ([`binprof::MAX_DEPTH`], [`binprof::MAX_COUNT_SUM`]) were held by the
+    /// reader that produced it, `binprof::decode_snapshot` or
+    /// `textprof::parse_context`, in the pass that read it, so both
     /// formats arrive checked without a second walk. What passes is
     /// adopted as is: an empty edge or weight list is no graph, no baseline.
     fn from_snapshot(
@@ -639,22 +642,30 @@ impl<'b> StreamAggregator<'b> {
         let refuse = |rows: &str, (a, b, c): (u64, u64, u64), why: &str| {
             PipelineError::Stream(format!("snapshot {rows} row `{a} {b} {c}`: {why}"))
         };
+        const REPEATED: &str = "repeats the key of a row before it";
         let mut graph = TailCallGraph::default();
+        let mut edges = BTreeSet::new();
         for &row @ (caller, callee, inst) in &snap.tail_edges {
             let at = |why| refuse("tail-graph", row, why);
-            graph.insert_edge(
+            let (from, to) = (
                 func_index(binary, caller).map_err(at)?,
                 func_index(binary, callee).map_err(at)?,
-                inst_index(binary, inst).map_err(at)?,
             );
+            if !edges.insert((from, to)) {
+                return Err(at(REPEATED));
+            }
+            graph.insert_edge(from, to, inst_index(binary, inst).map_err(at)?);
         }
         let tail_graph = (!snap.tail_edges.is_empty()).then_some(graph);
         let mut agg = Self::build(binary, config, ingest_shards, tail_graph);
         agg.epochs_sealed = snap.epochs;
         agg.total_samples = snap.samples;
         for &row @ (begin, end, count) in &snap.ranges {
-            let range = inst_range(binary, begin, end).map_err(|why| refuse("ranges", row, why))?;
-            agg.rc.ranges.insert(range, count);
+            let at = |why| refuse("ranges", row, why);
+            let range = inst_range(binary, begin, end).map_err(at)?;
+            if agg.rc.ranges.insert(range, count).is_some() {
+                return Err(at(REPEATED));
+            }
         }
         for &row @ (from, to, count) in &snap.branches {
             let at = |why| refuse("branches", row, why);
@@ -662,13 +673,17 @@ impl<'b> StreamAggregator<'b> {
                 inst_index(binary, from).map_err(at)?,
                 inst_index(binary, to).map_err(at)?,
             );
-            agg.rc.branches.insert(branch, count);
+            if agg.rc.branches.insert(branch, count).is_some() {
+                return Err(at(REPEATED));
+            }
         }
         let mut weights = BTreeMap::new();
         for &row @ (guid, probe, count) in &snap.weights {
             let probe = u32::try_from(probe)
                 .map_err(|_| refuse("weights", row, "weight probe overflow"))?;
-            weights.insert((guid, probe), count);
+            if weights.insert((guid, probe), count).is_some() {
+                return Err(refuse("weights", row, REPEATED));
+            }
         }
         agg.last_weights = (!weights.is_empty()).then_some(weights);
         agg.adopt(snap.context.into_owned());
@@ -1189,6 +1204,46 @@ fn serve(n, mode) {
         let err = StreamAggregator::restore_from(&b, StreamConfig::default(), 1, b"nonsense")
             .unwrap_err();
         assert!(matches!(err, PipelineError::Stream(_)), "{err}");
+    }
+
+    /// A binary snapshot repeating the key of a row before it — a tail
+    /// edge, a range, a branch, a weight — is refused by the one restore
+    /// check, naming the row, where it used to restore with the later row
+    /// silently replacing the earlier.
+    #[test]
+    fn binary_restore_refuses_a_repeated_row() {
+        let b = probed_binary();
+        let samples = traffic(&b, &[(2600, 1), (2400, 2)]);
+        let graph = calibration_graph(&b, &samples);
+        let mut agg = StreamAggregator::with_tail_graph(&b, StreamConfig::default(), 1, graph);
+        agg.push_batch(samples).unwrap();
+        agg.seal_epoch();
+        let snap = agg.to_snapshot();
+        for name in ["tail-graph", "ranges", "branches", "weights"] {
+            let mut bad = snap.clone();
+            let rows = match name {
+                "tail-graph" => &mut bad.tail_edges,
+                "ranges" => &mut bad.ranges,
+                "branches" => &mut bad.branches,
+                _ => &mut bad.weights,
+            };
+            if rows.is_empty() {
+                // This program makes no tail call: one edge inside it.
+                rows.push((0, 0, 0));
+            }
+            let (x, y, z) = rows[0];
+            rows.insert(1, (x, y, z + 1));
+            let bytes = binprof::encode_snapshot(&bad);
+            let err =
+                StreamAggregator::restore_from(&b, StreamConfig::default(), 1, &bytes).unwrap_err();
+            let msg = err.to_string();
+            assert!(
+                matches!(err, PipelineError::Stream(_))
+                    && msg.contains(&format!("snapshot {name} row `{x} {y} {}`", z + 1))
+                    && msg.contains("repeats the key"),
+                "{name}: {msg}"
+            );
+        }
     }
 
     /// `with_tail_graph(.., TailCallGraph::default())` is what a graphless

@@ -1,12 +1,14 @@
 //! Property tests for the binary profile wire format (`core::binprof`):
 //! encode→decode must be lossless for *arbitrary* context tries (random
-//! shapes, counts, checksums that differ from their function's default or
-//! are 0, inlined flags, functions only the names name) and for the probe
-//! and flat profiles derived from them, the text and binary formats must
-//! interchange losslessly, and the encoding must be canonical
+//! shapes, counts, entries either side of the node head's varint steps,
+//! checksums that differ from their function's default or are 0, inlined
+//! flags, functions only the names name) and for the probe and flat
+//! profiles derived from them (probe nodes marked too), the text and binary
+//! formats must interchange losslessly, and the encoding must be canonical
 //! (decode→re-encode is byte-identical). A golden fixture pins the
-//! version-3 wire bytes so silent format drift fails CI, and the last
-//! version-1 and version-2 fixtures stay to show such payloads are refused.
+//! version-4 wire bytes so silent format drift fails CI, and the last
+//! version-1, version-2 and version-3 fixtures stay to show such payloads
+//! are refused.
 
 use csspgo_core::binprof::{self, DecodeError};
 use csspgo_core::context::{ContextProfile, FrameKey};
@@ -41,19 +43,34 @@ fn collect_guids(node: &FuncProfile<u32>, out: &mut BTreeSet<u64>) {
     }
 }
 
-/// Rewrites node checksums in pre-order by `edits`, cycled: 0 keeps the
-/// function's checksum, 1 sets 0, 2 sets one that differs from it.
-fn edit_checksums(node: &mut FuncProfile<u32>, edits: &[u8], at: &mut usize) {
+/// Entries either side of the node head's varint steps: a probe-anchored
+/// head `entry × 4 + own checksum × 2 + mark` grows a byte at 32 and 4 096.
+const HEAD_STEPS: [u64; 4] = [31, 32, 4_095, 4_096];
+
+/// Rewrites nodes in pre-order by `edits`, cycled: 0 keeps the node, 1
+/// sets its checksum to 0, 2 to one that differs from its function's, and
+/// 3–6 set its entry to a [`HEAD_STEPS`] value.
+fn edit_nodes(node: &mut FuncProfile<u32>, edits: &[u8], at: &mut usize) {
     if !edits.is_empty() {
         match edits[*at % edits.len()] {
             1 => node.checksum = 0,
             2 => node.checksum ^= 0x5a5a,
+            e @ 3..=6 => node.entry = HEAD_STEPS[usize::from(e - 3)],
             _ => {}
         }
         *at += 1;
     }
     for child in node.callsites.values_mut() {
-        edit_checksums(child, edits, at);
+        edit_nodes(child, edits, at);
+    }
+}
+
+/// Sets the pre-inliner's mark on every node of a function whose GUID is a
+/// multiple of 3, the node `guid` names and its call sites below.
+fn mark(guid: u64, node: &mut FuncProfile<u32>) {
+    node.inlined = guid.is_multiple_of(3);
+    for (&(_, callee), child) in &mut node.callsites {
+        mark(callee, child);
     }
 }
 
@@ -64,7 +81,7 @@ fn profile_strategy() -> BoxedStrategy<ContextProfile> {
     let frame = (0usize..12, 0u32..8);
     let path = proptest::collection::vec(frame, 0..5);
     let op = (path, 0usize..12, 0u32..16, 1u64..1_000, any::<bool>());
-    let edits = proptest::collection::vec(0u8..3, 0..8);
+    let edits = proptest::collection::vec(0u8..7, 0..8);
     let extra_names = proptest::collection::vec(0usize..12, 0..4);
     (proptest::collection::vec(op, 0..60), edits, extra_names)
         .prop_map(
@@ -90,16 +107,10 @@ fn profile_strategy() -> BoxedStrategy<ContextProfile> {
                     .map(|i| (guid_of(i), (i as u64 + 1).wrapping_mul(0x9e37)))
                     .collect();
                 p.set_checksums(&table);
-                fn flag(guid: u64, node: &mut FuncProfile<u32>) {
-                    node.inlined = guid.is_multiple_of(3);
-                    for (&(_, callee), child) in &mut node.callsites {
-                        flag(callee, child);
-                    }
-                }
                 let mut at = 0;
                 for (&guid, root) in &mut p.roots {
-                    flag(guid, root);
-                    edit_checksums(root, &edits, &mut at);
+                    mark(guid, root);
+                    edit_nodes(root, &edits, &mut at);
                 }
                 // Name every referenced function, as real correlation does —
                 // the text format identifies functions by name — and some that
@@ -134,17 +145,18 @@ proptest! {
     }
 
     /// The probe and flat documents round-trip the same shapes: the probe
-    /// profile the context flattens to, with its checksums edited too, and
-    /// a flat profile keyed by the same anchors.
+    /// profile the context flattens to, its nodes edited and marked too,
+    /// and a flat profile keyed by the same anchors.
     #[test]
     fn binary_probe_and_flat_roundtrip_lossless(
         profile in profile_strategy(),
-        edits in proptest::collection::vec(0u8..3, 0..8),
+        edits in proptest::collection::vec(0u8..7, 0..8),
     ) {
         let mut probe = profile.to_probe_profile();
         let mut at = 0;
-        for f in probe.funcs.values_mut() {
-            edit_checksums(f, &edits, &mut at);
+        for (&guid, f) in &mut probe.funcs {
+            mark(guid, f);
+            edit_nodes(f, &edits, &mut at);
         }
         let bytes = binprof::encode_probe(&probe);
         let back = binprof::decode_probe(&bytes).unwrap();
@@ -219,7 +231,7 @@ fn golden_profile() -> ContextProfile {
     p
 }
 
-/// The version-3 wire bytes of [`golden_profile`] are pinned on disk: any
+/// The version-4 wire bytes of [`golden_profile`] are pinned on disk: any
 /// byte-level drift of the format must come with a `binprof::VERSION` bump
 /// and a deliberate re-bless.
 #[test]
@@ -227,20 +239,22 @@ fn golden_binary_fixture_is_stable() {
     let profile = golden_profile();
     let bytes = binprof::encode_context(&profile);
     golden::check(
-        "tests/fixtures/context_v3.binprof",
+        "tests/fixtures/context_v4.binprof",
         &bytes,
-        "binprof wire bytes drifted from the v3 fixture; bump VERSION and re-bless deliberately",
+        "binprof wire bytes drifted from the v4 fixture; bump VERSION and re-bless deliberately",
     );
     assert_eq!(binprof::decode_context(&bytes).unwrap(), profile);
 }
 
 /// Version 1 wrote each context node's GUID beside the key that names it,
 /// and each sub-profile's total beside the counts it sums; version 2 wrote
-/// a GUID at every key and a checksum at every node. Their payloads are
-/// refused, not read: there is one reader, for the current version.
+/// a GUID at every key and a checksum at every node; version 3 wrote a
+/// context node with a flag byte of its own and nested a whole second
+/// document in a stream snapshot. Their payloads are refused, not read:
+/// there is one reader, for the current version.
 #[test]
-fn version_1_and_2_payloads_are_refused() {
-    for found in [1, 2] {
+fn versions_1_to_3_are_refused() {
+    for found in [1, 2, 3] {
         let old = std::fs::read(format!(
             "{}/tests/fixtures/context_v{found}.binprof",
             env!("CARGO_MANIFEST_DIR")
@@ -250,7 +264,7 @@ fn version_1_and_2_payloads_are_refused() {
             binprof::decode_context(&old),
             Err(DecodeError::Version {
                 found,
-                supported: 3
+                supported: 4
             })
         );
     }
@@ -267,7 +281,7 @@ fn future_version_and_wrong_kind_are_rejected() {
     newer[8] = newer[8].wrapping_add(1);
     match binprof::decode_context(&newer) {
         Err(DecodeError::Version { found, supported }) => {
-            assert_eq!(supported, 3, "the v3 fixture");
+            assert_eq!(supported, 4, "the v4 fixture");
             assert_eq!(found, supported + 1);
         }
         other => panic!("expected version rejection, got {other:?}"),

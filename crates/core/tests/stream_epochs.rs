@@ -365,6 +365,42 @@ fn restore_refuses_out_of_binary_indices_in_both_formats() {
     }
 }
 
+/// Regression: a text row repeating the key of a row before it — a tail
+/// edge's caller and callee, a range's or a branch's ends, a weight's
+/// function and probe — restored, the later row silently replacing the
+/// earlier. The one restore check now refuses it, naming the row.
+#[test]
+fn restore_refuses_a_repeated_text_row() {
+    let binary = probed_binary();
+    let text = real_text_snapshot(&binary);
+    for marker in ["!tail-graph", "!ranges", "!branches", "!weights"] {
+        let rows = text.split(&format!("{marker}\n")).nth(1).unwrap();
+        let (text, first) = match rows.lines().next().filter(|l| !l.starts_with('!')) {
+            Some(first) => (text.clone(), first.to_string()),
+            // The program makes no tail call: one edge inside it.
+            None => (
+                text.replacen(&format!("{marker}\n"), &format!("{marker}\n0 0 0\n"), 1),
+                "0 0 0".to_string(),
+            ),
+        };
+        let (key, last) = first.rsplit_once(' ').unwrap();
+        let again = format!("{key} {}", last.parse::<u64>().unwrap() + 1);
+        let poisoned = text.replacen(
+            &format!("{marker}\n{first}\n"),
+            &format!("{marker}\n{first}\n{again}\n"),
+            1,
+        );
+        let err = restore_err(&binary, poisoned.as_bytes());
+        let msg = err.to_string();
+        assert!(
+            matches!(err, PipelineError::Stream(_))
+                && msg.contains(&format!("`{again}`"))
+                && msg.contains("repeats the key"),
+            "{marker}: {msg}"
+        );
+    }
+}
+
 /// Regression: the text restore narrowed a `!weights` probe index with
 /// `as u32`, so probe 2³²+1 silently restored as probe 1 while the binary
 /// format refused the same row. Both formats now refuse it, through the one

@@ -266,11 +266,42 @@ fn one_guid_table() {
     let binprof = file("crates/core/src/binprof.rs");
     let writer = item(&binprof, "fn encode(&self, checksums: bool)");
     let outside = (binprof.code().map(|(l, _)| l)).filter(|l| !writer.contains(l));
-    let found = lines_where(&binprof, outside, writes_raw_guid);
+    // A snapshot's weight rows hold raw GUIDs; only their table indices
+    // may reach a row writer.
+    let found = lines_where(&binprof, outside, |l| {
+        writes_raw_guid(l) || l.contains("&snap.weights")
+    });
     holds(
         "One GUID table",
         "§9.1",
-        "a binprof document writes each GUID once, in its GUID table; every other GUID is a table index",
+        "a binprof document writes each GUID once, in its GUID table; every other GUID, a snapshot weight's included, is a table index",
+        &found,
+    );
+}
+
+#[test]
+fn one_node_codec() {
+    let binprof = file("crates/core/src/binprof.rs");
+    let banned = [
+        "fn encode_context_node",
+        "fn decode_context_node",
+        "type Put<",
+        "type Get<",
+        "OWN_CHECKSUM",
+    ];
+    let snapshot_codec = ["fn encode_snapshot(", "fn decode_snapshot("].map(|h| item(&binprof, h));
+    let nests = |l: usize, t: &str| {
+        snapshot_codec.iter().any(|codec| codec.contains(&l))
+            && calls(t, "encode_context(") + calls(t, "decode_context(") > 0
+    };
+    let offending = (binprof.code())
+        .filter(|&(l, t)| any_of(t, &banned) || nests(l, t))
+        .map(|(l, _)| l);
+    let found = lines_where(&binprof, offending, |_| true);
+    holds(
+        "One node codec",
+        "§9.1",
+        "`encode_func`/`decode_func` write and read every binprof node, called directly, not passed as a codec; a stream snapshot is one envelope, never a nested document",
         &found,
     );
 }
@@ -738,7 +769,7 @@ fn one_profile_shape() {
     holds(
         "One profile shape",
         "§8.1",
-        "AutoFDO, probe and context profiles are one generic function-profile type, correlated by one loop, encoded by one node codec per document kind and merged by one rule; no profile type serialises",
+        "AutoFDO, probe and context profiles are one generic function-profile type, correlated by one loop, encoded by one node codec and merged by one rule; no profile type serialises",
         &found,
     );
 }
